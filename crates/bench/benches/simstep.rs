@@ -1,20 +1,14 @@
-//! Per-delivery step cost of the simulation engine, slab vs classic.
+//! Per-delivery step cost of the simulation engine.
 //!
 //! The workload holds the in-flight population constant: a seeder
 //! process floods `size` messages at start-up, and every delivery sends
 //! exactly one message onward, so `iter(|| sim.step())` measures the
-//! steady-state cost of one delivery at `size` messages in flight. The
-//! `classic/*` rows run the preserved pre-slab engine
-//! ([`bgla_bench::classic`]) on the identical workload — the
-//! slab-vs-classic ratio at 10k in flight is the headline number in the
-//! committed `BENCH_simstep.json`.
+//! steady-state cost of one delivery at `size` messages in flight.
+//! The committed `BENCH_simstep.json` holds the rows at 1k and 10k.
 //!
 //! Smoke mode (`SIMSTEP_SMOKE=1`, used by CI) shrinks sizes and sample
 //! counts so the bench just proves it runs.
 
-use bgla_bench::classic::{
-    ClassicDelay, ClassicFifo, ClassicRandom, ClassicScheduler, ClassicSimulation,
-};
 use bgla_simnet::{
     Context, DelayScheduler, FifoScheduler, Process, ProcessId, RandomScheduler, Scheduler,
     SimulationBuilder,
@@ -54,19 +48,11 @@ fn churn_procs(size: usize) -> Vec<Box<dyn Process<u64>>> {
         .collect()
 }
 
-fn new_schedulers(size: usize) -> Vec<(&'static str, Box<dyn Scheduler>)> {
+fn schedulers(size: usize) -> Vec<(&'static str, Box<dyn Scheduler>)> {
     vec![
         ("fifo", Box::new(FifoScheduler::new())),
         ("random", Box::new(RandomScheduler::new(1))),
         ("delay", Box::new(DelayScheduler::new(1, size as u64))),
-    ]
-}
-
-fn classic_schedulers(size: usize) -> Vec<(&'static str, Box<dyn ClassicScheduler>)> {
-    vec![
-        ("fifo", Box::new(ClassicFifo)),
-        ("random", Box::new(ClassicRandom::new(1))),
-        ("delay", Box::new(ClassicDelay::new(1, size as u64))),
     ]
 }
 
@@ -79,7 +65,7 @@ fn bench_simstep(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
 
     for &size in sizes {
-        for (name, sched) in new_schedulers(size) {
+        for (name, sched) in schedulers(size) {
             let mut sim = SimulationBuilder::new().scheduler(sched);
             for p in churn_procs(size) {
                 sim = sim.add(p);
@@ -91,15 +77,6 @@ fn bench_simstep(c: &mut Criterion) {
                 BenchmarkId::new(format!("slab/{name}"), size),
                 &size,
                 |b, _| b.iter(|| sim.step()),
-            );
-        }
-        for (name, sched) in classic_schedulers(size) {
-            let mut old = ClassicSimulation::new(churn_procs(size), sched);
-            old.start();
-            g.bench_with_input(
-                BenchmarkId::new(format!("classic/{name}"), size),
-                &size,
-                |b, _| b.iter(|| old.step()),
             );
         }
     }

@@ -1,8 +1,7 @@
 //! Criterion bench for the `ValueSet` representation: the message
 //! fan-out pattern every agreement algorithm executes on its hot path,
-//! measured against the `BTreeSet` baseline it replaced, plus the
-//! delta-message codec and an end-to-end GWTS round with deltas
-//! on/off.
+//! measured against a `BTreeSet` baseline, plus the delta-message
+//! codec and an end-to-end GWTS stream.
 //!
 //! Run with `cargo bench --bench valueset`; set `CRITERION_JSON=path`
 //! to dump the results (that is how `BENCH_valueset.json` at the repo
@@ -92,7 +91,7 @@ fn bench_delta_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("delta_codec_1k_plus8_n16");
     let base: ValueSet<u64> = (0..SET_SIZE).collect();
     let refined: ValueSet<u64> = (0..SET_SIZE + 8).collect();
-    let mut tx: DeltaSender<u64> = DeltaSender::new(true);
+    let mut tx: DeltaSender<u64> = DeltaSender::new();
     let mut rx: DeltaReceiver<u64> = DeltaReceiver::new();
     tx.record_broadcast(0, &base);
     for to in 0..FANOUT {
@@ -131,9 +130,8 @@ fn bench_delta_codec(c: &mut Criterion) {
     g.finish();
 }
 
-/// End-to-end: a 3-round GWTS stream (n = 7), deltas on vs off —
-/// wall-clock and the modeled byte counts both matter here.
-fn bench_gwts_deltas(c: &mut Criterion) {
+/// End-to-end: a 3-round GWTS stream (n = 7).
+fn bench_gwts_stream(c: &mut Criterion) {
     use bgla_core::gwts::GwtsProcess;
     use bgla_core::SystemConfig;
     use bgla_simnet::{FifoScheduler, SimulationBuilder};
@@ -141,27 +139,21 @@ fn bench_gwts_deltas(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("gwts_stream_n7_r3");
     g.sample_size(10);
-    for deltas in [false, true] {
-        let label = if deltas { "deltas_on" } else { "deltas_off" };
-        g.bench_with_input(BenchmarkId::from_parameter(label), &deltas, |b, &deltas| {
-            b.iter(|| {
-                let (n, f, rounds) = (7usize, 2usize, 3u64);
-                let config = SystemConfig::new(n, f);
-                let mut builder =
-                    SimulationBuilder::new().scheduler(Box::new(FifoScheduler::new()));
-                for i in 0..n {
-                    let mut schedule: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-                    schedule.insert(0, (0..40).map(|k| (i as u64) * 1_000 + k).collect());
-                    builder = builder.add(Box::new(
-                        GwtsProcess::new(i, config, schedule, rounds).with_deltas(deltas),
-                    ));
-                }
-                let mut sim = builder.build();
-                sim.run(u64::MAX / 2);
-                sim.metrics().total_bytes()
-            })
-        });
-    }
+    g.bench_with_input(BenchmarkId::from_parameter("deltas_on"), &(), |b, _| {
+        b.iter(|| {
+            let (n, f, rounds) = (7usize, 2usize, 3u64);
+            let config = SystemConfig::new(n, f);
+            let mut builder = SimulationBuilder::new().scheduler(Box::new(FifoScheduler::new()));
+            for i in 0..n {
+                let mut schedule: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+                schedule.insert(0, (0..40).map(|k| (i as u64) * 1_000 + k).collect());
+                builder = builder.add(Box::new(GwtsProcess::new(i, config, schedule, rounds)));
+            }
+            let mut sim = builder.build();
+            sim.run(u64::MAX / 2);
+            sim.metrics().total_bytes()
+        })
+    });
     g.finish();
 }
 
@@ -170,6 +162,6 @@ criterion_group!(
     bench_fanout,
     bench_steady_state_redeliver,
     bench_delta_codec,
-    bench_gwts_deltas
+    bench_gwts_stream
 );
 criterion_main!(benches);

@@ -8,16 +8,15 @@
 //! models — `proofs interned` counts the distinct proofs actually
 //! shipped) vs the flat encoding that attaches a copy per proven value
 //! (`proof refs`). The savings column is the byte reduction interning
-//! delivers; proof *verification* is likewise interned per process (see
-//! `BENCH_proofcheck.json` for that ablation, `with_proof_interning`).
+//! delivers; proof *verification* is likewise interned per process.
 //!
 //! ```text
 //!  n | proof refs | proofs interned | proof B interned | proof B flat | saved
 //! ```
 //!
-//! Also measures the delta-message optimization: GWTS `ack_req` traffic
-//! with deltas enabled vs the full-set baseline (same protocol, same
-//! schedule, only the payload encoding differs).
+//! Also reports the delta-encoded proposal traffic: GWTS `ack_req`
+//! bytes, and SbS/GSbS `ack_req + nack` bytes with the proofs that
+//! travelled by reference.
 //!
 //! All sweeps run sharded, one (n) / (n, batch) cell per core.
 
@@ -36,24 +35,25 @@ fn proof_traffic(m: &Metrics) -> u64 {
         + m.bytes_by_kind.get("nack").copied().unwrap_or(0)
 }
 
-/// Runs one-shot SbS under a refinement-provoking random schedule and
-/// returns (total bytes, ack_req + nack bytes).
-fn sbs_delta_bytes(n: usize, f: usize, deltas: bool) -> (u64, u64) {
+/// (total bytes, ack_req + nack bytes, proofs shipped by reference).
+fn proven_bytes(m: &Metrics) -> (u64, u64, u64) {
+    (m.total_bytes(), proof_traffic(m), m.proofs_by_ref)
+}
+
+/// Runs one-shot SbS under a refinement-provoking random schedule.
+fn sbs_bytes(n: usize, f: usize) -> (u64, u64, u64) {
     let config = SystemConfig::new(n, f);
     let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(3)));
     for i in 0..n {
-        b = b.add(Box::new(
-            SbsProcess::new(i, config, 100 + i as u64).with_proven_deltas(deltas),
-        ));
+        b = b.add(Box::new(SbsProcess::new(i, config, 100 + i as u64)));
     }
     let mut sim = b.build();
     sim.run(u64::MAX / 2);
-    (sim.metrics().total_bytes(), proof_traffic(sim.metrics()))
+    proven_bytes(sim.metrics())
 }
 
-/// Runs a GSbS stream (cumulative proposals) and returns
-/// (total bytes, ack_req + nack bytes).
-fn gsbs_delta_bytes(n: usize, f: usize, rounds: u64, deltas: bool) -> (u64, u64) {
+/// Runs a GSbS stream (cumulative proposals).
+fn gsbs_bytes(n: usize, f: usize, rounds: u64) -> (u64, u64, u64) {
     let config = SystemConfig::new(n, f);
     let mut b = SimulationBuilder::new().scheduler(Box::new(FifoScheduler::new()));
     for i in 0..n {
@@ -61,17 +61,15 @@ fn gsbs_delta_bytes(n: usize, f: usize, rounds: u64, deltas: bool) -> (u64, u64)
         for r in 0..rounds.saturating_sub(2) {
             schedule.insert(r, vec![(i as u64) * 1_000 + r]);
         }
-        b = b.add(Box::new(
-            GsbsProcess::new(i, config, schedule, rounds).with_proven_deltas(deltas),
-        ));
+        b = b.add(Box::new(GsbsProcess::new(i, config, schedule, rounds)));
     }
     let mut sim = b.build();
     sim.run(u64::MAX / 2);
-    (sim.metrics().total_bytes(), proof_traffic(sim.metrics()))
+    proven_bytes(sim.metrics())
 }
 
 /// Runs a GWTS stream and returns (total bytes, ack_req bytes).
-fn gwts_bytes(n: usize, f: usize, rounds: u64, batch: u64, deltas: bool) -> (u64, u64) {
+fn gwts_bytes(n: usize, f: usize, rounds: u64, batch: u64) -> (u64, u64) {
     let config = SystemConfig::new(n, f);
     let mut b = SimulationBuilder::new().scheduler(Box::new(FifoScheduler::new()));
     for i in 0..n {
@@ -84,9 +82,7 @@ fn gwts_bytes(n: usize, f: usize, rounds: u64, batch: u64, deltas: bool) -> (u64
                     .collect(),
             );
         }
-        b = b.add(Box::new(
-            GwtsProcess::new(i, config, schedule, rounds).with_deltas(deltas),
-        ));
+        b = b.add(Box::new(GwtsProcess::new(i, config, schedule, rounds)));
     }
     let mut sim = b.build();
     sim.run(u64::MAX / 2);
@@ -197,70 +193,45 @@ fn main() {
     println!("\nShape ✓: the signature algorithm's messages are asymptotically larger —");
     println!("the exact trade Section 8 announces.");
 
-    println!("\nDelta messages: GWTS bytes, full-set vs delta ack_reqs (FIFO schedule)\n");
+    println!("\nDelta messages: GWTS bytes with delta-encoded ack_reqs (FIFO schedule)\n");
     println!(
         "{}",
         row(&[
             "n".into(),
             "batch".into(),
-            "full total".into(),
-            "delta total".into(),
-            "full ack_req".into(),
-            "delta ack_req".into(),
-            "savings".into(),
+            "total".into(),
+            "ack_req".into(),
+            "share".into(),
         ])
     );
     let grid = [(4usize, 8u64), (7, 8), (7, 32), (10, 32)];
     let delta_cells = run_indexed(grid.len(), |i| {
         let (n, batch) = grid[i];
-        let f = (n - 1) / 3;
-        (
-            gwts_bytes(n, f, 4, batch, false),
-            gwts_bytes(n, f, 4, batch, true),
-        )
+        gwts_bytes(n, (n - 1) / 3, 4, batch)
     });
-    for (&(n, batch), &((full_total, full_ack), (delta_total, delta_ack))) in
-        grid.iter().zip(&delta_cells)
-    {
+    for (&(n, batch), &(total, ack_req)) in grid.iter().zip(&delta_cells) {
         println!(
             "{}",
             row(&[
                 n.to_string(),
                 batch.to_string(),
-                full_total.to_string(),
-                delta_total.to_string(),
-                full_ack.to_string(),
-                delta_ack.to_string(),
-                format!(
-                    "{:.0}%",
-                    100.0 * (1.0 - delta_ack as f64 / full_ack.max(1) as f64)
-                ),
+                total.to_string(),
+                ack_req.to_string(),
+                format!("{:.1}%", 100.0 * ack_req as f64 / total.max(1) as f64),
             ])
         );
-        assert!(
-            delta_ack <= full_ack,
-            "deltas must not grow ack_req bytes (n={n}, batch={batch})"
-        );
-        assert!(
-            delta_total <= full_total,
-            "deltas must not grow total bytes (n={n}, batch={batch})"
-        );
     }
-    println!("\nShape ✓: delta-encoded ack_reqs shrink proposal traffic; the totals drop");
-    println!("accordingly (disclosure/ack rbcast traffic is unaffected by design).");
 
-    println!("\nProven deltas: SbS/GSbS proof-carrying bytes, full vs delta + refs\n");
+    println!("\nProven deltas: SbS/GSbS proof-carrying bytes (delta + references)\n");
     println!(
         "{}",
         row(&[
             "algo".into(),
             "n".into(),
             "rounds".into(),
-            "full total".into(),
-            "delta total".into(),
-            "full ack+nack".into(),
-            "delta ack+nack".into(),
-            "savings".into(),
+            "total".into(),
+            "ack+nack".into(),
+            "by ref".into(),
         ])
     );
     // (algo, n, rounds): rounds = 1 means the one-shot SbS.
@@ -274,43 +245,28 @@ fn main() {
         let (algo, n, rounds) = pd_grid[i];
         let f = (n - 1) / 3;
         if algo == "sbs" {
-            (sbs_delta_bytes(n, f, false), sbs_delta_bytes(n, f, true))
+            sbs_bytes(n, f)
         } else {
-            (
-                gsbs_delta_bytes(n, f, rounds, false),
-                gsbs_delta_bytes(n, f, rounds, true),
-            )
+            gsbs_bytes(n, f, rounds)
         }
     });
-    for (&(algo, n, rounds), &((full_total, full_pc), (delta_total, delta_pc))) in
-        pd_grid.iter().zip(&pd_cells)
-    {
+    for (&(algo, n, rounds), &(total, proof_carrying, by_ref)) in pd_grid.iter().zip(&pd_cells) {
         println!(
             "{}",
             row(&[
                 algo.into(),
                 n.to_string(),
                 rounds.to_string(),
-                full_total.to_string(),
-                delta_total.to_string(),
-                full_pc.to_string(),
-                delta_pc.to_string(),
-                format!(
-                    "{:.0}%",
-                    100.0 * (1.0 - delta_pc as f64 / full_pc.max(1) as f64)
-                ),
+                total.to_string(),
+                proof_carrying.to_string(),
+                by_ref.to_string(),
             ])
         );
         assert!(
-            delta_pc <= full_pc,
-            "proven deltas must not grow ack_req/nack bytes ({algo}, n={n})"
-        );
-        assert!(
-            delta_total <= full_total,
-            "proven deltas must not grow total bytes ({algo}, n={n})"
+            by_ref > 0,
+            "no proof travelled by reference ({algo}, n={n}): deltas never engaged"
         );
     }
-    println!("\nShape ✓: after first contact, proofs travel once per peer (then as 32-byte");
-    println!("references) and only genuinely new values ship — the multi-round GSbS stream,");
-    println!("whose baseline re-ships the whole cumulative proposal every round, saves most.");
+    println!("\nShape ✓: after first contact, proofs travel once per peer and then as");
+    println!("32-byte references.");
 }

@@ -245,7 +245,7 @@ fn child(dir: &Path, me: usize, faulty: bool) {
         peers,
     };
     let shared = Arc::new(SharedCounters::default());
-    let pool = PollerPool::new(cfg.resolved_poller_threads());
+    let pool = PollerPool::spawn();
     let mut node = TcpNode::spawn(spec, cfg, shared.clone(), &pool).expect("spawn node threads");
     shared.go.store(true, Ordering::SeqCst);
 

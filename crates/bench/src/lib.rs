@@ -5,7 +5,6 @@
 //! builders and measurement helpers they share with the Criterion
 //! benches.
 
-pub mod classic;
 pub mod shard;
 
 pub use shard::{run_indexed, run_indexed_with, run_seeds, shard_count};

@@ -4,7 +4,7 @@
 //! Every `exp_*` binary sweeps a grid of independent configurations
 //! (seeds × system sizes × adversaries). Each cell is a self-contained
 //! deterministic simulation, so the sweep parallelizes embarrassingly:
-//! workers (crossbeam scoped threads) pull cell indexes from a shared
+//! workers (scoped threads) pull cell indexes from a shared
 //! counter, run them, and the driver reassembles results **in input
 //! order** — the merged output is byte-identical to a sequential sweep
 //! regardless of thread interleaving, because each cell's seeding is a
@@ -42,8 +42,9 @@ where
         return (0..count).map(job).collect();
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, T)>();
-    crossbeam::thread::scope(|s| {
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
+    // `scope` joins every worker and re-raises a worker's panic.
+    std::thread::scope(|s| {
         for _ in 0..shards.min(count) {
             let tx = tx.clone();
             let next = &next;
@@ -57,8 +58,7 @@ where
                 let _ = tx.send((idx, result));
             });
         }
-    })
-    .expect("sharded worker panicked");
+    });
     drop(tx);
     let mut collected: Vec<(usize, T)> = Vec::with_capacity(count);
     while let Ok(pair) = rx.recv() {

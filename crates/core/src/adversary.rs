@@ -1007,50 +1007,3 @@ pub mod gsbs {
         }
     }
 }
-
-/// Wraps an *honest* process and crashes it after `k` deliveries: the
-/// classic mid-protocol crash fault (a special case of Byzantine
-/// behavior the spec must tolerate). Before the crash it behaves
-/// exactly like the wrapped process — including possibly having
-/// half-participated in quorums.
-pub struct MidCrash<M, P: Process<M>> {
-    inner: P,
-    /// Deliveries after which the process goes silent.
-    pub crash_after: u64,
-    seen: u64,
-    _marker: PhantomData<M>,
-}
-
-impl<M, P: Process<M>> MidCrash<M, P> {
-    /// Wraps `inner`, crashing it after `crash_after` deliveries.
-    pub fn new(inner: P, crash_after: u64) -> Self {
-        MidCrash {
-            inner,
-            crash_after,
-            seen: 0,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Whether the crash point has been reached.
-    pub fn crashed(&self) -> bool {
-        self.seen >= self.crash_after
-    }
-}
-
-impl<M: Send + 'static, P: Process<M> + 'static> Process<M> for MidCrash<M, P> {
-    fn on_start(&mut self, ctx: &mut Context<M>) {
-        if self.crash_after > 0 {
-            self.inner.on_start(ctx);
-        }
-    }
-    fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<M>) {
-        self.seen += 1;
-        if self.seen <= self.crash_after {
-            self.inner.on_message(from, msg, ctx);
-        }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}

@@ -30,19 +30,17 @@
 //! proof's quorum checks run exactly once per process and are answered
 //! from a per-process [`bgla_crypto::ProofCache`] thereafter (positive
 //! and negative verdicts — see [`bgla_crypto::proofstore`] for what may
-//! be cached), with [`GsbsProcess::with_proof_interning`]`(false)` as
-//! the re-verify-everything ablation. Batch-set payloads are
-//! [`SignedSet`]s (Arc-backed, `O(1)` clone, merge-walk join).
+//! be cached). Batch-set payloads are [`SignedSet`]s (Arc-backed,
+//! `O(1)` clone, merge-walk join).
 //!
 //! And like [`crate::sbs`], the proof-carrying payloads (`AckReq.proposed`
 //! and `Nack.accepted`) travel as delta-encoded, proof-by-reference
 //! [`ProvenUpdate`]s — the win compounds here because the proven
 //! proposal is *cumulative across rounds*, so without deltas every round
-//! re-ships every earlier round's batches and proofs. Gap handling,
-//! the [`GsbsMsg::Resync`] fallback and the
-//! [`GsbsProcess::with_proven_deltas`]`(false)` ablation follow
-//! [`crate::provendelta`]; timestamps are monotone across rounds, so the
-//! sender-side snapshots key deltas exactly as in SbS.
+//! re-ships every earlier round's batches and proofs. Gap handling and
+//! the [`GsbsMsg::Resync`] fallback follow [`crate::provendelta`];
+//! timestamps are monotone across rounds, so the sender-side snapshots
+//! key deltas exactly as in SbS.
 
 use crate::config::SystemConfig;
 use crate::proof::{Proof, ProofAck};
@@ -575,11 +573,9 @@ pub struct GsbsProcess<V: SignableValue> {
     /// Memoized full-proof verdicts, keyed by [`ProofId`].
     // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
     proof_cache: ProofCache,
-    /// Ablation switch (see [`GsbsProcess::with_proof_interning`]).
-    proof_interning: bool,
     /// Proposer-side delta bookkeeping (snapshots, reply watermarks,
     /// per-peer referenceable proof ids).
-    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative and deliberately amnesiac across crashes; only the enabled flag is carried")
+    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative and deliberately amnesiac across crashes")
     delta_tx: ProvenDeltaSender<ProvenBatch<V>>,
     /// Acceptor-side delta bookkeeping (consumed bases, per-proposer
     /// referenceable proof ids).
@@ -588,8 +584,6 @@ pub struct GsbsProcess<V: SignableValue> {
     /// Verified-and-retained proof handles, resolvable by id when a
     /// peer ships a reference instead of the proof.
     resolver: ProofResolver<BatchProof<V>>,
-    /// Ablation switch (see [`GsbsProcess::with_proven_deltas`]).
-    proven_deltas: bool,
     /// Acceptor: highest trusted round.
     pub safe_r: u64,
     /// Valid decided certificates seen, by round.
@@ -641,11 +635,9 @@ impl<V: SignableValue> GsbsProcess<V> {
             safe_candidates: BTreeMap::new(),
             accepted_set: SignedSet::new(),
             proof_cache: ProofCache::default(),
-            proof_interning: true,
-            delta_tx: ProvenDeltaSender::new(true),
+            delta_tx: ProvenDeltaSender::new(),
             delta_rx: ProvenDeltaReceiver::new(),
             resolver: ProofResolver::default(),
-            proven_deltas: true,
             safe_r: 0,
             decided_certs: BTreeMap::new(),
             forwarded: BTreeSet::new(),
@@ -677,24 +669,6 @@ impl<V: SignableValue> GsbsProcess<V> {
             out.join_with(&pb.sb.batch);
         }
         out
-    }
-
-    /// Toggles proof-verdict interning (default on). With `false` every
-    /// [`GsbsProcess::all_safe`] re-verifies every attached proof — the
-    /// ablation baseline; decisions and traces are unchanged.
-    pub fn with_proof_interning(mut self, on: bool) -> Self {
-        self.proof_interning = on;
-        self
-    }
-
-    /// Toggles delta-encoded, proof-by-reference proposal payloads
-    /// (default on). With `false` every `ack_req`/`nack` ships the full
-    /// cumulative set with every proof inline — the byte-count
-    /// ablation; decisions, traces and non-byte metrics are unchanged.
-    pub fn with_proven_deltas(mut self, on: bool) -> Self {
-        self.proven_deltas = on;
-        self.delta_tx = ProvenDeltaSender::new(on);
-        self
     }
 
     /// Cryptographic-work counters of this process's verifier.
@@ -746,8 +720,8 @@ impl<V: SignableValue> GsbsProcess<V> {
     /// membership: the pair check is full record equality against an
     /// `rcvd` echo whose every record `proof_valid` verified.
     ///
-    /// Public for the `proofcheck` benchmark and verification-count
-    /// tests; protocol handlers are the real callers.
+    /// Public for the verification-count tests; protocol handlers are
+    /// the real callers.
     pub fn all_safe(&mut self, set: &SignedSet<ProvenBatch<V>>) -> bool {
         let quorum = self.config.quorum();
         // bgla-lint: allow(determinism, "membership-only dedup set (insert/contains); iteration order never observed")
@@ -765,17 +739,13 @@ impl<V: SignableValue> GsbsProcess<V> {
             if !checked.insert(id) {
                 continue; // another batch in this set shares the proof
             }
-            if self.proof_interning {
-                match self.proof_cache.get(id) {
-                    Some(true) => continue,
-                    Some(false) => return false,
-                    None => {}
-                }
+            match self.proof_cache.get(id) {
+                Some(true) => continue,
+                Some(false) => return false,
+                None => {}
             }
             let ok = Self::proof_valid(&mut self.verifier, quorum, &pb.proof);
-            if self.proof_interning {
-                self.proof_cache.put(id, ok);
-            }
+            self.proof_cache.put(id, ok);
             if !ok {
                 return false;
             }
@@ -985,13 +955,9 @@ impl<V: SignableValue> GsbsProcess<V> {
                 } else {
                     // The refusal deltas against the refused proposal —
                     // a base the proposer holds by construction.
-                    let accepted = self.delta_rx.encode_reply(
-                        from,
-                        *ts,
-                        &proposed,
-                        &self.accepted_set,
-                        self.proven_deltas,
-                    );
+                    let accepted =
+                        self.delta_rx
+                            .encode_reply(from, *ts, &proposed, &self.accepted_set);
                     ctx.send(
                         from,
                         GsbsMsg::Nack {
@@ -1306,8 +1272,6 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
             .map(|(_, p)| p)
             .collect();
         retained.encode(w);
-        self.proof_interning.encode(w);
-        self.proven_deltas.encode(w);
         w.u64(self.safe_r);
         self.decided_certs.encode(w);
         self.forwarded.encode(w);
@@ -1336,8 +1300,6 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
         let safe_candidates = Wire::decode(r)?;
         let accepted_set = Wire::decode(r)?;
         let retained: Vec<BatchProof<V>> = Wire::decode(r)?;
-        let proof_interning = bool::decode(r)?;
-        let proven_deltas = bool::decode(r)?;
         let safe_r = r.u64()?;
         let decided_certs = Wire::decode(r)?;
         let forwarded = Wire::decode(r)?;
@@ -1370,11 +1332,9 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
             safe_candidates,
             accepted_set,
             proof_cache: ProofCache::default(),
-            proof_interning,
-            delta_tx: ProvenDeltaSender::new(proven_deltas),
+            delta_tx: ProvenDeltaSender::new(),
             delta_rx: ProvenDeltaReceiver::new(),
             resolver,
-            proven_deltas,
             safe_r,
             decided_certs,
             forwarded,

@@ -265,6 +265,7 @@ pub struct GwtsProcess<V: Value> {
     /// Cumulative decision (Local Stability floor).
     decided_set: ValueSet<V>,
     /// Proposer-side delta bookkeeping (snapshots + reply watermarks).
+    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative; a restarted process resumes in full-set mode by design")
     delta_tx: DeltaSender<V>,
     /// Acceptor-side delta bases.
     // bgla-lint: allow(wire-coverage, "delta bases are peer-relative; a restarted process resumes in full-set mode by design")
@@ -315,7 +316,7 @@ impl<V: Value> GwtsProcess<V> {
             waiting: Vec::new(),
             pending_acks: Vec::new(),
             decided_set: ValueSet::new(),
-            delta_tx: DeltaSender::new(true),
+            delta_tx: DeltaSender::new(),
             delta_rx: DeltaReceiver::new(),
             recovered: false,
             decisions: Vec::new(),
@@ -323,13 +324,6 @@ impl<V: Value> GwtsProcess<V> {
             refinements: BTreeMap::new(),
             all_inputs: Vec::new(),
         }
-    }
-
-    /// Ablation: disable delta-encoded ack requests (every `ack_req`
-    /// carries the full cumulative set). Used by the byte experiments.
-    pub fn with_deltas(mut self, enabled: bool) -> Self {
-        self.delta_tx = DeltaSender::new(enabled);
-        self
     }
 
     /// Feeds a new input value: goes into the batch of the *next* round
@@ -653,7 +647,6 @@ impl<V: Value> Wire for GwtsProcess<V> {
         self.waiting.encode(w);
         self.pending_acks.encode(w);
         self.decided_set.encode(w);
-        self.delta_tx.enabled().encode(w);
         self.decisions.encode(w);
         self.decision_depths.encode(w);
         self.refinements.encode(w);
@@ -681,7 +674,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
             waiting: Wire::decode(r)?,
             pending_acks: Wire::decode(r)?,
             decided_set: Wire::decode(r)?,
-            delta_tx: DeltaSender::new(bool::decode(r)?),
+            delta_tx: DeltaSender::new(),
             delta_rx: DeltaReceiver::new(),
             recovered: true,
             decisions: Wire::decode(r)?,

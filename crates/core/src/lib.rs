@@ -55,9 +55,7 @@
 //! proof is then **verified once per process**: `AllSafe` memoizes
 //! full-proof verdicts (positive and negative) in a per-process
 //! [`bgla_crypto::ProofCache`], so redelivered or re-shipped proofs cost
-//! a hash lookup plus pure comparisons. `with_proof_interning(false)` on
-//! [`sbs::SbsProcess`] / [`gsbs::GsbsProcess`] is the ablation switch
-//! (identical decisions and traces, only the cost differs).
+//! a hash lookup plus pure comparisons.
 //!
 //! Each distinct proof is also **transmitted once per peer**: the
 //! proof-carrying payloads (`AckReq.proposed`, `Nack.accepted`) travel
@@ -66,8 +64,7 @@
 //! holds named by [`bgla_crypto::ProofId`] reference and reconstructed
 //! through a per-process [`bgla_crypto::ProofResolver`]. Unresolvable
 //! proposals fall back to `Full` via a resync round trip (only Byzantine
-//! senders trigger it); `with_proven_deltas(false)` is the ablation
-//! switch (identical decisions and traces, only wire bytes differ).
+//! senders trigger it).
 #![warn(missing_docs)]
 // Thresholds are written exactly as in the paper (`f + 1`, `2f + 1`,
 // `⌊(n+f)/2⌋ + 1`); clippy's `x > y` rewrite would obscure the quorum math.

@@ -77,11 +77,6 @@
 //!                                 + Σ inline-distinct-proof bytes
 //!                                 + |refs| × PROOF_REF_BYTES
 //! ```
-//!
-//! The ablation switch (`with_proven_deltas(false)` on
-//! [`crate::sbs::SbsProcess`] / [`crate::gsbs::GsbsProcess`]) makes
-//! every encode yield `Full`; decisions, traces and non-byte metrics are
-//! unchanged either way.
 
 use crate::proof::{Proof, ProofAck};
 use crate::signedset::{SignedItem, SignedSet};
@@ -302,7 +297,7 @@ pub fn register_proofs<T: ProvenRecord>(
 /// Proposer-side bookkeeping for delta-encoded proposal broadcasts:
 /// snapshots of the proven set by timestamp, each peer's newest
 /// replied-to timestamp, and the proof ids each peer demonstrably holds.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ProvenDeltaSender<T: ProvenRecord> {
     /// ts → proven set at that ts (`O(1)` clones make this cheap).
     snapshots: BTreeMap<u64, SignedSet<T>>,
@@ -310,19 +305,15 @@ pub struct ProvenDeltaSender<T: ProvenRecord> {
     last_replied: BTreeMap<ProcessId, u64>,
     /// Peer → proof ids it demonstrably delivered (see module docs).
     known_held: BTreeMap<ProcessId, BTreeSet<ProofId>>,
-    enabled: bool,
 }
 
 impl<T: ProvenRecord> ProvenDeltaSender<T> {
-    /// Creates the bookkeeping; when `enabled` is false every encode
-    /// yields `Full` (the ablation baseline). State is tracked either
-    /// way, so toggling is purely a wire-encoding change.
-    pub fn new(enabled: bool) -> Self {
+    /// Fresh sender state: no snapshots, no reply seen.
+    pub fn new() -> Self {
         ProvenDeltaSender {
             snapshots: BTreeMap::new(),
             last_replied: BTreeMap::new(),
             known_held: BTreeMap::new(),
-            enabled,
         }
     }
 
@@ -381,12 +372,9 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
     /// Encodes the proven set `current` (broadcast at `ts`) for peer
     /// `to`: a delta against the newest set `to` replied to when
     /// possible — with proofs `to` demonstrably holds by reference —
-    /// and the full set on first contact, on a pruned or stale base
-    /// (see [`BASE_WINDOW`]), or when deltas are disabled.
+    /// and the full set on first contact or on a pruned or stale base
+    /// (see [`BASE_WINDOW`]).
     pub fn encode_for(&self, to: ProcessId, ts: u64, current: &SignedSet<T>) -> ProvenUpdate<T> {
-        if !self.enabled {
-            return ProvenUpdate::Full(current.clone());
-        }
         let base = self
             .last_replied
             .get(&to)
@@ -499,18 +487,14 @@ impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
     /// Encodes a *reply* set (a nack's accepted set) for proposer `to`:
     /// a delta against `base` — the proposal of `base_ts` being refused,
     /// which `to` holds by construction — with proofs `to` demonstrably
-    /// holds by reference. `Full` when deltas are disabled.
+    /// holds by reference.
     pub fn encode_reply(
         &self,
         to: ProcessId,
         base_ts: u64,
         base: &SignedSet<T>,
         current: &SignedSet<T>,
-        enabled: bool,
     ) -> ProvenUpdate<T> {
-        if !enabled {
-            return ProvenUpdate::Full(current.clone());
-        }
         let new = current.difference(base);
         let refs = match self.peer_proofs.get(&to) {
             Some(held) => {
@@ -591,7 +575,7 @@ mod tests {
 
     #[test]
     fn first_contact_is_full_and_replies_enable_deltas() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new(true);
+        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
         let mut resolver: ProofResolver<Proof<u64>> = ProofResolver::default();
         let s0 = set(&[rec(1, &[10]), rec(2, &[10])]);
         tx.record_broadcast(1, &s0);
@@ -664,7 +648,7 @@ mod tests {
 
     #[test]
     fn stale_base_falls_back_to_full() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new(true);
+        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
         let s = set(&[rec(1, &[1])]);
         tx.record_broadcast(0, &s);
         tx.record_reply(5, 0);
@@ -681,7 +665,7 @@ mod tests {
 
     #[test]
     fn reset_peer_restores_full_payloads() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new(true);
+        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
         let s = set(&[rec(1, &[1])]);
         tx.record_broadcast(1, &s);
         tx.record_reply(4, 1);
@@ -690,15 +674,6 @@ mod tests {
             ProvenUpdate::Delta { .. }
         ));
         tx.reset_peer(4);
-        assert!(matches!(tx.encode_for(4, 2, &s), ProvenUpdate::Full(_)));
-    }
-
-    #[test]
-    fn disabled_sender_always_encodes_full() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new(false);
-        let s = set(&[rec(1, &[1])]);
-        tx.record_broadcast(1, &s);
-        tx.record_reply(4, 1);
         assert!(matches!(tx.encode_for(4, 2, &s), ProvenUpdate::Full(_)));
     }
 
@@ -712,7 +687,7 @@ mod tests {
         let s_p = set(std::slice::from_ref(&p_rec));
         rx.record(0, 3, &s_p);
         let accepted = s_p.join(&set(std::slice::from_ref(&our_rec)));
-        let u = rx.encode_reply(0, 3, &s_p, &accepted, true);
+        let u = rx.encode_reply(0, 3, &s_p, &accepted);
         match &u {
             ProvenUpdate::Delta { base_ts, new, refs } => {
                 assert_eq!(*base_ts, 3);
@@ -722,7 +697,7 @@ mod tests {
             other => panic!("expected delta, got {other:?}"),
         }
         // P resolves against its own snapshot.
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new(true);
+        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
         let mut resolver: ProofResolver<Proof<u64>> = ProofResolver::default();
         tx.record_broadcast(3, &s_p);
         let full = tx.resolve_reply(&u, &mut resolver).expect("no gap");
@@ -731,7 +706,7 @@ mod tests {
         // A second nack after P re-proposed the union references our
         // proof back (P shipped it, so it holds it).
         rx.record(0, 4, &accepted);
-        let u2 = rx.encode_reply(0, 4, &accepted, &accepted, true);
+        let u2 = rx.encode_reply(0, 4, &accepted, &accepted);
         match &u2 {
             ProvenUpdate::Delta { new, refs, .. } => {
                 assert!(new.is_empty());
@@ -740,7 +715,7 @@ mod tests {
             other => panic!("expected delta, got {other:?}"),
         }
         let grown = accepted.join(&set(&[rec(9, &[20])]));
-        let u3 = rx.encode_reply(0, 4, &accepted, &grown, true);
+        let u3 = rx.encode_reply(0, 4, &accepted, &grown);
         match &u3 {
             ProvenUpdate::Delta { new, refs, .. } => {
                 assert_eq!(new.len(), 1);

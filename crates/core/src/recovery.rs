@@ -13,6 +13,9 @@
 //! GWTS `0x0102`, SbS `0x0103`, GSbS `0x0104` — so a snapshot can never
 //! be decoded as the wrong process type, and the trailing checksum makes
 //! truncation and bit-rot detectable before any field is parsed. The
+//! `version` field is [`bgla_codec::FRAME_VERSION`] (2); a snapshot
+//! written under any other payload layout carries another version and
+//! is rejected as `BadVersion`, never mis-parsed. The
 //! payload serializes the *durable* protocol state in declaration order
 //! (configuration, proposal/input schedule, phase, collected acks,
 //! retained proofs-of-safety, decisions). Volatile machinery —
@@ -729,7 +732,10 @@ pub fn search_crash_schedules<M: WireMessage + 'static>(
         match run.result {
             Ok(w) => report.ops_checked += w.ops_checked as u64,
             Err(v) => {
-                let recorded = handle.lock().clone();
+                let recorded = handle
+                    .lock()
+                    .expect("a holder of the schedule handle panicked")
+                    .clone();
                 let (schedule, violation, replays) = shrink_with(
                     |sched, replays| {
                         *replays += 1;

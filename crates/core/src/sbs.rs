@@ -36,10 +36,9 @@
 //! negative) in a per-process [`bgla_crypto::ProofCache`]. Only the
 //! cheap pair checks — "does this proof cover this value, without a
 //! reported conflict" — re-run on redelivery; see
-//! [`bgla_crypto::proofstore`] for the caching contract. The ablation
-//! switch [`SbsProcess::with_proof_interning`]`(false)` restores
-//! verify-every-time (decisions and traces are unchanged either way —
-//! the cache only skips recomputation of deterministic verdicts).
+//! [`bgla_crypto::proofstore`] for the caching contract. The cache
+//! only skips recomputation of deterministic verdicts, so it cannot
+//! change a decision or a trace.
 //!
 //! Set payloads (`safe_req`, its ack echoes, and the proven
 //! proposal/accepted sets) are [`SignedSet`]s — Arc-backed sorted
@@ -48,9 +47,9 @@
 //!
 //! # Delta-encoded, proof-by-reference proposals (this implementation)
 //!
-//! Verify-once removed the redundant *computation*; the redundant
-//! *bytes* remained — every `ack_req`/`nack` re-shipped every proof in
-//! full. Proof-carrying payloads therefore travel as
+//! Verify-once removes the redundant *computation*; shipping every
+//! proof in full on every `ack_req`/`nack` would leave the redundant
+//! *bytes*. Proof-carrying payloads therefore travel as
 //! [`ProvenUpdate`]s: after an acceptor has acked/nacked a proposal,
 //! later `ack_req`s to it carry only the records added since that
 //! reply, with proofs the acceptor demonstrably holds named by
@@ -65,9 +64,7 @@
 //! proposer falls back to `Full` — only Byzantine senders (or resolver
 //! eviction on pathological runs) can trigger it. See
 //! [`crate::provendelta`] for the reference discipline and the modeled
-//! wire format, and [`SbsProcess::with_proven_deltas`]`(false)` for the
-//! every-payload-full ablation (identical decisions and traces; only
-//! wire bytes differ).
+//! wire format.
 
 use crate::config::SystemConfig;
 use crate::proof::{Proof, ProofAck};
@@ -464,12 +461,9 @@ pub struct SbsProcess<V: SignableValue> {
     /// Memoized full-proof verdicts, keyed by [`ProofId`].
     // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
     proof_cache: ProofCache,
-    /// Ablation switch: `false` re-verifies every proof on every
-    /// delivery (decisions are identical — only the cost differs).
-    proof_interning: bool,
     /// Proposer-side delta bookkeeping (snapshots, reply watermarks,
     /// per-peer referenceable proof ids).
-    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative and deliberately amnesiac across crashes; only the enabled flag is carried")
+    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative and deliberately amnesiac across crashes")
     delta_tx: ProvenDeltaSender<ProvenValue<V>>,
     /// Acceptor-side delta bookkeeping (consumed bases, per-proposer
     /// referenceable proof ids).
@@ -478,9 +472,6 @@ pub struct SbsProcess<V: SignableValue> {
     /// Verified-and-retained proof handles, resolvable by id when a
     /// peer ships a reference instead of the proof.
     resolver: ProofResolver<SafetyProof<V>>,
-    /// Ablation switch: `false` ships every proof-carrying payload as
-    /// `Full` (decisions and traces are identical — only bytes differ).
-    proven_deltas: bool,
     /// Set by [`SbsProcess::from_snapshot`]: the next `on_start` is a
     /// *recovery* boot (re-announce instead of initialize).
     // bgla-lint: allow(wire-coverage, "boot flag: decode sets it true to mark a recovered process")
@@ -516,11 +507,9 @@ impl<V: SignableValue> SbsProcess<V> {
             safe_candidates: SignedSet::new(),
             accepted_set: SignedSet::new(),
             proof_cache: ProofCache::default(),
-            proof_interning: true,
-            delta_tx: ProvenDeltaSender::new(true),
+            delta_tx: ProvenDeltaSender::new(),
             delta_rx: ProvenDeltaReceiver::new(),
             resolver: ProofResolver::default(),
-            proven_deltas: true,
             recovered: false,
             decision: None,
             decision_depth: None,
@@ -531,25 +520,6 @@ impl<V: SignableValue> SbsProcess<V> {
     /// Installs a validity predicate.
     pub fn with_validator(mut self, v: fn(&V) -> bool) -> Self {
         self.validator = v;
-        self
-    }
-
-    /// Toggles proof-verdict interning (default on). With `false` every
-    /// [`SbsProcess::all_safe`] re-verifies every attached proof — the
-    /// ablation baseline; decisions and traces are unchanged.
-    pub fn with_proof_interning(mut self, on: bool) -> Self {
-        self.proof_interning = on;
-        self
-    }
-
-    /// Toggles delta-encoded, proof-by-reference proposal payloads
-    /// (default on). With `false` every `ack_req`/`nack` ships the full
-    /// set with every proof inline — the byte-count ablation; decisions,
-    /// traces and non-byte metrics are unchanged (the delta bookkeeping
-    /// still runs so internal state is identical either way).
-    pub fn with_proven_deltas(mut self, on: bool) -> Self {
-        self.proven_deltas = on;
-        self.delta_tx = ProvenDeltaSender::new(on);
         self
     }
 
@@ -608,8 +578,8 @@ impl<V: SignableValue> SbsProcess<V> {
     /// ack's `rcvd` — so a covered value's signature has been verified,
     /// by content, exactly once.
     ///
-    /// Public for the `proofcheck` benchmark and the verification-count
-    /// tests; protocol handlers are the real callers.
+    /// Public for the verification-count tests; protocol handlers are
+    /// the real callers.
     pub fn all_safe(&mut self, set: &SignedSet<ProvenValue<V>>) -> bool {
         let quorum = self.config.quorum();
         // bgla-lint: allow(determinism, "membership-only dedup set (insert/contains); iteration order never observed")
@@ -632,17 +602,13 @@ impl<V: SignableValue> SbsProcess<V> {
             if !checked.insert(id) {
                 continue; // another value in this set shares the proof
             }
-            if self.proof_interning {
-                match self.proof_cache.get(id) {
-                    Some(true) => continue,
-                    Some(false) => return false,
-                    None => {}
-                }
+            match self.proof_cache.get(id) {
+                Some(true) => continue,
+                Some(false) => return false,
+                None => {}
             }
             let ok = Self::proof_valid(&mut self.verifier, quorum, &pv.proof);
-            if self.proof_interning {
-                self.proof_cache.put(id, ok);
-            }
+            self.proof_cache.put(id, ok);
             if !ok {
                 return false;
             }
@@ -885,8 +851,8 @@ impl Wire for SbsState {
 /// Durable: identity, phase, the safetying artifacts (`safety_set`,
 /// collected safe-acks, `byz` flags), both proven sets, the refinement
 /// clock, the retained [`ProofResolver`] contents (LRU-first, so
-/// re-registration reproduces eviction order), the ablation switches,
-/// and the decision record.
+/// re-registration reproduces eviction order), and the decision
+/// record.
 ///
 /// Reconstructed: key material and the verifier (the PKI is
 /// deterministic per process id), the [`ProofCache`] (verdicts are
@@ -922,8 +888,6 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
             .map(|(_, p)| p)
             .collect();
         retained.encode(w);
-        self.proof_interning.encode(w);
-        self.proven_deltas.encode(w);
         self.decision.encode(w);
         self.decision_depth.encode(w);
         w.u64(self.refinements);
@@ -944,8 +908,6 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
         let safe_candidates = Wire::decode(r)?;
         let accepted_set = Wire::decode(r)?;
         let retained: Vec<SafetyProof<V>> = Wire::decode(r)?;
-        let proof_interning = bool::decode(r)?;
-        let proven_deltas = bool::decode(r)?;
         let decision = Wire::decode(r)?;
         let decision_depth = Wire::decode(r)?;
         let refinements = r.u64()?;
@@ -971,11 +933,9 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
             safe_candidates,
             accepted_set,
             proof_cache: ProofCache::default(),
-            proof_interning,
-            delta_tx: ProvenDeltaSender::new(proven_deltas),
+            delta_tx: ProvenDeltaSender::new(),
             delta_rx: ProvenDeltaReceiver::new(),
             resolver,
-            proven_deltas,
             recovered: true,
             decision,
             decision_depth,
@@ -1168,13 +1128,9 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                     // construction; the proposer reconstructs the
                     // union, which is exactly what its grows-check and
                     // join compute anyway.
-                    let accepted = self.delta_rx.encode_reply(
-                        from,
-                        ts,
-                        &proposed,
-                        &self.accepted_set,
-                        self.proven_deltas,
-                    );
+                    let accepted =
+                        self.delta_rx
+                            .encode_reply(from, ts, &proposed, &self.accepted_set);
                     ctx.send(from, SbsMsg::Nack { accepted, ts });
                     self.accepted_set.join_with(&proposed);
                 }

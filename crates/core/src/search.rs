@@ -324,7 +324,10 @@ pub fn search_schedules<M: WireMessage + 'static>(
         match run.result {
             Ok(w) => report.ops_checked += w.ops_checked as u64,
             Err(v) => {
-                let recorded = handle.lock().clone();
+                let recorded = handle
+                    .lock()
+                    .expect("a holder of the schedule handle panicked")
+                    .clone();
                 let (schedule, violation, replays) =
                     shrink(build, mk_observer, cfg, recorded, v, budget);
                 report.counterexample = Some(Counterexample {

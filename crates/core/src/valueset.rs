@@ -460,13 +460,12 @@ impl<V: Value> SetUpdate<V> {
 
 /// Proposer-side delta bookkeeping: snapshots of `Proposed_set` by
 /// timestamp plus each acceptor's newest replied-to timestamp.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DeltaSender<V: Value> {
     /// ts → `Proposed_set` at that ts (`O(1)` clones make this cheap).
     snapshots: BTreeMap<u64, ValueSet<V>>,
     /// Acceptor → newest ts it acked/nacked (proof it holds snapshot(ts)).
     last_replied: BTreeMap<ProcessId, u64>,
-    enabled: bool,
 }
 
 /// Snapshots retained by a [`DeltaSender`]; refinements are bounded (≤ f
@@ -489,21 +488,12 @@ const SENDER_SNAPSHOT_CAP: usize = 32;
 const RECEIVER_BASE_CAP: usize = 8;
 
 impl<V: Value> DeltaSender<V> {
-    /// Creates the bookkeeping; when `enabled` is false every encode
-    /// yields `Full` (the ablation baseline).
-    pub fn new(enabled: bool) -> Self {
+    /// Fresh sender state: no snapshots, no reply seen.
+    pub fn new() -> Self {
         DeltaSender {
             snapshots: BTreeMap::new(),
             last_replied: BTreeMap::new(),
-            enabled,
         }
-    }
-
-    /// Whether delta encoding is enabled (the configuration knob, not
-    /// bookkeeping — survives crash snapshots even though watermarks
-    /// don't).
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Records the proposal broadcast at `ts` (call once per broadcast).
@@ -534,9 +524,6 @@ impl<V: Value> DeltaSender<V> {
     /// it (see [`RECEIVER_BASE_CAP`] — this bound is what makes a
     /// receiver-side gap a reliable Byzantine signal).
     pub fn encode_for(&self, to: ProcessId, ts: u64, current: &ValueSet<V>) -> SetUpdate<V> {
-        if !self.enabled {
-            return SetUpdate::Full(current.clone());
-        }
         match self
             .last_replied
             .get(&to)
@@ -611,13 +598,11 @@ impl<V: Value> Wire for DeltaSender<V> {
     fn encode(&self, w: &mut Writer) {
         self.snapshots.encode(w);
         self.last_replied.encode(w);
-        self.enabled.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(DeltaSender {
             snapshots: Wire::decode(r)?,
             last_replied: Wire::decode(r)?,
-            enabled: Wire::decode(r)?,
         })
     }
 }
@@ -724,7 +709,7 @@ mod tests {
 
     #[test]
     fn delta_roundtrip_through_sender_and_receiver() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new(true);
+        let mut tx: DeltaSender<u64> = DeltaSender::new();
         let mut rx: DeltaReceiver<u64> = DeltaReceiver::new();
         let s0 = vs(&[1, 2]);
         tx.record_broadcast(0, &s0);
@@ -761,7 +746,7 @@ mod tests {
 
     #[test]
     fn byzantine_reply_claims_are_ignored() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new(true);
+        let mut tx: DeltaSender<u64> = DeltaSender::new();
         tx.record_broadcast(0, &vs(&[1]));
         tx.record_reply(4, 999); // never broadcast: ignored
         assert!(matches!(
@@ -771,17 +756,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sender_always_sends_full() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new(false);
-        let s = vs(&[1, 2, 3]);
-        tx.record_broadcast(0, &s);
-        tx.record_reply(1, 0);
-        assert!(matches!(tx.encode_for(1, 0, &s), SetUpdate::Full(_)));
-    }
-
-    #[test]
     fn sender_snapshots_are_bounded() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new(true);
+        let mut tx: DeltaSender<u64> = DeltaSender::new();
         for ts in 0..200u64 {
             tx.record_broadcast(ts, &vs(&[ts]));
         }
@@ -800,7 +776,7 @@ mod tests {
     /// the slow-acceptor gap misclassification).
     #[test]
     fn stale_base_falls_back_to_full() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new(true);
+        let mut tx: DeltaSender<u64> = DeltaSender::new();
         tx.record_broadcast(0, &vs(&[1]));
         tx.record_reply(5, 0);
         // Within the window: delta against ts 0 is fine.

@@ -194,6 +194,7 @@ pub struct WtsProcess<V: Value> {
     /// Messages waiting to become safe / relevant.
     waiting: Vec<(ProcessId, WtsMsg<V>)>,
     /// Proposer-side delta bookkeeping (snapshots + reply watermarks).
+    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative; a restarted process resumes in full-set mode by design")
     delta_tx: DeltaSender<V>,
     /// Acceptor-side delta bases (consumed proposals by proposer, ts).
     // bgla-lint: allow(wire-coverage, "delta bases are peer-relative; a restarted process resumes in full-set mode by design")
@@ -230,7 +231,7 @@ impl<V: Value> WtsProcess<V> {
             ts: 0,
             accepted_set: ValueSet::new(),
             waiting: Vec::new(),
-            delta_tx: DeltaSender::new(true),
+            delta_tx: DeltaSender::new(),
             delta_rx: DeltaReceiver::new(),
             recovered: false,
             decision: None,
@@ -251,13 +252,6 @@ impl<V: Value> WtsProcess<V> {
     /// happen.
     pub fn with_eager_proposing(mut self) -> Self {
         self.eager = true;
-        self
-    }
-
-    /// Ablation: disable delta-encoded ack requests (every `ack_req`
-    /// carries the full set). Used by the byte-count experiments.
-    pub fn with_deltas(mut self, enabled: bool) -> Self {
-        self.delta_tx = DeltaSender::new(enabled);
         self
     }
 
@@ -437,7 +431,6 @@ impl<V: Value> Wire for WtsProcess<V> {
         w.u64(self.ts);
         self.accepted_set.encode(w);
         self.waiting.encode(w);
-        self.delta_tx.enabled().encode(w);
         self.decision.encode(w);
         self.decision_depth.encode(w);
         w.u64(self.refinements);
@@ -456,7 +449,6 @@ impl<V: Value> Wire for WtsProcess<V> {
         let ts = r.u64()?;
         let accepted_set = Wire::decode(r)?;
         let waiting = Wire::decode(r)?;
-        let deltas = bool::decode(r)?;
         Ok(WtsProcess {
             config,
             me,
@@ -472,7 +464,7 @@ impl<V: Value> Wire for WtsProcess<V> {
             ts,
             accepted_set,
             waiting,
-            delta_tx: DeltaSender::new(deltas),
+            delta_tx: DeltaSender::new(),
             delta_rx: DeltaReceiver::new(),
             recovered: true,
             decision: Wire::decode(r)?,
@@ -663,44 +655,5 @@ mod tests {
             let d = p.decision.as_ref().expect("correct processes decide");
             assert!(!d.contains(&5000), "garbage value decided at p{i}");
         }
-    }
-
-    /// Delta on/off produce identical decisions; deltas strictly shrink
-    /// the modeled ack_req bytes once refinements happen.
-    #[test]
-    fn deltas_preserve_outcomes_and_shrink_bytes() {
-        let run = |deltas: bool| {
-            let config = SystemConfig::new(7, 2);
-            let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(11)));
-            for i in 0..7 {
-                b = b.add(Box::new(
-                    WtsProcess::new(i, config, i as u64).with_deltas(deltas),
-                ));
-            }
-            let mut sim = b.build();
-            assert!(sim.run(10_000_000).quiescent);
-            let decisions: Vec<ValueSet<u64>> = (0..7)
-                .map(|i| {
-                    sim.process_as::<WtsProcess<u64>>(i)
-                        .unwrap()
-                        .decision
-                        .clone()
-                        .expect("liveness")
-                })
-                .collect();
-            let bytes = *sim
-                .metrics()
-                .bytes_by_kind
-                .get("ack_req")
-                .expect("ack_reqs sent");
-            (decisions, bytes)
-        };
-        let (with_deltas, bytes_on) = run(true);
-        let (without, bytes_off) = run(false);
-        assert_eq!(with_deltas, without, "deltas changed the outcome");
-        assert!(
-            bytes_on <= bytes_off,
-            "deltas increased ack_req bytes: {bytes_on} > {bytes_off}"
-        );
     }
 }

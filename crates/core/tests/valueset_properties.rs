@@ -109,7 +109,7 @@ proptest! {
     fn delta_roundtrip(base: Vec<u64>, additions: Vec<u64>) {
         let base = vs(&base);
         let refined = base.join(&vs(&additions));
-        let mut tx: DeltaSender<u64> = DeltaSender::new(true);
+        let mut tx: DeltaSender<u64> = DeltaSender::new();
         let mut rx: DeltaReceiver<u64> = DeltaReceiver::new();
         // ts 0: first contact — must be Full, resolves to the base.
         tx.record_broadcast(0, &base);
@@ -141,7 +141,7 @@ proptest! {
     fn delta_never_larger_than_full(base: Vec<u64>, additions: Vec<u64>) {
         let base = vs(&base);
         let refined = base.join(&vs(&additions));
-        let mut tx: DeltaSender<u64> = DeltaSender::new(true);
+        let mut tx: DeltaSender<u64> = DeltaSender::new();
         tx.record_broadcast(0, &base);
         tx.record_reply(1, 0);
         tx.record_broadcast(1, &refined);
@@ -179,7 +179,7 @@ fn stateful_delta_protocol_against_full_set_oracle() {
 
     for seed in 0..25u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut tx: DeltaSender<u64> = DeltaSender::new(true);
+        let mut tx: DeltaSender<u64> = DeltaSender::new();
         let mut rx: Vec<DeltaReceiver<u64>> = (0..PEERS).map(|_| DeltaReceiver::new()).collect();
 
         // Oracle state.

@@ -98,22 +98,6 @@ fn valid_proof_redelivery_verifies_once() {
 }
 
 #[test]
-fn interning_off_still_answers_from_sig_cache_but_reserializes() {
-    // The ablation baseline: identical verdicts, no proof-cache use.
-    let mut p = SbsProcess::new(0, config(), 7u64).with_proof_interning(false);
-    let pv = proven_value(42, 1, &[1, 2, 3]);
-    let set: SignedSet<ProvenValue<u64>> = [pv].into_iter().collect();
-    for _ in 0..5 {
-        assert!(p.all_safe(&set));
-    }
-    let (hits, misses) = p.proof_cache_stats();
-    assert_eq!((hits, misses), (0, 0), "ablation must bypass the cache");
-    // The signature cache still prevents repeated scalar multiplications
-    // (PR 1 behavior) — interning's win is skipping re-serialization.
-    assert_eq!(p.verifier_stats().batch_verifications, 1);
-}
-
-#[test]
 fn same_proof_shared_by_many_values_checks_once_per_call() {
     let mut p = SbsProcess::new(0, config(), 7u64);
     // Three values certified by one safetying exchange: one shared proof.

@@ -3,8 +3,7 @@
 //! The base algorithms (WTS / GWTS) assume only *authenticated channels*;
 //! in a real deployment those are realized with per-link MACs. The
 //! simulator enforces sender authenticity structurally, but the byte-cost
-//! experiments (E8) optionally account for MAC overhead, and the threaded
-//! runner's wire format uses this implementation.
+//! experiments (E8) optionally account for MAC overhead.
 
 use crate::sha512::{Sha512, BLOCK_LEN, DIGEST_LEN};
 

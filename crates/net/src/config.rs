@@ -1,5 +1,4 @@
-//! Transport configuration shared by the event-driven runtime and the
-//! preserved [`crate::classic`] runtime.
+//! Transport configuration of a node or a whole runtime.
 
 use crate::fault::FaultPlan;
 use crate::link::LinkConfig;
@@ -20,22 +19,6 @@ pub struct NetConfig {
     pub dial_backoff_max_ms: u64,
     /// Wall-clock safety deadline for a driven run, in ms.
     pub deadline_ms: u64,
-    /// Poller pool size for the event-driven runtime; `0` means auto
-    /// (`min(4, available cores)`). The classic runtime ignores it.
-    pub poller_threads: usize,
-}
-
-impl NetConfig {
-    /// The poller pool size after resolving the `0 = auto` default.
-    pub fn resolved_poller_threads(&self) -> usize {
-        if self.poller_threads != 0 {
-            return self.poller_threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4)
-    }
 }
 
 impl Default for NetConfig {
@@ -47,24 +30,6 @@ impl Default for NetConfig {
             dial_backoff_ms: 10,
             dial_backoff_max_ms: 500,
             deadline_ms: 30_000,
-            poller_threads: 0,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn poller_threads_resolve_auto_and_explicit() {
-        let auto = NetConfig::default();
-        let t = auto.resolved_poller_threads();
-        assert!((1..=4).contains(&t), "auto pool size {t} out of range");
-        let fixed = NetConfig {
-            poller_threads: 2,
-            ..NetConfig::default()
-        };
-        assert_eq!(fixed.resolved_poller_threads(), 2);
     }
 }

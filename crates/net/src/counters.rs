@@ -3,12 +3,12 @@
 //!
 //! # Generation-stamped quiescence
 //!
-//! The PR-8 runtime confirmed quiescence with a time heuristic: read
-//! `pending == 0`, sleep 2 ms, read it again. A dispatcher whose
-//! enqueue straddles that beat — intent formed before the first read,
-//! counter bumped after the second — lets the runtime declare
-//! quiescence early. The replacement is a generation-stamped counter
-//! pair with **no sleep in the protocol**:
+//! A time heuristic — read `pending == 0`, sleep, read it again — is
+//! unsound: a dispatcher whose enqueue straddles that beat (intent
+//! formed before the first read, counter bumped after the second)
+//! lets the runtime declare quiescence early. Quiescence is instead
+//! confirmed by a generation-stamped counter pair with **no sleep in
+//! the protocol**:
 //!
 //! * `generation` counts enqueue *intents*: a sender bumps it on every
 //!   enqueue, **before** the message becomes visible anywhere else
@@ -28,8 +28,8 @@
 //! gauge is kept for observability and for multi-process deployments
 //! that only watch the balance.
 //!
-//! The start barrier is unchanged: no zero may be trusted before every
-//! node has registered its initial sends (`started == n`).
+//! The start barrier: no zero may be trusted before every node has
+//! registered its initial sends (`started == n`).
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
@@ -103,8 +103,8 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// The PR-8 heuristic, verbatim: `pending == 0`, a 2 ms beat,
-    /// `pending == 0` again.
+    /// The time heuristic the module docs rule out: `pending == 0`, a
+    /// 2 ms beat, `pending == 0` again.
     fn legacy_beat_confirms(shared: &SharedCounters) -> bool {
         if shared.pending.load(Ordering::SeqCst) != 0 {
             return false;
@@ -118,14 +118,14 @@ mod tests {
         let shared = Arc::new(SharedCounters::default());
         // A dispatcher mid-enqueue: the intent is stamped now, but the
         // artificially slow dispatcher parks the pending increment far
-        // past the old 2 ms beat.
+        // past the 2 ms beat.
         shared.generation.fetch_add(1, Ordering::SeqCst);
         let s2 = shared.clone();
         let dispatcher = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(60));
             s2.pending.fetch_add(1, Ordering::SeqCst);
         });
-        // The old heuristic declares quiescence — wrongly: a message
+        // The time heuristic declares quiescence — wrongly: a message
         // is being dispatched right now.
         assert!(
             legacy_beat_confirms(&shared),

@@ -14,8 +14,7 @@
 //! # Architecture: event-driven, fixed thread budget
 //!
 //! The runtime is event-driven. A [`poller::PollerPool`] of
-//! `min(4, cores)` threads (override:
-//! [`config::NetConfig::poller_threads`]) owns **every socket** of a
+//! `min(4, cores)` threads owns **every socket** of a
 //! runtime — listeners, inbound connections, outbound links — and
 //! drives the per-link state machines as poll-driven steps over
 //! nonblocking sockets, using an in-repo `poll(2)`-style readiness
@@ -24,9 +23,7 @@
 //! touches its protocol state.
 //!
 //! **Thread budget for an n-node runtime: pool (≤ 4) + n event
-//! threads**, asserted by `tests/thread_budget.rs` — versus roughly
-//! `3·n·(n−1)` for the thread-per-link design this replaced (kept,
-//! verbatim in behavior, as [`classic`] for differential testing).
+//! threads**, asserted by `tests/thread_budget.rs`.
 //!
 //! Two scheduling decisions follow from the pooled design:
 //!
@@ -37,11 +34,9 @@
 //!   free: any ack repairs all predecessors.
 //! * **One timer wheel** — every retransmit and redial timer of the
 //!   runtime lives in a single hashed [`wheel`] (`TimerWheel`),
-//!   expired during pool sweeps, rather than per-link timers checked
-//!   by per-link threads. Backoff + seeded jitter semantics are
-//!   unchanged ([`link::SenderLink`] still owns the arithmetic); the
-//!   wheel only decides *when someone looks*. The armed deadline is
-//!   additionally capped per link-epoch
+//!   expired during pool sweeps. [`link::SenderLink`] owns the
+//!   backoff + seeded jitter arithmetic; the wheel only decides *when
+//!   someone looks*. The armed deadline is capped per link-epoch
 //!   ([`link::LinkConfig::rto_epoch_cap_ms`]) so stacked backoff
 //!   cannot stretch a healed link's quiet period into seconds.
 //!
@@ -88,9 +83,8 @@
 //! protocol ([`counters::SharedCounters::confirm_quiescent`]): enqueue
 //! *intents* and *retirements* are counted separately, and quiescence
 //! is two balanced reads bracketing an unchanged generation — sound
-//! with no sleep anywhere, unlike the time-beat heuristic the classic
-//! runtime used (a dispatcher slower than the beat could fool it; see
-//! `counters` for the regression test).
+//! with no sleep anywhere: a dispatcher that is slow to deliver cannot
+//! fool it (see `counters` for the regression test).
 //!
 //! # Determinism
 //!
@@ -113,7 +107,6 @@
 
 #![warn(missing_docs)]
 
-pub mod classic;
 pub mod config;
 pub mod counters;
 pub mod fault;
@@ -125,7 +118,6 @@ pub mod runtime;
 pub mod trace_merge;
 pub(crate) mod wheel;
 
-pub use classic::{ClassicRuntime, ClassicRuntimeBuilder, ClassicTcpNode};
 pub use config::NetConfig;
 pub use counters::SharedCounters;
 pub use fault::{FaultAction, FaultConfig, FaultPlan};

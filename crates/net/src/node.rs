@@ -1,7 +1,6 @@
-//! One TCP node on the event-driven runtime: a single event thread
-//! that owns the [`Process`], with every socket of the node (listener,
-//! inbound connections, outbound links) owned by the shared
-//! [`PollerPool`] instead of dedicated threads.
+//! One TCP node: a single event thread that owns the [`Process`], with
+//! every socket of the node (listener, inbound connections, outbound
+//! links) owned by the shared [`PollerPool`].
 //!
 //! # Thread anatomy (per node)
 //!
@@ -15,21 +14,19 @@
 //! * Everything else — accepting, reading, dedup/reorder, acking,
 //!   dialing, fault injection, retransmission — happens on the pool's
 //!   fixed poller threads ([`crate::poller`]). Total runtime threads
-//!   for an n-node system: pool size + n, versus roughly
-//!   `3·n·(n−1)` for the classic thread-per-link runtime.
+//!   for an n-node system: pool size + n.
 //!
 //! # Serialization outside the node lock
 //!
-//! The classic event loop encoded every outbound payload while still
-//! holding the node lock, stretching the lock over pure CPU work and
-//! blocking `with_process` visitors for the duration. Here the loop
-//! splits each delivery into two halves: under the lock it runs the
-//! process, records the delivery log, and meters the outbound
-//! messages (metrics live in the core); after `drop(core)` it encodes
-//! payloads and hands them to the pool. The quiescence order is
-//! preserved — every outgoing copy's intent is stamped
+//! Encoding outbound payloads is pure CPU work, and doing it under
+//! the node lock would block `with_process` visitors for its
+//! duration. So the loop splits each delivery into two halves: under
+//! the lock it runs the process, records the delivery log, and meters
+//! the outbound messages (metrics live in the core); after
+//! `drop(core)` it encodes payloads and hands them to the pool. The
+//! quiescence order holds — every outgoing copy's intent is stamped
 //! ([`SharedCounters::note_enqueue`]) before the incoming message is
-//! retired — so "pending reaches zero" still means no protocol
+//! retired — so "pending reaches zero" means no protocol
 //! message exists anywhere.
 //!
 //! # Causal depth over the wire

@@ -19,8 +19,7 @@
 //!
 //! * **Listener** — nonblocking `accept`; accepted sockets are made
 //!   nonblocking and registered with the pool (no thread is ever
-//!   spawned per connection — that was the classic runtime's reader
-//!   leak).
+//!   spawned per connection, so reconnect churn cannot leak threads).
 //! * **Inbound connection** — drain available bytes, demux frames,
 //!   run HELLO identification and receive-side dedup/reorder, push
 //!   raw deliveries to the owning node's event thread, then write
@@ -806,9 +805,12 @@ pub struct PollerPool {
 }
 
 impl PollerPool {
-    /// Spawns `threads` poller threads (clamped to at least one).
-    pub fn new(threads: usize) -> PollerPool {
-        let threads = threads.max(1);
+    /// Spawns the pool: `min(4, available cores)` poller threads.
+    pub fn spawn() -> PollerPool {
+        let threads = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(4);
         let inner = Arc::new(PoolInner {
             shards: (0..threads)
                 .map(|_| Shard {

@@ -11,10 +11,7 @@
 //! inert, like a freshly built `Simulation`.
 //!
 //! The thread budget is fixed at build time: the pool's
-//! `min(4, cores)` poller threads (override via
-//! [`NetConfig::poller_threads`]) plus one event thread per node —
-//! versus roughly `3·n·(n−1)` threads for the classic runtime kept in
-//! [`crate::classic`].
+//! `min(4, cores)` poller threads plus one event thread per node.
 //!
 //! # Quiescence vs budget
 //!
@@ -26,8 +23,7 @@
 //! confirmed by the generation-stamped protocol
 //! ([`SharedCounters::confirm_quiescent`]): two balanced reads of the
 //! intent/retirement counters bracketing an unchanged generation,
-//! sound without any sleep — not the racy "zero, wait 2 ms, still
-//! zero" beat the thread-per-link runtime used.
+//! sound without any sleep.
 
 use crate::config::NetConfig;
 use crate::counters::SharedCounters;
@@ -93,7 +89,7 @@ impl<M: WireMessage + Wire + 'static> TcpRuntimeBuilder<M> {
             listeners.push(l);
         }
         let shared = Arc::new(SharedCounters::default());
-        let pool = PollerPool::new(self.cfg.resolved_poller_threads());
+        let pool = PollerPool::spawn();
         let mut nodes = Vec::with_capacity(n);
         for (me, ((proc, observer), listener)) in self.procs.into_iter().zip(listeners).enumerate()
         {
@@ -197,8 +193,21 @@ impl<M: WireMessage + Wire + 'static> TcpRuntime<M> {
         }
     }
 
+    /// Stops the runtime and merges every node's local log into a
+    /// simulator-format [`Trace`] (see [`crate::trace_merge`]).
+    /// `op_priority` orders same-step ops — pass the protocol layer's
+    /// op priority for conformance work.
+    pub fn take_trace(&mut self, op_priority: fn(&str) -> u8) -> Trace {
+        self.shutdown();
+        let logs = self.nodes.iter().map(|nd| nd.take_log()).collect();
+        merge_traces(logs, op_priority)
+    }
+}
+
+impl<M> TcpRuntime<M> {
     /// Stops every thread (idempotent): the stop latch drains the
-    /// event threads, then the poller pool is joined.
+    /// event threads, then the poller pool is joined. Free of `M`'s
+    /// bounds so that `Drop` runs the same sequence.
     pub fn shutdown(&mut self) {
         if self.stopped {
             return;
@@ -212,29 +221,11 @@ impl<M: WireMessage + Wire + 'static> TcpRuntime<M> {
         }
         self.pool.shutdown();
     }
-
-    /// Stops the runtime and merges every node's local log into a
-    /// simulator-format [`Trace`] (see [`crate::trace_merge`]).
-    /// `op_priority` orders same-step ops — pass the protocol layer's
-    /// op priority for conformance work.
-    pub fn take_trace(&mut self, op_priority: fn(&str) -> u8) -> Trace {
-        self.shutdown();
-        let logs = self.nodes.iter().map(|nd| nd.take_log()).collect();
-        merge_traces(logs, op_priority)
-    }
 }
 
 impl<M> Drop for TcpRuntime<M> {
     fn drop(&mut self) {
-        if !self.stopped {
-            self.stopped = true;
-            self.shared.stop.store(true, Ordering::SeqCst);
-            self.shared.go.store(true, Ordering::SeqCst);
-            for node in &mut self.nodes {
-                node.join();
-            }
-            self.pool.shutdown();
-        }
+        self.shutdown();
     }
 }
 

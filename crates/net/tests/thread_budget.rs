@@ -2,13 +2,10 @@
 //! regardless of link count or fault pressure, and gives them all back
 //! on shutdown.
 //!
-//! This is the regression test for the classic runtime's reader leak:
-//! there, every accepted socket detached a reader thread, every
-//! outbound link spent a writer and a dialer, and reset-heavy plans
-//! multiplied accepted sockets without bound. The event-driven runtime
-//! must stay at exactly the fixed poller pool plus one event thread
-//! per node even while a reset-heavy plan churns reconnects — which is
-//! precisely when the classic design leaked fastest.
+//! A reset-heavy plan multiplies accepted sockets without bound, so a
+//! runtime that spent a thread per socket or per link would grow with
+//! it. This one must stay at exactly the fixed poller pool plus one
+//! event thread per node even while such a plan churns reconnects.
 //!
 //! Lives in its own integration-test binary on purpose: thread
 //! counting via `/proc/self/task` is only meaningful when no sibling

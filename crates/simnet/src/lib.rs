@@ -50,7 +50,6 @@ pub mod metrics;
 pub mod process;
 pub mod scheduler;
 pub mod sim;
-pub mod threaded;
 pub mod trace;
 pub mod transport;
 

@@ -125,7 +125,7 @@ pub trait Scheduler: Send {
 /// memory stays O(live). Because the engine calls `on_send` in `seq`
 /// order, insertion order *is* ascending-`seq` order — rank selection
 /// therefore reproduces an index into the seq-sorted in-flight list,
-/// exactly what the pre-slab engine handed to schedulers.
+/// which is what the golden traces pin for the random scheduler.
 #[derive(Debug, Default)]
 struct OrderedPool {
     /// (id, alive) in insertion order.
@@ -838,7 +838,7 @@ impl Scheduler for PartitionScheduler {
 /// Shared handle to a recorded schedule (sequence numbers in delivery
 /// order). The simulation consumes the scheduler, so the trace is read
 /// back through this handle after the run.
-pub type TraceHandle = std::sync::Arc<parking_lot::Mutex<Vec<u64>>>;
+pub type TraceHandle = std::sync::Arc<std::sync::Mutex<Vec<u64>>>;
 
 /// Wraps any scheduler and records the `seq` of every chosen message so
 /// the exact schedule can be replayed later with [`ReplayScheduler`] —
@@ -875,7 +875,10 @@ impl Scheduler for RecordingScheduler {
     }
     fn choose(&mut self, now: u64) -> EnvelopeId {
         let id = self.inner.choose(now);
-        self.trace.lock().push(self.seqs[&id]);
+        self.trace
+            .lock()
+            .expect("a holder of the schedule handle panicked")
+            .push(self.seqs[&id]);
         id
     }
     fn on_delivered(&mut self, id: EnvelopeId) {
@@ -1078,7 +1081,7 @@ mod tests {
         feed(&mut rec, &metas);
         let picks: Vec<EnvelopeId> = (0..3).map(|t| deliver_one(&mut rec, t)).collect();
 
-        let mut rep = ReplayScheduler::new(handle.lock().clone());
+        let mut rep = ReplayScheduler::new(handle.lock().unwrap().clone());
         feed(&mut rep, &metas);
         let replayed: Vec<EnvelopeId> = (0..3).map(|t| deliver_one(&mut rep, t)).collect();
         assert_eq!(picks, replayed);

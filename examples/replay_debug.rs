@@ -46,7 +46,7 @@ fn main() {
     let mut original = build(Box::new(rec));
     original.run(u64::MAX / 2);
     println!("original   : {}", summarize(&original));
-    let recorded = trace.lock().clone();
+    let recorded = trace.lock().unwrap().clone();
     println!(
         "trace      : {} delivery decisions recorded",
         recorded.len()

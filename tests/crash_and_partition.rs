@@ -2,15 +2,9 @@
 //! of Byzantine behavior, and temporary partitions are a legal
 //! asynchronous schedule — WTS must ride through both.
 //!
-//! Crashes appear twice, deliberately. The engine-level
-//! [`bgla::simnet::Simulation::crash`] tests are the primary model: the
+//! Crashes are engine-level ([`bgla::simnet::Simulation::crash`]): the
 //! victim loses its in-flight inbox and all future traffic at the wire.
-//! The [`MidCrash`] process-wrapper tests are kept as an *ablation* —
-//! the older in-process model (the victim silently stops reacting but
-//! still absorbs deliveries) must tolerate the same scenarios, pinning
-//! that the two crash models agree on survivor safety.
 
-use bgla::core::adversary::MidCrash;
 use bgla::core::wts::{WtsMsg, WtsProcess};
 use bgla::core::ValueSet;
 use bgla::core::{spec, SystemConfig};
@@ -118,40 +112,6 @@ fn engine_staggered_crashes_at_f2() {
     }
 }
 
-/// Ablation: the in-process [`MidCrash`] wrapper (victim keeps absorbing
-/// deliveries but stops reacting) must tolerate the same scenario as
-/// [`engine_crash_mid_protocol_is_tolerated`].
-#[test]
-fn mid_protocol_crash_is_tolerated() {
-    for crash_after in [0u64, 1, 3, 7, 15] {
-        for seed in 0..5 {
-            let (n, f) = (4usize, 1usize);
-            let config = SystemConfig::new(n, f);
-            let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
-            for i in 0..3 {
-                b = b.add(Box::new(WtsProcess::new(i, config, i as u64)));
-            }
-            b = b.add(Box::new(MidCrash::new(
-                WtsProcess::new(3, config, 3u64),
-                crash_after,
-            )));
-            let mut sim = b.build();
-            let out = sim.run(10_000_000);
-            assert!(out.quiescent, "crash_after={crash_after} seed={seed}");
-            let survivors: Vec<ValueSet<u64>> = decisions_of(&sim, 0..3)
-                .into_iter()
-                .map(|d| {
-                    d.unwrap_or_else(|| {
-                        panic!("crash_after={crash_after} seed={seed}: survivor stuck")
-                    })
-                })
-                .collect();
-            spec::check_comparability(&survivors)
-                .unwrap_or_else(|e| panic!("crash_after={crash_after} seed={seed}: {e}"));
-        }
-    }
-}
-
 /// A temporary 2|2 partition delays but cannot prevent agreement: the
 /// quorum (3 of 4) spans both sides, so decisions wait for the heal and
 /// then complete consistently.
@@ -183,40 +143,5 @@ fn temporary_partition_delays_but_preserves_agreement() {
         }
         spec::check_comparability(&decisions)
             .unwrap_or_else(|e| panic!("heal_after={heal_after}: {e}"));
-    }
-}
-
-/// Ablation: `f` in-process [`MidCrash`] crashes at different points of
-/// the protocol simultaneously (engine twin:
-/// [`engine_staggered_crashes_at_f2`]).
-#[test]
-fn staggered_crashes_at_f2() {
-    for seed in 0..5 {
-        let (n, f) = (7usize, 2usize);
-        let config = SystemConfig::new(n, f);
-        let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
-        for i in 0..5 {
-            b = b.add(Box::new(WtsProcess::new(i, config, i as u64)));
-        }
-        b = b.add(Box::new(MidCrash::new(WtsProcess::new(5, config, 5u64), 2)));
-        b = b.add(Box::new(MidCrash::new(
-            WtsProcess::new(6, config, 6u64),
-            20,
-        )));
-        let mut sim = b.build();
-        let out = sim.run(50_000_000);
-        assert!(out.quiescent, "seed {seed}");
-        let mut decisions = Vec::new();
-        for i in 0..5 {
-            let p = sim.process_as::<WtsProcess<u64>>(i).unwrap();
-            decisions.push(p.decision.clone().expect("survivor decides"));
-        }
-        spec::check_comparability(&decisions).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        // Non-triviality: the crashed processes were honest before the
-        // crash, so at most their two (honestly disclosed) values appear
-        // beyond the survivors' inputs.
-        let survivor_inputs: std::collections::BTreeSet<u64> = (0..5).map(|i| i as u64).collect();
-        spec::check_nontriviality(&survivor_inputs, &decisions, f)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }

@@ -23,26 +23,16 @@ use bgla::core::wts::{WtsMsg, WtsProcess};
 use bgla::core::{SystemConfig, ValueSet};
 use bgla::simnet::{
     Context, DelayScheduler, FifoScheduler, LifoScheduler, PartitionScheduler, Process, ProcessId,
-    RandomScheduler, Scheduler, Simulation, SimulationBuilder, TargetedScheduler, WireMessage,
+    RandomScheduler, Scheduler, Simulation, SimulationBuilder, TargetedScheduler, TraceEvent,
+    WireMessage,
 };
 use std::any::Any;
 use std::collections::BTreeMap;
 
 const FIXTURE: &str = include_str!("golden/traces.txt");
 
-/// One delivery, as the trace records it.
-#[derive(Clone)]
-struct Delivery {
-    step: u64,
-    from: usize,
-    to: usize,
-    kind: &'static str,
-    depth: u64,
-    bytes: usize,
-}
-
 /// What one honest process ends a run with.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 struct Outcome {
     decisions: Vec<Vec<u64>>,
     decision_depths: Vec<u64>,
@@ -52,7 +42,7 @@ struct Outcome {
 /// Everything of a finished run that the fixture pins.
 #[derive(Clone)]
 struct Recorded {
-    deliveries: Vec<Delivery>,
+    deliveries: Vec<TraceEvent>,
     total_sent: u64,
     total_bytes: u64,
     bytes_by_kind: Vec<(&'static str, u64)>,
@@ -78,21 +68,9 @@ fn put_all(buf: &mut Vec<u8>, xs: &[u64]) {
 
 impl Recorded {
     fn of<M: WireMessage + 'static>(sim: &Simulation<M>, honest: Vec<Outcome>) -> Self {
-        let trace = sim.trace().expect("tracing enabled");
         let m = sim.metrics();
         Recorded {
-            deliveries: trace
-                .events()
-                .iter()
-                .map(|e| Delivery {
-                    step: e.step,
-                    from: e.from,
-                    to: e.to,
-                    kind: e.kind,
-                    depth: e.depth,
-                    bytes: e.bytes,
-                })
-                .collect(),
+            deliveries: sim.trace().expect("tracing enabled").events().to_vec(),
             total_sent: m.total_sent(),
             total_bytes: m.total_bytes(),
             bytes_by_kind: m.bytes_by_kind.iter().map(|(k, v)| (*k, *v)).collect(),
@@ -101,7 +79,8 @@ impl Recorded {
         }
     }
 
-    fn shape(&self) -> u64 {
+    /// The deliveries, serialised with or without their byte counts.
+    fn deliveries(&self, with_bytes: bool) -> Vec<u8> {
         let mut buf = Vec::new();
         for d in &self.deliveries {
             put(&mut buf, d.step);
@@ -109,20 +88,19 @@ impl Recorded {
             put(&mut buf, d.to as u64);
             put_str(&mut buf, d.kind);
             put(&mut buf, d.depth);
+            if with_bytes {
+                put(&mut buf, d.bytes as u64);
+            }
         }
-        fnv1a64(&buf)
+        buf
+    }
+
+    fn shape(&self) -> u64 {
+        fnv1a64(&self.deliveries(false))
     }
 
     fn full(&self) -> u64 {
-        let mut buf = Vec::new();
-        for d in &self.deliveries {
-            put(&mut buf, d.step);
-            put(&mut buf, d.from as u64);
-            put(&mut buf, d.to as u64);
-            put_str(&mut buf, d.kind);
-            put(&mut buf, d.depth);
-            put(&mut buf, d.bytes as u64);
-        }
+        let mut buf = self.deliveries(true);
         put(&mut buf, self.total_sent);
         put(&mut buf, self.total_bytes);
         put(&mut buf, self.bytes_by_kind.len() as u64);
@@ -183,21 +161,6 @@ fn assert_grid(prefix: &str, rendered: &str) {
         rendered == fixture_grid(prefix),
         "`{prefix}*` drifted from tests/golden/traces.txt; rendered now:\n{rendered}"
     );
-}
-
-/// Looks one cell up in the fixture: `(shape, full)` as printed.
-fn fixture_cell(label: &str) -> (String, String) {
-    let line = FIXTURE
-        .lines()
-        .find(|l| l.split(' ').next() == Some(label))
-        .unwrap_or_else(|| panic!("{label}: not in the fixture"));
-    let field = |key: &str| {
-        line.split(' ')
-            .find_map(|f| f.strip_prefix(key))
-            .unwrap_or_else(|| panic!("{label}: no {key}"))
-            .to_string()
-    };
-    (field("shape="), field("full="))
 }
 
 /// The eight scheduler configurations of the engine grid.
@@ -322,15 +285,6 @@ fn gwts_engine_cells_match_the_fixture() {
     assert_grid("gwts/", &rendered);
 }
 
-/// The switch a freeze-time run turns off (step 1 only: the fixture is
-/// taken on the default path, and each off path must reproduce it).
-#[derive(Clone, Copy, PartialEq)]
-enum Path {
-    Default,
-    NoProvenDeltas,
-    NoProofInterning,
-}
-
 /// The SbS adversaries of the ablation grid (always process 3).
 fn sbs_adversary(name: &str) -> Option<Box<dyn Process<SbsMsg<u64>>>> {
     match name {
@@ -349,19 +303,13 @@ fn sbs_adversary(name: &str) -> Option<Box<dyn Process<SbsMsg<u64>>>> {
     }
 }
 
-fn sbs_cell(label: &str, adversary: &str, seed: u64, path: Path) -> Recorded {
+fn sbs_cell(label: &str, adversary: &str, seed: u64) -> Recorded {
     let (n, f) = (4, 1);
     let config = SystemConfig::new(n, f);
     let adversary = sbs_adversary(adversary);
     let correct = if adversary.is_some() { n - 1 } else { n };
     let mut procs: Vec<Box<dyn Process<SbsMsg<u64>>>> = (0..correct)
-        .map(|i| {
-            Box::new(
-                SbsProcess::new(i, config, 10 + i as u64)
-                    .with_proven_deltas(path != Path::NoProvenDeltas)
-                    .with_proof_interning(path != Path::NoProofInterning),
-            ) as _
-        })
+        .map(|i| Box::new(SbsProcess::new(i, config, 10 + i as u64)) as _)
         .collect();
     procs.extend(adversary);
     let sim = run_traced(
@@ -381,7 +329,7 @@ fn sbs_cell(label: &str, adversary: &str, seed: u64, path: Path) -> Recorded {
 
 /// GSbS n=4 f=1 rounds=3: `inputs` rounds of one value per process,
 /// optionally with a `BogusRefSender` in place of process 3.
-fn gsbs_cell(label: &str, inputs: u64, bogus_ref: bool, seed: u64, path: Path) -> Recorded {
+fn gsbs_cell(label: &str, inputs: u64, bogus_ref: bool, seed: u64) -> Recorded {
     let (n, f, rounds) = (4, 1, 3u64);
     let config = SystemConfig::new(n, f);
     let correct = if bogus_ref { n - 1 } else { n };
@@ -390,11 +338,7 @@ fn gsbs_cell(label: &str, inputs: u64, bogus_ref: bool, seed: u64, path: Path) -
             let schedule: BTreeMap<u64, Vec<u64>> = (0..inputs)
                 .map(|r| (r, vec![100 * (r + 1) + i as u64]))
                 .collect();
-            Box::new(
-                GsbsProcess::new(i, config, schedule, rounds)
-                    .with_proven_deltas(path != Path::NoProvenDeltas)
-                    .with_proof_interning(path != Path::NoProofInterning),
-            ) as _
+            Box::new(GsbsProcess::new(i, config, schedule, rounds)) as _
         })
         .collect();
     if bogus_ref {
@@ -419,78 +363,37 @@ fn gsbs_cell(label: &str, inputs: u64, bogus_ref: bool, seed: u64, path: Path) -
     Recorded::of(&sim, honest)
 }
 
-/// Step 1 only: the off paths against the frozen cell. Proven deltas
-/// off may move bytes and nothing else; interning off may move nothing.
-fn assert_off_paths_reproduce(label: &str, run: impl Fn(Path) -> Recorded) {
-    let (shape, full) = fixture_cell(label);
-    let no_deltas = run(Path::NoProvenDeltas);
-    assert_eq!(
-        format!("{:016x}", no_deltas.shape()),
-        shape,
-        "{label}: shape with proven deltas off"
-    );
-    let no_interning = run(Path::NoProofInterning);
-    assert_eq!(
-        format!("{:016x}", no_interning.shape()),
-        shape,
-        "{label}: shape with proof interning off"
-    );
-    assert_eq!(
-        format!("{:016x}", no_interning.full()),
-        full,
-        "{label}: full digest with proof interning off"
-    );
-}
-
-/// SbS n=4 f=1 grid: adversary (in place of process 3) × seed count.
-const SBS_GRID: [(&str, u64); 4] = [
-    ("honest", 6),
-    ("forger", 4),
-    ("conflict", 4),
-    ("bogus-ref", 4),
-];
-
 #[test]
 fn sbs_ablation_cells_match_the_fixture() {
     let mut rendered = String::new();
-    for (adversary, seeds) in SBS_GRID {
+    for (adversary, seeds) in [
+        ("honest", 6),
+        ("forger", 4),
+        ("conflict", 4),
+        ("bogus-ref", 4),
+    ] {
         for seed in 0..seeds {
             let label = format!("sbs/{adversary}/seed{seed}");
-            rendered += &sbs_cell(&label, adversary, seed, Path::Default).line(&label);
+            rendered += &sbs_cell(&label, adversary, seed).line(&label);
         }
     }
     assert_grid("sbs/", &rendered);
-    for (adversary, seeds) in SBS_GRID {
-        for seed in 0..seeds {
-            let label = format!("sbs/{adversary}/seed{seed}");
-            assert_off_paths_reproduce(&label, |path| sbs_cell(&label, adversary, seed, path));
-        }
-    }
 }
 
 #[test]
 fn gsbs_ablation_cells_match_the_fixture() {
-    let grids = [
+    let mut rendered = String::new();
+    for (name, inputs, bogus_ref) in [
         ("honest-1", 1, false),
         ("honest-2", 2, false),
         ("bogus-ref", 2, true),
-    ];
-    let mut rendered = String::new();
-    for (name, inputs, bogus_ref) in grids {
+    ] {
         for seed in 0..3u64 {
             let label = format!("gsbs/{name}/seed{seed}");
-            rendered += &gsbs_cell(&label, inputs, bogus_ref, seed, Path::Default).line(&label);
+            rendered += &gsbs_cell(&label, inputs, bogus_ref, seed).line(&label);
         }
     }
     assert_grid("gsbs/", &rendered);
-    for (name, inputs, bogus_ref) in grids {
-        for seed in 0..3u64 {
-            let label = format!("gsbs/{name}/seed{seed}");
-            assert_off_paths_reproduce(&label, |path| {
-                gsbs_cell(&label, inputs, bogus_ref, seed, path)
-            });
-        }
-    }
 }
 
 /// The fixture cannot pass vacuously: moving one depth, one kind, one

@@ -329,3 +329,49 @@ fn gsbs_over_tcp_under_chaos_matches_simnet_and_conforms() {
         .unwrap_or_else(|v| panic!("gsbs/tcp: violation: {v}"));
     witness.validate().expect("witness validates");
 }
+
+// ---------------------------------------------------------------------------
+// Scale probe (gated: NET_SWEEP=1)
+// ---------------------------------------------------------------------------
+
+#[test]
+fn net_sweep_thirty_two_honest_wts_nodes_decide_over_one_pool() {
+    if std::env::var("NET_SWEEP").is_err() {
+        eprintln!("net_sweep: NET_SWEEP unset, skipping the 32-node scale probe");
+        return;
+    }
+    let n = 32;
+    let f = 10; // n > 3f still holds: 32 > 30
+    let config = SystemConfig::new(n, f);
+    let cfg = NetConfig {
+        seed: 0x5EEE,
+        deadline_ms: 120_000,
+        ..NetConfig::default()
+    };
+    let mut b = TcpRuntimeBuilder::new(cfg);
+    for i in 0..n {
+        b = b.add(Box::new(WtsProcess::new(i, config, 10 + i as u64)));
+    }
+    let mut rt = b.build().expect("bind localhost");
+    let out = rt.run_transport(10_000_000);
+    assert!(
+        out.quiescent,
+        "32-node honest run must quiesce (delivered {})",
+        out.delivered
+    );
+    let inputs: BTreeSet<u64> = (0..n).map(|i| 10 + i as u64).collect();
+    let mut union = BTreeSet::new();
+    for i in 0..n {
+        rt.with_process(i, &mut |p| {
+            let w = p.as_any().downcast_ref::<WtsProcess<u64>>().unwrap();
+            let d = w.decision.as_ref().expect("every node decides");
+            assert!(
+                d.contains(&(10 + i as u64)),
+                "node {i} decision misses its own input"
+            );
+            union.extend(d.iter().copied());
+        });
+    }
+    assert_eq!(union, inputs);
+    rt.shutdown();
+}

@@ -43,7 +43,9 @@ fn recorded_wts_run_replays_bit_identically() {
         let want = outcomes(&original);
 
         // Replay the exact schedule.
-        let mut replayed = build(Box::new(ReplayScheduler::new(trace.lock().clone())));
+        let mut replayed = build(Box::new(ReplayScheduler::new(
+            trace.lock().unwrap().clone(),
+        )));
         assert!(replayed.run(u64::MAX / 2).quiescent);
         assert_eq!(outcomes(&replayed), want, "seed {seed}: replay diverged");
     }
@@ -69,7 +71,7 @@ fn trace_with_one_missing_seq_resyncs() {
     let mut original = build(Box::new(rec));
     assert!(original.run(u64::MAX / 2).quiescent);
 
-    let mut gapped: Vec<u64> = trace.lock().clone();
+    let mut gapped: Vec<u64> = trace.lock().unwrap().clone();
     let total = gapped.len() as u64;
     gapped.remove(gapped.len() / 2);
 
@@ -97,7 +99,7 @@ fn truncated_trace_degrades_gracefully() {
     // Replay only the first half of the schedule; the rest falls back to
     // FIFO. The run must still terminate with the full spec intact.
     let half: Vec<u64> = {
-        let t = trace.lock();
+        let t = trace.lock().unwrap();
         t[..t.len() / 2].to_vec()
     };
     let mut partial = build(Box::new(ReplayScheduler::new(half)));

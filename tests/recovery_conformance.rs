@@ -4,6 +4,7 @@
 //! rollback, bit rot) are either detected by the `RestartRegression`
 //! rule or absorbed within the `f` fault budget.
 
+use bgla::codec::{verify_frame, CodecError};
 use bgla::core::gsbs::{GsbsMsg, GsbsProcess};
 use bgla::core::gwts::{GwtsMsg, GwtsProcess};
 use bgla::core::harness::{
@@ -20,6 +21,7 @@ use bgla::core::sbs::{SbsMsg, SbsProcess};
 use bgla::core::search::{Observer, SystemFactory};
 use bgla::core::wts::{WtsMsg, WtsProcess};
 use bgla::core::SystemConfig;
+use bgla::net::{demux_frame, Data, FK_DATA};
 use bgla::simnet::{
     FifoScheduler, Process, ProcessId, RandomScheduler, Scheduler, SearchScheduler, WireMessage,
 };
@@ -32,6 +34,11 @@ const VICTIM: ProcessId = 0;
 
 fn ident(v: &u64) -> u64 {
     *v
+}
+
+/// A snapshot directory no other test or process shares.
+fn snapshot_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("bgla-recovery-{tag}-{}", std::process::id()))
 }
 
 fn gen_schedule(i: usize) -> BTreeMap<u64, Vec<u64>> {
@@ -282,12 +289,7 @@ fn gsbs_crash_recovery_sweep_is_clean() {
 
 #[test]
 fn sbs_recovers_from_on_disk_snapshots() {
-    static UNIQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "bgla-recovery-{}-{}",
-        std::process::id(),
-        UNIQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
+    let dir = snapshot_dir("sbs");
     let config = SystemConfig::new(N, F);
     let mut build = |sched: Box<dyn Scheduler>| sbs_system(N, F, |i| 10 + i as u64, sched).0;
     let honest: Vec<usize> = (0..N).collect();
@@ -464,38 +466,94 @@ fn wts_rollback_is_absorbed_by_one_shot_durability() {
         .unwrap();
 }
 
-/// Bit rot: every load fails the frame checksum, the victim rejoins
-/// from genesis, and the loss is absorbed within `f` — the survivors'
-/// history stays conformant.
+/// A frame that is sound in every respect except that its header says
+/// version 1: the version field rewritten and the checksum recomputed.
+fn as_version_1(mut frame: Vec<u8>) -> Vec<u8> {
+    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let body = frame.len() - 8;
+    let sum = bgla::codec::fnv1a64(&frame[..body]);
+    frame[body..].copy_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+/// Snapshots and transport frames written under another layout are
+/// refused by their version, before any field is parsed.
+#[test]
+fn version_1_frames_are_rejected_as_bad_version() {
+    let bad = Some(CodecError::BadVersion(1));
+    let config = SystemConfig::new(N, F);
+
+    let wts = as_version_1(WtsProcess::new(0, config, 10u64).snapshot_bytes());
+    assert_eq!(verify_frame(&wts).err(), bad);
+    assert_eq!(WtsProcess::<u64>::from_snapshot(&wts).err(), bad);
+    let gwts = as_version_1(GwtsProcess::new(0, config, gen_schedule(0), 3).snapshot_bytes());
+    assert_eq!(GwtsProcess::<u64>::from_snapshot(&gwts).err(), bad);
+    let sbs = as_version_1(SbsProcess::new(0, config, 10u64).snapshot_bytes());
+    assert_eq!(SbsProcess::<u64>::from_snapshot(&sbs).err(), bad);
+    let gsbs = as_version_1(GsbsProcess::new(0, config, gen_schedule(0), 3).snapshot_bytes());
+    assert_eq!(GsbsProcess::<u64>::from_snapshot(&gsbs).err(), bad);
+
+    let data = bgla::codec::encode_frame(
+        FK_DATA,
+        &Data {
+            seq: 0,
+            depth: 1,
+            payload: vec![7],
+        },
+    );
+    assert!(demux_frame(&data).is_ok());
+    assert_eq!(demux_frame(&as_version_1(data)).err(), bad);
+}
+
+/// Unusable snapshots — bit rot that fails the frame checksum on every
+/// load, or a file written under frame version 1 — make the victim
+/// rejoin from genesis, and the loss is absorbed within `f`: the
+/// survivors' history stays conformant.
 #[test]
 fn corrupt_snapshots_force_genesis_rejoin_within_f() {
+    let dir = snapshot_dir("v1");
     let config = SystemConfig::new(N, F);
-    let mut build = |sched: Box<dyn Scheduler>| wts_system(N, F, |i| 10 + i as u64, sched).0;
-    let honest: Vec<usize> = (0..N).collect();
-    let mk_observer = || wts_observer(honest.clone(), ident);
-    let mut rebuild = wts_rebuild(config);
+    // The v1 file is the only snapshot its store ever holds: that run
+    // takes none of its own.
+    let mut on_disk = DirStore::new(&dir).expect("snapshot dir");
+    let v1 = as_version_1(WtsProcess::new(VICTIM, config, 10u64).snapshot_bytes());
+    std::fs::write(on_disk.path(VICTIM), v1).expect("seed v1 snapshot");
+    let mut bit_rot = CorruptingStore::new();
+    let cases: [(&str, &mut dyn SnapshotStore, SnapshotPolicy); 2] = [
+        ("bit rot", &mut bit_rot, SnapshotPolicy::decide_triggered()),
+        ("version 1", &mut on_disk, SnapshotPolicy::default()),
+    ];
 
-    let plan = CrashPlan::single(VICTIM, u64::MAX, 1);
-    let mut store = CorruptingStore::new();
-    let run = run_crash_conformance(
-        &mut build,
-        &mk_observer,
-        &mut *rebuild,
-        SnapshotPolicy::decide_triggered(),
-        &mut store,
-        &plan,
-        &CheckerConfig::honest_system(N, F).without_inclusivity(),
-        Box::new(FifoScheduler::new()),
-        BUDGET,
-    );
-    assert_eq!(run.restarts, 1);
-    assert_eq!(
-        run.genesis_rejoins,
-        [VICTIM].into_iter().collect::<BTreeSet<_>>(),
-        "corrupt snapshot must force a genesis rejoin"
-    );
-    run.result
-        .unwrap_or_else(|v| panic!("genesis rejoin must stay within the fault budget: {v}"))
-        .validate()
-        .unwrap();
+    for (label, store, policy) in cases {
+        let mut build = |sched: Box<dyn Scheduler>| wts_system(N, F, |i| 10 + i as u64, sched).0;
+        let honest: Vec<usize> = (0..N).collect();
+        let mk_observer = || wts_observer(honest.clone(), ident);
+        let mut rebuild = wts_rebuild(config);
+
+        let plan = CrashPlan::single(VICTIM, u64::MAX, 1);
+        let run = run_crash_conformance(
+            &mut build,
+            &mk_observer,
+            &mut *rebuild,
+            policy,
+            store,
+            &plan,
+            &CheckerConfig::honest_system(N, F).without_inclusivity(),
+            Box::new(FifoScheduler::new()),
+            BUDGET,
+        );
+        assert_eq!(run.restarts, 1, "{label}");
+        assert_eq!(
+            run.genesis_rejoins,
+            [VICTIM].into_iter().collect::<BTreeSet<_>>(),
+            "{label}: an unusable snapshot must force a genesis rejoin"
+        );
+        run.result
+            .unwrap_or_else(|v| {
+                panic!("{label}: genesis rejoin must stay within the fault budget: {v}")
+            })
+            .validate()
+            .unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
