@@ -56,7 +56,7 @@ fn bench_ed25519_batch(c: &mut Criterion) {
         b.iter(|| refs.iter().all(|(p, m, s)| p.verify(m, s)))
     });
     c.bench_function("ed25519_verify_16_batched", |b| {
-        b.iter(|| verify_batch(&refs, 42))
+        b.iter(|| verify_batch(&refs))
     });
 }
 

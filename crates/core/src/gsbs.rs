@@ -702,12 +702,17 @@ impl<V: SignableValue> GsbsProcess<V> {
         self.verifier.verify(signer, &msg, &sig)
     }
 
-    fn verify_signed_ack(&mut self, a: &SignedAck) -> bool {
-        self.verifier.verify(
+    fn ack_obligation(a: &SignedAck) -> (usize, Vec<u8>, Signature) {
+        (
             a.signer,
-            &SignedAck::signable_bytes(a.destination, a.ts, a.round, &a.digest, a.signer),
-            &a.sig,
+            SignedAck::signable_bytes(a.destination, a.ts, a.round, &a.digest, a.signer),
+            a.sig,
         )
+    }
+
+    fn verify_signed_ack(&mut self, a: &SignedAck) -> bool {
+        let (signer, msg, sig) = Self::ack_obligation(a);
+        self.verifier.verify(signer, &msg, &sig)
     }
 
     /// `AllSafe` over proven batches — incremental, like
@@ -800,6 +805,7 @@ impl<V: SignableValue> GsbsProcess<V> {
             .into_iter()
             .collect();
         let sb = SignedBatch::sign(round, batch, self.me, &self.keypair);
+        self.verifier.record_own(&Self::batch_obligation(&sb));
         self.safety_sets
             .entry(round)
             .or_default()
@@ -951,6 +957,7 @@ impl<V: SignableValue> GsbsProcess<V> {
                     self.accepted_set = proposed;
                     let digest = digest_values(&prop_vals);
                     let ack = SignedAck::sign(from, *ts, *round, digest, self.me, &self.keypair);
+                    self.verifier.record_own(&Self::ack_obligation(&ack));
                     ctx.send(from, GsbsMsg::Ack(ack));
                 } else {
                     // The refusal deltas against the refused proposal —
@@ -1447,6 +1454,7 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                         pruned
                     };
                     let ack = GSafeAck::sign(round, set, conflicts, self.me, &self.keypair);
+                    self.verifier.record_own(&Self::safe_ack_obligation(&ack));
                     ctx.send(from, GsbsMsg::SafeAck(ack));
                 }
             }

@@ -552,6 +552,18 @@ impl<V: SignableValue> SbsProcess<V> {
             .collect()
     }
 
+    /// Signs this process's proposal; the verifier learns the verdict, so
+    /// the `Init` that comes back in the broadcast is not verified.
+    fn sign_proposal(&mut self) -> SignedValue<V> {
+        let sv = SignedValue::sign(self.proposal.clone(), self.me, &self.keypair);
+        self.verifier.record_own(&(
+            self.me,
+            SignedValue::signable_bytes(&sv.value, self.me),
+            sv.sig,
+        ));
+        sv
+    }
+
     fn verify_value(&mut self, sv: &SignedValue<V>) -> bool {
         self.verifier.verify(
             sv.signer,
@@ -988,7 +1000,7 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
             self.recovered = false;
             match self.state {
                 SbsState::Init => {
-                    let sv = SignedValue::sign(self.proposal.clone(), self.me, &self.keypair);
+                    let sv = self.sign_proposal();
                     ctx.broadcast(SbsMsg::Init(sv));
                     self.maybe_start_safetying(ctx);
                 }
@@ -1005,7 +1017,7 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
             }
             return;
         }
-        let sv = SignedValue::sign(self.proposal.clone(), self.me, &self.keypair);
+        let sv = self.sign_proposal();
         self.safety_set.insert(sv.clone());
         ctx.broadcast(SbsMsg::Init(sv));
         self.maybe_start_safetying(ctx);
@@ -1048,6 +1060,8 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                         conflicts,
                     };
                     let ack = SignedSafeAck::sign(body, self.me, &self.keypair);
+                    self.verifier
+                        .record_own(&(self.me, ack.body.signable_bytes(self.me), ack.sig));
                     ctx.send(from, SbsMsg::SafeAck(ack));
                     self.safe_candidates = remove_conflicts(&union);
                 }

@@ -229,9 +229,10 @@ fn proof_referenced_in_ten_deltas_still_verifies_once() {
         1,
         "one Full delivery + ten references must cost one batched check"
     );
-    // The lone scalar check is p0 verifying its own self-delivered
-    // Init — nothing from the reference pipeline.
-    assert_eq!(p.verifier_stats().single_verifications, 1);
+    // No scalar check at all: the reference pipeline needs none, and
+    // p0's own self-delivered Init is answered from the verdict it
+    // recorded when it signed.
+    assert_eq!(p.verifier_stats().single_verifications, 0);
     let (hits, misses) = p.proof_cache_stats();
     assert_eq!(misses, 1, "one cold verdict lookup");
     assert_eq!(

@@ -1,9 +1,24 @@
 //! Arithmetic in GF(2^255 − 19), the base field of Curve25519.
 //!
 //! Representation: five 51-bit limbs (`h = Σ h_i · 2^(51 i)`), the classic
-//! "ref10" radix. Limbs are kept *weakly reduced* (< 2^52 after every
-//! public operation); multiplication tolerates inputs up to 2^54 per limb,
-//! so intermediate sums always fit in `u128`.
+//! "ref10" radix. Two limb bounds are in play:
+//!
+//! * *reduced* — every limb < 2^52. [`Fe::mul`], [`Fe::square`],
+//!   [`Fe::sub`], [`Fe::neg`] and the decoders return reduced elements.
+//! * *loose* — every limb < 2^54. [`Fe::add`] does not carry, so the sum
+//!   of two reduced elements has limbs < 2^53 and the sum of three < 2^54.
+//!   `mul`, `square` and `sub` accept loose operands (their intermediate
+//!   sums still fit `u128`/`u64`; `debug_assert!`s check the bound under
+//!   the test profile), which is what lets the point formulas in
+//!   [`crate::edwards`] skip a carry chain per addition.
+//!
+//! Cost model used throughout the crate docs: one `mul` = 1 **M** (25 wide
+//! products), one `square` = 1 **S** ≈ 0.7 M (15 wide products);
+//! additions are not counted. [`Fe::invert`] and the `(p−5)/8` power behind
+//! [`Fe::sqrt_ratio`] are fixed addition chains of 254 S + 11 M and
+//! 252 S + 11 M (≈ 190 M each) instead of the ~250 S + ~250 M of the
+//! generic square-and-multiply [`Fe::pow`], which remains for the
+//! one-off constant `sqrt(−1)` and as the chains' test oracle.
 
 use std::fmt;
 
@@ -149,7 +164,8 @@ impl Fe {
         h
     }
 
-    /// `self + rhs`.
+    /// `self + rhs`, without a carry pass: the result is *loose* (see the
+    /// module docs) and may be fed to `mul`/`square`/`sub` directly.
     pub fn add(self, rhs: Fe) -> Fe {
         Fe([
             self.0[0] + rhs.0[0],
@@ -158,56 +174,40 @@ impl Fe {
             self.0[3] + rhs.0[3],
             self.0[4] + rhs.0[4],
         ])
-        .weak_reduce()
     }
 
-    /// `self - rhs` (adds 2p first so limbs never underflow).
+    /// `self - rhs` (adds 16p first so limbs never underflow for a loose
+    /// `rhs`); the result is reduced.
     pub fn sub(self, rhs: Fe) -> Fe {
-        const TWO_P: [u64; 5] = [
-            (MASK - 18) * 2, // 2*(2^51 - 19) = 2^52 - 38
-            (MASK) * 2,      // 2*(2^51 - 1)  = 2^52 - 2
-            (MASK) * 2,
-            (MASK) * 2,
-            (MASK) * 2,
+        const P16: [u64; 5] = [
+            (MASK - 18) * 16, // 16*(2^51 - 19)
+            MASK * 16,        // 16*(2^51 - 1)
+            MASK * 16,
+            MASK * 16,
+            MASK * 16,
         ];
+        debug_assert!(rhs.is_loose());
         Fe([
-            self.0[0] + TWO_P[0] - rhs.0[0],
-            self.0[1] + TWO_P[1] - rhs.0[1],
-            self.0[2] + TWO_P[2] - rhs.0[2],
-            self.0[3] + TWO_P[3] - rhs.0[3],
-            self.0[4] + TWO_P[4] - rhs.0[4],
+            self.0[0] + P16[0] - rhs.0[0],
+            self.0[1] + P16[1] - rhs.0[1],
+            self.0[2] + P16[2] - rhs.0[2],
+            self.0[3] + P16[3] - rhs.0[3],
+            self.0[4] + P16[4] - rhs.0[4],
         ])
         .weak_reduce()
     }
 
-    /// `-self`.
-    pub fn neg(self) -> Fe {
-        Fe::ZERO.sub(self)
+    /// Whether every limb is under the 2^54 bound `mul`/`square`/`sub`
+    /// accept.
+    fn is_loose(self) -> bool {
+        self.0.iter().all(|&l| l < 1 << 54)
     }
 
-    /// `self * rhs` (schoolbook with the 19-fold wraparound).
-    pub fn mul(self, rhs: Fe) -> Fe {
-        let a: [u128; 5] = [
-            self.0[0] as u128,
-            self.0[1] as u128,
-            self.0[2] as u128,
-            self.0[3] as u128,
-            self.0[4] as u128,
-        ];
-        let b: [u128; 5] = [
-            rhs.0[0] as u128,
-            rhs.0[1] as u128,
-            rhs.0[2] as u128,
-            rhs.0[3] as u128,
-            rhs.0[4] as u128,
-        ];
-        let b19: [u128; 5] = [0, b[1] * 19, b[2] * 19, b[3] * 19, b[4] * 19];
-        let r0 = a[0] * b[0] + a[1] * b19[4] + a[2] * b19[3] + a[3] * b19[2] + a[4] * b19[1];
-        let r1 = a[0] * b[1] + a[1] * b[0] + a[2] * b19[4] + a[3] * b19[3] + a[4] * b19[2];
-        let r2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0] + a[3] * b19[4] + a[4] * b19[3];
-        let r3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0] + a[4] * b19[4];
-        let r4 = a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0];
-        // Carry chain on 128-bit accumulators.
+    /// Carries five 128-bit column sums into a reduced element. With loose
+    /// inputs the top column has no 19-fold term and stays under 2^111, so
+    /// its carry times 19 fits a `u64`.
+    fn carry_wide(r: [u128; 5]) -> Fe {
+        let [r0, r1, r2, r3, r4] = r;
         let mut out = [0u64; 5];
         let mut c: u128;
         c = r0 >> 51;
@@ -225,12 +225,51 @@ impl Fe {
         c = r4 >> 51;
         out[4] = (r4 as u64) & MASK;
         out[0] += (c as u64) * 19;
-        Fe(out).weak_reduce()
+        out[1] += out[0] >> 51;
+        out[0] &= MASK;
+        Fe(out)
     }
 
-    /// `self^2`.
+    /// `-self`.
+    pub fn neg(self) -> Fe {
+        Fe::ZERO.sub(self)
+    }
+
+    /// `self * rhs` (schoolbook with the 19-fold wraparound).
+    pub fn mul(self, rhs: Fe) -> Fe {
+        debug_assert!(self.is_loose() && rhs.is_loose());
+        let m = |x: u64, y: u64| x as u128 * y as u128;
+        let [a0, a1, a2, a3, a4] = self.0;
+        let [b0, b1, b2, b3, b4] = rhs.0;
+        // Loose limbs times 19 stay under 2^59.
+        let (b1_19, b2_19, b3_19, b4_19) = (b1 * 19, b2 * 19, b3 * 19, b4 * 19);
+        Fe::carry_wide([
+            m(a0, b0) + m(a1, b4_19) + m(a2, b3_19) + m(a3, b2_19) + m(a4, b1_19),
+            m(a0, b1) + m(a1, b0) + m(a2, b4_19) + m(a3, b3_19) + m(a4, b2_19),
+            m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, b4_19) + m(a4, b3_19),
+            m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, b4_19),
+            m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0),
+        ])
+    }
+
+    /// `self^2`: the 25 products of `mul` fold to 15 by symmetry.
     pub fn square(self) -> Fe {
-        self.mul(self)
+        debug_assert!(self.is_loose());
+        let m = |x: u64, y: u64| x as u128 * y as u128;
+        let [a0, a1, a2, a3, a4] = self.0;
+        let (a3_19, a4_19) = (a3 * 19, a4 * 19);
+        Fe::carry_wide([
+            m(a0, a0) + 2 * (m(a1, a4_19) + m(a2, a3_19)),
+            m(a3, a3_19) + 2 * (m(a0, a1) + m(a2, a4_19)),
+            m(a1, a1) + 2 * (m(a0, a2) + m(a4, a3_19)),
+            m(a4, a4_19) + 2 * (m(a0, a3) + m(a1, a2)),
+            m(a2, a2) + 2 * (m(a0, a4) + m(a1, a3)),
+        ])
+    }
+
+    /// `self^(2^k)`: `k` successive squarings.
+    fn square_times(self, k: u32) -> Fe {
+        (0..k).fold(self, |acc, _| acc.square())
     }
 
     /// `self^exp` for a little-endian 256-bit exponent.
@@ -247,10 +286,56 @@ impl Fe {
         acc
     }
 
-    /// Multiplicative inverse via Fermat: `self^(p−2)`. `1/0` is defined
-    /// as 0 (the usual convention; callers guard zero explicitly).
+    /// The shared prefix of the two fixed-exponent chains: returns
+    /// `(self^(2^250 − 1), self^11)` in 249 S + 10 M (the classic ref10
+    /// ladder 2^5−1, 2^10−1, 2^20−1, 2^40−1, 2^50−1, 2^100−1, 2^200−1).
+    fn pow_2_250_minus_1(self) -> (Fe, Fe) {
+        let z2 = self.square();
+        let z9 = z2.square_times(2).mul(self);
+        let z11 = z9.mul(z2);
+        let z_5_0 = z11.square().mul(z9);
+        let z_10_0 = z_5_0.square_times(5).mul(z_5_0);
+        let z_20_0 = z_10_0.square_times(10).mul(z_10_0);
+        let z_40_0 = z_20_0.square_times(20).mul(z_20_0);
+        let z_50_0 = z_40_0.square_times(10).mul(z_10_0);
+        let z_100_0 = z_50_0.square_times(50).mul(z_50_0);
+        let z_200_0 = z_100_0.square_times(100).mul(z_100_0);
+        let z_250_0 = z_200_0.square_times(50).mul(z_50_0);
+        (z_250_0, z11)
+    }
+
+    /// Multiplicative inverse via Fermat: `self^(p−2)`, `p − 2 =
+    /// 2^255 − 21 = (2^250 − 1)·2^5 + 11`. `1/0` is defined as 0 (the
+    /// usual convention; callers guard zero explicitly).
     pub fn invert(self) -> Fe {
-        self.pow(&pow2k_minus(255, 21))
+        let (z_250_0, z11) = self.pow_2_250_minus_1();
+        z_250_0.square_times(5).mul(z11)
+    }
+
+    /// `self^((p−5)/8)`, `(p − 5)/8 = 2^252 − 3 = (2^250 − 1)·2^2 + 1` —
+    /// the power behind [`Fe::sqrt_ratio`].
+    pub(crate) fn pow22523(self) -> Fe {
+        let (z_250_0, _) = self.pow_2_250_minus_1();
+        z_250_0.square_times(2).mul(self)
+    }
+
+    /// Inverts every element of `values` in place with one [`Fe::invert`]
+    /// and `3·(len − 1)` multiplications (Montgomery's trick). No element
+    /// may be zero.
+    pub(crate) fn batch_invert(values: &mut [Fe]) {
+        let mut prefix = Vec::with_capacity(values.len());
+        let mut acc = Fe::ONE;
+        for v in values.iter() {
+            debug_assert!(!v.is_zero());
+            prefix.push(acc);
+            acc = acc.mul(*v);
+        }
+        let mut inv = acc.invert();
+        for (v, before) in values.iter_mut().zip(prefix).rev() {
+            let next = inv.mul(*v);
+            *v = inv.mul(before);
+            inv = next;
+        }
     }
 
     /// True iff the canonical encoding is the zero element.
@@ -278,7 +363,7 @@ impl Fe {
         let v3 = v.square().mul(v);
         let v7 = v3.square().mul(v);
         // candidate = u * v^3 * (u * v^7)^((p-5)/8)
-        let cand = u.mul(v3).mul(u.mul(v7).pow(&pow2k_minus(252, 3)));
+        let cand = u.mul(v3).mul(u.mul(v7).pow22523());
         let check = v.mul(cand.square());
         if check == u {
             (true, cand)
@@ -372,8 +457,46 @@ mod tests {
         any::<[u8; 32]>().prop_map(|b| Fe::from_bytes(&b))
     }
 
+    /// An element with limbs anywhere under the loose bound (2^54), not
+    /// just the 51 bits a decoder produces.
+    fn arb_loose_fe() -> impl Strategy<Value = Fe> {
+        any::<[u64; 5]>().prop_map(|l| Fe(l.map(|x| x >> 10)))
+    }
+
+    #[test]
+    fn fixed_chains_match_the_generic_power_on_edge_values() {
+        let pm1 = Fe::ZERO.sub(Fe::ONE);
+        for a in [Fe::ZERO, Fe::ONE, fe(2), fe(19), pm1, Fe::sqrt_m1()] {
+            assert_eq!(a.invert(), a.pow(&pow2k_minus(255, 21)));
+            assert_eq!(a.pow22523(), a.pow(&pow2k_minus(252, 3)));
+        }
+        assert_eq!(Fe::ZERO.invert(), Fe::ZERO);
+    }
+
+    #[test]
+    fn loose_extremes_multiply_without_overflow() {
+        // Every limb at the loose bound: the largest operands mul/square
+        // may be handed (overflow checks are on under the test profile).
+        let max = Fe([(1 << 54) - 1; 5]);
+        let canonical = Fe::from_bytes(&max.to_bytes());
+        assert_eq!(max.mul(max), canonical.mul(canonical));
+        assert_eq!(max.square(), canonical.mul(canonical));
+        assert_eq!(Fe::ZERO.sub(max), canonical.neg());
+    }
+
+    #[test]
+    fn batch_invert_matches_invert() {
+        let mut values: Vec<Fe> = (1..40)
+            .map(|i| fe(i * i + 7).mul(fe(0xffff_ffff)))
+            .collect();
+        let want: Vec<Fe> = values.iter().map(|v| v.invert()).collect();
+        Fe::batch_invert(&mut values);
+        assert_eq!(values, want);
+        Fe::batch_invert(&mut []);
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(crate::DIFFERENTIAL_CASES))]
 
         #[test]
         fn mul_commutes(a in arb_fe(), b in arb_fe()) {
@@ -402,8 +525,21 @@ mod tests {
         }
 
         #[test]
-        fn square_matches_mul(a in arb_fe()) {
+        fn square_matches_mul(a in arb_loose_fe()) {
             prop_assert_eq!(a.square(), a.mul(a));
+        }
+
+        #[test]
+        fn loose_operands_give_the_canonical_product(a in arb_loose_fe(), b in arb_loose_fe()) {
+            let (ca, cb) = (Fe::from_bytes(&a.to_bytes()), Fe::from_bytes(&b.to_bytes()));
+            prop_assert_eq!(a.mul(b), ca.mul(cb));
+            prop_assert_eq!(a.sub(b), ca.sub(cb));
+        }
+
+        #[test]
+        fn fixed_chains_match_the_generic_power(a in arb_fe()) {
+            prop_assert_eq!(a.invert(), a.pow(&pow2k_minus(255, 21)));
+            prop_assert_eq!(a.pow22523(), a.pow(&pow2k_minus(252, 3)));
         }
 
         #[test]

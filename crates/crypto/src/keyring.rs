@@ -7,21 +7,34 @@
 //! holds everyone's *public* keys; each process additionally holds its own
 //! [`crate::Keypair`]. Byzantine processes cannot forge because they are
 //! only ever given their own secrets.
+//!
+//! The ring is also where public keys stop being bytes: construction
+//! decodes each key once and keeps the point as a width-5 odd-multiples
+//! table (1 280 bytes per entry, ≈ 270 field multiplications to build),
+//! so [`Keyring::verify`] is one interleaved `[k]A + [−S]B` chain and
+//! [`Keyring::verify_batch`] decodes nothing but each signature's `R`.
+//! Both check the same cofactored equation (see [`crate::ed25519`]), so a
+//! record has one verdict whichever of them — or whichever mix, through
+//! [`crate::CachedVerifier`] — a process happens to run.
 
-use crate::ed25519::{Keypair, PublicKey, Signature};
+use crate::ed25519::{verify_batch_expanded, ExpandedKey, Keypair, PublicKey, Signature};
 
 /// Public keys of all `n` processes, indexed by process id.
 #[derive(Clone, Debug)]
 pub struct Keyring {
-    keys: Vec<PublicKey>,
+    keys: Vec<ExpandedKey>,
 }
 
 impl Keyring {
     /// Builds the ring for `n` processes using the deterministic
     /// per-process keys (reproducible simulations).
     pub fn for_system(n: usize) -> Keyring {
+        let expand = |i| {
+            ExpandedKey::new(Keypair::for_process(i).public)
+                .expect("a key this crate just generated decodes")
+        };
         Keyring {
-            keys: (0..n).map(|i| Keypair::for_process(i).public).collect(),
+            keys: (0..n).map(expand).collect(),
         }
     }
 
@@ -37,48 +50,29 @@ impl Keyring {
 
     /// Public key of process `id`, if registered.
     pub fn key_of(&self, id: usize) -> Option<&PublicKey> {
-        self.keys.get(id)
+        self.keys.get(id).map(|key| &key.public)
     }
 
     /// Verifies that `sig` over `msg` was produced by process `signer`.
     pub fn verify(&self, signer: usize, msg: &[u8], sig: &Signature) -> bool {
-        match self.keys.get(signer) {
-            Some(pk) => pk.verify(msg, sig),
-            None => false,
-        }
+        self.keys
+            .get(signer)
+            .is_some_and(|key| key.verify(msg, sig))
     }
 
     /// Verifies many `(signer, msg, sig)` records at once through
-    /// [`crate::ed25519::verify_batch`] — one multi-scalar
-    /// multiplication instead of a scalar multiplication pair per
-    /// record. Returns false if any signer is unknown or any signature
-    /// is invalid (callers needing per-record verdicts fall back to
-    /// [`Keyring::verify`] on failure).
-    ///
-    /// The blinding coefficients are derived Fiat–Shamir-style from the
-    /// batch contents themselves, so an adversary cannot choose
-    /// signatures against known coefficients to force a cancellation.
+    /// [`crate::ed25519::verify_batch`]'s machinery — one multi-scalar
+    /// multiplication over the ring's cached key tables instead of a
+    /// double-scalar multiplication per record. Returns false if any
+    /// signer is unknown or any signature is invalid; the verdict is the
+    /// conjunction of the per-record [`Keyring::verify`] verdicts, so
+    /// callers needing to know *which* record failed fall back to those.
     pub fn verify_batch(&self, items: &[(usize, &[u8], Signature)]) -> bool {
-        if items.is_empty() {
-            return true;
-        }
-        let mut triples = Vec::with_capacity(items.len());
-        let mut transcript = crate::sha512::Sha512::new();
-        transcript.update(b"bgla-keyring-batch");
-        for (signer, msg, sig) in items {
-            let Some(pk) = self.keys.get(*signer) else {
-                return false;
-            };
-            transcript
-                .update(&(*signer as u64).to_le_bytes())
-                .update(&(msg.len() as u64).to_le_bytes())
-                .update(msg)
-                .update(&sig.to_bytes());
-            triples.push((*pk, *msg, *sig));
-        }
-        let digest = transcript.finalize();
-        let entropy = u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"));
-        crate::ed25519::verify_batch(&triples, entropy)
+        let expanded: Option<Vec<_>> = items
+            .iter()
+            .map(|(signer, msg, sig)| Some((self.keys.get(*signer)?, *msg, *sig)))
+            .collect();
+        expanded.is_some_and(|expanded| verify_batch_expanded(&expanded))
     }
 }
 
@@ -97,6 +91,15 @@ mod tests {
             // Signature attributed to the wrong process fails.
             assert!(!ring.verify((i + 1) % 4, b"payload", &sig));
         }
+    }
+
+    #[test]
+    fn ring_holds_exactly_the_process_keys() {
+        let ring = Keyring::for_system(9);
+        for i in 0..9 {
+            assert_eq!(ring.key_of(i), Some(&Keypair::for_process(i).public));
+        }
+        assert_eq!(ring.key_of(9), None);
     }
 
     #[test]

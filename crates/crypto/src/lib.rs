@@ -11,20 +11,64 @@
 //!   roots of primes (via exact integer n-th roots), eliminating the
 //!   possibility of a mistyped constant table.
 //! * [`hmac`] — HMAC-SHA-512, used to model authenticated channels.
-//! * [`field`] — arithmetic in GF(2^255 − 19), radix-2^51 limbs.
-//! * [`scalar`] — arithmetic modulo the group order ℓ.
-//! * [`edwards`] — twisted-Edwards points in extended coordinates.
-//! * [`ed25519`] — RFC 8032 keygen / sign / verify (tested against the
-//!   RFC's vectors).
-//! * [`keyring`] — a process-id-indexed PKI as assumed by the paper.
+//! * [`field`] — arithmetic in GF(2^255 − 19), radix-2^51 limbs, lazy
+//!   additions, a dedicated squaring and fixed addition chains for the
+//!   inversion and the square root.
+//! * [`scalar`] — arithmetic modulo the group order ℓ, and the signed
+//!   digit recodings (radix 16, width-w non-adjacent form) the point
+//!   multiplications walk.
+//! * [`edwards`] — twisted-Edwards points, the three precomputed tables
+//!   and the table-driven scalar multiplications.
+//! * [`ed25519`] — RFC 8032 keygen / sign / verify / batch verify (tested
+//!   against the RFC's five vectors).
+//! * [`keyring`] — a process-id-indexed PKI as assumed by the paper; keeps
+//!   every public key decoded.
 //! * [`sigcache`] — memoized + batched verification ([`CachedVerifier`]).
 //! * [`proofstore`] — content-addressed proof-of-safety interning
 //!   ([`ProofId`], [`ProofCache`]): each distinct proof is verified once
 //!   per process and answered from cache thereafter.
 //!
+//! # Shape of the Ed25519 path
+//!
+//! A GSbS decide is almost entirely signature work, so the curve code is
+//! organised around never repeating a computation whose result is fixed:
+//!
+//! | what is fixed | kept as | size | built |
+//! |---|---|---|---|
+//! | the base point `B`, for `k·B` (keygen, signing) | radix-16 table, 256 affine entries | 30 720 B, once per process image | first key generation (≈ 5 000 M) |
+//! | the base point `B`, for `[S]B` (verification) | width-8 odd multiples, 64 affine entries | 7 680 B, once per process image | first verification (≈ 1 000 M) |
+//! | each process's public key `A` | decoded point as width-5 odd multiples, 8 projective entries | 1 280 B per [`Keyring`] entry | [`Keyring::for_system`] (decode ≈ 200 M + table ≈ 70 M per key) |
+//!
+//! All three are computed from definitions (`B` is "the point with
+//! `y = 4/5` and even `x`"), never transcribed. Under 40 KB of tables per
+//! process image, plus 1.3 KB per keyring entry.
+//!
+//! There is **one verification equation** on every path — single, batch,
+//! cached — the cofactored `[8]([S]B − [k]A − R) = identity`; see
+//! [`ed25519`] for why a system that batches cannot afford two.
+//!
+//! Budget per operation, in field multiplications **M** (a squaring
+//! counted as 0.7 M; measure `crypto.*` kernels of the `e2e` benchmark
+//! against these — one M is ≈ 25 ns on the reference container):
+//!
+//! | operation | field work | scalar / hash work on top |
+//! |---|---|---|
+//! | [`Keypair::sign`] | ≈ 700 M (`r·B` ≈ 480, encode `R` ≈ 190) | 2 SHA-512, 3 reductions mod ℓ |
+//! | key generation | ≈ 700 M | 1–2 SHA-512, 1 reduction |
+//! | [`Keyring::verify`] | ≈ 2 250 M (decode `R` ≈ 200, shared chain ≈ 1 470, `A` adds ≈ 340, `B` adds ≈ 200) | 1 SHA-512, 1 reduction |
+//! | [`Keyring::verify_batch`], per signature | ≈ 780 M + ≈ 1 700 M / batch size | 1¼ SHA-512, 3 reductions |
+//!
+//! The reductions mod ℓ are still binary long division (≈ 2.5 µs each):
+//! next to the old 100 µs point multiplications that was noise, now it
+//! is a third of a signature.
+//!
 //! **Scope note**: this is an *algorithmic* implementation for a research
-//! reproduction. It is not hardened (no constant-time guarantees, no
-//! zeroization) and must not be used to protect real data.
+//! reproduction. It is not hardened — no zeroization, and **nothing is
+//! constant-time**: signing and key generation index the radix-16 table by
+//! digits of the secret nonce / secret scalar and skip zero digits;
+//! verification is variable-time by design. That is acceptable for a
+//! simulator whose keys derive from public process ids, and must not be
+//! used to protect real data.
 #![warn(missing_docs)]
 // The field/scalar/point APIs intentionally mirror mathematical notation
 // (`add`, `mul`, `neg`, ...) without implementing the operator traits —
@@ -44,6 +88,14 @@ pub mod sha512;
 pub mod sigcache;
 pub mod tobytes;
 pub mod wire;
+
+/// Cases per property of the differential tests (new arithmetic against
+/// the retained bit-by-bit oracles and the generic `Fe::pow`). The oracles
+/// are slow under the test profile's overflow checks, so tier-1 runs a few
+/// dozen; the release CI step (`cargo test --release -p bgla-crypto`) runs
+/// over a thousand.
+#[cfg(test)]
+pub(crate) const DIFFERENTIAL_CASES: u32 = if cfg!(debug_assertions) { 64 } else { 1024 };
 
 pub use ed25519::{Keypair, PublicKey, SecretKey, Signature};
 pub use hmac::hmac_sha512;

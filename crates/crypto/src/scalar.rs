@@ -3,9 +3,10 @@
 //!
 //! Scalars are four 64-bit little-endian limbs, always fully reduced.
 //! Wide (512-bit) reduction is done by binary long division against
-//! shifted copies of ℓ — slow but simple and obviously correct; scalar
-//! ops are a negligible fraction of signing time next to the point
-//! multiplications.
+//! shifted copies of ℓ — slow (≈ 2.5 µs) but simple and obviously
+//! correct. Since the point multiplications became table-driven this is
+//! no longer negligible: three reductions are about a third of a
+//! signature.
 
 /// ℓ as little-endian 64-bit limbs.
 pub const L: [u64; 4] = [
@@ -159,6 +160,53 @@ impl Scalar {
     pub fn is_zero(self) -> bool {
         self.0 == [0; 4]
     }
+
+    /// Signed radix-16 digits: `self = Σ eᵢ·16^i` with `eᵢ ∈ [−8, 8)` for
+    /// `i < 63` and `e₆₃ ∈ [0, 2]` (a reduced scalar is below 2^253) —
+    /// the recoding [`crate::edwards::Point::mul_base`] walks.
+    pub(crate) fn radix16(self) -> [i8; 64] {
+        let bytes = self.to_bytes();
+        let mut carry = 0i8;
+        std::array::from_fn(|i| {
+            let nibble = (bytes[i / 2] >> (4 * (i % 2))) & 15;
+            let digit = nibble as i8 + carry;
+            carry = i8::from(digit >= 8 && i < 63);
+            digit - 16 * carry
+        })
+    }
+
+    /// Width-`w` non-adjacent form, `2 ≤ w ≤ 8`: `self = Σ dᵢ·2^i` where
+    /// every nonzero `dᵢ` is odd, `|dᵢ| < 2^(w−1)`, and any `w`
+    /// consecutive digits hold at most one nonzero — so a 253-bit scalar
+    /// has about `253/(w+1)` nonzero digits. A reduced scalar's top digit
+    /// sits at position 253 at the latest.
+    pub(crate) fn non_adjacent_form(self, w: u32) -> [i8; 256] {
+        debug_assert!((2..=8).contains(&w));
+        let width = 1u64 << w;
+        let limbs = [self.0[0], self.0[1], self.0[2], self.0[3], 0];
+        let mut naf = [0i8; 256];
+        let mut pos = 0;
+        let mut carry = 0;
+        while pos < 256 {
+            let (limb, bit) = (pos / 64, pos % 64);
+            // The w bits at `pos`, possibly straddling two limbs.
+            let mut window = limbs[limb] >> bit;
+            if bit + w as usize > 64 {
+                window |= limbs[limb + 1] << (64 - bit);
+            }
+            let window = carry + (window & (width - 1));
+            if window & 1 == 0 {
+                // Even: emit a zero digit and let the carry ride along.
+                pos += 1;
+                continue;
+            }
+            // Odd: take the representative in (−2^(w−1), 2^(w−1)).
+            carry = u64::from(window >= width / 2);
+            naf[pos] = (window as i16 - (carry * width) as i16) as i8;
+            pos += w as usize;
+        }
+        naf
+    }
 }
 
 #[cfg(test)]
@@ -217,8 +265,62 @@ mod tests {
         assert_eq!(direct, doubled);
     }
 
+    /// Horner evaluation of signed digits at the given radix.
+    fn recompose(digits: &[i8], radix: u64) -> Scalar {
+        digits.iter().rev().fold(Scalar::ZERO, |acc, &d| {
+            let magnitude = Scalar::from_u64(u64::from(d.unsigned_abs()));
+            let digit = if d < 0 { magnitude.neg() } else { magnitude };
+            acc.mul(Scalar::from_u64(radix)).add(digit)
+        })
+    }
+
+    fn check_recodings(k: Scalar) {
+        let e = k.radix16();
+        assert_eq!(recompose(&e, 16), k);
+        assert!(e[..63].iter().all(|d| (-8..8).contains(d)) && (0..=2).contains(&e[63]));
+        for w in [2u32, 5, 8] {
+            let naf = k.non_adjacent_form(w);
+            assert_eq!(recompose(&naf, 2), k, "width {w}");
+            let bound = 1i16 << (w - 1);
+            for (i, &d) in naf.iter().enumerate() {
+                if d != 0 {
+                    assert!(
+                        d & 1 == 1 && i16::from(d).abs() < bound,
+                        "width {w}, digit {i}"
+                    );
+                    let window = &naf[i + 1..(i + w as usize).min(256)];
+                    assert!(window.iter().all(|&z| z == 0), "width {w}, digit {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recodings_recompose_on_edge_scalars() {
+        let mut l_minus_1 = L;
+        l_minus_1[0] -= 1;
+        let all_ones = Scalar([u64::MAX, u64::MAX, u64::MAX, (1 << 60) - 1]); // 2^252 − 1
+        for k in [
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::from_u64(2),
+            Scalar(l_minus_1),
+            all_ones,
+            all_ones.sub(Scalar::from_u64(7)),
+            Scalar([0x8888_8888_8888_8888; 4].map(|l| l >> 4)),
+            Scalar([0, 0, 0, 1 << 60]),
+        ] {
+            check_recodings(k);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn recodings_recompose(a: [u8; 32]) {
+            check_recodings(Scalar::from_bytes_mod_order(&a));
+        }
 
         #[test]
         fn add_commutes(a: [u8; 32], b: [u8; 32]) {

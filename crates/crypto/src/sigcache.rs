@@ -2,7 +2,7 @@
 //!
 //! Byzantine processes can re-send the same signed records arbitrarily
 //! often; without memoization every re-delivery costs a full Ed25519
-//! verification (two scalar multiplications). The cache is keyed by
+//! verification (a double-scalar multiplication). The cache is keyed by
 //! `(signer, message-hash, signature)` — **the message must be part of
 //! the key**: a cache keyed by `(signer, signature)` alone would let an
 //! adversary replay a valid signature attached to *different* content
@@ -92,7 +92,11 @@ pub struct VerifierStats {
 /// memoized; multi-signature checks go through one batched
 /// multi-scalar multiplication ([`crate::keyring::Keyring::verify_batch`])
 /// with an individual-check fallback that caches the per-signature
-/// verdicts, so Byzantine re-sends never force re-verification.
+/// verdicts, so Byzantine re-sends never force re-verification. Single
+/// and batched checks decide the same (cofactored) equation, so which of
+/// them a record meets — that depends on what else missed the cache —
+/// never changes its verdict, and the fallback cannot contradict the
+/// batch that triggered it.
 #[derive(Debug)]
 pub struct CachedVerifier {
     ring: crate::Keyring,
@@ -130,6 +134,15 @@ impl CachedVerifier {
         let ok = self.ring.verify(signer, msg, sig);
         self.cache.put(signer, key, sig, ok);
         ok
+    }
+
+    /// Records that the owning process just produced `sig` over `msg`
+    /// with its own key `me` — a `(me, msg, sig)` obligation whose verdict
+    /// is known. The process's own batches, acks and safe-acks come back
+    /// to it in broadcasts and inside proofs of safety, and are then
+    /// answered from the cache instead of verified.
+    pub fn record_own(&mut self, (me, msg, sig): &(usize, Vec<u8>, Signature)) {
+        self.cache.put(*me, SigCache::msg_key(msg), sig, true);
     }
 
     /// Verifies every `(signer, msg, sig)` obligation, batching all
@@ -318,6 +331,22 @@ mod tests {
         assert!(!v.verify_all(&bad));
         assert_eq!(v.stats().batch_verifications, 2);
         assert_eq!(v.stats().single_verifications, 3);
+    }
+
+    #[test]
+    fn own_signatures_are_never_verified() {
+        let mut v = CachedVerifier::new(crate::Keyring::for_system(4));
+        let items = obligations(4);
+        v.record_own(&items[0]);
+        assert!(v.verify(0, &items[0].1, &items[0].2));
+        assert_eq!(v.stats(), VerifierStats::default());
+        // The other three are one batch; the own record is not in it.
+        assert!(v.verify_all(&items));
+        assert_eq!(v.stats().batch_verifications, 1);
+        assert_eq!(v.cached(), 4);
+        // Only that exact (signer, message, signature) is vouched for.
+        assert!(!v.verify(0, b"other", &items[0].2));
+        assert!(!v.verify(1, &items[0].1, &items[0].2));
     }
 
     #[test]
