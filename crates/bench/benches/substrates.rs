@@ -1,6 +1,8 @@
 //! Criterion benches for the substrates: the from-scratch crypto stack,
 //! the reliable broadcast engine, and lattice operations.
 
+use bgla_codec::{decode_payload, encode_payload};
+use bgla_core::valueset::ValueSet;
 use bgla_crypto::{hmac_sha512, sha512, Keypair};
 use bgla_lattice::{JoinSemiLattice, SetLattice};
 use bgla_rbcast::{RbMsg, RbcastEngine};
@@ -101,6 +103,58 @@ fn bench_rbcast(c: &mut Criterion) {
     g.finish();
 }
 
+/// One engine of an n=10, f=3 system taken through whole instances (init,
+/// n echoes, n readies): nanoseconds per delivery. `payload(sender)` is
+/// that sender's copy of the broadcast value.
+fn rbcast_deliveries<T: Clone + Ord>(b: &mut criterion::Bencher, payload: impl Fn(usize) -> T) {
+    let (n, f) = (10usize, 3usize);
+    let mut engine: RbcastEngine<T> = RbcastEngine::new(n, f);
+    let mut tag = 0u64;
+    b.iter(|| {
+        tag += 1;
+        let init = RbMsg::Init {
+            tag,
+            value: payload(0),
+        };
+        let mut delivered = engine.on_message(0, init).1.len();
+        for from in 0..n {
+            let echo = RbMsg::Echo {
+                origin: 0,
+                tag,
+                value: payload(from),
+            };
+            delivered += engine.on_message(from, echo).1.len();
+        }
+        for from in 0..n {
+            let ready = RbMsg::Ready {
+                origin: 0,
+                tag,
+                value: payload(from),
+            };
+            delivered += engine.on_message(from, ready).1.len();
+        }
+        assert_eq!(delivered, 1);
+    });
+}
+
+fn bench_rbcast_payloads(c: &mut Criterion) {
+    // The `u64` row is e2e's `rbcast.engine_ns_per_deliver` kernel; it
+    // cannot show what telling payloads apart costs. The second row's
+    // payload is a 720-value set every sender decoded for itself, as
+    // over TCP: no two senders share an `Arc`, so equal payloads are
+    // recognised by walking them.
+    let mut g = c.benchmark_group("rbcast_engine_per_deliver");
+    g.bench_function("u64", |b| rbcast_deliveries(b, |_| 42u64));
+    let bytes = encode_payload(&(0..720u64).collect::<ValueSet<u64>>());
+    let copies: Vec<ValueSet<u64>> = (0..10)
+        .map(|_| decode_payload(&bytes).expect("own encoding"))
+        .collect();
+    g.bench_function("valueset720_unshared", |b| {
+        rbcast_deliveries(b, |sender| copies[sender].clone())
+    });
+    g.finish();
+}
+
 fn bench_lattice(c: &mut Criterion) {
     let a: SetLattice<u64> = SetLattice::from_iter(0..1000);
     let b_: SetLattice<u64> = SetLattice::from_iter(500..1500);
@@ -117,6 +171,7 @@ criterion_group!(
     bench_ed25519,
     bench_ed25519_batch,
     bench_rbcast,
+    bench_rbcast_payloads,
     bench_lattice
 );
 criterion_main!(benches);

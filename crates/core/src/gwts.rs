@@ -34,21 +34,23 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Frame kind of a [`GwtsProcess`] crash-recovery snapshot.
-pub const GWTS_SNAPSHOT_KIND: u16 = 0x0102;
+pub const GWTS_SNAPSHOT_KIND: u16 = 0x0106;
 
 /// A reliably-broadcast acceptance record (the paper's
 /// `<ack, Accepted_set, destination, sender, ts, round>`; the sender is
-/// the authenticated rbcast origin).
+/// the authenticated rbcast origin). Fields are declared cheapest first:
+/// the derived comparisons walk the set only between records that agree
+/// on round, timestamp and destination.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AckRecord<V: Value> {
-    /// The set the acceptor accepted.
-    pub accepted: ValueSet<V>,
-    /// The proposer whose request triggered this acceptance.
-    pub destination: ProcessId,
-    /// Proposer's refinement timestamp.
-    pub ts: u64,
     /// Round number.
     pub round: u64,
+    /// Proposer's refinement timestamp.
+    pub ts: u64,
+    /// The proposer whose request triggered this acceptance.
+    pub destination: ProcessId,
+    /// The set the acceptor accepted.
+    pub accepted: ValueSet<V>,
 }
 
 impl<V: Value> Wire for AckRecord<V> {
@@ -256,8 +258,11 @@ pub struct GwtsProcess<V: Value> {
     accepted_set: ValueSet<V>,
     /// Acceptor: highest trusted round.
     pub safe_r: u64,
-    /// Quorum bookkeeping: ack record -> origins that broadcast it.
-    ack_history: BTreeMap<AckRecord<V>, BTreeSet<ProcessId>>,
+    /// Quorum bookkeeping: round -> ack record -> origins that broadcast it.
+    ack_history: BTreeMap<u64, BTreeMap<AckRecord<V>, BTreeSet<ProcessId>>>,
+    /// Rounds in which some record has a quorum of origins — noted when
+    /// the quorum forms, so `Safe_r` never re-counts.
+    committed_rounds: BTreeSet<u64>,
     /// Non-disclosure messages waiting on safety / round guards.
     waiting: Vec<(ProcessId, GwtsMsg<V>)>,
     /// RB-delivered ack records waiting on safety / round guards.
@@ -313,6 +318,7 @@ impl<V: Value> GwtsProcess<V> {
             accepted_set: ValueSet::new(),
             safe_r: 0,
             ack_history: BTreeMap::new(),
+            committed_rounds: BTreeSet::new(),
             waiting: Vec::new(),
             pending_acks: Vec::new(),
             decided_set: ValueSet::new(),
@@ -361,8 +367,22 @@ impl<V: Value> GwtsProcess<V> {
     pub fn has_committed(&self, set: &ValueSet<V>) -> bool {
         let quorum = self.config.quorum();
         self.ack_history
-            .iter()
-            .any(|(rec, origins)| rec.accepted == *set && origins.len() >= quorum)
+            .values()
+            .flatten()
+            .any(|(rec, origins)| origins.len() >= quorum && rec.accepted == *set)
+    }
+
+    /// Everything a parked message's guard reads. None of it ever moves
+    /// back (`svs_all` only grows; `Done` is terminal), so an unchanged
+    /// tuple means no parked message became admissible.
+    fn guards(&self) -> (usize, u64, u64, u64, GwtsState) {
+        (
+            self.svs_all.len(),
+            self.safe_r,
+            self.round,
+            self.ts,
+            self.state,
+        )
     }
 
     fn safe(&self, set: &ValueSet<V>) -> bool {
@@ -420,17 +440,8 @@ impl<V: Value> GwtsProcess<V> {
     /// Advances `Safe_r` while some round-`Safe_r` proposal shows a
     /// public quorum of identical ack records.
     fn advance_safe_r(&mut self) {
-        loop {
-            let quorum = self.config.quorum();
-            let advanced = self
-                .ack_history
-                .iter()
-                .any(|(rec, origins)| rec.round == self.safe_r && origins.len() >= quorum);
-            if advanced {
-                self.safe_r += 1;
-            } else {
-                break;
-            }
+        while self.committed_rounds.contains(&self.safe_r) {
+            self.safe_r += 1;
         }
     }
 
@@ -441,11 +452,11 @@ impl<V: Value> GwtsProcess<V> {
             let quorum = self.config.quorum();
             let candidate = self
                 .ack_history
-                .iter()
+                .get(&self.round)
+                .into_iter()
+                .flatten()
                 .filter(|(rec, origins)| {
-                    rec.round == self.round
-                        && origins.len() >= quorum
-                        && self.decided_set.is_subset(&rec.accepted)
+                    origins.len() >= quorum && self.decided_set.is_subset(&rec.accepted)
                 })
                 // Prefer the largest committed set (committed sets of one
                 // round are mutually comparable by quorum intersection).
@@ -559,10 +570,12 @@ impl<V: Value> GwtsProcess<V> {
             // ack_reqs to it may be delta-encoded against that base.
             self.delta_tx.record_reply(origin, rec.ts);
         }
-        self.ack_history
-            .entry(rec.clone())
-            .or_default()
-            .insert(origin);
+        let acks = self.ack_history.entry(rec.round).or_default();
+        let origins = acks.entry(rec.clone()).or_default();
+        origins.insert(origin);
+        if origins.len() >= self.config.quorum() {
+            self.committed_rounds.insert(rec.round);
+        }
         true
     }
 
@@ -574,46 +587,45 @@ impl<V: Value> GwtsProcess<V> {
     /// Keeps long streams at O(1) retained rounds instead of O(rounds).
     fn prune_old_rounds(&mut self) {
         let keep_from = self.round.min(self.safe_r.saturating_sub(1));
-        self.ack_history.retain(|rec, _| rec.round >= keep_from);
-        self.counters.retain(|round, _| *round >= keep_from);
+        self.ack_history = self.ack_history.split_off(&keep_from);
+        self.committed_rounds = self.committed_rounds.split_off(&keep_from);
+        self.counters = self.counters.split_off(&keep_from);
         self.pending_acks.retain(|(_, rec)| rec.round >= keep_from);
     }
 
     /// Retained ack-history size (diagnostics: pruning keeps it bounded).
     pub fn ack_history_len(&self) -> usize {
-        self.ack_history.len()
+        self.ack_history.values().map(BTreeMap::len).sum()
     }
 
+    /// Retries the parked messages until none is admissible. Call after a
+    /// guard input moved (see [`Self::guards`]); at any other time every
+    /// parked message would fail the guard it failed before.
     fn drain_waiting(&mut self, ctx: &mut Context<GwtsMsg<V>>) {
         loop {
+            let before = self.guards();
             let mut progressed = false;
-            let mut i = 0;
-            while i < self.waiting.len() {
-                // bgla-lint: allow(byzantine-panic, "i < waiting.len() loop guard")
-                let (from, msg) = self.waiting[i].clone();
+            for (from, msg) in std::mem::take(&mut self.waiting) {
                 if self.try_handle(from, &msg, ctx) {
-                    self.waiting.remove(i);
                     progressed = true;
                 } else {
-                    i += 1;
+                    self.waiting.push((from, msg));
                 }
             }
-            let mut j = 0;
-            while j < self.pending_acks.len() {
-                // bgla-lint: allow(byzantine-panic, "i < waiting.len() loop guard")
-                let (origin, rec) = self.pending_acks[j].clone();
+            for (origin, rec) in std::mem::take(&mut self.pending_acks) {
                 if self.try_absorb_ack(origin, &rec) {
-                    self.pending_acks.remove(j);
                     progressed = true;
                 } else {
-                    j += 1;
+                    self.pending_acks.push((origin, rec));
                 }
             }
-            if progressed {
-                self.advance_safe_r();
-                self.check_decision(ctx);
-                self.maybe_start_proposing(ctx);
-            } else {
+            if !progressed {
+                break;
+            }
+            self.advance_safe_r();
+            self.check_decision(ctx);
+            self.maybe_start_proposing(ctx);
+            if self.guards() == before {
                 break;
             }
         }
@@ -644,6 +656,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
         self.accepted_set.encode(w);
         w.u64(self.safe_r);
         self.ack_history.encode(w);
+        self.committed_rounds.encode(w);
         self.waiting.encode(w);
         self.pending_acks.encode(w);
         self.decided_set.encode(w);
@@ -671,6 +684,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
             accepted_set: Wire::decode(r)?,
             safe_r: r.u64()?,
             ack_history: Wire::decode(r)?,
+            committed_rounds: Wire::decode(r)?,
             waiting: Wire::decode(r)?,
             pending_acks: Wire::decode(r)?,
             decided_set: Wire::decode(r)?,
@@ -718,17 +732,24 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
             if self.state == GwtsState::Proposing {
                 self.send_ack_req(ctx);
             }
+            // Whatever the snapshot parked is retried once now; after
+            // this, only a moved guard triggers a retry.
+            self.drain_waiting(ctx);
             return;
         }
         self.start_round(0, ctx);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: GwtsMsg<V>, ctx: &mut Context<GwtsMsg<V>>) {
+        let before = self.guards();
         match msg {
             GwtsMsg::Disc(rb) => {
                 let (out, dels) = self.rb_disc.on_message(from, rb);
                 for m in out {
                     ctx.broadcast(GwtsMsg::Disc(m));
+                }
+                if dels.is_empty() {
+                    return; // an echo or ready that delivers nothing changes nothing
                 }
                 for d in dels {
                     self.svs_all.join_with(&d.value);
@@ -738,12 +759,14 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
                     }
                 }
                 self.maybe_start_proposing(ctx);
-                self.drain_waiting(ctx);
             }
             GwtsMsg::Ack(rb) => {
                 let (out, dels) = self.rb_ack.on_message(from, rb);
                 for m in out {
                     ctx.broadcast(GwtsMsg::Ack(m));
+                }
+                if dels.is_empty() {
+                    return;
                 }
                 for d in dels {
                     if !self.try_absorb_ack(d.origin, &d.value) {
@@ -752,15 +775,15 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
                 }
                 self.advance_safe_r();
                 self.check_decision(ctx);
-                self.drain_waiting(ctx);
             }
             other => {
-                if self.try_handle(from, &other, ctx) {
-                    self.drain_waiting(ctx);
-                } else {
+                if !self.try_handle(from, &other, ctx) {
                     self.waiting.push((from, other));
                 }
             }
+        }
+        if self.guards() != before {
+            self.drain_waiting(ctx);
         }
     }
 
@@ -889,6 +912,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Process 0 of a 4-process system, started, with one ack request for
+    /// round 1 parked (`safe_r` is 0) — and then made admissible behind
+    /// the protocol's back, so that any retry of the parked messages shows.
+    fn process_with_an_admissible_parked_request() -> GwtsProcess<u64> {
+        let mut p = GwtsProcess::new(0, SystemConfig::new(4, 1), BTreeMap::new(), 4);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        p.on_start(&mut ctx);
+        let request = GwtsMsg::AckReq {
+            proposed: SetUpdate::Full(ValueSet::new()),
+            ts: 1,
+            round: 1,
+        };
+        p.on_message(1, request, &mut ctx);
+        assert_eq!(p.waiting.len(), 1);
+        p.safe_r = 1;
+        p
+    }
+
+    #[test]
+    fn echo_or_ready_that_delivers_nothing_changes_nothing() {
+        let mut p = process_with_an_admissible_parked_request();
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        let rec = AckRecord {
+            round: 0,
+            ts: 1,
+            destination: 1,
+            accepted: ValueSet::new(),
+        };
+        let (origin, tag) = (2, 0);
+        let mut steps: Vec<(ProcessId, GwtsMsg<u64>, usize)> = Vec::new();
+        // The third echo reaches ⌈(n+f+1)/2⌉ = 3: the engine forwards its
+        // ready to all four. Two readies stay below 2f+1 = 3.
+        for from in 1..=3 {
+            let value = rec.clone();
+            let echo = GwtsMsg::Ack(RbMsg::Echo { origin, tag, value });
+            steps.push((from, echo, if from == 3 { 4 } else { 0 }));
+        }
+        for from in 1..=2 {
+            let value = rec.clone();
+            steps.push((from, GwtsMsg::Ack(RbMsg::Ready { origin, tag, value }), 0));
+            let value = ValueSet::singleton(9);
+            steps.push((from, GwtsMsg::Disc(RbMsg::Echo { origin, tag, value }), 0));
+        }
+        for (from, msg, forwards) in steps {
+            p.on_message(from, msg, &mut ctx);
+            let out = ctx.take_outbox();
+            assert_eq!(out.len(), forwards);
+            assert!(out
+                .iter()
+                .all(|(_, m)| matches!(m, GwtsMsg::Ack(RbMsg::Ready { .. }))));
+            assert_eq!((p.round, p.safe_r, p.ack_history_len()), (0, 1, 0));
+            assert!(p.decisions.is_empty());
+            assert_eq!(p.waiting.len(), 1, "no guard moved: nothing is retried");
+        }
+    }
+
+    #[test]
+    fn restored_process_retries_parked_messages_at_boot() {
+        let p = process_with_an_admissible_parked_request();
+        let mut q = GwtsProcess::<u64>::from_snapshot(&p.snapshot_bytes()).unwrap();
+        assert_eq!(q.waiting.len(), 1);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        q.on_start(&mut ctx);
+        assert!(q.waiting.is_empty());
+        let value = AckRecord {
+            round: 1,
+            ts: 1,
+            destination: 1,
+            accepted: ValueSet::new(),
+        };
+        let ack = GwtsMsg::Ack(RbMsg::Init { tag: 0, value });
+        let expected: Vec<_> = (0..4).map(|to| (to, ack.clone())).collect();
+        assert_eq!(ctx.take_outbox(), expected);
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! "BGLA" | version u16 | kind u16 | len u64 | payload | FNV-1a-64 checksum
 //! ```
 //!
-//! The `kind` field names the algorithm that wrote it — WTS `0x0101`,
-//! GWTS `0x0102`, SbS `0x0103`, GSbS `0x0104` — so a snapshot can never
-//! be decoded as the wrong process type, and the trailing checksum makes
+//! The `kind` field names the algorithm that wrote it — WTS `0x0105`,
+//! GWTS `0x0106`, SbS `0x0103`, GSbS `0x0104` — so a snapshot can never
+//! be decoded as the wrong process type (`0x0101` and `0x0102` are
+//! retired, never to be reused: they name the WTS and GWTS payload
+//! layouts from before the rbcast engine kept slots, and such a
+//! snapshot must be rejected, not misread), and the trailing checksum makes
 //! truncation and bit-rot detectable before any field is parsed. The
 //! `version` field is [`bgla_codec::FRAME_VERSION`] (2); a snapshot
 //! written under any other payload layout carries another version and

@@ -38,7 +38,7 @@ use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
 
 /// Frame kind of a [`WtsProcess`] crash-recovery snapshot.
-pub const WTS_SNAPSHOT_KIND: u16 = 0x0101;
+pub const WTS_SNAPSHOT_KIND: u16 = 0x0105;
 
 /// Wire messages of WTS.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -393,15 +393,11 @@ impl<V: Value> WtsProcess<V> {
     fn drain_waiting(&mut self, ctx: &mut Context<WtsMsg<V>>) {
         loop {
             let mut progressed = false;
-            let mut i = 0;
-            while i < self.waiting.len() {
-                // bgla-lint: allow(byzantine-panic, "i < waiting.len() loop guard")
-                let (from, msg) = self.waiting[i].clone();
+            for (from, msg) in std::mem::take(&mut self.waiting) {
                 if self.try_handle(from, &msg, ctx) {
-                    self.waiting.remove(i);
                     progressed = true;
                 } else {
-                    i += 1;
+                    self.waiting.push((from, msg));
                 }
             }
             if !progressed {
@@ -490,6 +486,9 @@ impl<V: Value> Process<WtsMsg<V>> for WtsProcess<V> {
                 self.ack_set.clear();
                 self.send_ack_req(ctx);
             }
+            // Whatever the snapshot parked is retried once now; after
+            // this, only a delivery or a handled message triggers a retry.
+            self.drain_waiting(ctx);
             return;
         }
         // Values Disclosure Phase: commit to the initial value.
@@ -505,6 +504,9 @@ impl<V: Value> Process<WtsMsg<V>> for WtsProcess<V> {
                 let (out, deliveries) = self.rb.on_message(from, rb);
                 for m in out {
                     ctx.broadcast(WtsMsg::Rb(m));
+                }
+                if deliveries.is_empty() {
+                    return; // nothing a parked message waits on has moved
                 }
                 for d in deliveries {
                     if !(self.validator)(&d.value) {

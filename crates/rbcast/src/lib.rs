@@ -22,6 +22,25 @@
 //! Tags isolate *instances*: GWTS tags disclosures with the round number,
 //! which is the "round based" disambiguation footnote 2 of the paper
 //! attributes to Mendes et al.
+//!
+//! # Slots
+//!
+//! A message costs one map lookup, which lands in the *slot* of its
+//! `(origin, tag)` instance: three guard flags, a voter bitset sized by
+//! `n`, and one pair of counts per distinct payload. A slot is
+//!
+//! * **open** until this process has sent its ready: echoes and readies
+//!   are counted, at most one of each per sender (a second vote, for the
+//!   same or another payload, is ignored — so is any message naming a
+//!   process outside `0..n`);
+//! * **readied** after that: an echo can only ever trigger the ready, so
+//!   echoes are no longer counted; readies still are;
+//! * **delivered** at `2f + 1` readies: flags only. Delivering implies
+//!   having readied (`2f + 1 ≥ f + 1`), so no later echo or ready can
+//!   produce output and no count will be read again; the slot drops its
+//!   bitset and every payload clone. The flags stay for good: they are
+//!   what refuses a second delivery, and what gives a late init its one
+//!   echo and no more.
 #![warn(missing_docs)]
 // Thresholds are written exactly as in the paper (`f + 1`, `2f + 1`,
 // `⌊(n+f)/2⌋ + 1`); clippy's `x > y` rewrite would obscure the quorum math.
@@ -29,7 +48,7 @@
 
 use bgla_codec::{CodecError, Reader, Wire, Writer};
 use bgla_simnet::ProcessId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Wire messages of the broadcast protocol, carried inside the host
 /// algorithm's message enum.
@@ -87,24 +106,72 @@ pub struct Delivery<T> {
 /// Messages the engine wants broadcast to **all** processes.
 pub type Outgoing<T> = Vec<RbMsg<T>>;
 
+/// Slot flag: the origin's init was seen and echoed (first init wins).
+const ECHOED: u8 = 1;
+/// Slot flag: this process sent its ready.
+const READIED: u8 = 2;
+/// Slot flag: the instance delivered here.
+const DELIVERED: u8 = 4;
+
+/// One `(origin, tag)` instance; see the module docs for its lifecycle.
+struct Slot<T> {
+    flags: u8,
+    /// Voter bitset, `2·⌈n/64⌉` words: senders whose echo was counted,
+    /// then senders whose ready was counted. Empty until the first vote
+    /// and again once delivered.
+    voted: Vec<u64>,
+    /// `(payload, echoes, readies)` per distinct payload: at most `2n`
+    /// entries (one vote per sender and kind), exactly one in honest
+    /// runs. Empty once delivered.
+    tallies: Vec<(T, usize, usize)>,
+}
+
+impl<T> Default for Slot<T> {
+    fn default() -> Self {
+        Slot {
+            flags: 0,
+            voted: Vec::new(),
+            tallies: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone + Eq> Slot<T> {
+    /// Counts `from`'s echo (or ready) for `value`. Returns the value's
+    /// new count, or `None` when `from` already cast that kind of vote
+    /// in this instance — for whichever payload.
+    fn vote(&mut self, n: usize, from: ProcessId, ready: bool, value: &T) -> Option<usize> {
+        let words = n.div_ceil(64);
+        if self.voted.is_empty() {
+            self.voted = vec![0; 2 * words];
+        }
+        let bit = from + if ready { 64 * words } else { 0 };
+        let word = self.voted.get_mut(bit / 64)?;
+        let mask = 1u64 << (bit % 64);
+        if *word & mask != 0 {
+            return None;
+        }
+        *word |= mask;
+        let known = self.tallies.iter().position(|(v, ..)| v == value);
+        let at = known.unwrap_or_else(|| {
+            self.tallies.push((value.clone(), 0, 0));
+            self.tallies.len() - 1
+        });
+        let (_, echoes, readies) = self.tallies.get_mut(at)?;
+        let count = if ready { readies } else { echoes };
+        *count += 1;
+        Some(*count)
+    }
+}
+
 /// Per-process state of all reliable-broadcast instances.
 ///
-/// `T` must be `Ord` so value classes can be counted without hashing.
+/// `T` must be `Ord` so value classes can be told apart without hashing.
 pub struct RbcastEngine<T: Clone + Ord> {
     n: usize,
     f: usize,
-    /// Sent-echo guard: one echo per (origin, tag).
-    echoed: BTreeSet<(ProcessId, u64)>,
-    /// Sent-ready guard.
-    readied: BTreeSet<(ProcessId, u64)>,
-    /// Delivered guard.
-    delivered: BTreeSet<(ProcessId, u64)>,
-    /// Echo counts: (origin, tag) -> value -> set of echoers.
-    echoes: BTreeMap<(ProcessId, u64), BTreeMap<T, BTreeSet<ProcessId>>>,
-    /// Ready counts: (origin, tag) -> value -> set of senders.
-    readies: BTreeMap<(ProcessId, u64), BTreeMap<T, BTreeSet<ProcessId>>>,
-    /// Init-seen guard: first init per (origin, tag) wins locally.
-    init_seen: BTreeSet<(ProcessId, u64)>,
+    /// `(origin, tag)` -> instance state: the one lookup a message costs.
+    slots: BTreeMap<(ProcessId, u64), Slot<T>>,
 }
 
 impl<T: Clone + Ord> RbcastEngine<T> {
@@ -122,12 +189,7 @@ impl<T: Clone + Ord> RbcastEngine<T> {
         RbcastEngine {
             n,
             f,
-            echoed: BTreeSet::new(),
-            readied: BTreeSet::new(),
-            delivered: BTreeSet::new(),
-            echoes: BTreeMap::new(),
-            readies: BTreeMap::new(),
-            init_seen: BTreeSet::new(),
+            slots: BTreeMap::new(),
         }
     }
 
@@ -144,7 +206,8 @@ impl<T: Clone + Ord> RbcastEngine<T> {
 
     /// Feeds one received protocol message. Returns `(to_broadcast,
     /// deliveries)`: messages to send to all processes, and zero or more
-    /// deliveries that became final.
+    /// deliveries that became final. Messages naming a process outside
+    /// `0..n` (as sender or origin) are ignored.
     pub fn on_message(
         &mut self,
         from: ProcessId,
@@ -152,64 +215,66 @@ impl<T: Clone + Ord> RbcastEngine<T> {
     ) -> (Outgoing<T>, Vec<Delivery<T>>) {
         let mut out = Vec::new();
         let mut dels = Vec::new();
+        let (n, f, echo_threshold) = (self.n, self.f, self.echo_threshold());
+        let (origin, tag) = match &msg {
+            // The *authenticated* sender is the origin; a Byzantine
+            // process cannot spoof someone else's init.
+            RbMsg::Init { tag, .. } => (from, *tag),
+            RbMsg::Echo { origin, tag, .. } | RbMsg::Ready { origin, tag, .. } => (*origin, *tag),
+        };
+        if from >= n || origin >= n {
+            return (out, dels);
+        }
+        let slot = self.slots.entry((origin, tag)).or_default();
         match msg {
-            RbMsg::Init { tag, value } => {
-                // The *authenticated* sender is the origin; a Byzantine
-                // process cannot spoof someone else's init.
-                let key = (from, tag);
-                if self.init_seen.insert(key) && !self.echoed.contains(&key) {
-                    self.echoed.insert(key);
-                    out.push(RbMsg::Echo {
-                        origin: from,
-                        tag,
-                        value,
-                    });
+            RbMsg::Init { value, .. } => {
+                if slot.flags & ECHOED == 0 {
+                    slot.flags |= ECHOED;
+                    out.push(RbMsg::Echo { origin, tag, value });
                 }
             }
-            RbMsg::Echo { origin, tag, value } => {
-                let key = (origin, tag);
-                let set = self
-                    .echoes
-                    .entry(key)
-                    .or_default()
-                    .entry(value.clone())
-                    .or_default();
-                set.insert(from);
-                if set.len() >= self.echo_threshold() && self.readied.insert(key) {
+            // An echo can only ever trigger our ready: once that is
+            // sent, echoes are not even counted.
+            RbMsg::Echo { value, .. } if slot.flags & READIED == 0 => {
+                let count = slot.vote(n, from, false, &value);
+                if count.is_some_and(|count| count >= echo_threshold) {
+                    slot.flags |= READIED;
                     out.push(RbMsg::Ready { origin, tag, value });
                 }
             }
-            RbMsg::Ready { origin, tag, value } => {
-                let key = (origin, tag);
-                let set = self
-                    .readies
-                    .entry(key)
-                    .or_default()
-                    .entry(value.clone())
-                    .or_default();
-                set.insert(from);
-                let count = set.len();
+            RbMsg::Ready { value, .. } if slot.flags & DELIVERED == 0 => {
+                let Some(count) = slot.vote(n, from, true, &value) else {
+                    return (out, dels);
+                };
                 // Amplification: f+1 readies prove a correct process is
                 // ready; join in (guards totality).
-                if count >= self.f + 1 && self.readied.insert(key) {
+                if count >= f + 1 && slot.flags & READIED == 0 {
+                    slot.flags |= READIED;
                     out.push(RbMsg::Ready {
                         origin,
                         tag,
                         value: value.clone(),
                     });
                 }
-                // Delivery at 2f+1 readies.
-                if count >= 2 * self.f + 1 && self.delivered.insert(key) {
+                // Delivery at 2f+1 readies: the slot keeps its flags and
+                // lets go of every payload and vote.
+                if count >= 2 * f + 1 {
+                    slot.flags |= DELIVERED;
+                    slot.voted = Vec::new();
+                    slot.tallies = Vec::new();
                     dels.push(Delivery { origin, tag, value });
                 }
             }
+            RbMsg::Echo { .. } | RbMsg::Ready { .. } => {}
         }
         (out, dels)
     }
 
     /// Whether `(origin, tag)` has been delivered here.
     pub fn has_delivered(&self, origin: ProcessId, tag: u64) -> bool {
-        self.delivered.contains(&(origin, tag))
+        self.slots
+            .get(&(origin, tag))
+            .is_some_and(|slot| slot.flags & DELIVERED != 0)
     }
 }
 
@@ -256,23 +321,34 @@ impl<T: Wire> Wire for RbMsg<T> {
     }
 }
 
-/// The engine's full instance state is durable: every guard set and
-/// every echo/ready tally round-trips through the codec, so a process
-/// restored from a snapshot neither re-echoes what it already echoed
-/// (no equivocation amnesia) nor re-delivers what it already delivered
-/// (integrity across restarts). What an engine loses by crashing is
-/// only the *in-flight* messages addressed to it — the surrounding
-/// algorithm recovers those through quorum redundancy, not the codec.
+impl<T: Wire> Wire for Slot<T> {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(self.flags);
+        self.voted.encode(w);
+        self.tallies.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Slot {
+            flags: r.u8()?,
+            voted: Wire::decode(r)?,
+            tallies: Wire::decode(r)?,
+        })
+    }
+}
+
+/// The engine's full instance state is durable: every slot's guard
+/// flags, voter bitset and per-payload counts round-trip through the
+/// codec, so a process restored from a snapshot neither re-echoes what
+/// it already echoed (no equivocation amnesia) nor re-delivers what it
+/// already delivered (integrity across restarts). What an engine loses
+/// by crashing is only the *in-flight* messages addressed to it — the
+/// surrounding algorithm recovers those through quorum redundancy, not
+/// the codec.
 impl<T: Clone + Ord + Wire> Wire for RbcastEngine<T> {
     fn encode(&self, w: &mut Writer) {
         w.usize(self.n);
         w.usize(self.f);
-        self.echoed.encode(w);
-        self.readied.encode(w);
-        self.delivered.encode(w);
-        self.echoes.encode(w);
-        self.readies.encode(w);
-        self.init_seen.encode(w);
+        self.slots.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.usize()?;
@@ -280,16 +356,15 @@ impl<T: Clone + Ord + Wire> Wire for RbcastEngine<T> {
         if n == 0 {
             return Err(CodecError::Invalid("rbcast n == 0"));
         }
-        Ok(RbcastEngine {
-            n,
-            f,
-            echoed: Wire::decode(r)?,
-            readied: Wire::decode(r)?,
-            delivered: Wire::decode(r)?,
-            echoes: Wire::decode(r)?,
-            readies: Wire::decode(r)?,
-            init_seen: Wire::decode(r)?,
-        })
+        let slots: BTreeMap<(ProcessId, u64), Slot<T>> = Wire::decode(r)?;
+        let words = 2 * n.div_ceil(64);
+        if slots.values().any(|slot| {
+            slot.flags > (ECHOED | READIED | DELIVERED)
+                || !(slot.voted.is_empty() || slot.voted.len() == words)
+        }) {
+            return Err(CodecError::Invalid("rbcast slot"));
+        }
+        Ok(RbcastEngine { n, f, slots })
     }
 }
 
@@ -546,6 +621,79 @@ mod tests {
         );
         assert_eq!(dels.len(), 1);
         assert!(back.has_delivered(0, 0));
+    }
+
+    #[test]
+    fn messages_naming_a_process_outside_the_system_are_ignored() {
+        let mut e: RbcastEngine<u64> = RbcastEngine::new(4, 1);
+        let ready = |origin| RbMsg::Ready {
+            origin,
+            tag: 0,
+            value: 5,
+        };
+        for from in 4..10 {
+            assert_eq!(e.on_message(from, ready(0)), (vec![], vec![]));
+            assert_eq!(
+                e.on_message(from, RbMsg::Init { tag: 0, value: 5 }),
+                (vec![], vec![])
+            );
+        }
+        for from in 0..4 {
+            assert_eq!(e.on_message(from, ready(4)), (vec![], vec![]));
+        }
+        assert!(!e.has_delivered(0, 0) && !e.has_delivered(4, 0));
+    }
+
+    #[test]
+    fn a_sender_has_one_echo_and_one_ready_per_instance() {
+        let mut e: RbcastEngine<u64> = RbcastEngine::new(4, 1);
+        let vote = |ready, value| match ready {
+            false => RbMsg::Echo {
+                origin: 0,
+                tag: 0,
+                value,
+            },
+            true => RbMsg::Ready {
+                origin: 0,
+                tag: 0,
+                value,
+            },
+        };
+        // Sender 3 votes for 1000 payloads; only its first vote of each
+        // kind is counted, and the slot holds two payloads, not 1000.
+        for value in 0..1000 {
+            assert_eq!(e.on_message(3, vote(false, value)), (vec![], vec![]));
+            assert_eq!(e.on_message(3, vote(true, 1000 + value)), (vec![], vec![]));
+        }
+        assert_eq!(e.slots[&(0, 0)].tallies.len(), 2);
+        // Its later vote for the honest payload 7 is one of the ignored:
+        // two honest readies plus sender 3's are not a quorum of three.
+        for from in 1..3 {
+            let (out, dels) = e.on_message(from, vote(true, 7));
+            assert_eq!((out.len(), dels.len()), (from - 1, 0), "amplify at f+1 = 2");
+        }
+        assert_eq!(e.on_message(3, vote(true, 7)), (vec![], vec![]));
+        assert_eq!(e.on_message(0, vote(true, 7)).1.len(), 1);
+    }
+
+    #[test]
+    fn malformed_slots_are_rejected_at_decode() {
+        use bgla_codec::{decode_payload, encode_payload};
+        let mut e: RbcastEngine<u64> = RbcastEngine::new(4, 1);
+        let _ = e.on_message(
+            1,
+            RbMsg::Echo {
+                origin: 0,
+                tag: 0,
+                value: 5,
+            },
+        );
+        assert!(decode_payload::<RbcastEngine<u64>>(&encode_payload(&e)).is_ok());
+        e.slots.get_mut(&(0, 0)).unwrap().voted.push(0);
+        assert!(decode_payload::<RbcastEngine<u64>>(&encode_payload(&e)).is_err());
+        e.slots.get_mut(&(0, 0)).unwrap().voted.pop();
+        e.slots.get_mut(&(0, 0)).unwrap().flags = 8;
+        assert!(decode_payload::<RbcastEngine<u64>>(&encode_payload(&e)).is_err());
     }
 
     #[test]

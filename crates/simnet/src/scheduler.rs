@@ -132,11 +132,14 @@ struct OrderedPool {
     entries: Vec<(EnvelopeId, bool)>,
     /// Fenwick tree over `entries`: prefix counts of alive entries.
     fenwick: Vec<i32>,
-    /// Live id -> index into `entries`.
-    // bgla-lint: allow(determinism, "keyed lookup only; entries/fenwick own every ordered walk")
-    pos_of: HashMap<EnvelopeId, usize>,
+    /// Live id -> index into `entries` ([`ABSENT`] when not held),
+    /// indexed by the slab's dense ids.
+    pos_of: Vec<usize>,
     live: usize,
 }
+
+/// `pos_of` entry of an id the pool does not hold.
+const ABSENT: usize = usize::MAX;
 
 impl OrderedPool {
     fn len(&self) -> usize {
@@ -172,16 +175,23 @@ impl OrderedPool {
         let low = i & i.wrapping_neg();
         let init = self.fenwick_prefix(i - 1) - self.fenwick_prefix(i - low) + 1;
         self.fenwick.push(init);
-        let clash = self.pos_of.insert(id, pos);
-        debug_assert!(clash.is_none(), "envelope id {id} inserted twice");
+        if self.pos_of.len() <= id {
+            self.pos_of.resize(id + 1, ABSENT);
+        }
+        debug_assert_eq!(self.pos_of[id], ABSENT, "envelope id {id} inserted twice");
+        self.pos_of[id] = pos;
         self.live += 1;
     }
 
     fn remove(&mut self, id: EnvelopeId) {
         let pos = self
             .pos_of
-            .remove(&id)
-            .expect("removing an envelope id the pool does not hold");
+            .get_mut(id)
+            .map_or(ABSENT, |pos| std::mem::replace(pos, ABSENT));
+        assert!(
+            pos != ABSENT,
+            "removing an envelope id the pool does not hold"
+        );
         self.entries[pos].1 = false;
         self.fenwick_add(pos, -1);
         self.live -= 1;
@@ -216,9 +226,8 @@ impl OrderedPool {
         for pos in 0..self.entries.len() {
             self.fenwick_add(pos, 1);
         }
-        self.pos_of.clear();
         for (pos, &(id, _)) in self.entries.iter().enumerate() {
-            self.pos_of.insert(id, pos);
+            self.pos_of[id] = pos;
         }
     }
 

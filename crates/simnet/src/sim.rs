@@ -156,6 +156,7 @@ impl<M: WireMessage + 'static> SimulationBuilder<M> {
             delivered: 0,
             started: false,
             trace: None,
+            outbox: Vec::new(),
         }
     }
 }
@@ -184,6 +185,9 @@ pub struct Simulation<M: WireMessage> {
     delivered: u64,
     started: bool,
     trace: Option<Trace>,
+    /// The one outbox buffer every event's [`Context`] borrows: lent by
+    /// `context`, handed back (drained, capacity kept) by `flush_outbox`.
+    outbox: Vec<(ProcessId, M)>,
 }
 
 impl<M: WireMessage + 'static> Simulation<M> {
@@ -243,8 +247,16 @@ impl<M: WireMessage + 'static> Simulation<M> {
         self.scheduler.as_any().downcast_ref::<T>()
     }
 
-    fn flush_outbox(&mut self, from: ProcessId, ctx: &mut Context<M>, depth: u64) {
-        for (to, msg) in ctx.outbox.drain(..) {
+    /// A context for an event at `p`, writing into the pooled outbox.
+    fn context(&mut self, p: ProcessId) -> Context<M> {
+        let mut ctx = Context::new(p, self.n());
+        ctx.outbox = std::mem::take(&mut self.outbox);
+        ctx
+    }
+
+    fn flush_outbox(&mut self, from: ProcessId, ctx: Context<M>, depth: u64) {
+        let mut outbox = ctx.outbox;
+        for (to, msg) in outbox.drain(..) {
             let kind = msg.kind();
             let (bytes, proofs) = msg.metered();
             // The sender pays for the send either way (the bytes hit
@@ -269,6 +281,7 @@ impl<M: WireMessage + 'static> Simulation<M> {
             let id = self.inflight.insert(Envelope { meta, msg, depth });
             self.scheduler.on_send(&meta, id);
         }
+        self.outbox = outbox;
     }
 
     /// Runs `on_start` on every process (idempotent). Processes crashed
@@ -283,11 +296,11 @@ impl<M: WireMessage + 'static> Simulation<M> {
             if self.crashed[p] {
                 continue;
             }
-            let mut ctx = Context::new(p, n);
+            let mut ctx = self.context(p);
             ctx.depth = 0;
             self.procs[p].on_start(&mut ctx);
             // Messages sent at start-up begin causal chains: depth 1.
-            self.flush_outbox(p, &mut ctx, 1);
+            self.flush_outbox(p, ctx, 1);
         }
     }
 
@@ -340,12 +353,11 @@ impl<M: WireMessage + 'static> Simulation<M> {
         self.restarts[p] += 1;
         self.procs[p] = proc;
         if self.started {
-            let n = self.n();
-            let mut ctx = Context::new(p, n);
+            let mut ctx = self.context(p);
             ctx.depth = self.depths[p];
             ctx.local_events = self.events[p];
             self.procs[p].on_start(&mut ctx);
-            self.flush_outbox(p, &mut ctx, self.depths[p] + 1);
+            self.flush_outbox(p, ctx, self.depths[p] + 1);
         }
     }
 
@@ -370,12 +382,11 @@ impl<M: WireMessage + 'static> Simulation<M> {
         let env = self.inflight.remove(id);
         self.scheduler.on_delivered(id);
         let to = env.meta.to;
-        let n = self.n();
 
         // Advance the receiver's causal clock, then handle.
         self.depths[to] = self.depths[to].max(env.depth);
         self.events[to] += 1;
-        let mut ctx = Context::new(to, n);
+        let mut ctx = self.context(to);
         ctx.depth = self.depths[to];
         ctx.local_events = self.events[to];
         if let Some(trace) = &mut self.trace {
@@ -390,7 +401,7 @@ impl<M: WireMessage + 'static> Simulation<M> {
         }
         self.procs[to].on_message(env.meta.from, env.msg, &mut ctx);
         let out_depth = self.depths[to] + 1;
-        self.flush_outbox(to, &mut ctx, out_depth);
+        self.flush_outbox(to, ctx, out_depth);
 
         self.delivered += 1;
         self.metrics.delivered = self.delivered;
