@@ -23,9 +23,7 @@
 
 use bgla_core::wts::WtsProcess;
 use bgla_core::SystemConfig;
-use bgla_net::{
-    FaultConfig, FaultPlan, LinkConfig, NetConfig, NodeSpec, PollerPool, SharedCounters, TcpNode,
-};
+use bgla_net::{FaultConfig, FaultPlan, NetConfig, NodeSpec, PollerPool, SharedCounters, TcpNode};
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
@@ -227,10 +225,6 @@ fn child(dir: &Path, me: usize, faulty: bool) {
         FaultPlan::none()
     };
     let cfg = NetConfig {
-        link: LinkConfig {
-            rto_ms: 25,
-            ..LinkConfig::default()
-        },
         faults,
         seed: 0x5E0 + me as u64,
         ..NetConfig::default()

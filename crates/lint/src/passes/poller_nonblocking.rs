@@ -46,7 +46,7 @@ pub fn run(model: &Model, diags: &mut Vec<Diagnostic>) {
                     "`sleep` in poller code: a sleeping poller thread freezes \
                      every connection on its shard — park in the worker loop \
                      (`park_timeout`) so an enqueue can unpark it, or move the \
-                     wait onto the timer wheel"
+                     wait onto the timer queue"
                         .to_string(),
                 ),
                 "set_nonblocking" => {

@@ -6,12 +6,12 @@ use crate::link::LinkConfig;
 /// Transport tuning for a node or a whole runtime.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// Per-link reliability knobs (timeouts, window, burst).
+    /// Per-link reliability bound (the unacked window).
     pub link: LinkConfig,
     /// Fault injection schedule ([`FaultPlan::none`] in production).
     pub faults: FaultPlan,
-    /// Seed for the non-fault randomness: retransmit jitter and dial
-    /// backoff jitter (mixed with link identity per stream).
+    /// Seed for the non-fault randomness: dial backoff jitter (mixed
+    /// with link identity per stream).
     pub seed: u64,
     /// Initial dial/reconnect backoff in ms.
     pub dial_backoff_ms: u64,

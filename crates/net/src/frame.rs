@@ -12,14 +12,16 @@
 //! misrouted between subsystems fails loudly as a kind mismatch rather
 //! than decoding as garbage.
 
-use bgla_codec::{decode_frame, verify_frame, CodecError, Reader, Wire, Writer, FRAME_OVERHEAD};
+use bgla_codec::{decode_payload, verify_frame, CodecError, Reader, Wire, Writer, FRAME_OVERHEAD};
 
 /// Kind tag of a [`Hello`] frame.
 pub const FK_HELLO: u16 = 0x4e01;
 /// Kind tag of a [`Data`] frame.
 pub const FK_DATA: u16 = 0x4e02;
-/// Kind tag of an [`Ack`] frame.
-pub const FK_ACK: u16 = 0x4e03;
+/// Kind tag of an [`Ack`] frame. `0x4e03` is retired: it tagged the
+/// ACK without a gap report, which must fail here as an unknown kind
+/// rather than decode short.
+pub const FK_ACK: u16 = 0x4e04;
 
 /// Bytes of a codec frame header before the payload (magic + version +
 /// kind + length). A stream reader pulls this much to learn the
@@ -90,23 +92,31 @@ impl Wire for Data {
     }
 }
 
-/// Cumulative acknowledgment: every DATA with `seq < cum` has been
-/// received (possibly as a duplicate) on this link. Sent by the
-/// accepter after each DATA frame it reads — duplicates included, so a
-/// sender whose ACKs were lost still learns its retransmissions were
-/// unnecessary.
+/// Cumulative acknowledgment with a gap report: every DATA with
+/// `seq < cum` has been received on this link, and `held` is the
+/// lowest sequence the receiver holds out of order (`== cum` when it
+/// holds none) — so `[cum, held)` is exactly what it is missing. Sent
+/// by the accepter after every wakeup that read DATA, duplicates
+/// included, so any DATA frame — a probe above all — elicits the
+/// receiver's current view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ack {
     /// All sequence numbers below this are acknowledged.
     pub cum: u64,
+    /// Lowest sequence held out of order; `cum` when there is no hole.
+    pub held: u64,
 }
 
 impl Wire for Ack {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.cum);
+        w.u64(self.held);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Ack { cum: r.u64()? })
+        Ok(Ack {
+            cum: r.u64()?,
+            held: r.u64()?,
+        })
     }
 }
 
@@ -121,16 +131,22 @@ pub enum NetFrame {
     Ack(Ack),
 }
 
-/// Verifies one complete frame (magic, version, length, checksum) and
-/// decodes it according to its kind tag. Unknown kinds are rejected:
-/// the transport demux must handle every `FK_*` constant in this file
-/// (enforced by `bgla-lint`'s `frame-demux-coverage` pass) and nothing
-/// else arrives on a healthy link.
+/// Verifies one complete frame (magic, version, length, checksum —
+/// one pass over the bytes) and decodes its body according to its kind
+/// tag. Unknown kinds are rejected: the transport demux must handle
+/// every `FK_*` constant in this file (enforced by `bgla-lint`'s
+/// `frame-demux-coverage` pass) and nothing else arrives on a healthy
+/// link.
 pub fn demux_frame(bytes: &[u8]) -> Result<NetFrame, CodecError> {
-    match verify_frame(bytes)? {
-        FK_HELLO => Ok(NetFrame::Hello(decode_frame(FK_HELLO, bytes)?)),
-        FK_DATA => Ok(NetFrame::Data(decode_frame(FK_DATA, bytes)?)),
-        FK_ACK => Ok(NetFrame::Ack(decode_frame(FK_ACK, bytes)?)),
+    let kind = verify_frame(bytes)?;
+    // `verify_frame` established `len >= FRAME_OVERHEAD`; the body sits
+    // between the header and the trailing checksum.
+    let end = bytes.len().saturating_sub(FRAME_OVERHEAD - FRAME_HEADER);
+    let body = bytes.get(FRAME_HEADER..end).ok_or(CodecError::Truncated)?;
+    match kind {
+        FK_HELLO => Ok(NetFrame::Hello(decode_payload(body)?)),
+        FK_DATA => Ok(NetFrame::Data(decode_payload(body)?)),
+        FK_ACK => Ok(NetFrame::Ack(decode_payload(body)?)),
         _ => Err(CodecError::Invalid("unknown transport frame kind")),
     }
 }
@@ -170,19 +186,17 @@ pub fn frame_total_len(buf: &[u8]) -> Result<Option<usize>, CodecError> {
 /// machinery recover.
 pub fn drain_frames(buf: &mut Vec<u8>) -> Result<Vec<NetFrame>, CodecError> {
     let mut out = Vec::new();
-    loop {
-        match frame_total_len(buf)? {
-            None => return Ok(out),
-            Some(total) => {
-                if buf.len() < total {
-                    return Ok(out);
-                }
-                let frame = demux_frame(&buf[..total])?;
-                buf.drain(..total);
-                out.push(frame);
-            }
-        }
+    // Consumed prefix: advanced per frame, drained once per call.
+    let mut off = 0;
+    while let Some(total) = frame_total_len(&buf[off..])? {
+        let Some(frame) = buf.get(off..off + total) else {
+            break;
+        };
+        out.push(demux_frame(frame)?);
+        off += total;
     }
+    buf.drain(..off);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -201,7 +215,7 @@ mod tests {
             depth: 4,
             payload: vec![1, 2, 3],
         };
-        let a = Ack { cum: 10 };
+        let a = Ack { cum: 10, held: 12 };
         assert_eq!(
             demux_frame(&encode_frame(FK_HELLO, &h)).unwrap(),
             NetFrame::Hello(h)
@@ -218,11 +232,14 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_rejected() {
-        let bytes = encode_frame(0x4eff, &Ack { cum: 0 });
-        assert_eq!(
-            demux_frame(&bytes),
-            Err(CodecError::Invalid("unknown transport frame kind"))
-        );
+        // 0x4e03 is the retired gap-less ACK of earlier versions.
+        for kind in [0x4eff, 0x4e03] {
+            let bytes = encode_frame(kind, &7u64);
+            assert_eq!(
+                demux_frame(&bytes),
+                Err(CodecError::Invalid("unknown transport frame kind"))
+            );
+        }
     }
 
     #[test]
@@ -236,21 +253,21 @@ mod tests {
                 payload: vec![7; 40],
             },
         ));
-        buf.extend(encode_frame(FK_ACK, &Ack { cum: 1 }));
+        buf.extend(encode_frame(FK_ACK, &Ack { cum: 1, held: 1 }));
         // Plus half of a third frame.
-        let third = encode_frame(FK_ACK, &Ack { cum: 2 });
+        let third = encode_frame(FK_ACK, &Ack { cum: 2, held: 5 });
         buf.extend(&third[..10]);
 
         let frames = drain_frames(&mut buf).unwrap();
         assert_eq!(frames.len(), 2);
         assert!(matches!(frames[0], NetFrame::Data(_)));
-        assert!(matches!(frames[1], NetFrame::Ack(Ack { cum: 1 })));
+        assert!(matches!(frames[1], NetFrame::Ack(Ack { cum: 1, held: 1 })));
         // The partial tail stays buffered...
         assert_eq!(buf, &third[..10]);
         // ...and completes once the rest arrives.
         buf.extend(&third[10..]);
         let frames = drain_frames(&mut buf).unwrap();
-        assert_eq!(frames, vec![NetFrame::Ack(Ack { cum: 2 })]);
+        assert_eq!(frames, vec![NetFrame::Ack(Ack { cum: 2, held: 5 })]);
         assert!(buf.is_empty());
     }
 

@@ -28,36 +28,46 @@
 //! Two scheduling decisions follow from the pooled design:
 //!
 //! * **Ack batching** — the receive side acknowledges once per
-//!   readiness wakeup with the cumulative next-expected sequence,
-//!   covering every DATA frame the wakeup drained, instead of one ACK
-//!   frame per DATA frame. Cumulative acks make the coarser cadence
-//!   free: any ack repairs all predecessors.
-//! * **One timer wheel** — every retransmit and redial timer of the
-//!   runtime lives in a single hashed [`wheel`] (`TimerWheel`),
-//!   expired during pool sweeps. [`link::SenderLink`] owns the
-//!   backoff + seeded jitter arithmetic; the wheel only decides *when
-//!   someone looks*. The armed deadline is capped per link-epoch
-//!   ([`link::LinkConfig::rto_epoch_cap_ms`]) so stacked backoff
-//!   cannot stretch a healed link's quiet period into seconds.
+//!   readiness wakeup with the cumulative next-expected sequence and
+//!   its gap report, covering every DATA frame the wakeup drained,
+//!   instead of one ACK frame per DATA frame. Cumulative acks make the
+//!   coarser cadence free: any ack repairs all predecessors.
+//! * **One timer queue** — every retransmit and redial timer of the
+//!   runtime lives in a single deadline-ordered queue (`timers.rs`)
+//!   with µs deadlines, looked at during pool sweeps and at least once
+//!   per 1 ms idle beat. [`link::SenderLink`] owns the round-trip
+//!   estimate and the timeout arithmetic; the queue only decides *when
+//!   someone looks* — and a deadline that moves earlier (the estimate
+//!   shrank, the window has a new front) is honoured, not just one
+//!   that moves later.
 //!
 //! # The reliability contract
 //!
 //! **Masked** (invisible to the protocol, beyond latency):
 //!
 //! * **Frame loss** — per-peer sequence numbers; the sender keeps
-//!   every unacknowledged frame and retransmits on ack timeout, with
-//!   exponential backoff + seeded jitter ([`link::SenderLink`]).
-//! * **Duplication** — injected duplicates and spurious
-//!   retransmissions are discarded by receive-side dedup; every
-//!   DATA-bearing wakeup is acknowledged so lost ACKs self-heal
-//!   ([`link::ReceiverLink`]).
+//!   every unacknowledged frame (one encoded copy, shared with the
+//!   write queue) and resends on evidence or on a measured clock,
+//!   never on a constant ([`link::SenderLink`]). Every ACK reports the
+//!   receiver's hole `[cum, held)`, which is resent exactly and at
+//!   once: a loss followed by any other frame costs about two round
+//!   trips. A loss nothing follows waits for the one timer, `SRTT +
+//!   4·RTTVAR` past the oldest unacked frame's last send (Jacobson/
+//!   Karels, first sample from the HELLO handshake, Karn's rule
+//!   widened to whole acknowledged runs), which sends that one frame
+//!   as a probe and doubles until an ACK makes progress.
+//! * **Duplication** — injected duplicates and the rare probe that
+//!   was not needed are discarded by receive-side dedup; every
+//!   DATA-bearing wakeup is acknowledged, duplicates included, so a
+//!   probe always learns what is missing ([`link::ReceiverLink`]).
 //! * **Reordering / delay** — out-of-order frames are stashed and
 //!   delivered in sequence (per link; cross-link order is unordered
 //!   exactly as in the asynchronous model).
 //! * **Connection resets, including mid-frame** — torn frames fail
 //!   the checksum, the connection dies, the dialer reconnects with
 //!   backoff and *resyncs*: a HELLO exchange tells it what the peer
-//!   has, and only the unseen tail is retransmitted.
+//!   has, and the whole unseen tail goes back on the wire with the
+//!   reply, not a burst now and the rest by timer.
 //! * **Partitions that heal** — while a link is cut, traffic queues
 //!   in the bounded unacked window; when it heals, retransmission and
 //!   resync drain the backlog. Decisions already reached elsewhere
@@ -93,7 +103,8 @@
 //! pure hash of `(seed, link, frame index)` — see [`fault`] for what
 //! that does and does not pin down. The pure state machines in
 //! [`link`] are fully deterministic and unit-tested with exact
-//! counter pins; whole-system tests assert masking *invariants*
+//! counter pins and a virtual-clock lossy pipe driven by the fault
+//! plan's own verdicts; whole-system tests assert masking *invariants*
 //! (everyone decides; traces pass the conformance checker; counters
 //! non-zero) rather than byte-identical schedules.
 //!
@@ -115,14 +126,14 @@ pub mod link;
 pub mod node;
 pub mod poller;
 pub mod runtime;
+pub(crate) mod timers;
 pub mod trace_merge;
-pub(crate) mod wheel;
 
 pub use config::NetConfig;
 pub use counters::SharedCounters;
 pub use fault::{FaultAction, FaultConfig, FaultPlan};
 pub use frame::{demux_frame, Ack, Data, Hello, NetFrame, FK_ACK, FK_DATA, FK_HELLO};
-pub use link::{LinkConfig, ReceiverLink, SenderLink};
+pub use link::{Frame, LinkConfig, ReceiverLink, SenderLink};
 pub use node::{NodeSpec, TcpNode};
 pub use poller::PollerPool;
 pub use runtime::{TcpRuntime, TcpRuntimeBuilder};

@@ -10,8 +10,8 @@
 //! nonblocking; each poller thread repeatedly sweeps the entries
 //! registered to its shard, attempting nonblocking reads/accepts and
 //! flushing pending writes. When a sweep makes no progress the thread
-//! parks (`park_timeout`, bounded by the timer wheel's next deadline
-//! and a short idle beat) — never a blocking sleep — and event threads
+//! parks (`park_timeout`, until the earliest timer deadline or a
+//! short idle beat) — never a blocking sleep — and event threads
 //! `unpark` it the moment they enqueue outbound work. Remote bytes
 //! with no local wakeup are picked up by the bounded idle beat.
 //!
@@ -23,39 +23,47 @@
 //! * **Inbound connection** — drain available bytes, demux frames,
 //!   run HELLO identification and receive-side dedup/reorder, push
 //!   raw deliveries to the owning node's event thread, then write
-//!   **one** cumulative ACK covering everything the wakeup delivered
-//!   (ack batching: one ACK per readiness wakeup, not per DATA frame).
-//! * **Outbound link** — dial/redial when due, drain HELLO replies and
-//!   cumulative ACKs, move enqueued frames through the fault injector
-//!   into the write buffer, and flush as far as the socket allows.
+//!   **one** ACK — cumulative sequence plus gap report — covering
+//!   everything the wakeup delivered (ack batching: one ACK per
+//!   readiness wakeup, not per DATA frame).
+//! * **Outbound link** — dial when the first frame is queued and
+//!   redial when due, drain HELLO replies and ACKs (queueing the
+//!   repair of any hole an ACK reports), move queued frames through
+//!   the fault injector into the write buffer, and flush as far as the
+//!   socket allows.
 //!
-//! # One timer wheel
+//! # One timer queue
 //!
 //! All retransmit and redial timers of the runtime live in a single
-//! hashed [`TimerWheel`]. Sweeps never poll `retransmit_due` per link;
-//! a timer fires only when the wheel expires its entry, and whichever
-//! poller thread swept the wheel services it. Cancellation is lazy:
-//! a fired key re-checks the link's armed deadline and re-schedules if
-//! it moved. The invariant that keeps retransmission alive: whenever a
-//! sender window is (or becomes) non-empty, at least one wheel entry
-//! covering it exists — armed at enqueue (empty→non-empty), at ack
-//! progress, at resync, and re-armed at every firing.
+//! deadline-ordered `Timers` queue with µs deadlines; sweeps never
+//! poll `on_timer` per link. Each link has at most one *valid*
+//! retransmit entry, the one whose deadline `OutLink::rto_armed`
+//! names. The sender's deadline is offered to `arm_rto` after every
+//! step that can move it (enqueue, ACK, HELLO reply, firing): one that
+//! moved **earlier** — the estimate shrank, the window got a new front
+//! — is scheduled at once and takes the slot over, so the entry it
+//! displaced fizzles when it fires; one that moved later is found by
+//! the valid entry when *it* fires, which re-arms there instead of
+//! probing. The invariant that keeps recovery alive: while a link is
+//! connected and its window non-empty, a valid entry at or before the
+//! sender's deadline exists. A link that is down needs none — the
+//! HELLO reply of its reconnect resends the window and arms again.
 //!
 //! # Locking
 //!
 //! Each connection's I/O state sits behind its own mutex so any poller
-//! thread (a sweep or a wheel firing) can service it. The ordering
+//! thread (a sweep or a timer firing) can service it. The ordering
 //! rule: an `io` lock may nest the pure link-state locks
-//! (`SenderLink` / `ReceiverLink`) and the wheel, but **nothing holds
-//! a link-state lock while taking an `io` lock** — the event thread
+//! (`SenderLink` / `ReceiverLink`) and the timer queue, but **nothing
+//! holds a link-state lock while taking an `io` lock** — the event thread
 //! enqueues in two disjoint critical sections (assign a sequence
 //! number, then queue the frame), which is what makes the nesting
 //! one-directional and deadlock-free.
 
 use crate::fault::{FaultAction, FaultPlan};
-use crate::frame::{drain_frames, Ack, Data, Hello, NetFrame, FK_ACK, FK_DATA, FK_HELLO};
-use crate::link::{LinkConfig, ReceiverLink, SenderLink};
-use crate::wheel::TimerWheel;
+use crate::frame::{drain_frames, Ack, Hello, NetFrame, FK_ACK, FK_HELLO};
+use crate::link::{Frame, LinkConfig, ReceiverLink, SenderLink};
+use crate::timers::Timers;
 use bgla_codec::encode_frame;
 use bgla_simnet::ProcessId;
 use rand::rngs::StdRng;
@@ -69,16 +77,12 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Idle park beat in ms: the upper bound on how stale a sweep can be
+/// Idle park beat in µs: the upper bound on how stale a sweep can be
 /// when only remote bytes (no local wakeup) are pending.
-const IDLE_BEAT_MS: u64 = 1;
+const IDLE_BEAT_US: u64 = 1_000;
 /// Blocking budget for one dial attempt (localhost connects resolve
 /// immediately; this only bounds pathological SYN loss).
 const CONNECT_TIMEOUT_MS: u64 = 50;
-/// Timer wheel shape: 8 ms buckets, 256 of them (a ~2 s lap, matching
-/// the largest default backoff cap).
-const WHEEL_GRANULARITY_MS: u64 = 8;
-const WHEEL_SLOTS: usize = 256;
 
 /// Locks a mutex, riding through poisoning: a panicked thread must not
 /// cascade into every poller of the runtime.
@@ -86,8 +90,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-pub(crate) fn now_ms(epoch: Instant) -> u64 {
-    epoch.elapsed().as_millis() as u64
+pub(crate) fn now_us(epoch: Instant) -> u64 {
+    epoch.elapsed().as_micros() as u64
 }
 
 fn would_block(e: &std::io::Error) -> bool {
@@ -149,9 +153,10 @@ enum OutState {
         stream: TcpStream,
         rbuf: Vec<u8>,
         helloed: bool,
-        /// Whether this socket replaced an earlier one (drives resync
-        /// vs fresh-start on the HELLO reply).
-        was_reconnect: bool,
+        /// When our HELLO went out, on the link's first connection
+        /// only: its reply is the estimator's first round-trip sample.
+        /// `None` on a reconnect, whose reply resyncs instead.
+        first_hello_at: Option<u64>,
     },
 }
 
@@ -159,13 +164,13 @@ enum OutState {
 /// thread gets there first.
 struct OutIo {
     state: OutState,
-    /// Frames enqueued (new sends, resync tails, retransmit bursts)
+    /// Frames enqueued (new sends, gap repairs, probes, resync tails)
     /// not yet pushed through the fault injector.
-    queue: VecDeque<Data>,
+    queue: VecDeque<Frame>,
     /// Bytes accepted by the injector, not yet written to the socket.
     wbuf: Vec<u8>,
     /// The fault injector's parked frame (Delay action).
-    delayed: Option<Vec<u8>>,
+    delayed: Option<Frame>,
     /// Write-attempt index driving the deterministic fault schedule.
     frame_idx: u64,
     /// Seeded jitter stream for the dial backoff.
@@ -181,24 +186,23 @@ pub(crate) struct OutLink {
     pub to: ProcessId,
     addr: SocketAddr,
     plan: FaultPlan,
-    link_cfg: LinkConfig,
     dial_backoff_ms: u64,
     dial_backoff_max_ms: u64,
     stats: Arc<NodeStats>,
     epoch: Instant,
     pub sender: Mutex<SenderLink>,
     pub reconnects: AtomicU64,
-    /// Whether a live `Rto` wheel entry exists for this link. Keeps
-    /// the wheel at **at most one** entry per link: arming is a no-op
-    /// while an entry is live (the live entry lazily re-arms itself at
-    /// the moved deadline), and a firing clears the flag first so any
-    /// concurrent arm can take over.
-    rto_live: AtomicBool,
+    /// Deadline of this link's one *valid* `Rto` timer entry
+    /// (`u64::MAX`: none). Arming earlier than this schedules a new
+    /// entry and takes the slot over; an entry that fires with any
+    /// other deadline is stale and fizzles, so entries cannot pile up.
+    rto_armed: AtomicU64,
     io: Mutex<OutIo>,
 }
 
 impl OutLink {
-    /// Builds the link in the `Down` state with an immediate dial.
+    /// Builds the link in the `Down` state; it dials when the first
+    /// frame is queued, so a runtime that never runs opens no socket.
     #[allow(clippy::too_many_arguments)] // spawn-time plumbing, called once per link
     pub(crate) fn new(
         me: ProcessId,
@@ -217,14 +221,13 @@ impl OutLink {
             to,
             addr,
             plan,
-            link_cfg,
             dial_backoff_ms,
             dial_backoff_max_ms,
             stats,
             epoch,
-            sender: Mutex::new(SenderLink::new(link_cfg, link_seed)),
+            sender: Mutex::new(SenderLink::new(link_cfg)),
             reconnects: AtomicU64::new(0),
-            rto_live: AtomicBool::new(false),
+            rto_armed: AtomicU64::new(u64::MAX),
             io: Mutex::new(OutIo {
                 state: OutState::Down,
                 queue: VecDeque::new(),
@@ -240,38 +243,36 @@ impl OutLink {
     }
 }
 
-/// Event-thread entry point: assign a sequence number (arming the
-/// wheel when the window just went non-empty), then queue the frame
-/// for the next sweep. Returns `false` on bounded-outbox overflow
-/// (the caller surfaces the drop). Two disjoint critical sections —
-/// never `sender` nested around `io` (see the module-level locking
-/// rule). Takes an `Arc` handle so the wheel key can be derived.
+/// Event-thread entry point: assign a sequence number and encode the
+/// frame, queue it for the next sweep, and make sure a timer covers
+/// the window. Returns `false` on bounded-outbox overflow (the caller
+/// surfaces the drop). Two disjoint critical sections — never `sender`
+/// nested around `io` (see the module-level locking rule). Takes an
+/// `Arc` handle so the timer key can be derived.
 pub(crate) fn enqueue_arc(
     link: &Arc<OutLink>,
     pool: &PoolInner,
     depth: u64,
     payload: Vec<u8>,
 ) -> bool {
-    let now = now_ms(link.epoch);
     let (frame, arm) = {
         let mut s = lock(&link.sender);
-        let frame = s.enqueue(depth, payload, now);
-        (frame, s.rto_deadline())
+        let frame = s.enqueue(depth, payload, now_us(link.epoch));
+        (frame, s.deadline())
     };
     let Some(frame) = frame else { return false };
     lock(&link.io).queue.push_back(frame);
-    if let Some(at) = arm {
-        schedule_rto(link, pool, at);
-    }
+    arm_rto(link, pool, arm);
     true
 }
 
-/// Arms the link's retransmit timer unless an entry is already live on
-/// the wheel. This is what bounds the wheel to one `Rto` entry per
-/// link: lazy cancellation means a fired entry re-checks and re-arms,
-/// so a second entry would double every firing forever.
-fn schedule_rto(link: &Arc<OutLink>, pool: &PoolInner, at: u64) {
-    if !link.rto_live.swap(true, Ordering::AcqRel) {
+/// Makes sure a timer entry fires at or before the sender's deadline.
+/// Only a deadline *earlier* than the valid entry's schedules anything
+/// (and takes over as the valid entry); one that moved later is picked
+/// up when that entry fires and re-arms.
+fn arm_rto(link: &Arc<OutLink>, pool: &PoolInner, deadline: Option<u64>) {
+    let Some(at) = deadline else { return };
+    if at < link.rto_armed.fetch_min(at, Ordering::AcqRel) {
         pool.schedule(at, TimerKey::Rto(Arc::downgrade(link)));
     }
 }
@@ -284,7 +285,7 @@ fn out_conn_died(link: &Arc<OutLink>, io: &mut OutIo, pool: &PoolInner, now: u64
         let _ = stream.shutdown(Shutdown::Both);
     }
     io.state = OutState::Down;
-    // Queued frames are copies out of the sender window; the resync
+    // Queued frames are shared with the sender window; the resync
     // after reconnect regenerates exactly the unacked tail in order.
     // Keeping them would bury the window head (the one frame the
     // receiver is waiting on) behind an ever-growing run of stale
@@ -303,20 +304,22 @@ fn out_service(link: &Arc<OutLink>, pool: &PoolInner) -> Sweep {
     let mut io_guard = lock(&link.io);
     // Reborrow: disjoint field borrows through the guard's deref.
     let io = &mut *io_guard;
-    let now = now_ms(link.epoch);
+    let now = now_us(link.epoch);
     let mut progress = false;
 
-    // Dial when down and due.
+    // Dial when down and due — but not before there is something to
+    // say: a link that never carried a frame opens no socket.
     if matches!(io.state, OutState::Down) {
-        if now < io.next_dial_at {
+        let unused = !io.ever_connected && io.queue.is_empty();
+        if unused || now < io.next_dial_at {
             return Sweep::Idle;
         }
         match TcpStream::connect_timeout(&link.addr, Duration::from_millis(CONNECT_TIMEOUT_MS)) {
             Ok(stream) => {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_nonblocking(true);
-                let was_reconnect = io.ever_connected;
-                if was_reconnect {
+                let first_hello_at = (!io.ever_connected).then_some(now);
+                if io.ever_connected {
                     link.reconnects.fetch_add(1, Ordering::Relaxed);
                 }
                 io.ever_connected = true;
@@ -335,13 +338,13 @@ fn out_service(link: &Arc<OutLink>, pool: &PoolInner) -> Sweep {
                     stream,
                     rbuf: Vec::new(),
                     helloed: false,
-                    was_reconnect,
+                    first_hello_at,
                 };
                 progress = true;
             }
             Err(_) => {
                 let jitter = io.rng.gen_range(0..io.backoff_ms / 2 + 1);
-                io.next_dial_at = now + io.backoff_ms + jitter;
+                io.next_dial_at = now + (io.backoff_ms + jitter) * 1_000;
                 io.backoff_ms = (io.backoff_ms * 2).min(link.dial_backoff_max_ms);
                 pool.schedule(io.next_dial_at, TimerKey::Redial(Arc::downgrade(link)));
                 return Sweep::Idle;
@@ -386,48 +389,33 @@ fn out_service(link: &Arc<OutLink>, pool: &PoolInner) -> Sweep {
         match frame {
             NetFrame::Hello(h) => {
                 if let OutState::Up {
-                    helloed,
-                    was_reconnect,
+                    helloed: helloed @ false,
+                    first_hello_at,
                     ..
                 } = &mut io.state
                 {
-                    if !*helloed {
-                        *helloed = true;
-                        let resync = *was_reconnect;
-                        let (tail, arm) = {
-                            let mut s = lock(&link.sender);
-                            let tail = if resync {
-                                s.on_resync(h.expected, now)
-                            } else {
-                                Vec::new()
-                            };
-                            (tail, s.rto_deadline())
-                        };
-                        if resync {
-                            // The tail *is* the whole unacked window;
-                            // anything still queued is a duplicate.
-                            io.queue.clear();
-                        }
-                        io.queue.extend(tail);
-                        if let Some(at) = arm {
-                            schedule_rto(link, pool, at);
-                        }
-                        progress = true;
-                    }
+                    *helloed = true;
+                    let hello_rtt = first_hello_at.map(|at| now - at);
+                    let (tail, arm) = {
+                        let mut s = lock(&link.sender);
+                        (s.on_hello(h.expected, hello_rtt, now), s.deadline())
+                    };
+                    // The tail *is* the whole unacked window, in
+                    // order; anything still queued is a duplicate.
+                    io.queue.clear();
+                    io.queue.extend(tail);
+                    arm_rto(link, pool, arm);
+                    progress = true;
                 }
             }
             NetFrame::Ack(a) => {
-                let arm = {
+                let (repair, arm) = {
                     let mut s = lock(&link.sender);
-                    s.on_ack(a.cum, now);
-                    s.rto_deadline()
+                    (s.on_ack(a.cum, a.held, now), s.deadline())
                 };
-                // Ack progress moves the deadline; the live entry
-                // lazily re-arms itself there, so this only fires when
-                // no entry is live at all.
-                if let Some(at) = arm {
-                    schedule_rto(link, pool, at);
-                }
+                // A reported hole is repaired in this very sweep.
+                io.queue.extend(repair);
+                arm_rto(link, pool, arm);
                 progress = true;
             }
             // DATA flows accepter-ward; one arriving here is noise.
@@ -439,7 +427,7 @@ fn out_service(link: &Arc<OutLink>, pool: &PoolInner) -> Sweep {
     if matches!(io.state, OutState::Up { helloed: true, .. }) {
         while let Some(d) = io.queue.pop_front() {
             progress = true;
-            if !inject_frame(link, io, &d) {
+            if !inject_frame(link, io, d) {
                 out_conn_died(link, io, pool, now);
                 return Sweep::Progress;
             }
@@ -486,11 +474,10 @@ fn out_service(link: &Arc<OutLink>, pool: &PoolInner) -> Sweep {
 /// Runs one DATA frame through the deterministic fault injector,
 /// buffering whatever survives. Returns `false` when the injected
 /// action killed the connection (mid-frame reset).
-fn inject_frame(link: &OutLink, io: &mut OutIo, d: &Data) -> bool {
-    let bytes = encode_frame(FK_DATA, d);
+fn inject_frame(link: &OutLink, io: &mut OutIo, bytes: Frame) -> bool {
     let idx = io.frame_idx;
     io.frame_idx += 1;
-    let mut write_now: Vec<Vec<u8>> = Vec::new();
+    let mut write_now: Vec<Frame> = Vec::new();
     match link.plan.action(link.me, link.to, idx) {
         FaultAction::Deliver => write_now.push(bytes),
         FaultAction::Drop => {}
@@ -509,9 +496,8 @@ fn inject_frame(link: &OutLink, io: &mut OutIo, d: &Data) -> bool {
         FaultAction::Reset => {
             // Mid-frame reset: half a frame, then a hard close. The
             // receiver sees torn bytes and drops the connection too.
-            let half = bytes.len() / 2;
-            let torn = bytes[..half].to_vec();
-            buffer_counted(&mut io.wbuf, &torn, &link.stats);
+            let torn = bytes.get(..bytes.len() / 2).unwrap_or_default();
+            buffer_counted(&mut io.wbuf, torn, &link.stats);
             if let OutState::Up { stream, .. } = &mut io.state {
                 let _ = stream.write_all(&io.wbuf);
                 let _ = stream.shutdown(Shutdown::Both);
@@ -533,54 +519,38 @@ fn inject_frame(link: &OutLink, io: &mut OutIo, d: &Data) -> bool {
     true
 }
 
-/// A retransmit timer fired for this link: lazily re-check the armed
-/// deadline, retransmit what is due, re-arm, flush.
-fn out_fire_rto(link: &Arc<OutLink>, pool: &PoolInner) -> bool {
-    // This entry is spent; clear the flag *first* so a concurrent arm
-    // (or our own re-arm below) creates the next one.
-    link.rto_live.store(false, Ordering::Release);
-    let now = now_ms(link.epoch);
-    let connected = {
-        let io = lock(&link.io);
-        matches!(io.state, OutState::Up { helloed: true, .. })
-    };
-    let (burst, rearm) = {
-        let mut s = lock(&link.sender);
-        if s.window_len() == 0 {
-            // Everything acked since this entry was scheduled: done.
-            return false;
-        }
-        if !connected {
-            // Down: the resync after reconnect recovers the window;
-            // keep a probe entry alive so the invariant holds.
-            drop(s);
-            schedule_rto(link, pool, now + link.link_cfg.rto_ms);
-            return false;
-        }
-        match s.rto_deadline() {
-            None => return false,
-            Some(at) if now < at => {
-                // Stale entry (the deadline moved): re-arm, no fire.
-                drop(s);
-                schedule_rto(link, pool, at);
-                return false;
-            }
-            Some(_) => {
-                let burst = s.retransmit_due(now);
-                (burst, s.rto_deadline())
-            }
-        }
-    };
-    if let Some(at) = rearm {
-        schedule_rto(link, pool, at);
-    }
-    if burst.is_empty() {
+/// The timer entry armed at `at` fired for this link. Stale entries
+/// fizzle. The valid one first services the link — an ACK already in
+/// the socket is evidence, and the thread that would have read it may
+/// just be late — then sends the sender's probe if its deadline has
+/// still come, and re-arms at wherever the deadline now is.
+fn out_fire_rto(link: &Arc<OutLink>, pool: &PoolInner, at: u64) -> bool {
+    // Give the slot up *first*, so that a concurrent arm (or our own
+    // re-arm below) schedules the next entry.
+    let valid = link
+        .rto_armed
+        .compare_exchange(at, u64::MAX, Ordering::AcqRel, Ordering::Acquire);
+    if valid.is_err() {
         return false;
     }
-    lock(&link.io).queue.extend(burst);
-    // Push the burst to the wire immediately rather than waiting for
-    // the next sweep.
-    matches!(out_service(link, pool), Sweep::Progress)
+    let serviced = matches!(out_service(link, pool), Sweep::Progress);
+    {
+        let mut io = lock(&link.io);
+        if !matches!(io.state, OutState::Up { helloed: true, .. }) {
+            // Down: the HELLO reply of the reconnect resends the window
+            // and arms the timer again.
+            return serviced;
+        }
+        let (probe, arm) = {
+            let mut s = lock(&link.sender);
+            (s.on_timer(now_us(link.epoch)), s.deadline())
+        };
+        arm_rto(link, pool, arm);
+        let Some(probe) = probe else { return serviced };
+        io.queue.push_back(probe);
+    }
+    // Put the probe on the wire now rather than at the next sweep.
+    serviced | matches!(out_service(link, pool), Sweep::Progress)
 }
 
 // ---------------------------------------------------------------------------
@@ -677,15 +647,20 @@ fn in_service(conn: &InConn) -> Sweep {
             NetFrame::Ack(_) => {}
         }
     }
-    // Ack batching: one cumulative ACK per readiness wakeup that
-    // carried DATA, covering every frame the batch delivered — not
-    // one ACK per frame. Duplicates still refresh the cumulative
-    // value, so lost ACKs are repaired by the retransmissions they
-    // failed to suppress.
+    // Ack batching: one ACK per readiness wakeup that carried DATA,
+    // covering every frame the batch delivered — not one ACK per
+    // frame. Duplicates are answered too: a probe is a duplicate more
+    // often than not, and its ACK's gap report is what it asks for.
     if data_seen {
         if let Some(p) = io.peer {
-            let cum = lock(&conn.node.rx_links[p]).expected();
-            let ack = encode_frame(FK_ACK, &Ack { cum });
+            let ack = {
+                let rx = lock(&conn.node.rx_links[p]);
+                Ack {
+                    cum: rx.expected(),
+                    held: rx.held(),
+                }
+            };
+            let ack = encode_frame(FK_ACK, &ack);
             let InIo { wbuf, .. } = &mut *io;
             buffer_counted(wbuf, &ack, &conn.node.stats);
         }
@@ -741,7 +716,7 @@ pub(crate) enum Entry {
     In(Arc<InConn>),
 }
 
-/// A wheel key: which link, which timer. Weak so a torn-down runtime's
+/// A timer key: which link, which timer. Weak so a torn-down runtime's
 /// links die with it and stale entries fizzle.
 pub(crate) enum TimerKey {
     Rto(Weak<OutLink>),
@@ -755,10 +730,10 @@ struct Shard {
     kicked: AtomicBool,
 }
 
-/// Shared pool state: shards, the single timer wheel, the clock epoch.
+/// Shared pool state: shards, the single timer queue, the clock epoch.
 pub(crate) struct PoolInner {
     shards: Vec<Shard>,
-    wheel: Mutex<TimerWheel<TimerKey>>,
+    timers: Mutex<Timers<TimerKey>>,
     pub epoch: Instant,
     stop: AtomicBool,
     next_shard: AtomicUsize,
@@ -772,9 +747,9 @@ impl PoolInner {
         self.wake_shard(i);
     }
 
-    /// Schedules a timer on the single wheel.
-    pub(crate) fn schedule(&self, deadline_ms: u64, key: TimerKey) {
-        lock(&self.wheel).schedule(deadline_ms, key);
+    /// Schedules a timer on the single queue.
+    pub(crate) fn schedule(&self, deadline_us: u64, key: TimerKey) {
+        lock(&self.timers).schedule(deadline_us, key);
     }
 
     fn wake_shard(&self, i: usize) {
@@ -819,7 +794,7 @@ impl PollerPool {
                     kicked: AtomicBool::new(false),
                 })
                 .collect(),
-            wheel: Mutex::new(TimerWheel::new(WHEEL_GRANULARITY_MS, WHEEL_SLOTS)),
+            timers: Mutex::new(Timers::new()),
             epoch: Instant::now(),
             stop: AtomicBool::new(false),
             next_shard: AtomicUsize::new(0),
@@ -856,8 +831,8 @@ impl PollerPool {
     }
 }
 
-/// The readiness loop: sweep owned entries, fire the wheel, park when
-/// idle (bounded by the wheel's next deadline and the idle beat).
+/// The readiness loop: sweep owned entries, fire due timers, park when
+/// idle (until the earliest timer deadline or the idle beat).
 fn worker(inner: Arc<PoolInner>, shard_idx: usize) {
     let shard = &inner.shards[shard_idx];
     *lock(&shard.handle) = Some(std::thread::current());
@@ -880,15 +855,14 @@ fn worker(inner: Arc<PoolInner>, shard_idx: usize) {
             }
             Sweep::Idle => true,
         });
-        // Fire the single wheel: whichever shard sweeps first gets the
+        // Fire the timer queue: whichever shard looks first gets the
         // due timers; the io mutexes make cross-shard servicing safe.
-        let now = now_ms(inner.epoch);
-        let due = lock(&inner.wheel).expire(now);
-        for key in due {
+        let due = lock(&inner.timers).expire(now_us(inner.epoch));
+        for (at, key) in due {
             let fired = match key {
                 TimerKey::Rto(weak) => weak
                     .upgrade()
-                    .map(|l| out_fire_rto(&l, &inner))
+                    .map(|l| out_fire_rto(&l, &inner, at))
                     .unwrap_or(false),
                 TimerKey::Redial(weak) => weak
                     .upgrade()
@@ -901,12 +875,11 @@ fn worker(inner: Arc<PoolInner>, shard_idx: usize) {
             continue;
         }
         // Idle: park until the next timer, the idle beat, or a wake.
-        let now = now_ms(inner.epoch);
-        let mut wait = IDLE_BEAT_MS;
-        if let Some(d) = lock(&inner.wheel).next_deadline() {
-            wait = wait.min(d.saturating_sub(now).max(1));
+        let mut wait = IDLE_BEAT_US;
+        if let Some(d) = lock(&inner.timers).next_deadline() {
+            wait = wait.min(d.saturating_sub(now_us(inner.epoch)).max(1));
         }
-        std::thread::park_timeout(Duration::from_millis(wait));
+        std::thread::park_timeout(Duration::from_micros(wait));
     }
 }
 

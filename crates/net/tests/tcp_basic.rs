@@ -4,7 +4,7 @@
 //! protocol layer (which gets its own conformance tests at the
 //! workspace root).
 
-use bgla_net::{FaultConfig, FaultPlan, LinkConfig, NetConfig, TcpRuntime, TcpRuntimeBuilder};
+use bgla_net::{FaultConfig, FaultPlan, NetConfig, TcpRuntime, TcpRuntimeBuilder};
 use bgla_simnet::{Context, NodeObserver, OpEvent, Process, ProcessId, Transport};
 use std::any::Any;
 
@@ -76,8 +76,12 @@ fn clean_wire_delivers_everything_and_quiesces() {
     // HELLOs; measured bytes include framing overhead.
     assert!(m.net_frames as usize >= n * (n - 1));
     assert!(m.net_frame_bytes > m.net_frames * 24);
-    // A clean wire needs no masking.
-    assert_eq!(m.net_retransmits, 0);
+    // A clean wire needs no masking — save a stray probe on a link
+    // whose ACK was still waiting for a CPU when its ~1 ms timeout came
+    // (one frame, discarded as a duplicate; when a poller thread is
+    // late, every link it serves sees it).
+    assert!(m.net_retransmits as usize <= n * (n - 1), "one per link");
+    assert!(m.net_dup_frames <= m.net_retransmits, "all of them stray");
     assert_eq!(m.net_reconnects, 0);
     assert_eq!(m.net_outbox_dropped, 0);
     rt.shutdown();
@@ -127,10 +131,6 @@ fn chaos_wire_masks_faults_and_still_delivers_everything() {
     let hops = 2;
     let cfg = NetConfig {
         faults: FaultPlan::new(0xB61A, FaultConfig::chaos()),
-        link: LinkConfig {
-            rto_ms: 20,
-            ..LinkConfig::default()
-        },
         seed: 7,
         ..NetConfig::default()
     };
@@ -170,10 +170,6 @@ fn mid_frame_resets_force_reconnects() {
                 ..FaultConfig::default()
             },
         ),
-        link: LinkConfig {
-            rto_ms: 20,
-            ..LinkConfig::default()
-        },
         ..NetConfig::default()
     };
     let mut rt = build(n, 3, cfg);

@@ -11,7 +11,7 @@
 //! counting via `/proc/self/task` is only meaningful when no sibling
 //! test spawns threads in the same process.
 
-use bgla_net::{FaultConfig, FaultPlan, LinkConfig, NetConfig, TcpRuntimeBuilder};
+use bgla_net::{FaultConfig, FaultPlan, NetConfig, TcpRuntimeBuilder};
 use bgla_simnet::{Context, Process, ProcessId, Transport};
 use std::any::Any;
 
@@ -56,10 +56,6 @@ fn runtime_threads_stay_within_pool_plus_one_per_node() {
                 ..FaultConfig::default()
             },
         ),
-        link: LinkConfig {
-            rto_ms: 20,
-            ..LinkConfig::default()
-        },
         seed: 11,
         ..NetConfig::default()
     };

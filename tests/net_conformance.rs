@@ -24,7 +24,7 @@ use bgla::core::sbs::SbsProcess;
 use bgla::core::search::op_priority;
 use bgla::core::wts::WtsProcess;
 use bgla::core::{SystemConfig, ValueSet};
-use bgla::net::{FaultConfig, FaultPlan, LinkConfig, NetConfig, TcpRuntime, TcpRuntimeBuilder};
+use bgla::net::{FaultConfig, FaultPlan, NetConfig, TcpRuntime, TcpRuntimeBuilder};
 use bgla::simnet::{FifoScheduler, RandomScheduler, Scheduler, Trace, Transport};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,19 +32,16 @@ const N: usize = 4;
 const F: usize = 1;
 const BUDGET: u64 = 1_000_000;
 
+type GwtsMsg = bgla::core::gwts::GwtsMsg<u64>;
+
 fn ident(v: &u64) -> u64 {
     *v
 }
 
-/// Transport config with the given fault schedule and a faster RTO so
-/// fault-heavy runs converge quickly.
+/// Transport config as shipped, with the given fault schedule.
 fn net_cfg(fault_seed: u64, faults: FaultConfig, seed: u64) -> NetConfig {
     NetConfig {
         faults: FaultPlan::new(fault_seed, faults),
-        link: LinkConfig {
-            rto_ms: 20,
-            ..LinkConfig::default()
-        },
         seed,
         ..NetConfig::default()
     }
@@ -330,6 +327,74 @@ fn gsbs_over_tcp_under_chaos_matches_simnet_and_conforms() {
     witness.validate().expect("witness validates");
 }
 
+/// A stream of four inputs per process in every round but the last
+/// two (the drain rounds): the `e2e` benchmark's TCP shape.
+fn stream_schedule(i: usize, rounds: u64) -> BTreeMap<u64, Vec<u64>> {
+    (0..rounds - 2)
+        .map(|r| {
+            (
+                r,
+                (0..4).map(|k| ((i as u64) << 24) | (r << 8) | k).collect(),
+            )
+        })
+        .collect()
+}
+
+/// Builds and runs a GWTS stream over TCP to quiescence and returns
+/// the runtime, having checked the benchmark's op-completion rule:
+/// every proposer's final decision contains all of its own inputs.
+fn gwts_stream_completes(
+    n: usize,
+    rounds: u64,
+    cfg: NetConfig,
+    label: &str,
+) -> TcpRuntime<GwtsMsg> {
+    let config = SystemConfig::new(n, (n - 1) / 3);
+    let mut b = TcpRuntimeBuilder::new(cfg);
+    for i in 0..n {
+        let schedule = stream_schedule(i, rounds);
+        b = b.add(Box::new(GwtsProcess::new(i, config, schedule, rounds)));
+    }
+    let mut rt = b.build().expect("bind localhost");
+    let out = rt.run_transport(u64::MAX);
+    assert!(out.quiescent, "{label}: did not quiesce");
+    for i in 0..n {
+        rt.with_process(i, &mut |p| {
+            let g = p.as_any().downcast_ref::<GwtsProcess<u64>>().unwrap();
+            let last = g.decisions.last().expect("decided at least once");
+            let missing: Vec<u64> = (stream_schedule(i, rounds).into_values().flatten())
+                .filter(|v| !last.contains(v))
+                .collect();
+            assert!(
+                missing.is_empty(),
+                "{label}: process {i} never decided {} of its inputs (rounds {:?})",
+                missing.len(),
+                missing
+                    .iter()
+                    .map(|v| (v >> 8) & 0xffff)
+                    .collect::<BTreeSet<_>>()
+            );
+        });
+    }
+    rt
+}
+
+#[test]
+fn gwts_stream_under_chaos_decides_every_input_of_every_proposer() {
+    // A link that stalls for two rounds near the end — a timeout that
+    // was guessed, a timer armed late, a reconnect waiting on a timer —
+    // leaves its process behind when the others finish, and that
+    // process's last inputs are never decided. Nothing fails to quiesce
+    // then; only this rule sees it.
+    for fault_seed in [101, 102, 103, 104, 105, 106, 107, 0xC0DE, 0xBEEF, 0x6175] {
+        let cfg = net_cfg(fault_seed, FaultConfig::chaos(), fault_seed);
+        let mut rt = gwts_stream_completes(N, 10, cfg, &format!("gwts stream({fault_seed:#x})"));
+        let m = rt.metrics_snapshot();
+        assert!(m.net_retransmits > 0 && m.net_reconnects > 0);
+        rt.shutdown();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scale probe (gated: NET_SWEEP=1)
 // ---------------------------------------------------------------------------
@@ -374,4 +439,33 @@ fn net_sweep_thirty_two_honest_wts_nodes_decide_over_one_pool() {
     }
     assert_eq!(union, inputs);
     rt.shutdown();
+}
+
+#[test]
+fn net_sweep_fault_free_gwts_at_n7_resends_under_one_percent() {
+    if std::env::var("NET_SWEEP").is_err() {
+        eprintln!("net_sweep: NET_SWEEP unset, skipping the n=7 spurious-resend probe");
+        return;
+    }
+    // Eleven threads on however few cores: ACKs wait for a CPU, and a
+    // timeout that is a constant fires while they do (9.6% of all
+    // frames, every one a duplicate, before it was measured).
+    let cfg = NetConfig {
+        seed: 7,
+        deadline_ms: 120_000,
+        ..NetConfig::default()
+    };
+    let mut rt = gwts_stream_completes(7, 20, cfg, "gwts n=7 fault-free");
+    let m = rt.metrics_snapshot();
+    rt.shutdown();
+    eprintln!(
+        "net_sweep: n=7 fault-free: {} frames, {} resent, {} duplicates",
+        m.net_frames, m.net_retransmits, m.net_dup_frames
+    );
+    assert!(
+        m.net_retransmits * 100 <= m.net_frames,
+        "{} of {} frames resent on a fault-free wire",
+        m.net_retransmits,
+        m.net_frames
+    );
 }
