@@ -27,7 +27,12 @@
 //!   RTO`. When it fires nothing is known, so the sender asks: it
 //!   resends that **one** frame as a probe — any DATA frame elicits an
 //!   ACK whose gap report says what is really missing — and doubles
-//!   the timeout until an ACK makes progress.
+//!   the timeout until an ACK makes progress. Until the link's first
+//!   ACK has come back the clock has measured only the handshake,
+//!   which is answered in the sweep that reads it and so says nothing
+//!   of how long an ACK waits for the receiver's next look at its
+//!   socket: the first flight is timed at the ceiling (a loss in it
+//!   that anything follows is still repaired at once, on evidence).
 //! * **Samples.** Karn's rule alone is not enough under cumulative
 //!   acks: frames parked in the receiver's stash behind a hole are
 //!   acknowledged when the hole fills, however long that took. A
@@ -60,6 +65,13 @@ pub type Frame = Arc<[u8]>;
 /// really is this long because ACKs queue for a CPU: at 64 / 16 ms a
 /// fault-free run resends 0.2% / 1.4% of its frames at n = 10 and
 /// 0.9% / 1.2% at n = 16, while the chaos numbers above do not move.
+/// It also times a link's first flight, before any ACK has been heard:
+/// a receiver that has gone idle looks at its socket one beat later,
+/// which the handshake's sample cannot know, and timing the flight by
+/// that sample put a stray probe into 41 of 1 000 fault-free start-ups
+/// (4 nodes, one frame per link; 11 with a 2 ms floor, 0 of 3 000 at
+/// the ceiling) — for no gain under `chaos()`, where something follows
+/// a lost first frame and reports it (p50 5.9 ms, p90 12.9 either way).
 const RTO_MIN_US: u64 = 1_000;
 const RTO_MAX_US: u64 = 64_000;
 
@@ -114,6 +126,9 @@ pub struct SenderLink {
     rttvar: u64,
     /// Doublings applied to the timeout since the last ack progress.
     backoff: u32,
+    /// An ACK has come back on this link: the estimate now rests on
+    /// more than the handshake.
+    heard: bool,
     /// Total frames resent: gap repairs, probes and resync tails.
     pub retransmits: u64,
     /// Messages dropped because the window was full (peer down past
@@ -133,6 +148,7 @@ impl SenderLink {
             srtt: 0,
             rttvar: 0,
             backoff: 0,
+            heard: false,
             retransmits: 0,
             overflow_dropped: 0,
             resyncs: 0,
@@ -149,14 +165,13 @@ impl SenderLink {
         self.unacked.len()
     }
 
-    /// Smoothed round-trip time in µs (0 before the first sample).
-    pub fn srtt_us(&self) -> u64 {
-        self.srtt
-    }
-
     /// Current timeout span in µs: `SRTT + 4·RTTVAR` within the floor
-    /// and ceiling, doubled per firing since the last ack progress.
-    pub fn rto_us(&self) -> u64 {
+    /// and ceiling, doubled per firing since the last ack progress; the
+    /// ceiling while no ACK has been heard yet.
+    fn rto_us(&self) -> u64 {
+        if !self.heard {
+            return RTO_MAX_US;
+        }
         let base = (self.srtt + 4 * self.rttvar).clamp(RTO_MIN_US, RTO_MAX_US);
         (base << self.backoff).min(RTO_MAX_US)
     }
@@ -216,6 +231,7 @@ impl SenderLink {
     /// reported hole: every frame of `[cum, held)` except those resent
     /// within the last smoothed RTT (that repair is still in flight).
     pub fn on_ack(&mut self, cum: u64, held: u64, now: u64) -> Vec<Frame> {
+        self.heard = true;
         let covered = self.below(cum);
         if covered > 0 {
             self.backoff = 0;
@@ -228,9 +244,14 @@ impl SenderLink {
             }
         }
         let hole = self.below(held);
-        let srtt = self.srtt;
+        // (No sample yet — the first connection died before its HELLO
+        // reply: the floor stands in for the round trip.)
+        let in_flight = match self.srtt {
+            0 => RTO_MIN_US,
+            srtt => srtt,
+        };
         let repair: Vec<Frame> = (self.unacked.iter_mut().take(hole))
-            .filter(|f| !f.resent || now.saturating_sub(f.sent_at) >= srtt)
+            .filter(|f| !f.resent || now.saturating_sub(f.sent_at) >= in_flight)
             .map(|f| f.resend(now))
             .collect();
         self.retransmits += repair.len() as u64;
@@ -253,30 +274,29 @@ impl SenderLink {
     }
 
     /// A HELLO reply arrived at `now`, announcing the peer's
-    /// next-expected sequence. `hello_rtt` is the handshake's round
-    /// trip on the *first* connection only (it seeds the estimator, so
-    /// no frame ever waits on a guessed timeout; a reconnect handshake
-    /// includes accept latency and must pass `None`). Acknowledged
-    /// frames are dropped and the whole unseen tail is returned to be
-    /// written at once — as first transmissions on the first
-    /// connection, as a counted resync afterwards.
+    /// next-expected sequence; acknowledged frames are dropped and the
+    /// rest restamped. `hello_rtt` is the handshake's round trip on the
+    /// *first* connection only: it seeds the estimator, and the frames
+    /// enqueued while dialling — still queued at the caller, never on
+    /// a wire — go out as the first transmissions they are, so nothing
+    /// is returned. A reconnect passes `None` (its handshake includes
+    /// accept latency) and gets the whole unseen tail back to write at
+    /// once, in place of whatever it had queued: a counted resync.
     pub fn on_hello(&mut self, peer_expected: u64, hello_rtt: Option<u64>, now: u64) -> Vec<Frame> {
         // What a handshake acknowledges times nothing: no sample.
         self.unacked.drain(..self.below(peer_expected));
         self.backoff = 0;
-        match hello_rtt {
-            Some(rtt) => self.sample(rtt),
-            None => {
-                self.resyncs += 1;
-                self.retransmits += self.unacked.len() as u64;
-            }
-        }
-        let tail = self.unacked.iter_mut().map(|f| {
-            f.resent = hello_rtt.is_none();
+        for f in &mut self.unacked {
             f.sent_at = now;
-            f.frame.clone()
-        });
-        tail.collect()
+            f.resent = hello_rtt.is_none();
+        }
+        if let Some(rtt) = hello_rtt {
+            self.sample(rtt);
+            return Vec::new();
+        }
+        self.resyncs += 1;
+        self.retransmits += self.unacked.len() as u64;
+        self.unacked.iter().map(|f| f.frame.clone()).collect()
     }
 }
 
@@ -361,6 +381,14 @@ mod tests {
             .collect()
     }
 
+    /// A link past its first flight: handshake sampled, an ACK heard.
+    fn warm(max_unacked: usize, hello_rtt: u64) -> SenderLink {
+        let mut tx = sender(max_unacked);
+        tx.on_hello(0, Some(hello_rtt), 0);
+        assert!(tx.on_ack(0, 0, 0).is_empty());
+        tx
+    }
+
     /// One frame out at `*now`, acknowledged `rtt` later.
     fn round_trip(tx: &mut SenderLink, now: &mut u64, rtt: u64) {
         tx.enqueue(1, payload(0), *now).unwrap();
@@ -390,22 +418,22 @@ mod tests {
     fn estimator_converges_and_shapes_the_rto() {
         let mut tx = sender(4);
         let mut now = 0;
-        // No sample yet: the floor.
-        assert_eq!((tx.srtt_us(), tx.rto_us()), (0, RTO_MIN_US));
+        // Nothing heard yet: the ceiling.
+        assert_eq!((tx.srtt, tx.rto_us()), (0, RTO_MAX_US));
         // First sample R: SRTT = R, RTTVAR = R/2, RTO = R + 4·R/2.
         round_trip(&mut tx, &mut now, 5_000);
-        assert_eq!((tx.srtt_us(), tx.rto_us()), (5_000, 15_000));
+        assert_eq!((tx.srtt, tx.rto_us()), (5_000, 15_000));
         // A steady path: RTTVAR decays, RTO closes in on SRTT.
         for _ in 0..40 {
             round_trip(&mut tx, &mut now, 5_000);
         }
-        assert_eq!(tx.srtt_us(), 5_000);
+        assert_eq!(tx.srtt, 5_000);
         assert!((5_000..5_100).contains(&tx.rto_us()), "{}", tx.rto_us());
         // A path that alternates 5/15 ms: SRTT near 10, RTTVAR near 5.
         for i in 0..200 {
             round_trip(&mut tx, &mut now, if i % 2 == 0 { 5_000 } else { 15_000 });
         }
-        assert!((9_000..11_000).contains(&tx.srtt_us()), "{}", tx.srtt_us());
+        assert!((9_000..11_000).contains(&tx.srtt), "{}", tx.srtt);
         assert!((25_000..35_000).contains(&tx.rto_us()), "{}", tx.rto_us());
         // Loopback speed: the floor holds. A second per trip: the ceiling.
         for _ in 0..100 {
@@ -423,8 +451,7 @@ mod tests {
         // Trap (a). Frame 0 is lost, 1..4 wait in the receiver's stash;
         // when 0 finally lands the ACK covers five frames of which four
         // were never resent — and every one of them is ~50 ms old.
-        let mut tx = sender(8);
-        tx.on_hello(0, Some(500), 0);
+        let mut tx = warm(8, 500);
         let mut now = 1_000;
         send(&mut tx, 5, now);
         now += 500;
@@ -434,21 +461,16 @@ mod tests {
             assert_eq!(seqs(&[tx.on_timer(now).unwrap()]), [0]);
         }
         assert!(tx.on_ack(5, 5, now + 500).is_empty());
-        assert_eq!(
-            tx.srtt_us(),
-            500,
-            "a run holding a resent frame is no sample"
-        );
+        assert_eq!(tx.srtt, 500, "a run holding a resent frame is no sample");
         // The same ACK for a run that was never resent is one.
         send(&mut tx, 5, now);
         tx.on_ack(10, 10, now + 4_500);
-        assert_eq!(tx.srtt_us(), 1_000, "7/8 · 500 + 1/8 · 4 500");
+        assert_eq!(tx.srtt, 1_000, "7/8 · 500 + 1/8 · 4 500");
     }
 
     #[test]
     fn reported_hole_is_resent_exactly_and_once_per_srtt() {
-        let mut tx = sender(16);
-        tx.on_hello(0, Some(800), 0);
+        let mut tx = warm(16, 800);
         send(&mut tx, 7, 100);
         // The receiver has 0, 1 and holds 5: it misses exactly 2, 3, 4.
         assert_eq!(seqs(&tx.on_ack(2, 5, 900)), [2, 3, 4]);
@@ -456,9 +478,9 @@ mod tests {
         // ACKs written before the repair landed repeat the report:
         // nothing goes out twice within one smoothed RTT…
         assert!(tx.on_ack(2, 5, 1_000).is_empty());
-        assert!(tx.on_ack(2, 5, 900 + tx.srtt_us() - 1).is_empty());
+        assert!(tx.on_ack(2, 5, 900 + tx.srtt - 1).is_empty());
         // …and after it the repair counts as lost, and goes again.
-        assert_eq!(seqs(&tx.on_ack(2, 5, 900 + tx.srtt_us())), [2, 3, 4]);
+        assert_eq!(seqs(&tx.on_ack(2, 5, 900 + tx.srtt)), [2, 3, 4]);
         // Part of it lands: only what is still missing is repaired, and
         // neither 5 (reported held) nor 6 (unknown) was ever resent.
         assert_eq!(seqs(&tx.on_ack(4, 5, 5_000)), [4]);
@@ -468,8 +490,7 @@ mod tests {
 
     #[test]
     fn timeout_without_evidence_sends_one_probe_and_backs_off() {
-        let mut tx = sender(64);
-        tx.on_hello(0, Some(1_000), 0);
+        let mut tx = warm(64, 1_000);
         send(&mut tx, 40, 0);
         let rto = tx.rto_us();
         assert_eq!(rto, 3_000, "SRTT 1 000 + 4 · RTTVAR 500");
@@ -544,29 +565,51 @@ mod tests {
     }
 
     #[test]
-    fn first_hello_seeds_the_estimator_and_releases_the_window_uncounted() {
+    fn first_hello_seeds_the_estimator_and_stamps_the_window_uncounted() {
         // Frames queued while the link was still dialling were never on
-        // a wire: the HELLO reply hands them over as first sends, timed
-        // from now, under a timeout that is already a measurement.
+        // a wire: the HELLO reply stamps them as the first sends they
+        // are (the caller still has them queued: nothing is returned).
         let mut tx = sender(8);
         send(&mut tx, 3, 0);
-        assert_eq!(seqs(&tx.on_hello(0, Some(700), 9_000)), [0, 1, 2]);
-        assert_eq!((tx.retransmits, tx.resyncs), (0, 0));
-        assert_eq!(tx.srtt_us(), 700);
-        assert_eq!(tx.deadline(), Some(9_000 + tx.rto_us()));
-        // …and their ACK is a sample like any other.
-        tx.on_ack(3, 3, 9_900);
-        assert_eq!(tx.srtt_us(), 725, "7/8 · 700 + 1/8 · 900");
+        assert!(tx.on_hello(0, Some(700), 9_000).is_empty());
+        assert_eq!((tx.retransmits, tx.resyncs, tx.window_len()), (0, 0, 3));
+        assert_eq!(tx.srtt, 700);
+        // The handshake is no ACK latency: the first flight is timed at
+        // the ceiling, whatever the sample says…
+        assert_eq!(tx.deadline(), Some(9_000 + RTO_MAX_US));
+        assert!(tx.on_timer(9_000 + RTO_MAX_US - 1).is_none());
+        // …while a loss in it that something follows is repaired at
+        // once all the same; and with an ACK heard the estimate rules.
+        assert_eq!(seqs(&tx.on_ack(0, 1, 9_900)), [0]);
+        assert_eq!(tx.deadline(), Some(9_900 + 700 + 4 * 350));
+        // The flight's ACK is a sample like any other.
+        tx.on_ack(1, 1, 10_000); // covers the resent frame: none
+        tx.on_ack(3, 3, 10_600);
+        assert_eq!(tx.srtt, 7 * 700 / 8 + 1_600 / 8);
+    }
+
+    #[test]
+    fn without_a_sample_the_floor_paces_the_repairs() {
+        // The first connection died before its HELLO reply: no sample,
+        // and repeated gap reports must still not resend per report.
+        let mut tx = sender(8);
+        send(&mut tx, 3, 0);
+        assert_eq!(seqs(&tx.on_hello(0, None, 5_000)), [0, 1, 2]);
+        assert!(tx.on_ack(0, 2, 5_400).is_empty(), "resync in flight");
+        assert!(tx.on_ack(0, 2, 5_000 + RTO_MIN_US - 1).is_empty());
+        assert_eq!(seqs(&tx.on_ack(0, 2, 5_000 + RTO_MIN_US)), [0, 1]);
+        assert!(tx.on_ack(0, 2, 5_000 + RTO_MIN_US + 1).is_empty());
+        assert_eq!(tx.srtt, 0);
     }
 
     #[test]
     fn reconnect_puts_the_whole_unseen_tail_back_at_once_and_times_nothing() {
-        let mut tx = sender(64);
-        tx.on_hello(0, Some(600), 0);
+        let mut tx = warm(64, 600);
         send(&mut tx, 40, 100);
-        tx.on_timer(tx.deadline().unwrap()).unwrap(); // backed off once
-                                                      // Connection dies; the peer's HELLO on reconnect says it has
-                                                      // 0..3. The handshake took 30 ms (accept latency included).
+        // One timeout: backed off once.
+        tx.on_timer(tx.deadline().unwrap()).unwrap();
+        // Connection dies; the peer's HELLO on reconnect says it has
+        // 0..3. The handshake took 30 ms (accept latency included).
         let tail = tx.on_hello(3, None, 30_000);
         assert_eq!(seqs(&tail), (3..40).collect::<Vec<_>>(), "no burst cap");
         assert_eq!(
@@ -576,7 +619,7 @@ mod tests {
         // Neither the handshake nor the frames it acknowledged (never
         // resent, 30 ms old) nor the resent tail feed the estimator.
         tx.on_ack(40, 40, 31_000);
-        assert_eq!(tx.srtt_us(), 600);
+        assert_eq!(tx.srtt, 600);
         assert_eq!(tx.rto_us(), 600 + 4 * 300, "backoff restarted");
         // A peer that has everything gets nothing.
         send(&mut tx, 1, 40_000);
@@ -854,6 +897,6 @@ mod tests {
         pipe.run();
         assert_eq!(pipe.delivered.len() as u64, total);
         assert_eq!((pipe.tx.retransmits, pipe.rx.dups), (0, 0));
-        assert!((11_000..14_000).contains(&pipe.tx.srtt_us()));
+        assert!((11_000..14_000).contains(&pipe.tx.srtt));
     }
 }

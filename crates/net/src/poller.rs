@@ -318,7 +318,9 @@ fn out_service(link: &Arc<OutLink>, pool: &PoolInner) -> Sweep {
             Ok(stream) => {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_nonblocking(true);
-                let first_hello_at = (!io.ever_connected).then_some(now);
+                // (Stamped after the connect: the sample is the
+                // HELLO's round trip, not the dial's.)
+                let first_hello_at = (!io.ever_connected).then(|| now_us(link.epoch));
                 if io.ever_connected {
                     link.reconnects.fetch_add(1, Ordering::Relaxed);
                 }
@@ -400,10 +402,14 @@ fn out_service(link: &Arc<OutLink>, pool: &PoolInner) -> Sweep {
                         let mut s = lock(&link.sender);
                         (s.on_hello(h.expected, hello_rtt, now), s.deadline())
                     };
-                    // The tail *is* the whole unacked window, in
-                    // order; anything still queued is a duplicate.
-                    io.queue.clear();
-                    io.queue.extend(tail);
+                    if hello_rtt.is_none() {
+                        // A resync: the tail *is* the whole unacked
+                        // window, in order; anything queued since the
+                        // connection died is in it. (A first connection
+                        // has written nothing yet and keeps its queue.)
+                        io.queue.clear();
+                        io.queue.extend(tail);
+                    }
                     arm_rto(link, pool, arm);
                     progress = true;
                 }
