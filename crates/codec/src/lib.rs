@@ -40,7 +40,7 @@ use std::fmt;
 
 /// Current frame format version. Bump on any incompatible layout
 /// change; decoders reject other versions as [`CodecError::BadVersion`].
-pub const FRAME_VERSION: u16 = 2;
+pub const FRAME_VERSION: u16 = 3;
 
 /// The 4-byte frame magic.
 pub const FRAME_MAGIC: [u8; 4] = *b"BGLA";

@@ -552,9 +552,10 @@ impl<V: Value> Process<WtsMsg<V>> for ChaosMonkey<V> {
 
 /// GWTS-specific adversaries.
 pub mod gwts {
-    use crate::gwts::GwtsMsg;
+    use crate::gwts::{AckRecord, GwtsMsg};
     use crate::value::Value;
     use crate::valueset::{SetUpdate, ValueSet};
+    use bgla_rbcast::RbMsg;
     use bgla_simnet::{Context, Process, ProcessId};
     use std::any::Any;
     use std::marker::PhantomData;
@@ -644,6 +645,73 @@ pub mod gwts {
             }
         }
         fn on_message(&mut self, _f: ProcessId, _m: GwtsMsg<V>, _c: &mut Context<GwtsMsg<V>>) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// An acceptor that breaks its ack stream one way per request it
+    /// answers: it never sends tag 0 and opens with additions, sends a
+    /// sound full record, "adds" what that record held, and shows one tag
+    /// as a full record to half of its peers and as additions to the
+    /// rest, an undisclosed value in both. Correct processes read each of
+    /// its records alike or not at all: it wastes its own votes only.
+    pub struct AckStreamBreaker<V: Value> {
+        junk: ValueSet<V>,
+        /// Tag of the last record sent.
+        pub tag: u64,
+        last_full: ValueSet<V>,
+    }
+
+    impl<V: Value> AckStreamBreaker<V> {
+        /// A breaker whose unsafe records carry `junk`, a value no process
+        /// discloses.
+        pub fn new(junk: V) -> Self {
+            AckStreamBreaker {
+                junk: ValueSet::singleton(junk),
+                tag: 0,
+                last_full: ValueSet::new(),
+            }
+        }
+    }
+
+    impl<V: Value> Process<GwtsMsg<V>> for AckStreamBreaker<V> {
+        fn on_message(&mut self, from: ProcessId, msg: GwtsMsg<V>, ctx: &mut Context<GwtsMsg<V>>) {
+            let GwtsMsg::AckReq {
+                proposed: SetUpdate::Full(set) | SetUpdate::Delta { added: set, .. },
+                ts,
+                round,
+            } = msg
+            else {
+                return;
+            };
+            self.tag += 1;
+            // What the even peers and the odd ones are shown: (full?, set).
+            let (even, odd) = match self.tag % 4 {
+                1 => ((false, set.clone()), (false, set)),
+                2 => {
+                    self.last_full = set.clone();
+                    ((true, set.clone()), (true, set))
+                }
+                3 => (
+                    (false, self.last_full.clone()),
+                    (false, self.last_full.clone()),
+                ),
+                _ => ((true, set.join(&self.junk)), (false, self.junk.clone())),
+            };
+            for to in 0..ctx.n {
+                let (full, accepted) = if to % 2 == 0 { &even } else { &odd }.clone();
+                let value = AckRecord {
+                    round,
+                    ts,
+                    destination: from,
+                    full,
+                    accepted,
+                };
+                let tag = self.tag;
+                ctx.send(to, GwtsMsg::Ack(RbMsg::Init { tag, value }));
+            }
+        }
         fn as_any(&self) -> &dyn Any {
             self
         }

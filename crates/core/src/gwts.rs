@@ -23,6 +23,36 @@
 //! We therefore check safety against the union of all delivered
 //! disclosures, which is exactly the `∃r` form the paper's acceptor
 //! predicate `SAFEA` already has.
+//!
+//! # What an ack carries
+//!
+//! `Accepted_set` only grows, so ack `k` of an origin (`k` is its rbcast
+//! tag, a per-origin counter) carries `Accepted_set ∖ (set of ack k − 1)`
+//! and a marker saying so. The first ack, the first after a restore, and
+//! one whenever the additions sent since would amount to one, is *full*:
+//! the whole set. A receiver rebuilds ack `k` from its rebuilt ack `k − 1`;
+//! an early ack waits, a full one never does and the stream goes on from
+//! it. `SAFE`, `Safe_r`, `ack_history`, quorums and `has_committed` see
+//! rebuilt acks only, so the paper's arguments read as before:
+//!
+//! * Reliable broadcast agrees on one record per `(origin, tag)` and the
+//!   rebuilt set is a function of the origin's records alone (additions
+//!   that overlap the previous set void the ack for everyone), so correct
+//!   processes that rebuild an ack rebuild the same one; quorums are
+//!   counted over those: Lemmas 6/7 and Theorem 4 never see a delta.
+//! * Totality delivers every ack of a correct origin everywhere: its
+//!   stream has no gap and each ack is rebuilt, once.
+//! * A Byzantine origin can leave gaps, open with additions or overlap;
+//!   an ack that cannot be rebuilt counts as never sent — silence.
+//!
+//! The price is the wait for earlier acks. What waits is kept while a
+//! later ack may be rebuilt from it (`prune_old_rounds`): dropped with
+//! its round, as `pending_acks` are, it would cost a correct origin's
+//! *current* votes, and liveness, whenever one ack is slower than two
+//! rounds. A Byzantine origin can so park acks for good (never sending
+//! the one right below its next full ack), as acks for far-future rounds
+//! always could. A delivery a crash swept is a gap too: that origin's
+//! votes are lost *here* until its next full ack.
 
 use crate::config::SystemConfig;
 use crate::value::Value;
@@ -34,7 +64,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Frame kind of a [`GwtsProcess`] crash-recovery snapshot.
-pub const GWTS_SNAPSHOT_KIND: u16 = 0x0106;
+pub const GWTS_SNAPSHOT_KIND: u16 = 0x0107;
 
 /// A reliably-broadcast acceptance record (the paper's
 /// `<ack, Accepted_set, destination, sender, ts, round>`; the sender is
@@ -49,12 +79,16 @@ pub struct AckRecord<V: Value> {
     pub ts: u64,
     /// The proposer whose request triggered this acceptance.
     pub destination: ProcessId,
+    /// Whether `accepted` is the whole set, or (on the wire only) what the
+    /// origin's previous record lacked — see the module doc.
+    pub full: bool,
     /// The set the acceptor accepted.
     pub accepted: ValueSet<V>,
 }
 
 impl<V: Value> Wire for AckRecord<V> {
     fn encode(&self, w: &mut Writer) {
+        self.full.encode(w);
         self.accepted.encode(w);
         w.usize(self.destination);
         w.u64(self.ts);
@@ -62,6 +96,7 @@ impl<V: Value> Wire for AckRecord<V> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(AckRecord {
+            full: Wire::decode(r)?,
             accepted: Wire::decode(r)?,
             destination: r.usize()?,
             ts: r.u64()?,
@@ -135,7 +170,7 @@ impl<V: Value> WireMessage for GwtsMsg<V> {
                 let p = match m {
                     RbMsg::Init { value, .. }
                     | RbMsg::Echo { value, .. }
-                    | RbMsg::Ready { value, .. } => 24 + value.accepted.wire_size(),
+                    | RbMsg::Ready { value, .. } => 25 + value.accepted.wire_size(),
                 };
                 rb_overhead(m) + p
             }
@@ -246,6 +281,20 @@ pub struct GwtsProcess<V: Value> {
     rb_disc: RbcastEngine<ValueSet<V>>,
     rb_ack: RbcastEngine<AckRecord<V>>,
     next_ack_tag: u64,
+    /// Acceptor: the set of this process's previous ack; the next one
+    /// carries `accepted_set ∖ last_acked`.
+    last_acked: ValueSet<V>,
+    /// Acceptor: bytes of additions acked since the last full record.
+    ack_delta_bytes: usize,
+    /// Per origin, the set of its newest rebuilt ack, and the tag of the
+    /// ack to rebuild from it (not delivered yet).
+    ack_heads: BTreeMap<ProcessId, (u64, ValueSet<V>)>,
+    /// Sets of rebuilt acks that a full record of their origin overtook,
+    /// by the `(origin, tag)` still to be rebuilt from them.
+    ack_bases: BTreeMap<(ProcessId, u64), ValueSet<V>>,
+    /// Delivered acks that carry additions, by `(origin, tag)`, whose
+    /// origin's previous ack is not rebuilt yet.
+    ack_waiting: BTreeMap<(ProcessId, u64), AckRecord<V>>,
     /// Per-round pending input batches.
     batches: BTreeMap<u64, Vec<V>>,
     /// Union of all delivered disclosures (cumulative SvS).
@@ -311,6 +360,11 @@ impl<V: Value> GwtsProcess<V> {
             rb_disc: RbcastEngine::new(config.n, config.f),
             rb_ack: RbcastEngine::new(config.n, config.f),
             next_ack_tag: 0,
+            last_acked: ValueSet::new(),
+            ack_delta_bytes: 0,
+            ack_heads: BTreeMap::new(),
+            ack_bases: BTreeMap::new(),
+            ack_waiting: BTreeMap::new(),
             batches: BTreeMap::new(),
             svs_all: ValueSet::new(),
             counters: BTreeMap::new(),
@@ -437,6 +491,27 @@ impl<V: Value> GwtsProcess<V> {
         }
     }
 
+    /// The ack of `accepted_set` to the request `(to, ts, round)`: what
+    /// the set gained since the previous ack, or the whole set once the
+    /// additions acked since the last full record would amount to one —
+    /// so full records at most double the stream, and a peer that missed
+    /// an ack is at most one set's worth of bytes from the next full one.
+    /// The first ack is full by the same rule: all of its set is new.
+    fn next_ack(&mut self, to: ProcessId, ts: u64, round: u64) -> AckRecord<V> {
+        let added = self.accepted_set.difference(&self.last_acked);
+        let sent = self.ack_delta_bytes.saturating_add(added.wire_size());
+        let full = sent >= self.accepted_set.wire_size();
+        self.ack_delta_bytes = if full { 0 } else { sent };
+        self.last_acked = self.accepted_set.clone();
+        AckRecord {
+            round,
+            ts,
+            destination: to,
+            full,
+            accepted: if full { self.last_acked.clone() } else { added },
+        }
+    }
+
     /// Advances `Safe_r` while some round-`Safe_r` proposal shows a
     /// public quorum of identical ack records.
     fn advance_safe_r(&mut self) {
@@ -499,15 +574,18 @@ impl<V: Value> GwtsProcess<V> {
                 if !self.safe(&full) {
                     return false;
                 }
+                let acked = self.accepted_set.is_subset(&full);
+                // A proposal equal to what is accepted takes that handle,
+                // so acks of equal proposals are rebuilt to one shared set.
+                let full = if acked && full.len() == self.accepted_set.len() {
+                    self.accepted_set.clone()
+                } else {
+                    full
+                };
                 self.delta_rx.record(from, *ts, &full);
-                if self.accepted_set.is_subset(&full) {
+                if acked {
                     self.accepted_set = full;
-                    let rec = AckRecord {
-                        accepted: self.accepted_set.clone(),
-                        destination: from,
-                        ts: *ts,
-                        round: *round,
-                    };
+                    let rec = self.next_ack(from, *ts, *round);
                     let tag = self.next_ack_tag;
                     self.next_ack_tag += 1;
                     for m in self.rb_ack.broadcast(tag, rec) {
@@ -559,10 +637,88 @@ impl<V: Value> GwtsProcess<V> {
         }
     }
 
-    /// Absorbs a reliably-delivered ack record if safe and trusted;
-    /// `true` if consumed.
-    fn try_absorb_ack(&mut self, origin: ProcessId, rec: &AckRecord<V>) -> bool {
-        if rec.round > self.safe_r || !self.safe(&rec.accepted) {
+    /// Takes a reliably-delivered ack through its origin's stream:
+    /// rebuilds it from the origin's previous ack unless it is full (or
+    /// leaves it waiting for that ack), absorbs it or parks it on the usual
+    /// guards, and goes on with the origin's acks that waited for this one.
+    fn on_ack_delivered(&mut self, origin: ProcessId, mut tag: u64, mut rec: AckRecord<V>) {
+        let head = self.ack_heads.get(&origin).filter(|head| head.0 == tag);
+        let at_head = head.is_some();
+        let mut base = match head {
+            Some(head) => Some(head.1.clone()),
+            None => self.ack_bases.remove(&(origin, tag)),
+        };
+        loop {
+            let mut safe = false;
+            if !rec.full {
+                let Some(prev) = base else {
+                    self.ack_waiting.insert((origin, tag), rec);
+                    return;
+                };
+                let Some((set, held)) = self.rebuild_ack(&prev, &rec) else {
+                    if at_head {
+                        self.ack_heads.remove(&origin);
+                    }
+                    return; // no record: what follows waits for a full one
+                };
+                (rec.accepted, rec.full, safe) = (set, true, held);
+            }
+            if !self.try_absorb_ack(origin, &rec, safe) {
+                self.pending_acks.push((origin, rec.clone()));
+            }
+            let Some(next) = tag.checked_add(1) else {
+                return;
+            };
+            let Some(waiting) = self.ack_waiting.remove(&(origin, next)) else {
+                return self.keep_ack_base(origin, next, rec.accepted, at_head);
+            };
+            base = Some(rec.accepted);
+            (tag, rec) = (next, waiting);
+        }
+    }
+
+    /// The set of an ack that adds to `prev`, and whether it is known to
+    /// be SAFE; `None` if the additions overlap `prev` (one rule for all
+    /// keeps rebuilt acks identical everywhere). A process that consumed
+    /// the request the ack answers holds the set it must rebuild to:
+    /// confirming that allocates nothing, shares one handle among the acks
+    /// of a proposal, and the handle was SAFE when consumed.
+    fn rebuild_ack(&self, prev: &ValueSet<V>, rec: &AckRecord<V>) -> Option<(ValueSet<V>, bool)> {
+        let added = &rec.accepted;
+        if let Some(held) = self.delta_rx.base(rec.destination, rec.ts) {
+            if held.is_disjoint_union(prev, added) {
+                return Some((held.clone(), true));
+            }
+        }
+        let set = prev.join(added);
+        (set.len() == prev.len() + added.len()).then_some((set, false))
+    }
+
+    /// Keeps `set`, just rebuilt, for its origin's ack `next`. The newest
+    /// such set is the origin's head; the head it replaces stays a base
+    /// unless this chain started from it. Below the head, `set` is only
+    /// kept while `next` is to come (a full `next` went ahead without it).
+    fn keep_ack_base(&mut self, origin: ProcessId, next: u64, set: ValueSet<V>, from_head: bool) {
+        match self.ack_heads.get_mut(&origin) {
+            Some(head) if next <= head.0 => {
+                if next < head.0 && !self.rb_ack.has_delivered(origin, next) {
+                    self.ack_bases.insert((origin, next), set);
+                }
+            }
+            Some(head) if !from_head => {
+                let (tag, overtaken) = std::mem::replace(head, (next, set));
+                self.ack_bases.insert((origin, tag), overtaken);
+            }
+            _ => {
+                self.ack_heads.insert(origin, (next, set));
+            }
+        }
+    }
+
+    /// Absorbs a rebuilt ack record if safe (`safe`: known to be) and
+    /// trusted; `true` if consumed.
+    fn try_absorb_ack(&mut self, origin: ProcessId, rec: &AckRecord<V>, safe: bool) -> bool {
+        if rec.round > self.safe_r || !(safe || self.safe(&rec.accepted)) {
             return false;
         }
         if rec.destination == self.me {
@@ -591,11 +747,35 @@ impl<V: Value> GwtsProcess<V> {
         self.committed_rounds = self.committed_rounds.split_off(&keep_from);
         self.counters = self.counters.split_off(&keep_from);
         self.pending_acks.retain(|(_, rec)| rec.round >= keep_from);
+        // A waiting ack rebuilds its successor whatever its own round: it
+        // goes once it is old *and* the successor no longer waits for it —
+        // was full, or went the same way just before.
+        let mut gone = None;
+        let mut dead = Vec::new();
+        for (&(origin, tag), rec) in self.ack_waiting.iter().rev() {
+            let next = (origin, tag.wrapping_add(1));
+            let settled = gone == Some(next)
+                || !self.ack_waiting.contains_key(&next)
+                    && self.rb_ack.has_delivered(origin, next.1);
+            if rec.round < keep_from && settled {
+                gone = Some((origin, tag));
+                dead.push((origin, tag));
+            }
+        }
+        for at in dead {
+            self.ack_waiting.remove(&at);
+        }
     }
 
     /// Retained ack-history size (diagnostics: pruning keeps it bounded).
     pub fn ack_history_len(&self) -> usize {
         self.ack_history.values().map(BTreeMap::len).sum()
+    }
+
+    /// Acks waiting for earlier ones of their origin (diagnostics: an old
+    /// one goes as soon as nothing can be rebuilt from it any more).
+    pub fn ack_waiting_len(&self) -> usize {
+        self.ack_waiting.len()
     }
 
     /// Retries the parked messages until none is admissible. Call after a
@@ -613,7 +793,7 @@ impl<V: Value> GwtsProcess<V> {
                 }
             }
             for (origin, rec) in std::mem::take(&mut self.pending_acks) {
-                if self.try_absorb_ack(origin, &rec) {
+                if self.try_absorb_ack(origin, &rec, false) {
                     progressed = true;
                 } else {
                     self.pending_acks.push((origin, rec));
@@ -634,9 +814,11 @@ impl<V: Value> GwtsProcess<V> {
 
 /// The durable half of a [`GwtsProcess`]: everything both roles need to
 /// stay safe across a restart — both rbcast engines (no re-echo, no
-/// re-delivery), the public ack history, the Local Stability floor
-/// `decided_set`, and the full decision sequence. Volatile and absent:
-/// the delta watermarks (fresh trackers ride the gap→`Full` fallback).
+/// re-delivery), the public ack history, both ends of the ack streams
+/// (what the engine delivered must stay rebuilt), the Local Stability
+/// floor `decided_set`, and the full decision sequence. Volatile and
+/// absent: the request delta watermarks (fresh trackers ride the
+/// gap→`Full` fallback).
 impl<V: Value> Wire for GwtsProcess<V> {
     fn encode(&self, w: &mut Writer) {
         self.config.encode(w);
@@ -649,6 +831,11 @@ impl<V: Value> Wire for GwtsProcess<V> {
         self.rb_disc.encode(w);
         self.rb_ack.encode(w);
         w.u64(self.next_ack_tag);
+        self.last_acked.encode(w);
+        w.usize(self.ack_delta_bytes);
+        self.ack_heads.encode(w);
+        self.ack_bases.encode(w);
+        self.ack_waiting.encode(w);
         self.batches.encode(w);
         self.svs_all.encode(w);
         self.counters.encode(w);
@@ -677,6 +864,11 @@ impl<V: Value> Wire for GwtsProcess<V> {
             rb_disc: Wire::decode(r)?,
             rb_ack: Wire::decode(r)?,
             next_ack_tag: r.u64()?,
+            last_acked: Wire::decode(r)?,
+            ack_delta_bytes: r.usize()?,
+            ack_heads: Wire::decode(r)?,
+            ack_bases: Wire::decode(r)?,
+            ack_waiting: Wire::decode(r)?,
             batches: Wire::decode(r)?,
             svs_all: Wire::decode(r)?,
             counters: Wire::decode(r)?,
@@ -729,6 +921,9 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
             // traffic arrives; see `crate::recovery` for why that is
             // absorbed within the crash budget.
             self.recovered = false;
+            // Peers may have seen acks this snapshot predates: the next
+            // one is a full record, whatever was acked last.
+            self.last_acked = ValueSet::new();
             if self.state == GwtsState::Proposing {
                 self.send_ack_req(ctx);
             }
@@ -769,9 +964,7 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
                     return;
                 }
                 for d in dels {
-                    if !self.try_absorb_ack(d.origin, &d.value) {
-                        self.pending_acks.push((d.origin, d.value));
-                    }
+                    self.on_ack_delivered(d.origin, d.tag, d.value);
                 }
                 self.advance_safe_r();
                 self.check_decision(ctx);
@@ -940,6 +1133,7 @@ mod tests {
             round: 0,
             ts: 1,
             destination: 1,
+            full: true,
             accepted: ValueSet::new(),
         };
         let (origin, tag) = (2, 0);
@@ -982,6 +1176,7 @@ mod tests {
             round: 1,
             ts: 1,
             destination: 1,
+            full: true,
             accepted: ValueSet::new(),
         };
         let ack = GwtsMsg::Ack(RbMsg::Init { tag: 0, value });
@@ -1081,5 +1276,339 @@ mod pruning_tests {
         crate::spec::check_local_stability(&seqs).unwrap();
         crate::spec::check_global_comparability(&seqs).unwrap();
         crate::spec::check_generalized_inclusivity(&inputs, &seqs).unwrap();
+    }
+}
+
+#[cfg(test)]
+mod ack_stream_tests {
+    use super::*;
+    use bgla_simnet::{FifoScheduler, SimulationBuilder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const ORIGIN: ProcessId = 1;
+    /// Beyond `safe_r` of a fresh process: rebuilt records park in
+    /// `pending_acks`, a `Vec`, where a record rebuilt twice would show.
+    const ROUND: u64 = 9;
+
+    fn process(me: ProcessId) -> GwtsProcess<u64> {
+        GwtsProcess::new(me, SystemConfig::new(4, 1), BTreeMap::new(), 12)
+    }
+
+    fn vs(v: &[u64]) -> ValueSet<u64> {
+        v.iter().copied().collect()
+    }
+
+    fn record(full: bool, ts: u64, accepted: &[u64]) -> AckRecord<u64> {
+        AckRecord {
+            round: ROUND,
+            ts,
+            destination: 2,
+            full,
+            accepted: vs(accepted),
+        }
+    }
+
+    /// Reliably delivers `rec` as `(ORIGIN, tag)` at `rx`: readies from
+    /// `2f + 1` processes.
+    fn deliver(rx: &mut GwtsProcess<u64>, tag: u64, rec: &AckRecord<u64>) {
+        let mut ctx = Context::for_embedding(rx.me, 4, 0, 0);
+        for from in 1..=3 {
+            let (origin, value) = (ORIGIN, rec.clone());
+            rx.on_message(
+                from,
+                GwtsMsg::Ack(RbMsg::Ready { origin, tag, value }),
+                &mut ctx,
+            );
+        }
+    }
+
+    /// What `rx` rebuilt, sorted by timestamp (the tests give every record
+    /// of a stream its own).
+    fn rebuilt(rx: &GwtsProcess<u64>) -> Vec<AckRecord<u64>> {
+        let mut got: Vec<_> = rx.pending_acks.iter().map(|(_, rec)| rec.clone()).collect();
+        got.sort();
+        got
+    }
+
+    /// `len` acks of an acceptor whose set gains 0–3 values between them:
+    /// each record as sent, and the full record it stands for.
+    fn stream(rng: &mut StdRng, len: u64) -> Vec<(AckRecord<u64>, AckRecord<u64>)> {
+        let mut origin = process(ORIGIN);
+        (0..len)
+            .map(|ts| {
+                for _ in 0..rng.gen_range(0..4u64) {
+                    origin.accepted_set.insert(rng.gen_range(0..10_000u64));
+                }
+                let sent = origin.next_ack(2, ts, ROUND);
+                let mut meant = sent.clone();
+                (meant.full, meant.accepted) = (true, origin.accepted_set.clone());
+                (sent, meant)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ack_stream_reassembles_every_permutation() {
+        let seeds = if cfg!(debug_assertions) { 48 } else { 512 };
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let records = stream(&mut rng, 48);
+            let fulls: Vec<usize> = (1..records.len()).filter(|&k| records[k].0.full).collect();
+            assert!(
+                !fulls.is_empty() && fulls.len() < records.len() / 2,
+                "seed {seed}: full records {fulls:?} are not amortised"
+            );
+            let mut order: Vec<usize> = (0..records.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+            // One full record is delivered right before its predecessor.
+            let k = fulls[rng.gen_range(0..fulls.len())];
+            order.retain(|&x| x != k);
+            let at = order.iter().position(|&x| x == k - 1).unwrap();
+            order.insert(at, k);
+
+            let mut rx = process(0);
+            for &k in &order {
+                deliver(&mut rx, k as u64, &records[k].0);
+            }
+            let want: Vec<_> = records.iter().map(|(_, meant)| meant.clone()).collect();
+            assert_eq!(rebuilt(&rx), want, "seed {seed}, order {order:?}");
+            let parked = rx.ack_waiting.len() + rx.ack_bases.len();
+            assert_eq!(parked, 0, "seed {seed}: left parked");
+        }
+    }
+
+    #[test]
+    fn ack_stream_resumes_at_a_full_record_whatever_is_missing() {
+        let mut rx = process(0);
+        deliver(&mut rx, 0, &record(true, 0, &[1]));
+        // Record 1 never arrives: 2 and 3 wait for it.
+        deliver(&mut rx, 2, &record(false, 2, &[3]));
+        deliver(&mut rx, 3, &record(false, 3, &[4]));
+        assert_eq!((rebuilt(&rx).len(), rx.ack_waiting.len()), (1, 2));
+        // A full record does not wait, and the stream goes on from it.
+        deliver(&mut rx, 4, &record(true, 4, &[1, 2, 3, 4, 5]));
+        deliver(&mut rx, 5, &record(false, 5, &[6]));
+        let want = [
+            record(true, 0, &[1]),
+            record(true, 4, &[1, 2, 3, 4, 5]),
+            record(true, 5, &[1, 2, 3, 4, 5, 6]),
+        ];
+        assert_eq!(rebuilt(&rx), want);
+        // Once their round is old, 3 goes because 4 was full and 2 because
+        // 3 went. Record 1 can still be rebuilt if it comes.
+        (rx.round, rx.safe_r) = (ROUND + 1, ROUND + 2);
+        rx.prune_old_rounds();
+        assert_eq!((rx.ack_waiting.len(), rx.ack_bases.len()), (0, 1));
+        deliver(&mut rx, 1, &record(false, 1, &[2]));
+        assert_eq!(rebuilt(&rx), [record(true, 1, &[1, 2])]);
+        assert_eq!((rx.ack_waiting.len(), rx.ack_bases.len()), (0, 0));
+        deliver(&mut rx, 6, &record(false, 6, &[7]));
+        assert_eq!(rx.ack_heads[&ORIGIN], (7, vs(&[1, 2, 3, 4, 5, 6, 7])));
+    }
+
+    /// An old waiting ack stays for as long as a later one may be rebuilt
+    /// from it: dropping it with its round would cost the origin's votes
+    /// of the current round whenever one ack is slower than two rounds.
+    #[test]
+    fn ack_stream_keeps_what_a_newer_ack_is_rebuilt_from() {
+        let mut rx = process(0);
+        let in_round = |round, rec: AckRecord<u64>| AckRecord { round, ..rec };
+        deliver(&mut rx, 0, &in_round(1, record(true, 0, &[1])));
+        deliver(&mut rx, 2, &in_round(1, record(false, 2, &[3])));
+        deliver(&mut rx, 3, &in_round(5, record(false, 3, &[4])));
+        (rx.round, rx.safe_r) = (5, 6);
+        rx.prune_old_rounds();
+        assert_eq!(rx.ack_waiting.len(), 2);
+        deliver(&mut rx, 1, &in_round(1, record(false, 1, &[2])));
+        assert!(rebuilt(&rx).contains(&in_round(5, record(true, 3, &[1, 2, 3, 4]))));
+    }
+
+    /// Schedules that hold links back for rounds on end (found by a sweep
+    /// while acks still went with their round): every round is decided.
+    #[test]
+    fn ack_stream_survives_links_held_for_rounds() {
+        use bgla_simnet::{DelayScheduler, RandomScheduler, Scheduler, TargetedScheduler};
+        let held = |seed: u64| -> Box<dyn Scheduler> {
+            let links = vec![(0, 1), (1, 0), (2, 1)];
+            let inner = Box::new(RandomScheduler::new(seed));
+            Box::new(TargetedScheduler::new(links, inner).with_release_after(400 + seed % 7 * 300))
+        };
+        let mut schedulers: Vec<Box<dyn Scheduler>> =
+            vec![Box::new(DelayScheduler::new(221, 1000))];
+        schedulers.extend([560, 863, 1048, 1197, 1495, 1573, 1861].map(held));
+        for (k, scheduler) in schedulers.into_iter().enumerate() {
+            let (n, rounds) = (4usize, 10u64);
+            let config = SystemConfig::new(n, 1);
+            let mut b = SimulationBuilder::new().scheduler(scheduler);
+            for i in 0..n {
+                let schedule = (0..rounds - 2)
+                    .map(|r| (r, (0..4).map(|v| (i as u64) << 24 | r << 8 | v).collect()))
+                    .collect();
+                b = b.add(Box::new(GwtsProcess::new(i, config, schedule, rounds)));
+            }
+            let mut sim = b.build();
+            assert!(sim.run(u64::MAX / 2).quiescent);
+            for i in 0..n {
+                let p = sim.process_as::<GwtsProcess<u64>>(i).unwrap();
+                assert_eq!(p.decisions.len(), rounds as usize, "schedule {k}, p{i}");
+            }
+        }
+    }
+
+    #[test]
+    fn ack_stream_of_a_byzantine_origin_yields_one_reading_or_none() {
+        let mut rx = process(0);
+        // A stream that opens with additions has nothing to add to.
+        deliver(&mut rx, 0, &record(false, 0, &[1]));
+        assert!(rebuilt(&rx).is_empty());
+        deliver(&mut rx, 1, &record(true, 1, &[1, 2]));
+        // Additions that overlap the previous set are no record at all,
+        // and nothing is rebuilt from them.
+        deliver(&mut rx, 2, &record(false, 2, &[2, 3]));
+        deliver(&mut rx, 3, &record(false, 3, &[4]));
+        assert_eq!(rebuilt(&rx), [record(true, 1, &[1, 2])]);
+        assert!(!rx.ack_heads.contains_key(&ORIGIN));
+        // The tag arithmetic has no successor to look for at the top.
+        deliver(&mut rx, u64::MAX, &record(true, 4, &[9]));
+        assert_eq!(rebuilt(&rx).len(), 2);
+        assert_eq!(rx.ack_waiting.len(), 2);
+    }
+
+    /// The rebuilt set is the handle of the request the ack answers when
+    /// this process consumed that request too, and is then known SAFE.
+    #[test]
+    fn ack_stream_shares_the_consumed_proposal() {
+        let mut rx = process(0);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        rx.on_start(&mut ctx);
+        for (tag, batch) in [(ORIGIN, vs(&[1, 2])), (2, vs(&[3]))] {
+            for from in 1..=3 {
+                let (origin, value) = (tag, batch.clone());
+                rx.on_message(
+                    from,
+                    GwtsMsg::Disc(RbMsg::Ready {
+                        origin,
+                        tag: 0,
+                        value,
+                    }),
+                    &mut ctx,
+                );
+            }
+        }
+        let proposed = vs(&[1, 2, 3]);
+        let request = GwtsMsg::AckReq {
+            proposed: SetUpdate::Full(proposed.clone()),
+            ts: 1,
+            round: 0,
+        };
+        rx.on_message(2, request, &mut ctx);
+        let round = 0;
+        deliver(
+            &mut rx,
+            0,
+            &AckRecord {
+                round,
+                ..record(true, 0, &[1])
+            },
+        );
+        deliver(
+            &mut rx,
+            1,
+            &AckRecord {
+                round,
+                ..record(false, 1, &[2, 3])
+            },
+        );
+        let (_, head) = &rx.ack_heads[&ORIGIN];
+        assert_eq!(*head, proposed);
+        assert_eq!(
+            head.as_slice().as_ptr(),
+            proposed.as_slice().as_ptr(),
+            "rebuilt a copy of a set it held"
+        );
+        let rebuilt = AckRecord {
+            round,
+            ..record(true, 1, &[1, 2, 3])
+        };
+        assert!(rx.ack_history[&0].contains_key(&rebuilt));
+    }
+
+    /// A process restored from a snapshot older than its last ack issues
+    /// tags its peers have delivered: those acks are lost on them, and the
+    /// first fresh tag is read against the record the peers hold for the
+    /// tag before it. The misreading can only be a set nobody else acks.
+    #[test]
+    fn ack_stream_of_a_rolled_back_origin_wastes_only_its_own_votes() {
+        let mut origin = process(ORIGIN);
+        let stale = origin.snapshot_bytes();
+        let mut rx = process(0);
+        for (ts, set) in [(0, vs(&[1])), (1, vs(&[1, 2]))] {
+            origin.accepted_set = set;
+            let rec = origin.next_ack(2, ts, ROUND);
+            deliver(&mut rx, ts, &rec);
+        }
+        let before = rebuilt(&rx);
+        assert_eq!(before.len(), 2);
+
+        let mut origin = GwtsProcess::<u64>::from_snapshot(&stale).unwrap();
+        origin.on_start(&mut Context::for_embedding(ORIGIN, 4, 0, 0));
+        assert_eq!(origin.next_ack_tag, 0, "the snapshot predates both acks");
+        // This incarnation accepted 50..60 and never saw 1 or 2.
+        let accepted: Vec<u64> = (50..60).collect();
+        origin.accepted_set = vs(&accepted);
+        let reissued = [origin.next_ack(2, 10, ROUND), origin.next_ack(2, 11, ROUND)];
+        assert!(reissued[0].full, "first ack after a restore is full");
+        deliver(&mut rx, 0, &reissued[0]);
+        deliver(&mut rx, 1, &reissued[1]);
+        assert_eq!(rebuilt(&rx), before, "tags 0 and 1 were delivered before");
+        origin.accepted_set.insert(60);
+        deliver(&mut rx, 2, &origin.next_ack(2, 12, ROUND));
+        assert_eq!(rx.ack_heads[&ORIGIN].1, vs(&[1, 2, 60]));
+        // The origin's next full record ends the misreading.
+        origin.ack_delta_bytes = usize::MAX;
+        deliver(&mut rx, 3, &origin.next_ack(2, 13, ROUND));
+        assert_eq!(rx.ack_heads[&ORIGIN].1, origin.accepted_set);
+    }
+
+    /// Ack traffic follows what a round adds, not what the stream has
+    /// decided so far: late rounds cost what early rounds cost.
+    #[test]
+    fn ack_bytes_track_new_values_not_the_decided_set() {
+        let (n, rounds) = (4usize, 12u64);
+        let config = SystemConfig::new(n, 1);
+        let mut b = SimulationBuilder::new().scheduler(Box::new(FifoScheduler::new()));
+        for i in 0..n {
+            let schedule = (0..rounds)
+                .map(|r| (r, vec![(i as u64) * 1_000 + r]))
+                .collect();
+            b = b.add(Box::new(GwtsProcess::new(i, config, schedule, rounds)));
+        }
+        let mut sim = b.build();
+        sim.start();
+        // Echo bytes sent by the time every process has decided `r` rounds.
+        let mut by_round = vec![0u64];
+        while sim.step() {
+            let decided = (0..n)
+                .map(|i| {
+                    sim.process_as::<GwtsProcess<u64>>(i)
+                        .unwrap()
+                        .decisions
+                        .len()
+                })
+                .min()
+                .unwrap();
+            while by_round.len() <= decided {
+                by_round.push(sim.metrics().bytes_by_kind["ack_echo"]);
+            }
+        }
+        assert_eq!(by_round.len(), rounds as usize + 1);
+        let (early, late) = (by_round[5] - by_round[2], by_round[12] - by_round[9]);
+        assert!(
+            late <= 2 * early,
+            "rounds 2-4: {early} B, rounds 9-11: {late} B"
+        );
     }
 }

@@ -10,13 +10,14 @@
 //! ```
 //!
 //! The `kind` field names the algorithm that wrote it — WTS `0x0105`,
-//! GWTS `0x0106`, SbS `0x0103`, GSbS `0x0104` — so a snapshot can never
-//! be decoded as the wrong process type (`0x0101` and `0x0102` are
-//! retired, never to be reused: they name the WTS and GWTS payload
-//! layouts from before the rbcast engine kept slots, and such a
+//! GWTS `0x0107`, SbS `0x0103`, GSbS `0x0104` — so a snapshot can never
+//! be decoded as the wrong process type (`0x0101`, `0x0102` and `0x0106`
+//! are retired, never to be reused: they name the WTS and GWTS payload
+//! layouts from before the rbcast engine kept slots, and the GWTS layout
+//! from before acks were per-origin delta streams; such a
 //! snapshot must be rejected, not misread), and the trailing checksum makes
 //! truncation and bit-rot detectable before any field is parsed. The
-//! `version` field is [`bgla_codec::FRAME_VERSION`] (2); a snapshot
+//! `version` field is [`bgla_codec::FRAME_VERSION`] (3); a snapshot
 //! written under any other payload layout carries another version and
 //! is rejected as `BadVersion`, never mis-parsed. The
 //! payload serializes the *durable* protocol state in declaration order
@@ -50,6 +51,21 @@
 //!   Bracha echoes are not retransmitted): a process crashed there may
 //!   stall without deciding, which the `n − f` disclosure threshold
 //!   absorbs — liveness of the *survivors* never depends on the victim.
+//! * GWTS ack streams ([`crate::gwts`]) are durable on both sides, but a
+//!   snapshot can predate the victim's last acks. It then reuses
+//!   `next_ack_tag` values its peers have delivered, and reliable
+//!   broadcast delivers once per `(origin, tag)`: the re-issued acks,
+//!   the full one a restored process starts with among them, are lost
+//!   on those peers until the counter passes its old high-water mark
+//!   (true before acks were deltas, too). The first fresh ack is then
+//!   rebuilt from one the victim forgot, maybe into a set it never
+//!   accepted. That wastes the victim's votes until its next full ack
+//!   and nothing else: all peers rebuild the same set, a quorum needs
+//!   that set acked for the same `(destination, ts, round)` by
+//!   `⌊(n+f)/2⌋` others, correct acceptors ack only what the request
+//!   proposed, and a victim that forgot acks is inside the fault budget
+//!   already. Deliveries the crash swept leave gaps in the streams the
+//!   victim reads; each resumes at its origin's next full ack.
 //! * The conformance observers ([`crate::harness`]) watch the engine's
 //!   restart generation, emit an [`crate::linearize::OP_RESTART`] op at
 //!   each reboot, and re-announce the restored state. The trace checker

@@ -268,6 +268,37 @@ impl<V: Value> ValueSet<V> {
         ValueSet::from_sorted(out)
     }
 
+    /// Whether `self` is exactly `a ∪ b` with `a ∩ b = ∅`, allocating
+    /// nothing: this is how a set already held is confirmed to be the one
+    /// a delta describes, instead of building it. Walks the smaller part;
+    /// between two of its elements `self` must repeat a run of the larger
+    /// part, which is one slice comparison.
+    pub fn is_disjoint_union(&self, a: &ValueSet<V>, b: &ValueSet<V>) -> bool {
+        if a.len() + b.len() != self.len() {
+            return false;
+        }
+        let (few, many) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        if Arc::ptr_eq(&self.items, &many.items) {
+            return true; // the lengths say `few` is empty
+        }
+        let (mut rest, mut many) = (&self.items[..], &many.items[..]);
+        for x in few.iter() {
+            let Ok(at) = rest.binary_search(x) else {
+                return false;
+            };
+            let (Some((run, tail)), Some((same, later))) =
+                (rest.split_at_checked(at), many.split_at_checked(at))
+            else {
+                return false;
+            };
+            if run != same {
+                return false;
+            }
+            (rest, many) = (tail.get(1..).unwrap_or_default(), later);
+        }
+        rest == many
+    }
+
     /// Extends with the values of an iterator (sorts once).
     pub fn extend<I: IntoIterator<Item = V>>(&mut self, values: I) {
         let addition: ValueSet<V> = values.into_iter().collect();
@@ -561,11 +592,15 @@ impl<V: Value> DeltaReceiver<V> {
     pub fn resolve(&self, from: ProcessId, update: &SetUpdate<V>) -> Option<ValueSet<V>> {
         match update {
             SetUpdate::Full(set) => Some(set.clone()),
-            SetUpdate::Delta { base_ts, added } => self
-                .bases
-                .get(&(from, *base_ts))
-                .map(|base| base.join(added)),
+            SetUpdate::Delta { base_ts, added } => {
+                self.base(from, *base_ts).map(|base| base.join(added))
+            }
         }
+    }
+
+    /// The proposal of `from` consumed at `ts`, while it is retained.
+    pub fn base(&self, from: ProcessId, ts: u64) -> Option<&ValueSet<V>> {
+        self.bases.get(&(from, ts))
     }
 
     /// Records that the proposal `set` from `from` at `ts` was consumed
@@ -584,37 +619,6 @@ impl<V: Value> DeltaReceiver<V> {
                 self.bases.remove(&(from, *t));
             }
         }
-    }
-}
-
-/// Delta watermarks are encodable so they *can* travel (state transfer
-/// over a real transport) — but crash-recovery snapshots intentionally
-/// omit them: both sides' bookkeeping refers to what the *peer*
-/// demonstrably holds, and after an amnesiac restart those claims are
-/// stale. Recovery instead restarts delta tracking from scratch and
-/// rides the existing gap→`Full` fallback (see the module docs of
-/// [`crate::recovery`]).
-impl<V: Value> Wire for DeltaSender<V> {
-    fn encode(&self, w: &mut Writer) {
-        self.snapshots.encode(w);
-        self.last_replied.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(DeltaSender {
-            snapshots: Wire::decode(r)?,
-            last_replied: Wire::decode(r)?,
-        })
-    }
-}
-
-impl<V: Value> Wire for DeltaReceiver<V> {
-    fn encode(&self, w: &mut Writer) {
-        self.bases.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(DeltaReceiver {
-            bases: Wire::decode(r)?,
-        })
     }
 }
 
@@ -684,6 +688,24 @@ mod tests {
         assert!(!a.is_subset(&b));
         assert_eq!(a.difference(&b).as_slice(), &[1, 3]);
         assert_eq!(b.difference(&a).as_slice(), &[] as &[u64]);
+    }
+
+    /// Every split of 0..6 into `a`, `b` and neither, against every
+    /// subset as `self`: true exactly when `self = a ∪ b` and `a ∩ b = ∅`.
+    #[test]
+    fn disjoint_union_is_exact() {
+        let pick = |mask: u32| -> ValueSet<u64> { (0..6).filter(|i| mask >> i & 1 == 1).collect() };
+        for a in 0..64u32 {
+            for b in 0..64u32 {
+                for s in 0..64u32 {
+                    assert_eq!(
+                        pick(s).is_disjoint_union(&pick(a), &pick(b)),
+                        a & b == 0 && a | b == s,
+                        "{a:06b} {b:06b} {s:06b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@ use bgla_codec::{
     FRAME_OVERHEAD,
 };
 use bgla_core::gsbs::{GsbsMsg, GsbsProcess};
-use bgla_core::gwts::{GwtsMsg, GwtsProcess};
+use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
 use bgla_core::sbs::{SbsMsg, SbsProcess};
 use bgla_core::wts::{WtsMsg, WtsProcess};
 use bgla_core::{SetUpdate, SystemConfig, ValueSet};
+use bgla_rbcast::RbMsg;
 use bgla_simnet::{Context, Process, ProcessId, RandomScheduler, SimulationBuilder, WireMessage};
 use proptest::prelude::*;
 
@@ -248,6 +249,31 @@ proptest! {
                 bit,
             );
         }
+        // The same with an ack parked for reassembly: additions of an
+        // origin whose earlier records have not been delivered.
+        let p = sim.process_as::<GwtsProcess<u64>>(0).expect("plain process");
+        let mut p = GwtsProcess::<u64>::from_snapshot(&p.snapshot_bytes()).expect("restores");
+        let value = AckRecord {
+            round: 0,
+            ts: seed,
+            destination: 2,
+            full: false,
+            accepted: vs(&[seed]),
+        };
+        let mut ctx = Context::for_embedding(0, N, 0, 0);
+        for from in 1..N {
+            let (origin, tag, value) = (1, u64::MAX - 1, value.clone());
+            p.on_message(from, GwtsMsg::Ack(RbMsg::Ready { origin, tag, value }), &mut ctx);
+        }
+        prop_assert!(p.ack_waiting_len() > 0);
+        assert_snapshot_frame_sound(
+            p.snapshot_bytes(),
+            GwtsProcess::<u64>::from_snapshot,
+            |p| p.snapshot_bytes(),
+            cut,
+            pos,
+            bit,
+        );
     }
 
     /// SbS snapshots (signed sets, proofs, proven-delta state) are
@@ -384,6 +410,26 @@ proptest! {
             .collect();
         for m in pump_messages(&mut procs, rounds) {
             assert_payload_rejects_extension(&m, &suffix);
+        }
+        // Acks lie deeper than the pump goes. Both forms of a record
+        // reject extension, and the marker is one of two bytes.
+        for full in [true, false] {
+            let value = AckRecord {
+                round: rounds,
+                ts: 1,
+                destination: 2,
+                full,
+                accepted: vs(&[1, 2 + u64::from(extra)]),
+            };
+            let mut bytes = encode_payload(&value);
+            bytes[0] = 2 + extra % 254;
+            prop_assert_eq!(
+                decode_payload::<AckRecord<u64>>(&bytes).err(),
+                Some(CodecError::Invalid("bool tag"))
+            );
+            let (origin, tag) = (1, rounds);
+            let echo = GwtsMsg::Ack(RbMsg::Echo { origin, tag, value });
+            assert_payload_rejects_extension(&echo, &suffix);
         }
     }
 

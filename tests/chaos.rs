@@ -4,7 +4,7 @@
 //! replay, mutate and fabricate protocol traffic — across many schedules
 //! and check that every safety property survives.
 
-use bgla::core::adversary::gwts::{BatchEquivocator, RoundJumper, SilentG};
+use bgla::core::adversary::gwts::{AckStreamBreaker, BatchEquivocator, RoundJumper, SilentG};
 use bgla::core::adversary::ChaosMonkey;
 use bgla::core::gwts::GwtsProcess;
 use bgla::core::harness::{wts_report, wts_system_with_adversaries};
@@ -127,5 +127,55 @@ fn gwts_survives_silent_and_batch_equivocator() {
                 "seed {seed}: equivocated batches coexist"
             );
         }
+    }
+}
+
+/// A broken ack stream costs its origin's votes and nothing else: every
+/// round is decided, and what waits for the records the breaker never
+/// sends goes once it is old and the breaker's next full record has made
+/// it useless, instead of piling up.
+#[test]
+fn gwts_survives_ack_stream_breaker() {
+    for seed in 0..10u64 {
+        let (n, f, rounds) = (4usize, 1usize, 24u64);
+        let config = SystemConfig::new(n, f);
+        let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
+        for i in 0..3 {
+            let schedule = (0..rounds - 2)
+                .map(|r| (r, vec![(i as u64 + 1) * 100 + r]))
+                .collect();
+            b = b.add(Box::new(GwtsProcess::new(i, config, schedule, rounds)));
+        }
+        let mut sim = b.add(Box::new(AckStreamBreaker::new(666u64))).build();
+        sim.start();
+        let mut parked_max = 0;
+        while sim.step() {
+            for i in 0..3 {
+                let p = sim.process_as::<GwtsProcess<u64>>(i).unwrap();
+                parked_max = parked_max.max(p.ack_waiting_len());
+            }
+        }
+        let sent = sim.process_as::<AckStreamBreaker<u64>>(3).unwrap().tag as usize;
+        // Pruning keeps the current round, the one before it and what
+        // runs ahead of them: four rounds' worth at the very most, each
+        // waiting record being the last one below a full record.
+        let per_round = sent.div_ceil(rounds as usize);
+        assert!(
+            per_round >= 3 && (1..=4 * per_round).contains(&parked_max),
+            "seed {seed}: {parked_max} of the breaker's {sent} records parked at once"
+        );
+        let mut seqs = Vec::new();
+        let mut inputs = Vec::new();
+        for i in 0..3 {
+            let p = sim.process_as::<GwtsProcess<u64>>(i).unwrap();
+            assert_eq!(p.decisions.len(), rounds as usize, "seed {seed} p{i}");
+            assert!(p.decisions.iter().all(|d| !d.contains(&666)), "seed {seed}");
+            seqs.push(p.decisions.clone());
+            inputs.push(p.all_inputs.clone());
+        }
+        spec::check_local_stability(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        spec::check_global_comparability(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        spec::check_generalized_inclusivity(&inputs, &seqs)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }

@@ -205,6 +205,29 @@ fn gwts_conformance_honest_and_adversarial() {
         &CheckerConfig::with_byzantine(n, f, &[3]),
         2,
     );
+
+    // A broken ack stream: gaps, overlapping and unsafe additions, one tag
+    // shown two ways. It wastes the breaker's votes and nothing else.
+    sweep(
+        "gwts/ack-stream-breaker",
+        &mut gwts_with_stream_breaker,
+        &|| gwts_observer(honest.clone(), ident),
+        &CheckerConfig::with_byzantine(n, f, &[3]),
+        2,
+    );
+}
+
+/// Three correct GWTS processes and an [`adversary::gwts::AckStreamBreaker`].
+fn gwts_with_stream_breaker(
+    sched: Box<dyn Scheduler>,
+) -> bgla::simnet::Simulation<bgla::core::gwts::GwtsMsg<u64>> {
+    let config = SystemConfig::new(4, 1);
+    let mut b = SimulationBuilder::new().scheduler(sched);
+    for i in 0..3 {
+        b = b.add(Box::new(GwtsProcess::new(i, config, gwts_schedule(i), 3)));
+    }
+    b.add(Box::new(adversary::gwts::AckStreamBreaker::new(91_003u64)))
+        .build()
 }
 
 // ---------------------------------------------------------------------------
@@ -356,6 +379,19 @@ fn schedule_search_is_clean_on_wts_and_gwts() {
     assert_eq!(report.seeds_run, 4);
     if let Some(cex) = &report.counterexample {
         panic!("gwts schedule search found a violation:\n{cex}");
+    }
+
+    let honest: Vec<usize> = (0..n - 1).collect();
+    let report = search_schedules(
+        &mut gwts_with_stream_breaker,
+        &|| gwts_observer(honest.clone(), ident),
+        &CheckerConfig::with_byzantine(n, f, &[3]),
+        0..4,
+        BUDGET,
+    );
+    assert_eq!(report.seeds_run, 4);
+    if let Some(cex) = &report.counterexample {
+        panic!("gwts schedule search against a broken ack stream found a violation:\n{cex}");
     }
 }
 

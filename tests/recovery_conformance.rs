@@ -467,42 +467,46 @@ fn wts_rollback_is_absorbed_by_one_shot_durability() {
 }
 
 /// A frame that is sound in every respect except that its header says
-/// version 1: the version field rewritten and the checksum recomputed.
-fn as_version_1(mut frame: Vec<u8>) -> Vec<u8> {
-    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+/// `version`: the version field rewritten and the checksum recomputed.
+fn as_version(version: u16, mut frame: Vec<u8>) -> Vec<u8> {
+    frame[4..6].copy_from_slice(&version.to_le_bytes());
     let body = frame.len() - 8;
     let sum = bgla::codec::fnv1a64(&frame[..body]);
     frame[body..].copy_from_slice(&sum.to_le_bytes());
     frame
 }
 
-/// Snapshots and transport frames written under another layout are
-/// refused by their version, before any field is parsed.
+/// Snapshots and transport frames written under another layout — version
+/// 1, or version 2 from before GWTS acks were delta streams — are refused
+/// by their version, before any field is parsed.
 #[test]
 fn version_1_frames_are_rejected_as_bad_version() {
-    let bad = Some(CodecError::BadVersion(1));
     let config = SystemConfig::new(N, F);
+    for version in [1, 2] {
+        let bad = Some(CodecError::BadVersion(version));
+        let old = |frame| as_version(version, frame);
 
-    let wts = as_version_1(WtsProcess::new(0, config, 10u64).snapshot_bytes());
-    assert_eq!(verify_frame(&wts).err(), bad);
-    assert_eq!(WtsProcess::<u64>::from_snapshot(&wts).err(), bad);
-    let gwts = as_version_1(GwtsProcess::new(0, config, gen_schedule(0), 3).snapshot_bytes());
-    assert_eq!(GwtsProcess::<u64>::from_snapshot(&gwts).err(), bad);
-    let sbs = as_version_1(SbsProcess::new(0, config, 10u64).snapshot_bytes());
-    assert_eq!(SbsProcess::<u64>::from_snapshot(&sbs).err(), bad);
-    let gsbs = as_version_1(GsbsProcess::new(0, config, gen_schedule(0), 3).snapshot_bytes());
-    assert_eq!(GsbsProcess::<u64>::from_snapshot(&gsbs).err(), bad);
+        let wts = old(WtsProcess::new(0, config, 10u64).snapshot_bytes());
+        assert_eq!(verify_frame(&wts).err(), bad);
+        assert_eq!(WtsProcess::<u64>::from_snapshot(&wts).err(), bad);
+        let gwts = old(GwtsProcess::new(0, config, gen_schedule(0), 3).snapshot_bytes());
+        assert_eq!(GwtsProcess::<u64>::from_snapshot(&gwts).err(), bad);
+        let sbs = old(SbsProcess::new(0, config, 10u64).snapshot_bytes());
+        assert_eq!(SbsProcess::<u64>::from_snapshot(&sbs).err(), bad);
+        let gsbs = old(GsbsProcess::new(0, config, gen_schedule(0), 3).snapshot_bytes());
+        assert_eq!(GsbsProcess::<u64>::from_snapshot(&gsbs).err(), bad);
 
-    let data = bgla::codec::encode_frame(
-        FK_DATA,
-        &Data {
-            seq: 0,
-            depth: 1,
-            payload: vec![7],
-        },
-    );
-    assert!(demux_frame(&data).is_ok());
-    assert_eq!(demux_frame(&as_version_1(data)).err(), bad);
+        let data = bgla::codec::encode_frame(
+            FK_DATA,
+            &Data {
+                seq: 0,
+                depth: 1,
+                payload: vec![7],
+            },
+        );
+        assert!(demux_frame(&data).is_ok());
+        assert_eq!(demux_frame(&old(data)).err(), bad);
+    }
 }
 
 /// Unusable snapshots — bit rot that fails the frame checksum on every
@@ -516,7 +520,7 @@ fn corrupt_snapshots_force_genesis_rejoin_within_f() {
     // The v1 file is the only snapshot its store ever holds: that run
     // takes none of its own.
     let mut on_disk = DirStore::new(&dir).expect("snapshot dir");
-    let v1 = as_version_1(WtsProcess::new(VICTIM, config, 10u64).snapshot_bytes());
+    let v1 = as_version(1, WtsProcess::new(VICTIM, config, 10u64).snapshot_bytes());
     std::fs::write(on_disk.path(VICTIM), v1).expect("seed v1 snapshot");
     let mut bit_rot = CorruptingStore::new();
     let cases: [(&str, &mut dyn SnapshotStore, SnapshotPolicy); 2] = [
