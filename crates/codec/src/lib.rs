@@ -4,9 +4,34 @@
 //! persists or ships: durable process snapshots (crash recovery), the
 //! interned proof store, and — by design — the wire transport the
 //! ROADMAP networking item needs. It is deliberately tiny and
-//! dependency-free: a [`Writer`]/[`Reader`] pair over little-endian
-//! integers, a [`Wire`] trait with impls for the std building blocks,
-//! and a self-describing *frame* wrapper.
+//! dependency-free: a [`Writer`]/[`Reader`] pair with two integer forms
+//! (below), a [`Wire`] trait with impls for the std building blocks, and
+//! a self-describing *frame* wrapper.
+//!
+//! # Integers
+//!
+//! An integer that *counts* something — a collection length, a process
+//! id, a round, a timestamp, an rbcast tag, a sequence number — is a
+//! **varint** ([`Writer::var`], [`Reader::var`], [`var_len`]): unsigned
+//! LEB128, seven value bits per byte, least significant group first, the
+//! high bit set on every byte but the last. Such numbers stay small in
+//! every run, so they cost one or two bytes instead of eight.
+//! [`Writer::usize`]/[`Reader::usize`]/[`Reader::seq_len`] and `impl Wire
+//! for usize` are varints.
+//!
+//! What is *opaque* stays fixed-width little-endian: a proposed value
+//! (`impl Wire for u64` — a uniformly random 64-bit word would cost 9–10
+//! bytes as LEB128), voter-bitset words, signatures, keys, hashes, the
+//! frame checksum, and the 16-byte frame header that a stream reader
+//! pulls before it knows the length. The type cannot tell a counter from
+//! a word, so the choice is made where a field is written: messages and
+//! the scalar fields of snapshots say [`Writer::var`]; a generic container
+//! of `u64` (a snapshot's map keyed by round) takes the `u64` impl and
+//! stays fixed-width.
+//!
+//! A varint has exactly one accepted encoding, the shortest: a padded one
+//! (a trailing `0x00` group) is [`CodecError::Invalid`], as is one that
+//! does not fit 64 bits.
 //!
 //! # Frame format
 //!
@@ -17,30 +42,32 @@
 //! +-------+---------+--------+---------+-----------+----------+
 //! ```
 //!
-//! All integers are little-endian. `kind` is a caller-defined tag
-//! (snapshot type, message type) checked on decode so a WTS snapshot
-//! can never be misread as an SbS one. `checksum` is FNV-1a-64 over
-//! every preceding byte (magic through payload): it detects disk and
-//! wire *corruption* — truncation, bit flips, torn writes — not
-//! adversarial tampering, which the protocol layer handles with real
-//! signatures. Decoding rejects trailing bytes, non-canonical
-//! encodings (unsorted sets, non-minimal tags) and anything the target
-//! type's invariants refuse, so `decode(encode(x)) == x` and every
-//! accepted byte string has exactly one meaning.
+//! The header integers and the checksum are fixed-width little-endian.
+//! `kind` is a caller-defined tag (snapshot type, message type) checked
+//! on decode so a WTS snapshot can never be misread as an SbS one.
+//! `checksum` is FNV-1a-64 over every preceding byte (magic through
+//! payload): it detects disk and wire *corruption* — truncation, bit
+//! flips, torn writes — not adversarial tampering, which the protocol
+//! layer handles with real signatures. Decoding rejects trailing bytes,
+//! non-canonical encodings (unsorted sets, padded varints, non-minimal
+//! tags) and anything the target type's invariants refuse, so
+//! `decode(encode(x)) == x` and every accepted byte string has exactly
+//! one meaning.
 //!
 //! # Canonicality
 //!
 //! Ordered collections encode in their natural order and decoding
 //! enforces *strictly* ascending keys: an encoding with duplicated or
 //! shuffled elements is rejected as [`CodecError::Invalid`] rather
-//! than silently re-canonicalized. This keeps the encoding injective,
-//! which the content-addressed proof store relies on.
+//! than silently re-canonicalized, and a varint is accepted in its
+//! shortest form only. This keeps the encoding injective, which the
+//! content-addressed proof store relies on.
 
 use std::fmt;
 
 /// Current frame format version. Bump on any incompatible layout
 /// change; decoders reject other versions as [`CodecError::BadVersion`].
-pub const FRAME_VERSION: u16 = 3;
+pub const FRAME_VERSION: u16 = 4;
 
 /// The 4-byte frame magic.
 pub const FRAME_MAGIC: [u8; 4] = *b"BGLA";
@@ -110,7 +137,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Append-only little-endian byte sink.
+/// Bytes [`Writer::var`] spends on `v`: one per started group of seven
+/// significant bits, 1 (`v < 128`) to 10.
+pub const fn var_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
+/// Append-only byte sink.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -157,9 +191,19 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `usize` as a `u64`.
+    /// Appends a varint (see the module docs): the shortest LEB128
+    /// encoding of `v`.
+    pub fn var(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Appends a `usize` as a varint.
     pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.var(v as u64);
     }
 
     /// Appends raw bytes (no length prefix — callers add their own).
@@ -168,7 +212,7 @@ impl Writer {
     }
 }
 
-/// Bounds-checked little-endian byte source.
+/// Bounds-checked byte source.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -219,9 +263,31 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    /// Reads a `u64` and narrows it to `usize`.
+    /// Reads a varint, accepting only what [`Writer::var`] writes: a
+    /// padded encoding (last group zero) or one beyond 64 bits is
+    /// rejected, so every value has exactly one byte string.
+    pub fn var(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            // The tenth group holds bit 63 alone and ends the number.
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(CodecError::Invalid("varint not minimal"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(CodecError::Invalid("varint overflow"))
+    }
+
+    /// Reads a varint and narrows it to `usize`.
     pub fn usize(&mut self) -> Result<usize, CodecError> {
-        usize::try_from(self.u64()?).map_err(|_| CodecError::Invalid("usize overflow"))
+        usize::try_from(self.var()?).map_err(|_| CodecError::Invalid("usize overflow"))
     }
 
     /// Reads a collection length and sanity-checks it against the
@@ -505,7 +571,87 @@ impl<K: Wire + Ord + Clone, V: Wire> Wire for std::collections::BTreeMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
+
+    fn var_bytes(v: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.var(v);
+        w.into_bytes()
+    }
+
+    fn read_var(bytes: &[u8]) -> Result<u64, CodecError> {
+        let mut r = Reader::new(bytes);
+        let v = r.var()?;
+        r.expect_end()?;
+        Ok(v)
+    }
+
+    /// Both sides of every length boundary: `2^7k − 1` is the last value
+    /// of `k` bytes, `2^7k` the first of `k + 1`.
+    #[test]
+    fn varint_roundtrips_at_every_length_boundary() {
+        assert_eq!(var_bytes(0), [0]);
+        assert_eq!(var_bytes(127), [0x7f]);
+        assert_eq!(var_bytes(128), [0x80, 0x01]);
+        assert_eq!(var_bytes(300), [0xac, 0x02]);
+        for k in 1..=9usize {
+            for (v, len) in [((1u64 << (7 * k)) - 1, k), (1u64 << (7 * k), k + 1)] {
+                let bytes = var_bytes(v);
+                assert_eq!((bytes.len(), var_len(v)), (len, len), "{v}");
+                assert_eq!(read_var(&bytes), Ok(v));
+            }
+        }
+        let max = var_bytes(u64::MAX);
+        assert_eq!((max.len(), var_len(u64::MAX), max[9]), (10, 10, 1));
+        assert_eq!(read_var(&max), Ok(u64::MAX));
+    }
+
+    #[test]
+    fn varint_overflow_and_truncation_are_told_apart() {
+        let overflow = Err(CodecError::Invalid("varint overflow"));
+        // A tenth byte may only say "bit 63, and I am the last".
+        for tenth in [2, 0x7f, 0x80, 0x81, 0xff] {
+            let mut bytes = vec![0xff; 9];
+            bytes.extend([tenth, 0]);
+            assert_eq!(Reader::new(&bytes).var(), overflow, "tenth byte {tenth:#x}");
+        }
+        assert_eq!(Reader::new(&[0x80; 11]).var(), overflow);
+        for cut in 0..10 {
+            assert_eq!(read_var(&[0xff; 10][..cut]), Err(CodecError::Truncated));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `bits` spreads the cases over all ten encoded lengths.
+        #[test]
+        fn varint_roundtrips_and_var_len_is_the_encoded_length(raw: u64, bits: u8) {
+            let v = raw >> (bits % 64);
+            let bytes = var_bytes(v);
+            prop_assert_eq!(bytes.len(), var_len(v));
+            prop_assert_eq!(read_var(&bytes), Ok(v));
+            let as_len = var_bytes(v as usize as u64);
+            prop_assert_eq!(Reader::new(&as_len).usize(), Ok(v as usize));
+        }
+
+        /// Every way of writing `v` in more bytes than needed is refused:
+        /// zero groups up to the tenth byte are padding, beyond it overflow.
+        #[test]
+        fn every_padded_varint_is_refused(raw: u64, bits: u8) {
+            let v = raw >> (bits % 64);
+            let minimal = var_bytes(v);
+            for total in minimal.len() + 1..=12 {
+                let mut padded = minimal.clone();
+                padded.resize(total, 0x80);
+                padded[minimal.len() - 1] |= 0x80;
+                padded[total - 1] = 0;
+                let expected = if total <= 10 { "varint not minimal" } else { "varint overflow" };
+                prop_assert_eq!(read_var(&padded), Err(CodecError::Invalid(expected)));
+            }
+        }
+    }
 
     #[test]
     fn primitive_roundtrips() {
@@ -592,7 +738,7 @@ mod tests {
     #[test]
     fn absurd_length_is_truncation_not_allocation() {
         let mut w = Writer::new();
-        w.u64(u64::MAX);
+        w.var(u64::MAX);
         assert_eq!(
             decode_payload::<Vec<u64>>(&w.into_bytes()),
             Err(CodecError::Truncated)

@@ -50,7 +50,7 @@ use crate::provendelta::{
 use crate::signedset::{SignedItem, SignedSet};
 use crate::value::SignableValue;
 use crate::valueset::ValueSet;
-use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
+use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
     sha512, CachedVerifier, Keypair, Keyring, ProofCache, ProofId, ProofResolver, Signature,
     ToBytes, VerifierStats,
@@ -131,7 +131,7 @@ impl<V: SignableValue> SignedBatch<V> {
 
 impl<V: SignableValue> SignedItem for SignedBatch<V> {
     fn wire_size(&self) -> usize {
-        80 + self.batch.wire_size()
+        var_len(self.round) + self.batch.wire_size() + var_len(self.signer as u64) + 64
     }
 }
 
@@ -233,12 +233,16 @@ impl<V: SignableValue> ProofAck for GSafeAck<V> {
         out.extend_from_slice(&self.sig.to_bytes());
     }
     fn wire_size(&self) -> usize {
-        80 + self.rcvd.items_wire()
+        var_len(self.round)
+            + self.rcvd.wire_size()
+            + var_len(self.conflicts.len() as u64)
             + self
                 .conflicts
                 .iter()
                 .map(|(a, b)| SignedItem::wire_size(a) + SignedItem::wire_size(b))
                 .sum::<usize>()
+            + var_len(self.signer as u64)
+            + 64
     }
 }
 
@@ -313,6 +317,16 @@ pub struct SignedAck {
 }
 
 impl SignedAck {
+    /// Length of the [`Wire`] encoding: four counters, digest, signature.
+    fn wire_size(&self) -> usize {
+        var_len(self.destination as u64)
+            + var_len(self.ts)
+            + var_len(self.round)
+            + self.digest.0.len()
+            + var_len(self.signer as u64)
+            + 64
+    }
+
     fn signable_bytes(
         destination: ProcessId,
         ts: u64,
@@ -482,23 +496,12 @@ impl<V: SignableValue> WireMessage for GsbsMsg<V> {
         }
     }
     // Sizes follow the byte-accounting contract on
-    // [`bgla_simnet::WireMessage`]: 8 per scalar header field (`round`
-    // for `safe_req`; `ts` + `round` for the proposing-phase variants;
-    // destination/ts/round/signer plus digest and signature for `ack`),
-    // payload via the container's own accounting — proof-carrying
-    // payloads delegate to [`ProvenUpdate::metered`], which prices
-    // interned proofs and references.
+    // [`bgla_simnet::WireMessage`]: the variants without proofs are the
+    // length of their encoding; proof-carrying payloads delegate to
+    // [`ProvenUpdate::metered`], which prices interned proofs and
+    // references.
     fn wire_size(&self) -> usize {
-        match self {
-            GsbsMsg::Init(sb) => SignedItem::wire_size(sb),
-            GsbsMsg::SafeReq { set, .. } => 16 + set.items_wire(),
-            GsbsMsg::SafeAck(a) => ProofAck::wire_size(a),
-            GsbsMsg::AckReq { proposed, .. } => 16 + proposed.wire_size(),
-            GsbsMsg::Ack(_) => 8 + 8 + 8 + 64 + 8 + 64,
-            GsbsMsg::Nack { accepted, .. } => 16 + accepted.wire_size(),
-            GsbsMsg::Decided(c) => 16 + c.values.wire_size() + c.acks.len() * 160,
-            GsbsMsg::Resync { .. } => 16,
-        }
+        self.metered().0
     }
     fn proof_sizes(&self) -> ProofSizes {
         match self {
@@ -511,12 +514,32 @@ impl<V: SignableValue> WireMessage for GsbsMsg<V> {
     fn metered(&self) -> (usize, ProofSizes) {
         // One walk per send: the proof dedup yields both the proof
         // accounting and the interned/referenced wire size.
+        let plain = |bytes: usize| (1 + bytes, ProofSizes::default());
         match self {
-            GsbsMsg::AckReq { proposed: pl, .. } | GsbsMsg::Nack { accepted: pl, .. } => {
-                let (bytes, proofs) = pl.metered();
-                (16 + bytes, proofs)
+            GsbsMsg::AckReq {
+                proposed: pl,
+                ts,
+                round,
             }
-            _ => (self.wire_size(), ProofSizes::default()),
+            | GsbsMsg::Nack {
+                accepted: pl,
+                ts,
+                round,
+            } => {
+                let (bytes, proofs) = pl.metered();
+                (1 + bytes + var_len(*ts) + var_len(*round), proofs)
+            }
+            GsbsMsg::Init(sb) => plain(SignedItem::wire_size(sb)),
+            GsbsMsg::SafeReq { round, set } => plain(var_len(*round) + set.wire_size()),
+            GsbsMsg::SafeAck(a) => plain(ProofAck::wire_size(a)),
+            GsbsMsg::Ack(ack) => plain(ack.wire_size()),
+            GsbsMsg::Decided(c) => plain(
+                var_len(c.round)
+                    + c.values.wire_size()
+                    + var_len(c.acks.len() as u64)
+                    + c.acks.iter().map(SignedAck::wire_size).sum::<usize>(),
+            ),
+            GsbsMsg::Resync { ts, round } => plain(var_len(*ts) + var_len(*round)),
         }
     }
 }
@@ -857,11 +880,14 @@ impl<V: SignableValue> GsbsProcess<V> {
     /// on first contact or after a resync).
     fn broadcast_proposal(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
         self.delta_tx.record_broadcast(self.ts, &self.proposed_set);
-        for to in 0..self.config.n {
+        let updates = self
+            .delta_tx
+            .encode_broadcast(self.config.n, self.ts, &self.proposed_set);
+        for (to, proposed) in updates.into_iter().enumerate() {
             ctx.send(
                 to,
                 GsbsMsg::AckReq {
-                    proposed: self.delta_tx.encode_for(to, self.ts, &self.proposed_set),
+                    proposed,
                     ts: self.ts,
                     round: self.round,
                 },
@@ -1061,14 +1087,14 @@ impl Wire for Digest {
 /// site re-verifies through the [`CachedVerifier`] anyway.
 impl<V: SignableValue> Wire for SignedBatch<V> {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.round);
+        w.var(self.round);
         self.batch.encode(w);
         w.usize(self.signer);
         self.sig.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SignedBatch {
-            round: r.u64()?,
+            round: r.var()?,
             batch: Wire::decode(r)?,
             signer: r.usize()?,
             sig: Signature::decode(r)?,
@@ -1078,7 +1104,7 @@ impl<V: SignableValue> Wire for SignedBatch<V> {
 
 impl<V: SignableValue> Wire for GSafeAck<V> {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.round);
+        w.var(self.round);
         self.rcvd.encode(w);
         self.conflicts.encode(w);
         w.usize(self.signer);
@@ -1086,7 +1112,7 @@ impl<V: SignableValue> Wire for GSafeAck<V> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(GSafeAck {
-            round: r.u64()?,
+            round: r.var()?,
             rcvd: Wire::decode(r)?,
             conflicts: Wire::decode(r)?,
             signer: r.usize()?,
@@ -1111,8 +1137,8 @@ impl<V: SignableValue> Wire for ProvenBatch<V> {
 impl Wire for SignedAck {
     fn encode(&self, w: &mut Writer) {
         w.usize(self.destination);
-        w.u64(self.ts);
-        w.u64(self.round);
+        w.var(self.ts);
+        w.var(self.round);
         self.digest.encode(w);
         w.usize(self.signer);
         self.sig.encode(w);
@@ -1120,8 +1146,8 @@ impl Wire for SignedAck {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SignedAck {
             destination: r.usize()?,
-            ts: r.u64()?,
-            round: r.u64()?,
+            ts: r.var()?,
+            round: r.var()?,
             digest: Wire::decode(r)?,
             signer: r.usize()?,
             sig: Signature::decode(r)?,
@@ -1131,13 +1157,13 @@ impl Wire for SignedAck {
 
 impl<V: SignableValue> Wire for DecidedCert<V> {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.round);
+        w.var(self.round);
         self.values.encode(w);
         self.acks.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(DecidedCert {
-            round: r.u64()?,
+            round: r.var()?,
             values: Wire::decode(r)?,
             acks: Wire::decode(r)?,
         })
@@ -1153,7 +1179,7 @@ impl<V: SignableValue> Wire for GsbsMsg<V> {
             }
             GsbsMsg::SafeReq { round, set } => {
                 w.u8(1);
-                w.u64(*round);
+                w.var(*round);
                 set.encode(w);
             }
             GsbsMsg::SafeAck(ack) => {
@@ -1167,8 +1193,8 @@ impl<V: SignableValue> Wire for GsbsMsg<V> {
             } => {
                 w.u8(3);
                 proposed.encode(w);
-                w.u64(*ts);
-                w.u64(*round);
+                w.var(*ts);
+                w.var(*round);
             }
             GsbsMsg::Ack(ack) => {
                 w.u8(4);
@@ -1181,13 +1207,13 @@ impl<V: SignableValue> Wire for GsbsMsg<V> {
             } => {
                 w.u8(5);
                 accepted.encode(w);
-                w.u64(*ts);
-                w.u64(*round);
+                w.var(*ts);
+                w.var(*round);
             }
             GsbsMsg::Resync { ts, round } => {
                 w.u8(6);
-                w.u64(*ts);
-                w.u64(*round);
+                w.var(*ts);
+                w.var(*round);
             }
             GsbsMsg::Decided(cert) => {
                 w.u8(7);
@@ -1199,24 +1225,24 @@ impl<V: SignableValue> Wire for GsbsMsg<V> {
         match r.u8()? {
             0 => Ok(GsbsMsg::Init(Wire::decode(r)?)),
             1 => Ok(GsbsMsg::SafeReq {
-                round: r.u64()?,
+                round: r.var()?,
                 set: Wire::decode(r)?,
             }),
             2 => Ok(GsbsMsg::SafeAck(Wire::decode(r)?)),
             3 => Ok(GsbsMsg::AckReq {
                 proposed: Wire::decode(r)?,
-                ts: r.u64()?,
-                round: r.u64()?,
+                ts: r.var()?,
+                round: r.var()?,
             }),
             4 => Ok(GsbsMsg::Ack(Wire::decode(r)?)),
             5 => Ok(GsbsMsg::Nack {
                 accepted: Wire::decode(r)?,
-                ts: r.u64()?,
-                round: r.u64()?,
+                ts: r.var()?,
+                round: r.var()?,
             }),
             6 => Ok(GsbsMsg::Resync {
-                ts: r.u64()?,
-                round: r.u64()?,
+                ts: r.var()?,
+                round: r.var()?,
             }),
             7 => Ok(GsbsMsg::Decided(Wire::decode(r)?)),
             _ => Err(CodecError::Invalid("gsbs msg tag")),
@@ -1257,10 +1283,10 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
         self.config.encode(w);
         w.usize(self.me);
         self.input_schedule.encode(w);
-        w.u64(self.max_rounds);
+        w.var(self.max_rounds);
         self.state.encode(w);
-        w.u64(self.round);
-        w.u64(self.ts);
+        w.var(self.round);
+        w.var(self.ts);
         self.batches.encode(w);
         self.safety_sets.encode(w);
         self.safe_acks.encode(w);
@@ -1279,7 +1305,7 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
             .map(|(_, p)| p)
             .collect();
         retained.encode(w);
-        w.u64(self.safe_r);
+        w.var(self.safe_r);
         self.decided_certs.encode(w);
         self.forwarded.encode(w);
         self.waiting.encode(w);
@@ -1293,10 +1319,10 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
         let config = SystemConfig::decode(r)?;
         let me = r.usize()?;
         let input_schedule = Wire::decode(r)?;
-        let max_rounds = r.u64()?;
+        let max_rounds = r.var()?;
         let state = GsbsState::decode(r)?;
-        let round = r.u64()?;
-        let ts = r.u64()?;
+        let round = r.var()?;
+        let ts = r.var()?;
         let batches = Wire::decode(r)?;
         let safety_sets = Wire::decode(r)?;
         let safe_acks = Wire::decode(r)?;
@@ -1307,7 +1333,7 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
         let safe_candidates = Wire::decode(r)?;
         let accepted_set = Wire::decode(r)?;
         let retained: Vec<BatchProof<V>> = Wire::decode(r)?;
-        let safe_r = r.u64()?;
+        let safe_r = r.var()?;
         let decided_certs = Wire::decode(r)?;
         let forwarded = Wire::decode(r)?;
         let waiting = Wire::decode(r)?;

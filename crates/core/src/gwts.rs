@@ -57,7 +57,7 @@
 use crate::config::SystemConfig;
 use crate::value::Value;
 use crate::valueset::{DeltaReceiver, DeltaSender, SetUpdate, ValueSet};
-use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
+use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
 use bgla_rbcast::{RbMsg, RbcastEngine};
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
@@ -86,21 +86,31 @@ pub struct AckRecord<V: Value> {
     pub accepted: ValueSet<V>,
 }
 
+impl<V: Value> AckRecord<V> {
+    /// The length of the [`Wire`] encoding below.
+    pub fn wire_size(&self) -> usize {
+        1 + self.accepted.wire_size()
+            + var_len(self.destination as u64)
+            + var_len(self.ts)
+            + var_len(self.round)
+    }
+}
+
 impl<V: Value> Wire for AckRecord<V> {
     fn encode(&self, w: &mut Writer) {
         self.full.encode(w);
         self.accepted.encode(w);
         w.usize(self.destination);
-        w.u64(self.ts);
-        w.u64(self.round);
+        w.var(self.ts);
+        w.var(self.round);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(AckRecord {
             full: Wire::decode(r)?,
             accepted: Wire::decode(r)?,
             destination: r.usize()?,
-            ts: r.u64()?,
-            round: r.u64()?,
+            ts: r.var()?,
+            round: r.var()?,
         })
     }
 }
@@ -149,32 +159,21 @@ impl<V: Value> WireMessage for GwtsMsg<V> {
             GwtsMsg::Nack { .. } => "nack",
         }
     }
+    /// The length of the [`Wire`] encoding below, field for field.
     fn wire_size(&self) -> usize {
-        fn rb_overhead<T>(m: &RbMsg<T>) -> usize {
-            match m {
-                RbMsg::Init { .. } => 16,
-                _ => 24,
-            }
-        }
-        match self {
-            GwtsMsg::Disc(m) => {
-                let p = match m {
-                    RbMsg::Init { value, .. }
-                    | RbMsg::Echo { value, .. }
-                    | RbMsg::Ready { value, .. } => value.wire_size(),
-                };
-                rb_overhead(m) + p
-            }
-            GwtsMsg::AckReq { proposed, .. } => 24 + proposed.wire_size(),
-            GwtsMsg::Ack(m) => {
-                let p = match m {
-                    RbMsg::Init { value, .. }
-                    | RbMsg::Echo { value, .. }
-                    | RbMsg::Ready { value, .. } => 25 + value.accepted.wire_size(),
-                };
-                rb_overhead(m) + p
-            }
-            GwtsMsg::Nack { accepted, .. } => 24 + accepted.wire_size(),
+        1 + match self {
+            GwtsMsg::Disc(m) => m.header_len() + m.value().wire_size(),
+            GwtsMsg::AckReq {
+                proposed,
+                ts,
+                round,
+            } => proposed.wire_size() + var_len(*ts) + var_len(*round),
+            GwtsMsg::Ack(m) => m.header_len() + m.value().wire_size(),
+            GwtsMsg::Nack {
+                accepted,
+                ts,
+                round,
+            } => accepted.wire_size() + var_len(*ts) + var_len(*round),
         }
     }
 }
@@ -193,8 +192,8 @@ impl<V: Value> Wire for GwtsMsg<V> {
             } => {
                 w.u8(1);
                 proposed.encode(w);
-                w.u64(*ts);
-                w.u64(*round);
+                w.var(*ts);
+                w.var(*round);
             }
             GwtsMsg::Ack(m) => {
                 w.u8(2);
@@ -207,8 +206,8 @@ impl<V: Value> Wire for GwtsMsg<V> {
             } => {
                 w.u8(3);
                 accepted.encode(w);
-                w.u64(*ts);
-                w.u64(*round);
+                w.var(*ts);
+                w.var(*round);
             }
         }
     }
@@ -217,14 +216,14 @@ impl<V: Value> Wire for GwtsMsg<V> {
             0 => Ok(GwtsMsg::Disc(Wire::decode(r)?)),
             1 => Ok(GwtsMsg::AckReq {
                 proposed: Wire::decode(r)?,
-                ts: r.u64()?,
-                round: r.u64()?,
+                ts: r.var()?,
+                round: r.var()?,
             }),
             2 => Ok(GwtsMsg::Ack(Wire::decode(r)?)),
             3 => Ok(GwtsMsg::Nack {
                 accepted: Wire::decode(r)?,
-                ts: r.u64()?,
-                round: r.u64()?,
+                ts: r.var()?,
+                round: r.var()?,
             }),
             _ => Err(CodecError::Invalid("gwts msg tag")),
         }
@@ -479,11 +478,14 @@ impl<V: Value> GwtsProcess<V> {
 
     fn send_ack_req(&mut self, ctx: &mut Context<GwtsMsg<V>>) {
         self.delta_tx.record_broadcast(self.ts, &self.proposed_set);
-        for to in 0..self.config.n {
+        let updates = self
+            .delta_tx
+            .encode_broadcast(self.config.n, self.ts, &self.proposed_set);
+        for (to, proposed) in updates.into_iter().enumerate() {
             ctx.send(
                 to,
                 GwtsMsg::AckReq {
-                    proposed: self.delta_tx.encode_for(to, self.ts, &self.proposed_set),
+                    proposed,
                     ts: self.ts,
                     round: self.round,
                 },
@@ -497,6 +499,13 @@ impl<V: Value> GwtsProcess<V> {
     /// so full records at most double the stream, and a peer that missed
     /// an ack is at most one set's worth of bytes from the next full one.
     /// The first ack is full by the same rule: all of its set is new.
+    ///
+    /// The rule reads *wire* bytes, length prefixes included, on purpose:
+    /// an ack that adds nothing still costs its prefix, so a stream of
+    /// empty deltas keeps counting towards the next full record — the
+    /// resync bound [`crate::recovery`] gives a peer that lost one.
+    /// (Counting element bytes alone would never re-send a full record on
+    /// an idle stream.) Header sizes therefore steer which acks are full.
     fn next_ack(&mut self, to: ProcessId, ts: u64, round: u64) -> AckRecord<V> {
         let added = self.accepted_set.difference(&self.last_acked);
         let sent = self.ack_delta_bytes.saturating_add(added.wire_size());
@@ -824,13 +833,13 @@ impl<V: Value> Wire for GwtsProcess<V> {
         self.config.encode(w);
         w.usize(self.me);
         self.input_schedule.encode(w);
-        w.u64(self.max_rounds);
+        w.var(self.max_rounds);
         self.state.encode(w);
-        w.u64(self.round);
-        w.u64(self.ts);
+        w.var(self.round);
+        w.var(self.ts);
         self.rb_disc.encode(w);
         self.rb_ack.encode(w);
-        w.u64(self.next_ack_tag);
+        w.var(self.next_ack_tag);
         self.last_acked.encode(w);
         w.usize(self.ack_delta_bytes);
         self.ack_heads.encode(w);
@@ -841,7 +850,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
         self.counters.encode(w);
         self.proposed_set.encode(w);
         self.accepted_set.encode(w);
-        w.u64(self.safe_r);
+        w.var(self.safe_r);
         self.ack_history.encode(w);
         self.committed_rounds.encode(w);
         self.waiting.encode(w);
@@ -857,13 +866,13 @@ impl<V: Value> Wire for GwtsProcess<V> {
             config: Wire::decode(r)?,
             me: r.usize()?,
             input_schedule: Wire::decode(r)?,
-            max_rounds: r.u64()?,
+            max_rounds: r.var()?,
             state: Wire::decode(r)?,
-            round: r.u64()?,
-            ts: r.u64()?,
+            round: r.var()?,
+            ts: r.var()?,
             rb_disc: Wire::decode(r)?,
             rb_ack: Wire::decode(r)?,
-            next_ack_tag: r.u64()?,
+            next_ack_tag: r.var()?,
             last_acked: Wire::decode(r)?,
             ack_delta_bytes: r.usize()?,
             ack_heads: Wire::decode(r)?,
@@ -874,7 +883,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
             counters: Wire::decode(r)?,
             proposed_set: Wire::decode(r)?,
             accepted_set: Wire::decode(r)?,
-            safe_r: r.u64()?,
+            safe_r: r.var()?,
             ack_history: Wire::decode(r)?,
             committed_rounds: Wire::decode(r)?,
             waiting: Wire::decode(r)?,

@@ -25,7 +25,7 @@
 //! [`bgla_crypto::ProofCache`] memoizes full verification verdicts by
 //! id — see the caching contract in [`bgla_crypto::proofstore`].
 
-use bgla_codec::{CodecError, Reader, Wire, Writer};
+use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{ProofId, ProofIdBuilder};
 use bgla_simnet::ProofSizes;
 // bgla-lint: allow(determinism, "HashSet used membership-only for proof dedup; iteration order never observed")
@@ -59,7 +59,7 @@ impl<A: ProofAck> Proof<A> {
     pub fn new(acks: Vec<A>) -> Self {
         let mut builder = ProofIdBuilder::new();
         let mut buf = Vec::new();
-        let mut wire = 0;
+        let mut wire = var_len(acks.len() as u64);
         for ack in &acks {
             buf.clear();
             ack.digest_bytes(&mut buf);
@@ -98,7 +98,8 @@ impl<A: ProofAck> Proof<A> {
         &self.acks
     }
 
-    /// Cached modeled wire size of the whole ack vector (`O(1)`).
+    /// Cached modeled wire size of the whole ack vector, its length
+    /// prefix included (`O(1)`).
     pub fn wire_size(&self) -> usize {
         self.wire
     }
@@ -207,7 +208,7 @@ mod tests {
         assert_eq!(a.id(), b.id(), "ack order must not matter");
         assert_eq!(a, b);
         assert_ne!(a.id(), c.id());
-        assert_eq!(a.wire_size(), 24);
+        assert_eq!(a.wire_size(), 1 + 24);
     }
 
     #[test]

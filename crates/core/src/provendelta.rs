@@ -73,16 +73,17 @@
 //!
 //! ```text
 //! Full(set)                     : 1 (tag) + set bytes + Σ distinct-proof bytes
-//! Delta { base_ts, new, refs }  : 1 (tag) + 8 (base_ts) + new bytes
+//! Delta { base_ts, new, refs }  : 1 (tag) + var(base_ts) + new bytes
 //!                                 + Σ inline-distinct-proof bytes
 //!                                 + |refs| × PROOF_REF_BYTES
 //! ```
 
 use crate::proof::{Proof, ProofAck};
 use crate::signedset::{SignedItem, SignedSet};
+use crate::valueset::once_per_base;
 #[cfg(doc)]
 use crate::valueset::SetUpdate;
-use bgla_codec::{CodecError, Reader, Wire, Writer};
+use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{ProofId, ProofResolver};
 use bgla_simnet::{ProcessId, ProofSizes, PROOF_REF_BYTES};
 use std::collections::{BTreeMap, BTreeSet};
@@ -145,7 +146,7 @@ where
             }
             ProvenUpdate::Delta { base_ts, new, refs } => {
                 w.u8(1);
-                w.u64(*base_ts);
+                w.var(*base_ts);
                 new.encode(w);
                 refs.encode(w);
             }
@@ -156,7 +157,7 @@ where
         match r.u8()? {
             0 => Ok(ProvenUpdate::Full(SignedSet::decode(r)?)),
             1 => Ok(ProvenUpdate::Delta {
-                base_ts: r.u64()?,
+                base_ts: r.var()?,
                 new: SignedSet::decode(r)?,
                 refs: Vec::decode(r)?,
             }),
@@ -183,7 +184,7 @@ impl<T: ProvenRecord> ProvenUpdate<T> {
                 let proofs = crate::proof::account_proofs(set.iter().map(ProvenRecord::proof));
                 (1 + set.wire_size() + proofs.interned_bytes as usize, proofs)
             }
-            ProvenUpdate::Delta { new, refs, .. } => {
+            ProvenUpdate::Delta { base_ts, new, refs } => {
                 let ref_set: BTreeSet<ProofId> = refs.iter().copied().collect();
                 let mut proofs = ProofSizes::default();
                 let mut seen: BTreeSet<ProofId> = BTreeSet::new();
@@ -201,7 +202,7 @@ impl<T: ProvenRecord> ProvenUpdate<T> {
                 proofs.by_ref = refs.len() as u64;
                 proofs.ref_bytes = (refs.len() * PROOF_REF_BYTES) as u64;
                 (
-                    1 + 8
+                    1 + var_len(*base_ts)
                         + new.wire_size()
                         + proofs.interned_bytes as usize
                         + proofs.ref_bytes as usize,
@@ -375,13 +376,41 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
     /// and the full set on first contact or on a pruned or stale base
     /// (see [`BASE_WINDOW`]).
     pub fn encode_for(&self, to: ProcessId, ts: u64, current: &SignedSet<T>) -> ProvenUpdate<T> {
+        self.encode_with(to, ts, current, &mut Vec::new())
+    }
+
+    /// [`Self::encode_for`] for every peer `0..n` of one broadcast,
+    /// indexed by peer. Peers on the same base share one set of new
+    /// records (the difference is taken once per distinct base); the
+    /// references stay per peer.
+    pub fn encode_broadcast(
+        &self,
+        n: usize,
+        ts: u64,
+        current: &SignedSet<T>,
+    ) -> Vec<ProvenUpdate<T>> {
+        let mut new_since = Vec::new();
+        (0..n)
+            .map(|to| self.encode_with(to, ts, current, &mut new_since))
+            .collect()
+    }
+
+    /// `new_since` holds `current ∖ snapshot(base_ts)` for the bases this
+    /// broadcast has met so far.
+    fn encode_with(
+        &self,
+        to: ProcessId,
+        ts: u64,
+        current: &SignedSet<T>,
+        new_since: &mut Vec<(u64, SignedSet<T>)>,
+    ) -> ProvenUpdate<T> {
         let base = self
             .last_replied
             .get(&to)
             .and_then(|base_ts| self.snapshots.get(base_ts).map(|s| (*base_ts, s)));
         match base {
             Some((base_ts, base)) if ts.saturating_sub(base_ts) < BASE_WINDOW as u64 => {
-                let new = current.difference(base);
+                let new = once_per_base(new_since, base_ts, || current.difference(base));
                 let refs = self.refs_for(to, &new);
                 ProvenUpdate::Delta { base_ts, new, refs }
             }
@@ -729,6 +758,40 @@ mod tests {
         }
     }
 
+    /// Peers on one base share the new records of a broadcast; what each
+    /// holds by reference stays its own.
+    #[test]
+    fn broadcast_takes_one_difference_per_base() {
+        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
+        let s0 = set(&[rec(1, &[10])]);
+        tx.record_broadcast(1, &s0);
+        tx.record_reply(1, 1);
+        tx.record_reply(2, 1);
+        let s1 = s0.join(&set(&[rec(2, &[20]), rec(3, &[30])]));
+        tx.note_peer_holds(2, &set(&[rec(2, &[20])]));
+        tx.record_broadcast(2, &s1);
+        let all = tx.encode_broadcast(3, 2, &s1);
+        for (to, update) in all.iter().enumerate() {
+            let alone = tx.encode_for(to, 2, &s1);
+            assert_eq!(format!("{update:?}"), format!("{alone:?}"), "peer {to}");
+        }
+        assert!(matches!(all[0], ProvenUpdate::Full(_)));
+        match (&all[1], &all[2]) {
+            (
+                ProvenUpdate::Delta {
+                    new: a, refs: none, ..
+                },
+                ProvenUpdate::Delta {
+                    new: b, refs: one, ..
+                },
+            ) => {
+                assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+                assert_eq!((none.len(), one.len()), (0, 1));
+            }
+            other => panic!("expected two deltas, got {other:?}"),
+        }
+    }
+
     #[test]
     fn metered_counts_refs_not_proofs() {
         // 6 acks × 8 bytes: a proof bigger than PROOF_REF_BYTES, so the
@@ -747,7 +810,7 @@ mod tests {
         assert_eq!(fp.distinct, 1);
         assert_eq!(fp.refs, 2);
         assert_eq!(fp.by_ref, 0);
-        assert_eq!(full_bytes, 1 + (8 + 16) + shared.wire_size());
+        assert_eq!(full_bytes, 1 + (1 + 16) + shared.wire_size());
 
         let delta = ProvenUpdate::Delta {
             base_ts: 7,
@@ -759,7 +822,7 @@ mod tests {
         assert_eq!(dp.by_ref, 1);
         assert_eq!(dp.ref_bytes, PROOF_REF_BYTES as u64);
         assert_eq!(dp.flat_bytes, 2 * shared.wire_size() as u64);
-        assert_eq!(delta_bytes, 1 + 8 + (8 + 16) + PROOF_REF_BYTES);
+        assert_eq!(delta_bytes, 1 + 1 + (1 + 16) + PROOF_REF_BYTES);
         assert!(delta_bytes < full_bytes);
     }
 }

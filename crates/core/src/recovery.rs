@@ -17,9 +17,12 @@
 //! from before acks were per-origin delta streams; such a
 //! snapshot must be rejected, not misread), and the trailing checksum makes
 //! truncation and bit-rot detectable before any field is parsed. The
-//! `version` field is [`bgla_codec::FRAME_VERSION`] (3); a snapshot
+//! `version` field is [`bgla_codec::FRAME_VERSION`] (4); a snapshot
 //! written under any other payload layout carries another version and
-//! is rejected as `BadVersion`, never mis-parsed. The
+//! is rejected as `BadVersion`, never mis-parsed. Version 4 made every
+//! length, id, round, timestamp and tag a varint: it invalidates every
+//! snapshot stored before it, of all four kinds at once, which is why no
+//! kind had to be retired for it. The
 //! payload serializes the *durable* protocol state in declaration order
 //! (configuration, proposal/input schedule, phase, collected acks,
 //! retained proofs-of-safety, decisions). Volatile machinery —

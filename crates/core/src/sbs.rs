@@ -74,7 +74,7 @@ use crate::provendelta::{
 use crate::signedset::{SignedItem, SignedSet};
 use crate::value::SignableValue;
 use crate::valueset::ValueSet;
-use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
+use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
     CachedVerifier, Keypair, Keyring, ProofCache, ProofId, ProofResolver, Signature, ToBytes,
     VerifierStats,
@@ -131,7 +131,7 @@ impl<V: SignableValue> SignedValue<V> {
 
 impl<V: SignableValue> SignedItem for SignedValue<V> {
     fn wire_size(&self) -> usize {
-        self.value.wire_size() + 72
+        self.value.wire_size() + var_len(self.signer as u64) + 64
     }
 }
 
@@ -206,13 +206,15 @@ impl<V: SignableValue> ProofAck for SignedSafeAck<V> {
         out.extend_from_slice(&self.sig.to_bytes());
     }
     fn wire_size(&self) -> usize {
-        72 + self.body.rcvd.items_wire()
-            + self
-                .body
-                .conflicts
+        let conflicts = &self.body.conflicts;
+        self.body.rcvd.wire_size()
+            + var_len(conflicts.len() as u64)
+            + conflicts
                 .iter()
-                .map(|(a, b)| a.value.wire_size() + b.value.wire_size() + 144)
+                .map(|(a, b)| SignedItem::wire_size(a) + SignedItem::wire_size(b))
                 .sum::<usize>()
+            + var_len(self.signer as u64)
+            + 64
     }
 }
 
@@ -255,7 +257,7 @@ impl<V: SignableValue> SignedItem for ProvenValue<V> {
         // The value + signature only; the attached proof is accounted
         // separately (shared proofs transmit once per message, or as a
         // reference — see the WireMessage byte-accounting contract).
-        self.sv.value.wire_size() + 8 + 64
+        SignedItem::wire_size(&self.sv)
     }
 }
 
@@ -327,21 +329,12 @@ impl<V: SignableValue> WireMessage for SbsMsg<V> {
         }
     }
     // Sizes follow the byte-accounting contract on
-    // [`bgla_simnet::WireMessage`]: 8 per scalar header field (here the
-    // `ts` each proposing-phase variant carries), payload via the
-    // container's own accounting — proof-carrying payloads delegate to
+    // [`bgla_simnet::WireMessage`]: the variants without proofs are the
+    // length of their encoding; proof-carrying payloads delegate to
     // [`ProvenUpdate::metered`], which prices interned proofs and
     // references.
     fn wire_size(&self) -> usize {
-        match self {
-            SbsMsg::Init(sv) => SignedItem::wire_size(sv),
-            SbsMsg::SafeReq(set) => set.wire_size(),
-            SbsMsg::SafeAck(ack) => ProofAck::wire_size(ack),
-            SbsMsg::AckReq { proposed, .. } => 8 + proposed.wire_size(),
-            SbsMsg::Ack { values, .. } => 8 + values.wire_size(),
-            SbsMsg::Nack { accepted, .. } => 8 + accepted.wire_size(),
-            SbsMsg::Resync { .. } => 8,
-        }
+        self.metered().0
     }
     fn proof_sizes(&self) -> ProofSizes {
         match self {
@@ -354,12 +347,17 @@ impl<V: SignableValue> WireMessage for SbsMsg<V> {
     fn metered(&self) -> (usize, ProofSizes) {
         // One walk per send: the proof dedup yields both the proof
         // accounting and the interned/referenced wire size.
+        let plain = |bytes: usize| (1 + bytes, ProofSizes::default());
         match self {
-            SbsMsg::AckReq { proposed: pl, .. } | SbsMsg::Nack { accepted: pl, .. } => {
+            SbsMsg::AckReq { proposed: pl, ts } | SbsMsg::Nack { accepted: pl, ts } => {
                 let (bytes, proofs) = pl.metered();
-                (8 + bytes, proofs)
+                (1 + bytes + var_len(*ts), proofs)
             }
-            _ => (self.wire_size(), ProofSizes::default()),
+            SbsMsg::Init(sv) => plain(SignedItem::wire_size(sv)),
+            SbsMsg::SafeReq(set) => plain(set.wire_size()),
+            SbsMsg::SafeAck(ack) => plain(ProofAck::wire_size(ack)),
+            SbsMsg::Ack { values, ts } => plain(values.wire_size() + var_len(*ts)),
+            SbsMsg::Resync { ts } => plain(var_len(*ts)),
         }
     }
 }
@@ -662,11 +660,14 @@ impl<V: SignableValue> SbsProcess<V> {
     /// snapshot is cheap).
     fn broadcast_proposal(&mut self, ctx: &mut Context<SbsMsg<V>>) {
         self.delta_tx.record_broadcast(self.ts, &self.proposed_set);
-        for to in 0..self.config.n {
+        let updates = self
+            .delta_tx
+            .encode_broadcast(self.config.n, self.ts, &self.proposed_set);
+        for (to, proposed) in updates.into_iter().enumerate() {
             ctx.send(
                 to,
                 SbsMsg::AckReq {
-                    proposed: self.delta_tx.encode_for(to, self.ts, &self.proposed_set),
+                    proposed,
                     ts: self.ts,
                 },
             );
@@ -797,21 +798,21 @@ impl<V: SignableValue> Wire for SbsMsg<V> {
             SbsMsg::AckReq { proposed, ts } => {
                 w.u8(3);
                 proposed.encode(w);
-                w.u64(*ts);
+                w.var(*ts);
             }
             SbsMsg::Ack { values, ts } => {
                 w.u8(4);
                 values.encode(w);
-                w.u64(*ts);
+                w.var(*ts);
             }
             SbsMsg::Nack { accepted, ts } => {
                 w.u8(5);
                 accepted.encode(w);
-                w.u64(*ts);
+                w.var(*ts);
             }
             SbsMsg::Resync { ts } => {
                 w.u8(6);
-                w.u64(*ts);
+                w.var(*ts);
             }
         }
     }
@@ -822,17 +823,17 @@ impl<V: SignableValue> Wire for SbsMsg<V> {
             2 => Ok(SbsMsg::SafeAck(Wire::decode(r)?)),
             3 => Ok(SbsMsg::AckReq {
                 proposed: Wire::decode(r)?,
-                ts: r.u64()?,
+                ts: r.var()?,
             }),
             4 => Ok(SbsMsg::Ack {
                 values: Wire::decode(r)?,
-                ts: r.u64()?,
+                ts: r.var()?,
             }),
             5 => Ok(SbsMsg::Nack {
                 accepted: Wire::decode(r)?,
-                ts: r.u64()?,
+                ts: r.var()?,
             }),
-            6 => Ok(SbsMsg::Resync { ts: r.u64()? }),
+            6 => Ok(SbsMsg::Resync { ts: r.var()? }),
             _ => Err(CodecError::Invalid("sbs msg tag")),
         }
     }
@@ -886,7 +887,7 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
         self.byz.encode(w);
         self.proposed_set.encode(w);
         self.ack_set.encode(w);
-        w.u64(self.ts);
+        w.var(self.ts);
         self.safe_candidates.encode(w);
         self.accepted_set.encode(w);
         // Resolver contents, most-recently-used first. Ids are *not*
@@ -902,7 +903,7 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
         retained.encode(w);
         self.decision.encode(w);
         self.decision_depth.encode(w);
-        w.u64(self.refinements);
+        w.var(self.refinements);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -916,13 +917,13 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
         let byz = Wire::decode(r)?;
         let proposed_set = Wire::decode(r)?;
         let ack_set = Wire::decode(r)?;
-        let ts = r.u64()?;
+        let ts = r.var()?;
         let safe_candidates = Wire::decode(r)?;
         let accepted_set = Wire::decode(r)?;
         let retained: Vec<SafetyProof<V>> = Wire::decode(r)?;
         let decision = Wire::decode(r)?;
         let decision_depth = Wire::decode(r)?;
-        let refinements = r.u64()?;
+        let refinements = r.var()?;
         let mut resolver = ProofResolver::default();
         for proof in retained {
             resolver.register(proof.id(), proof);

@@ -28,7 +28,7 @@
 //! interned [`bgla_crypto::ProofId`] and its verification-cache hits —
 //! survives any number of merges.
 
-use bgla_codec::{CodecError, Reader, Wire, Writer};
+use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ pub trait SignedItem: Clone + Ord + std::fmt::Debug + Send + Sync + 'static {
 pub struct SignedSet<T: SignedItem> {
     /// Strictly-sorted, deduplicated elements.
     items: Arc<Vec<T>>,
-    /// Cached `Σ wire_size(item)` (excludes the 8-byte length prefix).
+    /// Cached `Σ wire_size(item)` (excludes the length prefix).
     // bgla-lint: allow(wire-coverage, "derived cache; from_sorted recomputes it when decode rebuilds the set")
     wire: usize,
 }
@@ -93,15 +93,9 @@ impl<T: SignedItem> SignedSet<T> {
         self.items.binary_search(v).is_ok()
     }
 
-    /// Cached `Σ wire_size(item)` without a length prefix (message
-    /// encodings add their own framing).
-    pub fn items_wire(&self) -> usize {
-        self.wire
-    }
-
-    /// Modeled serialized size: 8-byte length prefix + elements. `O(1)`.
+    /// Modeled serialized size: varint length prefix + elements. `O(1)`.
     pub fn wire_size(&self) -> usize {
-        8 + self.wire
+        var_len(self.len() as u64) + self.wire
     }
 
     /// Inserts `v`; returns whether the set changed. Copy-on-write: the
@@ -376,7 +370,7 @@ mod tests {
         assert_eq!(s.as_slice(), &[1, 2, 3]);
         assert!(s.contains(&2));
         assert!(!s.contains(&4));
-        assert_eq!(s.wire_size(), 8 + 24);
+        assert_eq!(s.wire_size(), 1 + 24);
     }
 
     #[test]
@@ -416,7 +410,7 @@ mod tests {
         assert_eq!(Arc::as_ptr(&a.items), before);
         a.retain(|v| v % 2 == 0);
         assert_eq!(a.as_slice(), &[2, 4]);
-        assert_eq!(a.wire_size(), 8 + 16);
+        assert_eq!(a.wire_size(), 1 + 16);
     }
 
     #[test]

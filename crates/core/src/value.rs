@@ -6,7 +6,7 @@
 //! sorted vector). Applications choose `V` (commands for the RSM,
 //! integers in the examples).
 
-use bgla_codec::Wire;
+use bgla_codec::{var_len, Wire};
 use bgla_crypto::ToBytes;
 
 /// A proposable value. `Ord` keeps all collections deterministic,
@@ -15,7 +15,8 @@ use bgla_crypto::ToBytes;
 /// what lets process state containing values be snapshotted durably
 /// (crash recovery) and, eventually, shipped over a real transport.
 pub trait Value: Clone + Ord + std::fmt::Debug + Send + Sync + 'static + Wire {
-    /// Estimated serialized size in bytes.
+    /// Length of the value's [`Wire`] encoding in bytes. The default is
+    /// that of an opaque 64-bit word.
     fn wire_size(&self) -> usize {
         8
     }
@@ -29,7 +30,7 @@ impl Value for u32 {
 }
 impl Value for String {
     fn wire_size(&self) -> usize {
-        8 + self.len()
+        var_len(self.len() as u64) + self.len()
     }
 }
 impl<A: Value, B: Value> Value for (A, B) {
@@ -51,8 +52,9 @@ mod tests {
     #[test]
     fn wire_sizes() {
         assert_eq!(7u64.wire_size(), 8);
-        assert_eq!("abc".to_string().wire_size(), 11);
+        assert_eq!("abc".to_string().wire_size(), 1 + 3);
+        assert_eq!("x".repeat(128).wire_size(), 2 + 128);
         let set: ValueSet<u64> = [1, 2, 3].into_iter().collect();
-        assert_eq!(set.wire_size(), 8 + 24);
+        assert_eq!(set.wire_size(), 1 + 24);
     }
 }

@@ -47,17 +47,19 @@
 //!   against timestamps the acceptor itself replied to) is a detected
 //!   **gap** and is dropped.
 //!
-//! ## Wire format (modeled)
+//! ## Wire format
 //!
-//! `SetUpdate` is metered by [`crate::value::Value::wire_size`] as:
+//! `wire_size` is the length of the [`Wire`] encoding, byte for byte
+//! (`var` is a `bgla_codec` varint: 1 byte below 128, 2 below 16 384):
 //!
 //! ```text
-//! Full(set)                  : 1 (tag) + 8 (len) + Σ wire_size(v)
-//! Delta { base_ts, added }   : 1 (tag) + 8 (base_ts) + 8 (len) + Σ wire_size(v in added)
+//! ValueSet                   : var(len) + Σ wire_size(v)
+//! Full(set)                  : 1 (tag) + ValueSet
+//! Delta { base_ts, added }   : 1 (tag) + var(base_ts) + ValueSet(added)
 //! ```
 
 use crate::value::Value;
-use bgla_codec::{CodecError, Reader, Wire, Writer};
+use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
 use bgla_simnet::ProcessId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -70,7 +72,7 @@ pub struct ValueSet<V: Value> {
     /// Strictly-sorted, deduplicated elements.
     // bgla-lint: allow(wire-coverage, "encoded: encode walks the elements via iter(), which this field backs")
     items: Arc<Vec<V>>,
-    /// Cached `Σ wire_size(item)` (excludes the 8-byte length prefix).
+    /// Cached `Σ wire_size(item)` (excludes the length prefix).
     // bgla-lint: allow(wire-coverage, "derived cache; from_sorted recomputes it when decode rebuilds the set")
     wire: usize,
 }
@@ -128,10 +130,10 @@ impl<V: Value> ValueSet<V> {
         self.items.binary_search(v).is_ok()
     }
 
-    /// Modeled serialized size: 8-byte length prefix + elements. Cached —
-    /// `O(1)`, unlike a per-send fold over a `BTreeSet`.
+    /// Encoded size: varint length prefix + elements. Cached — `O(1)`,
+    /// unlike a per-send fold over a `BTreeSet`.
     pub fn wire_size(&self) -> usize {
-        8 + self.wire
+        var_len(self.len() as u64) + self.wire
     }
 
     /// Inserts `v`; returns whether the set changed. Copy-on-write: the
@@ -204,9 +206,11 @@ impl<V: Value> ValueSet<V> {
         if other.is_subset(self) {
             return false;
         }
-        // True merge.
+        // True merge. Only what `other` brings is measured: the rest is
+        // `self`, whose bytes are cached.
         let (a, b) = (&self.items[..], &other.items[..]);
         let mut out = Vec::with_capacity(a.len() + b.len());
+        let mut wire = self.wire;
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             // bgla-lint: allow(byzantine-panic, "merge cursors guarded by the while i/j < len condition")
@@ -218,7 +222,9 @@ impl<V: Value> ValueSet<V> {
                 }
                 std::cmp::Ordering::Greater => {
                     // bgla-lint: allow(byzantine-panic, "merge cursors guarded by the while i/j < len condition")
-                    out.push(b[j].clone());
+                    let new = &b[j];
+                    wire += new.wire_size();
+                    out.push(new.clone());
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
@@ -232,8 +238,15 @@ impl<V: Value> ValueSet<V> {
         // bgla-lint: allow(byzantine-panic, "i and j are <= len at loop exit; suffix slicing from a cursor is in-bounds")
         out.extend_from_slice(&a[i..]);
         // bgla-lint: allow(byzantine-panic, "i and j are <= len at loop exit; suffix slicing from a cursor is in-bounds")
-        out.extend_from_slice(&b[j..]);
-        *self = ValueSet::from_sorted(out);
+        let rest = &b[j..];
+        wire += rest.iter().map(Value::wire_size).sum::<usize>();
+        out.extend_from_slice(rest);
+        debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "not strictly sorted");
+        debug_assert_eq!(wire, out.iter().map(Value::wire_size).sum::<usize>());
+        *self = ValueSet {
+            items: Arc::new(out),
+            wire,
+        };
         true
     }
 
@@ -433,7 +446,7 @@ impl<V: Value> Wire for SetUpdate<V> {
             }
             SetUpdate::Delta { base_ts, added } => {
                 w.u8(1);
-                w.u64(*base_ts);
+                w.var(*base_ts);
                 added.encode(w);
             }
         }
@@ -442,7 +455,7 @@ impl<V: Value> Wire for SetUpdate<V> {
         match r.u8()? {
             0 => Ok(SetUpdate::Full(ValueSet::decode(r)?)),
             1 => Ok(SetUpdate::Delta {
-                base_ts: r.u64()?,
+                base_ts: r.var()?,
                 added: ValueSet::decode(r)?,
             }),
             _ => Err(CodecError::Invalid("set update tag")),
@@ -472,11 +485,11 @@ pub enum SetUpdate<V: Value> {
 }
 
 impl<V: Value> SetUpdate<V> {
-    /// Modeled serialized size (see module docs).
+    /// Encoded size (see module docs).
     pub fn wire_size(&self) -> usize {
         match self {
             SetUpdate::Full(set) => 1 + set.wire_size(),
-            SetUpdate::Delta { added, .. } => 1 + 8 + added.wire_size(),
+            SetUpdate::Delta { base_ts, added } => 1 + var_len(*base_ts) + added.wire_size(),
         }
     }
 
@@ -555,6 +568,28 @@ impl<V: Value> DeltaSender<V> {
     /// it (see [`RECEIVER_BASE_CAP`] — this bound is what makes a
     /// receiver-side gap a reliable Byzantine signal).
     pub fn encode_for(&self, to: ProcessId, ts: u64, current: &ValueSet<V>) -> SetUpdate<V> {
+        self.encode_with(to, ts, current, &mut Vec::new())
+    }
+
+    /// [`Self::encode_for`] for every acceptor `0..n` of one broadcast,
+    /// indexed by acceptor. Acceptors on the same base share one set of
+    /// additions: the difference is taken once per distinct base.
+    pub fn encode_broadcast(&self, n: usize, ts: u64, current: &ValueSet<V>) -> Vec<SetUpdate<V>> {
+        let mut added_since = Vec::new();
+        (0..n)
+            .map(|to| self.encode_with(to, ts, current, &mut added_since))
+            .collect()
+    }
+
+    /// `added_since` holds `current ∖ snapshot(base_ts)` for the bases
+    /// this broadcast has met so far.
+    fn encode_with(
+        &self,
+        to: ProcessId,
+        ts: u64,
+        current: &ValueSet<V>,
+        added_since: &mut Vec<(u64, ValueSet<V>)>,
+    ) -> SetUpdate<V> {
         match self
             .last_replied
             .get(&to)
@@ -563,12 +598,27 @@ impl<V: Value> DeltaSender<V> {
             Some((base_ts, base)) if ts.saturating_sub(base_ts) < RECEIVER_BASE_CAP as u64 => {
                 SetUpdate::Delta {
                     base_ts,
-                    added: current.difference(base),
+                    added: once_per_base(added_since, base_ts, || current.difference(base)),
                 }
             }
             _ => SetUpdate::Full(current.clone()),
         }
     }
+}
+
+/// The value remembered for `base_ts`, made (and remembered) on first
+/// use. A broadcast meets at most `n` bases: a scan beats a map.
+pub(crate) fn once_per_base<S: Clone>(
+    made: &mut Vec<(u64, S)>,
+    base_ts: u64,
+    make: impl FnOnce() -> S,
+) -> S {
+    if let Some((_, known)) = made.iter().find(|(at, _)| *at == base_ts) {
+        return known.clone();
+    }
+    let fresh = make();
+    made.push((base_ts, fresh.clone()));
+    fresh
 }
 
 /// Acceptor-side delta bookkeeping: the proposals actually consumed,
@@ -711,22 +761,37 @@ mod tests {
     #[test]
     fn wire_size_is_cached_and_correct() {
         let a = vs(&[1, 2, 3]);
-        assert_eq!(a.wire_size(), 8 + 24);
+        assert_eq!(a.wire_size(), 1 + 24);
         let mut b = a.clone();
         b.insert(4);
-        assert_eq!(b.wire_size(), 8 + 32);
-        assert_eq!(a.wire_size(), 8 + 24);
+        assert_eq!(b.wire_size(), 1 + 32);
+        assert_eq!(a.wire_size(), 1 + 24);
+        // The prefix grows with the count, not with the cache.
+        let big: ValueSet<u64> = (0..128).collect();
+        assert_eq!(big.wire_size(), 2 + 128 * 8);
+        assert_eq!(big.wire_size(), bgla_codec::encode_payload(&big).len());
     }
 
     #[test]
     fn update_wire_sizes() {
         let full = SetUpdate::Full(vs(&[1, 2, 3]));
-        assert_eq!(full.wire_size(), 1 + 8 + 24);
+        assert_eq!(full.wire_size(), 1 + 1 + 24);
         let delta = SetUpdate::Delta {
             base_ts: 4,
             added: vs(&[9]),
         };
-        assert_eq!(delta.wire_size(), 1 + 8 + 8 + 8);
+        assert_eq!(delta.wire_size(), 1 + 1 + 1 + 8);
+        let late = SetUpdate::Delta {
+            base_ts: 300,
+            added: vs(&[9]),
+        };
+        assert_eq!(late.wire_size(), 1 + 2 + 1 + 8);
+        for update in [full, delta, late] {
+            assert_eq!(
+                update.wire_size(),
+                bgla_codec::encode_payload(&update).len()
+            );
+        }
     }
 
     #[test]
@@ -754,6 +819,34 @@ mod tests {
             other => panic!("expected delta, got {other:?}"),
         }
         assert_eq!(rx.resolve(9, &u1).unwrap(), s1);
+    }
+
+    /// One broadcast to acceptors on three footings — never replied,
+    /// replied at ts 0, replied at ts 1: each gets what `encode_for`
+    /// gives it, and those on one base share one set of additions.
+    #[test]
+    fn broadcast_takes_one_difference_per_base() {
+        let mut tx: DeltaSender<u64> = DeltaSender::new();
+        tx.record_broadcast(0, &vs(&[1]));
+        tx.record_broadcast(1, &vs(&[1, 2]));
+        for (acceptor, ts) in [(1, 0), (2, 0), (3, 1), (4, 1)] {
+            tx.record_reply(acceptor, ts);
+        }
+        let current = vs(&[1, 2, 3]);
+        tx.record_broadcast(2, &current);
+        let all = tx.encode_broadcast(6, 2, &current);
+        assert_eq!(all.len(), 6);
+        for (to, update) in all.iter().enumerate() {
+            assert_eq!(*update, tx.encode_for(to, 2, &current), "acceptor {to}");
+        }
+        let added = |to: usize| match &all[to] {
+            SetUpdate::Delta { added, .. } => added,
+            SetUpdate::Full(_) => panic!("acceptor {to} replied: expected a delta"),
+        };
+        assert!(Arc::ptr_eq(&added(1).items, &added(2).items));
+        assert!(Arc::ptr_eq(&added(3).items, &added(4).items));
+        assert_eq!(added(1).as_slice(), &[2, 3]);
+        assert_eq!(added(3).as_slice(), &[3]);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::config::SystemConfig;
 use crate::value::Value;
 use crate::valueset::{DeltaReceiver, DeltaSender, SetUpdate, ValueSet};
-use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
+use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
 use bgla_rbcast::{RbMsg, RbcastEngine};
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
@@ -78,15 +78,13 @@ impl<V: Value> WireMessage for WtsMsg<V> {
             WtsMsg::Nack { .. } => "nack",
         }
     }
+    /// The length of the [`Wire`] encoding below, field for field.
     fn wire_size(&self) -> usize {
-        match self {
-            WtsMsg::Rb(RbMsg::Init { value, .. }) => 16 + value.wire_size(),
-            WtsMsg::Rb(RbMsg::Echo { value, .. }) | WtsMsg::Rb(RbMsg::Ready { value, .. }) => {
-                24 + value.wire_size()
-            }
-            WtsMsg::AckReq { proposed, .. } => 16 + proposed.wire_size(),
-            WtsMsg::Ack { .. } => 16,
-            WtsMsg::Nack { accepted, .. } => 16 + accepted.wire_size(),
+        1 + match self {
+            WtsMsg::Rb(m) => m.header_len() + m.value().wire_size(),
+            WtsMsg::AckReq { proposed, ts } => proposed.wire_size() + var_len(*ts),
+            WtsMsg::Ack { ts } => var_len(*ts),
+            WtsMsg::Nack { accepted, ts } => accepted.wire_size() + var_len(*ts),
         }
     }
 }
@@ -101,16 +99,16 @@ impl<V: Value> Wire for WtsMsg<V> {
             WtsMsg::AckReq { proposed, ts } => {
                 w.u8(1);
                 proposed.encode(w);
-                w.u64(*ts);
+                w.var(*ts);
             }
             WtsMsg::Ack { ts } => {
                 w.u8(2);
-                w.u64(*ts);
+                w.var(*ts);
             }
             WtsMsg::Nack { accepted, ts } => {
                 w.u8(3);
                 accepted.encode(w);
-                w.u64(*ts);
+                w.var(*ts);
             }
         }
     }
@@ -119,12 +117,12 @@ impl<V: Value> Wire for WtsMsg<V> {
             0 => Ok(WtsMsg::Rb(Wire::decode(r)?)),
             1 => Ok(WtsMsg::AckReq {
                 proposed: Wire::decode(r)?,
-                ts: r.u64()?,
+                ts: r.var()?,
             }),
-            2 => Ok(WtsMsg::Ack { ts: r.u64()? }),
+            2 => Ok(WtsMsg::Ack { ts: r.var()? }),
             3 => Ok(WtsMsg::Nack {
                 accepted: Wire::decode(r)?,
-                ts: r.u64()?,
+                ts: r.var()?,
             }),
             _ => Err(CodecError::Invalid("wts msg tag")),
         }
@@ -283,11 +281,14 @@ impl<V: Value> WtsProcess<V> {
 
     fn send_ack_req(&mut self, ctx: &mut Context<WtsMsg<V>>) {
         self.delta_tx.record_broadcast(self.ts, &self.proposed_set);
-        for to in 0..self.config.n {
+        let updates = self
+            .delta_tx
+            .encode_broadcast(self.config.n, self.ts, &self.proposed_set);
+        for (to, proposed) in updates.into_iter().enumerate() {
             ctx.send(
                 to,
                 WtsMsg::AckReq {
-                    proposed: self.delta_tx.encode_for(to, self.ts, &self.proposed_set),
+                    proposed,
                     ts: self.ts,
                 },
             );
@@ -424,12 +425,12 @@ impl<V: Value> Wire for WtsProcess<V> {
         w.usize(self.init_counter);
         self.proposed_set.encode(w);
         self.ack_set.encode(w);
-        w.u64(self.ts);
+        w.var(self.ts);
         self.accepted_set.encode(w);
         self.waiting.encode(w);
         self.decision.encode(w);
         self.decision_depth.encode(w);
-        w.u64(self.refinements);
+        w.var(self.refinements);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let config = SystemConfig::decode(r)?;
@@ -442,7 +443,7 @@ impl<V: Value> Wire for WtsProcess<V> {
         let init_counter = r.usize()?;
         let proposed_set = Wire::decode(r)?;
         let ack_set = Wire::decode(r)?;
-        let ts = r.u64()?;
+        let ts = r.var()?;
         let accepted_set = Wire::decode(r)?;
         let waiting = Wire::decode(r)?;
         Ok(WtsProcess {
@@ -465,7 +466,7 @@ impl<V: Value> Wire for WtsProcess<V> {
             recovered: true,
             decision: Wire::decode(r)?,
             decision_depth: Wire::decode(r)?,
-            refinements: r.u64()?,
+            refinements: r.var()?,
         })
     }
 }

@@ -97,6 +97,31 @@ fn assert_payload_rejects_extension<T: Wire>(value: &T, suffix: &[u8]) {
     );
 }
 
+/// Pads one encoded byte at a time as a writer of non-minimal varints
+/// would — continuation bit set, a zero group after it — near both ends
+/// of the payload, where every message family keeps a counter. Where the
+/// byte ended a varint the decoder must say so; anywhere else the bytes
+/// shift, and whatever still decodes must encode back to exactly the
+/// bytes it came from: no accepted string has a second spelling.
+fn assert_padded_varints_rejected<T: Wire>(value: &T) {
+    let bytes = encode_payload(value);
+    let mut refused_as_padding = 0;
+    for at in (0..bytes.len()).filter(|at| *at < 48 || at + 16 >= bytes.len()) {
+        let mut padded = bytes.clone();
+        padded[at] |= 0x80;
+        padded.insert(at + 1, 0);
+        match decode_payload::<T>(&padded) {
+            Err(CodecError::Invalid("varint not minimal")) => refused_as_padding += 1,
+            Err(_) => {}
+            Ok(other) => assert_eq!(encode_payload(&other), padded, "padding at byte {at}"),
+        }
+    }
+    assert!(
+        refused_as_padding > 0,
+        "no varint in the first or last bytes"
+    );
+}
+
 /// Drives `procs` as an embedded system (no simulator): boots every
 /// process, then delivers each in-flight message for `rounds` rounds,
 /// collecting every protocol message that crosses the (virtual) wire.
@@ -367,6 +392,9 @@ proptest! {
         );
         assert_payload_rejects_extension(&s, &suffix);
         assert_payload_rejects_extension(&Some(a.clone()), &suffix);
+        assert_padded_varints_rejected(&vs(&a));
+        assert_padded_varints_rejected(&SetUpdate::Delta { base_ts, added: vs(&a) });
+        assert_padded_varints_rejected(&s);
     }
 
     /// Every WTS message on a live wire rejects extension.
@@ -386,6 +414,7 @@ proptest! {
             .collect();
         for m in pump_messages(&mut procs, rounds) {
             assert_payload_rejects_extension(&m, &suffix);
+            assert_padded_varints_rejected(&m);
         }
     }
 
@@ -410,6 +439,7 @@ proptest! {
             .collect();
         for m in pump_messages(&mut procs, rounds) {
             assert_payload_rejects_extension(&m, &suffix);
+            assert_padded_varints_rejected(&m);
         }
         // Acks lie deeper than the pump goes. Both forms of a record
         // reject extension, and the marker is one of two bytes.
@@ -430,6 +460,7 @@ proptest! {
             let (origin, tag) = (1, rounds);
             let echo = GwtsMsg::Ack(RbMsg::Echo { origin, tag, value });
             assert_payload_rejects_extension(&echo, &suffix);
+            assert_padded_varints_rejected(&echo);
         }
     }
 
@@ -450,6 +481,7 @@ proptest! {
             .collect();
         for m in pump_messages(&mut procs, rounds) {
             assert_payload_rejects_extension(&m, &suffix);
+            assert_padded_varints_rejected(&m);
         }
     }
 
@@ -474,6 +506,7 @@ proptest! {
             .collect();
         for m in pump_messages(&mut procs, rounds) {
             assert_payload_rejects_extension(&m, &suffix);
+            assert_padded_varints_rejected(&m);
         }
     }
 

@@ -99,8 +99,9 @@ proptest! {
     fn wire_size_matches_recomputation(a: Vec<u64>, b: Vec<u64>) {
         let mut set = vs(&a);
         set.join_with(&vs(&b));
-        let expect = 8 + 8 * set.len();
+        let expect = bgla_codec::var_len(set.len() as u64) + 8 * set.len();
         prop_assert_eq!(set.wire_size(), expect);
+        prop_assert_eq!(set.wire_size(), bgla_codec::encode_payload(&set).len());
     }
 
     /// Delta round-trip: for any base ⊆-chain step, encode at the

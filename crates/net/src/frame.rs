@@ -50,13 +50,13 @@ pub struct Hello {
 
 impl Wire for Hello {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.from);
-        w.u64(self.expected);
+        w.var(self.from);
+        w.var(self.expected);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Hello {
-            from: r.u64()?,
-            expected: r.u64()?,
+            from: r.var()?,
+            expected: r.var()?,
         })
     }
 }
@@ -79,14 +79,14 @@ pub struct Data {
 
 impl Wire for Data {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.seq);
-        w.u64(self.depth);
+        w.var(self.seq);
+        w.var(self.depth);
         self.payload.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Data {
-            seq: r.u64()?,
-            depth: r.u64()?,
+            seq: r.var()?,
+            depth: r.var()?,
             payload: Vec::<u8>::decode(r)?,
         })
     }
@@ -109,13 +109,13 @@ pub struct Ack {
 
 impl Wire for Ack {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.cum);
-        w.u64(self.held);
+        w.var(self.cum);
+        w.var(self.held);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Ack {
-            cum: r.u64()?,
-            held: r.u64()?,
+            cum: r.var()?,
+            held: r.var()?,
         })
     }
 }

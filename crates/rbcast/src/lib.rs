@@ -46,7 +46,7 @@
 // `⌊(n+f)/2⌋ + 1`); clippy's `x > y` rewrite would obscure the quorum math.
 #![allow(clippy::int_plus_one)]
 
-use bgla_codec::{CodecError, Reader, Wire, Writer};
+use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
 use bgla_simnet::ProcessId;
 use std::collections::BTreeMap;
 
@@ -88,6 +88,26 @@ impl<T> RbMsg<T> {
             RbMsg::Init { .. } => "rb_init",
             RbMsg::Echo { .. } => "rb_echo",
             RbMsg::Ready { .. } => "rb_ready",
+        }
+    }
+
+    /// The broadcast payload.
+    pub fn value(&self) -> &T {
+        match self {
+            RbMsg::Init { value, .. } | RbMsg::Echo { value, .. } | RbMsg::Ready { value, .. } => {
+                value
+            }
+        }
+    }
+
+    /// Encoded bytes in front of the payload (variant byte, `origin`,
+    /// `tag`): what a host message's `wire_size` adds to its payload's.
+    pub fn header_len(&self) -> usize {
+        match self {
+            RbMsg::Init { tag, .. } => 1 + var_len(*tag),
+            RbMsg::Echo { origin, tag, .. } | RbMsg::Ready { origin, tag, .. } => {
+                1 + var_len(*origin as u64) + var_len(*tag)
+            }
         }
     }
 }
@@ -283,19 +303,19 @@ impl<T: Wire> Wire for RbMsg<T> {
         match self {
             RbMsg::Init { tag, value } => {
                 w.u8(0);
-                w.u64(*tag);
+                w.var(*tag);
                 value.encode(w);
             }
             RbMsg::Echo { origin, tag, value } => {
                 w.u8(1);
                 w.usize(*origin);
-                w.u64(*tag);
+                w.var(*tag);
                 value.encode(w);
             }
             RbMsg::Ready { origin, tag, value } => {
                 w.u8(2);
                 w.usize(*origin);
-                w.u64(*tag);
+                w.var(*tag);
                 value.encode(w);
             }
         }
@@ -303,17 +323,17 @@ impl<T: Wire> Wire for RbMsg<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
             0 => Ok(RbMsg::Init {
-                tag: r.u64()?,
+                tag: r.var()?,
                 value: T::decode(r)?,
             }),
             1 => Ok(RbMsg::Echo {
                 origin: r.usize()?,
-                tag: r.u64()?,
+                tag: r.var()?,
                 value: T::decode(r)?,
             }),
             2 => Ok(RbMsg::Ready {
                 origin: r.usize()?,
-                tag: r.u64()?,
+                tag: r.var()?,
                 value: T::decode(r)?,
             }),
             _ => Err(CodecError::Invalid("rbmsg tag")),
@@ -381,7 +401,7 @@ mod tests {
             RbMsg::kind(self)
         }
         fn wire_size(&self) -> usize {
-            24
+            self.header_len() + 8
         }
     }
 
@@ -716,9 +736,21 @@ mod tests {
             },
         ];
         for m in msgs {
-            let back: RbMsg<u64> = decode_payload(&encode_payload(&m)).unwrap();
+            let bytes = encode_payload(&m);
+            assert_eq!(bytes.len(), m.header_len() + 8);
+            let back: RbMsg<u64> = decode_payload(&bytes).unwrap();
             assert_eq!(back, m);
         }
+        // The header grows with what it says: a tag past one varint byte,
+        // an origin past two.
+        let late = RbMsg::Ready {
+            origin: 20_000,
+            tag: 128,
+            value: 1u64,
+        };
+        assert_eq!(late.header_len(), 1 + 3 + 2);
+        assert_eq!(encode_payload(&late).len(), late.header_len() + 8);
+        assert_eq!(decode_payload(&encode_payload(&late)), Ok(late));
     }
 }
 

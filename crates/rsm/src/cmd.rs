@@ -6,7 +6,7 @@
 //! `nop` commands that modify the replicated set like any command but
 //! have no effect when the state is executed.
 
-use bgla_codec::{CodecError, Reader, Wire, Writer};
+use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
 use bgla_core::Value;
 use bgla_crypto::ToBytes;
 
@@ -55,22 +55,25 @@ impl Cmd {
 
 impl Value for Cmd {
     fn wire_size(&self) -> usize {
-        16 + match &self.op {
-            Op::Add(_) => 9,
-            Op::Put(s) => 9 + s.len(),
-            Op::Nop => 1,
-        }
+        var_len(self.client)
+            + var_len(self.seq)
+            + 1
+            + match &self.op {
+                Op::Add(x) => var_len(*x),
+                Op::Put(s) => Value::wire_size(s),
+                Op::Nop => 0,
+            }
     }
 }
 
 impl Wire for Cmd {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.client);
-        w.u64(self.seq);
+        w.var(self.client);
+        w.var(self.seq);
         match &self.op {
             Op::Add(x) => {
                 w.u8(0);
-                w.u64(*x);
+                w.var(*x);
             }
             Op::Put(s) => {
                 w.u8(1);
@@ -81,10 +84,10 @@ impl Wire for Cmd {
     }
 
     fn decode(r: &mut Reader) -> Result<Self, CodecError> {
-        let client = r.u64()?;
-        let seq = r.u64()?;
+        let client = r.var()?;
+        let seq = r.var()?;
         let op = match r.u8()? {
-            0 => Op::Add(r.u64()?),
+            0 => Op::Add(r.var()?),
             1 => Op::Put(String::decode(r)?),
             2 => Op::Nop,
             _ => return Err(CodecError::Invalid("unknown Op tag")),

@@ -2,6 +2,7 @@
 //! and the confirmation plug-in of Algorithm 7.
 
 use crate::cmd::Cmd;
+use bgla_codec::{CodecError, Reader, Wire, Writer};
 use bgla_core::gwts::{GwtsMsg, GwtsProcess};
 use bgla_core::{SystemConfig, ValueSet};
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
@@ -10,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Messages of the replicated state machine deployment: GWTS traffic
 /// among replicas plus the client protocol.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsmMsg {
     /// Replica ↔ replica: the agreement substrate.
     Gwts(GwtsMsg<Cmd>),
@@ -36,11 +37,49 @@ impl WireMessage for RsmMsg {
             RsmMsg::CnfRep(_) => "cnf_rep",
         }
     }
+    /// The length of the [`Wire`] encoding below.
     fn wire_size(&self) -> usize {
-        match self {
+        1 + match self {
             RsmMsg::Gwts(g) => g.wire_size(),
             RsmMsg::NewValue(c) => bgla_core::Value::wire_size(c),
-            RsmMsg::Decide(s) | RsmMsg::CnfReq(s) | RsmMsg::CnfRep(s) => 8 + s.wire_size(),
+            RsmMsg::Decide(s) | RsmMsg::CnfReq(s) | RsmMsg::CnfRep(s) => s.wire_size(),
+        }
+    }
+}
+
+impl Wire for RsmMsg {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            RsmMsg::Gwts(g) => {
+                w.u8(0);
+                g.encode(w);
+            }
+            RsmMsg::NewValue(c) => {
+                w.u8(1);
+                c.encode(w);
+            }
+            RsmMsg::Decide(s) => {
+                w.u8(2);
+                s.encode(w);
+            }
+            RsmMsg::CnfReq(s) => {
+                w.u8(3);
+                s.encode(w);
+            }
+            RsmMsg::CnfRep(s) => {
+                w.u8(4);
+                s.encode(w);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(RsmMsg::Gwts(Wire::decode(r)?)),
+            1 => Ok(RsmMsg::NewValue(Wire::decode(r)?)),
+            2 => Ok(RsmMsg::Decide(Wire::decode(r)?)),
+            3 => Ok(RsmMsg::CnfReq(Wire::decode(r)?)),
+            4 => Ok(RsmMsg::CnfRep(Wire::decode(r)?)),
+            _ => Err(CodecError::Invalid("rsm msg tag")),
         }
     }
 }
@@ -195,7 +234,75 @@ impl Process<RsmMsg> for Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cmd::Op;
+    use bgla_codec::{decode_payload, encode_payload};
     use bgla_core::gwts::GwtsState;
+    use bgla_core::SetUpdate;
+
+    /// One message per variant, with commands of every op and counters on
+    /// both sides of the one-byte varint boundary.
+    fn one_of_each() -> Vec<RsmMsg> {
+        let cmds: ValueSet<Cmd> = [
+            Cmd::new(1, 0, Op::Add(5)),
+            Cmd::new(300, 70_000, Op::Put("x".repeat(200))),
+            Cmd::nop(2, 128),
+        ]
+        .into_iter()
+        .collect();
+        vec![
+            RsmMsg::Gwts(GwtsMsg::AckReq {
+                proposed: SetUpdate::Delta {
+                    base_ts: 127,
+                    added: cmds.clone(),
+                },
+                ts: 128,
+                round: 3,
+            }),
+            RsmMsg::NewValue(Cmd::new(9, u64::MAX, Op::Add(u64::MAX))),
+            RsmMsg::Decide(cmds.clone()),
+            RsmMsg::CnfReq(ValueSet::new()),
+            RsmMsg::CnfRep(cmds),
+        ]
+    }
+
+    #[test]
+    fn every_variant_roundtrips_at_its_modeled_size() {
+        for msg in one_of_each() {
+            let bytes = encode_payload(&msg);
+            assert_eq!(bytes.len(), msg.wire_size(), "{}", msg.kind());
+            assert_eq!(decode_payload::<RsmMsg>(&bytes), Ok(msg));
+        }
+    }
+
+    #[test]
+    fn bad_tags_and_trailing_bytes_are_rejected() {
+        for msg in one_of_each() {
+            let mut bytes = encode_payload(&msg);
+            bytes.push(0);
+            assert_eq!(
+                decode_payload::<RsmMsg>(&bytes),
+                Err(CodecError::TrailingBytes)
+            );
+            bytes.pop();
+            bytes[0] = 5;
+            assert_eq!(
+                decode_payload::<RsmMsg>(&bytes),
+                Err(CodecError::Invalid("rsm msg tag"))
+            );
+        }
+        // A command's own tag is checked too, as is a padded counter.
+        let mut bytes = encode_payload(&RsmMsg::NewValue(Cmd::nop(1, 2)));
+        assert_eq!(bytes, [1, 1, 2, 2]);
+        bytes[3] = 3;
+        assert_eq!(
+            decode_payload::<RsmMsg>(&bytes),
+            Err(CodecError::Invalid("unknown Op tag"))
+        );
+        assert_eq!(
+            decode_payload::<RsmMsg>(&[1, 0x81, 0, 2, 2]),
+            Err(CodecError::Invalid("varint not minimal"))
+        );
+    }
 
     #[test]
     fn replica_rejects_invalid_commands() {

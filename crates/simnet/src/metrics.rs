@@ -12,32 +12,37 @@ use std::collections::BTreeMap;
 /// Implemented by simulation message types so the harness can meter them.
 ///
 /// `kind` buckets counters (e.g. `"ack_req"`, `"rb_echo"`); `wire_size`
-/// estimates the serialized size in bytes for the byte-complexity
-/// experiments (E8). Sizes need to be *consistent*, not exact: asymptotic
-/// shape is what the reproduction checks.
+/// is the message's serialized size in bytes, which is what makes the
+/// simulator's byte counts comparable with a socket's.
 ///
 /// # Byte-accounting contract
 ///
-/// Every `wire_size` implementation in the workspace models the same
-/// imaginary codec, built from four ingredients:
+/// **Modeled bytes are encoded bytes.** A `wire_size` is the length of
+/// the message's `bgla_codec::Wire` encoding, field for field, and sits
+/// next to the encoder it mirrors:
 ///
-/// * **Header** — fixed per-variant framing: 8 bytes for every scalar
-///   field the variant carries next to its payload (`ts`, `round`,
-///   process ids, lengths…), summed. That is where constants like the
-///   `8 + …` (one `ts`) and `24 + …` (`ts` + `round` + a set-length
-///   prefix) in `SbsMsg`/`GsbsMsg` come from; a 1-byte enum tag is
-///   treated as absorbed into the first 8-byte field rather than counted
-///   separately (delta payloads with their own tag byte count it
-///   explicitly).
-/// * **Payload** — set containers cost an 8-byte length prefix plus the
-///   sum of their elements' `wire_size`; signatures cost 64 bytes and a
-///   signer id 8, so a signed record is `value + 72` (plus 8 per extra
-///   scalar field the record carries).
-/// * **Interned proofs** — a message carrying proven records transmits
-///   each *distinct* attached proof once (deduplicated by `ProofId`),
-///   not once per record; [`ProofSizes::interned_bytes`] is that figure
-///   and is what `wire_size` includes. [`ProofSizes::flat_bytes`] prices
-///   the naive copy-per-record encoding for comparison only.
+/// * **Counters** — lengths, process ids, rounds, timestamps, rbcast
+///   tags, delta bases — are varints: `bgla_codec::var_len(v)` bytes,
+///   one below 128, two below 16 384.
+/// * **Tags** — the variant byte of every enum, message enums included —
+///   cost 1 each.
+/// * **Opaque words** — a `u64` value 8, a signature 64, a digest 64, a
+///   proof id 16.
+/// * **Containers** cost their varint length prefix plus the sum of
+///   their elements; the set types cache that sum, so a send is metered
+///   in `O(1)`.
+///
+/// For WTS, GWTS and RSM messages this is exact, and the workspace test
+/// `modeled_bytes_are_encoded_bytes` holds every message of a run to it.
+/// SbS and GSbS messages follow it too, except where they carry proofs:
+///
+/// * **Interned proofs** — a message carrying proven records is modeled
+///   as transmitting each *distinct* attached proof once (deduplicated
+///   by `ProofId`), not once per record; [`ProofSizes::interned_bytes`]
+///   is that figure and is what `wire_size` includes.
+///   [`ProofSizes::flat_bytes`] prices the copy-per-record form, which
+///   is what the encoder ships today — so for `ack_req` and `nack` the
+///   model is a lower bound on the encoding, never above it.
 /// * **Proof references** — a delta payload may name a proof the
 ///   receiver already holds by its `ProofId` instead of re-shipping it:
 ///   a reference costs [`PROOF_REF_BYTES`] (16-byte id + 16 bytes of
@@ -50,7 +55,7 @@ pub trait WireMessage: Clone + Send {
     /// Counter bucket for this message.
     fn kind(&self) -> &'static str;
 
-    /// Estimated serialized size in bytes.
+    /// Serialized size in bytes (see the contract above).
     fn wire_size(&self) -> usize;
 
     /// Attached proof-of-safety accounting (signature algorithms): how

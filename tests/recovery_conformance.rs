@@ -477,12 +477,13 @@ fn as_version(version: u16, mut frame: Vec<u8>) -> Vec<u8> {
 }
 
 /// Snapshots and transport frames written under another layout — version
-/// 1, or version 2 from before GWTS acks were delta streams — are refused
-/// by their version, before any field is parsed.
+/// 1, version 2 from before GWTS acks were delta streams, or version 3
+/// with its fixed-width counters — are refused by their version, before
+/// any field is parsed.
 #[test]
 fn version_1_frames_are_rejected_as_bad_version() {
     let config = SystemConfig::new(N, F);
-    for version in [1, 2] {
+    for version in 1..=3 {
         let bad = Some(CodecError::BadVersion(version));
         let old = |frame| as_version(version, frame);
 
