@@ -53,6 +53,32 @@
 //! the one right below its next full ack), as acks for far-future rounds
 //! always could. A delivery a crash swept is a gap too: that origin's
 //! votes are lost *here* until its next full ack.
+//!
+//! # What is said once
+//!
+//! Alg. 4 reliably broadcasts one ack per accepted request. Here an ack
+//! is a public statement — "origin holds set `S` in round `r`" — made once:
+//! an acceptor whose `Accepted_set` is still the set of its previous ack,
+//! already broadcast for the request's round, answers that request with a
+//! private receipt (an empty [`GwtsMsg::Nack`]: "I hold nothing you lack")
+//! and broadcasts nothing. Quorums are counted per `(round, set)` over
+//! origins; `destination` and `ts` stay in the record for the request
+//! delta watermarks and nowhere else.
+//!
+//! * *Assumption.* No argument of the paper reads whom an ack answered:
+//!   comparability is quorum intersection over acceptors whose set only
+//!   grows (it reads origin and set), and Lemmas 6/7 need a quorum that
+//!   *trusted* round `r` — an ack for `r` is still only ever broadcast
+//!   while handling a round-`r` request with `r ≤ Safe_r`.
+//! * *No later.* Every `(round, ts, destination, set)` quorum of Alg. 4
+//!   is a `(round, set)` quorum, and a receipt is sent only by an origin
+//!   whose vote for `(round, set)` is already on its way to everyone.
+//! * *Guard.* `gwts.rs::try_handle` (`acked_rounds`) decides broadcast or
+//!   receipt; `gwts.rs::try_absorb_ack` counts origins per set, so a
+//!   Byzantine origin repeating one set under many `(destination, ts)` is
+//!   one vote. A restored acceptor forgets what it said and says it again.
+//! * *Tests.* `said_once_tests` (unit, and the broadcasts-per-acceptor
+//!   count that fails if the per-request broadcast comes back).
 
 use crate::config::SystemConfig;
 use crate::value::Value;
@@ -64,13 +90,16 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Frame kind of a [`GwtsProcess`] crash-recovery snapshot.
-pub const GWTS_SNAPSHOT_KIND: u16 = 0x0107;
+pub const GWTS_SNAPSHOT_KIND: u16 = 0x0108;
 
 /// A reliably-broadcast acceptance record (the paper's
 /// `<ack, Accepted_set, destination, sender, ts, round>`; the sender is
-/// the authenticated rbcast origin). Fields are declared cheapest first:
-/// the derived comparisons walk the set only between records that agree
-/// on round, timestamp and destination.
+/// the authenticated rbcast origin). Deviation from Alg. 4: one record is
+/// broadcast per `(round, Accepted_set)` an acceptor holds, not one per
+/// request, and `destination`/`ts` name the request that happened to
+/// trigger it — see "What is said once" in the module doc. Fields are
+/// declared cheapest first: the derived comparisons walk the set only
+/// between records that agree on round, timestamp and destination.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AckRecord<V: Value> {
     /// Round number.
@@ -131,9 +160,11 @@ pub enum GwtsMsg<V: Value> {
     },
     /// Acceptor acks are reliably broadcast (tag = per-origin counter).
     Ack(RbMsg<AckRecord<V>>),
-    /// Point-to-point refusal carrying the acceptor's set.
+    /// Point-to-point reply: what the acceptor holds that the proposal
+    /// lacks. Empty, it refuses nothing: it is the receipt of a request
+    /// whose public ack the acceptor had already broadcast.
     Nack {
-        /// Acceptor's accepted set.
+        /// The acceptor's `Accepted_set ∖ proposed`.
         accepted: ValueSet<V>,
         /// Timestamp copied from the request.
         ts: u64,
@@ -285,6 +316,9 @@ pub struct GwtsProcess<V: Value> {
     last_acked: ValueSet<V>,
     /// Acceptor: bytes of additions acked since the last full record.
     ack_delta_bytes: usize,
+    /// Acceptor: the rounds `last_acked` was broadcast for; a request of
+    /// one of them accepted into that same set gets a receipt instead.
+    acked_rounds: BTreeSet<u64>,
     /// Per origin, the set of its newest rebuilt ack, and the tag of the
     /// ack to rebuild from it (not delivered yet).
     ack_heads: BTreeMap<ProcessId, (u64, ValueSet<V>)>,
@@ -306,9 +340,9 @@ pub struct GwtsProcess<V: Value> {
     accepted_set: ValueSet<V>,
     /// Acceptor: highest trusted round.
     pub safe_r: u64,
-    /// Quorum bookkeeping: round -> ack record -> origins that broadcast it.
-    ack_history: BTreeMap<u64, BTreeMap<AckRecord<V>, BTreeSet<ProcessId>>>,
-    /// Rounds in which some record has a quorum of origins — noted when
+    /// Quorum bookkeeping: round -> accepted set -> origins that broadcast it.
+    ack_history: BTreeMap<u64, BTreeMap<ValueSet<V>, BTreeSet<ProcessId>>>,
+    /// Rounds in which some set has a quorum of origins — noted when
     /// the quorum forms, so `Safe_r` never re-counts.
     committed_rounds: BTreeSet<u64>,
     /// Non-disclosure messages waiting on safety / round guards.
@@ -361,6 +395,7 @@ impl<V: Value> GwtsProcess<V> {
             next_ack_tag: 0,
             last_acked: ValueSet::new(),
             ack_delta_bytes: 0,
+            acked_rounds: BTreeSet::new(),
             ack_heads: BTreeMap::new(),
             ack_bases: BTreeMap::new(),
             ack_waiting: BTreeMap::new(),
@@ -413,16 +448,19 @@ impl<V: Value> GwtsProcess<V> {
         self.proposed_set.clone()
     }
 
-    /// Whether `set` is known (from the public ack history) to have been
-    /// accepted by a Byzantine quorum — the confirmation predicate of the
-    /// RSM plug-in (Algorithm 7): `<ack, set, ·, ·, ts, r>` appears
-    /// `⌊(n+f)/2⌋+1` times for some fixed `(ts, r)`.
+    /// Whether `set` is known to have been accepted by a Byzantine quorum
+    /// — the confirmation predicate of the RSM plug-in (Algorithm 7):
+    /// `<ack, set, ·, ·, ·, r>` from `⌊(n+f)/2⌋+1` origins for some `r`
+    /// still in the public ack history, or `set` is one of this process's
+    /// own decisions, each of which was taken from such a record — so the
+    /// answer outlives [`Self::prune_old_rounds`].
     pub fn has_committed(&self, set: &ValueSet<V>) -> bool {
         let quorum = self.config.quorum();
-        self.ack_history
-            .values()
-            .flatten()
-            .any(|(rec, origins)| origins.len() >= quorum && rec.accepted == *set)
+        // `decisions` is a chain: sizes never fall.
+        let at = self.decisions.partition_point(|d| d.len() < set.len());
+        self.decisions.get(at) == Some(set)
+            || (self.ack_history.values())
+                .any(|acks| acks.get(set).is_some_and(|by| by.len() >= quorum))
     }
 
     /// Everything a parked message's guard reads. None of it ever moves
@@ -539,13 +577,11 @@ impl<V: Value> GwtsProcess<V> {
                 .get(&self.round)
                 .into_iter()
                 .flatten()
-                .filter(|(rec, origins)| {
-                    origins.len() >= quorum && self.decided_set.is_subset(&rec.accepted)
-                })
+                .filter(|(set, origins)| origins.len() >= quorum && self.decided_set.is_subset(set))
                 // Prefer the largest committed set (committed sets of one
                 // round are mutually comparable by quorum intersection).
-                .max_by_key(|(rec, _)| rec.accepted.len())
-                .map(|(rec, _)| rec.accepted.clone());
+                .max_by_key(|(set, _)| set.len())
+                .map(|(set, _)| set.clone());
             let Some(accepted) = candidate else { break };
             self.decisions.push(accepted.clone());
             self.decision_depths.push(ctx.depth);
@@ -593,24 +629,33 @@ impl<V: Value> GwtsProcess<V> {
                 };
                 self.delta_rx.record(from, *ts, &full);
                 if acked {
-                    self.accepted_set = full;
-                    let rec = self.next_ack(from, *ts, *round);
-                    let tag = self.next_ack_tag;
-                    self.next_ack_tag += 1;
-                    for m in self.rb_ack.broadcast(tag, rec) {
-                        ctx.broadcast(GwtsMsg::Ack(m));
+                    self.accepted_set = full.clone();
+                    if self.accepted_set != self.last_acked {
+                        self.acked_rounds.clear();
                     }
-                } else {
-                    ctx.send(
-                        from,
-                        GwtsMsg::Nack {
-                            accepted: self.accepted_set.clone(),
-                            ts: *ts,
-                            round: *round,
-                        },
-                    );
-                    self.accepted_set.join_with(&full);
+                    if self.acked_rounds.insert(*round) {
+                        let rec = self.next_ack(from, *ts, *round);
+                        let tag = self.next_ack_tag;
+                        self.next_ack_tag += 1;
+                        for m in self.rb_ack.broadcast(tag, rec) {
+                            ctx.broadcast(GwtsMsg::Ack(m));
+                        }
+                        return true;
+                    }
                 }
+                // What is held that the proposal lacks: a refusal — or
+                // nothing, the receipt of a request whose ack is said
+                // already (module doc).
+                let accepted = self.accepted_set.difference(&full);
+                self.accepted_set.join_with(&full);
+                ctx.send(
+                    from,
+                    GwtsMsg::Nack {
+                        accepted,
+                        ts: *ts,
+                        round: *round,
+                    },
+                );
                 true
             }
             // ---- Proposer role ----
@@ -620,11 +665,13 @@ impl<V: Value> GwtsProcess<V> {
                 round,
             } => {
                 self.delta_tx.record_reply(from, *ts);
-                if *round < self.round
+                // A receipt — nothing is held that we lack — or stale.
+                if accepted.is_empty()
+                    || *round < self.round
                     || (*round == self.round && *ts < self.ts)
                     || self.state == GwtsState::Done
                 {
-                    return true; // stale
+                    return true;
                 }
                 if self.state != GwtsState::Proposing
                     || *round != self.round
@@ -736,7 +783,7 @@ impl<V: Value> GwtsProcess<V> {
             self.delta_tx.record_reply(origin, rec.ts);
         }
         let acks = self.ack_history.entry(rec.round).or_default();
-        let origins = acks.entry(rec.clone()).or_default();
+        let origins = acks.entry(rec.accepted.clone()).or_default();
         origins.insert(origin);
         if origins.len() >= self.config.quorum() {
             self.committed_rounds.insert(rec.round);
@@ -755,6 +802,7 @@ impl<V: Value> GwtsProcess<V> {
         self.ack_history = self.ack_history.split_off(&keep_from);
         self.committed_rounds = self.committed_rounds.split_off(&keep_from);
         self.counters = self.counters.split_off(&keep_from);
+        self.acked_rounds = self.acked_rounds.split_off(&keep_from);
         self.pending_acks.retain(|(_, rec)| rec.round >= keep_from);
         // A waiting ack rebuilds its successor whatever its own round: it
         // goes once it is old *and* the successor no longer waits for it —
@@ -842,6 +890,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
         w.var(self.next_ack_tag);
         self.last_acked.encode(w);
         w.usize(self.ack_delta_bytes);
+        self.acked_rounds.encode(w);
         self.ack_heads.encode(w);
         self.ack_bases.encode(w);
         self.ack_waiting.encode(w);
@@ -875,6 +924,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
             next_ack_tag: r.var()?,
             last_acked: Wire::decode(r)?,
             ack_delta_bytes: r.usize()?,
+            acked_rounds: Wire::decode(r)?,
             ack_heads: Wire::decode(r)?,
             ack_bases: Wire::decode(r)?,
             ack_waiting: Wire::decode(r)?,
@@ -931,8 +981,10 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
             // absorbed within the crash budget.
             self.recovered = false;
             // Peers may have seen acks this snapshot predates: the next
-            // one is a full record, whatever was acked last.
+            // one is a full record, whatever was acked last, and is
+            // broadcast, whatever was said before.
             self.last_acked = ValueSet::new();
+            self.acked_rounds.clear();
             if self.state == GwtsState::Proposing {
                 self.send_ack_req(ctx);
             }
@@ -1304,7 +1356,7 @@ mod ack_stream_tests {
         GwtsProcess::new(me, SystemConfig::new(4, 1), BTreeMap::new(), 12)
     }
 
-    fn vs(v: &[u64]) -> ValueSet<u64> {
+    pub(super) fn vs(v: &[u64]) -> ValueSet<u64> {
         v.iter().copied().collect()
     }
 
@@ -1318,18 +1370,27 @@ mod ack_stream_tests {
         }
     }
 
-    /// Reliably delivers `rec` as `(ORIGIN, tag)` at `rx`: readies from
+    /// Reliably delivers `rec` as `(origin, tag)` at `rx`: readies from
     /// `2f + 1` processes.
-    fn deliver(rx: &mut GwtsProcess<u64>, tag: u64, rec: &AckRecord<u64>) {
+    pub(super) fn deliver_from(
+        rx: &mut GwtsProcess<u64>,
+        origin: ProcessId,
+        tag: u64,
+        rec: &AckRecord<u64>,
+    ) {
         let mut ctx = Context::for_embedding(rx.me, 4, 0, 0);
         for from in 1..=3 {
-            let (origin, value) = (ORIGIN, rec.clone());
+            let value = rec.clone();
             rx.on_message(
                 from,
                 GwtsMsg::Ack(RbMsg::Ready { origin, tag, value }),
                 &mut ctx,
             );
         }
+    }
+
+    fn deliver(rx: &mut GwtsProcess<u64>, tag: u64, rec: &AckRecord<u64>) {
+        deliver_from(rx, ORIGIN, tag, rec);
     }
 
     /// What `rx` rebuilt, sorted by timestamp (the tests give every record
@@ -1538,11 +1599,7 @@ mod ack_stream_tests {
             proposed.as_slice().as_ptr(),
             "rebuilt a copy of a set it held"
         );
-        let rebuilt = AckRecord {
-            round,
-            ..record(true, 1, &[1, 2, 3])
-        };
-        assert!(rx.ack_history[&0].contains_key(&rebuilt));
+        assert!(rx.ack_history[&0].contains_key(&proposed));
     }
 
     /// A process restored from a snapshot older than its last ack issues
@@ -1618,6 +1675,278 @@ mod ack_stream_tests {
         assert!(
             late <= 2 * early,
             "rounds 2-4: {early} B, rounds 9-11: {late} B"
+        );
+    }
+}
+
+#[cfg(test)]
+mod said_once_tests {
+    use super::ack_stream_tests::{deliver_from as deliver, vs};
+    use super::*;
+    use bgla_simnet::{RandomScheduler, SimulationBuilder};
+
+    /// Process 0 of four, started, with 1..=4 disclosed (hence SAFE).
+    fn acceptor() -> (GwtsProcess<u64>, Context<GwtsMsg<u64>>) {
+        let mut p = GwtsProcess::new(0, SystemConfig::new(4, 1), BTreeMap::new(), 12);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        p.on_start(&mut ctx);
+        for from in 1..=3 {
+            let (origin, tag, value) = (1, 0, vs(&[1, 2, 3, 4]));
+            p.on_message(
+                from,
+                GwtsMsg::Disc(RbMsg::Ready { origin, tag, value }),
+                &mut ctx,
+            );
+        }
+        ctx.take_outbox();
+        (p, ctx)
+    }
+
+    /// The record a process broadcast, if any, and the nacks it sent, by
+    /// addressee.
+    type Sent = (Option<AckRecord<u64>>, Vec<(ProcessId, ValueSet<u64>)>);
+
+    /// Hands `p` the request `(set, ts, round)` of `from`; what `p` sent.
+    fn request(
+        p: &mut GwtsProcess<u64>,
+        ctx: &mut Context<GwtsMsg<u64>>,
+        from: ProcessId,
+        (set, ts, round): (&[u64], u64, u64),
+    ) -> Sent {
+        let proposed = SetUpdate::Full(vs(set));
+        p.on_message(
+            from,
+            GwtsMsg::AckReq {
+                proposed,
+                ts,
+                round,
+            },
+            ctx,
+        );
+        let (mut said, mut nacks) = (Vec::new(), Vec::new());
+        for (to, msg) in ctx.take_outbox() {
+            match msg {
+                GwtsMsg::Ack(RbMsg::Init { value, .. }) if to == 0 => said.push(value),
+                GwtsMsg::Nack { accepted, .. } => nacks.push((to, accepted)),
+                _ => {}
+            }
+        }
+        assert!(said.len() <= 1);
+        (said.pop(), nacks)
+    }
+
+    #[test]
+    fn a_round_and_set_is_broadcast_once_and_repeats_get_a_receipt() {
+        let (mut p, mut ctx) = acceptor();
+        let (said, nacks) = request(&mut p, &mut ctx, 2, (&[1, 2], 1, 0));
+        assert_eq!((said.unwrap().destination, nacks.len()), (2, 0));
+        // Same set, same round, another proposer (and the first again):
+        // nothing public, one empty nack to the requester alone.
+        for (from, ts) in [(3, 1), (2, 2)] {
+            let (said, nacks) = request(&mut p, &mut ctx, from, (&[1, 2], ts, 0));
+            assert_eq!((said, nacks), (None, vec![(from, vs(&[]))]));
+            assert_eq!(p.delta_rx.base(from, ts), Some(&vs(&[1, 2])));
+        }
+        assert_eq!(p.next_ack_tag, 1);
+        // The set grew: said, as the additions to the previous ack.
+        let (said, nacks) = request(&mut p, &mut ctx, 3, (&[1, 2, 3], 2, 0));
+        let said = said.unwrap();
+        assert_eq!(
+            (said.full, said.accepted, nacks.len()),
+            (false, vs(&[3]), 0)
+        );
+        // The same set in a round it was not said for: said (nothing new).
+        p.safe_r = 1;
+        let (said, _) = request(&mut p, &mut ctx, 1, (&[1, 2, 3], 3, 1));
+        assert_eq!(
+            said.map(|rec| (rec.round, rec.accepted)),
+            Some((1, vs(&[])))
+        );
+        assert_eq!(p.acked_rounds, BTreeSet::from([0, 1]));
+        let (said, nacks) = request(&mut p, &mut ctx, 2, (&[1, 2, 3], 4, 1));
+        assert_eq!((said, nacks), (None, vec![(2, vs(&[]))]));
+        // A refusal says what the proposal lacks, not all that is held.
+        let (said, nacks) = request(&mut p, &mut ctx, 2, (&[1, 4], 5, 1));
+        assert_eq!((said, nacks), (None, vec![(2, vs(&[2, 3]))]));
+        assert_eq!(p.accepted_set, vs(&[1, 2, 3, 4]));
+    }
+
+    #[test]
+    fn restored_acceptor_says_it_again() {
+        let (mut p, mut ctx) = acceptor();
+        assert!(request(&mut p, &mut ctx, 2, (&[1, 2], 1, 0)).0.is_some());
+        let mut q = GwtsProcess::<u64>::from_snapshot(&p.snapshot_bytes()).unwrap();
+        assert_eq!(q.acked_rounds, BTreeSet::from([0]));
+        q.on_start(&mut ctx);
+        ctx.take_outbox();
+        let (said, nacks) = request(&mut q, &mut ctx, 3, (&[1, 2], 1, 0));
+        let said = said.unwrap();
+        assert_eq!(
+            (said.full, said.accepted, nacks.len()),
+            (true, vs(&[1, 2]), 0)
+        );
+        assert_eq!(request(&mut q, &mut ctx, 2, (&[1, 2], 2, 0)).0, None);
+    }
+
+    #[test]
+    fn receipt_moves_the_proposers_delta_base() {
+        let schedule = BTreeMap::from([(0, vec![7u64])]);
+        let mut p = GwtsProcess::new(0, SystemConfig::new(4, 1), schedule, 12);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        p.on_start(&mut ctx);
+        for origin in 0..3 {
+            let value = if origin == 0 { vs(&[7]) } else { vs(&[]) };
+            for from in 1..=3 {
+                let (tag, value) = (0, value.clone());
+                p.on_message(
+                    from,
+                    GwtsMsg::Disc(RbMsg::Ready { origin, tag, value }),
+                    &mut ctx,
+                );
+            }
+        }
+        assert_eq!((p.state, p.ts), (GwtsState::Proposing, 1));
+        let full = SetUpdate::Full(vs(&[7, 8]));
+        assert_eq!(p.delta_tx.encode_for(1, 2, &vs(&[7, 8])), full);
+        let (accepted, ts, round) = (vs(&[]), 1, 0);
+        p.on_message(
+            1,
+            GwtsMsg::Nack {
+                accepted,
+                ts,
+                round,
+            },
+            &mut ctx,
+        );
+        assert!(p.waiting.is_empty() && p.refinements.is_empty());
+        let (base_ts, added) = (1, vs(&[8]));
+        let delta = SetUpdate::Delta { base_ts, added };
+        assert_eq!(p.delta_tx.encode_for(1, 2, &vs(&[7, 8])), delta);
+        // A receipt for a timestamp never used parks nothing either.
+        let (accepted, ts, round) = (vs(&[]), 9, 9);
+        p.on_message(
+            1,
+            GwtsMsg::Nack {
+                accepted,
+                ts,
+                round,
+            },
+            &mut ctx,
+        );
+        assert!(p.waiting.is_empty());
+    }
+
+    #[test]
+    fn a_quorum_is_counted_per_set_over_origins() {
+        let (mut p, _) = acceptor();
+        let rec = |destination, ts, accepted: &[u64]| AckRecord {
+            round: 0,
+            ts,
+            destination,
+            full: true,
+            accepted: vs(accepted),
+        };
+        // A Byzantine origin repeating one set under many requests: one vote.
+        for (tag, (destination, ts)) in [(1, 1), (2, 1), (2, 5), (3, 9)].into_iter().enumerate() {
+            deliver(&mut p, 1, tag as u64, &rec(destination, ts, &[1, 2]));
+        }
+        assert_eq!(p.ack_history[&0][&vs(&[1, 2])], BTreeSet::from([1]));
+        assert!(!p.has_committed(&vs(&[1, 2])) && p.safe_r == 0);
+        // Acks of that set that answered different proposers: one quorum.
+        deliver(&mut p, 2, 0, &rec(3, 4, &[1, 2]));
+        deliver(&mut p, 3, 0, &rec(0, 2, &[1, 2, 3]));
+        assert!(!p.has_committed(&vs(&[1, 2])));
+        deliver(&mut p, 0, 0, &rec(2, 7, &[1, 2]));
+        assert_eq!(p.ack_history[&0][&vs(&[1, 2])], BTreeSet::from([0, 1, 2]));
+        assert!(p.has_committed(&vs(&[1, 2])) && !p.has_committed(&vs(&[1, 2, 3])));
+        assert_eq!(p.safe_r, 1);
+    }
+
+    #[test]
+    fn own_decisions_stay_committed_after_their_round_is_pruned() {
+        let (mut p, _) = acceptor();
+        p.decisions = vec![vs(&[1]), vs(&[1]), vs(&[1, 2, 3])];
+        assert!(p.ack_history.is_empty());
+        for (set, committed) in [
+            (vs(&[1]), true),
+            (vs(&[1, 2, 3]), true),
+            (vs(&[]), false),
+            (vs(&[2]), false),
+            (vs(&[1, 2]), false),
+            (vs(&[1, 2, 4]), false),
+            (vs(&[1, 2, 3, 4]), false),
+        ] {
+            assert_eq!(p.has_committed(&set), committed, "{set:?}");
+        }
+    }
+
+    /// Forwards to a correct process and keeps every ack record an origin
+    /// opened a broadcast with.
+    struct Tap {
+        inner: GwtsProcess<u64>,
+        inits: BTreeMap<(ProcessId, u64), AckRecord<u64>>,
+    }
+
+    impl Process<GwtsMsg<u64>> for Tap {
+        fn on_start(&mut self, ctx: &mut Context<GwtsMsg<u64>>) {
+            self.inner.on_start(ctx);
+        }
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            msg: GwtsMsg<u64>,
+            ctx: &mut Context<GwtsMsg<u64>>,
+        ) {
+            if let GwtsMsg::Ack(RbMsg::Init { tag, value }) = &msg {
+                self.inits.insert((from, *tag), value.clone());
+            }
+            self.inner.on_message(from, msg, ctx);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// The count the benchmark's `msgs_per_op` rests on, as a test: over a
+    /// whole run no acceptor broadcasts one `(round, set)` twice — its set
+    /// only grows, so a set is known by its size — while most requests it
+    /// accepts are repeats. A per-request broadcast fails here.
+    #[test]
+    fn no_acceptor_broadcasts_a_round_and_set_twice() {
+        let (n, rounds) = (10usize, 6u64);
+        let config = SystemConfig::new(n, 3);
+        let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(3)));
+        for i in 0..n {
+            let schedule = (0..rounds - 2)
+                .map(|r| (r, (0..3).map(|v| (i as u64) << 24 | r << 8 | v).collect()))
+                .collect();
+            let inner = GwtsProcess::new(i, config, schedule, rounds);
+            b = if i == 0 {
+                let inits = BTreeMap::new();
+                b.add(Box::new(Tap { inner, inits }))
+            } else {
+                b.add(Box::new(inner))
+            };
+        }
+        let mut sim = b.build();
+        assert!(sim.run(u64::MAX / 2).quiescent);
+        let tap = sim.process_as::<Tap>(0).unwrap();
+        assert_eq!(tap.inner.decisions.len(), rounds as usize);
+        let (mut said, mut held) = (BTreeSet::new(), vec![0; n]);
+        for (&(origin, tag), rec) in &tap.inits {
+            held[origin] = rec.accepted.len() + if rec.full { 0 } else { held[origin] };
+            assert!(
+                said.insert((origin, rec.round, held[origin])),
+                "p{origin} said its {}-value set twice for round {} (ack {tag})",
+                held[origin],
+                rec.round
+            );
+        }
+        let (broadcasts, receipts) = (said.len() as u64, sim.metrics().sent_by_kind["nack"]);
+        let per_round = broadcasts as f64 / (n as u64 * rounds) as f64;
+        assert!(
+            per_round <= 4.0 && receipts >= 2 * broadcasts,
+            "{broadcasts} broadcasts ({per_round:.1} per acceptor per round), {receipts} nacks"
         );
     }
 }

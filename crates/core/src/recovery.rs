@@ -10,11 +10,12 @@
 //! ```
 //!
 //! The `kind` field names the algorithm that wrote it — WTS `0x0105`,
-//! GWTS `0x0107`, SbS `0x0103`, GSbS `0x0104` — so a snapshot can never
-//! be decoded as the wrong process type (`0x0101`, `0x0102` and `0x0106`
-//! are retired, never to be reused: they name the WTS and GWTS payload
-//! layouts from before the rbcast engine kept slots, and the GWTS layout
-//! from before acks were per-origin delta streams; such a
+//! GWTS `0x0108`, SbS `0x0103`, GSbS `0x0104` — so a snapshot can never
+//! be decoded as the wrong process type (`0x0101`, `0x0102`, `0x0106` and
+//! `0x0107` are retired, never to be reused: they name the WTS and GWTS
+//! payload layouts from before the rbcast engine kept slots, and the GWTS
+//! layouts from before acks were per-origin delta streams and from
+//! before quorums were counted per `(round, set)`; such a
 //! snapshot must be rejected, not misread), and the trailing checksum makes
 //! truncation and bit-rot detectable before any field is parsed. The
 //! `version` field is [`bgla_codec::FRAME_VERSION`] (4); a snapshot
@@ -64,11 +65,13 @@
 //!   rebuilt from one the victim forgot, maybe into a set it never
 //!   accepted. That wastes the victim's votes until its next full ack
 //!   and nothing else: all peers rebuild the same set, a quorum needs
-//!   that set acked for the same `(destination, ts, round)` by
-//!   `⌊(n+f)/2⌋` others, correct acceptors ack only what the request
-//!   proposed, and a victim that forgot acks is inside the fault budget
-//!   already. Deliveries the crash swept leave gaps in the streams the
-//!   victim reads; each resumes at its origin's next full ack.
+//!   that set acked for the same round by `⌊(n+f)/2⌋` others, correct
+//!   acceptors ack only what a request proposed, and a victim that
+//!   forgot acks is inside the fault budget already. A restored process
+//!   also forgets for which rounds it said its set and says it again:
+//!   one more vote of the same origin for the same `(round, set)`.
+//!   Deliveries the crash swept leave gaps in the streams the victim
+//!   reads; each resumes at its origin's next full ack.
 //! * The conformance observers ([`crate::harness`]) watch the engine's
 //!   restart generation, emit an [`crate::linearize::OP_RESTART`] op at
 //!   each reboot, and re-announce the restored state. The trace checker

@@ -5,7 +5,7 @@
 //! asks the [`FaultPlan`] for a verdict before it is written. Faults
 //! are therefore injected *below* the masking machinery — exactly
 //! where a real lossy network would bite — so every recovery path
-//! (gap repair, probe, dedup, reconnect + resync, backoff) is exercised
+//! (gap repair, probe, dedup, reconnect + resync) is exercised
 //! by the same code that handles organic failures.
 //!
 //! # Determinism
@@ -27,9 +27,9 @@
 //!
 //! Partition windows are frame-index intervals during which every
 //! write on the link is swallowed. Retransmission attempts during the
-//! window consume indexes (with backoff stretching the attempts out),
-//! and the first attempt past the window restores the link — modeling
-//! a partition that heals.
+//! window consume indexes (one probe per timeout once nothing else is
+//! written), and the first attempt past the window restores the link —
+//! modeling a partition that heals.
 //!
 //! # What `chaos()` must cost
 //!
@@ -38,9 +38,10 @@
 //! write is dropped with probability 0.08, parked behind its successor
 //! 0.06, torn by a reset 0.015 (duplicates, 0.06, cost nothing). With
 //! a link round trip `R` ≈ 0.6 ms (measured SRTT 0.3–0.9 ms: the 1 ms
-//! sweep beat, not the wire), a timeout `RTO` ≈ 2 ms (`SRTT +
-//! 4·RTTVAR`, measured 1.1–3.1 ms) and bursts of about four frames,
-//! so that a quarter of all writes have no successor to expose them:
+//! sweep beat, not the wire), a timeout `RTO` ≈ 1.1 ms (`SRTT +
+//! 4·RTTVAR` as it stands when the timer fires, mean of 160 000
+//! firings; 1–3 ms) and bursts of about four frames, so that a quarter
+//! of all writes have no successor to expose them:
 //!
 //! * a drop that something follows is reported by the successor's ACK
 //!   and repaired at once: successor lands, ACK returns, repair lands
@@ -52,20 +53,27 @@
 //!   resent frame meets the injector again.
 //!
 //! Per write that is `0.08·(¾·2R + ¼·RTO) + 0.06·¼·RTO + 0.015·1.6`
-//! ≈ 0.17 ms, and FIFO delivery charges it to everything queued
-//! behind. A GWTS op is 34 message delays long at the median
-//! (`op_delays_p50`); if each rode a single link, chaos would add
-//! 34 × 0.17 ≈ 5.6 ms to the 3.4 ms the same run takes without faults:
-//! a ratio of 2.7. A delay really waits for a quorum, the second of
-//! three remote copies, so a fault shows only while a second link is
-//! recovering too — with 13 writes per link in a ≈ 6 ms round a link
+//! ≈ 0.13 ms, and FIFO delivery charges it to everything queued
+//! behind. A GWTS op is 25 message delays deep at the median
+//! (`op_delays_p50`, since an acceptor says each `(round, set)` once;
+//! 34 before); if each rode a single link, chaos would add 25 × 0.13
+//! ≈ 3.4 ms to the 2.3 ms the same protocol takes without faults: a
+//! ratio of 2.5. A delay really waits for a quorum, the second of three
+//! remote copies, so a fault shows only while a second link is
+//! recovering too — with ≈ 7 writes per link in a ≈ 3 ms round a link
 //! recovers about a third of the time, so a little over half of them
-//! show: ≈ 1.9. Measured `net.chaos_over_clean_p50` is 1.7–1.8 (it was
-//! 17–26 while every loss waited for a 40–150 ms constant). The
+//! show: ≈ 1.8 — and Lamport depth is an upper bound of the chain an
+//! op really waited on. Measured `net.chaos_over_clean_p50` is 1.1–1.3
+//! (1.7–1.8 before acks were said once; 17–26 while every loss waited
+//! for a 40–150 ms constant). The
 //! partition window — 10 consecutive writes on each link, once — is
-//! paid by the first round's ops only and sits in p90, not here: with
-//! every link cut nothing is acknowledged, each swallowed write is a
-//! probe, and the probes are 1, 2, 4, … ms apart.
+//! paid by the first round's ops only and sits in p90, not here. It is
+//! a count of writes, so a protocol that writes half as much stays in
+//! it twice as long, and what pushes a link through once all are cut
+//! and nothing is acknowledged is the probe alone: one per `RTO`, ten
+//! timeouts at most. (With the span doubled per probe — 1, 2, 4, … ms —
+//! the same window put `op_latency_p90_ms` at 29–37 ms; it reads
+//! 8.2–8.6.)
 
 /// What the injector decides for one frame write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -55,7 +55,7 @@
 //!   4·RTTVAR` past the oldest unacked frame's last send (Jacobson/
 //!   Karels, first sample from the HELLO handshake, Karn's rule
 //!   widened to whole acknowledged runs), which sends that one frame
-//!   as a probe and doubles until an ACK makes progress. A link's
+//!   as a probe, again every timeout until an ACK answers. A link's
 //!   first flight, before any ACK has come back, is timed at the
 //!   timeout's ceiling: a fault-free start-up resends nothing.
 //! * **Duplication** — injected duplicates and the rare probe that

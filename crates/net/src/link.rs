@@ -6,7 +6,7 @@
 //! deliberately **pure** — no sockets, no threads, no clocks. The
 //! caller feeds in the current time as a microsecond count and carries
 //! the returned frames to whatever wire it owns. That makes every
-//! masking path (gap repair, probe-after-timeout, backoff, dedup,
+//! masking path (gap repair, probe-after-timeout, dedup,
 //! resync-after-reconnect, bounded-outbox overflow) a plain function
 //! of its inputs, pinned exactly by unit tests with no real I/O or
 //! sleeps involved.
@@ -26,13 +26,19 @@
 //!   6298). The one timer is `last send of the oldest unacked frame +
 //!   RTO`. When it fires nothing is known, so the sender asks: it
 //!   resends that **one** frame as a probe — any DATA frame elicits an
-//!   ACK whose gap report says what is really missing — and doubles
-//!   the timeout until an ACK makes progress. Until the link's first
-//!   ACK has come back the clock has measured only the handshake,
-//!   which is answered in the sweep that reads it and so says nothing
-//!   of how long an ACK waits for the receiver's next look at its
-//!   socket: the first flight is timed at the ceiling (a loss in it
-//!   that anything follows is still repaired at once, on evidence).
+//!   ACK whose gap report says what is really missing — and asks again
+//!   one RTO later, at the same span. The span is not doubled: a probe
+//!   is one frame per timeout, and a timeout is never under the
+//!   poller's 1 ms beat, so there is no load to back off from;
+//!   congestion control belongs to the TCP stream below, and a stream
+//!   that died is redialled, not probed. (Doubled, a window that
+//!   swallows `k` writes of a link nothing else is written to costs
+//!   `2^k − 1` timeouts instead of `k`.) Until the link's first ACK has
+//!   come back the clock has measured only the handshake, which is
+//!   answered in the sweep that reads it and so says nothing of how
+//!   long an ACK waits for the receiver's next look at its socket: the
+//!   first flight is timed at the ceiling (a loss in it that anything
+//!   follows is still repaired at once, on evidence).
 //! * **Samples.** Karn's rule alone is not enough under cumulative
 //!   acks: frames parked in the receiver's stash behind a hole are
 //!   acknowledged when the hole fills, however long that took. A
@@ -52,26 +58,28 @@ pub type Frame = Arc<[u8]>;
 /// justified by the two numbers it trades (2 cores, loopback, GWTS).
 ///
 /// The floor trades tail-loss latency — a lost last frame, or each
-/// write a partition window swallows, waits one timeout — against
-/// probes sent on a fault-free link whose ACK is merely waiting for a
-/// CPU. At 1 / 2 / 4 ms, `op_latency_p90_ms` under `chaos()` at n = 4
-/// reads 12–14 / 17–24 / 33 ms, and `net.spurious_retransmit_ratio` on
-/// the same system without faults 0.0029 / 0.0020 (a probe is one
-/// frame, so a timeout that was wrong is cheap). 1 ms is the poller's
-/// idle beat: no timer is looked at more often.
+/// write a partition window swallows once traffic has stopped pushing
+/// it, waits one timeout — against probes sent on a fault-free link
+/// whose ACK is merely waiting for a CPU. At 1 / 2 / 4 ms,
+/// `op_latency_p90_ms` under `chaos()` at n = 4 reads 8.2–8.6 / 13.7–14.1
+/// / 23–24 ms (3 450–3 790 / 2 760–3 180 / 2 150–2 430 ops/s), and
+/// `net.spurious_retransmit_ratio` on the same system without faults
+/// 0.0002–0.0006 / 0.00003 (a probe is one frame, so a timeout that was
+/// wrong is cheap). 1 ms is the poller's idle beat: no timer is looked
+/// at more often, which is also what bounds the un-doubled probe rate.
 ///
-/// The ceiling trades how long a healed link can stay silent after a
-/// run of lost probes against resends at sizes where a round trip
-/// really is this long because ACKs queue for a CPU: at 64 / 16 ms a
-/// fault-free run resends 0.2% / 1.4% of its frames at n = 10 and
-/// 0.9% / 1.2% at n = 16, while the chaos numbers above do not move.
+/// The ceiling caps the estimate where a round trip really is long
+/// because ACKs queue for a CPU — at 64 / 16 ms a fault-free run resends
+/// 0.16% / 0.32% of its frames at n = 7, 0.07% / 0.14% at n = 10 and
+/// 0.07% / 1.5% at n = 16 — and bounds how long a link whose estimate one
+/// starved sample inflated stays silent after a tail loss.
 /// It also times a link's first flight, before any ACK has been heard:
 /// a receiver that has gone idle looks at its socket one beat later,
 /// which the handshake's sample cannot know, and timing the flight by
 /// that sample put a stray probe into 41 of 1 000 fault-free start-ups
 /// (4 nodes, one frame per link; 11 with a 2 ms floor, 0 of 3 000 at
 /// the ceiling) — for no gain under `chaos()`, where something follows
-/// a lost first frame and reports it (p50 5.9 ms, p90 12.9 either way).
+/// a lost first frame and reports it.
 const RTO_MIN_US: u64 = 1_000;
 const RTO_MAX_US: u64 = 64_000;
 
@@ -124,8 +132,6 @@ pub struct SenderLink {
     /// Smoothed round trip and its mean deviation in µs; 0 = no sample.
     srtt: u64,
     rttvar: u64,
-    /// Doublings applied to the timeout since the last ack progress.
-    backoff: u32,
     /// An ACK has come back on this link: the estimate now rests on
     /// more than the handshake.
     heard: bool,
@@ -147,7 +153,6 @@ impl SenderLink {
             unacked: VecDeque::new(),
             srtt: 0,
             rttvar: 0,
-            backoff: 0,
             heard: false,
             retransmits: 0,
             overflow_dropped: 0,
@@ -166,14 +171,12 @@ impl SenderLink {
     }
 
     /// Current timeout span in µs: `SRTT + 4·RTTVAR` within the floor
-    /// and ceiling, doubled per firing since the last ack progress; the
-    /// ceiling while no ACK has been heard yet.
+    /// and ceiling; the ceiling while no ACK has been heard yet.
     fn rto_us(&self) -> u64 {
         if !self.heard {
             return RTO_MAX_US;
         }
-        let base = (self.srtt + 4 * self.rttvar).clamp(RTO_MIN_US, RTO_MAX_US);
-        (base << self.backoff).min(RTO_MAX_US)
+        (self.srtt + 4 * self.rttvar).clamp(RTO_MIN_US, RTO_MAX_US)
     }
 
     /// Deadline (caller-clock µs) of the one timer: the oldest unacked
@@ -225,16 +228,14 @@ impl SenderLink {
         Some(frame)
     }
 
-    /// Processes an ACK `(cum, held)`: drops acknowledged frames —
-    /// progress resets the backoff, and a run that was never resent
-    /// yields a round-trip sample — then returns the repair for the
+    /// Processes an ACK `(cum, held)`: drops acknowledged frames — a run
+    /// that was never resent yields a round-trip sample — then returns the repair for the
     /// reported hole: every frame of `[cum, held)` except those resent
     /// within the last smoothed RTT (that repair is still in flight).
     pub fn on_ack(&mut self, cum: u64, held: u64, now: u64) -> Vec<Frame> {
         self.heard = true;
         let covered = self.below(cum);
         if covered > 0 {
-            self.backoff = 0;
             let run = self.unacked.drain(..covered);
             let (clean, newest) = run.fold((true, 0), |(clean, newest), f| {
                 (clean && !f.resent, newest.max(f.sent_at))
@@ -260,15 +261,12 @@ impl SenderLink {
 
     /// Fires the timer if due: no gap report says what is missing, so
     /// the oldest unacked frame goes out once more as a probe (its ACK
-    /// will say) and the timeout doubles. `None` when the timer has
-    /// not expired or nothing is outstanding.
+    /// will say), which re-arms the timer one span on. `None` when the
+    /// timer has not expired or nothing is outstanding.
     pub fn on_timer(&mut self, now: u64) -> Option<Frame> {
         if now < self.deadline()? {
             return None;
         }
-        // (Capped only to keep the shift defined: the ceiling is six
-        // doublings of the floor.)
-        self.backoff = (self.backoff + 1).min(16);
         self.retransmits += 1;
         Some(self.unacked.front_mut()?.resend(now))
     }
@@ -285,7 +283,6 @@ impl SenderLink {
     pub fn on_hello(&mut self, peer_expected: u64, hello_rtt: Option<u64>, now: u64) -> Vec<Frame> {
         // What a handshake acknowledges times nothing: no sample.
         self.unacked.drain(..self.below(peer_expected));
-        self.backoff = 0;
         for f in &mut self.unacked {
             f.sent_at = now;
             f.resent = hello_rtt.is_none();
@@ -489,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn timeout_without_evidence_sends_one_probe_and_backs_off() {
+    fn timeout_without_evidence_sends_one_probe_per_rto() {
         let mut tx = warm(64, 1_000);
         send(&mut tx, 40, 0);
         let rto = tx.rto_us();
@@ -497,26 +494,19 @@ mod tests {
         // Every ACK is lost. Before the deadline: nothing.
         assert_eq!(tx.deadline(), Some(rto));
         assert!(tx.on_timer(rto - 1).is_none());
-        // At it: the oldest frame alone, not a burst; the span doubles.
-        let mut now = rto;
-        for doubling in 1..=4u32 {
+        // At it, and at every span after it: the oldest frame alone, not
+        // a burst, and the span stays what the estimate says.
+        for firing in 1..=14 {
+            let now = firing * rto;
             assert_eq!(seqs(&[tx.on_timer(now).unwrap()]), [0]);
-            assert_eq!(tx.rto_us(), rto << doubling);
             assert!(tx.on_timer(now).is_none(), "re-armed, not re-fired");
-            now = tx.deadline().unwrap();
+            assert_eq!(tx.deadline(), Some(now + rto));
         }
-        // The doubling stops at the ceiling.
-        for _ in 0..10 {
-            now = tx.deadline().unwrap();
-            tx.on_timer(now).unwrap();
-        }
-        assert_eq!(tx.rto_us(), RTO_MAX_US);
         assert_eq!(tx.retransmits, 14, "one frame per firing");
         // The probe's ACK is the evidence: frames 0..40 all missing but
-        // for… nothing held, so nothing more is guessed at.
-        assert!(tx.on_ack(1, 1, now + 10).is_empty());
-        // Progress: the backoff is gone, the estimate untouched (the
-        // acknowledged frame had been resent).
+        // for… nothing held, so nothing more is guessed at, and the
+        // estimate is untouched (the acknowledged frame had been resent).
+        assert!(tx.on_ack(1, 1, 14 * rto + 10).is_empty());
         assert_eq!(tx.rto_us(), rto);
         assert_eq!(tx.deadline(), Some(rto), "frame 1 was last sent at 0");
     }
@@ -606,7 +596,7 @@ mod tests {
     fn reconnect_puts_the_whole_unseen_tail_back_at_once_and_times_nothing() {
         let mut tx = warm(64, 600);
         send(&mut tx, 40, 100);
-        // One timeout: backed off once.
+        // One timeout: one probe.
         tx.on_timer(tx.deadline().unwrap()).unwrap();
         // Connection dies; the peer's HELLO on reconnect says it has
         // 0..3. The handshake took 30 ms (accept latency included).
@@ -620,7 +610,7 @@ mod tests {
         // resent, 30 ms old) nor the resent tail feed the estimator.
         tx.on_ack(40, 40, 31_000);
         assert_eq!(tx.srtt, 600);
-        assert_eq!(tx.rto_us(), 600 + 4 * 300, "backoff restarted");
+        assert_eq!(tx.rto_us(), 600 + 4 * 300);
         // A peer that has everything gets nothing.
         send(&mut tx, 1, 40_000);
         assert!(tx.on_hello(41, None, 50_000).is_empty());
@@ -655,7 +645,7 @@ mod tests {
         seq: u64,
         at: u64,
         verdict: FaultAction,
-        /// First transmission, with no backoff in effect.
+        /// First transmission.
         first: bool,
         rto: u64,
     }
@@ -722,7 +712,7 @@ mod tests {
                 seq: data(&f).seq,
                 at: self.now,
                 verdict,
-                first: first && self.tx.backoff == 0,
+                first,
                 rto: self.tx.rto_us(),
             });
             let mut out = Vec::new();

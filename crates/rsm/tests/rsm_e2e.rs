@@ -225,3 +225,52 @@ fn reads_reflect_quorum_confirmed_decisions_only() {
         "read value not contained in any replica decision"
     );
 }
+
+/// Alg. 7's confirmation outlives `prune_old_rounds`: a `CnfReq` that the
+/// scheduler holds until the replica has pruned the round its set was
+/// committed in is answered from the replica's own decisions. (Answered
+/// from the ack history alone, most of these seeds strand a client or
+/// four for good: the read mix of the `sim_rsm_read` benchmark workload,
+/// eight closed-loop clients, three reads per update.)
+#[test]
+fn reads_are_confirmed_after_their_round_was_pruned() {
+    let (n, f, clients) = (4usize, 1usize, 8usize);
+    let ops = if cfg!(debug_assertions) { 16 } else { 100 };
+    let mut retained = Vec::new();
+    for seed in 0..40u64 {
+        let scripts = (0..clients).map(|c| {
+            let script = (0..ops)
+                .map(|j| match j % 4 {
+                    0 => ClientOp::Update(Op::Add(1 + (seed + c as u64 + j) % 9)),
+                    _ => ClientOp::Read,
+                })
+                .collect();
+            workload(c as u64 + 1, n, f, script)
+        });
+        let config = SystemConfig::new(n, f);
+        let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
+        for i in 0..n {
+            b = b.add(Box::new(Replica::new(i, config, 600)));
+        }
+        let mut sim = scripts.fold(b, |b, c| b.add(c)).build();
+        sim.start();
+        let finished = |sim: &Simulation<RsmMsg>| {
+            (n..n + clients).all(|id| sim.process_as::<WorkloadClient>(id).unwrap().finished())
+        };
+        let mut longest = 0;
+        while !finished(&sim) {
+            assert!(sim.step(), "seed {seed}: quiescent with a client waiting");
+            let replica = |i| sim.process_as::<Replica>(i).unwrap();
+            longest = (0..n).fold(longest, |m, i| m.max(replica(i).inner.ack_history_len()));
+        }
+        let ids: Vec<usize> = (n..n + clients).collect();
+        let done = clients_of(&sim, &ids);
+        let done: Vec<&WorkloadClient> = done.iter().collect();
+        checks::check_read_monotonicity(&done).unwrap();
+        checks::check_update_visibility(&done).unwrap();
+        retained.push(longest);
+    }
+    // The answer keeps no round: the ack history never holds more than a
+    // handful of sets, at 16 ops a client (debug) as at 100 (release).
+    assert!(retained.iter().all(|len| *len <= 6), "{retained:?}");
+}
