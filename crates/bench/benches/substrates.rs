@@ -3,7 +3,7 @@
 
 use bgla_codec::{decode_payload, encode_payload};
 use bgla_core::valueset::ValueSet;
-use bgla_crypto::{hmac_sha512, sha512, Keypair};
+use bgla_crypto::{sha512, Keypair};
 use bgla_lattice::{JoinSemiLattice, SetLattice};
 use bgla_rbcast::{RbMsg, RbcastEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -18,13 +18,6 @@ fn bench_sha512(c: &mut Criterion) {
         });
     }
     g.finish();
-}
-
-fn bench_hmac(c: &mut Criterion) {
-    let data = vec![0u8; 256];
-    c.bench_function("hmac_sha512_256B", |b| {
-        b.iter(|| hmac_sha512(b"key", &data))
-    });
 }
 
 fn bench_ed25519(c: &mut Criterion) {
@@ -167,7 +160,6 @@ fn bench_lattice(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha512,
-    bench_hmac,
     bench_ed25519,
     bench_ed25519_batch,
     bench_rbcast,

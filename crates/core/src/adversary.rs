@@ -723,8 +723,8 @@ pub mod sbs {
     use crate::proof::Proof;
     use crate::provendelta::ProvenUpdate;
     use crate::sbs::{ProvenValue, SafeAckBody, SbsMsg, SignedSafeAck, SignedValue};
-    use crate::signedset::SignedSet;
     use crate::value::SignableValue;
+    use crate::valueset::ValueSet;
     use bgla_crypto::{Keypair, ProofIdBuilder};
     use bgla_simnet::{Context, Process, ProcessId};
     use std::any::Any;
@@ -785,7 +785,7 @@ pub mod sbs {
             };
             let ack = SignedSafeAck::sign(body, self.me, &kp);
             let proof = Proof::new(vec![ack.clone(), ack.clone(), ack]);
-            let proposed: SignedSet<ProvenValue<V>> =
+            let proposed: ValueSet<ProvenValue<V>> =
                 [ProvenValue { sv, proof }].into_iter().collect();
             for ts in 0..3 {
                 ctx.broadcast(SbsMsg::AckReq {
@@ -807,7 +807,7 @@ pub mod sbs {
                     conflicts: vec![],
                 };
                 let ack = SignedSafeAck::sign(body, self.me, &kp);
-                let accepted: SignedSet<ProvenValue<V>> = [ProvenValue {
+                let accepted: ValueSet<ProvenValue<V>> = [ProvenValue {
                     sv,
                     proof: Proof::new(vec![ack]),
                 }]
@@ -856,7 +856,7 @@ pub mod sbs {
 
         /// A forged single-ack proven value (quorum-invalid on purpose —
         /// even a resolved reference to it must never certify anything).
-        fn forged_set(&self) -> SignedSet<ProvenValue<V>> {
+        fn forged_set(&self) -> ValueSet<ProvenValue<V>> {
             let kp = Keypair::for_process(self.me);
             let sv = SignedValue::sign(self.value.clone(), self.me, &kp);
             let body = SafeAckBody {
@@ -893,7 +893,7 @@ pub mod sbs {
             ctx.broadcast(SbsMsg::AckReq {
                 proposed: ProvenUpdate::Delta {
                     base_ts: 777,
-                    new: SignedSet::new(),
+                    new: ValueSet::new(),
                     refs: vec![b.finish()],
                 },
                 ts: 2,
@@ -965,7 +965,6 @@ pub mod gsbs {
     use crate::gsbs::{GSafeAck, GsbsMsg, ProvenBatch, SignedBatch};
     use crate::proof::Proof;
     use crate::provendelta::ProvenUpdate;
-    use crate::signedset::SignedSet;
     use crate::value::SignableValue;
     use crate::valueset::ValueSet;
     use bgla_crypto::{Keypair, ProofIdBuilder};
@@ -995,11 +994,11 @@ pub mod gsbs {
             }
         }
 
-        fn forged_set(&self, round: u64) -> SignedSet<ProvenBatch<V>> {
+        fn forged_set(&self, round: u64) -> ValueSet<ProvenBatch<V>> {
             let kp = Keypair::for_process(self.me);
             let batch: ValueSet<V> = [self.value.clone()].into_iter().collect();
             let sb = SignedBatch::sign(round, batch, self.me, &kp);
-            let rcvd: SignedSet<SignedBatch<V>> = [sb.clone()].into_iter().collect();
+            let rcvd: ValueSet<SignedBatch<V>> = [sb.clone()].into_iter().collect();
             let ack = GSafeAck::sign(round, rcvd, vec![], self.me, &kp);
             [ProvenBatch {
                 sb,
@@ -1030,7 +1029,7 @@ pub mod gsbs {
             ctx.broadcast(GsbsMsg::AckReq {
                 proposed: ProvenUpdate::Delta {
                     base_ts: 777,
-                    new: SignedSet::new(),
+                    new: ValueSet::new(),
                     refs: vec![b.finish()],
                 },
                 ts: 2,

@@ -30,7 +30,7 @@
 //! proof's quorum checks run exactly once per process and are answered
 //! from a per-process [`bgla_crypto::ProofCache`] thereafter (positive
 //! and negative verdicts — see [`bgla_crypto::proofstore`] for what may
-//! be cached). Batch-set payloads are [`SignedSet`]s (Arc-backed,
+//! be cached). Batch-set payloads are [`ValueSet`]s (Arc-backed,
 //! `O(1)` clone, merge-walk join).
 //!
 //! And like [`crate::sbs`], the proof-carrying payloads (`AckReq.proposed`
@@ -43,13 +43,12 @@
 //! key deltas exactly as in SbS.
 
 use crate::config::SystemConfig;
-use crate::proof::{Proof, ProofAck};
+use crate::proof::{remove_conflicts, return_conflicts, Conflicting, Proof, ProofAck};
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate,
 };
-use crate::signedset::{SignedItem, SignedSet};
 use crate::value::SignableValue;
-use crate::valueset::ValueSet;
+use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
     sha512, CachedVerifier, Keypair, Keyring, ProofCache, ProofId, ProofResolver, Signature,
@@ -122,14 +121,17 @@ impl<V: SignableValue> SignedBatch<V> {
             &self.sig,
         )
     }
+}
 
+impl<V: SignableValue> Conflicting for SignedBatch<V> {
     /// Same signer + round but different batch contents.
-    pub fn conflicts_with(&self, other: &Self) -> bool {
+    fn conflicts_with(&self, other: &Self) -> bool {
         self.signer == other.signer && self.round == other.round && self.batch != other.batch
     }
 }
 
-impl<V: SignableValue> SignedItem for SignedBatch<V> {
+impl<V: SignableValue> SetItem for SignedBatch<V> {
+    const EQ_IS_IDENTITY: bool = true;
     fn wire_size(&self) -> usize {
         var_len(self.round) + self.batch.wire_size() + var_len(self.signer as u64) + 64
     }
@@ -141,7 +143,7 @@ pub struct GSafeAck<V: SignableValue> {
     /// Round being safetied.
     pub round: u64,
     /// Echo of the request set.
-    pub rcvd: SignedSet<SignedBatch<V>>,
+    pub rcvd: ValueSet<SignedBatch<V>>,
     /// Conflicts known to the acceptor.
     pub conflicts: Vec<(SignedBatch<V>, SignedBatch<V>)>,
     /// Acceptor id.
@@ -170,7 +172,7 @@ impl<V: SignableValue> GSafeAck<V> {
 
     fn signable_bytes(
         round: u64,
-        rcvd: &SignedSet<SignedBatch<V>>,
+        rcvd: &ValueSet<SignedBatch<V>>,
         conflicts: &[(SignedBatch<V>, SignedBatch<V>)],
         signer: ProcessId,
     ) -> Vec<u8> {
@@ -192,7 +194,7 @@ impl<V: SignableValue> GSafeAck<V> {
     /// Builds and signs a safe-ack.
     pub fn sign(
         round: u64,
-        rcvd: SignedSet<SignedBatch<V>>,
+        rcvd: ValueSet<SignedBatch<V>>,
         conflicts: Vec<(SignedBatch<V>, SignedBatch<V>)>,
         signer: ProcessId,
         kp: &Keypair,
@@ -239,7 +241,7 @@ impl<V: SignableValue> ProofAck for GSafeAck<V> {
             + self
                 .conflicts
                 .iter()
-                .map(|(a, b)| SignedItem::wire_size(a) + SignedItem::wire_size(b))
+                .map(|(a, b)| SetItem::wire_size(a) + SetItem::wire_size(b))
                 .sum::<usize>()
             + var_len(self.signer as u64)
             + 64
@@ -276,12 +278,14 @@ impl<V: SignableValue> Ord for ProvenBatch<V> {
     }
 }
 
-impl<V: SignableValue> SignedItem for ProvenBatch<V> {
+impl<V: SignableValue> SetItem for ProvenBatch<V> {
+    /// `==` ignores the proof: joins must keep our own handles.
+    const EQ_IS_IDENTITY: bool = false;
     fn wire_size(&self) -> usize {
         // The batch only; attached proofs are accounted separately
         // (shared proofs transmit once per message, or as a reference —
         // see the WireMessage byte-accounting contract).
-        SignedItem::wire_size(&self.sb)
+        SetItem::wire_size(&self.sb)
     }
 }
 
@@ -441,7 +445,7 @@ pub enum GsbsMsg<V: SignableValue> {
         /// Round being safetied.
         round: u64,
         /// The proposer's collected signed batches for that round.
-        set: SignedSet<SignedBatch<V>>,
+        set: ValueSet<SignedBatch<V>>,
     },
     /// Signed safetying reply.
     SafeAck(GSafeAck<V>),
@@ -529,7 +533,7 @@ impl<V: SignableValue> WireMessage for GsbsMsg<V> {
                 let (bytes, proofs) = pl.metered();
                 (1 + bytes + var_len(*ts) + var_len(*round), proofs)
             }
-            GsbsMsg::Init(sb) => plain(SignedItem::wire_size(sb)),
+            GsbsMsg::Init(sb) => plain(SetItem::wire_size(sb)),
             GsbsMsg::SafeReq { round, set } => plain(var_len(*round) + set.wire_size()),
             GsbsMsg::SafeAck(a) => plain(ProofAck::wire_size(a)),
             GsbsMsg::Ack(ack) => plain(ack.wire_size()),
@@ -578,21 +582,21 @@ pub struct GsbsProcess<V: SignableValue> {
     /// Pending batches.
     batches: BTreeMap<u64, Vec<V>>,
     /// Collected signed batches per round (conflict-pruned).
-    safety_sets: BTreeMap<u64, SignedSet<SignedBatch<V>>>,
+    safety_sets: BTreeMap<u64, ValueSet<SignedBatch<V>>>,
     /// Collected safe-acks for our current safe_req.
     safe_acks: Vec<GSafeAck<V>>,
     safe_ack_senders: BTreeSet<ProcessId>,
     /// The exact set sent in the outstanding safe_req (safe-acks must
     /// echo it verbatim; `safety_sets` keeps growing in the meantime).
-    current_safe_req: SignedSet<SignedBatch<V>>,
+    current_safe_req: ValueSet<SignedBatch<V>>,
     /// Cumulative proven proposal.
-    proposed_set: SignedSet<ProvenBatch<V>>,
+    proposed_set: ValueSet<ProvenBatch<V>>,
     /// Signed acks gathered for the current (ts, round, digest).
     ack_certs: Vec<SignedAck>,
     /// Acceptor: safety candidates per round.
-    safe_candidates: BTreeMap<u64, SignedSet<SignedBatch<V>>>,
+    safe_candidates: BTreeMap<u64, ValueSet<SignedBatch<V>>>,
     /// Acceptor: cumulative accepted proven set.
-    accepted_set: SignedSet<ProvenBatch<V>>,
+    accepted_set: ValueSet<ProvenBatch<V>>,
     /// Memoized full-proof verdicts, keyed by [`ProofId`].
     // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
     proof_cache: ProofCache,
@@ -652,11 +656,11 @@ impl<V: SignableValue> GsbsProcess<V> {
             safety_sets: BTreeMap::new(),
             safe_acks: Vec::new(),
             safe_ack_senders: BTreeSet::new(),
-            current_safe_req: SignedSet::new(),
-            proposed_set: SignedSet::new(),
+            current_safe_req: ValueSet::new(),
+            proposed_set: ValueSet::new(),
             ack_certs: Vec::new(),
             safe_candidates: BTreeMap::new(),
-            accepted_set: SignedSet::new(),
+            accepted_set: ValueSet::new(),
             proof_cache: ProofCache::default(),
             delta_tx: ProvenDeltaSender::new(),
             delta_rx: ProvenDeltaReceiver::new(),
@@ -750,7 +754,7 @@ impl<V: SignableValue> GsbsProcess<V> {
     ///
     /// Public for the verification-count tests; protocol handlers are
     /// the real callers.
-    pub fn all_safe(&mut self, set: &SignedSet<ProvenBatch<V>>) -> bool {
+    pub fn all_safe(&mut self, set: &ValueSet<ProvenBatch<V>>) -> bool {
         let quorum = self.config.quorum();
         // bgla-lint: allow(determinism, "membership-only dedup set (insert/contains); iteration order never observed")
         let mut checked: HashSet<ProofId> = HashSet::with_capacity(set.len());
@@ -804,7 +808,7 @@ impl<V: SignableValue> GsbsProcess<V> {
         verifier.verify_all(&obligations)
     }
 
-    fn values_of(set: &SignedSet<ProvenBatch<V>>) -> ValueSet<V> {
+    fn values_of(set: &ValueSet<ProvenBatch<V>>) -> ValueSet<V> {
         set.iter()
             .flat_map(|pb| pb.sb.batch.iter().cloned())
             .collect()
@@ -1455,7 +1459,7 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                     let round = sb.round;
                     let entry = self.safety_sets.entry(round).or_default();
                     entry.insert(sb);
-                    remove_batch_conflicts(entry);
+                    *entry = remove_conflicts(entry);
                     self.maybe_start_safetying(ctx);
                 }
             }
@@ -1473,12 +1477,8 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                     // O(1) when the candidates already contain the
                     // request (redelivered subsets), merge-walk else.
                     let union = cands.join(&set);
-                    let conflicts = return_batch_conflicts(&union);
-                    *cands = {
-                        let mut pruned = union;
-                        remove_batch_conflicts(&mut pruned);
-                        pruned
-                    };
+                    let conflicts = return_conflicts(&union);
+                    *cands = remove_conflicts(&union);
                     let ack = GSafeAck::sign(round, set, conflicts, self.me, &self.keypair);
                     self.verifier.record_own(&Self::safe_ack_obligation(&ack));
                     ctx.send(from, GsbsMsg::SafeAck(ack));
@@ -1580,34 +1580,6 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
     fn snapshot(&self) -> Option<Vec<u8>> {
         Some(self.snapshot_bytes())
     }
-}
-
-/// Removes conflicting batch pairs in place (no-op allocation-wise when
-/// nothing conflicts — the common case).
-fn remove_batch_conflicts<V: SignableValue>(set: &mut SignedSet<SignedBatch<V>>) {
-    let conflicts = return_batch_conflicts(set);
-    if conflicts.is_empty() {
-        return;
-    }
-    set.retain(|sb| !conflicts.iter().any(|(a, b)| a == sb || b == sb));
-}
-
-/// Lists conflicting batch pairs.
-fn return_batch_conflicts<V: SignableValue>(
-    set: &SignedSet<SignedBatch<V>>,
-) -> Vec<(SignedBatch<V>, SignedBatch<V>)> {
-    let items = set.as_slice();
-    let mut out = Vec::new();
-    for i in 0..items.len() {
-        for j in (i + 1)..items.len() {
-            // bgla-lint: allow(byzantine-panic, "i and j bounded by items.len() loop ranges")
-            if items[i].conflicts_with(&items[j]) {
-                // bgla-lint: allow(byzantine-panic, "i and j bounded by items.len() loop ranges")
-                out.push((items[i].clone(), items[j].clone()));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

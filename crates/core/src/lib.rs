@@ -48,19 +48,19 @@
 //! detected gap. See [`valueset`] for the wire format.
 //!
 //! The signature algorithms ship their *signed-record* sets (safe_req
-//! echoes, proven proposal/accepted sets) as [`signedset::SignedSet`]s —
-//! the same Arc-backed design, generic over signed records — and their
-//! proofs of safety as [`proof::Proof`] handles whose content address
-//! ([`bgla_crypto::ProofId`]) is interned at construction. Each distinct
-//! proof is then **verified once per process**: `AllSafe` memoizes
-//! full-proof verdicts (positive and negative) in a per-process
+//! echoes, proven proposal/accepted sets) as the same
+//! [`valueset::ValueSet`], over their own [`valueset::SetItem`]s, and
+//! their proofs of safety as [`proof::Proof`] handles whose content
+//! address ([`bgla_crypto::ProofId`]) is interned at construction. Each
+//! distinct proof is then **verified once per process**: `AllSafe`
+//! memoizes full-proof verdicts (positive and negative) in a per-process
 //! [`bgla_crypto::ProofCache`], so redelivered or re-shipped proofs cost
 //! a hash lookup plus pure comparisons.
 //!
 //! Each distinct proof is also **transmitted once per peer**: the
 //! proof-carrying payloads (`AckReq.proposed`, `Nack.accepted`) travel
-//! as [`provendelta::ProvenUpdate`]s — deltas of the proven set against
-//! a base the receiver replied to, with proofs the receiver demonstrably
+//! as [`provendelta::ProvenUpdate`]s — the same delta ledger over the
+//! proven set, with proofs the receiver demonstrably
 //! holds named by [`bgla_crypto::ProofId`] reference and reconstructed
 //! through a per-process [`bgla_crypto::ProofResolver`]. Unresolvable
 //! proposals fall back to `Full` via a resync round trip (only Byzantine
@@ -81,7 +81,6 @@ pub mod provendelta;
 pub mod recovery;
 pub mod sbs;
 pub mod search;
-pub mod signedset;
 pub mod spec;
 pub mod value;
 pub mod valueset;
@@ -94,6 +93,5 @@ pub use recovery::{
     CorruptingStore, CrashEvent, CrashPlan, CrashTactic, DirStore, MemStore, RecoveryRun,
     RollbackStore, SnapshotPolicy, SnapshotStore,
 };
-pub use signedset::{SignedItem, SignedSet};
 pub use value::Value;
-pub use valueset::{SetUpdate, ValueSet};
+pub use valueset::{SetItem, SetUpdate, ValueSet};

@@ -25,11 +25,9 @@
 //! [`bgla_crypto::ProofCache`] memoizes full verification verdicts by
 //! id — see the caching contract in [`bgla_crypto::proofstore`].
 
+use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{ProofId, ProofIdBuilder};
-use bgla_simnet::ProofSizes;
-// bgla-lint: allow(determinism, "HashSet used membership-only for proof dedup; iteration order never observed")
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// An ack that can be part of a [`Proof`]: supplies the canonical bytes
@@ -165,26 +163,39 @@ impl<A: ProofAck + Wire> Wire for Proof<A> {
     }
 }
 
-/// Per-message proof accounting over the proofs attached to a set of
-/// proven records: shared proofs are deduplicated by [`ProofId`] (each
-/// id's cached byte size counted once for the interned figure, once per
-/// reference for the flat figure). One walk serves both the wire-size
-/// metering and the [`ProofSizes`] metrics for SbS and GSbS alike.
-pub fn account_proofs<'a, A: ProofAck + 'a>(
-    proofs: impl Iterator<Item = &'a Proof<A>>,
-) -> ProofSizes {
-    let mut sizes = ProofSizes::default();
-    // bgla-lint: allow(determinism, "membership-only dedup set (insert); iteration order never observed")
-    let mut seen: HashSet<ProofId> = HashSet::new();
-    for proof in proofs {
-        sizes.refs += 1;
-        sizes.flat_bytes += proof.wire_size() as u64;
-        if seen.insert(proof.id()) {
-            sizes.distinct += 1;
-            sizes.interned_bytes += proof.wire_size() as u64;
+/// A signed record two of which can contradict each other: one signer
+/// vouching for two different contents — what a safe-ack reports and a
+/// proof of safety must be free of.
+pub trait Conflicting: SetItem {
+    /// Whether `self` and `other` are such a pair (`VerifyConfPair`
+    /// checks signatures too; that is done at verification sites).
+    fn conflicts_with(&self, other: &Self) -> bool;
+}
+
+/// Lists the conflicting pairs within `set` (Algorithm 10's
+/// `ReturnConflicts`).
+pub fn return_conflicts<T: Conflicting>(set: &ValueSet<T>) -> Vec<(T, T)> {
+    let mut out = Vec::new();
+    for (i, a) in set.iter().enumerate() {
+        for b in set.iter().skip(i + 1) {
+            if a.conflicts_with(b) {
+                out.push((a.clone(), b.clone()));
+            }
         }
     }
-    sizes
+    out
+}
+
+/// `set` without any member of a conflicting pair (Algorithm 10's
+/// `RemoveConflicts`). Returns the input handle when nothing conflicts
+/// (the common case).
+pub fn remove_conflicts<T: Conflicting>(set: &ValueSet<T>) -> ValueSet<T> {
+    let conflicts = return_conflicts(set);
+    let mut out = set.clone();
+    if !conflicts.is_empty() {
+        out.retain(|x| !conflicts.iter().any(|(a, b)| a == x || b == x));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Delta-encoded, **proof-by-reference** payloads for proof-carrying
-//! messages — [`crate::valueset::SetUpdate`] lifted to proven-record
-//! sets.
+//! messages — [`SetUpdate`] lifted to proven-record sets.
 //!
 //! # Why
 //!
@@ -21,9 +20,14 @@
 //! `Delta` ships only the records added since a base the receiver
 //! replied to, with proofs the receiver already holds referenced by id.
 //!
-//! # Who holds what — the reference discipline
+//! # Which proofs a peer holds — the reference discipline
 //!
-//! A sender may reference a proof to a peer only when that peer
+//! *Which set* a peer holds is the delta ledger's business, stated once
+//! in [`crate::valueset`]: a reply to timestamp `t` is the evidence for
+//! `snapshot(t)`, and a consumed proposal stays a base for a window of
+//! timestamps. [`ProvenDeltaSender`] and [`ProvenDeltaReceiver`] wrap
+//! that ledger and add only *which proofs*:
+//! a sender may reference a proof to a peer only when that peer
 //! *demonstrably* delivered it:
 //!
 //! * **ack/nack replies** — a peer that replied to the proposal of
@@ -43,13 +47,13 @@
 //! are seeded from replies and received sets only.
 //!
 //! Receivers mirror the discipline: [`ProvenDeltaReceiver::record`]
-//! notes, per proposer, the consumed base sets (delta bases) and the
-//! proof ids that proposer evidently holds (so *reply* traffic — the
-//! delta-encoded `Nack.accepted` — can reference the proposer's own
-//! proofs back at it via [`ProvenDeltaReceiver::encode_reply`]). A nack
-//! deltas against the proposal it refuses, which the proposer holds by
-//! construction ([`ProvenDeltaSender::resolve_reply`] resolves it from
-//! the sender-side snapshots).
+//! notes, per proposer, the proof ids that proposer evidently holds (so
+//! *reply* traffic — the delta-encoded `Nack.accepted` — can reference
+//! the proposer's own proofs back at it via
+//! [`ProvenDeltaReceiver::encode_reply`]). A nack deltas against the
+//! proposal it refuses, which the proposer holds by construction
+//! ([`ProvenDeltaSender::resolve_reply`] resolves it from the
+//! sender-side snapshots).
 //!
 //! # Gaps and resync
 //!
@@ -79,10 +83,7 @@
 //! ```
 
 use crate::proof::{Proof, ProofAck};
-use crate::signedset::{SignedItem, SignedSet};
-use crate::valueset::once_per_base;
-#[cfg(doc)]
-use crate::valueset::SetUpdate;
+use crate::valueset::{DeltaReceiver, DeltaSender, SetItem, SetUpdate, ValueSet};
 use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{ProofId, ProofResolver};
 use bgla_simnet::{ProcessId, ProofSizes, PROOF_REF_BYTES};
@@ -92,11 +93,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// type [`ProvenUpdate`] deltas over (SbS `ProvenValue`, GSbS
 /// `ProvenBatch`).
 ///
-/// `Ord`/`Eq` (via [`SignedItem`]) must ignore the attached proof — the
-/// record is the same lattice element regardless of which quorum
-/// certified it — which is what lets the decoder swap a referenced proof
-/// handle in without disturbing set order.
-pub trait ProvenRecord: SignedItem {
+/// `Ord`/`Eq` must ignore the attached proof — the record is the same
+/// lattice element regardless of which quorum certified it, so
+/// [`SetItem::EQ_IS_IDENTITY`] is `false` — which is what lets the
+/// decoder swap a referenced proof handle in without disturbing set
+/// order.
+pub trait ProvenRecord: SetItem {
     /// The ack type of the attached proof.
     type Ack: ProofAck;
 
@@ -115,7 +117,7 @@ pub trait ProvenRecord: SignedItem {
 pub enum ProvenUpdate<T: ProvenRecord> {
     /// The whole set, every distinct proof inline (first contact or
     /// resync fallback).
-    Full(SignedSet<T>),
+    Full(ValueSet<T>),
     /// The additions relative to the set this receiver consumed at
     /// `base_ts`, with proofs the receiver holds referenced by id.
     Delta {
@@ -123,7 +125,7 @@ pub enum ProvenUpdate<T: ProvenRecord> {
         base_ts: u64,
         /// `current ∖ base` — records inline; a record's proof ships
         /// inline too unless its id appears in `refs`.
-        new: SignedSet<T>,
+        new: ValueSet<T>,
         /// Ids (among `new`'s proofs) the receiver is assumed to hold —
         /// shipped as [`PROOF_REF_BYTES`]-sized references.
         refs: Vec<ProofId>,
@@ -155,10 +157,10 @@ where
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
-            0 => Ok(ProvenUpdate::Full(SignedSet::decode(r)?)),
+            0 => Ok(ProvenUpdate::Full(ValueSet::decode(r)?)),
             1 => Ok(ProvenUpdate::Delta {
                 base_ts: r.var()?,
-                new: SignedSet::decode(r)?,
+                new: ValueSet::decode(r)?,
                 refs: Vec::decode(r)?,
             }),
             _ => Err(CodecError::Invalid("proven update tag")),
@@ -167,49 +169,38 @@ where
 }
 
 impl<T: ProvenRecord> ProvenUpdate<T> {
-    /// Number of records carried (diagnostics).
-    pub fn carried(&self) -> usize {
-        match self {
-            ProvenUpdate::Full(set) => set.len(),
-            ProvenUpdate::Delta { new, .. } => new.len(),
-        }
-    }
-
     /// Modeled payload size and proof accounting in one walk (see the
-    /// wire format in the module docs). Message-level framing (`ts`,
-    /// `round`) is the embedding message's to add.
+    /// wire format in the module docs): proofs shared by several records
+    /// are deduplicated by [`ProofId`] — each id's cached byte size
+    /// counted once for the interned figure, once per record for the
+    /// flat figure — and referenced ones cost a reference. Message-level
+    /// framing (`ts`, `round`) is the embedding message's to add.
     pub fn metered(&self) -> (usize, ProofSizes) {
-        match self {
-            ProvenUpdate::Full(set) => {
-                let proofs = crate::proof::account_proofs(set.iter().map(ProvenRecord::proof));
-                (1 + set.wire_size() + proofs.interned_bytes as usize, proofs)
-            }
-            ProvenUpdate::Delta { base_ts, new, refs } => {
-                let ref_set: BTreeSet<ProofId> = refs.iter().copied().collect();
-                let mut proofs = ProofSizes::default();
-                let mut seen: BTreeSet<ProofId> = BTreeSet::new();
-                for record in new.iter() {
-                    let proof = record.proof();
-                    proofs.refs += 1;
-                    proofs.flat_bytes += proof.wire_size() as u64;
-                    if !ref_set.contains(&proof.id()) && seen.insert(proof.id()) {
-                        proofs.distinct += 1;
-                        proofs.interned_bytes += proof.wire_size() as u64;
-                    }
-                }
-                // Every ref entry costs wire bytes, matched or not —
-                // Byzantine junk refs are paid for by their sender.
-                proofs.by_ref = refs.len() as u64;
-                proofs.ref_bytes = (refs.len() * PROOF_REF_BYTES) as u64;
-                (
-                    1 + var_len(*base_ts)
-                        + new.wire_size()
-                        + proofs.interned_bytes as usize
-                        + proofs.ref_bytes as usize,
-                    proofs,
-                )
+        let (header, records, refs) = match self {
+            ProvenUpdate::Full(set) => (1, set, &[][..]),
+            ProvenUpdate::Delta { base_ts, new, refs } => (1 + var_len(*base_ts), new, &refs[..]),
+        };
+        let by_ref: BTreeSet<ProofId> = refs.iter().copied().collect();
+        let mut proofs = ProofSizes::default();
+        let mut seen: BTreeSet<ProofId> = BTreeSet::new();
+        for record in records.iter() {
+            let proof = record.proof();
+            proofs.refs += 1;
+            proofs.flat_bytes += proof.wire_size() as u64;
+            if !by_ref.contains(&proof.id()) && seen.insert(proof.id()) {
+                proofs.distinct += 1;
+                proofs.interned_bytes += proof.wire_size() as u64;
             }
         }
+        // Every ref entry costs wire bytes, matched or not —
+        // Byzantine junk refs are paid for by their sender.
+        proofs.by_ref = refs.len() as u64;
+        proofs.ref_bytes = (refs.len() * PROOF_REF_BYTES) as u64;
+        let bytes = header
+            + records.wire_size()
+            + proofs.interned_bytes as usize
+            + proofs.ref_bytes as usize;
+        (bytes, proofs)
     }
 
     /// Modeled payload size in bytes.
@@ -217,21 +208,6 @@ impl<T: ProvenRecord> ProvenUpdate<T> {
         self.metered().0
     }
 }
-
-/// Snapshots retained by a [`ProvenDeltaSender`] — same bound as the
-/// value-delta machinery: refinements are bounded per instance/round,
-/// but GSbS timestamps grow with the stream, so old snapshots must not
-/// accumulate. Must be ≥ [`BASE_WINDOW`] so every base a correct sender
-/// may delta against still has its snapshot.
-const SENDER_SNAPSHOT_CAP: usize = 32;
-
-/// Per-proposer consumed bases retained by a [`ProvenDeltaReceiver`],
-/// and — via the freshness bound in [`ProvenDeltaSender::encode_for`] —
-/// the window within which a correct sender may delta: a base at
-/// `base_ts` is guaranteed resolvable while `current_ts − base_ts <
-/// BASE_WINDOW`, because the receiver prunes to the newest `BASE_WINDOW`
-/// bases per proposer and records at most one per distinct timestamp.
-const BASE_WINDOW: usize = 8;
 
 /// Per-peer referenceable-proof-id sets are pruned to this many newest
 /// entries — comfortably under the receiver-side [`ProofResolver`]
@@ -241,28 +217,53 @@ const BASE_WINDOW: usize = 8;
 /// payload.)
 const KNOWN_HELD_CAP: usize = 1024;
 
-fn note_held(
+/// Notes that `peer` holds every proof of `set`.
+fn note_held<T: ProvenRecord>(
     held: &mut BTreeMap<ProcessId, BTreeSet<ProofId>>,
     peer: ProcessId,
-    ids: impl Iterator<Item = ProofId>,
+    set: &ValueSet<T>,
 ) {
     let entry = held.entry(peer).or_default();
-    entry.extend(ids);
+    entry.extend(set.iter().map(|r| r.proof().id()));
     while entry.len() > KNOWN_HELD_CAP {
         entry.pop_first();
     }
 }
 
-/// Decodes `new`, attaching locally resolved handles for referenced
-/// proofs. `None` is a gap: a referenced id the resolver does not hold.
-fn resolve_new<T: ProvenRecord>(
-    new: &SignedSet<T>,
-    refs: &[ProofId],
+/// The distinct proof ids of `new` that `to` demonstrably holds, sorted
+/// (deterministic wire order).
+fn held_refs<T: ProvenRecord>(
+    held: &BTreeMap<ProcessId, BTreeSet<ProofId>>,
+    to: ProcessId,
+    new: &ValueSet<T>,
+) -> Vec<ProofId> {
+    let Some(held) = held.get(&to) else {
+        return Vec::new();
+    };
+    let ids: BTreeSet<ProofId> = new
+        .iter()
+        .map(|r| r.proof().id())
+        .filter(|id| held.contains(id))
+        .collect();
+    ids.into_iter().collect()
+}
+
+/// Rebuilds the full set `update` stands for: `base_at(base_ts) ∪ new`,
+/// with locally resolved handles attached for referenced proofs. `None`
+/// is a gap: a base `base_at` does not hold, or a referenced id the
+/// resolver does not hold.
+fn resolve_onto<'a, T: ProvenRecord + 'a>(
+    update: &ProvenUpdate<T>,
+    base_at: impl FnOnce(u64) -> Option<&'a ValueSet<T>>,
     resolver: &mut ProofResolver<Proof<T::Ack>>,
-) -> Option<SignedSet<T>> {
+) -> Option<ValueSet<T>> {
+    let (base, new, refs) = match update {
+        ProvenUpdate::Full(set) => return Some(set.clone()),
+        ProvenUpdate::Delta { base_ts, new, refs } => (base_at(*base_ts)?, new, refs),
+    };
     let ref_set: BTreeSet<ProofId> = refs.iter().copied().collect();
     if ref_set.is_empty() {
-        return Some(new.clone());
+        return Some(base.join(new));
     }
     let mut out = Vec::with_capacity(new.len());
     for record in new.iter() {
@@ -275,7 +276,7 @@ fn resolve_new<T: ProvenRecord>(
             out.push(record.clone());
         }
     }
-    Some(out.into_iter().collect())
+    Some(base.join(&out.into_iter().collect()))
 }
 
 /// Registers every distinct proof of `set` in `resolver`, making it
@@ -284,7 +285,7 @@ fn resolve_new<T: ProvenRecord>(
 /// `AllSafe`.
 pub fn register_proofs<T: ProvenRecord>(
     resolver: &mut ProofResolver<Proof<T::Ack>>,
-    set: &SignedSet<T>,
+    set: &ValueSet<T>,
 ) {
     let mut seen: BTreeSet<ProofId> = BTreeSet::new();
     for record in set.iter() {
@@ -295,15 +296,13 @@ pub fn register_proofs<T: ProvenRecord>(
     }
 }
 
-/// Proposer-side bookkeeping for delta-encoded proposal broadcasts:
-/// snapshots of the proven set by timestamp, each peer's newest
-/// replied-to timestamp, and the proof ids each peer demonstrably holds.
+/// Proposer-side bookkeeping for delta-encoded proposal broadcasts: the
+/// delta ledger (snapshots of the proven set by timestamp, each peer's
+/// newest replied-to timestamp) plus the proof ids each peer
+/// demonstrably holds.
 #[derive(Debug, Default)]
 pub struct ProvenDeltaSender<T: ProvenRecord> {
-    /// ts → proven set at that ts (`O(1)` clones make this cheap).
-    snapshots: BTreeMap<u64, SignedSet<T>>,
-    /// Peer → newest ts it acked/nacked (proof it holds snapshot(ts)).
-    last_replied: BTreeMap<ProcessId, u64>,
+    ledger: DeltaSender<T>,
     /// Peer → proof ids it demonstrably delivered (see module docs).
     known_held: BTreeMap<ProcessId, BTreeSet<ProofId>>,
 }
@@ -312,26 +311,15 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
     /// Fresh sender state: no snapshots, no reply seen.
     pub fn new() -> Self {
         ProvenDeltaSender {
-            snapshots: BTreeMap::new(),
-            last_replied: BTreeMap::new(),
+            ledger: DeltaSender::new(),
             known_held: BTreeMap::new(),
         }
     }
 
     /// Records the proven set broadcast at `ts` (call once per
     /// broadcast, before encoding per-peer updates).
-    pub fn record_broadcast(&mut self, ts: u64, set: &SignedSet<T>) {
-        self.snapshots.insert(ts, set.clone());
-        while self.snapshots.len() > SENDER_SNAPSHOT_CAP {
-            self.snapshots.pop_first();
-        }
-    }
-
-    /// The set broadcast at `ts`, if still retained — also the base pool
-    /// for resolving delta-encoded *replies* (nacks delta against the
-    /// proposal they refuse).
-    pub fn snapshot(&self, ts: u64) -> Option<&SignedSet<T>> {
-        self.snapshots.get(&ts)
+    pub fn record_broadcast(&mut self, ts: u64, set: &ValueSet<T>) {
+        self.ledger.record_broadcast(ts, set);
     }
 
     /// Records that `from` replied (ack or nack) to the proposal of
@@ -339,97 +327,59 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
     /// and its proofs become referenceable. Ignores timestamps we never
     /// broadcast (Byzantine claims) or no longer retain.
     pub fn record_reply(&mut self, from: ProcessId, ts: u64) {
-        let Some(snapshot) = self.snapshots.get(&ts) else {
-            return;
-        };
-        note_held(
-            &mut self.known_held,
-            from,
-            snapshot.iter().map(|r| r.proof().id()),
-        );
-        let e = self.last_replied.entry(from).or_insert(ts);
-        *e = (*e).max(ts);
+        if let Some(snapshot) = self.ledger.record_reply(from, ts) {
+            note_held(&mut self.known_held, from, snapshot);
+        }
     }
 
     /// Records that `from` evidently holds every proof of `set` (it
     /// shipped or referenced them itself — e.g. inside a nack), without
     /// implying it holds any particular proposal snapshot.
-    pub fn note_peer_holds(&mut self, from: ProcessId, set: &SignedSet<T>) {
-        note_held(
-            &mut self.known_held,
-            from,
-            set.iter().map(|r| r.proof().id()),
-        );
+    pub fn note_peer_holds(&mut self, from: ProcessId, set: &ValueSet<T>) {
+        note_held(&mut self.known_held, from, set);
     }
 
     /// Forgets everything assumed about `to` — the resync fallback:
     /// the peer reported a gap, so until it replies again it gets `Full`
     /// payloads with every proof inline.
     pub fn reset_peer(&mut self, to: ProcessId) {
-        self.last_replied.remove(&to);
+        self.ledger.forget_peer(to);
         self.known_held.remove(&to);
     }
 
     /// Encodes the proven set `current` (broadcast at `ts`) for peer
-    /// `to`: a delta against the newest set `to` replied to when
-    /// possible — with proofs `to` demonstrably holds by reference —
-    /// and the full set on first contact or on a pruned or stale base
-    /// (see [`BASE_WINDOW`]).
-    pub fn encode_for(&self, to: ProcessId, ts: u64, current: &SignedSet<T>) -> ProvenUpdate<T> {
-        self.encode_with(to, ts, current, &mut Vec::new())
+    /// `to`: what the ledger's [`DeltaSender::encode_for`] gives it,
+    /// with the proofs `to` demonstrably holds by reference.
+    pub fn encode_for(&self, to: ProcessId, ts: u64, current: &ValueSet<T>) -> ProvenUpdate<T> {
+        self.by_reference(to, self.ledger.encode_for(to, ts, current))
     }
 
     /// [`Self::encode_for`] for every peer `0..n` of one broadcast,
     /// indexed by peer. Peers on the same base share one set of new
-    /// records (the difference is taken once per distinct base); the
-    /// references stay per peer.
+    /// records; the references stay per peer.
     pub fn encode_broadcast(
         &self,
         n: usize,
         ts: u64,
-        current: &SignedSet<T>,
+        current: &ValueSet<T>,
     ) -> Vec<ProvenUpdate<T>> {
-        let mut new_since = Vec::new();
-        (0..n)
-            .map(|to| self.encode_with(to, ts, current, &mut new_since))
+        let updates = self.ledger.encode_broadcast(n, ts, current);
+        updates
+            .into_iter()
+            .enumerate()
+            .map(|(to, update)| self.by_reference(to, update))
             .collect()
     }
 
-    /// `new_since` holds `current ∖ snapshot(base_ts)` for the bases this
-    /// broadcast has met so far.
-    fn encode_with(
-        &self,
-        to: ProcessId,
-        ts: u64,
-        current: &SignedSet<T>,
-        new_since: &mut Vec<(u64, SignedSet<T>)>,
-    ) -> ProvenUpdate<T> {
-        let base = self
-            .last_replied
-            .get(&to)
-            .and_then(|base_ts| self.snapshots.get(base_ts).map(|s| (*base_ts, s)));
-        match base {
-            Some((base_ts, base)) if ts.saturating_sub(base_ts) < BASE_WINDOW as u64 => {
-                let new = once_per_base(new_since, base_ts, || current.difference(base));
-                let refs = self.refs_for(to, &new);
-                ProvenUpdate::Delta { base_ts, new, refs }
-            }
-            _ => ProvenUpdate::Full(current.clone()),
+    fn by_reference(&self, to: ProcessId, update: SetUpdate<T>) -> ProvenUpdate<T> {
+        match update {
+            SetUpdate::Full(set) => ProvenUpdate::Full(set),
+            SetUpdate::Delta { base_ts, added } => ProvenUpdate::Delta {
+                base_ts,
+                refs: held_refs(&self.known_held, to, &added),
+                new: added,
+            },
         }
-    }
-
-    /// The distinct proof ids of `new` that `to` demonstrably holds,
-    /// sorted (deterministic wire order).
-    fn refs_for(&self, to: ProcessId, new: &SignedSet<T>) -> Vec<ProofId> {
-        let Some(held) = self.known_held.get(&to) else {
-            return Vec::new();
-        };
-        let ids: BTreeSet<ProofId> = new
-            .iter()
-            .map(|r| r.proof().id())
-            .filter(|id| held.contains(id))
-            .collect();
-        ids.into_iter().collect()
     }
 
     /// Decodes a delta-encoded *reply* (a nack's accepted set): the base
@@ -440,24 +390,18 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
         &self,
         update: &ProvenUpdate<T>,
         resolver: &mut ProofResolver<Proof<T::Ack>>,
-    ) -> Option<SignedSet<T>> {
-        match update {
-            ProvenUpdate::Full(set) => Some(set.clone()),
-            ProvenUpdate::Delta { base_ts, new, refs } => {
-                let base = self.snapshots.get(base_ts)?;
-                Some(base.join(&resolve_new(new, refs, resolver)?))
-            }
-        }
+    ) -> Option<ValueSet<T>> {
+        resolve_onto(update, |ts| self.ledger.snapshot(ts), resolver)
     }
 }
 
-/// Acceptor-side bookkeeping for delta-encoded proposals: the consumed
-/// sets per `(proposer, ts)` (delta bases) and the proof ids each
-/// proposer demonstrably holds (reference targets for delta-encoded
-/// nacks back to it).
+/// Acceptor-side bookkeeping for delta-encoded proposals: the ledger's
+/// consumed sets per `(proposer, ts)` (delta bases) and the proof ids
+/// each proposer demonstrably holds (reference targets for
+/// delta-encoded nacks back to it).
 #[derive(Debug, Default)]
 pub struct ProvenDeltaReceiver<T: ProvenRecord> {
-    bases: BTreeMap<(ProcessId, u64), SignedSet<T>>,
+    bases: DeltaReceiver<T>,
     peer_proofs: BTreeMap<ProcessId, BTreeSet<ProofId>>,
 }
 
@@ -465,7 +409,7 @@ impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
     /// Fresh receiver state.
     pub fn new() -> Self {
         ProvenDeltaReceiver {
-            bases: BTreeMap::new(),
+            bases: DeltaReceiver::new(),
             peer_proofs: BTreeMap::new(),
         }
     }
@@ -478,39 +422,17 @@ impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
         from: ProcessId,
         update: &ProvenUpdate<T>,
         resolver: &mut ProofResolver<Proof<T::Ack>>,
-    ) -> Option<SignedSet<T>> {
-        match update {
-            ProvenUpdate::Full(set) => Some(set.clone()),
-            ProvenUpdate::Delta { base_ts, new, refs } => {
-                let base = self.bases.get(&(from, *base_ts))?;
-                Some(base.join(&resolve_new(new, refs, resolver)?))
-            }
-        }
+    ) -> Option<ValueSet<T>> {
+        resolve_onto(update, |ts| self.bases.base(from, ts), resolver)
     }
 
     /// Records that the proposal `set` from `from` at `ts` was consumed
     /// (we are about to reply to it): it becomes a delta base, and its
     /// proofs become referenceable back to `from` — the sender shipped
     /// or referenced every one of them, so it holds them.
-    pub fn record(&mut self, from: ProcessId, ts: u64, set: &SignedSet<T>) {
-        note_held(
-            &mut self.peer_proofs,
-            from,
-            set.iter().map(|r| r.proof().id()),
-        );
-        self.bases.insert((from, ts), set.clone());
-        // Retain only the newest few bases per proposer.
-        let held: Vec<u64> = self
-            .bases
-            .range((from, 0)..=(from, u64::MAX))
-            .map(|((_, t), _)| *t)
-            .collect();
-        if held.len() > BASE_WINDOW {
-            // bgla-lint: allow(byzantine-panic, "slice start bounded: guarded by held.len() > BASE_WINDOW")
-            for t in &held[..held.len() - BASE_WINDOW] {
-                self.bases.remove(&(from, *t));
-            }
-        }
+    pub fn record(&mut self, from: ProcessId, ts: u64, set: &ValueSet<T>) {
+        note_held(&mut self.peer_proofs, from, set);
+        self.bases.record(from, ts, set);
     }
 
     /// Encodes a *reply* set (a nack's accepted set) for proposer `to`:
@@ -521,21 +443,11 @@ impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
         &self,
         to: ProcessId,
         base_ts: u64,
-        base: &SignedSet<T>,
-        current: &SignedSet<T>,
+        base: &ValueSet<T>,
+        current: &ValueSet<T>,
     ) -> ProvenUpdate<T> {
         let new = current.difference(base);
-        let refs = match self.peer_proofs.get(&to) {
-            Some(held) => {
-                let ids: BTreeSet<ProofId> = new
-                    .iter()
-                    .map(|r| r.proof().id())
-                    .filter(|id| held.contains(id))
-                    .collect();
-                ids.into_iter().collect()
-            }
-            None => Vec::new(),
-        };
+        let refs = held_refs(&self.peer_proofs, to, &new);
         ProvenUpdate::Delta { base_ts, new, refs }
     }
 }
@@ -570,7 +482,8 @@ mod tests {
             self.v.cmp(&other.v)
         }
     }
-    impl SignedItem for Rec {
+    impl SetItem for Rec {
+        const EQ_IS_IDENTITY: bool = false;
         fn wire_size(&self) -> usize {
             8
         }
@@ -592,7 +505,7 @@ mod tests {
         }
     }
 
-    fn set(recs: &[Rec]) -> SignedSet<Rec> {
+    fn set(recs: &[Rec]) -> ValueSet<Rec> {
         recs.iter().cloned().collect()
     }
 
@@ -644,7 +557,7 @@ mod tests {
         assert!(rx.resolve(3, &bogus_base, &mut resolver).is_none());
 
         let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::new();
-        rx.record(3, 0, &SignedSet::new());
+        rx.record(3, 0, &ValueSet::new());
         let r = rec(1, &[1]);
         let unknown_ref = ProvenUpdate::Delta {
             base_ts: 0,
@@ -661,7 +574,7 @@ mod tests {
     fn junk_refs_matching_no_record_are_ignored() {
         let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::new();
         let mut resolver: ProofResolver<Proof<u64>> = ProofResolver::default();
-        rx.record(3, 0, &SignedSet::new());
+        rx.record(3, 0, &ValueSet::new());
         let u = ProvenUpdate::Delta {
             base_ts: 0,
             new: set(&[rec(1, &[1])]),
@@ -673,23 +586,6 @@ mod tests {
         let (_, proofs) = u.metered();
         assert_eq!(proofs.ref_bytes, PROOF_REF_BYTES as u64);
         assert_eq!(proofs.distinct, 1, "inline proof still shipped");
-    }
-
-    #[test]
-    fn stale_base_falls_back_to_full() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
-        let s = set(&[rec(1, &[1])]);
-        tx.record_broadcast(0, &s);
-        tx.record_reply(5, 0);
-        let near = BASE_WINDOW as u64 - 1;
-        tx.record_broadcast(near, &s);
-        assert!(matches!(
-            tx.encode_for(5, near, &s),
-            ProvenUpdate::Delta { base_ts: 0, .. }
-        ));
-        let far = BASE_WINDOW as u64;
-        tx.record_broadcast(far, &s);
-        assert!(matches!(tx.encode_for(5, far, &s), ProvenUpdate::Full(_)));
     }
 
     #[test]

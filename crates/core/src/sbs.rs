@@ -41,7 +41,7 @@
 //! change a decision or a trace.
 //!
 //! Set payloads (`safe_req`, its ack echoes, and the proven
-//! proposal/accepted sets) are [`SignedSet`]s — Arc-backed sorted
+//! proposal/accepted sets) are [`ValueSet`]s — Arc-backed sorted
 //! vectors with `O(1)` clone and merge-walk join — so redelivered
 //! supersets are recognized structurally instead of re-walked.
 //!
@@ -67,13 +67,12 @@
 //! wire format.
 
 use crate::config::SystemConfig;
-use crate::proof::{Proof, ProofAck};
+use crate::proof::{remove_conflicts, return_conflicts, Conflicting, Proof, ProofAck};
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate,
 };
-use crate::signedset::{SignedItem, SignedSet};
 use crate::value::SignableValue;
-use crate::valueset::ValueSet;
+use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
     CachedVerifier, Keypair, Keyring, ProofCache, ProofId, ProofResolver, Signature, ToBytes,
@@ -120,16 +119,18 @@ impl<V: SignableValue> SignedValue<V> {
             &self.sig,
         )
     }
+}
 
+impl<V: SignableValue> Conflicting for SignedValue<V> {
     /// Two signed values *conflict* when the same signer signed two
-    /// different values (`VerifyConfPair` checks signatures too; that is
-    /// done at verification sites).
-    pub fn conflicts_with(&self, other: &Self) -> bool {
+    /// different values.
+    fn conflicts_with(&self, other: &Self) -> bool {
         self.signer == other.signer && self.value != other.value
     }
 }
 
-impl<V: SignableValue> SignedItem for SignedValue<V> {
+impl<V: SignableValue> SetItem for SignedValue<V> {
+    const EQ_IS_IDENTITY: bool = true;
     fn wire_size(&self) -> usize {
         self.value.wire_size() + var_len(self.signer as u64) + 64
     }
@@ -140,7 +141,7 @@ impl<V: SignableValue> SignedItem for SignedValue<V> {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SafeAckBody<V: SignableValue> {
     /// Echo of the proposer's `Safety_set`.
-    pub rcvd: SignedSet<SignedValue<V>>,
+    pub rcvd: ValueSet<SignedValue<V>>,
     /// Conflicting pairs known to the acceptor.
     pub conflicts: Vec<(SignedValue<V>, SignedValue<V>)>,
 }
@@ -211,7 +212,7 @@ impl<V: SignableValue> ProofAck for SignedSafeAck<V> {
             + var_len(conflicts.len() as u64)
             + conflicts
                 .iter()
-                .map(|(a, b)| SignedItem::wire_size(a) + SignedItem::wire_size(b))
+                .map(|(a, b)| SetItem::wire_size(a) + SetItem::wire_size(b))
                 .sum::<usize>()
             + var_len(self.signer as u64)
             + 64
@@ -252,12 +253,14 @@ impl<V: SignableValue> Ord for ProvenValue<V> {
     }
 }
 
-impl<V: SignableValue> SignedItem for ProvenValue<V> {
+impl<V: SignableValue> SetItem for ProvenValue<V> {
+    /// `==` ignores the proof: joins must keep our own handles.
+    const EQ_IS_IDENTITY: bool = false;
     fn wire_size(&self) -> usize {
         // The value + signature only; the attached proof is accounted
         // separately (shared proofs transmit once per message, or as a
         // reference — see the WireMessage byte-accounting contract).
-        SignedItem::wire_size(&self.sv)
+        SetItem::wire_size(&self.sv)
     }
 }
 
@@ -280,7 +283,7 @@ pub enum SbsMsg<V: SignableValue> {
     /// Init phase: signed initial value, proposer → proposers.
     Init(SignedValue<V>),
     /// Safetying phase: proposer → acceptors.
-    SafeReq(SignedSet<SignedValue<V>>),
+    SafeReq(ValueSet<SignedValue<V>>),
     /// Safetying phase: acceptor → proposer.
     SafeAck(SignedSafeAck<V>),
     /// Proposing phase: proposer → acceptors, values carry proofs —
@@ -353,7 +356,7 @@ impl<V: SignableValue> WireMessage for SbsMsg<V> {
                 let (bytes, proofs) = pl.metered();
                 (1 + bytes + var_len(*ts), proofs)
             }
-            SbsMsg::Init(sv) => plain(SignedItem::wire_size(sv)),
+            SbsMsg::Init(sv) => plain(SetItem::wire_size(sv)),
             SbsMsg::SafeReq(set) => plain(set.wire_size()),
             SbsMsg::SafeAck(ack) => plain(ProofAck::wire_size(ack)),
             SbsMsg::Ack { values, ts } => plain(values.wire_size() + var_len(*ts)),
@@ -375,57 +378,6 @@ pub enum SbsState {
     Decided,
 }
 
-/// Removes every conflicting pair from `set` (both members), per
-/// Algorithm 10's `RemoveConflicts`. Returns a cheap clone of the input
-/// handle when nothing conflicts (the common case).
-fn remove_conflicts<V: SignableValue>(
-    set: &SignedSet<SignedValue<V>>,
-) -> SignedSet<SignedValue<V>> {
-    let items = set.as_slice();
-    let mut bad = vec![false; items.len()];
-    let mut any = false;
-    for i in 0..items.len() {
-        for j in (i + 1)..items.len() {
-            // bgla-lint: allow(byzantine-panic, "i and j bounded by items.len() loop ranges")
-            if items[i].conflicts_with(&items[j]) {
-                // bgla-lint: allow(byzantine-panic, "i and j bounded by items.len() loop ranges")
-                bad[i] = true;
-                // bgla-lint: allow(byzantine-panic, "i and j bounded by items.len() loop ranges")
-                bad[j] = true;
-                any = true;
-            }
-        }
-    }
-    if !any {
-        return set.clone();
-    }
-    items
-        .iter()
-        .zip(bad)
-        .filter(|(_, b)| !b)
-        .map(|(sv, _)| sv.clone())
-        .collect()
-}
-
-/// Lists conflicting pairs within `set` (Algorithm 10's
-/// `ReturnConflicts`).
-fn return_conflicts<V: SignableValue>(
-    set: &SignedSet<SignedValue<V>>,
-) -> Vec<(SignedValue<V>, SignedValue<V>)> {
-    let items = set.as_slice();
-    let mut out = Vec::new();
-    for i in 0..items.len() {
-        for j in (i + 1)..items.len() {
-            // bgla-lint: allow(byzantine-panic, "i and j bounded by items.len() loop ranges")
-            if items[i].conflicts_with(&items[j]) {
-                // bgla-lint: allow(byzantine-panic, "i and j bounded by items.len() loop ranges")
-                out.push((items[i].clone(), items[j].clone()));
-            }
-        }
-    }
-    out
-}
-
 /// A correct SbS participant (proposer + acceptor).
 pub struct SbsProcess<V: SignableValue> {
     /// System parameters.
@@ -442,20 +394,20 @@ pub struct SbsProcess<V: SignableValue> {
 
     state: SbsState,
     /// `Safety_set`: collected signed inits (conflicts removed).
-    safety_set: SignedSet<SignedValue<V>>,
+    safety_set: ValueSet<SignedValue<V>>,
     /// Collected safe-acks for our `safe_req`.
     safe_acks: Vec<SignedSafeAck<V>>,
     safe_ack_senders: BTreeSet<ProcessId>,
     /// `byz[]` flags.
     byz: BTreeSet<ProcessId>,
     /// Proven proposal.
-    proposed_set: SignedSet<ProvenValue<V>>,
+    proposed_set: ValueSet<ProvenValue<V>>,
     ack_set: BTreeSet<ProcessId>,
     ts: u64,
     /// Acceptor: candidates for safety (conflicts removed).
-    safe_candidates: SignedSet<SignedValue<V>>,
+    safe_candidates: ValueSet<SignedValue<V>>,
     /// Acceptor: accepted proven set.
-    accepted_set: SignedSet<ProvenValue<V>>,
+    accepted_set: ValueSet<ProvenValue<V>>,
     /// Memoized full-proof verdicts, keyed by [`ProofId`].
     // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
     proof_cache: ProofCache,
@@ -495,15 +447,15 @@ impl<V: SignableValue> SbsProcess<V> {
             verifier: CachedVerifier::new(Keyring::for_system(config.n)),
             validator: |_| true,
             state: SbsState::Init,
-            safety_set: SignedSet::new(),
+            safety_set: ValueSet::new(),
             safe_acks: Vec::new(),
             safe_ack_senders: BTreeSet::new(),
             byz: BTreeSet::new(),
-            proposed_set: SignedSet::new(),
+            proposed_set: ValueSet::new(),
             ack_set: BTreeSet::new(),
             ts: 0,
-            safe_candidates: SignedSet::new(),
-            accepted_set: SignedSet::new(),
+            safe_candidates: ValueSet::new(),
+            accepted_set: ValueSet::new(),
             proof_cache: ProofCache::default(),
             delta_tx: ProvenDeltaSender::new(),
             delta_rx: ProvenDeltaReceiver::new(),
@@ -590,7 +542,7 @@ impl<V: SignableValue> SbsProcess<V> {
     ///
     /// Public for the verification-count tests; protocol handlers are
     /// the real callers.
-    pub fn all_safe(&mut self, set: &SignedSet<ProvenValue<V>>) -> bool {
+    pub fn all_safe(&mut self, set: &ValueSet<ProvenValue<V>>) -> bool {
         let quorum = self.config.quorum();
         // bgla-lint: allow(determinism, "membership-only dedup set (insert/contains); iteration order never observed")
         let mut checked: HashSet<ProofId> = HashSet::with_capacity(set.len());
@@ -674,7 +626,7 @@ impl<V: SignableValue> SbsProcess<V> {
         }
     }
 
-    fn values_of(set: &SignedSet<ProvenValue<V>>) -> ValueSet<V> {
+    fn values_of(set: &ValueSet<ProvenValue<V>>) -> ValueSet<V> {
         set.iter().map(|pv| pv.sv.value.clone()).collect()
     }
 
@@ -1346,7 +1298,7 @@ mod tests {
         };
         let ack = SignedSafeAck::sign(body, 1, &kp1);
         // Quorum is 3; a single ack (even valid) is insufficient.
-        let set: SignedSet<ProvenValue<u64>> = [ProvenValue {
+        let set: ValueSet<ProvenValue<u64>> = [ProvenValue {
             sv: sv.clone(),
             proof: Proof::new(vec![ack.clone()]),
         }]
@@ -1354,7 +1306,7 @@ mod tests {
         .collect();
         assert!(!p.all_safe(&set));
         // Duplicate signers don't count.
-        let set2: SignedSet<ProvenValue<u64>> = [ProvenValue {
+        let set2: ValueSet<ProvenValue<u64>> = [ProvenValue {
             sv,
             proof: Proof::new(vec![ack.clone(), ack.clone(), ack]),
         }]

@@ -1,51 +1,61 @@
-//! `ValueSet` — the shared-ownership value-set representation all four
-//! agreement algorithms ship in their messages, plus the delta-message
-//! machinery built on top of it.
+//! `ValueSet` — the one shared-ownership sorted set all four agreement
+//! algorithms ship in their messages — plain values for WTS/GWTS; signed
+//! values, signed batches and proven records for SbS/GSbS — plus the
+//! delta ledger built on top of it.
 //!
 //! # Why not `BTreeSet`
 //!
 //! The paper's algorithms are message-heavy by design (WTS is `O(n²)`
 //! messages per process, GWTS `O(f·n²)` per decision) and every message
-//! carries a value set. With `BTreeSet<V>` payloads each send, receive
+//! carries a set. With `BTreeSet` payloads each send, receive, ack echo
 //! and re-deliver pays an `O(|set|)` deep clone — node-per-element
 //! allocation — so wall clock scales as `O(n² · |set|)` allocations
 //! instead of the paper's message bound. `ValueSet` is an `Arc`-backed
-//! sorted `Vec<V>`:
+//! sorted `Vec<T>`, generic over any [`SetItem`]:
 //!
 //! * **clone is `O(1)`** (one atomic increment) — broadcasting a set to
-//!   `n` processes costs `n` refcounts, not `n` tree copies;
+//!   `n` processes, or echoing a `safe_req` set back inside a `safe_ack`,
+//!   costs refcounts, not tree copies;
 //! * **join / union is `O(k + m)`** by merge-walk, with `O(1)` fast
 //!   paths when either side already contains the other (the common case
 //!   on the hot path: proposals grow monotonically);
 //! * **subset / superset are `O(k + m)`** merge-walks (`BTreeSet`'s are
 //!   `O(k · log m)` probes with pointer chasing);
-//! * **`wire_size` is cached** at construction, so metering a message is
-//!   `O(1)` instead of an `O(|set|)` fold per send.
+//! * **equality has an `Arc::ptr_eq` fast path** — the
+//!   `ack.rcvd == safe_req` echo check is `O(1)` while the echo still
+//!   shares the proposer's allocation;
+//! * **`wire_size` is cached**: metering a message is `O(1)` instead of
+//!   an `O(|set|)` fold per send, and every operation that builds a set
+//!   from one whose bytes are cached measures only the difference.
 //!
 //! Decisions remain *logically* sets-of-values-under-union, exactly as
 //! paper §3.1 prescribes — only the physical representation changed.
 //!
-//! # Delta messages
+//! # Delta messages — who holds what
 //!
 //! Proposal traffic re-sends mostly-unchanged sets: a refinement adds a
-//! handful of values to a set the acceptor has already seen. The
-//! [`SetUpdate`] payload lets `Proposal`/`Accept` rounds carry only the
-//! values added since the last set the receiver demonstrably holds:
+//! handful of elements to a set the acceptor has already seen. One
+//! ledger, generic over the set, lets `Proposal`/`Accept` rounds carry
+//! only what was added since the last set the receiver demonstrably
+//! holds ([`SetUpdate`]; [`crate::provendelta`] adds proofs by reference
+//! on top of the same ledger):
 //!
 //! * the proposer ([`DeltaSender`]) snapshots `Proposed_set` at every
 //!   timestamp it broadcasts (cheap: snapshots are `O(1)` clones) and
 //!   remembers, per acceptor, the newest timestamp that acceptor has
-//!   acked or nacked;
+//!   acked or nacked — a reply to `ts` is the evidence that the acceptor
+//!   holds `snapshot(ts)`;
 //! * a later broadcast to that acceptor carries
 //!   `Delta { base_ts, added }` with `added = current − snapshot(base_ts)`;
-//! * on **first contact** (no reply seen yet) or when the snapshot has
-//!   been pruned, the proposer falls back to `Full`;
+//! * on **first contact** (no reply seen yet), when the snapshot has
+//!   been pruned, or when the base is [`BASE_WINDOW`] or more timestamps
+//!   behind, the proposer falls back to `Full`;
 //! * the acceptor ([`DeltaReceiver`]) stores each proposal it actually
-//!   consumed, keyed by `(proposer, ts)`, and reconstructs
-//!   `full = base ∪ added`. A delta whose base it does not hold (only
-//!   possible for Byzantine senders — a correct proposer deltas only
-//!   against timestamps the acceptor itself replied to) is a detected
-//!   **gap** and is dropped.
+//!   consumed, keyed by `(proposer, ts)`, keeps the newest
+//!   [`BASE_WINDOW`] per proposer, and reconstructs
+//!   `full = base ∪ added`. A delta whose base it does not hold is a
+//!   detected **gap**: a correct proposer deltas only against timestamps
+//!   the acceptor itself replied to, and only inside the window.
 //!
 //! ## Wire format
 //!
@@ -53,7 +63,7 @@
 //! (`var` is a `bgla_codec` varint: 1 byte below 128, 2 below 16 384):
 //!
 //! ```text
-//! ValueSet                   : var(len) + Σ wire_size(v)
+//! ValueSet                   : var(len) + Σ wire_size(item)
 //! Full(set)                  : 1 (tag) + ValueSet
 //! Delta { base_ts, added }   : 1 (tag) + var(base_ts) + ValueSet(added)
 //! ```
@@ -64,20 +74,46 @@ use bgla_simnet::ProcessId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// An immutable-by-sharing sorted set of values with `O(1)` clone.
+/// Element of a [`ValueSet`]: an ordered, cloneable record with a modeled
+/// wire size (the set caches the sum). Every [`Value`] is one; the
+/// signature algorithms add their signed and proven records.
+pub trait SetItem: Clone + Ord {
+    /// Whether `==` compares everything the item carries. On join, equal
+    /// elements keep `self`'s representative (`BTreeSet`'s
+    /// insert-does-not-replace semantics). Where `==` is identity
+    /// (values, signed values, signed batches) that cannot be observed,
+    /// and a subset joined with its superset simply adopts the
+    /// superset's allocation. Where `==` ignores an attachment (a proven
+    /// record's proof) the peer's equal element could carry a different
+    /// one, so the subset merge-walks: an element's proof handle — and
+    /// with it its interned [`bgla_crypto::ProofId`] and its
+    /// verification-cache hits — survives any number of merges.
+    const EQ_IS_IDENTITY: bool;
+
+    /// Modeled serialized size of this element in bytes.
+    fn wire_size(&self) -> usize;
+}
+
+impl<V: Value> SetItem for V {
+    const EQ_IS_IDENTITY: bool = true;
+    fn wire_size(&self) -> usize {
+        Value::wire_size(self)
+    }
+}
+
+/// An immutable-by-sharing sorted set with `O(1)` clone.
 ///
 /// Mutating operations are copy-on-write: they reuse the allocation when
 /// this handle is the only owner and copy otherwise.
-pub struct ValueSet<V: Value> {
+pub struct ValueSet<T: SetItem> {
     /// Strictly-sorted, deduplicated elements.
-    // bgla-lint: allow(wire-coverage, "encoded: encode walks the elements via iter(), which this field backs")
-    items: Arc<Vec<V>>,
+    items: Arc<Vec<T>>,
     /// Cached `Σ wire_size(item)` (excludes the length prefix).
     // bgla-lint: allow(wire-coverage, "derived cache; from_sorted recomputes it when decode rebuilds the set")
     wire: usize,
 }
 
-impl<V: Value> ValueSet<V> {
+impl<T: SetItem> ValueSet<T> {
     /// The empty set.
     pub fn new() -> Self {
         ValueSet {
@@ -87,7 +123,7 @@ impl<V: Value> ValueSet<V> {
     }
 
     /// A one-element set.
-    pub fn singleton(v: V) -> Self {
+    pub fn singleton(v: T) -> Self {
         let wire = v.wire_size();
         ValueSet {
             items: Arc::new(vec![v]),
@@ -95,10 +131,19 @@ impl<V: Value> ValueSet<V> {
         }
     }
 
-    /// Builds from a vector that is already strictly sorted.
-    fn from_sorted(items: Vec<V>) -> Self {
+    /// Builds from a vector that is already strictly sorted, measuring
+    /// every element — for sets that arrive with no cached bytes to start
+    /// from (decode, collection from an iterator).
+    fn from_sorted(items: Vec<T>) -> Self {
+        let wire = items.iter().map(SetItem::wire_size).sum();
+        ValueSet::measured(items, wire)
+    }
+
+    /// Builds from a strictly sorted vector whose bytes the caller
+    /// already knows.
+    fn measured(items: Vec<T>, wire: usize) -> Self {
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "not strictly sorted");
-        let wire = items.iter().map(Value::wire_size).sum();
+        debug_assert_eq!(wire, items.iter().map(SetItem::wire_size).sum::<usize>());
         ValueSet {
             items: Arc::new(items),
             wire,
@@ -116,17 +161,22 @@ impl<V: Value> ValueSet<V> {
     }
 
     /// Iterates the elements in ascending order.
-    pub fn iter(&self) -> std::slice::Iter<'_, V> {
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.items.iter()
     }
 
     /// The elements as a sorted slice.
-    pub fn as_slice(&self) -> &[V] {
+    pub fn as_slice(&self) -> &[T] {
         &self.items
     }
 
+    /// Whether both handles share one allocation (`O(1)`; implies `==`).
+    pub fn ptr_eq(&self, other: &ValueSet<T>) -> bool {
+        Arc::ptr_eq(&self.items, &other.items)
+    }
+
     /// Membership test (binary search).
-    pub fn contains(&self, v: &V) -> bool {
+    pub fn contains(&self, v: &T) -> bool {
         self.items.binary_search(v).is_ok()
     }
 
@@ -137,8 +187,9 @@ impl<V: Value> ValueSet<V> {
     }
 
     /// Inserts `v`; returns whether the set changed. Copy-on-write: the
-    /// allocation is reused when uniquely owned.
-    pub fn insert(&mut self, v: V) -> bool {
+    /// allocation is reused when uniquely owned. An equal existing
+    /// element is kept (`BTreeSet::insert` semantics).
+    pub fn insert(&mut self, v: T) -> bool {
         match self.items.binary_search(&v) {
             Ok(_) => false,
             Err(pos) => {
@@ -161,8 +212,8 @@ impl<V: Value> ValueSet<V> {
     }
 
     /// `self ⊆ other`, by merge-walk (`O(k + m)`).
-    pub fn is_subset(&self, other: &ValueSet<V>) -> bool {
-        if Arc::ptr_eq(&self.items, &other.items) || self.is_empty() {
+    pub fn is_subset(&self, other: &ValueSet<T>) -> bool {
+        if self.ptr_eq(other) || self.is_empty() {
             return true;
         }
         if self.len() > other.len() {
@@ -185,19 +236,16 @@ impl<V: Value> ValueSet<V> {
         true
     }
 
-    /// `self ⊇ other`.
-    pub fn is_superset(&self, other: &ValueSet<V>) -> bool {
-        other.is_subset(self)
-    }
-
     /// Joins `other` into `self` (set union — the semilattice join);
-    /// returns whether `self` grew. Fast paths: sharing the peer's `Arc`
-    /// when `self` is a subset, no-op when `self` is a superset.
-    pub fn join_with(&mut self, other: &ValueSet<V>) -> bool {
-        if Arc::ptr_eq(&self.items, &other.items) || other.is_empty() {
+    /// returns whether `self` grew. Equal elements keep `self`'s
+    /// representative. Fast paths: no-op when `self` is a superset,
+    /// sharing the peer's `Arc` when `self` is empty or — for items whose
+    /// `==` is identity ([`SetItem::EQ_IS_IDENTITY`]) — a subset.
+    pub fn join_with(&mut self, other: &ValueSet<T>) -> bool {
+        if self.ptr_eq(other) || other.is_empty() {
             return false;
         }
-        if self.is_empty() || self.is_subset(other) {
+        if self.is_empty() || (T::EQ_IS_IDENTITY && self.is_subset(other)) {
             let grew = self.len() < other.len();
             self.items = Arc::clone(&other.items);
             self.wire = other.wire;
@@ -239,34 +287,33 @@ impl<V: Value> ValueSet<V> {
         out.extend_from_slice(&a[i..]);
         // bgla-lint: allow(byzantine-panic, "i and j are <= len at loop exit; suffix slicing from a cursor is in-bounds")
         let rest = &b[j..];
-        wire += rest.iter().map(Value::wire_size).sum::<usize>();
+        wire += rest.iter().map(SetItem::wire_size).sum::<usize>();
         out.extend_from_slice(rest);
-        debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "not strictly sorted");
-        debug_assert_eq!(wire, out.iter().map(Value::wire_size).sum::<usize>());
-        *self = ValueSet {
-            items: Arc::new(out),
-            wire,
-        };
+        *self = ValueSet::measured(out, wire);
         true
     }
 
     /// The join `self ∪ other` as a new handle.
-    pub fn join(&self, other: &ValueSet<V>) -> ValueSet<V> {
+    pub fn join(&self, other: &ValueSet<T>) -> ValueSet<T> {
         let mut out = self.clone();
         out.join_with(other);
         out
     }
 
-    /// `self ∖ other`, by merge-walk.
-    pub fn difference(&self, other: &ValueSet<V>) -> ValueSet<V> {
+    /// `self ∖ other`, by merge-walk. Removal is by element equality, the
+    /// same test `is_subset`/`join_with` use, and the survivors are
+    /// `self`'s representatives — exactly what the delta encoder needs
+    /// ("what the peer has not acknowledged, as I hold it").
+    pub fn difference(&self, other: &ValueSet<T>) -> ValueSet<T> {
         if other.is_empty() {
             return self.clone();
         }
-        if Arc::ptr_eq(&self.items, &other.items) {
+        if self.ptr_eq(other) {
             return ValueSet::new();
         }
         let (a, b) = (&self.items[..], &other.items[..]);
         let mut out = Vec::new();
+        let mut wire = 0;
         let mut j = 0;
         for x in a {
             // bgla-lint: allow(byzantine-panic, "merge-walk cursor guarded by j < b.len()")
@@ -275,10 +322,35 @@ impl<V: Value> ValueSet<V> {
             }
             // bgla-lint: allow(byzantine-panic, "merge-walk cursor guarded by the j == b.len() check")
             if j == b.len() || b[j] != *x {
+                wire += x.wire_size();
                 out.push(x.clone());
             }
         }
-        ValueSet::from_sorted(out)
+        ValueSet::measured(out, wire)
+    }
+
+    /// Retains only the elements `keep` accepts, measuring only those it
+    /// drops (used by the conflict-pruning paths, which are rare and drop
+    /// little). A set that loses nothing keeps its allocation.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        // Single pass: `keep` is `FnMut`, so a stateful predicate must
+        // see each element exactly once.
+        let mut wire = self.wire;
+        let kept: Vec<T> = self
+            .items
+            .iter()
+            .filter(|v| {
+                let stays = keep(v);
+                if !stays {
+                    wire -= v.wire_size();
+                }
+                stays
+            })
+            .cloned()
+            .collect();
+        if kept.len() < self.len() {
+            *self = ValueSet::measured(kept, wire);
+        }
     }
 
     /// Whether `self` is exactly `a ∪ b` with `a ∩ b = ∅`, allocating
@@ -286,12 +358,12 @@ impl<V: Value> ValueSet<V> {
     /// a delta describes, instead of building it. Walks the smaller part;
     /// between two of its elements `self` must repeat a run of the larger
     /// part, which is one slice comparison.
-    pub fn is_disjoint_union(&self, a: &ValueSet<V>, b: &ValueSet<V>) -> bool {
+    pub fn is_disjoint_union(&self, a: &ValueSet<T>, b: &ValueSet<T>) -> bool {
         if a.len() + b.len() != self.len() {
             return false;
         }
         let (few, many) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        if Arc::ptr_eq(&self.items, &many.items) {
+        if self.ptr_eq(many) {
             return true; // the lengths say `few` is empty
         }
         let (mut rest, mut many) = (&self.items[..], &many.items[..]);
@@ -311,21 +383,15 @@ impl<V: Value> ValueSet<V> {
         }
         rest == many
     }
-
-    /// Extends with the values of an iterator (sorts once).
-    pub fn extend<I: IntoIterator<Item = V>>(&mut self, values: I) {
-        let addition: ValueSet<V> = values.into_iter().collect();
-        self.join_with(&addition);
-    }
 }
 
-impl<V: Value> Default for ValueSet<V> {
+impl<T: SetItem> Default for ValueSet<T> {
     fn default() -> Self {
         ValueSet::new()
     }
 }
 
-impl<V: Value> Clone for ValueSet<V> {
+impl<T: SetItem> Clone for ValueSet<T> {
     fn clone(&self) -> Self {
         ValueSet {
             items: Arc::clone(&self.items),
@@ -334,65 +400,65 @@ impl<V: Value> Clone for ValueSet<V> {
     }
 }
 
-impl<V: Value> PartialEq for ValueSet<V> {
+impl<T: SetItem> PartialEq for ValueSet<T> {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.items, &other.items) || self.items == other.items
+        self.ptr_eq(other) || self.items == other.items
     }
 }
-impl<V: Value> Eq for ValueSet<V> {}
+impl<T: SetItem> Eq for ValueSet<T> {}
 
-impl<V: Value> PartialOrd for ValueSet<V> {
+impl<T: SetItem> PartialOrd for ValueSet<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<V: Value> Ord for ValueSet<V> {
+impl<T: SetItem> Ord for ValueSet<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.items, &other.items) {
+        if self.ptr_eq(other) {
             return std::cmp::Ordering::Equal;
         }
         self.items.cmp(&other.items)
     }
 }
 
-impl<V: Value + std::hash::Hash> std::hash::Hash for ValueSet<V> {
+impl<T: SetItem + std::hash::Hash> std::hash::Hash for ValueSet<T> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.items.hash(state)
     }
 }
 
-impl<V: Value> std::fmt::Debug for ValueSet<V> {
+impl<T: SetItem + std::fmt::Debug> std::fmt::Debug for ValueSet<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set().entries(self.items.iter()).finish()
     }
 }
 
-impl<V: Value> FromIterator<V> for ValueSet<V> {
-    fn from_iter<I: IntoIterator<Item = V>>(iter: I) -> Self {
-        let mut items: Vec<V> = iter.into_iter().collect();
+impl<T: SetItem> FromIterator<T> for ValueSet<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut items: Vec<T> = iter.into_iter().collect();
         items.sort_unstable();
         items.dedup();
         ValueSet::from_sorted(items)
     }
 }
 
-impl<V: Value> From<BTreeSet<V>> for ValueSet<V> {
-    fn from(set: BTreeSet<V>) -> Self {
+impl<T: SetItem> From<BTreeSet<T>> for ValueSet<T> {
+    fn from(set: BTreeSet<T>) -> Self {
         ValueSet::from_sorted(set.into_iter().collect())
     }
 }
 
-impl<'a, V: Value> IntoIterator for &'a ValueSet<V> {
-    type Item = &'a V;
-    type IntoIter = std::slice::Iter<'a, V>;
+impl<'a, T: SetItem> IntoIterator for &'a ValueSet<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
     fn into_iter(self) -> Self::IntoIter {
         self.items.iter()
     }
 }
 
-impl<V: Value> IntoIterator for ValueSet<V> {
-    type Item = V;
-    type IntoIter = std::vec::IntoIter<V>;
+impl<T: SetItem> IntoIterator for ValueSet<T> {
+    type Item = T;
+    type IntoIter = std::vec::IntoIter<T>;
     fn into_iter(self) -> Self::IntoIter {
         match Arc::try_unwrap(self.items) {
             Ok(vec) => vec.into_iter(),
@@ -401,7 +467,7 @@ impl<V: Value> IntoIterator for ValueSet<V> {
     }
 }
 
-impl<V: Value + bgla_crypto::ToBytes> bgla_crypto::ToBytes for ValueSet<V> {
+impl<T: SetItem + bgla_crypto::ToBytes> bgla_crypto::ToBytes for ValueSet<T> {
     fn write_bytes(&self, out: &mut Vec<u8>) {
         (self.len() as u64).write_bytes(out);
         for v in self.iter() {
@@ -410,10 +476,12 @@ impl<V: Value + bgla_crypto::ToBytes> bgla_crypto::ToBytes for ValueSet<V> {
     }
 }
 
-impl<V: Value> Wire for ValueSet<V> {
+/// Canonical codec form: length-prefixed elements in strictly ascending
+/// order.
+impl<T: SetItem + Wire> Wire for ValueSet<T> {
     fn encode(&self, w: &mut Writer) {
-        w.usize(self.len());
-        for v in self.iter() {
+        w.usize(self.items.len());
+        for v in self.items.iter() {
             v.encode(w);
         }
     }
@@ -423,9 +491,9 @@ impl<V: Value> Wire for ValueSet<V> {
     /// proof store) and the constructor's invariant airtight.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.seq_len()?;
-        let mut items: Vec<V> = Vec::with_capacity(n);
+        let mut items: Vec<T> = Vec::with_capacity(n);
         for _ in 0..n {
-            let v = V::decode(r)?;
+            let v = T::decode(r)?;
             if let Some(prev) = items.last() {
                 if *prev >= v {
                     return Err(CodecError::Invalid("value set not strictly ascending"));
@@ -437,7 +505,7 @@ impl<V: Value> Wire for ValueSet<V> {
     }
 }
 
-impl<V: Value> Wire for SetUpdate<V> {
+impl<T: SetItem + Wire> Wire for SetUpdate<T> {
     fn encode(&self, w: &mut Writer) {
         match self {
             SetUpdate::Full(set) => {
@@ -467,24 +535,24 @@ impl<V: Value> Wire for SetUpdate<V> {
 // Delta messages
 // ---------------------------------------------------------------------------
 
-/// A proposal payload: either the full set or only the values added
+/// A proposal payload: either the full set or only the elements added
 /// since a base the receiver is known to hold. See the module docs for
 /// the wire format.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SetUpdate<V: Value> {
+pub enum SetUpdate<T: SetItem> {
     /// The whole set (first contact / gap fallback).
-    Full(ValueSet<V>),
+    Full(ValueSet<T>),
     /// Only the additions relative to the proposal this receiver
     /// consumed at `base_ts`.
     Delta {
         /// Timestamp of the base proposal the receiver already holds.
         base_ts: u64,
         /// `current ∖ base`.
-        added: ValueSet<V>,
+        added: ValueSet<T>,
     },
 }
 
-impl<V: Value> SetUpdate<V> {
+impl<T: SetItem> SetUpdate<T> {
     /// Encoded size (see module docs).
     pub fn wire_size(&self) -> usize {
         match self {
@@ -493,7 +561,7 @@ impl<V: Value> SetUpdate<V> {
         }
     }
 
-    /// Number of values carried (diagnostics).
+    /// Number of elements carried (diagnostics).
     pub fn carried(&self) -> usize {
         match self {
             SetUpdate::Full(set) => set.len(),
@@ -502,36 +570,39 @@ impl<V: Value> SetUpdate<V> {
     }
 }
 
+/// Snapshots retained by a [`DeltaSender`]; refinements are bounded (≤ f
+/// per one-shot instance, ≤ f per generalized round) but the generalized
+/// algorithms' timestamps grow with the stream, so old snapshots must
+/// not accumulate.
+const SENDER_SNAPSHOT_CAP: usize = 32;
+
+/// Per-proposer consumed proposals retained by a [`DeltaReceiver`], and
+/// the freshness window within which a [`DeltaSender`] may delta.
+///
+/// Resolvability invariant: a receiver records at most one base per
+/// distinct timestamp of a proposer and prunes to the newest
+/// `BASE_WINDOW`, so a base at `base_ts` survives as long as fewer than
+/// `BASE_WINDOW` larger timestamps were consumed — guaranteed while
+/// `current_ts − base_ts < BASE_WINDOW`. The sender enforces exactly
+/// that bound in [`DeltaSender::encode_for`] (falling back to `Full`
+/// otherwise), which is why a gap on an unknown *base* can only come
+/// from a Byzantine sender.
+const BASE_WINDOW: usize = 8;
+
+// Every base a correct sender may delta against still has its snapshot.
+const _: () = assert!(SENDER_SNAPSHOT_CAP >= BASE_WINDOW);
+
 /// Proposer-side delta bookkeeping: snapshots of `Proposed_set` by
 /// timestamp plus each acceptor's newest replied-to timestamp.
 #[derive(Debug, Default)]
-pub struct DeltaSender<V: Value> {
+pub struct DeltaSender<T: SetItem> {
     /// ts → `Proposed_set` at that ts (`O(1)` clones make this cheap).
-    snapshots: BTreeMap<u64, ValueSet<V>>,
+    snapshots: BTreeMap<u64, ValueSet<T>>,
     /// Acceptor → newest ts it acked/nacked (proof it holds snapshot(ts)).
     last_replied: BTreeMap<ProcessId, u64>,
 }
 
-/// Snapshots retained by a [`DeltaSender`]; refinements are bounded (≤ f
-/// per WTS instance, ≤ f per GWTS round) but GWTS timestamps grow with
-/// the stream, so old snapshots must not accumulate. Must be ≥
-/// [`RECEIVER_BASE_CAP`] so every base a correct sender may delta
-/// against still has its snapshot.
-const SENDER_SNAPSHOT_CAP: usize = 32;
-
-/// Per-proposer reconstructed proposals retained by a [`DeltaReceiver`].
-///
-/// Resolvability invariant: a receiver records at most one base per
-/// distinct timestamp of a proposer and prunes to the newest
-/// `RECEIVER_BASE_CAP`, so a base at `base_ts` survives as long as
-/// fewer than `RECEIVER_BASE_CAP` larger timestamps were consumed —
-/// guaranteed while `current_ts − base_ts < RECEIVER_BASE_CAP`. The
-/// sender enforces exactly that bound in [`DeltaSender::encode_for`]
-/// (falling back to `Full` otherwise), which is why a delta gap at the
-/// receiver can only come from a Byzantine sender.
-const RECEIVER_BASE_CAP: usize = 8;
-
-impl<V: Value> DeltaSender<V> {
+impl<T: SetItem> DeltaSender<T> {
     /// Fresh sender state: no snapshots, no reply seen.
     pub fn new() -> Self {
         DeltaSender {
@@ -540,41 +611,51 @@ impl<V: Value> DeltaSender<V> {
         }
     }
 
-    /// Records the proposal broadcast at `ts` (call once per broadcast).
-    pub fn record_broadcast(&mut self, ts: u64, set: &ValueSet<V>) {
+    /// Records the proposal broadcast at `ts` (call once per broadcast,
+    /// before encoding per-acceptor updates).
+    pub fn record_broadcast(&mut self, ts: u64, set: &ValueSet<T>) {
         self.snapshots.insert(ts, set.clone());
         while self.snapshots.len() > SENDER_SNAPSHOT_CAP {
-            // bgla-lint: allow(byzantine-panic, "nonempty: the while condition holds only when len > SENDER_SNAPSHOT_CAP >= 1")
-            let oldest = *self.snapshots.keys().next().expect("nonempty");
-            self.snapshots.remove(&oldest);
+            self.snapshots.pop_first();
         }
     }
 
+    /// The set broadcast at `ts`, while it is retained.
+    pub fn snapshot(&self, ts: u64) -> Option<&ValueSet<T>> {
+        self.snapshots.get(&ts)
+    }
+
     /// Records that `from` replied (ack or nack) to the proposal of
-    /// `ts` — it therefore holds that proposal. Ignores timestamps we
-    /// never broadcast (Byzantine claims).
-    pub fn record_reply(&mut self, from: ProcessId, ts: u64) {
-        if !self.snapshots.contains_key(&ts) {
-            return;
-        }
+    /// `ts` — it therefore holds that proposal, which is returned.
+    /// Ignores (`None`) timestamps we never broadcast (Byzantine claims)
+    /// or no longer retain.
+    pub fn record_reply(&mut self, from: ProcessId, ts: u64) -> Option<&ValueSet<T>> {
+        let snapshot = self.snapshots.get(&ts)?;
         let e = self.last_replied.entry(from).or_insert(ts);
         *e = (*e).max(ts);
+        Some(snapshot)
+    }
+
+    /// Forgets what `to` replied to: until it replies again it is on
+    /// first contact.
+    pub fn forget_peer(&mut self, to: ProcessId) {
+        self.last_replied.remove(&to);
     }
 
     /// Encodes the proposal `current` (broadcast at `ts`) for acceptor
     /// `to`: a delta against the newest set `to` replied to when
     /// possible; the full set on first contact, on a pruned base, or
     /// when the base is too far behind for the receiver to still hold
-    /// it (see [`RECEIVER_BASE_CAP`] — this bound is what makes a
+    /// it (see [`BASE_WINDOW`] — this bound is what makes a
     /// receiver-side gap a reliable Byzantine signal).
-    pub fn encode_for(&self, to: ProcessId, ts: u64, current: &ValueSet<V>) -> SetUpdate<V> {
+    pub fn encode_for(&self, to: ProcessId, ts: u64, current: &ValueSet<T>) -> SetUpdate<T> {
         self.encode_with(to, ts, current, &mut Vec::new())
     }
 
     /// [`Self::encode_for`] for every acceptor `0..n` of one broadcast,
     /// indexed by acceptor. Acceptors on the same base share one set of
     /// additions: the difference is taken once per distinct base.
-    pub fn encode_broadcast(&self, n: usize, ts: u64, current: &ValueSet<V>) -> Vec<SetUpdate<V>> {
+    pub fn encode_broadcast(&self, n: usize, ts: u64, current: &ValueSet<T>) -> Vec<SetUpdate<T>> {
         let mut added_since = Vec::new();
         (0..n)
             .map(|to| self.encode_with(to, ts, current, &mut added_since))
@@ -582,53 +663,44 @@ impl<V: Value> DeltaSender<V> {
     }
 
     /// `added_since` holds `current ∖ snapshot(base_ts)` for the bases
-    /// this broadcast has met so far.
+    /// this broadcast has met so far. A broadcast meets at most `n`
+    /// bases: a scan beats a map.
     fn encode_with(
         &self,
         to: ProcessId,
         ts: u64,
-        current: &ValueSet<V>,
-        added_since: &mut Vec<(u64, ValueSet<V>)>,
-    ) -> SetUpdate<V> {
-        match self
+        current: &ValueSet<T>,
+        added_since: &mut Vec<(u64, ValueSet<T>)>,
+    ) -> SetUpdate<T> {
+        let base = self
             .last_replied
             .get(&to)
-            .and_then(|base_ts| self.snapshots.get(base_ts).map(|s| (*base_ts, s)))
-        {
-            Some((base_ts, base)) if ts.saturating_sub(base_ts) < RECEIVER_BASE_CAP as u64 => {
-                SetUpdate::Delta {
-                    base_ts,
-                    added: once_per_base(added_since, base_ts, || current.difference(base)),
-                }
+            .and_then(|base_ts| self.snapshots.get(base_ts).map(|s| (*base_ts, s)));
+        let Some((base_ts, base)) =
+            base.filter(|(at, _)| ts.saturating_sub(*at) < BASE_WINDOW as u64)
+        else {
+            return SetUpdate::Full(current.clone());
+        };
+        let added = match added_since.iter().find(|(at, _)| *at == base_ts) {
+            Some((_, known)) => known.clone(),
+            None => {
+                let fresh = current.difference(base);
+                added_since.push((base_ts, fresh.clone()));
+                fresh
             }
-            _ => SetUpdate::Full(current.clone()),
-        }
+        };
+        SetUpdate::Delta { base_ts, added }
     }
-}
-
-/// The value remembered for `base_ts`, made (and remembered) on first
-/// use. A broadcast meets at most `n` bases: a scan beats a map.
-pub(crate) fn once_per_base<S: Clone>(
-    made: &mut Vec<(u64, S)>,
-    base_ts: u64,
-    make: impl FnOnce() -> S,
-) -> S {
-    if let Some((_, known)) = made.iter().find(|(at, _)| *at == base_ts) {
-        return known.clone();
-    }
-    let fresh = make();
-    made.push((base_ts, fresh.clone()));
-    fresh
 }
 
 /// Acceptor-side delta bookkeeping: the proposals actually consumed,
 /// keyed by `(proposer, ts)`, so later deltas can be resolved.
 #[derive(Debug, Default)]
-pub struct DeltaReceiver<V: Value> {
-    bases: BTreeMap<(ProcessId, u64), ValueSet<V>>,
+pub struct DeltaReceiver<T: SetItem> {
+    bases: BTreeMap<(ProcessId, u64), ValueSet<T>>,
 }
 
-impl<V: Value> DeltaReceiver<V> {
+impl<T: SetItem> DeltaReceiver<T> {
     /// Fresh receiver state.
     pub fn new() -> Self {
         DeltaReceiver {
@@ -639,7 +711,7 @@ impl<V: Value> DeltaReceiver<V> {
     /// Resolves an update from `from` into the full proposal. `None`
     /// means a detected gap: a delta whose base we do not hold (only
     /// Byzantine senders produce these — drop the message).
-    pub fn resolve(&self, from: ProcessId, update: &SetUpdate<V>) -> Option<ValueSet<V>> {
+    pub fn resolve(&self, from: ProcessId, update: &SetUpdate<T>) -> Option<ValueSet<T>> {
         match update {
             SetUpdate::Full(set) => Some(set.clone()),
             SetUpdate::Delta { base_ts, added } => {
@@ -649,24 +721,20 @@ impl<V: Value> DeltaReceiver<V> {
     }
 
     /// The proposal of `from` consumed at `ts`, while it is retained.
-    pub fn base(&self, from: ProcessId, ts: u64) -> Option<&ValueSet<V>> {
+    pub fn base(&self, from: ProcessId, ts: u64) -> Option<&ValueSet<T>> {
         self.bases.get(&(from, ts))
     }
 
     /// Records that the proposal `set` from `from` at `ts` was consumed
     /// (we are about to reply to it), making it a valid delta base.
-    pub fn record(&mut self, from: ProcessId, ts: u64, set: &ValueSet<V>) {
+    pub fn record(&mut self, from: ProcessId, ts: u64, set: &ValueSet<T>) {
         self.bases.insert((from, ts), set.clone());
         // Retain only the newest few bases per proposer.
-        let held: Vec<u64> = self
-            .bases
-            .range((from, 0)..=(from, u64::MAX))
-            .map(|((_, t), _)| *t)
-            .collect();
-        if held.len() > RECEIVER_BASE_CAP {
-            // bgla-lint: allow(byzantine-panic, "slice start bounded: guarded by held.len() > RECEIVER_BASE_CAP")
-            for t in &held[..held.len() - RECEIVER_BASE_CAP] {
-                self.bases.remove(&(from, *t));
+        let of_proposer = (from, 0)..=(from, u64::MAX);
+        let held = self.bases.range(of_proposer.clone()).count();
+        for _ in BASE_WINDOW..held {
+            if let Some((&oldest, _)) = self.bases.range(of_proposer.clone()).next() {
+                self.bases.remove(&oldest);
             }
         }
     }
@@ -681,30 +749,11 @@ mod tests {
     }
 
     #[test]
-    fn construction_sorts_and_dedups() {
-        let s = vs(&[3, 1, 2, 3, 1]);
-        assert_eq!(s.as_slice(), &[1, 2, 3]);
-        assert_eq!(s.len(), 3);
-        assert!(s.contains(&2));
-        assert!(!s.contains(&4));
-    }
-
-    #[test]
     fn clone_shares_the_allocation() {
         let a = vs(&[1, 2, 3]);
         let b = a.clone();
         assert!(Arc::ptr_eq(&a.items, &b.items));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn insert_is_copy_on_write() {
-        let mut a = vs(&[1, 3]);
-        let b = a.clone();
-        assert!(a.insert(2));
-        assert!(!a.insert(2));
-        assert_eq!(a.as_slice(), &[1, 2, 3]);
-        assert_eq!(b.as_slice(), &[1, 3], "shared peer must not see the write");
     }
 
     #[test]
@@ -720,24 +769,53 @@ mod tests {
         let mut y = big.clone();
         assert!(!y.join_with(&small));
         assert!(Arc::ptr_eq(&y.items, &big.items));
+        let mut z: ValueSet<u64> = ValueSet::new();
+        assert!(z.join_with(&big));
+        assert!(Arc::ptr_eq(&z.items, &big.items), "so does an empty side");
     }
 
     #[test]
-    fn join_merges_overlapping() {
-        let mut a = vs(&[1, 3, 5]);
-        assert!(a.join_with(&vs(&[2, 3, 6])));
-        assert_eq!(a.as_slice(), &[1, 2, 3, 5, 6]);
-    }
-
-    #[test]
-    fn subset_superset_difference() {
+    fn subset_and_difference() {
         let a = vs(&[1, 2, 3, 4]);
         let b = vs(&[2, 4]);
         assert!(b.is_subset(&a));
-        assert!(a.is_superset(&b));
         assert!(!a.is_subset(&b));
         assert_eq!(a.difference(&b).as_slice(), &[1, 3]);
+        assert_eq!(a.difference(&b).wire_size(), 1 + 16);
         assert_eq!(b.difference(&a).as_slice(), &[] as &[u64]);
+        assert!(a.difference(&a.clone()).is_empty());
+        assert!(a.difference(&ValueSet::new()).ptr_eq(&a));
+    }
+
+    #[test]
+    fn retain_rebuilds_only_on_change() {
+        let mut a = vs(&[1, 2, 3, 4]);
+        let before = Arc::as_ptr(&a.items);
+        a.retain(|_| true);
+        assert_eq!(Arc::as_ptr(&a.items), before);
+        a.retain(|v| v % 2 == 0);
+        assert_eq!(a.as_slice(), &[2, 4]);
+        assert_eq!(a.wire_size(), 1 + 16);
+    }
+
+    #[test]
+    fn retain_calls_predicate_once_per_element() {
+        // `keep` is FnMut: a stateful predicate must see each element
+        // exactly once or it could keep the wrong subset.
+        let mut a = vs(&[1, 2, 3, 4]);
+        let mut calls = 0;
+        a.retain(|_| {
+            calls += 1;
+            true
+        });
+        assert_eq!(calls, 4);
+        let mut seen = Vec::new();
+        a.retain(|v| {
+            seen.push(*v);
+            seen.len() % 2 == 1 // keep every other visited element
+        });
+        assert_eq!(seen, vec![1, 2, 3, 4]);
+        assert_eq!(a.as_slice(), &[1, 3]);
     }
 
     /// Every split of 0..6 into `a`, `b` and neither, against every
@@ -792,33 +870,6 @@ mod tests {
                 bgla_codec::encode_payload(&update).len()
             );
         }
-    }
-
-    #[test]
-    fn delta_roundtrip_through_sender_and_receiver() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new();
-        let mut rx: DeltaReceiver<u64> = DeltaReceiver::new();
-        let s0 = vs(&[1, 2]);
-        tx.record_broadcast(0, &s0);
-        // First contact: full.
-        let u0 = tx.encode_for(9, 0, &s0);
-        assert!(matches!(u0, SetUpdate::Full(_)));
-        let full0 = rx.resolve(9, &u0).unwrap();
-        assert_eq!(full0, s0);
-        rx.record(9, 0, &full0);
-        tx.record_reply(9, 0);
-        // Refinement: only the additions travel.
-        let s1 = vs(&[1, 2, 7, 8]);
-        tx.record_broadcast(1, &s1);
-        let u1 = tx.encode_for(9, 1, &s1);
-        match &u1 {
-            SetUpdate::Delta { base_ts, added } => {
-                assert_eq!(*base_ts, 0);
-                assert_eq!(added.as_slice(), &[7, 8]);
-            }
-            other => panic!("expected delta, got {other:?}"),
-        }
-        assert_eq!(rx.resolve(9, &u1).unwrap(), s1);
     }
 
     /// One broadcast to acceptors on three footings — never replied,
@@ -886,7 +937,7 @@ mod tests {
     }
 
     /// A correct sender never deltas against a base the receiver may
-    /// have pruned: once the base falls RECEIVER_BASE_CAP behind the
+    /// have pruned: once the base falls BASE_WINDOW behind the
     /// current timestamp, encoding falls back to Full (regression for
     /// the slow-acceptor gap misclassification).
     #[test]
@@ -895,14 +946,14 @@ mod tests {
         tx.record_broadcast(0, &vs(&[1]));
         tx.record_reply(5, 0);
         // Within the window: delta against ts 0 is fine.
-        let near = RECEIVER_BASE_CAP as u64 - 1;
+        let near = BASE_WINDOW as u64 - 1;
         tx.record_broadcast(near, &vs(&[1, 2]));
         assert!(matches!(
             tx.encode_for(5, near, &vs(&[1, 2])),
             SetUpdate::Delta { base_ts: 0, .. }
         ));
         // At the window edge the receiver may have pruned base 0: Full.
-        let far = RECEIVER_BASE_CAP as u64;
+        let far = BASE_WINDOW as u64;
         tx.record_broadcast(far, &vs(&[1, 2, 3]));
         assert!(matches!(
             tx.encode_for(5, far, &vs(&[1, 2, 3])),
@@ -913,7 +964,7 @@ mod tests {
         // correct traffic resolvable.
         let mut rx: DeltaReceiver<u64> = DeltaReceiver::new();
         rx.record(9, 0, &vs(&[1]));
-        for ts in 1..=RECEIVER_BASE_CAP as u64 {
+        for ts in 1..=BASE_WINDOW as u64 {
             rx.record(9, ts, &vs(&[1, ts]));
         }
         let delta0 = SetUpdate::Delta {
@@ -922,7 +973,7 @@ mod tests {
         };
         assert!(rx.resolve(9, &delta0).is_none(), "base 0 must be pruned");
         let delta_recent = SetUpdate::Delta {
-            base_ts: RECEIVER_BASE_CAP as u64,
+            base_ts: BASE_WINDOW as u64,
             added: vs(&[7]),
         };
         assert!(rx.resolve(9, &delta_recent).is_some());
@@ -934,7 +985,7 @@ mod tests {
         for ts in 0..100u64 {
             rx.record(5, ts, &vs(&[ts]));
         }
-        assert!(rx.bases.len() <= RECEIVER_BASE_CAP);
+        assert!(rx.bases.len() <= BASE_WINDOW);
         rx.record(6, 0, &vs(&[1]));
         assert_eq!(
             rx.bases.range((6, 0)..=(6, u64::MAX)).count(),

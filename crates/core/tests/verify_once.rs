@@ -9,7 +9,7 @@ use bgla_core::gsbs::{GSafeAck, GsbsProcess, ProvenBatch, SignedBatch};
 use bgla_core::proof::Proof;
 use bgla_core::provendelta::ProvenUpdate;
 use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
-use bgla_core::{SignedSet, SystemConfig, ValueSet};
+use bgla_core::{SystemConfig, ValueSet};
 use bgla_crypto::Keypair;
 use bgla_simnet::{Context, Process, SimulationBuilder};
 use std::any::Any;
@@ -24,7 +24,7 @@ fn config() -> SystemConfig {
 /// each sign an ack echoing the value, no conflicts.
 fn proven_value(value: u64, proposer: usize, signers: &[usize]) -> ProvenValue<u64> {
     let sv = SignedValue::sign(value, proposer, &Keypair::for_process(proposer));
-    let rcvd: SignedSet<SignedValue<u64>> = [sv.clone()].into_iter().collect();
+    let rcvd: ValueSet<SignedValue<u64>> = [sv.clone()].into_iter().collect();
     let acks: Vec<SignedSafeAck<u64>> = signers
         .iter()
         .map(|&s| {
@@ -54,7 +54,7 @@ fn forged_proof_redelivery_verifies_once() {
     let mut acks = pv.proof.as_slice().to_vec();
     acks[1].sig.s[0] ^= 0x40;
     pv.proof = Proof::new(acks);
-    let set: SignedSet<ProvenValue<u64>> = [pv].into_iter().collect();
+    let set: ValueSet<ProvenValue<u64>> = [pv].into_iter().collect();
 
     const REDELIVERIES: usize = 10;
     for _ in 0..REDELIVERIES {
@@ -82,7 +82,7 @@ fn forged_proof_redelivery_verifies_once() {
 fn valid_proof_redelivery_verifies_once() {
     let mut p = SbsProcess::new(0, config(), 7u64);
     let pv = proven_value(42, 1, &[1, 2, 3]);
-    let set: SignedSet<ProvenValue<u64>> = [pv].into_iter().collect();
+    let set: ValueSet<ProvenValue<u64>> = [pv].into_iter().collect();
 
     for _ in 0..10 {
         assert!(p.all_safe(&set), "well-formed proof must pass");
@@ -104,7 +104,7 @@ fn same_proof_shared_by_many_values_checks_once_per_call() {
     let svs: Vec<SignedValue<u64>> = (0..3)
         .map(|i| SignedValue::sign(100 + i as u64, 1 + i, &Keypair::for_process(1 + i)))
         .collect();
-    let rcvd: SignedSet<SignedValue<u64>> = svs.iter().cloned().collect();
+    let rcvd: ValueSet<SignedValue<u64>> = svs.iter().cloned().collect();
     let acks: Vec<SignedSafeAck<u64>> = [1usize, 2, 3]
         .iter()
         .map(|&s| {
@@ -119,7 +119,7 @@ fn same_proof_shared_by_many_values_checks_once_per_call() {
         })
         .collect();
     let proof = Proof::new(acks);
-    let set: SignedSet<ProvenValue<u64>> = svs
+    let set: ValueSet<ProvenValue<u64>> = svs
         .into_iter()
         .map(|sv| ProvenValue {
             sv,
@@ -145,7 +145,7 @@ struct RefFeeder {
 
 impl Process<SbsMsg<u64>> for RefFeeder {
     fn on_start(&mut self, ctx: &mut Context<SbsMsg<u64>>) {
-        let first: SignedSet<ProvenValue<u64>> = [self.values[0].clone()].into_iter().collect();
+        let first: ValueSet<ProvenValue<u64>> = [self.values[0].clone()].into_iter().collect();
         self.sent = 1;
         ctx.send(
             0,
@@ -160,7 +160,7 @@ impl Process<SbsMsg<u64>> for RefFeeder {
             if ts == self.sent as u64 && self.sent < self.values.len() {
                 let pv = self.values[self.sent].clone();
                 let refs = vec![pv.proof.id()];
-                let new: SignedSet<ProvenValue<u64>> = [pv].into_iter().collect();
+                let new: ValueSet<ProvenValue<u64>> = [pv].into_iter().collect();
                 self.sent += 1;
                 ctx.send(
                     0,
@@ -192,7 +192,7 @@ fn proof_referenced_in_ten_deltas_still_verifies_once() {
     let svs: Vec<SignedValue<u64>> = (0..=DELTAS)
         .map(|i| SignedValue::sign(100 + i as u64, 1, &Keypair::for_process(1)))
         .collect();
-    let rcvd: SignedSet<SignedValue<u64>> = svs.iter().cloned().collect();
+    let rcvd: ValueSet<SignedValue<u64>> = svs.iter().cloned().collect();
     let acks: Vec<SignedSafeAck<u64>> = [1usize, 2, 3]
         .iter()
         .map(|&s| {
@@ -256,7 +256,7 @@ fn gsbs_proof_id_binds_echoed_batch_content() {
     let mut forged_sb = sb.clone();
     forged_sb.batch = [1u64, 99].into_iter().collect();
 
-    let rcvd: SignedSet<SignedBatch<u64>> = [sb.clone()].into_iter().collect();
+    let rcvd: ValueSet<SignedBatch<u64>> = [sb.clone()].into_iter().collect();
     let acks: Vec<GSafeAck<u64>> = [1usize, 2, 3]
         .iter()
         .map(|&s| GSafeAck::sign(0, rcvd.clone(), vec![], s, &Keypair::for_process(s)))
@@ -265,7 +265,7 @@ fn gsbs_proof_id_binds_echoed_batch_content() {
 
     // Byzantine re-wrap: every ack keeps its signature bytes but echoes
     // the forged record instead.
-    let forged_rcvd: SignedSet<SignedBatch<u64>> = [forged_sb.clone()].into_iter().collect();
+    let forged_rcvd: ValueSet<SignedBatch<u64>> = [forged_sb.clone()].into_iter().collect();
     let forged_acks: Vec<GSafeAck<u64>> = acks
         .into_iter()
         .map(|mut a| {
@@ -283,13 +283,13 @@ fn gsbs_proof_id_binds_echoed_batch_content() {
     // End to end, both delivery orders: the honest proof's cached
     // verdict must not leak to the forged variant, and vice versa.
     let mut p = GsbsProcess::new(0, config(), BTreeMap::new(), 1);
-    let honest_set: SignedSet<ProvenBatch<u64>> = [ProvenBatch {
+    let honest_set: ValueSet<ProvenBatch<u64>> = [ProvenBatch {
         sb: sb.clone(),
         proof: honest.clone(),
     }]
     .into_iter()
     .collect();
-    let forged_set: SignedSet<ProvenBatch<u64>> = [ProvenBatch {
+    let forged_set: ValueSet<ProvenBatch<u64>> = [ProvenBatch {
         sb: forged_sb,
         proof: forged,
     }]

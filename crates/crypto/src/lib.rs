@@ -10,7 +10,6 @@
 //!   are *derived at first use* from the fractional parts of cube/square
 //!   roots of primes (via exact integer n-th roots), eliminating the
 //!   possibility of a mistyped constant table.
-//! * [`hmac`] — HMAC-SHA-512, used to model authenticated channels.
 //! * [`field`] — arithmetic in GF(2^255 − 19), radix-2^51 limbs, lazy
 //!   additions, a dedicated squaring and fixed addition chains for the
 //!   inversion and the square root.
@@ -78,7 +77,6 @@
 pub mod ed25519;
 pub mod edwards;
 pub mod field;
-pub mod hmac;
 pub mod keyring;
 mod lru;
 pub mod nroot;
@@ -98,7 +96,6 @@ pub mod wire;
 pub(crate) const DIFFERENTIAL_CASES: u32 = if cfg!(debug_assertions) { 64 } else { 1024 };
 
 pub use ed25519::{Keypair, PublicKey, SecretKey, Signature};
-pub use hmac::hmac_sha512;
 pub use keyring::Keyring;
 pub use proofstore::{ProofCache, ProofId, ProofIdBuilder, ProofResolver};
 pub use sha512::{sha512, Sha512};

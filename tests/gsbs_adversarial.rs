@@ -4,8 +4,7 @@
 //! references must resync without stalling the round pipeline.
 
 use bgla::core::gsbs::{DecidedCert, GsbsMsg, GsbsProcess, SignedAck};
-use bgla::core::{spec, SystemConfig};
-use bgla::core::{SignedSet, ValueSet};
+use bgla::core::{spec, SystemConfig, ValueSet};
 use bgla::crypto::Keypair;
 use bgla::simnet::{Context, Process, RandomScheduler, SimulationBuilder};
 use std::any::Any;
@@ -47,7 +46,7 @@ impl Process<GsbsMsg<u64>> for CertForger {
         // 4. Jump rounds with empty requests.
         for round in 0..8 {
             ctx.broadcast(GsbsMsg::AckReq {
-                proposed: bgla::core::ProvenUpdate::Full(SignedSet::new()),
+                proposed: bgla::core::ProvenUpdate::Full(ValueSet::new()),
                 ts: 500 + round,
                 round,
             });

@@ -129,7 +129,7 @@ fn bogus_delta_references_resync_without_violating_safety() {
 /// full payload — the cooperative (non-Byzantine-content) resync round
 /// trip, pinned hop by hop.
 struct GapThenFull {
-    payload: bgla::core::SignedSet<bgla::core::sbs::ProvenValue<u64>>,
+    payload: bgla::core::ValueSet<bgla::core::sbs::ProvenValue<u64>>,
     resynced: bool,
     acked: bool,
 }
@@ -183,7 +183,7 @@ fn resync_round_trip_recovers_a_valid_payload() {
 
     let config = SystemConfig::new(4, 1);
     let sv = SignedValue::sign(42u64, 1, &Keypair::for_process(1));
-    let rcvd: bgla::core::SignedSet<SignedValue<u64>> = [sv.clone()].into_iter().collect();
+    let rcvd: bgla::core::ValueSet<SignedValue<u64>> = [sv.clone()].into_iter().collect();
     let acks: Vec<SignedSafeAck<u64>> = [1usize, 2, 3]
         .iter()
         .map(|&s| {
@@ -197,7 +197,7 @@ fn resync_round_trip_recovers_a_valid_payload() {
             )
         })
         .collect();
-    let payload: bgla::core::SignedSet<ProvenValue<u64>> = [ProvenValue {
+    let payload: bgla::core::ValueSet<ProvenValue<u64>> = [ProvenValue {
         sv,
         proof: Proof::new(acks),
     }]
