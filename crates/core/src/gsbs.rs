@@ -746,7 +746,7 @@ impl<V: SignableValue> GsbsProcess<V> {
     /// [`crate::sbs::SbsProcess::all_safe`]: per `(batch, proof)` pair
     /// only the cheap round/coverage/conflict comparisons run; the
     /// value-independent part of each *distinct* proof
-    /// ([`Self::proof_valid`]) is answered from the per-process
+    /// (`proof_valid`) is answered from the per-process
     /// [`ProofCache`] — positive and negative verdicts — when seen
     /// before. A covered batch's own signature is certified by
     /// membership: the pair check is full record equality against an
@@ -788,20 +788,23 @@ impl<V: SignableValue> GsbsProcess<V> {
     /// The value-independent proof checks — exactly the verdict
     /// [`ProofCache`] may memoize: quorum size, signer distinctness,
     /// and one batched signature verification covering every ack *and*
-    /// every signed batch each ack echoes in its `rcvd` set (duplicates
-    /// across acks are verified once by the batch layer).
+    /// every distinct signed batch the acks echo in their `rcvd` sets.
+    /// The acks of a quorum echo mostly the same batches, so each is
+    /// encoded (and its cache key hashed) once per proof, in first-echo
+    /// order.
     fn proof_valid(verifier: &mut CachedVerifier, quorum: usize, proof: &BatchProof<V>) -> bool {
         if proof.len() < quorum {
             return false;
         }
         let mut signers = BTreeSet::new();
+        let mut echoed = BTreeSet::new();
         let mut obligations: Vec<(usize, Vec<u8>, Signature)> = Vec::new();
         for ack in proof.iter() {
             if !signers.insert(ack.signer) {
                 return false; // duplicate signer
             }
             obligations.push(Self::safe_ack_obligation(ack));
-            for sb in ack.rcvd.iter() {
+            for sb in ack.rcvd.iter().filter(|sb| echoed.insert(*sb)) {
                 obligations.push(Self::batch_obligation(sb));
             }
         }

@@ -453,7 +453,7 @@ impl<V: Value> GwtsProcess<V> {
     /// `<ack, set, ·, ·, ·, r>` from `⌊(n+f)/2⌋+1` origins for some `r`
     /// still in the public ack history, or `set` is one of this process's
     /// own decisions, each of which was taken from such a record — so the
-    /// answer outlives [`Self::prune_old_rounds`].
+    /// answer outlives `prune_old_rounds`.
     pub fn has_committed(&self, set: &ValueSet<V>) -> bool {
         let quorum = self.config.quorum();
         // `decisions` is a chain: sizes never fall.

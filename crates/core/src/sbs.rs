@@ -526,7 +526,7 @@ impl<V: SignableValue> SbsProcess<V> {
     /// incremental. Per `(value, proof)` pair only the cheap coverage
     /// and conflict comparisons run (pure record equality — no
     /// serialization, no hashing); the expensive value-independent part
-    /// of each *distinct* proof ([`Self::proof_valid`]) is answered
+    /// of each *distinct* proof (`proof_valid`) is answered
     /// from the per-process [`ProofCache`] when the proof was seen
     /// before — positive *and* negative verdicts, so a redelivered
     /// forged proof costs a hash lookup, not a re-verification. Within
@@ -536,7 +536,7 @@ impl<V: SignableValue> SbsProcess<V> {
     /// The attached value's own signature is covered by the proof
     /// verdict: the pair check demands `pv.sv ∈ ack.rcvd` under *full
     /// record equality* (value, signer and signature bytes), and
-    /// [`Self::proof_valid`] verifies every record echoed in every
+    /// `proof_valid` verifies every record echoed in every
     /// ack's `rcvd` — so a covered value's signature has been verified,
     /// by content, exactly once.
     ///
@@ -581,22 +581,25 @@ impl<V: SignableValue> SbsProcess<V> {
     /// The value-independent proof checks — exactly the verdict
     /// [`ProofCache`] may memoize: quorum size, signer distinctness,
     /// and one batched signature verification covering every ack *and*
-    /// every signed value each ack echoes in its `rcvd` set (duplicates
-    /// across acks are verified once by the batch layer). Verifying the
-    /// echoes is what lets [`Self::all_safe`] certify covered values by
+    /// every distinct signed value the acks echo in their `rcvd` sets.
+    /// The acks of a quorum echo mostly the same records, and record
+    /// equality is identity, so each is encoded (and its cache key
+    /// hashed) once per proof, in first-echo order. Verifying the echoes
+    /// is what lets [`Self::all_safe`] certify covered values by
     /// membership alone.
     fn proof_valid(verifier: &mut CachedVerifier, quorum: usize, proof: &SafetyProof<V>) -> bool {
         if proof.len() < quorum {
             return false;
         }
         let mut signers = BTreeSet::new();
+        let mut echoed = BTreeSet::new();
         let mut obligations: Vec<(usize, Vec<u8>, Signature)> = Vec::new();
         for ack in proof.iter() {
             if !signers.insert(ack.signer) {
                 return false; // duplicate signer
             }
             obligations.push((ack.signer, ack.body.signable_bytes(ack.signer), ack.sig));
-            for sv in ack.body.rcvd.iter() {
+            for sv in ack.body.rcvd.iter().filter(|sv| echoed.insert(*sv)) {
                 obligations.push((
                     sv.signer,
                     SignedValue::signable_bytes(&sv.value, sv.signer),

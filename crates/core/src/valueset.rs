@@ -48,11 +48,11 @@
 //! * a later broadcast to that acceptor carries
 //!   `Delta { base_ts, added }` with `added = current − snapshot(base_ts)`;
 //! * on **first contact** (no reply seen yet), when the snapshot has
-//!   been pruned, or when the base is [`BASE_WINDOW`] or more timestamps
+//!   been pruned, or when the base is `BASE_WINDOW` or more timestamps
 //!   behind, the proposer falls back to `Full`;
 //! * the acceptor ([`DeltaReceiver`]) stores each proposal it actually
 //!   consumed, keyed by `(proposer, ts)`, keeps the newest
-//!   [`BASE_WINDOW`] per proposer, and reconstructs
+//!   `BASE_WINDOW` per proposer, and reconstructs
 //!   `full = base ∪ added`. A delta whose base it does not hold is a
 //!   detected **gap**: a correct proposer deltas only against timestamps
 //!   the acceptor itself replied to, and only inside the window.
@@ -646,7 +646,7 @@ impl<T: SetItem> DeltaSender<T> {
     /// `to`: a delta against the newest set `to` replied to when
     /// possible; the full set on first contact, on a pruned base, or
     /// when the base is too far behind for the receiver to still hold
-    /// it (see [`BASE_WINDOW`] — this bound is what makes a
+    /// it (see `BASE_WINDOW` — this bound is what makes a
     /// receiver-side gap a reliable Byzantine signal).
     pub fn encode_for(&self, to: ProcessId, ts: u64, current: &ValueSet<T>) -> SetUpdate<T> {
         self.encode_with(to, ts, current, &mut Vec::new())

@@ -78,7 +78,7 @@ pub trait WireMessage: Clone + Send {
 }
 
 /// Modeled wire cost of shipping one proof *by reference* instead of by
-/// value: its 16-byte [`ProofId`]-sized content hash plus 16 bytes of
+/// value: its 16-byte `ProofId`-sized content hash plus 16 bytes of
 /// per-entry framing. See the byte-accounting contract on
 /// [`WireMessage`].
 pub const PROOF_REF_BYTES: usize = 32;

@@ -441,7 +441,7 @@ enum SearchMode {
 }
 
 /// A seeded schedule-space explorer: rotates through hostile delivery
-/// tactics ([`SearchMode`]) in windows whose lengths, targets and picks
+/// tactics (`SearchMode`) in windows whose lengths, targets and picks
 /// all derive from the seed, so the whole schedule is a pure function
 /// of `(seed, send sequence)` and any run it produces is replayable
 /// from the seed alone. See the module docs for the exploration +
@@ -452,7 +452,7 @@ enum SearchMode {
 /// delivered — and windows always expire, so every message is
 /// eventually chosen.
 ///
-/// Incremental contract: maintains seq-ordered [`OrderedPool`]s globally
+/// Incremental contract: maintains seq-ordered `OrderedPool`s globally
 /// and per kind / sender / receiver, so a delivery step costs
 /// O(log n + #kinds) — never a scan of the in-flight set.
 pub struct SearchScheduler {

@@ -10,7 +10,7 @@
 //! This crate is a façade re-exporting the workspace members:
 //!
 //! * [`lattice`] — join semilattices, chains, Figure-1 helpers.
-//! * [`crypto`] — SHA-512 / HMAC / Ed25519 / PKI.
+//! * [`crypto`] — SHA-512 / Ed25519 / PKI.
 //! * [`simnet`] — the asynchronous message-passing simulator.
 //! * [`rbcast`] — Byzantine reliable broadcast.
 //! * [`core`] — the agreement algorithms + spec checkers + adversaries.
