@@ -26,6 +26,14 @@ use std::any::Any;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
+/// Flips one bit of a signature's `S` half: the record keeps its shape
+/// and content and no longer verifies.
+fn corrupt(sig: &mut bgla_crypto::Signature) {
+    if let Some(low) = sig.s.first_mut() {
+        *low ^= 1;
+    }
+}
+
 /// Sends nothing, ever: the crash-from-the-start adversary. Forces the
 /// protocol to live with `n − f` participants.
 pub struct Silent<V> {
@@ -939,6 +947,51 @@ pub mod sbs {
         }
     }
 
+    /// Sends records that pass every structural check but carry a bad
+    /// signature — an `Init` of `value` and a `SafeAck` echoing each
+    /// `safe_req` — each twice. Correct processes hold such records
+    /// unverified until a threshold's worth has arrived
+    /// ([`crate::held`]); the batch then fails, and the fallback must drop
+    /// exactly these records, flag the forger before `Proposing` and
+    /// answer the duplicate from the verifier's cache.
+    pub struct SigForger<V: SignableValue> {
+        /// The adversary's id (the records carry it as their signer).
+        pub me: ProcessId,
+        /// The value its forged init carries.
+        pub value: V,
+    }
+
+    impl<V: SignableValue> Process<SbsMsg<V>> for SigForger<V> {
+        fn on_start(&mut self, ctx: &mut Context<SbsMsg<V>>) {
+            let mut sv =
+                SignedValue::sign(self.value.clone(), self.me, &Keypair::for_process(self.me));
+            super::corrupt(&mut sv.sig);
+            let me = ctx.me;
+            for to in (0..ctx.n).filter(|&to| to != me) {
+                ctx.send(to, SbsMsg::Init(sv.clone()));
+                ctx.send(to, SbsMsg::Init(sv.clone()));
+            }
+        }
+        fn on_message(&mut self, from: ProcessId, msg: SbsMsg<V>, ctx: &mut Context<SbsMsg<V>>) {
+            if from == ctx.me {
+                return;
+            }
+            if let SbsMsg::SafeReq(rcvd) = msg {
+                let body = SafeAckBody {
+                    rcvd,
+                    conflicts: vec![],
+                };
+                let mut ack = SignedSafeAck::sign(body, self.me, &Keypair::for_process(self.me));
+                super::corrupt(&mut ack.sig);
+                ctx.send(from, SbsMsg::SafeAck(ack.clone()));
+                ctx.send(from, SbsMsg::SafeAck(ack));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
     /// Silent SbS participant.
     pub struct SilentS<V> {
         _marker: std::marker::PhantomData<V>,
@@ -962,7 +1015,7 @@ pub mod sbs {
 
 /// GSbS-specific adversaries (Section 8.2).
 pub mod gsbs {
-    use crate::gsbs::{GSafeAck, GsbsMsg, ProvenBatch, SignedBatch};
+    use crate::gsbs::{digest_values, GSafeAck, GsbsMsg, ProvenBatch, SignedAck, SignedBatch};
     use crate::proof::Proof;
     use crate::provendelta::ProvenUpdate;
     use crate::value::SignableValue;
@@ -970,6 +1023,99 @@ pub mod gsbs {
     use bgla_crypto::{Keypair, ProofIdBuilder};
     use bgla_simnet::{Context, Process, ProcessId};
     use std::any::Any;
+    use std::collections::BTreeSet;
+
+    /// Sends records that pass every structural check but carry a bad
+    /// signature, each twice: an `Init` of `value` for every round it
+    /// sees disclosed and for the round after it, a `SafeAck` echoing
+    /// each `safe_req`, and an `Ack` of each full proposal (it answers a
+    /// delta with `Resync` to get one). Correct processes hold such
+    /// records unverified until a threshold's worth has arrived
+    /// ([`crate::held`]); the batch then fails, and the fallback must drop
+    /// exactly these records and answer the duplicate from the
+    /// verifier's cache.
+    pub struct SigForger<V: SignableValue> {
+        /// The adversary's id (the records carry it as their signer).
+        pub me: ProcessId,
+        /// The value its forged batches carry.
+        pub value: V,
+        /// Rounds whose forged `Init` went out.
+        inits_sent: BTreeSet<u64>,
+    }
+
+    impl<V: SignableValue> SigForger<V> {
+        /// Creates the adversary.
+        pub fn new(me: ProcessId, value: V) -> Self {
+            SigForger {
+                me,
+                value,
+                inits_sent: BTreeSet::new(),
+            }
+        }
+
+        fn send_twice(ctx: &mut Context<GsbsMsg<V>>, to: ProcessId, msg: GsbsMsg<V>) {
+            ctx.send(to, msg.clone());
+            ctx.send(to, msg);
+        }
+
+        fn forge_init(&mut self, round: u64, ctx: &mut Context<GsbsMsg<V>>) {
+            if !self.inits_sent.insert(round) {
+                return;
+            }
+            let batch: ValueSet<V> = [self.value.clone()].into_iter().collect();
+            let mut sb = SignedBatch::sign(round, batch, self.me, &Keypair::for_process(self.me));
+            super::corrupt(&mut sb.sig);
+            let me = ctx.me;
+            for to in (0..ctx.n).filter(|&to| to != me) {
+                Self::send_twice(ctx, to, GsbsMsg::Init(sb.clone()));
+            }
+        }
+    }
+
+    impl<V: SignableValue> Process<GsbsMsg<V>> for SigForger<V> {
+        fn on_start(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
+            self.forge_init(0, ctx);
+            self.forge_init(1, ctx);
+        }
+        fn on_message(&mut self, from: ProcessId, msg: GsbsMsg<V>, ctx: &mut Context<GsbsMsg<V>>) {
+            if from == ctx.me {
+                return;
+            }
+            let kp = Keypair::for_process(self.me);
+            match msg {
+                GsbsMsg::Init(sb) => {
+                    self.forge_init(sb.round, ctx);
+                    self.forge_init(sb.round.saturating_add(1), ctx);
+                }
+                GsbsMsg::SafeReq { round, set } => {
+                    let mut ack = GSafeAck::sign(round, set, vec![], self.me, &kp);
+                    super::corrupt(&mut ack.sig);
+                    Self::send_twice(ctx, from, GsbsMsg::SafeAck(ack));
+                }
+                GsbsMsg::AckReq {
+                    proposed: ProvenUpdate::Full(set),
+                    ts,
+                    round,
+                } => {
+                    let values: ValueSet<V> = set
+                        .iter()
+                        .flat_map(|pb| pb.sb.batch.iter().cloned())
+                        .collect();
+                    let digest = digest_values(&values);
+                    let mut ack = SignedAck::sign(from, ts, round, digest, self.me, &kp);
+                    super::corrupt(&mut ack.sig);
+                    Self::send_twice(ctx, from, GsbsMsg::Ack(ack));
+                }
+                GsbsMsg::AckReq { ts, round, .. } => {
+                    ctx.send(from, GsbsMsg::Resync { ts, round });
+                }
+                _ => {}
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
 
     /// The GSbS analogue of [`super::sbs::BogusRefSender`]: deltas with
     /// unresolvable proof references and bases, nacks that delta-gap at

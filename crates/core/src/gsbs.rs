@@ -41,8 +41,44 @@
 //! the [`GsbsMsg::Resync`] fallback follow [`crate::provendelta`];
 //! timestamps are monotone across rounds, so the sender-side snapshots
 //! key deltas exactly as in SbS.
+//!
+//! # Verify at quorum (this implementation)
+//!
+//! A proposer acts only on a threshold of signed records: `n − f`
+//! `Init`s before safetying, a quorum of safe-acks before proposing, a
+//! quorum of acks before deciding. None is checked alone as it arrives
+//! ([`crate::held`]). Each site runs its structural checks on arrival
+//! (sender is signer, round, echoed set, proposal digest, one record
+//! counted per signer) and holds a record that passes them:
+//!
+//! * `Init`s in `held_inits`, per round — of the current round until
+//!   safetying starts, and of later rounds up to `max_rounds`; those of
+//!   past rounds are dropped at `start_round`;
+//! * safe-acks in `held_safe_acks`, cleared with the verified ones at
+//!   `start_round`;
+//! * acks in `held_acks`, cleared with `ack_certs` at each `ts` bump.
+//!
+//! Once held plus verified reach the threshold, all held records of the
+//! site are checked in one batch
+//! ([`bgla_crypto::CachedVerifier::verify_groups`]) and the valid ones
+//! join in arrival order — `Init`s one at a time with conflict removal
+//! after each, as on arrival. A record arriving after its threshold is
+//! met is never verified. Held records are durable: the snapshot stores
+//! each site's next to the set it will join, because peers send their
+//! `Init`s once. `Decided` certificates go through the same verifier
+//! ([`DecidedCert::well_formed`]), so a forged one costs one batch and
+//! one fallback however often it is redelivered.
+//!
+//! A site holds at most [`crate::held::PER_SIGNER`] records per signer
+//! (per round, for `Init`s), and only `Init`s whose signer is their
+//! sender. This differs from checking on arrival in one case: a signer
+//! whose three or more different batches for one round are all held at
+//! once. On arrival the first two removed each other as a conflict and
+//! the third stayed; here the third is not held, so none stays. In both
+//! cases at most one of the signer's batches can become safe.
 
 use crate::config::SystemConfig;
+use crate::held::{self, hold, verify_held, Held};
 use crate::proof::{remove_conflicts, return_conflicts, Conflicting, Proof, ProofAck};
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate,
@@ -51,8 +87,8 @@ use crate::value::SignableValue;
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
-    sha512, CachedVerifier, Keypair, Keyring, ProofCache, ProofId, ProofResolver, Signature,
-    ToBytes, VerifierStats,
+    sha512, CachedVerifier, Keypair, Keyring, Obligation, ProofCache, ProofId, ProofResolver,
+    Signature, ToBytes, VerifierStats,
 };
 use bgla_simnet::{Context, Process, ProcessId, ProofSizes, WireMessage};
 use std::any::Any;
@@ -113,13 +149,22 @@ impl<V: SignableValue> SignedBatch<V> {
         }
     }
 
-    /// Verifies the proposer's signature.
-    pub fn verify(&self, ring: &Keyring) -> bool {
-        ring.verify(
+    /// The proposer's signature as a verification obligation.
+    fn obligation(&self) -> Obligation {
+        (
             self.signer,
-            &Self::signable_bytes(self.round, &self.batch, self.signer),
-            &self.sig,
+            Self::signable_bytes(self.round, &self.batch, self.signer),
+            self.sig,
         )
+    }
+}
+
+impl<V: SignableValue> Held for SignedBatch<V> {
+    fn signer(&self) -> ProcessId {
+        self.signer
+    }
+    fn obligations(&self) -> Vec<Obligation> {
+        vec![self.obligation()]
     }
 }
 
@@ -209,18 +254,36 @@ impl<V: SignableValue> GSafeAck<V> {
         }
     }
 
-    /// Verifies the acceptor's signature.
-    pub fn verify(&self, ring: &Keyring) -> bool {
-        ring.verify(
-            self.signer,
-            &Self::signable_bytes(self.round, &self.rcvd, &self.conflicts, self.signer),
-            &self.sig,
-        )
-    }
-
     /// Whether `sb` appears in a conflict pair.
     pub fn conflicted(&self, sb: &SignedBatch<V>) -> bool {
         self.conflicts.iter().any(|(a, b)| a == sb || b == sb)
+    }
+
+    /// The acceptor's signature as a verification obligation.
+    fn obligation(&self) -> Obligation {
+        (
+            self.signer,
+            Self::signable_bytes(self.round, &self.rcvd, &self.conflicts, self.signer),
+            self.sig,
+        )
+    }
+}
+
+impl<V: SignableValue> Held for GSafeAck<V> {
+    fn signer(&self) -> ProcessId {
+        self.signer
+    }
+    /// The ack's signature and those of both members of every conflict
+    /// pair it reports (`VerifyConfPair`).
+    fn obligations(&self) -> Vec<Obligation> {
+        let mut out: Vec<Obligation> = self
+            .conflicts
+            .iter()
+            .flat_map(|(a, b)| [a, b])
+            .map(SignedBatch::obligation)
+            .collect();
+        out.push(self.obligation());
+        out
     }
 }
 
@@ -373,19 +436,28 @@ impl SignedAck {
         }
     }
 
-    /// Verifies the acceptor's signature.
-    pub fn verify(&self, ring: &Keyring) -> bool {
-        ring.verify(
+    /// The acceptor's signature as a verification obligation.
+    fn obligation(&self) -> Obligation {
+        (
             self.signer,
-            &Self::signable_bytes(
+            Self::signable_bytes(
                 self.destination,
                 self.ts,
                 self.round,
                 &self.digest,
                 self.signer,
             ),
-            &self.sig,
+            self.sig,
         )
+    }
+}
+
+impl Held for SignedAck {
+    fn signer(&self) -> ProcessId {
+        self.signer
+    }
+    fn obligations(&self) -> Vec<Obligation> {
+        vec![self.obligation()]
     }
 }
 
@@ -404,10 +476,12 @@ pub struct DecidedCert<V: SignableValue> {
 impl<V: SignableValue> DecidedCert<V> {
     /// Validates the certificate: quorum of valid acks from distinct
     /// acceptors over this round and the values' digest. Structural
-    /// checks run first; the quorum's signatures are then verified in
-    /// one batched Ed25519 check instead of one scalar-multiplication
-    /// pair per ack.
-    pub fn well_formed(&self, config: &SystemConfig, ring: &Keyring) -> bool {
+    /// checks run first; the quorum's signatures then go through the
+    /// process's [`CachedVerifier`] — acks it already knows are answered
+    /// from the cache, the rest are checked in one batch, and a forged
+    /// certificate's verdicts are cached, so its redelivery costs no new
+    /// verification.
+    pub fn well_formed(&self, config: &SystemConfig, verifier: &mut CachedVerifier) -> bool {
         if self.acks.len() < config.quorum() {
             return false;
         }
@@ -420,18 +494,8 @@ impl<V: SignableValue> DecidedCert<V> {
         if !structural {
             return false;
         }
-        let msgs: Vec<Vec<u8>> = self
-            .acks
-            .iter()
-            .map(|a| SignedAck::signable_bytes(a.destination, a.ts, a.round, &a.digest, a.signer))
-            .collect();
-        let items: Vec<(usize, &[u8], Signature)> = self
-            .acks
-            .iter()
-            .zip(&msgs)
-            .map(|(a, m)| (a.signer, m.as_slice(), a.sig))
-            .collect();
-        ring.verify_batch(&items)
+        let obligations: Vec<Obligation> = self.acks.iter().map(SignedAck::obligation).collect();
+        verifier.verify_all(&obligations)
     }
 }
 
@@ -583,16 +647,29 @@ pub struct GsbsProcess<V: SignableValue> {
     batches: BTreeMap<u64, Vec<V>>,
     /// Collected signed batches per round (conflict-pruned).
     safety_sets: BTreeMap<u64, ValueSet<SignedBatch<V>>>,
+    /// `Init`s of this round or later, held unverified in arrival order
+    /// until a disclosure threshold's worth has arrived.
+    held_inits: BTreeMap<u64, Vec<SignedBatch<V>>>,
     /// Collected safe-acks for our current safe_req.
     safe_acks: Vec<GSafeAck<V>>,
     safe_ack_senders: BTreeSet<ProcessId>,
+    /// Safe-acks for the current safe_req, held unverified until a
+    /// quorum's worth has arrived.
+    held_safe_acks: Vec<GSafeAck<V>>,
     /// The exact set sent in the outstanding safe_req (safe-acks must
     /// echo it verbatim; `safety_sets` keeps growing in the meantime).
     current_safe_req: ValueSet<SignedBatch<V>>,
     /// Cumulative proven proposal.
     proposed_set: ValueSet<ProvenBatch<V>>,
+    /// The values of `proposed_set` and their digest, as of its last
+    /// broadcast — what this `ts`'s acks must sign.
+    proposal_values: ValueSet<V>,
+    proposal_digest: Digest,
     /// Signed acks gathered for the current (ts, round, digest).
     ack_certs: Vec<SignedAck>,
+    /// Acks for the current (ts, round, digest), held unverified until a
+    /// quorum's worth has arrived.
+    held_acks: Vec<SignedAck>,
     /// Acceptor: safety candidates per round.
     safe_candidates: BTreeMap<u64, ValueSet<SignedBatch<V>>>,
     /// Acceptor: cumulative accepted proven set.
@@ -654,11 +731,16 @@ impl<V: SignableValue> GsbsProcess<V> {
             ts: 0,
             batches: BTreeMap::new(),
             safety_sets: BTreeMap::new(),
+            held_inits: BTreeMap::new(),
             safe_acks: Vec::new(),
             safe_ack_senders: BTreeSet::new(),
+            held_safe_acks: Vec::new(),
             current_safe_req: ValueSet::new(),
             proposed_set: ValueSet::new(),
+            proposal_values: ValueSet::new(),
+            proposal_digest: digest_values(&ValueSet::<V>::new()),
             ack_certs: Vec::new(),
+            held_acks: Vec::new(),
             safe_candidates: BTreeMap::new(),
             accepted_set: ValueSet::new(),
             proof_cache: ProofCache::default(),
@@ -708,38 +790,20 @@ impl<V: SignableValue> GsbsProcess<V> {
         self.proof_cache.stats()
     }
 
-    fn batch_obligation(sb: &SignedBatch<V>) -> (usize, Vec<u8>, Signature) {
-        (
-            sb.signer,
-            SignedBatch::signable_bytes(sb.round, &sb.batch, sb.signer),
-            sb.sig,
-        )
+    /// The signed batches collected for `round` so far (verified and
+    /// conflict-pruned; held `Init`s are not in it).
+    pub fn safety_set(&self, round: u64) -> Option<&ValueSet<SignedBatch<V>>> {
+        self.safety_sets.get(&round)
     }
 
-    fn safe_ack_obligation(a: &GSafeAck<V>) -> (usize, Vec<u8>, Signature) {
-        (
-            a.signer,
-            GSafeAck::signable_bytes(a.round, &a.rcvd, &a.conflicts, a.signer),
-            a.sig,
-        )
+    /// The verified safe-acks collected for the outstanding safe_req.
+    pub fn safe_acks(&self) -> &[GSafeAck<V>] {
+        &self.safe_acks
     }
 
-    fn verify_signed_batch(&mut self, sb: &SignedBatch<V>) -> bool {
-        let (signer, msg, sig) = Self::batch_obligation(sb);
-        self.verifier.verify(signer, &msg, &sig)
-    }
-
-    fn ack_obligation(a: &SignedAck) -> (usize, Vec<u8>, Signature) {
-        (
-            a.signer,
-            SignedAck::signable_bytes(a.destination, a.ts, a.round, &a.digest, a.signer),
-            a.sig,
-        )
-    }
-
-    fn verify_signed_ack(&mut self, a: &SignedAck) -> bool {
-        let (signer, msg, sig) = Self::ack_obligation(a);
-        self.verifier.verify(signer, &msg, &sig)
+    /// The verified acks collected for the current proposal.
+    pub fn ack_certs(&self) -> &[SignedAck] {
+        &self.ack_certs
     }
 
     /// `AllSafe` over proven batches — incremental, like
@@ -798,14 +862,14 @@ impl<V: SignableValue> GsbsProcess<V> {
         }
         let mut signers = BTreeSet::new();
         let mut echoed = BTreeSet::new();
-        let mut obligations: Vec<(usize, Vec<u8>, Signature)> = Vec::new();
+        let mut obligations: Vec<Obligation> = Vec::new();
         for ack in proof.iter() {
             if !signers.insert(ack.signer) {
                 return false; // duplicate signer
             }
-            obligations.push(Self::safe_ack_obligation(ack));
+            obligations.push(ack.obligation());
             for sb in ack.rcvd.iter().filter(|sb| echoed.insert(*sb)) {
-                obligations.push(Self::batch_obligation(sb));
+                obligations.push(sb.obligation());
             }
         }
         verifier.verify_all(&obligations)
@@ -822,6 +886,8 @@ impl<V: SignableValue> GsbsProcess<V> {
         self.state = GsbsState::Init;
         self.safe_acks.clear();
         self.safe_ack_senders.clear();
+        self.held_safe_acks.clear();
+        self.held_inits = self.held_inits.split_off(&round);
         if let Some(vals) = self.input_schedule.remove(&round) {
             for v in vals {
                 self.all_inputs.push(v.clone());
@@ -835,7 +901,7 @@ impl<V: SignableValue> GsbsProcess<V> {
             .into_iter()
             .collect();
         let sb = SignedBatch::sign(round, batch, self.me, &self.keypair);
-        self.verifier.record_own(&Self::batch_obligation(&sb));
+        self.verifier.record_own(&sb.obligation());
         self.safety_sets
             .entry(round)
             .or_default()
@@ -844,12 +910,31 @@ impl<V: SignableValue> GsbsProcess<V> {
         self.maybe_start_safetying(ctx);
     }
 
+    /// Moves to safetying once `n − f` signed batches of this round are
+    /// verified. Held `Init`s are verified in one batch as soon as, with
+    /// the verified ones, they could reach that threshold, and join the
+    /// safety set one by one in arrival order: conflict removal after
+    /// each insert, as on arrival, so the outcome of an equivocation
+    /// does not depend on how the records were batched.
     fn maybe_start_safetying(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
         if self.state != GsbsState::Init {
             return;
         }
-        let set = self.safety_sets.entry(self.round).or_default().clone();
-        if set.len() >= self.config.disclosure_threshold() {
+        let threshold = self.config.disclosure_threshold();
+        let set = self.safety_sets.entry(self.round).or_default();
+        let held = self.held_inits.get(&self.round).map_or(0, Vec::len);
+        if set.len() + held < threshold {
+            return;
+        }
+        let held = self.held_inits.remove(&self.round).unwrap_or_default();
+        for (sb, ok) in verify_held(&mut self.verifier, held) {
+            if ok {
+                set.insert(sb);
+                *set = remove_conflicts(set);
+            }
+        }
+        if set.len() >= threshold {
+            let set = set.clone();
             self.state = GsbsState::Safetying;
             self.current_safe_req = set.clone();
             ctx.broadcast(GsbsMsg::SafeReq {
@@ -879,13 +964,18 @@ impl<V: SignableValue> GsbsProcess<V> {
         self.state = GsbsState::Proposing;
         self.ts += 1;
         self.ack_certs.clear();
+        self.held_acks.clear();
         self.broadcast_proposal(ctx);
         self.try_adopt_certificate(ctx);
     }
 
     /// Broadcasts the cumulative proposal, delta-encoded per peer (full
-    /// on first contact or after a resync).
+    /// on first contact or after a resync). Every change to
+    /// `proposed_set` is followed by this call, so it is also where the
+    /// proposal's values and digest are computed, once per `ts`.
     fn broadcast_proposal(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
+        self.proposal_values = Self::values_of(&self.proposed_set);
+        self.proposal_digest = digest_values(&self.proposal_values);
         self.delta_tx.record_broadcast(self.ts, &self.proposed_set);
         let updates = self
             .delta_tx
@@ -990,7 +1080,7 @@ impl<V: SignableValue> GsbsProcess<V> {
                     self.accepted_set = proposed;
                     let digest = digest_values(&prop_vals);
                     let ack = SignedAck::sign(from, *ts, *round, digest, self.me, &self.keypair);
-                    self.verifier.record_own(&Self::ack_obligation(&ack));
+                    self.verifier.record_own(&ack.obligation());
                     ctx.send(from, GsbsMsg::Ack(ack));
                 } else {
                     // The refusal deltas against the refused proposal —
@@ -1036,13 +1126,13 @@ impl<V: SignableValue> GsbsProcess<V> {
                     return true;
                 };
                 let acc_vals = Self::values_of(&accepted);
-                let prop_vals = Self::values_of(&self.proposed_set);
-                if !acc_vals.is_subset(&prop_vals) && self.all_safe(&accepted) {
+                if !acc_vals.is_subset(&self.proposal_values) && self.all_safe(&accepted) {
                     register_proofs(&mut self.resolver, &accepted);
                     self.delta_tx.note_peer_holds(from, &accepted);
                     self.proposed_set.join_with(&accepted);
                     self.ts += 1;
                     self.ack_certs.clear();
+                    self.held_acks.clear();
                     self.broadcast_proposal(ctx);
                 }
                 true
@@ -1077,8 +1167,12 @@ impl<V: SignableValue> GsbsProcess<V> {
 // Durable state (crash snapshots)
 // ---------------------------------------------------------------------------
 
-/// Frame kind tag for GSbS process snapshots.
-pub const GSBS_SNAPSHOT_KIND: u16 = 0x0104;
+/// Frame kind tag for GSbS process snapshots. `0x010A` since records are
+/// held unverified until a threshold's worth has arrived: the payload
+/// gained the held `Init`s, safe-acks and acks and the proposal's values
+/// and digest, so the `0x0104` layout is retired (see
+/// [`crate::recovery`]).
+pub const GSBS_SNAPSHOT_KIND: u16 = 0x010A;
 
 impl Wire for Digest {
     fn encode(&self, w: &mut Writer) {
@@ -1281,7 +1375,12 @@ impl Wire for GsbsState {
 /// split extended with the round machinery: schedules, per-round
 /// safetying artifacts, the certificate store (`decided_certs`,
 /// `forwarded`, `safe_r`), the waiting buffer and the whole decision
-/// history. Reconstructed as in SbS: key material, verifier,
+/// history. Held records are written next to the set each will join
+/// (`held_inits` after `safety_sets`, `held_safe_acks` after the
+/// safe-acks, `held_acks` after `ack_certs`): peers send their `Init`s
+/// once, so a restart that dropped held ones could not get them back.
+/// The proposal's values and digest follow `proposed_set`. Reconstructed
+/// as in SbS: key material, verifier,
 /// [`ProofCache`] and the delta bookkeeping (fresh bookkeeping degrades
 /// to `Full` payloads until peers reply again; the `Resync` fallback
 /// covers peers' stale claims about *us*).
@@ -1296,11 +1395,16 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
         w.var(self.ts);
         self.batches.encode(w);
         self.safety_sets.encode(w);
+        self.held_inits.encode(w);
         self.safe_acks.encode(w);
         self.safe_ack_senders.encode(w);
+        self.held_safe_acks.encode(w);
         self.current_safe_req.encode(w);
         self.proposed_set.encode(w);
+        self.proposal_values.encode(w);
+        self.proposal_digest.encode(w);
         self.ack_certs.encode(w);
+        self.held_acks.encode(w);
         self.safe_candidates.encode(w);
         self.accepted_set.encode(w);
         // Resolver contents, most-recently-used first; ids are
@@ -1332,11 +1436,16 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
         let ts = r.var()?;
         let batches = Wire::decode(r)?;
         let safety_sets = Wire::decode(r)?;
+        let held_inits = Wire::decode(r)?;
         let safe_acks = Wire::decode(r)?;
         let safe_ack_senders = Wire::decode(r)?;
+        let held_safe_acks = Wire::decode(r)?;
         let current_safe_req = Wire::decode(r)?;
         let proposed_set = Wire::decode(r)?;
+        let proposal_values = Wire::decode(r)?;
+        let proposal_digest = Wire::decode(r)?;
         let ack_certs = Wire::decode(r)?;
+        let held_acks = Wire::decode(r)?;
         let safe_candidates = Wire::decode(r)?;
         let accepted_set = Wire::decode(r)?;
         let retained: Vec<BatchProof<V>> = Wire::decode(r)?;
@@ -1364,11 +1473,16 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
             ts,
             batches,
             safety_sets,
+            held_inits,
             safe_acks,
             safe_ack_senders,
+            held_safe_acks,
             current_safe_req,
             proposed_set,
+            proposal_values,
+            proposal_digest,
             ack_certs,
+            held_acks,
             safe_candidates,
             accepted_set,
             proof_cache: ProofCache::default(),
@@ -1458,11 +1572,20 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
     fn on_message(&mut self, from: ProcessId, msg: GsbsMsg<V>, ctx: &mut Context<GsbsMsg<V>>) {
         match msg {
             GsbsMsg::Init(sb) => {
-                if self.verify_signed_batch(&sb) {
-                    let round = sb.round;
-                    let entry = self.safety_sets.entry(round).or_default();
-                    entry.insert(sb);
-                    *entry = remove_conflicts(entry);
+                // Held unverified (see `crate::held`) if it can still
+                // count: the sender's own batch, for this round before
+                // safetying or for a later round, and not already in.
+                let open = (sb.round > self.round && sb.round < self.max_rounds)
+                    || (sb.round == self.round && self.state == GsbsState::Init);
+                let known = self
+                    .safety_sets
+                    .get(&sb.round)
+                    .is_some_and(|set| set.contains(&sb));
+                if sb.signer != from || !open || known {
+                    return;
+                }
+                let held = self.held_inits.entry(sb.round).or_default();
+                if !held.contains(&sb) && hold(held, sb) {
                     self.maybe_start_safetying(ctx);
                 }
             }
@@ -1471,8 +1594,8 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                 // verification for the whole echoed batch set — no
                 // serialization work for structurally-invalid junk.
                 let all_ok = set.iter().all(|sb| sb.round == round) && {
-                    let obligations: Vec<(usize, Vec<u8>, Signature)> =
-                        set.iter().map(Self::batch_obligation).collect();
+                    let obligations: Vec<Obligation> =
+                        set.iter().map(SignedBatch::obligation).collect();
                     self.verifier.verify_all(&obligations)
                 };
                 if all_ok {
@@ -1483,7 +1606,7 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                     let conflicts = return_conflicts(&union);
                     *cands = remove_conflicts(&union);
                     let ack = GSafeAck::sign(round, set, conflicts, self.me, &self.keypair);
-                    self.verifier.record_own(&Self::safe_ack_obligation(&ack));
+                    self.verifier.record_own(&ack.obligation());
                     ctx.send(from, GsbsMsg::SafeAck(ack));
                 }
             }
@@ -1491,26 +1614,26 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                 if self.state != GsbsState::Safetying || ack.round != self.round {
                     return;
                 }
+                // Structural checks on arrival; the ack's signature and
+                // those of its conflict pairs wait for a quorum's worth.
                 let structural = ack.signer == from
                     && ack.rcvd == self.current_safe_req
                     && !self.safe_ack_senders.contains(&from)
                     && ack.conflicts.iter().all(|(a, b)| a.conflicts_with(b));
-                if structural && {
-                    // Structural checks passed: batch-verify the ack and
-                    // every conflict-pair member in one go.
-                    let mut obligations: Vec<(usize, Vec<u8>, Signature)> = ack
-                        .conflicts
-                        .iter()
-                        .flat_map(|(a, b)| [a, b])
-                        .map(Self::batch_obligation)
-                        .collect();
-                    obligations.push(Self::safe_ack_obligation(&ack));
-                    self.verifier.verify_all(&obligations)
-                } {
-                    self.safe_ack_senders.insert(from);
-                    self.safe_acks.push(ack);
-                    self.maybe_start_proposing(ctx);
+                let quorum = self.config.quorum();
+                if !structural
+                    || !hold(&mut self.held_safe_acks, ack)
+                    || self.safe_ack_senders.len() + held::signers(&self.held_safe_acks) < quorum
+                {
+                    return;
                 }
+                let held = std::mem::take(&mut self.held_safe_acks);
+                for (ack, ok) in verify_held(&mut self.verifier, held) {
+                    if ok && self.safe_ack_senders.insert(ack.signer) {
+                        self.safe_acks.push(ack);
+                    }
+                }
+                self.maybe_start_proposing(ctx);
             }
             GsbsMsg::Ack(ack) => {
                 self.delta_tx.record_reply(from, ack.ts);
@@ -1518,33 +1641,41 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                     || ack.destination != self.me
                     || ack.ts != self.ts
                     || ack.round != self.round
+                    || ack.digest != self.proposal_digest
+                    || ack.signer != from
+                    || self.ack_certs.iter().any(|a| a.signer == from)
                 {
                     return;
                 }
-                let digest = digest_values(&Self::values_of(&self.proposed_set));
-                if ack.digest != digest || !self.verify_signed_ack(&ack) {
+                let quorum = self.config.quorum();
+                if !hold(&mut self.held_acks, ack)
+                    || self.ack_certs.len() + held::signers(&self.held_acks) < quorum
+                {
                     return;
                 }
-                if ack.signer == from && !self.ack_certs.iter().any(|a| a.signer == from) {
-                    self.ack_certs.push(ack);
-                    if self.ack_certs.len() >= self.config.quorum() {
-                        let values = Self::values_of(&self.proposed_set);
-                        let cert = DecidedCert {
-                            round: self.round,
-                            values: values.clone(),
-                            acks: self.ack_certs.clone(),
-                        };
-                        self.absorb_certificate(cert, ctx);
-                        self.decide(values, ctx);
-                        self.drain_waiting(ctx);
+                let held = std::mem::take(&mut self.held_acks);
+                for (ack, ok) in verify_held(&mut self.verifier, held) {
+                    if ok && !self.ack_certs.iter().any(|a| a.signer == ack.signer) {
+                        self.ack_certs.push(ack);
                     }
+                }
+                if self.ack_certs.len() >= quorum {
+                    let values = self.proposal_values.clone();
+                    let cert = DecidedCert {
+                        round: self.round,
+                        values: values.clone(),
+                        acks: self.ack_certs.clone(),
+                    };
+                    self.absorb_certificate(cert, ctx);
+                    self.decide(values, ctx);
+                    self.drain_waiting(ctx);
                 }
             }
             GsbsMsg::Decided(cert) => {
                 if self.decided_certs.contains_key(&cert.round) {
                     return;
                 }
-                if cert.well_formed(&self.config, self.verifier.ring()) {
+                if cert.well_formed(&self.config, &mut self.verifier) {
                     self.absorb_certificate(cert, ctx);
                     self.try_adopt_certificate(ctx);
                     self.drain_waiting(ctx);
@@ -1664,9 +1795,67 @@ mod tests {
     }
 
     #[test]
+    fn held_inits_survive_a_restart() {
+        // Peers send their `Init`s once: one held below the threshold
+        // must be in the snapshot, and count after the restart.
+        let mut p = GsbsProcess::new(0, SystemConfig::new(4, 1), BTreeMap::new(), 1);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        p.on_start(&mut ctx);
+        let init = |i: usize| {
+            let batch: ValueSet<u64> = [i as u64].into_iter().collect();
+            GsbsMsg::Init(SignedBatch::sign(0, batch, i, &Keypair::for_process(i)))
+        };
+        p.on_message(1, init(1), &mut ctx);
+        assert_eq!(p.held_inits.get(&0).map(Vec::len), Some(1));
+        assert_eq!(p.verifier_stats(), VerifierStats::default());
+        let mut q = GsbsProcess::<u64>::from_snapshot(&p.snapshot_bytes()).unwrap();
+        assert_eq!(q.held_inits, p.held_inits);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        q.on_start(&mut ctx);
+        q.on_message(2, init(2), &mut ctx);
+        assert_eq!(q.state(), GsbsState::Safetying);
+        assert_eq!(q.safety_set(0).map(ValueSet::len), Some(3));
+    }
+
+    #[test]
+    fn held_inits_join_one_at_a_time() {
+        // n = 7: threshold 5. Three forged inits make the first batch
+        // fail down to {own, A}; p1 then also signs B and C, both held
+        // at once. Joined one at a time, B cancels A and C stays — as
+        // if each had been checked on arrival; joined in bulk, all three
+        // would go.
+        let mut p = GsbsProcess::new(0, SystemConfig::new(7, 2), BTreeMap::new(), 1);
+        let mut ctx = Context::for_embedding(0, 7, 0, 0);
+        p.on_start(&mut ctx);
+        let signed = |i: usize, v: u64| {
+            let batch: ValueSet<u64> = [v].into_iter().collect();
+            SignedBatch::sign(0, batch, i, &Keypair::for_process(i))
+        };
+        p.on_message(1, GsbsMsg::Init(signed(1, 10)), &mut ctx);
+        for i in 4..7 {
+            let mut forged = signed(i, 40);
+            forged.sig.s[0] ^= 1;
+            p.on_message(i, GsbsMsg::Init(forged), &mut ctx);
+        }
+        let joined = |p: &GsbsProcess<u64>| -> Vec<(usize, Option<u64>)> {
+            let set = p.safety_set(0).unwrap();
+            set.iter()
+                .map(|sb| (sb.signer, sb.batch.iter().next().copied()))
+                .collect()
+        };
+        assert_eq!(joined(&p), vec![(0, None), (1, Some(10))]);
+        p.on_message(1, GsbsMsg::Init(signed(1, 11)), &mut ctx);
+        p.on_message(1, GsbsMsg::Init(signed(1, 12)), &mut ctx);
+        assert_eq!(p.held_inits.get(&0).map(Vec::len), Some(2));
+        p.on_message(2, GsbsMsg::Init(signed(2, 20)), &mut ctx);
+        assert_eq!(joined(&p), vec![(0, None), (1, Some(12)), (2, Some(20))]);
+        assert_eq!(p.state(), GsbsState::Init);
+    }
+
+    #[test]
     fn certificates_validate_and_reject() {
         let config = SystemConfig::new(4, 1);
-        let ring = Keyring::for_system(4);
+        let mut verifier = CachedVerifier::new(Keyring::for_system(4));
         let values: ValueSet<u64> = [1, 2].into_iter().collect();
         let digest = digest_values(&values);
         let acks: Vec<SignedAck> = (0..3)
@@ -1677,21 +1866,28 @@ mod tests {
             values: values.clone(),
             acks,
         };
-        assert!(cert.well_formed(&config, &ring));
+        assert!(cert.well_formed(&config, &mut verifier));
+        // One batch over the three acks; a second look is a cache hit.
+        assert!(cert.well_formed(&config, &mut verifier));
+        let stats = verifier.stats();
+        assert_eq!(
+            (stats.batch_verifications, stats.batched_signatures),
+            (1, 3)
+        );
         // Wrong round in acks.
         let bad = DecidedCert {
             round: 1,
             values,
             acks: cert.acks.clone(),
         };
-        assert!(!bad.well_formed(&config, &ring));
+        assert!(!bad.well_formed(&config, &mut verifier));
         // Too few acks.
         let small = DecidedCert {
             round: 0,
             values: cert.values.clone(),
             acks: cert.acks[..2].to_vec(),
         };
-        assert!(!small.well_formed(&config, &ring));
+        assert!(!small.well_formed(&config, &mut verifier));
         // Tampered values (digest mismatch).
         let mut tampered_values = cert.values.clone();
         tampered_values.insert(99);
@@ -1700,7 +1896,9 @@ mod tests {
             values: tampered_values,
             acks: cert.acks.clone(),
         };
-        assert!(!tampered.well_formed(&config, &ring));
+        assert!(!tampered.well_formed(&config, &mut verifier));
+        // The structural rejections did no cryptographic work.
+        assert_eq!(verifier.stats(), stats);
     }
 
     #[test]

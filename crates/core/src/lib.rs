@@ -55,7 +55,10 @@
 //! distinct proof is then **verified once per process**: `AllSafe`
 //! memoizes full-proof verdicts (positive and negative) in a per-process
 //! [`bgla_crypto::ProofCache`], so redelivered or re-shipped proofs cost
-//! a hash lookup plus pure comparisons.
+//! a hash lookup plus pure comparisons. The signed records a proposer
+//! waits for a threshold of — inits, safe-acks, acks — are **verified at
+//! quorum**: held unverified until a threshold's worth has arrived, then
+//! checked in one batch ([`held`]).
 //!
 //! Each distinct proof is also **transmitted once per peer**: the
 //! proof-carrying payloads (`AckReq.proposed`, `Nack.accepted`) travel
@@ -75,6 +78,7 @@ pub mod config;
 pub mod gsbs;
 pub mod gwts;
 pub mod harness;
+pub mod held;
 pub mod linearize;
 pub mod proof;
 pub mod provendelta;

@@ -10,12 +10,14 @@
 //! ```
 //!
 //! The `kind` field names the algorithm that wrote it — WTS `0x0105`,
-//! GWTS `0x0108`, SbS `0x0103`, GSbS `0x0104` — so a snapshot can never
-//! be decoded as the wrong process type (`0x0101`, `0x0102`, `0x0106` and
-//! `0x0107` are retired, never to be reused: they name the WTS and GWTS
-//! payload layouts from before the rbcast engine kept slots, and the GWTS
-//! layouts from before acks were per-origin delta streams and from
-//! before quorums were counted per `(round, set)`; such a
+//! GWTS `0x0108`, SbS `0x0109`, GSbS `0x010A` — so a snapshot can never
+//! be decoded as the wrong process type (`0x0101`, `0x0102`, `0x0103`,
+//! `0x0104`, `0x0106` and `0x0107` are retired, never to be reused: they
+//! name the WTS and GWTS payload layouts from before the rbcast engine
+//! kept slots, the GWTS layouts from before acks were per-origin delta
+//! streams and from before quorums were counted per `(round, set)`, and
+//! the SbS and GSbS layouts from before signed records were held
+//! unverified until a threshold's worth had arrived; such a
 //! snapshot must be rejected, not misread), and the trailing checksum makes
 //! truncation and bit-rot detectable before any field is parsed. The
 //! `version` field is [`bgla_codec::FRAME_VERSION`] (4); a snapshot

@@ -65,8 +65,36 @@
 //! eviction on pathological runs) can trigger it. See
 //! [`crate::provendelta`] for the reference discipline and the modeled
 //! wire format.
+//!
+//! # Verify at quorum (this implementation)
+//!
+//! The proposer acts only on `n − f` signed inits and on a quorum of
+//! signed safe-acks, so it checks neither alone as it arrives
+//! ([`crate::held`]). An init whose signer is its sender, whose value
+//! passes the validator and which is not yet in `Safety_set` is held in
+//! `held_inits` while the proposer is in `Init`; a safe-ack that passes
+//! the structural half of `VerifyConfPair` (echo, signer, conflict
+//! shapes) is held in `held_safe_acks` while it is safetying. Once held
+//! plus verified reach the threshold, all held records are checked in one
+//! batch ([`bgla_crypto::CachedVerifier::verify_groups`]); valid inits
+//! join `Safety_set` in arrival order with conflict removal after each,
+//! valid safe-acks are counted. A sender whose safe-ack fails the
+//! signature check is put in `byz` then — at quorum, not on arrival, but
+//! still before `Proposing`, so none of its acks or nacks has been
+//! counted. Held records are in the snapshot next to the set they will
+//! join (peers send their inits once); held safe-acks are cleared with
+//! the verified ones on a recovery boot.
+//!
+//! At most [`crate::held::PER_SIGNER`] records per signer are held at
+//! each site. A signer that sends a third safe-ack before the quorum is
+//! flagged at once, as checking on arrival would have flagged it by its
+//! second. A signer whose three or more different inits are all held at
+//! once loses all of them, where checking on arrival kept the third
+//! (the first two removed each other as a conflict); at most one of them
+//! can become safe either way.
 
 use crate::config::SystemConfig;
+use crate::held::{self, hold, verify_held, Held};
 use crate::proof::{remove_conflicts, return_conflicts, Conflicting, Proof, ProofAck};
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate,
@@ -75,8 +103,8 @@ use crate::value::SignableValue;
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
-    CachedVerifier, Keypair, Keyring, ProofCache, ProofId, ProofResolver, Signature, ToBytes,
-    VerifierStats,
+    CachedVerifier, Keypair, Keyring, Obligation, ProofCache, ProofId, ProofResolver, Signature,
+    ToBytes, VerifierStats,
 };
 use bgla_simnet::{Context, Process, ProcessId, ProofSizes, WireMessage};
 use std::any::Any;
@@ -111,13 +139,22 @@ impl<V: SignableValue> SignedValue<V> {
         SignedValue { value, signer, sig }
     }
 
-    /// Verifies the signature against the PKI.
-    pub fn verify(&self, ring: &Keyring) -> bool {
-        ring.verify(
+    /// The proposer's signature as a verification obligation.
+    fn obligation(&self) -> Obligation {
+        (
             self.signer,
-            &Self::signable_bytes(&self.value, self.signer),
-            &self.sig,
+            Self::signable_bytes(&self.value, self.signer),
+            self.sig,
         )
+    }
+}
+
+impl<V: SignableValue> Held for SignedValue<V> {
+    fn signer(&self) -> ProcessId {
+        self.signer
+    }
+    fn obligations(&self) -> Vec<Obligation> {
+        vec![self.obligation()]
     }
 }
 
@@ -191,13 +228,28 @@ impl<V: SignableValue> SignedSafeAck<V> {
         SignedSafeAck { body, signer, sig }
     }
 
-    /// Verifies the acceptor's signature.
-    pub fn verify(&self, ring: &Keyring) -> bool {
-        ring.verify(
-            self.signer,
-            &self.body.signable_bytes(self.signer),
-            &self.sig,
-        )
+    /// The acceptor's signature as a verification obligation.
+    fn obligation(&self) -> Obligation {
+        (self.signer, self.body.signable_bytes(self.signer), self.sig)
+    }
+}
+
+impl<V: SignableValue> Held for SignedSafeAck<V> {
+    fn signer(&self) -> ProcessId {
+        self.signer
+    }
+    /// The ack's signature and those of both members of every conflict
+    /// pair it reports (`VerifyConfPair`).
+    fn obligations(&self) -> Vec<Obligation> {
+        let mut out: Vec<Obligation> = self
+            .body
+            .conflicts
+            .iter()
+            .flat_map(|(a, b)| [a, b])
+            .map(SignedValue::obligation)
+            .collect();
+        out.push(self.obligation());
+        out
     }
 }
 
@@ -395,9 +447,14 @@ pub struct SbsProcess<V: SignableValue> {
     state: SbsState,
     /// `Safety_set`: collected signed inits (conflicts removed).
     safety_set: ValueSet<SignedValue<V>>,
+    /// Inits held unverified, in arrival order, until a disclosure
+    /// threshold's worth has arrived.
+    held_inits: Vec<SignedValue<V>>,
     /// Collected safe-acks for our `safe_req`.
     safe_acks: Vec<SignedSafeAck<V>>,
     safe_ack_senders: BTreeSet<ProcessId>,
+    /// Safe-acks held unverified until a quorum's worth has arrived.
+    held_safe_acks: Vec<SignedSafeAck<V>>,
     /// `byz[]` flags.
     byz: BTreeSet<ProcessId>,
     /// Proven proposal.
@@ -448,8 +505,10 @@ impl<V: SignableValue> SbsProcess<V> {
             validator: |_| true,
             state: SbsState::Init,
             safety_set: ValueSet::new(),
+            held_inits: Vec::new(),
             safe_acks: Vec::new(),
             safe_ack_senders: BTreeSet::new(),
+            held_safe_acks: Vec::new(),
             byz: BTreeSet::new(),
             proposed_set: ValueSet::new(),
             ack_set: BTreeSet::new(),
@@ -502,24 +561,28 @@ impl<V: SignableValue> SbsProcess<V> {
             .collect()
     }
 
+    /// `Safety_set` so far (verified and conflict-pruned; held inits are
+    /// not in it).
+    pub fn safety_set(&self) -> &ValueSet<SignedValue<V>> {
+        &self.safety_set
+    }
+
+    /// The verified safe-acks collected for this process's `safe_req`.
+    pub fn safe_acks(&self) -> &[SignedSafeAck<V>] {
+        &self.safe_acks
+    }
+
+    /// The processes this one has flagged Byzantine (`byz[]`).
+    pub fn byz(&self) -> &BTreeSet<ProcessId> {
+        &self.byz
+    }
+
     /// Signs this process's proposal; the verifier learns the verdict, so
     /// the `Init` that comes back in the broadcast is not verified.
     fn sign_proposal(&mut self) -> SignedValue<V> {
         let sv = SignedValue::sign(self.proposal.clone(), self.me, &self.keypair);
-        self.verifier.record_own(&(
-            self.me,
-            SignedValue::signable_bytes(&sv.value, self.me),
-            sv.sig,
-        ));
+        self.verifier.record_own(&sv.obligation());
         sv
-    }
-
-    fn verify_value(&mut self, sv: &SignedValue<V>) -> bool {
-        self.verifier.verify(
-            sv.signer,
-            &SignedValue::signable_bytes(&sv.value, sv.signer),
-            &sv.sig,
-        )
     }
 
     /// Algorithm 10's `AllSafe`: every value's proof checks out —
@@ -593,18 +656,14 @@ impl<V: SignableValue> SbsProcess<V> {
         }
         let mut signers = BTreeSet::new();
         let mut echoed = BTreeSet::new();
-        let mut obligations: Vec<(usize, Vec<u8>, Signature)> = Vec::new();
+        let mut obligations: Vec<Obligation> = Vec::new();
         for ack in proof.iter() {
             if !signers.insert(ack.signer) {
                 return false; // duplicate signer
             }
-            obligations.push((ack.signer, ack.body.signable_bytes(ack.signer), ack.sig));
+            obligations.push(ack.obligation());
             for sv in ack.body.rcvd.iter().filter(|sv| echoed.insert(*sv)) {
-                obligations.push((
-                    sv.signer,
-                    SignedValue::signable_bytes(&sv.value, sv.signer),
-                    sv.sig,
-                ));
+                obligations.push(sv.obligation());
             }
         }
         verifier.verify_all(&obligations)
@@ -633,11 +692,24 @@ impl<V: SignableValue> SbsProcess<V> {
         set.iter().map(|pv| pv.sv.value.clone()).collect()
     }
 
-    /// Transitions Init → Safetying when enough signed inits arrived.
+    /// Transitions Init → Safetying when enough signed inits are
+    /// verified. Held inits are verified in one batch as soon as, with
+    /// the verified ones, they could reach the threshold, and join
+    /// `Safety_set` one by one in arrival order, conflict removal after
+    /// each insert.
     fn maybe_start_safetying(&mut self, ctx: &mut Context<SbsMsg<V>>) {
-        if self.state == SbsState::Init
-            && self.safety_set.len() >= self.config.disclosure_threshold()
+        let threshold = self.config.disclosure_threshold();
+        if self.state != SbsState::Init || self.safety_set.len() + self.held_inits.len() < threshold
         {
+            return;
+        }
+        for (sv, ok) in verify_held(&mut self.verifier, std::mem::take(&mut self.held_inits)) {
+            if ok {
+                self.safety_set.insert(sv);
+                self.safety_set = remove_conflicts(&self.safety_set);
+            }
+        }
+        if self.safety_set.len() >= threshold {
             self.state = SbsState::Safetying;
             ctx.broadcast(SbsMsg::SafeReq(self.safety_set.clone()));
         }
@@ -673,8 +745,11 @@ impl<V: SignableValue> SbsProcess<V> {
 // Durable state (crash snapshots)
 // ---------------------------------------------------------------------------
 
-/// Frame kind tag for SbS process snapshots.
-pub const SBS_SNAPSHOT_KIND: u16 = 0x0103;
+/// Frame kind tag for SbS process snapshots. `0x0109` since inits and
+/// safe-acks are held unverified until a threshold's worth has arrived:
+/// the payload gained the held records, so the `0x0103` layout is retired
+/// (see [`crate::recovery`]).
+pub const SBS_SNAPSHOT_KIND: u16 = 0x0109;
 
 /// Codec form: value, signer, signature. Decoding does *not* verify the
 /// signature — snapshots are checksummed local state, and every network
@@ -817,9 +892,11 @@ impl Wire for SbsState {
 /// Durable/volatile split for crash snapshots.
 ///
 /// Durable: identity, phase, the safetying artifacts (`safety_set`,
-/// collected safe-acks, `byz` flags), both proven sets, the refinement
-/// clock, the retained [`ProofResolver`] contents (LRU-first, so
-/// re-registration reproduces eviction order), and the decision
+/// collected safe-acks, `byz` flags), the records held unverified next to
+/// the set each will join (peers send their inits once, so a restart that
+/// dropped held ones could not get them back), both proven sets, the
+/// refinement clock, the retained [`ProofResolver`] contents (LRU-first,
+/// so re-registration reproduces eviction order), and the decision
 /// record.
 ///
 /// Reconstructed: key material and the verifier (the PKI is
@@ -837,8 +914,10 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
         self.proposal.encode(w);
         self.state.encode(w);
         self.safety_set.encode(w);
+        self.held_inits.encode(w);
         self.safe_acks.encode(w);
         self.safe_ack_senders.encode(w);
+        self.held_safe_acks.encode(w);
         self.byz.encode(w);
         self.proposed_set.encode(w);
         self.ack_set.encode(w);
@@ -867,8 +946,10 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
         let proposal = V::decode(r)?;
         let state = SbsState::decode(r)?;
         let safety_set = Wire::decode(r)?;
+        let held_inits = Wire::decode(r)?;
         let safe_acks = Wire::decode(r)?;
         let safe_ack_senders = Wire::decode(r)?;
+        let held_safe_acks = Wire::decode(r)?;
         let byz = Wire::decode(r)?;
         let proposed_set = Wire::decode(r)?;
         let ack_set = Wire::decode(r)?;
@@ -892,8 +973,10 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
             validator: |_| true,
             state,
             safety_set,
+            held_inits,
             safe_acks,
             safe_ack_senders,
+            held_safe_acks,
             byz,
             proposed_set,
             ack_set,
@@ -963,6 +1046,7 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                 SbsState::Safetying => {
                     self.safe_acks.clear();
                     self.safe_ack_senders.clear();
+                    self.held_safe_acks.clear();
                     ctx.broadcast(SbsMsg::SafeReq(self.safety_set.clone()));
                 }
                 SbsState::Proposing => {
@@ -983,12 +1067,15 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
         match msg {
             // ---- Init phase (proposer side) ----
             SbsMsg::Init(sv) => {
+                // Held unverified (see `crate::held`): the sender's own
+                // valid-looking value, not already in.
                 if self.state == SbsState::Init
+                    && sv.signer == from
                     && (self.validator)(&sv.value)
-                    && self.verify_value(&sv)
+                    && !self.safety_set.contains(&sv)
+                    && !self.held_inits.contains(&sv)
+                    && hold(&mut self.held_inits, sv)
                 {
-                    self.safety_set.insert(sv);
-                    self.safety_set = remove_conflicts(&self.safety_set);
                     self.maybe_start_safetying(ctx);
                 }
             }
@@ -996,16 +1083,8 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
             SbsMsg::SafeReq(set) => {
                 // One batched verification for the whole echoed set
                 // instead of a scalar-mul pair per signed value.
-                let obligations: Vec<(usize, Vec<u8>, Signature)> = set
-                    .iter()
-                    .map(|sv| {
-                        (
-                            sv.signer,
-                            SignedValue::signable_bytes(&sv.value, sv.signer),
-                            sv.sig,
-                        )
-                    })
-                    .collect();
+                let obligations: Vec<Obligation> =
+                    set.iter().map(SignedValue::obligation).collect();
                 if self.verifier.verify_all(&obligations) {
                     // O(1) when the candidates already contain the
                     // request (redelivered subsets), merge-walk else.
@@ -1016,8 +1095,7 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                         conflicts,
                     };
                     let ack = SignedSafeAck::sign(body, self.me, &self.keypair);
-                    self.verifier
-                        .record_own(&(self.me, ack.body.signable_bytes(self.me), ack.sig));
+                    self.verifier.record_own(&ack.obligation());
                     ctx.send(from, SbsMsg::SafeAck(ack));
                     self.safe_candidates = remove_conflicts(&union);
                 }
@@ -1027,41 +1105,33 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                 if self.state != SbsState::Safetying {
                     return;
                 }
-                // `VerifyConfPair`, batched: all structural checks
-                // first, then every signature (both pair members and
-                // the ack itself) in one batched verification — no
-                // serialization work for structurally-invalid junk.
+                // `VerifyConfPair`, at quorum: structural checks on
+                // arrival, then every held ack's signatures (both pair
+                // members and the ack itself) in one batch once a
+                // quorum's worth of senders is in hand. A sender whose
+                // ack fails either check is flagged Byzantine — before
+                // `Proposing`, so none of its acks or nacks has counted.
                 let structural = ack.signer == from
                     && ack.body.rcvd == self.safety_set
                     && !self.safe_ack_senders.contains(&from)
-                    && ack
-                        .body
-                        .conflicts
-                        .iter()
-                        .all(|(a, b)| a.signer == b.signer && a.value != b.value);
-                if structural && {
-                    let mut obligations: Vec<(usize, Vec<u8>, Signature)> = ack
-                        .body
-                        .conflicts
-                        .iter()
-                        .flat_map(|(a, b)| [a, b])
-                        .map(|sv| {
-                            (
-                                sv.signer,
-                                SignedValue::signable_bytes(&sv.value, sv.signer),
-                                sv.sig,
-                            )
-                        })
-                        .collect();
-                    obligations.push((ack.signer, ack.body.signable_bytes(ack.signer), ack.sig));
-                    self.verifier.verify_all(&obligations)
-                } {
-                    self.safe_ack_senders.insert(from);
-                    self.safe_acks.push(ack);
-                    self.maybe_start_proposing(ctx);
-                } else {
+                    && ack.body.conflicts.iter().all(|(a, b)| a.conflicts_with(b));
+                if !structural || !hold(&mut self.held_safe_acks, ack) {
                     self.byz.insert(from);
+                    return;
                 }
+                let quorum = self.config.quorum();
+                if self.safe_ack_senders.len() + held::signers(&self.held_safe_acks) < quorum {
+                    return;
+                }
+                let held = std::mem::take(&mut self.held_safe_acks);
+                for (ack, ok) in verify_held(&mut self.verifier, held) {
+                    if ok && self.safe_ack_senders.insert(ack.signer) {
+                        self.safe_acks.push(ack);
+                    } else {
+                        self.byz.insert(ack.signer);
+                    }
+                }
+                self.maybe_start_proposing(ctx);
             }
             // ---- Proposing phase (acceptor side) ----
             SbsMsg::AckReq { proposed, ts } => {
@@ -1285,6 +1355,32 @@ mod tests {
             // LRU-first so re-registration reproduces eviction order).
             assert_eq!(q.snapshot_bytes(), bytes, "p{i}: roundtrip not stable");
         }
+    }
+
+    #[test]
+    fn held_inits_survive_a_restart() {
+        // Peers send their inits once: one held below the threshold must
+        // be in the snapshot, and count after the restart.
+        let mut p = SbsProcess::new(0, SystemConfig::new(4, 1), 10u64);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        p.on_start(&mut ctx);
+        let init = |i: usize| {
+            SbsMsg::Init(SignedValue::sign(
+                10 + i as u64,
+                i,
+                &Keypair::for_process(i),
+            ))
+        };
+        p.on_message(1, init(1), &mut ctx);
+        assert_eq!(p.held_inits.len(), 1);
+        assert_eq!(p.verifier_stats(), VerifierStats::default());
+        let mut q = SbsProcess::<u64>::from_snapshot(&p.snapshot_bytes()).unwrap();
+        assert_eq!(q.held_inits, p.held_inits);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        q.on_start(&mut ctx);
+        q.on_message(2, init(2), &mut ctx);
+        assert_eq!(q.state(), SbsState::Safetying);
+        assert_eq!(q.safety_set().len(), 3);
     }
 
     #[test]

@@ -3,15 +3,20 @@
 //! once per process, with every redelivery answered by the proof-verdict
 //! cache. Asserted through the work counters on `CachedVerifier`
 //! ([`bgla_crypto::VerifierStats`]) and the hit counters on the proof
-//! cache.
+//! cache. The same counters pin what an honest GSbS run spends now that
+//! signed records are held until a threshold's worth has arrived and
+//! verified in one batch (`bgla_core::held`).
 
-use bgla_core::gsbs::{GSafeAck, GsbsProcess, ProvenBatch, SignedBatch};
+use bgla_core::gsbs::{
+    digest_values, DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
+};
+use bgla_core::harness::gsbs_system;
 use bgla_core::proof::Proof;
 use bgla_core::provendelta::ProvenUpdate;
 use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
 use bgla_core::{SystemConfig, ValueSet};
-use bgla_crypto::Keypair;
-use bgla_simnet::{Context, Process, SimulationBuilder};
+use bgla_crypto::{Keypair, VerifierStats};
+use bgla_simnet::{Context, Process, RandomScheduler, SimulationBuilder};
 use std::any::Any;
 use std::collections::BTreeMap;
 
@@ -312,4 +317,121 @@ fn gsbs_proof_id_binds_echoed_batch_content() {
         q.all_safe(&honest_set),
         "a forged-first delivery must not block the honest proof"
     );
+}
+
+/// Sends process 0 its `Decided` certificates, and nothing else.
+struct CertReplayer(Vec<DecidedCert<u64>>);
+
+impl Process<GsbsMsg<u64>> for CertReplayer {
+    fn on_start(&mut self, ctx: &mut Context<GsbsMsg<u64>>) {
+        for cert in &self.0 {
+            ctx.send(0, GsbsMsg::Decided(cert.clone()));
+        }
+    }
+    fn on_message(&mut self, _: usize, _: GsbsMsg<u64>, _: &mut Context<GsbsMsg<u64>>) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+#[test]
+fn forged_certificate_redelivery_verifies_once() {
+    // A round-0 certificate over a quorum of well-formed acks, one of
+    // whose signatures is corrupted: only the signature check can reject
+    // it, and no valid certificate for the round ever arrives.
+    let values: ValueSet<u64> = [5u64].into_iter().collect();
+    let digest = digest_values(&values);
+    let mut acks: Vec<SignedAck> = (1..4)
+        .map(|i| SignedAck::sign(1, 1, 0, digest, i, &Keypair::for_process(i)))
+        .collect();
+    acks[1].sig.s[0] ^= 0x40;
+    let cert = DecidedCert {
+        round: 0,
+        values,
+        acks,
+    };
+    const REDELIVERIES: usize = 10;
+    let mut sim = SimulationBuilder::new()
+        .add(Box::new(GsbsProcess::new(0, config(), BTreeMap::new(), 1)))
+        .add(Box::new(CertReplayer(vec![cert; REDELIVERIES])))
+        .add(Box::new(CertReplayer(vec![])))
+        .add(Box::new(CertReplayer(vec![])))
+        .build();
+    assert!(sim.run(100_000).quiescent);
+    let p = sim.process_as::<GsbsProcess<u64>>(0).unwrap();
+    assert_eq!(p.safe_r, 0, "the forged certificate must not be trusted");
+    // One batch over the three acks, one fallback over the same three,
+    // then nine redeliveries answered from the cache.
+    assert_eq!(
+        p.verifier_stats(),
+        VerifierStats {
+            single_verifications: 3,
+            batch_verifications: 1,
+            batched_signatures: 3,
+        }
+    );
+}
+
+/// Rounds of the pinned honest GSbS runs: inputs in all but the last two,
+/// two per process per round — the shape of the `sim_gsbs_n7` workload.
+const ROUNDS: u64 = 10;
+
+/// Crypto work of an honest `n = 7`, `f = 2` GSbS run under a random
+/// schedule, summed over the processes, and the number of inputs.
+fn honest_gsbs_n7(seed: u64) -> (VerifierStats, u64) {
+    let schedule = |i: usize| -> BTreeMap<u64, Vec<u64>> {
+        let base = i as u64 * 1_000;
+        (0..ROUNDS - 2)
+            .map(|r| (r, vec![base + 2 * r, base + 2 * r + 1]))
+            .collect()
+    };
+    let (mut sim, config) =
+        gsbs_system(7, 2, ROUNDS, schedule, Box::new(RandomScheduler::new(seed)));
+    assert!(sim.run(50_000_000).quiescent, "seed {seed}");
+    let mut total = VerifierStats::default();
+    let mut inputs = 0;
+    for i in 0..config.n {
+        let p = sim.process_as::<GsbsProcess<u64>>(i).unwrap();
+        assert_eq!(p.decisions.len(), ROUNDS as usize, "seed {seed} p{i}");
+        let s = p.verifier_stats();
+        total.single_verifications += s.single_verifications;
+        total.batch_verifications += s.batch_verifications;
+        total.batched_signatures += s.batched_signatures;
+        inputs += p.all_inputs.len() as u64;
+    }
+    (total, inputs)
+}
+
+#[test]
+fn honest_gsbs_verifies_at_quorum() {
+    // Per seed: the counts this run makes, and `(single verifications,
+    // signatures in batches)` of the same run when every record was
+    // checked alone on arrival and certificates bypassed the verifier
+    // (their batches are included).
+    let pins = [
+        (3, (85, 622, 2502), (764, 1953)),
+        (4, (112, 602, 2471), (836, 1884)),
+        (5, (110, 599, 2456), (860, 1863)),
+    ];
+    for (seed, (singles, batches, batched), (singles_on_arrival, batched_on_arrival)) in pins {
+        let (stats, inputs) = honest_gsbs_n7(seed);
+        assert_eq!(inputs, 7 * 2 * (ROUNDS - 2));
+        assert_eq!(
+            stats,
+            VerifierStats {
+                single_verifications: singles,
+                batch_verifications: batches,
+                batched_signatures: batched,
+            },
+            "seed {seed}"
+        );
+        // The residue is lone records: an echoed `SafeReq` set with one
+        // uncached record is cheaper to check alone than as a batch of one.
+        assert!(5 * singles <= singles_on_arrival, "seed {seed}");
+        // And no signature is checked twice: fewer checks in all.
+        assert!(
+            singles + batched <= singles_on_arrival + batched_on_arrival,
+            "seed {seed}"
+        );
+    }
 }

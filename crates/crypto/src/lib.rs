@@ -22,7 +22,9 @@
 //!   against the RFC's five vectors).
 //! * [`keyring`] — a process-id-indexed PKI as assumed by the paper; keeps
 //!   every public key decoded.
-//! * [`sigcache`] — memoized + batched verification ([`CachedVerifier`]).
+//! * [`sigcache`] — memoized + batched verification ([`CachedVerifier`]),
+//!   including the batch-then-attribute check of records held until a
+//!   threshold's worth has arrived ([`CachedVerifier::verify_groups`]).
 //! * [`proofstore`] — content-addressed proof-of-safety interning
 //!   ([`ProofId`], [`ProofCache`]): each distinct proof is verified once
 //!   per process and answered from cache thereafter.
@@ -103,5 +105,5 @@ pub use ed25519::{Keypair, PublicKey, SecretKey, Signature};
 pub use keyring::Keyring;
 pub use proofstore::{ProofCache, ProofId, ProofIdBuilder, ProofResolver};
 pub use sha512::{sha512, Sha512};
-pub use sigcache::{CachedVerifier, SigCache, VerifierStats};
+pub use sigcache::{CachedVerifier, Obligation, SigCache, VerifierStats};
 pub use tobytes::ToBytes;

@@ -14,12 +14,20 @@
 use crate::ed25519::Signature;
 use crate::lru::LruVerdicts;
 use crate::sha512::sha512;
+use std::collections::BTreeMap;
 
 /// Truncated message digest used in cache keys (16 bytes of SHA-512 —
 /// collision resistance far beyond anything a simulation can exhaust).
 pub type MsgKey = [u8; 16];
 
 type Key = (usize, MsgKey, Signature);
+
+/// One verification obligation: `(signer, message, signature)`.
+pub type Obligation = (usize, Vec<u8>, Signature);
+
+/// A cache miss queued for verification: signer, message, signature and
+/// the message's cache key.
+type Pending<'a> = (usize, &'a [u8], Signature, MsgKey);
 
 /// LRU cache of signature-verification verdicts (mechanics shared with
 /// the proof-verdict cache via the crate-internal `LruVerdicts`).
@@ -85,6 +93,8 @@ pub struct VerifierStats {
     pub single_verifications: u64,
     /// Batched `Keyring::verify_batch` calls (each covers ≥ 2 records).
     pub batch_verifications: u64,
+    /// Signatures covered by those batched calls, summed.
+    pub batched_signatures: u64,
 }
 
 /// A [`Keyring`](crate::Keyring) paired with a [`SigCache`]: the one
@@ -114,11 +124,6 @@ impl CachedVerifier {
         }
     }
 
-    /// The underlying PKI.
-    pub fn ring(&self) -> &crate::Keyring {
-        &self.ring
-    }
-
     /// Cryptographic-work counters (see [`VerifierStats`]).
     pub fn stats(&self) -> VerifierStats {
         self.stats
@@ -141,65 +146,99 @@ impl CachedVerifier {
     /// is known. The process's own batches, acks and safe-acks come back
     /// to it in broadcasts and inside proofs of safety, and are then
     /// answered from the cache instead of verified.
-    pub fn record_own(&mut self, (me, msg, sig): &(usize, Vec<u8>, Signature)) {
+    pub fn record_own(&mut self, (me, msg, sig): &Obligation) {
         self.cache.put(*me, SigCache::msg_key(msg), sig, true);
     }
 
     /// Verifies every `(signer, msg, sig)` obligation, batching all
     /// cache misses into one batched Ed25519 verification. Returns
-    /// whether **all** are valid. Duplicated obligations are verified
-    /// once; on batch failure the fallback caches each individual
-    /// verdict, so repeated attacks stay cheap.
-    pub fn verify_all(&mut self, items: &[(usize, Vec<u8>, Signature)]) -> bool {
-        let mut all_ok = true;
-        let mut pending: Vec<(usize, &[u8], Signature, MsgKey)> = Vec::new();
-        let mut queued: std::collections::BTreeSet<(usize, MsgKey, [u8; 64])> =
-            std::collections::BTreeSet::new();
-        for (signer, msg, sig) in items {
-            let key = SigCache::msg_key(msg);
-            match self.cache.get(*signer, key, sig) {
-                Some(true) => {}
-                Some(false) => all_ok = false,
-                None => {
-                    if queued.insert((*signer, key, sig.to_bytes())) {
-                        pending.push((*signer, msg.as_slice(), *sig, key));
-                    }
+    /// whether **all** are valid: [`Self::verify_groups`] with one
+    /// group.
+    pub fn verify_all(&mut self, items: &[Obligation]) -> bool {
+        self.verify_groups(&[items]).iter().all(|&ok| ok)
+    }
+
+    /// Verifies records a process held unverified until a threshold's
+    /// worth of them had arrived: one group of obligations per record,
+    /// one verdict per group, in order. A group is valid when all its
+    /// obligations are.
+    ///
+    /// Cached verdicts answer first, and a group with a cached failure
+    /// is settled without new work. Every remaining miss, deduplicated
+    /// across groups, goes into **one** batched verification — or one
+    /// single check when it is alone, which costs less than a batch of
+    /// one. If the batch fails, the existing fallback checks each miss
+    /// on its own and caches its verdict, so a bad record fails only its
+    /// own group, and redelivering it later costs a cache lookup.
+    pub fn verify_groups<G: AsRef<[Obligation]>>(&mut self, groups: &[G]) -> Vec<bool> {
+        let mut verdicts = vec![true; groups.len()];
+        let mut misses: Vec<(usize, Pending<'_>)> = Vec::new();
+        for (g, (group, verdict)) in groups.iter().zip(verdicts.iter_mut()).enumerate() {
+            for (signer, msg, sig) in group.as_ref() {
+                let key = SigCache::msg_key(msg);
+                match self.cache.get(*signer, key, sig) {
+                    Some(true) => {}
+                    Some(false) => *verdict = false,
+                    None => misses.push((g, (*signer, msg.as_slice(), *sig, key))),
                 }
             }
         }
-        if !all_ok {
-            return false;
+        // Queue each distinct miss of a still-undecided group once; each
+        // obligation remembers its queue slot.
+        let mut slots: BTreeMap<(usize, MsgKey, [u8; 64]), usize> = BTreeMap::new();
+        let mut pending: Vec<Pending<'_>> = Vec::new();
+        let mut owners: Vec<(usize, usize)> = Vec::new();
+        for (g, miss) in misses {
+            if verdicts.get(g) != Some(&true) {
+                continue;
+            }
+            let (signer, _, sig, key) = miss;
+            let slot = *slots
+                .entry((signer, key, sig.to_bytes()))
+                .or_insert_with(|| {
+                    pending.push(miss);
+                    pending.len() - 1
+                });
+            owners.push((g, slot));
         }
-        match pending.len() {
-            0 => true,
-            1 => {
-                let (signer, msg, sig, key) = &pending[0];
+        let checked = self.check(&pending);
+        for (g, slot) in owners {
+            if checked.get(slot) != Some(&true) {
+                if let Some(verdict) = verdicts.get_mut(g) {
+                    *verdict = false;
+                }
+            }
+        }
+        verdicts
+    }
+
+    /// Verifies and caches each pending miss, returning its verdicts: a
+    /// lone miss alone, several in one batch, and on batch failure each
+    /// on its own.
+    fn check(&mut self, pending: &[Pending<'_>]) -> Vec<bool> {
+        if pending.len() >= 2 {
+            let refs: Vec<(usize, &[u8], Signature)> =
+                pending.iter().map(|(s, m, g, _)| (*s, *m, *g)).collect();
+            self.stats.batch_verifications += 1;
+            self.stats.batched_signatures += pending.len() as u64;
+            if self.ring.verify_batch(&refs) {
+                for (signer, _, sig, key) in pending {
+                    self.cache.put(*signer, *key, sig, true);
+                }
+                return vec![true; pending.len()];
+            }
+        }
+        // A lone miss, or some signature in the batch is bad: find and
+        // cache the culprits.
+        pending
+            .iter()
+            .map(|(signer, msg, sig, key)| {
                 self.stats.single_verifications += 1;
                 let ok = self.ring.verify(*signer, msg, sig);
                 self.cache.put(*signer, *key, sig, ok);
                 ok
-            }
-            _ => {
-                let refs: Vec<(usize, &[u8], Signature)> =
-                    pending.iter().map(|(s, m, g, _)| (*s, *m, *g)).collect();
-                self.stats.batch_verifications += 1;
-                if self.ring.verify_batch(&refs) {
-                    for (signer, _, sig, key) in &pending {
-                        self.cache.put(*signer, *key, sig, true);
-                    }
-                    return true;
-                }
-                // Some signature is bad: find and cache the culprits.
-                let mut ok_all = true;
-                for (signer, msg, sig, key) in &pending {
-                    self.stats.single_verifications += 1;
-                    let ok = self.ring.verify(*signer, msg, sig);
-                    self.cache.put(*signer, *key, sig, ok);
-                    ok_all &= ok;
-                }
-                ok_all
-            }
-        }
+            })
+            .collect()
     }
 
     /// Cached-verdict count (diagnostics).
@@ -259,7 +298,7 @@ mod tests {
         assert_eq!(c.get(3, k, &sig), Some(false));
     }
 
-    fn obligations(n: usize) -> Vec<(usize, Vec<u8>, crate::Signature)> {
+    fn obligations(n: usize) -> Vec<Obligation> {
         (0..n)
             .map(|i| {
                 let msg = vec![i as u8; 10];
@@ -331,6 +370,51 @@ mod tests {
         assert!(!v.verify_all(&bad));
         assert_eq!(v.stats().batch_verifications, 2);
         assert_eq!(v.stats().single_verifications, 3);
+        assert_eq!(v.stats().batched_signatures, 4 + 3);
+    }
+
+    #[test]
+    fn groups_share_one_batch_and_fail_alone() {
+        let mut v = CachedVerifier::new(crate::Keyring::for_system(5));
+        let items = obligations(5);
+        let mut forged = items[3].clone();
+        forged.1.push(0xFF); // replayed signature over other content
+                             // Groups: a good record, a record whose second obligation is
+                             // forged, and a good record repeating the first group's signature.
+        let groups = vec![
+            vec![items[0].clone()],
+            vec![items[1].clone(), forged.clone()],
+            vec![items[0].clone(), items[2].clone()],
+        ];
+        assert_eq!(v.verify_groups(&groups), vec![true, false, true]);
+        let s = v.stats();
+        // One batch over the four distinct misses, then the fallback.
+        assert_eq!(
+            (
+                s.batch_verifications,
+                s.batched_signatures,
+                s.single_verifications
+            ),
+            (1, 4, 4)
+        );
+        // The forged group is settled from the cache; its good sibling
+        // obligation is never queued, and a lone miss is checked alone.
+        let groups = vec![vec![forged, items[4].clone()], vec![items[4].clone()]];
+        assert_eq!(v.verify_groups(&groups), vec![false, true]);
+        let s = v.stats();
+        assert_eq!(
+            (
+                s.batch_verifications,
+                s.batched_signatures,
+                s.single_verifications
+            ),
+            (1, 4, 5)
+        );
+        // Everything cached now: no work, and an empty call is trivially
+        // empty.
+        assert_eq!(v.verify_groups(&groups), vec![false, true]);
+        assert_eq!(v.verify_groups::<Vec<Obligation>>(&[]), Vec::<bool>::new());
+        assert_eq!(v.stats(), s);
     }
 
     #[test]

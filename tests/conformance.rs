@@ -275,6 +275,15 @@ fn sbs_conformance_honest_and_adversarial() {
                 Box::new(adversary::sbs::BogusRefSender::new(3, 31_337u64)) as Box<dyn Process<_>>
             }),
         ),
+        (
+            "sig-forger",
+            Box::new(|| {
+                Box::new(adversary::sbs::SigForger {
+                    me: 3,
+                    value: 66_667u64,
+                }) as Box<dyn Process<_>>
+            }),
+        ),
     ] {
         let mut build = |sched: Box<dyn Scheduler>| {
             let mut b = SimulationBuilder::new().scheduler(sched);
@@ -321,27 +330,42 @@ fn gsbs_conformance_honest_and_adversarial() {
         1,
     );
 
-    let mut build = |sched: Box<dyn Scheduler>| {
-        let mut b = SimulationBuilder::new().scheduler(sched);
-        for i in 0..n - 1 {
-            b = b.add(Box::new(GsbsProcess::new(
-                i,
-                config,
-                gsbs_schedule(i),
-                rounds,
-            )));
-        }
-        b = b.add(Box::new(adversary::gsbs::BogusRefSender::new(3, 31_337u64)));
-        b.build()
-    };
-    let honest: Vec<usize> = (0..n - 1).collect();
-    sweep(
-        "gsbs/bogus-ref-sender",
-        &mut build,
-        &|| gsbs_observer(honest.clone(), ident),
-        &CheckerConfig::with_byzantine(n, f, &[3]),
-        1,
-    );
+    for (adv_name, mk_adv) in [
+        (
+            "bogus-ref-sender",
+            Box::new(|| {
+                Box::new(adversary::gsbs::BogusRefSender::new(3, 31_337u64)) as Box<dyn Process<_>>
+            }) as Box<dyn Fn() -> Box<dyn Process<_>>>,
+        ),
+        (
+            "sig-forger",
+            Box::new(|| {
+                Box::new(adversary::gsbs::SigForger::new(3, 66_667u64)) as Box<dyn Process<_>>
+            }),
+        ),
+    ] {
+        let mut build = |sched: Box<dyn Scheduler>| {
+            let mut b = SimulationBuilder::new().scheduler(sched);
+            for i in 0..n - 1 {
+                b = b.add(Box::new(GsbsProcess::new(
+                    i,
+                    config,
+                    gsbs_schedule(i),
+                    rounds,
+                )));
+            }
+            b = b.add(mk_adv());
+            b.build()
+        };
+        let honest: Vec<usize> = (0..n - 1).collect();
+        sweep(
+            &format!("gsbs/{adv_name}"),
+            &mut build,
+            &|| gsbs_observer(honest.clone(), ident),
+            &CheckerConfig::with_byzantine(n, f, &[3]),
+            1,
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 //! Adversarial end-to-end runs of the signature-based algorithm:
-//! conflict-signing, proof forgery, bogus delta references and silence,
-//! across random schedules.
+//! conflict-signing, proof forgery, forged signatures, bogus delta
+//! references and silence, across random schedules.
 
-use bgla::core::adversary::sbs::{BogusRefSender, ConflictSigner, ProofForger, SilentS};
-use bgla::core::sbs::{SbsMsg, SbsProcess};
+use bgla::core::adversary::sbs::{BogusRefSender, ConflictSigner, ProofForger, SigForger, SilentS};
+use bgla::core::sbs::{SafeAckBody, SbsMsg, SbsProcess, SbsState, SignedSafeAck, SignedValue};
 use bgla::core::{spec, SystemConfig};
 use bgla::core::{ProvenUpdate, ValueSet};
+use bgla::crypto::{Keypair, VerifierStats};
 use bgla::simnet::{Context, Process, RandomScheduler, Simulation, SimulationBuilder};
 use std::any::Any;
 
@@ -178,8 +179,7 @@ fn resync_round_trip_recovers_a_valid_payload() {
     // but deliver it first as an unresolvable reference: the acceptor
     // must gap → resync → accept the Full resend → ack.
     use bgla::core::proof::Proof;
-    use bgla::core::sbs::{ProvenValue, SafeAckBody, SignedSafeAck, SignedValue};
-    use bgla::crypto::Keypair;
+    use bgla::core::sbs::ProvenValue;
 
     let config = SystemConfig::new(4, 1);
     let sv = SignedValue::sign(42u64, 1, &Keypair::for_process(1));
@@ -237,4 +237,182 @@ fn silent_process_does_not_block_sbs() {
         spec::check_nontriviality(&inputs, &decisions, 1)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
+}
+
+/// Id of the signature forger in the runs below (`n = 4`, `f = 1`).
+const FORGER: usize = 3;
+
+/// The value the forger's init carries.
+const POISON: u64 = 66_666;
+
+#[test]
+fn forged_signatures_never_count_and_flag_the_forger() {
+    // Structurally valid inits and safe-acks with bad signatures are held
+    // like any others until a threshold's worth has arrived; the batch
+    // that checks them must drop exactly those, at every delivery, and a
+    // forged safe-ack that reached a process while it was safetying must
+    // have put the forger in `byz` by the time it proposes.
+    let mut flagged = 0;
+    for seed in 0..6 {
+        let (n, f) = (4usize, 1usize);
+        let config = SystemConfig::new(n, f);
+        let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
+        for i in 0..FORGER {
+            b = b.add(Box::new(SbsProcess::new(i, config, 10 + i as u64)));
+        }
+        b = b.add(Box::new(SigForger {
+            me: FORGER,
+            value: POISON,
+        }));
+        let mut sim = b.build();
+        sim.enable_trace();
+        let mut forged_while_safetying = [false; FORGER];
+        let mut steps = 0u64;
+        loop {
+            let before: Vec<SbsState> = (0..FORGER)
+                .map(|i| sim.process_as::<SbsProcess<u64>>(i).unwrap().state())
+                .collect();
+            if !sim.step() {
+                break;
+            }
+            steps += 1;
+            assert!(steps < 1_000_000, "seed {seed}: no quiescence");
+            let last = sim.trace().unwrap().events().last().unwrap();
+            if last.from == FORGER && last.kind == "safe_ack" && last.to < FORGER {
+                forged_while_safetying[last.to] |= before[last.to] == SbsState::Safetying;
+            }
+            for (i, &forged_seen) in forged_while_safetying.iter().enumerate() {
+                let p = sim.process_as::<SbsProcess<u64>>(i).unwrap();
+                assert!(
+                    p.safety_set().iter().all(|sv| sv.signer != FORGER),
+                    "seed {seed} p{i}: a forged init joined"
+                );
+                assert!(
+                    p.safe_acks().iter().all(|a| a.signer != FORGER),
+                    "seed {seed} p{i}: a forged safe-ack counted"
+                );
+                if forged_seen && p.state() != SbsState::Safetying {
+                    assert!(
+                        p.byz().contains(&FORGER),
+                        "seed {seed} p{i}: proposing without flagging the forger"
+                    );
+                }
+            }
+        }
+        let correct: Vec<usize> = (0..FORGER).collect();
+        let decisions = check_safety(&sim, &correct, &format!("sig-forger seed {seed}"));
+        assert_eq!(decisions.len(), correct.len(), "seed {seed}: liveness");
+        assert!(
+            decisions.iter().all(|d| !d.contains(&POISON)),
+            "seed {seed}: a forged init was decided"
+        );
+        flagged += forged_while_safetying.iter().filter(|&&seen| seen).count();
+    }
+    assert!(
+        flagged > 0,
+        "no forged safe-ack ever reached a safetying process"
+    );
+}
+
+/// Hands `msg` from `from` to `p`, process `me` of four, and returns
+/// what it sent to process 0.
+fn deliver<P: Process<Msg>>(p: &mut P, me: usize, from: usize, msg: Msg) -> Vec<Msg> {
+    let mut ctx = Context::for_embedding(me, 4, 0, 0);
+    p.on_message(from, msg, &mut ctx);
+    ctx.take_outbox()
+        .into_iter()
+        .filter(|(to, _)| *to == 0)
+        .map(|(_, m)| m)
+        .collect()
+}
+
+/// Delivers each of `msgs` from `from` to process 0, keeping what it
+/// sends itself.
+fn feed(p0: &mut SbsProcess<u64>, from: usize, msgs: Vec<Msg>) -> Vec<Msg> {
+    msgs.into_iter()
+        .flat_map(|m| deliver(p0, 0, from, m))
+        .collect()
+}
+
+fn stats(single: u64, batch: u64, batched: u64) -> VerifierStats {
+    VerifierStats {
+        single_verifications: single,
+        batch_verifications: batch,
+        batched_signatures: batched,
+    }
+}
+
+#[test]
+fn each_forged_record_is_verified_once() {
+    // One correct process, deliveries chosen by hand: at each threshold
+    // the forger's record (sent twice, as the forger does) is held with
+    // one genuine record, the batch fails, the fallback drops the forged
+    // record alone — and, for the safe-ack, flags the forger — its
+    // redeliveries are answered from the cache, and the last genuine
+    // record completes the threshold by itself.
+    let config = SystemConfig::new(4, 1);
+    let mut p0 = SbsProcess::new(0, config, 10u64);
+    let mut forger = SigForger {
+        me: FORGER,
+        value: POISON,
+    };
+    let mut ctx = Context::for_embedding(0, 4, 0, 0);
+    p0.on_start(&mut ctx);
+    let mut ctx = Context::for_embedding(FORGER, 4, 0, 0);
+    forger.on_start(&mut ctx);
+    let forged_inits: Vec<Msg> = ctx
+        .take_outbox()
+        .into_iter()
+        .filter(|(to, _)| *to == 0)
+        .map(|(_, m)| m)
+        .collect();
+    assert_eq!(forged_inits.len(), 2);
+    let init = |i: usize| {
+        SbsMsg::Init(SignedValue::sign(
+            10 + i as u64,
+            i,
+            &Keypair::for_process(i),
+        ))
+    };
+
+    feed(&mut p0, FORGER, forged_inits.clone());
+    assert_eq!(p0.verifier_stats(), stats(0, 0, 0));
+    feed(&mut p0, 1, vec![init(1)]);
+    assert_eq!(p0.verifier_stats(), stats(2, 1, 2));
+    feed(&mut p0, FORGER, forged_inits);
+    assert_eq!(p0.verifier_stats(), stats(2, 1, 2));
+    let safe_req = feed(&mut p0, 2, vec![init(2)]);
+    assert_eq!(p0.verifier_stats(), stats(3, 1, 2));
+    assert_eq!(p0.state(), SbsState::Safetying);
+    let set = p0.safety_set().clone();
+    assert_eq!(set.len(), 3);
+    assert!(set.iter().all(|sv| sv.signer != FORGER));
+
+    let safe_req = safe_req.into_iter().next().expect("p0 asks itself");
+    let forged_safe_acks = deliver(&mut forger, FORGER, 0, safe_req.clone());
+    assert_eq!(forged_safe_acks.len(), 2);
+    let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
+    let safe_ack = |i: usize| {
+        let body = SafeAckBody {
+            rcvd: set.clone(),
+            conflicts: vec![],
+        };
+        SbsMsg::SafeAck(SignedSafeAck::sign(body, i, &Keypair::for_process(i)))
+    };
+    feed(&mut p0, FORGER, forged_safe_acks.clone());
+    feed(&mut p0, 0, own_safe_ack);
+    assert_eq!(p0.verifier_stats(), stats(3, 1, 2));
+    assert!(p0.byz().is_empty(), "flagged on arrival, not at quorum");
+    feed(&mut p0, 1, vec![safe_ack(1)]);
+    assert_eq!(p0.verifier_stats(), stats(5, 2, 4));
+    assert_eq!(p0.state(), SbsState::Safetying);
+    assert!(p0.byz().contains(&FORGER));
+    feed(&mut p0, FORGER, forged_safe_acks);
+    assert_eq!(p0.verifier_stats(), stats(5, 2, 4));
+    feed(&mut p0, 2, vec![safe_ack(2)]);
+    assert_eq!(p0.verifier_stats(), stats(6, 2, 4));
+    assert_eq!(p0.state(), SbsState::Proposing);
+    assert_eq!(p0.safe_acks().len(), 3);
+    assert!(p0.safe_acks().iter().all(|a| a.signer != FORGER));
+    assert_eq!(p0.byz().iter().copied().collect::<Vec<_>>(), vec![FORGER]);
 }
