@@ -67,7 +67,7 @@ use std::fmt;
 
 /// Current frame format version. Bump on any incompatible layout
 /// change; decoders reject other versions as [`CodecError::BadVersion`].
-pub const FRAME_VERSION: u16 = 4;
+pub const FRAME_VERSION: u16 = 5;
 
 /// The 4-byte frame magic.
 pub const FRAME_MAGIC: [u8; 4] = *b"BGLA";

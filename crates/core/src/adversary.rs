@@ -728,7 +728,7 @@ pub mod gwts {
 
 /// SbS-specific adversaries (Section 8).
 pub mod sbs {
-    use crate::proof::Proof;
+    use crate::proof::{Proof, ProofAck};
     use crate::provendelta::ProvenUpdate;
     use crate::sbs::{ProvenValue, SafeAckBody, SbsMsg, SignedSafeAck, SignedValue};
     use crate::value::SignableValue;
@@ -983,8 +983,44 @@ pub mod sbs {
                 };
                 let mut ack = SignedSafeAck::sign(body, self.me, &Keypair::for_process(self.me));
                 super::corrupt(&mut ack.sig);
-                ctx.send(from, SbsMsg::SafeAck(ack.clone()));
-                ctx.send(from, SbsMsg::SafeAck(ack));
+                ctx.send(from, SbsMsg::SafeAck(ack.reply()));
+                ctx.send(from, SbsMsg::SafeAck(ack.reply()));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Answers each `safe_req`, twice, with a `safe_ack` it really signed
+    /// — over another set than the one requested: the request without
+    /// its last record. The reply carries no echo, so a correct proposer
+    /// reads it as signed over its own `Safety_set`, and its signature
+    /// fails at quorum: it must be dropped, flag this sender before
+    /// `Proposing`, cost one failed batch and its fallback, and have its
+    /// duplicate answered from the verifier's cache.
+    pub struct WrongEcho {
+        /// The adversary's id (it signs with its real key).
+        pub me: ProcessId,
+    }
+
+    impl<V: SignableValue> Process<SbsMsg<V>> for WrongEcho {
+        fn on_message(&mut self, from: ProcessId, msg: SbsMsg<V>, ctx: &mut Context<SbsMsg<V>>) {
+            if from == ctx.me {
+                return;
+            }
+            if let SbsMsg::SafeReq(set) = msg {
+                let body = SafeAckBody {
+                    rcvd: set
+                        .iter()
+                        .take(set.len().saturating_sub(1))
+                        .cloned()
+                        .collect(),
+                    conflicts: vec![],
+                };
+                let ack = SignedSafeAck::sign(body, self.me, &Keypair::for_process(self.me));
+                ctx.send(from, SbsMsg::SafeAck(ack.reply()));
+                ctx.send(from, SbsMsg::SafeAck(ack.reply()));
             }
         }
         fn as_any(&self) -> &dyn Any {
@@ -1016,7 +1052,7 @@ pub mod sbs {
 /// GSbS-specific adversaries (Section 8.2).
 pub mod gsbs {
     use crate::gsbs::{digest_values, GSafeAck, GsbsMsg, ProvenBatch, SignedAck, SignedBatch};
-    use crate::proof::Proof;
+    use crate::proof::{Proof, ProofAck};
     use crate::provendelta::ProvenUpdate;
     use crate::value::SignableValue;
     use crate::valueset::ValueSet;
@@ -1090,7 +1126,7 @@ pub mod gsbs {
                 GsbsMsg::SafeReq { round, set } => {
                     let mut ack = GSafeAck::sign(round, set, vec![], self.me, &kp);
                     super::corrupt(&mut ack.sig);
-                    Self::send_twice(ctx, from, GsbsMsg::SafeAck(ack));
+                    Self::send_twice(ctx, from, GsbsMsg::SafeAck(ack.reply()));
                 }
                 GsbsMsg::AckReq {
                     proposed: ProvenUpdate::Full(set),
@@ -1110,6 +1146,40 @@ pub mod gsbs {
                     ctx.send(from, GsbsMsg::Resync { ts, round });
                 }
                 _ => {}
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Answers each `safe_req`, twice, with a safe-ack it really signed —
+    /// over another set than the one requested: the request without its
+    /// last batch. The reply carries no echo, so a correct proposer reads
+    /// it as signed over its own request, and its signature fails at
+    /// quorum: it must never be counted, cost one failed batch and its
+    /// fallback, and have its duplicate answered from the verifier's
+    /// cache.
+    pub struct WrongEcho {
+        /// The adversary's id (it signs with its real key).
+        pub me: ProcessId,
+    }
+
+    impl<V: SignableValue> Process<GsbsMsg<V>> for WrongEcho {
+        fn on_message(&mut self, from: ProcessId, msg: GsbsMsg<V>, ctx: &mut Context<GsbsMsg<V>>) {
+            if from == ctx.me {
+                return;
+            }
+            if let GsbsMsg::SafeReq { round, set } = msg {
+                let other = set
+                    .iter()
+                    .take(set.len().saturating_sub(1))
+                    .cloned()
+                    .collect();
+                let kp = Keypair::for_process(self.me);
+                let reply = GSafeAck::sign(round, other, vec![], self.me, &kp).reply();
+                ctx.send(from, GsbsMsg::SafeAck(reply.clone()));
+                ctx.send(from, GsbsMsg::SafeAck(reply));
             }
         }
         fn as_any(&self) -> &dyn Any {

@@ -42,13 +42,36 @@
 //! timestamps are monotone across rounds, so the sender-side snapshots
 //! key deltas exactly as in SbS.
 //!
+//! # Echoes said once (this implementation)
+//!
+//! A safe-ack signs the request set it answers (`rcvd`), and a proposer
+//! counts only safe-acks signed over its own `current_safe_req`. So the
+//! echo tells the proposer nothing it does not hold, and neither copy of
+//! it travels more than once:
+//!
+//! * the [`GsbsMsg::SafeAck`] reply is a [`GSafeAckReply`], the ack
+//!   without `rcvd`. The proposer attaches its own `current_safe_req`
+//!   before holding it. An acceptor that signed some other set has then
+//!   signed bytes other than the ones checked, and its ack fails at
+//!   quorum exactly as a forged signature does: it costs the failed
+//!   batch and the fallback once, the verifier's cache answers a
+//!   redelivery, and it is never counted. Comparing a shipped echo would
+//!   catch it without a signature check, but any Byzantine acceptor can
+//!   make the proposer pay that check with a forged signature anyway;
+//! * a [`BatchProof`] ships the set its acks echo once, and per ack an
+//!   index into the distinct echoes ([`Proof`]'s codec form), instead of
+//!   one copy per ack.
+//!
+//! What is signed, hashed and verified does not change: the echo is
+//! inside every signature and every [`ProofId`].
+//!
 //! # Verify at quorum (this implementation)
 //!
 //! A proposer acts only on a threshold of signed records: `n − f`
 //! `Init`s before safetying, a quorum of safe-acks before proposing, a
 //! quorum of acks before deciding. None is checked alone as it arrives
 //! ([`crate::held`]). Each site runs its structural checks on arrival
-//! (sender is signer, round, echoed set, proposal digest, one record
+//! (sender is signer, round, proposal digest, one record
 //! counted per signer) and holds a record that passes them:
 //!
 //! * `Init`s in `held_inits`, per round — of the current round until
@@ -58,7 +81,9 @@
 //!   `start_round`;
 //! * acks in `held_acks`, cleared with `ack_certs` at each `ts` bump.
 //!
-//! Once held plus verified reach the threshold, all held records of the
+//! A safe-ack is held with the proposer's own request attached as its
+//! echo (see "Echoes said once" above). Once held plus verified reach
+//! the threshold, all held records of the
 //! site are checked in one batch
 //! ([`bgla_crypto::CachedVerifier::verify_groups`]) and the valid ones
 //! join in arrival order — `Init`s one at a time with conflict removal
@@ -79,9 +104,11 @@
 
 use crate::config::SystemConfig;
 use crate::held::{self, hold, verify_held, Held};
-use crate::proof::{remove_conflicts, return_conflicts, Conflicting, Proof, ProofAck};
+use crate::proof::{
+    echoing, remove_conflicts, replies, return_conflicts, Conflicting, Proof, ProofAck,
+};
 use crate::provendelta::{
-    register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate,
+    register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
 };
 use crate::value::SignableValue;
 use crate::valueset::{SetItem, ValueSet};
@@ -288,6 +315,8 @@ impl<V: SignableValue> Held for GSafeAck<V> {
 }
 
 impl<V: SignableValue> ProofAck for GSafeAck<V> {
+    type Echoed = SignedBatch<V>;
+    type Reply = GSafeAckReply<V>;
     fn digest_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&GSafeAck::signable_bytes(
             self.round,
@@ -297,18 +326,67 @@ impl<V: SignableValue> ProofAck for GSafeAck<V> {
         ));
         out.extend_from_slice(&self.sig.to_bytes());
     }
-    fn wire_size(&self) -> usize {
-        var_len(self.round)
-            + self.rcvd.wire_size()
-            + var_len(self.conflicts.len() as u64)
-            + self
-                .conflicts
-                .iter()
-                .map(|(a, b)| SetItem::wire_size(a) + SetItem::wire_size(b))
-                .sum::<usize>()
-            + var_len(self.signer as u64)
-            + 64
+    fn echo(&self) -> &ValueSet<SignedBatch<V>> {
+        &self.rcvd
     }
+    fn reply(&self) -> GSafeAckReply<V> {
+        GSafeAckReply {
+            round: self.round,
+            conflicts: self.conflicts.clone(),
+            signer: self.signer,
+            sig: self.sig,
+        }
+    }
+    fn from_reply(reply: GSafeAckReply<V>, rcvd: ValueSet<SignedBatch<V>>) -> Self {
+        GSafeAck {
+            round: reply.round,
+            rcvd,
+            conflicts: reply.conflicts,
+            signer: reply.signer,
+            sig: reply.sig,
+        }
+    }
+    fn reply_wire_size(&self) -> usize {
+        reply_wire_size(self.round, &self.conflicts, self.signer)
+    }
+}
+
+/// A safe-ack as it travels back to the proposer: everything but the
+/// echo, which is the proposer's own request (see the module docs).
+#[derive(Debug, Clone)]
+pub struct GSafeAckReply<V: SignableValue> {
+    /// Round being safetied.
+    pub round: u64,
+    /// Conflicts known to the acceptor.
+    pub conflicts: Vec<(SignedBatch<V>, SignedBatch<V>)>,
+    /// Acceptor id.
+    pub signer: ProcessId,
+    /// Signature over the round, the echoed request, the conflicts and
+    /// the signer.
+    pub sig: Signature,
+}
+
+impl<V: SignableValue> GSafeAckReply<V> {
+    /// Length of the [`Wire`] encoding.
+    pub fn wire_size(&self) -> usize {
+        reply_wire_size(self.round, &self.conflicts, self.signer)
+    }
+}
+
+/// Length of a safe-ack's encoding without its echo.
+fn reply_wire_size<V: SignableValue>(
+    round: u64,
+    conflicts: &[(SignedBatch<V>, SignedBatch<V>)],
+    signer: ProcessId,
+) -> usize {
+    var_len(round)
+        + var_len(conflicts.len() as u64)
+        + conflicts
+            .iter()
+            .map(|(a, b)| SetItem::wire_size(a) + SetItem::wire_size(b))
+            .sum::<usize>()
+        + var_len(signer as u64)
+        + 64
 }
 
 /// A quorum of safe-acks certifying one round's safetying exchange,
@@ -354,6 +432,10 @@ impl<V: SignableValue> SetItem for ProvenBatch<V> {
 
 impl<V: SignableValue> ProvenRecord for ProvenBatch<V> {
     type Ack = GSafeAck<V>;
+    type Value = V;
+    fn values(&self) -> &[V] {
+        self.sb.batch.as_slice()
+    }
     fn proof(&self) -> &BatchProof<V> {
         &self.proof
     }
@@ -511,8 +593,8 @@ pub enum GsbsMsg<V: SignableValue> {
         /// The proposer's collected signed batches for that round.
         set: ValueSet<SignedBatch<V>>,
     },
-    /// Signed safetying reply.
-    SafeAck(GSafeAck<V>),
+    /// Signed safetying reply, without the echo of the request.
+    SafeAck(GSafeAckReply<V>),
     /// Proposal with proofs — delta-encoded with proof-by-reference
     /// after first contact.
     AckReq {
@@ -599,7 +681,7 @@ impl<V: SignableValue> WireMessage for GsbsMsg<V> {
             }
             GsbsMsg::Init(sb) => plain(SetItem::wire_size(sb)),
             GsbsMsg::SafeReq { round, set } => plain(var_len(*round) + set.wire_size()),
-            GsbsMsg::SafeAck(a) => plain(ProofAck::wire_size(a)),
+            GsbsMsg::SafeAck(a) => plain(a.wire_size()),
             GsbsMsg::Ack(ack) => plain(ack.wire_size()),
             GsbsMsg::Decided(c) => plain(
                 var_len(c.round)
@@ -656,14 +738,13 @@ pub struct GsbsProcess<V: SignableValue> {
     /// Safe-acks for the current safe_req, held unverified until a
     /// quorum's worth has arrived.
     held_safe_acks: Vec<GSafeAck<V>>,
-    /// The exact set sent in the outstanding safe_req (safe-acks must
-    /// echo it verbatim; `safety_sets` keeps growing in the meantime).
+    /// The exact set sent in the outstanding safe_req: the echo of every
+    /// safe-ack for it (`safety_sets` keeps growing in the meantime).
     current_safe_req: ValueSet<SignedBatch<V>>,
-    /// Cumulative proven proposal.
-    proposed_set: ValueSet<ProvenBatch<V>>,
-    /// The values of `proposed_set` and their digest, as of its last
-    /// broadcast — what this `ts`'s acks must sign.
-    proposal_values: ValueSet<V>,
+    /// Cumulative proven proposal, with its values.
+    proposed_set: Valued<ProvenBatch<V>>,
+    /// The digest of the proposal's values as of its last broadcast —
+    /// what this `ts`'s acks must sign.
     proposal_digest: Digest,
     /// Signed acks gathered for the current (ts, round, digest).
     ack_certs: Vec<SignedAck>,
@@ -672,8 +753,8 @@ pub struct GsbsProcess<V: SignableValue> {
     held_acks: Vec<SignedAck>,
     /// Acceptor: safety candidates per round.
     safe_candidates: BTreeMap<u64, ValueSet<SignedBatch<V>>>,
-    /// Acceptor: cumulative accepted proven set.
-    accepted_set: ValueSet<ProvenBatch<V>>,
+    /// Acceptor: cumulative accepted proven set, with its values.
+    accepted_set: Valued<ProvenBatch<V>>,
     /// Memoized full-proof verdicts, keyed by [`ProofId`].
     // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
     proof_cache: ProofCache,
@@ -736,13 +817,12 @@ impl<V: SignableValue> GsbsProcess<V> {
             safe_ack_senders: BTreeSet::new(),
             held_safe_acks: Vec::new(),
             current_safe_req: ValueSet::new(),
-            proposed_set: ValueSet::new(),
-            proposal_values: ValueSet::new(),
+            proposed_set: Valued::default(),
             proposal_digest: digest_values(&ValueSet::<V>::new()),
             ack_certs: Vec::new(),
             held_acks: Vec::new(),
             safe_candidates: BTreeMap::new(),
-            accepted_set: ValueSet::new(),
+            accepted_set: Valued::default(),
             proof_cache: ProofCache::default(),
             delta_tx: ProvenDeltaSender::new(),
             delta_rx: ProvenDeltaReceiver::new(),
@@ -773,11 +853,7 @@ impl<V: SignableValue> GsbsProcess<V> {
     /// batches) — read by the conformance observers to emit
     /// refine-snapshot op events.
     pub fn proposed_values(&self) -> ValueSet<V> {
-        let mut out = ValueSet::new();
-        for pb in self.proposed_set.iter() {
-            out.join_with(&pb.sb.batch);
-        }
-        out
+        self.proposed_set.values().clone()
     }
 
     /// Cryptographic-work counters of this process's verifier.
@@ -875,12 +951,6 @@ impl<V: SignableValue> GsbsProcess<V> {
         verifier.verify_all(&obligations)
     }
 
-    fn values_of(set: &ValueSet<ProvenBatch<V>>) -> ValueSet<V> {
-        set.iter()
-            .flat_map(|pb| pb.sb.batch.iter().cloned())
-            .collect()
-    }
-
     fn start_round(&mut self, round: u64, ctx: &mut Context<GsbsMsg<V>>) {
         self.round = round;
         self.state = GsbsState::Init;
@@ -972,14 +1042,14 @@ impl<V: SignableValue> GsbsProcess<V> {
     /// Broadcasts the cumulative proposal, delta-encoded per peer (full
     /// on first contact or after a resync). Every change to
     /// `proposed_set` is followed by this call, so it is also where the
-    /// proposal's values and digest are computed, once per `ts`.
+    /// proposal's digest is computed, once per `ts`.
     fn broadcast_proposal(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
-        self.proposal_values = Self::values_of(&self.proposed_set);
-        self.proposal_digest = digest_values(&self.proposal_values);
-        self.delta_tx.record_broadcast(self.ts, &self.proposed_set);
+        self.proposal_digest = digest_values(self.proposed_set.values());
+        let proposed = self.proposed_set.records();
+        self.delta_tx.record_broadcast(self.ts, proposed);
         let updates = self
             .delta_tx
-            .encode_broadcast(self.config.n, self.ts, &self.proposed_set);
+            .encode_broadcast(self.config.n, self.ts, proposed);
         for (to, proposed) in updates.into_iter().enumerate() {
             ctx.send(
                 to,
@@ -1074,20 +1144,22 @@ impl<V: SignableValue> GsbsProcess<V> {
                 // become referenceable (by us, and back at the sender).
                 register_proofs(&mut self.resolver, &proposed);
                 self.delta_rx.record(from, *ts, &proposed);
-                let acc_vals = Self::values_of(&self.accepted_set);
-                let prop_vals = Self::values_of(&proposed);
-                if acc_vals.is_subset(&prop_vals) {
+                let proposed = Valued::new(proposed);
+                if self.accepted_set.values().is_subset(proposed.values()) {
+                    let digest = digest_values(proposed.values());
                     self.accepted_set = proposed;
-                    let digest = digest_values(&prop_vals);
                     let ack = SignedAck::sign(from, *ts, *round, digest, self.me, &self.keypair);
                     self.verifier.record_own(&ack.obligation());
                     ctx.send(from, GsbsMsg::Ack(ack));
                 } else {
                     // The refusal deltas against the refused proposal —
                     // a base the proposer holds by construction.
-                    let accepted =
-                        self.delta_rx
-                            .encode_reply(from, *ts, &proposed, &self.accepted_set);
+                    let accepted = self.delta_rx.encode_reply(
+                        from,
+                        *ts,
+                        proposed.records(),
+                        self.accepted_set.records(),
+                    );
                     ctx.send(
                         from,
                         GsbsMsg::Nack {
@@ -1125,10 +1197,11 @@ impl<V: SignableValue> GsbsProcess<V> {
                     // own message budget.
                     return true;
                 };
-                let acc_vals = Self::values_of(&accepted);
-                if !acc_vals.is_subset(&self.proposal_values) && self.all_safe(&accepted) {
-                    register_proofs(&mut self.resolver, &accepted);
-                    self.delta_tx.note_peer_holds(from, &accepted);
+                let accepted = Valued::new(accepted);
+                let grows = !accepted.values().is_subset(self.proposed_set.values());
+                if grows && self.all_safe(accepted.records()) {
+                    register_proofs(&mut self.resolver, accepted.records());
+                    self.delta_tx.note_peer_holds(from, accepted.records());
                     self.proposed_set.join_with(&accepted);
                     self.ts += 1;
                     self.ack_certs.clear();
@@ -1167,12 +1240,12 @@ impl<V: SignableValue> GsbsProcess<V> {
 // Durable state (crash snapshots)
 // ---------------------------------------------------------------------------
 
-/// Frame kind tag for GSbS process snapshots. `0x010A` since records are
-/// held unverified until a threshold's worth has arrived: the payload
-/// gained the held `Init`s, safe-acks and acks and the proposal's values
-/// and digest, so the `0x0104` layout is retired (see
-/// [`crate::recovery`]).
-pub const GSBS_SNAPSHOT_KIND: u16 = 0x010A;
+/// Frame kind tag for GSbS process snapshots. `0x010C` since safe-acks
+/// are stored without their echo, which is `current_safe_req` for every
+/// one of them, and proofs say their echoes once; the proposal's values
+/// are rebuilt from `proposed_set` instead of stored. The `0x0104` and
+/// `0x010A` layouts are retired (see [`crate::recovery`]).
+pub const GSBS_SNAPSHOT_KIND: u16 = 0x010C;
 
 impl Wire for Digest {
     fn encode(&self, w: &mut Writer) {
@@ -1203,18 +1276,16 @@ impl<V: SignableValue> Wire for SignedBatch<V> {
     }
 }
 
-impl<V: SignableValue> Wire for GSafeAck<V> {
+impl<V: SignableValue> Wire for GSafeAckReply<V> {
     fn encode(&self, w: &mut Writer) {
         w.var(self.round);
-        self.rcvd.encode(w);
         self.conflicts.encode(w);
         w.usize(self.signer);
         self.sig.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(GSafeAck {
+        Ok(GSafeAckReply {
             round: r.var()?,
-            rcvd: Wire::decode(r)?,
             conflicts: Wire::decode(r)?,
             signer: r.usize()?,
             sig: Signature::decode(r)?,
@@ -1379,8 +1450,11 @@ impl Wire for GsbsState {
 /// (`held_inits` after `safety_sets`, `held_safe_acks` after the
 /// safe-acks, `held_acks` after `ack_certs`): peers send their `Init`s
 /// once, so a restart that dropped held ones could not get them back.
-/// The proposal's values and digest follow `proposed_set`. Reconstructed
-/// as in SbS: key material, verifier,
+/// Safe-acks, held or counted, are written without their echo, which is
+/// `current_safe_req` for all of them and is written once before them.
+/// The proposal's digest follows `proposed_set`; the values of
+/// `proposed_set` and `accepted_set` are rebuilt from their records.
+/// Reconstructed as in SbS: key material, verifier,
 /// [`ProofCache`] and the delta bookkeeping (fresh bookkeeping degrades
 /// to `Full` payloads until peers reply again; the `Resync` fallback
 /// covers peers' stale claims about *us*).
@@ -1396,17 +1470,16 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
         self.batches.encode(w);
         self.safety_sets.encode(w);
         self.held_inits.encode(w);
-        self.safe_acks.encode(w);
-        self.safe_ack_senders.encode(w);
-        self.held_safe_acks.encode(w);
         self.current_safe_req.encode(w);
-        self.proposed_set.encode(w);
-        self.proposal_values.encode(w);
+        replies(&self.safe_acks).encode(w);
+        self.safe_ack_senders.encode(w);
+        replies(&self.held_safe_acks).encode(w);
+        self.proposed_set.records().encode(w);
         self.proposal_digest.encode(w);
         self.ack_certs.encode(w);
         self.held_acks.encode(w);
         self.safe_candidates.encode(w);
-        self.accepted_set.encode(w);
+        self.accepted_set.records().encode(w);
         // Resolver contents, most-recently-used first; ids are
         // recomputed on re-registration (see the SbS snapshot notes).
         let retained: Vec<BatchProof<V>> = self
@@ -1437,17 +1510,16 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
         let batches = Wire::decode(r)?;
         let safety_sets = Wire::decode(r)?;
         let held_inits = Wire::decode(r)?;
-        let safe_acks = Wire::decode(r)?;
+        let current_safe_req: ValueSet<SignedBatch<V>> = Wire::decode(r)?;
+        let safe_acks = echoing(&current_safe_req, Wire::decode(r)?);
         let safe_ack_senders = Wire::decode(r)?;
-        let held_safe_acks = Wire::decode(r)?;
-        let current_safe_req = Wire::decode(r)?;
-        let proposed_set = Wire::decode(r)?;
-        let proposal_values = Wire::decode(r)?;
+        let held_safe_acks = echoing(&current_safe_req, Wire::decode(r)?);
+        let proposed_set = Valued::new(Wire::decode(r)?);
         let proposal_digest = Wire::decode(r)?;
         let ack_certs = Wire::decode(r)?;
         let held_acks = Wire::decode(r)?;
         let safe_candidates = Wire::decode(r)?;
-        let accepted_set = Wire::decode(r)?;
+        let accepted_set = Valued::new(Wire::decode(r)?);
         let retained: Vec<BatchProof<V>> = Wire::decode(r)?;
         let safe_r = r.var()?;
         let decided_certs = Wire::decode(r)?;
@@ -1479,7 +1551,6 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
             held_safe_acks,
             current_safe_req,
             proposed_set,
-            proposal_values,
             proposal_digest,
             ack_certs,
             held_acks,
@@ -1533,7 +1604,7 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
             //   ≤ f crash budget (see `crate::recovery`).
             // * `Safetying` — re-broadcast the outstanding `safe_req`
             //   verbatim (`current_safe_req` is durable precisely so
-            //   the echo check still matches).
+            //   the replies are read against the set they signed).
             // * `Proposing` — re-broadcast the proposal at the current
             //   ts; acceptors re-ack idempotently, and a durable
             //   certificate for this round (ours or a peer's) can be
@@ -1607,17 +1678,19 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                     *cands = remove_conflicts(&union);
                     let ack = GSafeAck::sign(round, set, conflicts, self.me, &self.keypair);
                     self.verifier.record_own(&ack.obligation());
-                    ctx.send(from, GsbsMsg::SafeAck(ack));
+                    ctx.send(from, GsbsMsg::SafeAck(ack.reply()));
                 }
             }
-            GsbsMsg::SafeAck(ack) => {
-                if self.state != GsbsState::Safetying || ack.round != self.round {
+            GsbsMsg::SafeAck(reply) => {
+                if self.state != GsbsState::Safetying || reply.round != self.round {
                     return;
                 }
-                // Structural checks on arrival; the ack's signature and
-                // those of its conflict pairs wait for a quorum's worth.
+                // The reply does not echo the request: the ack is read as
+                // signed over our own. Structural checks on arrival; the
+                // ack's signature and those of its conflict pairs wait
+                // for a quorum's worth.
+                let ack = GSafeAck::from_reply(reply, self.current_safe_req.clone());
                 let structural = ack.signer == from
-                    && ack.rcvd == self.current_safe_req
                     && !self.safe_ack_senders.contains(&from)
                     && ack.conflicts.iter().all(|(a, b)| a.conflicts_with(b));
                 let quorum = self.config.quorum();
@@ -1660,7 +1733,7 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                     }
                 }
                 if self.ack_certs.len() >= quorum {
-                    let values = self.proposal_values.clone();
+                    let values = self.proposed_set.values().clone();
                     let cert = DecidedCert {
                         round: self.round,
                         values: values.clone(),
@@ -1690,7 +1763,7 @@ impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
                     ctx.send(
                         from,
                         GsbsMsg::AckReq {
-                            proposed: ProvenUpdate::Full(self.proposed_set.clone()),
+                            proposed: ProvenUpdate::Full(self.proposed_set.records().clone()),
                             ts: self.ts,
                             round: self.round,
                         },

@@ -68,6 +68,9 @@
 //! through a per-process [`bgla_crypto::ProofResolver`]. Unresolvable
 //! proposals fall back to `Full` via a resync round trip (only Byzantine
 //! senders trigger it).
+//! Within a proof, the request set its safe-acks echo travels once, and
+//! a safe-ack reply carries no echo at all: the proposer reads it as
+//! signed over its own request ([`proof::Proof`]'s codec form).
 #![warn(missing_docs)]
 // Thresholds are written exactly as in the paper (`f + 1`, `2f + 1`,
 // `⌊(n+f)/2⌋ + 1`); clippy's `x > y` rewrite would obscure the quorum math.

@@ -14,8 +14,10 @@
 //!
 //! [`Proof`] wraps the shared ack vector and **interns** its identity at
 //! construction: a [`ProofId`] — the content hash of the ack multiset
-//! (see [`bgla_crypto::proofstore`]) — plus the modeled wire size, both
-//! computed exactly once. Because the only way to build a `Proof` is
+//! (see [`bgla_crypto::proofstore`]) — plus the wire size, both
+//! computed exactly once. On the wire a proof says its acks' shared
+//! echo once (see the codec form on [`Proof`]'s `Wire` impl). Because
+//! the only way to build a `Proof` is
 //! [`Proof::new`], an id always matches its content — adversaries
 //! construct through the same constructor and cannot attach a mismatched
 //! id (the analogue of a receiver recomputing the hash after
@@ -28,18 +30,68 @@
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{ProofId, ProofIdBuilder};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// An ack that can be part of a [`Proof`]: supplies the canonical bytes
-/// the content address binds (content *and* signature) and its modeled
-/// wire size.
+/// An ack that can be part of a [`Proof`]: a signed safe-ack, which
+/// echoes the request set it answers. Supplies the canonical bytes the
+/// content address binds (content *and* signature), its echo, and its
+/// form without the echo — what a safe-ack reply ships, and what a proof
+/// ships per ack beside a reference to its echo.
 pub trait ProofAck: Clone + std::fmt::Debug + Send + Sync + 'static {
+    /// Element type of the echoed request set.
+    type Echoed: SetItem;
+
+    /// The ack without its echo.
+    type Reply;
+
     /// Writes the canonical bytes of this ack (everything verification
-    /// depends on, including the signature).
+    /// depends on, the echo and the signature included).
     fn digest_bytes(&self, out: &mut Vec<u8>);
 
-    /// Modeled serialized size of this ack in bytes.
-    fn wire_size(&self) -> usize;
+    /// The request set this ack echoes (it is inside the signature).
+    fn echo(&self) -> &ValueSet<Self::Echoed>;
+
+    /// This ack without its echo.
+    fn reply(&self) -> Self::Reply;
+
+    /// The ack `reply` stands for when it was signed over `echo`.
+    fn from_reply(reply: Self::Reply, echo: ValueSet<Self::Echoed>) -> Self;
+
+    /// Modeled serialized size of [`Self::reply`] in bytes.
+    fn reply_wire_size(&self) -> usize;
+}
+
+/// `acks` without their echoes: how a snapshot stores safe-acks that all
+/// echo one set, which it stores once.
+pub(crate) fn replies<A: ProofAck>(acks: &[A]) -> Vec<A::Reply> {
+    acks.iter().map(A::reply).collect()
+}
+
+/// The acks `replies` stand for when each was signed over `echo`.
+pub(crate) fn echoing<A: ProofAck>(echo: &ValueSet<A::Echoed>, replies: Vec<A::Reply>) -> Vec<A> {
+    replies
+        .into_iter()
+        .map(|reply| A::from_reply(reply, echo.clone()))
+        .collect()
+}
+
+/// The distinct echoes of `acks` in first-use order, and each ack's index
+/// into them: the shape of a proof on the wire. Honest acks share one
+/// echo handle, so each lookup is one pointer comparison.
+fn echo_table<A: ProofAck>(acks: &[A]) -> (Vec<&ValueSet<A::Echoed>>, Vec<usize>) {
+    let mut index: BTreeMap<&ValueSet<A::Echoed>, usize> = BTreeMap::new();
+    let mut echoes = Vec::new();
+    let of = acks
+        .iter()
+        .map(|ack| {
+            *index.entry(ack.echo()).or_insert_with(|| {
+                echoes.push(ack.echo());
+                echoes.len() - 1
+            })
+        })
+        .collect();
+    (echoes, of)
 }
 
 /// A shared proof of safety with an interned content address and cached
@@ -54,15 +106,20 @@ pub struct Proof<A: ProofAck> {
 
 impl<A: ProofAck> Proof<A> {
     /// Builds a proof, computing its content address and wire size once.
+    /// The size is that of the codec form: each distinct echo once, then
+    /// per ack its echo's index and the ack without its echo.
     pub fn new(acks: Vec<A>) -> Self {
         let mut builder = ProofIdBuilder::new();
         let mut buf = Vec::new();
-        let mut wire = var_len(acks.len() as u64);
-        for ack in &acks {
+        let (echoes, of) = echo_table(&acks);
+        let mut wire = var_len(echoes.len() as u64)
+            + echoes.iter().map(|e| e.wire_size()).sum::<usize>()
+            + var_len(acks.len() as u64);
+        for (ack, i) in acks.iter().zip(of) {
             buf.clear();
             ack.digest_bytes(&mut buf);
             builder.add_ack(&buf);
-            wire += ack.wire_size();
+            wire += var_len(i as u64) + ack.reply_wire_size();
         }
         Proof {
             acks: Arc::new(acks),
@@ -96,8 +153,7 @@ impl<A: ProofAck> Proof<A> {
         &self.acks
     }
 
-    /// Cached modeled wire size of the whole ack vector, its length
-    /// prefix included (`O(1)`).
+    /// Cached size of the proof's encoding (`O(1)`).
     pub fn wire_size(&self) -> usize {
         self.wire
     }
@@ -140,24 +196,68 @@ impl<'a, A: ProofAck> IntoIterator for &'a Proof<A> {
     }
 }
 
-/// Codec form: just the ack vector. The content address is *never* on
+/// Codec form: the acks' echoes said once, then the acks without them.
+///
+/// ```text
+/// var(#echoes) | echo… (each distinct echo once, in first-use order)
+/// var(#acks)   | (var(echo index) | ack without its echo)…
+/// ```
+///
+/// The acks of an honest proof all echo the proposer's request, so it
+/// ships that set once instead of once per ack; a Byzantine proof whose
+/// acks echo `k` different sets ships `k`. Decoding gives every ack a
+/// shared handle of its echo and rejects an index past the echoes, an
+/// echo listed twice or never used, and echoes out of first-use order, so
+/// a proof has exactly one encoding. The content address is *never* on
 /// the wire — decoding rebuilds through [`Proof::new`], which recomputes
 /// the id from the decoded acks, preserving the constructor's invariant
 /// that an id always matches its content (a snapshot, like a network
 /// peer, cannot attach a mismatched id).
-impl<A: ProofAck + Wire> Wire for Proof<A> {
+impl<A: ProofAck> Wire for Proof<A>
+where
+    A::Echoed: Wire,
+    A::Reply: Wire,
+{
     fn encode(&self, w: &mut Writer) {
+        let (echoes, of) = echo_table(&self.acks);
+        w.usize(echoes.len());
+        for echo in echoes {
+            echo.encode(w);
+        }
         w.usize(self.acks.len());
-        for ack in self.acks.iter() {
-            ack.encode(w);
+        for (ack, i) in self.acks.iter().zip(of) {
+            w.usize(i);
+            ack.reply().encode(w);
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let listed = r.seq_len()?;
+        let mut echoes = Vec::with_capacity(listed);
+        for _ in 0..listed {
+            echoes.push(ValueSet::<A::Echoed>::decode(r)?);
+        }
+        if echoes.iter().collect::<BTreeSet<_>>().len() != listed {
+            return Err(CodecError::Invalid("proof echo listed twice"));
+        }
         let n = r.seq_len()?;
         let mut acks = Vec::with_capacity(n);
+        let mut used = 0;
         for _ in 0..n {
-            acks.push(A::decode(r)?);
+            let i = r.usize()?;
+            let echo = echoes
+                .get(i)
+                .ok_or(CodecError::Invalid("proof echo index out of range"))?;
+            if i > used {
+                return Err(CodecError::Invalid("proof echoes out of first-use order"));
+            }
+            if i == used {
+                used += 1;
+            }
+            acks.push(A::from_reply(A::Reply::decode(r)?, echo.clone()));
+        }
+        if used != listed {
+            return Err(CodecError::Invalid("proof echo never used"));
         }
         Ok(Proof::new(acks))
     }
@@ -198,35 +298,113 @@ pub fn remove_conflicts<T: Conflicting>(set: &ValueSet<T>) -> ValueSet<T> {
     out
 }
 
+/// A minimal ack for the unit tests of this crate: a number that echoes
+/// a set of numbers.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::ProofAck;
+    use crate::valueset::ValueSet;
+
+    #[derive(Debug, Clone)]
+    pub(crate) struct TestAck {
+        pub(crate) echo: ValueSet<u64>,
+        pub(crate) n: u64,
+    }
+
+    impl ProofAck for TestAck {
+        type Echoed = u64;
+        type Reply = u64;
+        fn digest_bytes(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&(self.echo.len() as u64).to_le_bytes());
+            for v in &self.echo {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out.extend_from_slice(&self.n.to_le_bytes());
+        }
+        fn echo(&self) -> &ValueSet<u64> {
+            &self.echo
+        }
+        fn reply(&self) -> u64 {
+            self.n
+        }
+        fn from_reply(n: u64, echo: ValueSet<u64>) -> Self {
+            TestAck { echo, n }
+        }
+        fn reply_wire_size(&self) -> usize {
+            8
+        }
+    }
+
+    /// An ack `n` echoing the empty set.
+    pub(crate) fn ack(n: u64) -> TestAck {
+        TestAck {
+            echo: ValueSet::new(),
+            n,
+        }
+    }
+
+    /// A proof of acks echoing the empty set.
+    pub(crate) fn proof(ns: &[u64]) -> super::Proof<TestAck> {
+        super::Proof::new(ns.iter().map(|&n| ack(n)).collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::{proof, TestAck};
     use super::*;
+    use bgla_codec::{decode_payload, encode_payload};
 
-    impl ProofAck for u64 {
-        fn digest_bytes(&self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&self.to_le_bytes());
-        }
-        fn wire_size(&self) -> usize {
-            8
+    fn echoing(echo: &ValueSet<u64>, n: u64) -> TestAck {
+        TestAck {
+            echo: echo.clone(),
+            n,
         }
     }
 
     #[test]
     fn identity_is_content_addressed() {
-        let a = Proof::new(vec![1u64, 2, 3]);
-        let b = Proof::new(vec![3u64, 1, 2]);
-        let c = Proof::new(vec![1u64, 2, 4]);
+        let a = proof(&[1, 2, 3]);
+        let b = proof(&[3, 1, 2]);
+        let c = proof(&[1, 2, 4]);
         assert_eq!(a.id(), b.id(), "ack order must not matter");
         assert_eq!(a, b);
         assert_ne!(a.id(), c.id());
-        assert_eq!(a.wire_size(), 1 + 24);
+        // One echo (the empty set), three acks of index 0 and 8 bytes.
+        assert_eq!(a.wire_size(), 1 + 1 + 1 + 3 * 9);
     }
 
     #[test]
     fn clone_shares_the_allocation() {
-        let a = Proof::new(vec![7u64]);
+        let a = proof(&[7]);
         let b = a.clone();
         assert!(Arc::ptr_eq(&a.acks, &b.acks));
         assert_eq!(a.id(), b.id());
+    }
+
+    #[test]
+    fn each_distinct_echo_ships_once() {
+        let x: ValueSet<u64> = [1, 2, 3].into_iter().collect();
+        let y: ValueSet<u64> = [4].into_iter().collect();
+        let one = Proof::new((0..4).map(|n| echoing(&x, n)).collect());
+        assert_eq!(one.wire_size(), 1 + x.wire_size() + 1 + 4 * 9);
+        let two = Proof::new(vec![echoing(&y, 0), echoing(&x, 1), echoing(&y, 2)]);
+        assert_eq!(
+            two.wire_size(),
+            1 + y.wire_size() + x.wire_size() + 1 + 3 * 9
+        );
+        for p in [one, two] {
+            let bytes = encode_payload(&p);
+            assert_eq!(bytes.len(), p.wire_size());
+            let back: Proof<TestAck> = decode_payload(&bytes).unwrap();
+            assert_eq!(back.id(), p.id());
+            assert_eq!(encode_payload(&back), bytes);
+            // Acks that echo one set share one handle of it.
+            for a in back.iter() {
+                for b in back.iter() {
+                    assert_eq!(a.echo == b.echo, a.echo.ptr_eq(&b.echo));
+                }
+            }
+        }
     }
 }

@@ -80,7 +80,18 @@
 //! Delta { base_ts, new, refs }  : 1 (tag) + var(base_ts) + new bytes
 //!                                 + Σ inline-distinct-proof bytes
 //!                                 + |refs| × PROOF_REF_BYTES
+//! proof                         : var(#echoes) + Σ distinct-echo bytes
+//!                                 + var(#acks) + Σ (var(echo index)
+//!                                 + ack-without-echo bytes)
 //! ```
+//!
+//! A proof's bytes are exactly its encoding ([`Proof::wire_size`]): each
+//! distinct echoed request set once, and per ack an index into them —
+//! one echo for an honest proof, whose acks all echo the proposer's
+//! request. What the model leaves out is the encoder's copy of a proof
+//! per record: the model counts each distinct proof once per message, the
+//! encoder writes it beside every record that carries it, so a payload's
+//! model is a lower bound on its encoding.
 
 use crate::proof::{Proof, ProofAck};
 use crate::valueset::{DeltaReceiver, DeltaSender, SetItem, SetUpdate, ValueSet};
@@ -101,6 +112,12 @@ use std::collections::{BTreeMap, BTreeSet};
 pub trait ProvenRecord: SetItem {
     /// The ack type of the attached proof.
     type Ack: ProofAck;
+
+    /// The plain values a record carries.
+    type Value: SetItem;
+
+    /// The values this record carries.
+    fn values(&self) -> &[Self::Value];
 
     /// The attached proof of safety.
     fn proof(&self) -> &Proof<Self::Ack>;
@@ -138,7 +155,7 @@ pub enum ProvenUpdate<T: ProvenRecord> {
 /// [`ProofResolver`], never trusted structurally.
 impl<T: ProvenRecord + Wire> Wire for ProvenUpdate<T>
 where
-    T::Ack: Wire,
+    Proof<T::Ack>: Wire,
 {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -206,6 +223,66 @@ impl<T: ProvenRecord> ProvenUpdate<T> {
     /// Modeled payload size in bytes.
     pub fn wire_size(&self) -> usize {
         self.metered().0
+    }
+}
+
+/// The values the records of `set` carry.
+fn values_of<T: ProvenRecord>(set: &ValueSet<T>) -> ValueSet<T::Value> {
+    set.iter()
+        .flat_map(|r| r.values().iter().cloned())
+        .collect()
+}
+
+/// A proven set with the values its records carry beside it, both
+/// changed by the same calls — so a handler comparing values does not
+/// rebuild them from the records per message.
+///
+/// Not [`Wire`]: an owner encodes [`Self::records`] alone and rebuilds
+/// the values with [`Valued::new`] when it decodes them.
+#[derive(Debug, Clone)]
+pub(crate) struct Valued<T: ProvenRecord> {
+    records: ValueSet<T>,
+    values: ValueSet<T::Value>,
+}
+
+impl<T: ProvenRecord> Valued<T> {
+    /// `records` with their values.
+    pub(crate) fn new(records: ValueSet<T>) -> Self {
+        let values = values_of(&records);
+        Valued { records, values }
+    }
+
+    /// The proven records.
+    pub(crate) fn records(&self) -> &ValueSet<T> {
+        &self.records
+    }
+
+    /// The values the records carry.
+    pub(crate) fn values(&self) -> &ValueSet<T::Value> {
+        &self.values
+    }
+
+    /// Inserts `record` and its values.
+    pub(crate) fn insert(&mut self, record: T) {
+        let values: ValueSet<T::Value> = record.values().iter().cloned().collect();
+        if self.records.insert(record) {
+            self.values.join_with(&values);
+        }
+    }
+
+    /// Joins `other` in, records and values.
+    pub(crate) fn join_with(&mut self, other: &Valued<T>) {
+        self.records.join_with(&other.records);
+        self.values.join_with(&other.values);
+    }
+}
+
+impl<T: ProvenRecord> Default for Valued<T> {
+    fn default() -> Self {
+        Valued {
+            records: ValueSet::new(),
+            values: ValueSet::new(),
+        }
     }
 }
 
@@ -455,15 +532,15 @@ impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proof::testing::{proof, TestAck};
     use bgla_crypto::ProofIdBuilder;
 
     /// Minimal proven record for unit tests: a value plus a proof of
-    /// `u64` "acks" (the `ProofAck for u64` test impl in
-    /// [`crate::proof`]).
+    /// numbered test acks ([`crate::proof::testing`]).
     #[derive(Debug, Clone)]
     struct Rec {
         v: u64,
-        proof: Proof<u64>,
+        proof: Proof<TestAck>,
     }
 
     impl PartialEq for Rec {
@@ -489,11 +566,15 @@ mod tests {
         }
     }
     impl ProvenRecord for Rec {
-        type Ack = u64;
-        fn proof(&self) -> &Proof<u64> {
+        type Ack = TestAck;
+        type Value = u64;
+        fn values(&self) -> &[u64] {
+            std::slice::from_ref(&self.v)
+        }
+        fn proof(&self) -> &Proof<TestAck> {
             &self.proof
         }
-        fn with_proof(&self, proof: Proof<u64>) -> Self {
+        fn with_proof(&self, proof: Proof<TestAck>) -> Self {
             Rec { v: self.v, proof }
         }
     }
@@ -501,7 +582,7 @@ mod tests {
     fn rec(v: u64, acks: &[u64]) -> Rec {
         Rec {
             v,
-            proof: Proof::new(acks.to_vec()),
+            proof: proof(acks),
         }
     }
 
@@ -518,7 +599,7 @@ mod tests {
     #[test]
     fn first_contact_is_full_and_replies_enable_deltas() {
         let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
-        let mut resolver: ProofResolver<Proof<u64>> = ProofResolver::default();
+        let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         let s0 = set(&[rec(1, &[10]), rec(2, &[10])]);
         tx.record_broadcast(1, &s0);
         assert!(matches!(tx.encode_for(9, 1, &s0), ProvenUpdate::Full(_)));
@@ -548,7 +629,7 @@ mod tests {
     #[test]
     fn unknown_base_and_unknown_ref_are_gaps() {
         let rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::new();
-        let mut resolver: ProofResolver<Proof<u64>> = ProofResolver::default();
+        let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         let bogus_base = ProvenUpdate::Delta {
             base_ts: 77,
             new: set(&[rec(1, &[1])]),
@@ -573,7 +654,7 @@ mod tests {
     #[test]
     fn junk_refs_matching_no_record_are_ignored() {
         let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::new();
-        let mut resolver: ProofResolver<Proof<u64>> = ProofResolver::default();
+        let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         rx.record(3, 0, &ValueSet::new());
         let u = ProvenUpdate::Delta {
             base_ts: 0,
@@ -623,7 +704,7 @@ mod tests {
         }
         // P resolves against its own snapshot.
         let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
-        let mut resolver: ProofResolver<Proof<u64>> = ProofResolver::default();
+        let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         tx.record_broadcast(3, &s_p);
         let full = tx.resolve_reply(&u, &mut resolver).expect("no gap");
         assert_eq!(full, accepted);
@@ -690,9 +771,9 @@ mod tests {
 
     #[test]
     fn metered_counts_refs_not_proofs() {
-        // 6 acks × 8 bytes: a proof bigger than PROOF_REF_BYTES, so the
+        // 6 acks of 9 bytes: a proof bigger than PROOF_REF_BYTES, so the
         // delta arm is genuinely cheaper.
-        let shared = Proof::new(vec![1u64, 2, 3, 4, 5, 6]);
+        let shared = proof(&[1, 2, 3, 4, 5, 6]);
         let a = Rec {
             v: 1,
             proof: shared.clone(),
@@ -720,5 +801,17 @@ mod tests {
         assert_eq!(dp.flat_bytes, 2 * shared.wire_size() as u64);
         assert_eq!(delta_bytes, 1 + 1 + (1 + 16) + PROOF_REF_BYTES);
         assert!(delta_bytes < full_bytes);
+    }
+
+    #[test]
+    fn valued_keeps_values_beside_records() {
+        let mut a = Valued::new(set(&[rec(3, &[1]), rec(1, &[1])]));
+        assert_eq!(a.values(), &[1, 3].into_iter().collect());
+        a.insert(rec(2, &[2]));
+        a.insert(rec(3, &[9]));
+        let b = Valued::new(set(&[rec(5, &[5]), rec(1, &[7])]));
+        a.join_with(&b);
+        assert_eq!(a.values(), &values_of(a.records()));
+        assert_eq!(a.values(), &[1, 2, 3, 5].into_iter().collect());
     }
 }

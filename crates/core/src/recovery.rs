@@ -10,22 +10,25 @@
 //! ```
 //!
 //! The `kind` field names the algorithm that wrote it — WTS `0x0105`,
-//! GWTS `0x0108`, SbS `0x0109`, GSbS `0x010A` — so a snapshot can never
+//! GWTS `0x0108`, SbS `0x010B`, GSbS `0x010C` — so a snapshot can never
 //! be decoded as the wrong process type (`0x0101`, `0x0102`, `0x0103`,
-//! `0x0104`, `0x0106` and `0x0107` are retired, never to be reused: they
-//! name the WTS and GWTS payload layouts from before the rbcast engine
-//! kept slots, the GWTS layouts from before acks were per-origin delta
-//! streams and from before quorums were counted per `(round, set)`, and
-//! the SbS and GSbS layouts from before signed records were held
-//! unverified until a threshold's worth had arrived; such a
-//! snapshot must be rejected, not misread), and the trailing checksum makes
-//! truncation and bit-rot detectable before any field is parsed. The
-//! `version` field is [`bgla_codec::FRAME_VERSION`] (4); a snapshot
-//! written under any other payload layout carries another version and
-//! is rejected as `BadVersion`, never mis-parsed. Version 4 made every
-//! length, id, round, timestamp and tag a varint: it invalidates every
-//! snapshot stored before it, of all four kinds at once, which is why no
-//! kind had to be retired for it. The
+//! `0x0104`, `0x0106`, `0x0107`, `0x0109` and `0x010A` are retired, never
+//! to be reused: they name the WTS and GWTS payload layouts from before
+//! the rbcast engine kept slots, the GWTS layouts from before acks were
+//! per-origin delta streams and from before quorums were counted per
+//! `(round, set)`, the SbS and GSbS layouts from before signed records
+//! were held unverified until a threshold's worth had arrived, and the
+//! SbS and GSbS layouts from before safe-acks and proofs said their echo
+//! once; such a snapshot must be rejected, not misread), and the trailing
+//! checksum makes truncation and bit-rot detectable before any field is
+//! parsed. The `version` field is [`bgla_codec::FRAME_VERSION`] (5); a
+//! snapshot written under any other payload layout carries another
+//! version and is rejected as `BadVersion`, never mis-parsed. Version 4
+//! made every length, id, round, timestamp and tag a varint: it
+//! invalidates every snapshot stored before it, of all four kinds at
+//! once, which is why no kind had to be retired for it. Version 5 ships a
+//! proof's echoed request set once and a safe-ack reply without it, on
+//! the wire as in snapshots. The
 //! payload serializes the *durable* protocol state in declaration order
 //! (configuration, proposal/input schedule, phase, collected acks,
 //! retained proofs-of-safety, decisions). Volatile machinery —

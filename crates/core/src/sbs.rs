@@ -66,15 +66,39 @@
 //! [`crate::provendelta`] for the reference discipline and the modeled
 //! wire format.
 //!
+//! # Echoes said once (this implementation)
+//!
+//! A `safe_ack` signs the request set it answers (`rcvd`), and the
+//! proposer counts only `safe_ack`s signed over its own `Safety_set`. So
+//! the echo tells the proposer nothing it does not hold, and neither copy
+//! of it travels more than once:
+//!
+//! * the [`SbsMsg::SafeAck`] reply is a [`SafeAckReply`], the ack without
+//!   `rcvd`. The proposer attaches its own `Safety_set` before holding
+//!   it. An acceptor that signed some other set has then signed bytes
+//!   other than the ones checked: its ack fails at quorum exactly as a
+//!   forged signature does, which flags it in `byz` before `Proposing`.
+//!   It costs the failed batch and the fallback once; the verifier's
+//!   cache answers a redelivery;
+//! * a [`SafetyProof`] ships the set its acks echo once, and per ack an
+//!   index into the distinct echoes ([`Proof`]'s codec form), instead of
+//!   one copy per ack. A Byzantine proof whose acks echo `k` different
+//!   sets still decodes, at `k` echoes' cost, and `AllSafe` judges it
+//!   exactly as before.
+//!
+//! What is signed, hashed and verified does not change: the echo is
+//! inside every signature and every [`bgla_crypto::ProofId`].
+//!
 //! # Verify at quorum (this implementation)
 //!
 //! The proposer acts only on `n − f` signed inits and on a quorum of
 //! signed safe-acks, so it checks neither alone as it arrives
 //! ([`crate::held`]). An init whose signer is its sender, whose value
 //! passes the validator and which is not yet in `Safety_set` is held in
-//! `held_inits` while the proposer is in `Init`; a safe-ack that passes
-//! the structural half of `VerifyConfPair` (echo, signer, conflict
-//! shapes) is held in `held_safe_acks` while it is safetying. Once held
+//! `held_inits` while the proposer is in `Init`; a safe-ack, read with
+//! `Safety_set` as its echo, that passes the structural half of
+//! `VerifyConfPair` (signer, conflict shapes) is held in
+//! `held_safe_acks` while it is safetying. Once held
 //! plus verified reach the threshold, all held records are checked in one
 //! batch ([`bgla_crypto::CachedVerifier::verify_groups`]); valid inits
 //! join `Safety_set` in arrival order with conflict removal after each,
@@ -95,9 +119,11 @@
 
 use crate::config::SystemConfig;
 use crate::held::{self, hold, verify_held, Held};
-use crate::proof::{remove_conflicts, return_conflicts, Conflicting, Proof, ProofAck};
+use crate::proof::{
+    echoing, remove_conflicts, replies, return_conflicts, Conflicting, Proof, ProofAck,
+};
 use crate::provendelta::{
-    register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate,
+    register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
 };
 use crate::value::SignableValue;
 use crate::valueset::{SetItem, ValueSet};
@@ -254,21 +280,68 @@ impl<V: SignableValue> Held for SignedSafeAck<V> {
 }
 
 impl<V: SignableValue> ProofAck for SignedSafeAck<V> {
+    type Echoed = SignedValue<V>;
+    type Reply = SafeAckReply<V>;
     fn digest_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.body.signable_bytes(self.signer));
         out.extend_from_slice(&self.sig.to_bytes());
     }
-    fn wire_size(&self) -> usize {
-        let conflicts = &self.body.conflicts;
-        self.body.rcvd.wire_size()
-            + var_len(conflicts.len() as u64)
-            + conflicts
-                .iter()
-                .map(|(a, b)| SetItem::wire_size(a) + SetItem::wire_size(b))
-                .sum::<usize>()
-            + var_len(self.signer as u64)
-            + 64
+    fn echo(&self) -> &ValueSet<SignedValue<V>> {
+        &self.body.rcvd
     }
+    fn reply(&self) -> SafeAckReply<V> {
+        SafeAckReply {
+            conflicts: self.body.conflicts.clone(),
+            signer: self.signer,
+            sig: self.sig,
+        }
+    }
+    fn from_reply(reply: SafeAckReply<V>, rcvd: ValueSet<SignedValue<V>>) -> Self {
+        SignedSafeAck {
+            body: SafeAckBody {
+                rcvd,
+                conflicts: reply.conflicts,
+            },
+            signer: reply.signer,
+            sig: reply.sig,
+        }
+    }
+    fn reply_wire_size(&self) -> usize {
+        reply_wire_size(&self.body.conflicts, self.signer)
+    }
+}
+
+/// A `safe_ack` as it travels back to the proposer: everything but the
+/// echo, which is the proposer's own `Safety_set` (see the module docs).
+#[derive(Debug, Clone)]
+pub struct SafeAckReply<V: SignableValue> {
+    /// Conflicting pairs known to the acceptor.
+    pub conflicts: Vec<(SignedValue<V>, SignedValue<V>)>,
+    /// The acceptor that produced it.
+    pub signer: ProcessId,
+    /// Signature over the echoed request and the conflicts.
+    pub sig: Signature,
+}
+
+impl<V: SignableValue> SafeAckReply<V> {
+    /// Length of the [`Wire`] encoding.
+    pub fn wire_size(&self) -> usize {
+        reply_wire_size(&self.conflicts, self.signer)
+    }
+}
+
+/// Length of a `safe_ack`'s encoding without its echo.
+fn reply_wire_size<V: SignableValue>(
+    conflicts: &[(SignedValue<V>, SignedValue<V>)],
+    signer: ProcessId,
+) -> usize {
+    var_len(conflicts.len() as u64)
+        + conflicts
+            .iter()
+            .map(|(a, b)| SetItem::wire_size(a) + SetItem::wire_size(b))
+            .sum::<usize>()
+        + var_len(signer as u64)
+        + 64
 }
 
 /// A proof of safety: a quorum of safe-acks none of which conflicts the
@@ -318,6 +391,10 @@ impl<V: SignableValue> SetItem for ProvenValue<V> {
 
 impl<V: SignableValue> ProvenRecord for ProvenValue<V> {
     type Ack = SignedSafeAck<V>;
+    type Value = V;
+    fn values(&self) -> &[V] {
+        std::slice::from_ref(&self.sv.value)
+    }
     fn proof(&self) -> &SafetyProof<V> {
         &self.proof
     }
@@ -336,8 +413,9 @@ pub enum SbsMsg<V: SignableValue> {
     Init(SignedValue<V>),
     /// Safetying phase: proposer → acceptors.
     SafeReq(ValueSet<SignedValue<V>>),
-    /// Safetying phase: acceptor → proposer.
-    SafeAck(SignedSafeAck<V>),
+    /// Safetying phase: acceptor → proposer, without the echo of the
+    /// request.
+    SafeAck(SafeAckReply<V>),
     /// Proposing phase: proposer → acceptors, values carry proofs —
     /// delta-encoded with proof-by-reference after first contact.
     AckReq {
@@ -410,7 +488,7 @@ impl<V: SignableValue> WireMessage for SbsMsg<V> {
             }
             SbsMsg::Init(sv) => plain(SetItem::wire_size(sv)),
             SbsMsg::SafeReq(set) => plain(set.wire_size()),
-            SbsMsg::SafeAck(ack) => plain(ProofAck::wire_size(ack)),
+            SbsMsg::SafeAck(ack) => plain(ack.wire_size()),
             SbsMsg::Ack { values, ts } => plain(values.wire_size() + var_len(*ts)),
             SbsMsg::Resync { ts } => plain(var_len(*ts)),
         }
@@ -457,14 +535,14 @@ pub struct SbsProcess<V: SignableValue> {
     held_safe_acks: Vec<SignedSafeAck<V>>,
     /// `byz[]` flags.
     byz: BTreeSet<ProcessId>,
-    /// Proven proposal.
-    proposed_set: ValueSet<ProvenValue<V>>,
+    /// Proven proposal, with its values.
+    proposed_set: Valued<ProvenValue<V>>,
     ack_set: BTreeSet<ProcessId>,
     ts: u64,
     /// Acceptor: candidates for safety (conflicts removed).
     safe_candidates: ValueSet<SignedValue<V>>,
-    /// Acceptor: accepted proven set.
-    accepted_set: ValueSet<ProvenValue<V>>,
+    /// Acceptor: accepted proven set, with its values.
+    accepted_set: Valued<ProvenValue<V>>,
     /// Memoized full-proof verdicts, keyed by [`ProofId`].
     // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
     proof_cache: ProofCache,
@@ -510,11 +588,11 @@ impl<V: SignableValue> SbsProcess<V> {
             safe_ack_senders: BTreeSet::new(),
             held_safe_acks: Vec::new(),
             byz: BTreeSet::new(),
-            proposed_set: ValueSet::new(),
+            proposed_set: Valued::default(),
             ack_set: BTreeSet::new(),
             ts: 0,
             safe_candidates: ValueSet::new(),
-            accepted_set: ValueSet::new(),
+            accepted_set: Valued::default(),
             proof_cache: ProofCache::default(),
             delta_tx: ProvenDeltaSender::new(),
             delta_rx: ProvenDeltaReceiver::new(),
@@ -555,10 +633,7 @@ impl<V: SignableValue> SbsProcess<V> {
     /// The values of the current proven proposal — read by the
     /// conformance observers to emit refine-snapshot op events.
     pub fn proposed_values(&self) -> ValueSet<V> {
-        self.proposed_set
-            .iter()
-            .map(|pv| pv.sv.value.clone())
-            .collect()
+        self.proposed_set.values().clone()
     }
 
     /// `Safety_set` so far (verified and conflict-pruned; held inits are
@@ -673,10 +748,11 @@ impl<V: SignableValue> SbsProcess<V> {
     /// first contact or after a resync; clones are `O(1)` so the
     /// snapshot is cheap).
     fn broadcast_proposal(&mut self, ctx: &mut Context<SbsMsg<V>>) {
-        self.delta_tx.record_broadcast(self.ts, &self.proposed_set);
+        let proposed = self.proposed_set.records();
+        self.delta_tx.record_broadcast(self.ts, proposed);
         let updates = self
             .delta_tx
-            .encode_broadcast(self.config.n, self.ts, &self.proposed_set);
+            .encode_broadcast(self.config.n, self.ts, proposed);
         for (to, proposed) in updates.into_iter().enumerate() {
             ctx.send(
                 to,
@@ -686,10 +762,6 @@ impl<V: SignableValue> SbsProcess<V> {
                 },
             );
         }
-    }
-
-    fn values_of(set: &ValueSet<ProvenValue<V>>) -> ValueSet<V> {
-        set.iter().map(|pv| pv.sv.value.clone()).collect()
     }
 
     /// Transitions Init → Safetying when enough signed inits are
@@ -745,11 +817,11 @@ impl<V: SignableValue> SbsProcess<V> {
 // Durable state (crash snapshots)
 // ---------------------------------------------------------------------------
 
-/// Frame kind tag for SbS process snapshots. `0x0109` since inits and
-/// safe-acks are held unverified until a threshold's worth has arrived:
-/// the payload gained the held records, so the `0x0103` layout is retired
-/// (see [`crate::recovery`]).
-pub const SBS_SNAPSHOT_KIND: u16 = 0x0109;
+/// Frame kind tag for SbS process snapshots. `0x010B` since safe-acks are
+/// stored without their echo, which is `safety_set` for every one of
+/// them, and proofs say their echoes once. The `0x0103` and `0x0109`
+/// layouts are retired (see [`crate::recovery`]).
+pub const SBS_SNAPSHOT_KIND: u16 = 0x010B;
 
 /// Codec form: value, signer, signature. Decoding does *not* verify the
 /// signature — snapshots are checksummed local state, and every network
@@ -769,28 +841,15 @@ impl<V: SignableValue> Wire for SignedValue<V> {
     }
 }
 
-impl<V: SignableValue> Wire for SafeAckBody<V> {
+impl<V: SignableValue> Wire for SafeAckReply<V> {
     fn encode(&self, w: &mut Writer) {
-        self.rcvd.encode(w);
         self.conflicts.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SafeAckBody {
-            rcvd: Wire::decode(r)?,
-            conflicts: Wire::decode(r)?,
-        })
-    }
-}
-
-impl<V: SignableValue> Wire for SignedSafeAck<V> {
-    fn encode(&self, w: &mut Writer) {
-        self.body.encode(w);
         w.usize(self.signer);
         self.sig.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SignedSafeAck {
-            body: Wire::decode(r)?,
+        Ok(SafeAckReply {
+            conflicts: Wire::decode(r)?,
             signer: r.usize()?,
             sig: Signature::decode(r)?,
         })
@@ -897,7 +956,9 @@ impl Wire for SbsState {
 /// dropped held ones could not get them back), both proven sets, the
 /// refinement clock, the retained [`ProofResolver`] contents (LRU-first,
 /// so re-registration reproduces eviction order), and the decision
-/// record.
+/// record. Safe-acks, held or counted, are written without their echo,
+/// which is `safety_set` for all of them; the values of the proven sets
+/// are rebuilt from their records.
 ///
 /// Reconstructed: key material and the verifier (the PKI is
 /// deterministic per process id), the [`ProofCache`] (verdicts are
@@ -915,15 +976,15 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
         self.state.encode(w);
         self.safety_set.encode(w);
         self.held_inits.encode(w);
-        self.safe_acks.encode(w);
+        replies(&self.safe_acks).encode(w);
         self.safe_ack_senders.encode(w);
-        self.held_safe_acks.encode(w);
+        replies(&self.held_safe_acks).encode(w);
         self.byz.encode(w);
-        self.proposed_set.encode(w);
+        self.proposed_set.records().encode(w);
         self.ack_set.encode(w);
         w.var(self.ts);
         self.safe_candidates.encode(w);
-        self.accepted_set.encode(w);
+        self.accepted_set.records().encode(w);
         // Resolver contents, most-recently-used first. Ids are *not*
         // serialized: re-registration recomputes each proof's content
         // address, so a tampered snapshot cannot alias one proof's id
@@ -945,17 +1006,17 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
         let me = r.usize()?;
         let proposal = V::decode(r)?;
         let state = SbsState::decode(r)?;
-        let safety_set = Wire::decode(r)?;
+        let safety_set: ValueSet<SignedValue<V>> = Wire::decode(r)?;
         let held_inits = Wire::decode(r)?;
-        let safe_acks = Wire::decode(r)?;
+        let safe_acks = echoing(&safety_set, Wire::decode(r)?);
         let safe_ack_senders = Wire::decode(r)?;
-        let held_safe_acks = Wire::decode(r)?;
+        let held_safe_acks = echoing(&safety_set, Wire::decode(r)?);
         let byz = Wire::decode(r)?;
-        let proposed_set = Wire::decode(r)?;
+        let proposed_set = Valued::new(Wire::decode(r)?);
         let ack_set = Wire::decode(r)?;
         let ts = r.var()?;
         let safe_candidates = Wire::decode(r)?;
-        let accepted_set = Wire::decode(r)?;
+        let accepted_set = Valued::new(Wire::decode(r)?);
         let retained: Vec<SafetyProof<V>> = Wire::decode(r)?;
         let decision = Wire::decode(r)?;
         let decision_depth = Wire::decode(r)?;
@@ -1096,23 +1157,26 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                     };
                     let ack = SignedSafeAck::sign(body, self.me, &self.keypair);
                     self.verifier.record_own(&ack.obligation());
-                    ctx.send(from, SbsMsg::SafeAck(ack));
+                    ctx.send(from, SbsMsg::SafeAck(ack.reply()));
                     self.safe_candidates = remove_conflicts(&union);
                 }
             }
             // ---- Safetying phase (proposer side) ----
-            SbsMsg::SafeAck(ack) => {
+            SbsMsg::SafeAck(reply) => {
                 if self.state != SbsState::Safetying {
                     return;
                 }
-                // `VerifyConfPair`, at quorum: structural checks on
-                // arrival, then every held ack's signatures (both pair
-                // members and the ack itself) in one batch once a
-                // quorum's worth of senders is in hand. A sender whose
-                // ack fails either check is flagged Byzantine — before
-                // `Proposing`, so none of its acks or nacks has counted.
+                // `VerifyConfPair`, at quorum: the reply does not echo
+                // the request, so the ack is read as signed over our own
+                // `Safety_set`. Structural checks on arrival, then every
+                // held ack's signatures (both pair members and the ack
+                // itself) in one batch once a quorum's worth of senders
+                // is in hand. A sender whose ack fails either check —
+                // one that signed another set included — is flagged
+                // Byzantine before `Proposing`, so none of its acks or
+                // nacks has counted.
+                let ack = SignedSafeAck::from_reply(reply, self.safety_set.clone());
                 let structural = ack.signer == from
-                    && ack.body.rcvd == self.safety_set
                     && !self.safe_ack_senders.contains(&from)
                     && ack.body.conflicts.iter().all(|(a, b)| a.conflicts_with(b));
                 if !structural || !hold(&mut self.held_safe_acks, ack) {
@@ -1151,26 +1215,23 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                 // become referenceable (by us, and back at the sender).
                 register_proofs(&mut self.resolver, &proposed);
                 self.delta_rx.record(from, ts, &proposed);
-                let acc_vals = Self::values_of(&self.accepted_set);
-                let prop_vals = Self::values_of(&proposed);
-                if acc_vals.is_subset(&prop_vals) {
+                let proposed = Valued::new(proposed);
+                if self.accepted_set.values().is_subset(proposed.values()) {
+                    let values = proposed.values().clone();
                     self.accepted_set = proposed;
-                    ctx.send(
-                        from,
-                        SbsMsg::Ack {
-                            values: Self::values_of(&self.accepted_set),
-                            ts,
-                        },
-                    );
+                    ctx.send(from, SbsMsg::Ack { values, ts });
                 } else {
                     // The refusal deltas against the refused proposal
                     // itself — a base the proposer holds by
                     // construction; the proposer reconstructs the
                     // union, which is exactly what its grows-check and
                     // join compute anyway.
-                    let accepted =
-                        self.delta_rx
-                            .encode_reply(from, ts, &proposed, &self.accepted_set);
+                    let accepted = self.delta_rx.encode_reply(
+                        from,
+                        ts,
+                        proposed.records(),
+                        self.accepted_set.records(),
+                    );
                     ctx.send(from, SbsMsg::Nack { accepted, ts });
                     self.accepted_set.join_with(&proposed);
                 }
@@ -1181,11 +1242,11 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                 if ts != self.ts || self.state != SbsState::Proposing {
                     return;
                 }
-                if values == Self::values_of(&self.proposed_set) && !self.byz.contains(&from) {
+                if values == *self.proposed_set.values() && !self.byz.contains(&from) {
                     self.ack_set.insert(from);
                     if self.ack_set.len() >= self.config.quorum() {
                         self.state = SbsState::Decided;
-                        self.decision = Some(Self::values_of(&self.proposed_set));
+                        self.decision = Some(self.proposed_set.values().clone());
                         self.decision_depth = Some(ctx.depth);
                     }
                 } else {
@@ -1205,14 +1266,13 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                     self.byz.insert(from);
                     return;
                 };
-                let acc_vals = Self::values_of(&accepted);
-                let prop_vals = Self::values_of(&self.proposed_set);
-                let grows = !acc_vals.is_subset(&prop_vals);
-                if grows && !self.byz.contains(&from) && self.all_safe(&accepted) {
+                let accepted = Valued::new(accepted);
+                let grows = !accepted.values().is_subset(self.proposed_set.values());
+                if grows && !self.byz.contains(&from) && self.all_safe(accepted.records()) {
                     // The nacker shipped (or referenced) every proof in
                     // here — future deltas to it can reference them.
-                    register_proofs(&mut self.resolver, &accepted);
-                    self.delta_tx.note_peer_holds(from, &accepted);
+                    register_proofs(&mut self.resolver, accepted.records());
+                    self.delta_tx.note_peer_holds(from, accepted.records());
                     self.proposed_set.join_with(&accepted);
                     self.ack_set.clear();
                     self.ts += 1;
@@ -1232,7 +1292,7 @@ impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
                     ctx.send(
                         from,
                         SbsMsg::AckReq {
-                            proposed: ProvenUpdate::Full(self.proposed_set.clone()),
+                            proposed: ProvenUpdate::Full(self.proposed_set.records().clone()),
                             ts: self.ts,
                         },
                     );

@@ -21,9 +21,9 @@
 //!   on the hot path: proposals grow monotonically);
 //! * **subset / superset are `O(k + m)`** merge-walks (`BTreeSet`'s are
 //!   `O(k · log m)` probes with pointer chasing);
-//! * **equality has an `Arc::ptr_eq` fast path** — the
-//!   `ack.rcvd == safe_req` echo check is `O(1)` while the echo still
-//!   shares the proposer's allocation;
+//! * **equality has an `Arc::ptr_eq` fast path** — the acks of a proof
+//!   share their proposer's request, so finding a proof's distinct
+//!   echoes costs one pointer comparison per ack;
 //! * **`wire_size` is cached**: metering a message is `O(1)` instead of
 //!   an `O(|set|)` fold per send, and every operation that builds a set
 //!   from one whose bytes are cached measures only the difference.

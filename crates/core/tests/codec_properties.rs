@@ -4,20 +4,23 @@
 //! rejection of truncated and bit-flipped frames. The snapshot
 //! properties drive a real simulation for a sampled number of steps so
 //! the frames cover populated rbcast engines, signed sets, proofs and
-//! delta codec state, not just genesis.
+//! delta codec state, not just genesis. Proofs of safety are also built
+//! in the shapes a Byzantine proposer may give them — acks echoing
+//! several request sets — and their one encoding is pinned.
 
 use std::collections::BTreeMap;
 
-use bgla_codec::Wire;
 use bgla_codec::{
     decode_frame, decode_payload, encode_frame, encode_payload, verify_frame, CodecError,
     FRAME_OVERHEAD,
 };
-use bgla_core::gsbs::{GsbsMsg, GsbsProcess};
+use bgla_codec::{Wire, Writer};
+use bgla_core::gsbs::{GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, SignedBatch};
 use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
-use bgla_core::sbs::{SbsMsg, SbsProcess};
+use bgla_core::sbs::{SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
 use bgla_core::wts::{WtsMsg, WtsProcess};
-use bgla_core::{SetUpdate, SystemConfig, ValueSet};
+use bgla_core::{Proof, ProofAck, SetUpdate, SystemConfig, ValueSet};
+use bgla_crypto::Signature;
 use bgla_rbcast::RbMsg;
 use bgla_simnet::{Context, Process, ProcessId, RandomScheduler, SimulationBuilder, WireMessage};
 use proptest::prelude::*;
@@ -526,4 +529,205 @@ proptest! {
         ));
         prop_assert!(WtsProcess::<u64>::from_snapshot(&frame).is_err());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Proofs of safety: each distinct echo once, and exactly one encoding.
+// ---------------------------------------------------------------------------
+
+/// Opaque signature bytes: the codec never verifies, so none is signed.
+fn sig(a: usize, b: usize) -> Signature {
+    Signature {
+        r: [a as u8; 32],
+        s: [b as u8; 32],
+    }
+}
+
+/// The `e`-th of a family of distinct GSbS request sets.
+fn batches(e: usize) -> ValueSet<SignedBatch<u64>> {
+    (0..=e % 3)
+        .map(|j| SignedBatch {
+            round: 1,
+            batch: vs(&[e as u64, 100 + j as u64]),
+            signer: j,
+            sig: sig(e, j),
+        })
+        .collect()
+}
+
+/// The `e`-th of a family of distinct SbS request sets.
+fn values(e: usize) -> ValueSet<SignedValue<u64>> {
+    (0..=e % 3)
+        .map(|j| SignedValue {
+            value: (e * 10 + j) as u64,
+            signer: j,
+            sig: sig(j, e),
+        })
+        .collect()
+}
+
+/// A GSbS proof whose acks echo `k` distinct sets, ack `i` echoing set
+/// `picks[i] % k`: repeated and interleaved as `picks` says.
+fn gsbs_proof(k: usize, picks: &[u8]) -> Proof<GSafeAck<u64>> {
+    let echoes: Vec<_> = (0..k).map(batches).collect();
+    let acks = picks
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| GSafeAck {
+            round: 1,
+            rcvd: echoes[p as usize % k].clone(),
+            conflicts: vec![],
+            signer: i,
+            sig: sig(i, p as usize),
+        })
+        .collect();
+    Proof::new(acks)
+}
+
+/// The SbS counterpart of [`gsbs_proof`], with a conflict pair reported
+/// by every third ack.
+fn sbs_proof(k: usize, picks: &[u8]) -> Proof<SignedSafeAck<u64>> {
+    let echoes: Vec<_> = (0..k).map(values).collect();
+    let pair = {
+        let one = |v: u64| SignedValue {
+            value: v,
+            signer: 3,
+            sig: sig(3, v as usize),
+        };
+        (one(7), one(8))
+    };
+    let acks = picks
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| SignedSafeAck {
+            body: SafeAckBody {
+                rcvd: echoes[p as usize % k].clone(),
+                conflicts: if i % 3 == 2 {
+                    vec![pair.clone()]
+                } else {
+                    vec![]
+                },
+            },
+            signer: i,
+            sig: sig(p as usize, i),
+        })
+        .collect();
+    Proof::new(acks)
+}
+
+/// `proof` round-trips with its id, re-encodes byte for byte, encodes to
+/// its model, gives acks that echo one set one shared handle of it, and
+/// refuses every strict prefix and any extension of its encoding.
+fn assert_proof_sound<A: ProofAck>(proof: &Proof<A>, suffix: &[u8])
+where
+    Proof<A>: Wire,
+{
+    let bytes = encode_payload(proof);
+    assert_eq!(bytes.len(), proof.wire_size(), "model is the encoding");
+    let back: Proof<A> = decode_payload(&bytes).expect("own encoding decodes");
+    assert_eq!(back.id(), proof.id());
+    assert_eq!(encode_payload(&back), bytes);
+    for a in back.iter() {
+        for b in back.iter() {
+            assert_eq!(a.echo() == b.echo(), a.echo().ptr_eq(b.echo()));
+        }
+    }
+    for cut in 0..bytes.len() {
+        assert!(
+            decode_payload::<Proof<A>>(&bytes[..cut]).is_err(),
+            "prefix {cut}"
+        );
+    }
+    assert_payload_rejects_extension(proof, suffix);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Acks echoing 1 to 4 distinct sets, in any repetition and order:
+    /// each distinct echo is shipped once and the proof survives the
+    /// codec with its content address.
+    #[test]
+    fn byzantine_shaped_proofs_roundtrip(
+        k in 1usize..=4,
+        picks in any::<Vec<u8>>(),
+        suffix in any::<Vec<u8>>(),
+        extra in any::<u8>()
+    ) {
+        let mut picks = picks;
+        picks.truncate(12);
+        picks.push(extra);
+        let mut suffix = suffix;
+        suffix.truncate(3);
+        suffix.push(extra); // never empty
+        let gsbs = gsbs_proof(k, &picks);
+        let sbs = sbs_proof(k, &picks);
+        let used = picks.iter().map(|&p| p as usize % k).collect::<std::collections::BTreeSet<_>>();
+        let echo_bytes: usize = used.iter().map(|&e| batches(e).wire_size()).sum();
+        prop_assert!(gsbs.wire_size() > echo_bytes);
+        prop_assert!(gsbs.wire_size() < echo_bytes + picks.len() * 200);
+        assert_proof_sound(&gsbs, &suffix);
+        assert_proof_sound(&sbs, &suffix);
+    }
+}
+
+/// A proof's bytes laid out by hand: `echoes`, then each ack as an echo
+/// index and the ack without its echo.
+fn laid_out(echoes: &[usize], acks: &[(usize, GSafeAckReply<u64>)]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.usize(echoes.len());
+    for &e in echoes {
+        batches(e).encode(&mut w);
+    }
+    w.usize(acks.len());
+    for (i, reply) in acks {
+        w.usize(*i);
+        reply.encode(&mut w);
+    }
+    w.into_bytes()
+}
+
+#[test]
+fn proof_decoder_accepts_one_encoding_only() {
+    let reply = |signer: usize| GSafeAckReply {
+        round: 1,
+        conflicts: vec![],
+        signer,
+        sig: sig(signer, 0),
+    };
+    let decode = |echoes: &[usize], indices: &[usize]| {
+        let acks: Vec<_> = indices.iter().map(|&i| (i, reply(i))).collect();
+        decode_payload::<Proof<GSafeAck<u64>>>(&laid_out(echoes, &acks)).map(|p| p.id())
+    };
+    let canonical = decode(&[4, 2], &[0, 1, 0, 1]).expect("canonical layout decodes");
+    let spelled = [4, 2, 4, 2]
+        .iter()
+        .zip([0, 1, 0, 1])
+        .map(|(&e, i)| GSafeAck::from_reply(reply(i), batches(e)))
+        .collect();
+    assert_eq!(
+        canonical,
+        Proof::new(spelled).id(),
+        "and is the proof it spells"
+    );
+    let invalid = |what| Err(CodecError::Invalid(what));
+    assert_eq!(
+        decode(&[4], &[0, 1]),
+        invalid("proof echo index out of range")
+    );
+    assert_eq!(decode(&[4, 2], &[0, 0]), invalid("proof echo never used"));
+    assert_eq!(
+        decode(&[4, 2], &[1, 0]),
+        invalid("proof echoes out of first-use order")
+    );
+    assert_eq!(
+        decode(&[4, 2, 5], &[0, 2, 1]),
+        invalid("proof echoes out of first-use order")
+    );
+    assert_eq!(decode(&[4, 4], &[0, 1]), invalid("proof echo listed twice"));
+    assert_eq!(
+        decode(&[], &[]).map(|_| ()),
+        Ok(()),
+        "the empty proof has one form too"
+    );
 }

@@ -34,7 +34,11 @@ use std::collections::BTreeMap;
 ///
 /// For WTS, GWTS and RSM messages this is exact, and the workspace test
 /// `modeled_bytes_are_encoded_bytes` holds every message of a run to it.
-/// SbS and GSbS messages follow it too, except where they carry proofs:
+/// SbS and GSbS messages follow it too, and so does every proof on its
+/// own: a proof's size is its encoding — the set its safe-acks echo once,
+/// then each ack as an index into the echoes and the ack without its
+/// echo — and a safe-ack reply carries no echo at all. What differs is
+/// how often a message carries a proof:
 ///
 /// * **Interned proofs** — a message carrying proven records is modeled
 ///   as transmitting each *distinct* attached proof once (deduplicated
@@ -42,7 +46,8 @@ use std::collections::BTreeMap;
 ///   is that figure and is what `wire_size` includes.
 ///   [`ProofSizes::flat_bytes`] prices the copy-per-record form, which
 ///   is what the encoder ships today — so for `ack_req` and `nack` the
-///   model is a lower bound on the encoding, never above it.
+///   model is exact per proof and a lower bound per message, never above
+///   the encoding.
 /// * **Proof references** — a delta payload may name a proof the
 ///   receiver already holds by its `ProofId` instead of re-shipping it:
 ///   a reference costs [`PROOF_REF_BYTES`] (16-byte id + 16 bytes of

@@ -284,6 +284,10 @@ fn sbs_conformance_honest_and_adversarial() {
                 }) as Box<dyn Process<_>>
             }),
         ),
+        (
+            "wrong-echo",
+            Box::new(|| Box::new(adversary::sbs::WrongEcho { me: 3 }) as Box<dyn Process<_>>),
+        ),
     ] {
         let mut build = |sched: Box<dyn Scheduler>| {
             let mut b = SimulationBuilder::new().scheduler(sched);
@@ -342,6 +346,10 @@ fn gsbs_conformance_honest_and_adversarial() {
             Box::new(|| {
                 Box::new(adversary::gsbs::SigForger::new(3, 66_667u64)) as Box<dyn Process<_>>
             }),
+        ),
+        (
+            "wrong-echo",
+            Box::new(|| Box::new(adversary::gsbs::WrongEcho { me: 3 }) as Box<dyn Process<_>>),
         ),
     ] {
         let mut build = |sched: Box<dyn Scheduler>| {

@@ -2,16 +2,17 @@
 //! forged `decided` certificates and round-jumping must bounce off the
 //! certificate validation and the `Safe_r` trust rule, bogus delta
 //! references must resync without stalling the round pipeline, and
-//! records with forged signatures must be dropped by the batch that
+//! records with forged signatures — safe-acks signed over another set
+//! than the one requested among them — must be dropped by the batch that
 //! checks the held records at each threshold.
 
-use bgla::core::adversary::gsbs::SigForger;
+use bgla::core::adversary::gsbs::{SigForger, WrongEcho};
 use bgla::core::gsbs::{
     digest_values, DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, GsbsState, SignedAck, SignedBatch,
 };
-use bgla::core::{spec, SystemConfig, ValueSet};
+use bgla::core::{spec, ProofAck, SystemConfig, ValueSet};
 use bgla::crypto::{Keypair, VerifierStats};
-use bgla::simnet::{Context, Process, RandomScheduler, SimulationBuilder};
+use bgla::simnet::{Context, Process, RandomScheduler, Simulation, SimulationBuilder, TraceEvent};
 use std::any::Any;
 use std::collections::BTreeMap;
 
@@ -156,6 +157,73 @@ const FORGER: usize = 3;
 /// The value the forger's batches carry.
 const POISON: u64 = 66_666;
 
+/// Rounds of the stepped runs below.
+const ROUNDS: u64 = 3;
+
+/// Runs three correct processes and `adversary`, process [`FORGER`],
+/// under the random schedule of `seed` one delivery at a time. After
+/// each delivery it checks that no record signed by the adversary joined
+/// a safety set or was counted as a safe-ack or an ack, and reports the
+/// delivery to `seen` with the phase its receiver was in before it. At
+/// quiescence every correct process has decided every round without the
+/// poison value, and the decisions satisfy the spec.
+fn stepped(
+    seed: u64,
+    adversary: Box<dyn Process<GsbsMsg<u64>>>,
+    mut seen: impl FnMut(&TraceEvent, Option<GsbsState>),
+) {
+    let config = SystemConfig::new(4, 1);
+    let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
+    for i in 0..FORGER {
+        let mut schedule: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        schedule.insert(0, vec![100 + i as u64]);
+        schedule.insert(1, vec![200 + i as u64]);
+        b = b.add(Box::new(GsbsProcess::new(i, config, schedule, ROUNDS)));
+    }
+    let mut sim: Simulation<GsbsMsg<u64>> = b.add(adversary).build();
+    sim.enable_trace();
+    let mut steps = 0u64;
+    loop {
+        let before: Vec<GsbsState> = (0..FORGER)
+            .map(|i| sim.process_as::<GsbsProcess<u64>>(i).unwrap().state())
+            .collect();
+        if !sim.step() {
+            break;
+        }
+        steps += 1;
+        assert!(steps < 1_000_000, "seed {seed}: no quiescence");
+        let last = sim.trace().unwrap().events().last().unwrap();
+        seen(last, before.get(last.to).copied());
+        for i in 0..FORGER {
+            let p = sim.process_as::<GsbsProcess<u64>>(i).unwrap();
+            let forged_init = (0..ROUNDS)
+                .filter_map(|r| p.safety_set(r))
+                .any(|set| set.iter().any(|sb| sb.signer == FORGER));
+            assert!(!forged_init, "seed {seed} p{i}: a forged init joined");
+            assert!(
+                p.safe_acks().iter().all(|a| a.signer != FORGER),
+                "seed {seed} p{i}: a forged safe-ack counted"
+            );
+            assert!(
+                p.ack_certs().iter().all(|a| a.signer != FORGER),
+                "seed {seed} p{i}: a forged ack counted"
+            );
+        }
+    }
+    let mut seqs = Vec::new();
+    for i in 0..FORGER {
+        let p = sim.process_as::<GsbsProcess<u64>>(i).unwrap();
+        assert_eq!(p.decisions.len(), ROUNDS as usize, "seed {seed} p{i}");
+        assert!(
+            p.decisions.iter().all(|d| !d.contains(&POISON)),
+            "seed {seed} p{i}: a forged batch was decided"
+        );
+        seqs.push(p.decisions.clone());
+    }
+    spec::check_local_stability(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    spec::check_global_comparability(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+}
+
 #[test]
 fn forged_signatures_never_count() {
     // Structurally valid `Init`s, safe-acks and acks with bad signatures
@@ -167,72 +235,43 @@ fn forged_signatures_never_count() {
     // them, by kind: each kind must have been seen.
     let mut reached: BTreeMap<&str, usize> = BTreeMap::new();
     for seed in 0..5u64 {
-        let (n, f, rounds) = (4usize, 1usize, 3u64);
-        let config = SystemConfig::new(n, f);
-        let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
-        for i in 0..FORGER {
-            let mut schedule: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            schedule.insert(0, vec![100 + i as u64]);
-            schedule.insert(1, vec![200 + i as u64]);
-            b = b.add(Box::new(GsbsProcess::new(i, config, schedule, rounds)));
-        }
-        b = b.add(Box::new(SigForger::new(FORGER, POISON)));
-        let mut sim = b.build();
-        sim.enable_trace();
-        let mut steps = 0u64;
-        loop {
-            let before: Vec<GsbsState> = (0..FORGER)
-                .map(|i| sim.process_as::<GsbsProcess<u64>>(i).unwrap().state())
-                .collect();
-            if !sim.step() {
-                break;
-            }
-            steps += 1;
-            assert!(steps < 1_000_000, "seed {seed}: no quiescence");
-            let last = sim.trace().unwrap().events().last().unwrap();
-            let waiting = match before.get(last.to) {
-                Some(GsbsState::Init) => "init",
-                Some(GsbsState::Safetying) => "safe_ack",
-                Some(GsbsState::Proposing) => "ack",
-                _ => "",
-            };
-            if last.from == FORGER && last.kind == waiting {
-                *reached.entry(waiting).or_default() += 1;
-            }
-            for i in 0..FORGER {
-                let p = sim.process_as::<GsbsProcess<u64>>(i).unwrap();
-                let forged_init = (0..rounds)
-                    .filter_map(|r| p.safety_set(r))
-                    .any(|set| set.iter().any(|sb| sb.signer == FORGER));
-                assert!(!forged_init, "seed {seed} p{i}: a forged init joined");
-                assert!(
-                    p.safe_acks().iter().all(|a| a.signer != FORGER),
-                    "seed {seed} p{i}: a forged safe-ack counted"
-                );
-                assert!(
-                    p.ack_certs().iter().all(|a| a.signer != FORGER),
-                    "seed {seed} p{i}: a forged ack counted"
-                );
-            }
-        }
-        let mut seqs = Vec::new();
-        for i in 0..FORGER {
-            let p = sim.process_as::<GsbsProcess<u64>>(i).unwrap();
-            assert_eq!(p.decisions.len(), rounds as usize, "seed {seed} p{i}");
-            assert!(
-                p.decisions.iter().all(|d| !d.contains(&POISON)),
-                "seed {seed} p{i}: a forged batch was decided"
-            );
-            seqs.push(p.decisions.clone());
-        }
-        spec::check_local_stability(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        spec::check_global_comparability(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        stepped(
+            seed,
+            Box::new(SigForger::new(FORGER, POISON)),
+            |last, before| {
+                let waiting = match before {
+                    Some(GsbsState::Init) => "init",
+                    Some(GsbsState::Safetying) => "safe_ack",
+                    Some(GsbsState::Proposing) => "ack",
+                    _ => "",
+                };
+                if last.from == FORGER && last.kind == waiting {
+                    *reached.entry(waiting).or_default() += 1;
+                }
+            },
+        );
     }
     assert_eq!(
         reached.keys().copied().collect::<Vec<_>>(),
         ["ack", "init", "safe_ack"],
         "some kind of forged record never reached the phase waiting for it: {reached:?}"
     );
+}
+
+#[test]
+fn a_safe_ack_over_another_set_never_counts() {
+    // The reply carries no echo: the proposer reads it as signed over its
+    // own request, so an acceptor that signed another set is caught by
+    // the signature check at quorum, like a forger.
+    let mut reached = 0;
+    for seed in 0..5u64 {
+        stepped(seed, Box::new(WrongEcho { me: FORGER }), |last, before| {
+            if last.from == FORGER && last.kind == "safe_ack" {
+                reached += usize::from(before == Some(GsbsState::Safetying));
+            }
+        });
+    }
+    assert!(reached > 0, "no such safe-ack reached a safetying process");
 }
 
 /// Hands `msg` from `from` to `p`, process `me` of four, and returns
@@ -317,13 +356,9 @@ fn each_forged_record_is_verified_once() {
     assert_eq!(forged_safe_acks.len(), 2);
     let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
     let safe_ack = |i: usize| {
-        GsbsMsg::SafeAck(GSafeAck::sign(
-            0,
-            set.clone(),
-            vec![],
-            i,
-            &Keypair::for_process(i),
-        ))
+        GsbsMsg::SafeAck(
+            GSafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply(),
+        )
     };
     feed(&mut p0, FORGER, forged_safe_acks.clone());
     feed(&mut p0, 0, own_safe_ack);
@@ -367,4 +402,51 @@ fn each_forged_record_is_verified_once() {
     assert_eq!(p0.verifier_stats(), stats(9, 3, 6));
     assert_eq!(p0.decisions, vec![values]);
     assert!(p0.ack_certs().iter().all(|a| a.signer != FORGER));
+}
+
+#[test]
+fn each_safe_ack_over_another_set_is_verified_once() {
+    // One correct process through its safetying, by hand: the safe-ack
+    // signed over another set (sent twice, as the adversary does) is held
+    // with one genuine safe-ack, the batch fails, the fallback drops it
+    // alone, its redeliveries are answered from the cache, and the last
+    // genuine safe-ack completes the quorum by itself.
+    let config = SystemConfig::new(4, 1);
+    let batch = |i: usize| -> ValueSet<u64> { [100 + i as u64].into_iter().collect() };
+    let mut schedule = BTreeMap::new();
+    schedule.insert(0, vec![100]);
+    let mut p0 = GsbsProcess::new(0, config, schedule, 1);
+    let mut ctx = Context::for_embedding(0, 4, 0, 0);
+    p0.on_start(&mut ctx);
+    let init =
+        |i: usize| GsbsMsg::Init(SignedBatch::sign(0, batch(i), i, &Keypair::for_process(i)));
+    feed(&mut p0, 1, vec![init(1)]);
+    let safe_req = feed(&mut p0, 2, vec![init(2)]);
+    assert_eq!(p0.state(), GsbsState::Safetying);
+    assert_eq!(p0.verifier_stats(), stats(0, 1, 2));
+    let set = p0.safety_set(0).unwrap().clone();
+
+    let safe_req = safe_req.into_iter().next().expect("p0 asks itself");
+    let mut adversary = WrongEcho { me: FORGER };
+    let wrong = to_p0(deliver(&mut adversary, FORGER, 0, safe_req.clone()));
+    assert_eq!(wrong.len(), 2);
+    let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
+    let safe_ack = |i: usize| {
+        GsbsMsg::SafeAck(
+            GSafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply(),
+        )
+    };
+    feed(&mut p0, FORGER, wrong.clone());
+    feed(&mut p0, 0, own_safe_ack);
+    assert_eq!(p0.verifier_stats(), stats(0, 1, 2));
+    feed(&mut p0, 1, vec![safe_ack(1)]);
+    assert_eq!(p0.verifier_stats(), stats(2, 2, 4));
+    assert_eq!(p0.state(), GsbsState::Safetying);
+    feed(&mut p0, FORGER, wrong);
+    assert_eq!(p0.verifier_stats(), stats(2, 2, 4));
+    feed(&mut p0, 2, vec![safe_ack(2)]);
+    assert_eq!(p0.verifier_stats(), stats(3, 2, 4));
+    assert_eq!(p0.state(), GsbsState::Proposing);
+    assert_eq!(p0.safe_acks().len(), 3);
+    assert!(p0.safe_acks().iter().all(|a| a.signer != FORGER));
 }

@@ -4,13 +4,15 @@
 //! its own `wire_size()`.
 //!
 //! WTS, GWTS and RSM messages must agree byte for byte. SbS and GSbS
-//! agree on every variant without proofs; the proof-carrying ones
-//! (`ack_req`, `nack`) are *modeled* with each distinct proof shipped
-//! once while the encoder ships one copy per record, so there the model
-//! may only be the smaller of the two.
+//! agree on every variant without proofs, and every proof — the set its
+//! safe-acks echo said once, then the acks without it — encodes to
+//! exactly its `wire_size()`. The proof-carrying messages (`ack_req`,
+//! `nack`) are *modeled* with each distinct proof shipped once while the
+//! encoder ships one copy per record, so there the model may only be the
+//! smaller of the two: exact per proof, a lower bound per message.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -19,9 +21,13 @@ use bgla_core::gsbs::{GsbsMsg, GsbsProcess};
 use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
 use bgla_core::sbs::{SbsMsg, SbsProcess};
 use bgla_core::wts::{WtsMsg, WtsProcess};
-use bgla_core::{SetUpdate, SystemConfig, ValueSet};
+use bgla_core::{Proof, ProvenRecord, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
 use bgla_rsm::{ClientOp, Op, Replica, RsmMsg, WorkloadClient};
 use bgla_simnet::{Context, Process, ProcessId, RandomScheduler, SimulationBuilder, WireMessage};
+
+/// What a message carries whose model must be exact on its own: each
+/// distinct proof's `(encoded, modeled)` length.
+type Parts<M> = fn(&M) -> Vec<(usize, usize)>;
 
 /// Forwards to `inner`, measuring every message on its way in. A run to
 /// quiescence delivers every message sent, so this sees them all.
@@ -29,7 +35,9 @@ struct Measured<M> {
     inner: Box<dyn Process<M>>,
     /// Whether the model of this message must be exact.
     exact: fn(&M) -> bool,
-    seen: Arc<AtomicUsize>,
+    parts: Parts<M>,
+    /// Messages and parts measured.
+    seen: Arc<[AtomicUsize; 2]>,
 }
 
 impl<M: Wire + WireMessage> Process<M> for Measured<M> {
@@ -43,7 +51,11 @@ impl<M: Wire + WireMessage> Process<M> for Measured<M> {
         } else {
             assert!(modeled <= encoded, "{} from {from}", msg.kind());
         }
-        self.seen.fetch_add(1, Ordering::Relaxed);
+        for (encoded, modeled) in (self.parts)(&msg) {
+            assert_eq!(encoded, modeled, "a proof in {} from {from}", msg.kind());
+            self.seen[1].fetch_add(1, Ordering::Relaxed);
+        }
+        self.seen[0].fetch_add(1, Ordering::Relaxed);
         self.inner.on_message(from, msg, ctx);
     }
     fn as_any(&self) -> &dyn Any {
@@ -52,20 +64,58 @@ impl<M: Wire + WireMessage> Process<M> for Measured<M> {
 }
 
 /// Runs `procs` to quiescence under a random schedule with every process
-/// wrapped in [`Measured`]; returns how many messages were measured.
+/// wrapped in [`Measured`]; returns how many messages and parts were
+/// measured.
+fn measure_parts<M: Wire + WireMessage + 'static>(
+    procs: impl Iterator<Item = Box<dyn Process<M>>>,
+    exact: fn(&M) -> bool,
+    parts: Parts<M>,
+    seed: u64,
+) -> (usize, usize) {
+    let seen = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
+    for inner in procs {
+        let seen = Arc::clone(&seen);
+        b = b.add(Box::new(Measured {
+            inner,
+            exact,
+            parts,
+            seen,
+        }));
+    }
+    assert!(b.build().run(50_000_000).quiescent);
+    (
+        seen[0].load(Ordering::Relaxed),
+        seen[1].load(Ordering::Relaxed),
+    )
+}
+
+/// [`measure_parts`] for messages without parts; returns how many
+/// messages were measured.
 fn measure<M: Wire + WireMessage + 'static>(
     procs: impl Iterator<Item = Box<dyn Process<M>>>,
     exact: fn(&M) -> bool,
     seed: u64,
 ) -> usize {
-    let seen = Arc::new(AtomicUsize::new(0));
-    let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
-    for inner in procs {
-        let seen = Arc::clone(&seen);
-        b = b.add(Box::new(Measured { inner, exact, seen }));
-    }
-    assert!(b.build().run(50_000_000).quiescent);
-    seen.load(Ordering::Relaxed)
+    measure_parts(procs, exact, |_| Vec::new(), seed).0
+}
+
+/// Each distinct proof of `update`, encoded and modeled.
+fn proofs<T: ProvenRecord>(update: &ProvenUpdate<T>) -> Vec<(usize, usize)>
+where
+    Proof<T::Ack>: Wire,
+{
+    let records = match update {
+        ProvenUpdate::Full(set) => set,
+        ProvenUpdate::Delta { new, .. } => new,
+    };
+    let mut distinct = BTreeSet::new();
+    records
+        .iter()
+        .map(ProvenRecord::proof)
+        .filter(|p| distinct.insert(p.id()))
+        .map(|p| (encode_payload(p).len(), p.wire_size()))
+        .collect()
 }
 
 /// Inputs that look like the benchmark's: full-width 64-bit words.
@@ -113,11 +163,27 @@ fn modeled_bytes_are_encoded_bytes() {
 
     let sbs = (0..n).map(|i| Box::new(SbsProcess::new(i, config, word(i as u64))) as _);
     let proof_free = |m: &SbsMsg<u64>| !matches!(m, SbsMsg::AckReq { .. } | SbsMsg::Nack { .. });
-    assert!(measure::<SbsMsg<u64>>(sbs, proof_free, 4) > 50);
+    let sbs_proofs = |m: &SbsMsg<u64>| match m {
+        SbsMsg::AckReq { proposed: u, .. } | SbsMsg::Nack { accepted: u, .. } => proofs(u),
+        _ => Vec::new(),
+    };
+    let (msgs, measured) = measure_parts::<SbsMsg<u64>>(sbs, proof_free, sbs_proofs, 4);
+    assert!(
+        msgs > 50 && measured > 10,
+        "{msgs} messages, {measured} proofs"
+    );
 
     let gsbs = (0..n).map(|i| Box::new(GsbsProcess::new(i, config, schedule(i, 4), 4)) as _);
     let proof_free = |m: &GsbsMsg<u64>| !matches!(m, GsbsMsg::AckReq { .. } | GsbsMsg::Nack { .. });
-    assert!(measure::<GsbsMsg<u64>>(gsbs, proof_free, 5) > 200);
+    let gsbs_proofs = |m: &GsbsMsg<u64>| match m {
+        GsbsMsg::AckReq { proposed: u, .. } | GsbsMsg::Nack { accepted: u, .. } => proofs(u),
+        _ => Vec::new(),
+    };
+    let (msgs, measured) = measure_parts::<GsbsMsg<u64>>(gsbs, proof_free, gsbs_proofs, 5);
+    assert!(
+        msgs > 200 && measured > 20,
+        "{msgs} messages, {measured} proofs"
+    );
 }
 
 /// The payload forms a run may not happen to produce: empty and long

@@ -1,10 +1,13 @@
 //! Adversarial end-to-end runs of the signature-based algorithm:
-//! conflict-signing, proof forgery, forged signatures, bogus delta
-//! references and silence, across random schedules.
+//! conflict-signing, proof forgery, forged signatures, safe-acks signed
+//! over another set than the one requested, bogus delta references and
+//! silence, across random schedules.
 
-use bgla::core::adversary::sbs::{BogusRefSender, ConflictSigner, ProofForger, SigForger, SilentS};
+use bgla::core::adversary::sbs::{
+    BogusRefSender, ConflictSigner, ProofForger, SigForger, SilentS, WrongEcho,
+};
 use bgla::core::sbs::{SafeAckBody, SbsMsg, SbsProcess, SbsState, SignedSafeAck, SignedValue};
-use bgla::core::{spec, SystemConfig};
+use bgla::core::{spec, ProofAck, SystemConfig};
 use bgla::core::{ProvenUpdate, ValueSet};
 use bgla::crypto::{Keypair, VerifierStats};
 use bgla::simnet::{Context, Process, RandomScheduler, Simulation, SimulationBuilder};
@@ -245,13 +248,14 @@ const FORGER: usize = 3;
 /// The value the forger's init carries.
 const POISON: u64 = 66_666;
 
-#[test]
-fn forged_signatures_never_count_and_flag_the_forger() {
-    // Structurally valid inits and safe-acks with bad signatures are held
-    // like any others until a threshold's worth has arrived; the batch
-    // that checks them must drop exactly those, at every delivery, and a
-    // forged safe-ack that reached a process while it was safetying must
-    // have put the forger in `byz` by the time it proposes.
+/// Runs three correct processes and the adversary `mk` builds (process
+/// [`FORGER`]) under each of six random schedules, one delivery at a
+/// time. No record the adversary signed may join `Safety_set` or count as
+/// a safe-ack, a process that got one of its safe-acks while safetying
+/// must have flagged it in `byz` once it proposes, and every correct
+/// process decides without the poison value. Returns how many processes
+/// got such a safe-ack while safetying.
+fn safe_acks_never_count_and_flag_the_sender(mk: impl Fn() -> Box<dyn Process<Msg>>) -> usize {
     let mut flagged = 0;
     for seed in 0..6 {
         let (n, f) = (4usize, 1usize);
@@ -260,11 +264,7 @@ fn forged_signatures_never_count_and_flag_the_forger() {
         for i in 0..FORGER {
             b = b.add(Box::new(SbsProcess::new(i, config, 10 + i as u64)));
         }
-        b = b.add(Box::new(SigForger {
-            me: FORGER,
-            value: POISON,
-        }));
-        let mut sim = b.build();
+        let mut sim = b.add(mk()).build();
         sim.enable_trace();
         let mut forged_while_safetying = [false; FORGER];
         let mut steps = 0u64;
@@ -300,7 +300,7 @@ fn forged_signatures_never_count_and_flag_the_forger() {
             }
         }
         let correct: Vec<usize> = (0..FORGER).collect();
-        let decisions = check_safety(&sim, &correct, &format!("sig-forger seed {seed}"));
+        let decisions = check_safety(&sim, &correct, &format!("seed {seed}"));
         assert_eq!(decisions.len(), correct.len(), "seed {seed}: liveness");
         assert!(
             decisions.iter().all(|d| !d.contains(&POISON)),
@@ -308,10 +308,35 @@ fn forged_signatures_never_count_and_flag_the_forger() {
         );
         flagged += forged_while_safetying.iter().filter(|&&seen| seen).count();
     }
+    flagged
+}
+
+#[test]
+fn forged_signatures_never_count_and_flag_the_forger() {
+    // Structurally valid inits and safe-acks with bad signatures are held
+    // like any others until a threshold's worth has arrived; the batch
+    // that checks them must drop exactly those, at every delivery, and a
+    // forged safe-ack that reached a process while it was safetying must
+    // have put the forger in `byz` by the time it proposes.
+    let flagged = safe_acks_never_count_and_flag_the_sender(|| {
+        Box::new(SigForger {
+            me: FORGER,
+            value: POISON,
+        })
+    });
     assert!(
         flagged > 0,
         "no forged safe-ack ever reached a safetying process"
     );
+}
+
+#[test]
+fn a_safe_ack_over_another_set_flags_its_sender() {
+    // The reply carries no echo: the proposer reads it as signed over its
+    // own `Safety_set`, so an acceptor that signed another set fails the
+    // signature check at quorum and is in `byz` before `Proposing`.
+    let flagged = safe_acks_never_count_and_flag_the_sender(|| Box::new(WrongEcho { me: FORGER }));
+    assert!(flagged > 0, "no such safe-ack reached a safetying process");
 }
 
 /// Hands `msg` from `from` to `p`, process `me` of four, and returns
@@ -397,7 +422,7 @@ fn each_forged_record_is_verified_once() {
             rcvd: set.clone(),
             conflicts: vec![],
         };
-        SbsMsg::SafeAck(SignedSafeAck::sign(body, i, &Keypair::for_process(i)))
+        SbsMsg::SafeAck(SignedSafeAck::sign(body, i, &Keypair::for_process(i)).reply())
     };
     feed(&mut p0, FORGER, forged_safe_acks.clone());
     feed(&mut p0, 0, own_safe_ack);
@@ -413,6 +438,59 @@ fn each_forged_record_is_verified_once() {
     assert_eq!(p0.verifier_stats(), stats(6, 2, 4));
     assert_eq!(p0.state(), SbsState::Proposing);
     assert_eq!(p0.safe_acks().len(), 3);
+    assert!(p0.safe_acks().iter().all(|a| a.signer != FORGER));
+    assert_eq!(p0.byz().iter().copied().collect::<Vec<_>>(), vec![FORGER]);
+}
+
+#[test]
+fn each_safe_ack_over_another_set_is_verified_once() {
+    // One correct process through its safetying, by hand: the safe-ack
+    // signed over another set (sent twice, as the adversary does) is held
+    // with one genuine safe-ack, the batch fails, the fallback drops it
+    // alone and flags its sender, its redeliveries are answered from the
+    // cache, and the last genuine safe-ack completes the quorum by itself.
+    let config = SystemConfig::new(4, 1);
+    let mut p0 = SbsProcess::new(0, config, 10u64);
+    let mut ctx = Context::for_embedding(0, 4, 0, 0);
+    p0.on_start(&mut ctx);
+    let init = |i: usize| {
+        SbsMsg::Init(SignedValue::sign(
+            10 + i as u64,
+            i,
+            &Keypair::for_process(i),
+        ))
+    };
+    feed(&mut p0, 1, vec![init(1)]);
+    let safe_req = feed(&mut p0, 2, vec![init(2)]);
+    assert_eq!(p0.state(), SbsState::Safetying);
+    assert_eq!(p0.verifier_stats(), stats(0, 1, 2));
+    let set = p0.safety_set().clone();
+
+    let safe_req = safe_req.into_iter().next().expect("p0 asks itself");
+    let mut adversary = WrongEcho { me: FORGER };
+    let wrong = deliver(&mut adversary, FORGER, 0, safe_req.clone());
+    assert_eq!(wrong.len(), 2);
+    let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
+    let safe_ack = |i: usize| {
+        let body = SafeAckBody {
+            rcvd: set.clone(),
+            conflicts: vec![],
+        };
+        SbsMsg::SafeAck(SignedSafeAck::sign(body, i, &Keypair::for_process(i)).reply())
+    };
+    feed(&mut p0, FORGER, wrong.clone());
+    feed(&mut p0, 0, own_safe_ack);
+    assert_eq!(p0.verifier_stats(), stats(0, 1, 2));
+    assert!(p0.byz().is_empty(), "flagged on arrival, not at quorum");
+    feed(&mut p0, 1, vec![safe_ack(1)]);
+    assert_eq!(p0.verifier_stats(), stats(2, 2, 4));
+    assert_eq!(p0.state(), SbsState::Safetying);
+    assert!(p0.byz().contains(&FORGER));
+    feed(&mut p0, FORGER, wrong);
+    assert_eq!(p0.verifier_stats(), stats(2, 2, 4));
+    feed(&mut p0, 2, vec![safe_ack(2)]);
+    assert_eq!(p0.verifier_stats(), stats(3, 2, 4));
+    assert_eq!(p0.state(), SbsState::Proposing);
     assert!(p0.safe_acks().iter().all(|a| a.signer != FORGER));
     assert_eq!(p0.byz().iter().copied().collect::<Vec<_>>(), vec![FORGER]);
 }
