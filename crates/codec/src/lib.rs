@@ -62,6 +62,16 @@
 //! than silently re-canonicalized, and a varint is accepted in its
 //! shortest form only. This keeps the encoding injective, which the
 //! content-addressed proof store relies on.
+//!
+//! # Shared parts
+//!
+//! An encoding may say a part once that the decoded value holds many
+//! times (a proof of safety says its acks' echoed request set once).
+//! Work that walks the decoded value then grows with the value spelled
+//! out, not with the input. [`Reader::reuse`] charges each further use
+//! of such a part, and a decode fails once its input plus those charges
+//! pass [`MAX_SPELLED_OUT`], so a few input bytes can never stand for
+//! more than one frame could carry with every part repeated.
 
 use std::fmt;
 
@@ -74,6 +84,12 @@ pub const FRAME_MAGIC: [u8; 4] = *b"BGLA";
 
 /// Fixed frame overhead: magic + version + kind + len + checksum.
 pub const FRAME_OVERHEAD: usize = 4 + 2 + 2 + 8 + 8;
+
+/// Most bytes one decode may spell out: its input plus every further use
+/// of a shared part ([`Reader::reuse`]). It is the largest payload a
+/// transport frame carries, so a decoded value is never larger than one
+/// frame could hold with each shared part repeated at every use.
+pub const MAX_SPELLED_OUT: usize = 64 * 1024 * 1024;
 
 /// Why a decode was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,12 +233,31 @@ impl Writer {
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The input's length plus every [`Reader::reuse`] charge so far.
+    spelled: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A reader over `buf`, positioned at the start.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            spelled: buf.len(),
+        }
+    }
+
+    /// Charges one more use of a shared part of `n` bytes, one the input
+    /// says once and the decoded value holds again. Fails once the input
+    /// plus every charge passes [`MAX_SPELLED_OUT`].
+    pub fn reuse(&mut self, n: usize) -> Result<(), CodecError> {
+        self.spelled = self.spelled.saturating_add(n);
+        if self.spelled > MAX_SPELLED_OUT {
+            return Err(CodecError::Invalid(
+                "shared parts spelled out past the limit",
+            ));
+        }
+        Ok(())
     }
 
     /// Bytes not yet consumed.
@@ -784,6 +819,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn reuse_is_charged_against_the_input_length() {
+        let over = Err(CodecError::Invalid(
+            "shared parts spelled out past the limit",
+        ));
+        let input = [0u8; 100];
+        let mut r = Reader::new(&input);
+        assert_eq!(r.reuse(MAX_SPELLED_OUT - 150), Ok(()));
+        assert_eq!(r.reuse(50), Ok(()), "exactly the limit");
+        assert_eq!(r.reuse(1), over);
+        assert_eq!(Reader::new(&input).reuse(usize::MAX), over);
+        // Charges never consume input.
+        assert_eq!(r.remaining(), 100);
     }
 
     #[test]

@@ -105,7 +105,8 @@
 use crate::config::SystemConfig;
 use crate::held::{self, hold, verify_held, Held};
 use crate::proof::{
-    echoing, remove_conflicts, replies, return_conflicts, Conflicting, Proof, ProofAck,
+    echoing, encode_reply_fields, remove_conflicts, replies, reply_fields_wire_size,
+    return_conflicts, Conflicting, Proof, ProofAck,
 };
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
@@ -346,8 +347,11 @@ impl<V: SignableValue> ProofAck for GSafeAck<V> {
             sig: reply.sig,
         }
     }
+    fn encode_reply(&self, w: &mut Writer) {
+        encode_reply_fields(w, Some(self.round), &self.conflicts, self.signer, &self.sig);
+    }
     fn reply_wire_size(&self) -> usize {
-        reply_wire_size(self.round, &self.conflicts, self.signer)
+        reply_fields_wire_size(Some(self.round), &self.conflicts, self.signer)
     }
 }
 
@@ -364,29 +368,6 @@ pub struct GSafeAckReply<V: SignableValue> {
     /// Signature over the round, the echoed request, the conflicts and
     /// the signer.
     pub sig: Signature,
-}
-
-impl<V: SignableValue> GSafeAckReply<V> {
-    /// Length of the [`Wire`] encoding.
-    pub fn wire_size(&self) -> usize {
-        reply_wire_size(self.round, &self.conflicts, self.signer)
-    }
-}
-
-/// Length of a safe-ack's encoding without its echo.
-fn reply_wire_size<V: SignableValue>(
-    round: u64,
-    conflicts: &[(SignedBatch<V>, SignedBatch<V>)],
-    signer: ProcessId,
-) -> usize {
-    var_len(round)
-        + var_len(conflicts.len() as u64)
-        + conflicts
-            .iter()
-            .map(|(a, b)| SetItem::wire_size(a) + SetItem::wire_size(b))
-            .sum::<usize>()
-        + var_len(signer as u64)
-        + 64
 }
 
 /// A quorum of safe-acks certifying one round's safetying exchange,
@@ -681,7 +662,11 @@ impl<V: SignableValue> WireMessage for GsbsMsg<V> {
             }
             GsbsMsg::Init(sb) => plain(SetItem::wire_size(sb)),
             GsbsMsg::SafeReq { round, set } => plain(var_len(*round) + set.wire_size()),
-            GsbsMsg::SafeAck(a) => plain(a.wire_size()),
+            GsbsMsg::SafeAck(a) => plain(reply_fields_wire_size(
+                Some(a.round),
+                &a.conflicts,
+                a.signer,
+            )),
             GsbsMsg::Ack(ack) => plain(ack.wire_size()),
             GsbsMsg::Decided(c) => plain(
                 var_len(c.round)
@@ -1278,10 +1263,7 @@ impl<V: SignableValue> Wire for SignedBatch<V> {
 
 impl<V: SignableValue> Wire for GSafeAckReply<V> {
     fn encode(&self, w: &mut Writer) {
-        w.var(self.round);
-        self.conflicts.encode(w);
-        w.usize(self.signer);
-        self.sig.encode(w);
+        encode_reply_fields(w, Some(self.round), &self.conflicts, self.signer, &self.sig);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(GSafeAckReply {

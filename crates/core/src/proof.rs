@@ -29,7 +29,8 @@
 
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
-use bgla_crypto::{ProofId, ProofIdBuilder};
+use bgla_crypto::{ProofId, ProofIdBuilder, Signature};
+use bgla_simnet::ProcessId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -58,8 +59,51 @@ pub trait ProofAck: Clone + std::fmt::Debug + Send + Sync + 'static {
     /// The ack `reply` stands for when it was signed over `echo`.
     fn from_reply(reply: Self::Reply, echo: ValueSet<Self::Echoed>) -> Self;
 
-    /// Modeled serialized size of [`Self::reply`] in bytes.
+    /// Writes the encoding of [`Self::reply`] from the ack's own fields.
+    fn encode_reply(&self, w: &mut Writer);
+
+    /// Length of the encoding of [`Self::reply`].
     fn reply_wire_size(&self) -> usize;
+}
+
+/// Length of what a safe-ack says besides its echo, as
+/// [`encode_reply_fields`] writes it. A GSbS ack has a round, an SbS ack
+/// none. Safe-acks and their replies are both sized here.
+pub(crate) fn reply_fields_wire_size<T: SetItem>(
+    round: Option<u64>,
+    conflicts: &[(T, T)],
+    signer: ProcessId,
+) -> usize {
+    round.map_or(0, var_len)
+        + var_len(conflicts.len() as u64)
+        + conflicts
+            .iter()
+            .map(|(a, b)| a.wire_size() + b.wire_size())
+            .sum::<usize>()
+        + var_len(signer as u64)
+        + 64
+}
+
+/// Writes what a safe-ack says besides its echo: `var(round)` if it has
+/// one, the conflict pairs as a `Vec`, `var(signer)`, the signature.
+/// Safe-acks and their replies are both encoded here.
+pub(crate) fn encode_reply_fields<T: Wire>(
+    w: &mut Writer,
+    round: Option<u64>,
+    conflicts: &[(T, T)],
+    signer: ProcessId,
+    sig: &Signature,
+) {
+    if let Some(round) = round {
+        w.var(round);
+    }
+    w.usize(conflicts.len());
+    for (a, b) in conflicts {
+        a.encode(w);
+        b.encode(w);
+    }
+    w.usize(signer);
+    sig.encode(w);
 }
 
 /// `acks` without their echoes: how a snapshot stores safe-acks that all
@@ -208,11 +252,19 @@ impl<'a, A: ProofAck> IntoIterator for &'a Proof<A> {
 /// acks echo `k` different sets ships `k`. Decoding gives every ack a
 /// shared handle of its echo and rejects an index past the echoes, an
 /// echo listed twice or never used, and echoes out of first-use order, so
-/// a proof has exactly one encoding. The content address is *never* on
-/// the wire — decoding rebuilds through [`Proof::new`], which recomputes
-/// the id from the decoded acks, preserving the constructor's invariant
-/// that an id always matches its content (a snapshot, like a network
-/// peer, cannot attach a mismatched id).
+/// a proof has exactly one encoding.
+///
+/// The content address is *never* on the wire — decoding rebuilds
+/// through [`Proof::new`], which recomputes the id from the decoded
+/// acks, preserving the constructor's invariant that an id always
+/// matches its content (a snapshot, like a network peer, cannot attach a
+/// mismatched id).
+///
+/// Rebuilding the id hashes every ack with its echo, so each use of an
+/// echo after its first is charged to the reader ([`Reader::reuse`])
+/// before anything is hashed. A message whose proofs spelled out would
+/// not fit one frame is refused while it is read: one large echo under
+/// many small acks cannot buy a hash of each.
 impl<A: ProofAck> Wire for Proof<A>
 where
     A::Echoed: Wire,
@@ -227,7 +279,7 @@ where
         w.usize(self.acks.len());
         for (ack, i) in self.acks.iter().zip(of) {
             w.usize(i);
-            ack.reply().encode(w);
+            ack.encode_reply(w);
         }
     }
 
@@ -253,6 +305,8 @@ where
             }
             if i == used {
                 used += 1;
+            } else {
+                r.reuse(echo.wire_size())?;
             }
             acks.push(A::from_reply(A::Reply::decode(r)?, echo.clone()));
         }
@@ -329,6 +383,9 @@ pub(crate) mod testing {
         }
         fn from_reply(n: u64, echo: ValueSet<u64>) -> Self {
             TestAck { echo, n }
+        }
+        fn encode_reply(&self, w: &mut bgla_codec::Writer) {
+            w.u64(self.n);
         }
         fn reply_wire_size(&self) -> usize {
             8

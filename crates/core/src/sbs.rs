@@ -120,7 +120,8 @@
 use crate::config::SystemConfig;
 use crate::held::{self, hold, verify_held, Held};
 use crate::proof::{
-    echoing, remove_conflicts, replies, return_conflicts, Conflicting, Proof, ProofAck,
+    echoing, encode_reply_fields, remove_conflicts, replies, reply_fields_wire_size,
+    return_conflicts, Conflicting, Proof, ProofAck,
 };
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
@@ -306,8 +307,11 @@ impl<V: SignableValue> ProofAck for SignedSafeAck<V> {
             sig: reply.sig,
         }
     }
+    fn encode_reply(&self, w: &mut Writer) {
+        encode_reply_fields(w, None, &self.body.conflicts, self.signer, &self.sig);
+    }
     fn reply_wire_size(&self) -> usize {
-        reply_wire_size(&self.body.conflicts, self.signer)
+        reply_fields_wire_size(None, &self.body.conflicts, self.signer)
     }
 }
 
@@ -321,27 +325,6 @@ pub struct SafeAckReply<V: SignableValue> {
     pub signer: ProcessId,
     /// Signature over the echoed request and the conflicts.
     pub sig: Signature,
-}
-
-impl<V: SignableValue> SafeAckReply<V> {
-    /// Length of the [`Wire`] encoding.
-    pub fn wire_size(&self) -> usize {
-        reply_wire_size(&self.conflicts, self.signer)
-    }
-}
-
-/// Length of a `safe_ack`'s encoding without its echo.
-fn reply_wire_size<V: SignableValue>(
-    conflicts: &[(SignedValue<V>, SignedValue<V>)],
-    signer: ProcessId,
-) -> usize {
-    var_len(conflicts.len() as u64)
-        + conflicts
-            .iter()
-            .map(|(a, b)| SetItem::wire_size(a) + SetItem::wire_size(b))
-            .sum::<usize>()
-        + var_len(signer as u64)
-        + 64
 }
 
 /// A proof of safety: a quorum of safe-acks none of which conflicts the
@@ -488,7 +471,7 @@ impl<V: SignableValue> WireMessage for SbsMsg<V> {
             }
             SbsMsg::Init(sv) => plain(SetItem::wire_size(sv)),
             SbsMsg::SafeReq(set) => plain(set.wire_size()),
-            SbsMsg::SafeAck(ack) => plain(ack.wire_size()),
+            SbsMsg::SafeAck(ack) => plain(reply_fields_wire_size(None, &ack.conflicts, ack.signer)),
             SbsMsg::Ack { values, ts } => plain(values.wire_size() + var_len(*ts)),
             SbsMsg::Resync { ts } => plain(var_len(*ts)),
         }
@@ -843,9 +826,7 @@ impl<V: SignableValue> Wire for SignedValue<V> {
 
 impl<V: SignableValue> Wire for SafeAckReply<V> {
     fn encode(&self, w: &mut Writer) {
-        self.conflicts.encode(w);
-        w.usize(self.signer);
-        self.sig.encode(w);
+        encode_reply_fields(w, None, &self.conflicts, self.signer, &self.sig);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SafeAckReply {

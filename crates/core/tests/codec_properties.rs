@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use bgla_codec::{
     decode_frame, decode_payload, encode_frame, encode_payload, verify_frame, CodecError,
-    FRAME_OVERHEAD,
+    FRAME_OVERHEAD, MAX_SPELLED_OUT,
 };
 use bgla_codec::{Wire, Writer};
 use bgla_core::gsbs::{GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, SignedBatch};
@@ -730,4 +730,49 @@ fn proof_decoder_accepts_one_encoding_only() {
         Ok(()),
         "the empty proof has one form too"
     );
+}
+
+/// One echo of 1 MiB under 100 000 acks: 8 MB of input that, spelled
+/// out, is 100 GiB. Rebuilding the proof's id hashes every ack with its
+/// echo, which would not finish; the decoder refuses the input once the
+/// echo's reuses pass [`MAX_SPELLED_OUT`], before anything is hashed.
+#[test]
+fn one_large_echo_under_many_acks_is_refused_while_read() {
+    let echo: ValueSet<SignedBatch<u64>> = [SignedBatch {
+        round: 1,
+        batch: (0..1u64 << 17).collect(),
+        signer: 0,
+        sig: sig(0, 0),
+    }]
+    .into_iter()
+    .collect();
+    let laid_out = |acks: usize| {
+        let mut w = Writer::new();
+        w.usize(1);
+        echo.encode(&mut w);
+        w.usize(acks);
+        for signer in 0..acks {
+            w.usize(0);
+            GSafeAckReply::<u64> {
+                round: 1,
+                conflicts: vec![],
+                signer,
+                sig: sig(signer, 1),
+            }
+            .encode(&mut w);
+        }
+        w.into_bytes()
+    };
+    let decode = |bytes: &[u8]| decode_payload::<Proof<GSafeAck<u64>>>(bytes).map(|p| p.len());
+    let many = 100_000;
+    let bytes = laid_out(many);
+    assert!(bytes.len() < MAX_SPELLED_OUT / 4);
+    assert!(echo.wire_size() * many > 1000 * MAX_SPELLED_OUT);
+    assert_eq!(
+        decode(&bytes),
+        Err(CodecError::Invalid(
+            "shared parts spelled out past the limit"
+        ))
+    );
+    assert_eq!(decode(&laid_out(4)), Ok(4), "a few acks share it freely");
 }

@@ -30,8 +30,9 @@ pub const FRAME_HEADER: usize = 16;
 
 /// Hard upper bound on a frame payload accepted off a socket. Guards
 /// allocation against a hostile or corrupt length field before the
-/// checksum can be verified.
-pub const MAX_FRAME_PAYLOAD: u64 = 64 * 1024 * 1024;
+/// checksum can be verified. The codec bounds what one decode may spell
+/// out by the same number.
+pub const MAX_FRAME_PAYLOAD: u64 = bgla_codec::MAX_SPELLED_OUT as u64;
 
 /// Connection handshake, sent by both ends when a connection is
 /// (re-)established. The dialer introduces itself (`from`, with
