@@ -6,9 +6,10 @@
 //! `r = H(prefix ‖ M)`, `R = r·B`, `S = r + H(R ‖ A ‖ M)·s` — so the bytes
 //! of a signature are a function of seed and message only, whatever
 //! arithmetic computes them. The one scalar multiplication is the
-//! table-driven [`Point::mul_base`] (≈ 480 M) and the one encoding costs a
-//! field inversion (≈ 190 M): **≈ 700 field multiplications per
-//! signature**, and the same per key generation. Signing is
+//! table-driven [`Point::mul_base`] (≈ 8 µs) and the one encoding costs a
+//! field inversion: **≈ 13.5 µs per signature** and ≈ 11.5 µs per key
+//! generation (medians on a 2-core Xeon VM with the host quiet, as are
+//! the costs below; a busy host reads up to 20% slower). Signing is
 //! variable-time: the radix-16 table is indexed by digits of the secret
 //! nonce. Fine for a simulator whose keys derive from public process ids;
 //! not for deployment.
@@ -34,23 +35,24 @@
 //! equation a batch's verdict is the conjunction of its members' verdicts
 //! (up to a 2^-125 chance of a blinded cancellation), whichever path runs.
 //!
-//! Costs, in field multiplications (squarings counted at 0.7):
+//! Costs:
 //!
-//! * single: decode `R` (≈ 200) + `[k]A + [−S]B` as one interleaved
-//!   width-5/width-8 non-adjacent-form chain — 253 doublings (≈ 1 470),
-//!   ≈ 42 additions from the key's table (≈ 340) and ≈ 28 from the `B`
-//!   table (≈ 200) — plus adding `R`, three doublings and the identity
-//!   test (≈ 40): **≈ 2 250 per verification** when the key arrives
-//!   expanded (as it does from a [`crate::Keyring`]); a bare
-//!   [`PublicKey::verify`] first pays ≈ 270 to decode `A` and build its
-//!   table.
-//! * batch of `n`: per signature decode `R` (≈ 200), its table (≈ 70),
-//!   ≈ 21 additions for the 128-bit blinder `zᵢ` (≈ 170) and ≈ 42 for
-//!   `[zᵢkᵢ]Aᵢ` (≈ 340) — **≈ 780 per signature** — plus one shared chain
-//!   and one `B` term (≈ 1 700) per batch: ≈ 1 120 per signature at
-//!   `n = 5`, ≈ 890 at `n = 16`.
+//! * single, against a [`crate::Keyring`] (**≈ 25 µs**): decode `R`
+//!   (≈ 3.6 µs), hash the challenge, then `[k]A + [−S]B` as one chain
+//!   over the key's and `B`'s split width-8 tables — ≈ 128 doublings and
+//!   ≈ 4 × 14 additions — then add `R`, three doublings and the identity
+//!   test.
+//! * single, bare [`PublicKey::verify`] (≈ 42 µs): also decodes `A` and
+//!   builds its width-5 table, so `[k]A` walks all 253 positions.
+//! * batch of `n` against a keyring: per signature decode `R`, build its
+//!   width-5 table (≈ 2 µs), ≈ 21 additions for the 128-bit blinder `zᵢ`
+//!   and ≈ 28 for `[zᵢkᵢ]Aᵢ`; per batch one ≈ 128-position chain and the
+//!   `B` term. Per signature ≈ 17 µs at `n = 4`, ≈ 15 µs at `n = 5` and
+//!   ≈ 13 µs at `n = 16`. The bare [`verify_batch`] reads each key as a
+//!   width-5 short term over a 253-position chain: ≈ 24 µs per signature
+//!   at `n = 5`.
 
-use crate::edwards::{straus, OddMultiples, Point};
+use crate::edwards::{base_split, straus, OddMultiples, Point, SplitMultiples};
 use crate::scalar::Scalar;
 use crate::sha512::Sha512;
 
@@ -174,13 +176,13 @@ fn challenge(r: &[u8; 32], a: &PublicKey, msg: &[u8]) -> ([u8; 64], Scalar) {
 }
 
 /// A public key decoded once: the compressed bytes (hashed into every
-/// challenge) and the width-5 table of the point `A` (1 280 bytes). This
-/// is what a [`crate::Keyring`] keeps per process, so no verification
-/// decompresses `A` again.
-#[derive(Debug, Clone)]
+/// challenge) and the split width-8 tables of the point `A` (15 360
+/// bytes). This is what a [`crate::Keyring`] keeps per process, so no
+/// verification against the ring decompresses `A` or builds a table of it.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ExpandedKey {
     pub(crate) public: PublicKey,
-    table: OddMultiples,
+    tables: SplitMultiples,
 }
 
 impl ExpandedKey {
@@ -189,8 +191,57 @@ impl ExpandedKey {
         let a = Point::decompress(&public.0)?;
         Some(ExpandedKey {
             public,
-            table: OddMultiples::new(&a),
+            tables: SplitMultiples::new(&a),
         })
+    }
+
+    /// The key as a verification reads it.
+    pub(crate) fn verifying_key(&self) -> VerifyingKey<'_> {
+        VerifyingKey {
+            public: &self.public,
+            a: KeyTable::Split(&self.tables),
+        }
+    }
+}
+
+/// How the point `A` of a key enters a verification chain.
+enum KeyTable<'a> {
+    /// A [`crate::Keyring`] entry's split tables, built once per process
+    /// image: `[c]A` is a fixed term.
+    Split(&'a SplitMultiples),
+    /// A bare [`PublicKey`]'s width-5 table, built for this call: `[c]A`
+    /// is a short term.
+    Short(Box<OddMultiples>),
+}
+
+/// A public key as one verification reads it.
+pub(crate) struct VerifyingKey<'a> {
+    public: &'a PublicKey,
+    a: KeyTable<'a>,
+}
+
+impl<'a> VerifyingKey<'a> {
+    /// A bare key: decodes `A` and builds its width-5 table. `None` when
+    /// the bytes do not decode to a curve point.
+    fn bare(public: &'a PublicKey) -> Option<VerifyingKey<'a>> {
+        let a = Point::decompress(&public.0)?;
+        Some(VerifyingKey {
+            public,
+            a: KeyTable::Short(Box::new(OddMultiples::new(&a))),
+        })
+    }
+
+    /// Adds the term `[c]A` to a chain's short or fixed terms.
+    fn push_term<'t>(
+        &'t self,
+        c: Scalar,
+        short: &mut Vec<(Scalar, &'t OddMultiples)>,
+        fixed: &mut Vec<(Scalar, &'t SplitMultiples)>,
+    ) {
+        match &self.a {
+            KeyTable::Split(tables) => fixed.push((c, *tables)),
+            KeyTable::Short(table) => short.push((c, table)),
+        }
     }
 
     /// The cofactored check `[8]([k]A + [−S]B + R) = identity` (the
@@ -202,8 +253,11 @@ impl ExpandedKey {
         let Some(r) = Point::decompress(&sig.r) else {
             return false;
         };
-        let (_, k) = challenge(&sig.r, &self.public, msg);
-        straus(&[(k, &self.table)], &s.neg())
+        let (_, k) = challenge(&sig.r, self.public, msg);
+        let mut short = Vec::new();
+        let mut fixed = vec![(s.neg(), base_split())];
+        self.push_term(k, &mut short, &mut fixed);
+        straus(&short, &fixed)
             .add(&r)
             .mul_by_cofactor()
             .is_identity()
@@ -214,7 +268,7 @@ impl PublicKey {
     /// Verifies `sig` over `msg` (RFC 8032 §5.1.7, cofactored): checks
     /// `[8]([S]B − [k]A − R) = identity` with `k = H(R ‖ A ‖ msg)`.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        ExpandedKey::new(*self).is_some_and(|key| key.verify(msg, sig))
+        VerifyingKey::bare(self).is_some_and(|key| key.verify(msg, sig))
     }
 }
 
@@ -231,27 +285,20 @@ impl PublicKey {
 /// against known coefficients to force a cancellation, and runs stay
 /// reproducible.
 pub fn verify_batch(items: &[(PublicKey, &[u8], Signature)]) -> bool {
-    let keys: Option<Vec<ExpandedKey>> = items
+    let keyed: Option<Vec<_>> = items
         .iter()
-        .map(|(pk, _, _)| ExpandedKey::new(*pk))
+        .map(|(public, msg, sig)| Some((VerifyingKey::bare(public)?, *msg, *sig)))
         .collect();
-    keys.is_some_and(|keys| {
-        let items: Vec<_> = keys
-            .iter()
-            .zip(items)
-            .map(|(key, (_, msg, sig))| (key, *msg, *sig))
-            .collect();
-        verify_batch_expanded(&items)
-    })
+    keyed.is_some_and(|keyed| verify_batch_keyed(&keyed))
 }
 
-/// [`verify_batch`] over keys that are already decoded — the entry
-/// [`crate::Keyring::verify_batch`] uses. `R` is the only point
-/// decompressed per signature.
-pub(crate) fn verify_batch_expanded(items: &[(&ExpandedKey, &[u8], Signature)]) -> bool {
+/// [`verify_batch`] over keys as verification reads them — the entry
+/// [`crate::Keyring::verify_batch`] uses with its split tables. `R` is
+/// the only point decompressed per signature.
+pub(crate) fn verify_batch_keyed(items: &[(VerifyingKey<'_>, &[u8], Signature)]) -> bool {
     let mut transcript = Sha512::new();
     transcript.update(b"bgla-batch-blinding");
-    // Per signature: S, k, the table of R, the table of A.
+    // Per signature: S, k, the table of R, the key.
     let mut parsed = Vec::with_capacity(items.len());
     for (key, msg, sig) in items {
         let Some(s) = Scalar::from_canonical_bytes(&sig.s) else {
@@ -260,12 +307,13 @@ pub(crate) fn verify_batch_expanded(items: &[(&ExpandedKey, &[u8], Signature)]) 
         let Some(r) = Point::decompress(&sig.r) else {
             return false;
         };
-        let (digest, k) = challenge(&sig.r, &key.public, msg);
+        let (digest, k) = challenge(&sig.r, key.public, msg);
         transcript.update(&digest).update(&sig.s);
-        parsed.push((s, k, OddMultiples::new(&r), &key.table));
+        parsed.push((s, k, OddMultiples::new(&r), key));
     }
     let seed = transcript.finalize();
-    let mut terms: Vec<(Scalar, &OddMultiples)> = Vec::with_capacity(2 * parsed.len());
+    let mut short: Vec<(Scalar, &OddMultiples)> = Vec::with_capacity(2 * parsed.len());
+    let mut fixed: Vec<(Scalar, &SplitMultiples)> = Vec::with_capacity(parsed.len() + 1);
     let mut b_coeff = Scalar::ZERO;
     // One digest blinds four signatures: zᵢ is 16 bytes of
     // H(seed ‖ ⌊i/4⌋).
@@ -273,20 +321,19 @@ pub(crate) fn verify_batch_expanded(items: &[(&ExpandedKey, &[u8], Signature)]) 
         let mut h = Sha512::new();
         h.update(&seed).update(&(block as u64).to_le_bytes());
         let blinders = h.finalize();
-        for ((s, k, r_table, a_table), z) in chunk.iter().zip(blinders.chunks_exact(16)) {
+        for ((s, k, r_table, key), z) in chunk.iter().zip(blinders.chunks_exact(16)) {
             let z = z
                 .iter()
                 .rev()
                 .fold(0u128, |acc, &b| acc << 8 | u128::from(b));
             let z = Scalar([z as u64, (z >> 64) as u64, 0, 0]);
             b_coeff = b_coeff.add(z.mul(*s));
-            terms.push((z, r_table));
-            terms.push((z.mul(*k), *a_table));
+            short.push((z, r_table));
+            key.push_term(z.mul(*k), &mut short, &mut fixed);
         }
     }
-    straus(&terms, &b_coeff.neg())
-        .mul_by_cofactor()
-        .is_identity()
+    fixed.push((b_coeff.neg(), base_split()));
+    straus(&short, &fixed).mul_by_cofactor().is_identity()
 }
 
 #[cfg(test)]
@@ -594,6 +641,40 @@ mod batch_tests {
         b[0].1 = b[1].1.clone();
         b[1].1 = tmp;
         assert!(!verify_batch(&refs(&b)));
+    }
+
+    /// Batches of 1, 2 and 16, the last with signers repeating, through
+    /// the ring's split tables and through bare keys: each accepts, and
+    /// each rejects once any one record's `S` is off by one.
+    #[test]
+    fn batches_of_one_two_and_sixteen_on_both_key_forms() {
+        let ring = crate::Keyring::for_system(5);
+        for size in [1usize, 2, 16] {
+            let records: Vec<(usize, Vec<u8>, Signature)> = (0..size)
+                .map(|i| {
+                    let msg = format!("record {i} of {size}").into_bytes();
+                    (i % 5, msg.clone(), Keypair::for_process(i % 5).sign(&msg))
+                })
+                .collect();
+            for victim in [None, Some(0), Some(size - 1)] {
+                let mut records = records.clone();
+                if let Some(v) = victim {
+                    let s = Scalar::from_canonical_bytes(&records[v].2.s).unwrap();
+                    records[v].2.s = s.add(Scalar::ONE).to_bytes();
+                }
+                let by_id: Vec<(usize, &[u8], Signature)> = records
+                    .iter()
+                    .map(|(i, m, s)| (*i, m.as_slice(), *s))
+                    .collect();
+                let keyed: Vec<(PublicKey, &[u8], Signature)> = by_id
+                    .iter()
+                    .map(|(i, m, s)| (*ring.key_of(*i).unwrap(), *m, *s))
+                    .collect();
+                let want = victim.is_none();
+                assert_eq!(ring.verify_batch(&by_id), want, "ring, {size}, {victim:?}");
+                assert_eq!(verify_batch(&keyed), want, "bare, {size}, {victim:?}");
+            }
+        }
     }
 
     #[test]

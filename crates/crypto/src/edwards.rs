@@ -15,10 +15,11 @@
 //!   [`Point`] (an addition follows), so a run of doublings costs
 //!   4 S + 3 M each instead of the 4 S + 4 M (+ a repeated `Z²`) of
 //!   doubling in extended coordinates throughout;
-//! * table operands: `Cached` `(Y+X, Y−X, Z, 2dT)` for tables built per
-//!   key at run time (addition 4 M + 4 M to come back to a `Point`), and
-//!   `Niels` `(y+x, y−x, 2dxy)` — the same with `Z = 1` — for the two
-//!   base-point tables (addition 3 M + 4 M).
+//! * table operands: `Cached` `(Y+X, Y−X, Z, 2dT)` for tables built for
+//!   one call (addition 4 M + 4 M to come back to a `Point`), and `Niels`
+//!   `(y+x, y−x, 2dxy)` — the same with `Z = 1`, one batched inversion
+//!   away — for tables built once: the base point's and each keyring
+//!   key's (addition 3 M + 4 M).
 //!
 //! Formulas: "add-2008-hwcd-3" (unified addition for a = −1) and
 //! "dbl-2008-hwcd", split at the completed form as above. Unified means
@@ -30,21 +31,27 @@
 //! Nothing is transcribed: the curve constant `d = −121665/121666`, the
 //! base point `B` (`y = 4/5`, x even) and both base-point tables are
 //! computed from their definitions on first use and kept in `OnceLock`s.
+//! Build times are medians on a 2-core Xeon VM with the host quiet (a busy
+//! host reads up to 20% slower):
 //!
 //! | table | entries | bytes | built | used by |
 //! |---|---|---|---|---|
-//! | radix-16 `j·256^i·B`, `j = 1..8`, `i = 0..31` | 256 `Niels` | 30 720 | first [`Point::mul_base`] (key generation, signing); 256 doublings + 224 additions + one batched inversion ≈ 5 000 M | [`Point::mul_base`]: 64 table additions + 4 doublings ≈ 480 M |
-//! | width-8 odd multiples `1·B, 3·B, …, 127·B` | 64 `Niels` | 7 680 | first verification; 1 doubling + 63 additions + one batched inversion ≈ 1 000 M | the `[s]B` term of every verification |
-//! | width-5 odd multiples `1·A, 3·A, …, 15·A` (`OddMultiples`) | 8 `Cached` | 1 280 | once per public key, by [`crate::Keyring`] at construction (1 doubling + 7 additions ≈ 70 M); per `R` inside a batch | the `[k]A` and `[z]R` terms of every verification |
+//! | radix-16 `j·256^i·B`, `j = 1..8`, `i = 0..31` | 256 `Niels` | 30 720 | once per process image, by the first [`Point::mul_base`]: ≈ 210 µs | [`Point::mul_base`] (key generation, signing): 64 table additions + 4 doublings, ≈ 8 µs |
+//! | split width-8 odd multiples of `B` and `2^128·B` (`SplitMultiples`) | 2 × 64 `Niels` | 15 360 | once per process image, by the first verification: ≈ 60 µs | the `[S]B` term of every verification |
+//! | split width-8 odd multiples of a key `A` and `2^128·A` | 2 × 64 `Niels` | 15 360 per key | once per key, `n` and process image, by [`crate::Keyring::for_system`]: ≈ 53 µs with the decoding | the `[k]A` term of every verification against a keyring |
+//! | width-5 odd multiples `1·P, 3·P, …, 15·P` (`OddMultiples`) | 8 `Cached` | 1 280 | per use: ≈ 2 µs | each signature's `R` in a batch; a bare key's `A`; [`Point::mul`] and [`multiscalar_mul`] |
 //!
 //! # Scalar multiplications
 //!
 //! * [`Point::mul_base`] — fixed base, signed radix-16 digits.
-//! * `straus` — `Σ kᵢ·Pᵢ + b·B` over one shared doubling chain with
-//!   width-5 (per-point tables) and width-8 (`B`) non-adjacent forms: a
-//!   253-bit scalar costs ≈ 42 (resp. ≈ 28) additions instead of ≈ 126.
-//!   [`Point::mul`] and [`multiscalar_mul`] are thin wrappers that build
-//!   the per-point tables first.
+//! * `straus` — the one shared-doubling-chain loop behind everything
+//!   else. Short terms walk a width-5 non-adjacent form of their whole
+//!   scalar over an `OddMultiples` table (a 253-bit scalar costs ≈ 42
+//!   additions instead of ≈ 126). Fixed terms split their scalar at bit
+//!   128 and walk two width-8 forms over a `SplitMultiples` (≈ 14
+//!   additions per half), so a chain with no long short term is ≈ 128
+//!   positions long. [`Point::mul`] and [`multiscalar_mul`] build
+//!   short-term tables and call it.
 //!
 //! All of it is **variable-time**: digits that are zero are skipped and
 //! table entries are fetched by secret-dependent index, in signing as well
@@ -97,7 +104,7 @@ pub(crate) struct Cached {
 }
 
 /// [`Cached`] for an affine point (`Z = 1`): `(y+x, y−x, 2d·x·y)`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Niels {
     y_plus_x: Fe,
     y_minus_x: Fe,
@@ -221,14 +228,8 @@ pub(crate) struct OddMultiples([Cached; 8]);
 
 impl OddMultiples {
     pub(crate) fn new(p: &Point) -> OddMultiples {
-        let p2 = p.double().to_cached();
-        let mut multiple = *p;
-        let mut table = [p.to_cached(); 8];
-        for entry in table.iter_mut().skip(1) {
-            multiple = multiple.add_cached(&p2).to_point();
-            *entry = multiple.to_cached();
-        }
-        OddMultiples(table)
+        let points = odd_multiples(p, 8);
+        OddMultiples(std::array::from_fn(|i| points[i].to_cached()))
     }
 
     /// `digit·P` for an odd `digit` of a width-5 non-adjacent form
@@ -236,6 +237,55 @@ impl OddMultiples {
     fn select(&self, digit: i8) -> Cached {
         self.0[usize::from(digit.unsigned_abs() / 2)].signed(digit)
     }
+}
+
+/// Width-8 tables of a fixed point `P` for scalars split at bit 128
+/// (`k = lo + 2^128·hi`, see `Scalar::split_128`): entry `i` of `low`
+/// is `(2i + 1)·P` and of `high` `(2i + 1)·2^128·P`, `i` in `0..64`, both
+/// affine. 15 360 bytes; built once per key (see the module's tables).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SplitMultiples {
+    low: Vec<Niels>,
+    high: Vec<Niels>,
+}
+
+impl SplitMultiples {
+    pub(crate) fn new(p: &Point) -> SplitMultiples {
+        let mut points = odd_multiples(p, 64);
+        points.extend(odd_multiples(&p.mul_by_pow2(128), 64));
+        let niels = Niels::batch_from(&points);
+        let (low, high) = niels.split_at(64);
+        SplitMultiples {
+            low: low.to_vec(),
+            high: high.to_vec(),
+        }
+    }
+}
+
+/// `digit·P` from a width-8 table of `P`'s odd multiples, for an odd
+/// `digit` of a width-8 non-adjacent form (`|digit| ≤ 127`).
+fn select_wide(table: &[Niels], digit: i8) -> Niels {
+    table[usize::from(digit.unsigned_abs() / 2)].signed(digit)
+}
+
+/// `[1·P, 3·P, …, (2·count − 1)·P]`.
+fn odd_multiples(p: &Point, count: usize) -> Vec<Point> {
+    let p2 = p.double().to_cached();
+    let mut points = Vec::with_capacity(count);
+    let mut multiple = *p;
+    points.push(multiple);
+    for _ in 1..count {
+        multiple = multiple.add_cached(&p2).to_point();
+        points.push(multiple);
+    }
+    points
+}
+
+/// The base point's [`SplitMultiples`]: the `[S]B` term of every
+/// verification.
+pub(crate) fn base_split() -> &'static SplitMultiples {
+    static CELL: OnceLock<SplitMultiples> = OnceLock::new();
+    CELL.get_or_init(|| SplitMultiples::new(&Point::basepoint()))
 }
 
 /// Radix-16 table of the base point: entry `8·i + (j − 1)` is
@@ -254,23 +304,6 @@ fn base_radix16() -> &'static [Niels] {
                 points.push(multiple);
             }
             power = power.mul_by_pow2(8);
-        }
-        Niels::batch_from(&points)
-    })
-}
-
-/// Width-8 table of the base point: entry `i` is `(2i + 1)·B`, `i` in
-/// `0..64`.
-fn base_odd_multiples() -> &'static [Niels] {
-    static CELL: OnceLock<Vec<Niels>> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let b2 = Point::basepoint().double().to_cached();
-        let mut points = Vec::with_capacity(64);
-        let mut multiple = Point::basepoint();
-        points.push(multiple);
-        for _ in 1..64 {
-            multiple = multiple.add_cached(&b2).to_point();
-            points.push(multiple);
         }
         Niels::batch_from(&points)
     })
@@ -484,36 +517,65 @@ pub fn multiscalar_mul(terms: &[(Scalar, Point)]) -> Point {
     let tables: Vec<OddMultiples> = terms.iter().map(|(_, p)| OddMultiples::new(p)).collect();
     let terms: Vec<(Scalar, &OddMultiples)> =
         terms.iter().map(|(k, _)| *k).zip(tables.iter()).collect();
-    straus(&terms, &Scalar::ZERO)
+    straus(&terms, &[])
 }
 
-/// `Σ kᵢ·Pᵢ + base·B` — the one loop behind single verification
-/// (`[k]A + [−s]B`), batch verification and [`multiscalar_mul`]. Each
-/// position of the shared chain costs one doubling (4 S + 3 M) plus, per
-/// term whose non-adjacent form has a digit there, one table addition
-/// (8 M from an [`OddMultiples`] entry, 7 M from the width-8 `B` table).
-/// Positions above every term's top digit are skipped, so 128-bit scalars
-/// cost half the chain.
-pub(crate) fn straus(terms: &[(Scalar, &OddMultiples)], base: &Scalar) -> Point {
-    let nafs: Vec<[i8; 256]> = terms.iter().map(|(k, _)| k.non_adjacent_form(5)).collect();
-    let base_naf = base.non_adjacent_form(8);
-    let base_table = base_odd_multiples();
-    let live = |i: &usize| base_naf[*i] != 0 || nafs.iter().any(|naf| naf[*i] != 0);
-    let Some(top) = (0..256).rev().find(live) else {
+/// `Σ kᵢ·Pᵢ + Σ cⱼ·Qⱼ` over one shared doubling chain — the one loop
+/// behind single verification, batch verification, [`Point::mul`] and
+/// [`multiscalar_mul`].
+///
+/// * `short` terms read a width-5 [`OddMultiples`] table built for the
+///   call (a signature's `R`, a bare key, a [`multiscalar_mul`] point);
+///   their scalars may have any length.
+/// * `fixed` terms read a [`SplitMultiples`] built once (a keyring key,
+///   the base point): each scalar is split into `lo + 2^128·hi`, and each
+///   half walks a width-8 non-adjacent form over its own table.
+///
+/// Each position costs one doubling (4 S + 3 M) plus, per non-adjacent
+/// form with a digit there, one addition (8 M from a `Cached` entry, 7 M
+/// from a `Niels` one). Positions above every form's top digit are
+/// skipped, so when every short scalar is at most 128 bits long — as in
+/// verification against a keyring — the chain is ≈ 128 positions long
+/// instead of 253, for the same number of additions.
+pub(crate) fn straus(
+    short: &[(Scalar, &OddMultiples)],
+    fixed: &[(Scalar, &SplitMultiples)],
+) -> Point {
+    let short: Vec<([i8; 256], &OddMultiples)> = short
+        .iter()
+        .map(|(k, table)| (k.non_adjacent_form(5), *table))
+        .collect();
+    let fixed: Vec<([i8; 256], &[Niels])> = fixed
+        .iter()
+        .flat_map(|(k, tables)| {
+            let (lo, hi) = k.split_128();
+            [
+                (lo.non_adjacent_form(8), tables.low.as_slice()),
+                (hi.non_adjacent_form(8), tables.high.as_slice()),
+            ]
+        })
+        .collect();
+    let top = short
+        .iter()
+        .map(|(naf, _)| naf)
+        .chain(fixed.iter().map(|(naf, _)| naf))
+        .filter_map(|naf| naf.iter().rposition(|&digit| digit != 0))
+        .max();
+    let Some(top) = top else {
         return Point::identity();
     };
     let mut acc = Completed::IDENTITY;
     for i in (0..=top).rev() {
         acc = acc.to_projective().double();
-        for (naf, (_, table)) in nafs.iter().zip(terms) {
+        for (naf, table) in &short {
             if naf[i] != 0 {
                 acc = acc.to_point().add_cached(&table.select(naf[i]));
             }
         }
-        let digit = base_naf[i];
-        if digit != 0 {
-            let entry = base_table[usize::from(digit.unsigned_abs() / 2)].signed(digit);
-            acc = acc.to_point().add_niels(&entry);
+        for (naf, table) in &fixed {
+            if naf[i] != 0 {
+                acc = acc.to_point().add_niels(&select_wide(table, naf[i]));
+            }
         }
     }
     acc.to_point()
@@ -566,7 +628,10 @@ mod tests {
     /// 2^252−1 and 2^252−2^j (all-ones digits: the recoding carry ripples
     /// through every position and out of the top window), 0x77…7 and
     /// 0x88…8 (the largest carry-free and smallest carrying radix-16
-    /// digit everywhere), alternating bits, a lone middle limb, 2^252.
+    /// digit everywhere), alternating bits, a lone middle limb, 2^252;
+    /// and around the split at bit 128: 2^128 − 1, 2^128, 2^128 + 1, and
+    /// ones in bits 120–127 (the width-8 form of the low half carries
+    /// into position 128), alone and under a high half.
     fn edge_scalars() -> Vec<Scalar> {
         let mut l_minus_1 = crate::scalar::L;
         l_minus_1[0] -= 1;
@@ -599,6 +664,13 @@ mod tests {
             ]),
             scalar_from_limbs([0, 0, u64::MAX, 0]),
             scalar_from_limbs([0, 0, 0, 1 << 60]), // 2^252
+            scalar_from_limbs([u64::MAX, u64::MAX, 0, 0]), // 2^128 − 1
+            scalar_from_limbs([0, 0, 1, 0]),       // 2^128
+            scalar_from_limbs([1, 0, 1, 0]),       // 2^128 + 1
+            scalar_from_limbs([0, 0xff << 56, 0, 0]),
+            scalar_from_limbs([0, 0xff << 56, 1, 0]),
+            scalar_from_limbs([0, 0xff << 56, u64::MAX, (1 << 60) - 1]),
+            scalar_from_limbs([u64::MAX, 0xff << 56, 0, 0]),
         ];
         // ℓ − 1 − 2^i for small i: top limbs 0x1000…, low limbs irregular.
         for i in 0..8 {
@@ -742,18 +814,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn base_odd_multiples_are_the_oracle_multiples() {
-        let table = base_odd_multiples();
-        assert_eq!(table.len(), 64);
-        for (i, entry) in table.iter().enumerate() {
-            let got = Point::identity().add_niels(entry).to_point();
-            assert!(got.on_curve(), "entry {i}");
-            let k = Scalar::from_u64(2 * i as u64 + 1);
-            assert_eq!(got, mul_bitwise(&Point::basepoint(), &k), "entry {i}");
-            let neg = Point::identity().add_niels(&entry.signed(-1)).to_point();
-            assert_eq!(neg, got.neg(), "entry {i} negated");
+    /// Every entry of both halves of `tables` is the oracle's odd multiple
+    /// of `p` or of `2^128·p`, with either sign of the digit.
+    fn check_split_tables(p: &Point, tables: &SplitMultiples) {
+        let two_128 = Scalar([0, 0, 1, 0]);
+        for (half, base, table) in [
+            ("low", *p, &tables.low),
+            ("high", mul_bitwise(p, &two_128), &tables.high),
+        ] {
+            assert_eq!(table.len(), 64, "{half}");
+            for i in 0..64u8 {
+                let digit = 2 * i as i8 + 1;
+                let want = mul_bitwise(&base, &Scalar::from_u64(2 * u64::from(i) + 1));
+                let got = Point::identity().add_niels(&select_wide(table, digit));
+                let got = got.to_point();
+                assert!(got.on_curve(), "{half} entry {i}");
+                assert_eq!(got, want, "{half} entry {i}");
+                let neg = Point::identity().add_niels(&select_wide(table, -digit));
+                assert_eq!(neg.to_point(), want.neg(), "{half} entry {i} negated");
+            }
         }
+    }
+
+    #[test]
+    fn base_split_tables_are_the_oracle_multiples() {
+        check_split_tables(&Point::basepoint(), base_split());
+    }
+
+    #[test]
+    fn key_split_tables_are_the_oracle_multiples() {
+        let a = mul_bitwise(&Point::basepoint(), &Scalar::from_u64(0xdead_beef));
+        check_split_tables(&a, &SplitMultiples::new(&a));
     }
 
     #[test]
@@ -778,6 +869,8 @@ mod tests {
     fn every_path_agrees_with_the_oracle_on_edge_scalars() {
         let b = Point::basepoint();
         let p = mul_bitwise(&b, &Scalar::from_u64(0x1234_5678_9abc_def1));
+        let table = OddMultiples::new(&p);
+        let split = SplitMultiples::new(&p);
         let edges = edge_scalars();
         for (i, k) in edges.iter().enumerate() {
             let want_b = mul_bitwise(&b, k);
@@ -786,13 +879,19 @@ mod tests {
             assert_eq!(b.mul(k), want_b, "mul(B), edge {i}");
             assert_eq!(p.mul(k), mul_bitwise(&p, k), "mul(P), edge {i}");
             // Double-scalar with the base term, pairing each edge with the
-            // next one.
+            // next one: `P` as a short term and as a fixed one.
             let k2 = edges[(i + 1) % edges.len()];
-            let table = OddMultiples::new(&p);
+            let want = mul_bitwise(&p, k).add(&mul_bitwise(&b, &k2));
+            let base = (k2, base_split());
             assert_eq!(
-                straus(&[(*k, &table)], &k2),
-                mul_bitwise(&p, k).add(&mul_bitwise(&b, &k2)),
-                "double-scalar, edge {i}"
+                straus(&[(*k, &table)], &[base]),
+                want,
+                "short + fixed, edge {i}"
+            );
+            assert_eq!(
+                straus(&[], &[(*k, &split), base]),
+                want,
+                "fixed + fixed, edge {i}"
             );
         }
         let terms: Vec<(Scalar, Point)> = edges
@@ -800,7 +899,13 @@ mod tests {
             .enumerate()
             .map(|(i, k)| (*k, mul_bitwise(&b, &Scalar::from_u64(3 + i as u64))))
             .collect();
-        assert_eq!(multiscalar_mul(&terms), multiscalar_mul_bitwise(&terms));
+        let want = multiscalar_mul_bitwise(&terms);
+        assert_eq!(multiscalar_mul(&terms), want, "all short");
+        let splits: Vec<SplitMultiples> =
+            terms.iter().map(|(_, p)| SplitMultiples::new(p)).collect();
+        let fixed: Vec<(Scalar, &SplitMultiples)> =
+            terms.iter().map(|(k, _)| *k).zip(&splits).collect();
+        assert_eq!(straus(&[], &fixed), want, "all fixed");
     }
 
     #[test]
@@ -822,7 +927,9 @@ mod tests {
     #[test]
     fn msm_of_nothing_is_identity() {
         assert!(multiscalar_mul(&[]).is_identity());
-        assert!(straus(&[], &Scalar::ZERO).is_identity());
+        assert!(straus(&[], &[]).is_identity());
+        let zero = (Scalar::ZERO, base_split());
+        assert!(straus(&[], &[zero]).is_identity());
     }
 
     proptest! {
@@ -853,7 +960,33 @@ mod tests {
             p in arb_point(),
         ) {
             let want = mul_bitwise(&p, &k).add(&mul_bitwise(&Point::basepoint(), &s));
-            prop_assert_eq!(straus(&[(k, &OddMultiples::new(&p))], &s), want);
+            prop_assert_eq!(straus(&[(k, &OddMultiples::new(&p))], &[(s, base_split())]), want);
+        }
+
+        #[test]
+        fn mixed_short_and_fixed_terms_match_the_oracle(
+            short in proptest::collection::vec((arb_scalar(), arb_point()), 0..3),
+            fixed in proptest::collection::vec((arb_scalar(), arb_point()), 0..3),
+            blinder in any::<[u64; 2]>(),
+            s in arb_scalar(),
+        ) {
+            // As in a batch: a 128-bit short term beside full-width ones,
+            // fixed terms, and the base point.
+            let mut short = short;
+            short.push((Scalar([blinder[0], blinder[1], 0, 0]), Point::basepoint().double()));
+            let short_tables: Vec<OddMultiples> =
+                short.iter().map(|(_, p)| OddMultiples::new(p)).collect();
+            let fixed_tables: Vec<SplitMultiples> =
+                fixed.iter().map(|(_, p)| SplitMultiples::new(p)).collect();
+            let short_terms: Vec<(Scalar, &OddMultiples)> =
+                short.iter().map(|(k, _)| *k).zip(&short_tables).collect();
+            let mut fixed_terms: Vec<(Scalar, &SplitMultiples)> =
+                fixed.iter().map(|(k, _)| *k).zip(&fixed_tables).collect();
+            fixed_terms.push((s, base_split()));
+            let mut all = short.clone();
+            all.extend(fixed.iter().copied());
+            all.push((s, Point::basepoint()));
+            prop_assert_eq!(straus(&short_terms, &fixed_terms), multiscalar_mul_bitwise(&all));
         }
 
         #[test]

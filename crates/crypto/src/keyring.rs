@@ -9,32 +9,52 @@
 //! only ever given their own secrets.
 //!
 //! The ring is also where public keys stop being bytes: construction
-//! decodes each key once and keeps the point as a width-5 odd-multiples
-//! table (1 280 bytes per entry, ≈ 270 field multiplications to build),
-//! so [`Keyring::verify`] is one interleaved `[k]A + [−S]B` chain and
-//! [`Keyring::verify_batch`] decodes nothing but each signature's `R`.
-//! Both check the same cofactored equation (see [`crate::ed25519`]), so a
-//! record has one verdict whichever of them — or whichever mix, through
-//! [`crate::CachedVerifier`] — a process happens to run.
+//! decodes each key once and keeps the point as split width-8 tables of
+//! `A` and `2^128·A` (15 360 bytes per entry, ≈ 53 µs to decode and
+//! build on a 2-core Xeon VM), so [`Keyring::verify`] is one `[k]A + [−S]B` chain of
+//! ≈ 128 positions and [`Keyring::verify_batch`] decodes nothing but each
+//! signature's `R`. Both check the same cofactored equation (see
+//! [`crate::ed25519`]), so a record has one verdict whichever of them —
+//! or whichever mix, through [`crate::CachedVerifier`] — a process happens
+//! to run.
+//!
+//! Tables this costly are worth building once: [`Keyring::for_system`]
+//! builds them once per `n` and process image and hands every caller the
+//! same allocation, where a 7-process simulation would otherwise rebuild
+//! 49 of them per run.
 
-use crate::ed25519::{verify_batch_expanded, ExpandedKey, Keypair, PublicKey, Signature};
+use crate::ed25519::{verify_batch_keyed, ExpandedKey, Keypair, PublicKey, Signature};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Public keys of all `n` processes, indexed by process id.
 #[derive(Clone, Debug)]
 pub struct Keyring {
-    keys: Vec<ExpandedKey>,
+    keys: Arc<[ExpandedKey]>,
 }
 
 impl Keyring {
-    /// Builds the ring for `n` processes using the deterministic
-    /// per-process keys (reproducible simulations).
+    /// The ring for `n` processes over the deterministic per-process keys
+    /// (reproducible simulations).
+    ///
+    /// Built on the first call for `n` in a process image; every later
+    /// call for the same `n`, from any thread, shares that allocation. A
+    /// PKI is public, so sharing it between the simulated processes of
+    /// one image gives none of them anything it could not compute.
     pub fn for_system(n: usize) -> Keyring {
+        static RINGS: Mutex<BTreeMap<usize, Arc<[ExpandedKey]>>> = Mutex::new(BTreeMap::new());
         let expand = |i| {
             ExpandedKey::new(Keypair::for_process(i).public)
                 .expect("a key this crate just generated decodes")
         };
+        // A panic inside the build leaves the map without that entry, so
+        // a poisoned map is still whole.
+        let mut rings = RINGS.lock().unwrap_or_else(PoisonError::into_inner);
+        let keys = rings
+            .entry(n)
+            .or_insert_with(|| (0..n).map(expand).collect());
         Keyring {
-            keys: (0..n).map(expand).collect(),
+            keys: Arc::clone(keys),
         }
     }
 
@@ -57,7 +77,7 @@ impl Keyring {
     pub fn verify(&self, signer: usize, msg: &[u8], sig: &Signature) -> bool {
         self.keys
             .get(signer)
-            .is_some_and(|key| key.verify(msg, sig))
+            .is_some_and(|key| key.verifying_key().verify(msg, sig))
     }
 
     /// Verifies many `(signer, msg, sig)` records at once through
@@ -68,11 +88,11 @@ impl Keyring {
     /// conjunction of the per-record [`Keyring::verify`] verdicts, so
     /// callers needing to know *which* record failed fall back to those.
     pub fn verify_batch(&self, items: &[(usize, &[u8], Signature)]) -> bool {
-        let expanded: Option<Vec<_>> = items
+        let keyed: Option<Vec<_>> = items
             .iter()
-            .map(|(signer, msg, sig)| Some((self.keys.get(*signer)?, *msg, *sig)))
+            .map(|(signer, msg, sig)| Some((self.keys.get(*signer)?.verifying_key(), *msg, *sig)))
             .collect();
-        expanded.is_some_and(|expanded| verify_batch_expanded(&expanded))
+        keyed.is_some_and(|keyed| verify_batch_keyed(&keyed))
     }
 }
 
@@ -100,6 +120,48 @@ mod tests {
             assert_eq!(ring.key_of(i), Some(&Keypair::for_process(i).public));
         }
         assert_eq!(ring.key_of(9), None);
+    }
+
+    #[test]
+    fn rings_for_one_n_share_one_allocation() {
+        let (a, b) = (Keyring::for_system(3), Keyring::for_system(3));
+        assert!(Arc::ptr_eq(&a.keys, &b.keys));
+        assert!(Arc::ptr_eq(&a.keys, &a.clone().keys));
+        assert!(!Arc::ptr_eq(&a.keys, &Keyring::for_system(2).keys));
+    }
+
+    #[test]
+    fn rings_for_different_n_agree_on_their_common_ids() {
+        let (small, large) = (Keyring::for_system(4), Keyring::for_system(9));
+        assert_eq!(small.keys[..], large.keys[..4]);
+    }
+
+    #[test]
+    fn rings_built_on_four_threads_at_once_are_one_ring() {
+        // An `n` no other test asks for, so the four race to build it.
+        const N: usize = 11;
+        let start = std::sync::Barrier::new(4);
+        let rings: Vec<Keyring> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        Keyring::for_system(N)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a ring build panicked"))
+                .collect()
+        });
+        for ring in &rings {
+            assert!(Arc::ptr_eq(&ring.keys, &rings[0].keys));
+        }
+        let fresh: Vec<ExpandedKey> = (0..N)
+            .map(|i| ExpandedKey::new(Keypair::for_process(i).public).unwrap())
+            .collect();
+        assert_eq!(rings[0].keys[..], fresh[..]);
     }
 
     #[test]

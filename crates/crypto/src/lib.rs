@@ -36,35 +36,34 @@
 //!
 //! | what is fixed | kept as | size | built |
 //! |---|---|---|---|
-//! | the base point `B`, for `k·B` (keygen, signing) | radix-16 table, 256 affine entries | 30 720 B, once per process image | first key generation (≈ 5 000 M) |
-//! | the base point `B`, for `[S]B` (verification) | width-8 odd multiples, 64 affine entries | 7 680 B, once per process image | first verification (≈ 1 000 M) |
-//! | each process's public key `A` | decoded point as width-5 odd multiples, 8 projective entries | 1 280 B per [`Keyring`] entry | [`Keyring::for_system`] (decode ≈ 200 M + table ≈ 70 M per key) |
+//! | the base point `B`, for `k·B` (keygen, signing) | radix-16 table, 256 affine entries | 30 720 B, once per process image | first key generation (≈ 210 µs) |
+//! | the base point `B`, for `[S]B` (verification) | width-8 odd multiples of `B` and of `2^128·B`, 2 × 64 affine entries | 15 360 B, once per process image | first verification (≈ 60 µs) |
+//! | each process's public key `A` | decoded point as width-8 odd multiples of `A` and of `2^128·A`, 2 × 64 affine entries | 15 360 B per [`Keyring`] entry, once per `n` and process image | first [`Keyring::for_system`] for that `n` (≈ 53 µs per key) |
 //!
 //! All three are computed from definitions (`B` is "the point with
-//! `y = 4/5` and even `x`"), never transcribed. Under 40 KB of tables per
-//! process image, plus 1.3 KB per keyring entry.
+//! `y = 4/5` and even `x`"), never transcribed. 46 KB of tables per
+//! process image, plus 15 KB per key of each ring size in use.
 //!
 //! There is **one verification equation** on every path — single, batch,
 //! cached — the cofactored `[8]([S]B − [k]A − R) = identity`; see
-//! [`ed25519`] for why a system that batches cannot afford two.
+//! [`ed25519`] for why a system that batches cannot afford two. With
+//! every key's tables fixed, each scalar is split at bit 128 and the
+//! doubling chain shared by all terms is ≈ 128 positions long, not 253.
 //!
-//! Budget per operation, in field multiplications **M** (a squaring
-//! counted as 0.7 M; measure `crypto.*` kernels of the `e2e` benchmark
-//! against these — one M is ≈ 25 ns on the reference container):
+//! Cost per operation, medians on a 2-core Xeon VM with the host quiet (a
+//! busy host reads up to 20% slower; the `crypto.*` kernels of the `e2e`
+//! benchmark measure the same calls):
 //!
-//! | operation | field work | scalar / hash work on top |
+//! | operation | cost | of which |
 //! |---|---|---|
-//! | [`Keypair::sign`] | ≈ 700 M (`r·B` ≈ 480, encode `R` ≈ 190) | 2 SHA-512, 2 wide reductions mod ℓ + 1 `Scalar::mul` |
-//! | key generation | ≈ 700 M | 1–2 SHA-512, 1 reduction |
-//! | [`Keyring::verify`] | ≈ 2 250 M (decode `R` ≈ 200, shared chain ≈ 1 470, `A` adds ≈ 340, `B` adds ≈ 200) | 1 SHA-512, 1 reduction |
-//! | [`Keyring::verify_batch`], per signature | ≈ 780 M + ≈ 1 700 M / batch size | 1¼ SHA-512, 1 reduction + 2 `Scalar::mul` |
+//! | [`Keypair::sign`] | ≈ 13.5 µs | `r·B` ≈ 8 µs, encoding `R`, 2 SHA-512, 2 wide reductions mod ℓ + 1 `Scalar::mul` |
+//! | key generation | ≈ 11.5 µs | `s·B` ≈ 8 µs, encoding `A`, 1–2 SHA-512 |
+//! | [`Keyring::verify`] | ≈ 25 µs | decode `R` ≈ 3.6 µs, 1 SHA-512, one ≈ 128-position chain |
+//! | [`Keyring::verify_batch`], per signature | ≈ 17 / 15 / 13 µs at 4 / 5 / 16 signatures | per signature decode `R` and build its table, 1¼ SHA-512, 2 `Scalar::mul`; per batch one chain |
+//! | [`PublicKey::verify`] (bare key) | ≈ 42 µs | decodes `A`, builds a width-5 table of it, one 253-position chain |
 //!
 //! Reductions mod ℓ are Barrett reductions (see [`scalar`]): ≈ 25 ns
-//! each, ≈ 50 ns per `Scalar::mul` — under 1% of any row. The binary
-//! long division they replaced cost ≈ 1.5 µs per reduction, a quarter of
-//! a signature: `crypto.sign_us` went from 19.6 to 14.9 µs, batch
-//! verification from 28.1 to 23.3 µs per signature at batch size 5 and
-//! from 26.4 to 18.8 at 16, `crypto.verify_us` from 43.0 to 40.2.
+//! each, ≈ 50 ns per `Scalar::mul` — under 1% of any row.
 //!
 //! **Scope note**: this is an *algorithmic* implementation for a research
 //! reproduction. It is not hardened — no zeroization, and **nothing is

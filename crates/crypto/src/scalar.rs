@@ -260,6 +260,17 @@ impl Scalar {
         }
         naf
     }
+
+    /// `(lo, hi)` with `self = lo + 2^128·hi`: the low and high 128 bits,
+    /// each a scalar of its own (`hi < 2^125`). A fixed point's terms are
+    /// split so, and read `lo` from a table of `P` and `hi` from a table
+    /// of `2^128·P` (see [`crate::edwards`]).
+    pub(crate) fn split_128(self) -> (Scalar, Scalar) {
+        (
+            Scalar([self.0[0], self.0[1], 0, 0]),
+            Scalar([self.0[2], self.0[3], 0, 0]),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -457,6 +468,9 @@ mod tests {
     fn check_recodings(k: Scalar) {
         let e = k.radix16();
         assert_eq!(recompose(&e, 16), k);
+        let (lo, hi) = k.split_128();
+        assert_eq!(lo.add(hi.mul(Scalar([0, 0, 1, 0]))), k, "lo + 2^128·hi");
+        assert!(lo.0[2..] == [0, 0] && hi.0[2..] == [0, 0] && hi.0[1] >> 61 == 0);
         assert!(e[..63].iter().all(|d| (-8..8).contains(d)) && (0..=2).contains(&e[63]));
         for w in [2u32, 5, 8] {
             let naf = k.non_adjacent_form(w);
