@@ -11,7 +11,7 @@
 //! | [`NackSpammer`] | Lemma 3 (refinement bound) / liveness |
 //! | [`AckForger`] | quorum soundness (Lemma 1) |
 //! | [`SplitBrain`] | Theorem 1 (the `3f+1` necessity construction) |
-//! | [`LateDiscloser`] | refinement maximization (E4) |
+//! | [`LateDiscloser`] | refinement maximization (Lemma 3 at its bound) |
 //!
 //! All of them implement `Process<WtsMsg<V>>`; the harness guarantees
 //! they cannot forge sender identities, matching the authenticated-
@@ -238,7 +238,7 @@ impl<V: Value> Process<WtsMsg<V>> for SplitBrain<V> {
 
 /// Correct-but-slow discloser: withholds its `Init` until it has seen
 /// `trigger` deliveries, so its value reaches acceptors after proposers
-/// have started proposing — the refinement-maximizing schedule of E4.
+/// have started proposing — the refinement-maximizing schedule.
 pub struct LateDiscloser<V: Value> {
     /// The value eventually disclosed.
     pub value: V,

@@ -28,7 +28,7 @@ impl SystemConfig {
     }
 
     /// Creates a configuration **without** the resilience check — used
-    /// only by the `3f+1`-necessity experiment (E1), which deliberately
+    /// only by the `3f+1`-necessity runs (`tests/necessity.rs`), which deliberately
     /// runs the protocol under-provisioned to exhibit a violation.
     pub fn new_unchecked(n: usize, f: usize) -> Self {
         SystemConfig { n, f }
@@ -57,7 +57,7 @@ impl SystemConfig {
 }
 
 /// Decoding deliberately skips the `n ≥ 3f + 1` assert: snapshots of the
-/// `3f+1`-necessity experiment (E1) carry under-provisioned configs on
+/// `3f+1`-necessity runs carry under-provisioned configs on
 /// purpose. Only `n == 0` (meaningless everywhere) is rejected.
 impl Wire for SystemConfig {
     fn encode(&self, w: &mut Writer) {

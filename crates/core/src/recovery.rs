@@ -9,17 +9,19 @@
 //! "BGLA" | version u16 | kind u16 | len u64 | payload | FNV-1a-64 checksum
 //! ```
 //!
-//! The `kind` field names the algorithm that wrote it — WTS `0x0105`,
+//! The `kind` field names the algorithm that wrote it — WTS `0x010D`,
 //! GWTS `0x0108`, SbS `0x010B`, GSbS `0x010C` — so a snapshot can never
 //! be decoded as the wrong process type (`0x0101`, `0x0102`, `0x0103`,
-//! `0x0104`, `0x0106`, `0x0107`, `0x0109` and `0x010A` are retired, never
-//! to be reused: they name the WTS and GWTS payload layouts from before
-//! the rbcast engine kept slots, the GWTS layouts from before acks were
-//! per-origin delta streams and from before quorums were counted per
-//! `(round, set)`, the SbS and GSbS layouts from before signed records
-//! were held unverified until a threshold's worth had arrived, and the
-//! SbS and GSbS layouts from before safe-acks and proofs said their echo
-//! once; such a snapshot must be rejected, not misread), and the trailing
+//! `0x0104`, `0x0105`, `0x0106`, `0x0107`, `0x0109` and `0x010A` are
+//! retired, never to be reused: they name the WTS and GWTS payload
+//! layouts from before the rbcast engine kept slots, the GWTS layouts
+//! from before acks were per-origin delta streams and from before quorums
+//! were counted per `(round, set)`, the SbS and GSbS layouts from before
+//! signed records were held unverified until a threshold's worth had
+//! arrived, the SbS and GSbS layouts from before safe-acks and proofs
+//! said their echo once, and the WTS layout that still carried an
+//! eager-proposing flag; such a snapshot must be rejected, not misread),
+//! and the trailing
 //! checksum makes truncation and bit-rot detectable before any field is
 //! parsed. The `version` field is [`bgla_codec::FRAME_VERSION`] (5); a
 //! snapshot written under any other payload layout carries another

@@ -1337,13 +1337,15 @@ mod tests {
 
     #[test]
     fn decision_depth_within_theorem_8_bound() {
-        let (n, f) = (4, 1);
-        let mut sim = sbs_system(n, f, Box::new(FifoScheduler::new()));
-        sim.run(1_000_000);
-        for i in 0..n {
-            let p = sim.process_as::<SbsProcess<u64>>(i).unwrap();
-            let depth = p.decision_depth.expect("decided");
-            assert!(depth <= 5 + 4 * f as u64, "p{i}: {depth} > 5+4f");
+        for f in 1..=4 {
+            let n = 3 * f + 1;
+            let mut sim = sbs_system(n, f, Box::new(FifoScheduler::new()));
+            sim.run(10_000_000);
+            for i in 0..n {
+                let p = sim.process_as::<SbsProcess<u64>>(i).unwrap();
+                let depth = p.decision_depth.expect("decided");
+                assert!(depth <= 5 + 4 * f as u64, "f={f} p{i}: {depth} > 5+4f");
+            }
         }
     }
 
@@ -1362,7 +1364,7 @@ mod tests {
     fn linear_messages_per_proposer() {
         // Section 8.1: O(n) messages per proposer (for f = O(1)).
         // Check the shape: per-process sends grow ~linearly in n, unlike
-        // WTS's quadratic (E7 regenerates the full comparison).
+        // WTS's quadratic (`tests/paper_claims.rs` fits both exponents).
         let mut per_process = Vec::new();
         for n in [4usize, 7, 10] {
             let mut sim = sbs_system(n, 1, Box::new(FifoScheduler::new()));

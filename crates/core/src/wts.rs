@@ -7,7 +7,7 @@
 //!    reliable broadcast prevents a Byzantine proposer from disclosing
 //!    different values to different processes. A process moves on once it
 //!    has seen `n − f` disclosures (not strictly necessary, but it yields
-//!    the `O(f)` delay bound — an ablation bench measures the difference).
+//!    the `O(f)` delay bound and Lemma 3's `f` refinements).
 //! 2. **Deciding**: a proposer repeatedly asks acceptors to ack its
 //!    `Proposed_set`; acceptors ack supersets of what they previously
 //!    accepted and nack (with their accepted set) otherwise. A proposal
@@ -37,8 +37,10 @@ use bgla_rbcast::{RbMsg, RbcastEngine};
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
 
-/// Frame kind of a [`WtsProcess`] crash-recovery snapshot.
-pub const WTS_SNAPSHOT_KIND: u16 = 0x0105;
+/// Frame kind of a [`WtsProcess`] crash-recovery snapshot. `0x010D`
+/// since the payload lost its eager-proposing flag; the `0x0101` and
+/// `0x0105` layouts are retired (see [`crate::recovery`]).
+pub const WTS_SNAPSHOT_KIND: u16 = 0x010D;
 
 /// Wire messages of WTS.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -169,11 +171,6 @@ pub struct WtsProcess<V: Value> {
     /// lattice", Alg. 1 line 10). Defaults to accepting everything.
     // bgla-lint: allow(wire-coverage, "plain fn pointer; not serializable, re-supplied at construction")
     validator: fn(&V) -> bool,
-    /// Ablation switch: propose after the *own* disclosure only instead
-    /// of waiting for `n − f` (the paper notes the wait "is not strictly
-    /// necessary, but allows us to show a bound of O(f) on the message
-    /// delays"). Measured by `exp_ablation`.
-    eager: bool,
 
     state: WtsState,
     rb: RbcastEngine<V>,
@@ -219,7 +216,6 @@ impl<V: Value> WtsProcess<V> {
             me,
             proposal,
             validator: |_| true,
-            eager: false,
             state: WtsState::Disclosing,
             rb: RbcastEngine::new_unchecked(config.n, config.f),
             svs: ValueSet::new(),
@@ -241,15 +237,6 @@ impl<V: Value> WtsProcess<V> {
     /// Installs a validity predicate for disclosed values.
     pub fn with_validator(mut self, v: fn(&V) -> bool) -> Self {
         self.validator = v;
-        self
-    }
-
-    /// Ablation: skip the `n − f` disclosure wait (start proposing after
-    /// the first disclosure lands). Correct but loses the O(f) delay
-    /// bound — the proposal starts smaller, so more nack-refinements
-    /// happen.
-    pub fn with_eager_proposing(mut self) -> Self {
-        self.eager = true;
         self
     }
 
@@ -418,7 +405,6 @@ impl<V: Value> Wire for WtsProcess<V> {
         self.config.encode(w);
         w.usize(self.me);
         self.proposal.encode(w);
-        self.eager.encode(w);
         self.state.encode(w);
         self.rb.encode(w);
         self.svs.encode(w);
@@ -436,7 +422,6 @@ impl<V: Value> Wire for WtsProcess<V> {
         let config = SystemConfig::decode(r)?;
         let me = r.usize()?;
         let proposal = V::decode(r)?;
-        let eager = bool::decode(r)?;
         let state = WtsState::decode(r)?;
         let rb = Wire::decode(r)?;
         let svs = Wire::decode(r)?;
@@ -451,7 +436,6 @@ impl<V: Value> Wire for WtsProcess<V> {
             me,
             proposal,
             validator: |_| true,
-            eager,
             state,
             rb,
             svs,
@@ -524,12 +508,9 @@ impl<V: Value> Process<WtsMsg<V>> for WtsProcess<V> {
                     }
                 }
                 // Enough disclosures? Start proposing.
-                let threshold = if self.eager {
-                    1
-                } else {
-                    self.config.disclosure_threshold()
-                };
-                if self.state == WtsState::Disclosing && self.init_counter >= threshold {
+                if self.state == WtsState::Disclosing
+                    && self.init_counter >= self.config.disclosure_threshold()
+                {
                     self.state = WtsState::Proposing;
                     self.send_ack_req(ctx);
                 }

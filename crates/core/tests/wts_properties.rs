@@ -117,24 +117,61 @@ proptest! {
         prop_assert!(report.max_refinements <= config.f as u64);
     }
 
-    /// Theorem 3's bound on lockstep runs, for random f.
+    /// Theorem 3's bound on lockstep runs, for random f, honest or with
+    /// `f` late disclosers.
     #[test]
-    fn lockstep_delay_bound(f in 1usize..=5) {
+    fn lockstep_delay_bound(f in 1usize..=5, late in any::<bool>()) {
         let n = 3 * f + 1;
-        let (mut sim, _, _) = wts_system_with_adversaries(
+        let (mut sim, _, byz) = wts_system_with_adversaries(
             n,
             f,
             |i| i as u64,
             Box::new(FifoScheduler::new()),
-            |_, _| None,
+            |i, _| {
+                (late && i >= n - f)
+                    .then(|| Box::new(LateDiscloser::new(1_000 + i as u64, 12)) as _)
+            },
         );
         sim.run(u64::MAX / 2);
-        let correct: Vec<usize> = (0..n).collect();
+        let correct: Vec<usize> = (0..n).filter(|i| !byz.contains(i)).collect();
         let report = wts_report(&sim, &correct);
+        prop_assert!(report.decided.iter().all(|&d| d), "a correct process never decided");
         let bound = 2 * f as u64 + 5;
         for d in &report.depths {
             prop_assert!(*d <= bound, "depth {d} > bound {bound}");
         }
+    }
+}
+
+/// Lemma 3, at its bound: with `f` late disclosers a correct proposer
+/// starts from the `n − f` timely values and learns each straggler's
+/// value only through a nack, so random schedules drive it to exactly `f`
+/// refinements and never past them.
+#[test]
+fn late_disclosers_drive_refinements_to_f_and_no_further() {
+    for f in 1usize..=4 {
+        let n = 3 * f + 1;
+        let mut worst = 0;
+        for seed in 0..10u64 {
+            let (mut sim, _, byz) = wts_system_with_adversaries(
+                n,
+                f,
+                |i| i as u64,
+                Box::new(RandomScheduler::new(seed)),
+                |i, _| {
+                    (i >= n - f).then(|| Box::new(LateDiscloser::new(1_000 + i as u64, 10)) as _)
+                },
+            );
+            sim.run(u64::MAX / 2);
+            let correct: Vec<usize> = (0..n).filter(|i| !byz.contains(i)).collect();
+            let refinements = wts_report(&sim, &correct).max_refinements;
+            assert!(
+                refinements <= f as u64,
+                "f={f} seed {seed}: {refinements} refinements > f"
+            );
+            worst = worst.max(refinements);
+        }
+        assert_eq!(worst, f as u64, "f={f}: no seed reached the bound");
     }
 }
 

@@ -203,7 +203,7 @@ impl<T: Clone + Ord> RbcastEngine<T> {
     }
 
     /// Engine **without** the resilience check — only for the
-    /// `3f+1`-necessity experiment (E1), which runs under-provisioned
+    /// `3f+1`-necessity runs of `tests/necessity.rs`, which run under-provisioned
     /// systems on purpose to exhibit the failure.
     pub fn new_unchecked(n: usize, f: usize) -> Self {
         RbcastEngine {

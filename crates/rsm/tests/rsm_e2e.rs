@@ -11,19 +11,34 @@ use bgla_simnet::{
 
 const MAX_ROUNDS: u64 = 40;
 
-/// Builds a sim with `n` replicas (`f` tolerance) and the given clients.
+/// Byzantine replica: drops everything (crashed from the start).
+struct DeadReplica;
+
+impl Process<RsmMsg> for DeadReplica {
+    fn on_message(&mut self, _f: usize, _m: RsmMsg, _c: &mut bgla_simnet::Context<RsmMsg>) {}
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// Builds a sim with `n` replicas (`f` tolerance), the last `dead` of
+/// them [`DeadReplica`]s, and the given clients.
 fn rsm_sim(
     n: usize,
     f: usize,
+    dead: usize,
     clients: Vec<Box<dyn Process<RsmMsg>>>,
     scheduler: Box<dyn Scheduler>,
 ) -> Simulation<RsmMsg> {
     let config = SystemConfig::new(n, f);
     let mut b = SimulationBuilder::new().scheduler(scheduler);
-    for i in 0..n {
+    for i in 0..n - dead {
         b = b.add(Box::new(
             Replica::new(i, config, MAX_ROUNDS).with_validator(|c| c.client < 1000),
         ));
+    }
+    for _ in 0..dead {
+        b = b.add(Box::new(DeadReplica));
     }
     for c in clients {
         b = b.add(c);
@@ -60,6 +75,7 @@ fn single_client_update_read() {
     let mut sim = rsm_sim(
         n,
         f,
+        0,
         vec![workload(1, n, f, script)],
         Box::new(FifoScheduler::new()),
     );
@@ -104,7 +120,7 @@ fn multiple_clients_all_properties_hold() {
             .enumerate()
             .map(|(k, s)| workload(k as u64 + 1, n, f, s))
             .collect();
-        let mut sim = rsm_sim(n, f, clients, Box::new(RandomScheduler::new(seed)));
+        let mut sim = rsm_sim(n, f, 0, clients, Box::new(RandomScheduler::new(seed)));
         sim.run(50_000_000);
         let snapshot = clients_of(&sim, &[4, 5, 6]);
         let refs: Vec<&WorkloadClient> = snapshot.iter().collect();
@@ -117,30 +133,12 @@ fn byzantine_replica_does_not_break_clients() {
     // Replica 3 is silent (crashed from the start).
     for seed in 0..3 {
         let (n, f) = (4, 1);
-        let config = SystemConfig::new(n, f);
-        let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
-        for i in 0..3 {
-            b = b.add(Box::new(Replica::new(i, config, MAX_ROUNDS)));
-        }
-        // Byzantine replica: drops everything.
-        struct DeadReplica;
-        impl Process<RsmMsg> for DeadReplica {
-            fn on_message(&mut self, _f: usize, _m: RsmMsg, _c: &mut bgla_simnet::Context<RsmMsg>) {
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-        }
-        b = b.add(Box::new(DeadReplica));
         // Clients contact replicas 0..f+1 = 0..2 (correct ones here).
-        b = b.add(workload(
-            1,
-            n,
-            f,
-            vec![ClientOp::Update(Op::Add(3)), ClientOp::Read],
-        ));
-        b = b.add(workload(2, n, f, vec![ClientOp::Read]));
-        let mut sim = b.build();
+        let clients = vec![
+            workload(1, n, f, vec![ClientOp::Update(Op::Add(3)), ClientOp::Read]),
+            workload(2, n, f, vec![ClientOp::Read]),
+        ];
+        let mut sim = rsm_sim(n, f, 1, clients, Box::new(RandomScheduler::new(seed)));
         sim.run(50_000_000);
         let snapshot = clients_of(&sim, &[4, 5]);
         let refs: Vec<&WorkloadClient> = snapshot.iter().collect();
@@ -151,42 +149,60 @@ fn byzantine_replica_does_not_break_clients() {
     }
 }
 
+/// All six properties hold for the honest clients while Byzantine
+/// clients and, at `n = 7`, a Byzantine replica beside them misbehave.
 #[test]
 fn byzantine_clients_cannot_corrupt_state() {
-    let (n, f) = (4, 1);
-    let clients: Vec<Box<dyn Process<RsmMsg>>> = vec![
-        workload(1, n, f, vec![ClientOp::Update(Op::Add(5)), ClientOp::Read]),
-        Box::new(GarbageClient {
-            client_id: 50,
-            n_replicas: n,
-        }),
-        Box::new(StingyClient {
-            client_id: 60,
-            target: 0,
-            op: Op::Add(100),
-        }),
-        Box::new(PipeliningClient {
-            client_id: 70,
-            n_replicas: n,
-            f,
-            burst: 3,
-        }),
-    ];
-    let mut sim = rsm_sim(n, f, clients, Box::new(FifoScheduler::new()));
-    sim.run(50_000_000);
-    let honest = sim.process_as::<WorkloadClient>(4).unwrap();
-    assert!(honest.finished());
-    let read = honest.reads().pop().unwrap();
-    let st = CounterState::execute(&read);
-    // Garbage rejected: the u64::MAX add never lands.
-    assert!(read.iter().all(|c: &Cmd| c.client < 1000));
-    // Honest value present.
-    assert!(st.total >= 5);
-    // Stingy client's command went to one *correct* replica: it is
-    // eventually decided (may or may not be in this read's snapshot);
-    // pipelined commands are treated as concurrent updates. Neither can
-    // exceed the legal sum.
-    assert!(st.total <= 5 + 100 + 3);
+    for (n, f, dead) in [(4, 1, 0), (7, 2, 1)] {
+        let clients: Vec<Box<dyn Process<RsmMsg>>> = vec![
+            workload(1, n, f, vec![ClientOp::Update(Op::Add(5)), ClientOp::Read]),
+            workload(
+                2,
+                n,
+                f,
+                vec![
+                    ClientOp::Read,
+                    ClientOp::Update(Op::Put("k".into())),
+                    ClientOp::Read,
+                ],
+            ),
+            Box::new(GarbageClient {
+                client_id: 50,
+                n_replicas: n,
+            }),
+            Box::new(StingyClient {
+                client_id: 60,
+                target: 0,
+                op: Op::Add(100),
+            }),
+            Box::new(PipeliningClient {
+                client_id: 70,
+                n_replicas: n,
+                f,
+                burst: 3,
+            }),
+        ];
+        let mut sim = rsm_sim(n, f, dead, clients, Box::new(FifoScheduler::new()));
+        sim.run(50_000_000);
+        for id in [n, n + 1] {
+            let client = sim.process_as::<WorkloadClient>(id).unwrap();
+            assert!(client.finished(), "n={n}: client {id} never finished");
+        }
+        let honest = clients_of(&sim, &[n, n + 1]);
+        let refs: Vec<&WorkloadClient> = honest.iter().collect();
+        checks::check_all(&refs).unwrap_or_else(|e| panic!("n={n}: {e}"));
+        let read = honest[0].reads().pop().unwrap();
+        let st = CounterState::execute(&read);
+        // Garbage rejected: the u64::MAX add never lands.
+        assert!(read.iter().all(|c: &Cmd| c.client < 1000), "n={n}");
+        // Honest value present.
+        assert!(st.total >= 5, "n={n}");
+        // Stingy client's command went to one *correct* replica: it is
+        // eventually decided (may or may not be in this read's snapshot);
+        // pipelined commands are treated as concurrent updates. Neither
+        // can exceed the legal sum.
+        assert!(st.total <= 5 + 100 + 3, "n={n}");
+    }
 }
 
 #[test]
@@ -199,6 +215,7 @@ fn reads_reflect_quorum_confirmed_decisions_only() {
     let mut sim = rsm_sim(
         n,
         f,
+        0,
         vec![workload(1, n, f, script)],
         Box::new(FifoScheduler::new()),
     );

@@ -330,10 +330,10 @@ mod tests {
         assert_eq!(m.sent_by_subset(&[0, 1]), 2);
     }
 
-    /// `merge` must fold every proof-accounting field (the PR 3/4
-    /// interned / by-reference / flat counters) — the sharded experiment
-    /// drivers rely on it, and a silently dropped field would corrupt
-    /// every aggregated `exp_bytes` table.
+    /// `merge` must fold every proof-accounting field (the interned /
+    /// by-reference / flat counters) — the TCP runtime folds its nodes'
+    /// metrics with it, and a silently dropped field would under-count
+    /// the proof traffic of every socket run.
     #[test]
     fn merge_covers_proof_accounting() {
         let proofs_a = ProofSizes {

@@ -1,5 +1,4 @@
-//! E1 as a test: the `n ≥ 3f + 1` bound of Theorem 1, in three acts
-//! (the `exp_necessity` binary prints the same runs as a table).
+//! The `n ≥ 3f + 1` bound of Theorem 1, in three acts.
 
 use bgla::core::adversary::{Silent, SplitBrain};
 use bgla::core::wts::WtsProcess;
