@@ -77,7 +77,7 @@ use std::fmt;
 
 /// Current frame format version. Bump on any incompatible layout
 /// change; decoders reject other versions as [`CodecError::BadVersion`].
-pub const FRAME_VERSION: u16 = 5;
+pub const FRAME_VERSION: u16 = 6;
 
 /// The 4-byte frame magic.
 pub const FRAME_MAGIC: [u8; 4] = *b"BGLA";
@@ -155,15 +155,24 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Bytes [`Writer::var`] spends on `v`: one per started group of seven
 /// significant bits, 1 (`v < 128`) to 10.
+#[inline]
 pub const fn var_len(v: u64) -> usize {
     let bits = 64 - (v | 1).leading_zeros() as usize;
     bits.div_ceil(7)
 }
 
-/// Append-only byte sink.
+/// Append-only byte sink, or a counter of the bytes it would append.
+///
+/// [`Writer::counting`] builds one that stores nothing and allocates
+/// nothing: every [`Wire::wire_size`] is an encode into it, so a size is
+/// the encoding's length by construction. The methods a count runs are
+/// `#[inline]`: the simulator meters every send through them, from
+/// other crates.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// `Some(n)` in a counting writer: `n` bytes counted, none stored.
+    counted: Option<usize>,
 }
 
 impl Writer {
@@ -172,44 +181,75 @@ impl Writer {
         Writer::default()
     }
 
-    /// Bytes written so far.
+    /// A writer that counts what it is given and stores none of it.
+    #[inline]
+    pub fn counting() -> Writer {
+        Writer {
+            buf: Vec::new(),
+            counted: Some(0),
+        }
+    }
+
+    /// Bytes written (or counted) so far.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// True when nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
-    /// Consumes the writer, returning the encoded bytes.
+    /// Consumes the writer, returning the encoded bytes (none for a
+    /// counting writer).
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
+    /// How a type that caches its encoded length is sized without a
+    /// walk: a counting writer counts `len` bytes and returns `true`; a
+    /// storing writer returns `false`, and the caller encodes.
+    #[inline]
+    pub fn counted(&mut self, len: usize) -> bool {
+        match &mut self.counted {
+            Some(n) => {
+                *n += len;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Appends one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.bytes(&[v]);
     }
 
     /// Appends a little-endian `u16`.
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a varint (see the module docs): the shortest LEB128
     /// encoding of `v`.
+    #[inline]
     pub fn var(&mut self, mut v: u64) {
+        if self.counted(var_len(v)) {
+            return;
+        }
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
             v >>= 7;
@@ -218,13 +258,17 @@ impl Writer {
     }
 
     /// Appends a `usize` as a varint.
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.var(v as u64);
     }
 
     /// Appends raw bytes (no length prefix — callers add their own).
+    #[inline]
     pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
+        if !self.counted(v.len()) {
+            self.buf.extend_from_slice(v);
+        }
     }
 }
 
@@ -357,6 +401,16 @@ pub trait Wire: Sized {
 
     /// Decodes one value, consuming exactly its encoding.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    /// Length of the encoding: an [`Wire::encode`] into a
+    /// [`Writer::counting`], so it allocates nothing. A type that caches
+    /// its length answers [`Writer::counted`] with it and skips the walk.
+    #[inline]
+    fn wire_size(&self) -> usize {
+        let mut w = Writer::counting();
+        self.encode(&mut w);
+        w.len()
+    }
 }
 
 /// Encodes a bare (unframed) payload.
@@ -729,6 +783,20 @@ mod tests {
             decode_payload::<BTreeMap<(usize, u64), Vec<u32>>>(&encode_payload(&map)).unwrap(),
             map
         );
+    }
+
+    #[test]
+    fn a_counting_writer_counts_what_a_writer_stores() {
+        let v: Vec<Option<(u64, String)>> = vec![Some((7, "x".repeat(200))), None];
+        let map: BTreeMap<usize, Vec<u32>> = [(1, vec![3]), (300, vec![])].into_iter().collect();
+        assert_eq!(v.wire_size(), encode_payload(&v).len());
+        assert_eq!(map.wire_size(), encode_payload(&map).len());
+        let mut w = Writer::counting();
+        w.var(u64::MAX);
+        w.bytes(&[0; 5]);
+        assert!(w.counted(3));
+        assert_eq!((w.len(), w.into_bytes()), (18, Vec::new()));
+        assert!(!Writer::new().counted(3));
     }
 
     #[test]

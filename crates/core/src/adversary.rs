@@ -1129,13 +1129,14 @@ pub mod gsbs {
                     Self::send_twice(ctx, from, GsbsMsg::SafeAck(ack.reply()));
                 }
                 GsbsMsg::AckReq {
-                    proposed: ProvenUpdate::Full(set),
+                    proposed,
                     ts,
                     round,
-                } => {
-                    let values: ValueSet<V> = set
-                        .iter()
-                        .flat_map(|pb| pb.sb.batch.iter().cloned())
+                } if !proposed.is_delta() => {
+                    let values: ValueSet<V> = proposed
+                        .table()
+                        .records()
+                        .flat_map(|(sb, _)| sb.batch.iter().cloned())
                         .collect();
                     let digest = digest_values(&values);
                     let mut ack = SignedAck::sign(from, ts, round, digest, self.me, &kp);

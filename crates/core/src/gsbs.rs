@@ -105,20 +105,20 @@
 use crate::config::SystemConfig;
 use crate::held::{self, hold, verify_held, Held};
 use crate::proof::{
-    echoing, encode_reply_fields, remove_conflicts, replies, reply_fields_wire_size,
-    return_conflicts, Conflicting, Proof, ProofAck,
+    echoing, encode_reply_fields, remove_conflicts, replies, return_conflicts, Conflicting, Proof,
+    ProofAck,
 };
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
 };
 use crate::value::SignableValue;
 use crate::valueset::{SetItem, ValueSet};
-use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
+use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
     sha512, CachedVerifier, Keypair, Keyring, Obligation, ProofCache, ProofId, ProofResolver,
     Signature, ToBytes, VerifierStats,
 };
-use bgla_simnet::{Context, Process, ProcessId, ProofSizes, WireMessage};
+use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
 // bgla-lint: allow(determinism, "HashSet used membership-only in all_safe; iteration order never observed")
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -205,9 +205,6 @@ impl<V: SignableValue> Conflicting for SignedBatch<V> {
 
 impl<V: SignableValue> SetItem for SignedBatch<V> {
     const EQ_IS_IDENTITY: bool = true;
-    fn wire_size(&self) -> usize {
-        var_len(self.round) + self.batch.wire_size() + var_len(self.signer as u64) + 64
-    }
 }
 
 /// Signed safetying reply for a round.
@@ -350,9 +347,6 @@ impl<V: SignableValue> ProofAck for GSafeAck<V> {
     fn encode_reply(&self, w: &mut Writer) {
         encode_reply_fields(w, Some(self.round), &self.conflicts, self.signer, &self.sig);
     }
-    fn reply_wire_size(&self) -> usize {
-        reply_fields_wire_size(Some(self.round), &self.conflicts, self.signer)
-    }
 }
 
 /// A safe-ack as it travels back to the proposer: everything but the
@@ -403,28 +397,23 @@ impl<V: SignableValue> Ord for ProvenBatch<V> {
 impl<V: SignableValue> SetItem for ProvenBatch<V> {
     /// `==` ignores the proof: joins must keep our own handles.
     const EQ_IS_IDENTITY: bool = false;
-    fn wire_size(&self) -> usize {
-        // The batch only; attached proofs are accounted separately
-        // (shared proofs transmit once per message, or as a reference —
-        // see the WireMessage byte-accounting contract).
-        SetItem::wire_size(&self.sb)
-    }
 }
 
 impl<V: SignableValue> ProvenRecord for ProvenBatch<V> {
     type Ack = GSafeAck<V>;
     type Value = V;
+    type Signed = SignedBatch<V>;
     fn values(&self) -> &[V] {
         self.sb.batch.as_slice()
     }
     fn proof(&self) -> &BatchProof<V> {
         &self.proof
     }
-    fn with_proof(&self, proof: BatchProof<V>) -> Self {
-        ProvenBatch {
-            sb: self.sb.clone(),
-            proof,
-        }
+    fn signed(&self) -> &SignedBatch<V> {
+        &self.sb
+    }
+    fn proven(sb: SignedBatch<V>, proof: BatchProof<V>) -> Self {
+        ProvenBatch { sb, proof }
     }
 }
 
@@ -447,16 +436,6 @@ pub struct SignedAck {
 }
 
 impl SignedAck {
-    /// Length of the [`Wire`] encoding: four counters, digest, signature.
-    fn wire_size(&self) -> usize {
-        var_len(self.destination as u64)
-            + var_len(self.ts)
-            + var_len(self.round)
-            + self.digest.0.len()
-            + var_len(self.signer as u64)
-            + 64
-    }
-
     fn signable_bytes(
         destination: ProcessId,
         ts: u64,
@@ -626,57 +605,6 @@ impl<V: SignableValue> WireMessage for GsbsMsg<V> {
             GsbsMsg::Resync { .. } => "resync",
         }
     }
-    // Sizes follow the byte-accounting contract on
-    // [`bgla_simnet::WireMessage`]: the variants without proofs are the
-    // length of their encoding; proof-carrying payloads delegate to
-    // [`ProvenUpdate::metered`], which prices interned proofs and
-    // references.
-    fn wire_size(&self) -> usize {
-        self.metered().0
-    }
-    fn proof_sizes(&self) -> ProofSizes {
-        match self {
-            GsbsMsg::AckReq { proposed: pl, .. } | GsbsMsg::Nack { accepted: pl, .. } => {
-                pl.metered().1
-            }
-            _ => ProofSizes::default(),
-        }
-    }
-    fn metered(&self) -> (usize, ProofSizes) {
-        // One walk per send: the proof dedup yields both the proof
-        // accounting and the interned/referenced wire size.
-        let plain = |bytes: usize| (1 + bytes, ProofSizes::default());
-        match self {
-            GsbsMsg::AckReq {
-                proposed: pl,
-                ts,
-                round,
-            }
-            | GsbsMsg::Nack {
-                accepted: pl,
-                ts,
-                round,
-            } => {
-                let (bytes, proofs) = pl.metered();
-                (1 + bytes + var_len(*ts) + var_len(*round), proofs)
-            }
-            GsbsMsg::Init(sb) => plain(SetItem::wire_size(sb)),
-            GsbsMsg::SafeReq { round, set } => plain(var_len(*round) + set.wire_size()),
-            GsbsMsg::SafeAck(a) => plain(reply_fields_wire_size(
-                Some(a.round),
-                &a.conflicts,
-                a.signer,
-            )),
-            GsbsMsg::Ack(ack) => plain(ack.wire_size()),
-            GsbsMsg::Decided(c) => plain(
-                var_len(c.round)
-                    + c.values.wire_size()
-                    + var_len(c.acks.len() as u64)
-                    + c.acks.iter().map(SignedAck::wire_size).sum::<usize>(),
-            ),
-            GsbsMsg::Resync { ts, round } => plain(var_len(*ts) + var_len(*round)),
-        }
-    }
 }
 
 /// Proposer phase within the current round.
@@ -809,8 +737,8 @@ impl<V: SignableValue> GsbsProcess<V> {
             safe_candidates: BTreeMap::new(),
             accepted_set: Valued::default(),
             proof_cache: ProofCache::default(),
-            delta_tx: ProvenDeltaSender::new(),
-            delta_rx: ProvenDeltaReceiver::new(),
+            delta_tx: ProvenDeltaSender::default(),
+            delta_rx: ProvenDeltaReceiver::default(),
             resolver: ProofResolver::default(),
             safe_r: 0,
             decided_certs: BTreeMap::new(),
@@ -1539,8 +1467,8 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
             safe_candidates,
             accepted_set,
             proof_cache: ProofCache::default(),
-            delta_tx: ProvenDeltaSender::new(),
-            delta_rx: ProvenDeltaReceiver::new(),
+            delta_tx: ProvenDeltaSender::default(),
+            delta_rx: ProvenDeltaReceiver::default(),
             resolver,
             safe_r,
             decided_certs,

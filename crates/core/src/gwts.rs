@@ -83,7 +83,7 @@
 use crate::config::SystemConfig;
 use crate::value::Value;
 use crate::valueset::{DeltaReceiver, DeltaSender, SetUpdate, ValueSet};
-use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
+use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
 use bgla_rbcast::{RbMsg, RbcastEngine};
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
@@ -113,16 +113,6 @@ pub struct AckRecord<V: Value> {
     pub full: bool,
     /// The set the acceptor accepted.
     pub accepted: ValueSet<V>,
-}
-
-impl<V: Value> AckRecord<V> {
-    /// The length of the [`Wire`] encoding below.
-    pub fn wire_size(&self) -> usize {
-        1 + self.accepted.wire_size()
-            + var_len(self.destination as u64)
-            + var_len(self.ts)
-            + var_len(self.round)
-    }
 }
 
 impl<V: Value> Wire for AckRecord<V> {
@@ -188,23 +178,6 @@ impl<V: Value> WireMessage for GwtsMsg<V> {
                 RbMsg::Ready { .. } => "ack_ready",
             },
             GwtsMsg::Nack { .. } => "nack",
-        }
-    }
-    /// The length of the [`Wire`] encoding below, field for field.
-    fn wire_size(&self) -> usize {
-        1 + match self {
-            GwtsMsg::Disc(m) => m.header_len() + m.value().wire_size(),
-            GwtsMsg::AckReq {
-                proposed,
-                ts,
-                round,
-            } => proposed.wire_size() + var_len(*ts) + var_len(*round),
-            GwtsMsg::Ack(m) => m.header_len() + m.value().wire_size(),
-            GwtsMsg::Nack {
-                accepted,
-                ts,
-                round,
-            } => accepted.wire_size() + var_len(*ts) + var_len(*round),
         }
     }
 }
@@ -410,8 +383,8 @@ impl<V: Value> GwtsProcess<V> {
             waiting: Vec::new(),
             pending_acks: Vec::new(),
             decided_set: ValueSet::new(),
-            delta_tx: DeltaSender::new(),
-            delta_rx: DeltaReceiver::new(),
+            delta_tx: DeltaSender::default(),
+            delta_rx: DeltaReceiver::default(),
             recovered: false,
             decisions: Vec::new(),
             decision_depths: Vec::new(),
@@ -939,8 +912,8 @@ impl<V: Value> Wire for GwtsProcess<V> {
             waiting: Wire::decode(r)?,
             pending_acks: Wire::decode(r)?,
             decided_set: Wire::decode(r)?,
-            delta_tx: DeltaSender::new(),
-            delta_rx: DeltaReceiver::new(),
+            delta_tx: DeltaSender::default(),
+            delta_rx: DeltaReceiver::default(),
             recovered: true,
             decisions: Wire::decode(r)?,
             decision_depths: Wire::decode(r)?,

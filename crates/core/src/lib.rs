@@ -63,7 +63,8 @@
 //! Each distinct proof is also **transmitted once per peer**: the
 //! proof-carrying payloads (`AckReq.proposed`, `Nack.accepted`) travel
 //! as [`provendelta::ProvenUpdate`]s — the same delta ledger over the
-//! proven set, with proofs the receiver demonstrably
+//! proven set, each distinct proof said once per payload and the
+//! records indexing it, with proofs the receiver demonstrably
 //! holds named by [`bgla_crypto::ProofId`] reference and reconstructed
 //! through a per-process [`bgla_crypto::ProofResolver`]. Unresolvable
 //! proposals fall back to `Full` via a resync round trip (only Byzantine

@@ -28,7 +28,7 @@
 //! id — see the caching contract in [`bgla_crypto::proofstore`].
 
 use crate::valueset::{SetItem, ValueSet};
-use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
+use bgla_codec::{CodecError, Reader, Wire, Writer};
 use bgla_crypto::{ProofId, ProofIdBuilder, Signature};
 use bgla_simnet::ProcessId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,7 +44,7 @@ pub trait ProofAck: Clone + std::fmt::Debug + Send + Sync + 'static {
     type Echoed: SetItem;
 
     /// The ack without its echo.
-    type Reply;
+    type Reply: Wire;
 
     /// Writes the canonical bytes of this ack (everything verification
     /// depends on, the echo and the signature included).
@@ -61,27 +61,6 @@ pub trait ProofAck: Clone + std::fmt::Debug + Send + Sync + 'static {
 
     /// Writes the encoding of [`Self::reply`] from the ack's own fields.
     fn encode_reply(&self, w: &mut Writer);
-
-    /// Length of the encoding of [`Self::reply`].
-    fn reply_wire_size(&self) -> usize;
-}
-
-/// Length of what a safe-ack says besides its echo, as
-/// [`encode_reply_fields`] writes it. A GSbS ack has a round, an SbS ack
-/// none. Safe-acks and their replies are both sized here.
-pub(crate) fn reply_fields_wire_size<T: SetItem>(
-    round: Option<u64>,
-    conflicts: &[(T, T)],
-    signer: ProcessId,
-) -> usize {
-    round.map_or(0, var_len)
-        + var_len(conflicts.len() as u64)
-        + conflicts
-            .iter()
-            .map(|(a, b)| a.wire_size() + b.wire_size())
-            .sum::<usize>()
-        + var_len(signer as u64)
-        + 64
 }
 
 /// Writes what a safe-ack says besides its echo: `var(round)` if it has
@@ -138,6 +117,20 @@ fn echo_table<A: ProofAck>(acks: &[A]) -> (Vec<&ValueSet<A::Echoed>>, Vec<usize>
     (echoes, of)
 }
 
+/// Writes `acks` in a proof's codec form (see its `Wire` impl).
+fn encode_acks<A: ProofAck>(acks: &[A], w: &mut Writer) {
+    let (echoes, of) = echo_table(acks);
+    w.usize(echoes.len());
+    for echo in echoes {
+        echo.encode(w);
+    }
+    w.usize(acks.len());
+    for (ack, i) in acks.iter().zip(of) {
+        w.usize(i);
+        ack.encode_reply(w);
+    }
+}
+
 /// A shared proof of safety with an interned content address and cached
 /// wire size. Clone is `O(1)`.
 pub struct Proof<A: ProofAck> {
@@ -149,26 +142,22 @@ pub struct Proof<A: ProofAck> {
 }
 
 impl<A: ProofAck> Proof<A> {
-    /// Builds a proof, computing its content address and wire size once.
-    /// The size is that of the codec form: each distinct echo once, then
-    /// per ack its echo's index and the ack without its echo.
+    /// Builds a proof, computing its content address and the length of
+    /// its encoding once.
     pub fn new(acks: Vec<A>) -> Self {
         let mut builder = ProofIdBuilder::new();
         let mut buf = Vec::new();
-        let (echoes, of) = echo_table(&acks);
-        let mut wire = var_len(echoes.len() as u64)
-            + echoes.iter().map(|e| e.wire_size()).sum::<usize>()
-            + var_len(acks.len() as u64);
-        for (ack, i) in acks.iter().zip(of) {
+        for ack in &acks {
             buf.clear();
             ack.digest_bytes(&mut buf);
             builder.add_ack(&buf);
-            wire += var_len(i as u64) + ack.reply_wire_size();
         }
+        let mut wire = Writer::counting();
+        encode_acks(&acks, &mut wire);
         Proof {
             acks: Arc::new(acks),
             id: builder.finish(),
-            wire,
+            wire: wire.len(),
         }
     }
 
@@ -195,11 +184,6 @@ impl<A: ProofAck> Proof<A> {
     /// The acks as a slice.
     pub fn as_slice(&self) -> &[A] {
         &self.acks
-    }
-
-    /// Cached size of the proof's encoding (`O(1)`).
-    pub fn wire_size(&self) -> usize {
-        self.wire
     }
 }
 
@@ -265,22 +249,17 @@ impl<'a, A: ProofAck> IntoIterator for &'a Proof<A> {
 /// before anything is hashed. A message whose proofs spelled out would
 /// not fit one frame is refused while it is read: one large echo under
 /// many small acks cannot buy a hash of each.
-impl<A: ProofAck> Wire for Proof<A>
-where
-    A::Echoed: Wire,
-    A::Reply: Wire,
-{
+///
+/// The length is cached: sizing a proof is `O(1)`.
+impl<A: ProofAck> Wire for Proof<A> {
     fn encode(&self, w: &mut Writer) {
-        let (echoes, of) = echo_table(&self.acks);
-        w.usize(echoes.len());
-        for echo in echoes {
-            echo.encode(w);
+        if !w.counted(self.wire) {
+            encode_acks(&self.acks, w);
         }
-        w.usize(self.acks.len());
-        for (ack, i) in self.acks.iter().zip(of) {
-            w.usize(i);
-            ack.encode_reply(w);
-        }
+    }
+
+    fn wire_size(&self) -> usize {
+        self.wire
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -386,9 +365,6 @@ pub(crate) mod testing {
         }
         fn encode_reply(&self, w: &mut bgla_codec::Writer) {
             w.u64(self.n);
-        }
-        fn reply_wire_size(&self) -> usize {
-            8
         }
     }
 

@@ -12,9 +12,8 @@
 //! * proven sets grow monotonically, so consecutive proposals to the
 //!   same peer differ by a few records ([`SetUpdate`]'s insight), and
 //! * proofs are content-addressed ([`bgla_crypto::ProofId`]), so a proof
-//!   the peer *demonstrably holds* can be named by a
-//!   [`bgla_simnet::PROOF_REF_BYTES`]-sized reference instead of
-//!   re-shipped.
+//!   the peer *demonstrably holds* can be named by its 16-byte id instead
+//!   of re-shipped.
 //!
 //! [`ProvenUpdate`] combines both: `Full` ships everything inline;
 //! `Delta` ships only the records added since a base the receiver
@@ -71,33 +70,42 @@
 //! proposer's own snapshot and references only proofs that proposer
 //! itself shipped, both of which the proposer retains.
 //!
-//! # Wire format (modeled)
+//! # Wire format
 //!
-//! Per the byte-accounting contract on [`bgla_simnet::WireMessage`]:
+//! A payload says each proof once, as a proof says each echo once: a
+//! table of the proofs first, then the records without their proofs,
+//! each with an index into the table.
 //!
 //! ```text
-//! Full(set)                     : 1 (tag) + set bytes + Σ distinct-proof bytes
-//! Delta { base_ts, new, refs }  : 1 (tag) + var(base_ts) + new bytes
-//!                                 + Σ inline-distinct-proof bytes
-//!                                 + |refs| × PROOF_REF_BYTES
-//! proof                         : var(#echoes) + Σ distinct-echo bytes
-//!                                 + var(#acks) + Σ (var(echo index)
-//!                                 + ack-without-echo bytes)
+//! payload : 0                     (the whole set)
+//!         | 1 | var(base_ts)      (the records added since base_ts)
+//!           var(#inline) | proof…  each distinct inline proof once, in
+//!                                  first-use order
+//!           var(#refs)   | id…     each proof the receiver holds, by its
+//!                                  16-byte ProofId, strictly ascending
+//!           var(#records)| (var(index) | record without its proof)…
+//!                                  strictly ascending; the index points
+//!                                  into the inline proofs, then the refs
 //! ```
 //!
-//! A proof's bytes are exactly its encoding ([`Proof::wire_size`]): each
-//! distinct echoed request set once, and per ack an index into them —
-//! one echo for an honest proof, whose acks all echo the proposer's
-//! request. What the model leaves out is the encoder's copy of a proof
-//! per record: the model counts each distinct proof once per message, the
-//! encoder writes it beside every record that carries it, so a payload's
-//! model is a lower bound on its encoding.
+//! The decoder refuses an index past the table, a table entry used by no
+//! record or listed twice, inline proofs out of first-use order, refs out
+//! of order or naming an inline proof, and records out of order, so a
+//! payload has exactly one encoding. A referenced proof never travels:
+//! the receiver attaches its own copy from its [`ProofResolver`] when it
+//! resolves the payload, or reports the gap. Records that share an inline
+//! proof share one decoded handle of it, hashed once; as a proof's echo,
+//! each use after the first is charged to the reader
+//! ([`Reader::reuse`]), since every record walks its proof's acks when
+//! checked. A reference is not charged: it resolves only to a proof the
+//! receiver itself verified.
 
 use crate::proof::{Proof, ProofAck};
 use crate::valueset::{DeltaReceiver, DeltaSender, SetItem, SetUpdate, ValueSet};
-use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
+use bgla_codec::{CodecError, Reader, Wire, Writer};
 use bgla_crypto::{ProofId, ProofResolver};
-use bgla_simnet::{ProcessId, ProofSizes, PROOF_REF_BYTES};
+use bgla_simnet::ProcessId;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A signed record carrying an attached proof of safety — the element
@@ -106,9 +114,8 @@ use std::collections::{BTreeMap, BTreeSet};
 ///
 /// `Ord`/`Eq` must ignore the attached proof — the record is the same
 /// lattice element regardless of which quorum certified it, so
-/// [`SetItem::EQ_IS_IDENTITY`] is `false` — which is what lets the
-/// decoder swap a referenced proof handle in without disturbing set
-/// order.
+/// [`SetItem::EQ_IS_IDENTITY`] is `false` — and order records as their
+/// [`Self::Signed`] parts do, which is the order a payload ships them in.
 pub trait ProvenRecord: SetItem {
     /// The ack type of the attached proof.
     type Ack: ProofAck;
@@ -116,20 +123,30 @@ pub trait ProvenRecord: SetItem {
     /// The plain values a record carries.
     type Value: SetItem;
 
+    /// The record without its proof: what a payload ships per record.
+    type Signed: SetItem + std::fmt::Debug;
+
     /// The values this record carries.
     fn values(&self) -> &[Self::Value];
 
     /// The attached proof of safety.
     fn proof(&self) -> &Proof<Self::Ack>;
 
-    /// The same record with `proof` attached instead (used by the
-    /// decoder to attach the locally resolved handle).
-    fn with_proof(&self, proof: Proof<Self::Ack>) -> Self;
+    /// The record without its proof.
+    fn signed(&self) -> &Self::Signed;
+
+    /// The record `signed` with `proof` attached.
+    fn proven(signed: Self::Signed, proof: Proof<Self::Ack>) -> Self;
 }
 
 /// A proven-set payload: the full set, or only the records added since a
 /// base the receiver holds, with already-held proofs by reference. See
-/// the module docs for semantics and the modeled wire format.
+/// the module docs for semantics and the wire format.
+///
+/// `Full` and `Delta` name a payload by its records; the wire carries
+/// every payload as a [`ProvenTable`], which is also what the delta
+/// ledgers build and what decoding yields — so a simulated receiver is
+/// handed exactly what a socket delivers.
 #[derive(Debug, Clone)]
 pub enum ProvenUpdate<T: ProvenRecord> {
     /// The whole set, every distinct proof inline (first contact or
@@ -140,89 +157,211 @@ pub enum ProvenUpdate<T: ProvenRecord> {
     Delta {
         /// Timestamp of the base set the receiver already holds.
         base_ts: u64,
-        /// `current ∖ base` — records inline; a record's proof ships
-        /// inline too unless its id appears in `refs`.
+        /// `current ∖ base` — a record's proof ships inline unless its
+        /// id appears in `refs`.
         new: ValueSet<T>,
-        /// Ids (among `new`'s proofs) the receiver is assumed to hold —
-        /// shipped as [`PROOF_REF_BYTES`]-sized references.
+        /// Ids (among `new`'s proofs) the receiver is assumed to hold.
+        /// An id no record of `new` carries is not shipped.
         refs: Vec<ProofId>,
     },
+    /// The payload as the wire carries it.
+    Table(ProvenTable<T>),
 }
 
-/// Codec form mirrors [`SetUpdate`]'s: a tag byte, then the variant
-/// fields. Referenced proof ids travel verbatim — a reference is an
-/// opaque handle, resolved (and thereby validated) by the receiver's
-/// [`ProofResolver`], never trusted structurally.
-impl<T: ProvenRecord + Wire> Wire for ProvenUpdate<T>
-where
-    Proof<T::Ack>: Wire,
-{
-    fn encode(&self, w: &mut Writer) {
+impl<T: ProvenRecord> ProvenUpdate<T> {
+    /// This payload as the wire carries it.
+    pub fn table(&self) -> Cow<'_, ProvenTable<T>> {
         match self {
-            ProvenUpdate::Full(set) => {
-                w.u8(0);
-                set.encode(w);
-            }
+            ProvenUpdate::Full(set) => Cow::Owned(ProvenTable::new(None, set, |_| false)),
             ProvenUpdate::Delta { base_ts, new, refs } => {
-                w.u8(1);
-                w.var(*base_ts);
-                new.encode(w);
-                refs.encode(w);
+                Cow::Owned(ProvenTable::new(Some(*base_ts), new, |id| {
+                    refs.contains(id)
+                }))
             }
+            ProvenUpdate::Table(table) => Cow::Borrowed(table),
+        }
+    }
+
+    /// Whether this payload is a delta against a base.
+    pub fn is_delta(&self) -> bool {
+        match self {
+            ProvenUpdate::Full(_) => false,
+            ProvenUpdate::Delta { .. } => true,
+            ProvenUpdate::Table(table) => table.base_ts.is_some(),
+        }
+    }
+}
+
+/// Every payload encodes as its [`ProvenTable`], and decodes to one.
+impl<T: ProvenRecord> Wire for ProvenUpdate<T> {
+    fn encode(&self, w: &mut Writer) {
+        self.table().encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(ProvenUpdate::Table(ProvenTable::decode(r)?))
+    }
+}
+
+/// Proven records as the wire carries them: each distinct proof once,
+/// and each record without its proof but with the index of its proof
+/// (see the module docs).
+#[derive(Debug, Clone)]
+pub struct ProvenTable<T: ProvenRecord> {
+    /// `None` for the whole set; `Some(ts)` for the records added since
+    /// the set the receiver consumed at `ts`.
+    base_ts: Option<u64>,
+    /// The proofs shipped inline, each once, in first-use order.
+    proofs: Vec<Proof<T::Ack>>,
+    /// The ids of the proofs the receiver holds, strictly ascending.
+    refs: Vec<ProofId>,
+    /// The records without their proofs, strictly ascending, each with
+    /// the index of its proof in `proofs` followed by `refs`.
+    records: Vec<(usize, T::Signed)>,
+}
+
+impl<T: ProvenRecord> ProvenTable<T> {
+    /// `records` with every proof `held` says the receiver holds by
+    /// reference and the others inline.
+    pub fn new(
+        base_ts: Option<u64>,
+        records: &ValueSet<T>,
+        held: impl Fn(&ProofId) -> bool,
+    ) -> Self {
+        let (refs, inline): (BTreeSet<ProofId>, BTreeSet<ProofId>) = records
+            .iter()
+            .map(|r| r.proof().id())
+            .partition(|id| held(id));
+        let refs: Vec<ProofId> = refs.into_iter().collect();
+        let mut proofs = Vec::with_capacity(inline.len());
+        let mut at: BTreeMap<ProofId, usize> = BTreeMap::new();
+        let records = records
+            .iter()
+            .map(|r| {
+                let proof = r.proof();
+                let index = match refs.binary_search(&proof.id()) {
+                    Ok(k) => inline.len() + k,
+                    Err(_) => *at.entry(proof.id()).or_insert_with(|| {
+                        proofs.push(proof.clone());
+                        proofs.len() - 1
+                    }),
+                };
+                (index, r.signed().clone())
+            })
+            .collect();
+        ProvenTable {
+            base_ts,
+            proofs,
+            refs,
+            records,
+        }
+    }
+
+    /// `None` for the whole set; `Some(ts)` for the records added since
+    /// the set the receiver consumed at `ts`.
+    pub fn base_ts(&self) -> Option<u64> {
+        self.base_ts
+    }
+
+    /// The ids of the proofs shipped by reference.
+    pub fn refs(&self) -> &[ProofId] {
+        &self.refs
+    }
+
+    /// The records without their proofs, in ascending order, each with
+    /// its proof if that travels inline (`None`: by reference).
+    pub fn records(&self) -> impl Iterator<Item = (&T::Signed, Option<&Proof<T::Ack>>)> {
+        self.records
+            .iter()
+            .map(|(index, signed)| (signed, self.proofs.get(*index)))
+    }
+
+    /// The records with their proofs attached: an inline proof from the
+    /// table, a referenced one from `resolver`. `None` is a gap: a
+    /// referenced id the resolver does not hold.
+    fn attach(&self, resolver: &mut ProofResolver<Proof<T::Ack>>) -> Option<ValueSet<T>> {
+        let mut out = Vec::with_capacity(self.records.len());
+        for (index, signed) in &self.records {
+            let proof = match self.proofs.get(*index) {
+                Some(proof) => proof.clone(),
+                None => resolver.resolve(*self.refs.get(index - self.proofs.len())?)?,
+            };
+            out.push(T::proven(signed.clone(), proof));
+        }
+        Some(ValueSet::from_sorted(out))
+    }
+}
+
+impl<T: ProvenRecord> Wire for ProvenTable<T> {
+    fn encode(&self, w: &mut Writer) {
+        match self.base_ts {
+            None => w.u8(0),
+            Some(ts) => {
+                w.u8(1);
+                w.var(ts);
+            }
+        }
+        self.proofs.encode(w);
+        self.refs.encode(w);
+        w.usize(self.records.len());
+        for (index, signed) in &self.records {
+            w.usize(*index);
+            signed.encode(w);
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(ProvenUpdate::Full(ValueSet::decode(r)?)),
-            1 => Ok(ProvenUpdate::Delta {
-                base_ts: r.var()?,
-                new: ValueSet::decode(r)?,
-                refs: Vec::decode(r)?,
-            }),
-            _ => Err(CodecError::Invalid("proven update tag")),
-        }
-    }
-}
-
-impl<T: ProvenRecord> ProvenUpdate<T> {
-    /// Modeled payload size and proof accounting in one walk (see the
-    /// wire format in the module docs): proofs shared by several records
-    /// are deduplicated by [`ProofId`] — each id's cached byte size
-    /// counted once for the interned figure, once per record for the
-    /// flat figure — and referenced ones cost a reference. Message-level
-    /// framing (`ts`, `round`) is the embedding message's to add.
-    pub fn metered(&self) -> (usize, ProofSizes) {
-        let (header, records, refs) = match self {
-            ProvenUpdate::Full(set) => (1, set, &[][..]),
-            ProvenUpdate::Delta { base_ts, new, refs } => (1 + var_len(*base_ts), new, &refs[..]),
+        let base_ts = match r.u8()? {
+            0 => None,
+            1 => Some(r.var()?),
+            _ => return Err(CodecError::Invalid("proven update tag")),
         };
-        let by_ref: BTreeSet<ProofId> = refs.iter().copied().collect();
-        let mut proofs = ProofSizes::default();
-        let mut seen: BTreeSet<ProofId> = BTreeSet::new();
-        for record in records.iter() {
-            let proof = record.proof();
-            proofs.refs += 1;
-            proofs.flat_bytes += proof.wire_size() as u64;
-            if !by_ref.contains(&proof.id()) && seen.insert(proof.id()) {
-                proofs.distinct += 1;
-                proofs.interned_bytes += proof.wire_size() as u64;
-            }
+        let proofs: Vec<Proof<T::Ack>> = Wire::decode(r)?;
+        let inline: BTreeSet<ProofId> = proofs.iter().map(Proof::id).collect();
+        if inline.len() != proofs.len() {
+            return Err(CodecError::Invalid("proof listed twice"));
         }
-        // Every ref entry costs wire bytes, matched or not —
-        // Byzantine junk refs are paid for by their sender.
-        proofs.by_ref = refs.len() as u64;
-        proofs.ref_bytes = (refs.len() * PROOF_REF_BYTES) as u64;
-        let bytes = header
-            + records.wire_size()
-            + proofs.interned_bytes as usize
-            + proofs.ref_bytes as usize;
-        (bytes, proofs)
-    }
-
-    /// Modeled payload size in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.metered().0
+        // A set decodes only in strictly ascending order.
+        let refs: BTreeSet<ProofId> = Wire::decode(r)?;
+        if !refs.is_disjoint(&inline) {
+            return Err(CodecError::Invalid("proof both inline and referenced"));
+        }
+        let n = r.seq_len()?;
+        let mut records: Vec<(usize, T::Signed)> = Vec::with_capacity(n);
+        let mut used = 0;
+        let refs: Vec<ProofId> = refs.into_iter().collect();
+        let mut referenced = vec![false; refs.len()];
+        for _ in 0..n {
+            let index = r.usize()?;
+            if let Some(proof) = proofs.get(index) {
+                if index > used {
+                    return Err(CodecError::Invalid("proofs out of first-use order"));
+                }
+                if index == used {
+                    used += 1;
+                } else {
+                    r.reuse(proof.wire_size())?;
+                }
+            } else {
+                *referenced
+                    .get_mut(index - proofs.len())
+                    .ok_or(CodecError::Invalid("proof index past the table"))? = true;
+            }
+            let signed = T::Signed::decode(r)?;
+            if records.last().is_some_and(|(_, last)| *last >= signed) {
+                return Err(CodecError::Invalid("proven records not strictly ascending"));
+            }
+            records.push((index, signed));
+        }
+        if used != proofs.len() || referenced.contains(&false) {
+            return Err(CodecError::Invalid("proof table entry never used"));
+        }
+        Ok(ProvenTable {
+            base_ts,
+            proofs,
+            refs,
+            records,
+        })
     }
 }
 
@@ -307,53 +446,37 @@ fn note_held<T: ProvenRecord>(
     }
 }
 
-/// The distinct proof ids of `new` that `to` demonstrably holds, sorted
-/// (deterministic wire order).
-fn held_refs<T: ProvenRecord>(
+/// The records `new` added since `base_ts`, for peer `to`: every proof
+/// `to` demonstrably holds by reference.
+fn delta_for<T: ProvenRecord>(
     held: &BTreeMap<ProcessId, BTreeSet<ProofId>>,
     to: ProcessId,
+    base_ts: u64,
     new: &ValueSet<T>,
-) -> Vec<ProofId> {
-    let Some(held) = held.get(&to) else {
-        return Vec::new();
-    };
-    let ids: BTreeSet<ProofId> = new
-        .iter()
-        .map(|r| r.proof().id())
-        .filter(|id| held.contains(id))
-        .collect();
-    ids.into_iter().collect()
+) -> ProvenUpdate<T> {
+    let held = held.get(&to);
+    ProvenUpdate::Table(ProvenTable::new(Some(base_ts), new, |id| {
+        held.is_some_and(|held| held.contains(id))
+    }))
 }
 
 /// Rebuilds the full set `update` stands for: `base_at(base_ts) ∪ new`,
-/// with locally resolved handles attached for referenced proofs. `None`
-/// is a gap: a base `base_at` does not hold, or a referenced id the
-/// resolver does not hold.
+/// with locally resolved handles attached for referenced proofs — the
+/// sender's copies never travel. `None` is a gap: a base `base_at` does
+/// not hold, or a referenced id the resolver does not hold.
 fn resolve_onto<'a, T: ProvenRecord + 'a>(
     update: &ProvenUpdate<T>,
     base_at: impl FnOnce(u64) -> Option<&'a ValueSet<T>>,
     resolver: &mut ProofResolver<Proof<T::Ack>>,
 ) -> Option<ValueSet<T>> {
-    let (base, new, refs) = match update {
-        ProvenUpdate::Full(set) => return Some(set.clone()),
-        ProvenUpdate::Delta { base_ts, new, refs } => (base_at(*base_ts)?, new, refs),
-    };
-    let ref_set: BTreeSet<ProofId> = refs.iter().copied().collect();
-    if ref_set.is_empty() {
-        return Some(base.join(new));
-    }
-    let mut out = Vec::with_capacity(new.len());
-    for record in new.iter() {
-        let id = record.proof().id();
-        if ref_set.contains(&id) {
-            // Referenced: the proof did not travel — reattach our own
-            // handle or report the gap.
-            out.push(record.with_proof(resolver.resolve(id)?));
-        } else {
-            out.push(record.clone());
+    let table = update.table();
+    match table.base_ts {
+        None => table.attach(resolver),
+        Some(ts) => {
+            let base = base_at(ts)?;
+            Some(base.join(&table.attach(resolver)?))
         }
     }
-    Some(base.join(&out.into_iter().collect()))
 }
 
 /// Registers every distinct proof of `set` in `resolver`, making it
@@ -376,23 +499,25 @@ pub fn register_proofs<T: ProvenRecord>(
 /// Proposer-side bookkeeping for delta-encoded proposal broadcasts: the
 /// delta ledger (snapshots of the proven set by timestamp, each peer's
 /// newest replied-to timestamp) plus the proof ids each peer
-/// demonstrably holds.
-#[derive(Debug, Default)]
+/// demonstrably holds. `Default` is fresh state: no snapshots, no reply
+/// seen.
+#[derive(Debug)]
 pub struct ProvenDeltaSender<T: ProvenRecord> {
     ledger: DeltaSender<T>,
     /// Peer → proof ids it demonstrably delivered (see module docs).
     known_held: BTreeMap<ProcessId, BTreeSet<ProofId>>,
 }
 
-impl<T: ProvenRecord> ProvenDeltaSender<T> {
-    /// Fresh sender state: no snapshots, no reply seen.
-    pub fn new() -> Self {
+impl<T: ProvenRecord> Default for ProvenDeltaSender<T> {
+    fn default() -> Self {
         ProvenDeltaSender {
-            ledger: DeltaSender::new(),
+            ledger: DeltaSender::default(),
             known_held: BTreeMap::new(),
         }
     }
+}
 
+impl<T: ProvenRecord> ProvenDeltaSender<T> {
     /// Records the proven set broadcast at `ts` (call once per
     /// broadcast, before encoding per-peer updates).
     pub fn record_broadcast(&mut self, ts: u64, set: &ValueSet<T>) {
@@ -450,12 +575,8 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
 
     fn by_reference(&self, to: ProcessId, update: SetUpdate<T>) -> ProvenUpdate<T> {
         match update {
-            SetUpdate::Full(set) => ProvenUpdate::Full(set),
-            SetUpdate::Delta { base_ts, added } => ProvenUpdate::Delta {
-                base_ts,
-                refs: held_refs(&self.known_held, to, &added),
-                new: added,
-            },
+            SetUpdate::Full(set) => ProvenUpdate::Table(ProvenTable::new(None, &set, |_| false)),
+            SetUpdate::Delta { base_ts, added } => delta_for(&self.known_held, to, base_ts, &added),
         }
     }
 
@@ -475,22 +596,23 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
 /// Acceptor-side bookkeeping for delta-encoded proposals: the ledger's
 /// consumed sets per `(proposer, ts)` (delta bases) and the proof ids
 /// each proposer demonstrably holds (reference targets for
-/// delta-encoded nacks back to it).
-#[derive(Debug, Default)]
+/// delta-encoded nacks back to it). `Default` is fresh state.
+#[derive(Debug)]
 pub struct ProvenDeltaReceiver<T: ProvenRecord> {
     bases: DeltaReceiver<T>,
     peer_proofs: BTreeMap<ProcessId, BTreeSet<ProofId>>,
 }
 
-impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
-    /// Fresh receiver state.
-    pub fn new() -> Self {
+impl<T: ProvenRecord> Default for ProvenDeltaReceiver<T> {
+    fn default() -> Self {
         ProvenDeltaReceiver {
-            bases: DeltaReceiver::new(),
+            bases: DeltaReceiver::default(),
             peer_proofs: BTreeMap::new(),
         }
     }
+}
 
+impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
     /// Resolves a proposal update from `from` into the full proven set.
     /// `None` means a detected gap — unknown base or unresolvable
     /// reference — to be answered with a resync request.
@@ -523,9 +645,7 @@ impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
         base: &ValueSet<T>,
         current: &ValueSet<T>,
     ) -> ProvenUpdate<T> {
-        let new = current.difference(base);
-        let refs = held_refs(&self.peer_proofs, to, &new);
-        ProvenUpdate::Delta { base_ts, new, refs }
+        delta_for(&self.peer_proofs, to, base_ts, &current.difference(base))
     }
 }
 
@@ -533,6 +653,7 @@ impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
 mod tests {
     use super::*;
     use crate::proof::testing::{proof, TestAck};
+    use bgla_codec::{decode_payload, encode_payload};
     use bgla_crypto::ProofIdBuilder;
 
     /// Minimal proven record for unit tests: a value plus a proof of
@@ -559,23 +680,36 @@ mod tests {
             self.v.cmp(&other.v)
         }
     }
+    impl Wire for Rec {
+        fn encode(&self, w: &mut Writer) {
+            w.u64(self.v);
+            self.proof.encode(w);
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Rec {
+                v: r.u64()?,
+                proof: Wire::decode(r)?,
+            })
+        }
+    }
     impl SetItem for Rec {
         const EQ_IS_IDENTITY: bool = false;
-        fn wire_size(&self) -> usize {
-            8
-        }
     }
     impl ProvenRecord for Rec {
         type Ack = TestAck;
         type Value = u64;
+        type Signed = u64;
         fn values(&self) -> &[u64] {
             std::slice::from_ref(&self.v)
         }
         fn proof(&self) -> &Proof<TestAck> {
             &self.proof
         }
-        fn with_proof(&self, proof: Proof<TestAck>) -> Self {
-            Rec { v: self.v, proof }
+        fn signed(&self) -> &u64 {
+            &self.v
+        }
+        fn proven(v: u64, proof: Proof<TestAck>) -> Self {
+            Rec { v, proof }
         }
     }
 
@@ -596,13 +730,27 @@ mod tests {
         b.finish()
     }
 
+    /// What a ledger built: `(base_ts, #inline proofs, #refs, #records)`.
+    fn shape(update: &ProvenUpdate<Rec>) -> (Option<u64>, usize, usize, usize) {
+        let ProvenUpdate::Table(t) = update else {
+            panic!("ledgers build tables, got {update:?}");
+        };
+        let inline: BTreeSet<ProofId> = t.records().filter_map(|(_, p)| p.map(Proof::id)).collect();
+        (
+            t.base_ts(),
+            inline.len(),
+            t.refs().len(),
+            t.records().count(),
+        )
+    }
+
     #[test]
     fn first_contact_is_full_and_replies_enable_deltas() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
+        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::default();
         let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         let s0 = set(&[rec(1, &[10]), rec(2, &[10])]);
         tx.record_broadcast(1, &s0);
-        assert!(matches!(tx.encode_for(9, 1, &s0), ProvenUpdate::Full(_)));
+        assert_eq!(shape(&tx.encode_for(9, 1, &s0)), (None, 1, 0, 2));
 
         // Peer 9 consumes and replies: the shared proof becomes
         // referenceable and values stop traveling.
@@ -610,16 +758,9 @@ mod tests {
         let s1 = s0.join(&set(&[rec(3, &[10])]));
         tx.record_broadcast(2, &s1);
         let u = tx.encode_for(9, 2, &s1);
-        match &u {
-            ProvenUpdate::Delta { base_ts, new, refs } => {
-                assert_eq!(*base_ts, 1);
-                assert_eq!(new.len(), 1);
-                assert_eq!(refs.len(), 1, "shared proof travels as a reference");
-            }
-            other => panic!("expected delta, got {other:?}"),
-        }
+        assert_eq!(shape(&u), (Some(1), 0, 1, 1), "shared proof by reference");
         // Receiver side: reconstruct through base + resolver.
-        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::new();
+        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
         register_proofs(&mut resolver, &s0);
         rx.record(0, 1, &s0);
         let full = rx.resolve(0, &u, &mut resolver).expect("no gap");
@@ -628,7 +769,7 @@ mod tests {
 
     #[test]
     fn unknown_base_and_unknown_ref_are_gaps() {
-        let rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::new();
+        let rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
         let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         let bogus_base = ProvenUpdate::Delta {
             base_ts: 77,
@@ -637,7 +778,7 @@ mod tests {
         };
         assert!(rx.resolve(3, &bogus_base, &mut resolver).is_none());
 
-        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::new();
+        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
         rx.record(3, 0, &ValueSet::new());
         let r = rec(1, &[1]);
         let unknown_ref = ProvenUpdate::Delta {
@@ -652,8 +793,8 @@ mod tests {
     }
 
     #[test]
-    fn junk_refs_matching_no_record_are_ignored() {
-        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::new();
+    fn refs_matching_no_record_are_not_shipped() {
+        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
         let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         rx.record(3, 0, &ValueSet::new());
         let u = ProvenUpdate::Delta {
@@ -663,47 +804,35 @@ mod tests {
         };
         let full = rx.resolve(3, &u, &mut resolver).expect("inline proof");
         assert_eq!(full.len(), 1);
-        // ...but they still cost the sender wire bytes.
-        let (_, proofs) = u.metered();
-        assert_eq!(proofs.ref_bytes, PROOF_REF_BYTES as u64);
-        assert_eq!(proofs.distinct, 1, "inline proof still shipped");
+        let table = ProvenUpdate::Table(u.table().into_owned());
+        assert_eq!(shape(&table), (Some(0), 1, 0, 1), "inline, no refs");
     }
 
     #[test]
     fn reset_peer_restores_full_payloads() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
+        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::default();
         let s = set(&[rec(1, &[1])]);
         tx.record_broadcast(1, &s);
         tx.record_reply(4, 1);
-        assert!(matches!(
-            tx.encode_for(4, 2, &s),
-            ProvenUpdate::Delta { .. }
-        ));
+        assert!(tx.encode_for(4, 2, &s).is_delta());
         tx.reset_peer(4);
-        assert!(matches!(tx.encode_for(4, 2, &s), ProvenUpdate::Full(_)));
+        assert!(!tx.encode_for(4, 2, &s).is_delta());
     }
 
     #[test]
     fn reply_deltas_reference_the_proposers_own_proofs() {
         // Proposer P (id 0) sent us set s_p; we hold accepted = s_p ∪ ours.
         // The nack back to P references P's proof and ships ours inline.
-        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::new();
+        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
         let p_rec = rec(1, &[10]);
         let our_rec = rec(2, &[20]);
         let s_p = set(std::slice::from_ref(&p_rec));
         rx.record(0, 3, &s_p);
         let accepted = s_p.join(&set(std::slice::from_ref(&our_rec)));
         let u = rx.encode_reply(0, 3, &s_p, &accepted);
-        match &u {
-            ProvenUpdate::Delta { base_ts, new, refs } => {
-                assert_eq!(*base_ts, 3);
-                assert_eq!(new.as_slice(), std::slice::from_ref(&our_rec));
-                assert!(refs.is_empty(), "our proof is new to P: inline");
-            }
-            other => panic!("expected delta, got {other:?}"),
-        }
+        assert_eq!(shape(&u), (Some(3), 1, 0, 1), "our proof is new to P");
         // P resolves against its own snapshot.
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
+        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::default();
         let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         tx.record_broadcast(3, &s_p);
         let full = tx.resolve_reply(&u, &mut resolver).expect("no gap");
@@ -713,33 +842,22 @@ mod tests {
         // proof back (P shipped it, so it holds it).
         rx.record(0, 4, &accepted);
         let u2 = rx.encode_reply(0, 4, &accepted, &accepted);
-        match &u2 {
-            ProvenUpdate::Delta { new, refs, .. } => {
-                assert!(new.is_empty());
-                assert!(refs.is_empty());
-            }
-            other => panic!("expected delta, got {other:?}"),
-        }
+        assert_eq!(shape(&u2), (Some(4), 0, 0, 0));
         let grown = accepted.join(&set(&[rec(9, &[20])]));
         let u3 = rx.encode_reply(0, 4, &accepted, &grown);
-        match &u3 {
-            ProvenUpdate::Delta { new, refs, .. } => {
-                assert_eq!(new.len(), 1);
-                assert_eq!(
-                    refs,
-                    &[our_rec.proof.id()],
-                    "a proof P consumed travels back by reference"
-                );
-            }
-            other => panic!("expected delta, got {other:?}"),
-        }
+        assert_eq!(shape(&u3), (Some(4), 0, 1, 1));
+        assert_eq!(
+            u3.table().refs(),
+            &[our_rec.proof.id()],
+            "a proof P consumed travels back by reference"
+        );
     }
 
-    /// Peers on one base share the new records of a broadcast; what each
-    /// holds by reference stays its own.
+    /// Each peer's payload is what it would get alone; what each holds by
+    /// reference stays its own.
     #[test]
-    fn broadcast_takes_one_difference_per_base() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::new();
+    fn broadcast_encodes_each_peer_as_alone() {
+        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::default();
         let s0 = set(&[rec(1, &[10])]);
         tx.record_broadcast(1, &s0);
         tx.record_reply(1, 1);
@@ -752,27 +870,17 @@ mod tests {
             let alone = tx.encode_for(to, 2, &s1);
             assert_eq!(format!("{update:?}"), format!("{alone:?}"), "peer {to}");
         }
-        assert!(matches!(all[0], ProvenUpdate::Full(_)));
-        match (&all[1], &all[2]) {
-            (
-                ProvenUpdate::Delta {
-                    new: a, refs: none, ..
-                },
-                ProvenUpdate::Delta {
-                    new: b, refs: one, ..
-                },
-            ) => {
-                assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
-                assert_eq!((none.len(), one.len()), (0, 1));
-            }
-            other => panic!("expected two deltas, got {other:?}"),
-        }
+        let shapes: Vec<_> = all.iter().map(shape).collect();
+        assert_eq!(
+            shapes,
+            [(None, 3, 0, 3), (Some(1), 2, 0, 2), (Some(1), 1, 1, 2)]
+        );
     }
 
+    /// A reference costs the 16-byte id, not the proof; one proof under
+    /// two records is said once, and each record costs its index.
     #[test]
-    fn metered_counts_refs_not_proofs() {
-        // 6 acks of 9 bytes: a proof bigger than PROOF_REF_BYTES, so the
-        // delta arm is genuinely cheaper.
+    fn a_table_says_each_proof_once_and_a_reference_in_its_id() {
         let shared = proof(&[1, 2, 3, 4, 5, 6]);
         let a = Rec {
             v: 1,
@@ -783,24 +891,32 @@ mod tests {
             proof: shared.clone(),
         };
         let full = ProvenUpdate::Full(set(&[a.clone(), b.clone()]));
-        let (full_bytes, fp) = full.metered();
-        assert_eq!(fp.distinct, 1);
-        assert_eq!(fp.refs, 2);
-        assert_eq!(fp.by_ref, 0);
-        assert_eq!(full_bytes, 1 + (1 + 16) + shared.wire_size());
-
+        let records = 1 + 2 * (1 + 8);
+        assert_eq!(full.wire_size(), 1 + 1 + shared.wire_size() + 1 + records);
         let delta = ProvenUpdate::Delta {
             base_ts: 7,
             new: set(&[a, b]),
             refs: vec![shared.id()],
         };
-        let (delta_bytes, dp) = delta.metered();
-        assert_eq!(dp.distinct, 0, "referenced proof not shipped inline");
-        assert_eq!(dp.by_ref, 1);
-        assert_eq!(dp.ref_bytes, PROOF_REF_BYTES as u64);
-        assert_eq!(dp.flat_bytes, 2 * shared.wire_size() as u64);
-        assert_eq!(delta_bytes, 1 + 1 + (1 + 16) + PROOF_REF_BYTES);
-        assert!(delta_bytes < full_bytes);
+        assert_eq!(delta.wire_size(), 1 + 1 + 1 + (1 + 16) + records);
+        for u in [full, delta] {
+            let bytes = encode_payload(&u);
+            assert_eq!(bytes.len(), u.wire_size());
+            let back: ProvenUpdate<Rec> = decode_payload(&bytes).unwrap();
+            assert_eq!(encode_payload(&back), bytes);
+            assert_eq!(back.is_delta(), u.is_delta());
+        }
+    }
+
+    /// `Default` asks nothing of the record type: a proven batch has no
+    /// default, and its ledgers still start empty.
+    #[test]
+    fn ledgers_default_without_a_default_record() {
+        use crate::gsbs::ProvenBatch;
+        let tx = ProvenDeltaSender::<ProvenBatch<u64>>::default();
+        let rx = ProvenDeltaReceiver::<ProvenBatch<u64>>::default();
+        assert!(!tx.encode_for(1, 1, &ValueSet::new()).is_delta());
+        assert!(rx.bases.base(1, 0).is_none());
     }
 
     #[test]

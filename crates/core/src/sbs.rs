@@ -53,7 +53,7 @@
 //! [`ProvenUpdate`]s: after an acceptor has acked/nacked a proposal,
 //! later `ack_req`s to it carry only the records added since that
 //! reply, with proofs the acceptor demonstrably holds named by
-//! [`bgla_crypto::ProofId`] reference (~32 bytes instead of `O(n²)`);
+//! [`bgla_crypto::ProofId`] reference (16 bytes instead of `O(n²)`);
 //! `nack`s delta against the very proposal they refuse and reference
 //! the proposer's own proofs back at it. Receivers reconstruct the full
 //! set by joining the delta onto the recorded base and resolving each
@@ -63,8 +63,8 @@
 //! **delta gap**: the receiver answers [`SbsMsg::Resync`] and the
 //! proposer falls back to `Full` — only Byzantine senders (or resolver
 //! eviction on pathological runs) can trigger it. See
-//! [`crate::provendelta`] for the reference discipline and the modeled
-//! wire format.
+//! [`crate::provendelta`] for the reference discipline and the wire
+//! format.
 //!
 //! # Echoes said once (this implementation)
 //!
@@ -120,20 +120,20 @@
 use crate::config::SystemConfig;
 use crate::held::{self, hold, verify_held, Held};
 use crate::proof::{
-    echoing, encode_reply_fields, remove_conflicts, replies, reply_fields_wire_size,
-    return_conflicts, Conflicting, Proof, ProofAck,
+    echoing, encode_reply_fields, remove_conflicts, replies, return_conflicts, Conflicting, Proof,
+    ProofAck,
 };
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
 };
 use crate::value::SignableValue;
 use crate::valueset::{SetItem, ValueSet};
-use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
+use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
     CachedVerifier, Keypair, Keyring, Obligation, ProofCache, ProofId, ProofResolver, Signature,
     ToBytes, VerifierStats,
 };
-use bgla_simnet::{Context, Process, ProcessId, ProofSizes, WireMessage};
+use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
 // bgla-lint: allow(determinism, "HashSet used membership-only in all_safe; iteration order never observed")
 use std::collections::{BTreeSet, HashSet};
@@ -195,9 +195,6 @@ impl<V: SignableValue> Conflicting for SignedValue<V> {
 
 impl<V: SignableValue> SetItem for SignedValue<V> {
     const EQ_IS_IDENTITY: bool = true;
-    fn wire_size(&self) -> usize {
-        self.value.wire_size() + var_len(self.signer as u64) + 64
-    }
 }
 
 /// The body of a `safe_ack`: the echoed request set and the conflicts the
@@ -310,9 +307,6 @@ impl<V: SignableValue> ProofAck for SignedSafeAck<V> {
     fn encode_reply(&self, w: &mut Writer) {
         encode_reply_fields(w, None, &self.body.conflicts, self.signer, &self.sig);
     }
-    fn reply_wire_size(&self) -> usize {
-        reply_fields_wire_size(None, &self.body.conflicts, self.signer)
-    }
 }
 
 /// A `safe_ack` as it travels back to the proposer: everything but the
@@ -364,28 +358,23 @@ impl<V: SignableValue> Ord for ProvenValue<V> {
 impl<V: SignableValue> SetItem for ProvenValue<V> {
     /// `==` ignores the proof: joins must keep our own handles.
     const EQ_IS_IDENTITY: bool = false;
-    fn wire_size(&self) -> usize {
-        // The value + signature only; the attached proof is accounted
-        // separately (shared proofs transmit once per message, or as a
-        // reference — see the WireMessage byte-accounting contract).
-        SetItem::wire_size(&self.sv)
-    }
 }
 
 impl<V: SignableValue> ProvenRecord for ProvenValue<V> {
     type Ack = SignedSafeAck<V>;
     type Value = V;
+    type Signed = SignedValue<V>;
     fn values(&self) -> &[V] {
         std::slice::from_ref(&self.sv.value)
     }
     fn proof(&self) -> &SafetyProof<V> {
         &self.proof
     }
-    fn with_proof(&self, proof: SafetyProof<V>) -> Self {
-        ProvenValue {
-            sv: self.sv.clone(),
-            proof,
-        }
+    fn signed(&self) -> &SignedValue<V> {
+        &self.sv
+    }
+    fn proven(sv: SignedValue<V>, proof: SafetyProof<V>) -> Self {
+        ProvenValue { sv, proof }
     }
 }
 
@@ -442,38 +431,6 @@ impl<V: SignableValue> WireMessage for SbsMsg<V> {
             SbsMsg::Ack { .. } => "ack",
             SbsMsg::Nack { .. } => "nack",
             SbsMsg::Resync { .. } => "resync",
-        }
-    }
-    // Sizes follow the byte-accounting contract on
-    // [`bgla_simnet::WireMessage`]: the variants without proofs are the
-    // length of their encoding; proof-carrying payloads delegate to
-    // [`ProvenUpdate::metered`], which prices interned proofs and
-    // references.
-    fn wire_size(&self) -> usize {
-        self.metered().0
-    }
-    fn proof_sizes(&self) -> ProofSizes {
-        match self {
-            SbsMsg::AckReq { proposed: pl, .. } | SbsMsg::Nack { accepted: pl, .. } => {
-                pl.metered().1
-            }
-            _ => ProofSizes::default(),
-        }
-    }
-    fn metered(&self) -> (usize, ProofSizes) {
-        // One walk per send: the proof dedup yields both the proof
-        // accounting and the interned/referenced wire size.
-        let plain = |bytes: usize| (1 + bytes, ProofSizes::default());
-        match self {
-            SbsMsg::AckReq { proposed: pl, ts } | SbsMsg::Nack { accepted: pl, ts } => {
-                let (bytes, proofs) = pl.metered();
-                (1 + bytes + var_len(*ts), proofs)
-            }
-            SbsMsg::Init(sv) => plain(SetItem::wire_size(sv)),
-            SbsMsg::SafeReq(set) => plain(set.wire_size()),
-            SbsMsg::SafeAck(ack) => plain(reply_fields_wire_size(None, &ack.conflicts, ack.signer)),
-            SbsMsg::Ack { values, ts } => plain(values.wire_size() + var_len(*ts)),
-            SbsMsg::Resync { ts } => plain(var_len(*ts)),
         }
     }
 }
@@ -577,8 +534,8 @@ impl<V: SignableValue> SbsProcess<V> {
             safe_candidates: ValueSet::new(),
             accepted_set: Valued::default(),
             proof_cache: ProofCache::default(),
-            delta_tx: ProvenDeltaSender::new(),
-            delta_rx: ProvenDeltaReceiver::new(),
+            delta_tx: ProvenDeltaSender::default(),
+            delta_rx: ProvenDeltaReceiver::default(),
             resolver: ProofResolver::default(),
             recovered: false,
             decision: None,
@@ -1026,8 +983,8 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
             safe_candidates,
             accepted_set,
             proof_cache: ProofCache::default(),
-            delta_tx: ProvenDeltaSender::new(),
-            delta_rx: ProvenDeltaReceiver::new(),
+            delta_tx: ProvenDeltaSender::default(),
+            delta_rx: ProvenDeltaReceiver::default(),
             resolver,
             recovered: true,
             decision,

@@ -24,9 +24,11 @@
 //! * **equality has an `Arc::ptr_eq` fast path** — the acks of a proof
 //!   share their proposer's request, so finding a proof's distinct
 //!   echoes costs one pointer comparison per ack;
-//! * **`wire_size` is cached**: metering a message is `O(1)` instead of
-//!   an `O(|set|)` fold per send, and every operation that builds a set
-//!   from one whose bytes are cached measures only the difference.
+//! * **the encoded length is cached**: metering a message is `O(1)`
+//!   instead of an `O(|set|)` fold per send (a counting
+//!   [`bgla_codec::Writer`] takes the cache and skips the walk), and
+//!   every operation that builds a set from one whose bytes are cached
+//!   measures only the difference.
 //!
 //! Decisions remain *logically* sets-of-values-under-union, exactly as
 //! paper §3.1 prescribes — only the physical representation changed.
@@ -59,8 +61,8 @@
 //!
 //! ## Wire format
 //!
-//! `wire_size` is the length of the [`Wire`] encoding, byte for byte
-//! (`var` is a `bgla_codec` varint: 1 byte below 128, 2 below 16 384):
+//! The [`Wire`] encodings (`var` is a `bgla_codec` varint: 1 byte below
+//! 128, 2 below 16 384):
 //!
 //! ```text
 //! ValueSet                   : var(len) + Σ wire_size(item)
@@ -74,10 +76,10 @@ use bgla_simnet::ProcessId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Element of a [`ValueSet`]: an ordered, cloneable record with a modeled
-/// wire size (the set caches the sum). Every [`Value`] is one; the
-/// signature algorithms add their signed and proven records.
-pub trait SetItem: Clone + Ord {
+/// Element of a [`ValueSet`]: an ordered, cloneable record with an
+/// encoding (the set caches the sum of their lengths). Every [`Value`] is
+/// one; the signature algorithms add their signed and proven records.
+pub trait SetItem: Clone + Ord + Wire {
     /// Whether `==` compares everything the item carries. On join, equal
     /// elements keep `self`'s representative (`BTreeSet`'s
     /// insert-does-not-replace semantics). Where `==` is identity
@@ -89,16 +91,10 @@ pub trait SetItem: Clone + Ord {
     /// with it its interned [`bgla_crypto::ProofId`] and its
     /// verification-cache hits — survives any number of merges.
     const EQ_IS_IDENTITY: bool;
-
-    /// Modeled serialized size of this element in bytes.
-    fn wire_size(&self) -> usize;
 }
 
 impl<V: Value> SetItem for V {
     const EQ_IS_IDENTITY: bool = true;
-    fn wire_size(&self) -> usize {
-        Value::wire_size(self)
-    }
 }
 
 /// An immutable-by-sharing sorted set with `O(1)` clone.
@@ -133,9 +129,10 @@ impl<T: SetItem> ValueSet<T> {
 
     /// Builds from a vector that is already strictly sorted, measuring
     /// every element — for sets that arrive with no cached bytes to start
-    /// from (decode, collection from an iterator).
-    fn from_sorted(items: Vec<T>) -> Self {
-        let wire = items.iter().map(SetItem::wire_size).sum();
+    /// from (decode, collection from an iterator, a proven payload's
+    /// records with their proofs attached).
+    pub(crate) fn from_sorted(items: Vec<T>) -> Self {
+        let wire = items.iter().map(Wire::wire_size).sum();
         ValueSet::measured(items, wire)
     }
 
@@ -143,7 +140,7 @@ impl<T: SetItem> ValueSet<T> {
     /// already knows.
     fn measured(items: Vec<T>, wire: usize) -> Self {
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "not strictly sorted");
-        debug_assert_eq!(wire, items.iter().map(SetItem::wire_size).sum::<usize>());
+        debug_assert_eq!(wire, items.iter().map(Wire::wire_size).sum::<usize>());
         ValueSet {
             items: Arc::new(items),
             wire,
@@ -178,12 +175,6 @@ impl<T: SetItem> ValueSet<T> {
     /// Membership test (binary search).
     pub fn contains(&self, v: &T) -> bool {
         self.items.binary_search(v).is_ok()
-    }
-
-    /// Encoded size: varint length prefix + elements. Cached — `O(1)`,
-    /// unlike a per-send fold over a `BTreeSet`.
-    pub fn wire_size(&self) -> usize {
-        var_len(self.len() as u64) + self.wire
     }
 
     /// Inserts `v`; returns whether the set changed. Copy-on-write: the
@@ -287,7 +278,7 @@ impl<T: SetItem> ValueSet<T> {
         out.extend_from_slice(&a[i..]);
         // bgla-lint: allow(byzantine-panic, "i and j are <= len at loop exit; suffix slicing from a cursor is in-bounds")
         let rest = &b[j..];
-        wire += rest.iter().map(SetItem::wire_size).sum::<usize>();
+        wire += rest.iter().map(Wire::wire_size).sum::<usize>();
         out.extend_from_slice(rest);
         *self = ValueSet::measured(out, wire);
         true
@@ -477,9 +468,13 @@ impl<T: SetItem + bgla_crypto::ToBytes> bgla_crypto::ToBytes for ValueSet<T> {
 }
 
 /// Canonical codec form: length-prefixed elements in strictly ascending
-/// order.
-impl<T: SetItem + Wire> Wire for ValueSet<T> {
+/// order. Its length is cached: sizing a set is `O(1)`, and so is
+/// counting it inside a message.
+impl<T: SetItem> Wire for ValueSet<T> {
     fn encode(&self, w: &mut Writer) {
+        if w.counted(self.wire_size()) {
+            return;
+        }
         w.usize(self.items.len());
         for v in self.items.iter() {
             v.encode(w);
@@ -503,9 +498,13 @@ impl<T: SetItem + Wire> Wire for ValueSet<T> {
         }
         Ok(ValueSet::from_sorted(items))
     }
+
+    fn wire_size(&self) -> usize {
+        var_len(self.len() as u64) + self.wire
+    }
 }
 
-impl<T: SetItem + Wire> Wire for SetUpdate<T> {
+impl<T: SetItem> Wire for SetUpdate<T> {
     fn encode(&self, w: &mut Writer) {
         match self {
             SetUpdate::Full(set) => {
@@ -553,14 +552,6 @@ pub enum SetUpdate<T: SetItem> {
 }
 
 impl<T: SetItem> SetUpdate<T> {
-    /// Encoded size (see module docs).
-    pub fn wire_size(&self) -> usize {
-        match self {
-            SetUpdate::Full(set) => 1 + set.wire_size(),
-            SetUpdate::Delta { base_ts, added } => 1 + var_len(*base_ts) + added.wire_size(),
-        }
-    }
-
     /// Number of elements carried (diagnostics).
     pub fn carried(&self) -> usize {
         match self {
@@ -593,8 +584,9 @@ const BASE_WINDOW: usize = 8;
 const _: () = assert!(SENDER_SNAPSHOT_CAP >= BASE_WINDOW);
 
 /// Proposer-side delta bookkeeping: snapshots of `Proposed_set` by
-/// timestamp plus each acceptor's newest replied-to timestamp.
-#[derive(Debug, Default)]
+/// timestamp plus each acceptor's newest replied-to timestamp. `Default`
+/// is fresh state: no snapshots, no reply seen.
+#[derive(Debug)]
 pub struct DeltaSender<T: SetItem> {
     /// ts → `Proposed_set` at that ts (`O(1)` clones make this cheap).
     snapshots: BTreeMap<u64, ValueSet<T>>,
@@ -602,15 +594,16 @@ pub struct DeltaSender<T: SetItem> {
     last_replied: BTreeMap<ProcessId, u64>,
 }
 
-impl<T: SetItem> DeltaSender<T> {
-    /// Fresh sender state: no snapshots, no reply seen.
-    pub fn new() -> Self {
+impl<T: SetItem> Default for DeltaSender<T> {
+    fn default() -> Self {
         DeltaSender {
             snapshots: BTreeMap::new(),
             last_replied: BTreeMap::new(),
         }
     }
+}
 
+impl<T: SetItem> DeltaSender<T> {
     /// Records the proposal broadcast at `ts` (call once per broadcast,
     /// before encoding per-acceptor updates).
     pub fn record_broadcast(&mut self, ts: u64, set: &ValueSet<T>) {
@@ -694,20 +687,22 @@ impl<T: SetItem> DeltaSender<T> {
 }
 
 /// Acceptor-side delta bookkeeping: the proposals actually consumed,
-/// keyed by `(proposer, ts)`, so later deltas can be resolved.
-#[derive(Debug, Default)]
+/// keyed by `(proposer, ts)`, so later deltas can be resolved. `Default`
+/// is fresh state.
+#[derive(Debug)]
 pub struct DeltaReceiver<T: SetItem> {
     bases: BTreeMap<(ProcessId, u64), ValueSet<T>>,
 }
 
-impl<T: SetItem> DeltaReceiver<T> {
-    /// Fresh receiver state.
-    pub fn new() -> Self {
+impl<T: SetItem> Default for DeltaReceiver<T> {
+    fn default() -> Self {
         DeltaReceiver {
             bases: BTreeMap::new(),
         }
     }
+}
 
+impl<T: SetItem> DeltaReceiver<T> {
     /// Resolves an update from `from` into the full proposal. `None`
     /// means a detected gap: a delta whose base we do not hold (only
     /// Byzantine senders produce these — drop the message).
@@ -836,48 +831,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wire_size_is_cached_and_correct() {
-        let a = vs(&[1, 2, 3]);
-        assert_eq!(a.wire_size(), 1 + 24);
-        let mut b = a.clone();
-        b.insert(4);
-        assert_eq!(b.wire_size(), 1 + 32);
-        assert_eq!(a.wire_size(), 1 + 24);
-        // The prefix grows with the count, not with the cache.
-        let big: ValueSet<u64> = (0..128).collect();
-        assert_eq!(big.wire_size(), 2 + 128 * 8);
-        assert_eq!(big.wire_size(), bgla_codec::encode_payload(&big).len());
-    }
-
-    #[test]
-    fn update_wire_sizes() {
-        let full = SetUpdate::Full(vs(&[1, 2, 3]));
-        assert_eq!(full.wire_size(), 1 + 1 + 24);
-        let delta = SetUpdate::Delta {
-            base_ts: 4,
-            added: vs(&[9]),
-        };
-        assert_eq!(delta.wire_size(), 1 + 1 + 1 + 8);
-        let late = SetUpdate::Delta {
-            base_ts: 300,
-            added: vs(&[9]),
-        };
-        assert_eq!(late.wire_size(), 1 + 2 + 1 + 8);
-        for update in [full, delta, late] {
-            assert_eq!(
-                update.wire_size(),
-                bgla_codec::encode_payload(&update).len()
-            );
-        }
-    }
-
     /// One broadcast to acceptors on three footings — never replied,
     /// replied at ts 0, replied at ts 1: each gets what `encode_for`
     /// gives it, and those on one base share one set of additions.
     #[test]
     fn broadcast_takes_one_difference_per_base() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new();
+        let mut tx: DeltaSender<u64> = DeltaSender::default();
         tx.record_broadcast(0, &vs(&[1]));
         tx.record_broadcast(1, &vs(&[1, 2]));
         for (acceptor, ts) in [(1, 0), (2, 0), (3, 1), (4, 1)] {
@@ -902,7 +861,7 @@ mod tests {
 
     #[test]
     fn unknown_base_is_a_detected_gap() {
-        let rx: DeltaReceiver<u64> = DeltaReceiver::new();
+        let rx: DeltaReceiver<u64> = DeltaReceiver::default();
         let bogus = SetUpdate::Delta {
             base_ts: 77,
             added: vs(&[1]),
@@ -912,7 +871,7 @@ mod tests {
 
     #[test]
     fn byzantine_reply_claims_are_ignored() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new();
+        let mut tx: DeltaSender<u64> = DeltaSender::default();
         tx.record_broadcast(0, &vs(&[1]));
         tx.record_reply(4, 999); // never broadcast: ignored
         assert!(matches!(
@@ -923,7 +882,7 @@ mod tests {
 
     #[test]
     fn sender_snapshots_are_bounded() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new();
+        let mut tx: DeltaSender<u64> = DeltaSender::default();
         for ts in 0..200u64 {
             tx.record_broadcast(ts, &vs(&[ts]));
         }
@@ -942,7 +901,7 @@ mod tests {
     /// the slow-acceptor gap misclassification).
     #[test]
     fn stale_base_falls_back_to_full() {
-        let mut tx: DeltaSender<u64> = DeltaSender::new();
+        let mut tx: DeltaSender<u64> = DeltaSender::default();
         tx.record_broadcast(0, &vs(&[1]));
         tx.record_reply(5, 0);
         // Within the window: delta against ts 0 is fine.
@@ -962,7 +921,7 @@ mod tests {
         // Mirror on the receiver: consuming CAP newer proposals evicts
         // base 0, so the sender's fallback is exactly what keeps
         // correct traffic resolvable.
-        let mut rx: DeltaReceiver<u64> = DeltaReceiver::new();
+        let mut rx: DeltaReceiver<u64> = DeltaReceiver::default();
         rx.record(9, 0, &vs(&[1]));
         for ts in 1..=BASE_WINDOW as u64 {
             rx.record(9, ts, &vs(&[1, ts]));
@@ -981,7 +940,7 @@ mod tests {
 
     #[test]
     fn receiver_bases_are_bounded_per_proposer() {
-        let mut rx: DeltaReceiver<u64> = DeltaReceiver::new();
+        let mut rx: DeltaReceiver<u64> = DeltaReceiver::default();
         for ts in 0..100u64 {
             rx.record(5, ts, &vs(&[ts]));
         }

@@ -32,7 +32,7 @@
 use crate::config::SystemConfig;
 use crate::value::Value;
 use crate::valueset::{DeltaReceiver, DeltaSender, SetUpdate, ValueSet};
-use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
+use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
 use bgla_rbcast::{RbMsg, RbcastEngine};
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
@@ -78,15 +78,6 @@ impl<V: Value> WireMessage for WtsMsg<V> {
             WtsMsg::AckReq { .. } => "ack_req",
             WtsMsg::Ack { .. } => "ack",
             WtsMsg::Nack { .. } => "nack",
-        }
-    }
-    /// The length of the [`Wire`] encoding below, field for field.
-    fn wire_size(&self) -> usize {
-        1 + match self {
-            WtsMsg::Rb(m) => m.header_len() + m.value().wire_size(),
-            WtsMsg::AckReq { proposed, ts } => proposed.wire_size() + var_len(*ts),
-            WtsMsg::Ack { ts } => var_len(*ts),
-            WtsMsg::Nack { accepted, ts } => accepted.wire_size() + var_len(*ts),
         }
     }
 }
@@ -225,8 +216,8 @@ impl<V: Value> WtsProcess<V> {
             ts: 0,
             accepted_set: ValueSet::new(),
             waiting: Vec::new(),
-            delta_tx: DeltaSender::new(),
-            delta_rx: DeltaReceiver::new(),
+            delta_tx: DeltaSender::default(),
+            delta_rx: DeltaReceiver::default(),
             recovered: false,
             decision: None,
             decision_depth: None,
@@ -445,8 +436,8 @@ impl<V: Value> Wire for WtsProcess<V> {
             ts,
             accepted_set,
             waiting,
-            delta_tx: DeltaSender::new(),
-            delta_rx: DeltaReceiver::new(),
+            delta_tx: DeltaSender::default(),
+            delta_rx: DeltaReceiver::default(),
             recovered: true,
             decision: Wire::decode(r)?,
             decision_depth: Wire::decode(r)?,

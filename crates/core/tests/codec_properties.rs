@@ -6,7 +6,8 @@
 //! the frames cover populated rbcast engines, signed sets, proofs and
 //! delta codec state, not just genesis. Proofs of safety are also built
 //! in the shapes a Byzantine proposer may give them — acks echoing
-//! several request sets — and their one encoding is pinned.
+//! several request sets — and their one encoding is pinned, as is that
+//! of a proven payload's proof table.
 
 use std::collections::BTreeMap;
 
@@ -15,12 +16,13 @@ use bgla_codec::{
     FRAME_OVERHEAD, MAX_SPELLED_OUT,
 };
 use bgla_codec::{Wire, Writer};
-use bgla_core::gsbs::{GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, SignedBatch};
+use bgla_core::gsbs::{GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, ProvenBatch, SignedBatch};
 use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
+use bgla_core::provendelta::ProvenDeltaReceiver;
 use bgla_core::sbs::{SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
 use bgla_core::wts::{WtsMsg, WtsProcess};
-use bgla_core::{Proof, ProofAck, SetUpdate, SystemConfig, ValueSet};
-use bgla_crypto::Signature;
+use bgla_core::{Proof, ProofAck, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
+use bgla_crypto::{ProofId, ProofResolver, Signature};
 use bgla_rbcast::RbMsg;
 use bgla_simnet::{Context, Process, ProcessId, RandomScheduler, SimulationBuilder, WireMessage};
 use proptest::prelude::*;
@@ -615,15 +617,13 @@ fn sbs_proof(k: usize, picks: &[u8]) -> Proof<SignedSafeAck<u64>> {
     Proof::new(acks)
 }
 
-/// `proof` round-trips with its id, re-encodes byte for byte, encodes to
-/// its model, gives acks that echo one set one shared handle of it, and
-/// refuses every strict prefix and any extension of its encoding.
-fn assert_proof_sound<A: ProofAck>(proof: &Proof<A>, suffix: &[u8])
-where
-    Proof<A>: Wire,
-{
+/// `proof` round-trips with its id, re-encodes byte for byte, caches the
+/// length of its encoding, gives acks that echo one set one shared handle
+/// of it, and refuses every strict prefix and any extension of its
+/// encoding.
+fn assert_proof_sound<A: ProofAck>(proof: &Proof<A>, suffix: &[u8]) {
     let bytes = encode_payload(proof);
-    assert_eq!(bytes.len(), proof.wire_size(), "model is the encoding");
+    assert_eq!(bytes.len(), proof.wire_size(), "cached size");
     let back: Proof<A> = decode_payload(&bytes).expect("own encoding decodes");
     assert_eq!(back.id(), proof.id());
     assert_eq!(encode_payload(&back), bytes);
@@ -775,4 +775,254 @@ fn one_large_echo_under_many_acks_is_refused_while_read() {
         ))
     );
     assert_eq!(decode(&laid_out(4)), Ok(4), "a few acks share it freely");
+}
+
+// ---------------------------------------------------------------------------
+// Proven payloads: each distinct proof once, and exactly one encoding.
+// ---------------------------------------------------------------------------
+
+type Payload = ProvenUpdate<ProvenBatch<u64>>;
+
+/// The `i`-th of a family of distinct signed batches, in ascending order.
+fn batch(i: usize) -> SignedBatch<u64> {
+    SignedBatch {
+        round: 1,
+        batch: vs(&[i as u64]),
+        signer: i % N,
+        sig: sig(i, 7),
+    }
+}
+
+/// Batch `i` proven by `proof`.
+fn proven(i: usize, proof: &Proof<GSafeAck<u64>>) -> ProvenBatch<u64> {
+    ProvenBatch {
+        sb: batch(i),
+        proof: proof.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Records sharing 1 to 4 proofs, some held by the receiver: each
+    /// inline proof travels once and each held one as its id, and the
+    /// payload round-trips byte for byte at its counted size, refusing
+    /// every strict prefix and any extension.
+    #[test]
+    fn proven_payloads_roundtrip(
+        k in 1usize..=4,
+        picks in any::<Vec<u8>>(),
+        held in any::<u8>(),
+        base_ts in any::<Option<u64>>(),
+        suffix in any::<Vec<u8>>(),
+    ) {
+        let proofs: Vec<_> = (1..=k).map(|p| gsbs_proof(p, &[0, 1, 2])).collect();
+        let new: ValueSet<_> = picks.iter().take(10).enumerate()
+            .map(|(i, &p)| proven(i, &proofs[p as usize % k]))
+            .collect();
+        let refs: Vec<_> = proofs.iter().map(Proof::id).filter(|id| id.0[0] & held != 0).collect();
+        let update = match base_ts {
+            Some(base_ts) => ProvenUpdate::Delta { base_ts, new: new.clone(), refs: refs.clone() },
+            None => ProvenUpdate::Full(new.clone()),
+        };
+        let bytes = encode_payload(&update);
+        prop_assert_eq!(bytes.len(), update.wire_size());
+        let back: Payload = decode_payload(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(&encode_payload(&back), &bytes);
+        let table = back.table();
+        prop_assert_eq!(table.base_ts(), base_ts);
+        let mut inline = std::collections::BTreeSet::new();
+        for ((signed, proof), pb) in table.records().zip(new.iter()) {
+            let by_ref = base_ts.is_some() && refs.contains(&pb.proof.id());
+            prop_assert_eq!(signed, &pb.sb);
+            prop_assert_eq!(proof.map(Proof::id), Some(pb.proof.id()).filter(|_| !by_ref));
+            prop_assert_eq!(table.refs().contains(&pb.proof.id()), by_ref);
+            inline.extend(proof.map(|p| p.as_slice().as_ptr()));
+        }
+        prop_assert_eq!(inline.len() + table.refs().len(), new.iter().map(|pb| pb.proof.id()).collect::<std::collections::BTreeSet<_>>().len());
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_payload::<Payload>(&bytes[..cut]).is_err());
+        }
+        let mut suffix = suffix;
+        suffix.truncate(3);
+        suffix.push(held);
+        assert_payload_rejects_extension(&update, &suffix);
+    }
+}
+
+/// The bytes of a delta at base 3: `proofs` inline, `refs`, then each
+/// `(index, i)` as a proof index and batch `i`.
+fn table_laid_out(
+    proofs: &[&Proof<GSafeAck<u64>>],
+    refs: &[ProofId],
+    records: &[(usize, usize)],
+) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u8(1);
+    w.var(3);
+    w.usize(proofs.len());
+    proofs.iter().for_each(|p| p.encode(&mut w));
+    w.usize(refs.len());
+    refs.iter().for_each(|id| id.encode(&mut w));
+    w.usize(records.len());
+    for &(index, i) in records {
+        w.usize(index);
+        batch(i).encode(&mut w);
+    }
+    w.into_bytes()
+}
+
+#[test]
+fn proven_payload_decoder_accepts_one_encoding_only() {
+    let [p, q, r] = [1, 2, 3].map(|k| gsbs_proof(k, &[0, 1, 2]));
+    let (a, b) = (q.id().min(r.id()), q.id().max(r.id()));
+    let decode =
+        |proofs: &[&Proof<GSafeAck<u64>>], refs: &[ProofId], records: &[(usize, usize)]| {
+            decode_payload::<Payload>(&table_laid_out(proofs, refs, records)).map(|u| u.wire_size())
+        };
+    // `p` inline under records 0 and 3; `q` and `r` by reference, sorted.
+    let at = |id| 1 + usize::from(id == b);
+    let canonical = table_laid_out(
+        &[&p],
+        &[a, b],
+        &[(0, 0), (at(q.id()), 1), (at(r.id()), 2), (0, 3)],
+    );
+    let update = ProvenUpdate::Delta {
+        base_ts: 3,
+        new: [(0, &p), (1, &q), (2, &r), (3, &p)]
+            .into_iter()
+            .map(|(i, pr)| proven(i, pr))
+            .collect(),
+        refs: vec![r.id(), q.id()],
+    };
+    assert_eq!(
+        encode_payload(&update),
+        canonical,
+        "the layout the encoder writes"
+    );
+    assert_eq!(
+        decode(&[&p], &[a, b], &[(0, 0), (1, 1), (2, 2), (0, 3)]),
+        Ok(canonical.len())
+    );
+
+    let invalid = |what| Err(CodecError::Invalid(what));
+    for (proofs, refs, records, what) in [
+        (
+            &[&p][..],
+            &[][..],
+            &[(1, 0)][..],
+            "proof index past the table",
+        ),
+        (
+            &[&p],
+            &[a],
+            &[(0, 0), (1, 1), (2, 2)],
+            "proof index past the table",
+        ),
+        (
+            &[&p, &q],
+            &[],
+            &[(0, 0), (0, 1)],
+            "proof table entry never used",
+        ),
+        (&[], &[a, b], &[(0, 0)], "proof table entry never used"),
+        (&[&p, &p], &[], &[(0, 0), (1, 1)], "proof listed twice"),
+        (
+            &[],
+            &[a, a],
+            &[(0, 0), (1, 1)],
+            "set not strictly ascending",
+        ),
+        (
+            &[],
+            &[b, a],
+            &[(0, 0), (1, 1)],
+            "set not strictly ascending",
+        ),
+        (
+            &[&q],
+            &[q.id()],
+            &[(0, 0), (1, 1)],
+            "proof both inline and referenced",
+        ),
+        (
+            &[&p, &q],
+            &[],
+            &[(1, 0), (0, 1)],
+            "proofs out of first-use order",
+        ),
+        (
+            &[&p],
+            &[],
+            &[(0, 1), (0, 0)],
+            "proven records not strictly ascending",
+        ),
+        (
+            &[&p],
+            &[],
+            &[(0, 0), (0, 0)],
+            "proven records not strictly ascending",
+        ),
+    ] {
+        assert_eq!(decode(proofs, refs, records), invalid(what));
+    }
+    for cut in 0..canonical.len() {
+        assert!(decode_payload::<Payload>(&canonical[..cut]).is_err());
+    }
+    let trailing = [&canonical[..], &[0]].concat();
+    assert_eq!(
+        decode_payload::<Payload>(&trailing).err(),
+        Some(CodecError::TrailingBytes)
+    );
+    assert_eq!(
+        decode(&[], &[], &[]),
+        Ok(5),
+        "the empty delta has one form too"
+    );
+}
+
+/// One proof with a 256 KiB echo under 100 records, 26 MiB spelled out:
+/// the payload says it once, so the decoder reads and hashes it once, and
+/// every resolved record shares the one decoded handle. Every record
+/// walks its proof's acks when checked, so each use after the first is
+/// charged: under 300 records, 77 MiB spelled out, the payload is refused
+/// while it is read.
+#[test]
+fn one_proof_under_many_records_is_decoded_and_hashed_once() {
+    let echo = [SignedBatch {
+        round: 1,
+        batch: (0..1u64 << 15).collect(),
+        signer: 0,
+        sig: sig(0, 0),
+    }];
+    let proof = Proof::new(vec![GSafeAck {
+        round: 1,
+        rcvd: echo.into_iter().collect(),
+        conflicts: vec![],
+        signer: 0,
+        sig: sig(0, 1),
+    }]);
+    let payload = |records: usize| {
+        let set = (0..records).map(|i| proven(i, &proof)).collect();
+        let bytes = encode_payload(&ProvenUpdate::Full(set));
+        assert!(bytes.len() < proof.wire_size() + records * 100);
+        decode_payload::<Payload>(&bytes)
+    };
+    let back = payload(100).expect("said once, read once");
+    let resolved = ProvenDeltaReceiver::default()
+        .resolve(0, &back, &mut ProofResolver::default())
+        .expect("every proof inline");
+    let acks: std::collections::BTreeSet<_> = resolved
+        .iter()
+        .map(|pb| pb.proof.as_slice().as_ptr())
+        .collect();
+    assert_eq!(acks.len(), 1, "one decoded proof under every record");
+    assert!(resolved.iter().all(|pb| pb.proof.id() == proof.id()));
+    assert!(proof.wire_size() * 300 > MAX_SPELLED_OUT);
+    assert_eq!(
+        payload(300).err(),
+        Some(CodecError::Invalid(
+            "shared parts spelled out past the limit"
+        ))
+    );
 }

@@ -7,6 +7,7 @@
 //! one carrying an attachment `==` ignores ([`Tagged`], the shape of a
 //! proven record).
 
+use bgla_codec::{encode_payload, CodecError, Reader, Wire, Writer};
 use bgla_core::proof::Proof;
 use bgla_core::sbs::{ProvenValue, SafeAckBody, SignedSafeAck, SignedValue};
 use bgla_core::valueset::{DeltaReceiver, DeltaSender, SetUpdate};
@@ -39,11 +40,20 @@ impl Ord for Tagged {
         self.key.cmp(&other.key)
     }
 }
+impl Wire for Tagged {
+    fn encode(&self, w: &mut Writer) {
+        w.u64(self.key);
+        w.u64(self.tag);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Tagged {
+            key: r.u64()?,
+            tag: r.u64()?,
+        })
+    }
+}
 impl SetItem for Tagged {
     const EQ_IS_IDENTITY: bool = false;
-    fn wire_size(&self) -> usize {
-        16
-    }
 }
 
 /// What the properties need of an element: a way to make one from a
@@ -157,13 +167,11 @@ fn insert_agrees<T: Item>(a: &[u64], extra: &[u64]) {
     );
 }
 
-/// Cached wire size always equals the freshly-computed sum, through
-/// every operation that builds one set from another.
+/// Cached wire size always equals the encoding, through every operation
+/// that builds one set from another.
 fn wire_size_matches<T: Item>(a: &[u64], b: &[u64]) {
     let exact = |set: &ValueSet<T>| {
-        let expect = bgla_codec::var_len(set.len() as u64)
-            + set.iter().map(SetItem::wire_size).sum::<usize>();
-        assert_eq!(set.wire_size(), expect);
+        assert_eq!(set.wire_size(), encode_payload(set).len());
     };
     let (a, b) = (set_of::<T>(a, 1), set_of::<T>(b, 2));
     let mut set = a.clone();
@@ -183,8 +191,8 @@ fn wire_size_matches<T: Item>(a: &[u64], b: &[u64]) {
 fn delta_roundtrips<T: Item>(base: &[u64], additions: &[u64]) {
     let base = set_of::<T>(base, 1);
     let refined = base.join(&set_of(additions, 2));
-    let mut tx: DeltaSender<T> = DeltaSender::new();
-    let mut rx: DeltaReceiver<T> = DeltaReceiver::new();
+    let mut tx: DeltaSender<T> = DeltaSender::default();
+    let mut rx: DeltaReceiver<T> = DeltaReceiver::default();
     // ts 0: first contact — must be Full, resolves to the base.
     tx.record_broadcast(0, &base);
     let u0 = tx.encode_for(3, 0, &base);
@@ -249,13 +257,13 @@ proptest! {
         delta_roundtrips::<Tagged>(&base, &additions);
     }
 
-    /// Delta encoding never carries more values (or more modeled bytes)
+    /// Delta encoding never carries more values (or more encoded bytes)
     /// than the full set it stands for.
     #[test]
     fn delta_never_larger_than_full(base: Vec<u64>, additions: Vec<u64>) {
         let base = vs(&base);
         let refined = base.join(&vs(&additions));
-        let mut tx: DeltaSender<u64> = DeltaSender::new();
+        let mut tx: DeltaSender<u64> = DeltaSender::default();
         tx.record_broadcast(0, &base);
         tx.record_reply(1, 0);
         tx.record_broadcast(1, &refined);
@@ -293,8 +301,9 @@ fn stateful_delta_protocol_against_full_set_oracle() {
 
     for seed in 0..25u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut tx: DeltaSender<u64> = DeltaSender::new();
-        let mut rx: Vec<DeltaReceiver<u64>> = (0..PEERS).map(|_| DeltaReceiver::new()).collect();
+        let mut tx: DeltaSender<u64> = DeltaSender::default();
+        let mut rx: Vec<DeltaReceiver<u64>> =
+            (0..PEERS).map(|_| DeltaReceiver::default()).collect();
 
         // Oracle state.
         let mut current = vs(&[0]);
@@ -379,7 +388,7 @@ fn stateful_delta_protocol_against_full_set_oracle() {
             tx.encode_for(fresh, ts, &current),
             SetUpdate::Full(_)
         ));
-        let mut fresh_rx: DeltaReceiver<u64> = DeltaReceiver::new();
+        let mut fresh_rx: DeltaReceiver<u64> = DeltaReceiver::default();
         let u = tx.encode_for(fresh, ts, &current);
         assert_eq!(fresh_rx.resolve(fresh, &u), Some(current.clone()));
         fresh_rx.record(fresh, ts, &current);

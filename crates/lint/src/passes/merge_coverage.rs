@@ -2,7 +2,7 @@
 //!
 //! **Bug class:** the sharded experiment driver aggregates per-seed
 //! runs with `Metrics::merge`. Every time a new counter lands
-//! (`proofs_by_ref`, `proof_ref_bytes`, …), forgetting to add it to
+//! (`net_retransmits`, `net_dup_frames`, …), forgetting to add it to
 //! `merge` makes the sharded figures silently undercount — exactly the
 //! kind of bug that survives because every per-run number still looks
 //! plausible. Until now only a dynamic per-field test pinned it.

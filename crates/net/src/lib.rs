@@ -7,8 +7,9 @@
 //! a TCP deployment actually exhibits. The four algorithms run
 //! unchanged — one protocol core, two runtimes, both behind
 //! [`bgla_simnet::Transport`] — and every protocol message crosses the
-//! wire through `bgla_codec`'s real framing, turning the simulator's
-//! *modeled* byte counts into *measured* bytes
+//! wire through `bgla_codec`'s real framing: the encoded bytes the
+//! simulator counts, plus frame headers, transport acks and
+//! retransmissions, are measured
 //! ([`bgla_simnet::Metrics::net_frame_bytes`]).
 //!
 //! # Architecture: event-driven, fixed thread budget

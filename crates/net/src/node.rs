@@ -118,8 +118,8 @@ impl Dispatcher {
     /// Called under the node lock; pure accounting, no serialization.
     fn meter<M: WireMessage>(&self, core: &mut NodeCore<M>, msgs: &[(ProcessId, M)]) {
         for (_, msg) in msgs {
-            let (bytes, proofs) = msg.metered();
-            core.metrics.record_send(self.me, msg.kind(), bytes, proofs);
+            core.metrics
+                .record_send(self.me, msg.kind(), msg.wire_size());
         }
     }
 
@@ -284,8 +284,8 @@ impl<M> TcpNode<M> {
         f(core.proc.as_ref());
     }
 
-    /// Snapshot of this node's accounting: modeled protocol metering
-    /// from the event thread, plus the measured frame/byte counters
+    /// Snapshot of this node's accounting: protocol metering (encoded
+    /// bytes, as the simulator counts them) from the event thread, plus the measured frame/byte counters
     /// and the reliability counters summed over its links.
     pub fn metrics(&self) -> Metrics {
         let mut m = lock(&self.core).metrics.clone();

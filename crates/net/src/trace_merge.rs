@@ -39,9 +39,9 @@ pub struct LocalDelivery {
     pub kind: &'static str,
     /// Receiving node's causal clock *after* absorbing the message.
     pub depth: u64,
-    /// Modeled wire size of the message (`WireMessage::wire_size`),
-    /// kept modeled — not measured — so traces stay byte-comparable
-    /// with simulator traces; measured bytes live in the metrics.
+    /// Encoded size of the message (`Wire::wire_size`), as a simulator
+    /// trace counts it: no frame overhead, no retransmissions — those
+    /// live in the metrics.
     pub bytes: usize,
 }
 

@@ -46,7 +46,7 @@
 // `⌊(n+f)/2⌋ + 1`); clippy's `x > y` rewrite would obscure the quorum math.
 #![allow(clippy::int_plus_one)]
 
-use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
+use bgla_codec::{CodecError, Reader, Wire, Writer};
 use bgla_simnet::ProcessId;
 use std::collections::BTreeMap;
 
@@ -96,17 +96,6 @@ impl<T> RbMsg<T> {
         match self {
             RbMsg::Init { value, .. } | RbMsg::Echo { value, .. } | RbMsg::Ready { value, .. } => {
                 value
-            }
-        }
-    }
-
-    /// Encoded bytes in front of the payload (variant byte, `origin`,
-    /// `tag`): what a host message's `wire_size` adds to its payload's.
-    pub fn header_len(&self) -> usize {
-        match self {
-            RbMsg::Init { tag, .. } => 1 + var_len(*tag),
-            RbMsg::Echo { origin, tag, .. } | RbMsg::Ready { origin, tag, .. } => {
-                1 + var_len(*origin as u64) + var_len(*tag)
             }
         }
     }
@@ -399,9 +388,6 @@ mod tests {
     impl WireMessage for RbMsg<u64> {
         fn kind(&self) -> &'static str {
             RbMsg::kind(self)
-        }
-        fn wire_size(&self) -> usize {
-            self.header_len() + 8
         }
     }
 
@@ -735,9 +721,10 @@ mod tests {
                 value: 1,
             },
         ];
-        for m in msgs {
+        for (m, header) in msgs.into_iter().zip([1 + 1, 1 + 1 + 1, 1 + 1 + 1]) {
             let bytes = encode_payload(&m);
-            assert_eq!(bytes.len(), m.header_len() + 8);
+            assert_eq!(bytes.len(), header + 8);
+            assert_eq!(m.wire_size(), bytes.len());
             let back: RbMsg<u64> = decode_payload(&bytes).unwrap();
             assert_eq!(back, m);
         }
@@ -748,8 +735,7 @@ mod tests {
             tag: 128,
             value: 1u64,
         };
-        assert_eq!(late.header_len(), 1 + 3 + 2);
-        assert_eq!(encode_payload(&late).len(), late.header_len() + 8);
+        assert_eq!(encode_payload(&late).len(), 1 + 3 + 2 + 8);
         assert_eq!(decode_payload(&encode_payload(&late)), Ok(late));
     }
 }

@@ -6,7 +6,7 @@
 //! `nop` commands that modify the replicated set like any command but
 //! have no effect when the state is executed.
 
-use bgla_codec::{var_len, CodecError, Reader, Wire, Writer};
+use bgla_codec::{CodecError, Reader, Wire, Writer};
 use bgla_core::Value;
 use bgla_crypto::ToBytes;
 
@@ -53,18 +53,7 @@ impl Cmd {
     }
 }
 
-impl Value for Cmd {
-    fn wire_size(&self) -> usize {
-        var_len(self.client)
-            + var_len(self.seq)
-            + 1
-            + match &self.op {
-                Op::Add(x) => var_len(*x),
-                Op::Put(s) => Value::wire_size(s),
-                Op::Nop => 0,
-            }
-    }
-}
+impl Value for Cmd {}
 
 impl Wire for Cmd {
     fn encode(&self, w: &mut Writer) {

@@ -53,7 +53,7 @@ pub mod sim;
 pub mod trace;
 pub mod transport;
 
-pub use metrics::{Metrics, ProofSizes, WireMessage, PROOF_REF_BYTES};
+pub use metrics::{Metrics, WireMessage};
 pub use process::{Context, Process, ProcessId};
 pub use scheduler::{
     DelayScheduler, EnvelopeId, FifoScheduler, InFlight, LifoScheduler, PartitionScheduler,

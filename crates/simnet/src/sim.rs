@@ -258,10 +258,10 @@ impl<M: WireMessage + 'static> Simulation<M> {
         let mut outbox = ctx.outbox;
         for (to, msg) in outbox.drain(..) {
             let kind = msg.kind();
-            let (bytes, proofs) = msg.metered();
+            let bytes = msg.wire_size();
             // The sender pays for the send either way (the bytes hit
             // the wire before anyone can know the peer is down)...
-            self.metrics.record_send(from, kind, bytes, proofs);
+            self.metrics.record_send(from, kind, bytes);
             self.seq += 1;
             // ...but a message to a crashed process never enters
             // flight: it is dropped here rather than scheduled into a

@@ -17,7 +17,6 @@ use bgla::codec::fnv1a64;
 use bgla::core::adversary::{gsbs as gsbs_adv, sbs as sbs_adv};
 use bgla::core::gsbs::{GsbsMsg, GsbsProcess};
 use bgla::core::gwts::{GwtsMsg, GwtsProcess};
-use bgla::core::provendelta::ProvenUpdate;
 use bgla::core::sbs::{SbsMsg, SbsProcess};
 use bgla::core::wts::{WtsMsg, WtsProcess};
 use bgla::core::{SystemConfig, ValueSet};
@@ -438,16 +437,8 @@ impl Process<SbsMsg<u64>> for DeltaSpy {
         self.inner.on_start(ctx);
     }
     fn on_message(&mut self, from: ProcessId, msg: SbsMsg<u64>, ctx: &mut Context<SbsMsg<u64>>) {
-        if let SbsMsg::AckReq {
-            proposed: ProvenUpdate::Delta { .. },
-            ..
-        }
-        | SbsMsg::Nack {
-            accepted: ProvenUpdate::Delta { .. },
-            ..
-        } = &msg
-        {
-            self.deltas_seen += 1;
+        if let SbsMsg::AckReq { proposed: u, .. } | SbsMsg::Nack { accepted: u, .. } = &msg {
+            self.deltas_seen += u64::from(u.is_delta());
         }
         self.inner.on_message(from, msg, ctx);
     }
@@ -456,7 +447,7 @@ impl Process<SbsMsg<u64>> for DeltaSpy {
     }
 }
 
-/// Independent of the fixture: `ProvenUpdate::Full` is the first-contact
+/// Independent of the fixture: a whole-set payload is the first-contact
 /// and resync fallback, not the steady state — in honest runs some
 /// `ack_req`/`nack` really travels as a delta.
 #[test]

@@ -1,18 +1,13 @@
 //! The simulator's `bytes_per_op` is `Σ wire_size()`; a socket's is the
-//! encoder's output. This test holds the two together: every message a
-//! short run of each algorithm delivers is encoded and measured against
-//! its own `wire_size()`.
-//!
-//! WTS, GWTS and RSM messages must agree byte for byte. SbS and GSbS
-//! agree on every variant without proofs, and every proof — the set its
-//! safe-acks echo said once, then the acks without it — encodes to
-//! exactly its `wire_size()`. The proof-carrying messages (`ack_req`,
-//! `nack`) are *modeled* with each distinct proof shipped once while the
-//! encoder ships one copy per record, so there the model may only be the
-//! smaller of the two: exact per proof, a lower bound per message.
+//! encoder's output. `wire_size()` is an encode into a counting writer,
+//! which takes the cached lengths of sets and proofs instead of walking
+//! them. This test holds the two together: every message a short run of
+//! each algorithm delivers — WTS, GWTS, RSM, SbS and GSbS — is encoded
+//! and must be exactly as long as its `wire_size()` says, so each cache
+//! equals the encoding it stands for.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -21,41 +16,26 @@ use bgla_core::gsbs::{GsbsMsg, GsbsProcess};
 use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
 use bgla_core::sbs::{SbsMsg, SbsProcess};
 use bgla_core::wts::{WtsMsg, WtsProcess};
-use bgla_core::{Proof, ProvenRecord, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
+use bgla_core::{SetUpdate, SystemConfig, ValueSet};
 use bgla_rsm::{ClientOp, Op, Replica, RsmMsg, WorkloadClient};
 use bgla_simnet::{Context, Process, ProcessId, RandomScheduler, SimulationBuilder, WireMessage};
-
-/// What a message carries whose model must be exact on its own: each
-/// distinct proof's `(encoded, modeled)` length.
-type Parts<M> = fn(&M) -> Vec<(usize, usize)>;
 
 /// Forwards to `inner`, measuring every message on its way in. A run to
 /// quiescence delivers every message sent, so this sees them all.
 struct Measured<M> {
     inner: Box<dyn Process<M>>,
-    /// Whether the model of this message must be exact.
-    exact: fn(&M) -> bool,
-    parts: Parts<M>,
-    /// Messages and parts measured.
-    seen: Arc<[AtomicUsize; 2]>,
+    /// Messages measured.
+    seen: Arc<AtomicUsize>,
 }
 
-impl<M: Wire + WireMessage> Process<M> for Measured<M> {
+impl<M: WireMessage> Process<M> for Measured<M> {
     fn on_start(&mut self, ctx: &mut Context<M>) {
         self.inner.on_start(ctx);
     }
     fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<M>) {
-        let (encoded, modeled) = (encode_payload(&msg).len(), msg.wire_size());
-        if (self.exact)(&msg) {
-            assert_eq!(encoded, modeled, "{} from {from}", msg.kind());
-        } else {
-            assert!(modeled <= encoded, "{} from {from}", msg.kind());
-        }
-        for (encoded, modeled) in (self.parts)(&msg) {
-            assert_eq!(encoded, modeled, "a proof in {} from {from}", msg.kind());
-            self.seen[1].fetch_add(1, Ordering::Relaxed);
-        }
-        self.seen[0].fetch_add(1, Ordering::Relaxed);
+        let encoded = encode_payload(&msg).len();
+        assert_eq!(encoded, msg.wire_size(), "{} from {from}", msg.kind());
+        self.seen.fetch_add(1, Ordering::Relaxed);
         self.inner.on_message(from, msg, ctx);
     }
     fn as_any(&self) -> &dyn Any {
@@ -64,58 +44,19 @@ impl<M: Wire + WireMessage> Process<M> for Measured<M> {
 }
 
 /// Runs `procs` to quiescence under a random schedule with every process
-/// wrapped in [`Measured`]; returns how many messages and parts were
-/// measured.
-fn measure_parts<M: Wire + WireMessage + 'static>(
+/// wrapped in [`Measured`]; returns how many messages were measured.
+fn measure<M: WireMessage + 'static>(
     procs: impl Iterator<Item = Box<dyn Process<M>>>,
-    exact: fn(&M) -> bool,
-    parts: Parts<M>,
     seed: u64,
-) -> (usize, usize) {
-    let seen = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+) -> usize {
+    let seen = Arc::new(AtomicUsize::new(0));
     let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
     for inner in procs {
         let seen = Arc::clone(&seen);
-        b = b.add(Box::new(Measured {
-            inner,
-            exact,
-            parts,
-            seen,
-        }));
+        b = b.add(Box::new(Measured { inner, seen }));
     }
     assert!(b.build().run(50_000_000).quiescent);
-    (
-        seen[0].load(Ordering::Relaxed),
-        seen[1].load(Ordering::Relaxed),
-    )
-}
-
-/// [`measure_parts`] for messages without parts; returns how many
-/// messages were measured.
-fn measure<M: Wire + WireMessage + 'static>(
-    procs: impl Iterator<Item = Box<dyn Process<M>>>,
-    exact: fn(&M) -> bool,
-    seed: u64,
-) -> usize {
-    measure_parts(procs, exact, |_| Vec::new(), seed).0
-}
-
-/// Each distinct proof of `update`, encoded and modeled.
-fn proofs<T: ProvenRecord>(update: &ProvenUpdate<T>) -> Vec<(usize, usize)>
-where
-    Proof<T::Ack>: Wire,
-{
-    let records = match update {
-        ProvenUpdate::Full(set) => set,
-        ProvenUpdate::Delta { new, .. } => new,
-    };
-    let mut distinct = BTreeSet::new();
-    records
-        .iter()
-        .map(ProvenRecord::proof)
-        .filter(|p| distinct.insert(p.id()))
-        .map(|p| (encode_payload(p).len(), p.wire_size()))
-        .collect()
+    seen.load(Ordering::Relaxed)
 }
 
 /// Inputs that look like the benchmark's: full-width 64-bit words.
@@ -135,13 +76,13 @@ fn modeled_bytes_are_encoded_bytes() {
     let config = SystemConfig::new(n, f);
 
     let wts = (0..n).map(|i| Box::new(WtsProcess::new(i, config, word(i as u64))) as _);
-    assert!(measure::<WtsMsg<u64>>(wts, |_| true, 1) > 100);
+    assert!(measure::<WtsMsg<u64>>(wts, 1) > 100);
 
     // Enough rounds for ack tags and timestamps to outgrow one byte.
     let rounds = 40;
     let gwts =
         (0..n).map(|i| Box::new(GwtsProcess::new(i, config, schedule(i, rounds), rounds)) as _);
-    assert!(measure::<GwtsMsg<u64>>(gwts, |_| true, 2) > 10_000);
+    assert!(measure::<GwtsMsg<u64>>(gwts, 2) > 10_000);
 
     let long = "k".repeat(200);
     let script = |c: u64| {
@@ -159,31 +100,13 @@ fn modeled_bytes_are_encoded_bytes() {
     for c in 1..=3 {
         rsm.push(Box::new(WorkloadClient::new(c, n, f, script(c))));
     }
-    assert!(measure::<RsmMsg>(rsm.into_iter(), |_| true, 3) > 1_000);
+    assert!(measure::<RsmMsg>(rsm.into_iter(), 3) > 1_000);
 
     let sbs = (0..n).map(|i| Box::new(SbsProcess::new(i, config, word(i as u64))) as _);
-    let proof_free = |m: &SbsMsg<u64>| !matches!(m, SbsMsg::AckReq { .. } | SbsMsg::Nack { .. });
-    let sbs_proofs = |m: &SbsMsg<u64>| match m {
-        SbsMsg::AckReq { proposed: u, .. } | SbsMsg::Nack { accepted: u, .. } => proofs(u),
-        _ => Vec::new(),
-    };
-    let (msgs, measured) = measure_parts::<SbsMsg<u64>>(sbs, proof_free, sbs_proofs, 4);
-    assert!(
-        msgs > 50 && measured > 10,
-        "{msgs} messages, {measured} proofs"
-    );
+    assert!(measure::<SbsMsg<u64>>(sbs, 4) > 50);
 
     let gsbs = (0..n).map(|i| Box::new(GsbsProcess::new(i, config, schedule(i, 4), 4)) as _);
-    let proof_free = |m: &GsbsMsg<u64>| !matches!(m, GsbsMsg::AckReq { .. } | GsbsMsg::Nack { .. });
-    let gsbs_proofs = |m: &GsbsMsg<u64>| match m {
-        GsbsMsg::AckReq { proposed: u, .. } | GsbsMsg::Nack { accepted: u, .. } => proofs(u),
-        _ => Vec::new(),
-    };
-    let (msgs, measured) = measure_parts::<GsbsMsg<u64>>(gsbs, proof_free, gsbs_proofs, 5);
-    assert!(
-        msgs > 200 && measured > 20,
-        "{msgs} messages, {measured} proofs"
-    );
+    assert!(measure::<GsbsMsg<u64>>(gsbs, 5) > 200);
 }
 
 /// The payload forms a run may not happen to produce: empty and long

@@ -379,6 +379,34 @@ fn gwts_stream_completes(
     rt
 }
 
+/// What the simulator meters a GSbS stream at is what a socket carries:
+/// on a fault-free link the bytes written, frame headers and transport
+/// acks included, stay within the metered bytes — which also count each
+/// broadcast's copy to self, one that never touches a socket. Each
+/// proof a payload says once is shipped once.
+#[test]
+fn gsbs_over_a_fault_free_link_ships_no_more_than_it_meters() {
+    let (config, rounds) = (SystemConfig::new(N, F), 6);
+    let mut b = TcpRuntimeBuilder::new(NetConfig {
+        seed: 5,
+        ..NetConfig::default()
+    });
+    for i in 0..N {
+        let schedule = stream_schedule(i, rounds);
+        b = b.add(Box::new(GsbsProcess::new(i, config, schedule, rounds)));
+    }
+    let mut rt = b.build().expect("bind localhost");
+    assert!(rt.run_transport(BUDGET).quiescent);
+    let m = rt.metrics_snapshot();
+    rt.shutdown();
+    assert!(
+        m.net_frame_bytes <= m.total_bytes(),
+        "{} bytes written to sockets, {} metered",
+        m.net_frame_bytes,
+        m.total_bytes()
+    );
+}
+
 #[test]
 fn gwts_stream_under_chaos_decides_every_input_of_every_proposer() {
     // A link that stalls for two rounds near the end — a timeout that

@@ -8,14 +8,21 @@
 //! (`wts.rs`, `sbs.rs`, `wts_properties.rs`, `sbs_properties.rs`) and
 //! Theorem 1 in `necessity.rs`.
 
+use bgla::codec::Wire;
 use bgla::core::gsbs::{GsbsMsg, GsbsProcess};
 use bgla::core::gwts::GwtsProcess;
 use bgla::core::harness::{gsbs_system, gwts_system, sbs_system, wts_system};
-use bgla::core::sbs::SbsProcess;
+use bgla::core::sbs::{SbsMsg, SbsProcess};
 use bgla::core::wts::WtsProcess;
-use bgla::core::SystemConfig;
-use bgla::simnet::{FifoScheduler, Metrics, RandomScheduler, Scheduler, Simulation};
+use bgla::core::{ProvenRecord, ProvenUpdate, SystemConfig};
+use bgla::simnet::{
+    Context, FifoScheduler, Metrics, Process, ProcessId, RandomScheduler, Scheduler, Simulation,
+    SimulationBuilder, WireMessage,
+};
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// System sizes of the `f = 1` ladders.
 const F1_LADDER: [usize; 6] = [4, 7, 10, 13, 16, 19];
@@ -131,38 +138,89 @@ fn sbs_sends_fewer_but_larger_messages_than_wts() {
     }
 }
 
-/// Checks how one run shipped its proofs of safety: some were shipped,
-/// each distinct proof at most once per message, in no more bytes than a
-/// copy per proven value, and at least one as a reference to a proof its
-/// receiver already held.
-fn check_proof_shipping(label: &str, m: &Metrics) {
-    let shipped = m.proof_bytes_interned + m.proof_ref_bytes;
-    assert!(m.proof_refs > 0, "{label}: no proof was shipped");
-    assert!(
-        m.proofs_interned <= m.proof_refs,
-        "{label}: {} proofs interned from {} references",
-        m.proofs_interned,
-        m.proof_refs
-    );
-    assert!(
-        shipped <= m.proof_bytes_flat,
-        "{label}: {shipped} proof bytes shipped, a copy per value costs {}",
-        m.proof_bytes_flat
-    );
-    assert!(
-        m.proofs_by_ref > 0,
-        "{label}: no proof travelled by reference"
-    );
+/// What one proof-carrying payload shows: whether it is an `ack_req`
+/// that encodes shorter than its records with a copy of its proof each
+/// (a reference counted at its 16 bytes), and whether it is a delta
+/// naming a proof by id.
+fn interned_and_by_reference<T: ProvenRecord>(
+    update: &ProvenUpdate<T>,
+    ack_req: bool,
+) -> [bool; 2] {
+    let table = update.table();
+    let flat: usize = table
+        .records()
+        .map(|(signed, proof)| signed.wire_size() + proof.map_or(16, Wire::wire_size))
+        .sum();
+    [
+        ack_req && update.wire_size() < flat,
+        update.is_delta() && !table.refs().is_empty(),
+    ]
+}
+
+/// Forwards to `inner`, counting the delivered `ack_req`s that said a
+/// proof once for several records and the deltas that named one by id.
+struct Spy<M> {
+    inner: Box<dyn Process<M>>,
+    /// A message's two facts (see [`interned_and_by_reference`]).
+    look: fn(&M) -> [bool; 2],
+    seen: Arc<[AtomicUsize; 2]>,
+}
+
+impl<M: WireMessage> Process<M> for Spy<M> {
+    fn on_start(&mut self, ctx: &mut Context<M>) {
+        self.inner.on_start(ctx);
+    }
+    fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<M>) {
+        for (seen, fact) in self.seen.iter().zip((self.look)(&msg)) {
+            seen.fetch_add(usize::from(fact), Ordering::Relaxed);
+        }
+        self.inner.on_message(from, msg, ctx);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self.inner.as_any()
+    }
+}
+
+/// Runs `procs`, each behind a [`Spy`], until quiescent, and checks that
+/// both counts are positive.
+fn check_proof_shipping<M: WireMessage + 'static>(
+    label: &str,
+    procs: impl Iterator<Item = Box<dyn Process<M>>>,
+    look: fn(&M) -> [bool; 2],
+    scheduler: Box<dyn Scheduler>,
+) {
+    let seen = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let mut b = SimulationBuilder::new().scheduler(scheduler);
+    for inner in procs {
+        let seen = Arc::clone(&seen);
+        b = b.add(Box::new(Spy { inner, look, seen }));
+    }
+    assert!(b.build().run(u64::MAX / 2).quiescent);
+    let [interned, by_ref] = [0, 1].map(|i| seen[i].load(Ordering::Relaxed));
+    assert!(interned > 0, "{label}: no ack_req said a proof once");
+    assert!(by_ref > 0, "{label}: no delta named a proof by reference");
 }
 
 /// At `n = 7` a one-shot SbS run that refines and a GSbS stream both ship
-/// proofs interned per message and, after first contact, by reference.
+/// proofs interned per message and, after first contact, by reference —
+/// as their encodings count them.
 #[test]
 fn proofs_travel_interned_and_then_by_reference() {
-    let sbs = sbs_run(7, 2, Box::new(RandomScheduler::new(3)));
-    check_proof_shipping("SbS n=7", &sbs);
-    let gsbs = gsbs_run(7, 2, 4);
-    check_proof_shipping("GSbS n=7", gsbs.metrics());
+    let config = SystemConfig::new(7, 2);
+    let sbs = (0..7).map(|i| Box::new(SbsProcess::new(i, config, i as u64)) as _);
+    let look = |m: &SbsMsg<u64>| match m {
+        SbsMsg::AckReq { proposed, .. } => interned_and_by_reference(proposed, true),
+        SbsMsg::Nack { accepted, .. } => interned_and_by_reference(accepted, false),
+        _ => [false; 2],
+    };
+    check_proof_shipping("SbS n=7", sbs, look, Box::new(RandomScheduler::new(3)));
+    let gsbs = (0..7).map(|i| Box::new(GsbsProcess::new(i, config, one_input(i), 4)) as _);
+    let look = |m: &GsbsMsg<u64>| match m {
+        GsbsMsg::AckReq { proposed, .. } => interned_and_by_reference(proposed, true),
+        GsbsMsg::Nack { accepted, .. } => interned_and_by_reference(accepted, false),
+        _ => [false; 2],
+    };
+    check_proof_shipping("GSbS n=7", gsbs, look, Box::new(FifoScheduler::new()));
 }
 
 /// Replacing GWTS's reliably broadcast acks with GSbS's signed acks and

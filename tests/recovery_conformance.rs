@@ -478,12 +478,13 @@ fn as_version(version: u16, mut frame: Vec<u8>) -> Vec<u8> {
 
 /// Snapshots and transport frames written under another layout — version
 /// 1, version 2 from before GWTS acks were delta streams, version 3 with
-/// its fixed-width counters, or version 4 with one echo per safe-ack — are
-/// refused by their version, before any field is parsed.
+/// its fixed-width counters, version 4 with one echo per safe-ack, or
+/// version 5 with a proof per proven record — are refused by their
+/// version, before any field is parsed.
 #[test]
 fn version_1_frames_are_rejected_as_bad_version() {
     let config = SystemConfig::new(N, F);
-    for version in 1..=4 {
+    for version in 1..=5 {
         let bad = Some(CodecError::BadVersion(version));
         let old = |frame| as_version(version, frame);
 
