@@ -60,7 +60,6 @@ pub const TRACE_AFFECTING_CRATES: &[&str] = &[
     "bgla-simnet",
     "bgla-crypto",
     "bgla-codec",
-    "bgla-lattice",
     "bgla-rbcast",
 ];
 

@@ -3,7 +3,10 @@
 //! checked-in expectation byte for byte. Plus the self-gate: the
 //! shipped workspace must lint clean.
 
-use bgla_lint::{lint_files, lint_workspace, LintResult};
+use bgla_lint::{
+    discover_workspace, lint_files, lint_workspace, LintResult, TRACE_AFFECTING_CRATES,
+};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -150,6 +153,41 @@ fn shipped_workspace_lints_clean() {
     assert_eq!(
         suppressed, census,
         "LINTS.md says {census} waivers, the tree has {suppressed}: update the census and say why"
+    );
+}
+
+/// The determinism pass's crate list names live workspace packages only,
+/// and LINTS.md's `determinism` rule lists exactly those crates — so a
+/// deleted or renamed crate cannot linger in either.
+#[test]
+fn trace_affecting_crates_are_members_and_documented() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root");
+    let members: BTreeSet<String> = discover_workspace(root)
+        .expect("workspace discoverable")
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    for name in TRACE_AFFECTING_CRATES {
+        assert!(
+            members.contains(*name),
+            "TRACE_AFFECTING_CRATES names `{name}`, which is no workspace member: {members:?}"
+        );
+    }
+    let doc = std::fs::read_to_string(root.join("LINTS.md")).expect("LINTS.md readable");
+    let rule = doc
+        .split_once("### `determinism`")
+        .and_then(|(_, rest)| rest.split_once("- **Rule:** in "))
+        .and_then(|(_, rest)| rest.split_once(", non-test code"))
+        .map(|(crates, _)| crates)
+        .expect("LINTS.md states the determinism rule's crates");
+    let documented: BTreeSet<&str> = rule.split('`').skip(1).step_by(2).collect();
+    let constant: BTreeSet<&str> = TRACE_AFFECTING_CRATES.iter().copied().collect();
+    assert_eq!(
+        documented, constant,
+        "LINTS.md's determinism rule and TRACE_AFFECTING_CRATES list different crates"
     );
 }
 

@@ -12,12 +12,12 @@
 
 use bgla::core::SystemConfig;
 use bgla::core::ValueSet;
-use bgla::lattice::{JoinSemiLattice, MapLattice, MaxLattice};
 use bgla::rsm::{ClientOp, Cmd, Op, Replica, WorkloadClient};
 use bgla::simnet::{RandomScheduler, SimulationBuilder};
+use std::collections::BTreeMap;
 
 /// A snapshot: register id -> (seq, value), folded via max-by-seq.
-type Snapshot = MapLattice<u64, MaxLattice<(u64, u64)>>;
+type Snapshot = BTreeMap<u64, (u64, u64)>;
 
 /// Folds a decided command set into a snapshot of the registers.
 fn fold_snapshot(cmds: &ValueSet<Cmd>) -> Snapshot {
@@ -25,8 +25,9 @@ fn fold_snapshot(cmds: &ValueSet<Cmd>) -> Snapshot {
     for c in cmds {
         if let Op::Add(value) = c.op {
             // Register id = client id; writes are (seq, value) pairs,
-            // later seq wins via the max lattice.
-            snap.join_at(c.client, &MaxLattice::of((c.seq, value)));
+            // the later seq wins.
+            let write = snap.entry(c.client).or_insert((c.seq, value));
+            *write = (*write).max((c.seq, value));
         }
     }
     snap
@@ -68,10 +69,7 @@ fn main() {
             let snap = fold_snapshot(read);
             let view: Vec<String> = snap
                 .iter()
-                .map(|(reg, mv)| {
-                    let (seq, val) = mv.get().unwrap();
-                    format!("r{reg}={val}@{seq}")
-                })
+                .map(|(reg, (seq, val))| format!("r{reg}={val}@{seq}"))
                 .collect();
             println!("  scan {}: [{}]", s + 1, view.join(", "));
             all_snaps.push(snap);
@@ -79,12 +77,16 @@ fn main() {
     }
 
     // Atomicity: all snapshots (across all scanners!) are mutually
-    // comparable in the snapshot lattice — they form one chain.
+    // comparable in the snapshot lattice — they form one chain. The order
+    // is pointwise: every register `a` holds, `b` holds at the same or a
+    // later write.
+    let leq =
+        |a: &Snapshot, b: &Snapshot| a.iter().all(|(reg, w)| b.get(reg).is_some_and(|v| w <= v));
     for i in 0..all_snaps.len() {
         for j in (i + 1)..all_snaps.len() {
             let (a, b) = (&all_snaps[i], &all_snaps[j]);
             assert!(
-                a.leq(b) || b.leq(a),
+                leq(a, b) || leq(b, a),
                 "snapshots {i} and {j} are incomparable — not atomic!"
             );
         }

@@ -9,7 +9,6 @@
 //!
 //! This crate is a façade re-exporting the workspace members:
 //!
-//! * [`lattice`] — join semilattices, chains, Figure-1 helpers.
 //! * [`crypto`] — SHA-512 / Ed25519 / PKI.
 //! * [`simnet`] — the asynchronous message-passing simulator.
 //! * [`rbcast`] — Byzantine reliable broadcast.
@@ -44,7 +43,6 @@
 pub use bgla_codec as codec;
 pub use bgla_core as core;
 pub use bgla_crypto as crypto;
-pub use bgla_lattice as lattice;
 pub use bgla_net as net;
 pub use bgla_rbcast as rbcast;
 pub use bgla_rsm as rsm;

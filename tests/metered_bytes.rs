@@ -71,7 +71,7 @@ fn schedule(i: usize, rounds: u64) -> BTreeMap<u64, Vec<u64>> {
 }
 
 #[test]
-fn modeled_bytes_are_encoded_bytes() {
+fn metered_bytes_are_encoded_bytes() {
     let (n, f) = (4, 1);
     let config = SystemConfig::new(n, f);
 
@@ -112,7 +112,7 @@ fn modeled_bytes_are_encoded_bytes() {
 /// The payload forms a run may not happen to produce: empty and long
 /// sets, bases and counters on both sides of each varint length.
 #[test]
-fn every_update_and_ack_record_form_is_modeled_exactly() {
+fn every_update_and_ack_record_form_is_metered_exactly() {
     let sets: Vec<ValueSet<u64>> = [0usize, 1, 127, 128, 300]
         .into_iter()
         .map(|len| (0..len as u64).map(word).collect())
