@@ -66,7 +66,8 @@
 //! # Shared parts
 //!
 //! An encoding may say a part once that the decoded value holds many
-//! times (a proof of safety says its acks' echoed request set once).
+//! times (a proof of safety says its acks' echoed request set once; a
+//! proven payload names an echoed record by its position).
 //! Work that walks the decoded value then grows with the value spelled
 //! out, not with the input. [`Reader::reuse`] charges each further use
 //! of such a part, and a decode fails once its input plus those charges
@@ -77,7 +78,7 @@ use std::fmt;
 
 /// Current frame format version. Bump on any incompatible layout
 /// change; decoders reject other versions as [`CodecError::BadVersion`].
-pub const FRAME_VERSION: u16 = 6;
+pub const FRAME_VERSION: u16 = 7;
 
 /// The 4-byte frame magic.
 pub const FRAME_MAGIC: [u8; 4] = *b"BGLA";

@@ -60,10 +60,23 @@
 //!   make the proposer pay that check with a forged signature anyway;
 //! * a [`BatchProof`] ships the set its acks echo once, and per ack an
 //!   index into the distinct echoes ([`Proof`]'s codec form), instead of
-//!   one copy per ack.
+//!   one copy per ack;
+//! * inside an `AckReq` or `Nack` payload, an echoed batch that the
+//!   payload also carries as a record is named by its position among the
+//!   records ([`crate::provendelta`]'s wire format). A proposer's own
+//!   proof echoes the batches it certifies, so its echo is a few
+//!   positions.
+//!
+//! The same goes for the digest a certificate's acks sign: a
+//! [`DecidedCert`] never says it. Every ack of a well-formed certificate
+//! signs the digest of its `values`, so the receiver computes it once
+//! from them (see the certificate's `Wire` impl). A [`GsbsMsg::Ack`]
+//! keeps its digest, which lets the proposer refuse an ack over another
+//! proposal before any signature check.
 //!
 //! What is signed, hashed and verified does not change: the echo is
-//! inside every signature and every [`ProofId`].
+//! inside every signature and every [`ProofId`], and the digest inside
+//! every ack's signature.
 //!
 //! # Verify at quorum (this implementation)
 //!
@@ -1237,17 +1250,44 @@ impl Wire for SignedAck {
     }
 }
 
+/// Each ack is written without its digest: a well-formed certificate's
+/// acks all sign `digest_values(values)`, so decoding computes it once
+/// and gives it to every ack. An ack that signed another digest then
+/// fails its signature check where it would have failed the digest
+/// comparison, at the cost of one signature batch.
 impl<V: SignableValue> Wire for DecidedCert<V> {
     fn encode(&self, w: &mut Writer) {
         w.var(self.round);
         self.values.encode(w);
-        self.acks.encode(w);
+        w.usize(self.acks.len());
+        for ack in &self.acks {
+            w.usize(ack.destination);
+            w.var(ack.ts);
+            w.var(ack.round);
+            w.usize(ack.signer);
+            ack.sig.encode(w);
+        }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let round = r.var()?;
+        let values = Wire::decode(r)?;
+        let digest = digest_values(&values);
+        let n = r.seq_len()?;
+        let mut acks = Vec::with_capacity(n);
+        for _ in 0..n {
+            acks.push(SignedAck {
+                destination: r.usize()?,
+                ts: r.var()?,
+                round: r.var()?,
+                digest,
+                signer: r.usize()?,
+                sig: Signature::decode(r)?,
+            });
+        }
         Ok(DecidedCert {
-            round: r.var()?,
-            values: Wire::decode(r)?,
-            acks: Wire::decode(r)?,
+            round,
+            values,
+            acks,
         })
     }
 }

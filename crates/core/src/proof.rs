@@ -16,7 +16,10 @@
 //! construction: a [`ProofId`] — the content hash of the ack multiset
 //! (see [`bgla_crypto::proofstore`]) — plus the wire size, both
 //! computed exactly once. On the wire a proof says its acks' shared
-//! echo once (see the codec form on [`Proof`]'s `Wire` impl). Because
+//! echo once (see the codec form on [`Proof`]'s `Wire` impl), and inside
+//! a proven payload it does not say again what the payload says: an echo
+//! element that is one of the payload's records is named by that
+//! record's position ([`crate::provendelta`]'s wire format). Because
 //! the only way to build a `Proof` is
 //! [`Proof::new`], an id always matches its content — adversaries
 //! construct through the same constructor and cannot attach a mismatched
@@ -117,18 +120,64 @@ fn echo_table<A: ProofAck>(acks: &[A]) -> (Vec<&ValueSet<A::Echoed>>, Vec<usize>
     (echoes, of)
 }
 
-/// Writes `acks` in a proof's codec form (see its `Wire` impl).
-fn encode_acks<A: ProofAck>(acks: &[A], w: &mut Writer) {
+/// Writes `acks` in a proof's codec form (see its `Wire` impl), each
+/// distinct echo as `write_echo` writes it: as a [`ValueSet`] alone, and
+/// inside a proven payload naming the records it holds
+/// ([`crate::provendelta`]).
+pub(crate) fn encode_acks<A: ProofAck>(
+    acks: &[A],
+    w: &mut Writer,
+    mut write_echo: impl FnMut(&ValueSet<A::Echoed>, &mut Writer),
+) {
     let (echoes, of) = echo_table(acks);
     w.usize(echoes.len());
     for echo in echoes {
-        echo.encode(w);
+        write_echo(echo, w);
     }
     w.usize(acks.len());
     for (ack, i) in acks.iter().zip(of) {
         w.usize(i);
         ack.encode_reply(w);
     }
+}
+
+/// Reads acks [`encode_acks`] wrote, each distinct echo with
+/// `read_echo`, checking and charging as the codec form says (see
+/// [`Proof`]'s `Wire` impl).
+pub(crate) fn decode_acks<A: ProofAck>(
+    r: &mut Reader<'_>,
+    mut read_echo: impl FnMut(&mut Reader<'_>) -> Result<ValueSet<A::Echoed>, CodecError>,
+) -> Result<Vec<A>, CodecError> {
+    let listed = r.seq_len()?;
+    let mut echoes = Vec::with_capacity(listed);
+    for _ in 0..listed {
+        echoes.push(read_echo(r)?);
+    }
+    if echoes.iter().collect::<BTreeSet<_>>().len() != listed {
+        return Err(CodecError::Invalid("proof echo listed twice"));
+    }
+    let n = r.seq_len()?;
+    let mut acks = Vec::with_capacity(n);
+    let mut used = 0;
+    for _ in 0..n {
+        let i = r.usize()?;
+        let echo = echoes
+            .get(i)
+            .ok_or(CodecError::Invalid("proof echo index out of range"))?;
+        if i > used {
+            return Err(CodecError::Invalid("proof echoes out of first-use order"));
+        }
+        if i == used {
+            used += 1;
+        } else {
+            r.reuse(echo.wire_size())?;
+        }
+        acks.push(A::from_reply(A::Reply::decode(r)?, echo.clone()));
+    }
+    if used != listed {
+        return Err(CodecError::Invalid("proof echo never used"));
+    }
+    Ok(acks)
 }
 
 /// A shared proof of safety with an interned content address and cached
@@ -153,7 +202,7 @@ impl<A: ProofAck> Proof<A> {
             builder.add_ack(&buf);
         }
         let mut wire = Writer::counting();
-        encode_acks(&acks, &mut wire);
+        encode_acks(&acks, &mut wire, |echo, w| echo.encode(w));
         Proof {
             acks: Arc::new(acks),
             id: builder.finish(),
@@ -233,7 +282,11 @@ impl<'a, A: ProofAck> IntoIterator for &'a Proof<A> {
 ///
 /// The acks of an honest proof all echo the proposer's request, so it
 /// ships that set once instead of once per ack; a Byzantine proof whose
-/// acks echo `k` different sets ships `k`. Decoding gives every ack a
+/// acks echo `k` different sets ships `k`. Inside a proven payload each
+/// echo is written in two parts instead: the elements the payload carries
+/// as records by their position, then the rest inline (see
+/// [`crate::provendelta`]). A proof on its own, as a snapshot stores it,
+/// is written as above. Decoding gives every ack a
 /// shared handle of its echo and rejects an index past the echoes, an
 /// echo listed twice or never used, and echoes out of first-use order, so
 /// a proof has exactly one encoding.
@@ -254,7 +307,7 @@ impl<'a, A: ProofAck> IntoIterator for &'a Proof<A> {
 impl<A: ProofAck> Wire for Proof<A> {
     fn encode(&self, w: &mut Writer) {
         if !w.counted(self.wire) {
-            encode_acks(&self.acks, w);
+            encode_acks(&self.acks, w, |echo, w| echo.encode(w));
         }
     }
 
@@ -263,35 +316,7 @@ impl<A: ProofAck> Wire for Proof<A> {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let listed = r.seq_len()?;
-        let mut echoes = Vec::with_capacity(listed);
-        for _ in 0..listed {
-            echoes.push(ValueSet::<A::Echoed>::decode(r)?);
-        }
-        if echoes.iter().collect::<BTreeSet<_>>().len() != listed {
-            return Err(CodecError::Invalid("proof echo listed twice"));
-        }
-        let n = r.seq_len()?;
-        let mut acks = Vec::with_capacity(n);
-        let mut used = 0;
-        for _ in 0..n {
-            let i = r.usize()?;
-            let echo = echoes
-                .get(i)
-                .ok_or(CodecError::Invalid("proof echo index out of range"))?;
-            if i > used {
-                return Err(CodecError::Invalid("proof echoes out of first-use order"));
-            }
-            if i == used {
-                used += 1;
-            } else {
-                r.reuse(echo.wire_size())?;
-            }
-            acks.push(A::from_reply(A::Reply::decode(r)?, echo.clone()));
-        }
-        if used != listed {
-            return Err(CodecError::Invalid("proof echo never used"));
-        }
+        let acks = decode_acks(r, ValueSet::decode)?;
         Ok(Proof::new(acks))
     }
 }

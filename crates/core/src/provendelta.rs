@@ -72,35 +72,52 @@
 //!
 //! # Wire format
 //!
-//! A payload says each proof once, as a proof says each echo once: a
-//! table of the proofs first, then the records without their proofs,
-//! each with an index into the table.
+//! A payload says each proof once, as a proof says each echo once, and
+//! says each signed record once: the records without their proofs first,
+//! each with an index into a table of the proofs that follows.
 //!
 //! ```text
 //! payload : 0                     (the whole set)
 //!         | 1 | var(base_ts)      (the records added since base_ts)
-//!           var(#inline) | proof…  each distinct inline proof once, in
-//!                                  first-use order
-//!           var(#refs)   | id…     each proof the receiver holds, by its
-//!                                  16-byte ProofId, strictly ascending
 //!           var(#records)| (var(index) | record without its proof)…
 //!                                  strictly ascending; the index points
 //!                                  into the inline proofs, then the refs
+//!           var(#inline) | proof…  each distinct inline proof once, in
+//!                                  first-use order, each echo as below
+//!           var(#refs)   | id…     each proof the receiver holds, by its
+//!                                  16-byte ProofId, strictly ascending
+//! echo    : var(#named)  | var(record)…  the elements that are records
+//!                                  of this payload, by their position
+//!                                  among the records, strictly ascending
+//!           var(#rest)   | element…      the other elements, ascending
 //! ```
+//!
+//! An inline proof is otherwise in its own codec form ([`Proof`]'s
+//! `Wire` impl). A proposer's own proof echoes the very batches it
+//! certifies, so in an `AckReq` most of each echo is a few one-byte
+//! positions.
 //!
 //! The decoder refuses an index past the table, a table entry used by no
 //! record or listed twice, inline proofs out of first-use order, refs out
-//! of order or naming an inline proof, and records out of order, so a
+//! of order or naming an inline proof, and records out of order; in an
+//! echo, a position past the records, positions not strictly ascending,
+//! and an inline element equal to a record, which had to be named. So a
 //! payload has exactly one encoding. A referenced proof never travels:
 //! the receiver attaches its own copy from its [`ProofResolver`] when it
 //! resolves the payload, or reports the gap. Records that share an inline
 //! proof share one decoded handle of it, hashed once; as a proof's echo,
 //! each use after the first is charged to the reader
 //! ([`Reader::reuse`]), since every record walks its proof's acks when
-//! checked. A reference is not charged: it resolves only to a proof the
-//! receiver itself verified.
+//! checked. Each named echo element is charged the length of its record
+//! too, since the proof's id hashes it again: else `P` proofs naming `R`
+//! large records would make a receiver hash `P × R` records for about
+//! `P × R` bytes of input. A reference is not charged: it resolves only
+//! to a proof the receiver itself verified.
+//!
+//! A table measures its encoding once, when it is built or decoded, so
+//! metering a send of it is `O(1)`.
 
-use crate::proof::{Proof, ProofAck};
+use crate::proof::{decode_acks, encode_acks, Proof, ProofAck};
 use crate::valueset::{DeltaReceiver, DeltaSender, SetItem, SetUpdate, ValueSet};
 use bgla_codec::{CodecError, Reader, Wire, Writer};
 use bgla_crypto::{ProofId, ProofResolver};
@@ -117,13 +134,16 @@ use std::collections::{BTreeMap, BTreeSet};
 /// [`SetItem::EQ_IS_IDENTITY`] is `false` — and order records as their
 /// [`Self::Signed`] parts do, which is the order a payload ships them in.
 pub trait ProvenRecord: SetItem {
-    /// The ack type of the attached proof.
-    type Ack: ProofAck;
+    /// The ack type of the attached proof. Its echo holds records
+    /// without their proofs, which a payload names by position.
+    type Ack: ProofAck<Echoed = Self::Signed>;
 
     /// The plain values a record carries.
     type Value: SetItem;
 
     /// The record without its proof: what a payload ships per record.
+    /// Its `==` is identity ([`SetItem::EQ_IS_IDENTITY`]): an echo
+    /// element equal to a record is shipped as that record's position.
     type Signed: SetItem + std::fmt::Debug;
 
     /// The values this record carries.
@@ -203,21 +223,24 @@ impl<T: ProvenRecord> Wire for ProvenUpdate<T> {
     }
 }
 
-/// Proven records as the wire carries them: each distinct proof once,
-/// and each record without its proof but with the index of its proof
+/// Proven records as the wire carries them: each record without its
+/// proof but with the index of its proof, then each distinct proof once
 /// (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ProvenTable<T: ProvenRecord> {
     /// `None` for the whole set; `Some(ts)` for the records added since
     /// the set the receiver consumed at `ts`.
     base_ts: Option<u64>,
+    /// The records without their proofs, strictly ascending.
+    records: Vec<T::Signed>,
+    /// Per record, the index of its proof in `proofs` followed by `refs`.
+    proof_of: Vec<usize>,
     /// The proofs shipped inline, each once, in first-use order.
     proofs: Vec<Proof<T::Ack>>,
     /// The ids of the proofs the receiver holds, strictly ascending.
     refs: Vec<ProofId>,
-    /// The records without their proofs, strictly ascending, each with
-    /// the index of its proof in `proofs` followed by `refs`.
-    records: Vec<(usize, T::Signed)>,
+    /// The length of the encoding, measured once.
+    wire: usize,
 }
 
 impl<T: ProvenRecord> ProvenTable<T> {
@@ -235,25 +258,29 @@ impl<T: ProvenRecord> ProvenTable<T> {
         let refs: Vec<ProofId> = refs.into_iter().collect();
         let mut proofs = Vec::with_capacity(inline.len());
         let mut at: BTreeMap<ProofId, usize> = BTreeMap::new();
-        let records = records
+        let proof_of: Vec<usize> = records
             .iter()
             .map(|r| {
                 let proof = r.proof();
-                let index = match refs.binary_search(&proof.id()) {
+                match refs.binary_search(&proof.id()) {
                     Ok(k) => inline.len() + k,
                     Err(_) => *at.entry(proof.id()).or_insert_with(|| {
                         proofs.push(proof.clone());
                         proofs.len() - 1
                     }),
-                };
-                (index, r.signed().clone())
+                }
             })
             .collect();
+        let records: Vec<T::Signed> = records.iter().map(|r| r.signed().clone()).collect();
+        let mut wire = Writer::counting();
+        write_table(&mut wire, base_ts, &records, &proof_of, &proofs, &refs);
         ProvenTable {
             base_ts,
+            records,
+            proof_of,
             proofs,
             refs,
-            records,
+            wire: wire.len(),
         }
     }
 
@@ -273,7 +300,8 @@ impl<T: ProvenRecord> ProvenTable<T> {
     pub fn records(&self) -> impl Iterator<Item = (&T::Signed, Option<&Proof<T::Ack>>)> {
         self.records
             .iter()
-            .map(|(index, signed)| (signed, self.proofs.get(*index)))
+            .zip(&self.proof_of)
+            .map(|(signed, index)| (signed, self.proofs.get(*index)))
     }
 
     /// The records with their proofs attached: an inline proof from the
@@ -281,7 +309,7 @@ impl<T: ProvenRecord> ProvenTable<T> {
     /// referenced id the resolver does not hold.
     fn attach(&self, resolver: &mut ProofResolver<Proof<T::Ack>>) -> Option<ValueSet<T>> {
         let mut out = Vec::with_capacity(self.records.len());
-        for (index, signed) in &self.records {
+        for (signed, index) in self.records.iter().zip(&self.proof_of) {
             let proof = match self.proofs.get(*index) {
                 Some(proof) => proof.clone(),
                 None => resolver.resolve(*self.refs.get(index - self.proofs.len())?)?,
@@ -292,31 +320,141 @@ impl<T: ProvenRecord> ProvenTable<T> {
     }
 }
 
+/// Writes a table of `records`, each under the proof `proof_of` says,
+/// `proofs` inline and `refs` by id (see the module docs).
+fn write_table<A: ProofAck>(
+    w: &mut Writer,
+    base_ts: Option<u64>,
+    records: &[A::Echoed],
+    proof_of: &[usize],
+    proofs: &[Proof<A>],
+    refs: &[ProofId],
+) {
+    match base_ts {
+        None => w.u8(0),
+        Some(ts) => {
+            w.u8(1);
+            w.var(ts);
+        }
+    }
+    w.usize(records.len());
+    for (signed, index) in records.iter().zip(proof_of) {
+        w.usize(*index);
+        signed.encode(w);
+    }
+    w.usize(proofs.len());
+    for proof in proofs {
+        encode_acks(proof.as_slice(), w, |echo, w| write_echo(echo, records, w));
+    }
+    w.usize(refs.len());
+    for id in refs {
+        id.encode(w);
+    }
+}
+
+/// Writes `echo` as a table carries it: the elements that are among
+/// `records` by their position there, then the others (see the module
+/// docs). `records` is strictly ascending.
+fn write_echo<E: SetItem>(echo: &ValueSet<E>, records: &[E], w: &mut Writer) {
+    let mut named = Vec::new();
+    let mut rest = Vec::new();
+    let mut from = 0;
+    for element in echo {
+        let unseen = records.get(from..).unwrap_or_default();
+        from += unseen.partition_point(|r| r < element);
+        if records.get(from) == Some(element) {
+            named.push(from);
+            from += 1;
+        } else {
+            rest.push(element);
+        }
+    }
+    w.usize(named.len());
+    for at in named {
+        w.usize(at);
+    }
+    w.usize(rest.len());
+    for element in rest {
+        element.encode(w);
+    }
+}
+
+/// Reads an echo [`write_echo`] wrote against `records`, charging each
+/// named element the length of its record: the proof's id hashes it
+/// again.
+fn read_echo<E: SetItem>(r: &mut Reader<'_>, records: &[E]) -> Result<ValueSet<E>, CodecError> {
+    let count = r.seq_len()?;
+    let mut named: Vec<&E> = Vec::with_capacity(count);
+    let mut next = 0;
+    for _ in 0..count {
+        let at = r.usize()?;
+        let record = records
+            .get(at)
+            .ok_or(CodecError::Invalid("echoed record past the records"))?;
+        if at < next {
+            return Err(CodecError::Invalid("echoed records not strictly ascending"));
+        }
+        r.reuse(record.wire_size())?;
+        named.push(record);
+        next = at + 1;
+    }
+    let rest = ValueSet::<E>::decode(r)?;
+    if rest.iter().any(|e| records.binary_search(e).is_ok()) {
+        return Err(CodecError::Invalid("echoed record spelled out"));
+    }
+    let mut named = named.into_iter().peekable();
+    let mut items = Vec::with_capacity(count + rest.len());
+    for element in &rest {
+        while let Some(record) = named.next_if(|record| *record < element) {
+            items.push(record.clone());
+        }
+        items.push(element.clone());
+    }
+    items.extend(named.cloned());
+    Ok(ValueSet::from_sorted(items))
+}
+
 impl<T: ProvenRecord> Wire for ProvenTable<T> {
     fn encode(&self, w: &mut Writer) {
-        match self.base_ts {
-            None => w.u8(0),
-            Some(ts) => {
-                w.u8(1);
-                w.var(ts);
-            }
-        }
-        self.proofs.encode(w);
-        self.refs.encode(w);
-        w.usize(self.records.len());
-        for (index, signed) in &self.records {
-            w.usize(*index);
-            signed.encode(w);
+        if !w.counted(self.wire) {
+            write_table(
+                w,
+                self.base_ts,
+                &self.records,
+                &self.proof_of,
+                &self.proofs,
+                &self.refs,
+            );
         }
     }
 
+    fn wire_size(&self) -> usize {
+        self.wire
+    }
+
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let unread = r.remaining();
         let base_ts = match r.u8()? {
             0 => None,
             1 => Some(r.var()?),
             _ => return Err(CodecError::Invalid("proven update tag")),
         };
-        let proofs: Vec<Proof<T::Ack>> = Wire::decode(r)?;
+        let n = r.seq_len()?;
+        let mut records: Vec<T::Signed> = Vec::with_capacity(n);
+        let mut proof_of = Vec::with_capacity(n);
+        for _ in 0..n {
+            proof_of.push(r.usize()?);
+            let signed = T::Signed::decode(r)?;
+            if records.last().is_some_and(|last| *last >= signed) {
+                return Err(CodecError::Invalid("proven records not strictly ascending"));
+            }
+            records.push(signed);
+        }
+        let listed = r.seq_len()?;
+        let mut proofs: Vec<Proof<T::Ack>> = Vec::with_capacity(listed);
+        for _ in 0..listed {
+            proofs.push(Proof::new(decode_acks(r, |r| read_echo(r, &records))?));
+        }
         let inline: BTreeSet<ProofId> = proofs.iter().map(Proof::id).collect();
         if inline.len() != proofs.len() {
             return Err(CodecError::Invalid("proof listed twice"));
@@ -326,13 +464,10 @@ impl<T: ProvenRecord> Wire for ProvenTable<T> {
         if !refs.is_disjoint(&inline) {
             return Err(CodecError::Invalid("proof both inline and referenced"));
         }
-        let n = r.seq_len()?;
-        let mut records: Vec<(usize, T::Signed)> = Vec::with_capacity(n);
-        let mut used = 0;
         let refs: Vec<ProofId> = refs.into_iter().collect();
+        let mut used = 0;
         let mut referenced = vec![false; refs.len()];
-        for _ in 0..n {
-            let index = r.usize()?;
+        for &index in &proof_of {
             if let Some(proof) = proofs.get(index) {
                 if index > used {
                     return Err(CodecError::Invalid("proofs out of first-use order"));
@@ -347,20 +482,17 @@ impl<T: ProvenRecord> Wire for ProvenTable<T> {
                     .get_mut(index - proofs.len())
                     .ok_or(CodecError::Invalid("proof index past the table"))? = true;
             }
-            let signed = T::Signed::decode(r)?;
-            if records.last().is_some_and(|(_, last)| *last >= signed) {
-                return Err(CodecError::Invalid("proven records not strictly ascending"));
-            }
-            records.push((index, signed));
         }
         if used != proofs.len() || referenced.contains(&false) {
             return Err(CodecError::Invalid("proof table entry never used"));
         }
         Ok(ProvenTable {
             base_ts,
+            records,
+            proof_of,
             proofs,
             refs,
-            records,
+            wire: unread - r.remaining(),
         })
     }
 }
@@ -878,7 +1010,8 @@ mod tests {
     }
 
     /// A reference costs the 16-byte id, not the proof; one proof under
-    /// two records is said once, and each record costs its index.
+    /// two records is said once, and each record costs its index. An
+    /// echoed record costs its position.
     #[test]
     fn a_table_says_each_proof_once_and_a_reference_in_its_id() {
         let shared = proof(&[1, 2, 3, 4, 5, 6]);
@@ -892,19 +1025,48 @@ mod tests {
         };
         let full = ProvenUpdate::Full(set(&[a.clone(), b.clone()]));
         let records = 1 + 2 * (1 + 8);
-        assert_eq!(full.wire_size(), 1 + 1 + shared.wire_size() + 1 + records);
+        // The one echo, empty, names no record and spells no element:
+        // one byte more than the proof alone says it in.
+        assert_eq!(
+            full.wire_size(),
+            1 + records + 1 + shared.wire_size() + 1 + 1
+        );
         let delta = ProvenUpdate::Delta {
             base_ts: 7,
             new: set(&[a, b]),
             refs: vec![shared.id()],
         };
-        assert_eq!(delta.wire_size(), 1 + 1 + 1 + (1 + 16) + records);
-        for u in [full, delta] {
+        assert_eq!(delta.wire_size(), 1 + 1 + records + 1 + (1 + 16));
+        // Acks that echo both records name them: two one-byte positions
+        // and an empty rest instead of the set.
+        let echo: ValueSet<u64> = [1, 2].into_iter().collect();
+        let naming = Proof::new(
+            (1..=6)
+                .map(|n| TestAck {
+                    echo: echo.clone(),
+                    n,
+                })
+                .collect(),
+        );
+        let named = ProvenUpdate::Full(set(&[rec(1, &[]), rec(2, &[])].map(|r| Rec {
+            proof: naming.clone(),
+            ..r
+        })));
+        assert_eq!(echo.wire_size(), 1 + 2 * 8);
+        assert_eq!(
+            named.wire_size(),
+            1 + records + 1 + (naming.wire_size() - echo.wire_size() + 4) + 1
+        );
+        for u in [full, delta, named] {
             let bytes = encode_payload(&u);
             assert_eq!(bytes.len(), u.wire_size());
             let back: ProvenUpdate<Rec> = decode_payload(&bytes).unwrap();
             assert_eq!(encode_payload(&back), bytes);
             assert_eq!(back.is_delta(), u.is_delta());
+            let ids = |u: &ProvenUpdate<Rec>| -> Vec<_> {
+                u.table().records().map(|(_, p)| p.map(Proof::id)).collect()
+            };
+            assert_eq!(ids(&back), ids(&u));
         }
     }
 

@@ -9,19 +9,22 @@
 //! several request sets — and their one encoding is pinned, as is that
 //! of a proven payload's proof table.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bgla_codec::{
     decode_frame, decode_payload, encode_frame, encode_payload, verify_frame, CodecError,
     FRAME_OVERHEAD, MAX_SPELLED_OUT,
 };
 use bgla_codec::{Wire, Writer};
-use bgla_core::gsbs::{GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, ProvenBatch, SignedBatch};
+use bgla_core::gsbs::{
+    digest_values, DecidedCert, GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, ProvenBatch,
+    SignedAck, SignedBatch,
+};
 use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
 use bgla_core::provendelta::ProvenDeltaReceiver;
-use bgla_core::sbs::{SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
+use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
 use bgla_core::wts::{WtsMsg, WtsProcess};
-use bgla_core::{Proof, ProofAck, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
+use bgla_core::{Proof, ProofAck, ProvenRecord, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
 use bgla_crypto::{ProofId, ProofResolver, Signature};
 use bgla_rbcast::RbMsg;
 use bgla_simnet::{Context, Process, ProcessId, RandomScheduler, SimulationBuilder, WireMessage};
@@ -689,12 +692,6 @@ fn laid_out(echoes: &[usize], acks: &[(usize, GSafeAckReply<u64>)]) -> Vec<u8> {
 
 #[test]
 fn proof_decoder_accepts_one_encoding_only() {
-    let reply = |signer: usize| GSafeAckReply {
-        round: 1,
-        conflicts: vec![],
-        signer,
-        sig: sig(signer, 0),
-    };
     let decode = |echoes: &[usize], indices: &[usize]| {
         let acks: Vec<_> = indices.iter().map(|&i| (i, reply(i))).collect();
         decode_payload::<Proof<GSafeAck<u64>>>(&laid_out(echoes, &acks)).map(|p| p.id())
@@ -801,13 +798,127 @@ fn proven(i: usize, proof: &Proof<GSafeAck<u64>>) -> ProvenBatch<u64> {
     }
 }
 
+/// The `i`-th of a family of distinct signed values, in ascending order.
+fn signed_value(i: usize) -> SignedValue<u64> {
+    SignedValue {
+        value: 1000 + i as u64,
+        signer: i % N,
+        sig: sig(7, i),
+    }
+}
+
+/// A GSbS proof of three acks, each echoing `echo`.
+fn gsbs_proof_over(echo: ValueSet<SignedBatch<u64>>, tag: usize) -> Proof<GSafeAck<u64>> {
+    Proof::new(
+        (0..3)
+            .map(|signer| GSafeAck {
+                round: 1,
+                rcvd: echo.clone(),
+                conflicts: vec![],
+                signer,
+                sig: sig(signer, tag),
+            })
+            .collect(),
+    )
+}
+
+/// An SbS proof of three acks, each echoing `echo`.
+fn sbs_proof_over(echo: ValueSet<SignedValue<u64>>, tag: usize) -> Proof<SignedSafeAck<u64>> {
+    Proof::new(
+        (0..3)
+            .map(|signer| SignedSafeAck {
+                body: SafeAckBody {
+                    rcvd: echo.clone(),
+                    conflicts: vec![],
+                },
+                signer,
+                sig: sig(tag, signer),
+            })
+            .collect(),
+    )
+}
+
+/// `update`, built from the records `new` with the proofs `refs` held,
+/// round-trips byte for byte at its counted size with every record's
+/// proof id, and refuses every strict prefix and any extension.
+fn assert_payload_sound<T: ProvenRecord>(
+    update: &ProvenUpdate<T>,
+    new: &ValueSet<T>,
+    refs: &[ProofId],
+    suffix: &[u8],
+) {
+    let bytes = encode_payload(update);
+    assert_eq!(bytes.len(), update.wire_size());
+    let back: ProvenUpdate<T> = decode_payload(&bytes).expect("own encoding decodes");
+    assert_eq!(&encode_payload(&back), &bytes);
+    assert_eq!(back.wire_size(), bytes.len());
+    let base_ts = update.table().base_ts();
+    let table = back.table();
+    assert_eq!(table.base_ts(), base_ts);
+    let mut inline = BTreeSet::new();
+    for ((signed, proof), record) in table.records().zip(new.iter()) {
+        let id = record.proof().id();
+        let by_ref = base_ts.is_some() && refs.contains(&id);
+        assert_eq!(signed, record.signed());
+        assert_eq!(proof.map(Proof::id), Some(id).filter(|_| !by_ref));
+        assert_eq!(table.refs().contains(&id), by_ref);
+        inline.extend(proof.map(|p| p.as_slice().as_ptr()));
+    }
+    let distinct: BTreeSet<_> = new.iter().map(|r| r.proof().id()).collect();
+    assert_eq!(inline.len() + table.refs().len(), distinct.len());
+    for cut in 0..bytes.len() {
+        assert!(decode_payload::<ProvenUpdate<T>>(&bytes[..cut]).is_err());
+    }
+    assert_payload_rejects_extension(update, suffix);
+}
+
+/// The whole of `new`, or with a base the additions `new` with `refs`
+/// held.
+fn update<T: ProvenRecord>(
+    base_ts: Option<u64>,
+    new: &ValueSet<T>,
+    refs: &[ProofId],
+) -> ProvenUpdate<T> {
+    match base_ts {
+        Some(base_ts) => ProvenUpdate::Delta {
+            base_ts,
+            new: new.clone(),
+            refs: refs.to_vec(),
+        },
+        None => ProvenUpdate::Full(new.clone()),
+    }
+}
+
+/// A decided certificate of `round` over `values` with `acks` acks, each
+/// over the digest of `values`.
+fn certificate(round: u64, values: ValueSet<u64>, acks: usize, ts: u64) -> DecidedCert<u64> {
+    let digest = digest_values(&values);
+    DecidedCert {
+        round,
+        values,
+        acks: (0..acks)
+            .map(|signer| SignedAck {
+                destination: 200 - signer,
+                ts,
+                round,
+                digest,
+                signer,
+                sig: sig(signer, 9),
+            })
+            .collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Records sharing 1 to 4 proofs, some held by the receiver: each
-    /// inline proof travels once and each held one as its id, and the
-    /// payload round-trips byte for byte at its counted size, refusing
-    /// every strict prefix and any extension.
+    /// Records sharing 1 to 4 proofs, some held by the receiver, in GSbS
+    /// and SbS shapes: each inline proof travels once and each held one
+    /// as its id, and a proof's acks echo none of the payload's records,
+    /// all of them, or some and a value that is none. The payload
+    /// round-trips byte for byte at its counted size with every proof id,
+    /// refusing every strict prefix and any extension. A certificate
+    /// round-trips too, 64 bytes an ack shorter than with its digests.
     #[test]
     fn proven_payloads_roundtrip(
         k in 1usize..=4,
@@ -815,43 +926,97 @@ proptest! {
         held in any::<u8>(),
         base_ts in any::<Option<u64>>(),
         suffix in any::<Vec<u8>>(),
+        echoes in any::<[u16; 4]>(),
     ) {
-        let proofs: Vec<_> = (1..=k).map(|p| gsbs_proof(p, &[0, 1, 2])).collect();
-        let new: ValueSet<_> = picks.iter().take(10).enumerate()
-            .map(|(i, &p)| proven(i, &proofs[p as usize % k]))
-            .collect();
-        let refs: Vec<_> = proofs.iter().map(Proof::id).filter(|id| id.0[0] & held != 0).collect();
-        let update = match base_ts {
-            Some(base_ts) => ProvenUpdate::Delta { base_ts, new: new.clone(), refs: refs.clone() },
-            None => ProvenUpdate::Full(new.clone()),
-        };
-        let bytes = encode_payload(&update);
-        prop_assert_eq!(bytes.len(), update.wire_size());
-        let back: Payload = decode_payload(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(&encode_payload(&back), &bytes);
-        let table = back.table();
-        prop_assert_eq!(table.base_ts(), base_ts);
-        let mut inline = std::collections::BTreeSet::new();
-        for ((signed, proof), pb) in table.records().zip(new.iter()) {
-            let by_ref = base_ts.is_some() && refs.contains(&pb.proof.id());
-            prop_assert_eq!(signed, &pb.sb);
-            prop_assert_eq!(proof.map(Proof::id), Some(pb.proof.id()).filter(|_| !by_ref));
-            prop_assert_eq!(table.refs().contains(&pb.proof.id()), by_ref);
-            inline.extend(proof.map(|p| p.as_slice().as_ptr()));
-        }
-        prop_assert_eq!(inline.len() + table.refs().len(), new.iter().map(|pb| pb.proof.id()).collect::<std::collections::BTreeSet<_>>().len());
-        for cut in 0..bytes.len() {
-            prop_assert!(decode_payload::<Payload>(&bytes[..cut]).is_err());
-        }
+        let m = picks.len().min(10);
         let mut suffix = suffix;
         suffix.truncate(3);
         suffix.push(held);
-        assert_payload_rejects_extension(&update, &suffix);
+        // Which of the records `0..m` proof `p`'s acks echo: `None` for a
+        // proof over other request sets.
+        let echoed = |p: usize| -> Option<Vec<usize>> {
+            match echoes[p] % 3 {
+                0 => None,
+                1 => Some((0..m).collect()),
+                _ => Some((0..m).filter(|i| echoes[p] >> (2 + i) & 1 == 1).chain([100 + p]).collect()),
+            }
+        };
+        let held_ids = |ids: &[ProofId]| -> Vec<ProofId> {
+            ids.iter().copied().filter(|id| id.0[0] & held != 0).collect()
+        };
+
+        let proofs: Vec<_> = (0..k)
+            .map(|p| match echoed(p) {
+                None => gsbs_proof(p + 1, &[0, 1, 2]),
+                Some(echo) => gsbs_proof_over(echo.into_iter().map(batch).collect(), p),
+            })
+            .collect();
+        let new: ValueSet<_> = picks.iter().take(m).enumerate()
+            .map(|(i, &p)| proven(i, &proofs[p as usize % k]))
+            .collect();
+        let refs = held_ids(&proofs.iter().map(Proof::id).collect::<Vec<_>>());
+        assert_payload_sound(&update(base_ts, &new, &refs), &new, &refs, &suffix);
+
+        let proofs: Vec<_> = (0..k)
+            .map(|p| match echoed(p) {
+                None => sbs_proof(p + 1, &[0, 1, 2]),
+                Some(echo) => sbs_proof_over(echo.into_iter().map(signed_value).collect(), p),
+            })
+            .collect();
+        let new: ValueSet<_> = picks.iter().take(m).enumerate()
+            .map(|(i, &p)| ProvenValue { sv: signed_value(i), proof: proofs[p as usize % k].clone() })
+            .collect();
+        let refs = held_ids(&proofs.iter().map(Proof::id).collect::<Vec<_>>());
+        assert_payload_sound(&update(base_ts, &new, &refs), &new, &refs, &suffix);
+
+        let values = picks.iter().map(|&p| u64::from(p) << 40).collect();
+        let cert = certificate(u64::from(held) * 300, values, k + 2, base_ts.unwrap_or(7));
+        let bytes = encode_payload(&cert);
+        prop_assert_eq!(bytes.len(), cert.wire_size());
+        prop_assert_eq!(decode_payload::<DecidedCert<u64>>(&bytes), Ok(cert.clone()));
+        let mut digests = Writer::counting();
+        digests.var(cert.round);
+        cert.values.encode(&mut digests);
+        cert.acks.encode(&mut digests);
+        prop_assert_eq!(bytes.len() + 64 * cert.acks.len(), digests.len());
+        assert_payload_rejects_extension(&cert, &suffix);
     }
 }
 
-/// The bytes of a delta at base 3: `proofs` inline, `refs`, then each
-/// `(index, i)` as a proof index and batch `i`.
+/// The reply of acceptor `signer` in the hand-laid-out proofs below.
+fn reply(signer: usize) -> GSafeAckReply<u64> {
+    GSafeAckReply {
+        round: 1,
+        conflicts: vec![],
+        signer,
+        sig: sig(signer, 0),
+    }
+}
+
+/// Writes `proof` as a payload's table does when no element of its
+/// echoes is a record of the payload: each echo names none, then spells
+/// out all of its elements.
+fn write_naming_none(proof: &Proof<GSafeAck<u64>>, w: &mut Writer) {
+    let mut echoes: Vec<&ValueSet<SignedBatch<u64>>> = Vec::new();
+    for ack in proof.iter() {
+        if !echoes.contains(&ack.echo()) {
+            echoes.push(ack.echo());
+        }
+    }
+    w.usize(echoes.len());
+    for echo in &echoes {
+        w.usize(0);
+        echo.encode(w);
+    }
+    w.usize(proof.len());
+    for ack in proof.iter() {
+        w.usize(echoes.iter().position(|e| *e == ack.echo()).unwrap());
+        ack.encode_reply(w);
+    }
+}
+
+/// The bytes of a delta at base 3: each `(index, i)` as a proof index
+/// and batch `i`, then `proofs` inline, then `refs`.
 fn table_laid_out(
     proofs: &[&Proof<GSafeAck<u64>>],
     refs: &[ProofId],
@@ -860,15 +1025,41 @@ fn table_laid_out(
     let mut w = Writer::new();
     w.u8(1);
     w.var(3);
-    w.usize(proofs.len());
-    proofs.iter().for_each(|p| p.encode(&mut w));
-    w.usize(refs.len());
-    refs.iter().for_each(|id| id.encode(&mut w));
     w.usize(records.len());
     for &(index, i) in records {
         w.usize(index);
         batch(i).encode(&mut w);
     }
+    w.usize(proofs.len());
+    proofs.iter().for_each(|p| write_naming_none(p, &mut w));
+    w.usize(refs.len());
+    refs.iter().for_each(|id| id.encode(&mut w));
+    w.into_bytes()
+}
+
+/// The bytes of a whole set of batches `0..m` under one inline proof of
+/// three acks, whose one echo names the records at `named` and spells out
+/// batches `spelled`.
+fn naming_laid_out(m: usize, named: &[usize], spelled: &[usize]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u8(0);
+    w.usize(m);
+    for i in 0..m {
+        w.usize(0);
+        batch(i).encode(&mut w);
+    }
+    w.usize(1);
+    w.usize(1);
+    w.usize(named.len());
+    named.iter().for_each(|&at| w.usize(at));
+    w.usize(spelled.len());
+    spelled.iter().for_each(|&i| batch(i).encode(&mut w));
+    w.usize(3);
+    for signer in 0..3 {
+        w.usize(0);
+        reply(signer).encode(&mut w);
+    }
+    w.usize(0);
     w.into_bytes()
 }
 
@@ -979,6 +1170,61 @@ fn proven_payload_decoder_accepts_one_encoding_only() {
         Ok(5),
         "the empty delta has one form too"
     );
+
+    // An echo names the records it holds, by ascending position, and
+    // spells out only what is no record.
+    let echo: ValueSet<_> = [0, 2, 5].map(batch).into_iter().collect();
+    let proof = Proof::new(
+        (0..3)
+            .map(|signer| GSafeAck::from_reply(reply(signer), echo.clone()))
+            .collect(),
+    );
+    let named = naming_laid_out(3, &[0, 2], &[5]);
+    let set: ValueSet<_> = (0..3).map(|i| proven(i, &proof)).collect();
+    assert_eq!(
+        encode_payload(&ProvenUpdate::Full(set)),
+        named,
+        "the layout the encoder writes"
+    );
+    let back = decode_payload::<Payload>(&named).expect("canonical layout decodes");
+    assert!(back.table().records().all(|(_, p)| p == Some(&proof)));
+    let decode = |named: &[usize], spelled: &[usize]| {
+        decode_payload::<Payload>(&naming_laid_out(3, named, spelled)).map(|u| u.wire_size())
+    };
+    assert_eq!(
+        decode(&[0, 3], &[5]),
+        invalid("echoed record past the records")
+    );
+    assert_eq!(
+        decode(&[2, 0], &[5]),
+        invalid("echoed records not strictly ascending")
+    );
+    assert_eq!(
+        decode(&[0, 0], &[5]),
+        invalid("echoed records not strictly ascending")
+    );
+    assert_eq!(decode(&[0], &[2, 5]), invalid("echoed record spelled out"));
+    assert_eq!(
+        decode(&[], &[0, 2, 5]),
+        invalid("echoed record spelled out")
+    );
+    for cut in 0..named.len() {
+        assert!(decode_payload::<Payload>(&named[..cut]).is_err());
+    }
+
+    // A certificate says no digest, so a cut or a padded one has nothing
+    // to fall back on.
+    let cert = certificate(130, vs(&[1, 1 << 40, u64::MAX]), 5, 200);
+    let bytes = encode_payload(&cert);
+    assert_eq!(decode_payload::<DecidedCert<u64>>(&bytes), Ok(cert.clone()));
+    for cut in 0..bytes.len() {
+        assert!(decode_payload::<DecidedCert<u64>>(&bytes[..cut]).is_err());
+    }
+    assert_eq!(
+        decode_payload::<DecidedCert<u64>>(&[&bytes[..], &[0]].concat()).err(),
+        Some(CodecError::TrailingBytes)
+    );
+    assert_padded_varints_rejected(&cert);
 }
 
 /// One proof with a 256 KiB echo under 100 records, 26 MiB spelled out:
@@ -1025,4 +1271,78 @@ fn one_proof_under_many_records_is_decoded_and_hashed_once() {
             "shared parts spelled out past the limit"
         ))
     );
+}
+
+/// Four records of 256 KiB batches, and under each of many small records
+/// an inline proof whose echo names all four: a few bytes of positions
+/// that the proof's id hashes as 1 MiB. Each named element is charged
+/// its record's length while read, so 100 such proofs, 100 MiB spelled
+/// out from about 1 MiB of input, are refused before their ids are
+/// hashed past [`MAX_SPELLED_OUT`]; a few are read freely.
+#[test]
+fn named_echoes_are_charged_while_read() {
+    const LARGE: usize = 4;
+    let large = |i: usize| SignedBatch {
+        round: 1,
+        batch: (0..1u64 << 15).map(|v| (1 << 49) + v + i as u64).collect(),
+        signer: i,
+        sig: sig(i, 3),
+    };
+    let small = |k: usize| SignedBatch {
+        round: 2,
+        batch: vs(&[k as u64]),
+        signer: k % N,
+        sig: sig(k, 4),
+    };
+    // The large records under proof 0, then small record `k` under proof
+    // `k`; every proof names the large records and has one ack.
+    let laid_out = |proofs: usize| {
+        let mut w = Writer::new();
+        w.u8(0);
+        w.usize(LARGE + proofs - 1);
+        for i in 0..LARGE {
+            w.usize(0);
+            large(i).encode(&mut w);
+        }
+        for k in 1..proofs {
+            w.usize(k);
+            small(k).encode(&mut w);
+        }
+        w.usize(proofs);
+        for signer in 0..proofs {
+            w.usize(1);
+            w.usize(LARGE);
+            (0..LARGE).for_each(|at| w.usize(at));
+            w.usize(0);
+            w.usize(1);
+            w.usize(0);
+            reply(signer).encode(&mut w);
+        }
+        w.usize(0);
+        w.into_bytes()
+    };
+    let named = LARGE * large(0).wire_size();
+    assert!(named > LARGE << 18);
+    let many = 100;
+    let bytes = laid_out(many);
+    assert!(bytes.len() < MAX_SPELLED_OUT / 32);
+    assert!(named * many > MAX_SPELLED_OUT);
+    assert_eq!(
+        decode_payload::<Payload>(&bytes).err(),
+        Some(CodecError::Invalid(
+            "shared parts spelled out past the limit"
+        ))
+    );
+
+    let few = decode_payload::<Payload>(&laid_out(4)).expect("a few proofs name them freely");
+    let echo: ValueSet<_> = (0..LARGE).map(large).collect();
+    let table = few.table();
+    let ids: BTreeSet<_> = table
+        .records()
+        .filter_map(|(_, p)| p.map(Proof::id))
+        .collect();
+    let spelled: BTreeSet<_> = (0..4)
+        .map(|signer| Proof::new(vec![GSafeAck::from_reply(reply(signer), echo.clone())]).id())
+        .collect();
+    assert_eq!(ids, spelled, "each names the records it echoes");
 }

@@ -189,16 +189,14 @@ impl Process<RsmMsg> for Replica {
                 if !(self.validator)(&cmd) {
                     return; // not an element of the lattice: discard
                 }
-                // If already decided, answer immediately; else submit and
-                // subscribe the client.
-                if let Some(d) = self
-                    .inner
-                    .decisions
-                    .iter()
-                    .find(|d| d.contains(&cmd))
-                    .cloned()
-                {
-                    ctx.send(from, RsmMsg::Decide(d));
+                // If already decided, answer immediately with the first
+                // decision holding it; else submit and subscribe the
+                // client. Decisions form a ⊆-chain, so once one holds
+                // `cmd` every later one does.
+                let decisions = &self.inner.decisions;
+                let first = decisions.partition_point(|d| !d.contains(&cmd));
+                if let Some(d) = decisions.get(first) {
+                    ctx.send(from, RsmMsg::Decide(d.clone()));
                     return;
                 }
                 self.pending_notify
@@ -317,6 +315,30 @@ mod tests {
         assert!(r.pending_notify.contains_key(&cmd));
         assert_eq!(r.inner.all_inputs, vec![cmd]);
         assert_eq!(r.inner.state(), GwtsState::Disclosing);
+    }
+
+    /// A command is answered with the first decision of the chain that
+    /// holds it; one no decision holds is submitted.
+    #[test]
+    fn new_value_answers_with_the_first_decision_holding_it() {
+        let config = SystemConfig::new(4, 1);
+        let mut r = Replica::new(0, config, 4);
+        let cmds: Vec<Cmd> = (0..6).map(|i| Cmd::new(1, i, Op::Add(i))).collect();
+        for k in 1..=4 {
+            r.inner.decisions.push(cmds[..k].iter().cloned().collect());
+        }
+        for (k, cmd) in cmds.iter().take(4).enumerate() {
+            let mut ctx = Context::for_embedding(0, 6, 0, 0);
+            r.on_message(5, RsmMsg::NewValue(cmd.clone()), &mut ctx);
+            let first = r.inner.decisions[k].clone();
+            assert_eq!(ctx.take_outbox(), vec![(5, RsmMsg::Decide(first))]);
+        }
+        assert!(r.pending_notify.is_empty());
+        let undecided = cmds[5].clone();
+        let mut ctx = Context::for_embedding(0, 6, 0, 0);
+        r.on_message(5, RsmMsg::NewValue(undecided.clone()), &mut ctx);
+        assert!(r.pending_notify.contains_key(&undecided));
+        assert_eq!(r.inner.all_inputs, vec![undecided]);
     }
 
     #[test]
