@@ -17,7 +17,7 @@
 //! | `determinism` | hash-order iteration / wall clocks / OS randomness in trace-affecting crates break seeded replay |
 //! | `byzantine-panic` | a panic reachable from `decode`/`from_snapshot`/`on_message`/`demux_frame` lets hostile bytes crash an honest process |
 //! | `frame-demux-coverage` | a `FK_*` frame kind without a `demux_frame` arm makes healthy peers look corrupt |
-//! | `metrics-merge-coverage` | a `Metrics` field skipped by `merge` silently vanishes from sharded aggregation |
+//! | `metrics-merge-coverage` | a `Metrics` field skipped by `merge` silently vanishes from the TCP runtime's per-node fold and the benchmark's per-trial pooling |
 //! | `poller-nonblocking` | a blocking call (`sleep`, `set_nonblocking(false)`) in poller code freezes every connection on that shard |
 //!
 //! Findings print rustc-style (`file:line: pass: message`), `--json`

@@ -1,11 +1,11 @@
 //! `metrics-merge-coverage` — aggregation must fold every field.
 //!
-//! **Bug class:** the sharded experiment driver aggregates per-seed
-//! runs with `Metrics::merge`. Every time a new counter lands
-//! (`net_retransmits`, `net_dup_frames`, …), forgetting to add it to
-//! `merge` makes the sharded figures silently undercount — exactly the
-//! kind of bug that survives because every per-run number still looks
-//! plausible. Until now only a dynamic per-field test pinned it.
+//! **Bug class:** `TcpRuntime::metrics_snapshot` folds its nodes'
+//! counters, and the `e2e` benchmark pools its per-trial runs, with
+//! `Metrics::merge`. Every time a new counter lands (`net_retransmits`,
+//! `net_dup_frames`, …), forgetting to add it to `merge` makes the
+//! aggregated figures silently undercount — exactly the kind of bug
+//! that survives because every per-run number still looks plausible. Until now only a dynamic per-field test pinned it.
 //!
 //! **Rule:** for every struct with an *inherent* method named `merge`
 //! (the aggregation idiom in this workspace — named for the `Metrics`

@@ -4,9 +4,12 @@
 //! The construction applies Generalized Lattice Agreement to the power
 //! set of update commands: replicas run GWTS over commands; an `update`
 //! submits a command to `f + 1` replicas and completes once `f + 1`
-//! replicas report a decision containing it; a `read` is an update of a
-//! unique `nop` followed by a *confirmation* round proving the returned
-//! set was really decided (Algorithms 5–7).
+//! distinct replicas name it back as committed, each once a decision of
+//! its own holds it (the command, not the decided set: see "What an
+//! update is told" in [`replica`]); a `read` is an update of a unique
+//! `nop`, answered with the decided sets that hold it, followed by a
+//! *confirmation* round proving the returned set was really decided
+//! (Algorithms 5–7).
 //!
 //! Guarantees (Theorem 6): liveness, read validity, read consistency,
 //! read monotonicity, update stability, update visibility — all

@@ -1,5 +1,31 @@
 //! The RSM replica: a GWTS participant plus the client-facing interface
 //! and the confirmation plug-in of Algorithm 7.
+//!
+//! # What an update is told
+//!
+//! Alg. 5 completes an update once `f + 1` replicas report
+//! `<decide, Accepted_set, replica>` with its command in the set. Here a
+//! replica reports an update command by naming it
+//! ([`RsmMsg::Committed`]) and keeps the decided set for the `nop` of a
+//! read ([`RsmMsg::Decide`]), whose value that set is. The reply to an
+//! update costs the command's bytes, not the history's.
+//!
+//! * *Assumption.* The update client only ever read `cmd ∈ set` from the
+//!   reply. A Byzantine replica could always send some set that contains
+//!   `cmd`, so the set was never more evidence than the replica's word.
+//!   Any `f + 1` distinct replicas naming `cmd` still include a correct
+//!   one, whose decision holds `cmd`; that is all Update Stability and
+//!   Update Visibility (Theorem 6) use.
+//! * *Guard.* `Replica::reply` picks the reply by `Cmd::is_nop`, for the
+//!   subscribed clients of a fresh decision and for the already-decided
+//!   fast path of `NewValue` alike; `WorkloadClient`'s update phase
+//!   counts distinct replicas that name its exact command and nothing
+//!   else.
+//! * *Tests.* `update_reply_is_the_same_size_at_any_history`,
+//!   `new_value_answers_with_the_first_decision_holding_it` (unit);
+//!   `client.rs`'s phase tests; `rsm_e2e.rs`'s
+//!   `a_premature_committed_is_one_voice_of_f_plus_one`, where a
+//!   Byzantine replica names every command before it is decided.
 
 use crate::cmd::Cmd;
 use bgla_codec::{CodecError, Reader, Wire, Writer};
@@ -18,13 +44,16 @@ pub enum RsmMsg {
     /// Client → replica: submit a command (Alg. 5 line 3 / Alg. 6
     /// line 3).
     NewValue(Cmd),
-    /// Replica → client: a decision containing one of the client's
-    /// pending commands (`<decide, Accepted_set, replica>`).
+    /// Replica → client: a decision containing the `nop` of the client's
+    /// pending read (`<decide, Accepted_set, replica>`).
     Decide(ValueSet<Cmd>),
     /// Client → replica: confirm that a set was decided (Alg. 6 line 8).
     CnfReq(ValueSet<Cmd>),
     /// Replica → client: confirmation (Alg. 7 line 5).
     CnfRep(ValueSet<Cmd>),
+    /// Replica → client: a decision holds this pending update command
+    /// (see "What an update is told" in the module doc).
+    Committed(Cmd),
 }
 
 impl WireMessage for RsmMsg {
@@ -35,6 +64,7 @@ impl WireMessage for RsmMsg {
             RsmMsg::Decide(_) => "decide",
             RsmMsg::CnfReq(_) => "cnf_req",
             RsmMsg::CnfRep(_) => "cnf_rep",
+            RsmMsg::Committed(_) => "committed",
         }
     }
 }
@@ -62,6 +92,10 @@ impl Wire for RsmMsg {
                 w.u8(4);
                 s.encode(w);
             }
+            RsmMsg::Committed(c) => {
+                w.u8(5);
+                c.encode(w);
+            }
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -71,6 +105,7 @@ impl Wire for RsmMsg {
             2 => Ok(RsmMsg::Decide(Wire::decode(r)?)),
             3 => Ok(RsmMsg::CnfReq(Wire::decode(r)?)),
             4 => Ok(RsmMsg::CnfRep(Wire::decode(r)?)),
+            5 => Ok(RsmMsg::Committed(Wire::decode(r)?)),
             _ => Err(CodecError::Invalid("rsm msg tag")),
         }
     }
@@ -134,6 +169,17 @@ impl Replica {
         self.after_inner(ctx);
     }
 
+    /// The reply to a client whose command `cmd` the decision `decided`
+    /// holds: a read's `nop` gets the set, which is the read's value; an
+    /// update gets its command back.
+    fn reply(cmd: &Cmd, decided: &ValueSet<Cmd>) -> RsmMsg {
+        if cmd.is_nop() {
+            RsmMsg::Decide(decided.clone())
+        } else {
+            RsmMsg::Committed(cmd.clone())
+        }
+    }
+
     /// Post-event hook: notify clients of fresh decisions, answer
     /// pending confirmations.
     fn after_inner(&mut self, ctx: &mut Context<RsmMsg>) {
@@ -151,7 +197,7 @@ impl Replica {
             for cmd in satisfied {
                 if let Some(clients) = self.pending_notify.remove(&cmd) {
                     for client in clients {
-                        ctx.send(client, RsmMsg::Decide(decision.clone()));
+                        ctx.send(client, Self::reply(&cmd, &decision));
                     }
                 }
             }
@@ -189,14 +235,14 @@ impl Process<RsmMsg> for Replica {
                 if !(self.validator)(&cmd) {
                     return; // not an element of the lattice: discard
                 }
-                // If already decided, answer immediately with the first
+                // If already decided, answer immediately as of the first
                 // decision holding it; else submit and subscribe the
                 // client. Decisions form a ⊆-chain, so once one holds
                 // `cmd` every later one does.
                 let decisions = &self.inner.decisions;
                 let first = decisions.partition_point(|d| !d.contains(&cmd));
                 if let Some(d) = decisions.get(first) {
-                    ctx.send(from, RsmMsg::Decide(d.clone()));
+                    ctx.send(from, Self::reply(&cmd, d));
                     return;
                 }
                 self.pending_notify
@@ -212,7 +258,7 @@ impl Process<RsmMsg> for Replica {
             }
             // Replies are for clients; a replica receiving them (e.g.
             // from a confused/Byzantine peer) ignores them.
-            RsmMsg::Decide(_) | RsmMsg::CnfRep(_) => {}
+            RsmMsg::Decide(_) | RsmMsg::CnfRep(_) | RsmMsg::Committed(_) => {}
         }
     }
 
@@ -252,6 +298,7 @@ mod tests {
             RsmMsg::Decide(cmds.clone()),
             RsmMsg::CnfReq(ValueSet::new()),
             RsmMsg::CnfRep(cmds),
+            RsmMsg::Committed(Cmd::new(300, 70_000, Op::Put("y".repeat(130)))),
         ]
     }
 
@@ -274,7 +321,7 @@ mod tests {
                 Err(CodecError::TrailingBytes)
             );
             bytes.pop();
-            bytes[0] = 5;
+            bytes[0] = 6;
             assert_eq!(
                 decode_payload::<RsmMsg>(&bytes),
                 Err(CodecError::Invalid("rsm msg tag"))
@@ -317,21 +364,30 @@ mod tests {
         assert_eq!(r.inner.state(), GwtsState::Disclosing);
     }
 
-    /// A command is answered with the first decision of the chain that
-    /// holds it; one no decision holds is submitted.
+    /// A decided command is answered at once: a read's `nop` with the
+    /// first decision of the chain that holds it, an update with its
+    /// command. One no decision holds is submitted.
     #[test]
     fn new_value_answers_with_the_first_decision_holding_it() {
         let config = SystemConfig::new(4, 1);
         let mut r = Replica::new(0, config, 4);
-        let cmds: Vec<Cmd> = (0..6).map(|i| Cmd::new(1, i, Op::Add(i))).collect();
+        let cmds: Vec<Cmd> = (0..6)
+            .map(|i| match i % 2 {
+                0 => Cmd::new(1, i, Op::Add(i)),
+                _ => Cmd::nop(1, i),
+            })
+            .collect();
         for k in 1..=4 {
             r.inner.decisions.push(cmds[..k].iter().cloned().collect());
         }
         for (k, cmd) in cmds.iter().take(4).enumerate() {
             let mut ctx = Context::for_embedding(0, 6, 0, 0);
             r.on_message(5, RsmMsg::NewValue(cmd.clone()), &mut ctx);
-            let first = r.inner.decisions[k].clone();
-            assert_eq!(ctx.take_outbox(), vec![(5, RsmMsg::Decide(first))]);
+            let reply = match cmd.is_nop() {
+                true => RsmMsg::Decide(r.inner.decisions[k].clone()),
+                false => RsmMsg::Committed(cmd.clone()),
+            };
+            assert_eq!(ctx.take_outbox(), vec![(5, reply)]);
         }
         assert!(r.pending_notify.is_empty());
         let undecided = cmds[5].clone();
@@ -339,6 +395,33 @@ mod tests {
         r.on_message(5, RsmMsg::NewValue(undecided.clone()), &mut ctx);
         assert!(r.pending_notify.contains_key(&undecided));
         assert_eq!(r.inner.all_inputs, vec![undecided]);
+    }
+
+    /// The replies to an update — from a fresh decision and from the
+    /// decided fast path — are as long with 10 000 decided commands as
+    /// with one.
+    #[test]
+    fn update_reply_is_the_same_size_at_any_history() {
+        let cmd = Cmd::new(7, 3, Op::Add(9));
+        let replies = |history: u64| -> Vec<usize> {
+            let decided: ValueSet<Cmd> = (1..history)
+                .map(|i| Cmd::new(1, i, Op::Add(i)))
+                .chain([cmd.clone()])
+                .collect();
+            assert_eq!(decided.len() as u64, history);
+            let mut r = Replica::new(0, SystemConfig::new(4, 1), 4);
+            let mut ctx = Context::for_embedding(0, 6, 0, 0);
+            r.pending_notify.entry(cmd.clone()).or_default().insert(5);
+            r.inner.decisions.push(decided);
+            r.after_inner(&mut ctx);
+            r.on_message(5, RsmMsg::NewValue(cmd.clone()), &mut ctx);
+            let outbox = ctx.take_outbox();
+            assert_eq!(outbox.len(), 2);
+            outbox.iter().map(|(_, m)| m.wire_size()).collect()
+        };
+        let short = replies(1);
+        assert_eq!(short[0], short[1]);
+        assert_eq!(replies(10_000), short);
     }
 
     #[test]

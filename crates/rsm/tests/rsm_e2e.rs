@@ -3,7 +3,7 @@
 
 use bgla_core::SystemConfig;
 use bgla_rsm::checks;
-use bgla_rsm::client::{GarbageClient, PipeliningClient, StingyClient};
+use bgla_rsm::client::{GarbageClient, OpResult, PipeliningClient, StingyClient};
 use bgla_rsm::{ClientOp, Cmd, CounterState, Op, Replica, RsmMsg, WorkloadClient};
 use bgla_simnet::{
     FifoScheduler, Process, RandomScheduler, Scheduler, Simulation, SimulationBuilder,
@@ -290,4 +290,122 @@ fn reads_are_confirmed_after_their_round_was_pruned() {
     // The answer keeps no round: the ack history never holds more than a
     // handful of sets, at 16 ops a client (debug) as at 100 (release).
     assert!(retained.iter().all(|len| *len <= 6), "{retained:?}");
+}
+
+/// Byzantine replica: an honest replica underneath, which also names every
+/// command it is sent as committed at once, before any decision holds it.
+struct PrematureReplica(Replica);
+
+impl Process<RsmMsg> for PrematureReplica {
+    fn on_start(&mut self, ctx: &mut bgla_simnet::Context<RsmMsg>) {
+        self.0.on_start(ctx);
+    }
+    fn on_message(&mut self, from: usize, msg: RsmMsg, ctx: &mut bgla_simnet::Context<RsmMsg>) {
+        if let RsmMsg::NewValue(cmd) = &msg {
+            ctx.send(from, RsmMsg::Committed(cmd.clone()));
+        }
+        self.0.on_message(from, msg, ctx);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// An honest client that logs which replicas named which command.
+struct Listener {
+    client: WorkloadClient,
+    committed: Vec<(usize, Cmd)>,
+}
+
+impl Process<RsmMsg> for Listener {
+    fn on_start(&mut self, ctx: &mut bgla_simnet::Context<RsmMsg>) {
+        self.client.on_start(ctx);
+    }
+    fn on_message(&mut self, from: usize, msg: RsmMsg, ctx: &mut bgla_simnet::Context<RsmMsg>) {
+        if let RsmMsg::Committed(cmd) = &msg {
+            self.committed.push((from, cmd.clone()));
+        }
+        self.client.on_message(from, msg, ctx);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// A `Committed` from a Byzantine replica is one of the `f + 1` voices an
+/// update needs, never all of them: with replica 0 naming every command
+/// before it is decided, and clients submitting to replicas {0, 1}, each
+/// update completes only once replica 1 has named it too, and by then an
+/// honest replica's decision holds it.
+#[test]
+fn a_premature_committed_is_one_voice_of_f_plus_one() {
+    let (n, f) = (4, 1);
+    let config = SystemConfig::new(n, f);
+    let mut lies_first = 0;
+    for seed in 0..8 {
+        let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
+        b = b.add(Box::new(PrematureReplica(Replica::new(
+            0, config, MAX_ROUNDS,
+        ))));
+        for i in 1..n {
+            b = b.add(Box::new(Replica::new(i, config, MAX_ROUNDS)));
+        }
+        for id in 1..=3u64 {
+            let script = vec![
+                ClientOp::Update(Op::Add(id)),
+                ClientOp::Read,
+                ClientOp::Update(Op::Add(10 * id)),
+                ClientOp::Read,
+            ];
+            b = b.add(Box::new(Listener {
+                client: WorkloadClient::new(id, n, f, script),
+                committed: Vec::new(),
+            }));
+        }
+        let mut sim = b.build();
+        sim.start();
+        let listeners = n..n + 3;
+        let mut seen = [0; 3];
+        while sim.step() {
+            for (k, id) in listeners.clone().enumerate() {
+                let l = sim.process_as::<Listener>(id).unwrap();
+                for result in &l.client.results[seen[k]..] {
+                    let OpResult::Updated(cmd) = result else {
+                        continue;
+                    };
+                    let by = |r| {
+                        l.committed
+                            .iter()
+                            .position(|(from, c)| *from == r && c == cmd)
+                    };
+                    let honest = by(1).unwrap_or_else(|| {
+                        panic!("seed {seed}: {cmd:?} completed before replica 1 named it")
+                    });
+                    lies_first += usize::from(by(0).is_some_and(|lie| lie < honest));
+                    let decided = (1..n).any(|i| {
+                        let r = sim.process_as::<Replica>(i).unwrap();
+                        r.inner.decisions.iter().any(|d| d.contains(cmd))
+                    });
+                    assert!(decided, "seed {seed}: {cmd:?} in no honest decision");
+                }
+                seen[k] = l.client.results.len();
+            }
+        }
+        let done: Vec<WorkloadClient> = listeners
+            .map(|id| {
+                let l = sim.process_as::<Listener>(id).unwrap();
+                let mut copy = WorkloadClient::new(l.client.client_id, 0, 0, vec![]);
+                copy.results = l.client.results.clone();
+                assert!(
+                    l.client.finished(),
+                    "seed {seed}: client {id} never finished"
+                );
+                copy
+            })
+            .collect();
+        let refs: Vec<&WorkloadClient> = done.iter().collect();
+        checks::check_all(&refs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+    // The lie does arrive ahead of the honest reply, and is not enough.
+    assert!(lies_first > 0);
 }

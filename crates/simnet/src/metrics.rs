@@ -120,8 +120,9 @@ impl Metrics {
         set.iter().map(|&p| self.sent_by[p]).sum()
     }
 
-    /// Folds another run's accounting into this one — used by the
-    /// sharded experiment driver to aggregate per-seed runs. Runs with
+    /// Folds another run's accounting into this one — used by
+    /// `TcpRuntime::metrics_snapshot` to fold its nodes' counters into one,
+    /// and by the `e2e` benchmark to pool its per-trial runs. Runs with
     /// different process counts are aligned by index.
     pub fn merge(&mut self, other: &Metrics) {
         if other.sent_by.len() > self.sent_by.len() {
@@ -179,8 +180,8 @@ mod tests {
     }
 
     /// Merging is associative and the empty Metrics is the identity —
-    /// what lets the sharded driver fold per-cell results in any
-    /// grouping.
+    /// what lets the TCP runtime fold per-node counters, and the `e2e`
+    /// benchmark per-trial runs, in any grouping.
     #[test]
     fn merge_is_associative_with_identity() {
         let mk = |from: usize, bytes: usize, delivered: u64| {
