@@ -77,8 +77,10 @@
 use std::fmt;
 
 /// Current frame format version. Bump on any incompatible layout
-/// change; decoders reject other versions as [`CodecError::BadVersion`].
-pub const FRAME_VERSION: u16 = 7;
+/// change, or when what a stored signature covers changes (8: signed
+/// records sign their own encoding); decoders reject other versions as
+/// [`CodecError::BadVersion`].
+pub const FRAME_VERSION: u16 = 8;
 
 /// The 4-byte frame magic.
 pub const FRAME_MAGIC: [u8; 4] = *b"BGLA";

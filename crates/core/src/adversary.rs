@@ -731,7 +731,7 @@ pub mod sbs {
     use crate::proof::{Proof, ProofAck};
     use crate::provendelta::ProvenUpdate;
     use crate::sbs::{ProvenValue, SafeAckBody, SbsMsg, SignedSafeAck, SignedValue};
-    use crate::value::SignableValue;
+    use crate::value::Value;
     use crate::valueset::ValueSet;
     use bgla_crypto::{Keypair, ProofIdBuilder};
     use bgla_simnet::{Context, Process, ProcessId};
@@ -739,7 +739,7 @@ pub mod sbs {
 
     /// Signs two different values and shows one to each half of the
     /// system — Lemma 13's threat: at most one may ever become safe.
-    pub struct ConflictSigner<V: SignableValue> {
+    pub struct ConflictSigner<V: Value> {
         /// This adversary's process id (it signs with its real key —
         /// it cannot forge anyone else's).
         pub me: ProcessId,
@@ -749,7 +749,7 @@ pub mod sbs {
         pub b: V,
     }
 
-    impl<V: SignableValue> Process<SbsMsg<V>> for ConflictSigner<V> {
+    impl<V: Value> Process<SbsMsg<V>> for ConflictSigner<V> {
         fn on_start(&mut self, ctx: &mut Context<SbsMsg<V>>) {
             let kp = Keypair::for_process(self.me);
             let sva = SignedValue::sign(self.a.clone(), self.me, &kp);
@@ -775,14 +775,14 @@ pub mod sbs {
     /// Tries to push proposals carrying *forged* proofs of safety:
     /// undersized quorums, self-duplicated acks, and acks that never
     /// covered the value. `AllSafe` must reject every one.
-    pub struct ProofForger<V: SignableValue> {
+    pub struct ProofForger<V: Value> {
         /// The adversary's id.
         pub me: ProcessId,
         /// The value it tries to sneak in.
         pub value: V,
     }
 
-    impl<V: SignableValue> Process<SbsMsg<V>> for ProofForger<V> {
+    impl<V: Value> Process<SbsMsg<V>> for ProofForger<V> {
         fn on_start(&mut self, ctx: &mut Context<SbsMsg<V>>) {
             let kp = Keypair::for_process(self.me);
             let sv = SignedValue::sign(self.value.clone(), self.me, &kp);
@@ -843,7 +843,7 @@ pub mod sbs {
     /// (of forged content — `AllSafe` rejects it), exercising the
     /// fallback end-to-end. Its nacks delta-gap too, which proposers
     /// must treat as Byzantine without stalling.
-    pub struct BogusRefSender<V: SignableValue> {
+    pub struct BogusRefSender<V: Value> {
         /// The adversary's id (it signs with its real key).
         pub me: ProcessId,
         /// The value its forged payloads carry.
@@ -852,7 +852,7 @@ pub mod sbs {
         pub resyncs_seen: u64,
     }
 
-    impl<V: SignableValue> BogusRefSender<V> {
+    impl<V: Value> BogusRefSender<V> {
         /// Creates the adversary.
         pub fn new(me: ProcessId, value: V) -> Self {
             BogusRefSender {
@@ -881,7 +881,7 @@ pub mod sbs {
         }
     }
 
-    impl<V: SignableValue> Process<SbsMsg<V>> for BogusRefSender<V> {
+    impl<V: Value> Process<SbsMsg<V>> for BogusRefSender<V> {
         fn on_start(&mut self, ctx: &mut Context<SbsMsg<V>>) {
             let forged = self.forged_set();
             let forged_id = forged.iter().next().expect("one record").proof.id();
@@ -954,14 +954,14 @@ pub mod sbs {
     /// ([`crate::held`]); the batch then fails, and the fallback must drop
     /// exactly these records, flag the forger before `Proposing` and
     /// answer the duplicate from the verifier's cache.
-    pub struct SigForger<V: SignableValue> {
+    pub struct SigForger<V: Value> {
         /// The adversary's id (the records carry it as their signer).
         pub me: ProcessId,
         /// The value its forged init carries.
         pub value: V,
     }
 
-    impl<V: SignableValue> Process<SbsMsg<V>> for SigForger<V> {
+    impl<V: Value> Process<SbsMsg<V>> for SigForger<V> {
         fn on_start(&mut self, ctx: &mut Context<SbsMsg<V>>) {
             let mut sv =
                 SignedValue::sign(self.value.clone(), self.me, &Keypair::for_process(self.me));
@@ -1004,7 +1004,7 @@ pub mod sbs {
         pub me: ProcessId,
     }
 
-    impl<V: SignableValue> Process<SbsMsg<V>> for WrongEcho {
+    impl<V: Value> Process<SbsMsg<V>> for WrongEcho {
         fn on_message(&mut self, from: ProcessId, msg: SbsMsg<V>, ctx: &mut Context<SbsMsg<V>>) {
             if from == ctx.me {
                 return;
@@ -1041,7 +1041,7 @@ pub mod sbs {
         }
     }
 
-    impl<V: SignableValue> Process<SbsMsg<V>> for SilentS<V> {
+    impl<V: Value> Process<SbsMsg<V>> for SilentS<V> {
         fn on_message(&mut self, _f: ProcessId, _m: SbsMsg<V>, _c: &mut Context<SbsMsg<V>>) {}
         fn as_any(&self) -> &dyn Any {
             self
@@ -1051,12 +1051,12 @@ pub mod sbs {
 
 /// GSbS-specific adversaries (Section 8.2).
 pub mod gsbs {
-    use crate::gsbs::{digest_values, GSafeAck, GsbsMsg, ProvenBatch, SignedAck, SignedBatch};
+    use crate::gsbs::{GSafeAck, GsbsMsg, ProvenBatch, SignedAck, SignedBatch};
     use crate::proof::{Proof, ProofAck};
     use crate::provendelta::ProvenUpdate;
-    use crate::value::SignableValue;
+    use crate::value::Value;
     use crate::valueset::ValueSet;
-    use bgla_crypto::{Keypair, ProofIdBuilder};
+    use bgla_crypto::{digest, Keypair, ProofIdBuilder};
     use bgla_simnet::{Context, Process, ProcessId};
     use std::any::Any;
     use std::collections::BTreeSet;
@@ -1070,7 +1070,7 @@ pub mod gsbs {
     /// ([`crate::held`]); the batch then fails, and the fallback must drop
     /// exactly these records and answer the duplicate from the
     /// verifier's cache.
-    pub struct SigForger<V: SignableValue> {
+    pub struct SigForger<V: Value> {
         /// The adversary's id (the records carry it as their signer).
         pub me: ProcessId,
         /// The value its forged batches carry.
@@ -1079,7 +1079,7 @@ pub mod gsbs {
         inits_sent: BTreeSet<u64>,
     }
 
-    impl<V: SignableValue> SigForger<V> {
+    impl<V: Value> SigForger<V> {
         /// Creates the adversary.
         pub fn new(me: ProcessId, value: V) -> Self {
             SigForger {
@@ -1108,7 +1108,7 @@ pub mod gsbs {
         }
     }
 
-    impl<V: SignableValue> Process<GsbsMsg<V>> for SigForger<V> {
+    impl<V: Value> Process<GsbsMsg<V>> for SigForger<V> {
         fn on_start(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
             self.forge_init(0, ctx);
             self.forge_init(1, ctx);
@@ -1138,7 +1138,7 @@ pub mod gsbs {
                         .records()
                         .flat_map(|(sb, _)| sb.batch.iter().cloned())
                         .collect();
-                    let digest = digest_values(&values);
+                    let digest = digest(&values);
                     let mut ack = SignedAck::sign(from, ts, round, digest, self.me, &kp);
                     super::corrupt(&mut ack.sig);
                     Self::send_twice(ctx, from, GsbsMsg::Ack(ack));
@@ -1166,7 +1166,7 @@ pub mod gsbs {
         pub me: ProcessId,
     }
 
-    impl<V: SignableValue> Process<GsbsMsg<V>> for WrongEcho {
+    impl<V: Value> Process<GsbsMsg<V>> for WrongEcho {
         fn on_message(&mut self, from: ProcessId, msg: GsbsMsg<V>, ctx: &mut Context<GsbsMsg<V>>) {
             if from == ctx.me {
                 return;
@@ -1192,7 +1192,7 @@ pub mod gsbs {
     /// unresolvable proof references and bases, nacks that delta-gap at
     /// the proposer, and `Full` (forged, `AllSafe`-rejected) answers to
     /// the resync requests it provokes.
-    pub struct BogusRefSender<V: SignableValue> {
+    pub struct BogusRefSender<V: Value> {
         /// The adversary's id (it signs with its real key).
         pub me: ProcessId,
         /// A value its forged batches carry.
@@ -1201,7 +1201,7 @@ pub mod gsbs {
         pub resyncs_seen: u64,
     }
 
-    impl<V: SignableValue> BogusRefSender<V> {
+    impl<V: Value> BogusRefSender<V> {
         /// Creates the adversary.
         pub fn new(me: ProcessId, value: V) -> Self {
             BogusRefSender {
@@ -1226,7 +1226,7 @@ pub mod gsbs {
         }
     }
 
-    impl<V: SignableValue> Process<GsbsMsg<V>> for BogusRefSender<V> {
+    impl<V: Value> Process<GsbsMsg<V>> for BogusRefSender<V> {
         fn on_start(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
             let forged = self.forged_set(0);
             let forged_id = forged.iter().next().expect("one record").proof.id();

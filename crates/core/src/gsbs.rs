@@ -74,9 +74,25 @@
 //! keeps its digest, which lets the proposer refuse an ack over another
 //! proposal before any signature check.
 //!
-//! What is signed, hashed and verified does not change: the echo is
-//! inside every signature and every [`ProofId`], and the digest inside
-//! every ack's signature.
+//! None of this changes what is signed, hashed and verified: the echo is
+//! inside every safe-ack's signature and every [`ProofId`], and the
+//! digest inside every ack's signature.
+//!
+//! # What is signed
+//!
+//! Each signed record — [`SignedBatch`], [`GSafeAck`], [`SignedAck`] —
+//! signs its domain tag followed by its own `Wire` encoding without the
+//! trailing signature ([`crate::held::Signed`]). A safe-ack's encoding
+//! is its echo followed by its reply, so its signature covers every
+//! echoed and conflicting batch in full: round, values, signer and
+//! signature. A [`ProofId`] hashes each ack's encoding, and an ack's
+//! [`Digest`] is [`bgla_crypto::digest`] of the proposal's value set.
+//! One encoding thus serves what travels, what is metered, what is
+//! signed and what is hashed. The wire forms that leave a part out (a
+//! reply without its echo, a certificate's acks without their digest)
+//! are rebuilt into the full record before anything is verified, and
+//! verification re-encodes that record rather than trusting the
+//! received bytes.
 //!
 //! # Verify at quorum (this implementation)
 //!
@@ -116,7 +132,7 @@
 //! cases at most one of the signer's batches can become safe.
 
 use crate::config::SystemConfig;
-use crate::held::{self, hold, verify_held, Held};
+use crate::held::{self, hold, verify_held, Signed, UNSIGNED};
 use crate::proof::{
     echoing, encode_reply_fields, remove_conflicts, replies, return_conflicts, Conflicting, Proof,
     ProofAck,
@@ -124,105 +140,69 @@ use crate::proof::{
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
 };
-use crate::value::SignableValue;
+use crate::value::Value;
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
-    sha512, CachedVerifier, Keypair, Keyring, Obligation, ProofCache, ProofId, ProofResolver,
-    Signature, ToBytes, VerifierStats,
+    digest, CachedVerifier, Digest, Keypair, Keyring, Obligation, ProofCache, ProofId,
+    ProofResolver, Signature, VerifierStats,
 };
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
 // bgla-lint: allow(determinism, "HashSet used membership-only in all_safe; iteration order never observed")
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-const BATCH_DOMAIN: &[u8] = b"bgla-gsbs-batch:";
-const SAFEACK_DOMAIN: &[u8] = b"bgla-gsbs-safeack:";
-const ACK_DOMAIN: &[u8] = b"bgla-gsbs-ack:";
-
-/// Digest of a proposal's value set (binds signed acks to contents).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Digest(pub [u8; 64]);
-
-/// Digest of a set of values under the canonical encoding.
-pub fn digest_values<V: SignableValue>(values: &ValueSet<V>) -> Digest {
-    let mut bytes = Vec::new();
-    (values.len() as u64).write_bytes(&mut bytes);
-    for v in values {
-        v.write_bytes(&mut bytes);
-    }
-    Digest(sha512(&bytes))
-}
-
 /// A proposer-signed round batch.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SignedBatch<V: SignableValue> {
+pub struct SignedBatch<V: Value> {
     /// Round the batch belongs to.
     pub round: u64,
     /// The batched input values.
     pub batch: ValueSet<V>,
     /// Signing proposer.
     pub signer: ProcessId,
-    /// Signature over (round, batch).
+    /// Signature over (round, batch, signer).
     pub sig: Signature,
 }
 
-impl<V: SignableValue> SignedBatch<V> {
-    fn signable_bytes(round: u64, batch: &ValueSet<V>, signer: ProcessId) -> Vec<u8> {
-        let mut out = BATCH_DOMAIN.to_vec();
-        round.write_bytes(&mut out);
-        (signer as u64).write_bytes(&mut out);
-        (batch.len() as u64).write_bytes(&mut out);
-        for v in batch {
-            v.write_bytes(&mut out);
-        }
-        out
-    }
-
+impl<V: Value> SignedBatch<V> {
     /// Signs a round batch.
     pub fn sign(round: u64, batch: ValueSet<V>, signer: ProcessId, kp: &Keypair) -> Self {
-        let sig = kp.sign(&Self::signable_bytes(round, &batch, signer));
-        SignedBatch {
+        let mut sb = SignedBatch {
             round,
             batch,
             signer,
-            sig,
-        }
-    }
-
-    /// The proposer's signature as a verification obligation.
-    fn obligation(&self) -> Obligation {
-        (
-            self.signer,
-            Self::signable_bytes(self.round, &self.batch, self.signer),
-            self.sig,
-        )
+            sig: UNSIGNED,
+        };
+        sb.sig = kp.sign(&sb.signed_bytes());
+        sb
     }
 }
 
-impl<V: SignableValue> Held for SignedBatch<V> {
+impl<V: Value> Signed for SignedBatch<V> {
+    const DOMAIN: &'static [u8] = b"bgla-gsbs-batch:";
     fn signer(&self) -> ProcessId {
         self.signer
     }
-    fn obligations(&self) -> Vec<Obligation> {
-        vec![self.obligation()]
+    fn sig(&self) -> &Signature {
+        &self.sig
     }
 }
 
-impl<V: SignableValue> Conflicting for SignedBatch<V> {
+impl<V: Value> Conflicting for SignedBatch<V> {
     /// Same signer + round but different batch contents.
     fn conflicts_with(&self, other: &Self) -> bool {
         self.signer == other.signer && self.round == other.round && self.batch != other.batch
     }
 }
 
-impl<V: SignableValue> SetItem for SignedBatch<V> {
+impl<V: Value> SetItem for SignedBatch<V> {
     const EQ_IS_IDENTITY: bool = true;
 }
 
 /// Signed safetying reply for a round.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct GSafeAck<V: SignableValue> {
+pub struct GSafeAck<V: Value> {
     /// Round being safetied.
     pub round: u64,
     /// Echo of the request set.
@@ -235,45 +215,7 @@ pub struct GSafeAck<V: SignableValue> {
     pub sig: Signature,
 }
 
-impl<V: SignableValue> GSafeAck<V> {
-    /// Full canonical bytes of one echoed batch record: round, signer,
-    /// batch values and signature. Both the ack signature and the
-    /// [`ProofId`] digest must bind the *content* of every echoed
-    /// record, not just its signature bytes — otherwise a forged record
-    /// with swapped batch contents under the same sig bytes would
-    /// collide with an honest proof's id and inherit its cached verdict
-    /// (see the [`bgla_crypto::proofstore`] caching contract).
-    fn write_batch_record(out: &mut Vec<u8>, sb: &SignedBatch<V>) {
-        sb.round.write_bytes(out);
-        (sb.signer as u64).write_bytes(out);
-        (sb.batch.len() as u64).write_bytes(out);
-        for v in &sb.batch {
-            v.write_bytes(out);
-        }
-        out.extend_from_slice(&sb.sig.to_bytes());
-    }
-
-    fn signable_bytes(
-        round: u64,
-        rcvd: &ValueSet<SignedBatch<V>>,
-        conflicts: &[(SignedBatch<V>, SignedBatch<V>)],
-        signer: ProcessId,
-    ) -> Vec<u8> {
-        let mut out = SAFEACK_DOMAIN.to_vec();
-        round.write_bytes(&mut out);
-        (signer as u64).write_bytes(&mut out);
-        (rcvd.len() as u64).write_bytes(&mut out);
-        for sb in rcvd {
-            Self::write_batch_record(&mut out, sb);
-        }
-        (conflicts.len() as u64).write_bytes(&mut out);
-        for (a, b) in conflicts {
-            Self::write_batch_record(&mut out, a);
-            Self::write_batch_record(&mut out, b);
-        }
-        out
-    }
-
+impl<V: Value> GSafeAck<V> {
     /// Builds and signs a safe-ack.
     pub fn sign(
         round: u64,
@@ -282,34 +224,30 @@ impl<V: SignableValue> GSafeAck<V> {
         signer: ProcessId,
         kp: &Keypair,
     ) -> Self {
-        let sig = kp.sign(&Self::signable_bytes(round, &rcvd, &conflicts, signer));
-        GSafeAck {
+        let mut ack = GSafeAck {
             round,
             rcvd,
             conflicts,
             signer,
-            sig,
-        }
+            sig: UNSIGNED,
+        };
+        ack.sig = kp.sign(&ack.signed_bytes());
+        ack
     }
 
     /// Whether `sb` appears in a conflict pair.
     pub fn conflicted(&self, sb: &SignedBatch<V>) -> bool {
         self.conflicts.iter().any(|(a, b)| a == sb || b == sb)
     }
-
-    /// The acceptor's signature as a verification obligation.
-    fn obligation(&self) -> Obligation {
-        (
-            self.signer,
-            Self::signable_bytes(self.round, &self.rcvd, &self.conflicts, self.signer),
-            self.sig,
-        )
-    }
 }
 
-impl<V: SignableValue> Held for GSafeAck<V> {
+impl<V: Value> Signed for GSafeAck<V> {
+    const DOMAIN: &'static [u8] = b"bgla-gsbs-safeack:";
     fn signer(&self) -> ProcessId {
         self.signer
+    }
+    fn sig(&self) -> &Signature {
+        &self.sig
     }
     /// The ack's signature and those of both members of every conflict
     /// pair it reports (`VerifyConfPair`).
@@ -318,25 +256,16 @@ impl<V: SignableValue> Held for GSafeAck<V> {
             .conflicts
             .iter()
             .flat_map(|(a, b)| [a, b])
-            .map(SignedBatch::obligation)
+            .map(Signed::obligation)
             .collect();
         out.push(self.obligation());
         out
     }
 }
 
-impl<V: SignableValue> ProofAck for GSafeAck<V> {
+impl<V: Value> ProofAck for GSafeAck<V> {
     type Echoed = SignedBatch<V>;
     type Reply = GSafeAckReply<V>;
-    fn digest_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&GSafeAck::signable_bytes(
-            self.round,
-            &self.rcvd,
-            &self.conflicts,
-            self.signer,
-        ));
-        out.extend_from_slice(&self.sig.to_bytes());
-    }
     fn echo(&self) -> &ValueSet<SignedBatch<V>> {
         &self.rcvd
     }
@@ -365,7 +294,7 @@ impl<V: SignableValue> ProofAck for GSafeAck<V> {
 /// A safe-ack as it travels back to the proposer: everything but the
 /// echo, which is the proposer's own request (see the module docs).
 #[derive(Debug, Clone)]
-pub struct GSafeAckReply<V: SignableValue> {
+pub struct GSafeAckReply<V: Value> {
     /// Round being safetied.
     pub round: u64,
     /// Conflicts known to the acceptor.
@@ -383,36 +312,36 @@ pub type BatchProof<V> = Proof<GSafeAck<V>>;
 
 /// A batch with its quorum proof of safety.
 #[derive(Debug, Clone)]
-pub struct ProvenBatch<V: SignableValue> {
+pub struct ProvenBatch<V: Value> {
     /// The signed batch.
     pub sb: SignedBatch<V>,
     /// Quorum of safe-acks covering it.
     pub proof: BatchProof<V>,
 }
 
-impl<V: SignableValue> PartialEq for ProvenBatch<V> {
+impl<V: Value> PartialEq for ProvenBatch<V> {
     fn eq(&self, other: &Self) -> bool {
         self.sb == other.sb
     }
 }
-impl<V: SignableValue> Eq for ProvenBatch<V> {}
-impl<V: SignableValue> PartialOrd for ProvenBatch<V> {
+impl<V: Value> Eq for ProvenBatch<V> {}
+impl<V: Value> PartialOrd for ProvenBatch<V> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<V: SignableValue> Ord for ProvenBatch<V> {
+impl<V: Value> Ord for ProvenBatch<V> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.sb.cmp(&other.sb)
     }
 }
 
-impl<V: SignableValue> SetItem for ProvenBatch<V> {
+impl<V: Value> SetItem for ProvenBatch<V> {
     /// `==` ignores the proof: joins must keep our own handles.
     const EQ_IS_IDENTITY: bool = false;
 }
 
-impl<V: SignableValue> ProvenRecord for ProvenBatch<V> {
+impl<V: Value> ProvenRecord for ProvenBatch<V> {
     type Ack = GSafeAck<V>;
     type Value = V;
     type Signed = SignedBatch<V>;
@@ -449,22 +378,6 @@ pub struct SignedAck {
 }
 
 impl SignedAck {
-    fn signable_bytes(
-        destination: ProcessId,
-        ts: u64,
-        round: u64,
-        digest: &Digest,
-        signer: ProcessId,
-    ) -> Vec<u8> {
-        let mut out = ACK_DOMAIN.to_vec();
-        (destination as u64).write_bytes(&mut out);
-        ts.write_bytes(&mut out);
-        round.write_bytes(&mut out);
-        out.extend_from_slice(&digest.0);
-        (signer as u64).write_bytes(&mut out);
-        out
-    }
-
     /// Builds and signs an ack.
     pub fn sign(
         destination: ProcessId,
@@ -474,52 +387,33 @@ impl SignedAck {
         signer: ProcessId,
         kp: &Keypair,
     ) -> Self {
-        let sig = kp.sign(&Self::signable_bytes(
-            destination,
-            ts,
-            round,
-            &digest,
-            signer,
-        ));
-        SignedAck {
+        let mut ack = SignedAck {
             destination,
             ts,
             round,
             digest,
             signer,
-            sig,
-        }
-    }
-
-    /// The acceptor's signature as a verification obligation.
-    fn obligation(&self) -> Obligation {
-        (
-            self.signer,
-            Self::signable_bytes(
-                self.destination,
-                self.ts,
-                self.round,
-                &self.digest,
-                self.signer,
-            ),
-            self.sig,
-        )
+            sig: UNSIGNED,
+        };
+        ack.sig = kp.sign(&ack.signed_bytes());
+        ack
     }
 }
 
-impl Held for SignedAck {
+impl Signed for SignedAck {
+    const DOMAIN: &'static [u8] = b"bgla-gsbs-ack:";
     fn signer(&self) -> ProcessId {
         self.signer
     }
-    fn obligations(&self) -> Vec<Obligation> {
-        vec![self.obligation()]
+    fn sig(&self) -> &Signature {
+        &self.sig
     }
 }
 
 /// A transferable proof that round `round` legitimately ended with the
 /// given value set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecidedCert<V: SignableValue> {
+pub struct DecidedCert<V: Value> {
     /// The round that ended.
     pub round: u64,
     /// The committed value set.
@@ -528,7 +422,7 @@ pub struct DecidedCert<V: SignableValue> {
     pub acks: Vec<SignedAck>,
 }
 
-impl<V: SignableValue> DecidedCert<V> {
+impl<V: Value> DecidedCert<V> {
     /// Validates the certificate: quorum of valid acks from distinct
     /// acceptors over this round and the values' digest. Structural
     /// checks run first; the quorum's signatures then go through the
@@ -540,7 +434,7 @@ impl<V: SignableValue> DecidedCert<V> {
         if self.acks.len() < config.quorum() {
             return false;
         }
-        let digest = digest_values(&self.values);
+        let digest = digest(&self.values);
         let mut signers = BTreeSet::new();
         let structural = self
             .acks
@@ -549,14 +443,14 @@ impl<V: SignableValue> DecidedCert<V> {
         if !structural {
             return false;
         }
-        let obligations: Vec<Obligation> = self.acks.iter().map(SignedAck::obligation).collect();
+        let obligations: Vec<Obligation> = self.acks.iter().map(Signed::obligation).collect();
         verifier.verify_all(&obligations)
     }
 }
 
 /// GSbS wire messages.
 #[derive(Debug, Clone)]
-pub enum GsbsMsg<V: SignableValue> {
+pub enum GsbsMsg<V: Value> {
     /// Signed round batch, proposer → proposers.
     Init(SignedBatch<V>),
     /// Safetying request for one round.
@@ -605,7 +499,7 @@ pub enum GsbsMsg<V: SignableValue> {
     Decided(DecidedCert<V>),
 }
 
-impl<V: SignableValue> WireMessage for GsbsMsg<V> {
+impl<V: Value> WireMessage for GsbsMsg<V> {
     fn kind(&self) -> &'static str {
         match self {
             GsbsMsg::Init(_) => "init",
@@ -634,7 +528,7 @@ pub enum GsbsState {
 }
 
 /// A correct GSbS participant.
-pub struct GsbsProcess<V: SignableValue> {
+pub struct GsbsProcess<V: Value> {
     /// System parameters.
     pub config: SystemConfig,
     me: ProcessId,
@@ -718,7 +612,7 @@ pub struct GsbsProcess<V: SignableValue> {
     pub all_inputs: Vec<V>,
 }
 
-impl<V: SignableValue> GsbsProcess<V> {
+impl<V: Value> GsbsProcess<V> {
     /// Creates a participant with a per-round input schedule.
     pub fn new(
         me: ProcessId,
@@ -744,7 +638,7 @@ impl<V: SignableValue> GsbsProcess<V> {
             held_safe_acks: Vec::new(),
             current_safe_req: ValueSet::new(),
             proposed_set: Valued::default(),
-            proposal_digest: digest_values(&ValueSet::<V>::new()),
+            proposal_digest: digest(&ValueSet::<V>::new()),
             ack_certs: Vec::new(),
             held_acks: Vec::new(),
             safe_candidates: BTreeMap::new(),
@@ -970,7 +864,7 @@ impl<V: SignableValue> GsbsProcess<V> {
     /// `proposed_set` is followed by this call, so it is also where the
     /// proposal's digest is computed, once per `ts`.
     fn broadcast_proposal(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
-        self.proposal_digest = digest_values(self.proposed_set.values());
+        self.proposal_digest = digest(self.proposed_set.values());
         let proposed = self.proposed_set.records();
         self.delta_tx.record_broadcast(self.ts, proposed);
         let updates = self
@@ -1072,7 +966,7 @@ impl<V: SignableValue> GsbsProcess<V> {
                 self.delta_rx.record(from, *ts, &proposed);
                 let proposed = Valued::new(proposed);
                 if self.accepted_set.values().is_subset(proposed.values()) {
-                    let digest = digest_values(proposed.values());
+                    let digest = digest(proposed.values());
                     self.accepted_set = proposed;
                     let ack = SignedAck::sign(from, *ts, *round, digest, self.me, &self.keypair);
                     self.verifier.record_own(&ack.obligation());
@@ -1173,19 +1067,10 @@ impl<V: SignableValue> GsbsProcess<V> {
 /// `0x010A` layouts are retired (see [`crate::recovery`]).
 pub const GSBS_SNAPSHOT_KIND: u16 = 0x010C;
 
-impl Wire for Digest {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Digest(Wire::decode(r)?))
-    }
-}
-
 /// Codec forms carry signatures verbatim without verifying them —
 /// snapshots are checksummed local state, and every network consumption
 /// site re-verifies through the [`CachedVerifier`] anyway.
-impl<V: SignableValue> Wire for SignedBatch<V> {
+impl<V: Value> Wire for SignedBatch<V> {
     fn encode(&self, w: &mut Writer) {
         w.var(self.round);
         self.batch.encode(w);
@@ -1202,7 +1087,7 @@ impl<V: SignableValue> Wire for SignedBatch<V> {
     }
 }
 
-impl<V: SignableValue> Wire for GSafeAckReply<V> {
+impl<V: Value> Wire for GSafeAckReply<V> {
     fn encode(&self, w: &mut Writer) {
         encode_reply_fields(w, Some(self.round), &self.conflicts, self.signer, &self.sig);
     }
@@ -1216,7 +1101,24 @@ impl<V: SignableValue> Wire for GSafeAckReply<V> {
     }
 }
 
-impl<V: SignableValue> Wire for ProvenBatch<V> {
+/// Codec form: the echo, then the reply ([`GSafeAckReply`]'s form).
+impl<V: Value> Wire for GSafeAck<V> {
+    fn encode(&self, w: &mut Writer) {
+        self.rcvd.encode(w);
+        encode_reply_fields(w, Some(self.round), &self.conflicts, self.signer, &self.sig);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(GSafeAck {
+            rcvd: Wire::decode(r)?,
+            round: r.var()?,
+            conflicts: Wire::decode(r)?,
+            signer: r.usize()?,
+            sig: Signature::decode(r)?,
+        })
+    }
+}
+
+impl<V: Value> Wire for ProvenBatch<V> {
     fn encode(&self, w: &mut Writer) {
         self.sb.encode(w);
         self.proof.encode(w);
@@ -1251,11 +1153,11 @@ impl Wire for SignedAck {
 }
 
 /// Each ack is written without its digest: a well-formed certificate's
-/// acks all sign `digest_values(values)`, so decoding computes it once
+/// acks all sign `digest(values)`, so decoding computes it once
 /// and gives it to every ack. An ack that signed another digest then
 /// fails its signature check where it would have failed the digest
 /// comparison, at the cost of one signature batch.
-impl<V: SignableValue> Wire for DecidedCert<V> {
+impl<V: Value> Wire for DecidedCert<V> {
     fn encode(&self, w: &mut Writer) {
         w.var(self.round);
         self.values.encode(w);
@@ -1271,7 +1173,7 @@ impl<V: SignableValue> Wire for DecidedCert<V> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let round = r.var()?;
         let values = Wire::decode(r)?;
-        let digest = digest_values(&values);
+        let digest = digest(&values);
         let n = r.seq_len()?;
         let mut acks = Vec::with_capacity(n);
         for _ in 0..n {
@@ -1292,7 +1194,7 @@ impl<V: SignableValue> Wire for DecidedCert<V> {
     }
 }
 
-impl<V: SignableValue> Wire for GsbsMsg<V> {
+impl<V: Value> Wire for GsbsMsg<V> {
     fn encode(&self, w: &mut Writer) {
         match self {
             GsbsMsg::Init(sb) => {
@@ -1408,7 +1310,7 @@ impl Wire for GsbsState {
 /// [`ProofCache`] and the delta bookkeeping (fresh bookkeeping degrades
 /// to `Full` payloads until peers reply again; the `Resync` fallback
 /// covers peers' stale claims about *us*).
-impl<V: SignableValue> Wire for GsbsProcess<V> {
+impl<V: Value> Wire for GsbsProcess<V> {
     fn encode(&self, w: &mut Writer) {
         self.config.encode(w);
         w.usize(self.me);
@@ -1523,7 +1425,7 @@ impl<V: SignableValue> Wire for GsbsProcess<V> {
     }
 }
 
-impl<V: SignableValue> GsbsProcess<V> {
+impl<V: Value> GsbsProcess<V> {
     /// Serializes the durable state as a checksummed
     /// [`GSBS_SNAPSHOT_KIND`] frame.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
@@ -1537,7 +1439,7 @@ impl<V: SignableValue> GsbsProcess<V> {
     }
 }
 
-impl<V: SignableValue> Process<GsbsMsg<V>> for GsbsProcess<V> {
+impl<V: Value> Process<GsbsMsg<V>> for GsbsProcess<V> {
     fn on_start(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
         if self.recovered {
             // Recovery boot: re-solicit the replies the crash swept
@@ -1880,7 +1782,7 @@ mod tests {
         let config = SystemConfig::new(4, 1);
         let mut verifier = CachedVerifier::new(Keyring::for_system(4));
         let values: ValueSet<u64> = [1, 2].into_iter().collect();
-        let digest = digest_values(&values);
+        let digest = digest(&values);
         let acks: Vec<SignedAck> = (0..3)
             .map(|i| SignedAck::sign(0, 1, 0, digest, i, &Keypair::for_process(i)))
             .collect();

@@ -16,7 +16,7 @@
 //!   decision (provided Local Stability is preserved), and acceptors can
 //!   advance `Safe_r` consistently.
 //!
-//! Interpretation note (documented in DESIGN.md): the paper writes the
+//! Interpretation note: the paper writes the
 //! proposer `SAFE` check as `⊆ SvS[r]`; since `Proposed_set` accumulates
 //! values from *all* earlier rounds, `SvS[r]` must be read cumulatively —
 //! the proof of Theorem 4 indeed works with `W_r = ∪_{r'≤r} SvS[r']`.

@@ -9,7 +9,7 @@ use crate::gwts::{GwtsMsg, GwtsProcess};
 use crate::linearize::{OP_DECIDE, OP_PROPOSE, OP_REFINE, OP_RESTART};
 use crate::sbs::{SbsMsg, SbsProcess};
 use crate::search::Observer;
-use crate::value::{SignableValue, Value};
+use crate::value::Value;
 use crate::valueset::ValueSet;
 use crate::wts::{WtsMsg, WtsProcess};
 use bgla_simnet::{
@@ -66,7 +66,7 @@ pub fn wts_system_with_adversaries<V: Value>(
 
 /// Builds an all-correct SbS system of `n` processes (mirror of
 /// [`wts_system`] for the signature algorithm).
-pub fn sbs_system<V: crate::value::SignableValue>(
+pub fn sbs_system<V: crate::value::Value>(
     n: usize,
     f: usize,
     input: impl Fn(usize) -> V,
@@ -99,7 +99,7 @@ pub fn gwts_system<V: Value>(
 
 /// Builds an all-correct GSbS system (mirror of [`gwts_system`] for the
 /// generalized signature algorithm).
-pub fn gsbs_system<V: crate::value::SignableValue>(
+pub fn gsbs_system<V: crate::value::Value>(
     n: usize,
     f: usize,
     rounds: u64,
@@ -221,7 +221,7 @@ impl<V: Value> OneShotState<V> for WtsProcess<V> {
     }
 }
 
-impl<V: SignableValue> OneShotState<V> for SbsProcess<V> {
+impl<V: Value> OneShotState<V> for SbsProcess<V> {
     fn proposal(&self) -> &V {
         &self.proposal
     }
@@ -259,7 +259,7 @@ impl<V: Value> StreamingState<V> for GwtsProcess<V> {
     }
 }
 
-impl<V: SignableValue> StreamingState<V> for GsbsProcess<V> {
+impl<V: Value> StreamingState<V> for GsbsProcess<V> {
     fn all_inputs(&self) -> &[V] {
         &self.all_inputs
     }
@@ -546,10 +546,7 @@ pub fn wts_observer<V: Value>(honest: Vec<ProcessId>, key: fn(&V) -> u64) -> Obs
 }
 
 /// Observer for systems of [`SbsProcess`]es.
-pub fn sbs_observer<V: SignableValue>(
-    honest: Vec<ProcessId>,
-    key: fn(&V) -> u64,
-) -> Observer<SbsMsg<V>> {
+pub fn sbs_observer<V: Value>(honest: Vec<ProcessId>, key: fn(&V) -> u64) -> Observer<SbsMsg<V>> {
     oneshot_observer::<SbsMsg<V>, SbsProcess<V>, V>(honest, key)
 }
 
@@ -559,10 +556,7 @@ pub fn gwts_observer<V: Value>(honest: Vec<ProcessId>, key: fn(&V) -> u64) -> Ob
 }
 
 /// Observer for systems of [`GsbsProcess`]es.
-pub fn gsbs_observer<V: SignableValue>(
-    honest: Vec<ProcessId>,
-    key: fn(&V) -> u64,
-) -> Observer<GsbsMsg<V>> {
+pub fn gsbs_observer<V: Value>(honest: Vec<ProcessId>, key: fn(&V) -> u64) -> Observer<GsbsMsg<V>> {
     streaming_observer::<GsbsMsg<V>, GsbsProcess<V>, V>(honest, key)
 }
 
@@ -579,10 +573,7 @@ pub fn wts_node_observer<V: Value>(me: ProcessId, key: fn(&V) -> u64) -> NodeObs
 }
 
 /// Per-node observer for one honest [`SbsProcess`].
-pub fn sbs_node_observer<V: SignableValue>(
-    me: ProcessId,
-    key: fn(&V) -> u64,
-) -> NodeObserver<SbsMsg<V>> {
+pub fn sbs_node_observer<V: Value>(me: ProcessId, key: fn(&V) -> u64) -> NodeObserver<SbsMsg<V>> {
     oneshot_node_observer::<SbsMsg<V>, SbsProcess<V>, V>(me, key)
 }
 
@@ -592,10 +583,7 @@ pub fn gwts_node_observer<V: Value>(me: ProcessId, key: fn(&V) -> u64) -> NodeOb
 }
 
 /// Per-node observer for one honest [`GsbsProcess`].
-pub fn gsbs_node_observer<V: SignableValue>(
-    me: ProcessId,
-    key: fn(&V) -> u64,
-) -> NodeObserver<GsbsMsg<V>> {
+pub fn gsbs_node_observer<V: Value>(me: ProcessId, key: fn(&V) -> u64) -> NodeObserver<GsbsMsg<V>> {
     streaming_node_observer::<GsbsMsg<V>, GsbsProcess<V>, V>(me, key)
 }
 

@@ -31,27 +31,24 @@
 //! id — see the caching contract in [`bgla_crypto::proofstore`].
 
 use crate::valueset::{SetItem, ValueSet};
-use bgla_codec::{CodecError, Reader, Wire, Writer};
+use bgla_codec::{encode_payload, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{ProofId, ProofIdBuilder, Signature};
 use bgla_simnet::ProcessId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// An ack that can be part of a [`Proof`]: a signed safe-ack, which
-/// echoes the request set it answers. Supplies the canonical bytes the
-/// content address binds (content *and* signature), its echo, and its
-/// form without the echo — what a safe-ack reply ships, and what a proof
-/// ships per ack beside a reference to its echo.
-pub trait ProofAck: Clone + std::fmt::Debug + Send + Sync + 'static {
+/// echoes the request set it answers. Its encoding — the echo, then the
+/// reply — is what the content address binds (content *and*
+/// signature). Supplies its echo, and its form without the echo:
+/// what a safe-ack reply ships, and what a proof ships per ack beside a
+/// reference to its echo.
+pub trait ProofAck: Wire + Clone + std::fmt::Debug + Send + Sync + 'static {
     /// Element type of the echoed request set.
     type Echoed: SetItem;
 
     /// The ack without its echo.
     type Reply: Wire;
-
-    /// Writes the canonical bytes of this ack (everything verification
-    /// depends on, the echo and the signature included).
-    fn digest_bytes(&self, out: &mut Vec<u8>);
 
     /// The request set this ack echoes (it is inside the signature).
     fn echo(&self) -> &ValueSet<Self::Echoed>;
@@ -195,11 +192,8 @@ impl<A: ProofAck> Proof<A> {
     /// its encoding once.
     pub fn new(acks: Vec<A>) -> Self {
         let mut builder = ProofIdBuilder::new();
-        let mut buf = Vec::new();
         for ack in &acks {
-            buf.clear();
-            ack.digest_bytes(&mut buf);
-            builder.add_ack(&buf);
+            builder.add_ack(&encode_payload(ack));
         }
         let mut wire = Writer::counting();
         encode_acks(&acks, &mut wire, |echo, w| echo.encode(w));
@@ -362,6 +356,7 @@ pub fn remove_conflicts<T: Conflicting>(set: &ValueSet<T>) -> ValueSet<T> {
 pub(crate) mod testing {
     use super::ProofAck;
     use crate::valueset::ValueSet;
+    use bgla_codec::{CodecError, Reader, Wire, Writer};
 
     #[derive(Debug, Clone)]
     pub(crate) struct TestAck {
@@ -372,13 +367,6 @@ pub(crate) mod testing {
     impl ProofAck for TestAck {
         type Echoed = u64;
         type Reply = u64;
-        fn digest_bytes(&self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&(self.echo.len() as u64).to_le_bytes());
-            for v in &self.echo {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            out.extend_from_slice(&self.n.to_le_bytes());
-        }
         fn echo(&self) -> &ValueSet<u64> {
             &self.echo
         }
@@ -388,8 +376,19 @@ pub(crate) mod testing {
         fn from_reply(n: u64, echo: ValueSet<u64>) -> Self {
             TestAck { echo, n }
         }
-        fn encode_reply(&self, w: &mut bgla_codec::Writer) {
+        fn encode_reply(&self, w: &mut Writer) {
             w.u64(self.n);
+        }
+    }
+
+    impl Wire for TestAck {
+        fn encode(&self, w: &mut Writer) {
+            self.echo.encode(w);
+            self.encode_reply(w);
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            let echo = ValueSet::decode(r)?;
+            Ok(TestAck { echo, n: r.u64()? })
         }
     }
 

@@ -23,14 +23,16 @@
 //! eager-proposing flag; such a snapshot must be rejected, not misread),
 //! and the trailing
 //! checksum makes truncation and bit-rot detectable before any field is
-//! parsed. The `version` field is [`bgla_codec::FRAME_VERSION`] (5); a
+//! parsed. The `version` field is [`bgla_codec::FRAME_VERSION`] (8); a
 //! snapshot written under any other payload layout carries another
 //! version and is rejected as `BadVersion`, never mis-parsed. Version 4
 //! made every length, id, round, timestamp and tag a varint: it
 //! invalidates every snapshot stored before it, of all four kinds at
 //! once, which is why no kind had to be retired for it. Version 5 ships a
 //! proof's echoed request set once and a safe-ack reply without it, on
-//! the wire as in snapshots. The
+//! the wire as in snapshots. Version 8 changes no layout, but each
+//! signature now covers its record's own encoding, so a record held in
+//! an older snapshot would fail verification after a restore. The
 //! payload serializes the *durable* protocol state in declaration order
 //! (configuration, proposal/input schedule, phase, collected acks,
 //! retained proofs-of-safety, decisions). Volatile machinery —

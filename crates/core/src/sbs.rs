@@ -86,8 +86,17 @@
 //!   sets still decodes, at `k` echoes' cost, and `AllSafe` judges it
 //!   exactly as before.
 //!
-//! What is signed, hashed and verified does not change: the echo is
-//! inside every signature and every [`bgla_crypto::ProofId`].
+//! None of this changes what is signed, hashed and verified: the echo is
+//! inside every safe-ack's signature and every [`bgla_crypto::ProofId`].
+//!
+//! # What is signed
+//!
+//! A [`SignedValue`] and a [`SignedSafeAck`] each sign their domain tag
+//! followed by their own `Wire` encoding without the trailing signature
+//! ([`crate::held::Signed`]); a safe-ack's encoding is its echo, then its
+//! conflicts, signer and signature, so both are covered in full. A
+//! [`bgla_crypto::ProofId`] hashes each ack's encoding. A field is
+//! signed exactly when it travels.
 //!
 //! # Verify at quorum (this implementation)
 //!
@@ -118,7 +127,7 @@
 //! can become safe either way.
 
 use crate::config::SystemConfig;
-use crate::held::{self, hold, verify_held, Held};
+use crate::held::{self, hold, verify_held, Signed, UNSIGNED};
 use crate::proof::{
     echoing, encode_reply_fields, remove_conflicts, replies, return_conflicts, Conflicting, Proof,
     ProofAck,
@@ -126,66 +135,53 @@ use crate::proof::{
 use crate::provendelta::{
     register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
 };
-use crate::value::SignableValue;
+use crate::value::Value;
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
     CachedVerifier, Keypair, Keyring, Obligation, ProofCache, ProofId, ProofResolver, Signature,
-    ToBytes, VerifierStats,
+    VerifierStats,
 };
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
 // bgla-lint: allow(determinism, "HashSet used membership-only in all_safe; iteration order never observed")
 use std::collections::{BTreeSet, HashSet};
 
-const VALUE_DOMAIN: &[u8] = b"bgla-sbs-value:";
-const ACK_DOMAIN: &[u8] = b"bgla-sbs-safeack:";
-
 /// A value signed by its proposer.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SignedValue<V: SignableValue> {
+pub struct SignedValue<V: Value> {
     /// The proposed value.
     pub value: V,
     /// The signing proposer (`v.sender` in the paper).
     pub signer: ProcessId,
-    /// Ed25519 signature over the domain-tagged value.
+    /// Ed25519 signature over the domain-tagged value and signer.
     pub sig: Signature,
 }
 
-impl<V: SignableValue> SignedValue<V> {
-    fn signable_bytes(value: &V, signer: ProcessId) -> Vec<u8> {
-        let mut out = VALUE_DOMAIN.to_vec();
-        (signer as u64).write_bytes(&mut out);
-        value.write_bytes(&mut out);
-        out
-    }
-
+impl<V: Value> SignedValue<V> {
     /// Signs `value` as process `signer`.
     pub fn sign(value: V, signer: ProcessId, kp: &Keypair) -> Self {
-        let sig = kp.sign(&Self::signable_bytes(&value, signer));
-        SignedValue { value, signer, sig }
-    }
-
-    /// The proposer's signature as a verification obligation.
-    fn obligation(&self) -> Obligation {
-        (
-            self.signer,
-            Self::signable_bytes(&self.value, self.signer),
-            self.sig,
-        )
+        let mut sv = SignedValue {
+            value,
+            signer,
+            sig: UNSIGNED,
+        };
+        sv.sig = kp.sign(&sv.signed_bytes());
+        sv
     }
 }
 
-impl<V: SignableValue> Held for SignedValue<V> {
+impl<V: Value> Signed for SignedValue<V> {
+    const DOMAIN: &'static [u8] = b"bgla-sbs-value:";
     fn signer(&self) -> ProcessId {
         self.signer
     }
-    fn obligations(&self) -> Vec<Obligation> {
-        vec![self.obligation()]
+    fn sig(&self) -> &Signature {
+        &self.sig
     }
 }
 
-impl<V: SignableValue> Conflicting for SignedValue<V> {
+impl<V: Value> Conflicting for SignedValue<V> {
     /// Two signed values *conflict* when the same signer signed two
     /// different values.
     fn conflicts_with(&self, other: &Self) -> bool {
@@ -193,41 +189,21 @@ impl<V: SignableValue> Conflicting for SignedValue<V> {
     }
 }
 
-impl<V: SignableValue> SetItem for SignedValue<V> {
+impl<V: Value> SetItem for SignedValue<V> {
     const EQ_IS_IDENTITY: bool = true;
 }
 
 /// The body of a `safe_ack`: the echoed request set and the conflicts the
 /// acceptor knows of.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SafeAckBody<V: SignableValue> {
+pub struct SafeAckBody<V: Value> {
     /// Echo of the proposer's `Safety_set`.
     pub rcvd: ValueSet<SignedValue<V>>,
     /// Conflicting pairs known to the acceptor.
     pub conflicts: Vec<(SignedValue<V>, SignedValue<V>)>,
 }
 
-impl<V: SignableValue> SafeAckBody<V> {
-    fn signable_bytes(&self, signer: ProcessId) -> Vec<u8> {
-        let mut out = ACK_DOMAIN.to_vec();
-        (signer as u64).write_bytes(&mut out);
-        (self.rcvd.len() as u64).write_bytes(&mut out);
-        for sv in &self.rcvd {
-            (sv.signer as u64).write_bytes(&mut out);
-            sv.value.write_bytes(&mut out);
-            out.extend_from_slice(&sv.sig.to_bytes());
-        }
-        (self.conflicts.len() as u64).write_bytes(&mut out);
-        for (a, b) in &self.conflicts {
-            for sv in [a, b] {
-                (sv.signer as u64).write_bytes(&mut out);
-                sv.value.write_bytes(&mut out);
-                out.extend_from_slice(&sv.sig.to_bytes());
-            }
-        }
-        out
-    }
-
+impl<V: Value> SafeAckBody<V> {
     /// Whether `sv` appears in some conflict pair.
     pub fn conflicted(&self, sv: &SignedValue<V>) -> bool {
         self.conflicts.iter().any(|(a, b)| a == sv || b == sv)
@@ -236,31 +212,35 @@ impl<V: SignableValue> SafeAckBody<V> {
 
 /// A signed `safe_ack`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SignedSafeAck<V: SignableValue> {
+pub struct SignedSafeAck<V: Value> {
     /// Ack body.
     pub body: SafeAckBody<V>,
     /// The acceptor that produced it.
     pub signer: ProcessId,
-    /// Signature over the body.
+    /// Signature over the body and the signer.
     pub sig: Signature,
 }
 
-impl<V: SignableValue> SignedSafeAck<V> {
+impl<V: Value> SignedSafeAck<V> {
     /// Signs an ack body as acceptor `signer`.
     pub fn sign(body: SafeAckBody<V>, signer: ProcessId, kp: &Keypair) -> Self {
-        let sig = kp.sign(&body.signable_bytes(signer));
-        SignedSafeAck { body, signer, sig }
-    }
-
-    /// The acceptor's signature as a verification obligation.
-    fn obligation(&self) -> Obligation {
-        (self.signer, self.body.signable_bytes(self.signer), self.sig)
+        let mut ack = SignedSafeAck {
+            body,
+            signer,
+            sig: UNSIGNED,
+        };
+        ack.sig = kp.sign(&ack.signed_bytes());
+        ack
     }
 }
 
-impl<V: SignableValue> Held for SignedSafeAck<V> {
+impl<V: Value> Signed for SignedSafeAck<V> {
+    const DOMAIN: &'static [u8] = b"bgla-sbs-safeack:";
     fn signer(&self) -> ProcessId {
         self.signer
+    }
+    fn sig(&self) -> &Signature {
+        &self.sig
     }
     /// The ack's signature and those of both members of every conflict
     /// pair it reports (`VerifyConfPair`).
@@ -270,20 +250,16 @@ impl<V: SignableValue> Held for SignedSafeAck<V> {
             .conflicts
             .iter()
             .flat_map(|(a, b)| [a, b])
-            .map(SignedValue::obligation)
+            .map(Signed::obligation)
             .collect();
         out.push(self.obligation());
         out
     }
 }
 
-impl<V: SignableValue> ProofAck for SignedSafeAck<V> {
+impl<V: Value> ProofAck for SignedSafeAck<V> {
     type Echoed = SignedValue<V>;
     type Reply = SafeAckReply<V>;
-    fn digest_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.body.signable_bytes(self.signer));
-        out.extend_from_slice(&self.sig.to_bytes());
-    }
     fn echo(&self) -> &ValueSet<SignedValue<V>> {
         &self.body.rcvd
     }
@@ -312,7 +288,7 @@ impl<V: SignableValue> ProofAck for SignedSafeAck<V> {
 /// A `safe_ack` as it travels back to the proposer: everything but the
 /// echo, which is the proposer's own `Safety_set` (see the module docs).
 #[derive(Debug, Clone)]
-pub struct SafeAckReply<V: SignableValue> {
+pub struct SafeAckReply<V: Value> {
     /// Conflicting pairs known to the acceptor.
     pub conflicts: Vec<(SignedValue<V>, SignedValue<V>)>,
     /// The acceptor that produced it.
@@ -329,25 +305,25 @@ pub type SafetyProof<V> = Proof<SignedSafeAck<V>>;
 
 /// A value bundled with its proof of safety.
 #[derive(Debug, Clone)]
-pub struct ProvenValue<V: SignableValue> {
+pub struct ProvenValue<V: Value> {
     /// The signed value.
     pub sv: SignedValue<V>,
     /// Quorum of safe-acks certifying it.
     pub proof: SafetyProof<V>,
 }
 
-impl<V: SignableValue> PartialEq for ProvenValue<V> {
+impl<V: Value> PartialEq for ProvenValue<V> {
     fn eq(&self, other: &Self) -> bool {
         self.sv == other.sv
     }
 }
-impl<V: SignableValue> Eq for ProvenValue<V> {}
-impl<V: SignableValue> PartialOrd for ProvenValue<V> {
+impl<V: Value> Eq for ProvenValue<V> {}
+impl<V: Value> PartialOrd for ProvenValue<V> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<V: SignableValue> Ord for ProvenValue<V> {
+impl<V: Value> Ord for ProvenValue<V> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Proof contents don't affect identity: a value is the same
         // lattice element regardless of which quorum certified it.
@@ -355,12 +331,12 @@ impl<V: SignableValue> Ord for ProvenValue<V> {
     }
 }
 
-impl<V: SignableValue> SetItem for ProvenValue<V> {
+impl<V: Value> SetItem for ProvenValue<V> {
     /// `==` ignores the proof: joins must keep our own handles.
     const EQ_IS_IDENTITY: bool = false;
 }
 
-impl<V: SignableValue> ProvenRecord for ProvenValue<V> {
+impl<V: Value> ProvenRecord for ProvenValue<V> {
     type Ack = SignedSafeAck<V>;
     type Value = V;
     type Signed = SignedValue<V>;
@@ -380,7 +356,7 @@ impl<V: SignableValue> ProvenRecord for ProvenValue<V> {
 
 /// SbS wire messages.
 #[derive(Debug, Clone)]
-pub enum SbsMsg<V: SignableValue> {
+pub enum SbsMsg<V: Value> {
     /// Init phase: signed initial value, proposer → proposers.
     Init(SignedValue<V>),
     /// Safetying phase: proposer → acceptors.
@@ -421,7 +397,7 @@ pub enum SbsMsg<V: SignableValue> {
     },
 }
 
-impl<V: SignableValue> WireMessage for SbsMsg<V> {
+impl<V: Value> WireMessage for SbsMsg<V> {
     fn kind(&self) -> &'static str {
         match self {
             SbsMsg::Init(_) => "init",
@@ -449,7 +425,7 @@ pub enum SbsState {
 }
 
 /// A correct SbS participant (proposer + acceptor).
-pub struct SbsProcess<V: SignableValue> {
+pub struct SbsProcess<V: Value> {
     /// System parameters.
     pub config: SystemConfig,
     me: ProcessId,
@@ -510,7 +486,7 @@ pub struct SbsProcess<V: SignableValue> {
     pub refinements: u64,
 }
 
-impl<V: SignableValue> SbsProcess<V> {
+impl<V: Value> SbsProcess<V> {
     /// Creates a correct participant. Key material comes from the
     /// deterministic per-process PKI.
     pub fn new(me: ProcessId, config: SystemConfig, proposal: V) -> Self {
@@ -766,7 +742,7 @@ pub const SBS_SNAPSHOT_KIND: u16 = 0x010B;
 /// Codec form: value, signer, signature. Decoding does *not* verify the
 /// signature — snapshots are checksummed local state, and every network
 /// consumption site re-verifies through the [`CachedVerifier`] anyway.
-impl<V: SignableValue> Wire for SignedValue<V> {
+impl<V: Value> Wire for SignedValue<V> {
     fn encode(&self, w: &mut Writer) {
         self.value.encode(w);
         w.usize(self.signer);
@@ -781,7 +757,7 @@ impl<V: SignableValue> Wire for SignedValue<V> {
     }
 }
 
-impl<V: SignableValue> Wire for SafeAckReply<V> {
+impl<V: Value> Wire for SafeAckReply<V> {
     fn encode(&self, w: &mut Writer) {
         encode_reply_fields(w, None, &self.conflicts, self.signer, &self.sig);
     }
@@ -794,7 +770,25 @@ impl<V: SignableValue> Wire for SafeAckReply<V> {
     }
 }
 
-impl<V: SignableValue> Wire for ProvenValue<V> {
+/// Codec form: the echo, then the reply ([`SafeAckReply`]'s form).
+impl<V: Value> Wire for SignedSafeAck<V> {
+    fn encode(&self, w: &mut Writer) {
+        self.body.rcvd.encode(w);
+        encode_reply_fields(w, None, &self.body.conflicts, self.signer, &self.sig);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(SignedSafeAck {
+            body: SafeAckBody {
+                rcvd: Wire::decode(r)?,
+                conflicts: Wire::decode(r)?,
+            },
+            signer: r.usize()?,
+            sig: Signature::decode(r)?,
+        })
+    }
+}
+
+impl<V: Value> Wire for ProvenValue<V> {
     fn encode(&self, w: &mut Writer) {
         self.sv.encode(w);
         self.proof.encode(w);
@@ -807,7 +801,7 @@ impl<V: SignableValue> Wire for ProvenValue<V> {
     }
 }
 
-impl<V: SignableValue> Wire for SbsMsg<V> {
+impl<V: Value> Wire for SbsMsg<V> {
     fn encode(&self, w: &mut Writer) {
         match self {
             SbsMsg::Init(sv) => {
@@ -906,7 +900,7 @@ impl Wire for SbsState {
 /// and the `Resync` fallback covers the peers' stale claims about
 /// *us*), and the `validator` fn pointer (configuration, re-installed
 /// by the harness).
-impl<V: SignableValue> Wire for SbsProcess<V> {
+impl<V: Value> Wire for SbsProcess<V> {
     fn encode(&self, w: &mut Writer) {
         self.config.encode(w);
         w.usize(self.me);
@@ -994,7 +988,7 @@ impl<V: SignableValue> Wire for SbsProcess<V> {
     }
 }
 
-impl<V: SignableValue> SbsProcess<V> {
+impl<V: Value> SbsProcess<V> {
     /// Serializes the durable state as a checksummed
     /// [`SBS_SNAPSHOT_KIND`] frame.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
@@ -1008,7 +1002,7 @@ impl<V: SignableValue> SbsProcess<V> {
     }
 }
 
-impl<V: SignableValue> Process<SbsMsg<V>> for SbsProcess<V> {
+impl<V: Value> Process<SbsMsg<V>> for SbsProcess<V> {
     fn on_start(&mut self, ctx: &mut Context<SbsMsg<V>>) {
         if self.recovered {
             // Recovery boot: the crash swept our *inbound* traffic, so

@@ -7,7 +7,6 @@
 //! integers in the examples).
 
 use bgla_codec::Wire;
-use bgla_crypto::ToBytes;
 
 /// A proposable value. `Ord` keeps all collections deterministic, and
 /// the [`Wire`] bound gives every value a real binary encoding — what
@@ -20,8 +19,3 @@ impl Value for u64 {}
 impl Value for u32 {}
 impl Value for String {}
 impl<A: Value, B: Value> Value for (A, B) {}
-
-/// Values usable with the signature-based algorithms: they additionally
-/// need a canonical byte encoding to sign.
-pub trait SignableValue: Value + ToBytes {}
-impl<T: Value + ToBytes> SignableValue for T {}

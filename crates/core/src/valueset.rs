@@ -458,15 +458,6 @@ impl<T: SetItem> IntoIterator for ValueSet<T> {
     }
 }
 
-impl<T: SetItem + bgla_crypto::ToBytes> bgla_crypto::ToBytes for ValueSet<T> {
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).write_bytes(out);
-        for v in self.iter() {
-            v.write_bytes(out);
-        }
-    }
-}
-
 /// Canonical codec form: length-prefixed elements in strictly ascending
 /// order. Its length is cached: sizing a set is `O(1)`, and so is
 /// counting it inside a message.

@@ -17,15 +17,14 @@ use bgla_codec::{
 };
 use bgla_codec::{Wire, Writer};
 use bgla_core::gsbs::{
-    digest_values, DecidedCert, GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, ProvenBatch,
-    SignedAck, SignedBatch,
+    DecidedCert, GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
 };
 use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
 use bgla_core::provendelta::ProvenDeltaReceiver;
 use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
 use bgla_core::wts::{WtsMsg, WtsProcess};
 use bgla_core::{Proof, ProofAck, ProvenRecord, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
-use bgla_crypto::{ProofId, ProofResolver, Signature};
+use bgla_crypto::{digest, ProofId, ProofResolver, Signature};
 use bgla_rbcast::RbMsg;
 use bgla_simnet::{Context, Process, ProcessId, RandomScheduler, SimulationBuilder, WireMessage};
 use proptest::prelude::*;
@@ -644,12 +643,30 @@ fn assert_proof_sound<A: ProofAck>(proof: &Proof<A>, suffix: &[u8]) {
     assert_payload_rejects_extension(proof, suffix);
 }
 
+/// Each of `proof`'s acks round-trips on its own, in the form its
+/// signature and the proof's id cover (its echo, then its reply):
+/// re-encodes byte for byte, with its length as `wire_size`, and refuses
+/// every strict prefix and any extension of its encoding.
+fn assert_acks_sound<A: ProofAck + PartialEq>(proof: &Proof<A>, suffix: &[u8]) {
+    for ack in proof.iter() {
+        let bytes = encode_payload(ack);
+        assert_eq!(bytes.len(), ack.wire_size());
+        let back: A = decode_payload(&bytes).expect("own encoding decodes");
+        assert_eq!(&back, ack);
+        assert_eq!(encode_payload(&back), bytes);
+        for cut in 0..bytes.len() {
+            assert!(decode_payload::<A>(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        assert_payload_rejects_extension(ack, suffix);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Acks echoing 1 to 4 distinct sets, in any repetition and order:
     /// each distinct echo is shipped once and the proof survives the
-    /// codec with its content address.
+    /// codec with its content address; each ack survives it alone too.
     #[test]
     fn byzantine_shaped_proofs_roundtrip(
         k in 1usize..=4,
@@ -671,6 +688,8 @@ proptest! {
         prop_assert!(gsbs.wire_size() < echo_bytes + picks.len() * 200);
         assert_proof_sound(&gsbs, &suffix);
         assert_proof_sound(&sbs, &suffix);
+        assert_acks_sound(&gsbs, &suffix);
+        assert_acks_sound(&sbs, &suffix);
     }
 }
 
@@ -892,7 +911,7 @@ fn update<T: ProvenRecord>(
 /// A decided certificate of `round` over `values` with `acks` acks, each
 /// over the digest of `values`.
 fn certificate(round: u64, values: ValueSet<u64>, acks: usize, ts: u64) -> DecidedCert<u64> {
-    let digest = digest_values(&values);
+    let digest = digest(&values);
     DecidedCert {
         round,
         values,

@@ -8,14 +8,14 @@
 //! verified in one batch (`bgla_core::held`).
 
 use bgla_core::gsbs::{
-    digest_values, DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
+    DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
 };
 use bgla_core::harness::gsbs_system;
 use bgla_core::proof::Proof;
 use bgla_core::provendelta::ProvenUpdate;
 use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
 use bgla_core::{SystemConfig, ValueSet};
-use bgla_crypto::{Keypair, VerifierStats};
+use bgla_crypto::{digest, Keypair, VerifierStats};
 use bgla_simnet::{Context, Process, RandomScheduler, SimulationBuilder};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -340,7 +340,7 @@ fn forged_certificate_redelivery_verifies_once() {
     // whose signatures is corrupted: only the signature check can reject
     // it, and no valid certificate for the round ever arrives.
     let values: ValueSet<u64> = [5u64].into_iter().collect();
-    let digest = digest_values(&values);
+    let digest = digest(&values);
     let mut acks: Vec<SignedAck> = (1..4)
         .map(|i| SignedAck::sign(1, 1, 0, digest, i, &Keypair::for_process(i)))
         .collect();

@@ -28,6 +28,22 @@
 //! * [`proofstore`] — content-addressed proof-of-safety interning
 //!   ([`ProofId`], [`ProofCache`]): each distinct proof is verified once
 //!   per process and answered from cache thereafter.
+//! * [`mod@wire`] — the codec forms of signatures, keys and ids, and
+//!   [`digest`], the content digest of an encoding.
+//!
+//! # One encoding
+//!
+//! This crate signs, verifies and hashes byte strings and has no
+//! serializer of its own: every byte string it is given is a
+//! `bgla_codec::Wire` encoding, the same bytes that travel and are
+//! metered. A signed record signs its domain tag followed by its own
+//! encoding without the trailing signature (`bgla_core::held::Signed`); a
+//! [`ProofId`] hashes the encoding of each ack; [`digest`] hashes the
+//! encoding of a value set. That is sound because `Wire` encode is
+//! injective: decoding inverts it (`decode ∘ encode = id`), so two
+//! values with one encoding would decode to one value. Verification
+//! re-encodes the record held in memory; it never trusts the bytes the
+//! record arrived in.
 //!
 //! # Shape of the Ed25519 path
 //!
@@ -88,7 +104,6 @@ pub mod proofstore;
 pub mod scalar;
 pub mod sha512;
 pub mod sigcache;
-pub mod tobytes;
 pub mod wire;
 
 /// Cases per property of the differential tests (new arithmetic against
@@ -105,4 +120,4 @@ pub use keyring::Keyring;
 pub use proofstore::{ProofCache, ProofId, ProofIdBuilder, ProofResolver};
 pub use sha512::{sha512, Sha512};
 pub use sigcache::{CachedVerifier, Obligation, SigCache, VerifierStats};
-pub use tobytes::ToBytes;
+pub use wire::{digest, Digest};

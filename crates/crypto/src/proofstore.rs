@@ -13,7 +13,7 @@
 //!   the proof. Two proofs with the same acks in any order get the same
 //!   id; changing any byte of any ack (content or signature) changes it.
 //! * [`ProofIdBuilder`] — the incremental hasher callers feed each ack's
-//!   canonical bytes into.
+//!   `Wire` encoding into (its echo and signature included).
 //! * [`ProofCache`] — a bounded per-process LRU map `ProofId → verdict`
 //!   memoizing the outcome of full-proof verification.
 //! * [`ProofResolver`] — a bounded per-process LRU map `ProofId → proof
@@ -64,7 +64,7 @@ pub struct ProofId(pub [u8; 16]);
 
 /// Incremental [`ProofId`] hasher.
 ///
-/// Feed each ack's canonical bytes (content *and* signature) to
+/// Feed each ack's `Wire` encoding (content *and* signature) to
 /// [`ProofIdBuilder::add_ack`]; [`ProofIdBuilder::finish`] sorts the
 /// per-ack digests before the final hash, so the id is invariant under
 /// ack reordering (a proof is a multiset, not a sequence).
@@ -79,7 +79,7 @@ impl ProofIdBuilder {
         ProofIdBuilder::default()
     }
 
-    /// Absorbs one ack's canonical bytes.
+    /// Absorbs one ack's encoding.
     pub fn add_ack(&mut self, ack_bytes: &[u8]) {
         let d = sha512(ack_bytes);
         let mut out = [0u8; 16];

@@ -1,6 +1,7 @@
 //! [`Wire`] codec impls for the crypto types that appear inside
-//! durable snapshots and wire messages: signatures, public keys, and
-//! proof content addresses.
+//! durable snapshots and wire messages: signatures, public keys, proof
+//! content addresses and content digests — and [`digest`], the one
+//! function that hashes an encoding.
 //!
 //! Signatures decode through [`Signature::from_bytes`], which is
 //! infallible by design — validity is a property checked by
@@ -12,7 +13,30 @@
 
 use crate::ed25519::{PublicKey, Signature};
 use crate::proofstore::ProofId;
-use bgla_codec::{CodecError, Reader, Wire, Writer};
+use crate::sha512::sha512;
+use bgla_codec::{encode_payload, CodecError, Reader, Wire, Writer};
+
+/// SHA-512 of a [`Wire`] encoding: what a signed ack binds a value set
+/// by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Digest(pub [u8; 64]);
+
+/// The content digest of `value`: SHA-512 of its [`Wire`] encoding.
+/// Barring a SHA-512 collision, two values share a digest only if they
+/// share an encoding, and an encoding names one value
+/// (`decode ∘ encode = id`), so the digest binds the value itself.
+pub fn digest(value: &impl Wire) -> Digest {
+    Digest(sha512(&encode_payload(value)))
+}
+
+impl Wire for Digest {
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Digest(Wire::decode(r)?))
+    }
+}
 
 impl Wire for Signature {
     fn encode(&self, w: &mut Writer) {

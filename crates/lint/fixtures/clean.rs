@@ -1,26 +1,10 @@
-//! A file every pass accepts: full signature coverage (with the `sig`
-//! exemption exercised on the signable side and honored on the digest
-//! side), a complete `Wire` round-trip, a total `merge`, and only
-//! checked access on the decode path.
+//! A file every pass accepts: a complete `Wire` round-trip, a total
+//! `merge`, and only checked access on the decode path.
 
 pub struct SignedAck {
     pub body: u64,
     pub signer: u64,
     pub sig: u64,
-}
-
-impl SignedAck {
-    pub fn signable_bytes(&self) -> Vec<u8> {
-        // `sig` is exempt here: the signature cannot sign itself.
-        let mut out = self.body.to_le_bytes().to_vec();
-        out.extend_from_slice(&self.signer.to_le_bytes());
-        out
-    }
-    pub fn digest_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.body.to_le_bytes());
-        out.extend_from_slice(&self.signer.to_le_bytes());
-        out.extend_from_slice(&self.sig.to_le_bytes());
-    }
 }
 
 impl Wire for SignedAck {

@@ -2,17 +2,18 @@
 //! workspace.
 //!
 //! Every serious bug this repo has shipped was statically detectable:
-//! the PR-3 cache-poisoning forgery was a field omitted from
-//! `GSafeAck::signable_bytes`, and the crash-recovery pipeline's
-//! correctness hangs on `Wire` impls round-tripping every durable
-//! field. `bgla-lint` pins those invariants *structurally*, with a
-//! small in-repo lexer ([`lexer`]) and item-level parser ([`parse`]) —
+//! the crash-recovery pipeline's correctness hangs on `Wire` impls
+//! round-tripping every durable field, and since signed records sign
+//! their own `Wire` encoding, so does what a signature binds (the
+//! cache-poisoning forgery the retired `sig-coverage` pass guarded was a
+//! field a second, hand-written encoding left out; see `LINTS.md`).
+//! `bgla-lint` pins those invariants *structurally*, with a small
+//! in-repo lexer ([`lexer`]) and item-level parser ([`parse`]) —
 //! no external dependencies — and a registry of protocol-specific
 //! passes ([`passes`]):
 //!
 //! | pass | bug class |
 //! |------|-----------|
-//! | `sig-coverage` | a field omitted from `signable_bytes`/`digest_bytes` is unsigned and forgeable (PR-3) |
 //! | `wire-coverage` | a field missing from `Wire::encode`/`decode` is silently lost across restart (PR-6 class) |
 //! | `determinism` | hash-order iteration / wall clocks / OS randomness in trace-affecting crates break seeded replay |
 //! | `byzantine-panic` | a panic reachable from `decode`/`from_snapshot`/`on_message`/`demux_frame` lets hostile bytes crash an honest process |
@@ -70,7 +71,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Pass identifier (`sig-coverage`, …).
+    /// Pass identifier (`wire-coverage`, …).
     pub pass: &'static str,
     /// Human-readable description of the violated invariant.
     pub message: String,

@@ -13,7 +13,6 @@ mod determinism;
 mod frame_demux;
 mod merge_coverage;
 mod poller_nonblocking;
-mod sig_coverage;
 mod wire_coverage;
 
 use crate::lexer::TokKind;
@@ -33,11 +32,6 @@ pub struct Pass {
 
 /// Every pass, in execution order.
 pub const REGISTRY: &[Pass] = &[
-    Pass {
-        name: sig_coverage::NAME,
-        description: "every struct field must be bound by its signable_bytes/digest_bytes (PR-3 forgery class)",
-        run: sig_coverage::run,
-    },
     Pass {
         name: wire_coverage::NAME,
         description: "every struct field must appear in both Wire::encode and Wire::decode (silent state loss)",

@@ -30,17 +30,6 @@ fn assert_golden(name: &str, expected: &str) {
 }
 
 #[test]
-fn pr3_gsafeack_omission_is_flagged() {
-    // The minimized PR-3 incident: `rcvd` unsigned, and the digest-side
-    // asymmetry (`sig` exempt from signable_bytes, required by
-    // digest_bytes).
-    let expected = include_str!("../fixtures/expected/pr3_gsafeack.txt");
-    assert!(expected.contains("field `rcvd` of `GSafeAck`"));
-    assert!(expected.contains("field `sig` of `SignedRecord`"));
-    assert_golden("pr3_gsafeack", expected);
-}
-
-#[test]
 fn wire_field_drop_is_flagged() {
     let expected = include_str!("../fixtures/expected/wire_drop.txt");
     assert!(expected.contains("field `watermark` of `Snapshot`"));
@@ -195,7 +184,7 @@ fn trace_affecting_crates_are_members_and_documented() {
 fn cli_exit_codes_gate() {
     let bin = env!("CARGO_BIN_EXE_bgla-lint");
     let bad = Command::new(bin)
-        .arg("fixtures/pr3_gsafeack.rs")
+        .arg("fixtures/wire_drop.rs")
         .output()
         .expect("run lint binary");
     assert_eq!(bad.status.code(), Some(1), "findings must exit nonzero");

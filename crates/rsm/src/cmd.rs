@@ -8,7 +8,6 @@
 
 use bgla_codec::{CodecError, Reader, Wire, Writer};
 use bgla_core::Value;
-use bgla_crypto::ToBytes;
 
 /// The operation payload of a command.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -85,27 +84,10 @@ impl Wire for Cmd {
     }
 }
 
-impl ToBytes for Cmd {
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        self.client.write_bytes(out);
-        self.seq.write_bytes(out);
-        match &self.op {
-            Op::Add(x) => {
-                out.push(0);
-                x.write_bytes(out);
-            }
-            Op::Put(s) => {
-                out.push(1);
-                s.write_bytes(out);
-            }
-            Op::Nop => out.push(2),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgla_codec::encode_payload;
 
     #[test]
     fn commands_are_unique_by_tag() {
@@ -122,9 +104,9 @@ mod tests {
 
     #[test]
     fn encoding_is_injective_across_ops() {
-        let a = Cmd::new(1, 0, Op::Add(2)).to_bytes_vec();
-        let b = Cmd::new(1, 0, Op::Put("2".into())).to_bytes_vec();
-        let c = Cmd::nop(1, 0).to_bytes_vec();
+        let a = encode_payload(&Cmd::new(1, 0, Op::Add(2)));
+        let b = encode_payload(&Cmd::new(1, 0, Op::Put("2".into())));
+        let c = encode_payload(&Cmd::nop(1, 0));
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);

@@ -8,10 +8,10 @@
 
 use bgla::core::adversary::gsbs::{SigForger, WrongEcho};
 use bgla::core::gsbs::{
-    digest_values, DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, GsbsState, SignedAck, SignedBatch,
+    DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, GsbsState, SignedAck, SignedBatch,
 };
 use bgla::core::{spec, ProofAck, SystemConfig, ValueSet};
-use bgla::crypto::{Keypair, VerifierStats};
+use bgla::crypto::{digest, Keypair, VerifierStats};
 use bgla::simnet::{Context, Process, RandomScheduler, Simulation, SimulationBuilder, TraceEvent};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -33,8 +33,8 @@ impl Process<GsbsMsg<u64>> for CertForger {
             acks: vec![],
         }));
         // 2. Quorum of self-signed acks (duplicate signer).
-        let digest = bgla::core::gsbs::digest_values(&poison);
-        let ack = SignedAck::sign(me, 1, 0, digest, me, &kp);
+        let poison_digest = digest(&poison);
+        let ack = SignedAck::sign(me, 1, 0, poison_digest, me, &kp);
         ctx.broadcast(GsbsMsg::Decided(DecidedCert {
             round: 0,
             values: poison.clone(),
@@ -42,7 +42,7 @@ impl Process<GsbsMsg<u64>> for CertForger {
         }));
         // 3. Valid-looking ack but over a different digest.
         let other: ValueSet<u64> = [7u64].into_iter().collect();
-        let wrong_digest = bgla::core::gsbs::digest_values(&other);
+        let wrong_digest = digest(&other);
         let ack2 = SignedAck::sign(me, 1, 0, wrong_digest, me, &kp);
         ctx.broadcast(GsbsMsg::Decided(DecidedCert {
             round: 0,
@@ -380,7 +380,7 @@ fn each_forged_record_is_verified_once() {
     assert_eq!(forged_acks.len(), 2);
     let own_ack = feed(&mut p0, 0, vec![ack_req]);
     let values: ValueSet<u64> = (0..3).map(|i| 100 + i).collect();
-    let digest = digest_values(&values);
+    let digest = digest(&values);
     let ack = |i: usize| {
         GsbsMsg::Ack(SignedAck::sign(
             0,

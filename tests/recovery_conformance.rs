@@ -479,13 +479,14 @@ fn as_version(version: u16, mut frame: Vec<u8>) -> Vec<u8> {
 /// Snapshots and transport frames written under another layout — version
 /// 1, version 2 from before GWTS acks were delta streams, version 3 with
 /// its fixed-width counters, version 4 with one echo per safe-ack,
-/// version 5 with a proof per proven record, or version 6 with echoed
-/// records and certificate digests spelled out — are refused by their
+/// version 5 with a proof per proven record, version 6 with echoed
+/// records and certificate digests spelled out, or version 7 whose held
+/// records were signed over another encoding — are refused by their
 /// version, before any field is parsed.
 #[test]
 fn version_1_frames_are_rejected_as_bad_version() {
     let config = SystemConfig::new(N, F);
-    for version in 1..=6 {
+    for version in 1..=7 {
         let bad = Some(CodecError::BadVersion(version));
         let old = |frame| as_version(version, frame);
 
