@@ -8,7 +8,9 @@
 //! `(step, from, to, kind, depth)`; `full` covers the same plus `bytes`,
 //! then `Metrics` (`total_sent`, `total_bytes`, `bytes_by_kind`), every
 //! process's final causal depth, and every honest process's decisions,
-//! decision depths and refinement counts.
+//! decision depths and refinement counts. SbS and GSbS lines end with
+//! `snap=<hex>`, which covers every honest process's final
+//! `snapshot_bytes()`: the snapshot layout is pinned too.
 //!
 //! There is no bless switch: a mismatch prints the rendered grid, and
 //! moving the fixture is a deliberate edit of the text file.
@@ -47,6 +49,8 @@ struct Recorded {
     bytes_by_kind: Vec<(&'static str, u64)>,
     depths: Vec<u64>,
     honest: Vec<Outcome>,
+    /// Every honest process's final snapshot (SbS and GSbS only).
+    snapshots: Vec<Vec<u8>>,
 }
 
 fn put(buf: &mut Vec<u8>, x: u64) {
@@ -75,6 +79,7 @@ impl Recorded {
             bytes_by_kind: m.bytes_by_kind.iter().map(|(k, v)| (*k, *v)).collect(),
             depths: (0..sim.n()).map(|p| sim.depth_of(p)).collect(),
             honest,
+            snapshots: Vec::new(),
         }
     }
 
@@ -120,9 +125,23 @@ impl Recorded {
         fnv1a64(&buf)
     }
 
+    fn snap(&self) -> u64 {
+        let mut buf = Vec::new();
+        for s in &self.snapshots {
+            put(&mut buf, s.len() as u64);
+            buf.extend_from_slice(s);
+        }
+        fnv1a64(&buf)
+    }
+
     fn line(&self, label: &str) -> String {
+        let snap = if self.snapshots.is_empty() {
+            String::new()
+        } else {
+            format!(" snap={:016x}", self.snap())
+        };
         format!(
-            "{label} {} shape={:016x} full={:016x}\n",
+            "{label} {} shape={:016x} full={:016x}{snap}\n",
             self.deliveries.len(),
             self.shape(),
             self.full()
@@ -317,13 +336,19 @@ fn sbs_cell(label: &str, adversary: &str, seed: u64) -> Recorded {
         Box::new(RandomScheduler::new(seed)),
         10_000_000,
     );
-    let honest = (0..correct)
-        .map(|i| {
-            let p = sim.process_as::<SbsProcess<u64>>(i).unwrap();
-            one_shot(&p.decision, p.decision_depth, p.refinements)
-        })
+    let honest: Vec<&SbsProcess<u64>> = (0..correct)
+        .map(|i| sim.process_as::<SbsProcess<u64>>(i).unwrap())
         .collect();
-    Recorded::of(&sim, honest)
+    Recorded {
+        snapshots: honest.iter().map(|p| p.snapshot_bytes()).collect(),
+        ..Recorded::of(
+            &sim,
+            honest
+                .iter()
+                .map(|p| one_shot(&p.decision, p.decision_depth, p.refinements))
+                .collect(),
+        )
+    }
 }
 
 /// GSbS n=4 f=1 rounds=3: `inputs` rounds of one value per process,
@@ -349,17 +374,21 @@ fn gsbs_cell(label: &str, inputs: u64, bogus_ref: bool, seed: u64) -> Recorded {
         Box::new(RandomScheduler::new(seed)),
         50_000_000,
     );
-    let honest = (0..correct)
-        .map(|i| {
-            let p = sim.process_as::<GsbsProcess<u64>>(i).unwrap();
-            Outcome {
-                decisions: p.decisions.iter().map(values).collect(),
-                decision_depths: p.decision_depths.clone(),
-                refinements: Vec::new(),
-            }
+    let honest: Vec<&GsbsProcess<u64>> = (0..correct)
+        .map(|i| sim.process_as::<GsbsProcess<u64>>(i).unwrap())
+        .collect();
+    let outcomes = honest
+        .iter()
+        .map(|p| Outcome {
+            decisions: p.decisions.iter().map(values).collect(),
+            decision_depths: p.decision_depths.clone(),
+            refinements: Vec::new(),
         })
         .collect();
-    Recorded::of(&sim, honest)
+    Recorded {
+        snapshots: honest.iter().map(|p| p.snapshot_bytes()).collect(),
+        ..Recorded::of(&sim, outcomes)
+    }
 }
 
 #[test]
@@ -396,8 +425,8 @@ fn gsbs_ablation_cells_match_the_fixture() {
 }
 
 /// The fixture cannot pass vacuously: moving one depth, one kind, one
-/// byte count or one decided value of a recorded run moves the digests
-/// that cover it.
+/// byte count, one decided value or one snapshot byte of a recorded run
+/// moves the digests that cover it.
 #[test]
 fn digests_are_sensitive_to_each_pinned_quantity() {
     let base = wts_cell("sensitivity", Box::new(FifoScheduler::new()));
@@ -423,6 +452,20 @@ fn digests_are_sensitive_to_each_pinned_quantity() {
     decision.honest[0].decisions[0][0] += 1;
     assert_eq!(decision.shape(), shape, "shape excludes decisions");
     assert_ne!(decision.full(), full, "a decided value must move full");
+
+    let signed = sbs_cell("sensitivity", "honest", 0);
+    assert_eq!(signed.snapshots.len(), 4, "one snapshot per honest process");
+    let mut snapshot = signed.clone();
+    let last = snapshot.snapshots.len() - 1;
+    let at = snapshot.snapshots[last].len() / 2;
+    snapshot.snapshots[last][at] ^= 1;
+    assert_eq!(snapshot.shape(), signed.shape(), "shape excludes snapshots");
+    assert_eq!(snapshot.full(), signed.full(), "full excludes snapshots");
+    assert_ne!(
+        snapshot.snap(),
+        signed.snap(),
+        "a snapshot byte must move snap"
+    );
 }
 
 /// Forwards to an honest SbS process and counts the proof-carrying
