@@ -794,7 +794,7 @@ pub mod sbs {
             let ack = SignedSafeAck::sign(body, self.me, &kp);
             let proof = Proof::new(vec![ack.clone(), ack.clone(), ack]);
             let proposed: ValueSet<ProvenValue<V>> =
-                [ProvenValue { sv, proof }].into_iter().collect();
+                [ProvenValue { signed: sv, proof }].into_iter().collect();
             for ts in 0..3 {
                 ctx.broadcast(SbsMsg::AckReq {
                     proposed: ProvenUpdate::Full(proposed.clone()),
@@ -816,7 +816,7 @@ pub mod sbs {
                 };
                 let ack = SignedSafeAck::sign(body, self.me, &kp);
                 let accepted: ValueSet<ProvenValue<V>> = [ProvenValue {
-                    sv,
+                    signed: sv,
                     proof: Proof::new(vec![ack]),
                 }]
                 .into_iter()
@@ -873,7 +873,7 @@ pub mod sbs {
             };
             let ack = SignedSafeAck::sign(body, self.me, &kp);
             [ProvenValue {
-                sv,
+                signed: sv,
                 proof: Proof::new(vec![ack]),
             }]
             .into_iter()
@@ -1218,7 +1218,7 @@ pub mod gsbs {
             let rcvd: ValueSet<SignedBatch<V>> = [sb.clone()].into_iter().collect();
             let ack = GSafeAck::sign(round, rcvd, vec![], self.me, &kp);
             [ProvenBatch {
-                sb,
+                signed: sb,
                 proof: Proof::new(vec![ack]),
             }]
             .into_iter()

@@ -26,21 +26,16 @@
 //!
 //! Message complexity: `O(f·n)` per proposer per decision (Section 8.2).
 //!
-//! Like [`crate::sbs`], proofs of safety are verify-once: each distinct
-//! proof's quorum checks run exactly once per process and are answered
-//! from a per-process [`bgla_crypto::ProofCache`] thereafter (positive
-//! and negative verdicts — see [`bgla_crypto::proofstore`] for what may
-//! be cached). Batch-set payloads are [`ValueSet`]s (Arc-backed,
-//! `O(1)` clone, merge-walk join).
-//!
-//! And like [`crate::sbs`], the proof-carrying payloads (`AckReq.proposed`
+//! Each round's proving phase — `AllSafe` and the `ack_req`/`nack`
+//! exchange of proven batches — is SbS's, written once in
+//! [`crate::provendelta::ProofPath`]: each distinct proof is verified
+//! once per process, and the proof-carrying payloads (`AckReq.proposed`
 //! and `Nack.accepted`) travel as delta-encoded, proof-by-reference
-//! [`ProvenUpdate`]s — the win compounds here because the proven
-//! proposal is *cumulative across rounds*, so without deltas every round
-//! re-ships every earlier round's batches and proofs. Gap handling and
-//! the [`GsbsMsg::Resync`] fallback follow [`crate::provendelta`];
-//! timestamps are monotone across rounds, so the sender-side snapshots
-//! key deltas exactly as in SbS.
+//! [`ProvenUpdate`]s, with the [`GsbsMsg::Resync`] fallback. The win
+//! compounds here because the proven proposal is *cumulative across
+//! rounds*. This process keeps its rounds, messages, certificates and
+//! buffering. Batch-set payloads are [`ValueSet`]s (Arc-backed, `O(1)`
+//! clone, merge-walk join).
 //!
 //! # Echoes said once (this implementation)
 //!
@@ -75,7 +70,7 @@
 //! proposal before any signature check.
 //!
 //! None of this changes what is signed, hashed and verified: the echo is
-//! inside every safe-ack's signature and every [`ProofId`], and the
+//! inside every safe-ack's signature and every [`bgla_crypto::ProofId`], and the
 //! digest inside every ack's signature.
 //!
 //! # What is signed
@@ -85,7 +80,7 @@
 //! trailing signature ([`crate::held::Signed`]). A safe-ack's encoding
 //! is its echo followed by its reply, so its signature covers every
 //! echoed and conflicting batch in full: round, values, signer and
-//! signature. A [`ProofId`] hashes each ack's encoding, and an ack's
+//! signature. A [`bgla_crypto::ProofId`] hashes each ack's encoding, and an ack's
 //! [`Digest`] is [`bgla_crypto::digest`] of the proposal's value set.
 //! One encoding thus serves what travels, what is metered, what is
 //! signed and what is hashed. The wire forms that leave a part out (a
@@ -137,20 +132,16 @@ use crate::proof::{
     echoing, encode_reply_fields, remove_conflicts, replies, return_conflicts, Conflicting, Proof,
     ProofAck,
 };
-use crate::provendelta::{
-    register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
-};
+use crate::provendelta::{ProofPath, Proven, ProvenUpdate, Proving, Reply, Valued};
 use crate::value::Value;
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
 use bgla_crypto::{
-    digest, CachedVerifier, Digest, Keypair, Keyring, Obligation, ProofCache, ProofId,
-    ProofResolver, Signature, VerifierStats,
+    digest, CachedVerifier, Digest, Keypair, Keyring, Obligation, Signature, VerifierStats,
 };
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
-// bgla-lint: allow(determinism, "HashSet used membership-only in all_safe; iteration order never observed")
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A proposer-signed round batch.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -265,7 +256,14 @@ impl<V: Value> Signed for GSafeAck<V> {
 
 impl<V: Value> ProofAck for GSafeAck<V> {
     type Echoed = SignedBatch<V>;
+    type Value = V;
     type Reply = GSafeAckReply<V>;
+    fn values(sb: &SignedBatch<V>) -> &[V] {
+        sb.batch.as_slice()
+    }
+    fn covers(&self, sb: &SignedBatch<V>) -> bool {
+        self.round == sb.round && self.rcvd.contains(sb) && !self.conflicted(sb)
+    }
     fn echo(&self) -> &ValueSet<SignedBatch<V>> {
         &self.rcvd
     }
@@ -307,57 +305,11 @@ pub struct GSafeAckReply<V: Value> {
 }
 
 /// A quorum of safe-acks certifying one round's safetying exchange,
-/// with its [`ProofId`] interned at construction.
+/// with its [`bgla_crypto::ProofId`] interned at construction.
 pub type BatchProof<V> = Proof<GSafeAck<V>>;
 
 /// A batch with its quorum proof of safety.
-#[derive(Debug, Clone)]
-pub struct ProvenBatch<V: Value> {
-    /// The signed batch.
-    pub sb: SignedBatch<V>,
-    /// Quorum of safe-acks covering it.
-    pub proof: BatchProof<V>,
-}
-
-impl<V: Value> PartialEq for ProvenBatch<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.sb == other.sb
-    }
-}
-impl<V: Value> Eq for ProvenBatch<V> {}
-impl<V: Value> PartialOrd for ProvenBatch<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<V: Value> Ord for ProvenBatch<V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.sb.cmp(&other.sb)
-    }
-}
-
-impl<V: Value> SetItem for ProvenBatch<V> {
-    /// `==` ignores the proof: joins must keep our own handles.
-    const EQ_IS_IDENTITY: bool = false;
-}
-
-impl<V: Value> ProvenRecord for ProvenBatch<V> {
-    type Ack = GSafeAck<V>;
-    type Value = V;
-    type Signed = SignedBatch<V>;
-    fn values(&self) -> &[V] {
-        self.sb.batch.as_slice()
-    }
-    fn proof(&self) -> &BatchProof<V> {
-        &self.proof
-    }
-    fn signed(&self) -> &SignedBatch<V> {
-        &self.sb
-    }
-    fn proven(sb: SignedBatch<V>, proof: BatchProof<V>) -> Self {
-        ProvenBatch { sb, proof }
-    }
-}
+pub type ProvenBatch<V> = Proven<GSafeAck<V>>;
 
 /// An acceptor-signed point-to-point ack (replaces GWTS's reliably
 /// broadcast ack).
@@ -466,7 +418,7 @@ pub enum GsbsMsg<V: Value> {
     /// after first contact.
     AckReq {
         /// Cumulative proven proposal (full, or delta + references).
-        proposed: ProvenUpdate<ProvenBatch<V>>,
+        proposed: ProvenUpdate<GSafeAck<V>>,
         /// Refinement timestamp.
         ts: u64,
         /// Round.
@@ -479,7 +431,7 @@ pub enum GsbsMsg<V: Value> {
     Nack {
         /// Acceptor's accepted proven set (full, or delta against the
         /// proposal of `ts` + references).
-        accepted: ProvenUpdate<ProvenBatch<V>>,
+        accepted: ProvenUpdate<GSafeAck<V>>,
         /// Echoed timestamp.
         ts: u64,
         /// Echoed round.
@@ -562,7 +514,7 @@ pub struct GsbsProcess<V: Value> {
     /// safe-ack for it (`safety_sets` keeps growing in the meantime).
     current_safe_req: ValueSet<SignedBatch<V>>,
     /// Cumulative proven proposal, with its values.
-    proposed_set: Valued<ProvenBatch<V>>,
+    proposed_set: Valued<GSafeAck<V>>,
     /// The digest of the proposal's values as of its last broadcast —
     /// what this `ts`'s acks must sign.
     proposal_digest: Digest,
@@ -573,22 +525,9 @@ pub struct GsbsProcess<V: Value> {
     held_acks: Vec<SignedAck>,
     /// Acceptor: safety candidates per round.
     safe_candidates: BTreeMap<u64, ValueSet<SignedBatch<V>>>,
-    /// Acceptor: cumulative accepted proven set, with its values.
-    accepted_set: Valued<ProvenBatch<V>>,
-    /// Memoized full-proof verdicts, keyed by [`ProofId`].
-    // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
-    proof_cache: ProofCache,
-    /// Proposer-side delta bookkeeping (snapshots, reply watermarks,
-    /// per-peer referenceable proof ids).
-    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative and deliberately amnesiac across crashes")
-    delta_tx: ProvenDeltaSender<ProvenBatch<V>>,
-    /// Acceptor-side delta bookkeeping (consumed bases, per-proposer
-    /// referenceable proof ids).
-    // bgla-lint: allow(wire-coverage, "delta bases are peer-relative; a restarted process resumes in full-set mode by design")
-    delta_rx: ProvenDeltaReceiver<ProvenBatch<V>>,
-    /// Verified-and-retained proof handles, resolvable by id when a
-    /// peer ships a reference instead of the proof.
-    resolver: ProofResolver<BatchProof<V>>,
+    /// The proving phase: the cumulative accepted proven set, proof
+    /// verdicts, retained proofs and the delta ledgers.
+    proofs: ProofPath<GSafeAck<V>>,
     /// Acceptor: highest trusted round.
     pub safe_r: u64,
     /// Valid decided certificates seen, by round.
@@ -642,11 +581,7 @@ impl<V: Value> GsbsProcess<V> {
             ack_certs: Vec::new(),
             held_acks: Vec::new(),
             safe_candidates: BTreeMap::new(),
-            accepted_set: Valued::default(),
-            proof_cache: ProofCache::default(),
-            delta_tx: ProvenDeltaSender::default(),
-            delta_rx: ProvenDeltaReceiver::default(),
-            resolver: ProofResolver::default(),
+            proofs: ProofPath::default(),
             safe_r: 0,
             decided_certs: BTreeMap::new(),
             forwarded: BTreeSet::new(),
@@ -683,7 +618,19 @@ impl<V: Value> GsbsProcess<V> {
 
     /// `(hits, misses)` of the proof-verdict cache.
     pub fn proof_cache_stats(&self) -> (u64, u64) {
-        self.proof_cache.stats()
+        self.proofs.cache.stats()
+    }
+
+    /// The proving phase over this process's state, its verifier and
+    /// quorum: `AllSafe` ([`Proving::all_safe`]) and the handlers of the
+    /// proven exchange. GSbS has no validator.
+    pub fn proving(&mut self) -> Proving<'_, GSafeAck<V>> {
+        Proving {
+            path: &mut self.proofs,
+            verifier: &mut self.verifier,
+            quorum: self.config.quorum(),
+            valid: |_| true,
+        }
     }
 
     /// The signed batches collected for `round` so far (verified and
@@ -700,75 +647,6 @@ impl<V: Value> GsbsProcess<V> {
     /// The verified acks collected for the current proposal.
     pub fn ack_certs(&self) -> &[SignedAck] {
         &self.ack_certs
-    }
-
-    /// `AllSafe` over proven batches — incremental, like
-    /// [`crate::sbs::SbsProcess::all_safe`]: per `(batch, proof)` pair
-    /// only the cheap round/coverage/conflict comparisons run; the
-    /// value-independent part of each *distinct* proof
-    /// (`proof_valid`) is answered from the per-process
-    /// [`ProofCache`] — positive and negative verdicts — when seen
-    /// before. A covered batch's own signature is certified by
-    /// membership: the pair check is full record equality against an
-    /// `rcvd` echo whose every record `proof_valid` verified.
-    ///
-    /// Public for the verification-count tests; protocol handlers are
-    /// the real callers.
-    pub fn all_safe(&mut self, set: &ValueSet<ProvenBatch<V>>) -> bool {
-        let quorum = self.config.quorum();
-        // bgla-lint: allow(determinism, "membership-only dedup set (insert/contains); iteration order never observed")
-        let mut checked: HashSet<ProofId> = HashSet::with_capacity(set.len());
-        for pb in set.iter() {
-            // Pair checks — batch ↔ proof relations are never cached
-            // (see the contract in `bgla_crypto::proofstore`).
-            for ack in pb.proof.iter() {
-                if ack.round != pb.sb.round || !ack.rcvd.contains(&pb.sb) || ack.conflicted(&pb.sb)
-                {
-                    return false;
-                }
-            }
-            let id = pb.proof.id();
-            if !checked.insert(id) {
-                continue; // another batch in this set shares the proof
-            }
-            match self.proof_cache.get(id) {
-                Some(true) => continue,
-                Some(false) => return false,
-                None => {}
-            }
-            let ok = Self::proof_valid(&mut self.verifier, quorum, &pb.proof);
-            self.proof_cache.put(id, ok);
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The value-independent proof checks — exactly the verdict
-    /// [`ProofCache`] may memoize: quorum size, signer distinctness,
-    /// and one batched signature verification covering every ack *and*
-    /// every distinct signed batch the acks echo in their `rcvd` sets.
-    /// The acks of a quorum echo mostly the same batches, so each is
-    /// encoded (and its cache key hashed) once per proof, in first-echo
-    /// order.
-    fn proof_valid(verifier: &mut CachedVerifier, quorum: usize, proof: &BatchProof<V>) -> bool {
-        if proof.len() < quorum {
-            return false;
-        }
-        let mut signers = BTreeSet::new();
-        let mut echoed = BTreeSet::new();
-        let mut obligations: Vec<Obligation> = Vec::new();
-        for ack in proof.iter() {
-            if !signers.insert(ack.signer) {
-                return false; // duplicate signer
-            }
-            obligations.push(ack.obligation());
-            for sb in ack.rcvd.iter().filter(|sb| echoed.insert(*sb)) {
-                obligations.push(sb.obligation());
-            }
-        }
-        verifier.verify_all(&obligations)
     }
 
     fn start_round(&mut self, round: u64, ctx: &mut Context<GsbsMsg<V>>) {
@@ -838,19 +716,11 @@ impl<V: Value> GsbsProcess<V> {
         if self.state != GsbsState::Safetying || self.safe_acks.len() < self.config.quorum() {
             return;
         }
-        let proof: BatchProof<V> = Proof::new(self.safe_acks.clone());
-        // Locally assembled and retained: referenceable from now on.
-        self.resolver.register(proof.id(), proof.clone());
-        let set = self.current_safe_req.clone();
-        for sb in set.iter() {
-            let conflicted = proof.iter().any(|a| a.conflicted(sb));
-            if !conflicted {
-                self.proposed_set.insert(ProvenBatch {
-                    sb: sb.clone(),
-                    proof: proof.clone(),
-                });
-            }
-        }
+        self.proofs.prove(
+            self.safe_acks.clone(),
+            &self.current_safe_req,
+            &mut self.proposed_set,
+        );
         self.state = GsbsState::Proposing;
         self.ts += 1;
         self.ack_certs.clear();
@@ -865,18 +735,17 @@ impl<V: Value> GsbsProcess<V> {
     /// proposal's digest is computed, once per `ts`.
     fn broadcast_proposal(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
         self.proposal_digest = digest(self.proposed_set.values());
-        let proposed = self.proposed_set.records();
-        self.delta_tx.record_broadcast(self.ts, proposed);
+        let (ts, round) = (self.ts, self.round);
         let updates = self
-            .delta_tx
-            .encode_broadcast(self.config.n, self.ts, proposed);
+            .proofs
+            .propose(self.config.n, ts, self.proposed_set.records());
         for (to, proposed) in updates.into_iter().enumerate() {
             ctx.send(
                 to,
                 GsbsMsg::AckReq {
                     proposed,
-                    ts: self.ts,
-                    round: self.round,
+                    ts,
+                    round,
                 },
             );
         }
@@ -944,51 +813,24 @@ impl<V: Value> GsbsProcess<V> {
                 if *round > self.safe_r {
                     return false;
                 }
-                let Some(proposed) = self.delta_rx.resolve(from, proposed, &mut self.resolver)
-                else {
-                    // Delta gap: unknown base or proof reference. Ask
-                    // for the full payload (see crate::provendelta).
-                    ctx.send(
-                        from,
-                        GsbsMsg::Resync {
-                            ts: *ts,
-                            round: *round,
-                        },
-                    );
-                    return true;
-                };
-                if !self.all_safe(&proposed) {
-                    return true; // forged proof: drop outright
-                }
-                // Consumed: the set becomes a delta base, its proofs
-                // become referenceable (by us, and back at the sender).
-                register_proofs(&mut self.resolver, &proposed);
-                self.delta_rx.record(from, *ts, &proposed);
-                let proposed = Valued::new(proposed);
-                if self.accepted_set.values().is_subset(proposed.values()) {
-                    let digest = digest(proposed.values());
-                    self.accepted_set = proposed;
-                    let ack = SignedAck::sign(from, *ts, *round, digest, self.me, &self.keypair);
-                    self.verifier.record_own(&ack.obligation());
-                    ctx.send(from, GsbsMsg::Ack(ack));
-                } else {
-                    // The refusal deltas against the refused proposal —
-                    // a base the proposer holds by construction.
-                    let accepted = self.delta_rx.encode_reply(
-                        from,
-                        *ts,
-                        proposed.records(),
-                        self.accepted_set.records(),
-                    );
-                    ctx.send(
+                let (ts, round) = (*ts, *round);
+                match self.proving().accept(from, proposed, ts) {
+                    Some(Reply::Resync) => ctx.send(from, GsbsMsg::Resync { ts, round }),
+                    Some(Reply::Ack(values)) => {
+                        let digest = digest(&values);
+                        let ack = SignedAck::sign(from, ts, round, digest, self.me, &self.keypair);
+                        self.verifier.record_own(&ack.obligation());
+                        ctx.send(from, GsbsMsg::Ack(ack));
+                    }
+                    Some(Reply::Nack(accepted)) => ctx.send(
                         from,
                         GsbsMsg::Nack {
                             accepted,
-                            ts: *ts,
-                            round: *round,
+                            ts,
+                            round,
                         },
-                    );
-                    self.accepted_set.join_with(&proposed);
+                    ),
+                    None => {} // forged proof: drop outright
                 }
                 true
             }
@@ -997,7 +839,7 @@ impl<V: Value> GsbsProcess<V> {
                 ts,
                 round,
             } => {
-                self.delta_tx.record_reply(from, *ts);
+                self.proofs.replied(from, *ts);
                 if *round < self.round
                     || (*round == self.round && *ts < self.ts)
                     || self.state == GsbsState::Done
@@ -1007,21 +849,11 @@ impl<V: Value> GsbsProcess<V> {
                 if self.state != GsbsState::Proposing || *round != self.round || *ts != self.ts {
                     return false;
                 }
-                let Some(accepted) = self.delta_tx.resolve_reply(accepted, &mut self.resolver)
-                else {
-                    // A reply gap deltas against our own snapshot and
-                    // references only proofs we shipped — Byzantine.
-                    // GSbS keeps no exclusion set (unlike SbS's `byz`),
-                    // so the nack is dropped like any other invalid
-                    // refusal; the cost is bounded by the adversary's
-                    // own message budget.
-                    return true;
-                };
-                let accepted = Valued::new(accepted);
-                let grows = !accepted.values().is_subset(self.proposed_set.values());
-                if grows && self.all_safe(accepted.records()) {
-                    register_proofs(&mut self.resolver, accepted.records());
-                    self.delta_tx.note_peer_holds(from, accepted.records());
+                // An invalid refusal is dropped: GSbS keeps no exclusion
+                // set (unlike SbS's `byz`), so a Byzantine nacker's cost
+                // is bounded by its own message budget.
+                let proposed = self.proposed_set.values().clone();
+                if let Some(accepted) = self.proving().refine(from, accepted, &proposed, true) {
                     self.proposed_set.join_with(&accepted);
                     self.ts += 1;
                     self.ack_certs.clear();
@@ -1114,19 +946,6 @@ impl<V: Value> Wire for GSafeAck<V> {
             conflicts: Wire::decode(r)?,
             signer: r.usize()?,
             sig: Signature::decode(r)?,
-        })
-    }
-}
-
-impl<V: Value> Wire for ProvenBatch<V> {
-    fn encode(&self, w: &mut Writer) {
-        self.sb.encode(w);
-        self.proof.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ProvenBatch {
-            sb: Wire::decode(r)?,
-            proof: Wire::decode(r)?,
         })
     }
 }
@@ -1304,12 +1123,10 @@ impl Wire for GsbsState {
 /// once, so a restart that dropped held ones could not get them back.
 /// Safe-acks, held or counted, are written without their echo, which is
 /// `current_safe_req` for all of them and is written once before them.
-/// The proposal's digest follows `proposed_set`; the values of
-/// `proposed_set` and `accepted_set` are rebuilt from their records.
-/// Reconstructed as in SbS: key material, verifier,
-/// [`ProofCache`] and the delta bookkeeping (fresh bookkeeping degrades
-/// to `Full` payloads until peers reply again; the `Resync` fallback
-/// covers peers' stale claims about *us*).
+/// The proposal's digest follows `proposed_set`, whose values are
+/// rebuilt from its records; the proving phase's fragment follows the
+/// safety candidates ([`ProofPath`]'s `Wire` impl). Reconstructed as in
+/// SbS: key material, verifier, and what [`ProofPath`] rebuilds.
 impl<V: Value> Wire for GsbsProcess<V> {
     fn encode(&self, w: &mut Writer) {
         self.config.encode(w);
@@ -1331,16 +1148,7 @@ impl<V: Value> Wire for GsbsProcess<V> {
         self.ack_certs.encode(w);
         self.held_acks.encode(w);
         self.safe_candidates.encode(w);
-        self.accepted_set.records().encode(w);
-        // Resolver contents, most-recently-used first; ids are
-        // recomputed on re-registration (see the SbS snapshot notes).
-        let retained: Vec<BatchProof<V>> = self
-            .resolver
-            .entries()
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect();
-        retained.encode(w);
+        self.proofs.encode(w);
         w.var(self.safe_r);
         self.decided_certs.encode(w);
         self.forwarded.encode(w);
@@ -1371,8 +1179,7 @@ impl<V: Value> Wire for GsbsProcess<V> {
         let ack_certs = Wire::decode(r)?;
         let held_acks = Wire::decode(r)?;
         let safe_candidates = Wire::decode(r)?;
-        let accepted_set = Valued::new(Wire::decode(r)?);
-        let retained: Vec<BatchProof<V>> = Wire::decode(r)?;
+        let proofs = Wire::decode(r)?;
         let safe_r = r.var()?;
         let decided_certs = Wire::decode(r)?;
         let forwarded = Wire::decode(r)?;
@@ -1381,10 +1188,6 @@ impl<V: Value> Wire for GsbsProcess<V> {
         let decisions = Wire::decode(r)?;
         let decision_depths = Wire::decode(r)?;
         let all_inputs = Wire::decode(r)?;
-        let mut resolver = ProofResolver::default();
-        for proof in retained {
-            resolver.register(proof.id(), proof);
-        }
         Ok(GsbsProcess {
             config,
             me,
@@ -1407,11 +1210,7 @@ impl<V: Value> Wire for GsbsProcess<V> {
             ack_certs,
             held_acks,
             safe_candidates,
-            accepted_set,
-            proof_cache: ProofCache::default(),
-            delta_tx: ProvenDeltaSender::default(),
-            delta_rx: ProvenDeltaReceiver::default(),
-            resolver,
+            proofs,
             safe_r,
             decided_certs,
             forwarded,
@@ -1561,7 +1360,7 @@ impl<V: Value> Process<GsbsMsg<V>> for GsbsProcess<V> {
                 self.maybe_start_proposing(ctx);
             }
             GsbsMsg::Ack(ack) => {
-                self.delta_tx.record_reply(from, ack.ts);
+                self.proofs.replied(from, ack.ts);
                 if self.state != GsbsState::Proposing
                     || ack.destination != self.me
                     || ack.ts != self.ts
@@ -1607,17 +1406,15 @@ impl<V: Value> Process<GsbsMsg<V>> for GsbsProcess<V> {
                 }
             }
             GsbsMsg::Resync { ts, round } => {
-                // The peer could not resolve a delta: forget every
-                // assumption about it and re-send the current proposal
-                // in full. Correct peers never send this.
-                self.delta_tx.reset_peer(from);
+                self.proofs.resync(from);
                 if self.state == GsbsState::Proposing && ts == self.ts && round == self.round {
+                    let proposed = ProvenUpdate::Full(self.proposed_set.records().clone());
                     ctx.send(
                         from,
                         GsbsMsg::AckReq {
-                            proposed: ProvenUpdate::Full(self.proposed_set.records().clone()),
-                            ts: self.ts,
-                            round: self.round,
+                            proposed,
+                            ts,
+                            round,
                         },
                     );
                 }
@@ -1824,6 +1621,43 @@ mod tests {
         assert!(!tampered.well_formed(&config, &mut verifier));
         // The structural rejections did no cryptographic work.
         assert_eq!(verifier.stats(), stats);
+    }
+
+    /// `AllSafe` binds a batch to the round its safe-acks were signed
+    /// for: a quorum-valid proof of round-0 acks that echoes a round-1
+    /// batch does not prove it, neither cold nor after the same proof's
+    /// verdict is cached `true` for a round-0 batch it also echoes.
+    #[test]
+    fn a_proof_of_another_round_proves_nothing() {
+        let sign = |round: u64, v: u64| {
+            SignedBatch::sign(
+                round,
+                [v].into_iter().collect(),
+                1,
+                &Keypair::for_process(1),
+            )
+        };
+        let (r0, r1) = (sign(0, 10), sign(1, 11));
+        let echo: ValueSet<SignedBatch<u64>> = [r0.clone(), r1.clone()].into_iter().collect();
+        let proof: BatchProof<u64> = Proof::new(
+            (1..4)
+                .map(|i| GSafeAck::sign(0, echo.clone(), vec![], i, &Keypair::for_process(i)))
+                .collect(),
+        );
+        let set = |sb: &SignedBatch<u64>| -> ValueSet<ProvenBatch<u64>> {
+            [ProvenBatch {
+                signed: sb.clone(),
+                proof: proof.clone(),
+            }]
+            .into_iter()
+            .collect()
+        };
+        let mut p = GsbsProcess::new(0, SystemConfig::new(4, 1), BTreeMap::new(), 2);
+        assert!(!p.proving().all_safe(&set(&r1)), "cold");
+        assert_eq!(p.verifier_stats(), VerifierStats::default());
+        assert!(p.proving().all_safe(&set(&r0)));
+        assert!(!p.proving().all_safe(&set(&r1)), "proof cached as true");
+        assert_eq!(p.proof_cache_stats(), (0, 1), "refused before the cache");
     }
 
     #[test]

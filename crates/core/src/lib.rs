@@ -96,7 +96,7 @@ pub mod wts;
 
 pub use config::SystemConfig;
 pub use proof::{Proof, ProofAck};
-pub use provendelta::{ProvenRecord, ProvenUpdate};
+pub use provendelta::{Proven, ProvenUpdate};
 pub use recovery::{
     CorruptingStore, CrashEvent, CrashPlan, CrashTactic, DirStore, MemStore, RecoveryRun,
     RollbackStore, SnapshotPolicy, SnapshotStore,

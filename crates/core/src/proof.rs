@@ -42,13 +42,28 @@ use std::sync::Arc;
 /// reply — is what the content address binds (content *and*
 /// signature). Supplies its echo, and its form without the echo:
 /// what a safe-ack reply ships, and what a proof ships per ack beside a
-/// reference to its echo.
+/// reference to its echo. It also supplies the only two things SbS and
+/// GSbS differ in when they check a proof ([`crate::provendelta::ProofPath`]):
+/// the values a record carries and the pair check [`ProofAck::covers`].
 pub trait ProofAck: Wire + Clone + std::fmt::Debug + Send + Sync + 'static {
-    /// Element type of the echoed request set.
-    type Echoed: SetItem;
+    /// Element type of the echoed request set: the signed record a
+    /// proof certifies. Its `==` is identity ([`SetItem::EQ_IS_IDENTITY`]).
+    type Echoed: SetItem + std::fmt::Debug;
+
+    /// The plain values a signed record carries.
+    type Value: SetItem;
 
     /// The ack without its echo.
     type Reply: Wire;
+
+    /// The values `record` carries.
+    fn values(record: &Self::Echoed) -> &[Self::Value];
+
+    /// `AllSafe`'s pair check: whether this ack vouches for `record` —
+    /// it echoes the record and reports no conflict on it (GSbS: and was
+    /// signed for the record's round). Pure record comparisons, never
+    /// cached (see the contract in [`bgla_crypto::proofstore`]).
+    fn covers(&self, record: &Self::Echoed) -> bool;
 
     /// The request set this ack echoes (it is inside the signature).
     fn echo(&self) -> &ValueSet<Self::Echoed>;
@@ -366,7 +381,14 @@ pub(crate) mod testing {
 
     impl ProofAck for TestAck {
         type Echoed = u64;
+        type Value = u64;
         type Reply = u64;
+        fn values(record: &u64) -> &[u64] {
+            std::slice::from_ref(record)
+        }
+        fn covers(&self, record: &u64) -> bool {
+            self.echo.contains(record)
+        }
         fn echo(&self) -> &ValueSet<u64> {
             &self.echo
         }

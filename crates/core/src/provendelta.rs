@@ -117,46 +117,71 @@
 //! A table measures its encoding once, when it is built or decoded, so
 //! metering a send of it is `O(1)`.
 
+use crate::held::Signed;
 use crate::proof::{decode_acks, encode_acks, Proof, ProofAck};
 use crate::valueset::{DeltaReceiver, DeltaSender, SetItem, SetUpdate, ValueSet};
 use bgla_codec::{CodecError, Reader, Wire, Writer};
-use bgla_crypto::{ProofId, ProofResolver};
+use bgla_crypto::{CachedVerifier, ProofCache, ProofId, ProofResolver};
 use bgla_simnet::ProcessId;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A signed record carrying an attached proof of safety — the element
-/// type [`ProvenUpdate`] deltas over (SbS `ProvenValue`, GSbS
-/// `ProvenBatch`).
+/// A signed record with its proof of safety attached: the paper's
+/// `<v, Safe_acks>` pair (SbS [`crate::sbs::ProvenValue`], GSbS
+/// [`crate::gsbs::ProvenBatch`]), and the element type [`ProvenUpdate`]
+/// deltas over.
 ///
-/// `Ord`/`Eq` must ignore the attached proof — the record is the same
-/// lattice element regardless of which quorum certified it, so
-/// [`SetItem::EQ_IS_IDENTITY`] is `false` — and order records as their
-/// [`Self::Signed`] parts do, which is the order a payload ships them in.
-pub trait ProvenRecord: SetItem {
-    /// The ack type of the attached proof. Its echo holds records
-    /// without their proofs, which a payload names by position.
-    type Ack: ProofAck<Echoed = Self::Signed>;
+/// `==` and `Ord` see only the signed record: it is the same lattice
+/// element whichever quorum certified it, so [`SetItem::EQ_IS_IDENTITY`]
+/// is `false`, and a payload ships records in that order.
+#[derive(Debug, Clone)]
+pub struct Proven<A: ProofAck> {
+    /// The signed record.
+    pub signed: A::Echoed,
+    /// The quorum of safe-acks certifying it.
+    pub proof: Proof<A>,
+}
 
-    /// The plain values a record carries.
-    type Value: SetItem;
+impl<A: ProofAck> Proven<A> {
+    /// The values the record carries.
+    pub fn values(&self) -> &[A::Value] {
+        A::values(&self.signed)
+    }
+}
 
-    /// The record without its proof: what a payload ships per record.
-    /// Its `==` is identity ([`SetItem::EQ_IS_IDENTITY`]): an echo
-    /// element equal to a record is shipped as that record's position.
-    type Signed: SetItem + std::fmt::Debug;
+impl<A: ProofAck> PartialEq for Proven<A> {
+    fn eq(&self, other: &Self) -> bool {
+        self.signed == other.signed
+    }
+}
+impl<A: ProofAck> Eq for Proven<A> {}
+impl<A: ProofAck> PartialOrd for Proven<A> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<A: ProofAck> Ord for Proven<A> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.signed.cmp(&other.signed)
+    }
+}
 
-    /// The values this record carries.
-    fn values(&self) -> &[Self::Value];
+impl<A: ProofAck> SetItem for Proven<A> {
+    /// `==` ignores the proof: joins must keep our own handles.
+    const EQ_IS_IDENTITY: bool = false;
+}
 
-    /// The attached proof of safety.
-    fn proof(&self) -> &Proof<Self::Ack>;
-
-    /// The record without its proof.
-    fn signed(&self) -> &Self::Signed;
-
-    /// The record `signed` with `proof` attached.
-    fn proven(signed: Self::Signed, proof: Proof<Self::Ack>) -> Self;
+impl<A: ProofAck> Wire for Proven<A> {
+    fn encode(&self, w: &mut Writer) {
+        self.signed.encode(w);
+        self.proof.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Proven {
+            signed: Wire::decode(r)?,
+            proof: Wire::decode(r)?,
+        })
+    }
 }
 
 /// A proven-set payload: the full set, or only the records added since a
@@ -168,10 +193,10 @@ pub trait ProvenRecord: SetItem {
 /// ledgers build and what decoding yields — so a simulated receiver is
 /// handed exactly what a socket delivers.
 #[derive(Debug, Clone)]
-pub enum ProvenUpdate<T: ProvenRecord> {
+pub enum ProvenUpdate<A: ProofAck> {
     /// The whole set, every distinct proof inline (first contact or
     /// resync fallback).
-    Full(ValueSet<T>),
+    Full(ValueSet<Proven<A>>),
     /// The additions relative to the set this receiver consumed at
     /// `base_ts`, with proofs the receiver holds referenced by id.
     Delta {
@@ -179,18 +204,18 @@ pub enum ProvenUpdate<T: ProvenRecord> {
         base_ts: u64,
         /// `current ∖ base` — a record's proof ships inline unless its
         /// id appears in `refs`.
-        new: ValueSet<T>,
+        new: ValueSet<Proven<A>>,
         /// Ids (among `new`'s proofs) the receiver is assumed to hold.
         /// An id no record of `new` carries is not shipped.
         refs: Vec<ProofId>,
     },
     /// The payload as the wire carries it.
-    Table(ProvenTable<T>),
+    Table(ProvenTable<A>),
 }
 
-impl<T: ProvenRecord> ProvenUpdate<T> {
+impl<A: ProofAck> ProvenUpdate<A> {
     /// This payload as the wire carries it.
-    pub fn table(&self) -> Cow<'_, ProvenTable<T>> {
+    pub fn table(&self) -> Cow<'_, ProvenTable<A>> {
         match self {
             ProvenUpdate::Full(set) => Cow::Owned(ProvenTable::new(None, set, |_| false)),
             ProvenUpdate::Delta { base_ts, new, refs } => {
@@ -213,7 +238,7 @@ impl<T: ProvenRecord> ProvenUpdate<T> {
 }
 
 /// Every payload encodes as its [`ProvenTable`], and decodes to one.
-impl<T: ProvenRecord> Wire for ProvenUpdate<T> {
+impl<A: ProofAck> Wire for ProvenUpdate<A> {
     fn encode(&self, w: &mut Writer) {
         self.table().encode(w);
     }
@@ -227,33 +252,33 @@ impl<T: ProvenRecord> Wire for ProvenUpdate<T> {
 /// proof but with the index of its proof, then each distinct proof once
 /// (see the module docs).
 #[derive(Debug, Clone)]
-pub struct ProvenTable<T: ProvenRecord> {
+pub struct ProvenTable<A: ProofAck> {
     /// `None` for the whole set; `Some(ts)` for the records added since
     /// the set the receiver consumed at `ts`.
     base_ts: Option<u64>,
     /// The records without their proofs, strictly ascending.
-    records: Vec<T::Signed>,
+    records: Vec<A::Echoed>,
     /// Per record, the index of its proof in `proofs` followed by `refs`.
     proof_of: Vec<usize>,
     /// The proofs shipped inline, each once, in first-use order.
-    proofs: Vec<Proof<T::Ack>>,
+    proofs: Vec<Proof<A>>,
     /// The ids of the proofs the receiver holds, strictly ascending.
     refs: Vec<ProofId>,
     /// The length of the encoding, measured once.
     wire: usize,
 }
 
-impl<T: ProvenRecord> ProvenTable<T> {
+impl<A: ProofAck> ProvenTable<A> {
     /// `records` with every proof `held` says the receiver holds by
     /// reference and the others inline.
     pub fn new(
         base_ts: Option<u64>,
-        records: &ValueSet<T>,
+        records: &ValueSet<Proven<A>>,
         held: impl Fn(&ProofId) -> bool,
     ) -> Self {
         let (refs, inline): (BTreeSet<ProofId>, BTreeSet<ProofId>) = records
             .iter()
-            .map(|r| r.proof().id())
+            .map(|r| r.proof.id())
             .partition(|id| held(id));
         let refs: Vec<ProofId> = refs.into_iter().collect();
         let mut proofs = Vec::with_capacity(inline.len());
@@ -261,7 +286,7 @@ impl<T: ProvenRecord> ProvenTable<T> {
         let proof_of: Vec<usize> = records
             .iter()
             .map(|r| {
-                let proof = r.proof();
+                let proof = &r.proof;
                 match refs.binary_search(&proof.id()) {
                     Ok(k) => inline.len() + k,
                     Err(_) => *at.entry(proof.id()).or_insert_with(|| {
@@ -271,7 +296,7 @@ impl<T: ProvenRecord> ProvenTable<T> {
                 }
             })
             .collect();
-        let records: Vec<T::Signed> = records.iter().map(|r| r.signed().clone()).collect();
+        let records: Vec<A::Echoed> = records.iter().map(|r| r.signed.clone()).collect();
         let mut wire = Writer::counting();
         write_table(&mut wire, base_ts, &records, &proof_of, &proofs, &refs);
         ProvenTable {
@@ -297,7 +322,7 @@ impl<T: ProvenRecord> ProvenTable<T> {
 
     /// The records without their proofs, in ascending order, each with
     /// its proof if that travels inline (`None`: by reference).
-    pub fn records(&self) -> impl Iterator<Item = (&T::Signed, Option<&Proof<T::Ack>>)> {
+    pub fn records(&self) -> impl Iterator<Item = (&A::Echoed, Option<&Proof<A>>)> {
         self.records
             .iter()
             .zip(&self.proof_of)
@@ -307,14 +332,17 @@ impl<T: ProvenRecord> ProvenTable<T> {
     /// The records with their proofs attached: an inline proof from the
     /// table, a referenced one from `resolver`. `None` is a gap: a
     /// referenced id the resolver does not hold.
-    fn attach(&self, resolver: &mut ProofResolver<Proof<T::Ack>>) -> Option<ValueSet<T>> {
+    fn attach(&self, resolver: &mut ProofResolver<Proof<A>>) -> Option<ValueSet<Proven<A>>> {
         let mut out = Vec::with_capacity(self.records.len());
         for (signed, index) in self.records.iter().zip(&self.proof_of) {
             let proof = match self.proofs.get(*index) {
                 Some(proof) => proof.clone(),
                 None => resolver.resolve(*self.refs.get(index - self.proofs.len())?)?,
             };
-            out.push(T::proven(signed.clone(), proof));
+            out.push(Proven {
+                signed: signed.clone(),
+                proof,
+            });
         }
         Some(ValueSet::from_sorted(out))
     }
@@ -414,7 +442,7 @@ fn read_echo<E: SetItem>(r: &mut Reader<'_>, records: &[E]) -> Result<ValueSet<E
     Ok(ValueSet::from_sorted(items))
 }
 
-impl<T: ProvenRecord> Wire for ProvenTable<T> {
+impl<A: ProofAck> Wire for ProvenTable<A> {
     fn encode(&self, w: &mut Writer) {
         if !w.counted(self.wire) {
             write_table(
@@ -440,18 +468,18 @@ impl<T: ProvenRecord> Wire for ProvenTable<T> {
             _ => return Err(CodecError::Invalid("proven update tag")),
         };
         let n = r.seq_len()?;
-        let mut records: Vec<T::Signed> = Vec::with_capacity(n);
+        let mut records: Vec<A::Echoed> = Vec::with_capacity(n);
         let mut proof_of = Vec::with_capacity(n);
         for _ in 0..n {
             proof_of.push(r.usize()?);
-            let signed = T::Signed::decode(r)?;
+            let signed = A::Echoed::decode(r)?;
             if records.last().is_some_and(|last| *last >= signed) {
                 return Err(CodecError::Invalid("proven records not strictly ascending"));
             }
             records.push(signed);
         }
         let listed = r.seq_len()?;
-        let mut proofs: Vec<Proof<T::Ack>> = Vec::with_capacity(listed);
+        let mut proofs: Vec<Proof<A>> = Vec::with_capacity(listed);
         for _ in 0..listed {
             proofs.push(Proof::new(decode_acks(r, |r| read_echo(r, &records))?));
         }
@@ -498,7 +526,7 @@ impl<T: ProvenRecord> Wire for ProvenTable<T> {
 }
 
 /// The values the records of `set` carry.
-fn values_of<T: ProvenRecord>(set: &ValueSet<T>) -> ValueSet<T::Value> {
+fn values_of<A: ProofAck>(set: &ValueSet<Proven<A>>) -> ValueSet<A::Value> {
     set.iter()
         .flat_map(|r| r.values().iter().cloned())
         .collect()
@@ -511,44 +539,44 @@ fn values_of<T: ProvenRecord>(set: &ValueSet<T>) -> ValueSet<T::Value> {
 /// Not [`Wire`]: an owner encodes [`Self::records`] alone and rebuilds
 /// the values with [`Valued::new`] when it decodes them.
 #[derive(Debug, Clone)]
-pub(crate) struct Valued<T: ProvenRecord> {
-    records: ValueSet<T>,
-    values: ValueSet<T::Value>,
+pub(crate) struct Valued<A: ProofAck> {
+    records: ValueSet<Proven<A>>,
+    values: ValueSet<A::Value>,
 }
 
-impl<T: ProvenRecord> Valued<T> {
+impl<A: ProofAck> Valued<A> {
     /// `records` with their values.
-    pub(crate) fn new(records: ValueSet<T>) -> Self {
+    pub(crate) fn new(records: ValueSet<Proven<A>>) -> Self {
         let values = values_of(&records);
         Valued { records, values }
     }
 
     /// The proven records.
-    pub(crate) fn records(&self) -> &ValueSet<T> {
+    pub(crate) fn records(&self) -> &ValueSet<Proven<A>> {
         &self.records
     }
 
     /// The values the records carry.
-    pub(crate) fn values(&self) -> &ValueSet<T::Value> {
+    pub(crate) fn values(&self) -> &ValueSet<A::Value> {
         &self.values
     }
 
     /// Inserts `record` and its values.
-    pub(crate) fn insert(&mut self, record: T) {
-        let values: ValueSet<T::Value> = record.values().iter().cloned().collect();
+    pub(crate) fn insert(&mut self, record: Proven<A>) {
+        let values: ValueSet<A::Value> = record.values().iter().cloned().collect();
         if self.records.insert(record) {
             self.values.join_with(&values);
         }
     }
 
     /// Joins `other` in, records and values.
-    pub(crate) fn join_with(&mut self, other: &Valued<T>) {
+    pub(crate) fn join_with(&mut self, other: &Valued<A>) {
         self.records.join_with(&other.records);
         self.values.join_with(&other.values);
     }
 }
 
-impl<T: ProvenRecord> Default for Valued<T> {
+impl<A: ProofAck> Default for Valued<A> {
     fn default() -> Self {
         Valued {
             records: ValueSet::new(),
@@ -566,13 +594,13 @@ impl<T: ProvenRecord> Default for Valued<T> {
 const KNOWN_HELD_CAP: usize = 1024;
 
 /// Notes that `peer` holds every proof of `set`.
-fn note_held<T: ProvenRecord>(
+fn note_held<A: ProofAck>(
     held: &mut BTreeMap<ProcessId, BTreeSet<ProofId>>,
     peer: ProcessId,
-    set: &ValueSet<T>,
+    set: &ValueSet<Proven<A>>,
 ) {
     let entry = held.entry(peer).or_default();
-    entry.extend(set.iter().map(|r| r.proof().id()));
+    entry.extend(set.iter().map(|r| r.proof.id()));
     while entry.len() > KNOWN_HELD_CAP {
         entry.pop_first();
     }
@@ -580,12 +608,12 @@ fn note_held<T: ProvenRecord>(
 
 /// The records `new` added since `base_ts`, for peer `to`: every proof
 /// `to` demonstrably holds by reference.
-fn delta_for<T: ProvenRecord>(
+fn delta_for<A: ProofAck>(
     held: &BTreeMap<ProcessId, BTreeSet<ProofId>>,
     to: ProcessId,
     base_ts: u64,
-    new: &ValueSet<T>,
-) -> ProvenUpdate<T> {
+    new: &ValueSet<Proven<A>>,
+) -> ProvenUpdate<A> {
     let held = held.get(&to);
     ProvenUpdate::Table(ProvenTable::new(Some(base_ts), new, |id| {
         held.is_some_and(|held| held.contains(id))
@@ -596,11 +624,11 @@ fn delta_for<T: ProvenRecord>(
 /// with locally resolved handles attached for referenced proofs — the
 /// sender's copies never travel. `None` is a gap: a base `base_at` does
 /// not hold, or a referenced id the resolver does not hold.
-fn resolve_onto<'a, T: ProvenRecord + 'a>(
-    update: &ProvenUpdate<T>,
-    base_at: impl FnOnce(u64) -> Option<&'a ValueSet<T>>,
-    resolver: &mut ProofResolver<Proof<T::Ack>>,
-) -> Option<ValueSet<T>> {
+fn resolve_onto<'a, A: ProofAck>(
+    update: &ProvenUpdate<A>,
+    base_at: impl FnOnce(u64) -> Option<&'a ValueSet<Proven<A>>>,
+    resolver: &mut ProofResolver<Proof<A>>,
+) -> Option<ValueSet<Proven<A>>> {
     let table = update.table();
     match table.base_ts {
         None => table.attach(resolver),
@@ -615,13 +643,10 @@ fn resolve_onto<'a, T: ProvenRecord + 'a>(
 /// referenceable by peers. Call when a set is *consumed* (verified and
 /// acted on) or locally assembled — never for payloads that failed
 /// `AllSafe`.
-pub fn register_proofs<T: ProvenRecord>(
-    resolver: &mut ProofResolver<Proof<T::Ack>>,
-    set: &ValueSet<T>,
-) {
+fn register_proofs<A: ProofAck>(resolver: &mut ProofResolver<Proof<A>>, set: &ValueSet<Proven<A>>) {
     let mut seen: BTreeSet<ProofId> = BTreeSet::new();
     for record in set.iter() {
-        let proof = record.proof();
+        let proof = &record.proof;
         if seen.insert(proof.id()) {
             resolver.register(proof.id(), proof.clone());
         }
@@ -634,13 +659,13 @@ pub fn register_proofs<T: ProvenRecord>(
 /// demonstrably holds. `Default` is fresh state: no snapshots, no reply
 /// seen.
 #[derive(Debug)]
-pub struct ProvenDeltaSender<T: ProvenRecord> {
-    ledger: DeltaSender<T>,
+pub struct ProvenDeltaSender<A: ProofAck> {
+    ledger: DeltaSender<Proven<A>>,
     /// Peer → proof ids it demonstrably delivered (see module docs).
     known_held: BTreeMap<ProcessId, BTreeSet<ProofId>>,
 }
 
-impl<T: ProvenRecord> Default for ProvenDeltaSender<T> {
+impl<A: ProofAck> Default for ProvenDeltaSender<A> {
     fn default() -> Self {
         ProvenDeltaSender {
             ledger: DeltaSender::default(),
@@ -649,10 +674,10 @@ impl<T: ProvenRecord> Default for ProvenDeltaSender<T> {
     }
 }
 
-impl<T: ProvenRecord> ProvenDeltaSender<T> {
+impl<A: ProofAck> ProvenDeltaSender<A> {
     /// Records the proven set broadcast at `ts` (call once per
     /// broadcast, before encoding per-peer updates).
-    pub fn record_broadcast(&mut self, ts: u64, set: &ValueSet<T>) {
+    pub fn record_broadcast(&mut self, ts: u64, set: &ValueSet<Proven<A>>) {
         self.ledger.record_broadcast(ts, set);
     }
 
@@ -669,7 +694,7 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
     /// Records that `from` evidently holds every proof of `set` (it
     /// shipped or referenced them itself — e.g. inside a nack), without
     /// implying it holds any particular proposal snapshot.
-    pub fn note_peer_holds(&mut self, from: ProcessId, set: &ValueSet<T>) {
+    pub fn note_peer_holds(&mut self, from: ProcessId, set: &ValueSet<Proven<A>>) {
         note_held(&mut self.known_held, from, set);
     }
 
@@ -684,7 +709,12 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
     /// Encodes the proven set `current` (broadcast at `ts`) for peer
     /// `to`: what the ledger's [`DeltaSender::encode_for`] gives it,
     /// with the proofs `to` demonstrably holds by reference.
-    pub fn encode_for(&self, to: ProcessId, ts: u64, current: &ValueSet<T>) -> ProvenUpdate<T> {
+    pub fn encode_for(
+        &self,
+        to: ProcessId,
+        ts: u64,
+        current: &ValueSet<Proven<A>>,
+    ) -> ProvenUpdate<A> {
         self.by_reference(to, self.ledger.encode_for(to, ts, current))
     }
 
@@ -695,8 +725,8 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
         &self,
         n: usize,
         ts: u64,
-        current: &ValueSet<T>,
-    ) -> Vec<ProvenUpdate<T>> {
+        current: &ValueSet<Proven<A>>,
+    ) -> Vec<ProvenUpdate<A>> {
         let updates = self.ledger.encode_broadcast(n, ts, current);
         updates
             .into_iter()
@@ -705,7 +735,7 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
             .collect()
     }
 
-    fn by_reference(&self, to: ProcessId, update: SetUpdate<T>) -> ProvenUpdate<T> {
+    fn by_reference(&self, to: ProcessId, update: SetUpdate<Proven<A>>) -> ProvenUpdate<A> {
         match update {
             SetUpdate::Full(set) => ProvenUpdate::Table(ProvenTable::new(None, &set, |_| false)),
             SetUpdate::Delta { base_ts, added } => delta_for(&self.known_held, to, base_ts, &added),
@@ -718,9 +748,9 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
     /// replies, a reliable Byzantine signal (see module docs).
     pub fn resolve_reply(
         &self,
-        update: &ProvenUpdate<T>,
-        resolver: &mut ProofResolver<Proof<T::Ack>>,
-    ) -> Option<ValueSet<T>> {
+        update: &ProvenUpdate<A>,
+        resolver: &mut ProofResolver<Proof<A>>,
+    ) -> Option<ValueSet<Proven<A>>> {
         resolve_onto(update, |ts| self.ledger.snapshot(ts), resolver)
     }
 }
@@ -730,12 +760,12 @@ impl<T: ProvenRecord> ProvenDeltaSender<T> {
 /// each proposer demonstrably holds (reference targets for
 /// delta-encoded nacks back to it). `Default` is fresh state.
 #[derive(Debug)]
-pub struct ProvenDeltaReceiver<T: ProvenRecord> {
-    bases: DeltaReceiver<T>,
+pub struct ProvenDeltaReceiver<A: ProofAck> {
+    bases: DeltaReceiver<Proven<A>>,
     peer_proofs: BTreeMap<ProcessId, BTreeSet<ProofId>>,
 }
 
-impl<T: ProvenRecord> Default for ProvenDeltaReceiver<T> {
+impl<A: ProofAck> Default for ProvenDeltaReceiver<A> {
     fn default() -> Self {
         ProvenDeltaReceiver {
             bases: DeltaReceiver::default(),
@@ -744,16 +774,16 @@ impl<T: ProvenRecord> Default for ProvenDeltaReceiver<T> {
     }
 }
 
-impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
+impl<A: ProofAck> ProvenDeltaReceiver<A> {
     /// Resolves a proposal update from `from` into the full proven set.
     /// `None` means a detected gap — unknown base or unresolvable
     /// reference — to be answered with a resync request.
     pub fn resolve(
         &self,
         from: ProcessId,
-        update: &ProvenUpdate<T>,
-        resolver: &mut ProofResolver<Proof<T::Ack>>,
-    ) -> Option<ValueSet<T>> {
+        update: &ProvenUpdate<A>,
+        resolver: &mut ProofResolver<Proof<A>>,
+    ) -> Option<ValueSet<Proven<A>>> {
         resolve_onto(update, |ts| self.bases.base(from, ts), resolver)
     }
 
@@ -761,7 +791,7 @@ impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
     /// (we are about to reply to it): it becomes a delta base, and its
     /// proofs become referenceable back to `from` — the sender shipped
     /// or referenced every one of them, so it holds them.
-    pub fn record(&mut self, from: ProcessId, ts: u64, set: &ValueSet<T>) {
+    pub fn record(&mut self, from: ProcessId, ts: u64, set: &ValueSet<Proven<A>>) {
         note_held(&mut self.peer_proofs, from, set);
         self.bases.record(from, ts, set);
     }
@@ -774,11 +804,346 @@ impl<T: ProvenRecord> ProvenDeltaReceiver<T> {
         &self,
         to: ProcessId,
         base_ts: u64,
-        base: &ValueSet<T>,
-        current: &ValueSet<T>,
-    ) -> ProvenUpdate<T> {
+        base: &ValueSet<Proven<A>>,
+        current: &ValueSet<Proven<A>>,
+    ) -> ProvenUpdate<A> {
         delta_for(&self.peer_proofs, to, base_ts, &current.difference(base))
     }
+}
+
+/// The proving phase of SbS and GSbS — Algorithm 10's `AllSafe` and the
+/// `ack_req`/`nack` exchange of proven sets, which GSbS runs once per
+/// round (§8.2) — over the state it keeps: the acceptor's accepted
+/// proven set, the proof-verdict cache, the proof resolver and both
+/// delta ledgers. Each process keeps its own phases, messages, ack
+/// signing and thresholds, and calls this for the rest; checking a set
+/// goes through [`Proving`], which adds the process's verifier, quorum
+/// and validator.
+///
+/// # Verify-once proofs
+///
+/// Proofs of safety are `O(n²)` bytes and arrive attached to every
+/// `ack_req`/`nack`; the same proof is re-shipped on every refinement
+/// and Byzantine peers can redeliver it without bound. So each
+/// *distinct* proof is verified *once per process*: proofs are
+/// [`Proof`] handles whose [`ProofId`] is interned at construction, and
+/// [`Proving::all_safe`] memoizes full-proof verdicts (positive and
+/// negative) in a per-process [`ProofCache`]. Only the cheap pair checks
+/// ([`ProofAck::covers`]) re-run on redelivery; see
+/// [`bgla_crypto::proofstore`] for the caching contract. The cache only
+/// skips recomputation of deterministic verdicts, so it cannot change a
+/// decision or a trace. Proven sets are [`ValueSet`]s — Arc-backed
+/// sorted vectors with `O(1)` clone and merge-walk join — so redelivered
+/// supersets are recognized structurally instead of re-walked.
+///
+/// # Delta-encoded, proof-by-reference proposals
+///
+/// Verify-once removes the redundant *computation*; shipping every
+/// proof in full on every `ack_req`/`nack` would leave the redundant
+/// *bytes*. Proof-carrying payloads therefore travel as
+/// [`ProvenUpdate`]s: after an acceptor has acked or nacked a proposal,
+/// later `ack_req`s to it carry only the records added since that
+/// reply, with proofs the acceptor demonstrably holds named by
+/// [`ProofId`] reference (16 bytes instead of `O(n²)`); `nack`s delta
+/// against the very proposal they refuse and reference the proposer's
+/// own proofs back at it. Receivers reconstruct the full set by joining
+/// the delta onto the recorded base and resolving each reference in
+/// their [`ProofResolver`] — hash lookups, no re-verification (the
+/// `ProofCache` verdict already covers a resolved proof). In GSbS the
+/// proven proposal is cumulative across rounds, so without deltas every
+/// round would re-ship every earlier round's batches and proofs;
+/// timestamps are monotone across rounds, so the sender-side snapshots
+/// key deltas exactly as in SbS. An unresolvable *proposal* reference or
+/// base is a **delta gap**: the acceptor answers with a resync request
+/// and the proposer falls back to `Full` — only Byzantine senders (or
+/// resolver eviction on pathological runs) can trigger it. See the
+/// module docs for the reference discipline and the wire format.
+pub struct ProofPath<A: ProofAck> {
+    /// Acceptor: the accepted proven set, with its values.
+    accepted: Valued<A>,
+    /// Memoized full-proof verdicts, keyed by [`ProofId`].
+    // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
+    pub(crate) cache: ProofCache,
+    /// Verified-and-retained proof handles, resolvable by id when a
+    /// peer ships a reference instead of the proof.
+    resolver: ProofResolver<Proof<A>>,
+    /// Proposer-side delta bookkeeping (snapshots, reply watermarks,
+    /// per-peer referenceable proof ids).
+    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative and deliberately amnesiac across crashes")
+    tx: ProvenDeltaSender<A>,
+    /// Acceptor-side delta bookkeeping (consumed bases, per-proposer
+    /// referenceable proof ids).
+    // bgla-lint: allow(wire-coverage, "delta bases are peer-relative; a restarted process resumes in full-set mode by design")
+    rx: ProvenDeltaReceiver<A>,
+}
+
+impl<A: ProofAck> Default for ProofPath<A> {
+    fn default() -> Self {
+        ProofPath {
+            accepted: Valued::default(),
+            cache: ProofCache::default(),
+            resolver: ProofResolver::default(),
+            tx: ProvenDeltaSender::default(),
+            rx: ProvenDeltaReceiver::default(),
+        }
+    }
+}
+
+impl<A: ProofAck> ProofPath<A> {
+    /// Assembles the proof `acks` make over the request `echo` and
+    /// inserts into `proposed` every record of `echo` each ack covers —
+    /// the unconflicted ones. The proof is locally assembled and
+    /// retained, so it is referenceable from now on.
+    pub(crate) fn prove(
+        &mut self,
+        acks: Vec<A>,
+        echo: &ValueSet<A::Echoed>,
+        proposed: &mut Valued<A>,
+    ) {
+        let proof = Proof::new(acks);
+        self.resolver.register(proof.id(), proof.clone());
+        for signed in echo.iter().filter(|r| proof.iter().all(|a| a.covers(r))) {
+            proposed.insert(Proven {
+                signed: signed.clone(),
+                proof: proof.clone(),
+            });
+        }
+    }
+
+    /// Records the proposal `proposed` broadcast at `ts` and encodes it
+    /// for every peer `0..n`: the whole set on first contact or after a
+    /// resync, else a delta with held proofs by reference.
+    pub(crate) fn propose(
+        &mut self,
+        n: usize,
+        ts: u64,
+        proposed: &ValueSet<Proven<A>>,
+    ) -> Vec<ProvenUpdate<A>> {
+        self.tx.record_broadcast(ts, proposed);
+        self.tx.encode_broadcast(n, ts, proposed)
+    }
+
+    /// Records that `from` replied (ack or nack) to our proposal of `ts`.
+    pub(crate) fn replied(&mut self, from: ProcessId, ts: u64) {
+        self.tx.record_reply(from, ts);
+    }
+
+    /// The resync fallback: `peer` could not resolve a delta, so forget
+    /// every assumption about it; it gets `Full` payloads until it
+    /// replies again. Correct peers never ask, so the cost is bounded by
+    /// the adversary's own message budget.
+    pub(crate) fn resync(&mut self, peer: ProcessId) {
+        self.tx.reset_peer(peer);
+    }
+}
+
+/// The snapshot fragment: the accepted records, then the resolver's
+/// retained proofs least-recently-used first, so re-registering them in
+/// that order reproduces the eviction order. Ids are *not* stored:
+/// re-registration recomputes each proof's content address, so a
+/// tampered snapshot cannot alias one proof's id to another's bytes (the
+/// checksum already catches accidents). The accepted values are rebuilt
+/// from the records; the cache and the ledgers start empty — a cold
+/// cache only costs time, and fresh ledgers send `Full` payloads until
+/// peers reply again, while the resync fallback covers the peers' stale
+/// claims about *us*.
+impl<A: ProofAck> Wire for ProofPath<A> {
+    fn encode(&self, w: &mut Writer) {
+        self.accepted.records().encode(w);
+        let retained: Vec<Proof<A>> = self
+            .resolver
+            .entries()
+            .into_iter()
+            .map(|(_, p)| p)
+            .collect();
+        retained.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let accepted = Valued::new(Wire::decode(r)?);
+        let retained: Vec<Proof<A>> = Wire::decode(r)?;
+        let mut resolver = ProofResolver::default();
+        for proof in retained {
+            resolver.register(proof.id(), proof);
+        }
+        Ok(ProofPath {
+            accepted,
+            resolver,
+            ..ProofPath::default()
+        })
+    }
+}
+
+/// What an acceptor answers a safe proposal with.
+pub(crate) enum Reply<A: ProofAck> {
+    /// The proposal did not resolve (a delta gap): ask for it in full.
+    Resync,
+    /// The proposal contains the accepted set, which is now the
+    /// proposal: agree, with these values.
+    Ack(ValueSet<A::Value>),
+    /// The accepted set is not contained: refuse, with the accepted set
+    /// as a delta against the refused proposal. The accepted set has
+    /// joined the proposal.
+    Nack(ProvenUpdate<A>),
+}
+
+/// A [`ProofPath`] with what checking a proven set takes from its
+/// owner: the verifier, the quorum and the validator.
+pub struct Proving<'a, A: ProofAck> {
+    pub(crate) path: &'a mut ProofPath<A>,
+    pub(crate) verifier: &'a mut CachedVerifier,
+    pub(crate) quorum: usize,
+    pub(crate) valid: fn(&A::Value) -> bool,
+}
+
+impl<A> Proving<'_, A>
+where
+    A: ProofAck + Signed,
+    A::Echoed: Signed,
+{
+    /// Algorithm 10's `AllSafe`: every record's values pass the
+    /// validator and its proof checks out — incremental. Per
+    /// `(record, proof)` pair only the validator and the pair checks
+    /// ([`ProofAck::covers`]: pure record comparisons, no serialization,
+    /// no hashing) run; the expensive record-independent part of each
+    /// *distinct* proof (`proof_valid`) is answered from the
+    /// [`ProofCache`] when the proof was seen before — positive *and*
+    /// negative verdicts, so a redelivered forged proof costs a lookup,
+    /// not a re-verification. Within one call, records sharing a proof
+    /// check it once (by [`ProofId`]).
+    ///
+    /// A record's own signature is covered by the proof verdict: the
+    /// pair check demands that each ack echo the record under *full
+    /// record equality* (signature bytes included), and `proof_valid`
+    /// verifies every record every ack echoes — so a covered record's
+    /// signature has been verified, by content, exactly once.
+    ///
+    /// Public for the verification-count tests; the `ack_req` and `nack`
+    /// handlers are the real callers.
+    pub fn all_safe(&mut self, set: &ValueSet<Proven<A>>) -> bool {
+        let mut checked: BTreeSet<ProofId> = BTreeSet::new();
+        for record in set.iter() {
+            if !record.values().iter().all(self.valid) {
+                return false;
+            }
+            if !record.proof.iter().all(|ack| ack.covers(&record.signed)) {
+                return false;
+            }
+            let id = record.proof.id();
+            if !checked.insert(id) {
+                continue; // another record in this set shares the proof
+            }
+            match self.path.cache.get(id) {
+                Some(true) => continue,
+                Some(false) => return false,
+                None => {}
+            }
+            let ok = proof_valid(self.verifier, self.quorum, &record.proof);
+            self.path.cache.put(id, ok);
+            if !ok {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The acceptor's half of an `ack_req` from `from` at `ts`: resolves
+    /// `update`, checks it with [`Self::all_safe`] and, if it is safe,
+    /// consumes it — it becomes a delta base, and its proofs become
+    /// referenceable, by us and back at `from` — and answers it. `None`:
+    /// an unsafe proposal, dropped.
+    pub(crate) fn accept(
+        &mut self,
+        from: ProcessId,
+        update: &ProvenUpdate<A>,
+        ts: u64,
+    ) -> Option<Reply<A>> {
+        let path = &mut *self.path;
+        let Some(proposed) = path.rx.resolve(from, update, &mut path.resolver) else {
+            // Unknown base or proof reference: a proposal reference can
+            // outlive our bounded resolver window, so ask for it whole.
+            return Some(Reply::Resync);
+        };
+        if !self.all_safe(&proposed) {
+            return None;
+        }
+        let path = &mut *self.path;
+        register_proofs(&mut path.resolver, &proposed);
+        path.rx.record(from, ts, &proposed);
+        let proposed = Valued::new(proposed);
+        if path.accepted.values().is_subset(proposed.values()) {
+            let values = proposed.values().clone();
+            path.accepted = proposed;
+            Some(Reply::Ack(values))
+        } else {
+            // The refusal deltas against the refused proposal itself — a
+            // base the proposer holds by construction; the proposer
+            // reconstructs the union, which is exactly what its grows
+            // check and join compute anyway.
+            let accepted =
+                path.rx
+                    .encode_reply(from, ts, proposed.records(), path.accepted.records());
+            path.accepted.join_with(&proposed);
+            Some(Reply::Nack(accepted))
+        }
+    }
+
+    /// The proposer's half of a current `nack` from `from`: resolves the
+    /// refusal against our own snapshot of the refused proposal and
+    /// returns the accepted set to join if it grows `proposed`, `from` is
+    /// `trusted` and it passes [`Self::all_safe`]. Its proofs are then
+    /// registered and noted as held by `from`, which shipped or
+    /// referenced every one. `None`: an invalid refusal — a gap in a
+    /// reply included, which references only proofs we shipped against a
+    /// snapshot we retain, so only a Byzantine sender causes it.
+    pub(crate) fn refine(
+        &mut self,
+        from: ProcessId,
+        update: &ProvenUpdate<A>,
+        proposed: &ValueSet<A::Value>,
+        trusted: bool,
+    ) -> Option<Valued<A>> {
+        let path = &mut *self.path;
+        let accepted = Valued::new(path.tx.resolve_reply(update, &mut path.resolver)?);
+        let grows = !accepted.values().is_subset(proposed);
+        if !(grows && trusted && self.all_safe(accepted.records())) {
+            return None;
+        }
+        register_proofs(&mut self.path.resolver, accepted.records());
+        self.path.tx.note_peer_holds(from, accepted.records());
+        Some(accepted)
+    }
+}
+
+/// The record-independent proof checks — exactly the verdict
+/// [`ProofCache`] may memoize: quorum size, signer distinctness, and one
+/// batched signature verification covering every ack *and* every
+/// distinct signed record the acks echo. The acks of a quorum echo
+/// mostly the same records, and record equality is identity, so each is
+/// encoded (and its cache key hashed) once per proof, in first-echo
+/// order. Verifying the echoes is what lets [`Proving::all_safe`]
+/// certify covered records by membership alone.
+fn proof_valid<A>(verifier: &mut CachedVerifier, quorum: usize, proof: &Proof<A>) -> bool
+where
+    A: ProofAck + Signed,
+    A::Echoed: Signed,
+{
+    if proof.len() < quorum {
+        return false;
+    }
+    let mut signers = BTreeSet::new();
+    let mut echoed = BTreeSet::new();
+    let mut obligations = Vec::new();
+    for ack in proof {
+        if !signers.insert(ack.signer()) {
+            return false; // duplicate signer
+        }
+        obligations.push(ack.obligation());
+        for record in ack.echo().iter().filter(|r| echoed.insert(*r)) {
+            obligations.push(record.obligation());
+        }
+    }
+    verifier.verify_all(&obligations)
 }
 
 #[cfg(test)]
@@ -790,64 +1155,11 @@ mod tests {
 
     /// Minimal proven record for unit tests: a value plus a proof of
     /// numbered test acks ([`crate::proof::testing`]).
-    #[derive(Debug, Clone)]
-    struct Rec {
-        v: u64,
-        proof: Proof<TestAck>,
-    }
-
-    impl PartialEq for Rec {
-        fn eq(&self, other: &Self) -> bool {
-            self.v == other.v
-        }
-    }
-    impl Eq for Rec {}
-    impl PartialOrd for Rec {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Rec {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.v.cmp(&other.v)
-        }
-    }
-    impl Wire for Rec {
-        fn encode(&self, w: &mut Writer) {
-            w.u64(self.v);
-            self.proof.encode(w);
-        }
-        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-            Ok(Rec {
-                v: r.u64()?,
-                proof: Wire::decode(r)?,
-            })
-        }
-    }
-    impl SetItem for Rec {
-        const EQ_IS_IDENTITY: bool = false;
-    }
-    impl ProvenRecord for Rec {
-        type Ack = TestAck;
-        type Value = u64;
-        type Signed = u64;
-        fn values(&self) -> &[u64] {
-            std::slice::from_ref(&self.v)
-        }
-        fn proof(&self) -> &Proof<TestAck> {
-            &self.proof
-        }
-        fn signed(&self) -> &u64 {
-            &self.v
-        }
-        fn proven(v: u64, proof: Proof<TestAck>) -> Self {
-            Rec { v, proof }
-        }
-    }
+    type Rec = Proven<TestAck>;
 
     fn rec(v: u64, acks: &[u64]) -> Rec {
         Rec {
-            v,
+            signed: v,
             proof: proof(acks),
         }
     }
@@ -863,7 +1175,7 @@ mod tests {
     }
 
     /// What a ledger built: `(base_ts, #inline proofs, #refs, #records)`.
-    fn shape(update: &ProvenUpdate<Rec>) -> (Option<u64>, usize, usize, usize) {
+    fn shape(update: &ProvenUpdate<TestAck>) -> (Option<u64>, usize, usize, usize) {
         let ProvenUpdate::Table(t) = update else {
             panic!("ledgers build tables, got {update:?}");
         };
@@ -878,7 +1190,7 @@ mod tests {
 
     #[test]
     fn first_contact_is_full_and_replies_enable_deltas() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::default();
+        let mut tx: ProvenDeltaSender<TestAck> = ProvenDeltaSender::default();
         let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         let s0 = set(&[rec(1, &[10]), rec(2, &[10])]);
         tx.record_broadcast(1, &s0);
@@ -892,7 +1204,7 @@ mod tests {
         let u = tx.encode_for(9, 2, &s1);
         assert_eq!(shape(&u), (Some(1), 0, 1, 1), "shared proof by reference");
         // Receiver side: reconstruct through base + resolver.
-        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
+        let mut rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
         register_proofs(&mut resolver, &s0);
         rx.record(0, 1, &s0);
         let full = rx.resolve(0, &u, &mut resolver).expect("no gap");
@@ -901,7 +1213,7 @@ mod tests {
 
     #[test]
     fn unknown_base_and_unknown_ref_are_gaps() {
-        let rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
+        let rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
         let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         let bogus_base = ProvenUpdate::Delta {
             base_ts: 77,
@@ -910,7 +1222,7 @@ mod tests {
         };
         assert!(rx.resolve(3, &bogus_base, &mut resolver).is_none());
 
-        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
+        let mut rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
         rx.record(3, 0, &ValueSet::new());
         let r = rec(1, &[1]);
         let unknown_ref = ProvenUpdate::Delta {
@@ -926,7 +1238,7 @@ mod tests {
 
     #[test]
     fn refs_matching_no_record_are_not_shipped() {
-        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
+        let mut rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
         let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         rx.record(3, 0, &ValueSet::new());
         let u = ProvenUpdate::Delta {
@@ -942,7 +1254,7 @@ mod tests {
 
     #[test]
     fn reset_peer_restores_full_payloads() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::default();
+        let mut tx: ProvenDeltaSender<TestAck> = ProvenDeltaSender::default();
         let s = set(&[rec(1, &[1])]);
         tx.record_broadcast(1, &s);
         tx.record_reply(4, 1);
@@ -955,7 +1267,7 @@ mod tests {
     fn reply_deltas_reference_the_proposers_own_proofs() {
         // Proposer P (id 0) sent us set s_p; we hold accepted = s_p ∪ ours.
         // The nack back to P references P's proof and ships ours inline.
-        let mut rx: ProvenDeltaReceiver<Rec> = ProvenDeltaReceiver::default();
+        let mut rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
         let p_rec = rec(1, &[10]);
         let our_rec = rec(2, &[20]);
         let s_p = set(std::slice::from_ref(&p_rec));
@@ -964,7 +1276,7 @@ mod tests {
         let u = rx.encode_reply(0, 3, &s_p, &accepted);
         assert_eq!(shape(&u), (Some(3), 1, 0, 1), "our proof is new to P");
         // P resolves against its own snapshot.
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::default();
+        let mut tx: ProvenDeltaSender<TestAck> = ProvenDeltaSender::default();
         let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
         tx.record_broadcast(3, &s_p);
         let full = tx.resolve_reply(&u, &mut resolver).expect("no gap");
@@ -989,7 +1301,7 @@ mod tests {
     /// reference stays its own.
     #[test]
     fn broadcast_encodes_each_peer_as_alone() {
-        let mut tx: ProvenDeltaSender<Rec> = ProvenDeltaSender::default();
+        let mut tx: ProvenDeltaSender<TestAck> = ProvenDeltaSender::default();
         let s0 = set(&[rec(1, &[10])]);
         tx.record_broadcast(1, &s0);
         tx.record_reply(1, 1);
@@ -1016,11 +1328,11 @@ mod tests {
     fn a_table_says_each_proof_once_and_a_reference_in_its_id() {
         let shared = proof(&[1, 2, 3, 4, 5, 6]);
         let a = Rec {
-            v: 1,
+            signed: 1,
             proof: shared.clone(),
         };
         let b = Rec {
-            v: 2,
+            signed: 2,
             proof: shared.clone(),
         };
         let full = ProvenUpdate::Full(set(&[a.clone(), b.clone()]));
@@ -1060,10 +1372,10 @@ mod tests {
         for u in [full, delta, named] {
             let bytes = encode_payload(&u);
             assert_eq!(bytes.len(), u.wire_size());
-            let back: ProvenUpdate<Rec> = decode_payload(&bytes).unwrap();
+            let back: ProvenUpdate<TestAck> = decode_payload(&bytes).unwrap();
             assert_eq!(encode_payload(&back), bytes);
             assert_eq!(back.is_delta(), u.is_delta());
-            let ids = |u: &ProvenUpdate<Rec>| -> Vec<_> {
+            let ids = |u: &ProvenUpdate<TestAck>| -> Vec<_> {
                 u.table().records().map(|(_, p)| p.map(Proof::id)).collect()
             };
             assert_eq!(ids(&back), ids(&u));
@@ -1074,11 +1386,34 @@ mod tests {
     /// default, and its ledgers still start empty.
     #[test]
     fn ledgers_default_without_a_default_record() {
-        use crate::gsbs::ProvenBatch;
-        let tx = ProvenDeltaSender::<ProvenBatch<u64>>::default();
-        let rx = ProvenDeltaReceiver::<ProvenBatch<u64>>::default();
+        use crate::gsbs::GSafeAck;
+        let tx = ProvenDeltaSender::<GSafeAck<u64>>::default();
+        let rx = ProvenDeltaReceiver::<GSafeAck<u64>>::default();
         assert!(!tx.encode_for(1, 1, &ValueSet::new()).is_delta());
         assert!(rx.bases.base(1, 0).is_none());
+    }
+
+    /// A snapshot stores the retained proofs least-recently-used first
+    /// and restoring re-registers them in that order, so recency — not
+    /// registration order — survives the round trip.
+    #[test]
+    fn snapshot_keeps_the_resolver_recency_order() {
+        let mut path: ProofPath<TestAck> = ProofPath::default();
+        let [a, b, c] = [proof(&[1]), proof(&[2]), proof(&[3])];
+        for p in [&a, &b, &c] {
+            path.resolver.register(p.id(), p.clone());
+        }
+        assert!(path.resolver.resolve(a.id()).is_some());
+        let ids = |path: &ProofPath<TestAck>| -> Vec<ProofId> {
+            path.resolver
+                .entries()
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect()
+        };
+        assert_eq!(ids(&path), [b.id(), c.id(), a.id()]);
+        let back: ProofPath<TestAck> = decode_payload(&encode_payload(&path)).unwrap();
+        assert_eq!(ids(&back), ids(&path));
     }
 
     #[test]

@@ -24,47 +24,17 @@
 //!
 //! Message delays: `5 + 4f` (Theorem 8).
 //!
-//! # Verify-once proofs (this implementation)
+//! # The proving phase (this implementation)
 //!
-//! Proofs of safety are `O(n²)` bytes and arrive attached to every
-//! `ack_req`/`nack`; the same proof is re-shipped on every refinement
-//! and Byzantine peers can redeliver it without bound. This
-//! implementation therefore verifies each *distinct* proof *once per
-//! process*: proofs are [`crate::proof::Proof`] handles whose
-//! [`bgla_crypto::ProofId`] is interned at construction, and
-//! [`SbsProcess::all_safe`] memoizes full-proof verdicts (positive and
-//! negative) in a per-process [`bgla_crypto::ProofCache`]. Only the
-//! cheap pair checks — "does this proof cover this value, without a
-//! reported conflict" — re-run on redelivery; see
-//! [`bgla_crypto::proofstore`] for the caching contract. The cache
-//! only skips recomputation of deterministic verdicts, so it cannot
-//! change a decision or a trace.
-//!
-//! Set payloads (`safe_req`, its ack echoes, and the proven
-//! proposal/accepted sets) are [`ValueSet`]s — Arc-backed sorted
-//! vectors with `O(1)` clone and merge-walk join — so redelivered
-//! supersets are recognized structurally instead of re-walked.
-//!
-//! # Delta-encoded, proof-by-reference proposals (this implementation)
-//!
-//! Verify-once removes the redundant *computation*; shipping every
-//! proof in full on every `ack_req`/`nack` would leave the redundant
-//! *bytes*. Proof-carrying payloads therefore travel as
-//! [`ProvenUpdate`]s: after an acceptor has acked/nacked a proposal,
-//! later `ack_req`s to it carry only the records added since that
-//! reply, with proofs the acceptor demonstrably holds named by
-//! [`bgla_crypto::ProofId`] reference (16 bytes instead of `O(n²)`);
-//! `nack`s delta against the very proposal they refuse and reference
-//! the proposer's own proofs back at it. Receivers reconstruct the full
-//! set by joining the delta onto the recorded base and resolving each
-//! reference in their per-process [`bgla_crypto::ProofResolver`] — hash
-//! lookups, no re-verification (the `ProofCache` verdict already covers
-//! a resolved proof). An unresolvable *proposal* reference or base is a
-//! **delta gap**: the receiver answers [`SbsMsg::Resync`] and the
-//! proposer falls back to `Full` — only Byzantine senders (or resolver
-//! eviction on pathological runs) can trigger it. See
-//! [`crate::provendelta`] for the reference discipline and the wire
-//! format.
+//! `AllSafe` and the `ack_req`/`nack` exchange of proven sets are
+//! written once, for SbS and GSbS alike, in
+//! [`crate::provendelta::ProofPath`]: each distinct proof is verified
+//! once per process and answered from a cache thereafter, and proven
+//! sets travel delta-encoded, with the proofs a peer holds named by
+//! reference (an unresolvable one is answered with [`SbsMsg::Resync`]).
+//! This process keeps its phases, messages and `byz` flags, and supplies
+//! the validator. Set payloads (`safe_req`, its ack echoes, and the
+//! proven proposal/accepted sets) are [`ValueSet`]s.
 //!
 //! # Echoes said once (this implementation)
 //!
@@ -132,20 +102,14 @@ use crate::proof::{
     echoing, encode_reply_fields, remove_conflicts, replies, return_conflicts, Conflicting, Proof,
     ProofAck,
 };
-use crate::provendelta::{
-    register_proofs, ProvenDeltaReceiver, ProvenDeltaSender, ProvenRecord, ProvenUpdate, Valued,
-};
+use crate::provendelta::{ProofPath, Proven, ProvenUpdate, Proving, Reply, Valued};
 use crate::value::Value;
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
-use bgla_crypto::{
-    CachedVerifier, Keypair, Keyring, Obligation, ProofCache, ProofId, ProofResolver, Signature,
-    VerifierStats,
-};
+use bgla_crypto::{CachedVerifier, Keypair, Keyring, Obligation, Signature, VerifierStats};
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
-// bgla-lint: allow(determinism, "HashSet used membership-only in all_safe; iteration order never observed")
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// A value signed by its proposer.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -259,7 +223,14 @@ impl<V: Value> Signed for SignedSafeAck<V> {
 
 impl<V: Value> ProofAck for SignedSafeAck<V> {
     type Echoed = SignedValue<V>;
+    type Value = V;
     type Reply = SafeAckReply<V>;
+    fn values(sv: &SignedValue<V>) -> &[V] {
+        std::slice::from_ref(&sv.value)
+    }
+    fn covers(&self, sv: &SignedValue<V>) -> bool {
+        self.body.rcvd.contains(sv) && !self.body.conflicted(sv)
+    }
     fn echo(&self) -> &ValueSet<SignedValue<V>> {
         &self.body.rcvd
     }
@@ -300,59 +271,11 @@ pub struct SafeAckReply<V: Value> {
 /// A proof of safety: a quorum of safe-acks none of which conflicts the
 /// value. Shared across all values certified by the same safetying
 /// exchange, like the paper's `<v, Safe_acks>` pairs, with its
-/// [`ProofId`] interned at construction.
+/// [`bgla_crypto::ProofId`] interned at construction.
 pub type SafetyProof<V> = Proof<SignedSafeAck<V>>;
 
 /// A value bundled with its proof of safety.
-#[derive(Debug, Clone)]
-pub struct ProvenValue<V: Value> {
-    /// The signed value.
-    pub sv: SignedValue<V>,
-    /// Quorum of safe-acks certifying it.
-    pub proof: SafetyProof<V>,
-}
-
-impl<V: Value> PartialEq for ProvenValue<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.sv == other.sv
-    }
-}
-impl<V: Value> Eq for ProvenValue<V> {}
-impl<V: Value> PartialOrd for ProvenValue<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<V: Value> Ord for ProvenValue<V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Proof contents don't affect identity: a value is the same
-        // lattice element regardless of which quorum certified it.
-        self.sv.cmp(&other.sv)
-    }
-}
-
-impl<V: Value> SetItem for ProvenValue<V> {
-    /// `==` ignores the proof: joins must keep our own handles.
-    const EQ_IS_IDENTITY: bool = false;
-}
-
-impl<V: Value> ProvenRecord for ProvenValue<V> {
-    type Ack = SignedSafeAck<V>;
-    type Value = V;
-    type Signed = SignedValue<V>;
-    fn values(&self) -> &[V] {
-        std::slice::from_ref(&self.sv.value)
-    }
-    fn proof(&self) -> &SafetyProof<V> {
-        &self.proof
-    }
-    fn signed(&self) -> &SignedValue<V> {
-        &self.sv
-    }
-    fn proven(sv: SignedValue<V>, proof: SafetyProof<V>) -> Self {
-        ProvenValue { sv, proof }
-    }
-}
+pub type ProvenValue<V> = Proven<SignedSafeAck<V>>;
 
 /// SbS wire messages.
 #[derive(Debug, Clone)]
@@ -368,7 +291,7 @@ pub enum SbsMsg<V: Value> {
     /// delta-encoded with proof-by-reference after first contact.
     AckReq {
         /// Proven proposal (full, or delta + references).
-        proposed: ProvenUpdate<ProvenValue<V>>,
+        proposed: ProvenUpdate<SignedSafeAck<V>>,
         /// Refinement timestamp.
         ts: u64,
     },
@@ -384,7 +307,7 @@ pub enum SbsMsg<V: Value> {
     Nack {
         /// Acceptor's accepted set with proofs (full, or delta against
         /// the proposal of `ts` + references).
-        accepted: ProvenUpdate<ProvenValue<V>>,
+        accepted: ProvenUpdate<SignedSafeAck<V>>,
         /// Echoed timestamp.
         ts: u64,
     },
@@ -452,27 +375,14 @@ pub struct SbsProcess<V: Value> {
     /// `byz[]` flags.
     byz: BTreeSet<ProcessId>,
     /// Proven proposal, with its values.
-    proposed_set: Valued<ProvenValue<V>>,
+    proposed_set: Valued<SignedSafeAck<V>>,
     ack_set: BTreeSet<ProcessId>,
     ts: u64,
     /// Acceptor: candidates for safety (conflicts removed).
     safe_candidates: ValueSet<SignedValue<V>>,
-    /// Acceptor: accepted proven set, with its values.
-    accepted_set: Valued<ProvenValue<V>>,
-    /// Memoized full-proof verdicts, keyed by [`ProofId`].
-    // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
-    proof_cache: ProofCache,
-    /// Proposer-side delta bookkeeping (snapshots, reply watermarks,
-    /// per-peer referenceable proof ids).
-    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative and deliberately amnesiac across crashes")
-    delta_tx: ProvenDeltaSender<ProvenValue<V>>,
-    /// Acceptor-side delta bookkeeping (consumed bases, per-proposer
-    /// referenceable proof ids).
-    // bgla-lint: allow(wire-coverage, "delta bases are peer-relative; a restarted process resumes in full-set mode by design")
-    delta_rx: ProvenDeltaReceiver<ProvenValue<V>>,
-    /// Verified-and-retained proof handles, resolvable by id when a
-    /// peer ships a reference instead of the proof.
-    resolver: ProofResolver<SafetyProof<V>>,
+    /// The proving phase: the accepted proven set, proof verdicts,
+    /// retained proofs and the delta ledgers.
+    proofs: ProofPath<SignedSafeAck<V>>,
     /// Set by [`SbsProcess::from_snapshot`]: the next `on_start` is a
     /// *recovery* boot (re-announce instead of initialize).
     // bgla-lint: allow(wire-coverage, "boot flag: decode sets it true to mark a recovered process")
@@ -508,11 +418,7 @@ impl<V: Value> SbsProcess<V> {
             ack_set: BTreeSet::new(),
             ts: 0,
             safe_candidates: ValueSet::new(),
-            accepted_set: Valued::default(),
-            proof_cache: ProofCache::default(),
-            delta_tx: ProvenDeltaSender::default(),
-            delta_rx: ProvenDeltaReceiver::default(),
-            resolver: ProofResolver::default(),
+            proofs: ProofPath::default(),
             recovered: false,
             decision: None,
             decision_depth: None,
@@ -533,7 +439,19 @@ impl<V: Value> SbsProcess<V> {
 
     /// `(hits, misses)` of the proof-verdict cache.
     pub fn proof_cache_stats(&self) -> (u64, u64) {
-        self.proof_cache.stats()
+        self.proofs.cache.stats()
+    }
+
+    /// The proving phase over this process's state, its verifier, quorum
+    /// and validator: `AllSafe` ([`Proving::all_safe`]) and the handlers
+    /// of the proven exchange.
+    pub fn proving(&mut self) -> Proving<'_, SignedSafeAck<V>> {
+        Proving {
+            path: &mut self.proofs,
+            verifier: &mut self.verifier,
+            quorum: self.config.quorum(),
+            valid: self.validator,
+        }
     }
 
     /// Process id.
@@ -576,107 +494,16 @@ impl<V: Value> SbsProcess<V> {
         sv
     }
 
-    /// Algorithm 10's `AllSafe`: every value's proof checks out —
-    /// incremental. Per `(value, proof)` pair only the cheap coverage
-    /// and conflict comparisons run (pure record equality — no
-    /// serialization, no hashing); the expensive value-independent part
-    /// of each *distinct* proof (`proof_valid`) is answered
-    /// from the per-process [`ProofCache`] when the proof was seen
-    /// before — positive *and* negative verdicts, so a redelivered
-    /// forged proof costs a hash lookup, not a re-verification. Within
-    /// one call, values sharing a proof check it once (by [`ProofId`],
-    /// replacing the old `O(k²)` `Arc::as_ptr` scan).
-    ///
-    /// The attached value's own signature is covered by the proof
-    /// verdict: the pair check demands `pv.sv ∈ ack.rcvd` under *full
-    /// record equality* (value, signer and signature bytes), and
-    /// `proof_valid` verifies every record echoed in every
-    /// ack's `rcvd` — so a covered value's signature has been verified,
-    /// by content, exactly once.
-    ///
-    /// Public for the verification-count tests; protocol handlers are
-    /// the real callers.
-    pub fn all_safe(&mut self, set: &ValueSet<ProvenValue<V>>) -> bool {
-        let quorum = self.config.quorum();
-        // bgla-lint: allow(determinism, "membership-only dedup set (insert/contains); iteration order never observed")
-        let mut checked: HashSet<ProofId> = HashSet::with_capacity(set.len());
-        for pv in set.iter() {
-            if !(self.validator)(&pv.sv.value) {
-                return false;
-            }
-            // Pair checks — value ↔ proof relations are never cached
-            // (see the contract in `bgla_crypto::proofstore`).
-            for ack in pv.proof.iter() {
-                if !ack.body.rcvd.contains(&pv.sv) {
-                    return false; // proof doesn't cover this value
-                }
-                if ack.body.conflicted(&pv.sv) {
-                    return false; // a quorum member reported a conflict
-                }
-            }
-            let id = pv.proof.id();
-            if !checked.insert(id) {
-                continue; // another value in this set shares the proof
-            }
-            match self.proof_cache.get(id) {
-                Some(true) => continue,
-                Some(false) => return false,
-                None => {}
-            }
-            let ok = Self::proof_valid(&mut self.verifier, quorum, &pv.proof);
-            self.proof_cache.put(id, ok);
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The value-independent proof checks — exactly the verdict
-    /// [`ProofCache`] may memoize: quorum size, signer distinctness,
-    /// and one batched signature verification covering every ack *and*
-    /// every distinct signed value the acks echo in their `rcvd` sets.
-    /// The acks of a quorum echo mostly the same records, and record
-    /// equality is identity, so each is encoded (and its cache key
-    /// hashed) once per proof, in first-echo order. Verifying the echoes
-    /// is what lets [`Self::all_safe`] certify covered values by
-    /// membership alone.
-    fn proof_valid(verifier: &mut CachedVerifier, quorum: usize, proof: &SafetyProof<V>) -> bool {
-        if proof.len() < quorum {
-            return false;
-        }
-        let mut signers = BTreeSet::new();
-        let mut echoed = BTreeSet::new();
-        let mut obligations: Vec<Obligation> = Vec::new();
-        for ack in proof.iter() {
-            if !signers.insert(ack.signer) {
-                return false; // duplicate signer
-            }
-            obligations.push(ack.obligation());
-            for sv in ack.body.rcvd.iter().filter(|sv| echoed.insert(*sv)) {
-                obligations.push(sv.obligation());
-            }
-        }
-        verifier.verify_all(&obligations)
-    }
-
     /// Broadcasts the current proposal, delta-encoded per peer (full on
     /// first contact or after a resync; clones are `O(1)` so the
     /// snapshot is cheap).
     fn broadcast_proposal(&mut self, ctx: &mut Context<SbsMsg<V>>) {
-        let proposed = self.proposed_set.records();
-        self.delta_tx.record_broadcast(self.ts, proposed);
+        let ts = self.ts;
         let updates = self
-            .delta_tx
-            .encode_broadcast(self.config.n, self.ts, proposed);
+            .proofs
+            .propose(self.config.n, ts, self.proposed_set.records());
         for (to, proposed) in updates.into_iter().enumerate() {
-            ctx.send(
-                to,
-                SbsMsg::AckReq {
-                    proposed,
-                    ts: self.ts,
-                },
-            );
+            ctx.send(to, SbsMsg::AckReq { proposed, ts });
         }
     }
 
@@ -709,19 +536,11 @@ impl<V: Value> SbsProcess<V> {
         if self.state != SbsState::Safetying || self.safe_acks.len() < self.config.quorum() {
             return;
         }
-        let proof: SafetyProof<V> = Proof::new(self.safe_acks.clone());
-        // Locally assembled and retained: referenceable from now on.
-        self.resolver.register(proof.id(), proof.clone());
-        let safety_set = self.safety_set.clone();
-        for sv in safety_set.iter() {
-            let conflicted = proof.iter().any(|ack| ack.body.conflicted(sv));
-            if !conflicted {
-                self.proposed_set.insert(ProvenValue {
-                    sv: sv.clone(),
-                    proof: proof.clone(),
-                });
-            }
-        }
+        self.proofs.prove(
+            self.safe_acks.clone(),
+            &self.safety_set,
+            &mut self.proposed_set,
+        );
         self.state = SbsState::Proposing;
         self.ack_set.clear();
         self.ts += 1;
@@ -784,19 +603,6 @@ impl<V: Value> Wire for SignedSafeAck<V> {
             },
             signer: r.usize()?,
             sig: Signature::decode(r)?,
-        })
-    }
-}
-
-impl<V: Value> Wire for ProvenValue<V> {
-    fn encode(&self, w: &mut Writer) {
-        self.sv.encode(w);
-        self.proof.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ProvenValue {
-            sv: Wire::decode(r)?,
-            proof: Wire::decode(r)?,
         })
     }
 }
@@ -885,21 +691,17 @@ impl Wire for SbsState {
 /// Durable: identity, phase, the safetying artifacts (`safety_set`,
 /// collected safe-acks, `byz` flags), the records held unverified next to
 /// the set each will join (peers send their inits once, so a restart that
-/// dropped held ones could not get them back), both proven sets, the
-/// refinement clock, the retained [`ProofResolver`] contents (LRU-first,
-/// so re-registration reproduces eviction order), and the decision
-/// record. Safe-acks, held or counted, are written without their echo,
-/// which is `safety_set` for all of them; the values of the proven sets
-/// are rebuilt from their records.
+/// dropped held ones could not get them back), the proven proposal, the
+/// refinement clock, the proving phase's fragment (the accepted set and
+/// the retained proofs, see [`ProofPath`]'s `Wire` impl), and the
+/// decision record. Safe-acks, held or counted, are written without their
+/// echo, which is `safety_set` for all of them; the values of the
+/// proposal are rebuilt from its records.
 ///
 /// Reconstructed: key material and the verifier (the PKI is
-/// deterministic per process id), the [`ProofCache`] (verdicts are
-/// recomputed — a cold cache only costs time), the delta bookkeeping
-/// (amnesia invalidates every claim about what peers hold; fresh
-/// bookkeeping degrades to `Full` payloads until peers reply again —
-/// and the `Resync` fallback covers the peers' stale claims about
-/// *us*), and the `validator` fn pointer (configuration, re-installed
-/// by the harness).
+/// deterministic per process id), what [`ProofPath`] rebuilds (its
+/// proof-verdict cache and delta ledgers), and the `validator` fn
+/// pointer (configuration, re-installed by the harness).
 impl<V: Value> Wire for SbsProcess<V> {
     fn encode(&self, w: &mut Writer) {
         self.config.encode(w);
@@ -916,18 +718,7 @@ impl<V: Value> Wire for SbsProcess<V> {
         self.ack_set.encode(w);
         w.var(self.ts);
         self.safe_candidates.encode(w);
-        self.accepted_set.records().encode(w);
-        // Resolver contents, most-recently-used first. Ids are *not*
-        // serialized: re-registration recomputes each proof's content
-        // address, so a tampered snapshot cannot alias one proof's id
-        // to another's bytes (the checksum already catches accidents).
-        let retained: Vec<SafetyProof<V>> = self
-            .resolver
-            .entries()
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect();
-        retained.encode(w);
+        self.proofs.encode(w);
         self.decision.encode(w);
         self.decision_depth.encode(w);
         w.var(self.refinements);
@@ -948,15 +739,10 @@ impl<V: Value> Wire for SbsProcess<V> {
         let ack_set = Wire::decode(r)?;
         let ts = r.var()?;
         let safe_candidates = Wire::decode(r)?;
-        let accepted_set = Valued::new(Wire::decode(r)?);
-        let retained: Vec<SafetyProof<V>> = Wire::decode(r)?;
+        let proofs = Wire::decode(r)?;
         let decision = Wire::decode(r)?;
         let decision_depth = Wire::decode(r)?;
         let refinements = r.var()?;
-        let mut resolver = ProofResolver::default();
-        for proof in retained {
-            resolver.register(proof.id(), proof);
-        }
         Ok(SbsProcess {
             config,
             me,
@@ -975,11 +761,7 @@ impl<V: Value> Wire for SbsProcess<V> {
             ack_set,
             ts,
             safe_candidates,
-            accepted_set,
-            proof_cache: ProofCache::default(),
-            delta_tx: ProvenDeltaSender::default(),
-            delta_rx: ProvenDeltaReceiver::default(),
-            resolver,
+            proofs,
             recovered: true,
             decision,
             decision_depth,
@@ -1025,7 +807,7 @@ impl<V: Value> Process<SbsMsg<V>> for SbsProcess<V> {
             // * `Proposing` — re-broadcast the proposal at the current
             //   ts with a cleared ack set. Acceptors already holding a
             //   superset simply re-ack (subset check), so the quorum
-            //   re-forms; the fresh `delta_tx` sends `Full` payloads
+            //   re-forms; the fresh delta ledgers send `Full` payloads
             //   until replies rebuild the watermarks.
             // * `Decided` — nothing to re-solicit; the decision is
             //   durable and write-once.
@@ -1130,47 +912,15 @@ impl<V: Value> Process<SbsMsg<V>> for SbsProcess<V> {
                 self.maybe_start_proposing(ctx);
             }
             // ---- Proposing phase (acceptor side) ----
-            SbsMsg::AckReq { proposed, ts } => {
-                let Some(proposed) = self.delta_rx.resolve(from, &proposed, &mut self.resolver)
-                else {
-                    // Delta gap: unknown base or proof reference. Ask
-                    // for the full payload (the WTS gap fallback, made
-                    // two-way because a proposal reference can also
-                    // outlive our bounded resolver window).
-                    ctx.send(from, SbsMsg::Resync { ts });
-                    return;
-                };
-                if !self.all_safe(&proposed) {
-                    return; // drop: unproven values
-                }
-                // Consumed: the set becomes a delta base, its proofs
-                // become referenceable (by us, and back at the sender).
-                register_proofs(&mut self.resolver, &proposed);
-                self.delta_rx.record(from, ts, &proposed);
-                let proposed = Valued::new(proposed);
-                if self.accepted_set.values().is_subset(proposed.values()) {
-                    let values = proposed.values().clone();
-                    self.accepted_set = proposed;
-                    ctx.send(from, SbsMsg::Ack { values, ts });
-                } else {
-                    // The refusal deltas against the refused proposal
-                    // itself — a base the proposer holds by
-                    // construction; the proposer reconstructs the
-                    // union, which is exactly what its grows-check and
-                    // join compute anyway.
-                    let accepted = self.delta_rx.encode_reply(
-                        from,
-                        ts,
-                        proposed.records(),
-                        self.accepted_set.records(),
-                    );
-                    ctx.send(from, SbsMsg::Nack { accepted, ts });
-                    self.accepted_set.join_with(&proposed);
-                }
-            }
+            SbsMsg::AckReq { proposed, ts } => match self.proving().accept(from, &proposed, ts) {
+                Some(Reply::Resync) => ctx.send(from, SbsMsg::Resync { ts }),
+                Some(Reply::Ack(values)) => ctx.send(from, SbsMsg::Ack { values, ts }),
+                Some(Reply::Nack(accepted)) => ctx.send(from, SbsMsg::Nack { accepted, ts }),
+                None => {} // drop: unproven values
+            },
             // ---- Proposing phase (proposer side) ----
             SbsMsg::Ack { values, ts } => {
-                self.delta_tx.record_reply(from, ts);
+                self.proofs.replied(from, ts);
                 if ts != self.ts || self.state != SbsState::Proposing {
                     return;
                 }
@@ -1186,48 +936,30 @@ impl<V: Value> Process<SbsMsg<V>> for SbsProcess<V> {
                 }
             }
             SbsMsg::Nack { accepted, ts } => {
-                self.delta_tx.record_reply(from, ts);
+                self.proofs.replied(from, ts);
                 if ts != self.ts || self.state != SbsState::Proposing {
                     return;
                 }
-                let Some(accepted) = self.delta_tx.resolve_reply(&accepted, &mut self.resolver)
-                else {
-                    // A reply gap deltas against our own retained
-                    // snapshot and references only proofs we shipped —
-                    // a reliable Byzantine signal (see provendelta).
-                    self.byz.insert(from);
-                    return;
-                };
-                let accepted = Valued::new(accepted);
-                let grows = !accepted.values().is_subset(self.proposed_set.values());
-                if grows && !self.byz.contains(&from) && self.all_safe(accepted.records()) {
-                    // The nacker shipped (or referenced) every proof in
-                    // here — future deltas to it can reference them.
-                    register_proofs(&mut self.resolver, accepted.records());
-                    self.delta_tx.note_peer_holds(from, accepted.records());
-                    self.proposed_set.join_with(&accepted);
-                    self.ack_set.clear();
-                    self.ts += 1;
-                    self.refinements += 1;
-                    self.broadcast_proposal(ctx);
-                } else {
-                    self.byz.insert(from);
+                let proposed = self.proposed_set.values().clone();
+                let trusted = !self.byz.contains(&from);
+                match self.proving().refine(from, &accepted, &proposed, trusted) {
+                    Some(accepted) => {
+                        self.proposed_set.join_with(&accepted);
+                        self.ack_set.clear();
+                        self.ts += 1;
+                        self.refinements += 1;
+                        self.broadcast_proposal(ctx);
+                    }
+                    None => {
+                        self.byz.insert(from);
+                    }
                 }
             }
             SbsMsg::Resync { ts } => {
-                // The peer could not resolve a delta: forget every
-                // assumption about it and re-send the current proposal
-                // in full. Correct peers never send this, so the cost
-                // is bounded by the adversary's own message budget.
-                self.delta_tx.reset_peer(from);
+                self.proofs.resync(from);
                 if self.state == SbsState::Proposing && ts == self.ts {
-                    ctx.send(
-                        from,
-                        SbsMsg::AckReq {
-                            proposed: ProvenUpdate::Full(self.proposed_set.records().clone()),
-                            ts: self.ts,
-                        },
-                    );
+                    let proposed = ProvenUpdate::Full(self.proposed_set.records().clone());
+                    ctx.send(from, SbsMsg::AckReq { proposed, ts });
                 }
             }
         }
@@ -1392,26 +1124,64 @@ mod tests {
         let ack = SignedSafeAck::sign(body, 1, &kp1);
         // Quorum is 3; a single ack (even valid) is insufficient.
         let set: ValueSet<ProvenValue<u64>> = [ProvenValue {
-            sv: sv.clone(),
+            signed: sv.clone(),
             proof: Proof::new(vec![ack.clone()]),
         }]
         .into_iter()
         .collect();
-        assert!(!p.all_safe(&set));
+        assert!(!p.proving().all_safe(&set));
         // Duplicate signers don't count.
         let set2: ValueSet<ProvenValue<u64>> = [ProvenValue {
-            sv,
+            signed: sv,
             proof: Proof::new(vec![ack.clone(), ack.clone(), ack]),
         }]
         .into_iter()
         .collect();
-        assert!(!p.all_safe(&set2));
+        assert!(!p.proving().all_safe(&set2));
         // Both verdicts were interned: redelivery answers from cache.
         let (hits0, _) = p.proof_cache_stats();
-        assert!(!p.all_safe(&set));
-        assert!(!p.all_safe(&set2));
+        assert!(!p.proving().all_safe(&set));
+        assert!(!p.proving().all_safe(&set2));
         let (hits1, _) = p.proof_cache_stats();
         assert_eq!(hits1 - hits0, 2);
+    }
+
+    /// The validator runs before the proof: a value it rejects fails
+    /// `AllSafe` although its proof verifies, and still fails after
+    /// another value has cached that proof as `true`.
+    #[test]
+    fn the_validator_refuses_a_proven_value() {
+        let config = SystemConfig::new(4, 1);
+        let sign = |v: u64, i: usize| SignedValue::sign(v, i, &Keypair::for_process(i));
+        let (good, bad) = (sign(7, 1), sign(1_000, 2));
+        let rcvd: ValueSet<SignedValue<u64>> = [good.clone(), bad.clone()].into_iter().collect();
+        let body = SafeAckBody {
+            rcvd,
+            conflicts: vec![],
+        };
+        let proof: SafetyProof<u64> = Proof::new(
+            (1..4)
+                .map(|i| SignedSafeAck::sign(body.clone(), i, &Keypair::for_process(i)))
+                .collect(),
+        );
+        let set = |sv: &SignedValue<u64>| -> ValueSet<ProvenValue<u64>> {
+            [ProvenValue {
+                signed: sv.clone(),
+                proof: proof.clone(),
+            }]
+            .into_iter()
+            .collect()
+        };
+        let mut p = SbsProcess::new(0, config, 7u64).with_validator(|v| *v < 1_000);
+        assert!(!p.proving().all_safe(&set(&bad)), "cold");
+        assert!(p.proving().all_safe(&set(&good)));
+        assert!(!p.proving().all_safe(&set(&bad)), "proof cached as true");
+        assert_eq!(p.proof_cache_stats(), (0, 1), "refused before the cache");
+        let mut q = SbsProcess::new(0, config, 7u64);
+        assert!(
+            q.proving().all_safe(&set(&bad)),
+            "the proof itself verifies"
+        );
     }
 
     #[test]

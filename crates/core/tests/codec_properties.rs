@@ -23,7 +23,7 @@ use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
 use bgla_core::provendelta::ProvenDeltaReceiver;
 use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
 use bgla_core::wts::{WtsMsg, WtsProcess};
-use bgla_core::{Proof, ProofAck, ProvenRecord, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
+use bgla_core::{Proof, ProofAck, Proven, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
 use bgla_crypto::{digest, ProofId, ProofResolver, Signature};
 use bgla_rbcast::RbMsg;
 use bgla_simnet::{Context, Process, ProcessId, RandomScheduler, SimulationBuilder, WireMessage};
@@ -797,7 +797,7 @@ fn one_large_echo_under_many_acks_is_refused_while_read() {
 // Proven payloads: each distinct proof once, and exactly one encoding.
 // ---------------------------------------------------------------------------
 
-type Payload = ProvenUpdate<ProvenBatch<u64>>;
+type Payload = ProvenUpdate<GSafeAck<u64>>;
 
 /// The `i`-th of a family of distinct signed batches, in ascending order.
 fn batch(i: usize) -> SignedBatch<u64> {
@@ -812,7 +812,7 @@ fn batch(i: usize) -> SignedBatch<u64> {
 /// Batch `i` proven by `proof`.
 fn proven(i: usize, proof: &Proof<GSafeAck<u64>>) -> ProvenBatch<u64> {
     ProvenBatch {
-        sb: batch(i),
+        signed: batch(i),
         proof: proof.clone(),
     }
 }
@@ -860,15 +860,15 @@ fn sbs_proof_over(echo: ValueSet<SignedValue<u64>>, tag: usize) -> Proof<SignedS
 /// `update`, built from the records `new` with the proofs `refs` held,
 /// round-trips byte for byte at its counted size with every record's
 /// proof id, and refuses every strict prefix and any extension.
-fn assert_payload_sound<T: ProvenRecord>(
-    update: &ProvenUpdate<T>,
-    new: &ValueSet<T>,
+fn assert_payload_sound<A: ProofAck>(
+    update: &ProvenUpdate<A>,
+    new: &ValueSet<Proven<A>>,
     refs: &[ProofId],
     suffix: &[u8],
 ) {
     let bytes = encode_payload(update);
     assert_eq!(bytes.len(), update.wire_size());
-    let back: ProvenUpdate<T> = decode_payload(&bytes).expect("own encoding decodes");
+    let back: ProvenUpdate<A> = decode_payload(&bytes).expect("own encoding decodes");
     assert_eq!(&encode_payload(&back), &bytes);
     assert_eq!(back.wire_size(), bytes.len());
     let base_ts = update.table().base_ts();
@@ -876,28 +876,28 @@ fn assert_payload_sound<T: ProvenRecord>(
     assert_eq!(table.base_ts(), base_ts);
     let mut inline = BTreeSet::new();
     for ((signed, proof), record) in table.records().zip(new.iter()) {
-        let id = record.proof().id();
+        let id = record.proof.id();
         let by_ref = base_ts.is_some() && refs.contains(&id);
-        assert_eq!(signed, record.signed());
+        assert_eq!(signed, &record.signed);
         assert_eq!(proof.map(Proof::id), Some(id).filter(|_| !by_ref));
         assert_eq!(table.refs().contains(&id), by_ref);
         inline.extend(proof.map(|p| p.as_slice().as_ptr()));
     }
-    let distinct: BTreeSet<_> = new.iter().map(|r| r.proof().id()).collect();
+    let distinct: BTreeSet<_> = new.iter().map(|r| r.proof.id()).collect();
     assert_eq!(inline.len() + table.refs().len(), distinct.len());
     for cut in 0..bytes.len() {
-        assert!(decode_payload::<ProvenUpdate<T>>(&bytes[..cut]).is_err());
+        assert!(decode_payload::<ProvenUpdate<A>>(&bytes[..cut]).is_err());
     }
     assert_payload_rejects_extension(update, suffix);
 }
 
 /// The whole of `new`, or with a base the additions `new` with `refs`
 /// held.
-fn update<T: ProvenRecord>(
+fn update<A: ProofAck>(
     base_ts: Option<u64>,
-    new: &ValueSet<T>,
+    new: &ValueSet<Proven<A>>,
     refs: &[ProofId],
-) -> ProvenUpdate<T> {
+) -> ProvenUpdate<A> {
     match base_ts {
         Some(base_ts) => ProvenUpdate::Delta {
             base_ts,
@@ -983,7 +983,7 @@ proptest! {
             })
             .collect();
         let new: ValueSet<_> = picks.iter().take(m).enumerate()
-            .map(|(i, &p)| ProvenValue { sv: signed_value(i), proof: proofs[p as usize % k].clone() })
+            .map(|(i, &p)| ProvenValue { signed: signed_value(i), proof: proofs[p as usize % k].clone() })
             .collect();
         let refs = held_ids(&proofs.iter().map(Proof::id).collect::<Vec<_>>());
         assert_payload_sound(&update(base_ts, &new, &refs), &new, &refs, &suffix);

@@ -423,7 +423,7 @@ fn proven_set(values: &[u64], signer: usize) -> ValueSet<ProvenValue<u64>> {
     let proof = Proof::new(vec![SignedSafeAck::sign(body, signer, &kp)]);
     svs.into_iter()
         .map(|sv| ProvenValue {
-            sv,
+            signed: sv,
             proof: proof.clone(),
         })
         .collect()
@@ -445,18 +445,18 @@ fn join_preserves_proof_identity() {
     let joined = a.join(&b);
     assert_eq!(joined.len(), 3);
     for pv in joined.iter() {
-        let expected = match pv.sv.value {
+        let expected = match pv.signed.value {
             1 | 2 => a_proof, // the shared value 2 keeps `a`'s proof
             _ => b_proof,
         };
-        assert_eq!(pv.proof.id(), expected, "value {}", pv.sv.value);
+        assert_eq!(pv.proof.id(), expected, "value {}", pv.signed.value);
     }
     // And symmetrically: b.join(&a) keeps b's proof for the shared value.
     let joined_rev = b.join(&a);
     assert_eq!(
         joined_rev
             .iter()
-            .find(|pv| pv.sv.value == 2)
+            .find(|pv| pv.signed.value == 2)
             .unwrap()
             .proof
             .id(),
@@ -481,12 +481,12 @@ fn join_preserves_proof_identity_on_subset() {
     assert!(joined.join_with(&big), "the join grows");
     assert_eq!(joined.len(), 3);
     for pv in joined.iter() {
-        let expected = if pv.sv.value == 2 {
+        let expected = if pv.signed.value == 2 {
             small_proof
         } else {
             big_proof
         };
-        assert_eq!(pv.proof.id(), expected, "value {}", pv.sv.value);
+        assert_eq!(pv.proof.id(), expected, "value {}", pv.signed.value);
     }
 }
 
@@ -530,7 +530,7 @@ fn proven_subset_joined_with_superset_keeps_its_own_handles() {
     for pv in joined.iter() {
         let own = small.contains(pv);
         let expected = if own { small_proof } else { big_proof };
-        assert_eq!(pv.proof.id(), expected, "value {}", pv.sv.value);
+        assert_eq!(pv.proof.id(), expected, "value {}", pv.signed.value);
     }
 }
 

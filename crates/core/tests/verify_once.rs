@@ -44,7 +44,7 @@ fn proven_value(value: u64, proposer: usize, signers: &[usize]) -> ProvenValue<u
         })
         .collect();
     ProvenValue {
-        sv,
+        signed: sv,
         proof: Proof::new(acks),
     }
 }
@@ -63,7 +63,7 @@ fn forged_proof_redelivery_verifies_once() {
 
     const REDELIVERIES: usize = 10;
     for _ in 0..REDELIVERIES {
-        assert!(!p.all_safe(&set), "forged proof must never pass");
+        assert!(!p.proving().all_safe(&set), "forged proof must never pass");
     }
     let stats = p.verifier_stats();
     assert_eq!(
@@ -90,7 +90,7 @@ fn valid_proof_redelivery_verifies_once() {
     let set: ValueSet<ProvenValue<u64>> = [pv].into_iter().collect();
 
     for _ in 0..10 {
-        assert!(p.all_safe(&set), "well-formed proof must pass");
+        assert!(p.proving().all_safe(&set), "well-formed proof must pass");
     }
     let stats = p.verifier_stats();
     // One batched check covers the proof's 3 acks and the echoed value
@@ -127,14 +127,14 @@ fn same_proof_shared_by_many_values_checks_once_per_call() {
     let set: ValueSet<ProvenValue<u64>> = svs
         .into_iter()
         .map(|sv| ProvenValue {
-            sv,
+            signed: sv,
             proof: proof.clone(),
         })
         .collect();
-    assert!(p.all_safe(&set));
+    assert!(p.proving().all_safe(&set));
     let (_, misses) = p.proof_cache_stats();
     assert_eq!(misses, 1, "shared proof looked up once, not per value");
-    assert!(p.all_safe(&set));
+    assert!(p.proving().all_safe(&set));
     let (hits, _) = p.proof_cache_stats();
     assert_eq!(hits, 1, "and once per later call");
 }
@@ -215,7 +215,7 @@ fn proof_referenced_in_ten_deltas_still_verifies_once() {
     let values: Vec<ProvenValue<u64>> = svs
         .into_iter()
         .map(|sv| ProvenValue {
-            sv,
+            signed: sv,
             proof: proof.clone(),
         })
         .collect();
@@ -289,32 +289,35 @@ fn gsbs_proof_id_binds_echoed_batch_content() {
     // verdict must not leak to the forged variant, and vice versa.
     let mut p = GsbsProcess::new(0, config(), BTreeMap::new(), 1);
     let honest_set: ValueSet<ProvenBatch<u64>> = [ProvenBatch {
-        sb: sb.clone(),
+        signed: sb.clone(),
         proof: honest.clone(),
     }]
     .into_iter()
     .collect();
     let forged_set: ValueSet<ProvenBatch<u64>> = [ProvenBatch {
-        sb: forged_sb,
+        signed: forged_sb,
         proof: forged,
     }]
     .into_iter()
     .collect();
-    assert!(p.all_safe(&honest_set), "honest proof must pass");
+    assert!(p.proving().all_safe(&honest_set), "honest proof must pass");
     assert!(
-        !p.all_safe(&forged_set),
+        !p.proving().all_safe(&forged_set),
         "forged echoed-content variant must be rejected, not answered \
          from the honest proof's cached verdict"
     );
     assert!(
-        p.all_safe(&honest_set),
+        p.proving().all_safe(&honest_set),
         "the forged delivery must not poison the honest proof's verdict"
     );
 
     let mut q = GsbsProcess::new(0, config(), BTreeMap::new(), 1);
-    assert!(!q.all_safe(&forged_set), "forged-first must also reject");
     assert!(
-        q.all_safe(&honest_set),
+        !q.proving().all_safe(&forged_set),
+        "forged-first must also reject"
+    );
+    assert!(
+        q.proving().all_safe(&honest_set),
         "a forged-first delivery must not block the honest proof"
     );
 }

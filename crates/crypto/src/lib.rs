@@ -26,8 +26,10 @@
 //!   including the batch-then-attribute check of records held until a
 //!   threshold's worth has arrived ([`CachedVerifier::verify_groups`]).
 //! * [`proofstore`] — content-addressed proof-of-safety interning
-//!   ([`ProofId`], [`ProofCache`]): each distinct proof is verified once
-//!   per process and answered from cache thereafter.
+//!   ([`ProofId`], [`ProofCache`], [`ProofResolver`]): each distinct proof
+//!   is verified once per process and answered from cache thereafter, and
+//!   a proof a peer already holds travels as its id and is resolved from
+//!   the retained handles.
 //! * [`mod@wire`] — the codec forms of signatures, keys and ids, and
 //!   [`digest`], the content digest of an encoding.
 //!

@@ -140,7 +140,7 @@ fn occurrences(haystack: &[u8], needle: &[u8]) -> usize {
 /// that are records of `update` too, after checking that each record's
 /// encoding occurs in `msg`'s exactly once: an echoed record is named,
 /// not spelled out again.
-fn echoed_records(update: &ProvenUpdate<ProvenBatch<u64>>, msg: &[u8]) -> usize {
+fn echoed_records(update: &ProvenUpdate<GSafeAck<u64>>, msg: &[u8]) -> usize {
     let table = update.table();
     let records: Vec<&SignedBatch<u64>> = table.records().map(|(signed, _)| signed).collect();
     for signed in &records {
@@ -279,7 +279,7 @@ fn every_update_and_ack_record_form_is_metered_exactly() {
         let some = proof((0..len + 2).filter(|i| i % 3 == 0).map(signed).collect());
         let records: ValueSet<ProvenBatch<u64>> = (0..len)
             .map(|i| ProvenBatch {
-                sb: signed(i),
+                signed: signed(i),
                 proof: if i % 2 == 0 { &every } else { &some }.clone(),
             })
             .collect();
@@ -294,7 +294,7 @@ fn every_update_and_ack_record_form_is_metered_exactly() {
         for update in updates {
             let bytes = encode_payload(&update);
             assert_eq!(bytes.len(), update.wire_size(), "{len} records");
-            let back: ProvenUpdate<ProvenBatch<u64>> = bgla_codec::decode_payload(&bytes).unwrap();
+            let back: ProvenUpdate<GSafeAck<u64>> = bgla_codec::decode_payload(&bytes).unwrap();
             assert_eq!(back.wire_size(), bytes.len());
         }
     }

@@ -14,7 +14,7 @@ use bgla::core::gwts::GwtsProcess;
 use bgla::core::harness::{gsbs_system, gwts_system, sbs_system, wts_system};
 use bgla::core::sbs::{SbsMsg, SbsProcess};
 use bgla::core::wts::WtsProcess;
-use bgla::core::{ProvenRecord, ProvenUpdate, SystemConfig};
+use bgla::core::{ProofAck, ProvenUpdate, SystemConfig};
 use bgla::simnet::{
     Context, FifoScheduler, Metrics, Process, ProcessId, RandomScheduler, Scheduler, Simulation,
     SimulationBuilder, WireMessage,
@@ -142,10 +142,7 @@ fn sbs_sends_fewer_but_larger_messages_than_wts() {
 /// that encodes shorter than its records with a copy of its proof each
 /// (a reference counted at its 16 bytes), and whether it is a delta
 /// naming a proof by id.
-fn interned_and_by_reference<T: ProvenRecord>(
-    update: &ProvenUpdate<T>,
-    ack_req: bool,
-) -> [bool; 2] {
+fn interned_and_by_reference<A: ProofAck>(update: &ProvenUpdate<A>, ack_req: bool) -> [bool; 2] {
     let table = update.table();
     let flat: usize = table
         .records()

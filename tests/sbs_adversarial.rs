@@ -201,7 +201,7 @@ fn resync_round_trip_recovers_a_valid_payload() {
         })
         .collect();
     let payload: bgla::core::ValueSet<ProvenValue<u64>> = [ProvenValue {
-        sv,
+        signed: sv,
         proof: Proof::new(acks),
     }]
     .into_iter()
