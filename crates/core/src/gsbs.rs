@@ -70,8 +70,8 @@
 //! proposal before any signature check.
 //!
 //! None of this changes what is signed, hashed and verified: the echo is
-//! inside every safe-ack's signature and every [`bgla_crypto::ProofId`], and the
-//! digest inside every ack's signature.
+//! inside every safe-ack's signature and every
+//! [`bgla_crypto::ProofId`], and the digest inside every ack's signature.
 //!
 //! # What is signed
 //!
@@ -80,8 +80,9 @@
 //! trailing signature ([`crate::held::Signed`]). A safe-ack's encoding
 //! is its echo followed by its reply, so its signature covers every
 //! echoed and conflicting batch in full: round, values, signer and
-//! signature. A [`bgla_crypto::ProofId`] hashes each ack's encoding, and an ack's
-//! [`Digest`] is [`bgla_crypto::digest`] of the proposal's value set.
+//! signature. A [`bgla_crypto::ProofId`] hashes each ack's encoding, and
+//! an ack's [`Digest`] is [`bgla_crypto::digest`] of the proposal's value
+//! set.
 //! One encoding thus serves what travels, what is metered, what is
 //! signed and what is hashed. The wire forms that leave a part out (a
 //! reply without its echo, a certificate's acks without their digest)

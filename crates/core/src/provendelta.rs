@@ -1,5 +1,7 @@
 //! Delta-encoded, **proof-by-reference** payloads for proof-carrying
-//! messages — [`SetUpdate`] lifted to proven-record sets.
+//! messages — [`SetUpdate`] lifted to proven-record sets ([`Proven`]) —
+//! and [`ProofPath`], the proving phase SbS and GSbS share: `AllSafe`
+//! and the `ack_req`/`nack` exchange of those sets, written once.
 //!
 //! # Why
 //!
@@ -996,11 +998,7 @@ pub struct Proving<'a, A: ProofAck> {
     pub(crate) valid: fn(&A::Value) -> bool,
 }
 
-impl<A> Proving<'_, A>
-where
-    A: ProofAck + Signed,
-    A::Echoed: Signed,
-{
+impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
     /// Algorithm 10's `AllSafe`: every record's values pass the
     /// validator and its proof checks out — incremental. Per
     /// `(record, proof)` pair only the validator and the pair checks
@@ -1123,11 +1121,11 @@ where
 /// encoded (and its cache key hashed) once per proof, in first-echo
 /// order. Verifying the echoes is what lets [`Proving::all_safe`]
 /// certify covered records by membership alone.
-fn proof_valid<A>(verifier: &mut CachedVerifier, quorum: usize, proof: &Proof<A>) -> bool
-where
-    A: ProofAck + Signed,
-    A::Echoed: Signed,
-{
+fn proof_valid<A: ProofAck<Echoed: Signed> + Signed>(
+    verifier: &mut CachedVerifier,
+    quorum: usize,
+    proof: &Proof<A>,
+) -> bool {
     if proof.len() < quorum {
         return false;
     }
