@@ -526,8 +526,8 @@ pub struct GsbsProcess<V: Value> {
     held_acks: Vec<SignedAck>,
     /// Acceptor: safety candidates per round.
     safe_candidates: BTreeMap<u64, ValueSet<SignedBatch<V>>>,
-    /// The proving phase: the cumulative accepted proven set, proof
-    /// verdicts, retained proofs and the delta ledgers.
+    /// The proving phase: the cumulative accepted proven set, the
+    /// retained proofs and the delta ledgers.
     proofs: ProofPath<GSafeAck<V>>,
     /// Acceptor: highest trusted round.
     pub safe_r: u64,
@@ -615,11 +615,6 @@ impl<V: Value> GsbsProcess<V> {
     /// Cryptographic-work counters of this process's verifier.
     pub fn verifier_stats(&self) -> VerifierStats {
         self.verifier.stats()
-    }
-
-    /// `(hits, misses)` of the proof-verdict cache.
-    pub fn proof_cache_stats(&self) -> (u64, u64) {
-        self.proofs.cache.stats()
     }
 
     /// The proving phase over this process's state, its verifier and
@@ -1627,7 +1622,7 @@ mod tests {
     /// `AllSafe` binds a batch to the round its safe-acks were signed
     /// for: a quorum-valid proof of round-0 acks that echoes a round-1
     /// batch does not prove it, neither cold nor after the same proof's
-    /// verdict is cached `true` for a round-0 batch it also echoes.
+    /// signatures are verified for a round-0 batch it also echoes.
     #[test]
     fn a_proof_of_another_round_proves_nothing() {
         let sign = |round: u64, v: u64| {
@@ -1657,8 +1652,10 @@ mod tests {
         assert!(!p.proving().all_safe(&set(&r1)), "cold");
         assert_eq!(p.verifier_stats(), VerifierStats::default());
         assert!(p.proving().all_safe(&set(&r0)));
-        assert!(!p.proving().all_safe(&set(&r1)), "proof cached as true");
-        assert_eq!(p.proof_cache_stats(), (0, 1), "refused before the cache");
+        let verified = p.verifier_stats();
+        assert_eq!(verified.batch_verifications, 1);
+        assert!(!p.proving().all_safe(&set(&r1)), "proof verified");
+        assert_eq!(p.verifier_stats(), verified, "refused with no new work");
     }
 
     #[test]

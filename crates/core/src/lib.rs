@@ -53,10 +53,10 @@
 //! their proofs of safety as [`proof::Proof`] handles whose content
 //! address ([`bgla_crypto::ProofId`]) is interned at construction. Each
 //! distinct proof is then **verified once per process**: `AllSafe`
-//! memoizes full-proof verdicts (positive and negative) in a per-process
-//! [`bgla_crypto::ProofCache`], so redelivered or re-shipped proofs cost
-//! a hash lookup plus pure comparisons. The signed records a proposer
-//! waits for a threshold of — inits, safe-acks, acks — are **verified at
+//! skips the signature checks of a proof the per-process
+//! [`bgla_crypto::ProofResolver`] holds as verified, so redelivered or
+//! re-shipped proofs cost a hash lookup plus pure comparisons. The
+//! signed records a proposer waits for a threshold of — inits, safe-acks, acks — are **verified at
 //! quorum**: held unverified until a threshold's worth has arrived, then
 //! checked in one batch ([`held`]).
 //!

@@ -26,9 +26,9 @@
 //! id (the analogue of a receiver recomputing the hash after
 //! deserializing).
 //!
-//! Downstream, deduplication becomes a hash lookup and the per-process
-//! [`bgla_crypto::ProofCache`] memoizes full verification verdicts by
-//! id — see the caching contract in [`bgla_crypto::proofstore`].
+//! Downstream, deduplication becomes a hash lookup, and the per-process
+//! [`bgla_crypto::ProofResolver`] records by id which proofs were
+//! verified — see the caching contract in [`bgla_crypto::proofstore`].
 
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{encode_payload, CodecError, Reader, Wire, Writer};

@@ -114,7 +114,7 @@
 //! too, since the proof's id hashes it again: else `P` proofs naming `R`
 //! large records would make a receiver hash `P × R` records for about
 //! `P × R` bytes of input. A reference is not charged: it resolves only
-//! to a proof the receiver itself verified.
+//! to a proof the receiver itself retained.
 //!
 //! A table measures its encoding once, when it is built or decoded, so
 //! metering a send of it is `O(1)`.
@@ -123,7 +123,7 @@ use crate::held::Signed;
 use crate::proof::{decode_acks, encode_acks, Proof, ProofAck};
 use crate::valueset::{DeltaReceiver, DeltaSender, SetItem, SetUpdate, ValueSet};
 use bgla_codec::{CodecError, Reader, Wire, Writer};
-use bgla_crypto::{CachedVerifier, ProofCache, ProofId, ProofResolver};
+use bgla_crypto::{CachedVerifier, ProofId, ProofResolver};
 use bgla_simnet::ProcessId;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -587,12 +587,12 @@ impl<A: ProofAck> Default for Valued<A> {
     }
 }
 
-/// Per-peer referenceable-proof-id sets are pruned to this many newest
-/// entries — comfortably under the receiver-side [`ProofResolver`]
-/// default capacity, so an id a sender still assumes held has not
-/// plausibly been evicted at the receiver. (If it has — pathological
-/// churn — the resync fallback restores sync at the cost of one full
-/// payload.)
+/// Per-peer referenceable-proof-id sets hold at most this many ids,
+/// half the receiver-side [`ProofResolver`] default capacity. Past it,
+/// [`note_held`] drops the smallest [`ProofId`] — ids are hashes, so an
+/// arbitrary entry, not the oldest — and that proof ships inline again.
+/// An id still assumed held that the receiver has evicted is a wrong
+/// guess, which costs one `Resync` round trip and a full payload.
 const KNOWN_HELD_CAP: usize = 1024;
 
 /// Notes that `peer` holds every proof of `set`.
@@ -816,11 +816,10 @@ impl<A: ProofAck> ProvenDeltaReceiver<A> {
 /// The proving phase of SbS and GSbS — Algorithm 10's `AllSafe` and the
 /// `ack_req`/`nack` exchange of proven sets, which GSbS runs once per
 /// round (§8.2) — over the state it keeps: the acceptor's accepted
-/// proven set, the proof-verdict cache, the proof resolver and both
-/// delta ledgers. Each process keeps its own phases, messages, ack
-/// signing and thresholds, and calls this for the rest; checking a set
-/// goes through [`Proving`], which adds the process's verifier, quorum
-/// and validator.
+/// proven set, the proof resolver and both delta ledgers. Each process
+/// keeps its own phases, messages, ack signing and thresholds, and calls
+/// this for the rest; checking a set goes through [`Proving`], which
+/// adds the process's verifier, quorum and validator.
 ///
 /// # Verify-once proofs
 ///
@@ -829,13 +828,12 @@ impl<A: ProofAck> ProvenDeltaReceiver<A> {
 /// and Byzantine peers can redeliver it without bound. So each
 /// *distinct* proof is verified *once per process*: proofs are
 /// [`Proof`] handles whose [`ProofId`] is interned at construction, and
-/// [`Proving::all_safe`] memoizes full-proof verdicts (positive and
-/// negative) in a per-process [`ProofCache`]. Only the cheap pair checks
-/// ([`ProofAck::covers`]) re-run on redelivery; see
-/// [`bgla_crypto::proofstore`] for the caching contract. The cache only
-/// skips recomputation of deterministic verdicts, so it cannot change a
-/// decision or a trace. Proven sets are [`ValueSet`]s — Arc-backed
-/// sorted vectors with `O(1)` clone and merge-walk join — so redelivered
+/// [`Proving::all_safe`] skips the signature checks of a proof the
+/// [`ProofResolver`] holds as verified (the caching contract is in
+/// [`bgla_crypto::proofstore`]). Only the cheap pair checks
+/// ([`ProofAck::covers`]) re-run on redelivery, and skipping a
+/// deterministic check cannot change a decision or a trace. Proven sets
+/// are [`ValueSet`]s — Arc-backed sorted vectors with `O(1)` clone and merge-walk join — so redelivered
 /// supersets are recognized structurally instead of re-walked.
 ///
 /// # Delta-encoded, proof-by-reference proposals
@@ -850,8 +848,8 @@ impl<A: ProofAck> ProvenDeltaReceiver<A> {
 /// against the very proposal they refuse and reference the proposer's
 /// own proofs back at it. Receivers reconstruct the full set by joining
 /// the delta onto the recorded base and resolving each reference in
-/// their [`ProofResolver`] — hash lookups, no re-verification (the
-/// `ProofCache` verdict already covers a resolved proof). In GSbS the
+/// their [`ProofResolver`] — hash lookups, no re-verification. In GSbS
+/// the
 /// proven proposal is cumulative across rounds, so without deltas every
 /// round would re-ship every earlier round's batches and proofs;
 /// timestamps are monotone across rounds, so the sender-side snapshots
@@ -863,11 +861,9 @@ impl<A: ProofAck> ProvenDeltaReceiver<A> {
 pub struct ProofPath<A: ProofAck> {
     /// Acceptor: the accepted proven set, with its values.
     accepted: Valued<A>,
-    /// Memoized full-proof verdicts, keyed by [`ProofId`].
-    // bgla-lint: allow(wire-coverage, "verification cache; rebuilt empty after restart, verdicts are recomputed")
-    pub(crate) cache: ProofCache,
-    /// Verified-and-retained proof handles, resolvable by id when a
-    /// peer ships a reference instead of the proof.
+    /// Retained proof handles, resolvable by id when a peer ships a
+    /// reference instead of the proof, each marked whether this process
+    /// image verified it.
     resolver: ProofResolver<Proof<A>>,
     /// Proposer-side delta bookkeeping (snapshots, reply watermarks,
     /// per-peer referenceable proof ids).
@@ -883,7 +879,6 @@ impl<A: ProofAck> Default for ProofPath<A> {
     fn default() -> Self {
         ProofPath {
             accepted: Valued::default(),
-            cache: ProofCache::default(),
             resolver: ProofResolver::default(),
             tx: ProvenDeltaSender::default(),
             rx: ProvenDeltaReceiver::default(),
@@ -942,13 +937,13 @@ impl<A: ProofAck> ProofPath<A> {
 /// The snapshot fragment: the accepted records, then the resolver's
 /// retained proofs least-recently-used first, so re-registering them in
 /// that order reproduces the eviction order. Ids are *not* stored:
-/// re-registration recomputes each proof's content address, so a
-/// tampered snapshot cannot alias one proof's id to another's bytes (the
-/// checksum already catches accidents). The accepted values are rebuilt
-/// from the records; the cache and the ledgers start empty — a cold
-/// cache only costs time, and fresh ledgers send `Full` payloads until
-/// peers reply again, while the resync fallback covers the peers' stale
-/// claims about *us*.
+/// restoring recomputes each proof's content address, so a tampered
+/// snapshot cannot alias one proof's id to another's bytes (the checksum
+/// already catches accidents). Nor is the verified bit: a restored proof
+/// is checked once more. The accepted values are rebuilt from the
+/// records; the ledgers start empty — fresh ledgers send `Full` payloads
+/// until peers reply again, while the resync fallback covers the peers'
+/// stale claims about *us*.
 impl<A: ProofAck> Wire for ProofPath<A> {
     fn encode(&self, w: &mut Writer) {
         self.accepted.records().encode(w);
@@ -966,7 +961,7 @@ impl<A: ProofAck> Wire for ProofPath<A> {
         let retained: Vec<Proof<A>> = Wire::decode(r)?;
         let mut resolver = ProofResolver::default();
         for proof in retained {
-            resolver.register(proof.id(), proof);
+            resolver.restore(proof.id(), proof);
         }
         Ok(ProofPath {
             accepted,
@@ -1004,11 +999,11 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
     /// `(record, proof)` pair only the validator and the pair checks
     /// ([`ProofAck::covers`]: pure record comparisons, no serialization,
     /// no hashing) run; the expensive record-independent part of each
-    /// *distinct* proof (`proof_valid`) is answered from the
-    /// [`ProofCache`] when the proof was seen before — positive *and*
-    /// negative verdicts, so a redelivered forged proof costs a lookup,
-    /// not a re-verification. Within one call, records sharing a proof
-    /// check it once (by [`ProofId`]).
+    /// *distinct* proof (`proof_valid`) is skipped for a proof the
+    /// resolver holds as verified, looked up without touching the
+    /// recency the snapshot writes. Nothing is recorded here: a set's
+    /// proofs are marked verified when it is consumed. Within one call,
+    /// records sharing a proof check it once (by [`ProofId`]).
     ///
     /// A record's own signature is covered by the proof verdict: the
     /// pair check demands that each ack echo the record under *full
@@ -1028,17 +1023,10 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
                 return false;
             }
             let id = record.proof.id();
-            if !checked.insert(id) {
-                continue; // another record in this set shares the proof
+            if !checked.insert(id) || self.path.resolver.verified(id) {
+                continue; // checked in this call, or verified before
             }
-            match self.path.cache.get(id) {
-                Some(true) => continue,
-                Some(false) => return false,
-                None => {}
-            }
-            let ok = proof_valid(self.verifier, self.quorum, &record.proof);
-            self.path.cache.put(id, ok);
-            if !ok {
+            if !proof_valid(self.verifier, self.quorum, &record.proof) {
                 return false;
             }
         }
@@ -1113,8 +1101,8 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
     }
 }
 
-/// The record-independent proof checks — exactly the verdict
-/// [`ProofCache`] may memoize: quorum size, signer distinctness, and one
+/// The record-independent proof checks — exactly what the resolver's
+/// verified bit stands for: quorum size, signer distinctness, and one
 /// batched signature verification covering every ack *and* every
 /// distinct signed record the acks echo. The acks of a quorum echo
 /// mostly the same records, and record equality is identity, so each is
@@ -1392,8 +1380,9 @@ mod tests {
     }
 
     /// A snapshot stores the retained proofs least-recently-used first
-    /// and restoring re-registers them in that order, so recency — not
-    /// registration order — survives the round trip.
+    /// and restoring puts them back in that order, so recency — not
+    /// registration order — survives the round trip. Whether a proof
+    /// was verified does not: a restored one is checked again.
     #[test]
     fn snapshot_keeps_the_resolver_recency_order() {
         let mut path: ProofPath<TestAck> = ProofPath::default();
@@ -1412,6 +1401,8 @@ mod tests {
         assert_eq!(ids(&path), [b.id(), c.id(), a.id()]);
         let back: ProofPath<TestAck> = decode_payload(&encode_payload(&path)).unwrap();
         assert_eq!(ids(&back), ids(&path));
+        assert!(path.resolver.verified(a.id()));
+        assert!(!back.resolver.verified(a.id()));
     }
 
     #[test]

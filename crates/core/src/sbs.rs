@@ -380,8 +380,8 @@ pub struct SbsProcess<V: Value> {
     ts: u64,
     /// Acceptor: candidates for safety (conflicts removed).
     safe_candidates: ValueSet<SignedValue<V>>,
-    /// The proving phase: the accepted proven set, proof verdicts,
-    /// retained proofs and the delta ledgers.
+    /// The proving phase: the accepted proven set, the retained proofs
+    /// and the delta ledgers.
     proofs: ProofPath<SignedSafeAck<V>>,
     /// Set by [`SbsProcess::from_snapshot`]: the next `on_start` is a
     /// *recovery* boot (re-announce instead of initialize).
@@ -435,11 +435,6 @@ impl<V: Value> SbsProcess<V> {
     /// Cryptographic-work counters of this process's verifier.
     pub fn verifier_stats(&self) -> VerifierStats {
         self.verifier.stats()
-    }
-
-    /// `(hits, misses)` of the proof-verdict cache.
-    pub fn proof_cache_stats(&self) -> (u64, u64) {
-        self.proofs.cache.stats()
     }
 
     /// The proving phase over this process's state, its verifier, quorum
@@ -700,8 +695,8 @@ impl Wire for SbsState {
 ///
 /// Reconstructed: key material and the verifier (the PKI is
 /// deterministic per process id), what [`ProofPath`] rebuilds (its
-/// proof-verdict cache and delta ledgers), and the `validator` fn
-/// pointer (configuration, re-installed by the harness).
+/// delta ledgers), and the `validator` fn pointer (configuration,
+/// re-installed by the harness).
 impl<V: Value> Wire for SbsProcess<V> {
     fn encode(&self, w: &mut Writer) {
         self.config.encode(w);
@@ -1138,17 +1133,16 @@ mod tests {
         .into_iter()
         .collect();
         assert!(!p.proving().all_safe(&set2));
-        // Both verdicts were interned: redelivery answers from cache.
-        let (hits0, _) = p.proof_cache_stats();
+        // Both shapes are refused before any signature work, on every
+        // redelivery.
         assert!(!p.proving().all_safe(&set));
         assert!(!p.proving().all_safe(&set2));
-        let (hits1, _) = p.proof_cache_stats();
-        assert_eq!(hits1 - hits0, 2);
+        assert_eq!(p.verifier_stats(), VerifierStats::default());
     }
 
     /// The validator runs before the proof: a value it rejects fails
     /// `AllSafe` although its proof verifies, and still fails after
-    /// another value has cached that proof as `true`.
+    /// another value has verified that proof.
     #[test]
     fn the_validator_refuses_a_proven_value() {
         let config = SystemConfig::new(4, 1);
@@ -1174,9 +1168,12 @@ mod tests {
         };
         let mut p = SbsProcess::new(0, config, 7u64).with_validator(|v| *v < 1_000);
         assert!(!p.proving().all_safe(&set(&bad)), "cold");
+        assert_eq!(p.verifier_stats(), VerifierStats::default());
         assert!(p.proving().all_safe(&set(&good)));
-        assert!(!p.proving().all_safe(&set(&bad)), "proof cached as true");
-        assert_eq!(p.proof_cache_stats(), (0, 1), "refused before the cache");
+        let verified = p.verifier_stats();
+        assert_eq!(verified.batch_verifications, 1);
+        assert!(!p.proving().all_safe(&set(&bad)), "proof verified");
+        assert_eq!(p.verifier_stats(), verified, "refused with no new work");
         let mut q = SbsProcess::new(0, config, 7u64);
         assert!(
             q.proving().all_safe(&set(&bad)),

@@ -1,11 +1,11 @@
 //! Verify-once pins for the proof-of-safety pipeline: a redelivered
 //! proof — valid *or forged* — must cost real cryptographic work exactly
-//! once per process, with every redelivery answered by the proof-verdict
-//! cache. Asserted through the work counters on `CachedVerifier`
-//! ([`bgla_crypto::VerifierStats`]) and the hit counters on the proof
-//! cache. The same counters pin what an honest GSbS run spends now that
-//! signed records are held until a threshold's worth has arrived and
-//! verified in one batch (`bgla_core::held`).
+//! once per process, and a proof restored from a snapshot once more.
+//! Asserted through the work counters on `CachedVerifier`
+//! ([`bgla_crypto::VerifierStats`]). The same counters pin what an
+//! honest GSbS run spends now that signed records are held until a
+//! threshold's worth has arrived and verified in one batch
+//! (`bgla_core::held`).
 
 use bgla_core::gsbs::{
     DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
@@ -74,12 +74,9 @@ fn forged_proof_redelivery_verifies_once() {
         stats.single_verifications, 4,
         "one culprit-finding fallback over the 3 acks + 1 echoed value, never repeated"
     );
-    let (hits, misses) = p.proof_cache_stats();
-    assert_eq!(misses, 1, "one cold lookup");
     assert_eq!(
-        hits,
-        (REDELIVERIES - 1) as u64,
-        "every redelivery answered by the interned negative verdict"
+        stats.batched_signatures, 4,
+        "every redelivery answered by the cached signature verdicts"
     );
 }
 
@@ -89,17 +86,23 @@ fn valid_proof_redelivery_verifies_once() {
     let pv = proven_value(42, 1, &[1, 2, 3]);
     let set: ValueSet<ProvenValue<u64>> = [pv].into_iter().collect();
 
-    for _ in 0..10 {
-        assert!(p.proving().all_safe(&set), "well-formed proof must pass");
-    }
+    assert!(p.proving().all_safe(&set), "well-formed proof must pass");
     let stats = p.verifier_stats();
     // One batched check covers the proof's 3 acks and the echoed value
     // (whose membership certifies the attached value's signature).
+    assert_eq!(
+        stats,
+        VerifierStats {
+            single_verifications: 0,
+            batch_verifications: 1,
+            batched_signatures: 4,
+        }
+    );
     // Redeliveries add no cryptographic work at all.
-    assert_eq!(stats.batch_verifications, 1);
-    assert_eq!(stats.single_verifications, 0);
-    let (hits, misses) = p.proof_cache_stats();
-    assert_eq!((hits, misses), (9, 1));
+    for _ in 0..9 {
+        assert!(p.proving().all_safe(&set), "well-formed proof must pass");
+    }
+    assert_eq!(p.verifier_stats(), stats);
 }
 
 #[test]
@@ -132,11 +135,14 @@ fn same_proof_shared_by_many_values_checks_once_per_call() {
         })
         .collect();
     assert!(p.proving().all_safe(&set));
-    let (_, misses) = p.proof_cache_stats();
-    assert_eq!(misses, 1, "shared proof looked up once, not per value");
+    let stats = p.verifier_stats();
+    assert_eq!(
+        (stats.batch_verifications, stats.batched_signatures),
+        (1, 6),
+        "one batch over the shared proof's 3 acks and 3 echoed values"
+    );
     assert!(p.proving().all_safe(&set));
-    let (hits, _) = p.proof_cache_stats();
-    assert_eq!(hits, 1, "and once per later call");
+    assert_eq!(p.verifier_stats(), stats, "and no work on a later call");
 }
 
 /// Scripted proposer: ships one `Full` ack_req whose proof covers
@@ -191,8 +197,9 @@ fn proof_referenced_in_ten_deltas_still_verifies_once() {
     // One safetying exchange certifies eleven values. The proof travels
     // once (inside the first Full ack_req); the ten follow-up proposals
     // each add one more covered value and name the proof by id. The
-    // acceptor must answer every reference from its resolver and its
-    // verdict cache: exactly one batched signature verification, total.
+    // acceptor must answer every reference from its resolver, which
+    // holds the proof as verified: exactly one batched signature
+    // verification, total.
     const DELTAS: usize = 10;
     let svs: Vec<SignedValue<u64>> = (0..=DELTAS)
         .map(|i| SignedValue::sign(100 + i as u64, 1, &Keypair::for_process(1)))
@@ -238,12 +245,34 @@ fn proof_referenced_in_ten_deltas_still_verifies_once() {
     // p0's own self-delivered Init is answered from the verdict it
     // recorded when it signed.
     assert_eq!(p.verifier_stats().single_verifications, 0);
-    let (hits, misses) = p.proof_cache_stats();
-    assert_eq!(misses, 1, "one cold verdict lookup");
-    assert_eq!(
-        hits, DELTAS as u64,
-        "every delta's AllSafe answered from the interned verdict"
-    );
+}
+
+#[test]
+fn a_restored_proof_is_verified_once_more() {
+    // An acceptor consumes one `Full` ack_req: one batch over the
+    // proof's 3 acks and the echoed value, and the proof is retained.
+    let mut p = SbsProcess::new(0, config(), 7u64);
+    let set: ValueSet<ProvenValue<u64>> = [proven_value(42, 1, &[1, 2, 3])].into_iter().collect();
+    let mut ctx = Context::for_embedding(0, 4, 0, 0);
+    let proposed = ProvenUpdate::Full(set.clone());
+    p.on_message(1, SbsMsg::AckReq { proposed, ts: 1 }, &mut ctx);
+    assert!(matches!(
+        ctx.take_outbox().as_slice(),
+        [(1, SbsMsg::Ack { ts: 1, .. })]
+    ));
+    assert_eq!(p.verifier_stats().batch_verifications, 1);
+    assert!(p.proving().all_safe(&set));
+    assert_eq!(p.verifier_stats().batch_verifications, 1);
+
+    // A restart keeps the proof but not the knowledge that it was
+    // verified: the restored process checks it once, then never again.
+    let mut q = SbsProcess::<u64>::from_snapshot(&p.snapshot_bytes()).unwrap();
+    assert_eq!(q.verifier_stats(), VerifierStats::default());
+    assert!(q.proving().all_safe(&set));
+    let stats = q.verifier_stats();
+    assert_eq!(stats.batch_verifications, 1, "restored, not yet verified");
+    assert!(q.proving().all_safe(&set));
+    assert_eq!(q.verifier_stats(), stats);
 }
 
 #[test]

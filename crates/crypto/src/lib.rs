@@ -26,10 +26,10 @@
 //!   including the batch-then-attribute check of records held until a
 //!   threshold's worth has arrived ([`CachedVerifier::verify_groups`]).
 //! * [`proofstore`] — content-addressed proof-of-safety interning
-//!   ([`ProofId`], [`ProofCache`], [`ProofResolver`]): each distinct proof
-//!   is verified once per process and answered from cache thereafter, and
-//!   a proof a peer already holds travels as its id and is resolved from
-//!   the retained handles.
+//!   ([`ProofId`], [`ProofResolver`]): a proof a peer already holds
+//!   travels as its id and is resolved from the retained handles, and
+//!   the resolver records which of them this process verified, so each
+//!   distinct proof is verified once per process.
 //! * [`mod@wire`] — the codec forms of signatures, keys and ids, and
 //!   [`digest`], the content digest of an encoding.
 //!
@@ -119,7 +119,7 @@ pub(crate) const DIFFERENTIAL_CASES: u32 = if cfg!(debug_assertions) { 64 } else
 
 pub use ed25519::{Keypair, PublicKey, SecretKey, Signature};
 pub use keyring::Keyring;
-pub use proofstore::{ProofCache, ProofId, ProofIdBuilder, ProofResolver};
+pub use proofstore::{ProofId, ProofIdBuilder, ProofResolver};
 pub use sha512::{sha512, Sha512};
-pub use sigcache::{CachedVerifier, Obligation, SigCache, VerifierStats};
+pub use sigcache::{CachedVerifier, Obligation, VerifierStats};
 pub use wire::{digest, Digest};

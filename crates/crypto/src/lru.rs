@@ -1,7 +1,6 @@
-//! The bounded LRU map shared by [`crate::sigcache::SigCache`],
-//! [`crate::proofstore::ProofCache`] and
-//! [`crate::proofstore::ProofResolver`] — one home for the subtle
-//! recency/eviction mechanics so the caches cannot drift apart.
+//! The crate's one bounded LRU map, behind both of its caches:
+//! [`crate::sigcache::CachedVerifier`]'s per-signature verdicts and
+//! [`crate::proofstore::ProofResolver`]'s proof handles.
 
 // bgla-lint: allow(determinism, "keyed cache: lookups only; eviction sorts by unique tick, so hash order is never observed")
 use std::collections::HashMap;
@@ -40,6 +39,11 @@ impl<K: Eq + Hash, V: Clone> LruMap<K, V> {
         })
     }
 
+    /// Cached value for `key`, leaving its recency alone.
+    pub(crate) fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|(v, _)| v)
+    }
+
     /// Stores a value, evicting the least-recently-used quarter of the
     /// map when full.
     pub(crate) fn put(&mut self, key: K, value: V) {
@@ -68,7 +72,3 @@ impl<K: Eq + Hash, V: Clone> LruMap<K, V> {
         entries.into_iter().map(|(k, (v, _))| (k, v)).collect()
     }
 }
-
-/// The boolean-verdict specialization the signature and proof caches
-/// store.
-pub(crate) type LruVerdicts<K> = LruMap<K, bool>;

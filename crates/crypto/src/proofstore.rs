@@ -14,48 +14,42 @@
 //!   id; changing any byte of any ack (content or signature) changes it.
 //! * [`ProofIdBuilder`] — the incremental hasher callers feed each ack's
 //!   `Wire` encoding into (its echo and signature included).
-//! * [`ProofCache`] — a bounded per-process LRU map `ProofId → verdict`
-//!   memoizing the outcome of full-proof verification.
 //! * [`ProofResolver`] — a bounded per-process LRU map `ProofId → proof
 //!   handle` over which peers can ship proofs **by reference**: a
 //!   proof-carrying delta names an already-delivered proof by its 16-byte
 //!   id instead of re-shipping its `O(n²)` bytes, and the receiver
-//!   reconstructs the full payload with one hash lookup per reference
-//!   (no re-verification — the [`ProofCache`] verdict already covers a
-//!   resolved proof).
+//!   reconstructs the full payload with one hash lookup per reference.
+//!   It is also the process's one record of which proofs it verified.
 //!
 //! # Caching contract
 //!
-//! A cached verdict must depend **only** on the proof's content (and on
-//! per-process constants such as the quorum size) — never on the value
-//! the proof arrives attached to. Concretely, the verdict may fold in:
+//! An entry's *verified* bit stands for the record-independent checks
+//! of its proof only, which depend on nothing but the proof's content
+//! (and on per-process constants such as the quorum size):
 //!
 //! * quorum size (`|acks| ≥ ⌊(n+f)/2⌋ + 1` — `n`, `f` are fixed per
 //!   process),
 //! * signer distinctness across the acks,
-//! * signature validity of every ack.
+//! * signature validity of every ack and of every record the acks echo.
 //!
-//! Checks that relate the proof to a *particular* value — "every ack
-//! echoes this value", "no ack reports a conflict for it", "the ack
-//! round matches the batch round" — are pair checks and must be re-run
-//! per `(value, proof)` even on a cache hit. They are pure comparisons
-//! (no crypto, no serialization), so re-running them is cheap.
+//! [`ProofResolver::register`] sets it, for a proof that passed those
+//! checks inside a set the process consumed, or that the process
+//! assembled itself; [`ProofResolver::restore`] leaves it unset, so a
+//! restarted process checks each restored proof once more. Checks that
+//! relate the proof to a *particular* record — "every ack echoes this
+//! record", "no ack reports a conflict for it", "the ack round matches
+//! the batch round" — are pair checks and re-run per `(record, proof)`
+//! even for a verified proof. They are pure comparisons (no crypto, no
+//! serialization), so re-running them is cheap.
 //!
-//! Negative verdicts are cached too: a forged proof costs one batched
-//! signature verification the first time and a single hash lookup on
-//! every redelivery. This is sound for the same reason positive caching
-//! is — the verdict is a deterministic function of the content the id
-//! binds.
-//!
-//! Note the relationship to [`crate::sigcache::SigCache`]: the sig-cache
-//! memoizes *individual signature* verdicts keyed by
+//! Failures are not recorded here: a proof that fails is answered again
+//! by the per-signature verdicts of [`crate::CachedVerifier`], keyed by
 //! `(signer, msg-hash, sig)` — the message hash stays in that key so a
-//! replayed signature cannot validate different content (the PR-1
-//! soundness fix). The proof cache sits *above* it and memoizes the
-//! aggregate verdict, eliminating even the serialize-and-hash work a
-//! sig-cache hit still pays per ack.
+//! replayed signature cannot validate different content — so a forged
+//! proof costs one batched verification the first time and no
+//! signature work on any redelivery.
 
-use crate::lru::{LruMap, LruVerdicts};
+use crate::lru::LruMap;
 use crate::sha512::sha512;
 
 /// Content address of a proof of safety: digest of its ack multiset.
@@ -102,72 +96,9 @@ impl ProofIdBuilder {
     }
 }
 
-/// Bounded LRU cache of full-proof verdicts, keyed by [`ProofId`].
-///
-/// Shares [`crate::sigcache::SigCache`]'s eviction mechanics (the
-/// crate-internal `LruVerdicts`): when full, the least-recently-used
-/// quarter is dropped in one amortized sweep, so a flood of distinct
-/// forged proofs cannot grow the map without bound.
-#[derive(Debug)]
-pub struct ProofCache {
-    map: LruVerdicts<ProofId>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ProofCache {
-    /// Cache with room for `cap` verdicts.
-    pub fn new(cap: usize) -> Self {
-        ProofCache {
-            map: LruVerdicts::new(cap),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Cached verdict for `id`, refreshing its recency.
-    pub fn get(&mut self, id: ProofId) -> Option<bool> {
-        let got = self.map.get(&id);
-        match got {
-            Some(_) => self.hits += 1,
-            None => self.misses += 1,
-        }
-        got
-    }
-
-    /// Stores a verdict, evicting the least-recently-used quarter of the
-    /// cache when full.
-    pub fn put(&mut self, id: ProofId, ok: bool) {
-        self.map.put(id, ok);
-    }
-
-    /// Number of cached verdicts (diagnostics).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.len() == 0
-    }
-
-    /// `(hits, misses)` lookup counters (diagnostics / tests).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
-impl Default for ProofCache {
-    /// Capacity suiting per-process protocol state: at most a few
-    /// distinct proofs per proposer per refinement, times generous
-    /// slack for Byzantine noise.
-    fn default() -> Self {
-        ProofCache::new(1024)
-    }
-}
-
 /// Bounded per-process store of proof *handles*, keyed by [`ProofId`] —
-/// the lookup table behind **proof-by-reference** delta payloads.
+/// the lookup table behind **proof-by-reference** delta payloads, and
+/// the record of which proofs the process verified.
 ///
 /// A process registers every proof it has verified and retained (its own
 /// assembled proofs, plus those of every proposal or nack it consumed).
@@ -178,6 +109,9 @@ impl Default for ProofCache {
 /// reference proofs the receiver demonstrably delivered, so in practice
 /// gaps come from Byzantine senders or from eviction on pathologically
 /// long runs, and the fallback covers both).
+///
+/// Each entry carries a *verified* bit (see the module's caching
+/// contract): [`Self::register`] sets it, [`Self::restore`] does not.
 ///
 /// The generic parameter is the caller's proof-handle type (e.g.
 /// `bgla_core`'s `Proof<A>`, an `Arc`-backed handle with `O(1)` clone);
@@ -191,7 +125,7 @@ impl Default for ProofCache {
 /// bound.
 #[derive(Debug)]
 pub struct ProofResolver<P: Clone> {
-    map: LruMap<ProofId, P>,
+    map: LruMap<ProofId, (P, bool)>,
 }
 
 impl<P: Clone> ProofResolver<P> {
@@ -202,49 +136,48 @@ impl<P: Clone> ProofResolver<P> {
         }
     }
 
-    /// Registers a proof handle under its id (refreshing recency when
-    /// already present).
+    /// Registers a verified proof handle under its id (refreshing
+    /// recency when already present).
     pub fn register(&mut self, id: ProofId, proof: P) {
-        self.map.put(id, proof);
+        self.map.put(id, (proof, true));
     }
 
-    /// Resolves a reference to a registered handle, refreshing its
-    /// recency. `None` is a detected delta gap.
+    /// Puts back a handle read from a snapshot, not yet verified by this
+    /// process image.
+    pub fn restore(&mut self, id: ProofId, proof: P) {
+        self.map.put(id, (proof, false));
+    }
+
+    /// Whether `id` is held as verified. Leaves recency alone, so a
+    /// check does not reorder what a snapshot writes.
+    pub fn verified(&self, id: ProofId) -> bool {
+        self.map.peek(&id).is_some_and(|(_, verified)| *verified)
+    }
+
+    /// Resolves a reference to a held handle, refreshing its recency.
+    /// `None` is a detected delta gap.
     pub fn resolve(&mut self, id: ProofId) -> Option<P> {
-        self.map.get(&id)
+        self.map.get(&id).map(|(proof, _)| proof)
     }
 
-    /// Number of registered proofs (diagnostics).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the resolver is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.len() == 0
-    }
-
-    /// All registered `(id, handle)` pairs, least-recently-used first.
+    /// All held `(id, handle)` pairs, least-recently-used first.
     ///
     /// This is the resolver's durable view: a crash-recovery snapshot
-    /// serializes the pairs in this order, and re-[`register`]ing them
-    /// in the same order on restore reproduces both the contents and
-    /// the eviction (recency) ordering of the original resolver.
-    ///
-    /// [`register`]: ProofResolver::register
+    /// serializes the pairs in this order, and [`Self::restore`]ing them
+    /// in the same order reproduces both the contents and the eviction
+    /// (recency) ordering of the original resolver.
     pub fn entries(&self) -> Vec<(ProofId, P)> {
         self.map
             .entries_by_recency()
             .into_iter()
-            .map(|(id, p)| (*id, p.clone()))
+            .map(|(id, (proof, _))| (*id, proof.clone()))
             .collect()
     }
 }
 
 impl<P: Clone> Default for ProofResolver<P> {
-    /// Capacity sized like [`ProofCache`] but larger: the resolver must
-    /// keep every proof a correct peer may still reference across the
-    /// bounded delta window, Byzantine noise included.
+    /// Room for every proof a correct peer may still reference across
+    /// the bounded delta window, Byzantine noise included.
     fn default() -> Self {
         ProofResolver::new(2048)
     }
@@ -275,38 +208,29 @@ mod tests {
     }
 
     #[test]
-    fn cache_round_trips_both_verdicts() {
-        let mut c = ProofCache::new(8);
-        let good = id_of(&[b"good"]);
-        let bad = id_of(&[b"bad"]);
-        assert_eq!(c.get(good), None);
-        c.put(good, true);
-        c.put(bad, false);
-        assert_eq!(c.get(good), Some(true));
-        assert_eq!(c.get(bad), Some(false));
-        let (hits, misses) = c.stats();
-        assert_eq!((hits, misses), (2, 1));
-    }
-
-    #[test]
-    fn eviction_keeps_recent_entries() {
-        let mut c = ProofCache::new(16);
-        let ids: Vec<ProofId> = (0..40u8).map(|i| id_of(&[&[i]])).collect();
-        for id in &ids {
-            c.put(*id, true);
-        }
-        assert!(c.len() <= 16);
-        assert_eq!(c.get(ids[39]), Some(true));
-    }
-
-    #[test]
     fn resolver_round_trips_handles() {
         let mut r: ProofResolver<&'static str> = ProofResolver::new(8);
         let id = id_of(&[b"ack"]);
         assert_eq!(r.resolve(id), None, "unknown id is a gap");
         r.register(id, "proof");
         assert_eq!(r.resolve(id), Some("proof"));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.entries(), [(id, "proof")]);
+    }
+
+    #[test]
+    fn only_registered_proofs_are_verified() {
+        let mut r: ProofResolver<u8> = ProofResolver::new(8);
+        let [a, b] = [id_of(&[b"a"]), id_of(&[b"b"])];
+        r.restore(a, 1);
+        r.register(b, 2);
+        assert!(r.verified(b));
+        assert!(!r.verified(id_of(&[b"c"])), "unknown");
+        assert!(!r.verified(a), "a restored proof is checked again");
+        // The check leaves recency alone; registering sets the bit.
+        assert_eq!(r.entries(), [(a, 1), (b, 2)]);
+        r.register(a, 1);
+        assert!(r.verified(a));
+        assert_eq!(r.entries(), [(b, 2), (a, 1)]);
     }
 
     #[test]
@@ -316,7 +240,7 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             r.register(*id, i as u8);
         }
-        assert!(r.len() <= 16);
+        assert!(r.entries().len() <= 16);
         assert_eq!(r.resolve(ids[39]), Some(39));
         assert_eq!(r.resolve(ids[0]), None, "oldest entries are evicted");
     }

@@ -1,26 +1,32 @@
-//! A bounded cache of already-verified signatures.
+//! Memoized, batched signature verification: [`CachedVerifier`].
 //!
 //! Byzantine processes can re-send the same signed records arbitrarily
 //! often; without memoization every re-delivery costs a full Ed25519
-//! verification (a double-scalar multiplication). The cache is keyed by
-//! `(signer, message-hash, signature)` — **the message must be part of
-//! the key**: a cache keyed by `(signer, signature)` alone would let an
-//! adversary replay a valid signature attached to *different* content
-//! and inherit the cached `true` verdict.
+//! verification (a double-scalar multiplication). The verifier keeps one
+//! verdict per `(signer, message-hash, signature)` — **the message must
+//! be part of the key**: a cache keyed by `(signer, signature)` alone
+//! would let an adversary replay a valid signature attached to
+//! *different* content and inherit the cached `true` verdict.
 //!
 //! Eviction is least-recently-used with a fixed capacity, so a flood of
 //! distinct forgeries cannot grow the cache without bound.
 
 use crate::ed25519::Signature;
-use crate::lru::LruVerdicts;
+use crate::lru::LruMap;
 use crate::sha512::sha512;
 use std::collections::BTreeMap;
 
 /// Truncated message digest used in cache keys (16 bytes of SHA-512 —
 /// collision resistance far beyond anything a simulation can exhaust).
-pub type MsgKey = [u8; 16];
+type MsgKey = [u8; 16];
 
-type Key = (usize, MsgKey, Signature);
+/// Digests a message into its cache-key form.
+fn msg_key(msg: &[u8]) -> MsgKey {
+    let d = sha512(msg);
+    let mut out = [0u8; 16];
+    out.copy_from_slice(&d[..16]);
+    out
+}
 
 /// One verification obligation: `(signer, message, signature)`.
 pub type Obligation = (usize, Vec<u8>, Signature);
@@ -28,59 +34,6 @@ pub type Obligation = (usize, Vec<u8>, Signature);
 /// A cache miss queued for verification: signer, message, signature and
 /// the message's cache key.
 type Pending<'a> = (usize, &'a [u8], Signature, MsgKey);
-
-/// LRU cache of signature-verification verdicts (mechanics shared with
-/// the proof-verdict cache via the crate-internal `LruVerdicts`).
-#[derive(Debug)]
-pub struct SigCache {
-    map: LruVerdicts<Key>,
-}
-
-impl SigCache {
-    /// Cache with room for `cap` verdicts.
-    pub fn new(cap: usize) -> Self {
-        SigCache {
-            map: LruVerdicts::new(cap),
-        }
-    }
-
-    /// Digests a message into its cache-key form.
-    pub fn msg_key(msg: &[u8]) -> MsgKey {
-        let d = sha512(msg);
-        let mut out = [0u8; 16];
-        out.copy_from_slice(&d[..16]);
-        out
-    }
-
-    /// Cached verdict for `(signer, msg, sig)`, refreshing its recency.
-    pub fn get(&mut self, signer: usize, msg_key: MsgKey, sig: &Signature) -> Option<bool> {
-        self.map.get(&(signer, msg_key, *sig))
-    }
-
-    /// Stores a verdict, evicting the least-recently-used quarter of the
-    /// cache when full (amortizes eviction cost).
-    pub fn put(&mut self, signer: usize, msg_key: MsgKey, sig: &Signature, ok: bool) {
-        self.map.put((signer, msg_key, *sig), ok);
-    }
-
-    /// Number of cached verdicts (diagnostics).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.len() == 0
-    }
-}
-
-impl Default for SigCache {
-    /// A capacity suiting per-process protocol state (a few quorums of
-    /// records per round, times generous slack).
-    fn default() -> Self {
-        SigCache::new(4096)
-    }
-}
 
 /// Counters of the *actual* cryptographic work a [`CachedVerifier`] has
 /// performed — cache hits don't move them. Tests use these to pin
@@ -97,8 +50,9 @@ pub struct VerifierStats {
     pub batched_signatures: u64,
 }
 
-/// A [`Keyring`](crate::Keyring) paired with a [`SigCache`]: the one
-/// verification entry point protocol processes hold. Single checks are
+/// A [`Keyring`](crate::Keyring) paired with a bounded cache of
+/// signature verdicts: the one verification entry point protocol
+/// processes hold. Single checks are
 /// memoized; multi-signature checks go through one batched
 /// multi-scalar multiplication ([`crate::keyring::Keyring::verify_batch`])
 /// with an individual-check fallback that caches the per-signature
@@ -110,7 +64,9 @@ pub struct VerifierStats {
 #[derive(Debug)]
 pub struct CachedVerifier {
     ring: crate::Keyring,
-    cache: SigCache,
+    /// One verdict per `(signer, message key, signature)`, room for a
+    /// few quorums of records per round, times generous slack.
+    cache: LruMap<(usize, MsgKey, Signature), bool>,
     stats: VerifierStats,
 }
 
@@ -119,7 +75,7 @@ impl CachedVerifier {
     pub fn new(ring: crate::Keyring) -> Self {
         CachedVerifier {
             ring,
-            cache: SigCache::default(),
+            cache: LruMap::new(4096),
             stats: VerifierStats::default(),
         }
     }
@@ -131,13 +87,13 @@ impl CachedVerifier {
 
     /// Cached single-signature verification.
     pub fn verify(&mut self, signer: usize, msg: &[u8], sig: &Signature) -> bool {
-        let key = SigCache::msg_key(msg);
-        if let Some(ok) = self.cache.get(signer, key, sig) {
+        let key = (signer, msg_key(msg), *sig);
+        if let Some(ok) = self.cache.get(&key) {
             return ok;
         }
         self.stats.single_verifications += 1;
         let ok = self.ring.verify(signer, msg, sig);
-        self.cache.put(signer, key, sig, ok);
+        self.cache.put(key, ok);
         ok
     }
 
@@ -147,7 +103,7 @@ impl CachedVerifier {
     /// to it in broadcasts and inside proofs of safety, and are then
     /// answered from the cache instead of verified.
     pub fn record_own(&mut self, (me, msg, sig): &Obligation) {
-        self.cache.put(*me, SigCache::msg_key(msg), sig, true);
+        self.cache.put((*me, msg_key(msg), *sig), true);
     }
 
     /// Verifies every `(signer, msg, sig)` obligation, batching all
@@ -175,8 +131,8 @@ impl CachedVerifier {
         let mut misses: Vec<(usize, Pending<'_>)> = Vec::new();
         for (g, (group, verdict)) in groups.iter().zip(verdicts.iter_mut()).enumerate() {
             for (signer, msg, sig) in group.as_ref() {
-                let key = SigCache::msg_key(msg);
-                match self.cache.get(*signer, key, sig) {
+                let key = msg_key(msg);
+                match self.cache.get(&(*signer, key, *sig)) {
                     Some(true) => {}
                     Some(false) => *verdict = false,
                     None => misses.push((g, (*signer, msg.as_slice(), *sig, key))),
@@ -223,7 +179,7 @@ impl CachedVerifier {
             self.stats.batched_signatures += pending.len() as u64;
             if self.ring.verify_batch(&refs) {
                 for (signer, _, sig, key) in pending {
-                    self.cache.put(*signer, *key, sig, true);
+                    self.cache.put((*signer, *key, *sig), true);
                 }
                 return vec![true; pending.len()];
             }
@@ -235,7 +191,7 @@ impl CachedVerifier {
             .map(|(signer, msg, sig, key)| {
                 self.stats.single_verifications += 1;
                 let ok = self.ring.verify(*signer, msg, sig);
-                self.cache.put(*signer, *key, sig, ok);
+                self.cache.put((*signer, *key, *sig), ok);
                 ok
             })
             .collect()
@@ -251,52 +207,6 @@ impl CachedVerifier {
 mod tests {
     use super::*;
     use crate::ed25519::Keypair;
-
-    #[test]
-    fn hit_returns_stored_verdict() {
-        let kp = Keypair::for_process(0);
-        let sig = kp.sign(b"m");
-        let mut c = SigCache::new(8);
-        let k = SigCache::msg_key(b"m");
-        assert_eq!(c.get(0, k, &sig), None);
-        c.put(0, k, &sig, true);
-        assert_eq!(c.get(0, k, &sig), Some(true));
-    }
-
-    #[test]
-    fn message_is_part_of_the_key() {
-        // The forgery-replay scenario: a valid (signer, sig) pair cached
-        // as true must NOT validate different content.
-        let kp = Keypair::for_process(1);
-        let sig = kp.sign(b"legit");
-        let mut c = SigCache::new(8);
-        c.put(1, SigCache::msg_key(b"legit"), &sig, true);
-        assert_eq!(c.get(1, SigCache::msg_key(b"forged"), &sig), None);
-    }
-
-    #[test]
-    fn eviction_keeps_recent_entries() {
-        let kp = Keypair::for_process(2);
-        let mut c = SigCache::new(16);
-        let sigs: Vec<_> = (0..40u8).map(|i| kp.sign(&[i])).collect();
-        for (i, sig) in sigs.iter().enumerate() {
-            c.put(2, SigCache::msg_key(&[i as u8]), sig, true);
-        }
-        assert!(c.len() <= 16);
-        // The most recent insert survives.
-        assert_eq!(c.get(2, SigCache::msg_key(&[39]), &sigs[39]), Some(true));
-    }
-
-    #[test]
-    fn negative_verdicts_are_cached_too() {
-        let kp = Keypair::for_process(3);
-        let mut sig = kp.sign(b"x");
-        sig.s[0] ^= 1;
-        let mut c = SigCache::new(8);
-        let k = SigCache::msg_key(b"x");
-        c.put(3, k, &sig, false);
-        assert_eq!(c.get(3, k, &sig), Some(false));
-    }
 
     fn obligations(n: usize) -> Vec<Obligation> {
         (0..n)
