@@ -61,8 +61,9 @@ impl SystemConfig {
 /// purpose. Only `n == 0` (meaningless everywhere) is rejected.
 impl Wire for SystemConfig {
     fn encode(&self, w: &mut Writer) {
-        w.usize(self.n);
-        w.usize(self.f);
+        let Self { n, f } = self;
+        w.usize(*n);
+        w.usize(*f);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.usize()?;

@@ -489,9 +489,7 @@ pub struct GsbsProcess<V: Value> {
     pub input_schedule: BTreeMap<u64, Vec<V>>,
     /// Simulation horizon.
     pub max_rounds: u64,
-    // bgla-lint: allow(wire-coverage, "crypto identity is provisioning input; from_snapshot re-supplies it, keys never live in snapshots")
     keypair: Keypair,
-    // bgla-lint: allow(wire-coverage, "PKI handle re-supplied at construction and recovery; not serializable state")
     verifier: CachedVerifier,
 
     state: GsbsState,
@@ -541,7 +539,6 @@ pub struct GsbsProcess<V: Value> {
     decided_set: ValueSet<V>,
     /// Set by [`GsbsProcess::from_snapshot`]: the next `on_start` is a
     /// *recovery* boot (re-announce instead of initialize).
-    // bgla-lint: allow(wire-coverage, "boot flag: decode sets it true to mark a recovered process")
     recovered: bool,
 
     /// Decision sequence.
@@ -900,10 +897,16 @@ pub const GSBS_SNAPSHOT_KIND: u16 = 0x010C;
 /// site re-verifies through the [`CachedVerifier`] anyway.
 impl<V: Value> Wire for SignedBatch<V> {
     fn encode(&self, w: &mut Writer) {
-        w.var(self.round);
-        self.batch.encode(w);
-        w.usize(self.signer);
-        self.sig.encode(w);
+        let Self {
+            round,
+            batch,
+            signer,
+            sig,
+        } = self;
+        w.var(*round);
+        batch.encode(w);
+        w.usize(*signer);
+        sig.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SignedBatch {
@@ -917,7 +920,13 @@ impl<V: Value> Wire for SignedBatch<V> {
 
 impl<V: Value> Wire for GSafeAckReply<V> {
     fn encode(&self, w: &mut Writer) {
-        encode_reply_fields(w, Some(self.round), &self.conflicts, self.signer, &self.sig);
+        let Self {
+            round,
+            conflicts,
+            signer,
+            sig,
+        } = self;
+        encode_reply_fields(w, Some(*round), conflicts, *signer, sig);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(GSafeAckReply {
@@ -932,8 +941,15 @@ impl<V: Value> Wire for GSafeAckReply<V> {
 /// Codec form: the echo, then the reply ([`GSafeAckReply`]'s form).
 impl<V: Value> Wire for GSafeAck<V> {
     fn encode(&self, w: &mut Writer) {
-        self.rcvd.encode(w);
-        encode_reply_fields(w, Some(self.round), &self.conflicts, self.signer, &self.sig);
+        let Self {
+            round,
+            rcvd,
+            conflicts,
+            signer,
+            sig,
+        } = self;
+        rcvd.encode(w);
+        encode_reply_fields(w, Some(*round), conflicts, *signer, sig);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(GSafeAck {
@@ -948,12 +964,20 @@ impl<V: Value> Wire for GSafeAck<V> {
 
 impl Wire for SignedAck {
     fn encode(&self, w: &mut Writer) {
-        w.usize(self.destination);
-        w.var(self.ts);
-        w.var(self.round);
-        self.digest.encode(w);
-        w.usize(self.signer);
-        self.sig.encode(w);
+        let Self {
+            destination,
+            ts,
+            round,
+            digest,
+            signer,
+            sig,
+        } = self;
+        w.usize(*destination);
+        w.var(*ts);
+        w.var(*round);
+        digest.encode(w);
+        w.usize(*signer);
+        sig.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SignedAck {
@@ -974,10 +998,15 @@ impl Wire for SignedAck {
 /// comparison, at the cost of one signature batch.
 impl<V: Value> Wire for DecidedCert<V> {
     fn encode(&self, w: &mut Writer) {
-        w.var(self.round);
-        self.values.encode(w);
-        w.usize(self.acks.len());
-        for ack in &self.acks {
+        let Self {
+            round,
+            values,
+            acks,
+        } = self;
+        w.var(*round);
+        values.encode(w);
+        w.usize(acks.len());
+        for ack in acks {
             w.usize(ack.destination);
             w.var(ack.ts);
             w.var(ack.round);
@@ -1125,34 +1154,71 @@ impl Wire for GsbsState {
 /// SbS: key material, verifier, and what [`ProofPath`] rebuilds.
 impl<V: Value> Wire for GsbsProcess<V> {
     fn encode(&self, w: &mut Writer) {
-        self.config.encode(w);
-        w.usize(self.me);
-        self.input_schedule.encode(w);
-        w.var(self.max_rounds);
-        self.state.encode(w);
-        w.var(self.round);
-        w.var(self.ts);
-        self.batches.encode(w);
-        self.safety_sets.encode(w);
-        self.held_inits.encode(w);
-        self.current_safe_req.encode(w);
-        replies(&self.safe_acks).encode(w);
-        self.safe_ack_senders.encode(w);
-        replies(&self.held_safe_acks).encode(w);
-        self.proposed_set.records().encode(w);
-        self.proposal_digest.encode(w);
-        self.ack_certs.encode(w);
-        self.held_acks.encode(w);
-        self.safe_candidates.encode(w);
-        self.proofs.encode(w);
-        w.var(self.safe_r);
-        self.decided_certs.encode(w);
-        self.forwarded.encode(w);
-        self.waiting.encode(w);
-        self.decided_set.encode(w);
-        self.decisions.encode(w);
-        self.decision_depths.encode(w);
-        self.all_inputs.encode(w);
+        let Self {
+            config,
+            me,
+            input_schedule,
+            max_rounds,
+            // Crypto identity is provisioning input; from_snapshot re-supplies it, keys never live
+            // in snapshots.
+            keypair: _,
+            // PKI handle re-supplied at construction and recovery; not serializable state.
+            verifier: _,
+            state,
+            round,
+            ts,
+            batches,
+            safety_sets,
+            held_inits,
+            safe_acks,
+            safe_ack_senders,
+            held_safe_acks,
+            current_safe_req,
+            proposed_set,
+            proposal_digest,
+            ack_certs,
+            held_acks,
+            safe_candidates,
+            proofs,
+            safe_r,
+            decided_certs,
+            forwarded,
+            waiting,
+            decided_set,
+            // Boot flag: decode sets it true to mark a recovered process.
+            recovered: _,
+            decisions,
+            decision_depths,
+            all_inputs,
+        } = self;
+        config.encode(w);
+        w.usize(*me);
+        input_schedule.encode(w);
+        w.var(*max_rounds);
+        state.encode(w);
+        w.var(*round);
+        w.var(*ts);
+        batches.encode(w);
+        safety_sets.encode(w);
+        held_inits.encode(w);
+        current_safe_req.encode(w);
+        replies(safe_acks).encode(w);
+        safe_ack_senders.encode(w);
+        replies(held_safe_acks).encode(w);
+        proposed_set.records().encode(w);
+        proposal_digest.encode(w);
+        ack_certs.encode(w);
+        held_acks.encode(w);
+        safe_candidates.encode(w);
+        proofs.encode(w);
+        w.var(*safe_r);
+        decided_certs.encode(w);
+        forwarded.encode(w);
+        waiting.encode(w);
+        decided_set.encode(w);
+        decisions.encode(w);
+        decision_depths.encode(w);
+        all_inputs.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {

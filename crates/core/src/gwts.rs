@@ -117,11 +117,18 @@ pub struct AckRecord<V: Value> {
 
 impl<V: Value> Wire for AckRecord<V> {
     fn encode(&self, w: &mut Writer) {
-        self.full.encode(w);
-        self.accepted.encode(w);
-        w.usize(self.destination);
-        w.var(self.ts);
-        w.var(self.round);
+        let Self {
+            round,
+            ts,
+            destination,
+            full,
+            accepted,
+        } = self;
+        full.encode(w);
+        accepted.encode(w);
+        w.usize(*destination);
+        w.var(*ts);
+        w.var(*round);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(AckRecord {
@@ -325,14 +332,11 @@ pub struct GwtsProcess<V: Value> {
     /// Cumulative decision (Local Stability floor).
     decided_set: ValueSet<V>,
     /// Proposer-side delta bookkeeping (snapshots + reply watermarks).
-    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative; a restarted process resumes in full-set mode by design")
     delta_tx: DeltaSender<V>,
     /// Acceptor-side delta bases.
-    // bgla-lint: allow(wire-coverage, "delta bases are peer-relative; a restarted process resumes in full-set mode by design")
     delta_rx: DeltaReceiver<V>,
     /// Set by [`GwtsProcess::from_snapshot`]: the next `on_start` is a
     /// recovery boot.
-    // bgla-lint: allow(wire-coverage, "boot flag: decode sets it true to mark a recovered process")
     recovered: bool,
 
     /// The decision sequence `Dec_i`.
@@ -851,37 +855,78 @@ impl<V: Value> GwtsProcess<V> {
 /// gap→`Full` fallback).
 impl<V: Value> Wire for GwtsProcess<V> {
     fn encode(&self, w: &mut Writer) {
-        self.config.encode(w);
-        w.usize(self.me);
-        self.input_schedule.encode(w);
-        w.var(self.max_rounds);
-        self.state.encode(w);
-        w.var(self.round);
-        w.var(self.ts);
-        self.rb_disc.encode(w);
-        self.rb_ack.encode(w);
-        w.var(self.next_ack_tag);
-        self.last_acked.encode(w);
-        w.usize(self.ack_delta_bytes);
-        self.acked_rounds.encode(w);
-        self.ack_heads.encode(w);
-        self.ack_bases.encode(w);
-        self.ack_waiting.encode(w);
-        self.batches.encode(w);
-        self.svs_all.encode(w);
-        self.counters.encode(w);
-        self.proposed_set.encode(w);
-        self.accepted_set.encode(w);
-        w.var(self.safe_r);
-        self.ack_history.encode(w);
-        self.committed_rounds.encode(w);
-        self.waiting.encode(w);
-        self.pending_acks.encode(w);
-        self.decided_set.encode(w);
-        self.decisions.encode(w);
-        self.decision_depths.encode(w);
-        self.refinements.encode(w);
-        self.all_inputs.encode(w);
+        let Self {
+            config,
+            me,
+            input_schedule,
+            max_rounds,
+            state,
+            round,
+            ts,
+            rb_disc,
+            rb_ack,
+            next_ack_tag,
+            last_acked,
+            ack_delta_bytes,
+            acked_rounds,
+            ack_heads,
+            ack_bases,
+            ack_waiting,
+            batches,
+            svs_all,
+            counters,
+            proposed_set,
+            accepted_set,
+            safe_r,
+            ack_history,
+            committed_rounds,
+            waiting,
+            pending_acks,
+            decided_set,
+            // Sender watermarks are peer-relative; a restarted process resumes in full-set mode by
+            // design.
+            delta_tx: _,
+            // Delta bases are peer-relative; a restarted process resumes in full-set mode by
+            // design.
+            delta_rx: _,
+            // Boot flag: decode sets it true to mark a recovered process.
+            recovered: _,
+            decisions,
+            decision_depths,
+            refinements,
+            all_inputs,
+        } = self;
+        config.encode(w);
+        w.usize(*me);
+        input_schedule.encode(w);
+        w.var(*max_rounds);
+        state.encode(w);
+        w.var(*round);
+        w.var(*ts);
+        rb_disc.encode(w);
+        rb_ack.encode(w);
+        w.var(*next_ack_tag);
+        last_acked.encode(w);
+        w.usize(*ack_delta_bytes);
+        acked_rounds.encode(w);
+        ack_heads.encode(w);
+        ack_bases.encode(w);
+        ack_waiting.encode(w);
+        batches.encode(w);
+        svs_all.encode(w);
+        counters.encode(w);
+        proposed_set.encode(w);
+        accepted_set.encode(w);
+        w.var(*safe_r);
+        ack_history.encode(w);
+        committed_rounds.encode(w);
+        waiting.encode(w);
+        pending_acks.encode(w);
+        decided_set.encode(w);
+        decisions.encode(w);
+        decision_depths.encode(w);
+        refinements.encode(w);
+        all_inputs.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(GwtsProcess {

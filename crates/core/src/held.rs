@@ -54,8 +54,8 @@ pub(crate) const UNSIGNED: Signature = Signature {
 /// record's own [`Wire`] encoding, which ends with the signature, minus
 /// that signature ([`Signed::signed_bytes`]). So every field that
 /// travels is signed, in the bytes it travels as; a field the encoding
-/// leaves out would fail its round trip (the `wire-coverage` lint and
-/// the codec round-trip tests). `Wire` encode is injective, since
+/// leaves out would fail its round trip (each `encode` opens with an
+/// exhaustive `let Self { .. } = self;`, and the codec round-trip tests). `Wire` encode is injective, since
 /// decoding inverts it, and the domain tags are prefix-free, so two
 /// records sign the same bytes only if they are the same record of the
 /// same type. Verification re-encodes the record held in memory; it

@@ -196,9 +196,7 @@ pub(crate) fn decode_acks<A: ProofAck>(
 /// wire size. Clone is `O(1)`.
 pub struct Proof<A: ProofAck> {
     acks: Arc<Vec<A>>,
-    // bgla-lint: allow(wire-coverage, "content address; recomputed from the acks by Proof::new during decode")
     id: ProofId,
-    // bgla-lint: allow(wire-coverage, "derived size cache; recomputed from the acks by Proof::new during decode")
     wire: usize,
 }
 
@@ -315,8 +313,14 @@ impl<'a, A: ProofAck> IntoIterator for &'a Proof<A> {
 /// The length is cached: sizing a proof is `O(1)`.
 impl<A: ProofAck> Wire for Proof<A> {
     fn encode(&self, w: &mut Writer) {
-        if !w.counted(self.wire) {
-            encode_acks(&self.acks, w, |echo, w| echo.encode(w));
+        let Self {
+            acks,
+            // Content address; recomputed from the acks by Proof::new during decode.
+            id: _,
+            wire,
+        } = self;
+        if !w.counted(*wire) {
+            encode_acks(acks, w, |echo, w| echo.encode(w));
         }
     }
 

@@ -175,8 +175,9 @@ impl<A: ProofAck> SetItem for Proven<A> {
 
 impl<A: ProofAck> Wire for Proven<A> {
     fn encode(&self, w: &mut Writer) {
-        self.signed.encode(w);
-        self.proof.encode(w);
+        let Self { signed, proof } = self;
+        signed.encode(w);
+        proof.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Proven {
@@ -446,15 +447,16 @@ fn read_echo<E: SetItem>(r: &mut Reader<'_>, records: &[E]) -> Result<ValueSet<E
 
 impl<A: ProofAck> Wire for ProvenTable<A> {
     fn encode(&self, w: &mut Writer) {
-        if !w.counted(self.wire) {
-            write_table(
-                w,
-                self.base_ts,
-                &self.records,
-                &self.proof_of,
-                &self.proofs,
-                &self.refs,
-            );
+        let Self {
+            base_ts,
+            records,
+            proof_of,
+            proofs,
+            refs,
+            wire,
+        } = self;
+        if !w.counted(*wire) {
+            write_table(w, *base_ts, records, proof_of, proofs, refs);
         }
     }
 
@@ -867,11 +869,9 @@ pub struct ProofPath<A: ProofAck> {
     resolver: ProofResolver<Proof<A>>,
     /// Proposer-side delta bookkeeping (snapshots, reply watermarks,
     /// per-peer referenceable proof ids).
-    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative and deliberately amnesiac across crashes")
     tx: ProvenDeltaSender<A>,
     /// Acceptor-side delta bookkeeping (consumed bases, per-proposer
     /// referenceable proof ids).
-    // bgla-lint: allow(wire-coverage, "delta bases are peer-relative; a restarted process resumes in full-set mode by design")
     rx: ProvenDeltaReceiver<A>,
 }
 
@@ -946,13 +946,17 @@ impl<A: ProofAck> ProofPath<A> {
 /// stale claims about *us*.
 impl<A: ProofAck> Wire for ProofPath<A> {
     fn encode(&self, w: &mut Writer) {
-        self.accepted.records().encode(w);
-        let retained: Vec<Proof<A>> = self
-            .resolver
-            .entries()
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect();
+        let Self {
+            accepted,
+            resolver,
+            // Sender watermarks are peer-relative and deliberately amnesiac across crashes.
+            tx: _,
+            // Delta bases are peer-relative; a restarted process resumes in full-set mode by
+            // design.
+            rx: _,
+        } = self;
+        accepted.records().encode(w);
+        let retained: Vec<Proof<A>> = resolver.entries().into_iter().map(|(_, p)| p).collect();
         retained.encode(w);
     }
 
@@ -966,7 +970,8 @@ impl<A: ProofAck> Wire for ProofPath<A> {
         Ok(ProofPath {
             accepted,
             resolver,
-            ..ProofPath::default()
+            tx: ProvenDeltaSender::default(),
+            rx: ProvenDeltaReceiver::default(),
         })
     }
 }

@@ -354,11 +354,8 @@ pub struct SbsProcess<V: Value> {
     me: ProcessId,
     /// Initial value.
     pub proposal: V,
-    // bgla-lint: allow(wire-coverage, "crypto identity is provisioning input; from_snapshot re-supplies it, keys never live in snapshots")
     keypair: Keypair,
-    // bgla-lint: allow(wire-coverage, "PKI handle re-supplied at construction and recovery; not serializable state")
     verifier: CachedVerifier,
-    // bgla-lint: allow(wire-coverage, "plain fn pointer; not serializable, re-supplied at construction")
     validator: fn(&V) -> bool,
 
     state: SbsState,
@@ -385,7 +382,6 @@ pub struct SbsProcess<V: Value> {
     proofs: ProofPath<SignedSafeAck<V>>,
     /// Set by [`SbsProcess::from_snapshot`]: the next `on_start` is a
     /// *recovery* boot (re-announce instead of initialize).
-    // bgla-lint: allow(wire-coverage, "boot flag: decode sets it true to mark a recovered process")
     recovered: bool,
 
     /// The decision (value set), once made.
@@ -558,9 +554,10 @@ pub const SBS_SNAPSHOT_KIND: u16 = 0x010B;
 /// consumption site re-verifies through the [`CachedVerifier`] anyway.
 impl<V: Value> Wire for SignedValue<V> {
     fn encode(&self, w: &mut Writer) {
-        self.value.encode(w);
-        w.usize(self.signer);
-        self.sig.encode(w);
+        let Self { value, signer, sig } = self;
+        value.encode(w);
+        w.usize(*signer);
+        sig.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SignedValue {
@@ -573,7 +570,12 @@ impl<V: Value> Wire for SignedValue<V> {
 
 impl<V: Value> Wire for SafeAckReply<V> {
     fn encode(&self, w: &mut Writer) {
-        encode_reply_fields(w, None, &self.conflicts, self.signer, &self.sig);
+        let Self {
+            conflicts,
+            signer,
+            sig,
+        } = self;
+        encode_reply_fields(w, None, conflicts, *signer, sig);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SafeAckReply {
@@ -587,8 +589,9 @@ impl<V: Value> Wire for SafeAckReply<V> {
 /// Codec form: the echo, then the reply ([`SafeAckReply`]'s form).
 impl<V: Value> Wire for SignedSafeAck<V> {
     fn encode(&self, w: &mut Writer) {
-        self.body.rcvd.encode(w);
-        encode_reply_fields(w, None, &self.body.conflicts, self.signer, &self.sig);
+        let Self { body, signer, sig } = self;
+        body.rcvd.encode(w);
+        encode_reply_fields(w, None, &body.conflicts, *signer, sig);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SignedSafeAck {
@@ -699,24 +702,53 @@ impl Wire for SbsState {
 /// re-installed by the harness).
 impl<V: Value> Wire for SbsProcess<V> {
     fn encode(&self, w: &mut Writer) {
-        self.config.encode(w);
-        w.usize(self.me);
-        self.proposal.encode(w);
-        self.state.encode(w);
-        self.safety_set.encode(w);
-        self.held_inits.encode(w);
-        replies(&self.safe_acks).encode(w);
-        self.safe_ack_senders.encode(w);
-        replies(&self.held_safe_acks).encode(w);
-        self.byz.encode(w);
-        self.proposed_set.records().encode(w);
-        self.ack_set.encode(w);
-        w.var(self.ts);
-        self.safe_candidates.encode(w);
-        self.proofs.encode(w);
-        self.decision.encode(w);
-        self.decision_depth.encode(w);
-        w.var(self.refinements);
+        let Self {
+            config,
+            me,
+            proposal,
+            // Crypto identity is provisioning input; from_snapshot re-supplies it, keys never live
+            // in snapshots.
+            keypair: _,
+            // PKI handle re-supplied at construction and recovery; not serializable state.
+            verifier: _,
+            // Plain fn pointer; not serializable, re-supplied at construction.
+            validator: _,
+            state,
+            safety_set,
+            held_inits,
+            safe_acks,
+            safe_ack_senders,
+            held_safe_acks,
+            byz,
+            proposed_set,
+            ack_set,
+            ts,
+            safe_candidates,
+            proofs,
+            // Boot flag: decode sets it true to mark a recovered process.
+            recovered: _,
+            decision,
+            decision_depth,
+            refinements,
+        } = self;
+        config.encode(w);
+        w.usize(*me);
+        proposal.encode(w);
+        state.encode(w);
+        safety_set.encode(w);
+        held_inits.encode(w);
+        replies(safe_acks).encode(w);
+        safe_ack_senders.encode(w);
+        replies(held_safe_acks).encode(w);
+        byz.encode(w);
+        proposed_set.records().encode(w);
+        ack_set.encode(w);
+        w.var(*ts);
+        safe_candidates.encode(w);
+        proofs.encode(w);
+        decision.encode(w);
+        decision_depth.encode(w);
+        w.var(*refinements);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {

@@ -105,7 +105,6 @@ pub struct ValueSet<T: SetItem> {
     /// Strictly-sorted, deduplicated elements.
     items: Arc<Vec<T>>,
     /// Cached `Σ wire_size(item)` (excludes the length prefix).
-    // bgla-lint: allow(wire-coverage, "derived cache; from_sorted recomputes it when decode rebuilds the set")
     wire: usize,
 }
 
@@ -463,11 +462,16 @@ impl<T: SetItem> IntoIterator for ValueSet<T> {
 /// counting it inside a message.
 impl<T: SetItem> Wire for ValueSet<T> {
     fn encode(&self, w: &mut Writer) {
+        let Self {
+            items,
+            // Derived cache; from_sorted recomputes it when decode rebuilds the set.
+            wire: _,
+        } = self;
         if w.counted(self.wire_size()) {
             return;
         }
-        w.usize(self.items.len());
-        for v in self.items.iter() {
+        w.usize(items.len());
+        for v in items.iter() {
             v.encode(w);
         }
     }

@@ -160,7 +160,6 @@ pub struct WtsProcess<V: Value> {
     pub proposal: V,
     /// Application-level validity predicate ("is an element of the
     /// lattice", Alg. 1 line 10). Defaults to accepting everything.
-    // bgla-lint: allow(wire-coverage, "plain fn pointer; not serializable, re-supplied at construction")
     validator: fn(&V) -> bool,
 
     state: WtsState,
@@ -180,14 +179,11 @@ pub struct WtsProcess<V: Value> {
     /// Messages waiting to become safe / relevant.
     waiting: Vec<(ProcessId, WtsMsg<V>)>,
     /// Proposer-side delta bookkeeping (snapshots + reply watermarks).
-    // bgla-lint: allow(wire-coverage, "sender watermarks are peer-relative; a restarted process resumes in full-set mode by design")
     delta_tx: DeltaSender<V>,
     /// Acceptor-side delta bases (consumed proposals by proposer, ts).
-    // bgla-lint: allow(wire-coverage, "delta bases are peer-relative; a restarted process resumes in full-set mode by design")
     delta_rx: DeltaReceiver<V>,
     /// Set by [`WtsProcess::from_snapshot`]: the next `on_start` is a
     /// *recovery* boot (re-announce instead of initialize).
-    // bgla-lint: allow(wire-coverage, "boot flag: decode sets it true to mark a recovered process")
     recovered: bool,
 
     /// The decision, once made (`Stability`: write-once).
@@ -393,21 +389,48 @@ impl<V: Value> WtsProcess<V> {
 /// re-installed by the harness).
 impl<V: Value> Wire for WtsProcess<V> {
     fn encode(&self, w: &mut Writer) {
-        self.config.encode(w);
-        w.usize(self.me);
-        self.proposal.encode(w);
-        self.state.encode(w);
-        self.rb.encode(w);
-        self.svs.encode(w);
-        w.usize(self.init_counter);
-        self.proposed_set.encode(w);
-        self.ack_set.encode(w);
-        w.var(self.ts);
-        self.accepted_set.encode(w);
-        self.waiting.encode(w);
-        self.decision.encode(w);
-        self.decision_depth.encode(w);
-        w.var(self.refinements);
+        let Self {
+            config,
+            me,
+            proposal,
+            // Plain fn pointer; not serializable, re-supplied at construction.
+            validator: _,
+            state,
+            rb,
+            svs,
+            init_counter,
+            proposed_set,
+            ack_set,
+            ts,
+            accepted_set,
+            waiting,
+            // Sender watermarks are peer-relative; a restarted process
+            // resumes in full-set mode by design.
+            delta_tx: _,
+            // Delta bases are peer-relative; a restarted process resumes
+            // in full-set mode by design.
+            delta_rx: _,
+            // Boot flag: decode sets it true to mark a recovered process.
+            recovered: _,
+            decision,
+            decision_depth,
+            refinements,
+        } = self;
+        config.encode(w);
+        w.usize(*me);
+        proposal.encode(w);
+        state.encode(w);
+        rb.encode(w);
+        svs.encode(w);
+        w.usize(*init_counter);
+        proposed_set.encode(w);
+        ack_set.encode(w);
+        w.var(*ts);
+        accepted_set.encode(w);
+        waiting.encode(w);
+        decision.encode(w);
+        decision_depth.encode(w);
+        w.var(*refinements);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let config = SystemConfig::decode(r)?;

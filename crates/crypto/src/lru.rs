@@ -2,7 +2,10 @@
 //! [`crate::sigcache::CachedVerifier`]'s per-signature verdicts and
 //! [`crate::proofstore::ProofResolver`]'s proof handles.
 
-// bgla-lint: allow(determinism, "keyed cache: lookups only; eviction sorts by unique tick, so hash order is never observed")
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed cache: lookups only; eviction sorts by unique tick, so hash order is never observed"
+)]
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -11,7 +14,10 @@ use std::hash::Hash;
 /// a flood of distinct keys cannot grow the map without bound.
 #[derive(Debug)]
 pub(crate) struct LruMap<K: Eq + Hash, V> {
-    // bgla-lint: allow(determinism, "keyed cache: lookups only; eviction sorts by unique tick, so hash order is never observed")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed cache: lookups only; eviction sorts by unique tick, so hash order is never observed"
+    )]
     map: HashMap<K, (V, u64)>,
     tick: u64,
     cap: usize,
@@ -22,7 +28,10 @@ impl<K: Eq + Hash, V: Clone> LruMap<K, V> {
     pub(crate) fn new(cap: usize) -> Self {
         assert!(cap > 0, "cache capacity must be positive");
         LruMap {
-            // bgla-lint: allow(determinism, "keyed cache: lookups only; eviction sorts by unique tick, so hash order is never observed")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "keyed cache: lookups only; eviction sorts by unique tick, so hash order is never observed"
+            )]
             map: HashMap::with_capacity(cap + cap / 4),
             tick: 0,
             cap,

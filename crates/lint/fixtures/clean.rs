@@ -1,5 +1,5 @@
-//! A file every pass accepts: a complete `Wire` round-trip, a total
-//! `merge`, and only checked access on the decode path.
+//! A file the pass accepts: a `Wire` round-trip with only checked
+//! access on the decode path.
 
 pub struct SignedAck {
     pub body: u64,
@@ -19,17 +19,5 @@ impl Wire for SignedAck {
             signer: r.u64()?,
             sig: r.u64()?,
         })
-    }
-}
-
-pub struct Stats {
-    pub acks: u64,
-    pub nacks: u64,
-}
-
-impl Stats {
-    pub fn merge(&mut self, other: &Stats) {
-        self.acks += other.acks;
-        self.nacks += other.nacks;
     }
 }

@@ -31,10 +31,9 @@
 //! restructuring to `get(..)`/`ok_or(..)` where it costs nothing —
 //! that is what `bgla_codec::Reader` does.
 
-use super::emit;
 use crate::lexer::TokKind;
 use crate::parse::FnDef;
-use crate::{Diagnostic, Model};
+use crate::{Diagnostic, FileModel, Model};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Pass identifier.
@@ -188,7 +187,6 @@ fn run_crate(model: &Model, krate: &str, diags: &mut Vec<Diagnostic>) {
                         diags,
                         file,
                         t.line,
-                        NAME,
                         format!(
                             "`{}()` on a hostile-input path{via} — malformed \
                              bytes must degrade to Err/None, never crash an \
@@ -206,7 +204,6 @@ fn run_crate(model: &Model, krate: &str, diags: &mut Vec<Diagnostic>) {
                         diags,
                         file,
                         t.line,
-                        NAME,
                         format!(
                             "`{}!` on a hostile-input path{via} — malformed \
                              bytes must degrade to Err/None, never crash an \
@@ -231,7 +228,6 @@ fn run_crate(model: &Model, krate: &str, diags: &mut Vec<Diagnostic>) {
                             diags,
                             file,
                             t.line,
-                            NAME,
                             format!(
                                 "unchecked indexing on a hostile-input path{via} — \
                                  use get()/first()/pattern matching, or suppress \
@@ -244,4 +240,14 @@ fn run_crate(model: &Model, krate: &str, diags: &mut Vec<Diagnostic>) {
             }
         }
     }
+}
+
+fn emit(diags: &mut Vec<Diagnostic>, file: &FileModel, line: u32, message: String) {
+    diags.push(Diagnostic {
+        file: file.display.clone(),
+        line,
+        pass: NAME,
+        message,
+        suppressed: None,
+    });
 }

@@ -4,7 +4,7 @@
 //! lifetimes, numeric/string/char literals (contents discarded) and
 //! single-character punctuation. Comments are skipped — suppression
 //! comments are parsed separately from the raw source
-//! ([`crate::parse_allows`]) so the passes never see them.
+//! ([`crate::parse_allows`]) so the pass never sees them.
 //!
 //! This is deliberately not a full Rust lexer: it only needs to be
 //! faithful enough that item boundaries, brace matching and identifier

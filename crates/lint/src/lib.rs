@@ -1,25 +1,24 @@
-//! `bgla-lint` — a protocol-invariant static analyzer for this
-//! workspace.
+//! `bgla-lint` — the protocol-invariant check that rustc and clippy
+//! cannot express.
 //!
-//! Every serious bug this repo has shipped was statically detectable:
-//! the crash-recovery pipeline's correctness hangs on `Wire` impls
-//! round-tripping every durable field, and since signed records sign
-//! their own `Wire` encoding, so does what a signature binds (the
-//! cache-poisoning forgery the retired `sig-coverage` pass guarded was a
-//! field a second, hand-written encoding left out; see `LINTS.md`).
-//! `bgla-lint` pins those invariants *structurally*, with a small
-//! in-repo lexer ([`lexer`]) and item-level parser ([`parse`]) —
-//! no external dependencies — and a registry of protocol-specific
-//! passes ([`passes`]):
+//! Byzantine tolerance assumes hostile bytes never crash an honest
+//! process. The `byzantine-panic` pass ([`byzantine_panic`]) follows the
+//! same-crate call closure from every hostile-input entry point
+//! (`decode`, `from_snapshot`, `on_message`, `demux_frame`) and flags the
+//! panics it reaches; clippy's panic lints are crate-wide and cannot
+//! follow a call graph. It runs on a small in-repo lexer ([`lexer`]) and
+//! function-level parser ([`parse`]), with no external dependencies.
 //!
-//! | pass | bug class |
-//! |------|-----------|
-//! | `wire-coverage` | a field missing from `Wire::encode`/`decode` is silently lost across restart (PR-6 class) |
-//! | `determinism` | hash-order iteration / wall clocks / OS randomness in trace-affecting crates break seeded replay |
-//! | `byzantine-panic` | a panic reachable from `decode`/`from_snapshot`/`on_message`/`demux_frame` lets hostile bytes crash an honest process |
-//! | `frame-demux-coverage` | a `FK_*` frame kind without a `demux_frame` arm makes healthy peers look corrupt |
-//! | `metrics-merge-coverage` | a `Metrics` field skipped by `merge` silently vanishes from the TCP runtime's per-node fold and the benchmark's per-trial pooling |
-//! | `poller-nonblocking` | a blocking call (`sleep`, `set_nonblocking(false)`) in poller code freezes every connection on that shard |
+//! The invariants the toolchain can hold are held there, not here (see
+//! `LINTS.md`):
+//!
+//! | invariant | held by |
+//! |-----------|---------|
+//! | `Wire::encode` covers every field | an exhaustive `let Self { .. } = self;` at its top |
+//! | `Metrics::merge` folds every counter | an exhaustive `let Metrics { .. } = other;` |
+//! | `demux_frame` handles every frame kind | a `match` on `FrameKind` with no `_` arm |
+//! | no hash-order iteration or wall clocks in simulated crates | `disallowed-types` in the root `clippy.toml` |
+//! | no blocking call on a poller thread | `disallowed-methods` in `crates/net/clippy.toml` |
 //!
 //! Findings print rustc-style (`file:line: pass: message`), `--json`
 //! emits a machine-readable array, and any *unsuppressed* finding makes
@@ -27,42 +26,28 @@
 //! are waived in source with a justified line comment:
 //!
 //! ```text
-//! // bgla-lint: allow(determinism, "membership-only set, never iterated")
+//! // bgla-lint: allow(byzantine-panic, "while condition bounds i")
 //! ```
 //!
-//! placed on the offending line or the line(s) directly above it. The
-//! full pass catalog, per-pass suppression policy and the historical
-//! incidents behind each pass live in `LINTS.md` at the workspace root.
+//! placed on the offending line or the line(s) directly above it.
 //!
 //! # Scope
 //!
 //! The workspace scan (`--workspace`) lints `src/**/*.rs` of every
 //! non-vendored member: shipped protocol code. Test modules
 //! (`#[cfg(test)]`), integration tests, benches and the `vendor/`
-//! stand-ins are deliberately out of scope — panics and ad-hoc
-//! containers are fine in test harnesses. Explicit file arguments are
-//! linted with *every* pass regardless of crate (used by the fixture
-//! suite).
+//! stand-ins are deliberately out of scope — panics are fine in test
+//! harnesses. Explicit file arguments are linted as one ad-hoc crate
+//! (used by the fixture suite).
 
+pub mod byzantine_panic;
 pub mod lexer;
 pub mod parse;
-pub mod passes;
 
 use parse::ParsedFile;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// Crates whose code can affect a recorded trace: seeded replay,
-/// schedule search and counterexample shrinking assume these are
-/// deterministic, and the `determinism` pass holds them to it.
-pub const TRACE_AFFECTING_CRATES: &[&str] = &[
-    "bgla-core",
-    "bgla-simnet",
-    "bgla-crypto",
-    "bgla-codec",
-    "bgla-rbcast",
-];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +56,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Pass identifier (`wire-coverage`, …).
+    /// Pass identifier (`byzantine-panic`).
     pub pass: &'static str,
     /// Human-readable description of the violated invariant.
     pub message: String,
@@ -136,11 +121,9 @@ pub struct Allow {
     pub reason: String,
 }
 
-/// One source file with everything the passes need.
+/// One source file with everything the pass needs.
 #[derive(Debug)]
 pub struct FileModel {
-    /// Filesystem path.
-    pub path: PathBuf,
     /// Path as displayed in diagnostics.
     pub display: String,
     /// Cargo package name the file belongs to (`adhoc` for explicit
@@ -154,22 +137,11 @@ pub struct FileModel {
     pub allows: Vec<Allow>,
 }
 
-impl FileModel {
-    /// True when token index `i` falls inside a `#[cfg(test)]` module.
-    pub fn in_test_range(&self, i: usize) -> bool {
-        self.items.test_ranges.iter().any(|r| r.contains(&i))
-    }
-}
-
-/// The unit the passes run over.
+/// The unit the pass runs over.
 #[derive(Debug, Default)]
 pub struct Model {
     /// All files, in scan order.
     pub files: Vec<FileModel>,
-    /// When true, crate-scoped passes (determinism) restrict
-    /// themselves to [`TRACE_AFFECTING_CRATES`]; when false (explicit
-    /// file arguments, fixtures) every pass runs everywhere.
-    pub scoped: bool,
 }
 
 /// Outcome of a lint run.
@@ -268,7 +240,6 @@ fn load_file(path: &Path, display: String, crate_name: String) -> std::io::Resul
     let items = parse::parse(&tokens);
     let allows = parse_allows(&src);
     Ok(FileModel {
-        path: path.to_path_buf(),
         display,
         crate_name,
         tokens,
@@ -277,19 +248,16 @@ fn load_file(path: &Path, display: String, crate_name: String) -> std::io::Resul
     })
 }
 
-/// Lints an explicit set of files with every pass (fixture mode).
+/// Lints an explicit set of files (fixture mode).
 pub fn lint_files(paths: &[PathBuf]) -> std::io::Result<LintResult> {
-    let mut model = Model {
-        files: Vec::new(),
-        scoped: false,
-    };
+    let mut model = Model::default();
     for p in paths {
         let display = p.to_string_lossy().into_owned();
         model
             .files
             .push(load_file(p, display, "adhoc".to_string())?);
     }
-    Ok(run_passes(&model))
+    Ok(run(&model))
 }
 
 /// Discovers the workspace members under `root` (skipping `vendor/`)
@@ -373,12 +341,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lints the whole workspace rooted at `root` with crate scoping on.
+/// Lints the whole workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintResult> {
-    let mut model = Model {
-        files: Vec::new(),
-        scoped: true,
-    };
+    let mut model = Model::default();
     for (crate_name, path) in discover_workspace(root)? {
         let display = path
             .strip_prefix(root)
@@ -387,15 +352,13 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintResult> {
             .into_owned();
         model.files.push(load_file(&path, display, crate_name)?);
     }
-    Ok(run_passes(&model))
+    Ok(run(&model))
 }
 
-/// Runs every registered pass, applies suppressions, and sorts.
-pub fn run_passes(model: &Model) -> LintResult {
+/// Runs the pass, applies suppressions, and sorts.
+pub fn run(model: &Model) -> LintResult {
     let mut diags: Vec<Diagnostic> = Vec::new();
-    for pass in passes::REGISTRY {
-        (pass.run)(model, &mut diags);
-    }
+    byzantine_panic::run(model, &mut diags);
     // Apply suppressions: a finding is waived by an allow comment for
     // its pass targeting its line.
     let mut used: BTreeMap<(usize, u32, String), bool> = BTreeMap::new();
@@ -461,12 +424,12 @@ mod tests {
         // source never contains waiver-looking lines.
         let m = format!("bgla-{}:", "lint");
         let src = format!(
-            "use std::x; // {m} allow(determinism, \"trailing\")\n\
+            "let x = v[0]; // {m} allow(byzantine-panic, \"trailing\")\n\
              // {m} allow(byzantine-panic, \"stacked one\")\n\
-             // {m} allow(determinism, \"stacked two\")\n\
-             use std::y;\n\
-             // {m} allow(determinism, )\n\
-             /// {m} allow(determinism, \"doc comments never waive\")\n"
+             // {m} allow(other-pass, \"stacked two\")\n\
+             let y = v[1];\n\
+             // {m} allow(byzantine-panic, )\n\
+             /// {m} allow(byzantine-panic, \"doc comments never waive\")\n"
         );
         let allows = parse_allows(&src);
         // The reasonless waiver and the doc-comment one are dropped.
@@ -475,7 +438,7 @@ mod tests {
         assert_eq!(allows[0].reason, "trailing");
         assert_eq!(allows[1].target, 4);
         assert_eq!(allows[2].target, 4);
-        assert_eq!(allows[2].pass, "determinism");
+        assert_eq!(allows[2].pass, "other-pass");
     }
 
     #[test]
@@ -483,13 +446,13 @@ mod tests {
         let d = Diagnostic {
             file: "a\\b.rs".into(),
             line: 3,
-            pass: "determinism",
+            pass: "byzantine-panic",
             message: "say \"hi\"".into(),
             suppressed: None,
         };
         assert_eq!(
             d.to_json(),
-            "{\"file\":\"a\\\\b.rs\",\"line\":3,\"pass\":\"determinism\",\"message\":\"say \\\"hi\\\"\"}"
+            "{\"file\":\"a\\\\b.rs\",\"line\":3,\"pass\":\"byzantine-panic\",\"message\":\"say \\\"hi\\\"\"}"
         );
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! bgla-lint --workspace            # lint every workspace member (CI gate)
-//! bgla-lint path/to/file.rs ...    # lint explicit files with every pass
+//! bgla-lint path/to/file.rs ...    # lint explicit files
 //! bgla-lint --workspace --json     # machine-readable findings
-//! bgla-lint --list-passes          # registry with one-line descriptions
 //! ```
 //!
 //! Exit status: 0 when no unsuppressed finding, 1 when at least one
@@ -14,13 +13,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
-    "usage: bgla-lint [--workspace] [--root DIR] [--json] [--list-passes] [FILES...]\n\
+    "usage: bgla-lint [--workspace] [--root DIR] [--json] [FILES...]\n\
      \n\
      --workspace    lint src/**/*.rs of every non-vendored workspace member\n\
      --root DIR     workspace root (default: walk up from cwd to [workspace])\n\
      --json         emit findings as a JSON array instead of rustc-style lines\n\
-     --list-passes  print the pass registry and exit\n\
-     FILES          lint explicit files with every pass (fixture mode)"
+     FILES          lint explicit files (fixture mode)"
 }
 
 fn main() -> ExitCode {
@@ -33,12 +31,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
-            "--list-passes" => {
-                for pass in bgla_lint::passes::REGISTRY {
-                    println!("{:24} {}", pass.name, pass.description);
-                }
-                return ExitCode::SUCCESS;
-            }
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {

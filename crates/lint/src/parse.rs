@@ -1,57 +1,25 @@
 //! Item-level Rust parser.
 //!
-//! Walks a lexed token stream and extracts exactly what the passes
-//! need: struct definitions with named fields, `impl` blocks (inherent
-//! and trait) with their functions, and free functions — each function
-//! body kept as a token *range* into the file's stream, never an AST.
-//! `#[cfg(test)]` modules and `#[test]` functions are recorded but
-//! marked, so passes can skip test-only code (panics and ad-hoc
-//! containers are fine in tests; shipped protocol code is what the
-//! lints protect).
+//! Walks a lexed token stream and extracts exactly what the
+//! `byzantine-panic` pass needs: every function, free or inside an
+//! `impl` block, with its body kept as a token *range* into the file's
+//! stream, never an AST. Functions inside `#[cfg(test)]` modules or
+//! marked `#[test]` are recorded but marked, so the pass can skip
+//! test-only code (panics are fine in tests; shipped protocol code is
+//! what the lint protects).
 //!
 //! Deliberately skipped: `trait` definitions (default bodies are not
 //! hostile-input surface here), `macro_rules!` bodies (token soup), and
-//! enum variants (the passes reason about struct fields).
+//! type definitions.
 
 use crate::lexer::{TokKind, Token};
 use std::ops::Range;
-
-/// A named struct field.
-#[derive(Debug, Clone)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// 1-based line of the field declaration.
-    pub line: u32,
-}
-
-/// A struct definition. Tuple and unit structs are recorded with an
-/// empty field list.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Type name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Named fields, in declaration order.
-    pub fields: Vec<FieldDef>,
-    /// True when declared inside `#[cfg(test)]` code.
-    pub in_test: bool,
-}
 
 /// A function item (free or inside an impl block).
 #[derive(Debug, Clone)]
 pub struct FnDef {
     /// Function name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Base name of the impl self type (`GwtsProcess` for
-    /// `impl<V> Wire for GwtsProcess<V>`), `None` for free functions.
-    pub self_type: Option<String>,
-    /// Base name of the implemented trait, `None` for inherent impls
-    /// and free functions.
-    pub trait_name: Option<String>,
     /// Token range of the body, *excluding* the outer braces.
     pub body: Range<usize>,
     /// True when declared inside `#[cfg(test)]` code or marked `#[test]`.
@@ -61,12 +29,8 @@ pub struct FnDef {
 /// Everything the parser extracted from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
-    /// Struct definitions.
-    pub structs: Vec<StructDef>,
     /// Function items.
     pub fns: Vec<FnDef>,
-    /// Token ranges covered by `#[cfg(test)]` modules.
-    pub test_ranges: Vec<Range<usize>>,
 }
 
 /// Parses a token stream into items.
@@ -77,7 +41,7 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
         i: 0,
         out: &mut out,
     };
-    p.items(false, None, None);
+    p.items(false);
     out
 }
 
@@ -196,7 +160,7 @@ impl<'a, 'b> Parser<'a, 'b> {
 
     /// Parses a sequence of items until end of input or an unmatched
     /// closing brace (the caller's), which is consumed.
-    fn items(&mut self, in_test: bool, self_type: Option<&str>, trait_name: Option<&str>) {
+    fn items(&mut self, in_test: bool) {
         loop {
             let attrs = self.attrs();
             let Some(t) = self.peek() else { return };
@@ -211,20 +175,14 @@ impl<'a, 'b> Parser<'a, 'b> {
                         self.skip_balanced('(', ')');
                     }
                 }
-                self.item_after_vis(attrs, in_test, self_type, trait_name);
+                self.item_after_vis(attrs, in_test);
             } else {
                 self.bump();
             }
         }
     }
 
-    fn item_after_vis(
-        &mut self,
-        attrs: Attrs,
-        in_test: bool,
-        self_type: Option<&str>,
-        trait_name: Option<&str>,
-    ) {
+    fn item_after_vis(&mut self, attrs: Attrs, in_test: bool) {
         // Modifiers before `fn`.
         while self.at_ident("unsafe")
             || self.at_ident("async")
@@ -238,13 +196,8 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
         let Some(t) = self.peek() else { return };
         let text = t.text.clone();
-        let line = t.line;
         match text.as_str() {
-            "struct" => {
-                self.bump();
-                self.parse_struct(line, in_test || attrs.cfg_test);
-            }
-            "enum" | "union" => {
+            "struct" | "enum" | "union" => {
                 self.bump();
                 self.bump(); // name
                 if self.at_punct('<') {
@@ -268,24 +221,14 @@ impl<'a, 'b> Parser<'a, 'b> {
             }
             "fn" => {
                 self.bump();
-                self.parse_fn(
-                    line,
-                    in_test || attrs.cfg_test || attrs.test,
-                    self_type,
-                    trait_name,
-                );
+                self.parse_fn(in_test || attrs.cfg_test || attrs.test);
             }
             "mod" => {
                 self.bump();
                 self.bump(); // name
                 if self.at_punct('{') {
-                    let test_mod = in_test || attrs.cfg_test;
-                    let start = self.i;
                     self.bump(); // '{'
-                    self.items(test_mod, None, None);
-                    if test_mod && !in_test {
-                        self.out.test_ranges.push(start..self.i);
-                    }
+                    self.items(in_test || attrs.cfg_test);
                 } else {
                     self.skip_to_semi();
                 }
@@ -330,158 +273,9 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
     }
 
-    fn parse_struct(&mut self, line: u32, in_test: bool) {
-        let Some(name_tok) = self.bump() else { return };
-        let name = name_tok.text.clone();
-        if self.at_punct('<') {
-            self.skip_angles();
-        }
-        // Where clause or body.
-        loop {
-            let Some(t) = self.peek() else { return };
-            if t.is_punct(';') {
-                // Unit struct (possibly after a where clause).
-                self.bump();
-                self.out.structs.push(StructDef {
-                    name,
-                    line,
-                    fields: Vec::new(),
-                    in_test,
-                });
-                return;
-            }
-            if t.is_punct('(') {
-                // Tuple struct: skip fields, then the trailing `;`.
-                self.skip_balanced('(', ')');
-                self.skip_to_semi();
-                self.out.structs.push(StructDef {
-                    name,
-                    line,
-                    fields: Vec::new(),
-                    in_test,
-                });
-                return;
-            }
-            if t.is_punct('{') {
-                break;
-            }
-            if t.is_punct('<') {
-                self.skip_angles();
-            } else {
-                self.bump();
-            }
-        }
-        self.bump(); // '{'
-        let mut fields = Vec::new();
-        loop {
-            self.attrs();
-            let Some(t) = self.peek() else { break };
-            if t.is_punct('}') {
-                self.bump();
-                break;
-            }
-            if t.is_ident("pub") {
-                self.bump();
-                if self.at_punct('(') {
-                    self.skip_balanced('(', ')');
-                }
-                continue;
-            }
-            if t.kind == TokKind::Ident {
-                let fname = t.text.clone();
-                let fline = t.line;
-                self.bump();
-                if self.at_punct(':') {
-                    self.bump();
-                    fields.push(FieldDef {
-                        name: fname,
-                        line: fline,
-                    });
-                    // Skip the type up to a top-level `,` or the
-                    // closing `}`.
-                    let mut prev_dash = false;
-                    let mut angle = 0usize;
-                    let mut other = 0usize;
-                    while let Some(t) = self.peek() {
-                        if angle == 0 && other == 0 {
-                            if t.is_punct(',') {
-                                self.bump();
-                                break;
-                            }
-                            if t.is_punct('}') {
-                                break;
-                            }
-                        }
-                        if t.is_punct('<') {
-                            angle += 1;
-                        } else if t.is_punct('>') && !prev_dash {
-                            angle = angle.saturating_sub(1);
-                        } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                            other += 1;
-                        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                            other = other.saturating_sub(1);
-                        }
-                        prev_dash = t.is_punct('-');
-                        self.bump();
-                    }
-                    continue;
-                }
-                continue;
-            }
-            self.bump();
-        }
-        self.out.structs.push(StructDef {
-            name,
-            line,
-            fields,
-            in_test,
-        });
-    }
-
-    /// Consumes a type path, returning the base name: the last
-    /// identifier seen at angle depth zero (`GwtsProcess` for
-    /// `crate::gwts::GwtsProcess<V>`). Stops at `for`, `where` or `{`
-    /// at depth zero.
-    fn parse_type_path(&mut self) -> Option<String> {
-        let mut base = None;
-        while let Some(t) = self.peek() {
-            if t.is_ident("for") || t.is_ident("where") || t.is_punct('{') {
-                break;
-            }
-            if t.is_punct('<') {
-                self.skip_angles();
-                continue;
-            }
-            if t.is_punct('(') {
-                self.skip_balanced('(', ')');
-                continue;
-            }
-            if t.is_punct('[') {
-                self.skip_balanced('[', ']');
-                continue;
-            }
-            if t.kind == TokKind::Ident && !matches!(t.text.as_str(), "dyn" | "mut" | "as" | "impl")
-            {
-                base = Some(t.text.clone());
-            }
-            self.bump();
-        }
-        base
-    }
-
+    /// Skips an impl header (generics, trait, self type, where clause)
+    /// and parses the functions of its body.
     fn parse_impl(&mut self, in_test: bool) {
-        if self.at_punct('<') {
-            self.skip_angles();
-        }
-        let first = self.parse_type_path();
-        let (trait_name, self_type) = if self.at_ident("for") {
-            self.bump();
-            let second = self.parse_type_path();
-            (first, second)
-        } else {
-            (None, first)
-        };
-        // Skip a where clause; stop at the body.
         while let Some(t) = self.peek() {
             if t.is_punct('{') {
                 break;
@@ -496,11 +290,11 @@ impl<'a, 'b> Parser<'a, 'b> {
             return;
         }
         self.bump();
-        self.impl_items(in_test, self_type.as_deref(), trait_name.as_deref());
+        self.impl_items(in_test);
     }
 
     /// Items inside an impl block, until its closing brace.
-    fn impl_items(&mut self, in_test: bool, self_type: Option<&str>, trait_name: Option<&str>) {
+    fn impl_items(&mut self, in_test: bool) {
         loop {
             let attrs = self.attrs();
             let Some(t) = self.peek() else { return };
@@ -524,16 +318,10 @@ impl<'a, 'b> Parser<'a, 'b> {
             }
             let Some(t) = self.peek() else { return };
             let text = t.text.clone();
-            let line = t.line;
             match text.as_str() {
                 "fn" => {
                     self.bump();
-                    self.parse_fn(
-                        line,
-                        in_test || attrs.cfg_test || attrs.test,
-                        self_type,
-                        trait_name,
-                    );
+                    self.parse_fn(in_test || attrs.cfg_test || attrs.test);
                 }
                 "const" | "type" => {
                     self.bump();
@@ -546,13 +334,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
     }
 
-    fn parse_fn(
-        &mut self,
-        line: u32,
-        in_test: bool,
-        self_type: Option<&str>,
-        trait_name: Option<&str>,
-    ) {
+    fn parse_fn(&mut self, in_test: bool) {
         let Some(name_tok) = self.bump() else { return };
         let name = name_tok.text.clone();
         if self.at_punct('<') {
@@ -584,9 +366,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         self.skip_balanced('{', '}');
         self.out.fns.push(FnDef {
             name,
-            line,
-            self_type: self_type.map(str::to_string),
-            trait_name: trait_name.map(str::to_string),
             body: body_open + 1..self.i.saturating_sub(1),
             in_test,
         });
@@ -603,39 +382,18 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_with_generics_and_fn_types() {
-        let p = parsed(
-            "pub struct Foo<V: Ord> {\n\
-             pub a: BTreeMap<u64, Vec<V>>,\n\
-             b: fn(&V) -> bool,\n\
-             pub(crate) c: [u8; 64],\n\
-             }",
-        );
-        assert_eq!(p.structs.len(), 1);
-        let names: Vec<&str> = p.structs[0]
-            .fields
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(names, ["a", "b", "c"]);
-        assert_eq!(p.structs[0].fields[1].line, 3);
-    }
-
-    #[test]
-    fn trait_impl_and_inherent_impl() {
+    fn impl_methods_and_free_fns_are_found() {
         let p = parsed(
             "impl<V: Value> Wire for GwtsProcess<V> {\n\
                fn encode(&self, w: &mut Writer) { self.a.encode(w); }\n\
                fn decode(r: &mut Reader<'_>) -> Result<Self, E> { Ok(x) }\n\
              }\n\
-             impl Metrics { pub fn merge(&mut self, o: &Metrics) { self.x += o.x; } }",
+             pub struct Metrics { pub x: u64 }\n\
+             impl Metrics { pub fn merge(&mut self, o: &Metrics) { self.x += o.x; } }\n\
+             fn free() {}",
         );
-        assert_eq!(p.fns.len(), 3);
-        assert_eq!(p.fns[0].trait_name.as_deref(), Some("Wire"));
-        assert_eq!(p.fns[0].self_type.as_deref(), Some("GwtsProcess"));
-        assert_eq!(p.fns[2].trait_name, None);
-        assert_eq!(p.fns[2].self_type.as_deref(), Some("Metrics"));
-        assert_eq!(p.fns[2].name, "merge");
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["encode", "decode", "merge", "free"]);
     }
 
     #[test]
@@ -645,21 +403,25 @@ mod tests {
              #[cfg(test)]\n\
              mod tests {\n\
                struct Helper { x: u64 }\n\
-               #[test]\n\
-               fn case() { panic!(\"fine in tests\") }\n\
-             }",
+               fn helper() { }\n\
+             }\n\
+             #[test]\n\
+             fn case() { panic!(\"fine in tests\") }",
         );
-        assert!(!p.fns[0].in_test);
-        assert!(p.fns[1].in_test);
-        assert!(p.structs[0].in_test);
-        assert_eq!(p.test_ranges.len(), 1);
+        let in_test: Vec<bool> = p.fns.iter().map(|f| f.in_test).collect();
+        assert_eq!(in_test, [false, true, true]);
     }
 
     #[test]
-    fn tuple_and_unit_structs_have_no_fields() {
-        let p = parsed("struct Digest(pub [u8; 64]);\nstruct Marker;");
-        assert_eq!(p.structs.len(), 2);
-        assert!(p.structs.iter().all(|s| s.fields.is_empty()));
+    fn type_definitions_are_skipped() {
+        let p = parsed(
+            "struct Digest(pub [u8; 64]);\n\
+             struct Marker;\n\
+             enum E { A { f: fn() -> u8 }, B }\n\
+             fn after() {}",
+        );
+        assert_eq!(p.fns.len(), 1);
+        assert_eq!(p.fns[0].name, "after");
     }
 
     #[test]
@@ -692,10 +454,9 @@ mod tests {
             "impl<T> Wire for Holder<T> where T: Clone + Ord {\n\
                fn encode(&self) { }\n\
              }\n\
-             mod inner { pub struct S { pub f: u8 } }",
+             mod inner { pub struct S { pub f: u8 } fn g() {} }",
         );
-        assert_eq!(p.fns[0].self_type.as_deref(), Some("Holder"));
-        assert_eq!(p.structs.len(), 1);
-        assert_eq!(p.structs[0].name, "S");
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["encode", "g"]);
     }
 }

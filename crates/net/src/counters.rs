@@ -98,6 +98,10 @@ impl SharedCounters {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests stall their own threads to race a dispatcher; no poller runs here"
+)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -14,14 +14,42 @@
 
 use bgla_codec::{decode_payload, verify_frame, CodecError, Reader, Wire, Writer, FRAME_OVERHEAD};
 
-/// Kind tag of a [`Hello`] frame.
-pub const FK_HELLO: u16 = 0x4e01;
-/// Kind tag of a [`Data`] frame.
-pub const FK_DATA: u16 = 0x4e02;
-/// Kind tag of an [`Ack`] frame. `0x4e03` is retired: it tagged the
-/// ACK without a gap report, which must fail here as an unknown kind
-/// rather than decode short.
-pub const FK_ACK: u16 = 0x4e04;
+/// The kind tag of a transport frame. [`demux_frame`] matches every
+/// variant, so a kind added here without its arm there fails to build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u16)]
+pub enum FrameKind {
+    /// A [`Hello`] frame.
+    Hello = 0x4e01,
+    /// A [`Data`] frame.
+    Data = 0x4e02,
+    /// An [`Ack`] frame. `0x4e03` is retired: it tagged the ACK without
+    /// a gap report, which must fail here as an unknown kind rather than
+    /// decode short.
+    Ack = 0x4e04,
+}
+
+impl From<FrameKind> for u16 {
+    fn from(kind: FrameKind) -> u16 {
+        kind as u16
+    }
+}
+
+impl TryFrom<u16> for FrameKind {
+    type Error = CodecError;
+
+    fn try_from(tag: u16) -> Result<Self, CodecError> {
+        match tag {
+            0x4e01 => Ok(FrameKind::Hello),
+            0x4e02 => Ok(FrameKind::Data),
+            0x4e04 => Ok(FrameKind::Ack),
+            _ => Err(CodecError::Invalid("unknown transport frame kind")),
+        }
+    }
+}
+
+/// Kind tag of a [`Data`] frame, as [`bgla_codec::encode_frame`] takes it.
+pub const FK_DATA: u16 = FrameKind::Data as u16;
 
 /// Bytes of a codec frame header before the payload (magic + version +
 /// kind + length). A stream reader pulls this much to learn the
@@ -51,8 +79,9 @@ pub struct Hello {
 
 impl Wire for Hello {
     fn encode(&self, w: &mut Writer) {
-        w.var(self.from);
-        w.var(self.expected);
+        let Self { from, expected } = self;
+        w.var(*from);
+        w.var(*expected);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Hello {
@@ -80,9 +109,14 @@ pub struct Data {
 
 impl Wire for Data {
     fn encode(&self, w: &mut Writer) {
-        w.var(self.seq);
-        w.var(self.depth);
-        self.payload.encode(w);
+        let Self {
+            seq,
+            depth,
+            payload,
+        } = self;
+        w.var(*seq);
+        w.var(*depth);
+        payload.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Data {
@@ -110,8 +144,9 @@ pub struct Ack {
 
 impl Wire for Ack {
     fn encode(&self, w: &mut Writer) {
-        w.var(self.cum);
-        w.var(self.held);
+        let Self { cum, held } = self;
+        w.var(*cum);
+        w.var(*held);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Ack {
@@ -134,21 +169,18 @@ pub enum NetFrame {
 
 /// Verifies one complete frame (magic, version, length, checksum —
 /// one pass over the bytes) and decodes its body according to its kind
-/// tag. Unknown kinds are rejected: the transport demux must handle
-/// every `FK_*` constant in this file (enforced by `bgla-lint`'s
-/// `frame-demux-coverage` pass) and nothing else arrives on a healthy
-/// link.
+/// tag. Unknown kinds are rejected: the match below names every
+/// [`FrameKind`], and nothing else arrives on a healthy link.
 pub fn demux_frame(bytes: &[u8]) -> Result<NetFrame, CodecError> {
     let kind = verify_frame(bytes)?;
     // `verify_frame` established `len >= FRAME_OVERHEAD`; the body sits
     // between the header and the trailing checksum.
     let end = bytes.len().saturating_sub(FRAME_OVERHEAD - FRAME_HEADER);
     let body = bytes.get(FRAME_HEADER..end).ok_or(CodecError::Truncated)?;
-    match kind {
-        FK_HELLO => Ok(NetFrame::Hello(decode_payload(body)?)),
-        FK_DATA => Ok(NetFrame::Data(decode_payload(body)?)),
-        FK_ACK => Ok(NetFrame::Ack(decode_payload(body)?)),
-        _ => Err(CodecError::Invalid("unknown transport frame kind")),
+    match FrameKind::try_from(kind)? {
+        FrameKind::Hello => Ok(NetFrame::Hello(decode_payload(body)?)),
+        FrameKind::Data => Ok(NetFrame::Data(decode_payload(body)?)),
+        FrameKind::Ack => Ok(NetFrame::Ack(decode_payload(body)?)),
     }
 }
 
@@ -218,28 +250,33 @@ mod tests {
         };
         let a = Ack { cum: 10, held: 12 };
         assert_eq!(
-            demux_frame(&encode_frame(FK_HELLO, &h)).unwrap(),
+            demux_frame(&encode_frame(FrameKind::Hello.into(), &h)).unwrap(),
             NetFrame::Hello(h)
         );
         assert_eq!(
-            demux_frame(&encode_frame(FK_DATA, &d)).unwrap(),
+            demux_frame(&encode_frame(FrameKind::Data.into(), &d)).unwrap(),
             NetFrame::Data(d)
         );
         assert_eq!(
-            demux_frame(&encode_frame(FK_ACK, &a)).unwrap(),
+            demux_frame(&encode_frame(FrameKind::Ack.into(), &a)).unwrap(),
             NetFrame::Ack(a)
         );
+        // The tags are wire format: they never move, and each maps back.
+        let kinds = [FrameKind::Hello, FrameKind::Data, FrameKind::Ack];
+        assert_eq!(kinds.map(u16::from), [0x4e01, FK_DATA, 0x4e04]);
+        assert_eq!(FK_DATA, 0x4e02);
+        for kind in kinds {
+            assert_eq!(FrameKind::try_from(u16::from(kind)), Ok(kind));
+        }
     }
 
     #[test]
     fn unknown_kind_is_rejected() {
         // 0x4e03 is the retired gap-less ACK of earlier versions.
+        let unknown = CodecError::Invalid("unknown transport frame kind");
         for kind in [0x4eff, 0x4e03] {
-            let bytes = encode_frame(kind, &7u64);
-            assert_eq!(
-                demux_frame(&bytes),
-                Err(CodecError::Invalid("unknown transport frame kind"))
-            );
+            assert_eq!(FrameKind::try_from(kind), Err(unknown));
+            assert_eq!(demux_frame(&encode_frame(kind, &7u64)), Err(unknown));
         }
     }
 
@@ -254,9 +291,12 @@ mod tests {
                 payload: vec![7; 40],
             },
         ));
-        buf.extend(encode_frame(FK_ACK, &Ack { cum: 1, held: 1 }));
+        buf.extend(encode_frame(
+            FrameKind::Ack.into(),
+            &Ack { cum: 1, held: 1 },
+        ));
         // Plus half of a third frame.
-        let third = encode_frame(FK_ACK, &Ack { cum: 2, held: 5 });
+        let third = encode_frame(FrameKind::Ack.into(), &Ack { cum: 2, held: 5 });
         buf.extend(&third[..10]);
 
         let frames = drain_frames(&mut buf).unwrap();

@@ -45,7 +45,7 @@
 //!   sample is taken only from an ACK whose *whole* newly covered run
 //!   was never resent, and times the newest frame of the run.
 
-use crate::frame::{Data, FK_DATA};
+use crate::frame::{Data, FrameKind};
 use bgla_codec::encode_frame;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -218,7 +218,7 @@ impl SenderLink {
             depth,
             payload,
         };
-        let frame: Frame = encode_frame(FK_DATA, &data).into();
+        let frame: Frame = encode_frame(FrameKind::Data.into(), &data).into();
         self.next_seq += 1;
         self.unacked.push_back(Sent {
             frame: frame.clone(),

@@ -61,7 +61,7 @@
 //! one-directional and deadlock-free.
 
 use crate::fault::{FaultAction, FaultPlan};
-use crate::frame::{drain_frames, Ack, Hello, NetFrame, FK_ACK, FK_HELLO};
+use crate::frame::{drain_frames, Ack, FrameKind, Hello, NetFrame};
 use crate::link::{Frame, LinkConfig, ReceiverLink, SenderLink};
 use crate::timers::Timers;
 use bgla_codec::encode_frame;
@@ -316,8 +316,7 @@ fn out_service(link: &Arc<OutLink>, pool: &PoolInner) -> Sweep {
         }
         match TcpStream::connect_timeout(&link.addr, Duration::from_millis(CONNECT_TIMEOUT_MS)) {
             Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(true);
+                ready_for_poller(&stream);
                 // (Stamped after the connect: the sample is the
                 // HELLO's round trip, not the dial's.)
                 let first_hello_at = (!io.ever_connected).then(|| now_us(link.epoch));
@@ -329,7 +328,7 @@ fn out_service(link: &Arc<OutLink>, pool: &PoolInner) -> Sweep {
                 io.delayed = None;
                 io.wbuf.clear();
                 let hello = encode_frame(
-                    FK_HELLO,
+                    FrameKind::Hello.into(),
                     &Hello {
                         from: link.me as u64,
                         expected: 0,
@@ -628,7 +627,7 @@ fn in_service(conn: &InConn) -> Sweep {
                 io.peer = Some(p);
                 let expected = lock(&conn.node.rx_links[p]).expected();
                 let reply = encode_frame(
-                    FK_HELLO,
+                    FrameKind::Hello.into(),
                     &Hello {
                         from: conn.node.me as u64,
                         expected,
@@ -666,7 +665,7 @@ fn in_service(conn: &InConn) -> Sweep {
                     held: rx.held(),
                 }
             };
-            let ack = encode_frame(FK_ACK, &ack);
+            let ack = encode_frame(FrameKind::Ack.into(), &ack);
             let InIo { wbuf, .. } = &mut *io;
             buffer_counted(wbuf, &ack, &conn.node.stats);
         }
@@ -889,14 +888,25 @@ fn worker(inner: Arc<PoolInner>, shard_idx: usize) {
     }
 }
 
+/// Readies a dialed or accepted socket for the pool: no Nagle delay,
+/// and non-blocking. This is the one place a socket's blocking mode is
+/// set, so no pool thread ever meets a blocking socket.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one call site of set_nonblocking, and it only ever turns blocking off"
+)]
+fn ready_for_poller(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_nonblocking(true);
+}
+
 /// Sweeps one entry; listener accepts register new inbound entries.
 fn sweep_entry(entry: &Entry, inner: &PoolInner) -> Sweep {
     match entry {
         Entry::Listener(l) => {
             let mut any = false;
             while let Ok((stream, _)) = l.listener.accept() {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(true);
+                ready_for_poller(&stream);
                 inner.register(Entry::In(Arc::new(InConn {
                     node: l.node.clone(),
                     io: Mutex::new(InIo {

@@ -157,6 +157,10 @@ impl<M: WireMessage + Wire + 'static> TcpRuntime<M> {
         let n = self.nodes.len();
         let deadline = Instant::now() + Duration::from_millis(self.cfg.deadline_ms);
         loop {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the caller's thread polls for completion; no poller runs here"
+            )]
             std::thread::sleep(Duration::from_millis(3));
             let delivered = self.shared.delivered.load(Ordering::SeqCst);
             if let Some(p) = pred.as_mut() {

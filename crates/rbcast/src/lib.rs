@@ -332,9 +332,14 @@ impl<T: Wire> Wire for RbMsg<T> {
 
 impl<T: Wire> Wire for Slot<T> {
     fn encode(&self, w: &mut Writer) {
-        w.u8(self.flags);
-        self.voted.encode(w);
-        self.tallies.encode(w);
+        let Self {
+            flags,
+            voted,
+            tallies,
+        } = self;
+        w.u8(*flags);
+        voted.encode(w);
+        tallies.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Slot {
@@ -355,9 +360,10 @@ impl<T: Wire> Wire for Slot<T> {
 /// the codec.
 impl<T: Clone + Ord + Wire> Wire for RbcastEngine<T> {
     fn encode(&self, w: &mut Writer) {
-        w.usize(self.n);
-        w.usize(self.f);
-        self.slots.encode(w);
+        let Self { n, f, slots } = self;
+        w.usize(*n);
+        w.usize(*f);
+        slots.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.usize()?;

@@ -102,12 +102,10 @@ impl WorkloadClient {
     }
 
     fn submit_next(&mut self, ctx: &mut Context<RsmMsg>) {
-        if self.next_op >= self.script.len() {
+        let Some(op) = self.script.get(self.next_op).cloned() else {
             self.phase = Phase::Done;
             return;
-        }
-        // bgla-lint: allow(byzantine-panic, "next_op < script.len() checked above")
-        let op = self.script[self.next_op].clone();
+        };
         self.next_op += 1;
         let cmd = match op {
             ClientOp::Update(op) => Cmd::new(self.client_id, self.seq, op),

@@ -56,9 +56,10 @@ impl Value for Cmd {}
 
 impl Wire for Cmd {
     fn encode(&self, w: &mut Writer) {
-        w.var(self.client);
-        w.var(self.seq);
-        match &self.op {
+        let Self { client, seq, op } = self;
+        w.var(*client);
+        w.var(*seq);
+        match op {
             Op::Add(x) => {
                 w.u8(0);
                 w.var(*x);

@@ -184,9 +184,7 @@ impl Replica {
     /// pending confirmations.
     fn after_inner(&mut self, ctx: &mut Context<RsmMsg>) {
         // Fresh decisions -> notify clients whose commands were included.
-        while self.notified_upto < self.inner.decisions.len() {
-            // bgla-lint: allow(byzantine-panic, "while condition bounds notified_upto")
-            let decision = self.inner.decisions[self.notified_upto].clone();
+        while let Some(decision) = self.inner.decisions.get(self.notified_upto).cloned() {
             self.notified_upto += 1;
             let satisfied: Vec<Cmd> = self
                 .pending_notify
@@ -204,17 +202,14 @@ impl Replica {
         }
         // Alg. 7: confirm sets that the public ack history proves
         // committed.
-        let mut i = 0;
-        while i < self.pending_conf.len() {
-            // bgla-lint: allow(byzantine-panic, "while condition bounds i")
-            let (client, set) = self.pending_conf[i].clone();
-            if self.inner.has_committed(&set) {
-                ctx.send(client, RsmMsg::CnfRep(set));
-                self.pending_conf.remove(i);
-            } else {
-                i += 1;
+        let inner = &self.inner;
+        self.pending_conf.retain(|(client, set)| {
+            let committed = inner.has_committed(set);
+            if committed {
+                ctx.send(*client, RsmMsg::CnfRep(set.clone()));
             }
-        }
+            !committed
+        });
     }
 }
 

@@ -125,30 +125,44 @@ impl Metrics {
     /// and by the `e2e` benchmark to pool its per-trial runs. Runs with
     /// different process counts are aligned by index.
     pub fn merge(&mut self, other: &Metrics) {
-        if other.sent_by.len() > self.sent_by.len() {
-            self.sent_by.resize(other.sent_by.len(), 0);
-            self.bytes_by.resize(other.bytes_by.len(), 0);
+        let Metrics {
+            sent_by,
+            bytes_by,
+            sent_by_kind,
+            bytes_by_kind,
+            delivered,
+            max_message_bytes,
+            net_frames,
+            net_frame_bytes,
+            net_retransmits,
+            net_dup_frames,
+            net_reconnects,
+            net_outbox_dropped,
+        } = other;
+        if sent_by.len() > self.sent_by.len() {
+            self.sent_by.resize(sent_by.len(), 0);
+            self.bytes_by.resize(bytes_by.len(), 0);
         }
-        for (p, &v) in other.sent_by.iter().enumerate() {
+        for (p, &v) in sent_by.iter().enumerate() {
             self.sent_by[p] += v;
         }
-        for (p, &v) in other.bytes_by.iter().enumerate() {
+        for (p, &v) in bytes_by.iter().enumerate() {
             self.bytes_by[p] += v;
         }
-        for (&k, &v) in &other.sent_by_kind {
+        for (&k, &v) in sent_by_kind {
             *self.sent_by_kind.entry(k).or_insert(0) += v;
         }
-        for (&k, &v) in &other.bytes_by_kind {
+        for (&k, &v) in bytes_by_kind {
             *self.bytes_by_kind.entry(k).or_insert(0) += v;
         }
-        self.delivered += other.delivered;
-        self.max_message_bytes = self.max_message_bytes.max(other.max_message_bytes);
-        self.net_frames += other.net_frames;
-        self.net_frame_bytes += other.net_frame_bytes;
-        self.net_retransmits += other.net_retransmits;
-        self.net_dup_frames += other.net_dup_frames;
-        self.net_reconnects += other.net_reconnects;
-        self.net_outbox_dropped += other.net_outbox_dropped;
+        self.delivered += delivered;
+        self.max_message_bytes = self.max_message_bytes.max(*max_message_bytes);
+        self.net_frames += net_frames;
+        self.net_frame_bytes += net_frame_bytes;
+        self.net_retransmits += net_retransmits;
+        self.net_dup_frames += net_dup_frames;
+        self.net_reconnects += net_reconnects;
+        self.net_outbox_dropped += net_outbox_dropped;
     }
 }
 

@@ -64,7 +64,10 @@
 use crate::process::ProcessId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-// bgla-lint: allow(determinism, "imported for the keyed-lookup maps below; iteration order is never observed")
+#[expect(
+    clippy::disallowed_types,
+    reason = "imported for the keyed-lookup maps below; iteration order is never observed"
+)]
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 /// Stable handle to one in-flight envelope, assigned by the simulation's
@@ -460,16 +463,28 @@ pub struct SearchScheduler {
     /// All live ids, insertion (= seq) order.
     pool: OrderedPool,
     /// Live metadata by id.
-    // bgla-lint: allow(determinism, "keyed lookup only; the OrderedPools own every ordered walk")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only; the OrderedPools own every ordered walk"
+    )]
     meta: HashMap<EnvelopeId, InFlight>,
     /// Live ids per message kind, seq order.
-    // bgla-lint: allow(determinism, "keyed lookup only; the OrderedPools own every ordered walk")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only; the OrderedPools own every ordered walk"
+    )]
     by_kind: HashMap<&'static str, OrderedPool>,
     /// Live ids per destination, seq order.
-    // bgla-lint: allow(determinism, "keyed lookup only; the OrderedPools own every ordered walk")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only; the OrderedPools own every ordered walk"
+    )]
     by_to: HashMap<ProcessId, OrderedPool>,
     /// Live ids per sender, seq order.
-    // bgla-lint: allow(determinism, "keyed lookup only; the OrderedPools own every ordered walk")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only; the OrderedPools own every ordered walk"
+    )]
     by_from: HashMap<ProcessId, OrderedPool>,
     /// Distinct kinds seen so far, in discovery order (deterministic:
     /// `on_send` order is deterministic).
@@ -487,14 +502,10 @@ impl SearchScheduler {
         SearchScheduler {
             rng: StdRng::seed_from_u64(seed ^ 0x05EA_2C45_C4ED_u64),
             pool: OrderedPool::default(),
-            // bgla-lint: allow(determinism, "keyed lookup only; the OrderedPools own every ordered walk")
-            meta: HashMap::new(),
-            // bgla-lint: allow(determinism, "keyed lookup only; the OrderedPools own every ordered walk")
-            by_kind: HashMap::new(),
-            // bgla-lint: allow(determinism, "keyed lookup only; the OrderedPools own every ordered walk")
-            by_to: HashMap::new(),
-            // bgla-lint: allow(determinism, "keyed lookup only; the OrderedPools own every ordered walk")
-            by_from: HashMap::new(),
+            meta: Default::default(),
+            by_kind: Default::default(),
+            by_to: Default::default(),
+            by_from: Default::default(),
             kinds_seen: Vec::new(),
             procs_seen: Vec::new(),
             mode: SearchMode::Oldest,
@@ -533,10 +544,12 @@ impl SearchScheduler {
 
     /// Oldest live id over every pool in `pools` except the one keyed
     /// `held`; falls back to the held pool when nothing else is live.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "`meta` is looked up by key; `pools` is walked for the least of unique seqs, which no visiting order changes"
+    )]
     fn oldest_excluding<K: std::hash::Hash + Eq + Copy>(
-        // bgla-lint: allow(determinism, "keyed lookup only; callers pick ids from the pools, never from map order")
         meta: &HashMap<EnvelopeId, InFlight>,
-        // bgla-lint: allow(determinism, "keyed lookup only; callers pick ids from the pools, never from map order")
         pools: &HashMap<K, OrderedPool>,
         held: K,
     ) -> Option<EnvelopeId> {
@@ -644,7 +657,10 @@ struct StarvingPools {
     held: BTreeMap<u64, EnvelopeId>,
     /// All live messages (needed to re-feed the inner scheduler when the
     /// starvation phase ends).
-    // bgla-lint: allow(determinism, "keyed lookup only; release order comes from the BTreeMap of held seqs")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only; release order comes from the BTreeMap of held seqs"
+    )]
     live: HashMap<EnvelopeId, InFlight>,
     /// Messages currently indexed by the inner scheduler.
     inner_count: usize,
@@ -658,8 +674,7 @@ impl StarvingPools {
         StarvingPools {
             inner,
             held: BTreeMap::new(),
-            // bgla-lint: allow(determinism, "keyed lookup only; release order comes from the BTreeMap of held seqs")
-            live: HashMap::new(),
+            live: Default::default(),
             inner_count: 0,
             released: false,
         }
@@ -856,7 +871,10 @@ pub struct RecordingScheduler {
     inner: Box<dyn Scheduler>,
     trace: TraceHandle,
     /// Live id -> seq, so choices can be recorded by seq.
-    // bgla-lint: allow(determinism, "keyed lookup only; trace order follows the inner scheduler's choices")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only; trace order follows the inner scheduler's choices"
+    )]
     seqs: HashMap<EnvelopeId, u64>,
 }
 
@@ -869,8 +887,7 @@ impl RecordingScheduler {
             RecordingScheduler {
                 inner,
                 trace: trace.clone(),
-                // bgla-lint: allow(determinism, "keyed lookup only; trace order follows the inner scheduler's choices")
-                seqs: HashMap::new(),
+                seqs: Default::default(),
             },
             trace,
         )
