@@ -262,7 +262,7 @@ pub fn lint_files(paths: &[PathBuf]) -> std::io::Result<LintResult> {
 
 /// Discovers the workspace members under `root` (skipping `vendor/`)
 /// and returns `(crate_name, src_file)` pairs for every `src/**/*.rs`.
-pub fn discover_workspace(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
+fn discover_workspace(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     let manifest = std::fs::read_to_string(root.join("Cargo.toml"))?;
     let mut member_dirs: Vec<PathBuf> = vec![root.to_path_buf()]; // the root package
     let mut in_members = false;
@@ -356,7 +356,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintResult> {
 }
 
 /// Runs the pass, applies suppressions, and sorts.
-pub fn run(model: &Model) -> LintResult {
+fn run(model: &Model) -> LintResult {
     let mut diags: Vec<Diagnostic> = Vec::new();
     byzantine_panic::run(model, &mut diags);
     // Apply suppressions: a finding is waived by an allow comment for
