@@ -78,9 +78,10 @@ use std::fmt;
 
 /// Current frame format version. Bump on any incompatible layout
 /// change, or when what a stored signature covers changes (8: signed
-/// records sign their own encoding); decoders reject other versions as
+/// records sign their own encoding; 9: GWTS sets name delivered
+/// disclosure batches); decoders reject other versions as
 /// [`CodecError::BadVersion`].
-pub const FRAME_VERSION: u16 = 8;
+pub const FRAME_VERSION: u16 = 9;
 
 /// The 4-byte frame magic.
 pub const FRAME_MAGIC: [u8; 4] = *b"BGLA";

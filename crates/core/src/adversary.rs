@@ -560,12 +560,13 @@ impl<V: Value> Process<WtsMsg<V>> for ChaosMonkey<V> {
 
 /// GWTS-specific adversaries.
 pub mod gwts {
-    use crate::gwts::{AckRecord, GwtsMsg};
+    use crate::gwts::{AckRecord, GwtsMsg, NamedSet, NamedUpdate};
     use crate::value::Value;
-    use crate::valueset::{SetUpdate, ValueSet};
+    use crate::valueset::ValueSet;
     use bgla_rbcast::RbMsg;
     use bgla_simnet::{Context, Process, ProcessId};
     use std::any::Any;
+    use std::collections::BTreeSet;
     use std::marker::PhantomData;
 
     /// Pretends to be many rounds ahead, flooding ack requests for
@@ -591,7 +592,7 @@ pub mod gwts {
         fn on_start(&mut self, ctx: &mut Context<GwtsMsg<V>>) {
             for round in 0..self.upto {
                 ctx.broadcast(GwtsMsg::AckReq {
-                    proposed: SetUpdate::Full(ValueSet::new()),
+                    proposed: NamedUpdate::Full(NamedSet::default()),
                     ts: 1_000 + round,
                     round,
                 });
@@ -668,7 +669,7 @@ pub mod gwts {
         junk: ValueSet<V>,
         /// Tag of the last record sent.
         pub tag: u64,
-        last_full: ValueSet<V>,
+        last_full: NamedSet<V>,
     }
 
     impl<V: Value> AckStreamBreaker<V> {
@@ -678,7 +679,7 @@ pub mod gwts {
             AckStreamBreaker {
                 junk: ValueSet::singleton(junk),
                 tag: 0,
-                last_full: ValueSet::new(),
+                last_full: NamedSet::default(),
             }
         }
     }
@@ -686,7 +687,7 @@ pub mod gwts {
     impl<V: Value> Process<GwtsMsg<V>> for AckStreamBreaker<V> {
         fn on_message(&mut self, from: ProcessId, msg: GwtsMsg<V>, ctx: &mut Context<GwtsMsg<V>>) {
             let GwtsMsg::AckReq {
-                proposed: SetUpdate::Full(set) | SetUpdate::Delta { added: set, .. },
+                proposed: NamedUpdate::Full(set) | NamedUpdate::Delta { added: set, .. },
                 ts,
                 round,
             } = msg
@@ -705,7 +706,10 @@ pub mod gwts {
                     (false, self.last_full.clone()),
                     (false, self.last_full.clone()),
                 ),
-                _ => ((true, set.join(&self.junk)), (false, self.junk.clone())),
+                _ => (
+                    (true, set.and_values(&self.junk)),
+                    (false, NamedSet::from(self.junk.clone())),
+                ),
             };
             for to in 0..ctx.n {
                 let (full, accepted) = if to % 2 == 0 { &even } else { &odd }.clone();
@@ -718,6 +722,111 @@ pub mod gwts {
                 };
                 let tag = self.tag;
                 ctx.send(to, GwtsMsg::Ack(RbMsg::Init { tag, value }));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Names what it should not. As an acceptor it answers each request
+    /// with a full record: the request's set and, in turn, a batch never
+    /// disclosed, its own round-0 batch — disclosed as one batch to the
+    /// low half of the system and another to the high half, so at most
+    /// one is ever delivered — or nothing more. As a proposer it asks,
+    /// for each round it sees a batch of two values or more disclosed in,
+    /// for that batch's first value alone, and for a batch never
+    /// disclosed. Correct processes read each name as the one batch
+    /// reliable broadcast delivered under it, or wait.
+    ///
+    /// What one name can buy (ROADMAP item 13's unit): at most one
+    /// delivered batch, rebuilt once per delivered ack. A receiver resolves
+    /// an ack when it is delivered, not per echo, and tries again only
+    /// when a disclosure is delivered; a name that never resolves parks
+    /// its message where an unsafe value always parked one — a request
+    /// for good, an ack until it is old and its origin's next full record
+    /// has made it useless.
+    pub struct NameForger<V: Value> {
+        me: ProcessId,
+        /// Round-0 batch shown to the low half.
+        a: ValueSet<V>,
+        /// Round-0 batch shown to the high half.
+        b: ValueSet<V>,
+        /// Acks sent so far (the tag of the next one).
+        pub acks: u64,
+        /// Rounds it asked for part of a batch in.
+        asked: BTreeSet<u64>,
+    }
+
+    impl<V: Value> NameForger<V> {
+        /// The forger playing process `me`, disclosing `a` and `b` as its
+        /// round-0 batch.
+        pub fn new(me: ProcessId, a: ValueSet<V>, b: ValueSet<V>) -> Self {
+            NameForger {
+                me,
+                a,
+                b,
+                acks: 0,
+                asked: BTreeSet::new(),
+            }
+        }
+
+        /// A batch name no process ever discloses under.
+        fn never(&self) -> (ProcessId, u64) {
+            (self.me, u64::MAX)
+        }
+    }
+
+    impl<V: Value> Process<GwtsMsg<V>> for NameForger<V> {
+        fn on_start(&mut self, ctx: &mut Context<GwtsMsg<V>>) {
+            let me = ctx.me;
+            for to in (0..ctx.n).filter(|&to| to != me) {
+                let value = if to < ctx.n / 2 { &self.a } else { &self.b }.clone();
+                ctx.send(to, GwtsMsg::Disc(RbMsg::Init { tag: 0, value }));
+            }
+        }
+        fn on_message(&mut self, from: ProcessId, msg: GwtsMsg<V>, ctx: &mut Context<GwtsMsg<V>>) {
+            match msg {
+                GwtsMsg::Disc(RbMsg::Init { tag: round, value }) => {
+                    let Some(first) = value.iter().next().filter(|_| value.len() >= 2) else {
+                        return;
+                    };
+                    if !self.asked.insert(round) {
+                        return;
+                    }
+                    let part = NamedSet::from(ValueSet::singleton(first.clone()));
+                    let never = NamedSet::default().and_name(self.never());
+                    for (ts, set) in [(2 * round, part), (2 * round + 1, never)] {
+                        let proposed = NamedUpdate::Full(set);
+                        ctx.broadcast(GwtsMsg::AckReq {
+                            proposed,
+                            ts: 1_000 + ts,
+                            round,
+                        });
+                    }
+                }
+                GwtsMsg::AckReq {
+                    proposed: NamedUpdate::Full(set) | NamedUpdate::Delta { added: set, .. },
+                    ts,
+                    round,
+                } => {
+                    let accepted = match self.acks % 3 {
+                        0 => set.and_name(self.never()),
+                        1 => set.and_name((self.me, 0)),
+                        _ => set,
+                    };
+                    let value = AckRecord {
+                        round,
+                        ts,
+                        destination: from,
+                        full: true,
+                        accepted,
+                    };
+                    let tag = self.acks;
+                    self.acks += 1;
+                    ctx.broadcast(GwtsMsg::Ack(RbMsg::Init { tag, value }));
+                }
+                _ => {}
             }
         }
         fn as_any(&self) -> &dyn Any {

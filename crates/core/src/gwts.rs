@@ -44,6 +44,9 @@
 //!   stream has no gap and each ack is rebuilt, once.
 //! * A Byzantine origin can leave gaps, open with additions or overlap;
 //!   an ack that cannot be rebuilt counts as never sent — silence.
+//! * An ack also waits for the batches it names ("What a set names"):
+//!   like its predecessor, each is delivered here in the end when the
+//!   origin is correct.
 //!
 //! The price is the wait for earlier acks. What waits is kept while a
 //! later ack may be rebuilt from it (`prune_old_rounds`): dropped with
@@ -79,18 +82,219 @@
 //!   one vote. A restored acceptor forgets what it said and says it again.
 //! * *Tests.* `said_once_tests` (unit, and the broadcasts-per-acceptor
 //!   count that fails if the per-request broadcast comes back).
+//!
+//! # What a set names
+//!
+//! Every set an ack, an `ack_req` or a `nack` carries travels as a
+//! [`NamedSet`]: each delivered disclosure batch the set wholly contains
+//! by its [`BatchName`] `(origin, round)`, and the values no named batch
+//! holds spelled out. In honest runs nothing is left over; a Byzantine
+//! proposer may propose part of a batch, and an acceptor that accepts it
+//! spells that part out. Disclosures stay spelled out: they define the
+//! names.
+//!
+//! * *Assumption.* Reliable broadcast agreement and totality: correct
+//!   processes that deliver `(origin, round)` deliver one batch, so a
+//!   name stands for one set at every correct process, and a batch one
+//!   correct process delivered — a correct sender names only those —
+//!   is delivered at every correct process.
+//! * *Guard.* `gwts.rs::resolve` reads a set once every batch it names is
+//!   delivered here and every value it spells out is SAFE here; the set
+//!   is then SAFE by construction, so `SAFE` walks no set. Until then it
+//!   holds a value that is not SAFE here yet, and the message waits where
+//!   an unsafe one always waited: a request or refusal in `waiting`
+//!   (`try_handle` returns false), an ack in `ack_waiting`
+//!   (`on_ack_delivered`), where it stays the base of its origin's next
+//!   ack until it is rebuilt (`prune_old_rounds` drops it only once
+//!   nothing is rebuilt from it). Every delivered disclosure moves
+//!   `guards()`, even one that adds no value, so what waits is retried.
+//!   `gwts.rs::name` finds a set's batches from its own values
+//!   (`named_by`), without walking what was disclosed, and a named set
+//!   costs at most one byte more than the set spelled out; decoding
+//!   refuses names out of order or repeated.
+//! * *Cost.* A name buys its receiver at most one delivered batch,
+//!   rebuilt once per delivered ack or consumed request — not per echo
+//!   ([`crate::adversary::gwts::NameForger`]).
+//! * *Tests.* `named_set_tests` (unit), `ack_stream` (acks rebuilt
+//!   exactly once when disclosures arrive late), `codec_properties`'
+//!   `named_sets_have_one_encoding`, `tests/stream_liveness.rs` (no op
+//!   lost when names outrun their batches) and the `NameForger` runs in
+//!   `tests/chaos.rs` and `tests/conformance.rs`.
 
 use crate::config::SystemConfig;
 use crate::value::Value;
 use crate::valueset::{DeltaReceiver, DeltaSender, SetUpdate, ValueSet};
-use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
+use bgla_codec::{decode_frame, encode_frame, var_len, CodecError, Reader, Wire, Writer};
 use bgla_rbcast::{RbMsg, RbcastEngine};
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Frame kind of a [`GwtsProcess`] crash-recovery snapshot.
 pub const GWTS_SNAPSHOT_KIND: u16 = 0x0108;
+
+/// A delivered disclosure's name: its rbcast origin and its round (the
+/// broadcast's tag). Reliable broadcast delivers one batch per name at
+/// every correct process, so the name stands for that batch everywhere.
+pub type BatchName = (ProcessId, u64);
+
+/// A value set as GWTS sends it: every delivered disclosure batch the set
+/// wholly contains by its [`BatchName`], and the values no named batch
+/// holds spelled out — see "What a set names" in the module doc. Clones
+/// share one allocation, and the encoded length is cached.
+///
+/// ```text
+/// NamedSet : var(#names) + Σ (var(origin) + var(round)) + ValueSet(rest)
+/// ```
+///
+/// Names are strictly ascending; decoding refuses any other order, and a
+/// repeat, as [`ValueSet`] refuses values out of order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct NamedSet<V: Value>(Arc<NamedParts<V>>);
+
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct NamedParts<V: Value> {
+    /// Strictly ascending.
+    names: Vec<BatchName>,
+    /// The values no named batch holds.
+    rest: ValueSet<V>,
+    /// Cached encoded length.
+    wire: usize,
+}
+
+/// Bytes a name takes on the wire.
+fn name_len((origin, round): BatchName) -> usize {
+    var_len(origin as u64) + var_len(round)
+}
+
+impl<V: Value> NamedSet<V> {
+    /// The set of the batches `names` and the values `rest`.
+    pub fn new(names: BTreeSet<BatchName>, rest: ValueSet<V>) -> Self {
+        NamedSet::from_sorted(names.into_iter().collect(), rest)
+    }
+
+    /// `names` is strictly ascending.
+    fn from_sorted(names: Vec<BatchName>, rest: ValueSet<V>) -> Self {
+        let wire = var_len(names.len() as u64)
+            + names.iter().map(|&name| name_len(name)).sum::<usize>()
+            + rest.wire_size();
+        NamedSet(Arc::new(NamedParts { names, rest, wire }))
+    }
+
+    /// The batches named, ascending.
+    pub fn names(&self) -> &[BatchName] {
+        &self.0.names
+    }
+
+    /// The values spelled out.
+    pub fn rest(&self) -> &ValueSet<V> {
+        &self.0.rest
+    }
+
+    /// The same set with `name` named besides.
+    pub fn and_name(&self, name: BatchName) -> Self {
+        let mut names: BTreeSet<BatchName> = self.names().iter().copied().collect();
+        names.insert(name);
+        NamedSet::new(names, self.rest().clone())
+    }
+
+    /// The same set with `values` spelled out besides.
+    pub fn and_values(&self, values: &ValueSet<V>) -> Self {
+        NamedSet::from_sorted(self.names().to_vec(), self.rest().join(values))
+    }
+
+    /// Whether it names nothing and spells nothing: the empty set.
+    pub fn is_empty(&self) -> bool {
+        self.0.names.is_empty() && self.0.rest.is_empty()
+    }
+}
+
+impl<V: Value> Default for NamedSet<V> {
+    fn default() -> Self {
+        NamedSet::from_sorted(Vec::new(), ValueSet::new())
+    }
+}
+
+/// Every value spelled out, no name: how a set of values no delivered
+/// batch holds travels.
+impl<V: Value> From<ValueSet<V>> for NamedSet<V> {
+    fn from(rest: ValueSet<V>) -> Self {
+        NamedSet::from_sorted(Vec::new(), rest)
+    }
+}
+
+impl<V: Value> Wire for NamedSet<V> {
+    fn encode(&self, w: &mut Writer) {
+        let NamedParts { names, rest, wire } = &*self.0;
+        if w.counted(*wire) {
+            return;
+        }
+        w.usize(names.len());
+        for &(origin, round) in names {
+            w.usize(origin);
+            w.var(round);
+        }
+        rest.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let count = r.seq_len()?;
+        let mut names: Vec<BatchName> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let name = (r.usize()?, r.var()?);
+            if names.last().is_some_and(|last| *last >= name) {
+                return Err(CodecError::Invalid("batch names not strictly ascending"));
+            }
+            names.push(name);
+        }
+        Ok(NamedSet::from_sorted(names, ValueSet::decode(r)?))
+    }
+    fn wire_size(&self) -> usize {
+        self.0.wire
+    }
+}
+
+/// An ack request's proposal: the whole set, or what it adds to the one
+/// the acceptor consumed at `base_ts` ([`crate::SetUpdate`]'s two forms,
+/// each set named).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum NamedUpdate<V: Value> {
+    /// The whole proposal.
+    Full(NamedSet<V>),
+    /// Only the additions to the proposal consumed at `base_ts`.
+    Delta {
+        /// Timestamp of the base proposal the acceptor holds.
+        base_ts: u64,
+        /// `proposal ∖ base`.
+        added: NamedSet<V>,
+    },
+}
+
+impl<V: Value> Wire for NamedUpdate<V> {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            NamedUpdate::Full(set) => {
+                w.u8(0);
+                set.encode(w);
+            }
+            NamedUpdate::Delta { base_ts, added } => {
+                w.u8(1);
+                w.var(*base_ts);
+                added.encode(w);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(NamedUpdate::Full(Wire::decode(r)?)),
+            1 => Ok(NamedUpdate::Delta {
+                base_ts: r.var()?,
+                added: Wire::decode(r)?,
+            }),
+            _ => Err(CodecError::Invalid("set update tag")),
+        }
+    }
+}
 
 /// A reliably-broadcast acceptance record (the paper's
 /// `<ack, Accepted_set, destination, sender, ts, round>`; the sender is
@@ -108,11 +312,11 @@ pub struct AckRecord<V: Value> {
     pub ts: u64,
     /// The proposer whose request triggered this acceptance.
     pub destination: ProcessId,
-    /// Whether `accepted` is the whole set, or (on the wire only) what the
-    /// origin's previous record lacked — see the module doc.
+    /// Whether `accepted` is the whole set, or what the origin's previous
+    /// record lacked — see the module doc.
     pub full: bool,
-    /// The set the acceptor accepted.
-    pub accepted: ValueSet<V>,
+    /// The set the acceptor accepted, or its additions, named.
+    pub accepted: NamedSet<V>,
 }
 
 impl<V: Value> Wire for AckRecord<V> {
@@ -141,6 +345,39 @@ impl<V: Value> Wire for AckRecord<V> {
     }
 }
 
+/// An ack as rebuilt here: the whole set its origin accepted, SAFE here.
+/// What `SAFE`, `Safe_r`, quorums and `ack_history` read.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Ack<V: Value> {
+    round: u64,
+    ts: u64,
+    destination: ProcessId,
+    accepted: ValueSet<V>,
+}
+
+impl<V: Value> Wire for Ack<V> {
+    fn encode(&self, w: &mut Writer) {
+        let Self {
+            round,
+            ts,
+            destination,
+            accepted,
+        } = self;
+        accepted.encode(w);
+        w.usize(*destination);
+        w.var(*ts);
+        w.var(*round);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Ack {
+            accepted: Wire::decode(r)?,
+            destination: r.usize()?,
+            ts: r.var()?,
+            round: r.var()?,
+        })
+    }
+}
+
 /// GWTS wire messages.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum GwtsMsg<V: Value> {
@@ -148,8 +385,8 @@ pub enum GwtsMsg<V: Value> {
     Disc(RbMsg<ValueSet<V>>),
     /// Proposer → acceptors.
     AckReq {
-        /// Cumulative proposal (delta-encoded per acceptor).
-        proposed: SetUpdate<V>,
+        /// Cumulative proposal (delta-encoded per acceptor), named.
+        proposed: NamedUpdate<V>,
         /// Refinement timestamp.
         ts: u64,
         /// Round.
@@ -161,8 +398,8 @@ pub enum GwtsMsg<V: Value> {
     /// lacks. Empty, it refuses nothing: it is the receipt of a request
     /// whose public ack the acceptor had already broadcast.
     Nack {
-        /// The acceptor's `Accepted_set ∖ proposed`.
-        accepted: ValueSet<V>,
+        /// The acceptor's `Accepted_set ∖ proposed`, named.
+        accepted: NamedSet<V>,
         /// Timestamp copied from the request.
         ts: u64,
         /// Round copied from the request.
@@ -305,13 +542,20 @@ pub struct GwtsProcess<V: Value> {
     /// Sets of rebuilt acks that a full record of their origin overtook,
     /// by the `(origin, tag)` still to be rebuilt from them.
     ack_bases: BTreeMap<(ProcessId, u64), ValueSet<V>>,
-    /// Delivered acks that carry additions, by `(origin, tag)`, whose
-    /// origin's previous ack is not rebuilt yet.
+    /// Delivered acks not rebuilt yet, by `(origin, tag)`: additions whose
+    /// origin's previous ack is not rebuilt yet, and records whose set is
+    /// not SAFE here yet (a batch it names is not delivered here).
     ack_waiting: BTreeMap<(ProcessId, u64), AckRecord<V>>,
     /// Per-round pending input batches.
     batches: BTreeMap<u64, Vec<V>>,
-    /// Union of all delivered disclosures (cumulative SvS).
+    /// Every delivered disclosure by name: what a received name stands for.
+    disclosed: BTreeMap<BatchName, ValueSet<V>>,
+    /// Union of all delivered disclosures (cumulative SvS; derived from
+    /// `disclosed`).
     svs_all: ValueSet<V>,
+    /// The smallest name of a delivered batch holding each value in
+    /// `svs_all`: where naming a set starts (derived from `disclosed`).
+    named_by: BTreeMap<V, BatchName>,
     /// Disclosure deliveries per round.
     counters: BTreeMap<u64, usize>,
     /// Cumulative proposal.
@@ -327,8 +571,8 @@ pub struct GwtsProcess<V: Value> {
     committed_rounds: BTreeSet<u64>,
     /// Non-disclosure messages waiting on safety / round guards.
     waiting: Vec<(ProcessId, GwtsMsg<V>)>,
-    /// RB-delivered ack records waiting on safety / round guards.
-    pending_acks: Vec<(ProcessId, AckRecord<V>)>,
+    /// Rebuilt acks waiting for their round to be trusted.
+    pending_acks: Vec<(ProcessId, Ack<V>)>,
     /// Cumulative decision (Local Stability floor).
     decided_set: ValueSet<V>,
     /// Proposer-side delta bookkeeping (snapshots + reply watermarks).
@@ -377,7 +621,9 @@ impl<V: Value> GwtsProcess<V> {
             ack_bases: BTreeMap::new(),
             ack_waiting: BTreeMap::new(),
             batches: BTreeMap::new(),
+            disclosed: BTreeMap::new(),
             svs_all: ValueSet::new(),
+            named_by: BTreeMap::new(),
             counters: BTreeMap::new(),
             proposed_set: ValueSet::new(),
             accepted_set: ValueSet::new(),
@@ -441,11 +687,13 @@ impl<V: Value> GwtsProcess<V> {
     }
 
     /// Everything a parked message's guard reads. None of it ever moves
-    /// back (`svs_all` only grows; `Done` is terminal), so an unchanged
-    /// tuple means no parked message became admissible.
+    /// back (`disclosed` only grows, by one name per delivered batch,
+    /// whether or not the batch adds a value to `svs_all`; `Done` is
+    /// terminal), so an unchanged tuple means no parked message became
+    /// admissible.
     fn guards(&self) -> (usize, u64, u64, u64, GwtsState) {
         (
-            self.svs_all.len(),
+            self.disclosed.len(),
             self.safe_r,
             self.round,
             self.ts,
@@ -453,8 +701,101 @@ impl<V: Value> GwtsProcess<V> {
         )
     }
 
-    fn safe(&self, set: &ValueSet<V>) -> bool {
-        set.is_subset(&self.svs_all)
+    /// `set` as it is sent: each delivered batch it wholly contains by
+    /// name, where the name is shorter than the batch's values, and the
+    /// values left over spelled out — never more than one byte longer
+    /// than `set` spelled out. A value's batch is found through
+    /// `named_by`, and once named, the batch's other values are passed
+    /// over: `O(|set| log |set|)` plus one lookup per batch, never a walk
+    /// of what was disclosed.
+    fn name(&self, set: &ValueSet<V>) -> NamedSet<V> {
+        let items = set.as_slice();
+        let mut covered = vec![false; items.len()];
+        let (mut names, mut left) = (Vec::new(), items.len());
+        for (i, v) in items.iter().enumerate() {
+            if covered.get(i) != Some(&false) {
+                continue;
+            }
+            let Some((&name, batch)) =
+                (self.named_by.get(v)).and_then(|name| self.disclosed.get_key_value(name))
+            else {
+                continue;
+            };
+            let spelled = batch.wire_size() - var_len(batch.len() as u64);
+            if name_len(name) >= spelled || !batch.iter().all(|w| items.binary_search(w).is_ok()) {
+                continue;
+            }
+            for w in batch.iter() {
+                let at = items.binary_search(w).ok();
+                if let Some(c) = at.and_then(|at| covered.get_mut(at)).filter(|c| !**c) {
+                    (*c, left) = (true, left - 1);
+                }
+            }
+            names.push(name);
+        }
+        if names.is_empty() {
+            return NamedSet::from(set.clone());
+        }
+        names.sort_unstable();
+        let mut rest = Vec::with_capacity(left);
+        rest.extend(
+            (items.iter().zip(&covered))
+                .filter(|(_, covered)| !**covered)
+                .map(|(v, _)| v.clone()),
+        );
+        let named = NamedSet::from_sorted(names, ValueSet::from_sorted(rest));
+        if named.wire_size() > set.wire_size() {
+            return NamedSet::from(set.clone());
+        }
+        named
+    }
+
+    /// Whether [`Self::resolve`] would resolve `named` — checked without
+    /// building anything, as a waiting ack is on each retry.
+    fn resolves(&self, named: &NamedSet<V>) -> bool {
+        let NamedParts { names, rest, .. } = &*named.0;
+        names.iter().all(|name| self.disclosed.contains_key(name))
+            && rest.iter().all(|v| self.svs_all.contains(v))
+    }
+
+    /// The set `named` stands for, once every batch it names is delivered
+    /// here and every value it spells out is SAFE here — so the set is
+    /// SAFE by construction, and no walk of `svs_all` is needed. `None`
+    /// until then: it holds a value that is not SAFE here yet, and the
+    /// message waits where unsafe ones always waited.
+    fn resolve(&self, named: &NamedSet<V>) -> Option<ValueSet<V>> {
+        let NamedParts { names, rest, .. } = &*named.0;
+        if !rest.iter().all(|v| self.svs_all.contains(v)) {
+            return None;
+        }
+        let mut batches = Vec::with_capacity(names.len());
+        for name in names {
+            batches.push(self.disclosed.get(name)?);
+        }
+        match batches[..] {
+            [] => return Some(rest.clone()),
+            [batch] if rest.is_empty() => return Some(batch.clone()),
+            _ => {}
+        }
+        let len = rest.len() + batches.iter().map(|batch| batch.len()).sum::<usize>();
+        let mut items: Vec<V> = Vec::with_capacity(len);
+        items.extend_from_slice(rest.as_slice());
+        for batch in batches {
+            items.extend_from_slice(batch.as_slice());
+        }
+        items.sort_unstable();
+        items.dedup();
+        Some(ValueSet::from_sorted(items))
+    }
+
+    /// Takes in the delivered disclosure `batch` of `name`.
+    fn disclose(&mut self, name: BatchName, batch: ValueSet<V>) {
+        self.svs_all.join_with(&batch);
+        for v in batch.iter() {
+            let by = self.named_by.entry(v.clone()).or_insert(name);
+            *by = (*by).min(name);
+        }
+        self.disclosed.insert(name, batch);
     }
 
     fn start_round(&mut self, round: u64, ctx: &mut Context<GwtsMsg<V>>) {
@@ -496,7 +837,24 @@ impl<V: Value> GwtsProcess<V> {
         let updates = self
             .delta_tx
             .encode_broadcast(self.config.n, self.ts, &self.proposed_set);
-        for (to, proposed) in updates.into_iter().enumerate() {
+        // Acceptors on one base share its additions: each set is named once.
+        let mut named: Vec<(ValueSet<V>, NamedSet<V>)> = Vec::new();
+        let mut name = |set: ValueSet<V>| match named.iter().find(|(s, _)| s.ptr_eq(&set)) {
+            Some((_, known)) => known.clone(),
+            None => {
+                let fresh = self.name(&set);
+                named.push((set, fresh.clone()));
+                fresh
+            }
+        };
+        for (to, update) in updates.into_iter().enumerate() {
+            let proposed = match update {
+                SetUpdate::Full(set) => NamedUpdate::Full(name(set)),
+                SetUpdate::Delta { base_ts, added } => NamedUpdate::Delta {
+                    base_ts,
+                    added: name(added),
+                },
+            };
             ctx.send(
                 to,
                 GwtsMsg::AckReq {
@@ -515,24 +873,29 @@ impl<V: Value> GwtsProcess<V> {
     /// an ack is at most one set's worth of bytes from the next full one.
     /// The first ack is full by the same rule: all of its set is new.
     ///
-    /// The rule reads *wire* bytes, length prefixes included, on purpose:
-    /// an ack that adds nothing still costs its prefix, so a stream of
-    /// empty deltas keeps counting towards the next full record — the
-    /// resync bound [`crate::recovery`] gives a peer that lost one.
-    /// (Counting element bytes alone would never re-send a full record on
-    /// an idle stream.) Header sizes therefore steer which acks are full.
+    /// The rule reads *wire* bytes of the sets spelled out, length
+    /// prefixes included, on purpose: an ack that adds nothing still
+    /// costs its prefix, so a stream of empty deltas keeps counting
+    /// towards the next full record — the resync bound [`crate::recovery`]
+    /// gives a peer that lost one. (Counting element bytes alone would
+    /// never re-send a full record on an idle stream.) Header sizes
+    /// therefore steer which acks are full. The spelled-out sizes are
+    /// cached, so weighing costs nothing; only the set sent is named
+    /// (a batch costs one name in the full record as in the delta that
+    /// added it, so the bound carries over to named bytes).
     fn next_ack(&mut self, to: ProcessId, ts: u64, round: u64) -> AckRecord<V> {
         let added = self.accepted_set.difference(&self.last_acked);
         let sent = self.ack_delta_bytes.saturating_add(added.wire_size());
         let full = sent >= self.accepted_set.wire_size();
         self.ack_delta_bytes = if full { 0 } else { sent };
         self.last_acked = self.accepted_set.clone();
+        let accepted = self.name(if full { &self.last_acked } else { &added });
         AckRecord {
             round,
             ts,
             destination: to,
             full,
-            accepted: if full { self.last_acked.clone() } else { added },
+            accepted,
         }
     }
 
@@ -590,12 +953,23 @@ impl<V: Value> GwtsProcess<V> {
                 if *round > self.safe_r {
                     return false;
                 }
-                let Some(full) = self.delta_rx.resolve(from, proposed) else {
-                    return true; // delta gap (Byzantine sender): drop
+                let (base, added) = match proposed {
+                    NamedUpdate::Full(set) => (None, set),
+                    NamedUpdate::Delta { base_ts, added } => {
+                        let Some(base) = self.delta_rx.base(from, *base_ts) else {
+                            return true; // delta gap (Byzantine sender): drop
+                        };
+                        (Some(base), added)
+                    }
                 };
-                if !self.safe(&full) {
+                // The base was SAFE when consumed; the additions once resolved.
+                let Some(added) = self.resolve(added) else {
                     return false;
-                }
+                };
+                let full = match base {
+                    Some(base) => base.join(&added),
+                    None => added,
+                };
                 let acked = self.accepted_set.is_subset(&full);
                 // A proposal equal to what is accepted takes that handle,
                 // so acks of equal proposals are rebuilt to one shared set.
@@ -623,7 +997,7 @@ impl<V: Value> GwtsProcess<V> {
                 // What is held that the proposal lacks: a refusal — or
                 // nothing, the receipt of a request whose ack is said
                 // already (module doc).
-                let accepted = self.accepted_set.difference(&full);
+                let accepted = self.name(&self.accepted_set.difference(&full));
                 self.accepted_set.join_with(&full);
                 ctx.send(
                     from,
@@ -650,15 +1024,14 @@ impl<V: Value> GwtsProcess<V> {
                 {
                     return true;
                 }
-                if self.state != GwtsState::Proposing
-                    || *round != self.round
-                    || *ts != self.ts
-                    || !self.safe(accepted)
-                {
+                if self.state != GwtsState::Proposing || *round != self.round || *ts != self.ts {
                     return false;
                 }
+                let Some(accepted) = self.resolve(accepted) else {
+                    return false;
+                };
                 if !accepted.is_subset(&self.proposed_set) {
-                    self.proposed_set.join_with(accepted);
+                    self.proposed_set.join_with(&accepted);
                     self.ts += 1;
                     *self.refinements.entry(self.round).or_insert(0) += 1;
                     self.send_ack_req(ctx);
@@ -672,59 +1045,105 @@ impl<V: Value> GwtsProcess<V> {
 
     /// Takes a reliably-delivered ack through its origin's stream:
     /// rebuilds it from the origin's previous ack unless it is full (or
-    /// leaves it waiting for that ack), absorbs it or parks it on the usual
-    /// guards, and goes on with the origin's acks that waited for this one.
+    /// leaves it waiting), absorbs it or parks it on the round guard, and
+    /// goes on with the origin's acks that waited for this one. An ack
+    /// waits for its predecessor, and for the batches it names: whatever
+    /// it waits for, the set it is to be rebuilt from stays kept for it.
     fn on_ack_delivered(&mut self, origin: ProcessId, mut tag: u64, mut rec: AckRecord<V>) {
         let head = self.ack_heads.get(&origin).filter(|head| head.0 == tag);
         let at_head = head.is_some();
         let mut base = match head {
             Some(head) => Some(head.1.clone()),
-            None => self.ack_bases.remove(&(origin, tag)),
+            None => self.ack_bases.get(&(origin, tag)).cloned(),
         };
+        // Whether `base` is the one kept for `tag` already.
+        let mut kept = true;
         loop {
-            let mut safe = false;
-            if !rec.full {
-                let Some(prev) = base else {
-                    self.ack_waiting.insert((origin, tag), rec);
-                    return;
-                };
-                let Some((set, held)) = self.rebuild_ack(&prev, &rec) else {
-                    if at_head {
-                        self.ack_heads.remove(&origin);
-                    }
-                    return; // no record: what follows waits for a full one
-                };
-                (rec.accepted, rec.full, safe) = (set, true, held);
+            let added = (rec.full || base.is_some()).then(|| self.resolve(&rec.accepted));
+            let Some(added) = added.flatten() else {
+                self.ack_waiting.insert((origin, tag), rec);
+                break;
+            };
+            if kept {
+                self.ack_bases.remove(&(origin, tag));
             }
-            if !self.try_absorb_ack(origin, &rec, safe) {
-                self.pending_acks.push((origin, rec.clone()));
+            let rebuilt = match &base {
+                Some(prev) if !rec.full => self.rebuild_ack(prev, &rec, added),
+                _ => Some(self.held_or(&rec, added)),
+            };
+            let Some(accepted) = rebuilt else {
+                if at_head {
+                    self.ack_heads.remove(&origin);
+                }
+                return; // no record: what follows waits for a full one
+            };
+            let ack = Ack {
+                round: rec.round,
+                ts: rec.ts,
+                destination: rec.destination,
+                accepted,
+            };
+            if !self.try_absorb_ack(origin, &ack) {
+                self.pending_acks.push((origin, ack.clone()));
             }
             let Some(next) = tag.checked_add(1) else {
                 return;
             };
-            let Some(waiting) = self.ack_waiting.remove(&(origin, next)) else {
-                return self.keep_ack_base(origin, next, rec.accepted, at_head);
+            (tag, base, kept) = (next, Some(ack.accepted), false);
+            let Some(waiting) = self.ack_waiting.remove(&(origin, tag)) else {
+                break;
             };
-            base = Some(rec.accepted);
-            (tag, rec) = (next, waiting);
+            rec = waiting;
+        }
+        if let (Some(set), false) = (base, kept) {
+            self.keep_ack_base(origin, tag, set, at_head);
         }
     }
 
-    /// The set of an ack that adds to `prev`, and whether it is known to
-    /// be SAFE; `None` if the additions overlap `prev` (one rule for all
-    /// keeps rebuilt acks identical everywhere). A process that consumed
-    /// the request the ack answers holds the set it must rebuild to:
-    /// confirming that allocates nothing, shares one handle among the acks
-    /// of a proposal, and the handle was SAFE when consumed.
-    fn rebuild_ack(&self, prev: &ValueSet<V>, rec: &AckRecord<V>) -> Option<(ValueSet<V>, bool)> {
-        let added = &rec.accepted;
+    /// Whether the origin's waiting ack `tag` can be rebuilt now.
+    fn rebuildable(&self, origin: ProcessId, tag: u64, rec: &AckRecord<V>) -> bool {
+        let has_base = || {
+            self.ack_heads
+                .get(&origin)
+                .is_some_and(|head| head.0 == tag)
+                || self.ack_bases.contains_key(&(origin, tag))
+        };
+        (rec.full || has_base()) && self.resolves(&rec.accepted)
+    }
+
+    /// The set of an ack that adds `added` to `prev`; `None` if they
+    /// overlap (one rule for all keeps rebuilt acks identical everywhere).
+    /// A process that consumed the request the ack answers holds the set
+    /// it must rebuild to: confirming that allocates nothing, and shares
+    /// one handle among the acks of a proposal.
+    fn rebuild_ack(
+        &self,
+        prev: &ValueSet<V>,
+        rec: &AckRecord<V>,
+        added: ValueSet<V>,
+    ) -> Option<ValueSet<V>> {
         if let Some(held) = self.delta_rx.base(rec.destination, rec.ts) {
-            if held.is_disjoint_union(prev, added) {
-                return Some((held.clone(), true));
+            if held.is_disjoint_union(prev, &added) {
+                return Some(held.clone());
             }
         }
-        let set = prev.join(added);
-        (set.len() == prev.len() + added.len()).then_some((set, false))
+        let set = prev.join(&added);
+        (set.len() == prev.len() + added.len()).then_some(set)
+    }
+
+    /// `set`, the whole set of the full record `rec`, as the handle of the
+    /// request it answers where this process consumed it.
+    fn held_or(&self, rec: &AckRecord<V>, set: ValueSet<V>) -> ValueSet<V> {
+        match self.delta_rx.base(rec.destination, rec.ts) {
+            Some(held) if *held == set => held.clone(),
+            _ => set,
+        }
+    }
+
+    /// Whether the origin's ack `tag` is delivered and no longer waits:
+    /// nothing is to be rebuilt from a set kept for it any more.
+    fn went(&self, origin: ProcessId, tag: u64) -> bool {
+        self.rb_ack.has_delivered(origin, tag) && !self.ack_waiting.contains_key(&(origin, tag))
     }
 
     /// Keeps `set`, just rebuilt, for its origin's ack `next`. The newest
@@ -732,15 +1151,19 @@ impl<V: Value> GwtsProcess<V> {
     /// unless this chain started from it. Below the head, `set` is only
     /// kept while `next` is to come (a full `next` went ahead without it).
     fn keep_ack_base(&mut self, origin: ProcessId, next: u64, set: ValueSet<V>, from_head: bool) {
-        match self.ack_heads.get_mut(&origin) {
+        match self.ack_heads.get(&origin) {
             Some(head) if next <= head.0 => {
-                if next < head.0 && !self.rb_ack.has_delivered(origin, next) {
+                if next < head.0 && !self.went(origin, next) {
                     self.ack_bases.insert((origin, next), set);
                 }
             }
             Some(head) if !from_head => {
-                let (tag, overtaken) = std::mem::replace(head, (next, set));
-                self.ack_bases.insert((origin, tag), overtaken);
+                let keep = !self.went(origin, head.0);
+                if let Some((tag, overtaken)) = self.ack_heads.insert(origin, (next, set)) {
+                    if keep {
+                        self.ack_bases.insert((origin, tag), overtaken);
+                    }
+                }
             }
             _ => {
                 self.ack_heads.insert(origin, (next, set));
@@ -748,10 +1171,9 @@ impl<V: Value> GwtsProcess<V> {
         }
     }
 
-    /// Absorbs a rebuilt ack record if safe (`safe`: known to be) and
-    /// trusted; `true` if consumed.
-    fn try_absorb_ack(&mut self, origin: ProcessId, rec: &AckRecord<V>, safe: bool) -> bool {
-        if rec.round > self.safe_r || !(safe || self.safe(&rec.accepted)) {
+    /// Absorbs a rebuilt ack record if trusted; `true` if consumed.
+    fn try_absorb_ack(&mut self, origin: ProcessId, rec: &Ack<V>) -> bool {
+        if rec.round > self.safe_r {
             return false;
         }
         if rec.destination == self.me {
@@ -783,21 +1205,32 @@ impl<V: Value> GwtsProcess<V> {
         self.pending_acks.retain(|(_, rec)| rec.round >= keep_from);
         // A waiting ack rebuilds its successor whatever its own round: it
         // goes once it is old *and* the successor no longer waits for it —
-        // was full, or went the same way just before.
+        // was full, or went the same way just before. Whatever was kept to
+        // rebuild it from goes with it.
         let mut gone = None;
         let mut dead = Vec::new();
         for (&(origin, tag), rec) in self.ack_waiting.iter().rev() {
             let next = (origin, tag.wrapping_add(1));
             let settled = gone == Some(next)
-                || !self.ack_waiting.contains_key(&next)
-                    && self.rb_ack.has_delivered(origin, next.1);
+                || match self.ack_waiting.get(&next) {
+                    Some(waiting) => waiting.full,
+                    None => self.rb_ack.has_delivered(origin, next.1),
+                };
             if rec.round < keep_from && settled {
                 gone = Some((origin, tag));
                 dead.push((origin, tag));
             }
         }
-        for at in dead {
-            self.ack_waiting.remove(&at);
+        for (origin, tag) in dead {
+            self.ack_waiting.remove(&(origin, tag));
+            self.ack_bases.remove(&(origin, tag));
+            if self
+                .ack_heads
+                .get(&origin)
+                .is_some_and(|head| head.0 == tag)
+            {
+                self.ack_heads.remove(&origin);
+            }
         }
     }
 
@@ -806,16 +1239,26 @@ impl<V: Value> GwtsProcess<V> {
         self.ack_history.values().map(BTreeMap::len).sum()
     }
 
-    /// Acks waiting for earlier ones of their origin (diagnostics: an old
-    /// one goes as soon as nothing can be rebuilt from it any more).
+    /// Acks waiting for earlier ones of their origin or for the batches
+    /// they name (diagnostics: an old one goes as soon as nothing can be
+    /// rebuilt from it any more).
     pub fn ack_waiting_len(&self) -> usize {
         self.ack_waiting.len()
     }
 
+    /// Everything parked on a guard: requests and refusals, acks waiting
+    /// to be rebuilt, and rebuilt acks waiting for their round to be
+    /// trusted (diagnostics: a finished honest run leaves none).
+    pub fn parked_len(&self) -> usize {
+        self.waiting.len() + self.ack_waiting.len() + self.pending_acks.len()
+    }
+
     /// Retries the parked messages until none is admissible. Call after a
     /// guard input moved (see [`Self::guards`]); at any other time every
-    /// parked message would fail the guard it failed before.
-    fn drain_waiting(&mut self, ctx: &mut Context<GwtsMsg<V>>) {
+    /// parked message would fail the guard it failed before. `tried` is
+    /// how many batches were delivered when the waiting acks were last
+    /// tried: only a delivered batch lets one of them be rebuilt.
+    fn drain_waiting(&mut self, ctx: &mut Context<GwtsMsg<V>>, mut tried: usize) {
         loop {
             let before = self.guards();
             let mut progressed = false;
@@ -827,10 +1270,24 @@ impl<V: Value> GwtsProcess<V> {
                 }
             }
             for (origin, rec) in std::mem::take(&mut self.pending_acks) {
-                if self.try_absorb_ack(origin, &rec, false) {
+                if self.try_absorb_ack(origin, &rec) {
                     progressed = true;
                 } else {
                     self.pending_acks.push((origin, rec));
+                }
+            }
+            // Acks that named a batch not delivered here before.
+            if tried != self.disclosed.len() {
+                tried = self.disclosed.len();
+                let ready: Vec<(ProcessId, u64)> = (self.ack_waiting.iter())
+                    .filter(|(&(origin, tag), rec)| self.rebuildable(origin, tag, rec))
+                    .map(|(&at, _)| at)
+                    .collect();
+                for (origin, tag) in ready {
+                    if let Some(rec) = self.ack_waiting.remove(&(origin, tag)) {
+                        self.on_ack_delivered(origin, tag, rec);
+                        progressed = true;
+                    }
                 }
             }
             if !progressed {
@@ -873,7 +1330,11 @@ impl<V: Value> Wire for GwtsProcess<V> {
             ack_bases,
             ack_waiting,
             batches,
-            svs_all,
+            disclosed,
+            // Derived: the union of `disclosed`, rebuilt by decode.
+            svs_all: _,
+            // Derived: rebuilt from `disclosed` by decode.
+            named_by: _,
             counters,
             proposed_set,
             accepted_set,
@@ -913,7 +1374,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
         ack_bases.encode(w);
         ack_waiting.encode(w);
         batches.encode(w);
-        svs_all.encode(w);
+        disclosed.encode(w);
         counters.encode(w);
         proposed_set.encode(w);
         accepted_set.encode(w);
@@ -929,7 +1390,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
         all_inputs.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(GwtsProcess {
+        let mut p = GwtsProcess {
             config: Wire::decode(r)?,
             me: r.usize()?,
             input_schedule: Wire::decode(r)?,
@@ -947,7 +1408,9 @@ impl<V: Value> Wire for GwtsProcess<V> {
             ack_bases: Wire::decode(r)?,
             ack_waiting: Wire::decode(r)?,
             batches: Wire::decode(r)?,
-            svs_all: Wire::decode(r)?,
+            disclosed: Wire::decode(r)?,
+            svs_all: ValueSet::new(),
+            named_by: BTreeMap::new(),
             counters: Wire::decode(r)?,
             proposed_set: Wire::decode(r)?,
             accepted_set: Wire::decode(r)?,
@@ -964,7 +1427,11 @@ impl<V: Value> Wire for GwtsProcess<V> {
             decision_depths: Wire::decode(r)?,
             refinements: Wire::decode(r)?,
             all_inputs: Wire::decode(r)?,
-        })
+        };
+        for (name, batch) in std::mem::take(&mut p.disclosed) {
+            p.disclose(name, batch);
+        }
+        Ok(p)
     }
 }
 
@@ -1008,7 +1475,7 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
             }
             // Whatever the snapshot parked is retried once now; after
             // this, only a moved guard triggers a retry.
-            self.drain_waiting(ctx);
+            self.drain_waiting(ctx, usize::MAX);
             return;
         }
         self.start_round(0, ctx);
@@ -1026,11 +1493,11 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
                     return; // an echo or ready that delivers nothing changes nothing
                 }
                 for d in dels {
-                    self.svs_all.join_with(&d.value);
                     *self.counters.entry(d.tag).or_insert(0) += 1;
                     if self.state == GwtsState::Disclosing {
                         self.proposed_set.join_with(&d.value);
                     }
+                    self.disclose((d.origin, d.tag), d.value);
                 }
                 self.maybe_start_proposing(ctx);
             }
@@ -1055,7 +1522,7 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
             }
         }
         if self.guards() != before {
-            self.drain_waiting(ctx);
+            self.drain_waiting(ctx, before.0);
         }
     }
 
@@ -1194,7 +1661,7 @@ mod tests {
         let mut ctx = Context::for_embedding(0, 4, 0, 0);
         p.on_start(&mut ctx);
         let request = GwtsMsg::AckReq {
-            proposed: SetUpdate::Full(ValueSet::new()),
+            proposed: NamedUpdate::Full(NamedSet::default()),
             ts: 1,
             round: 1,
         };
@@ -1213,7 +1680,7 @@ mod tests {
             ts: 1,
             destination: 1,
             full: true,
-            accepted: ValueSet::new(),
+            accepted: NamedSet::default(),
         };
         let (origin, tag) = (2, 0);
         let mut steps: Vec<(ProcessId, GwtsMsg<u64>, usize)> = Vec::new();
@@ -1256,7 +1723,7 @@ mod tests {
             ts: 1,
             destination: 1,
             full: true,
-            accepted: ValueSet::new(),
+            accepted: NamedSet::default(),
         };
         let ack = GwtsMsg::Ack(RbMsg::Init { tag: 0, value });
         let expected: Vec<_> = (0..4).map(|to| (to, ack.clone())).collect();
@@ -1370,8 +1837,13 @@ mod ack_stream_tests {
     /// `pending_acks`, a `Vec`, where a record rebuilt twice would show.
     const ROUND: u64 = 9;
 
+    /// A fresh process to which every value below 10 000 is SAFE: one
+    /// disclosed batch holds them all, and no ack holds it whole, so the
+    /// records of these tests spell their values out.
     fn process(me: ProcessId) -> GwtsProcess<u64> {
-        GwtsProcess::new(me, SystemConfig::new(4, 1), BTreeMap::new(), 12)
+        let mut p = GwtsProcess::new(me, SystemConfig::new(4, 1), BTreeMap::new(), 12);
+        p.disclose((3, 0), (0..10_000).collect());
+        p
     }
 
     pub(super) fn vs(v: &[u64]) -> ValueSet<u64> {
@@ -1384,7 +1856,7 @@ mod ack_stream_tests {
             ts,
             destination: 2,
             full,
-            accepted: vs(accepted),
+            accepted: vs(accepted).into(),
         }
     }
 
@@ -1414,7 +1886,15 @@ mod ack_stream_tests {
     /// What `rx` rebuilt, sorted by timestamp (the tests give every record
     /// of a stream its own).
     fn rebuilt(rx: &GwtsProcess<u64>) -> Vec<AckRecord<u64>> {
-        let mut got: Vec<_> = rx.pending_acks.iter().map(|(_, rec)| rec.clone()).collect();
+        let mut got: Vec<_> = (rx.pending_acks.iter())
+            .map(|(_, ack)| AckRecord {
+                round: ack.round,
+                ts: ack.ts,
+                destination: ack.destination,
+                full: true,
+                accepted: ack.accepted.clone().into(),
+            })
+            .collect();
         got.sort();
         got
     }
@@ -1430,7 +1910,7 @@ mod ack_stream_tests {
                 }
                 let sent = origin.next_ack(2, ts, ROUND);
                 let mut meant = sent.clone();
-                (meant.full, meant.accepted) = (true, origin.accepted_set.clone());
+                (meant.full, meant.accepted) = (true, origin.accepted_set.clone().into());
                 (sent, meant)
             })
             .collect()
@@ -1468,6 +1948,90 @@ mod ack_stream_tests {
         }
     }
 
+    /// Reliably delivers the disclosure `batch` of `(origin, round)` at
+    /// `rx`.
+    pub(super) fn disclose_at(
+        rx: &mut GwtsProcess<u64>,
+        (origin, round): BatchName,
+        batch: &ValueSet<u64>,
+    ) {
+        let mut ctx = Context::for_embedding(rx.me, 4, 0, 0);
+        for from in 1..=3 {
+            let (tag, value) = (round, batch.clone());
+            rx.on_message(
+                from,
+                GwtsMsg::Disc(RbMsg::Ready { origin, tag, value }),
+                &mut ctx,
+            );
+        }
+    }
+
+    /// The stream of an acceptor whose acks name what they add: deliveries
+    /// of its acks and of the disclosures they name interleave at random,
+    /// so acks arrive before their batches. Each ack is rebuilt exactly
+    /// once — none lost while it waits for a batch, none twice — and
+    /// nothing stays parked.
+    #[test]
+    fn ack_stream_reassembles_every_permutation_with_late_disclosures() {
+        let seeds = if cfg!(debug_assertions) { 48 } else { 512 };
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Batches of 1–3 values, rounds 1..=12 of proposers 0..4.
+            let batches: Vec<(BatchName, ValueSet<u64>)> = (0..4)
+                .flat_map(|o| (1..=12).map(move |r| (o, r)))
+                .map(|(o, r)| {
+                    let len = rng.gen_range(1..4u64);
+                    (
+                        (o, r),
+                        (0..len).map(|k| o as u64 * 1_000 + r * 10 + k).collect(),
+                    )
+                })
+                .collect();
+            let mut origin = GwtsProcess::new(ORIGIN, SystemConfig::new(4, 1), BTreeMap::new(), 12);
+            for (name, batch) in &batches {
+                origin.disclose(*name, batch.clone());
+            }
+            let mut order: Vec<usize> = (0..batches.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+            let mut accepted = order.into_iter();
+            let records: Vec<(AckRecord<u64>, AckRecord<u64>)> = (0..32)
+                .map(|ts| {
+                    for k in accepted.by_ref().take(rng.gen_range(0..3usize)) {
+                        origin.accepted_set.join_with(&batches[k].1);
+                    }
+                    let sent = origin.next_ack(2, ts, ROUND);
+                    let mut meant = sent.clone();
+                    (meant.full, meant.accepted) = (true, origin.accepted_set.clone().into());
+                    (sent, meant)
+                })
+                .collect();
+            assert!(records
+                .iter()
+                .any(|(sent, _)| !sent.accepted.names().is_empty()));
+            // Acks (`Ok`) and disclosures (`Err`), shuffled together.
+            let mut steps: Vec<Result<usize, usize>> = (0..records.len())
+                .map(Ok)
+                .chain((0..batches.len()).map(Err))
+                .collect();
+            for i in (1..steps.len()).rev() {
+                steps.swap(i, rng.gen_range(0..i + 1));
+            }
+            let mut rx = GwtsProcess::new(0, SystemConfig::new(4, 1), BTreeMap::new(), 12);
+            for step in steps {
+                match step {
+                    Ok(k) => deliver(&mut rx, k as u64, &records[k].0),
+                    Err(k) => disclose_at(&mut rx, batches[k].0, &batches[k].1),
+                }
+            }
+            let want: Vec<_> = records.iter().map(|(_, meant)| meant.clone()).collect();
+            assert_eq!(rebuilt(&rx), want, "seed {seed}");
+            let parked = rx.ack_waiting.len() + rx.ack_bases.len();
+            assert_eq!(parked, 0, "seed {seed}: left parked");
+        }
+    }
+
     #[test]
     fn ack_stream_resumes_at_a_full_record_whatever_is_missing() {
         let mut rx = process(0);
@@ -1491,7 +2055,7 @@ mod ack_stream_tests {
         rx.prune_old_rounds();
         assert_eq!((rx.ack_waiting.len(), rx.ack_bases.len()), (0, 1));
         deliver(&mut rx, 1, &record(false, 1, &[2]));
-        assert_eq!(rebuilt(&rx), [record(true, 1, &[1, 2])]);
+        assert!(rx.ack_history[&ROUND].contains_key(&vs(&[1, 2])));
         assert_eq!((rx.ack_waiting.len(), rx.ack_bases.len()), (0, 0));
         deliver(&mut rx, 6, &record(false, 6, &[7]));
         assert_eq!(rx.ack_heads[&ORIGIN], (7, vs(&[1, 2, 3, 4, 5, 6, 7])));
@@ -1511,7 +2075,7 @@ mod ack_stream_tests {
         rx.prune_old_rounds();
         assert_eq!(rx.ack_waiting.len(), 2);
         deliver(&mut rx, 1, &in_round(1, record(false, 1, &[2])));
-        assert!(rebuilt(&rx).contains(&in_round(5, record(true, 3, &[1, 2, 3, 4]))));
+        assert!(rx.ack_history[&5].contains_key(&vs(&[1, 2, 3, 4])));
     }
 
     /// Schedules that hold links back for rounds on end (found by a sweep
@@ -1588,7 +2152,7 @@ mod ack_stream_tests {
         }
         let proposed = vs(&[1, 2, 3]);
         let request = GwtsMsg::AckReq {
-            proposed: SetUpdate::Full(proposed.clone()),
+            proposed: NamedUpdate::Full(proposed.clone().into()),
             ts: 1,
             round: 0,
         };
@@ -1698,6 +2262,119 @@ mod ack_stream_tests {
 }
 
 #[cfg(test)]
+mod named_set_tests {
+    use super::ack_stream_tests::{deliver_from as deliver, disclose_at, vs};
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn process() -> GwtsProcess<u64> {
+        GwtsProcess::new(0, SystemConfig::new(4, 1), BTreeMap::new(), 12)
+    }
+
+    /// Whatever was disclosed — batches sharing values, one-value batches,
+    /// names longer than the values they stand for — a set costs at most
+    /// one byte more named than spelled out, and resolves to itself.
+    #[test]
+    fn a_named_set_costs_at_most_one_byte_more_and_resolves_to_itself() {
+        assert_eq!(
+            NamedSet::<u64>::default().wire_size(),
+            ValueSet::<u64>::new().wire_size() + 1
+        );
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut p = process();
+            for k in 0..24u64 {
+                let round = if k % 5 == 0 { u64::MAX - k } else { k };
+                let len = rng.gen_range(1..6usize);
+                let batch = (0..len).map(|_| rng.gen_range(0..40u64)).collect();
+                p.disclose((rng.gen_range(0..4usize), round), batch);
+            }
+            for _ in 0..32 {
+                let set: ValueSet<u64> = match rng.gen_range(0..3u8) {
+                    // Whole batches,
+                    0 => (p.disclosed.values())
+                        .filter(|_| rng.gen_bool(0.3))
+                        .fold(ValueSet::new(), |set, batch| set.join(batch)),
+                    // disclosed values,
+                    1 => (0..rng.gen_range(0..30usize))
+                        .map(|_| rng.gen_range(0..40u64))
+                        .collect(),
+                    // and values no batch holds.
+                    _ => (0..rng.gen_range(0..30usize))
+                        .map(|_| rng.gen_range(0..80u64))
+                        .collect(),
+                };
+                let named = p.name(&set);
+                assert!(
+                    named.wire_size() <= set.wire_size() + 1,
+                    "seed {seed}: {set:?}"
+                );
+                let safe = set.is_subset(&p.svs_all);
+                assert_eq!(p.resolve(&named), safe.then_some(set), "seed {seed}");
+            }
+        }
+    }
+
+    /// An ack that names a batch not delivered here waits, and stays the
+    /// base its origin's next ack is rebuilt from, however old its round
+    /// gets: pruned with its round, it would cost that origin its votes
+    /// until its next full record.
+    #[test]
+    fn an_ack_naming_an_undelivered_batch_waits_and_stays_a_base() {
+        let mut rx = process();
+        let batch = vs(&[5, 6]);
+        let named = NamedSet::new([(2, 1)].into(), ValueSet::new());
+        let rec = |ts, full, accepted| AckRecord {
+            round: 1,
+            ts,
+            destination: 3,
+            full,
+            accepted,
+        };
+        disclose_at(&mut rx, (3, 0), &vs(&[7]));
+        deliver(&mut rx, 1, 0, &rec(0, true, named));
+        deliver(&mut rx, 1, 1, &rec(1, false, vs(&[7]).into()));
+        assert_eq!(rx.ack_waiting_len(), 2);
+        (rx.round, rx.safe_r) = (5, 5);
+        rx.prune_old_rounds();
+        assert_eq!(rx.ack_waiting_len(), 2, "pruned what the next ack needs");
+        disclose_at(&mut rx, (2, 1), &batch);
+        assert_eq!(rx.ack_waiting_len(), 0);
+        assert_eq!(rx.ack_heads[&1], (2, vs(&[5, 6, 7])));
+        let decoded = decode_payload_of(&rx);
+        assert_eq!(decoded.ack_heads[&1], (2, vs(&[5, 6, 7])));
+    }
+
+    fn decode_payload_of(p: &GwtsProcess<u64>) -> GwtsProcess<u64> {
+        GwtsProcess::from_snapshot(&p.snapshot_bytes()).expect("restores")
+    }
+
+    /// A request that names a batch not delivered here parks on the guard
+    /// an unsafe request always parked on, and is answered once the batch
+    /// is delivered.
+    #[test]
+    fn a_request_naming_an_undelivered_batch_parks_until_it_is_delivered() {
+        let mut p = process();
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        let proposed = NamedUpdate::Full(NamedSet::new([(2, 0)].into(), ValueSet::new()));
+        let request = GwtsMsg::AckReq {
+            proposed,
+            ts: 1,
+            round: 0,
+        };
+        p.on_message(2, request, &mut ctx);
+        assert_eq!((p.waiting.len(), ctx.take_outbox().len()), (1, 0));
+        // A snapshot keeps the batches by name, and what parked.
+        let mut p = decode_payload_of(&p);
+        disclose_at(&mut p, (2, 0), &vs(&[4, 9]));
+        assert!(p.waiting.is_empty());
+        assert_eq!(p.accepted_set, vs(&[4, 9]));
+        assert_eq!(p.name(&vs(&[4, 9])).names(), [(2, 0)]);
+    }
+}
+
+#[cfg(test)]
 mod said_once_tests {
     use super::ack_stream_tests::{deliver_from as deliver, vs};
     use super::*;
@@ -1731,7 +2408,7 @@ mod said_once_tests {
         from: ProcessId,
         (set, ts, round): (&[u64], u64, u64),
     ) -> Sent {
-        let proposed = SetUpdate::Full(vs(set));
+        let proposed = NamedUpdate::Full(vs(set).into());
         p.on_message(
             from,
             GwtsMsg::AckReq {
@@ -1745,7 +2422,9 @@ mod said_once_tests {
         for (to, msg) in ctx.take_outbox() {
             match msg {
                 GwtsMsg::Ack(RbMsg::Init { value, .. }) if to == 0 => said.push(value),
-                GwtsMsg::Nack { accepted, .. } => nacks.push((to, accepted)),
+                GwtsMsg::Nack { accepted, .. } => {
+                    nacks.push((to, p.resolve(&accepted).expect("SAFE")));
+                }
                 _ => {}
             }
         }
@@ -1771,14 +2450,14 @@ mod said_once_tests {
         let said = said.unwrap();
         assert_eq!(
             (said.full, said.accepted, nacks.len()),
-            (false, vs(&[3]), 0)
+            (false, vs(&[3]).into(), 0)
         );
         // The same set in a round it was not said for: said (nothing new).
         p.safe_r = 1;
         let (said, _) = request(&mut p, &mut ctx, 1, (&[1, 2, 3], 3, 1));
         assert_eq!(
             said.map(|rec| (rec.round, rec.accepted)),
-            Some((1, vs(&[])))
+            Some((1, NamedSet::default()))
         );
         assert_eq!(p.acked_rounds, BTreeSet::from([0, 1]));
         let (said, nacks) = request(&mut p, &mut ctx, 2, (&[1, 2, 3], 4, 1));
@@ -1801,7 +2480,7 @@ mod said_once_tests {
         let said = said.unwrap();
         assert_eq!(
             (said.full, said.accepted, nacks.len()),
-            (true, vs(&[1, 2]), 0)
+            (true, vs(&[1, 2]).into(), 0)
         );
         assert_eq!(request(&mut q, &mut ctx, 2, (&[1, 2], 2, 0)).0, None);
     }
@@ -1826,7 +2505,7 @@ mod said_once_tests {
         assert_eq!((p.state, p.ts), (GwtsState::Proposing, 1));
         let full = SetUpdate::Full(vs(&[7, 8]));
         assert_eq!(p.delta_tx.encode_for(1, 2, &vs(&[7, 8])), full);
-        let (accepted, ts, round) = (vs(&[]), 1, 0);
+        let (accepted, ts, round) = (NamedSet::default(), 1, 0);
         p.on_message(
             1,
             GwtsMsg::Nack {
@@ -1841,7 +2520,7 @@ mod said_once_tests {
         let delta = SetUpdate::Delta { base_ts, added };
         assert_eq!(p.delta_tx.encode_for(1, 2, &vs(&[7, 8])), delta);
         // A receipt for a timestamp never used parks nothing either.
-        let (accepted, ts, round) = (vs(&[]), 9, 9);
+        let (accepted, ts, round) = (NamedSet::default(), 9, 9);
         p.on_message(
             1,
             GwtsMsg::Nack {
@@ -1862,7 +2541,7 @@ mod said_once_tests {
             ts,
             destination,
             full: true,
-            accepted: vs(accepted),
+            accepted: vs(accepted).into(),
         };
         // A Byzantine origin repeating one set under many requests: one vote.
         for (tag, (destination, ts)) in [(1, 1), (2, 1), (2, 5), (3, 9)].into_iter().enumerate() {
@@ -1952,7 +2631,8 @@ mod said_once_tests {
         assert_eq!(tap.inner.decisions.len(), rounds as usize);
         let (mut said, mut held) = (BTreeSet::new(), vec![0; n]);
         for (&(origin, tag), rec) in &tap.inits {
-            held[origin] = rec.accepted.len() + if rec.full { 0 } else { held[origin] };
+            let set = tap.inner.resolve(&rec.accepted).expect("delivered");
+            held[origin] = set.len() + if rec.full { 0 } else { held[origin] };
             assert!(
                 said.insert((origin, rec.round, held[origin])),
                 "p{origin} said its {}-value set twice for round {} (ack {tag})",

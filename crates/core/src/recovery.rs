@@ -23,7 +23,7 @@
 //! eager-proposing flag; such a snapshot must be rejected, not misread),
 //! and the trailing
 //! checksum makes truncation and bit-rot detectable before any field is
-//! parsed. The `version` field is [`bgla_codec::FRAME_VERSION`] (8); a
+//! parsed. The `version` field is [`bgla_codec::FRAME_VERSION`] (9); a
 //! snapshot written under any other payload layout carries another
 //! version and is rejected as `BadVersion`, never mis-parsed. Version 4
 //! made every length, id, round, timestamp and tag a varint: it
@@ -32,7 +32,9 @@
 //! proof's echoed request set once and a safe-ack reply without it, on
 //! the wire as in snapshots. Version 8 changes no layout, but each
 //! signature now covers its record's own encoding, so a record held in
-//! an older snapshot would fail verification after a restore. The
+//! an older snapshot would fail verification after a restore. Version 9
+//! names each delivered disclosure batch inside GWTS acks, requests and
+//! refusals, and a GWTS snapshot keeps those batches by name. The
 //! payload serializes the *durable* protocol state in declaration order
 //! (configuration, proposal/input schedule, phase, collected acks,
 //! retained proofs-of-safety, decisions). Volatile machinery —

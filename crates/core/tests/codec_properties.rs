@@ -19,7 +19,7 @@ use bgla_codec::{Wire, Writer};
 use bgla_core::gsbs::{
     DecidedCert, GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
 };
-use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
+use bgla_core::gwts::{AckRecord, BatchName, GwtsMsg, GwtsProcess, NamedSet, NamedUpdate};
 use bgla_core::provendelta::ProvenDeltaReceiver;
 use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
 use bgla_core::wts::{WtsMsg, WtsProcess};
@@ -290,7 +290,7 @@ proptest! {
             ts: seed,
             destination: 2,
             full: false,
-            accepted: vs(&[seed]),
+            accepted: vs(&[seed]).into(),
         };
         let mut ctx = Context::for_embedding(0, N, 0, 0);
         for from in 1..N {
@@ -451,12 +451,13 @@ proptest! {
         // Acks lie deeper than the pump goes. Both forms of a record
         // reject extension, and the marker is one of two bytes.
         for full in [true, false] {
+            let names = [(1, rounds), (2, 128 + u64::from(extra))].into();
             let value = AckRecord {
                 round: rounds,
                 ts: 1,
                 destination: 2,
                 full,
-                accepted: vs(&[1, 2 + u64::from(extra)]),
+                accepted: NamedSet::new(names, vs(&[1, 2 + u64::from(extra)])),
             };
             let mut bytes = encode_payload(&value);
             bytes[0] = 2 + extra % 254;
@@ -514,6 +515,81 @@ proptest! {
         for m in pump_messages(&mut procs, rounds) {
             assert_payload_rejects_extension(&m, &suffix);
             assert_padded_varints_rejected(&m);
+        }
+    }
+
+    /// A named set has one encoding: it round-trips at its cached size,
+    /// rejects extension and padded varints, and refuses names out of
+    /// order or repeated, values out of order, and every truncation.
+    #[test]
+    fn named_sets_have_one_encoding(
+        names: Vec<(u8, u64)>,
+        values: Vec<u64>,
+        base_ts: u64,
+        suffix: Vec<u8>,
+        extra: u8,
+    ) {
+        let mut suffix = suffix;
+        suffix.push(extra); // never empty
+        let names: BTreeSet<BatchName> =
+            names.into_iter().map(|(origin, round)| (usize::from(origin), round)).collect();
+        let named = NamedSet::new(names.clone(), vs(&values));
+        let bytes = encode_payload(&named);
+        prop_assert_eq!(bytes.len(), named.wire_size());
+        prop_assert_eq!(&decode_payload::<NamedSet<u64>>(&bytes).expect("decodes"), &named);
+        for update in [
+            NamedUpdate::Full(named.clone()),
+            NamedUpdate::Delta { base_ts, added: named.clone() },
+        ] {
+            assert_payload_rejects_extension(&update, &suffix);
+            assert_padded_varints_rejected(&update);
+        }
+        assert_payload_rejects_extension(&named, &suffix);
+        assert_padded_varints_rejected(&named);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_payload::<NamedSet<u64>>(&bytes[..cut]).is_err());
+        }
+        // The same parts, written in another order: refused.
+        let spell = |names: &[BatchName], values: &[u64]| {
+            let mut w = Writer::new();
+            w.usize(names.len());
+            for &(origin, round) in names {
+                w.usize(origin);
+                w.var(round);
+            }
+            w.usize(values.len());
+            for v in values {
+                v.encode(&mut w);
+            }
+            w.into_bytes()
+        };
+        let names: Vec<BatchName> = names.into_iter().collect();
+        let values: Vec<u64> = named.rest().iter().copied().collect();
+        prop_assert_eq!(&spell(&names, &values), &bytes);
+        if let [first, ..] = names[..] {
+            let mut repeated = names.clone();
+            repeated.insert(0, first);
+            let mut reversed = names.clone();
+            reversed.reverse();
+            let out_of_order = Some(CodecError::Invalid("batch names not strictly ascending"));
+            prop_assert_eq!(
+                decode_payload::<NamedSet<u64>>(&spell(&repeated, &values)).err(),
+                out_of_order.clone()
+            );
+            if names.len() > 1 {
+                prop_assert_eq!(
+                    decode_payload::<NamedSet<u64>>(&spell(&reversed, &values)).err(),
+                    out_of_order
+                );
+            }
+        }
+        if values.len() > 1 {
+            let mut reversed = values.clone();
+            reversed.reverse();
+            prop_assert_eq!(
+                decode_payload::<NamedSet<u64>>(&spell(&names, &reversed)).err(),
+                Some(CodecError::Invalid("value set not strictly ascending"))
+            );
         }
     }
 

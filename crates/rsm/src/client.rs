@@ -266,7 +266,7 @@ impl Process<RsmMsg> for GarbageClient {
         ctx.multicast(
             0..self.n_replicas,
             RsmMsg::Gwts(bgla_core::gwts::GwtsMsg::Nack {
-                accepted: ValueSet::new(),
+                accepted: bgla_core::gwts::NamedSet::default(),
                 ts: 999,
                 round: 999,
             }),

@@ -267,8 +267,7 @@ mod tests {
     use super::*;
     use crate::cmd::Op;
     use bgla_codec::{decode_payload, encode_payload};
-    use bgla_core::gwts::GwtsState;
-    use bgla_core::SetUpdate;
+    use bgla_core::gwts::{GwtsState, NamedSet, NamedUpdate};
 
     /// One message per variant, with commands of every op and counters on
     /// both sides of the one-byte varint boundary.
@@ -282,9 +281,9 @@ mod tests {
         .collect();
         vec![
             RsmMsg::Gwts(GwtsMsg::AckReq {
-                proposed: SetUpdate::Delta {
+                proposed: NamedUpdate::Delta {
                     base_ts: 127,
-                    added: cmds.clone(),
+                    added: NamedSet::new([(1, 0), (300, 128)].into(), cmds.clone()),
                 },
                 ts: 128,
                 round: 3,
@@ -427,7 +426,7 @@ mod tests {
         // A Byzantine client (id 5 >= n_replicas) tries to inject GWTS
         // traffic; the replica must not process it.
         let forged = GwtsMsg::Nack {
-            accepted: ValueSet::new(),
+            accepted: NamedSet::default(),
             ts: 0,
             round: 0,
         };

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example gwts_stream`
 
-use bgla::core::gwts::{GwtsMsg, GwtsProcess};
+use bgla::core::gwts::{GwtsMsg, GwtsProcess, NamedSet, NamedUpdate};
 use bgla::core::{spec, SystemConfig};
 use bgla::simnet::{Context, Process, RandomScheduler, SimulationBuilder};
 use std::any::Any;
@@ -18,7 +18,7 @@ impl Process<GwtsMsg<u64>> for RoundJumper {
     fn on_start(&mut self, ctx: &mut Context<GwtsMsg<u64>>) {
         for round in 5..20 {
             ctx.broadcast(GwtsMsg::AckReq {
-                proposed: bgla::core::SetUpdate::Full(bgla::core::ValueSet::new()),
+                proposed: NamedUpdate::Full(NamedSet::default()),
                 ts: round * 100,
                 round,
             });

@@ -4,7 +4,9 @@
 //! replay, mutate and fabricate protocol traffic — across many schedules
 //! and check that every safety property survives.
 
-use bgla::core::adversary::gwts::{AckStreamBreaker, BatchEquivocator, RoundJumper, SilentG};
+use bgla::core::adversary::gwts::{
+    AckStreamBreaker, BatchEquivocator, NameForger, RoundJumper, SilentG,
+};
 use bgla::core::adversary::ChaosMonkey;
 use bgla::core::gwts::GwtsProcess;
 use bgla::core::harness::{wts_report, wts_system_with_adversaries};
@@ -170,6 +172,70 @@ fn gwts_survives_ack_stream_breaker() {
             let p = sim.process_as::<GwtsProcess<u64>>(i).unwrap();
             assert_eq!(p.decisions.len(), rounds as usize, "seed {seed} p{i}");
             assert!(p.decisions.iter().all(|d| !d.contains(&666)), "seed {seed}");
+            seqs.push(p.decisions.clone());
+            inputs.push(p.all_inputs.clone());
+        }
+        spec::check_local_stability(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        spec::check_global_comparability(&seqs).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        spec::check_generalized_inclusivity(&inputs, &seqs)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+/// A forger of names costs its own votes and nothing else: every round is
+/// decided, neither of its equivocated batches is, and what waits on a
+/// name that never resolves is bounded — an ack goes once it is old and
+/// the forger's next full record has made it useless; a request waits for
+/// good, one per round the forger asks in, as a request for an unsafe
+/// value always did.
+#[test]
+fn gwts_survives_name_forger() {
+    for seed in 0..10u64 {
+        let (n, f, rounds) = (4usize, 1usize, 24u64);
+        let config = SystemConfig::new(n, f);
+        let mut b = SimulationBuilder::new().scheduler(Box::new(RandomScheduler::new(seed)));
+        for i in 0..3 {
+            let schedule = (0..rounds - 2)
+                .map(|r| {
+                    (
+                        r,
+                        vec![
+                            (i as u64 + 1) * 1000 + 2 * r,
+                            (i as u64 + 1) * 1000 + 2 * r + 1,
+                        ],
+                    )
+                })
+                .collect();
+            b = b.add(Box::new(GwtsProcess::new(i, config, schedule, rounds)));
+        }
+        let (a, bset) = ([666].into_iter().collect(), [777].into_iter().collect());
+        let mut sim = b.add(Box::new(NameForger::new(3, a, bset))).build();
+        sim.start();
+        let mut parked_max = 0;
+        while sim.step() {
+            for i in 0..3 {
+                let p = sim.process_as::<GwtsProcess<u64>>(i).unwrap();
+                parked_max = parked_max.max(p.ack_waiting_len());
+            }
+        }
+        let sent = sim.process_as::<NameForger<u64>>(3).unwrap().acks as usize;
+        let per_round = sent.div_ceil(rounds as usize);
+        assert!(
+            per_round >= 3 && (1..=4 * per_round).contains(&parked_max),
+            "seed {seed}: {parked_max} of the forger's {sent} records parked at once"
+        );
+        let mut seqs = Vec::new();
+        let mut inputs = Vec::new();
+        for i in 0..3 {
+            let p = sim.process_as::<GwtsProcess<u64>>(i).unwrap();
+            assert_eq!(p.decisions.len(), rounds as usize, "seed {seed} p{i}");
+            assert!(
+                p.parked_len() <= rounds as usize + 4 * per_round,
+                "seed {seed} p{i}"
+            );
+            for d in &p.decisions {
+                assert!(!d.contains(&666) && !d.contains(&777), "seed {seed} p{i}");
+            }
             seqs.push(p.decisions.clone());
             inputs.push(p.all_inputs.clone());
         }

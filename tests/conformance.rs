@@ -215,6 +215,31 @@ fn gwts_conformance_honest_and_adversarial() {
         &CheckerConfig::with_byzantine(n, f, &[3]),
         2,
     );
+
+    // Forged names: a batch never disclosed, its own equivocated batch,
+    // part of a batch proposed alone.
+    let mut build = |sched: Box<dyn Scheduler>| {
+        let mut b = SimulationBuilder::new().scheduler(sched);
+        for i in 0..n - 1 {
+            let schedule = (0..rounds - 2)
+                .map(|r| (r, vec![i as u64 * 100 + 2 * r, i as u64 * 100 + 2 * r + 1]))
+                .collect();
+            b = b.add(Box::new(GwtsProcess::new(i, config, schedule, rounds)));
+        }
+        b = b.add(Box::new(adversary::gwts::NameForger::new(
+            n - 1,
+            [91_004u64].into_iter().collect(),
+            [91_005u64].into_iter().collect(),
+        )));
+        b.build()
+    };
+    sweep(
+        "gwts/name-forger",
+        &mut build,
+        &|| gwts_observer(honest.clone(), ident),
+        &CheckerConfig::with_byzantine(n, f, &[3]),
+        2,
+    );
 }
 
 /// Three correct GWTS processes and an [`adversary::gwts::AckStreamBreaker`].

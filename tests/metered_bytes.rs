@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use bgla_codec::{encode_payload, Wire, Writer};
 use bgla_core::gsbs::{GSafeAck, GsbsMsg, GsbsProcess, ProvenBatch, SignedBatch};
-use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess};
+use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess, NamedSet, NamedUpdate};
 use bgla_core::sbs::{SbsMsg, SbsProcess};
 use bgla_core::wts::{WtsMsg, WtsProcess};
 use bgla_core::{Proof, ProofAck, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
@@ -234,15 +234,35 @@ fn every_update_and_ack_record_form_is_metered_exactly() {
                 added: set.clone(),
             };
             assert_eq!(encode_payload(&delta).len(), delta.wire_size());
-            for full in [true, false] {
-                let rec = AckRecord {
-                    round: at,
-                    ts: at / 3,
-                    destination: (at % 1000) as usize,
-                    full,
-                    accepted: set.clone(),
-                };
-                assert_eq!(encode_payload(&rec).len(), rec.wire_size());
+            // Named sets: no name, names on both sides of each varint
+            // length, and as many names as values.
+            let names = [
+                vec![],
+                vec![(0, at), ((at % 1000) as usize, at / 3), (127, 128)],
+                (0..set.len()).map(|k| (k, at)).collect(),
+            ];
+            for names in names {
+                let named = NamedSet::new(names.into_iter().collect(), set.clone());
+                assert_eq!(encode_payload(&named).len(), named.wire_size());
+                for update in [
+                    NamedUpdate::Full(named.clone()),
+                    NamedUpdate::Delta {
+                        base_ts: at,
+                        added: named.clone(),
+                    },
+                ] {
+                    assert_eq!(encode_payload(&update).len(), update.wire_size());
+                }
+                for full in [true, false] {
+                    let rec = AckRecord {
+                        round: at,
+                        ts: at / 3,
+                        destination: (at % 1000) as usize,
+                        full,
+                        accepted: named.clone(),
+                    };
+                    assert_eq!(encode_payload(&rec).len(), rec.wire_size());
+                }
             }
         }
     }
