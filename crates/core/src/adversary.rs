@@ -560,9 +560,9 @@ impl<V: Value> Process<WtsMsg<V>> for ChaosMonkey<V> {
 
 /// GWTS-specific adversaries.
 pub mod gwts {
-    use crate::gwts::{AckRecord, GwtsMsg, NamedSet, NamedUpdate};
+    use crate::gwts::{AckRecord, GwtsMsg, NamedSet};
     use crate::value::Value;
-    use crate::valueset::ValueSet;
+    use crate::valueset::{SetUpdate, ValueSet};
     use bgla_rbcast::RbMsg;
     use bgla_simnet::{Context, Process, ProcessId};
     use std::any::Any;
@@ -592,7 +592,7 @@ pub mod gwts {
         fn on_start(&mut self, ctx: &mut Context<GwtsMsg<V>>) {
             for round in 0..self.upto {
                 ctx.broadcast(GwtsMsg::AckReq {
-                    proposed: NamedUpdate::Full(NamedSet::default()),
+                    proposed: SetUpdate::Full(NamedSet::default()),
                     ts: 1_000 + round,
                     round,
                 });
@@ -687,7 +687,7 @@ pub mod gwts {
     impl<V: Value> Process<GwtsMsg<V>> for AckStreamBreaker<V> {
         fn on_message(&mut self, from: ProcessId, msg: GwtsMsg<V>, ctx: &mut Context<GwtsMsg<V>>) {
             let GwtsMsg::AckReq {
-                proposed: NamedUpdate::Full(set) | NamedUpdate::Delta { added: set, .. },
+                proposed: SetUpdate::Full(set) | SetUpdate::Delta { added: set, .. },
                 ts,
                 round,
             } = msg
@@ -797,7 +797,7 @@ pub mod gwts {
                     let part = NamedSet::from(ValueSet::singleton(first.clone()));
                     let never = NamedSet::default().and_name(self.never());
                     for (ts, set) in [(2 * round, part), (2 * round + 1, never)] {
-                        let proposed = NamedUpdate::Full(set);
+                        let proposed = SetUpdate::Full(set);
                         ctx.broadcast(GwtsMsg::AckReq {
                             proposed,
                             ts: 1_000 + ts,
@@ -806,7 +806,7 @@ pub mod gwts {
                     }
                 }
                 GwtsMsg::AckReq {
-                    proposed: NamedUpdate::Full(set) | NamedUpdate::Delta { added: set, .. },
+                    proposed: SetUpdate::Full(set) | SetUpdate::Delta { added: set, .. },
                     ts,
                     round,
                 } => {

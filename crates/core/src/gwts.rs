@@ -254,48 +254,6 @@ impl<V: Value> Wire for NamedSet<V> {
     }
 }
 
-/// An ack request's proposal: the whole set, or what it adds to the one
-/// the acceptor consumed at `base_ts` ([`crate::SetUpdate`]'s two forms,
-/// each set named).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum NamedUpdate<V: Value> {
-    /// The whole proposal.
-    Full(NamedSet<V>),
-    /// Only the additions to the proposal consumed at `base_ts`.
-    Delta {
-        /// Timestamp of the base proposal the acceptor holds.
-        base_ts: u64,
-        /// `proposal ∖ base`.
-        added: NamedSet<V>,
-    },
-}
-
-impl<V: Value> Wire for NamedUpdate<V> {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            NamedUpdate::Full(set) => {
-                w.u8(0);
-                set.encode(w);
-            }
-            NamedUpdate::Delta { base_ts, added } => {
-                w.u8(1);
-                w.var(*base_ts);
-                added.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(NamedUpdate::Full(Wire::decode(r)?)),
-            1 => Ok(NamedUpdate::Delta {
-                base_ts: r.var()?,
-                added: Wire::decode(r)?,
-            }),
-            _ => Err(CodecError::Invalid("set update tag")),
-        }
-    }
-}
-
 /// A reliably-broadcast acceptance record (the paper's
 /// `<ack, Accepted_set, destination, sender, ts, round>`; the sender is
 /// the authenticated rbcast origin). Deviation from Alg. 4: one record is
@@ -386,7 +344,7 @@ pub enum GwtsMsg<V: Value> {
     /// Proposer → acceptors.
     AckReq {
         /// Cumulative proposal (delta-encoded per acceptor), named.
-        proposed: NamedUpdate<V>,
+        proposed: SetUpdate<NamedSet<V>>,
         /// Refinement timestamp.
         ts: u64,
         /// Round.
@@ -550,11 +508,9 @@ pub struct GwtsProcess<V: Value> {
     batches: BTreeMap<u64, Vec<V>>,
     /// Every delivered disclosure by name: what a received name stands for.
     disclosed: BTreeMap<BatchName, ValueSet<V>>,
-    /// Union of all delivered disclosures (cumulative SvS; derived from
-    /// `disclosed`).
-    svs_all: ValueSet<V>,
-    /// The smallest name of a delivered batch holding each value in
-    /// `svs_all`: where naming a set starts (derived from `disclosed`).
+    /// Every delivered disclosed value (the cumulative SvS), by the
+    /// smallest name of a delivered batch holding it: what SAFE reads and
+    /// where naming a set starts (derived from `disclosed`).
     named_by: BTreeMap<V, BatchName>,
     /// Disclosure deliveries per round.
     counters: BTreeMap<u64, usize>,
@@ -622,7 +578,6 @@ impl<V: Value> GwtsProcess<V> {
             ack_waiting: BTreeMap::new(),
             batches: BTreeMap::new(),
             disclosed: BTreeMap::new(),
-            svs_all: ValueSet::new(),
             named_by: BTreeMap::new(),
             counters: BTreeMap::new(),
             proposed_set: ValueSet::new(),
@@ -688,7 +643,7 @@ impl<V: Value> GwtsProcess<V> {
 
     /// Everything a parked message's guard reads. None of it ever moves
     /// back (`disclosed` only grows, by one name per delivered batch,
-    /// whether or not the batch adds a value to `svs_all`; `Done` is
+    /// whether or not the batch adds a value to `named_by`; `Done` is
     /// terminal), so an unchanged tuple means no parked message became
     /// admissible.
     fn guards(&self) -> (usize, u64, u64, u64, GwtsState) {
@@ -755,17 +710,17 @@ impl<V: Value> GwtsProcess<V> {
     fn resolves(&self, named: &NamedSet<V>) -> bool {
         let NamedParts { names, rest, .. } = &*named.0;
         names.iter().all(|name| self.disclosed.contains_key(name))
-            && rest.iter().all(|v| self.svs_all.contains(v))
+            && rest.iter().all(|v| self.named_by.contains_key(v))
     }
 
     /// The set `named` stands for, once every batch it names is delivered
     /// here and every value it spells out is SAFE here — so the set is
-    /// SAFE by construction, and no walk of `svs_all` is needed. `None`
-    /// until then: it holds a value that is not SAFE here yet, and the
-    /// message waits where unsafe ones always waited.
+    /// SAFE by construction, and no walk of the disclosed values is
+    /// needed. `None` until then: it holds a value that is not SAFE here
+    /// yet, and the message waits where unsafe ones always waited.
     fn resolve(&self, named: &NamedSet<V>) -> Option<ValueSet<V>> {
         let NamedParts { names, rest, .. } = &*named.0;
-        if !rest.iter().all(|v| self.svs_all.contains(v)) {
+        if !rest.iter().all(|v| self.named_by.contains_key(v)) {
             return None;
         }
         let mut batches = Vec::with_capacity(names.len());
@@ -790,7 +745,6 @@ impl<V: Value> GwtsProcess<V> {
 
     /// Takes in the delivered disclosure `batch` of `name`.
     fn disclose(&mut self, name: BatchName, batch: ValueSet<V>) {
-        self.svs_all.join_with(&batch);
         for v in batch.iter() {
             let by = self.named_by.entry(v.clone()).or_insert(name);
             *by = (*by).min(name);
@@ -848,13 +802,7 @@ impl<V: Value> GwtsProcess<V> {
             }
         };
         for (to, update) in updates.into_iter().enumerate() {
-            let proposed = match update {
-                SetUpdate::Full(set) => NamedUpdate::Full(name(set)),
-                SetUpdate::Delta { base_ts, added } => NamedUpdate::Delta {
-                    base_ts,
-                    added: name(added),
-                },
-            };
+            let proposed = update.map(&mut name);
             ctx.send(
                 to,
                 GwtsMsg::AckReq {
@@ -954,8 +902,8 @@ impl<V: Value> GwtsProcess<V> {
                     return false;
                 }
                 let (base, added) = match proposed {
-                    NamedUpdate::Full(set) => (None, set),
-                    NamedUpdate::Delta { base_ts, added } => {
+                    SetUpdate::Full(set) => (None, set),
+                    SetUpdate::Delta { base_ts, added } => {
                         let Some(base) = self.delta_rx.base(from, *base_ts) else {
                             return true; // delta gap (Byzantine sender): drop
                         };
@@ -1331,8 +1279,6 @@ impl<V: Value> Wire for GwtsProcess<V> {
             ack_waiting,
             batches,
             disclosed,
-            // Derived: the union of `disclosed`, rebuilt by decode.
-            svs_all: _,
             // Derived: rebuilt from `disclosed` by decode.
             named_by: _,
             counters,
@@ -1409,7 +1355,6 @@ impl<V: Value> Wire for GwtsProcess<V> {
             ack_waiting: Wire::decode(r)?,
             batches: Wire::decode(r)?,
             disclosed: Wire::decode(r)?,
-            svs_all: ValueSet::new(),
             named_by: BTreeMap::new(),
             counters: Wire::decode(r)?,
             proposed_set: Wire::decode(r)?,
@@ -1661,7 +1606,7 @@ mod tests {
         let mut ctx = Context::for_embedding(0, 4, 0, 0);
         p.on_start(&mut ctx);
         let request = GwtsMsg::AckReq {
-            proposed: NamedUpdate::Full(NamedSet::default()),
+            proposed: SetUpdate::Full(NamedSet::default()),
             ts: 1,
             round: 1,
         };
@@ -1860,6 +1805,11 @@ mod ack_stream_tests {
         }
     }
 
+    /// One round's ack history holding `set`, acked by [`ORIGIN`] alone.
+    fn by_origin(set: &[u64]) -> BTreeMap<ValueSet<u64>, BTreeSet<ProcessId>> {
+        BTreeMap::from([(vs(set), BTreeSet::from([ORIGIN]))])
+    }
+
     /// Reliably delivers `rec` as `(origin, tag)` at `rx`: readies from
     /// `2f + 1` processes.
     pub(super) fn deliver_from(
@@ -2054,8 +2004,12 @@ mod ack_stream_tests {
         (rx.round, rx.safe_r) = (ROUND + 1, ROUND + 2);
         rx.prune_old_rounds();
         assert_eq!((rx.ack_waiting.len(), rx.ack_bases.len()), (0, 1));
+        assert_eq!(rebuilt(&rx), []);
+        // Its round is trusted now: record 1 is rebuilt into the history,
+        // once, and into nothing else.
         deliver(&mut rx, 1, &record(false, 1, &[2]));
-        assert!(rx.ack_history[&ROUND].contains_key(&vs(&[1, 2])));
+        assert_eq!(rebuilt(&rx), []);
+        assert_eq!(rx.ack_history[&ROUND], by_origin(&[1, 2]));
         assert_eq!((rx.ack_waiting.len(), rx.ack_bases.len()), (0, 0));
         deliver(&mut rx, 6, &record(false, 6, &[7]));
         assert_eq!(rx.ack_heads[&ORIGIN], (7, vs(&[1, 2, 3, 4, 5, 6, 7])));
@@ -2074,8 +2028,10 @@ mod ack_stream_tests {
         (rx.round, rx.safe_r) = (5, 6);
         rx.prune_old_rounds();
         assert_eq!(rx.ack_waiting.len(), 2);
+        assert_eq!(rebuilt(&rx), []);
         deliver(&mut rx, 1, &in_round(1, record(false, 1, &[2])));
-        assert!(rx.ack_history[&5].contains_key(&vs(&[1, 2, 3, 4])));
+        assert_eq!(rebuilt(&rx), []);
+        assert_eq!(rx.ack_history[&5], by_origin(&[1, 2, 3, 4]));
     }
 
     /// Schedules that hold links back for rounds on end (found by a sweep
@@ -2152,7 +2108,7 @@ mod ack_stream_tests {
         }
         let proposed = vs(&[1, 2, 3]);
         let request = GwtsMsg::AckReq {
-            proposed: NamedUpdate::Full(proposed.clone().into()),
+            proposed: SetUpdate::Full(proposed.clone().into()),
             ts: 1,
             round: 0,
         };
@@ -2310,7 +2266,7 @@ mod named_set_tests {
                     named.wire_size() <= set.wire_size() + 1,
                     "seed {seed}: {set:?}"
                 );
-                let safe = set.is_subset(&p.svs_all);
+                let safe = set.iter().all(|v| p.named_by.contains_key(v));
                 assert_eq!(p.resolve(&named), safe.then_some(set), "seed {seed}");
             }
         }
@@ -2357,7 +2313,7 @@ mod named_set_tests {
     fn a_request_naming_an_undelivered_batch_parks_until_it_is_delivered() {
         let mut p = process();
         let mut ctx = Context::for_embedding(0, 4, 0, 0);
-        let proposed = NamedUpdate::Full(NamedSet::new([(2, 0)].into(), ValueSet::new()));
+        let proposed = SetUpdate::Full(NamedSet::new([(2, 0)].into(), ValueSet::new()));
         let request = GwtsMsg::AckReq {
             proposed,
             ts: 1,
@@ -2408,7 +2364,7 @@ mod said_once_tests {
         from: ProcessId,
         (set, ts, round): (&[u64], u64, u64),
     ) -> Sent {
-        let proposed = NamedUpdate::Full(vs(set).into());
+        let proposed = SetUpdate::Full(vs(set).into());
         p.on_message(
             from,
             GwtsMsg::AckReq {

@@ -739,7 +739,11 @@ impl<A: ProofAck> ProvenDeltaSender<A> {
             .collect()
     }
 
-    fn by_reference(&self, to: ProcessId, update: SetUpdate<Proven<A>>) -> ProvenUpdate<A> {
+    fn by_reference(
+        &self,
+        to: ProcessId,
+        update: SetUpdate<ValueSet<Proven<A>>>,
+    ) -> ProvenUpdate<A> {
         match update {
             SetUpdate::Full(set) => ProvenUpdate::Table(ProvenTable::new(None, &set, |_| false)),
             SetUpdate::Delta { base_ts, added } => delta_for(&self.known_held, to, base_ts, &added),

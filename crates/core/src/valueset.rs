@@ -499,7 +499,7 @@ impl<T: SetItem> Wire for ValueSet<T> {
     }
 }
 
-impl<T: SetItem> Wire for SetUpdate<T> {
+impl<S: Wire> Wire for SetUpdate<S> {
     fn encode(&self, w: &mut Writer) {
         match self {
             SetUpdate::Full(set) => {
@@ -515,10 +515,10 @@ impl<T: SetItem> Wire for SetUpdate<T> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
-            0 => Ok(SetUpdate::Full(ValueSet::decode(r)?)),
+            0 => Ok(SetUpdate::Full(S::decode(r)?)),
             1 => Ok(SetUpdate::Delta {
                 base_ts: r.var()?,
-                added: ValueSet::decode(r)?,
+                added: S::decode(r)?,
             }),
             _ => Err(CodecError::Invalid("set update tag")),
         }
@@ -531,22 +531,37 @@ impl<T: SetItem> Wire for SetUpdate<T> {
 
 /// A proposal payload: either the full set or only the elements added
 /// since a base the receiver is known to hold. See the module docs for
-/// the wire format.
+/// the wire format. Generic over how a set travels: the ledgers build
+/// `SetUpdate<ValueSet<T>>`, and GWTS sends each set named
+/// (`SetUpdate<gwts::NamedSet<V>>`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SetUpdate<T: SetItem> {
+pub enum SetUpdate<S> {
     /// The whole set (first contact / gap fallback).
-    Full(ValueSet<T>),
+    Full(S),
     /// Only the additions relative to the proposal this receiver
     /// consumed at `base_ts`.
     Delta {
         /// Timestamp of the base proposal the receiver already holds.
         base_ts: u64,
         /// `current ∖ base`.
-        added: ValueSet<T>,
+        added: S,
     },
 }
 
-impl<T: SetItem> SetUpdate<T> {
+impl<S> SetUpdate<S> {
+    /// The same update with its set carried as `f` makes it.
+    pub fn map<R>(self, f: impl FnOnce(S) -> R) -> SetUpdate<R> {
+        match self {
+            SetUpdate::Full(set) => SetUpdate::Full(f(set)),
+            SetUpdate::Delta { base_ts, added } => SetUpdate::Delta {
+                base_ts,
+                added: f(added),
+            },
+        }
+    }
+}
+
+impl<T: SetItem> SetUpdate<ValueSet<T>> {
     /// Number of elements carried (diagnostics).
     pub fn carried(&self) -> usize {
         match self {
@@ -636,14 +651,24 @@ impl<T: SetItem> DeltaSender<T> {
     /// when the base is too far behind for the receiver to still hold
     /// it (see `BASE_WINDOW` — this bound is what makes a
     /// receiver-side gap a reliable Byzantine signal).
-    pub fn encode_for(&self, to: ProcessId, ts: u64, current: &ValueSet<T>) -> SetUpdate<T> {
+    pub fn encode_for(
+        &self,
+        to: ProcessId,
+        ts: u64,
+        current: &ValueSet<T>,
+    ) -> SetUpdate<ValueSet<T>> {
         self.encode_with(to, ts, current, &mut Vec::new())
     }
 
     /// [`Self::encode_for`] for every acceptor `0..n` of one broadcast,
     /// indexed by acceptor. Acceptors on the same base share one set of
     /// additions: the difference is taken once per distinct base.
-    pub fn encode_broadcast(&self, n: usize, ts: u64, current: &ValueSet<T>) -> Vec<SetUpdate<T>> {
+    pub fn encode_broadcast(
+        &self,
+        n: usize,
+        ts: u64,
+        current: &ValueSet<T>,
+    ) -> Vec<SetUpdate<ValueSet<T>>> {
         let mut added_since = Vec::new();
         (0..n)
             .map(|to| self.encode_with(to, ts, current, &mut added_since))
@@ -659,7 +684,7 @@ impl<T: SetItem> DeltaSender<T> {
         ts: u64,
         current: &ValueSet<T>,
         added_since: &mut Vec<(u64, ValueSet<T>)>,
-    ) -> SetUpdate<T> {
+    ) -> SetUpdate<ValueSet<T>> {
         let base = self
             .last_replied
             .get(&to)
@@ -701,7 +726,7 @@ impl<T: SetItem> DeltaReceiver<T> {
     /// Resolves an update from `from` into the full proposal. `None`
     /// means a detected gap: a delta whose base we do not hold (only
     /// Byzantine senders produce these — drop the message).
-    pub fn resolve(&self, from: ProcessId, update: &SetUpdate<T>) -> Option<ValueSet<T>> {
+    pub fn resolve(&self, from: ProcessId, update: &SetUpdate<ValueSet<T>>) -> Option<ValueSet<T>> {
         match update {
             SetUpdate::Full(set) => Some(set.clone()),
             SetUpdate::Delta { base_ts, added } => {

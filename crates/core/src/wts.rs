@@ -51,7 +51,7 @@ pub enum WtsMsg<V: Value> {
     /// `Proposed_set`, tagged with the proposer's refinement timestamp.
     AckReq {
         /// Current `Proposed_set` (full on first contact, delta after).
-        proposed: SetUpdate<V>,
+        proposed: SetUpdate<ValueSet<V>>,
         /// Refinement timestamp `ts`.
         ts: u64,
     },

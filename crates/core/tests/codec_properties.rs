@@ -19,7 +19,7 @@ use bgla_codec::{Wire, Writer};
 use bgla_core::gsbs::{
     DecidedCert, GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
 };
-use bgla_core::gwts::{AckRecord, BatchName, GwtsMsg, GwtsProcess, NamedSet, NamedUpdate};
+use bgla_core::gwts::{AckRecord, BatchName, GwtsMsg, GwtsProcess, NamedSet};
 use bgla_core::provendelta::ProvenDeltaReceiver;
 use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
 use bgla_core::wts::{WtsMsg, WtsProcess};
@@ -180,14 +180,14 @@ proptest! {
     /// Both `SetUpdate` variants round-trip through a frame.
     #[test]
     fn setupdate_frame_roundtrip(a: Vec<u64>, b: Vec<u64>, base_ts: u64, full: bool) {
-        let update: SetUpdate<u64> = if full {
+        let update: SetUpdate<ValueSet<u64>> = if full {
             SetUpdate::Full(vs(&a))
         } else {
             SetUpdate::Delta { base_ts, added: vs(&b) }
         };
         let frame = encode_frame(TEST_KIND, &update);
         prop_assert_eq!(verify_frame(&frame).expect("frame verifies"), TEST_KIND);
-        let back: SetUpdate<u64> = decode_frame(TEST_KIND, &frame).expect("frame decodes");
+        let back: SetUpdate<ValueSet<u64>> = decode_frame(TEST_KIND, &frame).expect("frame decodes");
         prop_assert_eq!(encode_frame(TEST_KIND, &back), frame);
     }
 
@@ -538,8 +538,8 @@ proptest! {
         prop_assert_eq!(bytes.len(), named.wire_size());
         prop_assert_eq!(&decode_payload::<NamedSet<u64>>(&bytes).expect("decodes"), &named);
         for update in [
-            NamedUpdate::Full(named.clone()),
-            NamedUpdate::Delta { base_ts, added: named.clone() },
+            SetUpdate::Full(named.clone()),
+            SetUpdate::Delta { base_ts, added: named.clone() },
         ] {
             assert_payload_rejects_extension(&update, &suffix);
             assert_padded_varints_rejected(&update);

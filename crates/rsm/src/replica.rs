@@ -267,7 +267,8 @@ mod tests {
     use super::*;
     use crate::cmd::Op;
     use bgla_codec::{decode_payload, encode_payload};
-    use bgla_core::gwts::{GwtsState, NamedSet, NamedUpdate};
+    use bgla_core::gwts::{GwtsState, NamedSet};
+    use bgla_core::SetUpdate;
 
     /// One message per variant, with commands of every op and counters on
     /// both sides of the one-byte varint boundary.
@@ -281,7 +282,7 @@ mod tests {
         .collect();
         vec![
             RsmMsg::Gwts(GwtsMsg::AckReq {
-                proposed: NamedUpdate::Delta {
+                proposed: SetUpdate::Delta {
                     base_ts: 127,
                     added: NamedSet::new([(1, 0), (300, 128)].into(), cmds.clone()),
                 },

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example gwts_stream`
 
-use bgla::core::gwts::{GwtsMsg, GwtsProcess, NamedSet, NamedUpdate};
-use bgla::core::{spec, SystemConfig};
+use bgla::core::gwts::{GwtsMsg, GwtsProcess, NamedSet};
+use bgla::core::{spec, SetUpdate, SystemConfig};
 use bgla::simnet::{Context, Process, RandomScheduler, SimulationBuilder};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -18,7 +18,7 @@ impl Process<GwtsMsg<u64>> for RoundJumper {
     fn on_start(&mut self, ctx: &mut Context<GwtsMsg<u64>>) {
         for round in 5..20 {
             ctx.broadcast(GwtsMsg::AckReq {
-                proposed: NamedUpdate::Full(NamedSet::default()),
+                proposed: SetUpdate::Full(NamedSet::default()),
                 ts: round * 100,
                 round,
             });

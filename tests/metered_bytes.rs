@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use bgla_codec::{encode_payload, Wire, Writer};
 use bgla_core::gsbs::{GSafeAck, GsbsMsg, GsbsProcess, ProvenBatch, SignedBatch};
-use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess, NamedSet, NamedUpdate};
+use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess, NamedSet};
 use bgla_core::sbs::{SbsMsg, SbsProcess};
 use bgla_core::wts::{WtsMsg, WtsProcess};
 use bgla_core::{Proof, ProofAck, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
@@ -245,8 +245,8 @@ fn every_update_and_ack_record_form_is_metered_exactly() {
                 let named = NamedSet::new(names.into_iter().collect(), set.clone());
                 assert_eq!(encode_payload(&named).len(), named.wire_size());
                 for update in [
-                    NamedUpdate::Full(named.clone()),
-                    NamedUpdate::Delta {
+                    SetUpdate::Full(named.clone()),
+                    SetUpdate::Delta {
                         base_ts: at,
                         added: named.clone(),
                     },
