@@ -3,14 +3,14 @@
 //! once per process, and a proof restored from a snapshot once more.
 //! Asserted through the work counters on `CachedVerifier`
 //! ([`bgla_crypto::VerifierStats`]). The same counters pin what an
-//! honest GSbS run spends now that signed records are held until a
+//! honest SbS or GSbS run spends now that signed records are held until a
 //! threshold's worth has arrived and verified in one batch
 //! (`bgla_core::held`).
 
 use bgla_core::gsbs::{
     DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
 };
-use bgla_core::harness::gsbs_system;
+use bgla_core::harness::{gsbs_system, sbs_system};
 use bgla_core::proof::Proof;
 use bgla_core::provendelta::ProvenUpdate;
 use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
@@ -463,6 +463,50 @@ fn honest_gsbs_verifies_at_quorum() {
         // And no signature is checked twice: fewer checks in all.
         assert!(
             singles + batched <= singles_on_arrival + batched_on_arrival,
+            "seed {seed}"
+        );
+    }
+}
+
+/// Crypto work of an honest `n = 7`, `f = 2` SbS run under a random
+/// schedule, summed over the processes.
+fn honest_sbs_n7(seed: u64) -> VerifierStats {
+    let (mut sim, config) = sbs_system(
+        7,
+        2,
+        |i| 100 + i as u64,
+        Box::new(RandomScheduler::new(seed)),
+    );
+    assert!(sim.run(50_000_000).quiescent, "seed {seed}");
+    let mut total = VerifierStats::default();
+    for i in 0..config.n {
+        let p = sim.process_as::<SbsProcess<u64>>(i).unwrap();
+        assert!(p.decision.is_some(), "seed {seed} p{i}");
+        let s = p.verifier_stats();
+        total.single_verifications += s.single_verifications;
+        total.batch_verifications += s.batch_verifications;
+        total.batched_signatures += s.batched_signatures;
+    }
+    total
+}
+
+/// The SbS twin of [`honest_gsbs_verifies_at_quorum`]: held inits and
+/// safe-acks are verified at their thresholds and each proof once per
+/// process, so the summed counts of three seeded honest runs are fixed.
+/// A change to when or how SbS verifies moves them.
+#[test]
+fn honest_sbs_verifies_at_quorum() {
+    // Per seed: (single verifications, batch verifications, signatures
+    // in batches).
+    let pins = [(3, (11, 52, 217)), (4, (4, 60, 248)), (5, (13, 52, 215))];
+    for (seed, (singles, batches, batched)) in pins {
+        assert_eq!(
+            honest_sbs_n7(seed),
+            VerifierStats {
+                single_verifications: singles,
+                batch_verifications: batches,
+                batched_signatures: batched,
+            },
             "seed {seed}"
         );
     }
