@@ -839,7 +839,8 @@ pub mod gwts {
 pub mod sbs {
     use crate::proof::{Proof, ProofAck};
     use crate::provendelta::ProvenUpdate;
-    use crate::sbs::{ProvenValue, SafeAckBody, SbsMsg, SignedSafeAck, SignedValue};
+    use crate::safetying::SafeAck;
+    use crate::sbs::{ProvenValue, SbsMsg, SignedValue};
     use crate::value::Value;
     use crate::valueset::ValueSet;
     use bgla_crypto::{Keypair, ProofIdBuilder};
@@ -896,11 +897,7 @@ pub mod sbs {
             let kp = Keypair::for_process(self.me);
             let sv = SignedValue::sign(self.value.clone(), self.me, &kp);
             // A "proof" of one self-signed ack, repeated.
-            let body = SafeAckBody {
-                rcvd: [sv.clone()].into_iter().collect(),
-                conflicts: vec![],
-            };
-            let ack = SignedSafeAck::sign(body, self.me, &kp);
+            let ack = SafeAck::sign((), [sv.clone()].into_iter().collect(), vec![], self.me, &kp);
             let proof = Proof::new(vec![ack.clone(), ack.clone(), ack]);
             let proposed: ValueSet<ProvenValue<V>> =
                 [ProvenValue { signed: sv, proof }].into_iter().collect();
@@ -919,11 +916,8 @@ pub mod sbs {
             if let SbsMsg::AckReq { ts, .. } = msg {
                 let kp = Keypair::for_process(self.me);
                 let sv = SignedValue::sign(self.value.clone(), self.me, &kp);
-                let body = SafeAckBody {
-                    rcvd: [sv.clone()].into_iter().collect(),
-                    conflicts: vec![],
-                };
-                let ack = SignedSafeAck::sign(body, self.me, &kp);
+                let ack =
+                    SafeAck::sign((), [sv.clone()].into_iter().collect(), vec![], self.me, &kp);
                 let accepted: ValueSet<ProvenValue<V>> = [ProvenValue {
                     signed: sv,
                     proof: Proof::new(vec![ack]),
@@ -976,11 +970,7 @@ pub mod sbs {
         fn forged_set(&self) -> ValueSet<ProvenValue<V>> {
             let kp = Keypair::for_process(self.me);
             let sv = SignedValue::sign(self.value.clone(), self.me, &kp);
-            let body = SafeAckBody {
-                rcvd: [sv.clone()].into_iter().collect(),
-                conflicts: vec![],
-            };
-            let ack = SignedSafeAck::sign(body, self.me, &kp);
+            let ack = SafeAck::sign((), [sv.clone()].into_iter().collect(), vec![], self.me, &kp);
             [ProvenValue {
                 signed: sv,
                 proof: Proof::new(vec![ack]),
@@ -1086,11 +1076,8 @@ pub mod sbs {
                 return;
             }
             if let SbsMsg::SafeReq(rcvd) = msg {
-                let body = SafeAckBody {
-                    rcvd,
-                    conflicts: vec![],
-                };
-                let mut ack = SignedSafeAck::sign(body, self.me, &Keypair::for_process(self.me));
+                let mut ack =
+                    SafeAck::sign((), rcvd, vec![], self.me, &Keypair::for_process(self.me));
                 super::corrupt(&mut ack.sig);
                 ctx.send(from, SbsMsg::SafeAck(ack.reply()));
                 ctx.send(from, SbsMsg::SafeAck(ack.reply()));
@@ -1119,17 +1106,15 @@ pub mod sbs {
                 return;
             }
             if let SbsMsg::SafeReq(set) = msg {
-                let body = SafeAckBody {
-                    rcvd: set
-                        .iter()
-                        .take(set.len().saturating_sub(1))
-                        .cloned()
-                        .collect(),
-                    conflicts: vec![],
-                };
-                let ack = SignedSafeAck::sign(body, self.me, &Keypair::for_process(self.me));
-                ctx.send(from, SbsMsg::SafeAck(ack.reply()));
-                ctx.send(from, SbsMsg::SafeAck(ack.reply()));
+                let other = set
+                    .iter()
+                    .take(set.len().saturating_sub(1))
+                    .cloned()
+                    .collect();
+                let kp = Keypair::for_process(self.me);
+                let reply = SafeAck::sign((), other, vec![], self.me, &kp).reply();
+                ctx.send(from, SbsMsg::SafeAck(reply.clone()));
+                ctx.send(from, SbsMsg::SafeAck(reply));
             }
         }
         fn as_any(&self) -> &dyn Any {
@@ -1160,9 +1145,10 @@ pub mod sbs {
 
 /// GSbS-specific adversaries (Section 8.2).
 pub mod gsbs {
-    use crate::gsbs::{GSafeAck, GsbsMsg, ProvenBatch, SignedAck, SignedBatch};
+    use crate::gsbs::{GsbsMsg, ProvenBatch, SignedAck, SignedBatch};
     use crate::proof::{Proof, ProofAck};
     use crate::provendelta::ProvenUpdate;
+    use crate::safetying::SafeAck;
     use crate::value::Value;
     use crate::valueset::ValueSet;
     use bgla_crypto::{digest, Keypair, ProofIdBuilder};
@@ -1233,7 +1219,7 @@ pub mod gsbs {
                     self.forge_init(sb.round.saturating_add(1), ctx);
                 }
                 GsbsMsg::SafeReq { round, set } => {
-                    let mut ack = GSafeAck::sign(round, set, vec![], self.me, &kp);
+                    let mut ack = SafeAck::sign(round, set, vec![], self.me, &kp);
                     super::corrupt(&mut ack.sig);
                     Self::send_twice(ctx, from, GsbsMsg::SafeAck(ack.reply()));
                 }
@@ -1287,7 +1273,7 @@ pub mod gsbs {
                     .cloned()
                     .collect();
                 let kp = Keypair::for_process(self.me);
-                let reply = GSafeAck::sign(round, other, vec![], self.me, &kp).reply();
+                let reply = SafeAck::sign(round, other, vec![], self.me, &kp).reply();
                 ctx.send(from, GsbsMsg::SafeAck(reply.clone()));
                 ctx.send(from, GsbsMsg::SafeAck(reply));
             }
@@ -1325,7 +1311,7 @@ pub mod gsbs {
             let batch: ValueSet<V> = [self.value.clone()].into_iter().collect();
             let sb = SignedBatch::sign(round, batch, self.me, &kp);
             let rcvd: ValueSet<SignedBatch<V>> = [sb.clone()].into_iter().collect();
-            let ack = GSafeAck::sign(round, rcvd, vec![], self.me, &kp);
+            let ack = SafeAck::sign(round, rcvd, vec![], self.me, &kp);
             [ProvenBatch {
                 signed: sb,
                 proof: Proof::new(vec![ack]),

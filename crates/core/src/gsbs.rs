@@ -18,11 +18,11 @@
 //!    simpler structure), so termination knowledge spreads like the
 //!    paper's piggybacking does.
 //!
-//! Per-round value safety uses the same init/safetying machinery as
-//! [`crate::sbs`], applied to *round batches*: each proposer signs its
-//! `(round, batch)`; a batch is safe with a quorum of signed safe-acks
-//! none of which reports a conflict (two different batches signed by the
-//! same proposer for the same round).
+//! Per-round value safety is SbS's init and safetying phases
+//! ([`crate::safetying`]) applied to *round batches*: each proposer signs
+//! its `(round, batch)`; a batch is safe with a quorum of signed
+//! safe-acks of its round none of which reports a conflict (two
+//! different batches signed by the same proposer for the same round).
 //!
 //! Message complexity: `O(f·n)` per proposer per decision (Section 8.2).
 //!
@@ -37,103 +37,40 @@
 //! buffering. Batch-set payloads are [`ValueSet`]s (Arc-backed, `O(1)`
 //! clone, merge-walk join).
 //!
-//! # Echoes said once (this implementation)
+//! # Rounds (this implementation)
 //!
-//! A safe-ack signs the request set it answers (`rcvd`), and a proposer
-//! counts only safe-acks signed over its own `current_safe_req`. So the
-//! echo tells the proposer nothing it does not hold, and neither copy of
-//! it travels more than once:
+//! `Init`s are held per round: of the current round until safetying
+//! starts, and of later rounds up to `max_rounds`; those of past rounds
+//! are dropped at `start_round`, which also clears the safe-acks. A
+//! safe-ack is read with `current_safe_req`, the exact set of the
+//! outstanding request, as its echo: `safety_sets` keeps growing in the
+//! meantime. A failed safe-ack is not counted and nothing else happens:
+//! GSbS keeps no `byz` set, so a Byzantine sender's cost is bounded by
+//! its own message budget.
 //!
-//! * the [`GsbsMsg::SafeAck`] reply is a [`GSafeAckReply`], the ack
-//!   without `rcvd`. The proposer attaches its own `current_safe_req`
-//!   before holding it. An acceptor that signed some other set has then
-//!   signed bytes other than the ones checked, and its ack fails at
-//!   quorum exactly as a forged signature does: it costs the failed
-//!   batch and the fallback once, the verifier's cache answers a
-//!   redelivery, and it is never counted. Comparing a shipped echo would
-//!   catch it without a signature check, but any Byzantine acceptor can
-//!   make the proposer pay that check with a forged signature anyway;
-//! * a [`BatchProof`] ships the set its acks echo once, and per ack an
-//!   index into the distinct echoes ([`Proof`]'s codec form), instead of
-//!   one copy per ack;
-//! * inside an `AckReq` or `Nack` payload, an echoed batch that the
-//!   payload also carries as a record is named by its position among the
-//!   records ([`crate::provendelta`]'s wire format). A proposer's own
-//!   proof echoes the batches it certifies, so its echo is a few
-//!   positions.
+//! # Signed acks and certificates (this implementation)
 //!
-//! The same goes for the digest a certificate's acks sign: a
-//! [`DecidedCert`] never says it. Every ack of a well-formed certificate
-//! signs the digest of its `values`, so the receiver computes it once
-//! from them (see the certificate's `Wire` impl). A [`GsbsMsg::Ack`]
-//! keeps its digest, which lets the proposer refuse an ack over another
-//! proposal before any signature check.
-//!
-//! None of this changes what is signed, hashed and verified: the echo is
-//! inside every safe-ack's signature and every
-//! [`bgla_crypto::ProofId`], and the digest inside every ack's signature.
-//!
-//! # What is signed
-//!
-//! Each signed record — [`SignedBatch`], [`GSafeAck`], [`SignedAck`] —
-//! signs its domain tag followed by its own `Wire` encoding without the
-//! trailing signature ([`crate::held::Signed`]). A safe-ack's encoding
-//! is its echo followed by its reply, so its signature covers every
-//! echoed and conflicting batch in full: round, values, signer and
-//! signature. A [`bgla_crypto::ProofId`] hashes each ack's encoding, and
-//! an ack's [`Digest`] is [`bgla_crypto::digest`] of the proposal's value
-//! set.
-//! One encoding thus serves what travels, what is metered, what is
-//! signed and what is hashed. The wire forms that leave a part out (a
-//! reply without its echo, a certificate's acks without their digest)
-//! are rebuilt into the full record before anything is verified, and
-//! verification re-encodes that record rather than trusting the
-//! received bytes.
-//!
-//! # Verify at quorum (this implementation)
-//!
-//! A proposer acts only on a threshold of signed records: `n − f`
-//! `Init`s before safetying, a quorum of safe-acks before proposing, a
-//! quorum of acks before deciding. None is checked alone as it arrives
-//! ([`crate::held`]). Each site runs its structural checks on arrival
-//! (sender is signer, round, proposal digest, one record
-//! counted per signer) and holds a record that passes them:
-//!
-//! * `Init`s in `held_inits`, per round — of the current round until
-//!   safetying starts, and of later rounds up to `max_rounds`; those of
-//!   past rounds are dropped at `start_round`;
-//! * safe-acks in `held_safe_acks`, cleared with the verified ones at
-//!   `start_round`;
-//! * acks in `held_acks`, cleared with `ack_certs` at each `ts` bump.
-//!
-//! A safe-ack is held with the proposer's own request attached as its
-//! echo (see "Echoes said once" above). Once held plus verified reach
-//! the threshold, all held records of the
-//! site are checked in one batch
-//! ([`bgla_crypto::CachedVerifier::verify_groups`]) and the valid ones
-//! join in arrival order — `Init`s one at a time with conflict removal
-//! after each, as on arrival. A record arriving after its threshold is
-//! met is never verified. Held records are durable: the snapshot stores
-//! each site's next to the set it will join, because peers send their
-//! `Init`s once. `Decided` certificates go through the same verifier
+//! A [`SignedAck`] signs its domain tag and its own encoding without the
+//! signature ([`crate::held::Signed`]), the [`Digest`] of the proposal's
+//! value set ([`bgla_crypto::digest`]) among it. A proposer checks an
+//! ack's sender, `ts`, round and digest on arrival, holds it in
+//! `held_acks` (cleared with `ack_certs` at each `ts` bump), and verifies
+//! the held acks in one batch once a quorum's worth has arrived, as for
+//! safe-acks. [`DecidedCert`]s go through the same verifier
 //! ([`DecidedCert::well_formed`]), so a forged one costs one batch and
 //! one fallback however often it is redelivered.
 //!
-//! A site holds at most [`crate::held::PER_SIGNER`] records per signer
-//! (per round, for `Init`s), and only `Init`s whose signer is their
-//! sender. This differs from checking on arrival in one case: a signer
-//! whose three or more different batches for one round are all held at
-//! once. On arrival the first two removed each other as a conflict and
-//! the third stayed; here the third is not held, so none stays. In both
-//! cases at most one of the signer's batches can become safe.
+//! A certificate never says the digest its acks sign: every ack of a
+//! well-formed certificate signs the digest of its `values`, so the
+//! receiver computes it once from them (see the certificate's `Wire`
+//! impl). A [`GsbsMsg::Ack`] keeps its digest, which lets the proposer
+//! refuse an ack over another proposal before any signature check.
 
 use crate::config::SystemConfig;
 use crate::held::{self, hold, verify_held, Signed, UNSIGNED};
-use crate::proof::{
-    echoing, encode_reply_fields, remove_conflicts, replies, return_conflicts, Conflicting, Proof,
-    ProofAck,
-};
+use crate::proof::Proof;
 use crate::provendelta::{ProofPath, Proven, ProvenUpdate, Proving, Reply, Valued};
+use crate::safetying::{self, SafeAck, SafeAckReply, SafeAcks, Safetied};
 use crate::value::Value;
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
@@ -181,7 +118,16 @@ impl<V: Value> Signed for SignedBatch<V> {
     }
 }
 
-impl<V: Value> Conflicting for SignedBatch<V> {
+impl<V: Value> Safetied for SignedBatch<V> {
+    const ACK_DOMAIN: &'static [u8] = b"bgla-gsbs-safeack:";
+    type Round = u64;
+    type Value = V;
+    fn round(&self) -> u64 {
+        self.round
+    }
+    fn values(&self) -> &[V] {
+        self.batch.as_slice()
+    }
     /// Same signer + round but different batch contents.
     fn conflicts_with(&self, other: &Self) -> bool {
         self.signer == other.signer && self.round == other.round && self.batch != other.batch
@@ -192,125 +138,12 @@ impl<V: Value> SetItem for SignedBatch<V> {
     const EQ_IS_IDENTITY: bool = true;
 }
 
-/// Signed safetying reply for a round.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct GSafeAck<V: Value> {
-    /// Round being safetied.
-    pub round: u64,
-    /// Echo of the request set.
-    pub rcvd: ValueSet<SignedBatch<V>>,
-    /// Conflicts known to the acceptor.
-    pub conflicts: Vec<(SignedBatch<V>, SignedBatch<V>)>,
-    /// Acceptor id.
-    pub signer: ProcessId,
-    /// Signature over all of the above.
-    pub sig: Signature,
-}
-
-impl<V: Value> GSafeAck<V> {
-    /// Builds and signs a safe-ack.
-    pub fn sign(
-        round: u64,
-        rcvd: ValueSet<SignedBatch<V>>,
-        conflicts: Vec<(SignedBatch<V>, SignedBatch<V>)>,
-        signer: ProcessId,
-        kp: &Keypair,
-    ) -> Self {
-        let mut ack = GSafeAck {
-            round,
-            rcvd,
-            conflicts,
-            signer,
-            sig: UNSIGNED,
-        };
-        ack.sig = kp.sign(&ack.signed_bytes());
-        ack
-    }
-
-    /// Whether `sb` appears in a conflict pair.
-    pub fn conflicted(&self, sb: &SignedBatch<V>) -> bool {
-        self.conflicts.iter().any(|(a, b)| a == sb || b == sb)
-    }
-}
-
-impl<V: Value> Signed for GSafeAck<V> {
-    const DOMAIN: &'static [u8] = b"bgla-gsbs-safeack:";
-    fn signer(&self) -> ProcessId {
-        self.signer
-    }
-    fn sig(&self) -> &Signature {
-        &self.sig
-    }
-    /// The ack's signature and those of both members of every conflict
-    /// pair it reports (`VerifyConfPair`).
-    fn obligations(&self) -> Vec<Obligation> {
-        let mut out: Vec<Obligation> = self
-            .conflicts
-            .iter()
-            .flat_map(|(a, b)| [a, b])
-            .map(Signed::obligation)
-            .collect();
-        out.push(self.obligation());
-        out
-    }
-}
-
-impl<V: Value> ProofAck for GSafeAck<V> {
-    type Echoed = SignedBatch<V>;
-    type Value = V;
-    type Reply = GSafeAckReply<V>;
-    fn values(sb: &SignedBatch<V>) -> &[V] {
-        sb.batch.as_slice()
-    }
-    fn covers(&self, sb: &SignedBatch<V>) -> bool {
-        self.round == sb.round && self.rcvd.contains(sb) && !self.conflicted(sb)
-    }
-    fn echo(&self) -> &ValueSet<SignedBatch<V>> {
-        &self.rcvd
-    }
-    fn reply(&self) -> GSafeAckReply<V> {
-        GSafeAckReply {
-            round: self.round,
-            conflicts: self.conflicts.clone(),
-            signer: self.signer,
-            sig: self.sig,
-        }
-    }
-    fn from_reply(reply: GSafeAckReply<V>, rcvd: ValueSet<SignedBatch<V>>) -> Self {
-        GSafeAck {
-            round: reply.round,
-            rcvd,
-            conflicts: reply.conflicts,
-            signer: reply.signer,
-            sig: reply.sig,
-        }
-    }
-    fn encode_reply(&self, w: &mut Writer) {
-        encode_reply_fields(w, Some(self.round), &self.conflicts, self.signer, &self.sig);
-    }
-}
-
-/// A safe-ack as it travels back to the proposer: everything but the
-/// echo, which is the proposer's own request (see the module docs).
-#[derive(Debug, Clone)]
-pub struct GSafeAckReply<V: Value> {
-    /// Round being safetied.
-    pub round: u64,
-    /// Conflicts known to the acceptor.
-    pub conflicts: Vec<(SignedBatch<V>, SignedBatch<V>)>,
-    /// Acceptor id.
-    pub signer: ProcessId,
-    /// Signature over the round, the echoed request, the conflicts and
-    /// the signer.
-    pub sig: Signature,
-}
-
 /// A quorum of safe-acks certifying one round's safetying exchange,
 /// with its [`bgla_crypto::ProofId`] interned at construction.
-pub type BatchProof<V> = Proof<GSafeAck<V>>;
+pub type BatchProof<V> = Proof<SafeAck<SignedBatch<V>>>;
 
 /// A batch with its quorum proof of safety.
-pub type ProvenBatch<V> = Proven<GSafeAck<V>>;
+pub type ProvenBatch<V> = Proven<SafeAck<SignedBatch<V>>>;
 
 /// An acceptor-signed point-to-point ack (replaces GWTS's reliably
 /// broadcast ack).
@@ -414,12 +247,12 @@ pub enum GsbsMsg<V: Value> {
         set: ValueSet<SignedBatch<V>>,
     },
     /// Signed safetying reply, without the echo of the request.
-    SafeAck(GSafeAckReply<V>),
+    SafeAck(SafeAckReply<SignedBatch<V>>),
     /// Proposal with proofs — delta-encoded with proof-by-reference
     /// after first contact.
     AckReq {
         /// Cumulative proven proposal (full, or delta + references).
-        proposed: ProvenUpdate<GSafeAck<V>>,
+        proposed: ProvenUpdate<SafeAck<SignedBatch<V>>>,
         /// Refinement timestamp.
         ts: u64,
         /// Round.
@@ -432,7 +265,7 @@ pub enum GsbsMsg<V: Value> {
     Nack {
         /// Acceptor's accepted proven set (full, or delta against the
         /// proposal of `ts` + references).
-        accepted: ProvenUpdate<GSafeAck<V>>,
+        accepted: ProvenUpdate<SafeAck<SignedBatch<V>>>,
         /// Echoed timestamp.
         ts: u64,
         /// Echoed round.
@@ -503,17 +336,13 @@ pub struct GsbsProcess<V: Value> {
     /// `Init`s of this round or later, held unverified in arrival order
     /// until a disclosure threshold's worth has arrived.
     held_inits: BTreeMap<u64, Vec<SignedBatch<V>>>,
-    /// Collected safe-acks for our current safe_req.
-    safe_acks: Vec<GSafeAck<V>>,
-    safe_ack_senders: BTreeSet<ProcessId>,
-    /// Safe-acks for the current safe_req, held unverified until a
-    /// quorum's worth has arrived.
-    held_safe_acks: Vec<GSafeAck<V>>,
+    /// Safe-acks for the current safe_req, counted and held.
+    safe_acks: SafeAcks<SignedBatch<V>>,
     /// The exact set sent in the outstanding safe_req: the echo of every
     /// safe-ack for it (`safety_sets` keeps growing in the meantime).
     current_safe_req: ValueSet<SignedBatch<V>>,
     /// Cumulative proven proposal, with its values.
-    proposed_set: Valued<GSafeAck<V>>,
+    proposed_set: Valued<SafeAck<SignedBatch<V>>>,
     /// The digest of the proposal's values as of its last broadcast —
     /// what this `ts`'s acks must sign.
     proposal_digest: Digest,
@@ -526,7 +355,7 @@ pub struct GsbsProcess<V: Value> {
     safe_candidates: BTreeMap<u64, ValueSet<SignedBatch<V>>>,
     /// The proving phase: the cumulative accepted proven set, the
     /// retained proofs and the delta ledgers.
-    proofs: ProofPath<GSafeAck<V>>,
+    proofs: ProofPath<SafeAck<SignedBatch<V>>>,
     /// Acceptor: highest trusted round.
     pub safe_r: u64,
     /// Valid decided certificates seen, by round.
@@ -570,9 +399,7 @@ impl<V: Value> GsbsProcess<V> {
             batches: BTreeMap::new(),
             safety_sets: BTreeMap::new(),
             held_inits: BTreeMap::new(),
-            safe_acks: Vec::new(),
-            safe_ack_senders: BTreeSet::new(),
-            held_safe_acks: Vec::new(),
+            safe_acks: SafeAcks::default(),
             current_safe_req: ValueSet::new(),
             proposed_set: Valued::default(),
             proposal_digest: digest(&ValueSet::<V>::new()),
@@ -617,7 +444,7 @@ impl<V: Value> GsbsProcess<V> {
     /// The proving phase over this process's state, its verifier and
     /// quorum: `AllSafe` ([`Proving::all_safe`]) and the handlers of the
     /// proven exchange. GSbS has no validator.
-    pub fn proving(&mut self) -> Proving<'_, GSafeAck<V>> {
+    pub fn proving(&mut self) -> Proving<'_, SafeAck<SignedBatch<V>>> {
         Proving {
             path: &mut self.proofs,
             verifier: &mut self.verifier,
@@ -633,8 +460,8 @@ impl<V: Value> GsbsProcess<V> {
     }
 
     /// The verified safe-acks collected for the outstanding safe_req.
-    pub fn safe_acks(&self) -> &[GSafeAck<V>] {
-        &self.safe_acks
+    pub fn safe_acks(&self) -> &[SafeAck<SignedBatch<V>>] {
+        self.safe_acks.counted()
     }
 
     /// The verified acks collected for the current proposal.
@@ -646,8 +473,6 @@ impl<V: Value> GsbsProcess<V> {
         self.round = round;
         self.state = GsbsState::Init;
         self.safe_acks.clear();
-        self.safe_ack_senders.clear();
-        self.held_safe_acks.clear();
         self.held_inits = self.held_inits.split_off(&round);
         if let Some(vals) = self.input_schedule.remove(&round) {
             for v in vals {
@@ -672,45 +497,33 @@ impl<V: Value> GsbsProcess<V> {
     }
 
     /// Moves to safetying once `n − f` signed batches of this round are
-    /// verified. Held `Init`s are verified in one batch as soon as, with
-    /// the verified ones, they could reach that threshold, and join the
-    /// safety set one by one in arrival order: conflict removal after
-    /// each insert, as on arrival, so the outcome of an equivocation
-    /// does not depend on how the records were batched.
+    /// verified ([`safetying::admit`]).
     fn maybe_start_safetying(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
         if self.state != GsbsState::Init {
             return;
         }
-        let threshold = self.config.disclosure_threshold();
-        let set = self.safety_sets.entry(self.round).or_default();
-        let held = self.held_inits.get(&self.round).map_or(0, Vec::len);
-        if set.len() + held < threshold {
-            return;
+        let (threshold, round) = (self.config.disclosure_threshold(), self.round);
+        let set = self.safety_sets.entry(round).or_default();
+        let held = self.held_inits.entry(round).or_default();
+        let reached = safetying::admit(&mut self.verifier, threshold, set, held);
+        if held.is_empty() {
+            self.held_inits.remove(&round);
         }
-        let held = self.held_inits.remove(&self.round).unwrap_or_default();
-        for (sb, ok) in verify_held(&mut self.verifier, held) {
-            if ok {
-                set.insert(sb);
-                *set = remove_conflicts(set);
-            }
-        }
-        if set.len() >= threshold {
+        if reached {
             let set = set.clone();
             self.state = GsbsState::Safetying;
             self.current_safe_req = set.clone();
-            ctx.broadcast(GsbsMsg::SafeReq {
-                round: self.round,
-                set,
-            });
+            ctx.broadcast(GsbsMsg::SafeReq { round, set });
         }
     }
 
     fn maybe_start_proposing(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
-        if self.state != GsbsState::Safetying || self.safe_acks.len() < self.config.quorum() {
+        let acks = self.safe_acks.counted();
+        if self.state != GsbsState::Safetying || acks.len() < self.config.quorum() {
             return;
         }
         self.proofs.prove(
-            self.safe_acks.clone(),
+            acks.to_vec(),
             &self.current_safe_req,
             &mut self.proposed_set,
         );
@@ -912,50 +725,6 @@ impl<V: Value> Wire for SignedBatch<V> {
         Ok(SignedBatch {
             round: r.var()?,
             batch: Wire::decode(r)?,
-            signer: r.usize()?,
-            sig: Signature::decode(r)?,
-        })
-    }
-}
-
-impl<V: Value> Wire for GSafeAckReply<V> {
-    fn encode(&self, w: &mut Writer) {
-        let Self {
-            round,
-            conflicts,
-            signer,
-            sig,
-        } = self;
-        encode_reply_fields(w, Some(*round), conflicts, *signer, sig);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(GSafeAckReply {
-            round: r.var()?,
-            conflicts: Wire::decode(r)?,
-            signer: r.usize()?,
-            sig: Signature::decode(r)?,
-        })
-    }
-}
-
-/// Codec form: the echo, then the reply ([`GSafeAckReply`]'s form).
-impl<V: Value> Wire for GSafeAck<V> {
-    fn encode(&self, w: &mut Writer) {
-        let Self {
-            round,
-            rcvd,
-            conflicts,
-            signer,
-            sig,
-        } = self;
-        rcvd.encode(w);
-        encode_reply_fields(w, Some(*round), conflicts, *signer, sig);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(GSafeAck {
-            rcvd: Wire::decode(r)?,
-            round: r.var()?,
-            conflicts: Wire::decode(r)?,
             signer: r.usize()?,
             sig: Signature::decode(r)?,
         })
@@ -1171,8 +940,6 @@ impl<V: Value> Wire for GsbsProcess<V> {
             safety_sets,
             held_inits,
             safe_acks,
-            safe_ack_senders,
-            held_safe_acks,
             current_safe_req,
             proposed_set,
             proposal_digest,
@@ -1202,9 +969,7 @@ impl<V: Value> Wire for GsbsProcess<V> {
         safety_sets.encode(w);
         held_inits.encode(w);
         current_safe_req.encode(w);
-        replies(safe_acks).encode(w);
-        safe_ack_senders.encode(w);
-        replies(held_safe_acks).encode(w);
+        safe_acks.write(w);
         proposed_set.records().encode(w);
         proposal_digest.encode(w);
         ack_certs.encode(w);
@@ -1233,9 +998,7 @@ impl<V: Value> Wire for GsbsProcess<V> {
         let safety_sets = Wire::decode(r)?;
         let held_inits = Wire::decode(r)?;
         let current_safe_req: ValueSet<SignedBatch<V>> = Wire::decode(r)?;
-        let safe_acks = echoing(&current_safe_req, Wire::decode(r)?);
-        let safe_ack_senders = Wire::decode(r)?;
-        let held_safe_acks = echoing(&current_safe_req, Wire::decode(r)?);
+        let safe_acks = SafeAcks::read(r, &current_safe_req)?;
         let proposed_set = Valued::new(Wire::decode(r)?);
         let proposal_digest = Wire::decode(r)?;
         let ack_certs = Wire::decode(r)?;
@@ -1264,8 +1027,6 @@ impl<V: Value> Wire for GsbsProcess<V> {
             safety_sets,
             held_inits,
             safe_acks,
-            safe_ack_senders,
-            held_safe_acks,
             current_safe_req,
             proposed_set,
             proposal_digest,
@@ -1374,51 +1135,23 @@ impl<V: Value> Process<GsbsMsg<V>> for GsbsProcess<V> {
                 }
             }
             GsbsMsg::SafeReq { round, set } => {
-                // Cheap structural check first, then one batched
-                // verification for the whole echoed batch set — no
-                // serialization work for structurally-invalid junk.
-                let all_ok = set.iter().all(|sb| sb.round == round) && {
-                    let obligations: Vec<Obligation> =
-                        set.iter().map(SignedBatch::obligation).collect();
-                    self.verifier.verify_all(&obligations)
-                };
-                if all_ok {
-                    let cands = self.safe_candidates.entry(round).or_default();
-                    // O(1) when the candidates already contain the
-                    // request (redelivered subsets), merge-walk else.
-                    let union = cands.join(&set);
-                    let conflicts = return_conflicts(&union);
-                    *cands = remove_conflicts(&union);
-                    let ack = GSafeAck::sign(round, set, conflicts, self.me, &self.keypair);
-                    self.verifier.record_own(&ack.obligation());
-                    ctx.send(from, GsbsMsg::SafeAck(ack.reply()));
+                if safetying::verified(&mut self.verifier, round, &set) {
+                    let candidates = self.safe_candidates.entry(round).or_default();
+                    let signer = (self.me, &self.keypair);
+                    let reply =
+                        safetying::answer(&mut self.verifier, signer, candidates, round, set);
+                    ctx.send(from, GsbsMsg::SafeAck(reply));
                 }
             }
             GsbsMsg::SafeAck(reply) => {
                 if self.state != GsbsState::Safetying || reply.round != self.round {
                     return;
                 }
-                // The reply does not echo the request: the ack is read as
-                // signed over our own. Structural checks on arrival; the
-                // ack's signature and those of its conflict pairs wait
-                // for a quorum's worth.
-                let ack = GSafeAck::from_reply(reply, self.current_safe_req.clone());
-                let structural = ack.signer == from
-                    && !self.safe_ack_senders.contains(&from)
-                    && ack.conflicts.iter().all(|(a, b)| a.conflicts_with(b));
+                // A failed sender is simply not counted (no `byz` here).
                 let quorum = self.config.quorum();
-                if !structural
-                    || !hold(&mut self.held_safe_acks, ack)
-                    || self.safe_ack_senders.len() + held::signers(&self.held_safe_acks) < quorum
-                {
-                    return;
-                }
-                let held = std::mem::take(&mut self.held_safe_acks);
-                for (ack, ok) in verify_held(&mut self.verifier, held) {
-                    if ok && self.safe_ack_senders.insert(ack.signer) {
-                        self.safe_acks.push(ack);
-                    }
-                }
+                let request = &self.current_safe_req;
+                self.safe_acks
+                    .collect(&mut self.verifier, quorum, from, reply, request);
                 self.maybe_start_proposing(ctx);
             }
             GsbsMsg::Ack(ack) => {
@@ -1703,7 +1436,7 @@ mod tests {
         let echo: ValueSet<SignedBatch<u64>> = [r0.clone(), r1.clone()].into_iter().collect();
         let proof: BatchProof<u64> = Proof::new(
             (1..4)
-                .map(|i| GSafeAck::sign(0, echo.clone(), vec![], i, &Keypair::for_process(i)))
+                .map(|i| SafeAck::sign(0, echo.clone(), vec![], i, &Keypair::for_process(i)))
                 .collect(),
         );
         let set = |sb: &SignedBatch<u64>| -> ValueSet<ProvenBatch<u64>> {

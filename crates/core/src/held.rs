@@ -130,9 +130,10 @@ pub fn verify_held<T: Signed>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gsbs::{GSafeAck, SignedAck, SignedBatch};
+    use crate::gsbs::{SignedAck, SignedBatch};
     use crate::proof::Proof;
-    use crate::sbs::{SafeAckBody, SignedSafeAck, SignedValue};
+    use crate::safetying::SafeAck;
+    use crate::sbs::SignedValue;
     use crate::valueset::ValueSet;
     use bgla_codec::encode_payload;
     use bgla_crypto::{digest, Keypair, Keyring};
@@ -189,17 +190,13 @@ mod tests {
             value(7, 1),
             &[("value", |r| r.value += 1), ("signer", |r| r.signer = 2)],
         );
-        let body = SafeAckBody {
-            rcvd: [value(1, 0), value(2, 1)].into_iter().collect(),
-            conflicts: vec![(value(3, 2), value(4, 2))],
-        };
+        let rcvd = [value(1, 0), value(2, 1)].into_iter().collect();
+        let conflicts = vec![(value(3, 2), value(4, 2))];
         pins_layout(
-            SignedSafeAck::sign(body, 3, &kp(3)),
+            SafeAck::sign((), rcvd, conflicts, 3, &kp(3)),
             &[
-                ("body.rcvd", |r| {
-                    r.body.rcvd = [value(1, 0)].into_iter().collect()
-                }),
-                ("body.conflicts", |r| r.body.conflicts.clear()),
+                ("rcvd", |r| r.rcvd = [value(1, 0)].into_iter().collect()),
+                ("conflicts", |r| r.conflicts.clear()),
                 ("signer", |r| r.signer = 4),
             ],
         );
@@ -214,7 +211,7 @@ mod tests {
         let rcvd = [batch(0, 1, 0), batch(0, 2, 1)].into_iter().collect();
         let conflicts = vec![(batch(0, 3, 2), batch(0, 4, 2))];
         pins_layout(
-            GSafeAck::sign(0, rcvd, conflicts, 3, &kp(3)),
+            SafeAck::sign(0, rcvd, conflicts, 3, &kp(3)),
             &[
                 ("round", |r| r.round = 1),
                 ("rcvd", |r| r.rcvd = [batch(0, 1, 0)].into_iter().collect()),
@@ -244,14 +241,14 @@ mod tests {
     fn a_swapped_echo_or_conflict_changes_the_id_and_fails_the_signature() {
         let rcvd = [batch(0, 1, 0), batch(0, 2, 1)].into_iter().collect();
         let conflicts = vec![(batch(0, 3, 2), batch(0, 4, 2))];
-        let honest = GSafeAck::sign(0, rcvd, conflicts, 3, &kp(3));
-        let id = |ack: &GSafeAck<u64>| Proof::new(vec![ack.clone()]).id();
+        let honest = SafeAck::sign(0, rcvd, conflicts, 3, &kp(3));
+        let id = |ack: &SafeAck<SignedBatch<u64>>| Proof::new(vec![ack.clone()]).id();
         assert!(verifies(&honest));
 
         // The last record, so that the set keeps its order.
         let mut echoed: Vec<SignedBatch<u64>> = honest.rcvd.iter().cloned().collect();
         echoed[1].batch = set(&[99]);
-        let swapped_echo = GSafeAck {
+        let swapped_echo = SafeAck {
             rcvd: echoed.into_iter().collect(),
             ..honest.clone()
         };

@@ -87,6 +87,7 @@ pub mod linearize;
 pub mod proof;
 pub mod provendelta;
 pub mod recovery;
+pub mod safetying;
 pub mod sbs;
 pub mod search;
 pub mod spec;

@@ -32,19 +32,18 @@
 
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{encode_payload, CodecError, Reader, Wire, Writer};
-use bgla_crypto::{ProofId, ProofIdBuilder, Signature};
-use bgla_simnet::ProcessId;
+use bgla_crypto::{ProofId, ProofIdBuilder};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// An ack that can be part of a [`Proof`]: a signed safe-ack, which
-/// echoes the request set it answers. Its encoding — the echo, then the
-/// reply — is what the content address binds (content *and*
-/// signature). Supplies its echo, and its form without the echo:
-/// what a safe-ack reply ships, and what a proof ships per ack beside a
-/// reference to its echo. It also supplies the only two things SbS and
-/// GSbS differ in when they check a proof ([`crate::provendelta::ProofPath`]):
-/// the values a record carries and the pair check [`ProofAck::covers`].
+/// An ack that can be part of a [`Proof`]: a signed safe-ack
+/// ([`crate::safetying::SafeAck`]), which echoes the request set it
+/// answers. Its encoding — the echo, then the reply — is what the
+/// content address binds (content *and* signature). Supplies its echo,
+/// and its form without the echo: what a safe-ack reply ships, and what a
+/// proof ships per ack beside a reference to its echo; and what checking
+/// a proof takes ([`crate::provendelta::ProofPath`]): the values a record
+/// carries and the pair check [`ProofAck::covers`].
 pub trait ProofAck: Wire + Clone + std::fmt::Debug + Send + Sync + 'static {
     /// Element type of the echoed request set: the signed record a
     /// proof certifies. Its `==` is identity ([`SetItem::EQ_IS_IDENTITY`]).
@@ -76,42 +75,6 @@ pub trait ProofAck: Wire + Clone + std::fmt::Debug + Send + Sync + 'static {
 
     /// Writes the encoding of [`Self::reply`] from the ack's own fields.
     fn encode_reply(&self, w: &mut Writer);
-}
-
-/// Writes what a safe-ack says besides its echo: `var(round)` if it has
-/// one, the conflict pairs as a `Vec`, `var(signer)`, the signature.
-/// Safe-acks and their replies are both encoded here.
-pub(crate) fn encode_reply_fields<T: Wire>(
-    w: &mut Writer,
-    round: Option<u64>,
-    conflicts: &[(T, T)],
-    signer: ProcessId,
-    sig: &Signature,
-) {
-    if let Some(round) = round {
-        w.var(round);
-    }
-    w.usize(conflicts.len());
-    for (a, b) in conflicts {
-        a.encode(w);
-        b.encode(w);
-    }
-    w.usize(signer);
-    sig.encode(w);
-}
-
-/// `acks` without their echoes: how a snapshot stores safe-acks that all
-/// echo one set, which it stores once.
-pub(crate) fn replies<A: ProofAck>(acks: &[A]) -> Vec<A::Reply> {
-    acks.iter().map(A::reply).collect()
-}
-
-/// The acks `replies` stand for when each was signed over `echo`.
-pub(crate) fn echoing<A: ProofAck>(echo: &ValueSet<A::Echoed>, replies: Vec<A::Reply>) -> Vec<A> {
-    replies
-        .into_iter()
-        .map(|reply| A::from_reply(reply, echo.clone()))
-        .collect()
 }
 
 /// The distinct echoes of `acks` in first-use order, and each ack's index
@@ -332,41 +295,6 @@ impl<A: ProofAck> Wire for Proof<A> {
         let acks = decode_acks(r, ValueSet::decode)?;
         Ok(Proof::new(acks))
     }
-}
-
-/// A signed record two of which can contradict each other: one signer
-/// vouching for two different contents — what a safe-ack reports and a
-/// proof of safety must be free of.
-pub trait Conflicting: SetItem {
-    /// Whether `self` and `other` are such a pair (`VerifyConfPair`
-    /// checks signatures too; that is done at verification sites).
-    fn conflicts_with(&self, other: &Self) -> bool;
-}
-
-/// Lists the conflicting pairs within `set` (Algorithm 10's
-/// `ReturnConflicts`).
-pub fn return_conflicts<T: Conflicting>(set: &ValueSet<T>) -> Vec<(T, T)> {
-    let mut out = Vec::new();
-    for (i, a) in set.iter().enumerate() {
-        for b in set.iter().skip(i + 1) {
-            if a.conflicts_with(b) {
-                out.push((a.clone(), b.clone()));
-            }
-        }
-    }
-    out
-}
-
-/// `set` without any member of a conflicting pair (Algorithm 10's
-/// `RemoveConflicts`). Returns the input handle when nothing conflicts
-/// (the common case).
-pub fn remove_conflicts<T: Conflicting>(set: &ValueSet<T>) -> ValueSet<T> {
-    let conflicts = return_conflicts(set);
-    let mut out = set.clone();
-    if !conflicts.is_empty() {
-        out.retain(|x| !conflicts.iter().any(|(a, b)| a == x || b == x));
-    }
-    out
 }
 
 /// A minimal ack for the unit tests of this crate: a number that echoes

@@ -1381,9 +1381,10 @@ mod tests {
     /// default, and its ledgers still start empty.
     #[test]
     fn ledgers_default_without_a_default_record() {
-        use crate::gsbs::GSafeAck;
-        let tx = ProvenDeltaSender::<GSafeAck<u64>>::default();
-        let rx = ProvenDeltaReceiver::<GSafeAck<u64>>::default();
+        use crate::gsbs::SignedBatch;
+        use crate::safetying::SafeAck;
+        let tx = ProvenDeltaSender::<SafeAck<SignedBatch<u64>>>::default();
+        let rx = ProvenDeltaReceiver::<SafeAck<SignedBatch<u64>>>::default();
         assert!(!tx.encode_for(1, 1, &ValueSet::new()).is_delta());
         assert!(rx.bases.base(1, 0).is_none());
     }

@@ -24,89 +24,42 @@
 //!
 //! Message delays: `5 + 4f` (Theorem 8).
 //!
-//! # The proving phase (this implementation)
-//!
-//! `AllSafe` and the `ack_req`/`nack` exchange of proven sets are
-//! written once, for SbS and GSbS alike, in
+//! The init and safetying phases are [`crate::safetying`]'s, shared
+//! with GSbS, and so is the proving phase — `AllSafe` and the
+//! `ack_req`/`nack` exchange of proven sets, in
 //! [`crate::provendelta::ProofPath`]: each distinct proof is verified
-//! once per process and answered from a cache thereafter, and proven
-//! sets travel delta-encoded, with the proofs a peer holds named by
-//! reference (an unresolvable one is answered with [`SbsMsg::Resync`]).
-//! This process keeps its phases, messages and `byz` flags, and supplies
-//! the validator. Set payloads (`safe_req`, its ack echoes, and the
-//! proven proposal/accepted sets) are [`ValueSet`]s.
+//! once per process, and proven sets travel delta-encoded, with the
+//! proofs a peer holds named by reference (an unresolvable one is
+//! answered with [`SbsMsg::Resync`]). This process keeps its phases,
+//! messages and `byz` flags, and supplies the validator. Set payloads
+//! (`safe_req`, its ack echoes, and the proven proposal/accepted sets)
+//! are [`ValueSet`]s.
 //!
-//! # Echoes said once (this implementation)
+//! # `byz` flags (this implementation)
 //!
-//! A `safe_ack` signs the request set it answers (`rcvd`), and the
-//! proposer counts only `safe_ack`s signed over its own `Safety_set`. So
-//! the echo tells the proposer nothing it does not hold, and neither copy
-//! of it travels more than once:
+//! A sender whose safe-ack fails a structural check, cannot be held, or
+//! fails its signatures at quorum ([`crate::safetying::SafeAcks::collect`])
+//! is put in `byz` — one that signed another set than our `Safety_set`
+//! included. That happens at quorum, not on arrival, but still before
+//! `Proposing`, so none of its acks or nacks has been counted. A signer
+//! that sends a third safe-ack before the quorum is flagged at once, as
+//! checking on arrival would have flagged it by its second. An acker
+//! whose ack echoes other values than our proposal, and a nacker whose
+//! refusal does not check out, are flagged too.
 //!
-//! * the [`SbsMsg::SafeAck`] reply is a [`SafeAckReply`], the ack without
-//!   `rcvd`. The proposer attaches its own `Safety_set` before holding
-//!   it. An acceptor that signed some other set has then signed bytes
-//!   other than the ones checked: its ack fails at quorum exactly as a
-//!   forged signature does, which flags it in `byz` before `Proposing`.
-//!   It costs the failed batch and the fallback once; the verifier's
-//!   cache answers a redelivery;
-//! * a [`SafetyProof`] ships the set its acks echo once, and per ack an
-//!   index into the distinct echoes ([`Proof`]'s codec form), instead of
-//!   one copy per ack. A Byzantine proof whose acks echo `k` different
-//!   sets still decodes, at `k` echoes' cost, and `AllSafe` judges it
-//!   exactly as before.
-//!
-//! None of this changes what is signed, hashed and verified: the echo is
-//! inside every safe-ack's signature and every [`bgla_crypto::ProofId`].
-//!
-//! # What is signed
-//!
-//! A [`SignedValue`] and a [`SignedSafeAck`] each sign their domain tag
-//! followed by their own `Wire` encoding without the trailing signature
-//! ([`crate::held::Signed`]); a safe-ack's encoding is its echo, then its
-//! conflicts, signer and signature, so both are covered in full. A
-//! [`bgla_crypto::ProofId`] hashes each ack's encoding. A field is
-//! signed exactly when it travels.
-//!
-//! # Verify at quorum (this implementation)
-//!
-//! The proposer acts only on `n − f` signed inits and on a quorum of
-//! signed safe-acks, so it checks neither alone as it arrives
-//! ([`crate::held`]). An init whose signer is its sender, whose value
-//! passes the validator and which is not yet in `Safety_set` is held in
-//! `held_inits` while the proposer is in `Init`; a safe-ack, read with
-//! `Safety_set` as its echo, that passes the structural half of
-//! `VerifyConfPair` (signer, conflict shapes) is held in
-//! `held_safe_acks` while it is safetying. Once held
-//! plus verified reach the threshold, all held records are checked in one
-//! batch ([`bgla_crypto::CachedVerifier::verify_groups`]); valid inits
-//! join `Safety_set` in arrival order with conflict removal after each,
-//! valid safe-acks are counted. A sender whose safe-ack fails the
-//! signature check is put in `byz` then — at quorum, not on arrival, but
-//! still before `Proposing`, so none of its acks or nacks has been
-//! counted. Held records are in the snapshot next to the set they will
-//! join (peers send their inits once); held safe-acks are cleared with
-//! the verified ones on a recovery boot.
-//!
-//! At most [`crate::held::PER_SIGNER`] records per signer are held at
-//! each site. A signer that sends a third safe-ack before the quorum is
-//! flagged at once, as checking on arrival would have flagged it by its
-//! second. A signer whose three or more different inits are all held at
-//! once loses all of them, where checking on arrival kept the third
-//! (the first two removed each other as a conflict); at most one of them
-//! can become safe either way.
+//! Held inits are in the snapshot next to `Safety_set`. Held and counted
+//! safe-acks are in it too, but a recovery boot in `Safetying` clears
+//! them and asks again (see `on_start`).
 
 use crate::config::SystemConfig;
-use crate::held::{self, hold, verify_held, Signed, UNSIGNED};
-use crate::proof::{
-    echoing, encode_reply_fields, remove_conflicts, replies, return_conflicts, Conflicting, Proof,
-    ProofAck,
-};
+use crate::held::{self, Signed, UNSIGNED};
+use crate::proof::Proof;
 use crate::provendelta::{ProofPath, Proven, ProvenUpdate, Proving, Reply, Valued};
+use crate::safetying::{self, SafeAck, SafeAckReply, SafeAcks, Safetied};
 use crate::value::Value;
 use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{decode_frame, encode_frame, CodecError, Reader, Wire, Writer};
-use bgla_crypto::{CachedVerifier, Keypair, Keyring, Obligation, Signature, VerifierStats};
+use bgla_crypto::{CachedVerifier, Keypair, Keyring, Signature, VerifierStats};
 use bgla_simnet::{Context, Process, ProcessId, WireMessage};
 use std::any::Any;
 use std::collections::BTreeSet;
@@ -145,7 +98,14 @@ impl<V: Value> Signed for SignedValue<V> {
     }
 }
 
-impl<V: Value> Conflicting for SignedValue<V> {
+impl<V: Value> Safetied for SignedValue<V> {
+    const ACK_DOMAIN: &'static [u8] = b"bgla-sbs-safeack:";
+    type Round = ();
+    type Value = V;
+    fn round(&self) {}
+    fn values(&self) -> &[V] {
+        std::slice::from_ref(&self.value)
+    }
     /// Two signed values *conflict* when the same signer signed two
     /// different values.
     fn conflicts_with(&self, other: &Self) -> bool {
@@ -157,125 +117,14 @@ impl<V: Value> SetItem for SignedValue<V> {
     const EQ_IS_IDENTITY: bool = true;
 }
 
-/// The body of a `safe_ack`: the echoed request set and the conflicts the
-/// acceptor knows of.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SafeAckBody<V: Value> {
-    /// Echo of the proposer's `Safety_set`.
-    pub rcvd: ValueSet<SignedValue<V>>,
-    /// Conflicting pairs known to the acceptor.
-    pub conflicts: Vec<(SignedValue<V>, SignedValue<V>)>,
-}
-
-impl<V: Value> SafeAckBody<V> {
-    /// Whether `sv` appears in some conflict pair.
-    pub fn conflicted(&self, sv: &SignedValue<V>) -> bool {
-        self.conflicts.iter().any(|(a, b)| a == sv || b == sv)
-    }
-}
-
-/// A signed `safe_ack`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SignedSafeAck<V: Value> {
-    /// Ack body.
-    pub body: SafeAckBody<V>,
-    /// The acceptor that produced it.
-    pub signer: ProcessId,
-    /// Signature over the body and the signer.
-    pub sig: Signature,
-}
-
-impl<V: Value> SignedSafeAck<V> {
-    /// Signs an ack body as acceptor `signer`.
-    pub fn sign(body: SafeAckBody<V>, signer: ProcessId, kp: &Keypair) -> Self {
-        let mut ack = SignedSafeAck {
-            body,
-            signer,
-            sig: UNSIGNED,
-        };
-        ack.sig = kp.sign(&ack.signed_bytes());
-        ack
-    }
-}
-
-impl<V: Value> Signed for SignedSafeAck<V> {
-    const DOMAIN: &'static [u8] = b"bgla-sbs-safeack:";
-    fn signer(&self) -> ProcessId {
-        self.signer
-    }
-    fn sig(&self) -> &Signature {
-        &self.sig
-    }
-    /// The ack's signature and those of both members of every conflict
-    /// pair it reports (`VerifyConfPair`).
-    fn obligations(&self) -> Vec<Obligation> {
-        let mut out: Vec<Obligation> = self
-            .body
-            .conflicts
-            .iter()
-            .flat_map(|(a, b)| [a, b])
-            .map(Signed::obligation)
-            .collect();
-        out.push(self.obligation());
-        out
-    }
-}
-
-impl<V: Value> ProofAck for SignedSafeAck<V> {
-    type Echoed = SignedValue<V>;
-    type Value = V;
-    type Reply = SafeAckReply<V>;
-    fn values(sv: &SignedValue<V>) -> &[V] {
-        std::slice::from_ref(&sv.value)
-    }
-    fn covers(&self, sv: &SignedValue<V>) -> bool {
-        self.body.rcvd.contains(sv) && !self.body.conflicted(sv)
-    }
-    fn echo(&self) -> &ValueSet<SignedValue<V>> {
-        &self.body.rcvd
-    }
-    fn reply(&self) -> SafeAckReply<V> {
-        SafeAckReply {
-            conflicts: self.body.conflicts.clone(),
-            signer: self.signer,
-            sig: self.sig,
-        }
-    }
-    fn from_reply(reply: SafeAckReply<V>, rcvd: ValueSet<SignedValue<V>>) -> Self {
-        SignedSafeAck {
-            body: SafeAckBody {
-                rcvd,
-                conflicts: reply.conflicts,
-            },
-            signer: reply.signer,
-            sig: reply.sig,
-        }
-    }
-    fn encode_reply(&self, w: &mut Writer) {
-        encode_reply_fields(w, None, &self.body.conflicts, self.signer, &self.sig);
-    }
-}
-
-/// A `safe_ack` as it travels back to the proposer: everything but the
-/// echo, which is the proposer's own `Safety_set` (see the module docs).
-#[derive(Debug, Clone)]
-pub struct SafeAckReply<V: Value> {
-    /// Conflicting pairs known to the acceptor.
-    pub conflicts: Vec<(SignedValue<V>, SignedValue<V>)>,
-    /// The acceptor that produced it.
-    pub signer: ProcessId,
-    /// Signature over the echoed request and the conflicts.
-    pub sig: Signature,
-}
-
 /// A proof of safety: a quorum of safe-acks none of which conflicts the
 /// value. Shared across all values certified by the same safetying
 /// exchange, like the paper's `<v, Safe_acks>` pairs, with its
 /// [`bgla_crypto::ProofId`] interned at construction.
-pub type SafetyProof<V> = Proof<SignedSafeAck<V>>;
+pub type SafetyProof<V> = Proof<SafeAck<SignedValue<V>>>;
 
 /// A value bundled with its proof of safety.
-pub type ProvenValue<V> = Proven<SignedSafeAck<V>>;
+pub type ProvenValue<V> = Proven<SafeAck<SignedValue<V>>>;
 
 /// SbS wire messages.
 #[derive(Debug, Clone)]
@@ -286,12 +135,12 @@ pub enum SbsMsg<V: Value> {
     SafeReq(ValueSet<SignedValue<V>>),
     /// Safetying phase: acceptor → proposer, without the echo of the
     /// request.
-    SafeAck(SafeAckReply<V>),
+    SafeAck(SafeAckReply<SignedValue<V>>),
     /// Proposing phase: proposer → acceptors, values carry proofs —
     /// delta-encoded with proof-by-reference after first contact.
     AckReq {
         /// Proven proposal (full, or delta + references).
-        proposed: ProvenUpdate<SignedSafeAck<V>>,
+        proposed: ProvenUpdate<SafeAck<SignedValue<V>>>,
         /// Refinement timestamp.
         ts: u64,
     },
@@ -307,7 +156,7 @@ pub enum SbsMsg<V: Value> {
     Nack {
         /// Acceptor's accepted set with proofs (full, or delta against
         /// the proposal of `ts` + references).
-        accepted: ProvenUpdate<SignedSafeAck<V>>,
+        accepted: ProvenUpdate<SafeAck<SignedValue<V>>>,
         /// Echoed timestamp.
         ts: u64,
     },
@@ -364,22 +213,19 @@ pub struct SbsProcess<V: Value> {
     /// Inits held unverified, in arrival order, until a disclosure
     /// threshold's worth has arrived.
     held_inits: Vec<SignedValue<V>>,
-    /// Collected safe-acks for our `safe_req`.
-    safe_acks: Vec<SignedSafeAck<V>>,
-    safe_ack_senders: BTreeSet<ProcessId>,
-    /// Safe-acks held unverified until a quorum's worth has arrived.
-    held_safe_acks: Vec<SignedSafeAck<V>>,
+    /// Safe-acks for our `safe_req`, counted and held.
+    safe_acks: SafeAcks<SignedValue<V>>,
     /// `byz[]` flags.
     byz: BTreeSet<ProcessId>,
     /// Proven proposal, with its values.
-    proposed_set: Valued<SignedSafeAck<V>>,
+    proposed_set: Valued<SafeAck<SignedValue<V>>>,
     ack_set: BTreeSet<ProcessId>,
     ts: u64,
     /// Acceptor: candidates for safety (conflicts removed).
     safe_candidates: ValueSet<SignedValue<V>>,
     /// The proving phase: the accepted proven set, the retained proofs
     /// and the delta ledgers.
-    proofs: ProofPath<SignedSafeAck<V>>,
+    proofs: ProofPath<SafeAck<SignedValue<V>>>,
     /// Set by [`SbsProcess::from_snapshot`]: the next `on_start` is a
     /// *recovery* boot (re-announce instead of initialize).
     recovered: bool,
@@ -406,9 +252,7 @@ impl<V: Value> SbsProcess<V> {
             state: SbsState::Init,
             safety_set: ValueSet::new(),
             held_inits: Vec::new(),
-            safe_acks: Vec::new(),
-            safe_ack_senders: BTreeSet::new(),
-            held_safe_acks: Vec::new(),
+            safe_acks: SafeAcks::default(),
             byz: BTreeSet::new(),
             proposed_set: Valued::default(),
             ack_set: BTreeSet::new(),
@@ -436,7 +280,7 @@ impl<V: Value> SbsProcess<V> {
     /// The proving phase over this process's state, its verifier, quorum
     /// and validator: `AllSafe` ([`Proving::all_safe`]) and the handlers
     /// of the proven exchange.
-    pub fn proving(&mut self) -> Proving<'_, SignedSafeAck<V>> {
+    pub fn proving(&mut self) -> Proving<'_, SafeAck<SignedValue<V>>> {
         Proving {
             path: &mut self.proofs,
             verifier: &mut self.verifier,
@@ -468,8 +312,8 @@ impl<V: Value> SbsProcess<V> {
     }
 
     /// The verified safe-acks collected for this process's `safe_req`.
-    pub fn safe_acks(&self) -> &[SignedSafeAck<V>] {
-        &self.safe_acks
+    pub fn safe_acks(&self) -> &[SafeAck<SignedValue<V>>] {
+        self.safe_acks.counted()
     }
 
     /// The processes this one has flagged Byzantine (`byz[]`).
@@ -498,24 +342,18 @@ impl<V: Value> SbsProcess<V> {
         }
     }
 
-    /// Transitions Init → Safetying when enough signed inits are
-    /// verified. Held inits are verified in one batch as soon as, with
-    /// the verified ones, they could reach the threshold, and join
-    /// `Safety_set` one by one in arrival order, conflict removal after
-    /// each insert.
+    /// Transitions Init → Safetying once `n − f` signed inits are
+    /// verified ([`safetying::admit`]).
     fn maybe_start_safetying(&mut self, ctx: &mut Context<SbsMsg<V>>) {
         let threshold = self.config.disclosure_threshold();
-        if self.state != SbsState::Init || self.safety_set.len() + self.held_inits.len() < threshold
+        if self.state == SbsState::Init
+            && safetying::admit(
+                &mut self.verifier,
+                threshold,
+                &mut self.safety_set,
+                &mut self.held_inits,
+            )
         {
-            return;
-        }
-        for (sv, ok) in verify_held(&mut self.verifier, std::mem::take(&mut self.held_inits)) {
-            if ok {
-                self.safety_set.insert(sv);
-                self.safety_set = remove_conflicts(&self.safety_set);
-            }
-        }
-        if self.safety_set.len() >= threshold {
             self.state = SbsState::Safetying;
             ctx.broadcast(SbsMsg::SafeReq(self.safety_set.clone()));
         }
@@ -524,14 +362,12 @@ impl<V: Value> SbsProcess<V> {
     /// Transitions Safetying → Proposing when a quorum of safe-acks
     /// arrived: assembles proofs for every unconflicted value.
     fn maybe_start_proposing(&mut self, ctx: &mut Context<SbsMsg<V>>) {
-        if self.state != SbsState::Safetying || self.safe_acks.len() < self.config.quorum() {
+        let acks = self.safe_acks.counted();
+        if self.state != SbsState::Safetying || acks.len() < self.config.quorum() {
             return;
         }
-        self.proofs.prove(
-            self.safe_acks.clone(),
-            &self.safety_set,
-            &mut self.proposed_set,
-        );
+        self.proofs
+            .prove(acks.to_vec(), &self.safety_set, &mut self.proposed_set);
         self.state = SbsState::Proposing;
         self.ack_set.clear();
         self.ts += 1;
@@ -562,43 +398,6 @@ impl<V: Value> Wire for SignedValue<V> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SignedValue {
             value: V::decode(r)?,
-            signer: r.usize()?,
-            sig: Signature::decode(r)?,
-        })
-    }
-}
-
-impl<V: Value> Wire for SafeAckReply<V> {
-    fn encode(&self, w: &mut Writer) {
-        let Self {
-            conflicts,
-            signer,
-            sig,
-        } = self;
-        encode_reply_fields(w, None, conflicts, *signer, sig);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SafeAckReply {
-            conflicts: Wire::decode(r)?,
-            signer: r.usize()?,
-            sig: Signature::decode(r)?,
-        })
-    }
-}
-
-/// Codec form: the echo, then the reply ([`SafeAckReply`]'s form).
-impl<V: Value> Wire for SignedSafeAck<V> {
-    fn encode(&self, w: &mut Writer) {
-        let Self { body, signer, sig } = self;
-        body.rcvd.encode(w);
-        encode_reply_fields(w, None, &body.conflicts, *signer, sig);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SignedSafeAck {
-            body: SafeAckBody {
-                rcvd: Wire::decode(r)?,
-                conflicts: Wire::decode(r)?,
-            },
             signer: r.usize()?,
             sig: Signature::decode(r)?,
         })
@@ -717,8 +516,6 @@ impl<V: Value> Wire for SbsProcess<V> {
             safety_set,
             held_inits,
             safe_acks,
-            safe_ack_senders,
-            held_safe_acks,
             byz,
             proposed_set,
             ack_set,
@@ -737,9 +534,7 @@ impl<V: Value> Wire for SbsProcess<V> {
         state.encode(w);
         safety_set.encode(w);
         held_inits.encode(w);
-        replies(safe_acks).encode(w);
-        safe_ack_senders.encode(w);
-        replies(held_safe_acks).encode(w);
+        safe_acks.write(w);
         byz.encode(w);
         proposed_set.records().encode(w);
         ack_set.encode(w);
@@ -758,9 +553,7 @@ impl<V: Value> Wire for SbsProcess<V> {
         let state = SbsState::decode(r)?;
         let safety_set: ValueSet<SignedValue<V>> = Wire::decode(r)?;
         let held_inits = Wire::decode(r)?;
-        let safe_acks = echoing(&safety_set, Wire::decode(r)?);
-        let safe_ack_senders = Wire::decode(r)?;
-        let held_safe_acks = echoing(&safety_set, Wire::decode(r)?);
+        let safe_acks = SafeAcks::read(r, &safety_set)?;
         let byz = Wire::decode(r)?;
         let proposed_set = Valued::new(Wire::decode(r)?);
         let ack_set = Wire::decode(r)?;
@@ -781,8 +574,6 @@ impl<V: Value> Wire for SbsProcess<V> {
             safety_set,
             held_inits,
             safe_acks,
-            safe_ack_senders,
-            held_safe_acks,
             byz,
             proposed_set,
             ack_set,
@@ -847,8 +638,6 @@ impl<V: Value> Process<SbsMsg<V>> for SbsProcess<V> {
                 }
                 SbsState::Safetying => {
                     self.safe_acks.clear();
-                    self.safe_ack_senders.clear();
-                    self.held_safe_acks.clear();
                     ctx.broadcast(SbsMsg::SafeReq(self.safety_set.clone()));
                 }
                 SbsState::Proposing => {
@@ -876,66 +665,33 @@ impl<V: Value> Process<SbsMsg<V>> for SbsProcess<V> {
                     && (self.validator)(&sv.value)
                     && !self.safety_set.contains(&sv)
                     && !self.held_inits.contains(&sv)
-                    && hold(&mut self.held_inits, sv)
+                    && held::hold(&mut self.held_inits, sv)
                 {
                     self.maybe_start_safetying(ctx);
                 }
             }
-            // ---- Safetying phase (acceptor side) ----
+            // ---- Safetying phase ----
             SbsMsg::SafeReq(set) => {
-                // One batched verification for the whole echoed set
-                // instead of a scalar-mul pair per signed value.
-                let obligations: Vec<Obligation> =
-                    set.iter().map(SignedValue::obligation).collect();
-                if self.verifier.verify_all(&obligations) {
-                    // O(1) when the candidates already contain the
-                    // request (redelivered subsets), merge-walk else.
-                    let union = self.safe_candidates.join(&set);
-                    let conflicts = return_conflicts(&union);
-                    let body = SafeAckBody {
-                        rcvd: set,
-                        conflicts,
-                    };
-                    let ack = SignedSafeAck::sign(body, self.me, &self.keypair);
-                    self.verifier.record_own(&ack.obligation());
-                    ctx.send(from, SbsMsg::SafeAck(ack.reply()));
-                    self.safe_candidates = remove_conflicts(&union);
+                if safetying::verified(&mut self.verifier, (), &set) {
+                    let candidates = &mut self.safe_candidates;
+                    let signer = (self.me, &self.keypair);
+                    let reply = safetying::answer(&mut self.verifier, signer, candidates, (), set);
+                    ctx.send(from, SbsMsg::SafeAck(reply));
                 }
             }
-            // ---- Safetying phase (proposer side) ----
             SbsMsg::SafeAck(reply) => {
                 if self.state != SbsState::Safetying {
                     return;
                 }
-                // `VerifyConfPair`, at quorum: the reply does not echo
-                // the request, so the ack is read as signed over our own
-                // `Safety_set`. Structural checks on arrival, then every
-                // held ack's signatures (both pair members and the ack
-                // itself) in one batch once a quorum's worth of senders
-                // is in hand. A sender whose ack fails either check —
-                // one that signed another set included — is flagged
-                // Byzantine before `Proposing`, so none of its acks or
-                // nacks has counted.
-                let ack = SignedSafeAck::from_reply(reply, self.safety_set.clone());
-                let structural = ack.signer == from
-                    && !self.safe_ack_senders.contains(&from)
-                    && ack.body.conflicts.iter().all(|(a, b)| a.conflicts_with(b));
-                if !structural || !hold(&mut self.held_safe_acks, ack) {
-                    self.byz.insert(from);
-                    return;
-                }
                 let quorum = self.config.quorum();
-                if self.safe_ack_senders.len() + held::signers(&self.held_safe_acks) < quorum {
-                    return;
-                }
-                let held = std::mem::take(&mut self.held_safe_acks);
-                for (ack, ok) in verify_held(&mut self.verifier, held) {
-                    if ok && self.safe_ack_senders.insert(ack.signer) {
-                        self.safe_acks.push(ack);
-                    } else {
-                        self.byz.insert(ack.signer);
-                    }
-                }
+                let failed = self.safe_acks.collect(
+                    &mut self.verifier,
+                    quorum,
+                    from,
+                    reply,
+                    &self.safety_set,
+                );
+                self.byz.extend(failed);
                 self.maybe_start_proposing(ctx);
             }
             // ---- Proposing phase (acceptor side) ----
@@ -1144,11 +900,8 @@ mod tests {
         let mut p = SbsProcess::new(0, config, 7u64);
         let kp1 = Keypair::for_process(1);
         let sv = SignedValue::sign(42u64, 1, &kp1);
-        let body = SafeAckBody {
-            rcvd: [sv.clone()].into_iter().collect(),
-            conflicts: vec![],
-        };
-        let ack = SignedSafeAck::sign(body, 1, &kp1);
+        let rcvd = [sv.clone()].into_iter().collect();
+        let ack = SafeAck::sign((), rcvd, vec![], 1, &kp1);
         // Quorum is 3; a single ack (even valid) is insufficient.
         let set: ValueSet<ProvenValue<u64>> = [ProvenValue {
             signed: sv.clone(),
@@ -1181,13 +934,9 @@ mod tests {
         let sign = |v: u64, i: usize| SignedValue::sign(v, i, &Keypair::for_process(i));
         let (good, bad) = (sign(7, 1), sign(1_000, 2));
         let rcvd: ValueSet<SignedValue<u64>> = [good.clone(), bad.clone()].into_iter().collect();
-        let body = SafeAckBody {
-            rcvd,
-            conflicts: vec![],
-        };
         let proof: SafetyProof<u64> = Proof::new(
             (1..4)
-                .map(|i| SignedSafeAck::sign(body.clone(), i, &Keypair::for_process(i)))
+                .map(|i| SafeAck::sign((), rcvd.clone(), vec![], i, &Keypair::for_process(i)))
                 .collect(),
         );
         let set = |sv: &SignedValue<u64>| -> ValueSet<ProvenValue<u64>> {

@@ -16,15 +16,13 @@ use bgla_codec::{
     FRAME_OVERHEAD, MAX_SPELLED_OUT,
 };
 use bgla_codec::{Wire, Writer};
-use bgla_core::gsbs::{
-    DecidedCert, GSafeAck, GSafeAckReply, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
-};
+use bgla_core::gsbs::{DecidedCert, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch};
 use bgla_core::gwts::{AckRecord, BatchName, GwtsMsg, GwtsProcess, NamedSet};
-use bgla_core::provendelta::ProvenDeltaReceiver;
-use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
+use bgla_core::safetying::{SafeAck, SafeAckReply};
+use bgla_core::sbs::{ProvenValue, SbsMsg, SbsProcess, SignedValue};
 use bgla_core::wts::{WtsMsg, WtsProcess};
 use bgla_core::{Proof, ProofAck, Proven, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
-use bgla_crypto::{digest, ProofId, ProofResolver, Signature};
+use bgla_crypto::{digest, ProofId, Signature};
 use bgla_rbcast::RbMsg;
 use bgla_simnet::{Context, Process, ProcessId, RandomScheduler, SimulationBuilder, WireMessage};
 use proptest::prelude::*;
@@ -648,12 +646,12 @@ fn values(e: usize) -> ValueSet<SignedValue<u64>> {
 
 /// A GSbS proof whose acks echo `k` distinct sets, ack `i` echoing set
 /// `picks[i] % k`: repeated and interleaved as `picks` says.
-fn gsbs_proof(k: usize, picks: &[u8]) -> Proof<GSafeAck<u64>> {
+fn gsbs_proof(k: usize, picks: &[u8]) -> Proof<SafeAck<SignedBatch<u64>>> {
     let echoes: Vec<_> = (0..k).map(batches).collect();
     let acks = picks
         .iter()
         .enumerate()
-        .map(|(i, &p)| GSafeAck {
+        .map(|(i, &p)| SafeAck {
             round: 1,
             rcvd: echoes[p as usize % k].clone(),
             conflicts: vec![],
@@ -666,7 +664,7 @@ fn gsbs_proof(k: usize, picks: &[u8]) -> Proof<GSafeAck<u64>> {
 
 /// The SbS counterpart of [`gsbs_proof`], with a conflict pair reported
 /// by every third ack.
-fn sbs_proof(k: usize, picks: &[u8]) -> Proof<SignedSafeAck<u64>> {
+fn sbs_proof(k: usize, picks: &[u8]) -> Proof<SafeAck<SignedValue<u64>>> {
     let echoes: Vec<_> = (0..k).map(values).collect();
     let pair = {
         let one = |v: u64| SignedValue {
@@ -679,14 +677,13 @@ fn sbs_proof(k: usize, picks: &[u8]) -> Proof<SignedSafeAck<u64>> {
     let acks = picks
         .iter()
         .enumerate()
-        .map(|(i, &p)| SignedSafeAck {
-            body: SafeAckBody {
-                rcvd: echoes[p as usize % k].clone(),
-                conflicts: if i % 3 == 2 {
-                    vec![pair.clone()]
-                } else {
-                    vec![]
-                },
+        .map(|(i, &p)| SafeAck {
+            round: (),
+            rcvd: echoes[p as usize % k].clone(),
+            conflicts: if i % 3 == 2 {
+                vec![pair.clone()]
+            } else {
+                vec![]
             },
             signer: i,
             sig: sig(p as usize, i),
@@ -771,7 +768,7 @@ proptest! {
 
 /// A proof's bytes laid out by hand: `echoes`, then each ack as an echo
 /// index and the ack without its echo.
-fn laid_out(echoes: &[usize], acks: &[(usize, GSafeAckReply<u64>)]) -> Vec<u8> {
+fn laid_out(echoes: &[usize], acks: &[(usize, SafeAckReply<SignedBatch<u64>>)]) -> Vec<u8> {
     let mut w = Writer::new();
     w.usize(echoes.len());
     for &e in echoes {
@@ -789,13 +786,13 @@ fn laid_out(echoes: &[usize], acks: &[(usize, GSafeAckReply<u64>)]) -> Vec<u8> {
 fn proof_decoder_accepts_one_encoding_only() {
     let decode = |echoes: &[usize], indices: &[usize]| {
         let acks: Vec<_> = indices.iter().map(|&i| (i, reply(i))).collect();
-        decode_payload::<Proof<GSafeAck<u64>>>(&laid_out(echoes, &acks)).map(|p| p.id())
+        decode_payload::<Proof<SafeAck<SignedBatch<u64>>>>(&laid_out(echoes, &acks)).map(|p| p.id())
     };
     let canonical = decode(&[4, 2], &[0, 1, 0, 1]).expect("canonical layout decodes");
     let spelled = [4, 2, 4, 2]
         .iter()
         .zip([0, 1, 0, 1])
-        .map(|(&e, i)| GSafeAck::from_reply(reply(i), batches(e)))
+        .map(|(&e, i)| SafeAck::from_reply(reply(i), batches(e)))
         .collect();
     assert_eq!(
         canonical,
@@ -845,7 +842,7 @@ fn one_large_echo_under_many_acks_is_refused_while_read() {
         w.usize(acks);
         for signer in 0..acks {
             w.usize(0);
-            GSafeAckReply::<u64> {
+            SafeAckReply::<SignedBatch<u64>> {
                 round: 1,
                 conflicts: vec![],
                 signer,
@@ -855,7 +852,8 @@ fn one_large_echo_under_many_acks_is_refused_while_read() {
         }
         w.into_bytes()
     };
-    let decode = |bytes: &[u8]| decode_payload::<Proof<GSafeAck<u64>>>(bytes).map(|p| p.len());
+    let decode =
+        |bytes: &[u8]| decode_payload::<Proof<SafeAck<SignedBatch<u64>>>>(bytes).map(|p| p.len());
     let many = 100_000;
     let bytes = laid_out(many);
     assert!(bytes.len() < MAX_SPELLED_OUT / 4);
@@ -873,7 +871,7 @@ fn one_large_echo_under_many_acks_is_refused_while_read() {
 // Proven payloads: each distinct proof once, and exactly one encoding.
 // ---------------------------------------------------------------------------
 
-type Payload = ProvenUpdate<GSafeAck<u64>>;
+type Payload = ProvenUpdate<SafeAck<SignedBatch<u64>>>;
 
 /// The `i`-th of a family of distinct signed batches, in ascending order.
 fn batch(i: usize) -> SignedBatch<u64> {
@@ -886,7 +884,7 @@ fn batch(i: usize) -> SignedBatch<u64> {
 }
 
 /// Batch `i` proven by `proof`.
-fn proven(i: usize, proof: &Proof<GSafeAck<u64>>) -> ProvenBatch<u64> {
+fn proven(i: usize, proof: &Proof<SafeAck<SignedBatch<u64>>>) -> ProvenBatch<u64> {
     ProvenBatch {
         signed: batch(i),
         proof: proof.clone(),
@@ -903,10 +901,13 @@ fn signed_value(i: usize) -> SignedValue<u64> {
 }
 
 /// A GSbS proof of three acks, each echoing `echo`.
-fn gsbs_proof_over(echo: ValueSet<SignedBatch<u64>>, tag: usize) -> Proof<GSafeAck<u64>> {
+fn gsbs_proof_over(
+    echo: ValueSet<SignedBatch<u64>>,
+    tag: usize,
+) -> Proof<SafeAck<SignedBatch<u64>>> {
     Proof::new(
         (0..3)
-            .map(|signer| GSafeAck {
+            .map(|signer| SafeAck {
                 round: 1,
                 rcvd: echo.clone(),
                 conflicts: vec![],
@@ -918,14 +919,16 @@ fn gsbs_proof_over(echo: ValueSet<SignedBatch<u64>>, tag: usize) -> Proof<GSafeA
 }
 
 /// An SbS proof of three acks, each echoing `echo`.
-fn sbs_proof_over(echo: ValueSet<SignedValue<u64>>, tag: usize) -> Proof<SignedSafeAck<u64>> {
+fn sbs_proof_over(
+    echo: ValueSet<SignedValue<u64>>,
+    tag: usize,
+) -> Proof<SafeAck<SignedValue<u64>>> {
     Proof::new(
         (0..3)
-            .map(|signer| SignedSafeAck {
-                body: SafeAckBody {
-                    rcvd: echo.clone(),
-                    conflicts: vec![],
-                },
+            .map(|signer| SafeAck {
+                round: (),
+                rcvd: echo.clone(),
+                conflicts: vec![],
                 signer,
                 sig: sig(tag, signer),
             })
@@ -1079,8 +1082,8 @@ proptest! {
 }
 
 /// The reply of acceptor `signer` in the hand-laid-out proofs below.
-fn reply(signer: usize) -> GSafeAckReply<u64> {
-    GSafeAckReply {
+fn reply(signer: usize) -> SafeAckReply<SignedBatch<u64>> {
+    SafeAckReply {
         round: 1,
         conflicts: vec![],
         signer,
@@ -1091,7 +1094,7 @@ fn reply(signer: usize) -> GSafeAckReply<u64> {
 /// Writes `proof` as a payload's table does when no element of its
 /// echoes is a record of the payload: each echo names none, then spells
 /// out all of its elements.
-fn write_naming_none(proof: &Proof<GSafeAck<u64>>, w: &mut Writer) {
+fn write_naming_none(proof: &Proof<SafeAck<SignedBatch<u64>>>, w: &mut Writer) {
     let mut echoes: Vec<&ValueSet<SignedBatch<u64>>> = Vec::new();
     for ack in proof.iter() {
         if !echoes.contains(&ack.echo()) {
@@ -1113,7 +1116,7 @@ fn write_naming_none(proof: &Proof<GSafeAck<u64>>, w: &mut Writer) {
 /// The bytes of a delta at base 3: each `(index, i)` as a proof index
 /// and batch `i`, then `proofs` inline, then `refs`.
 fn table_laid_out(
-    proofs: &[&Proof<GSafeAck<u64>>],
+    proofs: &[&Proof<SafeAck<SignedBatch<u64>>>],
     refs: &[ProofId],
     records: &[(usize, usize)],
 ) -> Vec<u8> {
@@ -1162,10 +1165,11 @@ fn naming_laid_out(m: usize, named: &[usize], spelled: &[usize]) -> Vec<u8> {
 fn proven_payload_decoder_accepts_one_encoding_only() {
     let [p, q, r] = [1, 2, 3].map(|k| gsbs_proof(k, &[0, 1, 2]));
     let (a, b) = (q.id().min(r.id()), q.id().max(r.id()));
-    let decode =
-        |proofs: &[&Proof<GSafeAck<u64>>], refs: &[ProofId], records: &[(usize, usize)]| {
-            decode_payload::<Payload>(&table_laid_out(proofs, refs, records)).map(|u| u.wire_size())
-        };
+    let decode = |proofs: &[&Proof<SafeAck<SignedBatch<u64>>>],
+                  refs: &[ProofId],
+                  records: &[(usize, usize)]| {
+        decode_payload::<Payload>(&table_laid_out(proofs, refs, records)).map(|u| u.wire_size())
+    };
     // `p` inline under records 0 and 3; `q` and `r` by reference, sorted.
     let at = |id| 1 + usize::from(id == b);
     let canonical = table_laid_out(
@@ -1271,7 +1275,7 @@ fn proven_payload_decoder_accepts_one_encoding_only() {
     let echo: ValueSet<_> = [0, 2, 5].map(batch).into_iter().collect();
     let proof = Proof::new(
         (0..3)
-            .map(|signer| GSafeAck::from_reply(reply(signer), echo.clone()))
+            .map(|signer| SafeAck::from_reply(reply(signer), echo.clone()))
             .collect(),
     );
     let named = naming_laid_out(3, &[0, 2], &[5]);
@@ -1336,7 +1340,7 @@ fn one_proof_under_many_records_is_decoded_and_hashed_once() {
         signer: 0,
         sig: sig(0, 0),
     }];
-    let proof = Proof::new(vec![GSafeAck {
+    let proof = Proof::new(vec![SafeAck {
         round: 1,
         rcvd: echo.into_iter().collect(),
         conflicts: vec![],
@@ -1350,15 +1354,16 @@ fn one_proof_under_many_records_is_decoded_and_hashed_once() {
         decode_payload::<Payload>(&bytes)
     };
     let back = payload(100).expect("said once, read once");
-    let resolved = ProvenDeltaReceiver::default()
-        .resolve(0, &back, &mut ProofResolver::default())
-        .expect("every proof inline");
-    let acks: std::collections::BTreeSet<_> = resolved
-        .iter()
-        .map(|pb| pb.proof.as_slice().as_ptr())
+    let table = back.table();
+    let proofs: Vec<_> = table
+        .records()
+        .map(|(_, inline)| inline.expect("every proof inline"))
         .collect();
+    assert_eq!(proofs.len(), 100);
+    let acks: std::collections::BTreeSet<_> =
+        proofs.iter().map(|p| p.as_slice().as_ptr()).collect();
     assert_eq!(acks.len(), 1, "one decoded proof under every record");
-    assert!(resolved.iter().all(|pb| pb.proof.id() == proof.id()));
+    assert!(proofs.iter().all(|p| p.id() == proof.id()));
     assert!(proof.wire_size() * 300 > MAX_SPELLED_OUT);
     assert_eq!(
         payload(300).err(),
@@ -1437,7 +1442,7 @@ fn named_echoes_are_charged_while_read() {
         .filter_map(|(_, p)| p.map(Proof::id))
         .collect();
     let spelled: BTreeSet<_> = (0..4)
-        .map(|signer| Proof::new(vec![GSafeAck::from_reply(reply(signer), echo.clone())]).id())
+        .map(|signer| Proof::new(vec![SafeAck::from_reply(reply(signer), echo.clone())]).id())
         .collect();
     assert_eq!(ids, spelled, "each names the records it echoes");
 }

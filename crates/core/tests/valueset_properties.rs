@@ -9,7 +9,8 @@
 
 use bgla_codec::{encode_payload, CodecError, Reader, Wire, Writer};
 use bgla_core::proof::Proof;
-use bgla_core::sbs::{ProvenValue, SafeAckBody, SignedSafeAck, SignedValue};
+use bgla_core::safetying::SafeAck;
+use bgla_core::sbs::{ProvenValue, SignedValue};
 use bgla_core::valueset::{DeltaReceiver, DeltaSender, SetUpdate};
 use bgla_core::{SetItem, ValueSet};
 use bgla_crypto::Keypair;
@@ -416,11 +417,8 @@ fn proven_set(values: &[u64], signer: usize) -> ValueSet<ProvenValue<u64>> {
         .iter()
         .map(|&v| SignedValue::sign(v, signer, &kp))
         .collect();
-    let body = SafeAckBody {
-        rcvd: svs.iter().cloned().collect(),
-        conflicts: vec![],
-    };
-    let proof = Proof::new(vec![SignedSafeAck::sign(body, signer, &kp)]);
+    let rcvd = svs.iter().cloned().collect();
+    let proof = Proof::new(vec![SafeAck::sign((), rcvd, vec![], signer, &kp)]);
     svs.into_iter()
         .map(|sv| ProvenValue {
             signed: sv,
@@ -498,13 +496,10 @@ fn proof_identity_is_structural() {
     let kp = Keypair::for_process(1);
     let sv = SignedValue::sign(7u64, 1, &kp);
     let mk_ack = |tag: u64| {
-        let body = SafeAckBody {
-            rcvd: [sv.clone(), SignedValue::sign(tag, 1, &kp)]
-                .into_iter()
-                .collect(),
-            conflicts: vec![],
-        };
-        SignedSafeAck::sign(body, 1, &kp)
+        let rcvd = [sv.clone(), SignedValue::sign(tag, 1, &kp)]
+            .into_iter()
+            .collect();
+        SafeAck::sign((), rcvd, vec![], 1, &kp)
     };
     let (x, y) = (mk_ack(10), mk_ack(20));
     let p1 = Proof::new(vec![x.clone(), y.clone()]);

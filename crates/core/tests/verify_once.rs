@@ -7,13 +7,12 @@
 //! threshold's worth has arrived and verified in one batch
 //! (`bgla_core::held`).
 
-use bgla_core::gsbs::{
-    DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch,
-};
+use bgla_core::gsbs::{DecidedCert, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch};
 use bgla_core::harness::{gsbs_system, sbs_system};
 use bgla_core::proof::Proof;
 use bgla_core::provendelta::ProvenUpdate;
-use bgla_core::sbs::{ProvenValue, SafeAckBody, SbsMsg, SbsProcess, SignedSafeAck, SignedValue};
+use bgla_core::safetying::SafeAck;
+use bgla_core::sbs::{ProvenValue, SbsMsg, SbsProcess, SignedValue};
 use bgla_core::{SystemConfig, ValueSet};
 use bgla_crypto::{digest, Keypair, VerifierStats};
 use bgla_simnet::{Context, Process, RandomScheduler, SimulationBuilder};
@@ -30,18 +29,9 @@ fn config() -> SystemConfig {
 fn proven_value(value: u64, proposer: usize, signers: &[usize]) -> ProvenValue<u64> {
     let sv = SignedValue::sign(value, proposer, &Keypair::for_process(proposer));
     let rcvd: ValueSet<SignedValue<u64>> = [sv.clone()].into_iter().collect();
-    let acks: Vec<SignedSafeAck<u64>> = signers
+    let acks: Vec<SafeAck<SignedValue<u64>>> = signers
         .iter()
-        .map(|&s| {
-            SignedSafeAck::sign(
-                SafeAckBody {
-                    rcvd: rcvd.clone(),
-                    conflicts: vec![],
-                },
-                s,
-                &Keypair::for_process(s),
-            )
-        })
+        .map(|&s| SafeAck::sign((), rcvd.clone(), vec![], s, &Keypair::for_process(s)))
         .collect();
     ProvenValue {
         signed: sv,
@@ -113,18 +103,9 @@ fn same_proof_shared_by_many_values_checks_once_per_call() {
         .map(|i| SignedValue::sign(100 + i as u64, 1 + i, &Keypair::for_process(1 + i)))
         .collect();
     let rcvd: ValueSet<SignedValue<u64>> = svs.iter().cloned().collect();
-    let acks: Vec<SignedSafeAck<u64>> = [1usize, 2, 3]
+    let acks: Vec<SafeAck<SignedValue<u64>>> = [1usize, 2, 3]
         .iter()
-        .map(|&s| {
-            SignedSafeAck::sign(
-                SafeAckBody {
-                    rcvd: rcvd.clone(),
-                    conflicts: vec![],
-                },
-                s,
-                &Keypair::for_process(s),
-            )
-        })
+        .map(|&s| SafeAck::sign((), rcvd.clone(), vec![], s, &Keypair::for_process(s)))
         .collect();
     let proof = Proof::new(acks);
     let set: ValueSet<ProvenValue<u64>> = svs
@@ -205,18 +186,9 @@ fn proof_referenced_in_ten_deltas_still_verifies_once() {
         .map(|i| SignedValue::sign(100 + i as u64, 1, &Keypair::for_process(1)))
         .collect();
     let rcvd: ValueSet<SignedValue<u64>> = svs.iter().cloned().collect();
-    let acks: Vec<SignedSafeAck<u64>> = [1usize, 2, 3]
+    let acks: Vec<SafeAck<SignedValue<u64>>> = [1usize, 2, 3]
         .iter()
-        .map(|&s| {
-            SignedSafeAck::sign(
-                SafeAckBody {
-                    rcvd: rcvd.clone(),
-                    conflicts: vec![],
-                },
-                s,
-                &Keypair::for_process(s),
-            )
-        })
+        .map(|&s| SafeAck::sign((), rcvd.clone(), vec![], s, &Keypair::for_process(s)))
         .collect();
     let proof = Proof::new(acks);
     let values: Vec<ProvenValue<u64>> = svs
@@ -291,16 +263,16 @@ fn gsbs_proof_id_binds_echoed_batch_content() {
     forged_sb.batch = [1u64, 99].into_iter().collect();
 
     let rcvd: ValueSet<SignedBatch<u64>> = [sb.clone()].into_iter().collect();
-    let acks: Vec<GSafeAck<u64>> = [1usize, 2, 3]
+    let acks: Vec<SafeAck<SignedBatch<u64>>> = [1usize, 2, 3]
         .iter()
-        .map(|&s| GSafeAck::sign(0, rcvd.clone(), vec![], s, &Keypair::for_process(s)))
+        .map(|&s| SafeAck::sign(0, rcvd.clone(), vec![], s, &Keypair::for_process(s)))
         .collect();
     let honest = Proof::new(acks.clone());
 
     // Byzantine re-wrap: every ack keeps its signature bytes but echoes
     // the forged record instead.
     let forged_rcvd: ValueSet<SignedBatch<u64>> = [forged_sb.clone()].into_iter().collect();
-    let forged_acks: Vec<GSafeAck<u64>> = acks
+    let forged_acks: Vec<SafeAck<SignedBatch<u64>>> = acks
         .into_iter()
         .map(|mut a| {
             a.rcvd = forged_rcvd.clone();

@@ -7,9 +7,8 @@
 //! checks the held records at each threshold.
 
 use bgla::core::adversary::gsbs::{SigForger, WrongEcho};
-use bgla::core::gsbs::{
-    DecidedCert, GSafeAck, GsbsMsg, GsbsProcess, GsbsState, SignedAck, SignedBatch,
-};
+use bgla::core::gsbs::{DecidedCert, GsbsMsg, GsbsProcess, GsbsState, SignedAck, SignedBatch};
+use bgla::core::safetying::SafeAck;
 use bgla::core::{spec, ProofAck, SystemConfig, ValueSet};
 use bgla::crypto::{digest, Keypair, VerifierStats};
 use bgla::simnet::{Context, Process, RandomScheduler, Simulation, SimulationBuilder, TraceEvent};
@@ -356,9 +355,7 @@ fn each_forged_record_is_verified_once() {
     assert_eq!(forged_safe_acks.len(), 2);
     let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
     let safe_ack = |i: usize| {
-        GsbsMsg::SafeAck(
-            GSafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply(),
-        )
+        GsbsMsg::SafeAck(SafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply())
     };
     feed(&mut p0, FORGER, forged_safe_acks.clone());
     feed(&mut p0, 0, own_safe_ack);
@@ -432,9 +429,7 @@ fn each_safe_ack_over_another_set_is_verified_once() {
     assert_eq!(wrong.len(), 2);
     let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
     let safe_ack = |i: usize| {
-        GsbsMsg::SafeAck(
-            GSafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply(),
-        )
+        GsbsMsg::SafeAck(SafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply())
     };
     feed(&mut p0, FORGER, wrong.clone());
     feed(&mut p0, 0, own_safe_ack);

@@ -15,8 +15,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bgla_codec::{encode_payload, Wire, Writer};
-use bgla_core::gsbs::{GSafeAck, GsbsMsg, GsbsProcess, ProvenBatch, SignedBatch};
+use bgla_core::gsbs::{GsbsMsg, GsbsProcess, ProvenBatch, SignedBatch};
 use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess, NamedSet};
+use bgla_core::safetying::SafeAck;
 use bgla_core::sbs::{SbsMsg, SbsProcess};
 use bgla_core::wts::{WtsMsg, WtsProcess};
 use bgla_core::{Proof, ProofAck, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
@@ -140,13 +141,13 @@ fn occurrences(haystack: &[u8], needle: &[u8]) -> usize {
 /// that are records of `update` too, after checking that each record's
 /// encoding occurs in `msg`'s exactly once: an echoed record is named,
 /// not spelled out again.
-fn echoed_records(update: &ProvenUpdate<GSafeAck<u64>>, msg: &[u8]) -> usize {
+fn echoed_records(update: &ProvenUpdate<SafeAck<SignedBatch<u64>>>, msg: &[u8]) -> usize {
     let table = update.table();
     let records: Vec<&SignedBatch<u64>> = table.records().map(|(signed, _)| signed).collect();
     for signed in &records {
         assert_eq!(occurrences(msg, &encode_payload(*signed)), 1, "{signed:?}");
     }
-    let mut proofs: Vec<&Proof<GSafeAck<u64>>> = Vec::new();
+    let mut proofs: Vec<&Proof<SafeAck<SignedBatch<u64>>>> = Vec::new();
     for proof in table.records().filter_map(|(_, proof)| proof) {
         if !proofs.contains(&proof) {
             proofs.push(proof);
@@ -284,7 +285,7 @@ fn every_update_and_ack_record_form_is_metered_exactly() {
     let proof = |echo: ValueSet<SignedBatch<u64>>| {
         Proof::new(
             (0..5)
-                .map(|signer| GSafeAck {
+                .map(|signer| SafeAck {
                     round: 1,
                     rcvd: echo.clone(),
                     conflicts: vec![],
@@ -314,7 +315,8 @@ fn every_update_and_ack_record_form_is_metered_exactly() {
         for update in updates {
             let bytes = encode_payload(&update);
             assert_eq!(bytes.len(), update.wire_size(), "{len} records");
-            let back: ProvenUpdate<GSafeAck<u64>> = bgla_codec::decode_payload(&bytes).unwrap();
+            let back: ProvenUpdate<SafeAck<SignedBatch<u64>>> =
+                bgla_codec::decode_payload(&bytes).unwrap();
             assert_eq!(back.wire_size(), bytes.len());
         }
     }

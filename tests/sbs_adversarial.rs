@@ -6,7 +6,8 @@
 use bgla::core::adversary::sbs::{
     BogusRefSender, ConflictSigner, ProofForger, SigForger, SilentS, WrongEcho,
 };
-use bgla::core::sbs::{SafeAckBody, SbsMsg, SbsProcess, SbsState, SignedSafeAck, SignedValue};
+use bgla::core::safetying::SafeAck;
+use bgla::core::sbs::{SbsMsg, SbsProcess, SbsState, SignedValue};
 use bgla::core::{spec, ProofAck, SystemConfig};
 use bgla::core::{ProvenUpdate, ValueSet};
 use bgla::crypto::{Keypair, VerifierStats};
@@ -187,18 +188,9 @@ fn resync_round_trip_recovers_a_valid_payload() {
     let config = SystemConfig::new(4, 1);
     let sv = SignedValue::sign(42u64, 1, &Keypair::for_process(1));
     let rcvd: bgla::core::ValueSet<SignedValue<u64>> = [sv.clone()].into_iter().collect();
-    let acks: Vec<SignedSafeAck<u64>> = [1usize, 2, 3]
+    let acks: Vec<SafeAck<SignedValue<u64>>> = [1usize, 2, 3]
         .iter()
-        .map(|&s| {
-            SignedSafeAck::sign(
-                SafeAckBody {
-                    rcvd: rcvd.clone(),
-                    conflicts: vec![],
-                },
-                s,
-                &Keypair::for_process(s),
-            )
-        })
+        .map(|&s| SafeAck::sign((), rcvd.clone(), vec![], s, &Keypair::for_process(s)))
         .collect();
     let payload: bgla::core::ValueSet<ProvenValue<u64>> = [ProvenValue {
         signed: sv,
@@ -418,11 +410,8 @@ fn each_forged_record_is_verified_once() {
     assert_eq!(forged_safe_acks.len(), 2);
     let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
     let safe_ack = |i: usize| {
-        let body = SafeAckBody {
-            rcvd: set.clone(),
-            conflicts: vec![],
-        };
-        SbsMsg::SafeAck(SignedSafeAck::sign(body, i, &Keypair::for_process(i)).reply())
+        let ack = SafeAck::sign((), set.clone(), vec![], i, &Keypair::for_process(i));
+        SbsMsg::SafeAck(ack.reply())
     };
     feed(&mut p0, FORGER, forged_safe_acks.clone());
     feed(&mut p0, 0, own_safe_ack);
@@ -472,11 +461,8 @@ fn each_safe_ack_over_another_set_is_verified_once() {
     assert_eq!(wrong.len(), 2);
     let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
     let safe_ack = |i: usize| {
-        let body = SafeAckBody {
-            rcvd: set.clone(),
-            conflicts: vec![],
-        };
-        SbsMsg::SafeAck(SignedSafeAck::sign(body, i, &Keypair::for_process(i)).reply())
+        let ack = SafeAck::sign((), set.clone(), vec![], i, &Keypair::for_process(i));
+        SbsMsg::SafeAck(ack.reply())
     };
     feed(&mut p0, FORGER, wrong.clone());
     feed(&mut p0, 0, own_safe_ack);
