@@ -26,35 +26,31 @@
 //! *Which set* a peer holds is the delta ledger's business, stated once
 //! in [`crate::valueset`]: a reply to timestamp `t` is the evidence for
 //! `snapshot(t)`, and a consumed proposal stays a base for a window of
-//! timestamps. [`ProvenDeltaSender`] and [`ProvenDeltaReceiver`] wrap
-//! that ledger and add only *which proofs*:
-//! a sender may reference a proof to a peer only when that peer
-//! *demonstrably* delivered it:
+//! timestamps. [`ProofPath`] keeps that ledger, on both sides, and adds
+//! only *which proofs*: a sender may reference a proof to a peer only
+//! when that peer *demonstrably* delivered it:
 //!
 //! * **ack/nack replies** — a peer that replied to the proposal of
 //!   timestamp `t` consumed it, verified its proofs and registered them
 //!   in its [`ProofResolver`]; every proof in the `t` snapshot becomes
-//!   referenceable ([`ProvenDeltaSender::record_reply`]);
+//!   referenceable;
 //! * **received proven sets** — a peer that shipped (or itself
-//!   referenced) a proof inside a nack evidently holds it
-//!   ([`ProvenDeltaSender::note_peer_holds`]), so the very proofs a
-//!   refinement just absorbed from a nacker can travel back to that
-//!   nacker as references on the re-broadcast — the dominant saving on
-//!   refinement-heavy runs.
+//!   referenced) a proof inside a nack evidently holds it, so the very
+//!   proofs a refinement just absorbed from a nacker can travel back to
+//!   that nacker as references on the re-broadcast — the dominant saving
+//!   on refinement-heavy runs.
 //!
 //! Note what is *not* enough: an acceptor whose safe-ack ended up inside
 //! a proof has never seen the other quorum members' acks, so signing a
 //! safe-ack does **not** imply holding the assembled proof — references
 //! are seeded from replies and received sets only.
 //!
-//! Receivers mirror the discipline: [`ProvenDeltaReceiver::record`]
-//! notes, per proposer, the proof ids that proposer evidently holds (so
-//! *reply* traffic — the delta-encoded `Nack.accepted` — can reference
-//! the proposer's own proofs back at it via
-//! [`ProvenDeltaReceiver::encode_reply`]). A nack deltas against the
-//! proposal it refuses, which the proposer holds by construction
-//! ([`ProvenDeltaSender::resolve_reply`] resolves it from the
-//! sender-side snapshots).
+//! Acceptors mirror the discipline: consuming a proposal notes, per
+//! proposer, the proof ids that proposer evidently holds, so *reply*
+//! traffic — the delta-encoded `Nack.accepted` — can reference the
+//! proposer's own proofs back at it. A nack deltas against the proposal
+//! it refuses, which the proposer holds by construction and resolves
+//! from its own snapshots.
 //!
 //! # Gaps and resync
 //!
@@ -657,168 +653,6 @@ fn register_proofs<A: ProofAck>(resolver: &mut ProofResolver<Proof<A>>, set: &Va
     }
 }
 
-/// Proposer-side bookkeeping for delta-encoded proposal broadcasts: the
-/// delta ledger (snapshots of the proven set by timestamp, each peer's
-/// newest replied-to timestamp) plus the proof ids each peer
-/// demonstrably holds. `Default` is fresh state: no snapshots, no reply
-/// seen.
-#[derive(Debug)]
-pub struct ProvenDeltaSender<A: ProofAck> {
-    ledger: DeltaSender<Proven<A>>,
-    /// Peer → proof ids it demonstrably delivered (see module docs).
-    known_held: BTreeMap<ProcessId, BTreeSet<ProofId>>,
-}
-
-impl<A: ProofAck> Default for ProvenDeltaSender<A> {
-    fn default() -> Self {
-        ProvenDeltaSender {
-            ledger: DeltaSender::default(),
-            known_held: BTreeMap::new(),
-        }
-    }
-}
-
-impl<A: ProofAck> ProvenDeltaSender<A> {
-    /// Records the proven set broadcast at `ts` (call once per
-    /// broadcast, before encoding per-peer updates).
-    pub fn record_broadcast(&mut self, ts: u64, set: &ValueSet<Proven<A>>) {
-        self.ledger.record_broadcast(ts, set);
-    }
-
-    /// Records that `from` replied (ack or nack) to the proposal of
-    /// `ts`: it consumed that set, so its values need not be re-shipped
-    /// and its proofs become referenceable. Ignores timestamps we never
-    /// broadcast (Byzantine claims) or no longer retain.
-    pub fn record_reply(&mut self, from: ProcessId, ts: u64) {
-        if let Some(snapshot) = self.ledger.record_reply(from, ts) {
-            note_held(&mut self.known_held, from, snapshot);
-        }
-    }
-
-    /// Records that `from` evidently holds every proof of `set` (it
-    /// shipped or referenced them itself — e.g. inside a nack), without
-    /// implying it holds any particular proposal snapshot.
-    pub fn note_peer_holds(&mut self, from: ProcessId, set: &ValueSet<Proven<A>>) {
-        note_held(&mut self.known_held, from, set);
-    }
-
-    /// Forgets everything assumed about `to` — the resync fallback:
-    /// the peer reported a gap, so until it replies again it gets `Full`
-    /// payloads with every proof inline.
-    pub fn reset_peer(&mut self, to: ProcessId) {
-        self.ledger.forget_peer(to);
-        self.known_held.remove(&to);
-    }
-
-    /// Encodes the proven set `current` (broadcast at `ts`) for peer
-    /// `to`: what the ledger's [`DeltaSender::encode_for`] gives it,
-    /// with the proofs `to` demonstrably holds by reference.
-    pub fn encode_for(
-        &self,
-        to: ProcessId,
-        ts: u64,
-        current: &ValueSet<Proven<A>>,
-    ) -> ProvenUpdate<A> {
-        self.by_reference(to, self.ledger.encode_for(to, ts, current))
-    }
-
-    /// [`Self::encode_for`] for every peer `0..n` of one broadcast,
-    /// indexed by peer. Peers on the same base share one set of new
-    /// records; the references stay per peer.
-    pub fn encode_broadcast(
-        &self,
-        n: usize,
-        ts: u64,
-        current: &ValueSet<Proven<A>>,
-    ) -> Vec<ProvenUpdate<A>> {
-        let updates = self.ledger.encode_broadcast(n, ts, current);
-        updates
-            .into_iter()
-            .enumerate()
-            .map(|(to, update)| self.by_reference(to, update))
-            .collect()
-    }
-
-    fn by_reference(
-        &self,
-        to: ProcessId,
-        update: SetUpdate<ValueSet<Proven<A>>>,
-    ) -> ProvenUpdate<A> {
-        match update {
-            SetUpdate::Full(set) => ProvenUpdate::Table(ProvenTable::new(None, &set, |_| false)),
-            SetUpdate::Delta { base_ts, added } => delta_for(&self.known_held, to, base_ts, &added),
-        }
-    }
-
-    /// Decodes a delta-encoded *reply* (a nack's accepted set): the base
-    /// is our own snapshot of the proposal the peer is answering, and
-    /// references resolve through our resolver. `None` is a gap — for
-    /// replies, a reliable Byzantine signal (see module docs).
-    pub fn resolve_reply(
-        &self,
-        update: &ProvenUpdate<A>,
-        resolver: &mut ProofResolver<Proof<A>>,
-    ) -> Option<ValueSet<Proven<A>>> {
-        resolve_onto(update, |ts| self.ledger.snapshot(ts), resolver)
-    }
-}
-
-/// Acceptor-side bookkeeping for delta-encoded proposals: the ledger's
-/// consumed sets per `(proposer, ts)` (delta bases) and the proof ids
-/// each proposer demonstrably holds (reference targets for
-/// delta-encoded nacks back to it). `Default` is fresh state.
-#[derive(Debug)]
-pub struct ProvenDeltaReceiver<A: ProofAck> {
-    bases: DeltaReceiver<Proven<A>>,
-    peer_proofs: BTreeMap<ProcessId, BTreeSet<ProofId>>,
-}
-
-impl<A: ProofAck> Default for ProvenDeltaReceiver<A> {
-    fn default() -> Self {
-        ProvenDeltaReceiver {
-            bases: DeltaReceiver::default(),
-            peer_proofs: BTreeMap::new(),
-        }
-    }
-}
-
-impl<A: ProofAck> ProvenDeltaReceiver<A> {
-    /// Resolves a proposal update from `from` into the full proven set.
-    /// `None` means a detected gap — unknown base or unresolvable
-    /// reference — to be answered with a resync request.
-    pub fn resolve(
-        &self,
-        from: ProcessId,
-        update: &ProvenUpdate<A>,
-        resolver: &mut ProofResolver<Proof<A>>,
-    ) -> Option<ValueSet<Proven<A>>> {
-        resolve_onto(update, |ts| self.bases.base(from, ts), resolver)
-    }
-
-    /// Records that the proposal `set` from `from` at `ts` was consumed
-    /// (we are about to reply to it): it becomes a delta base, and its
-    /// proofs become referenceable back to `from` — the sender shipped
-    /// or referenced every one of them, so it holds them.
-    pub fn record(&mut self, from: ProcessId, ts: u64, set: &ValueSet<Proven<A>>) {
-        note_held(&mut self.peer_proofs, from, set);
-        self.bases.record(from, ts, set);
-    }
-
-    /// Encodes a *reply* set (a nack's accepted set) for proposer `to`:
-    /// a delta against `base` — the proposal of `base_ts` being refused,
-    /// which `to` holds by construction — with proofs `to` demonstrably
-    /// holds by reference.
-    pub fn encode_reply(
-        &self,
-        to: ProcessId,
-        base_ts: u64,
-        base: &ValueSet<Proven<A>>,
-        current: &ValueSet<Proven<A>>,
-    ) -> ProvenUpdate<A> {
-        delta_for(&self.peer_proofs, to, base_ts, &current.difference(base))
-    }
-}
-
 /// The proving phase of SbS and GSbS — Algorithm 10's `AllSafe` and the
 /// `ack_req`/`nack` exchange of proven sets, which GSbS runs once per
 /// round (§8.2) — over the state it keeps: the acceptor's accepted
@@ -871,12 +705,16 @@ pub struct ProofPath<A: ProofAck> {
     /// reference instead of the proof, each marked whether this process
     /// image verified it.
     resolver: ProofResolver<Proof<A>>,
-    /// Proposer-side delta bookkeeping (snapshots, reply watermarks,
-    /// per-peer referenceable proof ids).
-    tx: ProvenDeltaSender<A>,
-    /// Acceptor-side delta bookkeeping (consumed bases, per-proposer
-    /// referenceable proof ids).
-    rx: ProvenDeltaReceiver<A>,
+    /// Proposer: the delta ledger — the proposal broadcast at each
+    /// retained `ts`, and each peer's newest replied-to `ts`.
+    sent: DeltaSender<Proven<A>>,
+    /// Proposer: acceptor → ids of the proofs it demonstrably holds.
+    acceptor_holds: BTreeMap<ProcessId, BTreeSet<ProofId>>,
+    /// Acceptor: the proposals consumed per `(proposer, ts)`, the bases
+    /// of later deltas.
+    bases: DeltaReceiver<Proven<A>>,
+    /// Acceptor: proposer → ids of the proofs it demonstrably holds.
+    proposer_holds: BTreeMap<ProcessId, BTreeSet<ProofId>>,
 }
 
 impl<A: ProofAck> Default for ProofPath<A> {
@@ -884,8 +722,10 @@ impl<A: ProofAck> Default for ProofPath<A> {
         ProofPath {
             accepted: Valued::default(),
             resolver: ProofResolver::default(),
-            tx: ProvenDeltaSender::default(),
-            rx: ProvenDeltaReceiver::default(),
+            sent: DeltaSender::default(),
+            acceptor_holds: BTreeMap::new(),
+            bases: DeltaReceiver::default(),
+            proposer_holds: BTreeMap::new(),
         }
     }
 }
@@ -913,20 +753,37 @@ impl<A: ProofAck> ProofPath<A> {
 
     /// Records the proposal `proposed` broadcast at `ts` and encodes it
     /// for every peer `0..n`: the whole set on first contact or after a
-    /// resync, else a delta with held proofs by reference.
+    /// resync, else the records added since the peer's newest reply, with
+    /// every proof it demonstrably holds by reference. Peers on the same
+    /// base share one set of new records.
     pub(crate) fn propose(
         &mut self,
         n: usize,
         ts: u64,
         proposed: &ValueSet<Proven<A>>,
     ) -> Vec<ProvenUpdate<A>> {
-        self.tx.record_broadcast(ts, proposed);
-        self.tx.encode_broadcast(n, ts, proposed)
+        self.sent.record_broadcast(ts, proposed);
+        let updates = self.sent.encode_broadcast(n, ts, proposed);
+        (updates.into_iter().enumerate())
+            .map(|(to, update)| match update {
+                SetUpdate::Full(set) => {
+                    ProvenUpdate::Table(ProvenTable::new(None, &set, |_| false))
+                }
+                SetUpdate::Delta { base_ts, added } => {
+                    delta_for(&self.acceptor_holds, to, base_ts, &added)
+                }
+            })
+            .collect()
     }
 
-    /// Records that `from` replied (ack or nack) to our proposal of `ts`.
+    /// Records that `from` replied (ack or nack) to our proposal of `ts`:
+    /// it consumed that set, so its records need not be re-shipped and
+    /// its proofs become referenceable. Ignores timestamps we never
+    /// broadcast (Byzantine claims) or no longer retain.
     pub(crate) fn replied(&mut self, from: ProcessId, ts: u64) {
-        self.tx.record_reply(from, ts);
+        if let Some(snapshot) = self.sent.record_reply(from, ts) {
+            note_held(&mut self.acceptor_holds, from, snapshot);
+        }
     }
 
     /// The resync fallback: `peer` could not resolve a delta, so forget
@@ -934,7 +791,8 @@ impl<A: ProofAck> ProofPath<A> {
     /// replies again. Correct peers never ask, so the cost is bounded by
     /// the adversary's own message budget.
     pub(crate) fn resync(&mut self, peer: ProcessId) {
-        self.tx.reset_peer(peer);
+        self.sent.forget_peer(peer);
+        self.acceptor_holds.remove(&peer);
     }
 }
 
@@ -954,10 +812,12 @@ impl<A: ProofAck> Wire for ProofPath<A> {
             accepted,
             resolver,
             // Sender watermarks are peer-relative and deliberately amnesiac across crashes.
-            tx: _,
+            sent: _,
+            acceptor_holds: _,
             // Delta bases are peer-relative; a restarted process resumes in full-set mode by
             // design.
-            rx: _,
+            bases: _,
+            proposer_holds: _,
         } = self;
         accepted.records().encode(w);
         let retained: Vec<Proof<A>> = resolver.entries().into_iter().map(|(_, p)| p).collect();
@@ -974,8 +834,7 @@ impl<A: ProofAck> Wire for ProofPath<A> {
         Ok(ProofPath {
             accepted,
             resolver,
-            tx: ProvenDeltaSender::default(),
-            rx: ProvenDeltaReceiver::default(),
+            ..ProofPath::default()
         })
     }
 }
@@ -1054,7 +913,8 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
         ts: u64,
     ) -> Option<Reply<A>> {
         let path = &mut *self.path;
-        let Some(proposed) = path.rx.resolve(from, update, &mut path.resolver) else {
+        let base_at = |ts| path.bases.base(from, ts);
+        let Some(proposed) = resolve_onto(update, base_at, &mut path.resolver) else {
             // Unknown base or proof reference: a proposal reference can
             // outlive our bounded resolver window, so ask for it whole.
             return Some(Reply::Resync);
@@ -1063,8 +923,11 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
             return None;
         }
         let path = &mut *self.path;
+        // Consumed: a delta base from now on, and `from` shipped or
+        // referenced every proof of it, so it holds them.
         register_proofs(&mut path.resolver, &proposed);
-        path.rx.record(from, ts, &proposed);
+        note_held(&mut path.proposer_holds, from, &proposed);
+        path.bases.record(from, ts, &proposed);
         let proposed = Valued::new(proposed);
         if path.accepted.values().is_subset(proposed.values()) {
             let values = proposed.values().clone();
@@ -1075,9 +938,8 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
             // base the proposer holds by construction; the proposer
             // reconstructs the union, which is exactly what its grows
             // check and join compute anyway.
-            let accepted =
-                path.rx
-                    .encode_reply(from, ts, proposed.records(), path.accepted.records());
+            let added = path.accepted.records().difference(proposed.records());
+            let accepted = delta_for(&path.proposer_holds, from, ts, &added);
             path.accepted.join_with(&proposed);
             Some(Reply::Nack(accepted))
         }
@@ -1099,13 +961,14 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
         trusted: bool,
     ) -> Option<Valued<A>> {
         let path = &mut *self.path;
-        let accepted = Valued::new(path.tx.resolve_reply(update, &mut path.resolver)?);
+        let base_at = |ts| path.sent.snapshot(ts);
+        let accepted = Valued::new(resolve_onto(update, base_at, &mut path.resolver)?);
         let grows = !accepted.values().is_subset(proposed);
         if !(grows && trusted && self.all_safe(accepted.records())) {
             return None;
         }
         register_proofs(&mut self.path.resolver, accepted.records());
-        self.path.tx.note_peer_holds(from, accepted.records());
+        note_held(&mut self.path.acceptor_holds, from, accepted.records());
         Some(accepted)
     }
 }
@@ -1183,42 +1046,55 @@ mod tests {
         )
     }
 
+    /// What an acceptor resolves `update` from `from` to: its base among
+    /// the proposals `path` consumed, joined with the new records.
+    fn resolve(
+        path: &mut ProofPath<TestAck>,
+        from: ProcessId,
+        update: &ProvenUpdate<TestAck>,
+    ) -> Option<ValueSet<Rec>> {
+        resolve_onto(update, |ts| path.bases.base(from, ts), &mut path.resolver)
+    }
+
+    /// What an acceptor records on consuming `set` from `from` at `ts`,
+    /// as `Proving::accept` does.
+    fn consume(path: &mut ProofPath<TestAck>, from: ProcessId, ts: u64, set: &ValueSet<Rec>) {
+        register_proofs(&mut path.resolver, set);
+        note_held(&mut path.proposer_holds, from, set);
+        path.bases.record(from, ts, set);
+    }
+
     #[test]
     fn first_contact_is_full_and_replies_enable_deltas() {
-        let mut tx: ProvenDeltaSender<TestAck> = ProvenDeltaSender::default();
-        let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
+        let mut tx: ProofPath<TestAck> = ProofPath::default();
         let s0 = set(&[rec(1, &[10]), rec(2, &[10])]);
-        tx.record_broadcast(1, &s0);
-        assert_eq!(shape(&tx.encode_for(9, 1, &s0)), (None, 1, 0, 2));
+        assert_eq!(shape(&tx.propose(10, 1, &s0)[9]), (None, 1, 0, 2));
 
         // Peer 9 consumes and replies: the shared proof becomes
         // referenceable and values stop traveling.
-        tx.record_reply(9, 1);
+        tx.replied(9, 1);
         let s1 = s0.join(&set(&[rec(3, &[10])]));
-        tx.record_broadcast(2, &s1);
-        let u = tx.encode_for(9, 2, &s1);
+        let u = tx.propose(10, 2, &s1).swap_remove(9);
         assert_eq!(shape(&u), (Some(1), 0, 1, 1), "shared proof by reference");
         // Receiver side: reconstruct through base + resolver.
-        let mut rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
-        register_proofs(&mut resolver, &s0);
-        rx.record(0, 1, &s0);
-        let full = rx.resolve(0, &u, &mut resolver).expect("no gap");
+        let mut rx: ProofPath<TestAck> = ProofPath::default();
+        consume(&mut rx, 0, 1, &s0);
+        let full = resolve(&mut rx, 0, &u).expect("no gap");
         assert_eq!(full, s1);
     }
 
     #[test]
     fn unknown_base_and_unknown_ref_are_gaps() {
-        let rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
-        let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
+        let mut rx: ProofPath<TestAck> = ProofPath::default();
         let bogus_base = ProvenUpdate::Delta {
             base_ts: 77,
             new: set(&[rec(1, &[1])]),
             refs: vec![],
         };
-        assert!(rx.resolve(3, &bogus_base, &mut resolver).is_none());
+        assert!(resolve(&mut rx, 3, &bogus_base).is_none());
 
-        let mut rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
-        rx.record(3, 0, &ValueSet::new());
+        let mut rx: ProofPath<TestAck> = ProofPath::default();
+        consume(&mut rx, 3, 0, &ValueSet::new());
         let r = rec(1, &[1]);
         let unknown_ref = ProvenUpdate::Delta {
             base_ts: 0,
@@ -1226,64 +1102,66 @@ mod tests {
             new: set(&[r]),
         };
         assert!(
-            rx.resolve(3, &unknown_ref, &mut resolver).is_none(),
+            resolve(&mut rx, 3, &unknown_ref).is_none(),
             "a referenced proof the resolver does not hold is a gap"
         );
     }
 
     #[test]
     fn refs_matching_no_record_are_not_shipped() {
-        let mut rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
-        let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
-        rx.record(3, 0, &ValueSet::new());
+        let mut rx: ProofPath<TestAck> = ProofPath::default();
+        consume(&mut rx, 3, 0, &ValueSet::new());
         let u = ProvenUpdate::Delta {
             base_ts: 0,
             new: set(&[rec(1, &[1])]),
             refs: vec![bogus_id(0xAB)],
         };
-        let full = rx.resolve(3, &u, &mut resolver).expect("inline proof");
+        let full = resolve(&mut rx, 3, &u).expect("inline proof");
         assert_eq!(full.len(), 1);
         let table = ProvenUpdate::Table(u.table().into_owned());
         assert_eq!(shape(&table), (Some(0), 1, 0, 1), "inline, no refs");
     }
 
     #[test]
-    fn reset_peer_restores_full_payloads() {
-        let mut tx: ProvenDeltaSender<TestAck> = ProvenDeltaSender::default();
+    fn resync_restores_full_payloads() {
+        let mut tx: ProofPath<TestAck> = ProofPath::default();
         let s = set(&[rec(1, &[1])]);
-        tx.record_broadcast(1, &s);
-        tx.record_reply(4, 1);
-        assert!(tx.encode_for(4, 2, &s).is_delta());
-        tx.reset_peer(4);
-        assert!(!tx.encode_for(4, 2, &s).is_delta());
+        tx.propose(5, 1, &s);
+        tx.replied(4, 1);
+        assert!(tx.propose(5, 2, &s)[4].is_delta());
+        tx.resync(4);
+        assert!(!tx.propose(5, 3, &s)[4].is_delta());
     }
 
     #[test]
     fn reply_deltas_reference_the_proposers_own_proofs() {
         // Proposer P (id 0) sent us set s_p; we hold accepted = s_p ∪ ours.
         // The nack back to P references P's proof and ships ours inline.
-        let mut rx: ProvenDeltaReceiver<TestAck> = ProvenDeltaReceiver::default();
+        let mut rx: ProofPath<TestAck> = ProofPath::default();
         let p_rec = rec(1, &[10]);
         let our_rec = rec(2, &[20]);
         let s_p = set(std::slice::from_ref(&p_rec));
-        rx.record(0, 3, &s_p);
+        consume(&mut rx, 0, 3, &s_p);
         let accepted = s_p.join(&set(std::slice::from_ref(&our_rec)));
-        let u = rx.encode_reply(0, 3, &s_p, &accepted);
+        let refusal =
+            |rx: &ProofPath<TestAck>, ts, refused: &ValueSet<Rec>, held: &ValueSet<Rec>| {
+                delta_for(&rx.proposer_holds, 0, ts, &held.difference(refused))
+            };
+        let u = refusal(&rx, 3, &s_p, &accepted);
         assert_eq!(shape(&u), (Some(3), 1, 0, 1), "our proof is new to P");
         // P resolves against its own snapshot.
-        let mut tx: ProvenDeltaSender<TestAck> = ProvenDeltaSender::default();
-        let mut resolver: ProofResolver<Proof<TestAck>> = ProofResolver::default();
-        tx.record_broadcast(3, &s_p);
-        let full = tx.resolve_reply(&u, &mut resolver).expect("no gap");
+        let mut tx: ProofPath<TestAck> = ProofPath::default();
+        tx.propose(1, 3, &s_p);
+        let full = resolve_onto(&u, |ts| tx.sent.snapshot(ts), &mut tx.resolver).expect("no gap");
         assert_eq!(full, accepted);
 
         // A second nack after P re-proposed the union references our
         // proof back (P shipped it, so it holds it).
-        rx.record(0, 4, &accepted);
-        let u2 = rx.encode_reply(0, 4, &accepted, &accepted);
+        consume(&mut rx, 0, 4, &accepted);
+        let u2 = refusal(&rx, 4, &accepted, &accepted);
         assert_eq!(shape(&u2), (Some(4), 0, 0, 0));
         let grown = accepted.join(&set(&[rec(9, &[20])]));
-        let u3 = rx.encode_reply(0, 4, &accepted, &grown);
+        let u3 = refusal(&rx, 4, &accepted, &grown);
         assert_eq!(shape(&u3), (Some(4), 0, 1, 1));
         assert_eq!(
             u3.table().refs(),
@@ -1292,24 +1170,19 @@ mod tests {
         );
     }
 
-    /// Each peer's payload is what it would get alone; what each holds by
-    /// reference stays its own.
+    /// What each peer holds by reference stays its own: a reply makes
+    /// the replied-to proposal the peer's base, and a nack's proofs
+    /// referenceable to the nacker alone.
     #[test]
-    fn broadcast_encodes_each_peer_as_alone() {
-        let mut tx: ProvenDeltaSender<TestAck> = ProvenDeltaSender::default();
+    fn a_broadcast_encodes_each_peer_by_what_it_holds() {
+        let mut tx: ProofPath<TestAck> = ProofPath::default();
         let s0 = set(&[rec(1, &[10])]);
-        tx.record_broadcast(1, &s0);
-        tx.record_reply(1, 1);
-        tx.record_reply(2, 1);
+        tx.propose(3, 1, &s0);
+        tx.replied(1, 1);
+        tx.replied(2, 1);
         let s1 = s0.join(&set(&[rec(2, &[20]), rec(3, &[30])]));
-        tx.note_peer_holds(2, &set(&[rec(2, &[20])]));
-        tx.record_broadcast(2, &s1);
-        let all = tx.encode_broadcast(3, 2, &s1);
-        for (to, update) in all.iter().enumerate() {
-            let alone = tx.encode_for(to, 2, &s1);
-            assert_eq!(format!("{update:?}"), format!("{alone:?}"), "peer {to}");
-        }
-        let shapes: Vec<_> = all.iter().map(shape).collect();
+        note_held(&mut tx.acceptor_holds, 2, &set(&[rec(2, &[20])]));
+        let shapes: Vec<_> = tx.propose(3, 2, &s1).iter().map(shape).collect();
         assert_eq!(
             shapes,
             [(None, 3, 0, 3), (Some(1), 2, 0, 2), (Some(1), 1, 1, 2)]
@@ -1383,10 +1256,9 @@ mod tests {
     fn ledgers_default_without_a_default_record() {
         use crate::gsbs::SignedBatch;
         use crate::safetying::SafeAck;
-        let tx = ProvenDeltaSender::<SafeAck<SignedBatch<u64>>>::default();
-        let rx = ProvenDeltaReceiver::<SafeAck<SignedBatch<u64>>>::default();
-        assert!(!tx.encode_for(1, 1, &ValueSet::new()).is_delta());
-        assert!(rx.bases.base(1, 0).is_none());
+        let mut path = ProofPath::<SafeAck<SignedBatch<u64>>>::default();
+        assert!(!path.propose(2, 1, &ValueSet::new())[1].is_delta());
+        assert!(path.bases.base(1, 0).is_none());
     }
 
     /// A snapshot stores the retained proofs least-recently-used first
