@@ -668,27 +668,24 @@ impl<V: Value> GsbsProcess<V> {
                 }
                 true
             }
-            // bgla-lint: allow(byzantine-panic, "local invariant: the buffering site only ever stores ack_req / nack")
-            _ => unreachable!("only ack_req / nack are buffered"),
+            // Only the two above ever wait on a guard; anything else is
+            // handled where it arrives and has nothing left to wait for.
+            _ => true,
         }
     }
 
+    /// Retries every waiting message in arrival order, those still
+    /// blocked kept in that order, until a pass handles none.
     fn drain_waiting(&mut self, ctx: &mut Context<GsbsMsg<V>>) {
-        loop {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < self.waiting.len() {
-                // bgla-lint: allow(byzantine-panic, "i < waiting.len() loop guard")
-                let (from, msg) = self.waiting[i].clone();
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for (from, msg) in std::mem::take(&mut self.waiting) {
                 if self.try_handle(from, &msg, ctx) {
-                    self.waiting.remove(i);
                     progressed = true;
                 } else {
-                    i += 1;
+                    self.waiting.push((from, msg));
                 }
-            }
-            if !progressed {
-                break;
             }
         }
     }
