@@ -837,7 +837,7 @@ pub mod gwts {
 
 /// SbS-specific adversaries (Section 8).
 pub mod sbs {
-    use crate::proof::{Proof, ProofAck};
+    use crate::proof::Proof;
     use crate::provendelta::ProvenUpdate;
     use crate::safetying::SafeAck;
     use crate::sbs::{ProvenValue, SbsMsg, SignedValue};
@@ -1078,9 +1078,9 @@ pub mod sbs {
             if let SbsMsg::SafeReq(rcvd) = msg {
                 let mut ack =
                     SafeAck::sign((), rcvd, vec![], self.me, &Keypair::for_process(self.me));
-                super::corrupt(&mut ack.sig);
-                ctx.send(from, SbsMsg::SafeAck(ack.reply()));
-                ctx.send(from, SbsMsg::SafeAck(ack.reply()));
+                super::corrupt(&mut ack.reply.sig);
+                ctx.send(from, SbsMsg::SafeAck(ack.reply.clone()));
+                ctx.send(from, SbsMsg::SafeAck(ack.reply));
             }
         }
         fn as_any(&self) -> &dyn Any {
@@ -1112,7 +1112,7 @@ pub mod sbs {
                     .cloned()
                     .collect();
                 let kp = Keypair::for_process(self.me);
-                let reply = SafeAck::sign((), other, vec![], self.me, &kp).reply();
+                let reply = SafeAck::sign((), other, vec![], self.me, &kp).reply;
                 ctx.send(from, SbsMsg::SafeAck(reply.clone()));
                 ctx.send(from, SbsMsg::SafeAck(reply));
             }
@@ -1146,7 +1146,7 @@ pub mod sbs {
 /// GSbS-specific adversaries (Section 8.2).
 pub mod gsbs {
     use crate::gsbs::{GsbsMsg, ProvenBatch, SignedAck, SignedBatch};
-    use crate::proof::{Proof, ProofAck};
+    use crate::proof::Proof;
     use crate::provendelta::ProvenUpdate;
     use crate::safetying::SafeAck;
     use crate::value::Value;
@@ -1220,8 +1220,8 @@ pub mod gsbs {
                 }
                 GsbsMsg::SafeReq { round, set } => {
                     let mut ack = SafeAck::sign(round, set, vec![], self.me, &kp);
-                    super::corrupt(&mut ack.sig);
-                    Self::send_twice(ctx, from, GsbsMsg::SafeAck(ack.reply()));
+                    super::corrupt(&mut ack.reply.sig);
+                    Self::send_twice(ctx, from, GsbsMsg::SafeAck(ack.reply));
                 }
                 GsbsMsg::AckReq {
                     proposed,
@@ -1273,7 +1273,7 @@ pub mod gsbs {
                     .cloned()
                     .collect();
                 let kp = Keypair::for_process(self.me);
-                let reply = SafeAck::sign(round, other, vec![], self.me, &kp).reply();
+                let reply = SafeAck::sign(round, other, vec![], self.me, &kp).reply;
                 ctx.send(from, GsbsMsg::SafeAck(reply.clone()));
                 ctx.send(from, GsbsMsg::SafeAck(reply));
             }

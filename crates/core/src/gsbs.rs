@@ -472,7 +472,7 @@ impl<V: Value> GsbsProcess<V> {
     fn start_round(&mut self, round: u64, ctx: &mut Context<GsbsMsg<V>>) {
         self.round = round;
         self.state = GsbsState::Init;
-        self.safe_acks.clear();
+        self.safe_acks = SafeAcks::default();
         self.held_inits = self.held_inits.split_off(&round);
         if let Some(vals) = self.input_schedule.remove(&round) {
             for v in vals {

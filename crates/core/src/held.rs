@@ -196,8 +196,8 @@ mod tests {
             SafeAck::sign((), rcvd, conflicts, 3, &kp(3)),
             &[
                 ("rcvd", |r| r.rcvd = [value(1, 0)].into_iter().collect()),
-                ("conflicts", |r| r.conflicts.clear()),
-                ("signer", |r| r.signer = 4),
+                ("reply.conflicts", |r| r.reply.conflicts.clear()),
+                ("reply.signer", |r| r.reply.signer = 4),
             ],
         );
         pins_layout(
@@ -213,10 +213,10 @@ mod tests {
         pins_layout(
             SafeAck::sign(0, rcvd, conflicts, 3, &kp(3)),
             &[
-                ("round", |r| r.round = 1),
+                ("reply.round", |r| r.reply.round = 1),
                 ("rcvd", |r| r.rcvd = [batch(0, 1, 0)].into_iter().collect()),
-                ("conflicts", |r| r.conflicts.clear()),
-                ("signer", |r| r.signer = 4),
+                ("reply.conflicts", |r| r.reply.conflicts.clear()),
+                ("reply.signer", |r| r.reply.signer = 4),
             ],
         );
         pins_layout(
@@ -254,7 +254,7 @@ mod tests {
         };
 
         let mut swapped_conflict = honest.clone();
-        swapped_conflict.conflicts[0].1.batch = set(&[98]);
+        swapped_conflict.reply.conflicts[0].1.batch = set(&[98]);
 
         for forged in [swapped_echo, swapped_conflict] {
             assert_ne!(id(&forged), id(&honest));

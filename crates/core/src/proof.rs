@@ -68,13 +68,10 @@ pub trait ProofAck: Wire + Clone + std::fmt::Debug + Send + Sync + 'static {
     fn echo(&self) -> &ValueSet<Self::Echoed>;
 
     /// This ack without its echo.
-    fn reply(&self) -> Self::Reply;
+    fn reply(&self) -> &Self::Reply;
 
     /// The ack `reply` stands for when it was signed over `echo`.
     fn from_reply(reply: Self::Reply, echo: ValueSet<Self::Echoed>) -> Self;
-
-    /// Writes the encoding of [`Self::reply`] from the ack's own fields.
-    fn encode_reply(&self, w: &mut Writer);
 }
 
 /// The distinct echoes of `acks` in first-use order, and each ack's index
@@ -112,7 +109,7 @@ pub(crate) fn encode_acks<A: ProofAck>(
     w.usize(acks.len());
     for (ack, i) in acks.iter().zip(of) {
         w.usize(i);
-        ack.encode_reply(w);
+        ack.reply().encode(w);
     }
 }
 
@@ -324,21 +321,18 @@ pub(crate) mod testing {
         fn echo(&self) -> &ValueSet<u64> {
             &self.echo
         }
-        fn reply(&self) -> u64 {
-            self.n
+        fn reply(&self) -> &u64 {
+            &self.n
         }
         fn from_reply(n: u64, echo: ValueSet<u64>) -> Self {
             TestAck { echo, n }
-        }
-        fn encode_reply(&self, w: &mut Writer) {
-            w.u64(self.n);
         }
     }
 
     impl Wire for TestAck {
         fn encode(&self, w: &mut Writer) {
             self.echo.encode(w);
-            self.encode_reply(w);
+            self.n.encode(w);
         }
         fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
             let echo = ValueSet::decode(r)?;

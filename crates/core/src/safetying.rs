@@ -5,17 +5,16 @@
 //!
 //! 1. **Init**: each proposer broadcasts its signed record and collects
 //!    `n − f` of them into its safety set, removing conflicting pairs —
-//!    two different records one signer signed for one round ([`admit`]).
+//!    two different records one signer signed for one round (`admit`).
 //! 2. **Safetying**: the proposer sends that set to every acceptor in a
 //!    `safe_req`; each acceptor answers with a signed safe-ack echoing
-//!    the set and listing every conflict it knows of ([`verified`],
-//!    [`answer`]). A
-//!    record that a quorum of safe-acks echo, none of which lists it as
-//!    conflicted, is *safe*: by quorum intersection at most one record
-//!    per signer and round can ever become safe (Lemma 13). The quorum
-//!    the proposer collects ([`SafeAcks::collect`]) is the proof of
-//!    safety the proving phase, [`crate::provendelta::ProofPath`], takes
-//!    from there.
+//!    the set and listing every conflict it knows of (`verified`,
+//!    `answer`). A record that a quorum of safe-acks echo, none of
+//!    which lists it as conflicted, is *safe*: by quorum intersection at
+//!    most one record per signer and round can ever become safe
+//!    (Lemma 13). The quorum the proposer collects
+//!    (`SafeAcks::collect`) is the proof of safety the proving phase,
+//!    [`crate::provendelta::ProofPath`], takes from there.
 //!
 //! A process supplies its record type ([`Safetied`]), its guards and
 //! phases, and what it does with a signer whose safe-ack failed: SbS
@@ -176,24 +175,20 @@ pub fn remove_conflicts<E: Safetied>(set: &ValueSet<E>) -> ValueSet<E> {
     out
 }
 
-/// A signed `safe_ack`: an acceptor's answer to a `safe_req`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// A signed `safe_ack`: an acceptor's answer to a `safe_req` — the
+/// request it echoes, then everything else it says, which is what travels
+/// back to the proposer.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SafeAck<E: Safetied> {
-    /// The round being safetied.
-    pub round: E::Round,
     /// Echo of the proposer's request.
     pub rcvd: ValueSet<E>,
-    /// Conflicting pairs known to the acceptor.
-    pub conflicts: Vec<(E, E)>,
-    /// The acceptor that signed it.
-    pub signer: ProcessId,
-    /// Signature over all of the above.
-    pub sig: Signature,
+    /// The rest of the ack.
+    pub reply: SafeAckReply<E>,
 }
 
-/// A safe-ack as it travels back to the proposer: everything but the
-/// echo, which is the proposer's own request (see the module docs).
-#[derive(Debug, Clone)]
+/// A safe-ack without its echo: how it travels back to the proposer,
+/// whose own request the echo is (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SafeAckReply<E: Safetied> {
     /// The round being safetied.
     pub round: E::Round,
@@ -215,39 +210,30 @@ impl<E: Safetied> SafeAck<E> {
         signer: ProcessId,
         kp: &Keypair,
     ) -> Self {
-        let mut ack = SafeAck {
+        let reply = SafeAckReply {
             round,
-            rcvd,
             conflicts,
             signer,
             sig: UNSIGNED,
         };
-        ack.sig = kp.sign(&ack.signed_bytes());
+        let mut ack = SafeAck { rcvd, reply };
+        ack.reply.sig = kp.sign(&ack.signed_bytes());
         ack
-    }
-
-    /// Whether `record` appears in a conflict pair.
-    pub fn conflicted(&self, record: &E) -> bool {
-        self.conflicts
-            .iter()
-            .any(|(a, b)| a == record || b == record)
     }
 }
 
 impl<E: Safetied> Signed for SafeAck<E> {
     const DOMAIN: &'static [u8] = E::ACK_DOMAIN;
     fn signer(&self) -> ProcessId {
-        self.signer
+        self.reply.signer
     }
     fn sig(&self) -> &Signature {
-        &self.sig
+        &self.reply.sig
     }
     /// The ack's signature and those of both members of every conflict
     /// pair it reports (`VerifyConfPair`).
     fn obligations(&self) -> Vec<Obligation> {
-        let mut out: Vec<Obligation> = self
-            .conflicts
-            .iter()
+        let mut out: Vec<Obligation> = (self.reply.conflicts.iter())
             .flat_map(|(a, b)| [a, b])
             .map(Signed::obligation)
             .collect();
@@ -264,54 +250,24 @@ impl<E: Safetied> ProofAck for SafeAck<E> {
         record.values()
     }
     fn covers(&self, record: &E) -> bool {
-        self.round == record.round() && self.rcvd.contains(record) && !self.conflicted(record)
+        let listed = |(a, b): &(E, E)| a == record || b == record;
+        self.reply.round == record.round()
+            && self.rcvd.contains(record)
+            && !self.reply.conflicts.iter().any(listed)
     }
     fn echo(&self) -> &ValueSet<E> {
         &self.rcvd
     }
-    fn reply(&self) -> SafeAckReply<E> {
-        SafeAckReply {
-            round: self.round,
-            conflicts: self.conflicts.clone(),
-            signer: self.signer,
-            sig: self.sig,
-        }
+    fn reply(&self) -> &SafeAckReply<E> {
+        &self.reply
     }
     fn from_reply(reply: SafeAckReply<E>, rcvd: ValueSet<E>) -> Self {
-        let SafeAckReply {
-            round,
-            conflicts,
-            signer,
-            sig,
-        } = reply;
-        SafeAck {
-            round,
-            rcvd,
-            conflicts,
-            signer,
-            sig,
-        }
-    }
-    fn encode_reply(&self, w: &mut Writer) {
-        write_reply(w, self.round, &self.conflicts, self.signer, &self.sig);
+        SafeAck { rcvd, reply }
     }
 }
 
-/// Writes what a safe-ack says besides its echo: its round, its conflict
-/// pairs as a `Vec`, `var(signer)`, the signature.
-fn write_reply<E: Safetied>(
-    w: &mut Writer,
-    round: E::Round,
-    conflicts: &Vec<(E, E)>,
-    signer: ProcessId,
-    sig: &Signature,
-) {
-    round.write(w);
-    conflicts.encode(w);
-    w.usize(signer);
-    sig.encode(w);
-}
-
+/// Codec form: the round, the conflict pairs as a `Vec`, `var(signer)`,
+/// the signature.
 impl<E: Safetied> Wire for SafeAckReply<E> {
     fn encode(&self, w: &mut Writer) {
         let Self {
@@ -320,7 +276,10 @@ impl<E: Safetied> Wire for SafeAckReply<E> {
             signer,
             sig,
         } = self;
-        write_reply(w, *round, conflicts, *signer, sig);
+        round.write(w);
+        conflicts.encode(w);
+        w.usize(*signer);
+        sig.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SafeAckReply {
@@ -332,22 +291,18 @@ impl<E: Safetied> Wire for SafeAckReply<E> {
     }
 }
 
-/// Codec form: the echo, then the reply ([`SafeAckReply`]'s form).
+/// Codec form: the echo, then the reply.
 impl<E: Safetied> Wire for SafeAck<E> {
     fn encode(&self, w: &mut Writer) {
-        let Self {
-            round,
-            rcvd,
-            conflicts,
-            signer,
-            sig,
-        } = self;
+        let Self { rcvd, reply } = self;
         rcvd.encode(w);
-        write_reply(w, *round, conflicts, *signer, sig);
+        reply.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let rcvd = Wire::decode(r)?;
-        Ok(Self::from_reply(SafeAckReply::decode(r)?, rcvd))
+        Ok(SafeAck {
+            rcvd: Wire::decode(r)?,
+            reply: Wire::decode(r)?,
+        })
     }
 }
 
@@ -404,7 +359,7 @@ pub(crate) fn answer<E: Safetied>(
     *candidates = remove_conflicts(&union);
     let ack = SafeAck::sign(round, set, conflicts, me, keypair);
     verifier.record_own(&ack.obligation());
-    ack.reply()
+    ack.reply
 }
 
 /// The safe-acks a proposer has for its outstanding request: those
@@ -434,11 +389,6 @@ impl<E: Safetied> SafeAcks<E> {
         &self.counted
     }
 
-    /// Forgets every safe-ack: a new request is out.
-    pub(crate) fn clear(&mut self) {
-        *self = SafeAcks::default();
-    }
-
     /// Takes `reply` from `from` as signed over `request`: runs the
     /// structural checks and holds it; once held plus counted signers
     /// reach `quorum`, verifies every held ack in one batch and counts
@@ -454,10 +404,10 @@ impl<E: Safetied> SafeAcks<E> {
         reply: SafeAckReply<E>,
         request: &ValueSet<E>,
     ) -> Vec<ProcessId> {
-        let ack = SafeAck::from_reply(reply, request.clone());
-        let structural = ack.signer == from
+        let structural = reply.signer == from
             && !self.senders.contains(&from)
-            && ack.conflicts.iter().all(|(a, b)| a.conflicts_with(b));
+            && reply.conflicts.iter().all(|(a, b)| a.conflicts_with(b));
+        let ack = SafeAck::from_reply(reply, request.clone());
         if !structural || !hold(&mut self.held, ack) {
             return vec![from];
         }
@@ -466,10 +416,10 @@ impl<E: Safetied> SafeAcks<E> {
         }
         let mut failed = Vec::new();
         for (ack, ok) in verify_held(verifier, std::mem::take(&mut self.held)) {
-            if ok && self.senders.insert(ack.signer) {
+            if ok && self.senders.insert(ack.reply.signer) {
                 self.counted.push(ack);
             } else {
-                failed.push(ack.signer);
+                failed.push(ack.reply.signer);
             }
         }
         failed
@@ -483,10 +433,13 @@ impl<E: Safetied> SafeAcks<E> {
             senders,
             held,
         } = self;
-        let replies = |acks: &[SafeAck<E>]| acks.iter().map(SafeAck::reply).collect::<Vec<_>>();
-        replies(counted).encode(w);
+        let write_replies = |acks: &[SafeAck<E>], w: &mut Writer| {
+            w.usize(acks.len());
+            acks.iter().for_each(|ack| ack.reply.encode(w));
+        };
+        write_replies(counted, w);
         senders.encode(w);
-        replies(held).encode(w);
+        write_replies(held, w);
     }
 
     /// Reads what [`SafeAcks::write`] wrote, every ack signed over

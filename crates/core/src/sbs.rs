@@ -38,9 +38,9 @@
 //! # `byz` flags (this implementation)
 //!
 //! A sender whose safe-ack fails a structural check, cannot be held, or
-//! fails its signatures at quorum ([`crate::safetying::SafeAcks::collect`])
-//! is put in `byz` — one that signed another set than our `Safety_set`
-//! included. That happens at quorum, not on arrival, but still before
+//! fails its signatures at quorum ([`crate::safetying`]) is put in `byz`
+//! — one that signed another set than our `Safety_set` included. That
+//! happens at quorum, not on arrival, but still before
 //! `Proposing`, so none of its acks or nacks has been counted. A signer
 //! that sends a third safe-ack before the quorum is flagged at once, as
 //! checking on arrival would have flagged it by its second. An acker
@@ -637,7 +637,7 @@ impl<V: Value> Process<SbsMsg<V>> for SbsProcess<V> {
                     self.maybe_start_safetying(ctx);
                 }
                 SbsState::Safetying => {
-                    self.safe_acks.clear();
+                    self.safe_acks = SafeAcks::default();
                     ctx.broadcast(SbsMsg::SafeReq(self.safety_set.clone()));
                 }
                 SbsState::Proposing => {

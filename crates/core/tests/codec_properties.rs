@@ -652,11 +652,13 @@ fn gsbs_proof(k: usize, picks: &[u8]) -> Proof<SafeAck<SignedBatch<u64>>> {
         .iter()
         .enumerate()
         .map(|(i, &p)| SafeAck {
-            round: 1,
             rcvd: echoes[p as usize % k].clone(),
-            conflicts: vec![],
-            signer: i,
-            sig: sig(i, p as usize),
+            reply: SafeAckReply {
+                round: 1,
+                conflicts: vec![],
+                signer: i,
+                sig: sig(i, p as usize),
+            },
         })
         .collect();
     Proof::new(acks)
@@ -678,15 +680,17 @@ fn sbs_proof(k: usize, picks: &[u8]) -> Proof<SafeAck<SignedValue<u64>>> {
         .iter()
         .enumerate()
         .map(|(i, &p)| SafeAck {
-            round: (),
             rcvd: echoes[p as usize % k].clone(),
-            conflicts: if i % 3 == 2 {
-                vec![pair.clone()]
-            } else {
-                vec![]
+            reply: SafeAckReply {
+                round: (),
+                conflicts: if i % 3 == 2 {
+                    vec![pair.clone()]
+                } else {
+                    vec![]
+                },
+                signer: i,
+                sig: sig(p as usize, i),
             },
-            signer: i,
-            sig: sig(p as usize, i),
         })
         .collect();
     Proof::new(acks)
@@ -908,11 +912,13 @@ fn gsbs_proof_over(
     Proof::new(
         (0..3)
             .map(|signer| SafeAck {
-                round: 1,
                 rcvd: echo.clone(),
-                conflicts: vec![],
-                signer,
-                sig: sig(signer, tag),
+                reply: SafeAckReply {
+                    round: 1,
+                    conflicts: vec![],
+                    signer,
+                    sig: sig(signer, tag),
+                },
             })
             .collect(),
     )
@@ -926,11 +932,13 @@ fn sbs_proof_over(
     Proof::new(
         (0..3)
             .map(|signer| SafeAck {
-                round: (),
                 rcvd: echo.clone(),
-                conflicts: vec![],
-                signer,
-                sig: sig(tag, signer),
+                reply: SafeAckReply {
+                    round: (),
+                    conflicts: vec![],
+                    signer,
+                    sig: sig(tag, signer),
+                },
             })
             .collect(),
     )
@@ -1109,7 +1117,7 @@ fn write_naming_none(proof: &Proof<SafeAck<SignedBatch<u64>>>, w: &mut Writer) {
     w.usize(proof.len());
     for ack in proof.iter() {
         w.usize(echoes.iter().position(|e| *e == ack.echo()).unwrap());
-        ack.encode_reply(w);
+        ack.reply().encode(w);
     }
 }
 
@@ -1341,11 +1349,13 @@ fn one_proof_under_many_records_is_decoded_and_hashed_once() {
         sig: sig(0, 0),
     }];
     let proof = Proof::new(vec![SafeAck {
-        round: 1,
         rcvd: echo.into_iter().collect(),
-        conflicts: vec![],
-        signer: 0,
-        sig: sig(0, 1),
+        reply: SafeAckReply {
+            round: 1,
+            conflicts: vec![],
+            signer: 0,
+            sig: sig(0, 1),
+        },
     }]);
     let payload = |records: usize| {
         let set = (0..records).map(|i| proven(i, &proof)).collect();

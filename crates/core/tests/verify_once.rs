@@ -47,7 +47,7 @@ fn forged_proof_redelivery_verifies_once() {
     // must) reject it.
     let mut pv = proven_value(42, 1, &[1, 2, 3]);
     let mut acks = pv.proof.as_slice().to_vec();
-    acks[1].sig.s[0] ^= 0x40;
+    acks[1].reply.sig.s[0] ^= 0x40;
     pv.proof = Proof::new(acks);
     let set: ValueSet<ProvenValue<u64>> = [pv].into_iter().collect();
 

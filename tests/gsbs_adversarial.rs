@@ -9,7 +9,7 @@
 use bgla::core::adversary::gsbs::{SigForger, WrongEcho};
 use bgla::core::gsbs::{DecidedCert, GsbsMsg, GsbsProcess, GsbsState, SignedAck, SignedBatch};
 use bgla::core::safetying::SafeAck;
-use bgla::core::{spec, ProofAck, SystemConfig, ValueSet};
+use bgla::core::{spec, SystemConfig, ValueSet};
 use bgla::crypto::{digest, Keypair, VerifierStats};
 use bgla::simnet::{Context, Process, RandomScheduler, Simulation, SimulationBuilder, TraceEvent};
 use std::any::Any;
@@ -200,7 +200,7 @@ fn stepped(
                 .any(|set| set.iter().any(|sb| sb.signer == FORGER));
             assert!(!forged_init, "seed {seed} p{i}: a forged init joined");
             assert!(
-                p.safe_acks().iter().all(|a| a.signer != FORGER),
+                p.safe_acks().iter().all(|a| a.reply.signer != FORGER),
                 "seed {seed} p{i}: a forged safe-ack counted"
             );
             assert!(
@@ -355,7 +355,7 @@ fn each_forged_record_is_verified_once() {
     assert_eq!(forged_safe_acks.len(), 2);
     let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
     let safe_ack = |i: usize| {
-        GsbsMsg::SafeAck(SafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply())
+        GsbsMsg::SafeAck(SafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply)
     };
     feed(&mut p0, FORGER, forged_safe_acks.clone());
     feed(&mut p0, 0, own_safe_ack);
@@ -368,7 +368,7 @@ fn each_forged_record_is_verified_once() {
     assert_eq!(p0.verifier_stats(), stats(6, 2, 4));
     assert_eq!(p0.state(), GsbsState::Proposing);
     assert_eq!(p0.safe_acks().len(), 3);
-    assert!(p0.safe_acks().iter().all(|a| a.signer != FORGER));
+    assert!(p0.safe_acks().iter().all(|a| a.reply.signer != FORGER));
 
     // Proposing: the acks. p0 acks its own proposal without new work —
     // every signature in its proof is cached.
@@ -429,7 +429,7 @@ fn each_safe_ack_over_another_set_is_verified_once() {
     assert_eq!(wrong.len(), 2);
     let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
     let safe_ack = |i: usize| {
-        GsbsMsg::SafeAck(SafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply())
+        GsbsMsg::SafeAck(SafeAck::sign(0, set.clone(), vec![], i, &Keypair::for_process(i)).reply)
     };
     feed(&mut p0, FORGER, wrong.clone());
     feed(&mut p0, 0, own_safe_ack);
@@ -443,5 +443,5 @@ fn each_safe_ack_over_another_set_is_verified_once() {
     assert_eq!(p0.verifier_stats(), stats(3, 2, 4));
     assert_eq!(p0.state(), GsbsState::Proposing);
     assert_eq!(p0.safe_acks().len(), 3);
-    assert!(p0.safe_acks().iter().all(|a| a.signer != FORGER));
+    assert!(p0.safe_acks().iter().all(|a| a.reply.signer != FORGER));
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use bgla_codec::{encode_payload, Wire, Writer};
 use bgla_core::gsbs::{GsbsMsg, GsbsProcess, ProvenBatch, SignedBatch};
 use bgla_core::gwts::{AckRecord, GwtsMsg, GwtsProcess, NamedSet};
-use bgla_core::safetying::SafeAck;
+use bgla_core::safetying::{SafeAck, SafeAckReply};
 use bgla_core::sbs::{SbsMsg, SbsProcess};
 use bgla_core::wts::{WtsMsg, WtsProcess};
 use bgla_core::{Proof, ProofAck, ProvenUpdate, SetUpdate, SystemConfig, ValueSet};
@@ -286,11 +286,13 @@ fn every_update_and_ack_record_form_is_metered_exactly() {
         Proof::new(
             (0..5)
                 .map(|signer| SafeAck {
-                    round: 1,
                     rcvd: echo.clone(),
-                    conflicts: vec![],
-                    signer,
-                    sig: sig(signer as u64, 9),
+                    reply: SafeAckReply {
+                        round: 1,
+                        conflicts: vec![],
+                        signer,
+                        sig: sig(signer as u64, 9),
+                    },
                 })
                 .collect(),
         )

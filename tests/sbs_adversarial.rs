@@ -8,7 +8,7 @@ use bgla::core::adversary::sbs::{
 };
 use bgla::core::safetying::SafeAck;
 use bgla::core::sbs::{SbsMsg, SbsProcess, SbsState, SignedValue};
-use bgla::core::{spec, ProofAck, SystemConfig};
+use bgla::core::{spec, SystemConfig};
 use bgla::core::{ProvenUpdate, ValueSet};
 use bgla::crypto::{Keypair, VerifierStats};
 use bgla::simnet::{Context, Process, RandomScheduler, Simulation, SimulationBuilder};
@@ -280,7 +280,7 @@ fn safe_acks_never_count_and_flag_the_sender(mk: impl Fn() -> Box<dyn Process<Ms
                     "seed {seed} p{i}: a forged init joined"
                 );
                 assert!(
-                    p.safe_acks().iter().all(|a| a.signer != FORGER),
+                    p.safe_acks().iter().all(|a| a.reply.signer != FORGER),
                     "seed {seed} p{i}: a forged safe-ack counted"
                 );
                 if forged_seen && p.state() != SbsState::Safetying {
@@ -411,7 +411,7 @@ fn each_forged_record_is_verified_once() {
     let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
     let safe_ack = |i: usize| {
         let ack = SafeAck::sign((), set.clone(), vec![], i, &Keypair::for_process(i));
-        SbsMsg::SafeAck(ack.reply())
+        SbsMsg::SafeAck(ack.reply)
     };
     feed(&mut p0, FORGER, forged_safe_acks.clone());
     feed(&mut p0, 0, own_safe_ack);
@@ -427,7 +427,7 @@ fn each_forged_record_is_verified_once() {
     assert_eq!(p0.verifier_stats(), stats(6, 2, 4));
     assert_eq!(p0.state(), SbsState::Proposing);
     assert_eq!(p0.safe_acks().len(), 3);
-    assert!(p0.safe_acks().iter().all(|a| a.signer != FORGER));
+    assert!(p0.safe_acks().iter().all(|a| a.reply.signer != FORGER));
     assert_eq!(p0.byz().iter().copied().collect::<Vec<_>>(), vec![FORGER]);
 }
 
@@ -462,7 +462,7 @@ fn each_safe_ack_over_another_set_is_verified_once() {
     let own_safe_ack = feed(&mut p0, 0, vec![safe_req]);
     let safe_ack = |i: usize| {
         let ack = SafeAck::sign((), set.clone(), vec![], i, &Keypair::for_process(i));
-        SbsMsg::SafeAck(ack.reply())
+        SbsMsg::SafeAck(ack.reply)
     };
     feed(&mut p0, FORGER, wrong.clone());
     feed(&mut p0, 0, own_safe_ack);
@@ -477,6 +477,6 @@ fn each_safe_ack_over_another_set_is_verified_once() {
     feed(&mut p0, 2, vec![safe_ack(2)]);
     assert_eq!(p0.verifier_stats(), stats(3, 2, 4));
     assert_eq!(p0.state(), SbsState::Proposing);
-    assert!(p0.safe_acks().iter().all(|a| a.signer != FORGER));
+    assert!(p0.safe_acks().iter().all(|a| a.reply.signer != FORGER));
     assert_eq!(p0.byz().iter().copied().collect::<Vec<_>>(), vec![FORGER]);
 }
