@@ -462,3 +462,119 @@ impl<E: Safetied> SafeAcks<E> {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gsbs::SignedBatch;
+    use crate::sbs::SignedValue;
+    use bgla_codec::encode_payload;
+    use bgla_crypto::{Keyring, VerifierStats};
+
+    fn value(v: u64, signer: ProcessId) -> SignedValue<u64> {
+        SignedValue::sign(v, signer, &Keypair::for_process(signer))
+    }
+
+    fn batch(round: u64, v: u64, signer: ProcessId) -> SignedBatch<u64> {
+        let batch = [v].into_iter().collect();
+        SignedBatch::sign(round, batch, signer, &Keypair::for_process(signer))
+    }
+
+    fn verifier() -> CachedVerifier {
+        CachedVerifier::new(Keyring::for_system(4))
+    }
+
+    /// A safe-ack's encoding is its echo, then its reply; an SbS reply
+    /// carries no round, a GSbS reply its round as a varint first.
+    #[test]
+    fn a_safe_ack_encodes_its_echo_then_its_reply() {
+        let rcvd: ValueSet<SignedValue<u64>> = [value(1, 0), value(2, 1)].into_iter().collect();
+        let sbs = SafeAck::sign((), rcvd.clone(), vec![], 2, &Keypair::for_process(2));
+        let reply = encode_payload(&sbs.reply);
+        assert_eq!(
+            reply.len(),
+            1 + 1 + 64,
+            "no round: no conflicts, signer, sig"
+        );
+        assert_eq!(
+            encode_payload(&sbs),
+            [encode_payload(&rcvd), reply].concat()
+        );
+
+        let rcvd: ValueSet<SignedBatch<u64>> = [batch(300, 1, 0)].into_iter().collect();
+        let gsbs = SafeAck::sign(300, rcvd.clone(), vec![], 2, &Keypair::for_process(2));
+        let reply = encode_payload(&gsbs.reply);
+        assert_eq!(reply.len(), 2 + 1 + 1 + 64, "a two-byte varint round first");
+        assert_eq!(
+            encode_payload(&gsbs),
+            [encode_payload(&rcvd), reply].concat()
+        );
+    }
+
+    /// Inits wait until, with those admitted, they could reach the
+    /// threshold; then one batch admits the valid ones, and a signer's
+    /// two different values remove each other.
+    #[test]
+    fn held_inits_are_admitted_at_the_threshold() {
+        let mut verifier = verifier();
+        let mut set: ValueSet<SignedValue<u64>> = [value(10, 0)].into_iter().collect();
+        let mut held = vec![value(11, 1)];
+        assert!(!admit(&mut verifier, 3, &mut set, &mut held));
+        assert_eq!((set.len(), held.len()), (1, 1));
+        assert_eq!(verifier.stats(), VerifierStats::default());
+
+        let mut forged = value(12, 2);
+        forged.sig.s[0] ^= 1;
+        held.extend([forged, value(13, 3), value(14, 3)]);
+        assert!(!admit(&mut verifier, 3, &mut set, &mut held));
+        assert!(held.is_empty());
+        let signers: Vec<ProcessId> = set.iter().map(|sv| sv.signer).collect();
+        assert_eq!(signers, [0, 1], "p2's forgery and p3's conflict are out");
+        assert_eq!(verifier.stats().batch_verifications, 1);
+    }
+
+    /// The acceptor refuses a request with a record of another round
+    /// before any signature work, and answers a valid one with the
+    /// conflicts of its candidates joined with the request.
+    #[test]
+    fn the_acceptor_answers_with_the_conflicts_it_knows() {
+        let mut verifier = verifier();
+        let kp = Keypair::for_process(0);
+        let other_round: ValueSet<SignedBatch<u64>> = [batch(1, 5, 1)].into_iter().collect();
+        assert!(!verified(&mut verifier, 0, &other_round));
+        assert_eq!(verifier.stats(), VerifierStats::default());
+
+        let mut candidates: ValueSet<SignedBatch<u64>> = [batch(0, 5, 1)].into_iter().collect();
+        let request: ValueSet<SignedBatch<u64>> =
+            [batch(0, 6, 1), batch(0, 7, 2)].into_iter().collect();
+        assert!(verified(&mut verifier, 0, &request));
+        let reply = answer(&mut verifier, (0, &kp), &mut candidates, 0, request);
+        assert_eq!(reply.conflicts, [(batch(0, 5, 1), batch(0, 6, 1))]);
+        let left: Vec<ProcessId> = candidates.iter().map(|sb| sb.signer).collect();
+        assert_eq!(left, [2], "both of p1's batches leave the candidates");
+    }
+
+    /// The proposer flags a reply whose signer is not its sender at once,
+    /// holds the rest unverified until a quorum's worth has arrived, then
+    /// counts the valid ones and names the signer that failed.
+    #[test]
+    fn safe_acks_are_verified_at_quorum() {
+        let mut verifier = verifier();
+        let request: ValueSet<SignedValue<u64>> = [value(1, 0)].into_iter().collect();
+        let reply = |i: ProcessId| {
+            let kp = Keypair::for_process(i);
+            SafeAck::sign((), request.clone(), vec![], i, &kp).reply
+        };
+        let mut acks = SafeAcks::default();
+        assert_eq!(acks.collect(&mut verifier, 3, 2, reply(1), &request), [2]);
+        assert_eq!(acks.collect(&mut verifier, 3, 1, reply(1), &request), []);
+        let mut forged = reply(2);
+        forged.sig.s[0] ^= 1;
+        assert_eq!(acks.collect(&mut verifier, 3, 2, forged, &request), []);
+        assert_eq!(verifier.stats(), VerifierStats::default());
+        assert_eq!(acks.collect(&mut verifier, 3, 3, reply(3), &request), [2]);
+        let counted: Vec<ProcessId> = acks.counted().iter().map(|a| a.reply.signer).collect();
+        assert_eq!(counted, [1, 3]);
+        assert!(acks.held.is_empty());
+    }
+}
