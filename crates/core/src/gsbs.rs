@@ -360,8 +360,6 @@ pub struct GsbsProcess<V: Value> {
     pub safe_r: u64,
     /// Valid decided certificates seen, by round.
     decided_certs: BTreeMap<u64, DecidedCert<V>>,
-    /// Rounds whose certificate we already re-forwarded.
-    forwarded: BTreeSet<u64>,
     /// Buffered messages awaiting guards.
     waiting: Vec<(ProcessId, GsbsMsg<V>)>,
     /// Cumulative decision floor.
@@ -409,7 +407,6 @@ impl<V: Value> GsbsProcess<V> {
             proofs: ProofPath::default(),
             safe_r: 0,
             decided_certs: BTreeMap::new(),
-            forwarded: BTreeSet::new(),
             waiting: Vec::new(),
             decided_set: ValueSet::new(),
             recovered: false,
@@ -591,15 +588,14 @@ impl<V: Value> GsbsProcess<V> {
         }
     }
 
-    /// Registers a certificate (assumed well-formed), forwards it once,
-    /// and updates trust.
+    /// Registers a certificate (assumed well-formed) and updates trust.
+    /// The first certificate of a round is forwarded, once: every round
+    /// `decided_certs` holds is one whose certificate went out.
     fn absorb_certificate(&mut self, cert: DecidedCert<V>, ctx: &mut Context<GsbsMsg<V>>) {
-        let round = cert.round;
-        if let std::collections::btree_map::Entry::Vacant(e) = self.decided_certs.entry(round) {
+        if let std::collections::btree_map::Entry::Vacant(e) = self.decided_certs.entry(cert.round)
+        {
             e.insert(cert.clone());
-            if self.forwarded.insert(round) {
-                ctx.broadcast(GsbsMsg::Decided(cert));
-            }
+            ctx.broadcast(GsbsMsg::Decided(cert));
             self.advance_safe_r();
         }
     }
@@ -695,12 +691,12 @@ impl<V: Value> GsbsProcess<V> {
 // Durable state (crash snapshots)
 // ---------------------------------------------------------------------------
 
-/// Frame kind tag for GSbS process snapshots. `0x010C` since safe-acks
-/// are stored without their echo, which is `current_safe_req` for every
-/// one of them, and proofs say their echoes once; the proposal's values
-/// are rebuilt from `proposed_set` instead of stored. The `0x0104` and
-/// `0x010A` layouts are retired (see [`crate::recovery`]).
-pub const GSBS_SNAPSHOT_KIND: u16 = 0x010C;
+/// Frame kind tag for GSbS process snapshots. `0x010F` since neither the
+/// signers of the counted safe-acks nor the rounds whose certificate
+/// went out are stored: they are the safe-acks' signers and the keys of
+/// `decided_certs`. The `0x0104`, `0x010A` and `0x010C` layouts are
+/// retired (see [`crate::recovery`]).
+pub const GSBS_SNAPSHOT_KIND: u16 = 0x010F;
 
 /// Codec forms carry signatures verbatim without verifying them —
 /// snapshots are checksummed local state, and every network consumption
@@ -907,7 +903,7 @@ impl Wire for GsbsState {
 /// Durable/volatile split for crash snapshots — the [`crate::sbs`]
 /// split extended with the round machinery: schedules, per-round
 /// safetying artifacts, the certificate store (`decided_certs`,
-/// `forwarded`, `safe_r`), the waiting buffer and the whole decision
+/// `safe_r`), the waiting buffer and the whole decision
 /// history. Held records are written next to the set each will join
 /// (`held_inits` after `safety_sets`, `held_safe_acks` after the
 /// safe-acks, `held_acks` after `ack_certs`): peers send their `Init`s
@@ -946,7 +942,6 @@ impl<V: Value> Wire for GsbsProcess<V> {
             proofs,
             safe_r,
             decided_certs,
-            forwarded,
             waiting,
             decided_set,
             // Boot flag: decode sets it true to mark a recovered process.
@@ -975,7 +970,6 @@ impl<V: Value> Wire for GsbsProcess<V> {
         proofs.encode(w);
         w.var(*safe_r);
         decided_certs.encode(w);
-        forwarded.encode(w);
         waiting.encode(w);
         decided_set.encode(w);
         decisions.encode(w);
@@ -1004,7 +998,6 @@ impl<V: Value> Wire for GsbsProcess<V> {
         let proofs = Wire::decode(r)?;
         let safe_r = r.var()?;
         let decided_certs = Wire::decode(r)?;
-        let forwarded = Wire::decode(r)?;
         let waiting = Wire::decode(r)?;
         let decided_set = Wire::decode(r)?;
         let decisions = Wire::decode(r)?;
@@ -1033,7 +1026,6 @@ impl<V: Value> Wire for GsbsProcess<V> {
             proofs,
             safe_r,
             decided_certs,
-            forwarded,
             waiting,
             decided_set,
             recovered: true,

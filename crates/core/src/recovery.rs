@@ -10,16 +10,17 @@
 //! ```
 //!
 //! The `kind` field names the algorithm that wrote it — WTS `0x010D`,
-//! GWTS `0x0108`, SbS `0x010B`, GSbS `0x010C` — so a snapshot can never
-//! be decoded as the wrong process type (`0x0101`, `0x0102`, `0x0103`,
-//! `0x0104`, `0x0105`, `0x0106`, `0x0107`, `0x0109` and `0x010A` are
-//! retired, never to be reused: they name the WTS and GWTS payload
-//! layouts from before the rbcast engine kept slots, the GWTS layouts
-//! from before acks were per-origin delta streams and from before quorums
-//! were counted per `(round, set)`, the SbS and GSbS layouts from before
-//! signed records were held unverified until a threshold's worth had
-//! arrived, the SbS and GSbS layouts from before safe-acks and proofs
-//! said their echo once, and the WTS layout that still carried an
+//! GWTS `0x0108`, SbS `0x010E`, GSbS `0x010F` — so a snapshot can never
+//! be decoded as the wrong process type (the kinds in
+//! [`RETIRED_SNAPSHOT_KINDS`] are never to be reused: they name the WTS
+//! and GWTS payload layouts from before the rbcast engine kept slots, the
+//! GWTS layouts from before acks were per-origin delta streams and from
+//! before quorums were counted per `(round, set)`, the SbS and GSbS
+//! layouts from before signed records were held unverified until a
+//! threshold's worth had arrived, from before safe-acks and proofs said
+//! their echo once, and from before the safe-acks' signers and the
+//! forwarded certificates' rounds stopped being stored beside the
+//! records they are read from, and the WTS layout that still carried an
 //! eager-proposing flag; such a snapshot must be rejected, not misread),
 //! and the trailing
 //! checksum makes truncation and bit-rot detectable before any field is
@@ -117,6 +118,13 @@ use bgla_simnet::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
+
+/// Snapshot frame kinds no process reads any more, never to be reused:
+/// each names a payload layout that has since changed (see the module
+/// docs). A frame of one is refused as [`bgla_codec::CodecError::BadKind`].
+pub const RETIRED_SNAPSHOT_KINDS: [u16; 11] = [
+    0x0101, 0x0102, 0x0103, 0x0104, 0x0105, 0x0106, 0x0107, 0x0109, 0x010A, 0x010B, 0x010C,
+];
 
 // ---------------------------------------------------------------------------
 // Snapshot stores

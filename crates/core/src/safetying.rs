@@ -95,7 +95,6 @@ use crate::valueset::{SetItem, ValueSet};
 use bgla_codec::{CodecError, Reader, Wire, Writer};
 use bgla_crypto::{CachedVerifier, Keypair, Obligation, Signature};
 use bgla_simnet::ProcessId;
-use std::collections::BTreeSet;
 
 /// The round a safe-ack carries: none in SbS (`()`, nothing on the
 /// wire), the round being safetied in GSbS (`u64`, a varint).
@@ -369,7 +368,6 @@ pub(crate) fn answer<E: Safetied>(
 #[derive(Debug)]
 pub(crate) struct SafeAcks<E: Safetied> {
     counted: Vec<SafeAck<E>>,
-    senders: BTreeSet<ProcessId>,
     held: Vec<SafeAck<E>>,
 }
 
@@ -377,7 +375,6 @@ impl<E: Safetied> Default for SafeAcks<E> {
     fn default() -> Self {
         SafeAcks {
             counted: Vec::new(),
-            senders: BTreeSet::new(),
             held: Vec::new(),
         }
     }
@@ -387,6 +384,11 @@ impl<E: Safetied> SafeAcks<E> {
     /// The verified safe-acks, one per signer, in the order counted.
     pub(crate) fn counted(&self) -> &[SafeAck<E>] {
         &self.counted
+    }
+
+    /// Whether an ack of `signer` is counted.
+    fn counts(&self, signer: ProcessId) -> bool {
+        self.counted.iter().any(|ack| ack.reply.signer == signer)
     }
 
     /// Takes `reply` from `from` as signed over `request`: runs the
@@ -405,18 +407,18 @@ impl<E: Safetied> SafeAcks<E> {
         request: &ValueSet<E>,
     ) -> Vec<ProcessId> {
         let structural = reply.signer == from
-            && !self.senders.contains(&from)
+            && !self.counts(from)
             && reply.conflicts.iter().all(|(a, b)| a.conflicts_with(b));
         let ack = SafeAck::from_reply(reply, request.clone());
         if !structural || !hold(&mut self.held, ack) {
             return vec![from];
         }
-        if self.senders.len() + held::signers(&self.held) < quorum {
+        if self.counted.len() + held::signers(&self.held) < quorum {
             return Vec::new();
         }
         let mut failed = Vec::new();
         for (ack, ok) in verify_held(verifier, std::mem::take(&mut self.held)) {
-            if ok && self.senders.insert(ack.reply.signer) {
+            if ok && !self.counts(ack.reply.signer) {
                 self.counted.push(ack);
             } else {
                 failed.push(ack.reply.signer);
@@ -425,20 +427,15 @@ impl<E: Safetied> SafeAcks<E> {
         failed
     }
 
-    /// Writes the counted acks, their signers and the held acks, each
-    /// ack without its echo.
+    /// Writes the counted acks, then the held acks, each without its
+    /// echo.
     pub(crate) fn write(&self, w: &mut Writer) {
-        let Self {
-            counted,
-            senders,
-            held,
-        } = self;
+        let Self { counted, held } = self;
         let write_replies = |acks: &[SafeAck<E>], w: &mut Writer| {
             w.usize(acks.len());
             acks.iter().for_each(|ack| ack.reply.encode(w));
         };
         write_replies(counted, w);
-        senders.encode(w);
         write_replies(held, w);
     }
 
@@ -453,13 +450,8 @@ impl<E: Safetied> SafeAcks<E> {
                 .collect())
         };
         let counted = echoing(r)?;
-        let senders = Wire::decode(r)?;
         let held = echoing(r)?;
-        Ok(SafeAcks {
-            counted,
-            senders,
-            held,
-        })
+        Ok(SafeAcks { counted, held })
     }
 }
 

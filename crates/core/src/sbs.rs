@@ -379,11 +379,11 @@ impl<V: Value> SbsProcess<V> {
 // Durable state (crash snapshots)
 // ---------------------------------------------------------------------------
 
-/// Frame kind tag for SbS process snapshots. `0x010B` since safe-acks are
-/// stored without their echo, which is `safety_set` for every one of
-/// them, and proofs say their echoes once. The `0x0103` and `0x0109`
-/// layouts are retired (see [`crate::recovery`]).
-pub const SBS_SNAPSHOT_KIND: u16 = 0x010B;
+/// Frame kind tag for SbS process snapshots. `0x010E` since the signers
+/// of the counted safe-acks are no longer stored beside them. The
+/// `0x0103`, `0x0109` and `0x010B` layouts are retired (see
+/// [`crate::recovery`]).
+pub const SBS_SNAPSHOT_KIND: u16 = 0x010E;
 
 /// Codec form: value, signer, signature. Decoding does *not* verify the
 /// signature — snapshots are checksummed local state, and every network

@@ -5,8 +5,8 @@
 //! rule or absorbed within the `f` fault budget.
 
 use bgla::codec::{verify_frame, CodecError};
-use bgla::core::gsbs::{GsbsMsg, GsbsProcess};
-use bgla::core::gwts::{GwtsMsg, GwtsProcess};
+use bgla::core::gsbs::{GsbsMsg, GsbsProcess, GSBS_SNAPSHOT_KIND};
+use bgla::core::gwts::{GwtsMsg, GwtsProcess, GWTS_SNAPSHOT_KIND};
 use bgla::core::harness::{
     gsbs_observer, gsbs_system, gwts_observer, gwts_system, sbs_observer, sbs_system, wts_observer,
     wts_system,
@@ -15,11 +15,11 @@ use bgla::core::linearize::{CheckerConfig, TraceViolation, OP_DECIDE};
 use bgla::core::recovery::{
     first_decide_steps, resolve_tactics, run_crash_conformance, search_crash_schedules,
     CorruptingStore, CrashPlan, CrashTactic, DirStore, MemStore, RebuildFn, RollbackStore,
-    SnapshotPolicy, SnapshotStore,
+    SnapshotPolicy, SnapshotStore, RETIRED_SNAPSHOT_KINDS,
 };
-use bgla::core::sbs::{SbsMsg, SbsProcess};
+use bgla::core::sbs::{SbsMsg, SbsProcess, SBS_SNAPSHOT_KIND};
 use bgla::core::search::{Observer, SystemFactory};
-use bgla::core::wts::{WtsMsg, WtsProcess};
+use bgla::core::wts::{WtsMsg, WtsProcess, WTS_SNAPSHOT_KIND};
 use bgla::core::SystemConfig;
 use bgla::net::{demux_frame, Data, FK_DATA};
 use bgla::simnet::{
@@ -468,8 +468,14 @@ fn wts_rollback_is_absorbed_by_one_shot_durability() {
 
 /// A frame that is sound in every respect except that its header says
 /// `version`: the version field rewritten and the checksum recomputed.
-fn as_version(version: u16, mut frame: Vec<u8>) -> Vec<u8> {
-    frame[4..6].copy_from_slice(&version.to_le_bytes());
+fn as_version(version: u16, frame: Vec<u8>) -> Vec<u8> {
+    rewrite_header(4, version, frame)
+}
+
+/// `frame` with the `u16` at `at` of its header set to `field` and its
+/// checksum recomputed.
+fn rewrite_header(at: usize, field: u16, mut frame: Vec<u8>) -> Vec<u8> {
+    frame[at..at + 2].copy_from_slice(&field.to_le_bytes());
     let body = frame.len() - 8;
     let sum = bgla::codec::fnv1a64(&frame[..body]);
     frame[body..].copy_from_slice(&sum.to_le_bytes());
@@ -512,6 +518,52 @@ fn version_1_frames_are_rejected_as_bad_version() {
         assert!(demux_frame(&data).is_ok());
         assert_eq!(demux_frame(&old(data)).err(), bad);
     }
+}
+
+/// A snapshot of a retired kind — a layout no process reads any more —
+/// is refused by its kind by every process type, even though it is a
+/// sound frame of the current version: the retired SbS and GSbS kinds
+/// with today's payloads among them.
+#[test]
+fn retired_kinds_are_refused() {
+    let config = SystemConfig::new(N, F);
+    let sbs = SbsProcess::new(0, config, 10u64).snapshot_bytes();
+    let gsbs = GsbsProcess::new(0, config, gen_schedule(0), 3).snapshot_bytes();
+    for kind in RETIRED_SNAPSHOT_KINDS {
+        for frame in [&sbs, &gsbs] {
+            let old = rewrite_header(6, kind, frame.clone());
+            assert_eq!(verify_frame(&old), Ok(kind));
+            let refused = |expected: u16| {
+                Some(CodecError::BadKind {
+                    expected,
+                    found: kind,
+                })
+            };
+            assert_eq!(
+                SbsProcess::<u64>::from_snapshot(&old).err(),
+                refused(SBS_SNAPSHOT_KIND)
+            );
+            assert_eq!(
+                GsbsProcess::<u64>::from_snapshot(&old).err(),
+                refused(GSBS_SNAPSHOT_KIND)
+            );
+            assert_eq!(
+                WtsProcess::<u64>::from_snapshot(&old).err(),
+                refused(WTS_SNAPSHOT_KIND)
+            );
+            assert_eq!(
+                GwtsProcess::<u64>::from_snapshot(&old).err(),
+                refused(GWTS_SNAPSHOT_KIND)
+            );
+        }
+    }
+    let live = [
+        SBS_SNAPSHOT_KIND,
+        GSBS_SNAPSHOT_KIND,
+        WTS_SNAPSHOT_KIND,
+        GWTS_SNAPSHOT_KIND,
+    ];
+    assert!(live.iter().all(|k| !RETIRED_SNAPSHOT_KINDS.contains(k)));
 }
 
 /// Unusable snapshots — bit rot that fails the frame checksum on every
