@@ -905,8 +905,8 @@ impl Wire for GsbsState {
 /// safetying artifacts, the certificate store (`decided_certs`,
 /// `safe_r`), the waiting buffer and the whole decision
 /// history. Held records are written next to the set each will join
-/// (`held_inits` after `safety_sets`, `held_safe_acks` after the
-/// safe-acks, `held_acks` after `ack_certs`): peers send their `Init`s
+/// (`held_inits` after `safety_sets`, held safe-acks after the counted
+/// ones, `held_acks` after `ack_certs`): peers send their `Init`s
 /// once, so a restart that dropped held ones could not get them back.
 /// Safe-acks, held or counted, are written without their echo, which is
 /// `current_safe_req` for all of them and is written once before them.

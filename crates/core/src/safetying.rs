@@ -150,7 +150,7 @@ pub trait Safetied: Signed + SetItem + std::fmt::Debug + Send + Sync + 'static {
 
 /// Lists the conflicting pairs within `set` (Algorithm 10's
 /// `ReturnConflicts`).
-pub fn return_conflicts<E: Safetied>(set: &ValueSet<E>) -> Vec<(E, E)> {
+pub(crate) fn return_conflicts<E: Safetied>(set: &ValueSet<E>) -> Vec<(E, E)> {
     let mut out = Vec::new();
     for (i, a) in set.iter().enumerate() {
         for b in set.iter().skip(i + 1) {
@@ -165,7 +165,7 @@ pub fn return_conflicts<E: Safetied>(set: &ValueSet<E>) -> Vec<(E, E)> {
 /// `set` without any member of a conflicting pair (Algorithm 10's
 /// `RemoveConflicts`). Returns the input handle when nothing conflicts
 /// (the common case).
-pub fn remove_conflicts<E: Safetied>(set: &ValueSet<E>) -> ValueSet<E> {
+pub(crate) fn remove_conflicts<E: Safetied>(set: &ValueSet<E>) -> ValueSet<E> {
     let conflicts = return_conflicts(set);
     let mut out = set.clone();
     if !conflicts.is_empty() {
@@ -344,6 +344,8 @@ pub(crate) fn verified<E: Safetied>(
 /// The acceptor's answer to a [`verified`] `safe_req` of `set`: the
 /// safety `candidates` grow by `set`, conflicts removed, and `me` signs
 /// a safe-ack echoing `set` that lists the conflicts of both joined.
+/// Apart from [`verified`] so that GSbS makes a round's candidates only
+/// for a request it answers.
 pub(crate) fn answer<E: Safetied>(
     verifier: &mut CachedVerifier,
     (me, keypair): (ProcessId, &Keypair),
