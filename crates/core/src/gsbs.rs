@@ -503,6 +503,8 @@ impl<V: Value> GsbsProcess<V> {
         let set = self.safety_sets.entry(round).or_default();
         let held = self.held_inits.entry(round).or_default();
         let reached = safetying::admit(&mut self.verifier, threshold, set, held);
+        // An entry stays only while it holds something: the snapshot
+        // writes the map.
         if held.is_empty() {
             self.held_inits.remove(&round);
         }
