@@ -794,6 +794,48 @@ impl<A: ProofAck> ProofPath<A> {
         self.sent.forget_peer(peer);
         self.acceptor_holds.remove(&peer);
     }
+
+    /// Acceptor: the full set a proposal `update` from `from` stands for,
+    /// its base among the proposals consumed from `from`. `None`: a gap.
+    /// Public for the codec tests; [`Proving`] is the real caller.
+    pub fn resolve_proposal(
+        &mut self,
+        from: ProcessId,
+        update: &ProvenUpdate<A>,
+    ) -> Option<ValueSet<Proven<A>>> {
+        resolve_onto(update, |ts| self.bases.base(from, ts), &mut self.resolver)
+    }
+
+    /// Acceptor: `set`, proposed by `from` at `ts`, is consumed — a delta
+    /// base from now on, and `from` shipped or referenced every proof of
+    /// it, so it holds them.
+    fn consume(&mut self, from: ProcessId, ts: u64, set: &ValueSet<Proven<A>>) {
+        register_proofs(&mut self.resolver, set);
+        note_held(&mut self.proposer_holds, from, set);
+        self.bases.record(from, ts, set);
+    }
+
+    /// Acceptor: the refusal of `refused`, proposed by `to` at `ts` — the
+    /// accepted records it lacks, as a delta against the refused proposal
+    /// itself, a base the proposer holds by construction.
+    fn refusal(&self, to: ProcessId, ts: u64, refused: &ValueSet<Proven<A>>) -> ProvenUpdate<A> {
+        let added = self.accepted.records().difference(refused);
+        delta_for(&self.proposer_holds, to, ts, &added)
+    }
+
+    /// Proposer: the full set a refusal `update` stands for, its base our
+    /// own snapshot of the refused proposal. `None`: a gap.
+    fn resolve_reply(&mut self, update: &ProvenUpdate<A>) -> Option<ValueSet<Proven<A>>> {
+        resolve_onto(update, |ts| self.sent.snapshot(ts), &mut self.resolver)
+    }
+
+    /// Proposer: the refusal `set` from `from` is joined, so its proofs
+    /// are referenceable, by us and back at `from`, which shipped or
+    /// referenced every one.
+    fn consume_reply(&mut self, from: ProcessId, set: &ValueSet<Proven<A>>) {
+        register_proofs(&mut self.resolver, set);
+        note_held(&mut self.acceptor_holds, from, set);
+    }
 }
 
 /// The snapshot fragment: the accepted records, then the resolver's
@@ -912,9 +954,7 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
         update: &ProvenUpdate<A>,
         ts: u64,
     ) -> Option<Reply<A>> {
-        let path = &mut *self.path;
-        let base_at = |ts| path.bases.base(from, ts);
-        let Some(proposed) = resolve_onto(update, base_at, &mut path.resolver) else {
+        let Some(proposed) = self.path.resolve_proposal(from, update) else {
             // Unknown base or proof reference: a proposal reference can
             // outlive our bounded resolver window, so ask for it whole.
             return Some(Reply::Resync);
@@ -923,23 +963,16 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
             return None;
         }
         let path = &mut *self.path;
-        // Consumed: a delta base from now on, and `from` shipped or
-        // referenced every proof of it, so it holds them.
-        register_proofs(&mut path.resolver, &proposed);
-        note_held(&mut path.proposer_holds, from, &proposed);
-        path.bases.record(from, ts, &proposed);
+        path.consume(from, ts, &proposed);
         let proposed = Valued::new(proposed);
         if path.accepted.values().is_subset(proposed.values()) {
             let values = proposed.values().clone();
             path.accepted = proposed;
             Some(Reply::Ack(values))
         } else {
-            // The refusal deltas against the refused proposal itself — a
-            // base the proposer holds by construction; the proposer
-            // reconstructs the union, which is exactly what its grows
-            // check and join compute anyway.
-            let added = path.accepted.records().difference(proposed.records());
-            let accepted = delta_for(&path.proposer_holds, from, ts, &added);
+            // The proposer reconstructs the union, which is exactly what
+            // its grows check and join compute anyway.
+            let accepted = path.refusal(from, ts, proposed.records());
             path.accepted.join_with(&proposed);
             Some(Reply::Nack(accepted))
         }
@@ -960,15 +993,12 @@ impl<A: ProofAck<Echoed: Signed> + Signed> Proving<'_, A> {
         proposed: &ValueSet<A::Value>,
         trusted: bool,
     ) -> Option<Valued<A>> {
-        let path = &mut *self.path;
-        let base_at = |ts| path.sent.snapshot(ts);
-        let accepted = Valued::new(resolve_onto(update, base_at, &mut path.resolver)?);
+        let accepted = Valued::new(self.path.resolve_reply(update)?);
         let grows = !accepted.values().is_subset(proposed);
         if !(grows && trusted && self.all_safe(accepted.records())) {
             return None;
         }
-        register_proofs(&mut self.path.resolver, accepted.records());
-        note_held(&mut self.path.acceptor_holds, from, accepted.records());
+        self.path.consume_reply(from, accepted.records());
         Some(accepted)
     }
 }
@@ -1046,24 +1076,6 @@ mod tests {
         )
     }
 
-    /// What an acceptor resolves `update` from `from` to: its base among
-    /// the proposals `path` consumed, joined with the new records.
-    fn resolve(
-        path: &mut ProofPath<TestAck>,
-        from: ProcessId,
-        update: &ProvenUpdate<TestAck>,
-    ) -> Option<ValueSet<Rec>> {
-        resolve_onto(update, |ts| path.bases.base(from, ts), &mut path.resolver)
-    }
-
-    /// What an acceptor records on consuming `set` from `from` at `ts`,
-    /// as `Proving::accept` does.
-    fn consume(path: &mut ProofPath<TestAck>, from: ProcessId, ts: u64, set: &ValueSet<Rec>) {
-        register_proofs(&mut path.resolver, set);
-        note_held(&mut path.proposer_holds, from, set);
-        path.bases.record(from, ts, set);
-    }
-
     #[test]
     fn first_contact_is_full_and_replies_enable_deltas() {
         let mut tx: ProofPath<TestAck> = ProofPath::default();
@@ -1078,8 +1090,8 @@ mod tests {
         assert_eq!(shape(&u), (Some(1), 0, 1, 1), "shared proof by reference");
         // Receiver side: reconstruct through base + resolver.
         let mut rx: ProofPath<TestAck> = ProofPath::default();
-        consume(&mut rx, 0, 1, &s0);
-        let full = resolve(&mut rx, 0, &u).expect("no gap");
+        rx.consume(0, 1, &s0);
+        let full = rx.resolve_proposal(0, &u).expect("no gap");
         assert_eq!(full, s1);
     }
 
@@ -1091,10 +1103,10 @@ mod tests {
             new: set(&[rec(1, &[1])]),
             refs: vec![],
         };
-        assert!(resolve(&mut rx, 3, &bogus_base).is_none());
+        assert!(rx.resolve_proposal(3, &bogus_base).is_none());
 
         let mut rx: ProofPath<TestAck> = ProofPath::default();
-        consume(&mut rx, 3, 0, &ValueSet::new());
+        rx.consume(3, 0, &ValueSet::new());
         let r = rec(1, &[1]);
         let unknown_ref = ProvenUpdate::Delta {
             base_ts: 0,
@@ -1102,7 +1114,7 @@ mod tests {
             new: set(&[r]),
         };
         assert!(
-            resolve(&mut rx, 3, &unknown_ref).is_none(),
+            rx.resolve_proposal(3, &unknown_ref).is_none(),
             "a referenced proof the resolver does not hold is a gap"
         );
     }
@@ -1110,13 +1122,13 @@ mod tests {
     #[test]
     fn refs_matching_no_record_are_not_shipped() {
         let mut rx: ProofPath<TestAck> = ProofPath::default();
-        consume(&mut rx, 3, 0, &ValueSet::new());
+        rx.consume(3, 0, &ValueSet::new());
         let u = ProvenUpdate::Delta {
             base_ts: 0,
             new: set(&[rec(1, &[1])]),
             refs: vec![bogus_id(0xAB)],
         };
-        let full = resolve(&mut rx, 3, &u).expect("inline proof");
+        let full = rx.resolve_proposal(3, &u).expect("inline proof");
         assert_eq!(full.len(), 1);
         let table = ProvenUpdate::Table(u.table().into_owned());
         assert_eq!(shape(&table), (Some(0), 1, 0, 1), "inline, no refs");
@@ -1141,27 +1153,24 @@ mod tests {
         let p_rec = rec(1, &[10]);
         let our_rec = rec(2, &[20]);
         let s_p = set(std::slice::from_ref(&p_rec));
-        consume(&mut rx, 0, 3, &s_p);
+        rx.consume(0, 3, &s_p);
         let accepted = s_p.join(&set(std::slice::from_ref(&our_rec)));
-        let refusal =
-            |rx: &ProofPath<TestAck>, ts, refused: &ValueSet<Rec>, held: &ValueSet<Rec>| {
-                delta_for(&rx.proposer_holds, 0, ts, &held.difference(refused))
-            };
-        let u = refusal(&rx, 3, &s_p, &accepted);
+        rx.accepted = Valued::new(accepted.clone());
+        let u = rx.refusal(0, 3, &s_p);
         assert_eq!(shape(&u), (Some(3), 1, 0, 1), "our proof is new to P");
         // P resolves against its own snapshot.
         let mut tx: ProofPath<TestAck> = ProofPath::default();
         tx.propose(1, 3, &s_p);
-        let full = resolve_onto(&u, |ts| tx.sent.snapshot(ts), &mut tx.resolver).expect("no gap");
+        let full = tx.resolve_reply(&u).expect("no gap");
         assert_eq!(full, accepted);
 
         // A second nack after P re-proposed the union references our
         // proof back (P shipped it, so it holds it).
-        consume(&mut rx, 0, 4, &accepted);
-        let u2 = refusal(&rx, 4, &accepted, &accepted);
+        rx.consume(0, 4, &accepted);
+        let u2 = rx.refusal(0, 4, &accepted);
         assert_eq!(shape(&u2), (Some(4), 0, 0, 0));
-        let grown = accepted.join(&set(&[rec(9, &[20])]));
-        let u3 = refusal(&rx, 4, &accepted, &grown);
+        rx.accepted = Valued::new(accepted.join(&set(&[rec(9, &[20])])));
+        let u3 = rx.refusal(0, 4, &accepted);
         assert_eq!(shape(&u3), (Some(4), 0, 1, 1));
         assert_eq!(
             u3.table().refs(),
@@ -1181,7 +1190,7 @@ mod tests {
         tx.replied(1, 1);
         tx.replied(2, 1);
         let s1 = s0.join(&set(&[rec(2, &[20]), rec(3, &[30])]));
-        note_held(&mut tx.acceptor_holds, 2, &set(&[rec(2, &[20])]));
+        tx.consume_reply(2, &set(&[rec(2, &[20])]));
         let shapes: Vec<_> = tx.propose(3, 2, &s1).iter().map(shape).collect();
         assert_eq!(
             shapes,

@@ -18,6 +18,7 @@ use bgla_codec::{
 use bgla_codec::{Wire, Writer};
 use bgla_core::gsbs::{DecidedCert, GsbsMsg, GsbsProcess, ProvenBatch, SignedAck, SignedBatch};
 use bgla_core::gwts::{AckRecord, BatchName, GwtsMsg, GwtsProcess, NamedSet};
+use bgla_core::provendelta::ProofPath;
 use bgla_core::safetying::{SafeAck, SafeAckReply};
 use bgla_core::sbs::{ProvenValue, SbsMsg, SbsProcess, SignedValue};
 use bgla_core::wts::{WtsMsg, WtsProcess};
@@ -1364,16 +1365,16 @@ fn one_proof_under_many_records_is_decoded_and_hashed_once() {
         decode_payload::<Payload>(&bytes)
     };
     let back = payload(100).expect("said once, read once");
-    let table = back.table();
-    let proofs: Vec<_> = table
-        .records()
-        .map(|(_, inline)| inline.expect("every proof inline"))
+    let resolved = ProofPath::default()
+        .resolve_proposal(0, &back)
+        .expect("every proof inline");
+    assert_eq!(resolved.len(), 100);
+    let acks: std::collections::BTreeSet<_> = resolved
+        .iter()
+        .map(|pb| pb.proof.as_slice().as_ptr())
         .collect();
-    assert_eq!(proofs.len(), 100);
-    let acks: std::collections::BTreeSet<_> =
-        proofs.iter().map(|p| p.as_slice().as_ptr()).collect();
     assert_eq!(acks.len(), 1, "one decoded proof under every record");
-    assert!(proofs.iter().all(|p| p.id() == proof.id()));
+    assert!(resolved.iter().all(|pb| pb.proof.id() == proof.id()));
     assert!(proof.wire_size() * 300 > MAX_SPELLED_OUT);
     assert_eq!(
         payload(300).err(),
