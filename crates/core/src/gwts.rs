@@ -120,6 +120,40 @@
 //!   `named_sets_have_one_encoding`, `tests/stream_liveness.rs` (no op
 //!   lost when names outrun their batches) and the `NameForger` runs in
 //!   `tests/chaos.rs` and `tests/conformance.rs`.
+//!
+//! # What an acceptor walks
+//!
+//! `Accepted_set` only grows, and in the RSM it is the history, so a
+//! handler that walks it pays per op for the whole history. A delta
+//! request `Delta { base, added }` is decided without that walk. The
+//! paper's test, `Accepted_set ⊆ base ∪ added`, is decided by counting:
+//! with `fresh = added ∖ Accepted_set`, it holds exactly when
+//! `|Accepted_set| + |fresh| = |base| + |added ∖ base|` — binary searches
+//! of `added`'s few values only. Acked with nothing fresh, the proposal
+//! *is* `Accepted_set` and takes its handle; acked with `fresh`, it is
+//! `Accepted_set ∪ fresh`; refused, it is `base ∪ added` (the proposer's
+//! next base), and `Accepted_set` joins `fresh` alone. Each of these is
+//! one galloping merge at most ([`ValueSet`] copies the runs between a
+//! small operand's elements whole); a refusal still walks `Accepted_set`
+//! once more, for what the proposal lacks. A `Full` request is decided by
+//! the walk, as it always was: it carries the whole set anyway.
+//!
+//! * *Assumption.* Every base `delta_rx` holds is a subset of
+//!   `Accepted_set`, so the proposal lies inside `Accepted_set ∪ added`,
+//!   and contains `Accepted_set` exactly when it is that union: when the
+//!   two sizes agree. A consumed proposal is either acked
+//!   (`Accepted_set := proposal`) or refused (`Accepted_set ∪= proposal`),
+//!   `Accepted_set` never shrinks, only `try_handle` records a base, and
+//!   `delta_rx` starts empty after a restore (it is volatile).
+//! * *Guard.* `gwts.rs::decide_delta` decides by counting, with a
+//!   `debug_assert!` that the base is inside `Accepted_set` and another
+//!   that the counted verdict is the walked one, both armed under the
+//!   strict test profile.
+//! * *Tests.* `acceptor_tests` (random full and delta requests of three
+//!   proposers, each checked against the walk over the whole proposal:
+//!   verdict, `Accepted_set`, recorded base and refusal), the golden
+//!   traces, and every GWTS and RSM run of the test suite with the
+//!   assertions armed.
 
 use crate::config::SystemConfig;
 use crate::value::Value;
@@ -436,6 +470,84 @@ impl<V: Value> Wire for GwtsMsg<V> {
     }
 }
 
+/// A message that may wait on a guard: an ack request or a refusal, as
+/// [`GwtsMsg`] carries them. Everything else is handled where it arrives.
+/// Encoded as that message, so a snapshot's `waiting` reads as it always
+/// did.
+#[derive(Debug, Clone)]
+enum Parked<V: Value> {
+    AckReq {
+        proposed: SetUpdate<NamedSet<V>>,
+        ts: u64,
+        round: u64,
+    },
+    Nack {
+        accepted: NamedSet<V>,
+        ts: u64,
+        round: u64,
+    },
+}
+
+impl<V: Value> Wire for Parked<V> {
+    fn encode(&self, w: &mut Writer) {
+        let msg = match self.clone() {
+            Parked::AckReq {
+                proposed,
+                ts,
+                round,
+            } => GwtsMsg::AckReq {
+                proposed,
+                ts,
+                round,
+            },
+            Parked::Nack {
+                accepted,
+                ts,
+                round,
+            } => GwtsMsg::Nack {
+                accepted,
+                ts,
+                round,
+            },
+        };
+        msg.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match GwtsMsg::decode(r)? {
+            GwtsMsg::AckReq {
+                proposed,
+                ts,
+                round,
+            } => Ok(Parked::AckReq {
+                proposed,
+                ts,
+                round,
+            }),
+            GwtsMsg::Nack {
+                accepted,
+                ts,
+                round,
+            } => Ok(Parked::Nack {
+                accepted,
+                ts,
+                round,
+            }),
+            GwtsMsg::Disc(_) | GwtsMsg::Ack(_) => Err(CodecError::Invalid("gwts parked msg")),
+        }
+    }
+}
+
+/// `set` joined with `batches` in one merge: the batches' values are
+/// sorted together first, so `set`, the history, is copied once.
+fn folded<V: Value>(set: &ValueSet<V>, batches: &[ValueSet<V>]) -> ValueSet<V> {
+    let batch = match batches {
+        [] => return set.clone(),
+        [batch] => batch.clone(),
+        _ => batches.iter().flatten().cloned().collect(),
+    };
+    set.join(&batch)
+}
+
 /// Proposer phase within the current round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GwtsState {
@@ -514,8 +626,13 @@ pub struct GwtsProcess<V: Value> {
     named_by: BTreeMap<V, BatchName>,
     /// Disclosure deliveries per round.
     counters: BTreeMap<u64, usize>,
-    /// Cumulative proposal.
+    /// Cumulative proposal, but for `unfolded`.
     proposed_set: ValueSet<V>,
+    /// Batches taken in while disclosing — this process's own and each
+    /// delivered one — not joined into `proposed_set` yet: they are joined
+    /// in one merge when the proposal is first sent. Whatever reads the
+    /// proposal before that reads it through [`Self::proposed_values`].
+    unfolded: Vec<ValueSet<V>>,
     /// Acceptor: current accepted set.
     accepted_set: ValueSet<V>,
     /// Acceptor: highest trusted round.
@@ -525,8 +642,8 @@ pub struct GwtsProcess<V: Value> {
     /// Rounds in which some set has a quorum of origins — noted when
     /// the quorum forms, so `Safe_r` never re-counts.
     committed_rounds: BTreeSet<u64>,
-    /// Non-disclosure messages waiting on safety / round guards.
-    waiting: Vec<(ProcessId, GwtsMsg<V>)>,
+    /// Requests and refusals waiting on safety / round guards.
+    waiting: Vec<(ProcessId, Parked<V>)>,
     /// Rebuilt acks waiting for their round to be trusted.
     pending_acks: Vec<(ProcessId, Ack<V>)>,
     /// Cumulative decision (Local Stability floor).
@@ -581,6 +698,7 @@ impl<V: Value> GwtsProcess<V> {
             named_by: BTreeMap::new(),
             counters: BTreeMap::new(),
             proposed_set: ValueSet::new(),
+            unfolded: Vec::new(),
             accepted_set: ValueSet::new(),
             safe_r: 0,
             ack_history: BTreeMap::new(),
@@ -620,10 +738,11 @@ impl<V: Value> GwtsProcess<V> {
         self.decisions.last()
     }
 
-    /// The cumulative `Proposed_set` (cheap `O(1)` clone) — read by the
-    /// conformance observers to emit refine-snapshot op events.
+    /// The cumulative `Proposed_set` — read by the conformance observers
+    /// to emit refine-snapshot op events. An `O(1)` clone, but while
+    /// disclosing, when it joins the batches taken in so far.
     pub fn proposed_values(&self) -> ValueSet<V> {
-        self.proposed_set.clone()
+        folded(&self.proposed_set, &self.unfolded)
     }
 
     /// Whether `set` is known to have been accepted by a Byzantine quorum
@@ -766,7 +885,7 @@ impl<V: Value> GwtsProcess<V> {
             .unwrap_or_default()
             .into_iter()
             .collect();
-        self.proposed_set.join_with(&batch);
+        self.unfolded.push(batch.clone());
         self.state = GwtsState::Disclosing;
         for m in self.rb_disc.broadcast(round, batch) {
             ctx.broadcast(GwtsMsg::Disc(m));
@@ -780,6 +899,8 @@ impl<V: Value> GwtsProcess<V> {
                 >= self.config.disclosure_threshold()
         {
             self.state = GwtsState::Proposing;
+            self.proposed_set = folded(&self.proposed_set, &self.unfolded);
+            self.unfolded.clear();
             self.ts += 1;
             self.send_ack_req(ctx);
             self.check_decision(ctx);
@@ -884,16 +1005,46 @@ impl<V: Value> GwtsProcess<V> {
         }
     }
 
-    /// Tries to consume one AckReq/Nack; `true` if consumed.
+    /// The verdict on the delta request `base ∪ added`, where `base` is a
+    /// proposal this acceptor consumed: whether it is acked, the proposal,
+    /// and what `accepted_set` gains if it is refused. Binary searches of
+    /// `added` and at most one merge, never a walk of `accepted_set` — see
+    /// "What an acceptor walks" in the module doc.
+    fn decide_delta(
+        &self,
+        base: &ValueSet<V>,
+        added: &ValueSet<V>,
+    ) -> (bool, ValueSet<V>, ValueSet<V>) {
+        let accepted = &self.accepted_set;
+        debug_assert!(
+            base.is_subset(accepted),
+            "a consumed proposal outgrew Accepted_set"
+        );
+        let fresh = added.difference(accepted);
+        let new_to_base = added.iter().filter(|v| !base.contains(v)).count();
+        // `base ⊆ accepted`, so the proposal lies inside `accepted ∪ added`
+        // and holds all of `accepted` exactly when the two are one size.
+        let acked = accepted.len() + fresh.len() == base.len() + new_to_base;
+        debug_assert_eq!(acked, accepted.is_subset(&base.join(added)));
+        let proposal = match (acked, fresh.is_empty()) {
+            // The proposal is the accepted set: take its handle.
+            (true, true) => accepted.clone(),
+            (true, false) => accepted.join(&fresh),
+            (false, _) => base.join(added),
+        };
+        (acked, proposal, fresh)
+    }
+
+    /// Tries to consume one ack request or refusal; `true` if consumed.
     fn try_handle(
         &mut self,
         from: ProcessId,
-        msg: &GwtsMsg<V>,
+        msg: &Parked<V>,
         ctx: &mut Context<GwtsMsg<V>>,
     ) -> bool {
         match msg {
             // ---- Acceptor role ----
-            GwtsMsg::AckReq {
+            Parked::AckReq {
                 proposed,
                 ts,
                 round,
@@ -901,34 +1052,37 @@ impl<V: Value> GwtsProcess<V> {
                 if *round > self.safe_r {
                     return false;
                 }
-                let (base, added) = match proposed {
-                    SetUpdate::Full(set) => (None, set),
+                let (acked, proposal, grown_by) = match proposed {
+                    SetUpdate::Full(set) => {
+                        let Some(set) = self.resolve(set) else {
+                            return false;
+                        };
+                        let acked = self.accepted_set.is_subset(&set);
+                        // A proposal equal to what is accepted takes that
+                        // handle, so acks of equal proposals are rebuilt to
+                        // one shared set.
+                        let set = if acked && set.len() == self.accepted_set.len() {
+                            self.accepted_set.clone()
+                        } else {
+                            set
+                        };
+                        (acked, set.clone(), set)
+                    }
                     SetUpdate::Delta { base_ts, added } => {
                         let Some(base) = self.delta_rx.base(from, *base_ts) else {
                             return true; // delta gap (Byzantine sender): drop
                         };
-                        (Some(base), added)
+                        // The base was SAFE when consumed; the additions
+                        // once resolved.
+                        let Some(added) = self.resolve(added) else {
+                            return false;
+                        };
+                        self.decide_delta(base, &added)
                     }
                 };
-                // The base was SAFE when consumed; the additions once resolved.
-                let Some(added) = self.resolve(added) else {
-                    return false;
-                };
-                let full = match base {
-                    Some(base) => base.join(&added),
-                    None => added,
-                };
-                let acked = self.accepted_set.is_subset(&full);
-                // A proposal equal to what is accepted takes that handle,
-                // so acks of equal proposals are rebuilt to one shared set.
-                let full = if acked && full.len() == self.accepted_set.len() {
-                    self.accepted_set.clone()
-                } else {
-                    full
-                };
-                self.delta_rx.record(from, *ts, &full);
+                self.delta_rx.record(from, *ts, &proposal);
                 if acked {
-                    self.accepted_set = full.clone();
+                    self.accepted_set = proposal.clone();
                     if self.accepted_set != self.last_acked {
                         self.acked_rounds.clear();
                     }
@@ -945,8 +1099,8 @@ impl<V: Value> GwtsProcess<V> {
                 // What is held that the proposal lacks: a refusal — or
                 // nothing, the receipt of a request whose ack is said
                 // already (module doc).
-                let accepted = self.name(&self.accepted_set.difference(&full));
-                self.accepted_set.join_with(&full);
+                let accepted = self.name(&self.accepted_set.difference(&proposal));
+                self.accepted_set.join_with(&grown_by);
                 ctx.send(
                     from,
                     GwtsMsg::Nack {
@@ -958,7 +1112,7 @@ impl<V: Value> GwtsProcess<V> {
                 true
             }
             // ---- Proposer role ----
-            GwtsMsg::Nack {
+            Parked::Nack {
                 accepted,
                 ts,
                 round,
@@ -986,8 +1140,6 @@ impl<V: Value> GwtsProcess<V> {
                 }
                 true
             }
-            // bgla-lint: allow(byzantine-panic, "local invariant: the buffering site only ever stores ack_req / nack")
-            GwtsMsg::Disc(_) | GwtsMsg::Ack(_) => unreachable!("handled eagerly"),
         }
     }
 
@@ -1201,6 +1353,13 @@ impl<V: Value> GwtsProcess<V> {
         self.waiting.len() + self.ack_waiting.len() + self.pending_acks.len()
     }
 
+    /// Consumes an ack request or refusal, or parks it in `waiting`.
+    fn handle_or_park(&mut self, from: ProcessId, msg: Parked<V>, ctx: &mut Context<GwtsMsg<V>>) {
+        if !self.try_handle(from, &msg, ctx) {
+            self.waiting.push((from, msg));
+        }
+    }
+
     /// Retries the parked messages until none is admissible. Call after a
     /// guard input moved (see [`Self::guards`]); at any other time every
     /// parked message would fail the guard it failed before. `tried` is
@@ -1283,6 +1442,8 @@ impl<V: Value> Wire for GwtsProcess<V> {
             named_by: _,
             counters,
             proposed_set,
+            // Encoded joined into `proposed_set`.
+            unfolded,
             accepted_set,
             safe_r,
             ack_history,
@@ -1322,7 +1483,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
         batches.encode(w);
         disclosed.encode(w);
         counters.encode(w);
-        proposed_set.encode(w);
+        folded(proposed_set, unfolded).encode(w);
         accepted_set.encode(w);
         w.var(*safe_r);
         ack_history.encode(w);
@@ -1358,6 +1519,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
             named_by: BTreeMap::new(),
             counters: Wire::decode(r)?,
             proposed_set: Wire::decode(r)?,
+            unfolded: Vec::new(),
             accepted_set: Wire::decode(r)?,
             safe_r: r.var()?,
             ack_history: Wire::decode(r)?,
@@ -1440,7 +1602,7 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
                 for d in dels {
                     *self.counters.entry(d.tag).or_insert(0) += 1;
                     if self.state == GwtsState::Disclosing {
-                        self.proposed_set.join_with(&d.value);
+                        self.unfolded.push(d.value.clone());
                     }
                     self.disclose((d.origin, d.tag), d.value);
                 }
@@ -1460,11 +1622,32 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
                 self.advance_safe_r();
                 self.check_decision(ctx);
             }
-            other => {
-                if !self.try_handle(from, &other, ctx) {
-                    self.waiting.push((from, other));
-                }
-            }
+            GwtsMsg::AckReq {
+                proposed,
+                ts,
+                round,
+            } => self.handle_or_park(
+                from,
+                Parked::AckReq {
+                    proposed,
+                    ts,
+                    round,
+                },
+                ctx,
+            ),
+            GwtsMsg::Nack {
+                accepted,
+                ts,
+                round,
+            } => self.handle_or_park(
+                from,
+                Parked::Nack {
+                    accepted,
+                    ts,
+                    round,
+                },
+                ctx,
+            ),
         }
         if self.guards() != before {
             self.drain_waiting(ctx, before.0);
@@ -1673,6 +1856,51 @@ mod tests {
         let ack = GwtsMsg::Ack(RbMsg::Init { tag: 0, value });
         let expected: Vec<_> = (0..4).map(|to| (to, ack.clone())).collect();
         assert_eq!(ctx.take_outbox(), expected);
+    }
+
+    /// While disclosing, the batches taken in wait to be joined into the
+    /// proposal, but what observers and snapshots read already holds them;
+    /// the first request sends them all.
+    #[test]
+    fn batches_taken_in_while_disclosing_are_proposed_and_snapshotted() {
+        let schedule = BTreeMap::from([(0, vec![7u64])]);
+        let mut p = GwtsProcess::new(0, SystemConfig::new(4, 1), schedule, 4);
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        p.on_start(&mut ctx);
+        let deliver = |p: &mut GwtsProcess<u64>, ctx: &mut _, origin, values: &[u64]| {
+            for from in 1..=3 {
+                let value = values.iter().copied().collect();
+                let ready = RbMsg::Ready {
+                    origin,
+                    tag: 0,
+                    value,
+                };
+                p.on_message(from, GwtsMsg::Disc(ready), ctx);
+            }
+        };
+        deliver(&mut p, &mut ctx, 1, &[9, 3]);
+        assert_eq!(p.state(), GwtsState::Disclosing);
+        let expected: ValueSet<u64> = [3, 7, 9].into_iter().collect();
+        assert_eq!(p.proposed_values(), expected);
+        let restored = GwtsProcess::<u64>::from_snapshot(&p.snapshot_bytes()).unwrap();
+        assert_eq!(restored.proposed_values(), expected);
+        assert_eq!(restored.snapshot_bytes(), p.snapshot_bytes());
+        deliver(&mut p, &mut ctx, 2, &[5]);
+        ctx.take_outbox();
+        deliver(&mut p, &mut ctx, 0, &[7]);
+        assert_eq!(p.state(), GwtsState::Proposing);
+        let expected: ValueSet<u64> = [3, 5, 7, 9].into_iter().collect();
+        assert_eq!(p.proposed_values(), expected);
+        let requests: Vec<_> = (ctx.take_outbox().into_iter())
+            .filter_map(|(_, msg)| match msg {
+                GwtsMsg::AckReq {
+                    proposed: SetUpdate::Full(set),
+                    ..
+                } => p.resolve(&set),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(requests, vec![expected; 4]);
     }
 
     #[test]
@@ -2602,5 +2830,154 @@ mod said_once_tests {
             per_round <= 4.0 && receipts >= 2 * broadcasts,
             "{broadcasts} broadcasts ({per_round:.1} per acceptor per round), {receipts} nacks"
         );
+    }
+}
+
+#[cfg(test)]
+mod acceptor_tests {
+    use super::ack_stream_tests::vs;
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Values below this are SAFE at [`acceptor`].
+    const VALUES: u64 = 48;
+    /// The rounds requests are for: all trusted, so repeats get receipts.
+    const ROUNDS: u64 = 3;
+
+    /// Process 0 of four, trusting rounds up to [`ROUNDS`], to which every
+    /// value below [`VALUES`] is SAFE: one disclosed batch holds them all.
+    fn acceptor() -> GwtsProcess<u64> {
+        let mut p = GwtsProcess::new(0, SystemConfig::new(4, 1), BTreeMap::new(), 12);
+        p.disclose((3, 0), (0..VALUES).collect());
+        p.safe_r = ROUNDS;
+        p
+    }
+
+    /// What `p` did with a request: whether it broadcast an ack, and the
+    /// nacks it sent, resolved.
+    fn hand(
+        p: &mut GwtsProcess<u64>,
+        from: ProcessId,
+        proposed: SetUpdate<ValueSet<u64>>,
+        ts: u64,
+        round: u64,
+    ) -> (bool, Vec<ValueSet<u64>>) {
+        let mut ctx = Context::for_embedding(0, 4, 0, 0);
+        let proposed = proposed.map(NamedSet::from);
+        let request = GwtsMsg::AckReq {
+            proposed,
+            ts,
+            round,
+        };
+        p.on_message(from, request, &mut ctx);
+        let (mut said, mut nacks) = (false, Vec::new());
+        for (to, msg) in ctx.take_outbox() {
+            match msg {
+                GwtsMsg::Ack(RbMsg::Init { .. }) => said = true,
+                GwtsMsg::Nack { accepted, .. } if to == from => {
+                    nacks.push(p.resolve(&accepted).expect("SAFE"));
+                }
+                other => panic!("unexpected {other:?} to {to}"),
+            }
+        }
+        (said, nacks)
+    }
+
+    /// `k` values drawn below [`VALUES`].
+    fn draw(rng: &mut StdRng, k: u64) -> BTreeSet<u64> {
+        (0..k).map(|_| rng.gen_range(0..VALUES)).collect()
+    }
+
+    /// Random full and delta requests from three proposers, each delta
+    /// against a base the acceptor recorded for its sender: the verdict,
+    /// `accepted_set`, the recorded base and the refusal are what the walk
+    /// over the whole proposal, `accepted ⊆ base ∪ added`, says they are.
+    #[test]
+    fn acceptor_verdicts_match_the_walk_oracle() {
+        let (seeds, steps) = if cfg!(debug_assertions) {
+            (24, 160)
+        } else {
+            (256, 400)
+        };
+        let mut seen = [0usize; 4];
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut p = acceptor();
+            let mut accepted: BTreeSet<u64> = BTreeSet::new();
+            // Every proposal recorded, by (proposer, ts).
+            let mut proposals: BTreeMap<(ProcessId, u64), BTreeSet<u64>> = BTreeMap::new();
+            let mut next_ts = [0u64; 4];
+            for step in 0..steps {
+                let from = rng.gen_range(1..4usize);
+                next_ts[from] += 1;
+                let (ts, round) = (next_ts[from], rng.gen_range(0..ROUNDS + 1));
+                let held: Vec<u64> = (proposals.range((from, 0)..(from, ts)))
+                    .map(|(&(_, at), _)| at)
+                    .filter(|&at| p.delta_rx.base(from, at).is_some())
+                    .collect();
+                let base_ts = (!held.is_empty() && rng.gen_bool(0.7))
+                    .then(|| held[rng.gen_range(0..held.len())]);
+                let base = base_ts.map_or_else(BTreeSet::new, |at| proposals[&(from, at)].clone());
+                // Half the time, catch up with what is accepted.
+                let k = rng.gen_range(0..4);
+                let mut added = draw(&mut rng, k);
+                if rng.gen_bool(0.5) {
+                    added.extend(accepted.difference(&base));
+                }
+                let full: BTreeSet<u64> = base.union(&added).copied().collect();
+                let acked = accepted.is_subset(&full);
+                let update = match base_ts {
+                    Some(base_ts) => SetUpdate::Delta {
+                        base_ts,
+                        added: ValueSet::from(added),
+                    },
+                    None => SetUpdate::Full(ValueSet::from(full.clone())),
+                };
+                let (said, nacks) = hand(&mut p, from, update, ts, round);
+                let at = format!("seed {seed} step {step}");
+                if acked {
+                    assert!(said ^ (nacks == [ValueSet::new()]), "{at}: acked once");
+                    seen[usize::from(said)] += 1;
+                } else {
+                    let lacked: ValueSet<u64> = accepted.difference(&full).copied().collect();
+                    assert_eq!((said, nacks), (false, vec![lacked]), "{at}: refused");
+                    seen[2 + usize::from(base_ts.is_some())] += 1;
+                }
+                accepted = match acked {
+                    true => full.clone(),
+                    false => accepted.union(&full).copied().collect(),
+                };
+                assert_eq!(p.accepted_set, ValueSet::from(accepted.clone()), "{at}");
+                assert_eq!(
+                    p.delta_rx.base(from, ts),
+                    Some(&ValueSet::from(full.clone())),
+                    "{at}"
+                );
+                proposals.insert((from, ts), full);
+            }
+        }
+        // Receipts, broadcasts, full and delta refusals all came up.
+        assert!(seen.iter().all(|&count| count > 0), "{seen:?}");
+    }
+
+    /// A delta request that adds nothing the acceptor lacks and lacks
+    /// nothing it holds is its accepted set: recorded as that handle,
+    /// no set built.
+    #[test]
+    fn a_request_equal_to_the_accepted_set_builds_nothing() {
+        let mut p = acceptor();
+        let full = |set: &[u64]| SetUpdate::Full(vs(set));
+        assert!(hand(&mut p, 1, full(&[1, 2, 3]), 1, 0).0);
+        assert!(hand(&mut p, 2, full(&[1, 2, 3, 4]), 1, 0).0);
+        let delta = SetUpdate::Delta {
+            base_ts: 1,
+            added: vs(&[2, 4]),
+        };
+        let (said, nacks) = hand(&mut p, 1, delta, 2, 0);
+        assert_eq!((said, nacks), (false, vec![ValueSet::new()]), "a receipt");
+        let recorded = p.delta_rx.base(1, 2).unwrap();
+        assert!(recorded.ptr_eq(&p.accepted_set));
+        assert_eq!(p.accepted_set, vs(&[1, 2, 3, 4]));
     }
 }

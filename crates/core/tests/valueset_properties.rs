@@ -41,15 +41,17 @@ impl Ord for Tagged {
         self.key.cmp(&other.key)
     }
 }
+/// The tag is a varint, so equal records of different tags can differ in
+/// length, as proven records of different proofs do.
 impl Wire for Tagged {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.key);
-        w.u64(self.tag);
+        w.var(self.tag);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Tagged {
             key: r.u64()?,
-            tag: r.u64()?,
+            tag: r.var()?,
         })
     }
 }
@@ -273,6 +275,118 @@ proptest! {
         prop_assert!(delta.carried() <= full.carried());
         prop_assert!(delta.wire_size() <= full.wire_size() + 8, "delta header overhead exceeded its savings bound");
     }
+}
+
+/// `self` against `other`, lopsided either way: `join_with`, `is_subset`
+/// and `difference` agree with the `BTreeSet` reference, every result's
+/// cached length is its encoding's, and an element on both sides stays
+/// `self`'s. The two sides' tags encode to different lengths, so a
+/// length that counted the wrong representative shows.
+fn lopsided_agrees<T: Item>(own: &[u64], other: &[u64]) {
+    let (rs, ro): (BTreeSet<u64>, BTreeSet<u64>) = (
+        own.iter().copied().collect(),
+        other.iter().copied().collect(),
+    );
+    let (vs, vo) = (set_of::<T>(own, 1), set_of::<T>(other, 1_000));
+    let exact = |set: &ValueSet<T>| assert_eq!(set.wire_size(), encode_payload(set).len());
+    // Whether `x` is `self`'s representative where it carries a tag.
+    let ours = |x: &T, own: bool| x.tag().is_none_or(|tag| (tag == 1) == own);
+    assert_eq!(vs.is_subset(&vo), rs.is_subset(&ro));
+    let mut joined = vs.clone();
+    assert_eq!(joined.join_with(&vo), !ro.is_subset(&rs));
+    assert_eq!(keys(&joined), rs.union(&ro).copied().collect::<Vec<u64>>());
+    assert!(joined.iter().all(|x| ours(x, rs.contains(&x.key()))));
+    exact(&joined);
+    let diff = vs.difference(&vo);
+    assert_eq!(
+        keys(&diff),
+        rs.difference(&ro).copied().collect::<Vec<u64>>()
+    );
+    assert!(diff.iter().all(|x| ours(x, true)));
+    exact(&diff);
+}
+
+/// `k` keys, a share of them drawn from `from` so that the sides meet.
+fn lopsided_keys(rng: &mut rand::rngs::StdRng, k: usize, from: &[u64]) -> Vec<u64> {
+    use rand::Rng;
+    let mut keys = Vec::with_capacity(k);
+    while keys.len() < k {
+        let key = match from.is_empty() || rng.gen_bool(0.5) {
+            true => rng.gen_range(0..4_096),
+            false => from[rng.gen_range(0..from.len())],
+        };
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
+    keys
+}
+
+/// One operand of 0–8 elements against one of 64–2 000, in both orders,
+/// and sizes straddling the 8× ratio at which the set algebra starts to
+/// gallop — for plain and tagged items.
+#[test]
+fn lopsided_operands_agree_with_the_reference() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut shapes: Vec<(usize, usize)> = (0..256)
+        .map(|_| (rng.gen_range(0..9), rng.gen_range(64..2_001)))
+        .collect();
+    for few in 1..=9 {
+        shapes.extend((8 * few - 2..=8 * few + 2).map(|many| (few, many)));
+    }
+    for (few, many) in shapes {
+        let many = lopsided_keys(&mut rng, many, &[]);
+        let few = lopsided_keys(&mut rng, few, &many);
+        // Also a few that all lie inside the many, which gallops too.
+        let inside: Vec<u64> = many.iter().step_by(many.len() / 4).copied().collect();
+        for few in [few, inside] {
+            lopsided_agrees::<u64>(&few, &many);
+            lopsided_agrees::<u64>(&many, &few);
+            lopsided_agrees::<Tagged>(&few, &many);
+            lopsided_agrees::<Tagged>(&many, &few);
+        }
+    }
+}
+
+/// A proven subset galloped into a large set keeps its own proof
+/// handles, and the large set's records keep theirs; the other way
+/// round, the large set keeps its handles for the records it shares.
+#[test]
+fn galloping_join_preserves_proof_identity() {
+    let few = proven_set(&[20, 30], 0);
+    let many = proven_set(&(0..32).collect::<Vec<u64>>(), 0);
+    let (few_proof, many_proof) = (few.as_slice()[0].proof.id(), many.as_slice()[0].proof.id());
+    assert_ne!(few_proof, many_proof);
+    let mut joined = few.clone();
+    assert!(joined.join_with(&many));
+    assert_eq!(joined, many);
+    for pv in joined.iter() {
+        let expected = if few.contains(pv) {
+            few_proof
+        } else {
+            many_proof
+        };
+        assert_eq!(pv.proof.id(), expected, "value {}", pv.signed.value);
+    }
+    assert_eq!(joined.wire_size(), encode_payload(&joined).len());
+    let mut kept = many.clone();
+    assert!(!kept.join_with(&few));
+    assert!(kept.ptr_eq(&many));
+    let extra = proven_set(&[20, 70], 0);
+    let extra_proof = extra.as_slice()[0].proof.id();
+    let grown = many.join(&extra);
+    assert_eq!(grown.len(), 33);
+    for pv in grown.iter() {
+        let expected = if pv.signed.value == 70 {
+            extra_proof
+        } else {
+            many_proof
+        };
+        assert_eq!(pv.proof.id(), expected, "value {}", pv.signed.value);
+    }
+    assert_eq!(grown.wire_size(), encode_payload(&grown).len());
 }
 
 /// Stateful protocol property: one proposer refining against several

@@ -120,7 +120,6 @@ pub struct Replica {
     /// Agreement engine.
     pub inner: GwtsProcess<Cmd>,
     n_replicas: usize,
-    me: ProcessId,
     /// Commands whose deciding clients still await notification:
     /// command -> clients.
     pending_notify: BTreeMap<Cmd, BTreeSet<ProcessId>>,
@@ -132,6 +131,9 @@ pub struct Replica {
     /// Command validity filter (Lemma 12: garbage from Byzantine clients
     /// is discarded because it "is not an element of the lattice").
     validator: fn(&Cmd) -> bool,
+    /// The context every event of `inner` runs in, re-stamped per event:
+    /// its outbox is allocated once, not once per event.
+    inner_ctx: Context<GwtsMsg<Cmd>>,
 }
 
 impl Replica {
@@ -141,11 +143,11 @@ impl Replica {
         Replica {
             inner: GwtsProcess::new(me, config, BTreeMap::new(), max_rounds),
             n_replicas: config.n,
-            me,
             pending_notify: BTreeMap::new(),
             pending_conf: Vec::new(),
             notified_upto: 0,
             validator: |_| true,
+            inner_ctx: Context::for_embedding(me, config.n, 0, 0),
         }
     }
 
@@ -160,10 +162,10 @@ impl Replica {
     where
         F: FnOnce(&mut GwtsProcess<Cmd>, &mut Context<GwtsMsg<Cmd>>),
     {
-        let mut inner_ctx =
-            Context::for_embedding(self.me, self.n_replicas, ctx.depth, ctx.local_events);
-        f(&mut self.inner, &mut inner_ctx);
-        for (to, msg) in inner_ctx.take_outbox() {
+        self.inner_ctx.depth = ctx.depth;
+        self.inner_ctx.local_events = ctx.local_events;
+        f(&mut self.inner, &mut self.inner_ctx);
+        for (to, msg) in self.inner_ctx.drain_outbox() {
             ctx.send(to, RsmMsg::Gwts(msg));
         }
         self.after_inner(ctx);

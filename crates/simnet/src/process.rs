@@ -75,6 +75,13 @@ impl<M> Context<M> {
         std::mem::take(&mut self.outbox)
     }
 
+    /// Drains the queued outbound messages in place, keeping the outbox's
+    /// capacity: a host that keeps one inner context for all its events
+    /// allocates it once.
+    pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, (ProcessId, M)> {
+        self.outbox.drain(..)
+    }
+
     pub(crate) fn new(me: ProcessId, n: usize) -> Self {
         Context {
             me,
@@ -134,6 +141,16 @@ mod tests {
         ctx.broadcast(7);
         assert_eq!(ctx.outbox.len(), 5);
         assert!(ctx.outbox.iter().any(|(to, _)| *to == 2));
+    }
+
+    #[test]
+    fn drained_outbox_keeps_its_capacity() {
+        let mut ctx: Context<u32> = Context::new(0, 5);
+        ctx.broadcast(1);
+        let capacity = ctx.outbox.capacity();
+        assert_eq!(ctx.drain_outbox().count(), 5);
+        assert!(ctx.outbox.is_empty());
+        assert_eq!(ctx.outbox.capacity(), capacity);
     }
 
     #[test]
