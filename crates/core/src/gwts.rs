@@ -133,10 +133,9 @@
 //! *is* `Accepted_set` and takes its handle; acked with `fresh`, it is
 //! `Accepted_set ∪ fresh`; refused, it is `base ∪ added` (the proposer's
 //! next base), and `Accepted_set` joins `fresh` alone. Each of these is
-//! one galloping merge at most ([`ValueSet`] copies the runs between a
-//! small operand's elements whole); a refusal still walks `Accepted_set`
-//! once more, for what the proposal lacks. A `Full` request is decided by
-//! the walk, as it always was: it carries the whole set anyway.
+//! one merge at most; a refusal still walks `Accepted_set` once more, for
+//! what the proposal lacks. A `Full` request is decided by the walk, as it
+//! always was: it carries the whole set anyway.
 //!
 //! * *Assumption.* Every base `delta_rx` holds is a subset of
 //!   `Accepted_set`, so the proposal lies inside `Accepted_set ∪ added`,
@@ -151,7 +150,8 @@
 //!   strict test profile.
 //! * *Tests.* `acceptor_tests` (random full and delta requests of three
 //!   proposers, each checked against the walk over the whole proposal:
-//!   verdict, `Accepted_set`, recorded base and refusal), the golden
+//!   verdict, ack or receipt, `Accepted_set`, recorded base and
+//!   refusal), the golden
 //!   traces, and every GWTS and RSM run of the test suite with the
 //!   assertions armed.
 
@@ -470,84 +470,6 @@ impl<V: Value> Wire for GwtsMsg<V> {
     }
 }
 
-/// A message that may wait on a guard: an ack request or a refusal, as
-/// [`GwtsMsg`] carries them. Everything else is handled where it arrives.
-/// Encoded as that message, so a snapshot's `waiting` reads as it always
-/// did.
-#[derive(Debug, Clone)]
-enum Parked<V: Value> {
-    AckReq {
-        proposed: SetUpdate<NamedSet<V>>,
-        ts: u64,
-        round: u64,
-    },
-    Nack {
-        accepted: NamedSet<V>,
-        ts: u64,
-        round: u64,
-    },
-}
-
-impl<V: Value> Wire for Parked<V> {
-    fn encode(&self, w: &mut Writer) {
-        let msg = match self.clone() {
-            Parked::AckReq {
-                proposed,
-                ts,
-                round,
-            } => GwtsMsg::AckReq {
-                proposed,
-                ts,
-                round,
-            },
-            Parked::Nack {
-                accepted,
-                ts,
-                round,
-            } => GwtsMsg::Nack {
-                accepted,
-                ts,
-                round,
-            },
-        };
-        msg.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match GwtsMsg::decode(r)? {
-            GwtsMsg::AckReq {
-                proposed,
-                ts,
-                round,
-            } => Ok(Parked::AckReq {
-                proposed,
-                ts,
-                round,
-            }),
-            GwtsMsg::Nack {
-                accepted,
-                ts,
-                round,
-            } => Ok(Parked::Nack {
-                accepted,
-                ts,
-                round,
-            }),
-            GwtsMsg::Disc(_) | GwtsMsg::Ack(_) => Err(CodecError::Invalid("gwts parked msg")),
-        }
-    }
-}
-
-/// `set` joined with `batches` in one merge: the batches' values are
-/// sorted together first, so `set`, the history, is copied once.
-fn folded<V: Value>(set: &ValueSet<V>, batches: &[ValueSet<V>]) -> ValueSet<V> {
-    let batch = match batches {
-        [] => return set.clone(),
-        [batch] => batch.clone(),
-        _ => batches.iter().flatten().cloned().collect(),
-    };
-    set.join(&batch)
-}
-
 /// Proposer phase within the current round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GwtsState {
@@ -626,13 +548,8 @@ pub struct GwtsProcess<V: Value> {
     named_by: BTreeMap<V, BatchName>,
     /// Disclosure deliveries per round.
     counters: BTreeMap<u64, usize>,
-    /// Cumulative proposal, but for `unfolded`.
+    /// Cumulative proposal.
     proposed_set: ValueSet<V>,
-    /// Batches taken in while disclosing — this process's own and each
-    /// delivered one — not joined into `proposed_set` yet: they are joined
-    /// in one merge when the proposal is first sent. Whatever reads the
-    /// proposal before that reads it through [`Self::proposed_values`].
-    unfolded: Vec<ValueSet<V>>,
     /// Acceptor: current accepted set.
     accepted_set: ValueSet<V>,
     /// Acceptor: highest trusted round.
@@ -642,8 +559,8 @@ pub struct GwtsProcess<V: Value> {
     /// Rounds in which some set has a quorum of origins — noted when
     /// the quorum forms, so `Safe_r` never re-counts.
     committed_rounds: BTreeSet<u64>,
-    /// Requests and refusals waiting on safety / round guards.
-    waiting: Vec<(ProcessId, Parked<V>)>,
+    /// Non-disclosure messages waiting on safety / round guards.
+    waiting: Vec<(ProcessId, GwtsMsg<V>)>,
     /// Rebuilt acks waiting for their round to be trusted.
     pending_acks: Vec<(ProcessId, Ack<V>)>,
     /// Cumulative decision (Local Stability floor).
@@ -698,7 +615,6 @@ impl<V: Value> GwtsProcess<V> {
             named_by: BTreeMap::new(),
             counters: BTreeMap::new(),
             proposed_set: ValueSet::new(),
-            unfolded: Vec::new(),
             accepted_set: ValueSet::new(),
             safe_r: 0,
             ack_history: BTreeMap::new(),
@@ -738,11 +654,10 @@ impl<V: Value> GwtsProcess<V> {
         self.decisions.last()
     }
 
-    /// The cumulative `Proposed_set` — read by the conformance observers
-    /// to emit refine-snapshot op events. An `O(1)` clone, but while
-    /// disclosing, when it joins the batches taken in so far.
+    /// The cumulative `Proposed_set` (cheap `O(1)` clone) — read by the
+    /// conformance observers to emit refine-snapshot op events.
     pub fn proposed_values(&self) -> ValueSet<V> {
-        folded(&self.proposed_set, &self.unfolded)
+        self.proposed_set.clone()
     }
 
     /// Whether `set` is known to have been accepted by a Byzantine quorum
@@ -885,7 +800,7 @@ impl<V: Value> GwtsProcess<V> {
             .unwrap_or_default()
             .into_iter()
             .collect();
-        self.unfolded.push(batch.clone());
+        self.proposed_set.join_with(&batch);
         self.state = GwtsState::Disclosing;
         for m in self.rb_disc.broadcast(round, batch) {
             ctx.broadcast(GwtsMsg::Disc(m));
@@ -899,8 +814,6 @@ impl<V: Value> GwtsProcess<V> {
                 >= self.config.disclosure_threshold()
         {
             self.state = GwtsState::Proposing;
-            self.proposed_set = folded(&self.proposed_set, &self.unfolded);
-            self.unfolded.clear();
             self.ts += 1;
             self.send_ack_req(ctx);
             self.check_decision(ctx);
@@ -1007,9 +920,9 @@ impl<V: Value> GwtsProcess<V> {
 
     /// The verdict on the delta request `base ∪ added`, where `base` is a
     /// proposal this acceptor consumed: whether it is acked, the proposal,
-    /// and what `accepted_set` gains if it is refused. Binary searches of
-    /// `added` and at most one merge, never a walk of `accepted_set` — see
-    /// "What an acceptor walks" in the module doc.
+    /// and what `accepted_set` gains if it is refused. A binary search per
+    /// value of `added` and at most one merge, never a walk of
+    /// `accepted_set` — see "What an acceptor walks" in the module doc.
     fn decide_delta(
         &self,
         base: &ValueSet<V>,
@@ -1020,7 +933,8 @@ impl<V: Value> GwtsProcess<V> {
             base.is_subset(accepted),
             "a consumed proposal outgrew Accepted_set"
         );
-        let fresh = added.difference(accepted);
+        let fresh = added.iter().filter(|v| !accepted.contains(v)).cloned();
+        let fresh = ValueSet::from_sorted(fresh.collect());
         let new_to_base = added.iter().filter(|v| !base.contains(v)).count();
         // `base ⊆ accepted`, so the proposal lies inside `accepted ∪ added`
         // and holds all of `accepted` exactly when the two are one size.
@@ -1035,16 +949,16 @@ impl<V: Value> GwtsProcess<V> {
         (acked, proposal, fresh)
     }
 
-    /// Tries to consume one ack request or refusal; `true` if consumed.
+    /// Tries to consume one AckReq/Nack; `true` if consumed.
     fn try_handle(
         &mut self,
         from: ProcessId,
-        msg: &Parked<V>,
+        msg: &GwtsMsg<V>,
         ctx: &mut Context<GwtsMsg<V>>,
     ) -> bool {
         match msg {
             // ---- Acceptor role ----
-            Parked::AckReq {
+            GwtsMsg::AckReq {
                 proposed,
                 ts,
                 round,
@@ -1112,7 +1026,7 @@ impl<V: Value> GwtsProcess<V> {
                 true
             }
             // ---- Proposer role ----
-            Parked::Nack {
+            GwtsMsg::Nack {
                 accepted,
                 ts,
                 round,
@@ -1140,6 +1054,9 @@ impl<V: Value> GwtsProcess<V> {
                 }
                 true
             }
+            // Only the two above ever wait on a guard; anything else is
+            // handled where it arrives and has nothing left to wait for.
+            _ => true,
         }
     }
 
@@ -1353,13 +1270,6 @@ impl<V: Value> GwtsProcess<V> {
         self.waiting.len() + self.ack_waiting.len() + self.pending_acks.len()
     }
 
-    /// Consumes an ack request or refusal, or parks it in `waiting`.
-    fn handle_or_park(&mut self, from: ProcessId, msg: Parked<V>, ctx: &mut Context<GwtsMsg<V>>) {
-        if !self.try_handle(from, &msg, ctx) {
-            self.waiting.push((from, msg));
-        }
-    }
-
     /// Retries the parked messages until none is admissible. Call after a
     /// guard input moved (see [`Self::guards`]); at any other time every
     /// parked message would fail the guard it failed before. `tried` is
@@ -1442,8 +1352,6 @@ impl<V: Value> Wire for GwtsProcess<V> {
             named_by: _,
             counters,
             proposed_set,
-            // Encoded joined into `proposed_set`.
-            unfolded,
             accepted_set,
             safe_r,
             ack_history,
@@ -1483,7 +1391,7 @@ impl<V: Value> Wire for GwtsProcess<V> {
         batches.encode(w);
         disclosed.encode(w);
         counters.encode(w);
-        folded(proposed_set, unfolded).encode(w);
+        proposed_set.encode(w);
         accepted_set.encode(w);
         w.var(*safe_r);
         ack_history.encode(w);
@@ -1519,7 +1427,6 @@ impl<V: Value> Wire for GwtsProcess<V> {
             named_by: BTreeMap::new(),
             counters: Wire::decode(r)?,
             proposed_set: Wire::decode(r)?,
-            unfolded: Vec::new(),
             accepted_set: Wire::decode(r)?,
             safe_r: r.var()?,
             ack_history: Wire::decode(r)?,
@@ -1602,7 +1509,7 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
                 for d in dels {
                     *self.counters.entry(d.tag).or_insert(0) += 1;
                     if self.state == GwtsState::Disclosing {
-                        self.unfolded.push(d.value.clone());
+                        self.proposed_set.join_with(&d.value);
                     }
                     self.disclose((d.origin, d.tag), d.value);
                 }
@@ -1622,32 +1529,11 @@ impl<V: Value> Process<GwtsMsg<V>> for GwtsProcess<V> {
                 self.advance_safe_r();
                 self.check_decision(ctx);
             }
-            GwtsMsg::AckReq {
-                proposed,
-                ts,
-                round,
-            } => self.handle_or_park(
-                from,
-                Parked::AckReq {
-                    proposed,
-                    ts,
-                    round,
-                },
-                ctx,
-            ),
-            GwtsMsg::Nack {
-                accepted,
-                ts,
-                round,
-            } => self.handle_or_park(
-                from,
-                Parked::Nack {
-                    accepted,
-                    ts,
-                    round,
-                },
-                ctx,
-            ),
+            other => {
+                if !self.try_handle(from, &other, ctx) {
+                    self.waiting.push((from, other));
+                }
+            }
         }
         if self.guards() != before {
             self.drain_waiting(ctx, before.0);
@@ -1856,51 +1742,6 @@ mod tests {
         let ack = GwtsMsg::Ack(RbMsg::Init { tag: 0, value });
         let expected: Vec<_> = (0..4).map(|to| (to, ack.clone())).collect();
         assert_eq!(ctx.take_outbox(), expected);
-    }
-
-    /// While disclosing, the batches taken in wait to be joined into the
-    /// proposal, but what observers and snapshots read already holds them;
-    /// the first request sends them all.
-    #[test]
-    fn batches_taken_in_while_disclosing_are_proposed_and_snapshotted() {
-        let schedule = BTreeMap::from([(0, vec![7u64])]);
-        let mut p = GwtsProcess::new(0, SystemConfig::new(4, 1), schedule, 4);
-        let mut ctx = Context::for_embedding(0, 4, 0, 0);
-        p.on_start(&mut ctx);
-        let deliver = |p: &mut GwtsProcess<u64>, ctx: &mut _, origin, values: &[u64]| {
-            for from in 1..=3 {
-                let value = values.iter().copied().collect();
-                let ready = RbMsg::Ready {
-                    origin,
-                    tag: 0,
-                    value,
-                };
-                p.on_message(from, GwtsMsg::Disc(ready), ctx);
-            }
-        };
-        deliver(&mut p, &mut ctx, 1, &[9, 3]);
-        assert_eq!(p.state(), GwtsState::Disclosing);
-        let expected: ValueSet<u64> = [3, 7, 9].into_iter().collect();
-        assert_eq!(p.proposed_values(), expected);
-        let restored = GwtsProcess::<u64>::from_snapshot(&p.snapshot_bytes()).unwrap();
-        assert_eq!(restored.proposed_values(), expected);
-        assert_eq!(restored.snapshot_bytes(), p.snapshot_bytes());
-        deliver(&mut p, &mut ctx, 2, &[5]);
-        ctx.take_outbox();
-        deliver(&mut p, &mut ctx, 0, &[7]);
-        assert_eq!(p.state(), GwtsState::Proposing);
-        let expected: ValueSet<u64> = [3, 5, 7, 9].into_iter().collect();
-        assert_eq!(p.proposed_values(), expected);
-        let requests: Vec<_> = (ctx.take_outbox().into_iter())
-            .filter_map(|(_, msg)| match msg {
-                GwtsMsg::AckReq {
-                    proposed: SetUpdate::Full(set),
-                    ..
-                } => p.resolve(&set),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(requests, vec![expected; 4]);
     }
 
     #[test]
@@ -2905,6 +2746,8 @@ mod acceptor_tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut p = acceptor();
             let mut accepted: BTreeSet<u64> = BTreeSet::new();
+            // The set last acked, and the rounds it was said for.
+            let (mut last_acked, mut acked_rounds) = (BTreeSet::new(), BTreeSet::new());
             // Every proposal recorded, by (proposer, ts).
             let mut proposals: BTreeMap<(ProcessId, u64), BTreeSet<u64>> = BTreeMap::new();
             let mut next_ts = [0u64; 4];
@@ -2937,7 +2780,16 @@ mod acceptor_tests {
                 let (said, nacks) = hand(&mut p, from, update, ts, round);
                 let at = format!("seed {seed} step {step}");
                 if acked {
-                    assert!(said ^ (nacks == [ValueSet::new()]), "{at}: acked once");
+                    // Said once per round and set, else a receipt.
+                    if full != last_acked {
+                        acked_rounds.clear();
+                    }
+                    let says = acked_rounds.insert(round);
+                    if says {
+                        last_acked = full.clone();
+                    }
+                    let receipt = (!says).then(ValueSet::new);
+                    assert_eq!((said, nacks), (says, Vec::from_iter(receipt)), "{at}");
                     seen[usize::from(said)] += 1;
                 } else {
                     let lacked: ValueSet<u64> = accepted.difference(&full).copied().collect();

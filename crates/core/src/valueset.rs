@@ -21,11 +21,6 @@
 //!   on the hot path: proposals grow monotonically);
 //! * **subset / superset are `O(k + m)`** merge-walks (`BTreeSet`'s are
 //!   `O(k · log m)` probes with pointer chasing);
-//! * **lopsided operands gallop**: when one side is at least 8× smaller
-//!   (a delta against a history), join, subset and difference place each
-//!   of its `k` elements by binary search and copy the runs of the other
-//!   side between them whole — `O(k · log m)` comparisons plus at most
-//!   one copy of the runs;
 //! * **equality has an `Arc::ptr_eq` fast path** — the acks of a proof
 //!   share their proposer's request, so finding a proof's distinct
 //!   echoes costs one pointer comparison per ack;
@@ -206,25 +201,13 @@ impl<T: SetItem> ValueSet<T> {
         }
     }
 
-    /// `self ⊆ other`, by merge-walk (`O(k + m)`), or by one binary
-    /// search per element of `self` when it is the lopsided smaller side
-    /// (`O(k · log m)`).
+    /// `self ⊆ other`, by merge-walk (`O(k + m)`).
     pub fn is_subset(&self, other: &ValueSet<T>) -> bool {
         if self.ptr_eq(other) || self.is_empty() {
             return true;
         }
         if self.len() > other.len() {
             return false;
-        }
-        if lopsided(self.len(), other.len()) {
-            let mut rest = other.as_slice();
-            for x in self.iter() {
-                let (_, Some(_), above) = split_around(rest, x) else {
-                    return false;
-                };
-                rest = above;
-            }
-            return true;
         }
         let (a, b) = (&self.items[..], &other.items[..]);
         let mut j = 0;
@@ -260,14 +243,6 @@ impl<T: SetItem> ValueSet<T> {
         }
         if other.is_subset(self) {
             return false;
-        }
-        if lopsided(other.len(), self.len()) {
-            *self = gallop_join(other, self, false);
-            return true;
-        }
-        if lopsided(self.len(), other.len()) {
-            *self = gallop_join(self, other, true);
-            return true;
         }
         // True merge. Only what `other` brings is measured: the rest is
         // `self`, whose bytes are cached.
@@ -325,32 +300,6 @@ impl<T: SetItem> ValueSet<T> {
         }
         if self.ptr_eq(other) {
             return ValueSet::new();
-        }
-        if lopsided(other.len(), self.len()) {
-            // Copy the runs between the few removed elements.
-            let (mut out, mut wire) = (Vec::with_capacity(self.len()), self.wire);
-            let mut rest = self.as_slice();
-            for y in other.iter() {
-                let (below, hit, above) = split_around(rest, y);
-                out.extend_from_slice(below);
-                wire -= hit.map_or(0, Wire::wire_size);
-                rest = above;
-            }
-            out.extend_from_slice(rest);
-            return ValueSet::measured(out, wire);
-        }
-        if lopsided(self.len(), other.len()) {
-            let (mut out, mut wire) = (Vec::new(), 0);
-            let mut rest = other.as_slice();
-            for x in self.iter() {
-                let (_, hit, above) = split_around(rest, x);
-                if hit.is_none() {
-                    wire += x.wire_size();
-                    out.push(x.clone());
-                }
-                rest = above;
-            }
-            return ValueSet::measured(out, wire);
         }
         let (a, b) = (&self.items[..], &other.items[..]);
         let mut out = Vec::new();
@@ -424,56 +373,6 @@ impl<T: SetItem> ValueSet<T> {
         }
         rest == many
     }
-}
-
-/// How much smaller one operand must be for the set algebra to gallop:
-/// binary-search each of its few elements in the other, and copy the
-/// runs between them whole, instead of comparing element by element.
-const GALLOP_RATIO: usize = 8;
-
-/// Whether `few` elements against `many` is lopsided enough to gallop.
-fn lopsided(few: usize, many: usize) -> bool {
-    few.saturating_mul(GALLOP_RATIO) <= many
-}
-
-/// Splits the sorted `many` around `x`: the elements below it, the one
-/// equal to it if any, and the elements above it.
-fn split_around<'a, T: Ord>(many: &'a [T], x: &T) -> (&'a [T], Option<&'a T>, &'a [T]) {
-    let at = many.partition_point(|y| y < x);
-    let (below, from) = many.split_at_checked(at).unwrap_or((many, &[]));
-    match from.split_first() {
-        Some((hit, above)) if hit == x => (below, Some(hit), above),
-        _ => (below, None, from),
-    }
-}
-
-/// `few ∪ many` when `few` is the lopsided smaller side: each element of
-/// `few` is placed by binary search and the runs of `many` between them
-/// are copied whole. An equal pair keeps `few`'s element when `few_is_self`
-/// and `many`'s otherwise — `self`'s representative either way. Measures
-/// only the elements of `few`, and the ones of `many` they replace.
-fn gallop_join<T: SetItem>(
-    few: &ValueSet<T>,
-    many: &ValueSet<T>,
-    few_is_self: bool,
-) -> ValueSet<T> {
-    let mut out = Vec::with_capacity(few.len() + many.len());
-    let mut wire = many.wire;
-    let mut rest = many.as_slice();
-    for x in few.iter() {
-        let (below, hit, above) = split_around(rest, x);
-        out.extend_from_slice(below);
-        match hit {
-            Some(kept) if !few_is_self => out.push(kept.clone()),
-            _ => {
-                wire = wire + x.wire_size() - hit.map_or(0, Wire::wire_size);
-                out.push(x.clone());
-            }
-        }
-        rest = above;
-    }
-    out.extend_from_slice(rest);
-    ValueSet::measured(out, wire)
 }
 
 impl<T: SetItem> Default for ValueSet<T> {
