@@ -19,6 +19,14 @@ use std::collections::BTreeMap;
 ///   length of the message's encoding, counted without building it.
 /// * **A broadcast meters `n` sends**, the copy to self included — though
 ///   a transport hands that copy over without a socket.
+///
+/// The simulator sizes a fan-out once: the clones a
+/// [`crate::Context::broadcast`] or [`crate::Context::multicast`] queues
+/// are one message, so it calls `kind` and `wire_size` for the first and
+/// records the run as that many sends of that size. The counters read
+/// exactly as if each copy had been sized and recorded on its own, which
+/// is what a host that takes or drains an outbox and sends message by
+/// message gets.
 pub trait WireMessage: Wire + Clone + Send {
     /// Counter bucket for this message.
     fn kind(&self) -> &'static str;
@@ -87,11 +95,26 @@ impl Metrics {
     /// for that reason), so per-kind counters stay comparable across
     /// runtimes.
     pub fn record_send(&mut self, from: ProcessId, kind: &'static str, bytes: usize) {
-        self.sent_by[from] += 1;
-        self.bytes_by[from] += bytes as u64;
-        *self.sent_by_kind.entry(kind).or_insert(0) += 1;
-        *self.bytes_by_kind.entry(kind).or_insert(0) += bytes as u64;
-        self.max_message_bytes = self.max_message_bytes.max(bytes);
+        self.record_sends(from, kind, 1, bytes as u64, bytes);
+    }
+
+    /// Accounts `count` sends of one kind by `from` at once: `bytes` in
+    /// all, the largest of them `max` bytes. Equal to
+    /// [`Metrics::record_send`] applied to each of them; the simulator
+    /// folds each run of same-kind sends of an event into one call.
+    pub fn record_sends(
+        &mut self,
+        from: ProcessId,
+        kind: &'static str,
+        count: u64,
+        bytes: u64,
+        max: usize,
+    ) {
+        self.sent_by[from] += count;
+        self.bytes_by[from] += bytes;
+        *self.sent_by_kind.entry(kind).or_insert(0) += count;
+        *self.bytes_by_kind.entry(kind).or_insert(0) += bytes;
+        self.max_message_bytes = self.max_message_bytes.max(max);
     }
 
     /// Total messages sent across all processes.

@@ -48,6 +48,13 @@ pub struct Context<M> {
     /// Total number of processes in the system.
     pub n: usize,
     pub(crate) outbox: Vec<(ProcessId, M)>,
+    /// Fan-outs in `outbox`: `(start, copies)` for each run that
+    /// [`Context::broadcast`] or [`Context::multicast`] filled with clones
+    /// of one message, in outbox order. `Some` only in the simulator's
+    /// contexts, which size such a run once; a context made by
+    /// [`Context::for_embedding`] keeps no marks, so it allocates nothing
+    /// for them.
+    pub(crate) fanouts: Option<Vec<(usize, usize)>>,
     /// Causal depth of the event being handled (message delays elapsed on
     /// the longest chain leading to this event). Read-only for processes;
     /// algorithms record it when they decide.
@@ -71,7 +78,9 @@ impl<M> Context<M> {
     }
 
     /// Drains the queued outbound messages (used by embedding hosts).
+    /// Whatever the host sends next is sized message by message.
     pub fn take_outbox(&mut self) -> Vec<(ProcessId, M)> {
+        self.forget_fanouts();
         std::mem::take(&mut self.outbox)
     }
 
@@ -79,7 +88,25 @@ impl<M> Context<M> {
     /// capacity: a host that keeps one inner context for all its events
     /// allocates it once.
     pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, (ProcessId, M)> {
+        self.forget_fanouts();
         self.outbox.drain(..)
+    }
+
+    fn forget_fanouts(&mut self) {
+        if let Some(fanouts) = &mut self.fanouts {
+            fanouts.clear();
+        }
+    }
+
+    /// Marks `outbox[start..]` as copies of one message, when this
+    /// context keeps marks.
+    fn mark_fanout(&mut self, start: usize) {
+        let copies = self.outbox.len() - start;
+        if let Some(fanouts) = &mut self.fanouts {
+            if copies > 1 {
+                fanouts.push((start, copies));
+            }
+        }
     }
 
     pub(crate) fn new(me: ProcessId, n: usize) -> Self {
@@ -87,6 +114,7 @@ impl<M> Context<M> {
             me,
             n,
             outbox: Vec::new(),
+            fanouts: None,
             depth: 0,
             local_events: 0,
         }
@@ -109,9 +137,11 @@ impl<M> Context<M> {
     where
         M: Clone,
     {
+        let start = self.outbox.len();
         for to in 0..self.n {
             self.outbox.push((to, msg.clone()));
         }
+        self.mark_fanout(start);
     }
 
     /// Sends `msg` to every process in `targets` (used e.g. by RSM clients
@@ -120,9 +150,11 @@ impl<M> Context<M> {
     where
         M: Clone,
     {
+        let start = self.outbox.len();
         for to in targets {
             self.send(to, msg.clone());
         }
+        self.mark_fanout(start);
     }
 
     /// Number of messages queued so far during this event.

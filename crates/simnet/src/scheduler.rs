@@ -12,7 +12,11 @@
 //! Schedulers are *incremental*: instead of rescanning the full in-flight
 //! set on every step (O(in-flight) per delivery), the engine streams
 //! membership changes through hooks and each scheduler maintains its own
-//! index, so a delivery step costs O(log n) or amortized O(1):
+//! index, so a delivery step costs O(log n) or amortized O(1) in the
+//! in-flight count n. FIFO, LIFO and the replay fallback are O(1); the
+//! delay heap and the starvation wrappers' held sets are O(log n); the
+//! random and search schedulers' rank pools are O(log(n / 64)) tree
+//! steps plus one broadword select, and compact in amortized O(1):
 //!
 //! * [`Scheduler::on_send`] — a message entered flight. Its
 //!   [`EnvelopeId`] is stable until the matching `on_delivered`; the
@@ -121,22 +125,34 @@ pub trait Scheduler: Send {
 }
 
 /// An insertion-ordered pool of envelope ids with O(log n) rank
-/// selection ("the k-th oldest live entry") and amortized O(1) removal.
+/// selection ("the k-th oldest live entry"), insertion and removal.
 ///
-/// Backed by an append-only vector with tombstones and a Fenwick tree of
-/// alive counts; compacts when more than half the entries are dead, so
-/// memory stays O(live). Because the engine calls `on_send` in `seq`
-/// order, insertion order *is* ascending-`seq` order — rank selection
-/// therefore reproduces an index into the seq-sorted in-flight list,
-/// which is what the golden traces pin for the random scheduler.
+/// Each insertion takes the next position. An alive bitmap marks the
+/// positions whose id is still live, and a Fenwick tree over the
+/// popcounts of the bitmap's 64-position words gives prefix counts, so
+/// the tree has one node per 64 positions. [`OrderedPool::select`]
+/// descends the tree to the word holding the k-th live entry and finds
+/// the bit inside that word with broadword arithmetic. The word count
+/// is kept a power of two (unused words are zero), so the descent runs a
+/// fixed number of steps and never tests a node against the length. The
+/// pool
+/// compacts when more than half its positions are dead, so memory stays
+/// O(live). Because the engine calls `on_send` in `seq` order, insertion
+/// order *is* ascending-`seq` order — rank selection therefore
+/// reproduces an index into the seq-sorted in-flight list, which is what
+/// the golden traces pin for the random scheduler.
 #[derive(Debug, Default)]
 struct OrderedPool {
-    /// (id, alive) in insertion order.
-    entries: Vec<(EnvelopeId, bool)>,
-    /// Fenwick tree over `entries`: prefix counts of alive entries.
+    /// The id inserted at each position; a dead position keeps its
+    /// stale id.
+    ids: Vec<EnvelopeId>,
+    /// Alive bitmap: bit `p % 64` of word `p / 64` is set while position
+    /// `p` holds a live id. Its length is zero or a power of two.
+    alive: Vec<u64>,
+    /// Fenwick tree over `alive`'s popcounts, one node per word.
     fenwick: Vec<i32>,
-    /// Live id -> index into `entries` ([`ABSENT`] when not held),
-    /// indexed by the slab's dense ids.
+    /// Live id -> its position ([`ABSENT`] when not held), indexed by
+    /// the slab's dense ids.
     pos_of: Vec<usize>,
     live: usize,
 }
@@ -149,35 +165,39 @@ impl OrderedPool {
         self.live
     }
 
-    fn fenwick_add(&mut self, mut i: usize, delta: i32) {
+    fn fenwick_add(&mut self, word: usize, delta: i32) {
         // 1-based internally.
-        i += 1;
+        let mut i = word + 1;
         while i <= self.fenwick.len() {
             self.fenwick[i - 1] += delta;
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Count of alive entries among the first `i` (1-based prefix).
-    fn fenwick_prefix(&self, mut i: usize) -> i32 {
-        let mut sum = 0;
-        while i > 0 {
-            sum += self.fenwick[i - 1];
-            i -= i & i.wrapping_neg();
+    /// Rebuilds the tree from `alive` in O(words).
+    fn rebuild_fenwick(&mut self) {
+        self.fenwick.clear();
+        self.fenwick
+            .extend(self.alive.iter().map(|word| word.count_ones() as i32));
+        for i in 1..=self.fenwick.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= self.fenwick.len() {
+                self.fenwick[parent - 1] += self.fenwick[i - 1];
+            }
         }
-        sum
     }
 
     fn insert(&mut self, id: EnvelopeId) {
-        let pos = self.entries.len();
-        self.entries.push((id, true));
-        // Appending node `i` (1-based): it covers `(i - lowbit(i), i]`,
-        // so seed it with the alive count of the already-present part of
-        // that range, plus one for the new entry.
-        let i = pos + 1;
-        let low = i & i.wrapping_neg();
-        let init = self.fenwick_prefix(i - 1) - self.fenwick_prefix(i - low) + 1;
-        self.fenwick.push(init);
+        let pos = self.ids.len();
+        self.ids.push(id);
+        let word = pos / 64;
+        if word == self.alive.len() {
+            // Out of words: double them (zero words change no count).
+            self.alive.resize((2 * word).max(1), 0);
+            self.rebuild_fenwick();
+        }
+        self.alive[word] |= 1 << (pos % 64);
+        self.fenwick_add(word, 1);
         if self.pos_of.len() <= id {
             self.pos_of.resize(id + 1, ABSENT);
         }
@@ -195,10 +215,10 @@ impl OrderedPool {
             pos != ABSENT,
             "removing an envelope id the pool does not hold"
         );
-        self.entries[pos].1 = false;
-        self.fenwick_add(pos, -1);
+        self.alive[pos / 64] &= !(1 << (pos % 64));
+        self.fenwick_add(pos / 64, -1);
         self.live -= 1;
-        if self.entries.len() > 64 && self.live * 2 <= self.entries.len() {
+        if self.ids.len() > 64 && self.live * 2 <= self.ids.len() {
             self.compact();
         }
     }
@@ -206,40 +226,78 @@ impl OrderedPool {
     /// The id of the k-th oldest live entry (0-based).
     fn select(&self, k: usize) -> EnvelopeId {
         assert!(k < self.live, "rank {k} out of bounds (live {})", self.live);
-        // Fenwick binary lifting: smallest prefix holding k+1 alive.
-        let mut target = k as i32 + 1;
-        let mut pos = 0usize; // 1-based prefix end
-        let mut mask = self.fenwick.len().next_power_of_two();
-        while mask > 0 {
-            let next = pos + mask;
-            if next <= self.fenwick.len() && self.fenwick[next - 1] < target {
-                target -= self.fenwick[next - 1];
-                pos = next;
+        // Fenwick descent over words: `word` ends as the number of words
+        // before the one holding the entry, `rank` as the entry's rank
+        // inside it. The tree's length is a power of two, so the first
+        // step is half of it and every node visited exists.
+        let mut rank = k as i32;
+        let mut word = 0usize;
+        let mut step = self.fenwick.len() / 2;
+        while step > 0 {
+            let count = self.fenwick[word + step - 1];
+            if count <= rank {
+                rank -= count;
+                word += step;
             }
-            mask >>= 1;
+            step /= 2;
         }
-        let (id, alive) = self.entries[pos];
-        debug_assert!(alive);
-        id
+        self.ids[word * 64 + select_in_word(self.alive[word], rank as u32)]
     }
 
     fn compact(&mut self) {
-        self.entries.retain(|&(_, alive)| alive);
-        self.fenwick = vec![0; self.entries.len()];
-        for pos in 0..self.entries.len() {
-            self.fenwick_add(pos, 1);
+        let mut kept = 0;
+        for word in 0..self.alive.len() {
+            let mut bits = std::mem::take(&mut self.alive[word]);
+            while bits != 0 {
+                let id = self.ids[word * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                self.ids[kept] = id;
+                self.pos_of[id] = kept;
+                kept += 1;
+            }
         }
-        for (pos, &(id, _)) in self.entries.iter().enumerate() {
-            self.pos_of[id] = pos;
+        self.ids.truncate(kept);
+        self.alive.truncate(kept.div_ceil(64).next_power_of_two());
+        for pos in (0..kept).step_by(64) {
+            let bits = (kept - pos).min(64);
+            self.alive[pos / 64] = u64::MAX >> (64 - bits);
         }
+        self.rebuild_fenwick();
     }
 
     fn clear(&mut self) {
-        self.entries.clear();
+        self.ids.clear();
+        self.alive.clear();
         self.fenwick.clear();
         self.pos_of.clear();
         self.live = 0;
     }
+}
+
+/// The position of the set bit of rank `rank` (0-based, counted from the
+/// least significant end) in `word`, which must have more than `rank` set
+/// bits. Broadword: the popcount of each byte, their running sums by one
+/// multiplication, the byte holding the bit by a bytewise compare of those
+/// sums against `rank`, and then at most seven steps inside that byte.
+fn select_in_word(word: u64, rank: u32) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    debug_assert!(rank < word.count_ones(), "rank {rank} past the word's bits");
+    let mut counts = word - ((word >> 1) & 0x5555_5555_5555_5555);
+    counts = (counts & 0x3333_3333_3333_3333) + ((counts >> 2) & 0x3333_3333_3333_3333);
+    counts = (counts + (counts >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Byte i: the set bits in bytes 0..=i (at most 64, so no carries).
+    let sums = counts.wrapping_mul(ONES);
+    // Byte i's high bit is set when sum i <= rank: the bit lies past
+    // byte i. The sums only grow, so counting those bytes finds its byte.
+    let past = (((u64::from(rank) * ONES) | HIGHS) - sums) & HIGHS;
+    let byte = ((past >> 7).wrapping_mul(ONES) >> 56) as u32;
+    let below = (((sums << 8) >> (8 * byte)) & 0xFF) as u32;
+    let mut bits = (word >> (8 * byte)) & 0xFF;
+    for _ in below..rank {
+        bits &= bits - 1;
+    }
+    (8 * byte + bits.trailing_zeros()) as usize
 }
 
 /// Delivers messages strictly in send order. The most benign network.
@@ -999,6 +1057,11 @@ impl Scheduler for ReplayScheduler {
 mod tests {
     use super::*;
 
+    /// Cases per differential property: a few dozen under the strict test
+    /// profile, a thousand in release (`cargo test --release -p
+    /// bgla-simnet`, a CI step).
+    const DIFFERENTIAL_CASES: u64 = if cfg!(debug_assertions) { 64 } else { 1024 };
+
     fn mk(seq: u64, from: ProcessId, to: ProcessId) -> InFlight {
         InFlight {
             from,
@@ -1224,6 +1287,185 @@ mod tests {
         assert!(seen.iter().all(|&d| d));
     }
 
+    /// A slab's id allocator: a retired id is reused before a new one,
+    /// the most recently retired first.
+    #[derive(Default)]
+    struct Ids {
+        free: Vec<EnvelopeId>,
+        next: EnvelopeId,
+    }
+
+    impl Ids {
+        fn take(&mut self) -> EnvelopeId {
+            self.free.pop().unwrap_or_else(|| {
+                self.next += 1;
+                self.next - 1
+            })
+        }
+    }
+
+    /// Every rank of `pool` against the oracle's live ids, oldest first.
+    fn assert_ranks(pool: &OrderedPool, oracle: &[EnvelopeId], case: u64) {
+        assert_eq!(pool.len(), oracle.len(), "case {case}: live count");
+        for (k, &id) in oracle.iter().enumerate() {
+            assert_eq!(
+                pool.select(k),
+                id,
+                "case {case}: rank {k} of {}",
+                oracle.len()
+            );
+        }
+    }
+
+    /// `OrderedPool` against a `Vec` of live ids in insertion order, under
+    /// random inserts (slab-reused ids), removals, selections and
+    /// reset-and-refeeds. Each case drifts around a live count near a word
+    /// boundary (63/64/65, 127/128/129) or past the compaction threshold,
+    /// and crosses it both ways.
+    #[test]
+    fn ordered_pool_matches_a_vec_oracle() {
+        const TARGETS: [usize; 9] = [1, 63, 64, 65, 127, 128, 129, 200, 700];
+        for case in 0..DIFFERENTIAL_CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let target = TARGETS[case as usize % TARGETS.len()];
+            let mut pool = OrderedPool::default();
+            let mut oracle: Vec<EnvelopeId> = Vec::new();
+            let mut ids = Ids::default();
+            for step in 0..4 * target + 200 {
+                let grow: u32 = if oracle.len() < target { 70 } else { 30 };
+                match rng.gen_range(0..200u32) {
+                    0 => {
+                        // Reset and re-feed the live ids in order, having
+                        // swept a random few (a crash sweep) to the free list.
+                        pool.clear();
+                        let mut kept = Vec::new();
+                        for id in oracle.drain(..) {
+                            if rng.gen_range(0..4u32) == 0 {
+                                ids.free.push(id);
+                            } else {
+                                pool.insert(id);
+                                kept.push(id);
+                            }
+                        }
+                        oracle = kept;
+                    }
+                    r if r % 100 < grow || oracle.is_empty() => {
+                        let id = ids.take();
+                        pool.insert(id);
+                        oracle.push(id);
+                    }
+                    _ => {
+                        let id = oracle.remove(rng.gen_range(0..oracle.len()));
+                        pool.remove(id);
+                        ids.free.push(id);
+                    }
+                }
+                assert_eq!(pool.len(), oracle.len(), "case {case}: live count");
+                if let Some(&last) = oracle.last() {
+                    let k = rng.gen_range(0..oracle.len());
+                    assert_eq!(pool.select(k), oracle[k], "case {case}: rank {k}");
+                    assert_eq!(pool.select(0), oracle[0], "case {case}: oldest");
+                    assert_eq!(pool.select(oracle.len() - 1), last, "case {case}: newest");
+                }
+                if step % 64 == 0 {
+                    assert_ranks(&pool, &oracle, case);
+                }
+            }
+            assert_ranks(&pool, &oracle, case);
+        }
+    }
+
+    /// Fill to `live`, then drain from random ranks to empty, checking
+    /// every rank at each count: 63, 64 and 65 end a word early, on its
+    /// last bit and one past it, and the larger counts compact on the way
+    /// down.
+    #[test]
+    fn ordered_pool_crosses_word_and_compaction_boundaries() {
+        for live in [1, 2, 63, 64, 65, 66, 127, 128, 129, 130, 257] {
+            let mut rng = StdRng::seed_from_u64(live as u64);
+            let mut pool = OrderedPool::default();
+            let mut oracle: Vec<EnvelopeId> = (0..live).collect();
+            for &id in &oracle {
+                pool.insert(id);
+                assert_eq!(pool.select(pool.len() - 1), id);
+            }
+            assert_ranks(&pool, &oracle, live as u64);
+            while !oracle.is_empty() {
+                let id = oracle.remove(rng.gen_range(0..oracle.len()));
+                pool.remove(id);
+                assert_ranks(&pool, &oracle, live as u64);
+                assert!(
+                    pool.ids.len() <= 64 || pool.len() * 2 > pool.ids.len(),
+                    "{live}: {} positions for {} live ids",
+                    pool.ids.len(),
+                    pool.len()
+                );
+            }
+            // Emptied, the pool takes ids afresh.
+            pool.insert(live);
+            assert_eq!(pool.select(0), live);
+        }
+    }
+
+    #[test]
+    fn select_in_word_finds_each_set_bit() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let words = [1, u64::MAX, 1 << 63, 0x8000_0000_0000_0001, 0xFF00]
+            .into_iter()
+            .chain((0..DIFFERENTIAL_CASES).map(|_| rng.next_u64() & rng.next_u64()));
+        for word in words {
+            let bits: Vec<usize> = (0..64).filter(|&b| word >> b & 1 == 1).collect();
+            for (rank, &bit) in bits.iter().enumerate() {
+                assert_eq!(
+                    select_in_word(word, rank as u32),
+                    bit,
+                    "{word:#x} rank {rank}"
+                );
+            }
+        }
+    }
+
+    /// `RandomScheduler` must pick what the seq-sorted in-flight list
+    /// picks with `Vec::remove(gen_range(0..len))` on the same RNG stream,
+    /// the schedule the golden traces pin. Sends arrive in bursts that
+    /// carry the live count from a handful past a thousand and back.
+    #[test]
+    fn random_scheduler_picks_as_a_vec_remove() {
+        let seeds = DIFFERENTIAL_CASES / 32;
+        for seed in 0..seeds {
+            let mut s = RandomScheduler::new(seed);
+            let mut reference = StdRng::seed_from_u64(seed);
+            let mut traffic = StdRng::seed_from_u64(!seed);
+            let mut live: Vec<EnvelopeId> = Vec::new();
+            let mut ids = Ids::default();
+            let mut seq = 0;
+            for now in 0..12_000u64 {
+                // Phases of 3 000 steps: fill (1.5 sends a step), then
+                // drain (0.5), twice.
+                let burst = if now / 3_000 % 2 == 0 { 0..4u32 } else { 0..2 };
+                for _ in 0..traffic.gen_range(burst) {
+                    let id = ids.take();
+                    s.on_send(&mk(seq, 0, 1), id);
+                    seq += 1;
+                    live.push(id);
+                }
+                if live.is_empty() {
+                    continue;
+                }
+                let id = s.choose(now);
+                let want = live.remove(reference.gen_range(0..live.len()));
+                assert_eq!(
+                    id,
+                    want,
+                    "seed {seed}: delivery {now} of {}",
+                    live.len() + 1
+                );
+                s.on_delivered(id);
+                ids.free.push(id);
+            }
+        }
+    }
+
     #[test]
     fn ordered_pool_rank_selects_and_compacts() {
         let mut pool = OrderedPool::default();
@@ -1235,7 +1477,7 @@ mod tests {
             pool.remove(id);
         }
         assert_eq!(pool.len(), 100);
-        assert!(pool.entries.len() <= 128, "pool failed to compact");
+        assert!(pool.ids.len() <= 128, "pool failed to compact");
         // Ranks select the odd ids in insertion order.
         for k in 0..100 {
             assert_eq!(pool.select(k), 2 * k + 1);

@@ -6,6 +6,22 @@
 //! [`Scheduler`] is kept in sync incrementally through its
 //! `on_send`/`on_delivered` hooks — so a delivery step never allocates,
 //! scans, or shifts anything proportional to the in-flight population.
+//!
+//! # What a step costs
+//!
+//! One delivery is a `choose` (O(log n) for [`crate::RandomScheduler`]:
+//! a descent of a tree with one node per 64 envelopes, then a broadword
+//! select in one word), a slab removal, the handler, and then, for each
+//! message the handler queued, a slab insertion and an `on_send`.
+//! Metering is paid per fan-out, not per copy: a
+//! [`Context::broadcast`] or [`Context::multicast`] marks its run of
+//! clones, so the engine calls [`WireMessage::kind`] and
+//! [`bgla_codec::Wire::wire_size`] once for the run and records it as `n`
+//! sends, and each run of same-kind sends of one event reaches
+//! [`Metrics`] in one [`Metrics::record_sends`] call. An envelope keeps
+//! the size metered at send, so a traced delivery does not size its
+//! message again. The `e2e` benchmark reports the engine's time per
+//! delivery, handlers excluded, as `simnet.step_self_ns`.
 
 use crate::metrics::{Metrics, WireMessage};
 use crate::process::{Context, Process, ProcessId};
@@ -15,9 +31,50 @@ use crate::trace::{Trace, TraceEvent};
 struct Envelope<M> {
     meta: InFlight,
     msg: M,
+    /// The message's size as metered at send, for the trace.
+    bytes: usize,
     /// Causal depth: one more than the depth of the event during which the
     /// message was sent.
     depth: u64,
+}
+
+/// Consecutive sends of one kind by one sender, metered with one
+/// [`Metrics::record_sends`] call.
+#[derive(Default)]
+struct KindRun {
+    kind: &'static str,
+    count: u64,
+    bytes: u64,
+    max: usize,
+}
+
+impl KindRun {
+    /// Adds `copies` sends of `bytes` each. A new kind first meters the
+    /// run so far.
+    fn add(
+        &mut self,
+        metrics: &mut Metrics,
+        from: ProcessId,
+        kind: &'static str,
+        copies: usize,
+        bytes: usize,
+    ) {
+        if kind != self.kind {
+            self.meter(metrics, from);
+            self.kind = kind;
+        }
+        self.count += copies as u64;
+        self.bytes += (copies * bytes) as u64;
+        self.max = self.max.max(bytes);
+    }
+
+    /// Meters the run and empties it.
+    fn meter(&mut self, metrics: &mut Metrics, from: ProcessId) {
+        if self.count > 0 {
+            metrics.record_sends(from, self.kind, self.count, self.bytes, self.max);
+        }
+        *self = KindRun::default();
+    }
 }
 
 /// A free-list slab of in-flight envelopes: O(1) insert and remove under
@@ -157,6 +214,7 @@ impl<M: WireMessage + 'static> SimulationBuilder<M> {
             started: false,
             trace: None,
             outbox: Vec::new(),
+            fanouts: Vec::new(),
         }
     }
 }
@@ -188,6 +246,9 @@ pub struct Simulation<M: WireMessage> {
     /// The one outbox buffer every event's [`Context`] borrows: lent by
     /// `context`, handed back (drained, capacity kept) by `flush_outbox`.
     outbox: Vec<(ProcessId, M)>,
+    /// The fan-out marks every event's [`Context`] borrows, lent and
+    /// handed back beside `outbox`.
+    fanouts: Vec<(usize, usize)>,
 }
 
 impl<M: WireMessage + 'static> Simulation<M> {
@@ -251,17 +312,34 @@ impl<M: WireMessage + 'static> Simulation<M> {
     fn context(&mut self, p: ProcessId) -> Context<M> {
         let mut ctx = Context::new(p, self.n());
         ctx.outbox = std::mem::take(&mut self.outbox);
+        ctx.fanouts = Some(std::mem::take(&mut self.fanouts));
         ctx
     }
 
     fn flush_outbox(&mut self, from: ProcessId, ctx: Context<M>, depth: u64) {
-        let mut outbox = ctx.outbox;
-        for (to, msg) in outbox.drain(..) {
-            let kind = msg.kind();
-            let bytes = msg.wire_size();
-            // The sender pays for the send either way (the bytes hit
-            // the wire before anyone can know the peer is down)...
-            self.metrics.record_send(from, kind, bytes);
+        let Context {
+            mut outbox,
+            fanouts,
+            ..
+        } = ctx;
+        let mut fanouts = fanouts.expect("the simulator lends each context its fan-out marks");
+        let mut marks = fanouts.iter().peekable();
+        let mut run = KindRun::default();
+        // The message on the wire: sized once per fan-out, and the
+        // copies of it still to come.
+        let (mut kind, mut bytes, mut copies_left) = ("", 0, 0);
+        for (i, (to, msg)) in outbox.drain(..).enumerate() {
+            if copies_left == 0 {
+                copies_left = marks
+                    .next_if(|&&(start, _)| start == i)
+                    .map_or(1, |&(_, copies)| copies);
+                kind = msg.kind();
+                bytes = msg.wire_size();
+                // The sender pays for every copy either way (the bytes
+                // hit the wire before anyone can know a peer is down)...
+                run.add(&mut self.metrics, from, kind, copies_left, bytes);
+            }
+            copies_left -= 1;
             self.seq += 1;
             // ...but a message to a crashed process never enters
             // flight: it is dropped here rather than scheduled into a
@@ -278,9 +356,17 @@ impl<M: WireMessage + 'static> Simulation<M> {
                 sent_at: self.delivered,
                 kind,
             };
-            let id = self.inflight.insert(Envelope { meta, msg, depth });
+            let id = self.inflight.insert(Envelope {
+                meta,
+                msg,
+                bytes,
+                depth,
+            });
             self.scheduler.on_send(&meta, id);
         }
+        run.meter(&mut self.metrics, from);
+        fanouts.clear();
+        self.fanouts = fanouts;
         self.outbox = outbox;
     }
 
@@ -394,9 +480,9 @@ impl<M: WireMessage + 'static> Simulation<M> {
                 step: self.delivered,
                 from: env.meta.from,
                 to,
-                kind: env.msg.kind(),
+                kind: env.meta.kind,
                 depth: self.depths[to],
-                bytes: env.msg.wire_size(),
+                bytes: env.bytes,
             });
         }
         self.procs[to].on_message(env.meta.from, env.msg, &mut ctx);
@@ -477,6 +563,7 @@ impl<M: WireMessage + 'static> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgla_codec::{CodecError, Reader, Wire, Writer};
     use std::any::Any;
 
     /// Relays a token `hops` times: p0 -> p1 -> p0 -> p1 ... Each hop adds
@@ -655,6 +742,151 @@ mod tests {
         assert_eq!(sim.process_as::<Gossip>(1).unwrap().got, 1);
         // The survivors each heard: 2 live broadcasts + the restart one.
         assert_eq!(sim.process_as::<Gossip>(0).unwrap().got, 3);
+    }
+
+    /// A message of two kinds whose sizes differ by content, for the
+    /// metering tests.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Toy {
+        Short(u64),
+        Long(Vec<u8>),
+    }
+
+    impl Wire for Toy {
+        fn encode(&self, w: &mut Writer) {
+            match self {
+                Toy::Short(v) => {
+                    w.u8(0);
+                    w.var(*v);
+                }
+                Toy::Long(body) => {
+                    w.u8(1);
+                    w.usize(body.len());
+                    w.bytes(body);
+                }
+            }
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            match r.u8()? {
+                0 => Ok(Toy::Short(r.var()?)),
+                1 => {
+                    let len = r.seq_len()?;
+                    Ok(Toy::Long(r.bytes(len)?.to_vec()))
+                }
+                _ => Err(CodecError::Invalid("toy tag")),
+            }
+        }
+    }
+
+    impl WireMessage for Toy {
+        fn kind(&self) -> &'static str {
+            match self {
+                Toy::Short(_) => "short",
+                Toy::Long(_) => "long",
+            }
+        }
+    }
+
+    /// Queues `script` at start; records every delivery it receives.
+    struct Scripted {
+        script: fn(&mut Context<Toy>),
+        got: Vec<Toy>,
+    }
+
+    impl Process<Toy> for Scripted {
+        fn on_start(&mut self, ctx: &mut Context<Toy>) {
+            (self.script)(ctx);
+        }
+        fn on_message(&mut self, _from: ProcessId, msg: Toy, _ctx: &mut Context<Toy>) {
+            self.got.push(msg);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Runs `script` as process 1's start-up event among four processes
+    /// (process 3 crashed, so copies to it are metered and dropped), and
+    /// checks the simulator's `Metrics` against `record_send` applied to
+    /// every message the script queues, in order; and each traced
+    /// delivery's bytes against its message's size.
+    fn assert_metered_per_message(script: fn(&mut Context<Toy>)) {
+        const N: usize = 4;
+        let mut queued = Context::for_embedding(1, N, 0, 0);
+        script(&mut queued);
+        let mut expected = Metrics::new(N);
+        for (_, msg) in queued.take_outbox() {
+            expected.record_send(1, msg.kind(), msg.wire_size());
+        }
+        assert!(
+            expected.sent_by_kind.len() > 1,
+            "the script must send two kinds"
+        );
+
+        let mut b = SimulationBuilder::new();
+        for p in 0..N {
+            b = b.add(Box::new(Scripted {
+                script: if p == 1 { script } else { |_| {} },
+                got: Vec::new(),
+            }));
+        }
+        let mut sim = b.build();
+        sim.enable_trace();
+        sim.crash(3);
+        sim.run(1_000);
+        expected.delivered = sim.metrics().delivered;
+        assert_eq!(sim.metrics(), &expected);
+
+        let events = sim.trace().unwrap().events();
+        let got: Vec<&Toy> = (0..N)
+            .flat_map(|p| &sim.process_as::<Scripted>(p).unwrap().got)
+            .collect();
+        assert_eq!(events.len(), got.len());
+        let mut traced: Vec<(&str, usize)> = events.iter().map(|e| (e.kind, e.bytes)).collect();
+        let mut sized: Vec<(&str, usize)> = got.iter().map(|m| (m.kind(), m.wire_size())).collect();
+        traced.sort();
+        sized.sort();
+        assert_eq!(
+            traced, sized,
+            "a delivery traced with bytes other than its message's"
+        );
+    }
+
+    /// One event mixing broadcasts, multicasts (one of a single target,
+    /// one of none) and sends, of both kinds and several sizes: metered
+    /// as if message by message.
+    #[test]
+    fn fan_outs_meter_as_their_copies() {
+        assert_metered_per_message(|ctx| {
+            ctx.broadcast(Toy::Short(300));
+            ctx.send(0, Toy::Short(7));
+            ctx.send(3, Toy::Short(1 << 40));
+            ctx.multicast([0, 2, 3], Toy::Long(vec![1; 40]));
+            ctx.send(2, Toy::Long(vec![2; 5]));
+            ctx.broadcast(Toy::Long(vec![3; 200]));
+            ctx.multicast([2], Toy::Short(1 << 20));
+            ctx.multicast(std::iter::empty(), Toy::Short(9));
+            ctx.broadcast(Toy::Short(2));
+            ctx.broadcast(Toy::Short(2));
+        });
+    }
+
+    /// A host that takes or drains its outbox and sends other messages
+    /// in place of the fan-out it queued is metered by what it sends.
+    #[test]
+    fn taken_and_drained_outboxes_meter_per_message() {
+        assert_metered_per_message(|ctx| {
+            ctx.broadcast(Toy::Long(vec![0; 1]));
+            for (i, (to, _)) in ctx.take_outbox().into_iter().enumerate() {
+                ctx.send(to, Toy::Long(vec![0; 10 * i]));
+            }
+            ctx.multicast([0, 1, 2], Toy::Short(5));
+            let drained: Vec<ProcessId> = ctx.drain_outbox().map(|(to, _)| to).collect();
+            for (i, to) in drained.into_iter().enumerate() {
+                ctx.send(to, Toy::Short(1 << (8 * i)));
+            }
+            ctx.broadcast(Toy::Long(vec![9; 3]));
+        });
     }
 
     #[test]
